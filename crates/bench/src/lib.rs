@@ -15,9 +15,9 @@
 //! append} — over a page-size sweep; split target ½; split tolerance ⅒ of
 //! a page; 2 MB buffer, cleared before every measured operation. Times are
 //! the simulated-disk milliseconds of the DCAS 34330W model
-//! ([`natix::DiskProfile::dcas_34330w`]); see DESIGN.md for why wall-clock
-//! on modern hardware cannot reproduce the paper's numbers while the model
-//! reproduces their shape.
+//! ([`natix::DiskProfile::dcas_34330w`]); `natix_storage::simdisk` says why
+//! wall-clock on modern hardware cannot reproduce the paper's numbers while
+//! the model reproduces their shape.
 
 use natix::{DocId, NatixResult, PathQuery, Repository, RepositoryOptions, SplitMatrix};
 use natix_corpus::{generate_play, incremental_order, Anchor, CorpusConfig, PlayDoc};

@@ -344,7 +344,9 @@ impl Repository {
                 .defer_until_publish(move |epoch, floor| {
                     st.publish_root_move(old, new, epoch, floor)
                 });
-            if !deferred {
+            if deferred {
+                self.log_root_move(state, new);
+            } else {
                 state.set_root_now(old, new);
             }
         }
@@ -367,6 +369,35 @@ impl Repository {
                 }
             }
         }
+    }
+
+    /// Logs the directory with `state`'s root already at `new`, owned by
+    /// the ambient write operation: the checkpointed directory still names
+    /// the old root, so without this record a crash before the next
+    /// checkpoint would reopen the document at a RID that no longer holds
+    /// its root. The record precedes the operation's commit record (that
+    /// one is appended after publish), and recovery's directory fold
+    /// honours it only if the operation committed. Guard order as in
+    /// [`Repository::register`]. Not covered: a registration or checkpoint
+    /// of *another* document that dumps the directory between this record
+    /// and the operation's publish still lists the old root, and the later
+    /// dump wins the fold.
+    fn log_root_move(&self, state: &DocState, new: Rid) {
+        let (Some(wal), Some(op)) = (&self.wal, self.tree.versions().ambient_write_op()) else {
+            return;
+        };
+        let symbols = self.symbols.read();
+        let matrix = self.tree.matrix();
+        let reg = self.registry.lock();
+        let schema = self.schema.read();
+        let payload = crate::recovery::capture_directory(
+            &symbols,
+            &reg,
+            &matrix,
+            &schema,
+            Some((&state.name, new)),
+        );
+        wal.append(&natix_storage::WalRecord::Catalog { op, payload });
     }
 
     /// Binds logical node ids for pointers discovered under the calling

@@ -24,8 +24,7 @@
 //! The buffer manager performs all disk I/O outside its pool mutex and the
 //! storage manager's allocator lock is never held across page I/O, so one
 //! writer's eviction write-back overlaps the other writers' parsing and
-//! page fills — this is what the thread-scaling benchmark
-//! (`BENCH_concurrent_ingest.json`) measures.
+//! page fills.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

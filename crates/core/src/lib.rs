@@ -23,8 +23,7 @@
 //!   paper's evaluation queries (the full query engine is "not yet
 //!   implemented" in the paper as well), plus **parallel query
 //!   execution** ([`parallel_query`]): multi-document fan-out and
-//!   intra-document descendant scans split at record boundaries;
-//! * the **flat-stream baseline** ([`flatfile`]) of §1's taxonomy.
+//!   intra-document descendant scans split at record boundaries.
 //!
 //! ## Quickstart
 //!
@@ -43,7 +42,6 @@
 pub mod catalog;
 pub mod document;
 pub mod error;
-pub mod flatfile;
 pub mod index;
 pub mod ingest;
 pub mod parallel_query;
@@ -55,7 +53,6 @@ pub mod schema;
 
 pub use document::{DocId, NodeId, NodeKind, NodeSummary};
 pub use error::{NatixError, NatixResult};
-pub use flatfile::FlatStore;
 pub use index::LabelIndex;
 pub use parallel_query::ParallelQueryOptions;
 pub use path_summary::PathSummary;

@@ -70,14 +70,6 @@ pub struct ParallelQueryOptions {
     /// least this many pending records; below that it runs to completion
     /// on the calling thread.
     pub parallel_record_threshold: usize,
-    /// Read-ahead window per scan worker: after claiming a record, the
-    /// worker issues a best-effort batched prefetch for the pages of up
-    /// to this many *queued* records (plus the claimed one), so the
-    /// buffer pool overlaps their reads with the current record's scan.
-    /// 0 disables prefetch. The prefetch runs outside the scan-queue
-    /// lock (it is an I/O region) and enters frames at scan priority,
-    /// so it cannot displace the point-access working set.
-    pub prefetch_window: usize,
 }
 
 impl Default for ParallelQueryOptions {
@@ -88,10 +80,17 @@ impl Default for ParallelQueryOptions {
                 .unwrap_or(1)
                 .min(8),
             parallel_record_threshold: 16,
-            prefetch_window: 4,
         }
     }
 }
+
+/// Read-ahead window per scan worker: after claiming a record, the worker
+/// issues a best-effort batched prefetch for the claimed record's page plus
+/// up to this many distinct pages of *queued* records, so the buffer pool
+/// overlaps their reads with the current record's scan. The prefetch runs
+/// outside the scan-queue lock (it is an I/O region) and enters frames at
+/// scan priority, so it cannot displace the point-access working set.
+const PREFETCH_WINDOW: usize = 4;
 
 /// Child (`/`) steps fan contexts across workers only above this many
 /// context nodes — below it, thread startup dominates the step.
@@ -301,7 +300,6 @@ impl Repository {
             &ParallelQueryOptions {
                 threads: 1,
                 parallel_record_threshold: usize::MAX,
-                ..Default::default()
             },
         )
     }
@@ -429,11 +427,11 @@ impl Repository {
                         let shared = &shared;
                         scope.spawn(move || {
                             let _pin = epoch.map(|e| self.tree.adopt_read(e));
-                            self.drain_scan_queue(shared, step, label, opts.prefetch_window, w + 1)
+                            self.drain_scan_queue(shared, step, label, w + 1)
                         })
                     })
                     .collect();
-                let mine = self.drain_scan_queue(&shared, step, label, opts.prefetch_window, 0);
+                let mine = self.drain_scan_queue(&shared, step, label, 0);
                 let mut all = Vec::with_capacity(helpers + 1);
                 let mut first_err = None;
                 for res in handles
@@ -484,15 +482,14 @@ impl Repository {
     /// discovered child records back, until the queue is empty with no
     /// active scanners (or a worker failed).
     ///
-    /// With a non-zero `prefetch_window` the worker keeps a small
-    /// read-ahead in flight: on each claim it snapshots the pages of the
-    /// next queued records *under* the queue lock, then — with the lock
-    /// dropped, since the read is an I/O region — hands them to the
-    /// buffer pool as one batched, scan-priority prefetch together with
-    /// the claimed record's own page. A demand pin racing the prefetch
+    /// The worker keeps a small read-ahead ([`PREFETCH_WINDOW`]) in flight:
+    /// on each claim it snapshots the pages of the next queued records
+    /// *under* the queue lock, then — with the lock dropped, since the read
+    /// is an I/O region — hands them to the buffer pool as one batched,
+    /// scan-priority prefetch together with the claimed record's own page. A demand pin racing the prefetch
     /// coalesces on the pool's in-flight set, so no page is read twice.
     ///
-    /// Each worker's window is offset by `worker * prefetch_window`
+    /// Each worker's window is offset by `worker * PREFETCH_WINDOW`
     /// *distinct* pages into the queue, so concurrent workers keep
     /// disjoint batches in flight. Without the stride every worker would
     /// snapshot the same head-of-queue pages, the pool's in-flight set
@@ -503,7 +500,6 @@ impl Repository {
         shared: &ScanQueue,
         step: &Step,
         label: Option<LabelId>,
-        prefetch_window: usize,
         worker: usize,
     ) -> NatixResult<Vec<ScanHit>> {
         let mut hits = Vec::new();
@@ -525,38 +521,33 @@ impl Repository {
                     }
                     st = shared.work.wait(st);
                 };
-                if prefetch_window > 0 {
-                    ahead.clear();
-                    ahead.push(t.start.rid.page);
-                    // Records are dense on pages, so counting *tasks*
-                    // would collapse the window to a page or two; count
-                    // distinct pages instead, skipping this worker's
-                    // stride offset. The queue walk is bounded so a deep
-                    // queue can't stretch the lock hold time.
-                    let skip = worker * prefetch_window;
-                    let mut seen: Vec<natix_storage::PageId> = Vec::new();
-                    for queued in st.tasks.iter().take((skip + prefetch_window) * 64) {
-                        if ahead.len() > prefetch_window {
-                            break;
-                        }
-                        let page = queued.start.rid.page;
-                        if page == t.start.rid.page || seen.contains(&page) {
-                            continue;
-                        }
-                        seen.push(page);
-                        if seen.len() > skip {
-                            ahead.push(page);
-                        }
+                ahead.clear();
+                ahead.push(t.start.rid.page);
+                // Records are dense on pages, so counting *tasks* would
+                // collapse the window to a page or two; count distinct
+                // pages instead, skipping this worker's stride offset.
+                // The queue walk is bounded so a deep queue can't stretch
+                // the lock hold time.
+                let skip = worker * PREFETCH_WINDOW;
+                let mut seen: Vec<natix_storage::PageId> = Vec::new();
+                for queued in st.tasks.iter().take((skip + PREFETCH_WINDOW) * 64) {
+                    if ahead.len() > PREFETCH_WINDOW {
+                        break;
+                    }
+                    let page = queued.start.rid.page;
+                    if page == t.start.rid.page || seen.contains(&page) {
+                        continue;
+                    }
+                    seen.push(page);
+                    if seen.len() > skip {
+                        ahead.push(page);
                     }
                 }
                 t
             };
-            if !ahead.is_empty() {
-                // Advisory: a prefetch failure is not a query failure —
-                // the demand read below surfaces any persistent error.
-                let _ = self.tree.prefetch_pages(&ahead);
-                ahead.clear();
-            }
+            // Advisory: a prefetch failure is not a query failure — the
+            // demand read below surfaces any persistent error.
+            let _ = self.tree.prefetch_pages(&ahead);
             // A panicking scan must not strand the queue: `active` was
             // incremented above, and a sibling (or the caller) waiting on
             // the condvar would sleep forever if this task silently
@@ -720,7 +711,6 @@ mod tests {
         ParallelQueryOptions {
             threads,
             parallel_record_threshold: threshold,
-            ..Default::default()
         }
     }
 

@@ -151,12 +151,6 @@ pub struct PlannerOptions {
     pub force: Option<PlanShape>,
     /// Execution knobs for the scan-based shapes.
     pub exec: ParallelQueryOptions,
-    /// Cost the planner charges for one buffer-pool page miss, in
-    /// nanoseconds. `None` (the default) calibrates it from the pool's
-    /// measured miss-latency EWMA ([`natix_storage::IoStats`]), falling
-    /// back to [`DEFAULT_PAGE_COST_NS`] before the first miss. The value
-    /// actually used is reported in [`PlanExplain::page_cost_ns`].
-    pub page_cost_ns: Option<u64>,
 }
 
 /// Fallback page-miss cost (ns) used before the buffer pool has measured
@@ -192,9 +186,10 @@ pub struct PlanExplain {
     pub estimated_visited: Option<u64>,
     /// Total facade nodes per the summary.
     pub total_nodes: Option<u64>,
-    /// The page-miss cost (ns) the cost model charged for this plan:
-    /// [`PlannerOptions::page_cost_ns`] if set, else the buffer pool's
-    /// measured miss-latency EWMA, else [`DEFAULT_PAGE_COST_NS`].
+    /// The page-miss cost (ns) the cost model charged for this plan: the
+    /// buffer pool's measured miss-latency EWMA
+    /// ([`natix_storage::IoStats`]), or [`DEFAULT_PAGE_COST_NS`] before
+    /// the first miss.
     pub page_cost_ns: u64,
 }
 
@@ -518,17 +513,13 @@ impl Repository {
         let positional = q.steps.iter().any(|s| s.position.is_some());
         let lazy_positional = q.steps.iter().any(|s| s.descendant && s.position.is_some());
 
-        // Calibrated page-miss cost: the caller's override, else the
-        // buffer pool's live miss-latency EWMA (random-access reads
-        // measured at the demand-miss path), else the static fallback.
-        let page_cost_ns = opts.page_cost_ns.unwrap_or_else(|| {
-            let measured = self.io_stats().miss_latency_ns();
-            if measured == 0 {
-                DEFAULT_PAGE_COST_NS
-            } else {
-                measured
-            }
-        });
+        // Calibrated page-miss cost: the buffer pool's live miss-latency
+        // EWMA (random-access reads measured at the demand-miss path),
+        // else the static fallback.
+        let page_cost_ns = match self.io_stats().miss_latency_ns() {
+            0 => DEFAULT_PAGE_COST_NS,
+            measured => measured,
+        };
 
         // 1. Unknown-label short circuit: a name the alphabet has never
         // seen occurs in no stored document. Answered with zero page

@@ -100,12 +100,16 @@ fn behaviour_from(code: u8) -> NatixResult<SplitBehaviour> {
 
 /// Encodes the repository directory. The caller holds the symbol-table
 /// read lock, the registry lock, and the matrix/schema read locks, so
-/// the four sections are one consistent cut.
+/// the four sections are one consistent cut. `moved` names a document
+/// whose root record an in-flight operation moved and the RID it moved
+/// to: the root slot switches only when that operation publishes, but the
+/// payload it logs must already list the new root.
 pub(crate) fn capture_directory(
     symbols: &SymbolTable,
     registry: &DocRegistry,
     matrix: &SplitMatrix,
     schema: &SchemaManager,
+    moved: Option<(&str, Rid)>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
 
@@ -130,7 +134,10 @@ pub(crate) fn capture_directory(
                 .docs
                 .get(id as usize)
                 .and_then(|d| d.as_ref())
-                .map(|st| (id, n.as_str(), st.root_rid()))
+                .map(|st| match moved {
+                    Some((name, rid)) if name == n => (id, n.as_str(), rid),
+                    _ => (id, n.as_str(), st.root_rid()),
+                })
         })
         .collect();
     docs.sort_by_key(|&(id, _, _)| id);

@@ -157,10 +157,7 @@
 //!    documents (and scans racing ingestion of other documents) never
 //!    serialize on shared mutable state.
 //! 4. **Prefetch is an I/O region, issued lock-free.** A scan worker
-//!    with a non-zero
-//!    [`crate::parallel_query::ParallelQueryOptions::prefetch_window`]
-//!    snapshots
-//!    the pages of the next queued records while it holds the
+//!    snapshots the pages of the next queued records while it holds the
 //!    `SCAN_QUEUE` mutex (a map lookup, no I/O), *drops the lock*, and
 //!    only then issues the batched read-ahead
 //!    ([`natix_tree::TreeStore::prefetch_pages`] →
@@ -189,13 +186,12 @@
 //!   *bounded cold set* and are never promoted past one reference bit,
 //!   so a full `//*` scan of an arbitrarily large document recycles a
 //!   bounded set of frames instead of flushing the point-access working
-//!   set (classic scan resistance; `BENCH_scan_cache.json` pins the
-//!   point-lookup tail latency under a concurrent scan).
+//!   set (classic scan resistance).
 //!
 //! The pool's hit/miss/eviction counters are split by hint class
 //! ([`natix_storage::IoStats`]), and the demand-miss path feeds a
 //! miss-latency EWMA that the query planner reads as its calibrated
-//! page-cost constant ([`crate::query::PlannerOptions::page_cost_ns`]).
+//! page-cost constant ([`crate::query::PlanExplain::page_cost_ns`]).
 //!
 //! # Plan shapes and their oracles
 //!
@@ -255,10 +251,9 @@
 //!    image of every page the operation touched (`PageImage` records —
 //!    physical redo, idempotent by construction) and appends `Commit`.
 //! 3. The **durability gate** every public write API passes through then
-//!    forces the log: `PerCommit` syncs immediately, `Group` joins a
-//!    bounded group-commit window so concurrent committers share one
-//!    fsync. Only after the force does the call return `Ok` — an
-//!    acknowledged operation is on stable storage.
+//!    forces the log, joining a group-commit window so concurrent
+//!    committers share one fsync. Only after the force does the call
+//!    return `Ok` — an acknowledged operation is on stable storage.
 //!
 //! The **WAL rule** is enforced one layer down: the buffer manager never
 //! writes a dirty frame back (eviction steal, flush or clear) without
@@ -279,7 +274,7 @@
 //!
 //! Known limitations, by design: split-matrix and DTD changes are
 //! durable only at the next directory dump (registration or
-//! checkpoint); the flat-file and B+-tree side stores are not logged;
+//! checkpoint); the B+-tree side store is not logged;
 //! and page writes are assumed atomic at the backend's page size.
 //! (Loser-allocated pages no longer leak: recovery sweeps pages that no
 //! inventory, free list or space-map chain accounts for back into the
@@ -373,12 +368,11 @@ pub struct RepositoryOptions {
     pub disk_profile: Option<DiskProfile>,
     /// Keep whitespace-only text nodes when parsing (default: drop).
     pub keep_whitespace_text: bool,
-    /// Write-ahead logging. `Some(mode)` makes every completed write
-    /// operation durable before its API call returns — `mode` picks how
-    /// log syncs are scheduled (per commit, or group commit). `None`
-    /// disables the log entirely: durability then comes only from
-    /// explicit [`Repository::checkpoint`] calls (the paper's
-    /// measurement configuration, where logging is out of scope).
+    /// Write-ahead logging. `Some(_)` makes every completed write
+    /// operation durable before its API call returns (concurrent commits
+    /// share one log sync). `None` disables the log entirely: durability
+    /// then comes only from explicit [`Repository::checkpoint`] calls (the
+    /// paper's measurement configuration, where logging is out of scope).
     pub durability: Option<WalSyncMode>,
 }
 
@@ -453,7 +447,6 @@ pub struct Repository {
     /// [`Repository::put_documents_parallel`].
     pub(crate) ingest_segs: Mutex<HashMap<usize, natix_storage::SegmentId>>,
     index_seg: natix_storage::SegmentId,
-    flat_seg: natix_storage::SegmentId,
     stats: Arc<IoStats>,
     sim: Option<Arc<dyn SimControl>>,
     /// Write-ahead log, when the repository was built with one. Present
@@ -511,24 +504,18 @@ impl Repository {
                 Arc::new(StorageManager::open(Arc::clone(&bm))?)
             }
         };
-        let (docs_seg, cat_seg, index_seg, flat_seg) = if fresh {
+        let (docs_seg, cat_seg, index_seg) = if fresh {
             (
                 sm.create_segment("documents")?,
                 sm.create_segment("catalog")?,
                 sm.create_segment("index")?,
-                sm.create_segment("flat")?,
             )
         } else {
             let find = |name: &str| {
                 sm.segment_by_name(name)
                     .ok_or_else(|| NatixError::Catalog(format!("missing {name} segment")))
             };
-            (
-                find("documents")?,
-                find("catalog")?,
-                find("index")?,
-                find("flat")?,
-            )
+            (find("documents")?, find("catalog")?, find("index")?)
         };
         // One version store for every tree store of this repository:
         // records are addressed globally, so snapshot readers of the main
@@ -548,8 +535,7 @@ impl Repository {
             SplitMatrix::all_other(),
             Arc::clone(&versions),
         )?;
-        let wal =
-            log.map(|device| Arc::new(Wal::new(device, options.durability.unwrap_or_default())));
+        let wal = log.map(|device| Arc::new(Wal::new(device)));
         let symbols = Arc::new(RwLock::with_rank(
             &parking_lot::rank::SYMBOLS,
             SymbolTable::new(),
@@ -623,7 +609,6 @@ impl Repository {
             options,
             ingest_segs: Mutex::with_rank(&parking_lot::rank::INGEST_POOL, HashMap::new()),
             index_seg,
-            flat_seg,
             stats,
             sim,
             wal,
@@ -702,7 +687,7 @@ impl Repository {
     /// log device (the crash-injection harness: both sit behind a shared
     /// fault controller, and the caller keeps handles to reopen them
     /// after a simulated crash). The log is used regardless of
-    /// `options.durability`; the mode defaults to group commit.
+    /// `options.durability`.
     pub fn create_on_backend_with_log(
         backend: Arc<dyn DiskBackend>,
         log: Box<dyn LogDevice>,
@@ -864,11 +849,6 @@ impl Repository {
         self.index_seg
     }
 
-    /// The segment reserved for the flat-stream baseline.
-    pub fn flat_segment(&self) -> natix_storage::SegmentId {
-        self.flat_seg
-    }
-
     /// Shared I/O statistics (buffer counters + simulated disk clock).
     pub fn io_stats(&self) -> &Arc<IoStats> {
         &self.stats
@@ -995,7 +975,7 @@ impl Repository {
         reg.docs.push(Some(Arc::new(state)));
         let payload = {
             let schema = self.schema.read();
-            crate::recovery::capture_directory(&symbols, &reg, &matrix, &schema)
+            crate::recovery::capture_directory(&symbols, &reg, &matrix, &schema, None)
         };
         // op 0: unconditional. The document's content committed before
         // register was called (the loader's operation published and
@@ -1173,7 +1153,7 @@ impl Repository {
             let matrix = self.tree.matrix();
             let reg = self.registry.lock();
             let schema = self.schema.read();
-            crate::recovery::capture_directory(&symbols, &reg, &matrix, &schema)
+            crate::recovery::capture_directory(&symbols, &reg, &matrix, &schema, None)
         };
         let quiesced = move || {
             versions.active_ops() == 0

@@ -226,7 +226,6 @@ fn queries_race_ingestion_of_other_documents() {
             let opts = ParallelQueryOptions {
                 threads: 3,
                 parallel_record_threshold: 16,
-                ..Default::default()
             };
             for _ in 0..25 {
                 for (q, base) in parsed.iter().zip(&baseline) {
@@ -243,7 +242,6 @@ fn queries_race_ingestion_of_other_documents() {
             let opts = ParallelQueryOptions {
                 threads: 3,
                 parallel_record_threshold: 1, // force the record work queue
-                ..Default::default()
             };
             for _ in 0..25 {
                 for (q, base) in parsed.iter().zip(&baseline) {
@@ -313,7 +311,6 @@ fn queries_overlap_ingestion_of_the_same_document() {
                 let opts = ParallelQueryOptions {
                     threads: 3,
                     parallel_record_threshold: 1,
-                    ..Default::default()
                 };
                 let mut seen_complete = false;
                 for _ in 0..400 {

@@ -35,7 +35,7 @@ use natix::{NatixResult, PlanShape, PlannerOptions, Repository, RepositoryOption
 use natix_corpus::{
     generate_deep, generate_orders, generate_play, CorpusConfig, DeepConfig, OrdersConfig,
 };
-use natix_storage::wal::{MemLogDevice, Wal, WalRecord, WalSyncMode};
+use natix_storage::wal::{MemLogDevice, Wal, WalRecord};
 use natix_storage::{DiskBackend, FaultControl, FaultDisk, MemStorage};
 use natix_tree::InsertPos;
 use natix_xml::{write_document, SymbolTable, WriteOptions};
@@ -302,6 +302,24 @@ impl Machine {
         ))
     }
 
+    /// A fresh repository over this machine's devices.
+    fn create(&self) -> NatixResult<Repository> {
+        Repository::create_on_backend_with_log(
+            self.backend(),
+            Box::new(Arc::clone(&self.log)),
+            options(),
+        )
+    }
+
+    /// Opens (recovers) the repository on this machine's devices.
+    fn open(&self) -> NatixResult<Repository> {
+        Repository::open_on_backend_with_log(
+            self.backend(),
+            Box::new(Arc::clone(&self.log)),
+            options(),
+        )
+    }
+
     fn consumed(&self, initial: u64) -> u64 {
         initial - self.control.writes_remaining() as u64
     }
@@ -312,12 +330,7 @@ impl Machine {
 fn baseline(docs: &[(String, String)]) -> (u64, u64) {
     let initial = i64::MAX as u64;
     let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
-    let repo = Repository::create_on_backend_with_log(
-        m.backend(),
-        Box::new(Arc::clone(&m.log)),
-        options(),
-    )
-    .unwrap();
+    let repo = m.create().unwrap();
     let create_cost = m.consumed(initial);
     let out = drive(&repo, docs);
     assert!(out.crashed.is_none(), "baseline run must not fail");
@@ -334,24 +347,18 @@ fn baseline(docs: &[(String, String)]) -> (u64, u64) {
 fn crash_at(docs: &[(String, String)], budget: u64) {
     let store = Arc::new(MemStorage::new(PAGE).unwrap());
     let m = Machine::boot(Arc::clone(&store), Vec::new(), Some(budget));
-    let repo = Repository::create_on_backend_with_log(
-        m.backend(),
-        Box::new(Arc::clone(&m.log)),
-        options(),
-    )
-    .expect("budget always covers repository creation");
+    let repo = m
+        .create()
+        .expect("budget always covers repository creation");
     let out = drive(&repo, docs);
     drop(repo);
     let durable = m.log.durable_bytes();
 
     // Reboot: fresh fault-free devices over the surviving images.
     let m2 = Machine::boot(Arc::clone(&store), durable, None);
-    let reopened = Repository::open_on_backend_with_log(
-        m2.backend(),
-        Box::new(Arc::clone(&m2.log)),
-        options(),
-    )
-    .unwrap_or_else(|e| panic!("recovery failed at budget {budget}: {e}"));
+    let reopened = m2
+        .open()
+        .unwrap_or_else(|e| panic!("recovery failed at budget {budget}: {e}"));
 
     // 0. No orphaned pages: recovery reclaims loser allocations, so
     //    every allocated page is either the header, on the free list, in
@@ -440,12 +447,9 @@ fn crash_at(docs: &[(String, String)], budget: u64) {
     let expect_fresh = reopened.get_xml("fresh-after-recovery").unwrap();
     drop(reopened);
     let m3 = Machine::boot(Arc::clone(&store), m2.log.durable_bytes(), None);
-    let again = Repository::open_on_backend_with_log(
-        m3.backend(),
-        Box::new(Arc::clone(&m3.log)),
-        options(),
-    )
-    .unwrap_or_else(|e| panic!("second reopen failed at budget {budget}: {e}"));
+    let again = m3
+        .open()
+        .unwrap_or_else(|e| panic!("second reopen failed at budget {budget}: {e}"));
     for (name, xml) in &out.oracle {
         assert_eq!(
             &again.get_xml(name).unwrap(),
@@ -483,12 +487,7 @@ fn sweep(docs: &[(String, String)]) {
 fn recovery_reclaims_loser_allocations() {
     let store = Arc::new(MemStorage::new(PAGE).unwrap());
     let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
-    let repo = Repository::create_on_backend_with_log(
-        m.backend(),
-        Box::new(Arc::clone(&m.log)),
-        options(),
-    )
-    .unwrap();
+    let repo = m.create().unwrap();
     repo.put_xml("doc", "<d>survivor</d>").unwrap();
     repo.checkpoint().unwrap();
     let high_water = repo.storage().allocated_pages() as u32;
@@ -497,7 +496,7 @@ fn recovery_reclaims_loser_allocations() {
     // Append the loser's Alloc to the durable log image, commit-less.
     let forged = Arc::new(MemLogDevice::new());
     forged.restore(m.log.durable_bytes());
-    let wal = Wal::new(Box::new(Arc::clone(&forged)), WalSyncMode::Group);
+    let wal = Wal::new(Box::new(Arc::clone(&forged)));
     wal.append(&WalRecord::Alloc {
         page: high_water,
         segment: 0,
@@ -505,12 +504,7 @@ fn recovery_reclaims_loser_allocations() {
     wal.flush_buffered().unwrap();
 
     let m2 = Machine::boot(Arc::clone(&store), forged.durable_bytes(), None);
-    let reopened = Repository::open_on_backend_with_log(
-        m2.backend(),
-        Box::new(Arc::clone(&m2.log)),
-        options(),
-    )
-    .unwrap();
+    let reopened = m2.open().unwrap();
     assert_eq!(reopened.get_xml("doc").unwrap(), "<d>survivor</d>");
     assert!(
         reopened.storage().allocated_pages() as u32 > high_water,
@@ -521,6 +515,81 @@ fn recovery_reclaims_loser_allocations() {
         orphans.is_empty(),
         "loser-allocated pages {orphans:?} leaked past recovery"
     );
+}
+
+/// A split that reaches the root record gives the document a new root
+/// RID. The move must ride the moving operation's commit: a crash before
+/// the next checkpoint has only the log to learn the new root from.
+#[test]
+fn root_record_move_survives_a_crash_without_checkpoint() {
+    let (name, xml) = shakespeare_docs().swap_remove(0);
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let d = repo.put_xml_streaming(&name, &xml).unwrap();
+    repo.checkpoint().unwrap();
+    let scene = repo.query(&name, "//SCENE").unwrap()[0];
+    let root_before = repo.root_rid(d).unwrap();
+    let line = "A line the crash harness appends to one scene. ".repeat(8);
+    let mut edits = 0;
+    while repo.root_rid(d).unwrap() == root_before {
+        repo.insert_text(d, scene, InsertPos::Last, &line).unwrap();
+        edits += 1;
+        assert!(edits < 20_000, "the root record never moved");
+    }
+    let before_crash = repo.get_xml(&name).unwrap();
+    drop(repo);
+
+    let m2 = Machine::boot(Arc::clone(&store), m.log.durable_bytes(), None);
+    let reopened = m2.open().unwrap();
+    assert_eq!(
+        reopened.get_xml(&name).unwrap(),
+        before_crash,
+        "the root move after {edits} edits was lost"
+    );
+}
+
+/// Group commit: writers whose commits share log syncs must each be
+/// durable once acknowledged. Four threads ingest concurrently (released
+/// together, so their commit gates overlap), the machine dies without a
+/// checkpoint, and every acknowledged document reads back byte-identical.
+#[test]
+fn concurrent_committers_are_all_durable_without_checkpoint() {
+    const WRITERS: usize = 4;
+    let docs = orders_docs();
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let start = std::sync::Barrier::new(WRITERS);
+    let acknowledged: Vec<(String, String)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (repo, docs, start) = (&repo, &docs, &start);
+                s.spawn(move || {
+                    start.wait();
+                    docs.iter()
+                        .map(|(name, xml)| {
+                            let name = format!("{name}-w{w}");
+                            repo.put_xml(&name, xml).unwrap();
+                            (name.clone(), repo.get_xml(&name).unwrap())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("writer panicked"))
+            .collect()
+    });
+    drop(repo);
+
+    let m2 = Machine::boot(Arc::clone(&store), m.log.durable_bytes(), None);
+    let reopened = m2.open().unwrap();
+    assert_eq!(reopened.document_names().len(), acknowledged.len());
+    for (name, xml) in &acknowledged {
+        assert_eq!(&reopened.get_xml(name).unwrap(), xml, "{name} after crash");
+    }
 }
 
 #[test]

@@ -31,7 +31,6 @@ fn opts(force: Option<PlanShape>) -> PlannerOptions {
             threads: 1,
             ..ParallelQueryOptions::default()
         },
-        ..PlannerOptions::default()
     }
 }
 

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 
 use natix_storage::{
     BufferManager, DiskBackend, EvictionPolicy, IoStats, MemLogDevice, MemStorage, PageId,
-    StorageResult, Wal, WalSyncMode,
+    StorageResult, Wal,
 };
 use parking_lot::model;
 
@@ -102,7 +102,7 @@ impl DiskBackend for LsnCheckDisk {
 /// Two committers race through group commit; each must come back with
 /// its own record durable, and draining both leaves no unsynced tail.
 fn group_commit() {
-    let wal = Arc::new(Wal::new(Box::new(MemLogDevice::new()), WalSyncMode::Group));
+    let wal = Arc::new(Wal::new(Box::new(MemLogDevice::new())));
 
     let committers: Vec<_> = (0..2u64)
         .map(|op| {
@@ -141,7 +141,7 @@ fn steal_forces_log() {
         EvictionPolicy::Lru,
         IoStats::new_shared(),
     );
-    let wal = Arc::new(Wal::new(Box::new(MemLogDevice::new()), WalSyncMode::Group));
+    let wal = Arc::new(Wal::new(Box::new(MemLogDevice::new())));
     disk.set_wal(Arc::clone(&wal));
     bm.set_wal(Arc::clone(&wal));
 

@@ -341,9 +341,8 @@ fn deep_documents_match_per_node_oracle() {
 fn deep_corpus_height_tracks_the_oracle() {
     // The acceptance property of depth-aware packing: on the deep-nesting
     // corpus the bulkloaded record tree is at most 1.1× the per-node
-    // path's height (it is in fact well below 1×), `get_xml` stays
-    // byte-identical, and the packed layout never exceeds the legacy
-    // per-level-placeholder layout (`depth_packing: false`) on height.
+    // path's height (it is in fact well below 1×) and `get_xml` stays
+    // byte-identical.
     let mut syms = SymbolTable::new();
     let cfg = natix_corpus::DeepConfig {
         depth: 900,
@@ -375,50 +374,6 @@ fn deep_corpus_height_tracks_the_oracle() {
             "page {page_size}: packed layout fragmented into {} records vs oracle {}",
             bs.records,
             os.records
-        );
-    }
-}
-
-#[test]
-fn depth_packing_ablation_beats_per_level_pieces() {
-    // `depth_packing: false` cuts one spilled level per piece — the
-    // baseline whose record-tree height tracks the document depth. The
-    // packed layout must serialise identically and be no taller (it is in
-    // fact several times flatter). Moderate depth: the ablation layout's
-    // record chain grows linearly with depth by design.
-    let mut syms = SymbolTable::new();
-    let cfg = natix_corpus::DeepConfig {
-        depth: 300,
-        ..natix_corpus::DeepConfig::tiny()
-    };
-    let doc = natix_corpus::generate_deep(&cfg, &mut syms);
-    for page_size in [512usize, 2048] {
-        let packed = repo(page_size, SplitMatrix::all_other(), &syms);
-        packed.put_document("d", &doc).unwrap();
-        let legacy = Repository::create_in_memory(RepositoryOptions {
-            page_size,
-            matrix: SplitMatrix::all_other(),
-            tree_config: natix_tree::TreeConfig {
-                depth_packing: false,
-                ..natix_tree::TreeConfig::paper()
-            },
-            ..RepositoryOptions::default()
-        })
-        .unwrap();
-        *legacy.symbols_mut() = syms.clone();
-        legacy.put_document("d", &doc).unwrap();
-        assert_eq!(
-            packed.get_xml("d").unwrap(),
-            legacy.get_xml("d").unwrap(),
-            "page {page_size}: ablation layout XML diverges"
-        );
-        let ps = packed.physical_stats("d").unwrap();
-        let ls = legacy.physical_stats("d").unwrap();
-        assert!(
-            ps.record_depth <= ls.record_depth,
-            "page {page_size}: packed height {} worse than per-level layout {}",
-            ps.record_depth,
-            ls.record_depth
         );
     }
 }
@@ -508,7 +463,6 @@ fn deep_corpus_queries_match_the_lazy_oracle() {
     let par = natix::ParallelQueryOptions {
         threads: 3,
         parallel_record_threshold: 1,
-        ..Default::default()
     };
     for path in [
         "//TAIL",

@@ -228,7 +228,6 @@ fn run_race(seed: u64, edits: usize) {
                 let par = ParallelQueryOptions {
                     threads: 3,
                     parallel_record_threshold: 1, // force the record work queue
-                    ..Default::default()
                 };
                 while !done.load(Ordering::Acquire) {
                     let qi = g.below(QUERIES.len());
@@ -374,9 +373,7 @@ fn summary_counts_under_racing_edits_match_serial_scan_oracle() {
         exec: ParallelQueryOptions {
             threads: 2,
             parallel_record_threshold: 1,
-            ..Default::default()
         },
-        ..PlannerOptions::default()
     };
     // One serial version = every query's count after one whole edit.
     let versions: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());

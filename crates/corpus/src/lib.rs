@@ -9,8 +9,7 @@
 //! LINE/STAGEDIR elements, calibrated to ≈320 000 logical nodes and ≈8 MB
 //! of XML text (asserted by this crate's tests). The evaluation depends
 //! only on tree shape, fan-out and text lengths — not on the literary
-//! content — so the substitution preserves the measured behaviour (see
-//! DESIGN.md).
+//! content — so the substitution preserves the measured behaviour.
 //!
 //! The crate also provides the paper's two insertion orders (§4.3):
 //!

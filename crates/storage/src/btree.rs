@@ -5,8 +5,7 @@
 //! ongoing work. This module provides the substrate: a disk-resident
 //! B+-tree with fixed-length byte-string keys (compared lexicographically;
 //! callers encode integers big-endian) and `u64` values. The NATIX label
-//! index (`natix::index`) builds on it, and the paper's Query 1 gains an
-//! indexed ablation in the harness.
+//! index (`natix::index`) builds on it.
 //!
 //! Implementation notes: insertion splits nodes recursively and grows a new
 //! root; deletion is *lazy* (entries are removed from leaves, structural

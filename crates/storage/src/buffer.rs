@@ -3,8 +3,7 @@
 //! §2.1: the record manager "is responsible for disk memory management and
 //! buffering". The pool holds a fixed number of frames (the paper uses a
 //! 2 MB buffer, i.e. `2 MB / page_size` frames); pages are pinned for
-//! access and unpinned on guard drop; eviction is LRU by default with a
-//! clock alternative for ablation experiments.
+//! access and unpinned on guard drop; eviction is LRU by default.
 //!
 //! Concurrency model: the frame table and replacement state live under one
 //! pool mutex, but the mutex is **not** held across disk I/O. A miss
@@ -64,8 +63,6 @@ use crate::stats::IoStats;
 pub enum EvictionPolicy {
     /// Least-recently-used (default; what the paper's era systems used).
     Lru,
-    /// Second-chance clock.
-    Clock,
     /// Scan-hinted second-chance clock. Pages faulted in through
     /// [`AccessHint::Scan`] enter a bounded cold set (`frame_count / 8`
     /// frames, at least 2) with no reference bit; once the set is full, a
@@ -76,8 +73,8 @@ pub enum EvictionPolicy {
 }
 
 /// How a pin intends to use its page — the replacement hint consumed by
-/// [`EvictionPolicy::ScanResistant`] (the other policies ignore it, which
-/// is what makes the hint safe to thread through unconditionally).
+/// [`EvictionPolicy::ScanResistant`] ([`EvictionPolicy::Lru`] ignores it,
+/// which is what makes the hint safe to thread through unconditionally).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AccessHint {
     /// Point access: the page belongs to the working set.
@@ -109,7 +106,7 @@ struct PoolState {
     last_use: Vec<u64>,
     ref_bit: Vec<bool>,
     /// Frame belongs to the scan cold set ([`EvictionPolicy::ScanResistant`]
-    /// only; always false under the other policies).
+    /// only; always false under LRU).
     cold: Vec<bool>,
     /// Number of `true` entries in `cold`.
     cold_count: usize,
@@ -337,22 +334,6 @@ impl BufferManager {
                     }
                 }
                 best.map(|(_, i)| i).ok_or(StorageError::BufferExhausted)
-            }
-            EvictionPolicy::Clock => {
-                let n = self.frames.len();
-                for _ in 0..2 * n {
-                    let i = st.clock_hand;
-                    st.clock_hand = (st.clock_hand + 1) % n;
-                    if self.frames[i].pin_count.load(Ordering::Acquire) != 0 {
-                        continue;
-                    }
-                    if st.ref_bit[i] {
-                        st.ref_bit[i] = false;
-                    } else {
-                        return Ok(i);
-                    }
-                }
-                Err(StorageError::BufferExhausted)
             }
             EvictionPolicy::ScanResistant => {
                 let n = self.frames.len();
@@ -918,20 +899,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_policy_works() {
-        let (bm, _) = pool(3, EvictionPolicy::Clock);
-        for p in 0..10u32 {
-            let g = bm.pin(p).unwrap();
-            g.write().bytes_mut()[0] = p as u8;
-        }
-        bm.flush_all().unwrap();
-        for p in 0..10u32 {
-            let g = bm.pin(p).unwrap();
-            assert_eq!(g.read().bytes()[0], p as u8);
-        }
-    }
-
-    #[test]
     fn clear_flushes_and_empties() {
         let (bm, stats) = pool(4, EvictionPolicy::Lru);
         {
@@ -1254,8 +1221,7 @@ mod tests {
 
     #[test]
     fn lru_ignores_scan_hints_and_flushes_the_working_set() {
-        // The ablation baseline the scan_cache bench measures against:
-        // under plain LRU the same scan stream displaces everything.
+        // Under plain LRU the same scan stream displaces everything.
         let (bm, _) = pool(8, EvictionPolicy::Lru);
         for p in 0..8u32 {
             drop(bm.pin(p).unwrap());

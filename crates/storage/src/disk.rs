@@ -142,7 +142,8 @@ impl DiskBackend for MemStorage {
 /// File-backed page store. The paper's measurements used "direct disk
 /// access and no operating system buffering"; portable Rust cannot disable
 /// the OS page cache, which is one reason the harness reports modelled disk
-/// time from [`crate::SimDisk`] instead of wall-clock (see DESIGN.md).
+/// time from [`crate::SimDisk`] instead of wall-clock (see
+/// [`crate::simdisk`]).
 pub struct FileStorage {
     page_size: usize,
     file: Mutex<File>,

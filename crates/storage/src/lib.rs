@@ -21,8 +21,9 @@
 //! * [`disk`] — the [`disk::DiskBackend`] trait with in-memory and file
 //!   backends.
 //! * [`simdisk`] — a seek/rotation/transfer cost model replaying the paper's
-//!   IBM DCAS 34330W measurement disk (see DESIGN.md, substitutions).
-//! * [`buffer`] — a pin/unpin buffer manager with LRU and clock eviction.
+//!   IBM DCAS 34330W measurement disk.
+//! * [`buffer`] — a pin/unpin buffer manager with LRU and scan-resistant
+//!   eviction.
 //! * [`segment`] — segment management and page allocation.
 //! * [`freespace`] — the free-space inventory used to place records.
 //! * [`btree`] — a page-based B+-tree used by the NATIX index manager.

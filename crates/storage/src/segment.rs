@@ -38,13 +38,10 @@ use crate::wal::{SegmentSnapshot, StoreSnapshot, Wal, WalRecord, NO_ALLOC_SEGMEN
 pub type SegmentId = u16;
 
 const MAGIC: &[u8; 8] = b"NATIXSTO";
-/// On-disk format version. Version 2 adds proxy label digests: child-record
-/// proxies may carry the child root's label in their type-table entry.
-/// Version-1 stores (whose proxies all decode as `LABEL_NONE`, the
-/// "must read" digest sentinel) stay readable — see `MIN_VERSION`.
+/// On-disk format version, the only one this build opens. Version 2 added
+/// proxy label digests: child-record proxies may carry the child root's
+/// label in their type-table entry.
 const VERSION: u32 = 2;
-/// Oldest on-disk format this build still opens.
-const MIN_VERSION: u32 = 1;
 
 // Header page layout (after the common 16-byte page header).
 const OFF_MAGIC: usize = 16;
@@ -144,10 +141,9 @@ impl StorageManager {
                 return Err(StorageError::Corrupt("missing NATIX header".into()));
             }
             let version = page.read_u32(OFF_VERSION);
-            if !(MIN_VERSION..=VERSION).contains(&version) {
+            if version != VERSION {
                 return Err(StorageError::Corrupt(format!(
-                    "unsupported format version {version} (supported: \
-                     {MIN_VERSION}..={VERSION})"
+                    "unsupported format version {version} (supported: {VERSION})"
                 )));
             }
             let stored_ps = page.read_u32(OFF_PAGE_SIZE) as usize;
@@ -1174,12 +1170,10 @@ mod tests {
         assert!(rids.iter().any(|old| old.page == r.page));
     }
 
-    /// Old-format fixture: a version-1 image (written before proxy label
-    /// digests existed) must still open — digest-less proxies decode as
-    /// the "must read" sentinel upstream. Versions outside
-    /// `MIN_VERSION..=VERSION` must be rejected.
+    /// An image whose header carries any format version but this build's
+    /// must be rejected with a typed error, not misread.
     #[test]
-    fn version_1_stores_open_and_future_versions_are_rejected() {
+    fn other_format_versions_are_rejected() {
         use crate::disk::DiskBackend;
         let backend = Arc::new(MemStorage::new(1024).unwrap());
         let stats = IoStats::new_shared();
@@ -1192,7 +1186,7 @@ mod tests {
         let sm = StorageManager::create(Arc::clone(&bm)).unwrap();
         let seg = sm.create_segment("docs").unwrap();
         let rid = sm
-            .insert_record(seg, b"pre-digest payload", PlacementHint::Anywhere)
+            .insert_record(seg, b"payload", PlacementHint::Anywhere)
             .unwrap();
         sm.checkpoint().unwrap();
         drop(sm);
@@ -1207,11 +1201,11 @@ mod tests {
             StorageManager::open(Arc::clone(&bm))
         };
 
-        let sm = reopen_with_version(1).expect("version-1 image must open");
-        assert_eq!(sm.read_record(rid).unwrap(), b"pre-digest payload");
+        let sm = reopen_with_version(VERSION).expect("current-version image must open");
+        assert_eq!(sm.read_record(rid).unwrap(), b"payload");
         drop(sm);
 
-        for bad in [0u32, VERSION + 1] {
+        for bad in [0u32, VERSION - 1, VERSION + 1] {
             let Err(err) = reopen_with_version(bad) else {
                 panic!("version {bad} must be rejected");
             };

@@ -22,8 +22,7 @@
 //!   is always durable before the page itself.
 //! * **Group commit** — [`Wal::sync_to`] batches concurrent committers
 //!   behind one leader that writes and fsyncs the accumulated buffer while
-//!   followers wait on the durable-LSN watermark ([`WalSyncMode::Group`]),
-//!   or serialises one fsync per commit ([`WalSyncMode::PerCommit`]).
+//!   followers wait on the durable-LSN watermark.
 //!
 //! LSNs are byte offsets into the logical log. [`Wal::append`] returns the
 //! *end* offset of the appended record (the sync target that makes it
@@ -39,7 +38,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, TrackedAtomicBool, TrackedAtomicU64};
 
@@ -708,16 +706,14 @@ struct MemLogState {
 /// In-memory log device modelling an OS-cached file: `write` lands in a
 /// staging buffer, `sync` promotes it to the durable image, and a crash
 /// exposes only the durable image. Supports fault injection (shared write
-/// budget with [`crate::disk::FaultDisk`]) and a configurable fsync
-/// latency for durability benchmarks.
+/// budget with [`crate::disk::FaultDisk`]).
 pub struct MemLogDevice {
     state: Mutex<MemLogState>,
     fault: Option<Arc<FaultControl>>,
-    sync_latency: Duration,
 }
 
 impl MemLogDevice {
-    /// A plain in-memory log with no faults and no latency.
+    /// A plain in-memory log with no faults.
     pub fn new() -> MemLogDevice {
         MemLogDevice {
             state: Mutex::with_rank(
@@ -728,7 +724,6 @@ impl MemLogDevice {
                 },
             ),
             fault: None,
-            sync_latency: Duration::ZERO,
         }
     }
 
@@ -736,12 +731,6 @@ impl MemLogDevice {
     /// shared budget, and once exhausted every write and sync fails.
     pub fn with_fault(mut self, fault: Arc<FaultControl>) -> MemLogDevice {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Charges `latency` on every `sync` (models fsync cost in benches).
-    pub fn with_sync_latency(mut self, latency: Duration) -> MemLogDevice {
-        self.sync_latency = latency;
         self
     }
 
@@ -777,9 +766,6 @@ impl LogDevice for MemLogDevice {
         if let Some(f) = &self.fault {
             f.check_alive()?;
         }
-        if !self.sync_latency.is_zero() {
-            std::thread::sleep(self.sync_latency);
-        }
         let mut st = self.state.lock();
         let staged = std::mem::take(&mut st.staging);
         st.durable.extend_from_slice(&staged);
@@ -812,8 +798,6 @@ impl LogDevice for MemLogDevice {
 /// How commit gates pay for durability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WalSyncMode {
-    /// Every commit issues its own fsync (serialised).
-    PerCommit,
     /// Concurrent commits batch behind one leader fsync.
     #[default]
     Group,
@@ -837,13 +821,12 @@ pub struct Wal {
     appended: TrackedAtomicU64,
     durable: TrackedAtomicU64,
     dead: TrackedAtomicBool,
-    mode: WalSyncMode,
 }
 
 impl Wal {
     /// Wraps a device whose existing content (if any) is a valid log — the
     /// caller truncates any torn tail first (see [`parse_log`]).
-    pub fn new(device: Box<dyn LogDevice>, mode: WalSyncMode) -> Wal {
+    pub fn new(device: Box<dyn LogDevice>) -> Wal {
         let len = device.len();
         Wal {
             device,
@@ -859,7 +842,6 @@ impl Wal {
             appended: TrackedAtomicU64::new(len),
             durable: TrackedAtomicU64::new(len),
             dead: TrackedAtomicBool::new(false),
-            mode,
         }
     }
 
@@ -872,11 +854,6 @@ impl Wal {
     /// Durable watermark: every log byte below this offset is fsynced.
     pub fn durable_lsn(&self) -> u64 {
         self.durable.load(Ordering::Acquire)
-    }
-
-    /// The commit synchronisation mode.
-    pub fn sync_mode(&self) -> WalSyncMode {
-        self.mode
     }
 
     fn dead_error() -> StorageError {
@@ -941,20 +918,6 @@ impl Wal {
         self.device.sync()
     }
 
-    /// Waits until the log is durable up to `target`.
-    ///
-    /// In [`WalSyncMode::Group`], one waiter becomes the leader: it takes
-    /// the whole append buffer, writes and fsyncs it outside the lock, and
-    /// wakes the others — commits that appended before the batch was taken
-    /// ride the same fsync. In [`WalSyncMode::PerCommit`], every caller
-    /// issues its own fsync, serialised.
-    pub fn sync_to(&self, target: u64) -> StorageResult<()> {
-        match self.mode {
-            WalSyncMode::Group => self.sync_group(target),
-            WalSyncMode::PerCommit => self.sync_own(),
-        }
-    }
-
     /// Makes everything appended so far durable — the WAL rule hook called
     /// by the buffer manager before any dirty page write-back. Cheap when
     /// there is nothing to flush.
@@ -966,10 +929,14 @@ impl Wal {
             }
             return Ok(());
         }
-        self.sync_group(target)
+        self.sync_to(target)
     }
 
-    fn sync_group(&self, target: u64) -> StorageResult<()> {
+    /// Waits until the log is durable up to `target`. One waiter becomes
+    /// the leader: it takes the whole append buffer, writes and fsyncs it
+    /// outside the lock, and wakes the others — commits that appended
+    /// before the batch was taken ride the same fsync.
+    pub fn sync_to(&self, target: u64) -> StorageResult<()> {
         let mut core = self.core.lock();
         loop {
             if self.dead.load(Ordering::Acquire) {
@@ -1000,31 +967,6 @@ impl Wal {
             }
             self.cond.notify_all();
         }
-    }
-
-    fn sync_own(&self) -> StorageResult<()> {
-        let mut core = self.core.lock();
-        while core.syncing {
-            core = self.cond.wait(core);
-        }
-        if self.dead.load(Ordering::Acquire) {
-            return Err(Self::dead_error());
-        }
-        core.syncing = true;
-        let batch = std::mem::take(&mut core.buf);
-        let new_end = core.buf_base + batch.len() as u64;
-        core.buf_base = new_end;
-        drop(core);
-        let res = self.write_and_sync(&batch);
-        let mut core = self.core.lock();
-        core.syncing = false;
-        match &res {
-            Ok(()) => self.durable.store(new_end, Ordering::Release),
-            Err(_) => self.dead.store(true, Ordering::Release),
-        }
-        self.cond.notify_all();
-        drop(core);
-        res
     }
 
     /// Atomically replaces the whole log with a single checkpoint record —
@@ -1182,7 +1124,7 @@ mod tests {
 
     #[test]
     fn append_and_sync_watermarks() {
-        let wal = Wal::new(Box::new(MemLogDevice::new()), WalSyncMode::Group);
+        let wal = Wal::new(Box::new(MemLogDevice::new()));
         assert_eq!(wal.appended_lsn(), 0);
         let lsn = wal.append(&WalRecord::Commit { op: 1 });
         assert_eq!(wal.appended_lsn(), lsn);
@@ -1195,7 +1137,7 @@ mod tests {
 
     #[test]
     fn suppressed_appends_are_dropped() {
-        let wal = Wal::new(Box::new(MemLogDevice::new()), WalSyncMode::Group);
+        let wal = Wal::new(Box::new(MemLogDevice::new()));
         {
             let _g = SuppressLogging::new();
             assert_eq!(wal.append(&WalRecord::Commit { op: 1 }), 0);
@@ -1208,7 +1150,7 @@ mod tests {
     #[test]
     fn unsynced_tail_dies_with_mem_device() {
         let dev = MemLogDevice::new();
-        let wal = Wal::new(Box::new(dev), WalSyncMode::Group);
+        let wal = Wal::new(Box::new(dev));
         let lsn1 = wal.append(&WalRecord::Commit { op: 1 });
         wal.sync_to(lsn1).unwrap();
         wal.append(&WalRecord::Commit { op: 2 });
@@ -1239,7 +1181,7 @@ mod tests {
             }
             fn sync(&self) -> StorageResult<()> {
                 self.syncs.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(2));
+                std::thread::sleep(std::time::Duration::from_millis(2));
                 self.inner.sync()
             }
             fn read_all(&self) -> StorageResult<Vec<u8>> {
@@ -1257,7 +1199,7 @@ mod tests {
             syncs: AtomicUsize::new(0),
         });
         let syncs: *const AtomicUsize = &dev.syncs;
-        let wal = Arc::new(Wal::new(dev, WalSyncMode::Group));
+        let wal = Arc::new(Wal::new(dev));
         let n = 8;
         std::thread::scope(|s| {
             for i in 0..n {
@@ -1280,7 +1222,7 @@ mod tests {
 
     #[test]
     fn truncate_reset_replaces_log() {
-        let wal = Wal::new(Box::new(MemLogDevice::new()), WalSyncMode::Group);
+        let wal = Wal::new(Box::new(MemLogDevice::new()));
         let lsn = wal.append(&WalRecord::Commit { op: 1 });
         wal.sync_to(lsn).unwrap();
         let ckpt = WalRecord::Checkpoint(Box::new(StoreSnapshot {
@@ -1306,7 +1248,7 @@ mod tests {
     fn dead_device_poisons_the_wal() {
         let fault = Arc::new(FaultControl::with_budget(0));
         let dev = MemLogDevice::new().with_fault(Arc::clone(&fault));
-        let wal = Wal::new(Box::new(dev), WalSyncMode::Group);
+        let wal = Wal::new(Box::new(dev));
         let lsn = wal.append(&WalRecord::Commit { op: 1 });
         assert!(wal.sync_to(lsn).is_err());
         // Subsequent syncs fail fast.

@@ -67,15 +67,12 @@
 //! embedded header) instead of 20, pieces hold ~3× more levels, and a
 //! document of depth *d* yields a record tree whose height tracks the
 //! split-matrix fanout rather than *d* — measured well *below* the
-//! per-node path's height on every deep corpus (`BENCH_deep_nesting.json`;
-//! the ≤1.1× acceptance envelope is enforced in CI). Groups spill like any
+//! per-node path's height on every deep corpus (the ≤1.1× envelope is
+//! enforced by `prop_bulkload`'s deep-corpus cases). Groups spill like any
 //! other in-flight tree: their open prefix chain splits across records
 //! (the lower, prefix-rooted half rides behind a chain proxy), and a
 //! *closed* chain suffix — final by construction — is cut into a dense
-//! record of its own once it is worth one. Setting
-//! [`TreeConfig::depth_packing`](crate::config::TreeConfig) to `false`
-//! selects the per-level ablation layout (one level per piece, height ∝
-//! depth) for A/B measurement.
+//! record of its own once it is worth one.
 //!
 //! Structural edits cannot preserve the packed layout in place;
 //! [`TreeStore::normalize_packed`] splices the groups back into their
@@ -351,7 +348,7 @@ impl<'s> BulkLoader<'s> {
             // the designated record.
             let child = RecordTree::new(label, PContent::Literal(value), Rid::invalid());
             let rid = self.write_record(&child)?;
-            let digest = self.store.proxy_digest(&child);
+            let digest = child.proxy_digest();
             let tree = self.cur_mut()?;
             let proxy = tree.alloc(digest, PContent::Proxy(rid));
             let at = tree.children(parent).len();
@@ -456,7 +453,7 @@ impl<'s> BulkLoader<'s> {
             let tree = self.cur_mut()?;
             let child = RecordTree::from_transplant(tree, closed);
             let rid = self.write_record(&child)?;
-            let digest = self.store.proxy_digest(&child);
+            let digest = child.proxy_digest();
             let tree = self.cur_mut()?;
             let proxy = tree.alloc(digest, PContent::Proxy(rid));
             tree.attach(parent, at, proxy);
@@ -639,31 +636,21 @@ impl<'s> BulkLoader<'s> {
     /// leaving the lower part in flight — the bulkload analogue of the
     /// incremental path splitting a too-deep chain across records. The
     /// flushed record holds one placeholder proxy for the rest of the
-    /// chain (patched when the next piece flushes) and — with depth-aware
-    /// packing — a **single** continuation placeholder for the whole
-    /// spilled path: late children of any of its levels, arriving after
-    /// the inner chain closes, re-attach through one continuation-group
-    /// record whose prefix chain mirrors the path (so a document of depth
-    /// *d* costs 6 bytes per spilled level instead of 20, and one group
-    /// record per piece instead of one per level). With `depth_packing`
-    /// off, each spilled level becomes its own single-level piece — the
-    /// pre-depth-aware layout, kept for A/B comparison. Returns false when
-    /// no spine prefix fits a record.
+    /// chain (patched when the next piece flushes) and a **single**
+    /// continuation placeholder for the whole spilled path: late children
+    /// of any of its levels, arriving after the inner chain closes,
+    /// re-attach through one continuation-group record whose prefix chain
+    /// mirrors the path (so a document of depth *d* costs 6 bytes per
+    /// spilled level instead of 20, and one group record per piece instead
+    /// of one per level). Returns false when no spine prefix fits a record.
     fn spill_spine(&mut self) -> TreeResult<bool> {
         if self.spine.len() < 2 {
             return Ok(false);
         }
-        // Split-chain pieces and continuation groups always use multi-level
-        // pieces: their spilled path may contain prefix entries, whose
-        // chain a single-level piece could not carry.
-        let packed = self.store.config().depth_packing || self.prefix_base > 0;
         // The upper record is everything except the subtree at spine[k],
         // plus the chain placeholder and the continuation placeholder;
         // embedded_size(spine[k]) shrinks as k grows, so take the largest
         // k that still fits (fullest record, shortest remaining chain).
-        // With depth-aware packing disabled, pieces are cut one level at a
-        // time (k = 1) — the ablation baseline whose record-tree height
-        // tracks the document depth.
         let tree = self.cur_ref()?;
         let mut chosen = None;
         for k in 1..self.spine.len() {
@@ -673,9 +660,6 @@ impl<'s> BulkLoader<'s> {
                 chosen = Some(k);
             } else {
                 break;
-            }
-            if !packed {
-                break; // single-level pieces
             }
         }
         let Some(k) = chosen else { return Ok(false) };
@@ -943,7 +927,7 @@ impl<'s> BulkLoader<'s> {
         // Single-subtree runs are facade-rooted: their proxy carries the
         // label digest. Sibling groups (scaffolding-rooted) stay "must
         // read".
-        let digest = self.store.proxy_digest(&record);
+        let digest = record.proxy_digest();
         let tree = self.cur_mut()?;
         let proxy = tree.alloc(digest, PContent::Proxy(rid));
         tree.attach(parent, start, proxy);

@@ -41,34 +41,6 @@ pub struct TreeConfig {
     /// Fill fraction a merge result may not exceed (hysteresis so a merge
     /// is not immediately undone by the next insert).
     pub merge_fill_max: f64,
-    /// Depth-aware packing (bulkloader): when a deeply nested document
-    /// spills its open spine across records, cut multi-level pieces with
-    /// a **single** continuation placeholder each, and serve late
-    /// children of all of a piece's levels from one continuation-group
-    /// record whose separator-style prefix chain mirrors the spilled path
-    /// (6 bytes per level instead of 20). Keeps the record tree's height
-    /// tracking the split-matrix fanout rather than the document depth.
-    /// `false` cuts one level per piece instead — the ablation baseline
-    /// whose record-tree height tracks the document depth — kept for A/B
-    /// benchmarking.
-    pub depth_packing: bool,
-    /// Proxy label digests: store the child record root's label on the
-    /// proxy node referencing it (interned through the page's node-type
-    /// table, so it costs no record bytes). Summary-seeded descent can
-    /// then prune a non-matching child without reading its page. A
-    /// [`natix_xml::LABEL_NONE`] proxy label means "must read" — the
-    /// digest-less pre-format-2 encoding and scaffolding-rooted children
-    /// decode that way. `false` writes every proxy digest-less — the
-    /// ablation baseline.
-    pub proxy_digests: bool,
-    /// Lazy packed-cluster normalization: when a structural edit hits a
-    /// depth-aware-packed record whose merged cluster provably fits back
-    /// into one record (no split, so no separator reaches the parent),
-    /// normalize only that cluster and leave packed *ancestor* records
-    /// untouched. `false` always normalizes the full packed ancestor
-    /// chain top-down — the pre-optimisation behaviour, kept for A/B
-    /// benchmarking of deep-corpus edits.
-    pub lazy_normalize: bool,
 }
 
 impl Default for TreeConfig {
@@ -80,9 +52,6 @@ impl Default for TreeConfig {
             merge_enabled: false,
             merge_threshold: 0.25,
             merge_fill_max: 0.8,
-            depth_packing: true,
-            proxy_digests: true,
-            lazy_normalize: true,
         }
     }
 }

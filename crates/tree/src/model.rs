@@ -94,9 +94,8 @@ pub struct PNode {
     /// Logical label; [`LABEL_NONE`] marks scaffolding aggregates. A
     /// proxy's label is a *digest*: the referenced record root's label
     /// when that root is a facade (so a reader can prune the child
-    /// without loading its page), [`LABEL_NONE`] when the child is
-    /// scaffolding-rooted, the digest is unknown (pre-format-2 records),
-    /// or digests are disabled. A digest never makes a proxy a facade.
+    /// without loading its page), [`LABEL_NONE`] ("must read") when the
+    /// child is scaffolding-rooted. A digest never makes a proxy a facade.
     pub label: LabelId,
     pub content: PContent,
     /// Arena index of the parent (`None` for the record root).
@@ -201,6 +200,19 @@ impl RecordTree {
         let id = src.transplant(node, &mut dst);
         dst.root = id;
         dst
+    }
+
+    /// Digest label for a proxy referencing this record: the root's label
+    /// when that root is a facade (readers can then prune the record
+    /// without loading its page), [`LABEL_NONE`] ("must read") for
+    /// scaffolding-rooted records.
+    pub(crate) fn proxy_digest(&self) -> LabelId {
+        let root = self.node(self.root);
+        if root.is_facade() {
+            root.label
+        } else {
+            LABEL_NONE
+        }
     }
 
     /// The record root (standalone object).

@@ -78,8 +78,8 @@ where
 
 /// Iterative engine of [`traverse`]: an explicit heap stack instead of
 /// call-stack recursion, because the logical nesting depth of a stored
-/// document (and, for the per-level ablation layout, its record-chain
-/// length) is unbounded while thread stacks are not.
+/// document (and with it the record-chain length of a per-node-loaded
+/// one) is unbounded while thread stacks are not.
 ///
 /// `record_start` of a frame is the node the walk of *its* record began
 /// at: when the walk hits the record's continuation placeholder, only the

@@ -205,7 +205,6 @@ fn plan_split_inner(
                         &mut partitions,
                         &mut partition_proxies,
                         &mut moved_proxies,
-                        cfg.proxy_digests,
                     );
                 }
             };
@@ -281,7 +280,6 @@ fn flush_run_into(
     partitions: &mut Vec<RecordTree>,
     partition_proxies: &mut Vec<(PNodeId, usize)>,
     moved_proxies: &mut Vec<(Rid, ProxyHome)>,
-    digests: bool,
 ) {
     debug_assert!(!run.is_empty());
     if run.len() == 1 && tree.node(run[0]).is_proxy() {
@@ -314,11 +312,7 @@ fn flush_run_into(
     // Proxy label digest: a facade-rooted partition's root label rides on
     // the placeholder proxy (the RID is patched in later, the digest is
     // final now); scaffolding-rooted partitions stay "must read".
-    let digest = if digests && partition.node(partition.root()).is_facade() {
-        partition.node(partition.root()).label
-    } else {
-        LABEL_NONE
-    };
+    let digest = partition.proxy_digest();
     partitions.push(partition);
     let proxy = separator.alloc(digest, PContent::Proxy(Rid::invalid()));
     separator.attach(sep_parent, *attach_at, proxy);

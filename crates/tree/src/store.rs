@@ -124,7 +124,7 @@ pub enum RecordEntry {
         ptr: NodePtr,
         /// The proxy's label digest: the child record root's label, or
         /// [`LABEL_NONE`] when unknown (continuation groups, scaffolding-
-        /// rooted children, digest-less pre-format-2 records).
+        /// rooted children).
         label: LabelId,
     },
 }
@@ -268,11 +268,6 @@ impl TreeStore {
         self.segment
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &TreeConfig {
-        &self.config
-    }
-
     /// Page size of the repository.
     pub fn page_size(&self) -> usize {
         self.sm.page_size()
@@ -281,19 +276,6 @@ impl TreeStore {
     /// Net page capacity — the split threshold for records.
     pub fn net_capacity(&self) -> usize {
         self.config.net_capacity(self.page_size())
-    }
-
-    /// Digest label for a proxy referencing `child`: the child record
-    /// root's label when that root is a facade (readers can then prune
-    /// the child without loading its page), [`LABEL_NONE`] ("must read")
-    /// for scaffolding-rooted children or with digests disabled.
-    pub(crate) fn proxy_digest(&self, child: &RecordTree) -> LabelId {
-        let root = child.node(child.root());
-        if self.config.proxy_digests && root.is_facade() {
-            root.label
-        } else {
-            LABEL_NONE
-        }
     }
 
     /// Read access to the split matrix.
@@ -1231,7 +1213,7 @@ impl TreeStore {
                     self.write_new(&child, PlacementHint::NearPage(site.rid.page), &mut ctx)?;
                 let proxy = site
                     .tree
-                    .alloc(self.proxy_digest(&child), PContent::Proxy(child_rid));
+                    .alloc(child.proxy_digest(), PContent::Proxy(child_rid));
                 site.tree.attach(site.parent_node, site.index, proxy);
                 let final_rid = self.store_updated(site.rid, site.tree, &mut ctx)?;
                 if final_rid == site.rid {
@@ -1260,23 +1242,17 @@ impl TreeStore {
     /// designated siblings (wherever there is more free space)").
     fn resolve_site(&self, parent: NodePtr, pos: InsertPos) -> TreeResult<Site> {
         let tree = self.load_current(parent.rid)?;
-        if tree_is_packed(&tree) && !self.config.lazy_normalize {
-            // Structural edits cannot preserve the packed-prefix layout;
-            // the caller normalizes the cluster and retries.
-            return Err(TreeError::PackedRecord(parent.rid));
-        }
         let pnode = preorder_to_arena(&tree, parent.node);
         let n = tree.try_node(pnode).ok_or(TreeError::BadNodePtr {
             rid: parent.rid,
             node: parent.node,
         })?;
         if tree_is_packed(&tree) && !packed_site_is_plain(&tree, pnode) {
-            // Lazy mode: an insert whose site node's child list is local
-            // to this record (not a prefix entry, not on the spilled
-            // path) proceeds in place — the packed structure around it is
-            // untouched, so no normalization is needed. Sites that *do*
-            // participate in the packed layout still take the
-            // normalize-and-retry path.
+            // An insert whose site node's child list is local to this
+            // record (not a prefix entry, not on the spilled path)
+            // proceeds in place — the packed structure around it is
+            // untouched. Sites that *do* participate in the packed layout
+            // take the normalize-and-retry path.
             return Err(TreeError::PackedRecord(parent.rid));
         }
         if !matches!(n.content, PContent::Aggregate(_)) {
@@ -1653,14 +1629,12 @@ impl TreeStore {
         // parent), normalize it alone and leave packed ancestors packed —
         // an edit deep in a packed corpus then rewrites one cluster
         // instead of the whole ancestor chain.
-        if self.config.lazy_normalize {
-            if let Some(host) = self.lazy_cluster_host(rid)? {
-                let mut tree = self.load_current(host)?;
-                self.inline_continuations(host, &mut tree, &mut ctx)?;
-                self.store_updated(host, tree, &mut ctx)?;
-                self.apply_patches(&mut ctx)?;
-                return Ok(ctx.finish());
-            }
+        if let Some(host) = self.lazy_cluster_host(rid)? {
+            let mut tree = self.load_current(host)?;
+            self.inline_continuations(host, &mut tree, &mut ctx)?;
+            self.store_updated(host, tree, &mut ctx)?;
+            self.apply_patches(&mut ctx)?;
+            return Ok(ctx.finish());
         }
         // Ancestor chain from `rid` upward while parents stay packed.
         let mut chain = vec![rid];
@@ -1864,8 +1838,8 @@ impl TreeStore {
     /// label alongside its pointer. Proxy label digests make this cheaper
     /// than `logical_children` + `node_info` per child: a digested proxy
     /// yields `(child root, digest)` with **no page read** — only
-    /// digest-less proxies (scaffolding-rooted children, pre-format-2
-    /// records) are resolved by loading the child record.
+    /// digest-less proxies (scaffolding-rooted children) are resolved by
+    /// loading the child record.
     pub fn logical_children_labeled(&self, ptr: NodePtr) -> TreeResult<Vec<(NodePtr, LabelId)>> {
         let tree = self.load(ptr.rid)?;
         let arena = preorder_to_arena(&tree, ptr.node);

@@ -315,3 +315,41 @@ fn one_to_one_matrix_random_ops() {
         );
     }
 }
+
+/// A fixed input that once broke the 1:1 configuration: a pure-insert
+/// sequence under the all-standalone matrix on 1 KB pages.
+#[test]
+fn standalone_insert_sequence() {
+    let el = |target, pos_seed, label| Op::InsertElement {
+        target,
+        pos_seed,
+        label,
+    };
+    let text = |target, pos_seed, len| Op::InsertText {
+        target,
+        pos_seed,
+        len,
+    };
+    let ops = [
+        el(0, 0, 4),
+        el(3463352798048616484, 2176683219257896540, 5),
+        text(16547482297019661615, 3375051007501521340, 31),
+        el(9680681321423435532, 12833229158990715196, 5),
+        el(16688179498362267752, 6935415870376316847, 2),
+        el(15239617208003563711, 7102741452124097322, 5),
+        text(6289115770950463494, 8308735912830452621, 34),
+        el(14463592814163842391, 17190842004108994094, 6),
+        el(7961002646956014678, 10655555731747165897, 5),
+        text(2318479113638696998, 13222850106980302339, 29),
+        text(6887953147433770219, 1500255433811445820, 18),
+        el(1130890726818129679, 5216393186615953481, 3),
+        text(16851267365394323428, 8783501312474862137, 8),
+        el(8536952172825370729, 3704771442065470959, 5),
+    ];
+    run_ops(
+        1024,
+        SplitMatrix::all_standalone(),
+        TreeConfig::paper(),
+        &ops,
+    );
+}

@@ -161,32 +161,6 @@ fn queries_agree_between_storage_modes() {
 }
 
 #[test]
-fn flat_stream_baseline_agrees_with_native_store() {
-    let repo = Repository::create_in_memory(RepositoryOptions {
-        page_size: 2048,
-        ..Default::default()
-    })
-    .unwrap();
-    let play = generate_play(&tiny_corpus(), 2, &mut repo.symbols_mut());
-    let xml =
-        natix_xml::write_document(&play.doc, &repo.symbols(), WriteOptions::compact()).unwrap();
-    // Native store.
-    repo.put_document("native", &play.doc).unwrap();
-    // Flat-stream baseline.
-    let mut flat = natix::FlatStore::new();
-    flat.put(&repo, "flat", &xml).unwrap();
-    assert_eq!(
-        flat.get(&repo, "flat").unwrap(),
-        repo.get_xml("native").unwrap()
-    );
-    // Structural access through the flat store requires parsing the whole
-    // stream; the result matches the native reconstruction.
-    let mut syms = repo.symbols().clone();
-    let parsed = flat.parse(&repo, "flat", &mut syms).unwrap();
-    assert!(parsed == repo.get_document("native").unwrap());
-}
-
-#[test]
 fn hyperstorm_style_matrix_round_trips() {
     // §5: HyperStorM "is equivalent to our algorithm with a Split Matrix
     // which contains only 0 and ∞ elements": coarse structures standalone,
