@@ -424,7 +424,7 @@ impl Repository {
         let versions = self.tree.versions();
         let mut out = Vec::new();
         for p in ptrs {
-            if versions.lookup(p.rid, epoch).is_some() {
+            if versions.is_superseded(p.rid, epoch) {
                 return Err(NatixError::SnapshotRace(state.name.clone()));
             }
             out.push(state.bind(p));

@@ -159,6 +159,10 @@ pub struct PlannerOptions {
 /// rule on the in-memory backend.
 pub const DEFAULT_PAGE_COST_NS: u64 = 2_000;
 /// CPU cost (ns) the model charges per facade node visited, any shape.
+/// It assumes a record is decoded once however many of its nodes the
+/// shape visits — true of the seeded descent and the walk since their
+/// reads share one decoded record per snapshot (the decoded-record memo of
+/// [`natix_tree::version`]), and of the scan by construction.
 const NODE_COST_NS: u64 = 100;
 /// Nodes over which a summary-seeded descent amortises one page miss —
 /// its proxy hops are random access, so misses are frequent.
@@ -315,9 +319,9 @@ impl Repository {
         let symbols = self.symbols.read().clone();
         let mut out = Vec::with_capacity(ptrs.len());
         for &p in ptrs {
-            let info = self.tree.node_info(p)?;
+            let (label, _) = self.tree.node_label(p)?;
             out.push((
-                symbols.name(info.label).to_string(),
+                symbols.name(label).to_string(),
                 natix_tree::subtree_text(&self.tree, p)?,
             ));
         }
@@ -330,11 +334,11 @@ impl Repository {
         step: &Step,
         name_label: Option<natix_xml::LabelId>,
     ) -> NatixResult<bool> {
-        let info = self.tree.node_info(ptr)?;
+        let (label, literal) = self.tree.node_label(ptr)?;
         Ok(match &step.test {
-            Test::Any => info.value.is_none(),
-            Test::Text => info.label == LABEL_TEXT,
-            Test::Name(_) => info.value.is_none() && name_label.is_some_and(|l| info.label == l),
+            Test::Any => !literal,
+            Test::Text => label == LABEL_TEXT,
+            Test::Name(_) => !literal && name_label == Some(label),
         })
     }
 
@@ -806,16 +810,13 @@ impl Repository {
                 out.push(p);
             }
             let kids = self.tree.logical_children_labeled(p)?;
-            let mut frame = Vec::new();
-            for (k, label) in kids {
+            // Reversed, so the leftmost kept child is popped first.
+            for (k, label) in kids.into_iter().rev() {
                 if let Some(cid) = summary.step_child(pid, label) {
                     if pm.closure[cid as usize] {
-                        frame.push((k, cid));
+                        stack.push((k, cid));
                     }
                 }
-            }
-            for entry in frame.into_iter().rev() {
-                stack.push(entry);
             }
         }
         Ok(out)

@@ -400,9 +400,16 @@ fn summary_counts_under_racing_edits_match_serial_scan_oracle() {
                     elements.push(k);
                 }
             }
-            for _ in 0..80 {
+            // 80 edits, then (bounded) as many more as it takes for the
+            // summary to serve a count while edits still race: the
+            // assertion after the scope needs that interleaving, and on a
+            // small machine the writer can otherwise finish before a
+            // reader was scheduled once.
+            let mut edits = 0;
+            while edits < 80 || (edits < 4000 && summary_hits.load(Ordering::Relaxed) == 0) {
                 random_edit(repo_ref, doc, &mut g, &mut elements, &mut texts);
                 record(versions);
+                edits += 1;
             }
             done.store(true, Ordering::Release);
         });

@@ -25,7 +25,7 @@ use natix::{
     DocId, LabelIndex, NatixError, NodeId, ParallelQueryOptions, PathQuery, PlanShape,
     PlannerOptions, Repository, RepositoryOptions,
 };
-use natix_corpus::SplitMix64 as Gen;
+use natix_corpus::{generate_play, CorpusConfig, SplitMix64 as Gen};
 use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
 use parking_lot::Mutex;
 
@@ -575,6 +575,81 @@ fn eviction_policy_never_changes_results() {
                 );
             }
         }
+    }
+}
+
+/// Regression pin for the decoded-record memo (`natix_tree::version`): a
+/// pinned walk decodes a record once, however many of its nodes it
+/// enters. With the document resident in the pool every decode is one
+/// buffer pin, so the pins a query takes (hits + misses) are bounded by
+/// the document's record count — not by the nodes visited, which is what
+/// a per-node `load` costs (the parent of this change took more than ten
+/// pins per record on both queries). Answers stay those of the DOM
+/// oracle.
+#[test]
+fn pinned_walks_decode_each_record_once() {
+    let mut syms = SymbolTable::new();
+    let cfg = CorpusConfig {
+        plays: 37,
+        seed: 0xDEC0DE,
+        scale: 0.25,
+    };
+    let play = generate_play(&cfg, 0, &mut syms).doc;
+    let r = Repository::create_in_memory(RepositoryOptions {
+        page_size: 4096,
+        buffer_bytes: 16 * 1024 * 1024,
+        ..RepositoryOptions::default()
+    })
+    .unwrap();
+    *r.symbols_mut() = syms.clone();
+    let id = r.put_document("play", &play).unwrap();
+    let records = r.physical_stats("play").unwrap().records as u64;
+    assert!(records >= 20, "the play must span many records: {records}");
+
+    let dom_pos: HashMap<NodeIdx, usize> =
+        play.pre_order().enumerate().map(|(i, n)| (n, i)).collect();
+    let repo_pos: HashMap<NodeId, usize> = collect_preorder_ids(&r, id)
+        .into_iter()
+        .enumerate()
+        .map(|(i, n)| (n, i))
+        .collect();
+
+    for (tag, shape) in [
+        ("SPEAKER", PlanShape::SummarySeeded),
+        ("STAGEDIR", PlanShape::LazyWalk),
+    ] {
+        let opts = PlannerOptions {
+            force: Some(shape),
+            ..PlannerOptions::default()
+        };
+        let before = r.io_stats().snapshot();
+        let (ids, explain) = r.query_planned("play", &format!("//{tag}"), &opts).unwrap();
+        let io = r.io_stats().snapshot().since(&before);
+        assert_eq!(explain.shape, shape);
+        assert_eq!(io.buffer_misses, 0, "//{tag}: the pool holds the document");
+        assert!(
+            io.buffer_hits <= 2 * records,
+            "//{tag} [{shape:?}]: {} buffer pins for a document of {records} records — \
+             the walk decodes records per node again",
+            io.buffer_hits
+        );
+
+        let oracle = oracle_eval(
+            &play,
+            &syms,
+            &[OStep {
+                descendant: true,
+                test: OTest::Name(tag.to_string()),
+                position: None,
+            }],
+        );
+        assert!(!oracle.is_empty(), "//{tag} must match something");
+        let got: Vec<usize> = ids.iter().map(|n| repo_pos[n]).collect();
+        let want: Vec<usize> = oracle.iter().map(|n| dom_pos[n]).collect();
+        assert_eq!(
+            got, want,
+            "//{tag} [{shape:?}] diverges from the DOM oracle"
+        );
     }
 }
 

@@ -5,7 +5,7 @@
 //! The scanner is hand-rolled: the build environment is offline, so no
 //! `syn`. Sources are sanitised (comments and string/char literals blanked,
 //! line structure preserved) and then checked line- and item-wise with
-//! brace/paren tracking. That is enough for the five rules below, all of
+//! brace/paren tracking. That is enough for the six rules below, all of
 //! which key on tokens that survive sanitisation:
 //!
 //! 1. **durable-gate** — every `pub fn` write API in

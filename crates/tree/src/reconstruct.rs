@@ -9,6 +9,8 @@
 //! the records (Query 2: "recreates the textual representation of the
 //! complete first speech in every scene").
 
+use std::sync::Arc;
+
 use natix_storage::Rid;
 use natix_xml::escape::{escape_attr, escape_text};
 use natix_xml::{
@@ -66,14 +68,14 @@ pub fn traverse<F>(store: &TreeStore, ptr: NodePtr, visit: &mut F) -> TreeResult
 where
     F: FnMut(VisitEvent<'_>) -> bool,
 {
-    let tree = store.load(ptr.rid)?;
+    let tree = store.load_shared(ptr.rid)?;
     if tree.try_node(ptr.node).is_none() {
         return Err(TreeError::BadNodePtr {
             rid: ptr.rid,
             node: ptr.node,
         });
     }
-    Ok(walk(store, ptr.rid, &tree, ptr.node, ptr.node, visit)? != Flow::Stop)
+    Ok(walk(store, ptr.rid, tree, ptr.node, ptr.node, visit)? != Flow::Stop)
 }
 
 /// Iterative engine of [`traverse`]: an explicit heap stack instead of
@@ -89,7 +91,7 @@ where
 fn walk<F>(
     store: &TreeStore,
     rid: Rid,
-    tree: &RecordTree,
+    root_tree: Arc<RecordTree>,
     node: PNodeId,
     record_start: PNodeId,
     visit: &mut F,
@@ -97,12 +99,10 @@ fn walk<F>(
 where
     F: FnMut(VisitEvent<'_>) -> bool,
 {
-    use std::rc::Rc;
-
     /// One in-progress aggregate/prefix node (leaves are handled inline).
     struct Frame {
         rid: Rid,
-        tree: Rc<RecordTree>,
+        tree: Arc<RecordTree>,
         node: PNodeId,
         /// The node this record's walk began at (continuation scoping).
         record_start: PNodeId,
@@ -124,7 +124,7 @@ where
     fn open_frame<F>(
         stack: &mut Vec<Frame>,
         rid: Rid,
-        tree: &Rc<RecordTree>,
+        tree: &Arc<RecordTree>,
         node: PNodeId,
         record_start: PNodeId,
         report: Option<Flow>,
@@ -158,7 +158,7 @@ where
                 }
                 stack.push(Frame {
                     rid,
-                    tree: Rc::clone(tree),
+                    tree: Arc::clone(tree),
                     node,
                     record_start,
                     next: 0,
@@ -176,7 +176,6 @@ where
     }
 
     let mut stack: Vec<Frame> = Vec::new();
-    let root_tree = Rc::new(tree.clone());
     if let Some(flow) = open_frame(&mut stack, rid, &root_tree, node, record_start, None, visit)? {
         return Ok(flow);
     }
@@ -192,7 +191,7 @@ where
         if frame.next < kids.len() {
             let child = kids[frame.next];
             frame.next += 1;
-            let (frid, ftree, fstart) = (frame.rid, Rc::clone(&frame.tree), frame.record_start);
+            let (frid, ftree, fstart) = (frame.rid, Arc::clone(&frame.tree), frame.record_start);
             let n = ftree.node(child);
             match &n.content {
                 PContent::Proxy(target) => {
@@ -201,7 +200,7 @@ where
                     // subtree, so any `Open` it reports concerns only
                     // facades within it.
                     let t = *target;
-                    let sub = Rc::new(store.load(t)?);
+                    let sub = store.load_shared(t)?;
                     let root = sub.root();
                     if let Some(flow) =
                         open_frame(&mut stack, t, &sub, root, root, Some(Flow::Done), visit)?
@@ -227,7 +226,7 @@ where
                             "record {frid}: walk start is not on the spilled path"
                         ))
                     })?;
-                    let sub = Rc::new(store.load(t)?);
+                    let sub = store.load_shared(t)?;
                     let entry = *crate::store::prefix_chain(&sub).get(i0).ok_or_else(|| {
                         TreeError::Invariant(format!(
                             "continuation group {t}: prefix chain shorter than spilled path"
@@ -272,7 +271,7 @@ where
 
 /// Rebuilds the logical document rooted at record `root`.
 pub fn reconstruct_document(store: &TreeStore, root: Rid) -> TreeResult<Document> {
-    let tree = store.load(root)?;
+    let tree = store.load_shared(root)?;
     let root_node = tree.root();
     if !tree.node(root_node).is_facade() {
         return Err(TreeError::Invariant(format!(

@@ -305,32 +305,34 @@ impl TreeStore {
     /// store instead of the page, so a multi-record walk observes the
     /// record graph as of one epoch even while writers rewrite it.
     /// Without a pin (and on every writer's own loads) the on-page image
-    /// is authoritative.
+    /// is authoritative: one buffer pin and one decode per call.
+    ///
+    /// This is the read path's shared accessor made owned: under a pin
+    /// the record may come from the thread's decoded-record memo (see
+    /// [`crate::version`]) and is then copied, which is why this crate's
+    /// own readers take the shared form.
     pub fn load(&self, rid: Rid) -> TreeResult<RecordTree> {
-        self.load_hinted(rid, AccessHint::Normal)
+        self.load_shared(rid).map(Arc::unwrap_or_clone)
     }
 
-    /// [`load`](Self::load) under a buffer-replacement hint: record-queue
-    /// scans pass [`AccessHint::Scan`] so their one-shot pages enter the
-    /// pool at cold priority instead of displacing the point-access
-    /// working set.
-    pub fn load_hinted(&self, rid: Rid, hint: AccessHint) -> TreeResult<RecordTree> {
-        let Some(epoch) = self.versions.ambient_read_epoch() else {
-            return self.load_current_hinted(rid, hint);
-        };
-        if let Some(v) = self.versions.lookup(rid, epoch) {
-            return Ok((*v).clone());
-        }
-        let current = self.load_current_hinted(rid, hint);
-        // A writer may have superseded `rid` between the lookup above and
-        // the page read; the deposit lands in the version store *before*
-        // the page bytes change (see `crate::version`), so a second
-        // lookup catches every such race — including a page read that
-        // failed because the slot was deleted underneath us.
-        if let Some(v) = self.versions.lookup(rid, epoch) {
-            return Ok((*v).clone());
-        }
-        current
+    /// The read path's one record accessor: the image of `rid` for the
+    /// calling thread, shared. Under a pinned snapshot each record is
+    /// decoded once per pin — later reads of the same record on this
+    /// thread get the same `Arc` back without a buffer pin or a decode
+    /// (the decoded-record memo of [`crate::version`]); outside a pin, and
+    /// on a thread with a write operation in flight, every call reads the
+    /// page.
+    pub(crate) fn load_shared(&self, rid: Rid) -> TreeResult<Arc<RecordTree>> {
+        self.load_shared_hinted(rid, AccessHint::Normal)
+    }
+
+    /// [`load_shared`](Self::load_shared) under a buffer-replacement hint:
+    /// record-queue scans pass [`AccessHint::Scan`] so their one-shot
+    /// pages enter the pool at cold priority instead of displacing the
+    /// point-access working set.
+    fn load_shared_hinted(&self, rid: Rid, hint: AccessHint) -> TreeResult<Arc<RecordTree>> {
+        self.versions
+            .read(rid, || self.load_current_hinted(rid, hint))
     }
 
     /// Loads the on-page image of the record at `rid` (no versioning).
@@ -1034,10 +1036,17 @@ impl TreeStore {
             /// whose node it copies.
             Hop(usize, Rid),
         }
-        let mut owned: Option<RecordTree> = None;
+        let load = |rid: Rid| {
+            if current {
+                self.load_current(rid).map(Arc::new)
+            } else {
+                self.load_shared(rid)
+            }
+        };
+        let mut owned: Option<Arc<RecordTree>> = None;
         loop {
             let action = {
-                let t = owned.as_ref().unwrap_or(tree);
+                let t = owned.as_deref().unwrap_or(tree);
                 let n = t.node(node);
                 if n.is_facade() {
                     return Ok(Some(NodePtr::new(rid, preorder_index(t, node))));
@@ -1064,11 +1073,7 @@ impl TreeStore {
                     if parent_rid.is_invalid() {
                         return Ok(None);
                     }
-                    let ptree = if current {
-                        self.load_current(parent_rid)?
-                    } else {
-                        self.load(parent_rid)?
-                    };
+                    let ptree = load(parent_rid)?;
                     let proxy = find_proxy(&ptree, rid).ok_or_else(|| {
                         TreeError::Invariant(format!("record {parent_rid} has no proxy for {rid}"))
                     })?;
@@ -1089,11 +1094,7 @@ impl TreeStore {
                                 "prefix chain with no holder record".into(),
                             ));
                         }
-                        let holder = if current {
-                            self.load_current(holder_rid)?
-                        } else {
-                            self.load(holder_rid)?
-                        };
+                        let holder = load(holder_rid)?;
                         if find_continuation(&holder).map(|(_, t)| t) == Some(rid) {
                             // Our record is the holder's continuation
                             // group: chain index i maps to spilled-path
@@ -1807,7 +1808,7 @@ impl TreeStore {
 
     /// Information about the node at `ptr`.
     pub fn node_info(&self, ptr: NodePtr) -> TreeResult<NodeInfo> {
-        let tree = self.load(ptr.rid)?;
+        let tree = self.load_shared(ptr.rid)?;
         let arena = preorder_to_arena(&tree, ptr.node);
         let n = tree.try_node(arena).ok_or(TreeError::BadNodePtr {
             rid: ptr.rid,
@@ -1822,6 +1823,20 @@ impl TreeStore {
             facade: n.is_facade(),
             physical_children: tree.children(arena).len(),
         })
+    }
+
+    /// Label of the node at `ptr` and whether it is a literal —
+    /// [`node_info`](Self::node_info) for callers that match on label and
+    /// kind only, without the copy of a literal's value.
+    pub fn node_label(&self, ptr: NodePtr) -> TreeResult<(LabelId, bool)> {
+        let tree = self.load_shared(ptr.rid)?;
+        let n = tree
+            .try_node(preorder_to_arena(&tree, ptr.node))
+            .ok_or(TreeError::BadNodePtr {
+                rid: ptr.rid,
+                node: ptr.node,
+            })?;
+        Ok((n.label, matches!(n.content, PContent::Literal(_))))
     }
 
     /// The logical children of the facade node at `ptr`, crossing proxies
@@ -1840,8 +1855,12 @@ impl TreeStore {
     /// yields `(child root, digest)` with **no page read** — only
     /// digest-less proxies (scaffolding-rooted children) are resolved by
     /// loading the child record.
+    ///
+    /// The record of `ptr` comes from [`load_shared`](Self::load_shared):
+    /// a pinned walk that asks for the children of every node it enters
+    /// decodes each record once, not once per node.
     pub fn logical_children_labeled(&self, ptr: NodePtr) -> TreeResult<Vec<(NodePtr, LabelId)>> {
-        let tree = self.load(ptr.rid)?;
+        let tree = self.load_shared(ptr.rid)?;
         let arena = preorder_to_arena(&tree, ptr.node);
         if tree.try_node(arena).is_none() {
             return Err(TreeError::BadNodePtr {
@@ -1872,7 +1891,7 @@ impl TreeStore {
                         out.push((NodePtr::new(target, 0), n.label));
                         continue;
                     }
-                    let child = self.load(target)?;
+                    let child = self.load_shared(target)?;
                     let root = child.root();
                     if child.node(root).is_scaffolding_aggregate() {
                         self.expand_children(target, &child, root, out)?;
@@ -1919,7 +1938,7 @@ impl TreeStore {
         level: usize,
         out: &mut Vec<(NodePtr, LabelId)>,
     ) -> TreeResult<()> {
-        let group = self.load(group_rid)?;
+        let group = self.load_shared(group_rid)?;
         let chain = prefix_chain(&group);
         if let Some(&pnode) = chain.get(level) {
             return self.expand_children(group_rid, &group, pnode, out);
@@ -1931,7 +1950,7 @@ impl TreeStore {
         };
         for &c in group.children(last) {
             if let PContent::Proxy(target) = group.node(c).content {
-                let child = self.load(target)?;
+                let child = self.load_shared(target)?;
                 if child.node(child.root()).is_prefix() {
                     return self.expand_group_children(target, level - chain.len(), out);
                 }
@@ -1949,7 +1968,7 @@ impl TreeStore {
     where
         F: FnMut(NodePtr) -> TreeResult<bool>,
     {
-        let tree = self.load(ptr.rid)?;
+        let tree = self.load_shared(ptr.rid)?;
         let arena = preorder_to_arena(&tree, ptr.node);
         if tree.try_node(arena).is_none() {
             return Err(TreeError::BadNodePtr {
@@ -1981,7 +2000,7 @@ impl TreeStore {
                         }
                         continue;
                     }
-                    let child = self.load(target)?;
+                    let child = self.load_shared(target)?;
                     let root = child.root();
                     if child.node(root).is_scaffolding_aggregate() {
                         if !self.expand_children_lazy(target, &child, root, f)? {
@@ -2022,7 +2041,7 @@ impl TreeStore {
     where
         F: FnMut(NodePtr) -> TreeResult<bool>,
     {
-        let group = self.load(group_rid)?;
+        let group = self.load_shared(group_rid)?;
         let chain = prefix_chain(&group);
         if let Some(&pnode) = chain.get(level) {
             return self.expand_children_lazy(group_rid, &group, pnode, f);
@@ -2032,7 +2051,7 @@ impl TreeStore {
         };
         for &c in group.children(last) {
             if let PContent::Proxy(target) = group.node(c).content {
-                let child = self.load(target)?;
+                let child = self.load_shared(target)?;
                 if child.node(child.root()).is_prefix() {
                     return self.expand_group_children_lazy(target, level - chain.len(), f);
                 }
@@ -2055,7 +2074,7 @@ impl TreeStore {
     {
         // Scan-hinted load: record-queue scans touch each page once, so
         // their frames enter the buffer pool at cold priority.
-        let tree = self.load_hinted(ptr.rid, AccessHint::Scan)?;
+        let tree = self.load_shared_hinted(ptr.rid, AccessHint::Scan)?;
         let arena = preorder_to_arena(&tree, ptr.node);
         if tree.try_node(arena).is_none() {
             return Err(TreeError::BadNodePtr {
@@ -2143,7 +2162,7 @@ impl TreeStore {
         let i0 = path.iter().position(|&p| p == start).ok_or_else(|| {
             TreeError::Invariant("scan start is not on the record's spilled path".into())
         })?;
-        let group = self.load_hinted(target, AccessHint::Scan)?;
+        let group = self.load_shared_hinted(target, AccessHint::Scan)?;
         let chain = prefix_chain(&group);
         let node = *chain.get(i0).ok_or_else(|| {
             TreeError::Invariant(format!(
@@ -2156,7 +2175,7 @@ impl TreeStore {
     /// The logical parent of the facade node at `ptr` (`None` for the tree
     /// root).
     pub fn logical_parent(&self, ptr: NodePtr) -> TreeResult<Option<NodePtr>> {
-        let tree = self.load(ptr.rid)?;
+        let tree = self.load_shared(ptr.rid)?;
         let arena = preorder_to_arena(&tree, ptr.node);
         let parent = tree
             .try_node(arena)
@@ -2172,7 +2191,7 @@ impl TreeStore {
                 if parent_rid.is_invalid() {
                     return Ok(None);
                 }
-                let ptree = self.load(parent_rid)?;
+                let ptree = self.load_shared(parent_rid)?;
                 let proxy = find_proxy(&ptree, ptr.rid).ok_or_else(|| {
                     TreeError::Invariant(format!(
                         "record {parent_rid} has no proxy for {}",

@@ -42,8 +42,33 @@
 //! layers between a public API call and `TreeStore::load` need no epoch
 //! plumbing. Parallel query workers join their coordinator's snapshot
 //! with [`VersionStore::adopt_read`].
+//!
+//! # Decoded-record memo
+//!
+//! The image of a record seen from a pinned epoch never changes: the page
+//! holds it until a writer supersedes it, and from then on the deposit
+//! does, for as long as the pin lives. [`VersionStore::read`] therefore
+//! remembers, per thread, every record it has decoded under the thread's
+//! snapshot and hands the same `Arc<RecordTree>` to every later read of
+//! that record — a walk over the N nodes of one record decodes it once,
+//! not N times. The memo sits beside the thread's ambient pin and needs
+//! **no invalidation, no lock and no shared state**:
+//!
+//! * it is keyed by the `(store identity, epoch)` that filled it, so two
+//!   repositories used on one thread (equal `Rid`s, different records)
+//!   never see each other's entries;
+//! * it is emptied when the thread's outermost pin on that snapshot —
+//!   its own or one joined with [`VersionStore::adopt_read`] — drops;
+//!   nested pins share it, and nothing decoded under one pin is ever
+//!   served under the next;
+//! * it is bypassed, neither read nor filled, while a [`WriteOp`] is
+//!   ambient on the thread (a writer's reads go back to the page and the
+//!   version store every time) and for reads outside any pin;
+//! * it holds at most `MEMO_CAPACITY` (256) records: a walk that decodes
+//!   more starts over with an empty memo, which costs a depth-first walk
+//!   one re-decode per record on its current root-to-leaf path.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
@@ -54,7 +79,45 @@ use parking_lot::{Mutex, TrackedAtomicU64, TrackedAtomicUsize};
 use natix_storage::wal::{log_suppressed, Wal, WalRecord};
 use natix_storage::{PageId, Rid};
 
+use crate::error::{TreeError, TreeResult};
 use crate::model::RecordTree;
+
+/// Entry bound of a thread's decoded-record memo (see the module docs):
+/// the records of 2 MiB of 8 KiB pages, held as a few MiB of decoded
+/// trees per pinned thread in the worst case.
+const MEMO_CAPACITY: usize = 256;
+
+/// The records a thread has decoded under its ambient snapshot.
+struct RecordMemo {
+    /// `(store identity, pinned epoch)` of the snapshot that filled
+    /// `records`; entries are only ever served to that same snapshot.
+    key: (usize, u64),
+    records: HashMap<Rid, Arc<RecordTree>>,
+}
+
+impl RecordMemo {
+    fn get(&self, key: (usize, u64), rid: Rid) -> Option<Arc<RecordTree>> {
+        if self.key != key {
+            return None;
+        }
+        self.records.get(&rid).cloned()
+    }
+
+    fn insert(&mut self, key: (usize, u64), rid: Rid, tree: Arc<RecordTree>) {
+        if self.key != key || self.records.len() >= MEMO_CAPACITY {
+            self.records.clear();
+            self.key = key;
+        }
+        self.records.insert(rid, tree);
+    }
+
+    /// Empties the memo if snapshot `key` filled it.
+    fn forget(&mut self, key: (usize, u64)) {
+        if self.key == key {
+            self.records.clear();
+        }
+    }
+}
 
 thread_local! {
     /// `(store identity, pinned epoch)` of the innermost read snapshot
@@ -63,6 +126,11 @@ thread_local! {
     /// `(store identity, op token)` of the write operation active on this
     /// thread.
     static WRITE_OP: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
+    /// This thread's decoded-record memo (see the module docs).
+    static RECORD_MEMO: RefCell<RecordMemo> = RefCell::new(RecordMemo {
+        key: (0, 0),
+        records: HashMap::new(),
+    });
 }
 
 /// A deposited pre-image: raw page bytes until a superseded load actually
@@ -115,6 +183,17 @@ struct VersionState {
     /// document in parsed form until publish.
     created: HashMap<u64, HashSet<Rid>>,
     next_op: u64,
+}
+
+impl VersionState {
+    /// The retained image of `rid` a reader pinned at `epoch` must use, if
+    /// the on-page record is not current for that epoch.
+    fn version_at(&self, rid: Rid, epoch: u64) -> Option<&RecordVersion> {
+        self.records
+            .get(&rid)?
+            .iter()
+            .find(|v| v.valid_until > epoch)
+    }
 }
 
 /// Commit-time callback installed by the repository: `(op, touched pages)`,
@@ -287,38 +366,89 @@ impl VersionStore {
         }
     }
 
+    /// The image of `rid` for the calling thread: the on-page record
+    /// (`read_page`) outside a snapshot, the image as of the pinned epoch
+    /// under one. This is the one implementation of the latch-free read
+    /// validation described in the module docs — version store, page,
+    /// version store again — and of the decoded-record memo in front of
+    /// it.
+    pub(crate) fn read(
+        &self,
+        rid: Rid,
+        read_page: impl FnOnce() -> TreeResult<RecordTree>,
+    ) -> TreeResult<Arc<RecordTree>> {
+        let Some(epoch) = self.ambient_read_epoch() else {
+            return read_page().map(Arc::new);
+        };
+        let memo_key = WRITE_OP.get().is_none().then_some((self.id(), epoch));
+        if let Some(hit) = memo_key.and_then(|key| RECORD_MEMO.with_borrow(|m| m.get(key, rid))) {
+            return Ok(hit);
+        }
+        let tree = match self.lookup(rid, epoch)? {
+            Some(v) => v,
+            None => {
+                let current = read_page();
+                // A writer may have superseded `rid` between the lookup
+                // above and the page read; the deposit lands in the
+                // version store *before* the page bytes change, so a
+                // second lookup catches every such race — including a
+                // page read that failed because the slot was deleted
+                // underneath us.
+                match self.lookup(rid, epoch)? {
+                    Some(v) => v,
+                    None => Arc::new(current?),
+                }
+            }
+        };
+        if let Some(key) = memo_key {
+            RECORD_MEMO.with_borrow_mut(|m| m.insert(key, rid, Arc::clone(&tree)));
+        }
+        Ok(tree)
+    }
+
+    /// Number of records in the calling thread's memo.
+    #[cfg(test)]
+    pub(crate) fn memo_len() -> usize {
+        RECORD_MEMO.with_borrow(|m| m.records.len())
+    }
+
+    /// Whether a reader pinned at `epoch` must read `rid` from the version
+    /// store rather than the page — [`lookup`](Self::lookup)`.is_some()`
+    /// without decoding a raw deposit or touching an `Arc`.
+    pub fn is_superseded(&self, rid: Rid, epoch: u64) -> bool {
+        if self.retained.load(Ordering::Acquire) == 0 {
+            return false;
+        }
+        self.state.lock().version_at(rid, epoch).is_some()
+    }
+
     /// The superseded image of `rid` a reader pinned at `epoch` must use,
     /// or `None` when the on-page record is current for that epoch.
     /// Raw deposits are decoded on this first superseded load and the
     /// parsed tree cached in place; the decode runs outside the state
     /// mutex (the bytes are cloned), so concurrent lookups never stall
-    /// behind each other's parsing.
-    ///
-    /// # Panics
-    ///
-    /// If a raw deposit fails to decode — impossible unless the writer
-    /// deposited corrupt page bytes, which would have failed its own
-    /// operation first.
-    pub fn lookup(&self, rid: Rid, epoch: u64) -> Option<Arc<RecordTree>> {
+    /// behind each other's parsing. A raw deposit that fails to decode is
+    /// reported as [`TreeError::CorruptRecord`].
+    pub fn lookup(&self, rid: Rid, epoch: u64) -> TreeResult<Option<Arc<RecordTree>>> {
         if self.retained.load(Ordering::Acquire) == 0 {
-            return None;
+            return Ok(None);
         }
-        let raw = {
+        let (valid_until, op, bytes, table) = {
             let st = self.state.lock();
-            let v = st
-                .records
-                .get(&rid)?
-                .iter()
-                .find(|v| v.valid_until > epoch)?;
+            let Some(v) = st.version_at(rid, epoch) else {
+                return Ok(None);
+            };
             match &v.image {
-                Image::Decoded(tree) => return Some(Arc::clone(tree)),
+                Image::Decoded(tree) => return Ok(Some(Arc::clone(tree))),
                 Image::Raw(bytes, table) => (v.valid_until, v.op, bytes.clone(), table.clone()),
             }
         };
-        let (valid_until, op, bytes, table) = raw;
         let parsed = crate::typetable::TypeTable::decode(&table)
             .and_then(|t| crate::record::deserialize(&bytes, &t, rid))
-            .unwrap_or_else(|e| panic!("corrupt pre-image deposit for {rid}: {e}"));
+            .map_err(|e| TreeError::CorruptRecord {
+                rid,
+                message: format!("pre-image deposit does not decode: {e}"),
+            })?;
         let tree = Arc::new(parsed);
         let mut st = self.state.lock();
         if let Some(versions) = st.records.get_mut(&rid) {
@@ -334,7 +464,7 @@ impl VersionStore {
                 }
             }
         }
-        Some(tree)
+        Ok(Some(tree))
     }
 
     fn unpin(&self, epoch: u64) {
@@ -598,6 +728,12 @@ impl ReadPin<'_> {
 impl Drop for ReadPin<'_> {
     fn drop(&mut self) {
         READ_PIN.set(self.prev);
+        let key = (self.store.id(), self.epoch);
+        if self.prev != Some(key) {
+            // The thread's outermost pin on this snapshot: what was
+            // decoded under it must not outlive it.
+            RECORD_MEMO.with_borrow_mut(|m| m.forget(key));
+        }
         self.store.unpin(self.epoch);
     }
 }
@@ -672,21 +808,21 @@ mod tests {
         let vs = VersionStore::new();
         let rid = Rid::new(3, 1);
         let old = vs.pin_raw();
-        assert!(vs.lookup(rid, old).is_none());
+        assert!(vs.lookup(rid, old).unwrap().is_none());
         // A writer deposits mid-operation: the pinned reader must see it.
         let op = vs.begin_write();
         let tok = vs.ambient_write_op().unwrap();
         vs.supersede(tok, rid, tree_with_label(7));
         assert_eq!(
-            vs.lookup(rid, old).unwrap().node(0).label,
+            vs.lookup(rid, old).unwrap().unwrap().node(0).label,
             7,
             "pending version serves pinned readers"
         );
         drop(op);
         // Still visible to the old pin, invisible to a fresh one.
-        assert!(vs.lookup(rid, old).is_some());
+        assert!(vs.lookup(rid, old).unwrap().is_some());
         let fresh = vs.pin_raw();
-        assert!(vs.lookup(rid, fresh).is_none());
+        assert!(vs.lookup(rid, fresh).unwrap().is_none());
         vs.unpin(fresh);
         vs.unpin(old);
         assert_eq!(vs.retained_versions(), 0, "gc after last unpin");
@@ -706,10 +842,16 @@ mod tests {
         let op = vs.begin_write();
         let tok = vs.ambient_write_op().unwrap();
         vs.supersede_raw(tok, rid, bytes, table.encode());
-        let first = vs.lookup(rid, pin).expect("pending raw deposit serves");
+        let first = vs
+            .lookup(rid, pin)
+            .unwrap()
+            .expect("pending raw deposit serves");
         assert_eq!(first.node(first.root()).label, 33);
         drop(op);
-        let second = vs.lookup(rid, pin).expect("published deposit serves");
+        let second = vs
+            .lookup(rid, pin)
+            .unwrap()
+            .expect("published deposit serves");
         assert!(
             Arc::ptr_eq(&first, &second),
             "decode must be cached, not repeated"
@@ -727,7 +869,7 @@ mod tests {
         let tok = vs.ambient_write_op().unwrap();
         vs.supersede(tok, rid, tree_with_label(1));
         vs.supersede(tok, rid, tree_with_label(2)); // intermediate — ignored
-        assert_eq!(vs.lookup(rid, pin).unwrap().node(0).label, 1);
+        assert_eq!(vs.lookup(rid, pin).unwrap().unwrap().node(0).label, 1);
         drop(op);
         vs.unpin(pin);
     }
@@ -761,7 +903,7 @@ mod tests {
         assert!(vs.created_by(tok, rid));
         vs.supersede(tok, rid, tree_with_label(5));
         assert!(
-            vs.lookup(rid, pin).is_none(),
+            vs.lookup(rid, pin).unwrap().is_none(),
             "self-created records retain no versions"
         );
         drop(op);
@@ -784,10 +926,10 @@ mod tests {
             let _op = vs.begin_write();
             vs.supersede(vs.ambient_write_op().unwrap(), rid, tree_with_label(11));
         } // epoch 2
-        assert_eq!(vs.lookup(rid, pin0).unwrap().node(0).label, 10);
-        assert_eq!(vs.lookup(rid, pin1).unwrap().node(0).label, 11);
+        assert_eq!(vs.lookup(rid, pin0).unwrap().unwrap().node(0).label, 10);
+        assert_eq!(vs.lookup(rid, pin1).unwrap().unwrap().node(0).label, 11);
         let pin2 = vs.pin_raw();
-        assert!(vs.lookup(rid, pin2).is_none());
+        assert!(vs.lookup(rid, pin2).unwrap().is_none());
         vs.unpin(pin0);
         vs.unpin(pin1);
         vs.unpin(pin2);
@@ -831,7 +973,11 @@ mod tests {
             let worker_pin = vs2.adopt_read(epoch);
             assert_eq!(vs2.ambient_read_epoch(), Some(epoch));
             assert_eq!(
-                vs2.lookup(rid, worker_pin.epoch()).unwrap().node(0).label,
+                vs2.lookup(rid, worker_pin.epoch())
+                    .unwrap()
+                    .unwrap()
+                    .node(0)
+                    .label,
                 42
             );
         })
@@ -839,5 +985,244 @@ mod tests {
         .unwrap();
         drop(pin);
         assert_eq!(vs.retained_versions(), 0);
+    }
+
+    #[test]
+    fn corrupt_raw_deposit_is_a_typed_error() {
+        // A raw pre-image that does not decode surfaces as CorruptRecord
+        // from `lookup` and through `read` — never a panic — while the
+        // non-decoding existence test still answers.
+        let vs = VersionStore::new();
+        let rid = Rid::new(5, 3);
+        let pin = vs.begin_read();
+        {
+            let _op = vs.begin_write();
+            let tok = vs.ambient_write_op().unwrap();
+            vs.supersede_raw(tok, rid, vec![1, 2, 3], vec![0xff]);
+        }
+        assert!(vs.is_superseded(rid, pin.epoch()));
+        assert!(!vs.is_superseded(Rid::new(5, 4), pin.epoch()));
+        for err in [
+            vs.lookup(rid, pin.epoch()).unwrap_err(),
+            vs.read(rid, || {
+                unreachable!("a superseded record is never read from the page")
+            })
+            .unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, TreeError::CorruptRecord { rid: r, .. } if r == rid),
+                "{err}"
+            );
+        }
+        drop(pin);
+        assert!(
+            !vs.is_superseded(rid, vs.epoch()),
+            "gc after the last unpin"
+        );
+
+        // The same through a store's owned `load`.
+        let store = mk_store();
+        let (rid, _) = mk_tree(&store, 7, "text");
+        let _pin = store.begin_read();
+        {
+            let op = store.begin_write();
+            store
+                .versions()
+                .supersede_raw(op.id(), rid, vec![1, 2, 3], vec![0xff]);
+        }
+        let err = store.load(rid).unwrap_err();
+        assert!(
+            matches!(err, TreeError::CorruptRecord { rid: r, .. } if r == rid),
+            "{err}"
+        );
+    }
+
+    // ------------------------------------------------------------------
+    // Decoded-record memo isolation (over real stores).
+    // ------------------------------------------------------------------
+
+    use crate::store::{InsertPos, NewNode, TreeStore};
+    use crate::{NodePtr, SplitMatrix, TreeConfig};
+    use natix_xml::{LiteralValue, LABEL_TEXT};
+
+    fn mk_store() -> TreeStore {
+        use natix_storage::{BufferManager, EvictionPolicy, IoStats, MemStorage, StorageManager};
+        let backend = Arc::new(MemStorage::new(2048).unwrap());
+        let bm = Arc::new(BufferManager::new(
+            backend,
+            64,
+            EvictionPolicy::Lru,
+            IoStats::new_shared(),
+        ));
+        let sm = Arc::new(StorageManager::create(bm).unwrap());
+        let seg = sm.create_segment("docs").unwrap();
+        TreeStore::new(sm, seg, TreeConfig::default(), SplitMatrix::all_other()).unwrap()
+    }
+
+    /// A one-record tree `root(label) — #text(text)`; returns the root
+    /// record and the literal's pointer.
+    fn mk_tree(store: &TreeStore, label: u16, text: &str) -> (Rid, NodePtr) {
+        let root = store.create_tree(label).unwrap();
+        let res = store
+            .insert(
+                NodePtr::new(root, 0),
+                InsertPos::Last,
+                LABEL_TEXT,
+                NewNode::Literal(LiteralValue::String(text.into())),
+            )
+            .unwrap();
+        (root, res.new_node.unwrap())
+    }
+
+    fn text_at(store: &TreeStore, ptr: NodePtr) -> String {
+        store.node_info(ptr).unwrap().value.unwrap().to_text()
+    }
+
+    fn set_text(store: &TreeStore, ptr: NodePtr, text: &str) {
+        store
+            .update_literal(ptr, LiteralValue::String(text.into()))
+            .unwrap();
+    }
+
+    #[test]
+    fn memo_serves_one_image_until_the_outermost_pin_drops() {
+        let store = mk_store();
+        let (rid, ptr) = mk_tree(&store, 7, "old");
+        let outer = store.begin_read();
+        let first = store.load_shared(rid).unwrap();
+        assert!(Arc::ptr_eq(&first, &store.load_shared(rid).unwrap()));
+        let inner = store.begin_read();
+        // Another thread rewrites the record and publishes.
+        std::thread::scope(|s| {
+            s.spawn(|| set_text(&store, ptr, "new"));
+        });
+        assert_eq!(text_at(&store, ptr), "old");
+        assert!(
+            Arc::ptr_eq(&first, &store.load_shared(rid).unwrap()),
+            "nested pins share the outermost pin's memo"
+        );
+        drop(inner);
+        assert!(Arc::ptr_eq(&first, &store.load_shared(rid).unwrap()));
+        assert_eq!(VersionStore::memo_len(), 1);
+        drop(outer);
+        assert_eq!(VersionStore::memo_len(), 0, "nothing outlives the pin");
+        // Unpinned reads never touch the memo.
+        assert_eq!(text_at(&store, ptr), "new");
+        assert_eq!(VersionStore::memo_len(), 0);
+        let _again = store.begin_read();
+        assert_eq!(text_at(&store, ptr), "new");
+        assert!(!Arc::ptr_eq(&first, &store.load_shared(rid).unwrap()));
+    }
+
+    #[test]
+    fn memo_of_an_adopting_worker_empties_with_its_pin() {
+        let store = mk_store();
+        let (rid, ptr) = mk_tree(&store, 7, "old");
+        let pin = store.begin_read();
+        let epoch = pin.epoch();
+        std::thread::scope(|s| {
+            s.spawn(|| set_text(&store, ptr, "new"));
+        });
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let adopted = store.adopt_read(epoch);
+                assert_eq!(text_at(&store, ptr), "old");
+                let a = store.load_shared(rid).unwrap();
+                assert!(Arc::ptr_eq(&a, &store.load_shared(rid).unwrap()));
+                assert_eq!(VersionStore::memo_len(), 1);
+                drop(adopted);
+                assert_eq!(VersionStore::memo_len(), 0);
+                assert_eq!(text_at(&store, ptr), "new", "unpinned: the page");
+            });
+        });
+        assert_eq!(VersionStore::memo_len(), 0, "the worker's memo was its own");
+    }
+
+    #[test]
+    fn memo_never_crosses_stores_on_one_thread() {
+        let (a, b) = (mk_store(), mk_store());
+        let (rid_a, ptr_a) = mk_tree(&a, 7, "of a");
+        let (rid_b, ptr_b) = mk_tree(&b, 9, "of b");
+        assert_eq!(rid_a, rid_b, "both stores address their first record alike");
+        assert_eq!(a.versions().epoch(), b.versions().epoch());
+
+        let pin_a = a.begin_read();
+        assert_eq!(text_at(&a, ptr_a), "of a");
+        // B read under A's pin has no snapshot of its own: the page.
+        assert_eq!(text_at(&b, ptr_b), "of b");
+        {
+            // B's pin nested inside A's takes the thread's ambient slot.
+            let _pin_b = b.begin_read();
+            assert_eq!(text_at(&b, ptr_b), "of b");
+            assert_eq!(b.load_shared(rid_b).unwrap().node(0).label, 9);
+            assert_eq!(text_at(&a, ptr_a), "of a");
+        }
+        assert_eq!(VersionStore::memo_len(), 0, "B's entries left with B's pin");
+        assert_eq!(a.load_shared(rid_a).unwrap().node(0).label, 7);
+        assert_eq!(text_at(&b, ptr_b), "of b");
+        drop(pin_a);
+        assert_eq!(VersionStore::memo_len(), 0);
+    }
+
+    #[test]
+    fn memo_is_bypassed_while_a_write_operation_is_ambient() {
+        let store = mk_store();
+        let (rid, ptr) = mk_tree(&store, 7, "old");
+        let (other, _) = mk_tree(&store, 8, "other");
+
+        // No snapshot: a writer reads its own page writes, mid-operation
+        // and after, and nothing is memoised.
+        {
+            let _op = store.begin_write();
+            set_text(&store, ptr, "mid");
+            assert_eq!(text_at(&store, ptr), "mid");
+            assert_eq!(VersionStore::memo_len(), 0);
+        }
+        assert_eq!(text_at(&store, ptr), "mid");
+
+        // Under an outer snapshot the thread's reads stay those of the
+        // snapshot (the versioned protocol, not the memo, serves them
+        // while the operation is in flight) and its write path sees its
+        // own writes.
+        let pin = store.begin_read();
+        let pinned = store.load_shared(rid).unwrap();
+        assert_eq!(VersionStore::memo_len(), 1);
+        {
+            let _op = store.begin_write();
+            set_text(&store, ptr, "new");
+            let during = store.load_shared(rid).unwrap();
+            assert!(!Arc::ptr_eq(&pinned, &during), "the memo is not read");
+            assert_eq!(text_at(&store, ptr), "mid", "the snapshot's image");
+            store.load_shared(other).unwrap();
+            assert_eq!(VersionStore::memo_len(), 1, "the memo is not filled");
+            // The second rewrite reads the first through the write path.
+            set_text(&store, ptr, "newer");
+        }
+        assert!(Arc::ptr_eq(&pinned, &store.load_shared(rid).unwrap()));
+        assert_eq!(text_at(&store, ptr), "mid");
+        drop(pin);
+        assert_eq!(text_at(&store, ptr), "newer");
+        let _pin = store.begin_read();
+        assert_eq!(text_at(&store, ptr), "newer");
+    }
+
+    #[test]
+    fn memo_stays_within_its_bound() {
+        let store = mk_store();
+        let trees: Vec<(Rid, NodePtr)> = (0..MEMO_CAPACITY + 40)
+            .map(|i| mk_tree(&store, 7, &format!("t{i}")))
+            .collect();
+        let _pin = store.begin_read();
+        for round in 0..2 {
+            for (i, &(rid, ptr)) in trees.iter().enumerate() {
+                assert_eq!(text_at(&store, ptr), format!("t{i}"), "round {round}");
+                assert!(Arc::ptr_eq(
+                    &store.load_shared(rid).unwrap(),
+                    &store.load_shared(rid).unwrap()
+                ));
+                assert!(VersionStore::memo_len() <= MEMO_CAPACITY);
+            }
+        }
+        assert!(VersionStore::memo_len() > 0);
     }
 }
