@@ -19,7 +19,10 @@
 //! wall-clock on modern hardware cannot reproduce the paper's numbers while
 //! the model reproduces their shape.
 
-use natix::{DocId, NatixResult, PathQuery, Repository, RepositoryOptions, SplitMatrix};
+use natix::{
+    DocId, NatixResult, NodeId, PlanShape, PlannerOptions, Repository, RepositoryOptions,
+    SplitMatrix,
+};
 use natix_corpus::{generate_play, incremental_order, Anchor, CorpusConfig, PlayDoc};
 use natix_tree::{InsertPos, NewNode};
 use natix_xml::{Document, NodeData, NodeIdx};
@@ -126,7 +129,7 @@ fn insert_play(repo: &mut Repository, play: &PlayDoc, order: Order) -> NatixResu
     };
     let root_name = repo.symbols().name(*root_label).to_string();
     let id = repo.create_document(&play.name, &root_name)?;
-    let mut ids: Vec<Option<natix::NodeId>> = vec![None; doc.node_count()];
+    let mut ids: Vec<Option<NodeId>> = vec![None; doc.node_count()];
     ids[doc.root() as usize] = Some(repo.root(id)?);
     let payload = |doc: &Document, n: NodeIdx| match doc.data(n) {
         NodeData::Element(l) => (*l, NewNode::Element),
@@ -232,80 +235,63 @@ impl BuiltRepo {
         Ok(m)
     }
 
+    /// Runs `path` against every play the way the paper's hand-written
+    /// queries do — the planner's lazy-walk operator, forced — handing each
+    /// match to `each` before the next play is touched.
+    fn walk_every_play(
+        &self,
+        path: &str,
+        mut each: impl FnMut(DocId, NodeId) -> NatixResult<()>,
+    ) -> NatixResult<Measurement> {
+        let walk = PlannerOptions {
+            force: Some(PlanShape::LazyWalk),
+            ..PlannerOptions::default()
+        };
+        let names = self.repo.document_names();
+        let ((), m) = measure(&self.repo, || {
+            for (name, &id) in names.iter().zip(&self.doc_ids) {
+                for node in self.repo.query_planned(name, path, &walk)?.0 {
+                    each(id, node)?;
+                }
+            }
+            Ok(())
+        })?;
+        Ok(m)
+    }
+
     /// Figure 11 (Query 1): all SPEAKER leaves in act 3, scene 2 of every
     /// play.
     pub fn query1(&mut self) -> NatixResult<Measurement> {
-        let q = PathQuery::parse("/PLAY/ACT[3]/SCENE[2]//SPEAKER").expect("static query parses");
-        let ids = self.doc_ids.clone();
-        self.repo.clear_buffer()?;
-        let before = self.repo.io_stats().snapshot();
-        let t0 = std::time::Instant::now();
         let mut hits = 0usize;
-        for &id in &ids {
-            let speakers = self.repo.query_parsed(id, &q)?;
-            for s in speakers {
-                let _ = self.repo.text_content(id, s)?;
-                hits += 1;
-            }
-        }
-        let d = self.repo.io_stats().snapshot().since(&before);
+        let m = self.walk_every_play("/PLAY/ACT[3]/SCENE[2]//SPEAKER", |id, speaker| {
+            self.repo.text_content(id, speaker)?;
+            hits += 1;
+            Ok(())
+        })?;
         assert!(hits > 0, "query 1 must match something");
-        Ok(Measurement {
-            sim_ms: d.sim_disk_ms(),
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            physical_reads: d.physical_reads,
-            physical_writes: d.physical_writes,
-            seeks: d.sim_seeks,
-        })
+        Ok(m)
+    }
+
+    /// Recreates the text of every speech `path` matches (Queries 2, 3).
+    fn serialize_speeches(&self, path: &str) -> NatixResult<Measurement> {
+        let mut bytes = 0usize;
+        let m = self.walk_every_play(path, |id, speech| {
+            bytes += self.repo.serialize_node(id, speech)?.len();
+            Ok(())
+        })?;
+        assert!(bytes > 0);
+        Ok(m)
     }
 
     /// Figure 12 (Query 2): recreate the text of the first speech of every
     /// scene.
     pub fn query2(&mut self) -> NatixResult<Measurement> {
-        let q = PathQuery::parse("/PLAY/ACT/SCENE/SPEECH[1]").expect("static query parses");
-        let ids = self.doc_ids.clone();
-        self.repo.clear_buffer()?;
-        let before = self.repo.io_stats().snapshot();
-        let t0 = std::time::Instant::now();
-        let mut bytes = 0usize;
-        for &id in &ids {
-            for speech in self.repo.query_parsed(id, &q)? {
-                bytes += self.repo.serialize_node(id, speech)?.len();
-            }
-        }
-        let d = self.repo.io_stats().snapshot().since(&before);
-        assert!(bytes > 0);
-        Ok(Measurement {
-            sim_ms: d.sim_disk_ms(),
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            physical_reads: d.physical_reads,
-            physical_writes: d.physical_writes,
-            seeks: d.sim_seeks,
-        })
+        self.serialize_speeches("/PLAY/ACT/SCENE/SPEECH[1]")
     }
 
     /// Figure 13 (Query 3): read the opening speech of each play.
     pub fn query3(&mut self) -> NatixResult<Measurement> {
-        let q = PathQuery::parse("/PLAY/ACT[1]/SCENE[1]/SPEECH[1]").expect("static query parses");
-        let ids = self.doc_ids.clone();
-        self.repo.clear_buffer()?;
-        let before = self.repo.io_stats().snapshot();
-        let t0 = std::time::Instant::now();
-        let mut bytes = 0usize;
-        for &id in &ids {
-            for speech in self.repo.query_parsed(id, &q)? {
-                bytes += self.repo.serialize_node(id, speech)?.len();
-            }
-        }
-        let d = self.repo.io_stats().snapshot().since(&before);
-        assert!(bytes > 0);
-        Ok(Measurement {
-            sim_ms: d.sim_disk_ms(),
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            physical_reads: d.physical_reads,
-            physical_writes: d.physical_writes,
-            seeks: d.sim_seeks,
-        })
+        self.serialize_speeches("/PLAY/ACT[1]/SCENE[1]/SPEECH[1]")
     }
 
     /// Figure 14: bytes on disk used by the document segment.

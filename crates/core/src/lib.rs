@@ -19,11 +19,16 @@
 //!   ([`catalog`]) — stored, as in the paper, *as an XML document inside
 //!   the system itself*;
 //! * **index management** ([`index`]) on the page-level B+-tree;
-//! * a small **path query evaluator** ([`query`]) sufficient for the
+//! * a small **path query pipeline** ([`query`]) sufficient for the
 //!   paper's evaluation queries (the full query engine is "not yet
-//!   implemented" in the paper as well), plus **parallel query
-//!   execution** ([`parallel_query`]): multi-document fan-out and
-//!   intra-document descendant scans split at record boundaries.
+//!   implemented" in the paper as well): one planned read path behind
+//!   seven entry points — [`Repository::query_planned`],
+//!   [`Repository::count_planned`], [`Repository::content_planned`] and
+//!   [`Repository::explain`] take [`PlannerOptions`];
+//!   [`Repository::query`] and [`Repository::query_content`] are their
+//!   default-option conveniences; [`Repository::query_documents`] fans
+//!   one query out over many documents. Its scan operator
+//!   ([`parallel_query`]) splits descendant steps at record boundaries.
 //!
 //! ## Quickstart
 //!

@@ -1,39 +1,37 @@
-//! Parallel path-query execution.
+//! The record-granular scan: the planner's `ParallelScan` and
+//! `IndexSeeded` operator.
 //!
-//! PR 2 made the repository `Sync` and moved read-only traversal onto
-//! `&self`; this module turns that into query throughput. Two axes of
-//! parallelism, both returning results **bit-identical to the sequential
-//! evaluator** ([`Repository::query_parsed`]):
+//! [`crate::query`] owns every entry point and the step loop; this module
+//! is what that loop calls for a descendant (`//`) step when the plan is a
+//! scan, and for a child (`/`) step over many contexts. Results are
+//! **bit-identical to the lazy walk** — the plan-shape differential suite
+//! forces each against the DOM oracle.
 //!
-//! * **Multi-document fan-out** — [`Repository::query_documents`] /
-//!   [`Repository::query_all`] run one worker per document over the
-//!   shared buffer pool (documents live in disjoint records, so workers
-//!   never contend on record content, only on buffer frames) and merge
-//!   the per-document result lists in input order.
-//!
-//! * **Intra-document parallel descendant scans** —
-//!   [`Repository::query_parallel`] evaluates descendant (`//`) steps by
-//!   splitting the walk at **record boundaries**, the paper's natural
-//!   unit of clustering: each record holds a connected subtree, so one
-//!   record is one cache-friendly unit of scan work. Workers claim whole
-//!   records from a shared work queue
+//! * **Descendant steps** split the walk at **record boundaries**, the
+//!   paper's natural unit of clustering: each record holds a connected
+//!   subtree, so one record is one cache-friendly unit of scan work.
+//!   Workers claim whole records from a shared work queue
 //!   ([`TreeStore::scan_record_subtree`] loads a record, releases its
 //!   page pin, then matches in memory — pins stay short), and every
 //!   record is reached through exactly one proxy, so no record is
-//!   scanned twice. Child (`/`) steps fan their context nodes out across
-//!   workers instead: each context's lazy child walk is independent
-//!   (positional predicates count per parent).
+//!   scanned twice.
+//! * **Child steps** fan their context nodes out across workers instead:
+//!   each context's lazy child walk is independent (positional predicates
+//!   count per parent).
+//! * A **leading descendant step** can skip the scan altogether when an
+//!   attached [`LabelIndex`] is current: its document-order entries *are*
+//!   the step's matches.
 //!
 //! ## Determinism
 //!
-//! The sequential evaluator enumerates matches in document order within
-//! each context, contexts in order. The parallel scan reproduces that
-//! order without coordination: every unit of work carries an *order key*
-//! — the path of pre-order positions from its context to its record —
-//! and every match appends its position within the record. Sorting hits
-//! by `(context, key)` lexicographically *is* the sequential enumeration
-//! order, so positional predicates (`//X[n]`) select the same node and
-//! the merged result is identical regardless of scheduling.
+//! The lazy walk enumerates matches in document order within each
+//! context, contexts in order. The scan reproduces that order without
+//! coordination: every unit of work carries an *order key* — the path of
+//! pre-order positions from its context to its record — and every match
+//! appends its position within the record. Sorting hits by
+//! `(context, key)` lexicographically *is* the walk's enumeration order,
+//! so positional predicates (`//X[n]`) select the same node and the
+//! merged result is identical regardless of scheduling.
 //!
 //! ## Sequential fallback
 //!
@@ -41,23 +39,24 @@
 //! scan. The descendant scan therefore starts inline and only goes
 //! parallel once its queue has accumulated
 //! [`ParallelQueryOptions::parallel_record_threshold`] pending records —
-//! small subtrees complete entirely sequentially, and the threshold
-//! doubles as the knob benchmarks use to force either mode.
+//! small subtrees complete entirely on the calling thread, and the
+//! threshold doubles as the knob tests use to force either mode.
 //!
 //! [`TreeStore::scan_record_subtree`]: natix_tree::TreeStore::scan_record_subtree
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use parking_lot::{Condvar, Mutex};
 
 use natix_tree::{NodePtr, RecordEntry};
-use natix_xml::{LabelId, LABEL_TEXT};
+use natix_xml::LabelId;
 
-use crate::document::{DocId, NodeId};
+use crate::document::DocId;
 use crate::error::{NatixError, NatixResult};
 use crate::index::LabelIndex;
-use crate::query::{PathQuery, Step, Test};
+use crate::query::{Step, Test};
 use crate::repository::Repository;
 
 /// Tuning knobs for parallel query execution.
@@ -74,11 +73,17 @@ pub struct ParallelQueryOptions {
 
 impl Default for ParallelQueryOptions {
     fn default() -> Self {
+        // Asked once: `available_parallelism` reads the cgroup files on
+        // every call (microseconds), and the default-option entry points
+        // build these options per query.
+        static THREADS: OnceLock<usize> = OnceLock::new();
         ParallelQueryOptions {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8),
+            threads: *THREADS.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+                    .min(8)
+            }),
             parallel_record_threshold: 16,
         }
     }
@@ -139,135 +144,24 @@ struct ScanQueueState {
 }
 
 impl Repository {
-    /// Evaluates a path query against one document with intra-document
-    /// parallelism; results are identical to [`Repository::query`].
-    pub fn query_parallel(
-        &self,
-        doc: DocId,
-        q: &PathQuery,
-        opts: &ParallelQueryOptions,
-    ) -> NatixResult<Vec<NodeId>> {
-        let state = self.state(doc)?;
-        // One record-version snapshot for the whole evaluation; scan
-        // workers adopt its epoch, so every record — across all workers —
-        // is read as of the same instant even while writers edit or
-        // ingest this very document.
-        let _pin = self.tree.begin_read();
-        let root = self.snapshot_root(&state)?;
-        let current = self.eval_parallel_ptrs(doc, NodePtr::new(root, 0), q, opts, None)?;
-        self.bind_snapshot(&state, current)
-    }
-
-    /// [`query_parallel`](Self::query_parallel) with a [`LabelIndex`]:
-    /// when the query starts with a descendant name (or `text()`) step
-    /// and the index is current for `doc`, the index's document-order
-    /// entries *are* the step's matches — the scan (warm-up walk
-    /// included) is skipped entirely and later steps start from the
-    /// seeded context set. Falls back to the plain scan whenever the
-    /// index cannot answer (stale, wildcard step, unknown label).
-    pub fn query_parallel_indexed(
-        &self,
-        doc: DocId,
-        q: &PathQuery,
-        opts: &ParallelQueryOptions,
-        index: &LabelIndex,
-    ) -> NatixResult<Vec<NodeId>> {
-        let state = self.state(doc)?;
-        let _pin = self.tree.begin_read();
-        let root = self.snapshot_root(&state)?;
-        let current = self.eval_parallel_ptrs(doc, NodePtr::new(root, 0), q, opts, Some(index))?;
-        self.bind_snapshot(&state, current)
-    }
-
-    /// Snapshot-consistent content query with parallel evaluation: like
-    /// [`Repository::query_content`], but the physical phase runs through
-    /// the parallel evaluator (positional descendant predicates dispatch
-    /// to the lazy walk, as in
-    /// [`query_sequential`](Self::query_sequential)).
-    pub fn query_content_opts(
-        &self,
-        doc: DocId,
-        q: &PathQuery,
-        opts: &ParallelQueryOptions,
-    ) -> NatixResult<Vec<(String, String)>> {
-        let state = self.state(doc)?;
-        let _pin = self.tree.begin_read();
-        let root = NodePtr::new(self.snapshot_root(&state)?, 0);
-        let ptrs = if q.steps.iter().any(|s| s.descendant && s.position.is_some()) {
-            self.eval_lazy_ptrs(root, q)?
-        } else {
-            self.eval_parallel_ptrs(doc, root, q, opts, None)?
-        };
-        self.resolve_content(&ptrs)
-    }
-
-    /// The parallel evaluator at physical-pointer level. The caller owns
-    /// the snapshot pin; workers spawned here adopt its epoch. Crate-wide
-    /// so the planner ([`crate::query`]) can drive the scan and
-    /// index-seeded plan shapes directly.
-    pub(crate) fn eval_parallel_ptrs(
-        &self,
-        doc: DocId,
-        root: NodePtr,
-        q: &PathQuery,
-        opts: &ParallelQueryOptions,
-        index: Option<&LabelIndex>,
-    ) -> NatixResult<Vec<NodePtr>> {
-        let steps = self.resolve_steps(q);
-        let (first, first_label) = steps[0];
-        let mut current: Vec<NodePtr> = Vec::new();
-        if first.descendant {
-            current = match self.index_seed(index, doc, first, first_label)? {
-                Some(seeded) => seeded,
-                None => self.descendant_scan(&[root], first, first_label, opts)?,
-            };
-        } else if self.step_matches(root, first, first_label)? && first.position.unwrap_or(1) == 1 {
-            current.push(root);
-        }
-        for &(step, label) in &steps[1..] {
-            if current.is_empty() {
-                break;
-            }
-            current = if step.descendant {
-                self.descendant_scan(&current, step, label, opts)?
-            } else if opts.threads > 1 && current.len() >= CHILD_FANOUT_MIN.max(2 * opts.threads) {
-                self.parallel_child_step(&current, step, label, opts.threads)?
-            } else {
-                let mut next = Vec::new();
-                for &ctx in &current {
-                    self.collect_children(ctx, step, label, &mut next)?;
-                }
-                next
-            };
-        }
-        Ok(current)
-    }
-
     /// Seeds a leading descendant step straight from the label index: the
     /// index stores one entry per facade node in document (traversal)
-    /// order, so its per-label range for this document *is* the step's
-    /// match list — no record is scanned at all. `None` when the index
-    /// cannot answer (not provided, stale for `doc`, wildcard test, or a
-    /// name the alphabet has never seen — which would also be an empty
-    /// scan, but the scan is the conservative default).
-    fn index_seed(
+    /// order, so its range for `label` in this document *is* the step's
+    /// match list — no record is scanned at all. `None` when the index has
+    /// gone stale for `doc` since the plan was made: the scan is the
+    /// conservative default.
+    pub(crate) fn index_seed(
         &self,
-        index: Option<&LabelIndex>,
+        index: &LabelIndex,
         doc: DocId,
-        step: &Step,
-        label: Option<LabelId>,
+        label: LabelId,
+        position: Option<usize>,
     ) -> NatixResult<Option<Vec<NodePtr>>> {
-        let Some(idx) = index else { return Ok(None) };
-        if !idx.is_current(doc) {
+        if !index.is_current(doc) {
             return Ok(None);
         }
-        let label = match (&step.test, label) {
-            (Test::Name(_), Some(l)) => l,
-            (Test::Text, _) => LABEL_TEXT,
-            _ => return Ok(None),
-        };
-        let mut ptrs = idx.lookup_ptrs(self, doc, label)?;
-        if let Some(n) = step.position {
+        let mut ptrs = index.lookup_ptrs(self, doc, label)?;
+        if let Some(n) = position {
             // `//x[n]` from the document root: the n-th match in document
             // order, exactly as the scan's deterministic merge selects.
             ptrs = ptrs
@@ -280,102 +174,10 @@ impl Repository {
         Ok(Some(ptrs))
     }
 
-    /// The record-granular evaluator run to completion on the calling
-    /// thread: descendant steps load and match each record **once**,
-    /// instead of re-parsing the enclosing record for every visited node
-    /// as the lazy reference walk ([`Repository::query_parsed`]) does.
-    /// Identical results; far less CPU on scan-heavy queries.
-    ///
-    /// Queries with a *positional* descendant predicate (`//X[n]`) are
-    /// dispatched to the lazy walk instead: it stops at the n-th match
-    /// after reading a handful of records, where an eager scan would read
-    /// the whole subtree only to discard all but one hit.
-    pub fn query_sequential(&self, doc: DocId, q: &PathQuery) -> NatixResult<Vec<NodeId>> {
-        if q.steps.iter().any(|s| s.descendant && s.position.is_some()) {
-            return self.query_parsed(doc, q);
-        }
-        self.query_parallel(
-            doc,
-            q,
-            &ParallelQueryOptions {
-                threads: 1,
-                parallel_record_threshold: usize::MAX,
-            },
-        )
-    }
-
-    /// Evaluates one pre-parsed query against many documents, one worker
-    /// per document (up to the default thread count), over the shared
-    /// buffer pool. Each worker runs the record-granular evaluator
-    /// ([`query_sequential`](Self::query_sequential)) on its document, so
-    /// fan-out scales by overlapping the workers' page-read stalls.
-    /// Results come back in input order, one slot per document; a failing
-    /// document never affects the others.
-    pub fn query_documents(&self, docs: &[DocId], q: &PathQuery) -> Vec<NatixResult<Vec<NodeId>>> {
-        self.query_documents_opts(docs, q, &ParallelQueryOptions::default())
-    }
-
-    /// [`query_documents`](Self::query_documents) with explicit options.
-    pub fn query_documents_opts(
-        &self,
-        docs: &[DocId],
-        q: &PathQuery,
-        opts: &ParallelQueryOptions,
-    ) -> Vec<NatixResult<Vec<NodeId>>> {
-        let workers = opts.threads.max(1).min(docs.len().max(1));
-        if workers <= 1 {
-            return docs.iter().map(|&d| self.query_sequential(d, q)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<NatixResult<Vec<NodeId>>>>> = docs
-            .iter()
-            .map(|_| Mutex::with_rank(&parking_lot::rank::RESULT_SLOT, None))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&doc) = docs.get(i) else {
-                        break;
-                    };
-                    *results[i].lock() = Some(self.query_sequential(doc, q));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.into_inner().expect("every document produced a result"))
-            .collect()
-    }
-
-    /// Evaluates a path expression against **every** stored document in
-    /// parallel, returning `(name, matches)` pairs in document-id
-    /// (insertion) order — the deterministic merge of the fan-out.
-    pub fn query_all(&self, path: &str) -> NatixResult<Vec<(String, Vec<NodeId>)>> {
-        self.query_all_opts(path, &ParallelQueryOptions::default())
-    }
-
-    /// [`query_all`](Self::query_all) with explicit options.
-    pub fn query_all_opts(
-        &self,
-        path: &str,
-        opts: &ParallelQueryOptions,
-    ) -> NatixResult<Vec<(String, Vec<NodeId>)>> {
-        let q = PathQuery::parse(path)?;
-        let entries = self.doc_entries();
-        let ids: Vec<DocId> = entries.iter().map(|&(_, id, _)| id).collect();
-        let results = self.query_documents_opts(&ids, &q, opts);
-        entries
-            .into_iter()
-            .zip(results)
-            .map(|((name, _, _), r)| r.map(|hits| (name, hits)))
-            .collect()
-    }
-
     /// The descendant-or-self axis over all `contexts`, split at record
-    /// boundaries. Mirrors the sequential `collect_descendants` exactly,
+    /// boundaries. Mirrors the lazy walk's `collect_descendants` exactly,
     /// positional predicate included.
-    fn descendant_scan(
+    pub(crate) fn descendant_scan(
         &self,
         contexts: &[NodePtr],
         step: &Step,
@@ -613,11 +415,7 @@ impl Repository {
                     label: l,
                     literal,
                 } => {
-                    let matches = match &step.test {
-                        Test::Any => !literal,
-                        Test::Text => l == LABEL_TEXT,
-                        Test::Name(_) => !literal && label.is_some_and(|id| l == id),
-                    };
+                    let matches = step.test.accepts(label, l, literal);
                     // Descendant-or-self: the context node itself
                     // participates, except for a `text()` test — exactly
                     // the sequential walk's rule.
@@ -649,17 +447,24 @@ impl Repository {
         Ok(())
     }
 
-    /// A child (`/`) step with many contexts: contexts are claimed from a
-    /// shared counter and each worker runs the lazy per-context child
-    /// walk; per-context result slots make the concatenation order
-    /// independent of scheduling.
-    fn parallel_child_step(
+    /// A child (`/`) step: the lazy per-context child walk, run on the
+    /// calling thread for a short context list and fanned out otherwise —
+    /// contexts are claimed from a shared counter, and per-context result
+    /// slots make the concatenation order independent of scheduling.
+    pub(crate) fn child_step(
         &self,
         contexts: &[NodePtr],
         step: &Step,
         label: Option<LabelId>,
         threads: usize,
     ) -> NatixResult<Vec<NodePtr>> {
+        if threads <= 1 || contexts.len() < CHILD_FANOUT_MIN.max(2 * threads) {
+            let mut out = Vec::new();
+            for &ctx in contexts {
+                self.collect_children(ctx, step, label, &mut out)?;
+            }
+            return Ok(out);
+        }
         let slots: Vec<Mutex<Vec<NodePtr>>> = contexts
             .iter()
             .map(|_| Mutex::with_rank(&parking_lot::rank::RESULT_SLOT, Vec::new()))
@@ -704,7 +509,11 @@ impl Repository {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::document::NodeId;
+    use crate::query::{PathQuery, PlanShape, PlannerOptions};
     use crate::repository::RepositoryOptions;
 
     fn opts(threads: usize, threshold: usize) -> ParallelQueryOptions {
@@ -712,6 +521,25 @@ mod tests {
             threads,
             parallel_record_threshold: threshold,
         }
+    }
+
+    fn forced(shape: PlanShape, exec: ParallelQueryOptions) -> PlannerOptions {
+        PlannerOptions {
+            force: Some(shape),
+            exec,
+        }
+    }
+
+    /// The lazy reference walk: what every scan is compared against.
+    fn walk(repo: &Repository, name: &str, path: &str) -> Vec<NodeId> {
+        let lazy = forced(PlanShape::LazyWalk, ParallelQueryOptions::default());
+        repo.query_planned(name, path, &lazy).unwrap().0
+    }
+
+    fn scan(repo: &Repository, name: &str, path: &str, exec: ParallelQueryOptions) -> Vec<NodeId> {
+        repo.query_planned(name, path, &forced(PlanShape::ParallelScan, exec))
+            .unwrap()
+            .0
     }
 
     /// A repository whose documents span many records (small pages).
@@ -745,7 +573,6 @@ mod tests {
     #[test]
     fn parallel_equals_sequential_across_thread_counts() {
         let (repo, names) = multi_record_repo(1);
-        let doc = repo.doc_id(&names[0]).unwrap();
         for path in [
             "//SPEAKER",
             "/PLAY/ACT/SCENE/SPEECH/LINE",
@@ -755,18 +582,15 @@ mod tests {
             "//*",
             "//NOPE",
         ] {
-            let q = PathQuery::parse(path).unwrap();
-            let seq = repo.query_parsed(doc, &q).unwrap();
+            let seq = walk(&repo, &names[0], path);
             for threads in [1, 2, 4] {
                 // Threshold 1 forces the parallel machinery even on this
                 // small document.
-                let par = repo.query_parallel(doc, &q, &opts(threads, 1)).unwrap();
+                let par = scan(&repo, &names[0], path, opts(threads, 1));
                 assert_eq!(par, seq, "{path} with {threads} threads");
             }
             // Default (high) threshold: sequential fallback, same result.
-            let fallback = repo
-                .query_parallel(doc, &q, &ParallelQueryOptions::default())
-                .unwrap();
+            let fallback = scan(&repo, &names[0], path, ParallelQueryOptions::default());
             assert_eq!(fallback, seq, "{path} via fallback");
         }
     }
@@ -776,65 +600,95 @@ mod tests {
         let (repo, names) = multi_record_repo(6);
         let q = PathQuery::parse("//SPEAKER").unwrap();
         let ids: Vec<DocId> = names.iter().map(|n| repo.doc_id(n).unwrap()).collect();
-        let seq: Vec<Vec<NodeId>> = ids
-            .iter()
-            .map(|&d| repo.query_parsed(d, &q).unwrap())
-            .collect();
+        let seq: Vec<Vec<NodeId>> = names.iter().map(|n| walk(&repo, n, "//SPEAKER")).collect();
         for threads in [1, 3, 8] {
-            let par = repo.query_documents_opts(&ids, &q, &opts(threads, 16));
-            let par: Vec<Vec<NodeId>> = par.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(par, seq, "{threads} threads");
+            // The planner's own choice per document, and the forced scan.
+            for force in [None, Some(PlanShape::ParallelScan)] {
+                let fanout = PlannerOptions {
+                    force,
+                    exec: opts(threads, 16),
+                };
+                let par: Vec<Vec<NodeId>> = repo
+                    .query_documents(&ids, &q, &fanout)
+                    .into_iter()
+                    .map(|r| r.unwrap())
+                    .collect();
+                assert_eq!(par, seq, "{threads} threads, force {force:?}");
+            }
         }
     }
 
     #[test]
     fn query_all_returns_documents_in_id_order() {
         let (repo, names) = multi_record_repo(5);
-        let all = repo.query_all("/PLAY/ACT/SCENE/SPEECH[1]/SPEAKER").unwrap();
-        assert_eq!(
-            all.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
-            names.iter().map(String::as_str).collect::<Vec<_>>()
-        );
-        for (name, hits) in &all {
+        let stored = repo.document_names();
+        assert_eq!(stored, names);
+        let ids: Vec<DocId> = stored.iter().map(|n| repo.doc_id(n).unwrap()).collect();
+        let q = PathQuery::parse("/PLAY/ACT/SCENE/SPEECH[1]/SPEAKER").unwrap();
+        let all = repo.query_documents(&ids, &q, &PlannerOptions::default());
+        assert_eq!(all.len(), names.len());
+        for (name, hits) in names.iter().zip(all) {
+            let hits = hits.unwrap();
+            assert_eq!(hits, walk(&repo, name, "/PLAY/ACT/SCENE/SPEECH[1]/SPEAKER"));
             assert_eq!(hits.len(), 1, "{name}");
         }
+    }
+
+    /// A current index over `name`, attached the way callers attach one.
+    fn attach_index(repo: &Repository, name: &str) -> Arc<Mutex<LabelIndex>> {
+        // natix-lint: allow(unranked-lock): the index lock is caller-owned
+        let idx = Arc::new(Mutex::new(LabelIndex::create(repo).unwrap()));
+        idx.lock().index_document(repo, name).unwrap();
+        repo.attach_label_index(&idx);
+        idx
     }
 
     #[test]
     fn index_seeded_descendant_scan_matches_plain_scan() {
         let (repo, names) = multi_record_repo(1);
-        let doc = repo.doc_id(&names[0]).unwrap();
-        let mut idx = crate::index::LabelIndex::create(&repo).unwrap();
-        idx.index_document(&repo, &names[0]).unwrap();
-        for path in [
-            "//SPEAKER",                // seeded: leading descendant name step
-            "//SPEECH[7]",              // seeded with a positional predicate
-            "//LINE/text()",            // seeded, then a child step
-            "//SPEECH/LINE",            // seeded context set feeds a child step
-            "//*",                      // wildcard: falls back to the scan
-            "//NOPE",                   // unknown label: empty either way
-            "/PLAY//SPEECH[3]/SPEAKER", // not a leading descendant step
+        let name = names[0].as_str();
+        let doc = repo.doc_id(name).unwrap();
+        let idx = attach_index(&repo, name);
+        let seeded = forced(PlanShape::IndexSeeded, opts(3, 1));
+        for (path, seedable) in [
+            ("//SPEAKER", true),                 // leading descendant name step
+            ("//SPEECH[7]", true),               // seeded with a positional predicate
+            ("//LINE/text()", true),             // seeded, then a child step
+            ("//SPEECH/LINE", true),             // seeded context set feeds a child step
+            ("//*", false),                      // wildcard: nothing to look up
+            ("//NOPE", false),                   // unknown label
+            ("/PLAY//SPEECH[3]/SPEAKER", false), // not a leading descendant step
         ] {
-            let q = PathQuery::parse(path).unwrap();
-            let plain = repo.query_parallel(doc, &q, &opts(3, 1)).unwrap();
-            let seeded = repo
-                .query_parallel_indexed(doc, &q, &opts(3, 1), &idx)
-                .unwrap();
-            assert_eq!(seeded, plain, "{path}");
+            match repo.query_planned(name, path, &seeded) {
+                Ok((ids, _)) => {
+                    assert!(seedable, "{path}: seeded from an index that cannot answer");
+                    assert_eq!(ids, scan(&repo, name, path, opts(3, 1)), "{path}");
+                }
+                Err(NatixError::PlanUnsupported(_)) => assert!(!seedable, "{path}: refused"),
+                Err(e) => panic!("{path}: {e}"),
+            }
         }
         // A stale index is never consulted: results stay correct after an
         // edit that invalidates the entries.
         let root = repo.root(doc).unwrap();
         repo.insert_element(doc, root, natix_tree::InsertPos::Last, "SPEAKER")
             .unwrap();
-        idx.mark_stale(doc);
-        let q = PathQuery::parse("//SPEAKER").unwrap();
-        let plain = repo.query_parallel(doc, &q, &opts(3, 1)).unwrap();
-        let seeded = repo
-            .query_parallel_indexed(doc, &q, &opts(3, 1), &idx)
-            .unwrap();
-        assert_eq!(seeded, plain, "stale index must fall back to the scan");
-        assert_eq!(seeded.len(), 41, "40 speeches + the appended SPEAKER");
+        assert!(
+            !idx.lock().is_current(doc),
+            "the edit marks the index stale"
+        );
+        assert!(matches!(
+            repo.query_planned(name, "//SPEAKER", &seeded),
+            Err(NatixError::PlanUnsupported(_))
+        ));
+        let unforced = PlannerOptions {
+            force: None,
+            exec: opts(3, 1),
+        };
+        let (ids, explain) = repo.query_planned(name, "//SPEAKER", &unforced).unwrap();
+        assert_ne!(explain.shape, PlanShape::IndexSeeded);
+        assert_eq!(ids, scan(&repo, name, "//SPEAKER", opts(3, 1)));
+        assert_eq!(ids.len(), 41, "40 speeches + the appended SPEAKER");
     }
 
     #[test]
@@ -843,23 +697,25 @@ mod tests {
         // must not read a single record beyond the B+-tree pages: compare
         // buffer misses after clearing the pool.
         let (repo, names) = multi_record_repo(1);
-        let doc = repo.doc_id(&names[0]).unwrap();
-        let mut idx = crate::index::LabelIndex::create(&repo).unwrap();
-        idx.index_document(&repo, &names[0]).unwrap();
-        let q = PathQuery::parse("//SPEAKER").unwrap();
-        let full = repo.query_parallel(doc, &q, &opts(1, 1)).unwrap();
+        let name = names[0].as_str();
+        let _idx = attach_index(&repo, name);
+        let full = scan(&repo, name, "//SPEAKER", opts(1, 1));
 
         repo.clear_buffer().unwrap();
         let before = repo.io_stats().snapshot();
-        let seeded = repo
-            .query_parallel_indexed(doc, &q, &opts(1, 1), &idx)
+        let (seeded, _) = repo
+            .query_planned(
+                name,
+                "//SPEAKER",
+                &forced(PlanShape::IndexSeeded, opts(1, 1)),
+            )
             .unwrap();
         let seeded_misses = repo.io_stats().snapshot().since(&before).buffer_misses;
         assert_eq!(seeded, full);
 
         repo.clear_buffer().unwrap();
         let before = repo.io_stats().snapshot();
-        let _ = repo.query_parallel(doc, &q, &opts(1, 1)).unwrap();
+        let _ = scan(&repo, name, "//SPEAKER", opts(1, 1));
         let scan_misses = repo.io_stats().snapshot().since(&before).buffer_misses;
         assert!(
             seeded_misses < scan_misses,
@@ -873,7 +729,7 @@ mod tests {
         let (repo, _) = multi_record_repo(2);
         let q = PathQuery::parse("//SPEAKER").unwrap();
         // An unregistered document id fails cleanly in its own slot.
-        let results = repo.query_documents(&[0, 77, 1], &q);
+        let results = repo.query_documents(&[0, 77, 1], &q, &PlannerOptions::default());
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(NatixError::NoSuchDocument(_))));
         assert!(results[2].is_ok());

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use crate::document::DocId;
 use crate::query::{Step, Test};
-use natix_xml::{LabelId, SymbolTable, LABEL_TEXT};
+use natix_xml::{LabelId, SymbolTable};
 use parking_lot::{rank, Mutex};
 
 /// One distinct root-to-node label path.
@@ -222,11 +222,7 @@ impl PathSummary {
 
     fn test_matches(&self, id: u32, test: &Test, resolved: Option<LabelId>) -> bool {
         let p = &self.paths[id as usize];
-        match test {
-            Test::Name(_) => !p.literal && resolved.is_some_and(|l| p.label == l),
-            Test::Any => !p.literal,
-            Test::Text => p.literal && p.label == LABEL_TEXT,
-        }
+        test.accepts(resolved, p.label, p.literal)
     }
 
     /// `true` iff no path in `set` (mult > 0) has a strict path-ancestor
@@ -581,6 +577,7 @@ impl SummaryBuilder {
 mod tests {
     use super::*;
     use crate::query::PathQuery;
+    use natix_xml::LABEL_TEXT;
 
     fn syms() -> (SymbolTable, LabelId, LabelId, LabelId) {
         let mut t = SymbolTable::new();

@@ -15,14 +15,33 @@
 //! (`//NAME`), wildcards (`*`), 1-based positional predicates (`[n]`,
 //! counting among the nodes matching the step's name test within each
 //! parent), and a final `text()` step.
+//!
+//! # One read path
+//!
+//! Every query runs through one private function, `eval_planned`: it
+//! resolves the document, pins a record-version snapshot, lets the
+//! cost-based planner pick (or check a forced) [`PlanShape`], and runs
+//! that shape's operator. The public entry points (listed in the crate
+//! docs) only *consume* the pointer set it matched — as bound node ids,
+//! as a count, as `(label, text)` rows read under the same pin, or not at
+//! all (`explain`). A specific operator is reached the way the
+//! differential suites reach it: `PlannerOptions { force: Some(shape), .. }`.
+//! The operators are the summary-seeded descent, the lazy positional
+//! walk (both here) and the record-granular scan
+//! ([`crate::parallel_query`]); the walk and the scan are the two
+//! *descendant operators* of one step loop.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use natix_tree::NodePtr;
-use natix_xml::LABEL_TEXT;
+use parking_lot::Mutex;
 
-use crate::document::{DocId, NodeId};
+use natix_tree::{NodePtr, ReadPin, TreeResult};
+use natix_xml::{LabelId, LABEL_TEXT};
+
+use crate::document::{DocId, DocState, NodeId};
 use crate::error::{NatixError, NatixResult};
+use crate::index::LabelIndex;
 use crate::parallel_query::ParallelQueryOptions;
 use crate::path_summary::{PathMatch, PathSummary};
 use crate::repository::Repository;
@@ -33,6 +52,18 @@ pub(crate) enum Test {
     Name(String),
     Any,
     Text,
+}
+
+impl Test {
+    /// Whether a node labelled `label` (a literal or not) passes. `resolved`
+    /// is a name test's label id; a name the alphabet lacks passes nothing.
+    pub(crate) fn accepts(&self, resolved: Option<LabelId>, label: LabelId, literal: bool) -> bool {
+        match self {
+            Test::Any => !literal,
+            Test::Text => label == LABEL_TEXT,
+            Test::Name(_) => !literal && resolved == Some(label),
+        }
+    }
 }
 
 /// One location step.
@@ -197,124 +228,218 @@ pub struct PlanExplain {
     pub page_cost_ns: u64,
 }
 
-/// What a planned evaluation produces.
-enum PlannedOutput {
-    Ids(Vec<NodeId>),
-    Count(u64),
-    ExplainOnly,
-}
-
-/// What the caller asked the planned evaluation for.
+/// What a consumer needs [`Repository::eval_planned`] to produce.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum PlanMode {
-    Ids,
+enum Want {
+    /// The matched pointer set (ids, content).
+    Nodes,
+    /// Only its cardinality, which the summary can answer with no record
+    /// access.
     Count,
-    Explain,
+    /// The plan alone: nothing runs (`explain`).
+    PlanOnly,
 }
 
-/// Adapts repository errors for use inside tree-store callbacks.
-fn to_tree_err(e: NatixError) -> natix_tree::TreeError {
-    match e {
-        NatixError::Tree(t) => t,
-        other => natix_tree::TreeError::Invariant(other.to_string()),
+/// A plan ready to run: its shape together with what that shape's
+/// operator reads, so execution has no precondition left to re-check.
+enum Plan {
+    /// The exact cardinality; no node is materialised.
+    SummaryOnly(u64),
+    SummarySeeded(Arc<PathSummary>, PathMatch),
+    IndexSeeded(IndexSeed),
+    ParallelScan,
+    LazyWalk,
+}
+
+impl Plan {
+    fn shape(&self) -> PlanShape {
+        match self {
+            Plan::SummaryOnly(_) => PlanShape::SummaryOnly,
+            Plan::SummarySeeded(..) => PlanShape::SummarySeeded,
+            Plan::IndexSeeded(_) => PlanShape::IndexSeeded,
+            Plan::ParallelScan => PlanShape::ParallelScan,
+            Plan::LazyWalk => PlanShape::LazyWalk,
+        }
     }
+}
+
+/// The attached index, current for the document when planned, and the
+/// label its entries seed the query's leading descendant step with.
+type IndexSeed = (Arc<Mutex<LabelIndex>>, LabelId);
+
+/// The summary current for the pinned epoch with its verdict on the
+/// query: present exactly when the query is path-decidable there.
+type Decided = (Arc<PathSummary>, PathMatch);
+
+/// What one planned evaluation matched, handed to its consumer (ids,
+/// count, content) together with the snapshot it was read under.
+struct Matched<'r> {
+    /// Keeps the pointers' epoch alive while the consumer binds or reads
+    /// them. `None` when the answer needed no snapshot.
+    _pin: Option<ReadPin<'r>>,
+    state: Arc<DocState>,
+    /// Matches in document order; empty for [`Plan::SummaryOnly`] and when
+    /// nothing ran.
+    ptrs: Vec<NodePtr>,
+    count: u64,
+}
+
+/// The descendant operator a plan drives the step loop with.
+#[derive(Clone, Copy)]
+enum Descend<'a> {
+    /// The sequential lazy walk: stops at the n-th match of `//x[n]`.
+    Walk,
+    /// The record-granular scan of [`crate::parallel_query`].
+    Scan(&'a ParallelQueryOptions),
 }
 
 impl Repository {
     /// Evaluates a path query against a stored document, returning logical
-    /// node ids in document order. Read-only (`&self`): queries of
+    /// node ids in document order: [`query_planned`](Self::query_planned)
+    /// with default options, so the planner picks the operator (every
+    /// shape returns the same list — the plan-shape differential suite
+    /// holds them to the DOM oracle). Read-only (`&self`): queries of
     /// different threads run in parallel.
     pub fn query(&self, name: &str, path: &str) -> NatixResult<Vec<NodeId>> {
-        let q = PathQuery::parse(path)?;
-        let doc = self.doc_id(name)?;
-        self.query_parsed(doc, &q)
+        Ok(self
+            .query_planned(name, path, &PlannerOptions::default())?
+            .0)
     }
 
-    /// Resolves every name test of `q` to a label id up front: the
-    /// evaluation walk matches a step per visited node, and taking the
-    /// symbol-table lock (plus a string comparison) per node would put
-    /// lock traffic on the query hot path. The lookup is **read-only** —
-    /// a name absent from the alphabet cannot occur in any stored
-    /// document, so it matches nothing (empty result), exactly like the
-    /// string comparison it replaces; the read path never interns and
-    /// never takes the symbol-table write lock.
-    pub(crate) fn resolve_steps<'q>(
+    /// Evaluates a path query through the cost-based planner, returning
+    /// the matches plus how the plan was chosen. Every plan shape returns
+    /// the same list, bit for bit.
+    pub fn query_planned(
         &self,
-        q: &'q PathQuery,
-    ) -> Vec<(&'q Step, Option<natix_xml::LabelId>)> {
-        let symbols = self.symbols();
-        q.steps
-            .iter()
-            .map(|s| {
-                let label = match &s.test {
-                    Test::Name(n) => symbols.lookup_element(n),
-                    _ => None,
-                };
-                (s, label)
-            })
-            .collect()
+        name: &str,
+        path: &str,
+        opts: &PlannerOptions,
+    ) -> NatixResult<(Vec<NodeId>, PlanExplain)> {
+        let q = PathQuery::parse(path)?;
+        self.ids_planned(self.doc_id(name)?, &q, opts)
     }
 
-    /// Evaluates a pre-parsed query.
-    pub fn query_parsed(&self, doc: DocId, q: &PathQuery) -> NatixResult<Vec<NodeId>> {
-        let state = self.state(doc)?;
-        // Record-version snapshot: the whole walk — and the result
-        // binding — observes one epoch even while writers edit the
-        // document (see the lock hierarchy in [`crate::repository`]).
-        let _pin = self.tree.begin_read();
-        let root = self.snapshot_root(&state)?;
-        let current = self.eval_lazy_ptrs(NodePtr::new(root, 0), q)?;
-        // Map to logical ids, validated against the snapshot (see
-        // `Repository::bind_snapshot`).
-        self.bind_snapshot(&state, current)
+    /// Structural count of a path query's matches (duplicates included,
+    /// exactly as `query(..).len()` counts them). Served straight from
+    /// the path summary whenever the query is path-decidable — zero
+    /// record access — and by the cheapest applicable operator otherwise.
+    pub fn count_planned(
+        &self,
+        name: &str,
+        path: &str,
+        opts: &PlannerOptions,
+    ) -> NatixResult<(u64, PlanExplain)> {
+        let q = PathQuery::parse(path)?;
+        let (m, explain) = self.eval_planned(self.doc_id(name)?, &q, opts, Want::Count)?;
+        Ok((m.count, explain))
     }
 
-    /// The lazy reference evaluator at physical-pointer level (no id
-    /// binding): the differential oracle, and the engine behind the
-    /// snapshot-consistent content queries. The caller owns the snapshot
-    /// pin.
-    pub(crate) fn eval_lazy_ptrs(&self, root: NodePtr, q: &PathQuery) -> NatixResult<Vec<NodePtr>> {
-        let steps = self.resolve_steps(q);
-        // The first step matches the root element itself (absolute paths
-        // address the document element).
-        let mut current: Vec<NodePtr> = Vec::new();
-        let (first, first_label) = steps[0];
-        if first.descendant {
-            self.collect_descendants(root, first, first_label, &mut current)?;
-        } else if self.step_matches(root, first, first_label)? && first.position.unwrap_or(1) == 1 {
-            current.push(root);
-        }
-        for &(step, label) in &steps[1..] {
-            let mut next = Vec::new();
-            for &ctx in &current {
-                if step.descendant {
-                    self.collect_descendants(ctx, step, label, &mut next)?;
-                } else {
-                    self.collect_children(ctx, step, label, &mut next)?;
-                }
-            }
-            current = next;
-        }
-        Ok(current)
-    }
-
-    /// Evaluates `q` and resolves every match to `(label name, subtree
+    /// Evaluates `path` and resolves every match to `(label name, subtree
     /// text content)` **within one record-version snapshot** — the
     /// self-contained form for readers racing writers of the same
     /// document: the match set and the extracted content always belong to
     /// the same epoch, and the logical-id map is never touched. Matches
     /// come back in document order.
-    pub fn query_content(&self, doc: DocId, q: &PathQuery) -> NatixResult<Vec<(String, String)>> {
-        let state = self.state(doc)?;
-        let _pin = self.tree.begin_read();
-        let root = self.snapshot_root(&state)?;
-        let ptrs = self.eval_lazy_ptrs(NodePtr::new(root, 0), q)?;
-        self.resolve_content(&ptrs)
+    pub fn content_planned(
+        &self,
+        name: &str,
+        path: &str,
+        opts: &PlannerOptions,
+    ) -> NatixResult<(Vec<(String, String)>, PlanExplain)> {
+        let q = PathQuery::parse(path)?;
+        let (m, explain) = self.eval_planned(self.doc_id(name)?, &q, opts, Want::Nodes)?;
+        Ok((self.resolve_content(&m.ptrs)?, explain))
     }
 
-    /// Maps matched pointers to `(label name, subtree text)` under the
-    /// caller's snapshot pin.
-    pub(crate) fn resolve_content(&self, ptrs: &[NodePtr]) -> NatixResult<Vec<(String, String)>> {
+    /// [`content_planned`](Self::content_planned) with default options
+    /// over a resolved document and a pre-parsed query: the planner picks
+    /// the operator, the rows are the same under every shape.
+    pub fn query_content(&self, doc: DocId, q: &PathQuery) -> NatixResult<Vec<(String, String)>> {
+        let (m, _) = self.eval_planned(doc, q, &PlannerOptions::default(), Want::Nodes)?;
+        self.resolve_content(&m.ptrs)
+    }
+
+    /// The plan the planner would choose, without executing it.
+    pub fn explain(
+        &self,
+        name: &str,
+        path: &str,
+        opts: &PlannerOptions,
+    ) -> NatixResult<PlanExplain> {
+        let q = PathQuery::parse(path)?;
+        Ok(self
+            .eval_planned(self.doc_id(name)?, &q, opts, Want::PlanOnly)?
+            .1)
+    }
+
+    /// Evaluates one pre-parsed query against many documents, up to
+    /// `opts.exec.threads` of them at a time over the shared buffer pool
+    /// (documents live in disjoint records, so workers contend on buffer
+    /// frames only). Every document goes through the same planned
+    /// evaluation as [`query_planned`](Self::query_planned) with
+    /// `exec.threads = 1`: the fan-out is the parallelism, and it scales
+    /// by overlapping the workers' page-read stalls. Results come back in
+    /// input order, one slot per document; a failing document never
+    /// affects the others.
+    pub fn query_documents(
+        &self,
+        docs: &[DocId],
+        q: &PathQuery,
+        opts: &PlannerOptions,
+    ) -> Vec<NatixResult<Vec<NodeId>>> {
+        let per_doc = PlannerOptions {
+            force: opts.force,
+            exec: ParallelQueryOptions {
+                threads: 1,
+                ..opts.exec.clone()
+            },
+        };
+        let one = |doc: DocId| Ok(self.ids_planned(doc, q, &per_doc)?.0);
+        let workers = opts.exec.threads.min(docs.len());
+        if workers <= 1 {
+            return docs.iter().map(|&doc| one(doc)).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let mut slots: Vec<(usize, NatixResult<Vec<NodeId>>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(&doc) = docs.get(i) else {
+                                break mine;
+                            };
+                            mine.push((i, one(doc)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        slots.sort_unstable_by_key(|&(i, _)| i);
+        slots.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// The ids consumer: binds the matched pointers to logical node ids,
+    /// validated against the snapshot they were read under (see
+    /// `Repository::bind_snapshot`).
+    fn ids_planned(
+        &self,
+        doc: DocId,
+        q: &PathQuery,
+        opts: &PlannerOptions,
+    ) -> NatixResult<(Vec<NodeId>, PlanExplain)> {
+        let (m, explain) = self.eval_planned(doc, q, opts, Want::Nodes)?;
+        Ok((self.bind_snapshot(&m.state, m.ptrs)?, explain))
+    }
+
+    /// The content consumer: maps matched pointers to `(label name,
+    /// subtree text)` under the snapshot pin the caller still holds.
+    fn resolve_content(&self, ptrs: &[NodePtr]) -> NatixResult<Vec<(String, String)>> {
         // Symbol-table snapshot, not guard: see `get_xml`.
         let symbols = self.symbols.read().clone();
         let mut out = Vec::with_capacity(ptrs.len());
@@ -328,18 +453,398 @@ impl Repository {
         Ok(out)
     }
 
-    pub(crate) fn step_matches(
+    /// Resolves every name test of `q` to a label id up front: the
+    /// evaluation walk matches a step per visited node, and taking the
+    /// symbol-table lock (plus a string comparison) per node would put
+    /// lock traffic on the query hot path. The lookup is **read-only** —
+    /// a name absent from the alphabet cannot occur in any stored
+    /// document, so it matches nothing (empty result), exactly like the
+    /// string comparison it replaces; the read path never interns and
+    /// never takes the symbol-table write lock.
+    fn resolve_steps<'q>(&self, q: &'q PathQuery) -> Vec<(&'q Step, Option<LabelId>)> {
+        let symbols = self.symbols();
+        q.steps
+            .iter()
+            .map(|s| {
+                let label = match &s.test {
+                    Test::Name(n) => symbols.lookup_element(n),
+                    _ => None,
+                };
+                (s, label)
+            })
+            .collect()
+    }
+
+    // -----------------------------------------------------------------
+    // The one read path: resolve, pin, plan, run
+    // -----------------------------------------------------------------
+
+    /// Resolves the document, pins a snapshot, plans and — unless `want`
+    /// is the plan alone — runs the plan's operator. Every query entry
+    /// point is a consumer of what this returns. The decision order is
+    /// load-bearing:
+    ///
+    /// 1. Unknown name test, no forced shape → empty before touching the
+    ///    summary, the snapshot, or a single page.
+    /// 2. Build the summary if it is missing and this query could read it
+    ///    (outside the pin; skipped under an ambient snapshot), then pin
+    ///    and read the summary *at the pinned epoch* — a stale or missing
+    ///    summary abstains, never lies.
+    /// 3. Choose: positional predicates go to the walk/scan shapes;
+    ///    summary-decidable counts and provably-empty results are
+    ///    summary-only; selective node queries descend through the
+    ///    summary's ancestor closure or an attached current index;
+    ///    everything else is the parallel record scan.
+    ///
+    /// Forcing a shape runs exactly that machinery, or fails with
+    /// [`NatixError::PlanUnsupported`] when its preconditions do not
+    /// hold.
+    fn eval_planned(
+        &self,
+        doc: DocId,
+        q: &PathQuery,
+        opts: &PlannerOptions,
+        want: Want,
+    ) -> NatixResult<(Matched<'_>, PlanExplain)> {
+        let state = self.state(doc)?;
+        let steps = self.resolve_steps(q);
+        let unknown = steps
+            .iter()
+            .any(|(s, l)| matches!(s.test, Test::Name(_)) && l.is_none());
+        let positional = q.steps.iter().any(|s| s.position.is_some());
+
+        // Calibrated page-miss cost: the buffer pool's live miss-latency
+        // EWMA (random-access reads measured at the demand-miss path),
+        // else the static fallback.
+        let page_cost_ns = match self.io_stats().miss_latency_ns() {
+            0 => DEFAULT_PAGE_COST_NS,
+            measured => measured,
+        };
+
+        // 1. Unknown-label short circuit: a name the alphabet has never
+        // seen occurs in no stored document. Answered with zero page
+        // reads (pinned by the buffer-miss counter test) unless a
+        // record-touching shape is forced.
+        if unknown && matches!(opts.force, None | Some(PlanShape::SummaryOnly)) {
+            let explain = PlanExplain {
+                shape: PlanShape::SummaryOnly,
+                forced: opts.force.is_some(),
+                reason: "name test not in the alphabet: provably empty".into(),
+                summary_current: self.summaries.has_current(doc),
+                estimated_matches: Some(0),
+                estimated_visited: Some(0),
+                total_nodes: None,
+                page_cost_ns,
+            };
+            let nothing = Matched {
+                _pin: None,
+                state,
+                ptrs: Vec::new(),
+                count: 0,
+            };
+            return Ok((nothing, explain));
+        }
+
+        // 2. Summary + snapshot. Building a summary is a whole-document
+        // traversal under the edit latch, so it is only worth it for a
+        // query that can read one: a positional query is never
+        // path-decidable, and the walk, scan and index shapes never
+        // consult the summary.
+        let summary_readable = !positional
+            && matches!(
+                opts.force,
+                None | Some(PlanShape::SummaryOnly | PlanShape::SummarySeeded)
+            );
+        if summary_readable {
+            self.ensure_summary(doc, &state)?;
+        }
+        let pin = self.tree.begin_read();
+        let epoch = self.tree.ambient_read_epoch();
+        let root = NodePtr::new(self.snapshot_root(&state)?, 0);
+        let summary = self.summaries.summary_at(doc, epoch);
+        let summary_current = summary.is_some();
+        let total_nodes = summary.as_ref().map(|s| s.total_nodes());
+        let decided = summary.and_then(|s| s.match_query(&steps).map(|pm| (s, pm)));
+        let estimates = decided.as_ref().map(|(_, pm)| (pm.matched, pm.visited));
+
+        // An attached index is usable when it can seed the leading step:
+        // a descendant step over a resolvable name (or `text()`), index
+        // current for this document. The slot guard is dropped
+        // immediately.
+        let (first, first_label) = steps[0];
+        let seed_label = match first.test {
+            Test::Name(_) => first_label,
+            Test::Text => Some(LABEL_TEXT),
+            Test::Any => None,
+        };
+        let attached = self.attached_index.lock().clone();
+        let index = attached
+            .zip(seed_label.filter(|_| first.descendant))
+            .filter(|(idx, _)| idx.lock().is_current(doc));
+
+        let counting = want == Want::Count;
+        let (plan, reason) = match opts.force {
+            Some(forced) => (
+                Self::check_forced(forced, positional, decided, index, counting)?,
+                "forced by caller".to_string(),
+            ),
+            None => {
+                let lazy_positional = q.steps.iter().any(|s| s.descendant && s.position.is_some());
+                Self::choose_plan(
+                    positional,
+                    lazy_positional,
+                    decided,
+                    index,
+                    counting,
+                    page_cost_ns,
+                )
+            }
+        };
+        let explain = PlanExplain {
+            shape: plan.shape(),
+            forced: opts.force.is_some(),
+            reason,
+            summary_current,
+            estimated_matches: estimates.map(|(matched, _)| matched),
+            estimated_visited: estimates.map(|(_, visited)| visited),
+            total_nodes,
+            page_cost_ns,
+        };
+
+        // 3. Run the plan's operator under the pin.
+        let (ptrs, count) = match want {
+            Want::PlanOnly => (Vec::new(), 0),
+            _ => self.run_plan(plan, doc, root, &steps, &opts.exec)?,
+        };
+        let matched = Matched {
+            _pin: Some(pin),
+            state,
+            ptrs,
+            count,
+        };
+        Ok((matched, explain))
+    }
+
+    /// Runs a plan's operator under the caller's pin: the matches in
+    /// document order and their number ([`Plan::SummaryOnly`] knows the
+    /// number without materialising a node).
+    fn run_plan(
+        &self,
+        plan: Plan,
+        doc: DocId,
+        root: NodePtr,
+        steps: &[(&Step, Option<LabelId>)],
+        exec: &ParallelQueryOptions,
+    ) -> NatixResult<(Vec<NodePtr>, u64)> {
+        let ptrs = match plan {
+            Plan::SummaryOnly(count) => return Ok((Vec::new(), count)),
+            Plan::SummarySeeded(summary, pm) => self.eval_summary_seeded(root, &summary, &pm)?,
+            Plan::IndexSeeded((idx, label)) => {
+                // The index lock (unranked, caller-owned) is held for the
+                // seed lookup only, never into id binding: binding takes
+                // the edit latch, which writers hold while notifying the
+                // attached index.
+                let seed = self.index_seed(&idx.lock(), doc, label, steps[0].0.position)?;
+                self.eval_steps(root, steps, Descend::Scan(exec), seed)?
+            }
+            Plan::ParallelScan => self.eval_steps(root, steps, Descend::Scan(exec), None)?,
+            Plan::LazyWalk => self.eval_steps(root, steps, Descend::Walk, None)?,
+        };
+        let count = ptrs.len() as u64;
+        Ok((ptrs, count))
+    }
+
+    /// The cost model. `lazy_positional`: a positional predicate sits on a
+    /// descendant step (`//x[n]`), which only the walk stops early on.
+    ///
+    /// The seeded-vs-scan decision is *calibrated*: `page_cost_ns` is the
+    /// measured buffer-pool miss latency (or the fallback), and each
+    /// shape's per-node cost adds that miss cost amortised over the nodes
+    /// one read serves — few for the random proxy hops of a seeded
+    /// descent, many for a prefetched scan. On a fast (cached, in-memory)
+    /// pool the two converge and the seeded descent wins whenever it
+    /// visits fewer nodes; on a slow pool (cold spinning disk) random
+    /// access is penalised and the descent must be far more selective.
+    fn choose_plan(
+        positional: bool,
+        lazy_positional: bool,
+        decided: Option<Decided>,
+        index: Option<IndexSeed>,
+        counting: bool,
+        page_cost_ns: u64,
+    ) -> (Plan, String) {
+        let Some((summary, pm)) = decided else {
+            return match index {
+                None if lazy_positional => (
+                    Plan::LazyWalk,
+                    "positional descendant step: lazy early-exit walk".into(),
+                ),
+                Some(idx) => (
+                    Plan::IndexSeeded(idx),
+                    "summary cannot decide; attached index is current".into(),
+                ),
+                None if positional => (
+                    Plan::ParallelScan,
+                    "positional predicate is not path-decidable".into(),
+                ),
+                None => (
+                    Plan::ParallelScan,
+                    "no current summary for this snapshot: falling back to scan".into(),
+                ),
+            };
+        };
+        if pm.is_empty() {
+            return (
+                Plan::SummaryOnly(0),
+                "summary proves the result is empty".into(),
+            );
+        }
+        if counting {
+            return (
+                Plan::SummaryOnly(pm.matched),
+                "exact cardinality from summary counts".into(),
+            );
+        }
+        let total = summary.total_nodes();
+        let seeded_per_node = NODE_COST_NS + page_cost_ns / SEEDED_NODES_PER_READ;
+        let scan_per_node = NODE_COST_NS + page_cost_ns / SCAN_NODES_PER_READ;
+        let seeded_cost = pm.visited.saturating_mul(seeded_per_node);
+        let scan_cost = total.saturating_mul(scan_per_node);
+        if pm.enumerable && seeded_cost <= scan_cost {
+            let reason = format!(
+                "selective: pruned descent visits {} of {} nodes \
+                 ({seeded_cost} vs {scan_cost} ns at {page_cost_ns} ns/miss)",
+                pm.visited, total
+            );
+            return (Plan::SummarySeeded(summary, pm), reason);
+        }
+        match index {
+            Some(idx) => (
+                Plan::IndexSeeded(idx),
+                "unselective for pruning; attached index seeds the leading step".into(),
+            ),
+            None => (
+                Plan::ParallelScan,
+                "unselective: record-granular parallel scan".into(),
+            ),
+        }
+    }
+
+    /// Validates a forced shape's preconditions and builds its plan, so
+    /// forcing never yields a wrong (as opposed to refused) answer.
+    fn check_forced(
+        forced: PlanShape,
+        positional: bool,
+        decided: Option<Decided>,
+        index: Option<IndexSeed>,
+        counting: bool,
+    ) -> NatixResult<Plan> {
+        let unsupported = |m: &str| Err(NatixError::PlanUnsupported(m.to_string()));
+        match forced {
+            PlanShape::SummaryOnly => match decided {
+                None if positional => {
+                    unsupported("summary-only cannot evaluate positional predicates")
+                }
+                None => unsupported("no current path summary for this snapshot"),
+                Some((_, pm)) if !counting && !pm.is_empty() => {
+                    unsupported("summary-only answers counts and emptiness, not node lists")
+                }
+                Some((_, pm)) => Ok(Plan::SummaryOnly(pm.matched)),
+            },
+            PlanShape::SummarySeeded => match decided {
+                None if positional => {
+                    unsupported("summary-seeded descent cannot evaluate positional predicates")
+                }
+                None => unsupported("no current path summary for this snapshot"),
+                Some((_, pm)) if !pm.enumerable => unsupported(
+                    "nested context sets: per-context emission differs from document order",
+                ),
+                Some((summary, pm)) => Ok(Plan::SummarySeeded(summary, pm)),
+            },
+            PlanShape::IndexSeeded => match index {
+                Some(seed) => Ok(Plan::IndexSeeded(seed)),
+                None => unsupported("no attached current index can seed this query's leading step"),
+            },
+            PlanShape::ParallelScan => Ok(Plan::ParallelScan),
+            PlanShape::LazyWalk => Ok(Plan::LazyWalk),
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Operators
+    // -----------------------------------------------------------------
+
+    /// The step loop both descendant operators run under: the first step
+    /// matches the root element itself (absolute paths address the
+    /// document element) unless `seed` already holds its matches, then
+    /// every later step maps the context set through a child step or the
+    /// plan's descendant operator.
+    fn eval_steps(
+        &self,
+        root: NodePtr,
+        steps: &[(&Step, Option<LabelId>)],
+        descend: Descend<'_>,
+        seed: Option<Vec<NodePtr>>,
+    ) -> NatixResult<Vec<NodePtr>> {
+        let (first, first_label) = steps[0];
+        let mut current = match seed {
+            Some(seeded) => seeded,
+            None if first.descendant => self.descend_step(&[root], first, first_label, descend)?,
+            None if self.step_matches(root, first, first_label)?
+                && first.position.unwrap_or(1) == 1 =>
+            {
+                vec![root]
+            }
+            None => Vec::new(),
+        };
+        for &(step, label) in &steps[1..] {
+            if current.is_empty() {
+                break;
+            }
+            current = if step.descendant {
+                self.descend_step(&current, step, label, descend)?
+            } else {
+                // The walk is the sequential reference: it never fans out.
+                let threads = match descend {
+                    Descend::Walk => 1,
+                    Descend::Scan(exec) => exec.threads,
+                };
+                self.child_step(&current, step, label, threads)?
+            };
+        }
+        Ok(current)
+    }
+
+    /// The descendant-or-self axis over all `contexts`, by the plan's
+    /// operator.
+    fn descend_step(
+        &self,
+        contexts: &[NodePtr],
+        step: &Step,
+        label: Option<LabelId>,
+        descend: Descend<'_>,
+    ) -> NatixResult<Vec<NodePtr>> {
+        match descend {
+            Descend::Walk => {
+                let mut out = Vec::new();
+                for &ctx in contexts {
+                    self.collect_descendants(ctx, step, label, &mut out)?;
+                }
+                Ok(out)
+            }
+            Descend::Scan(exec) => self.descendant_scan(contexts, step, label, exec),
+        }
+    }
+
+    /// A tree-level result: the child visitor's callback calls it too.
+    fn step_matches(
         &self,
         ptr: NodePtr,
         step: &Step,
-        name_label: Option<natix_xml::LabelId>,
-    ) -> NatixResult<bool> {
+        name_label: Option<LabelId>,
+    ) -> TreeResult<bool> {
         let (label, literal) = self.tree.node_label(ptr)?;
-        Ok(match &step.test {
-            Test::Any => !literal,
-            Test::Text => label == LABEL_TEXT,
-            Test::Name(_) => !literal && name_label == Some(label),
-        })
+        Ok(step.test.accepts(name_label, label, literal))
     }
 
     /// Children of `ctx` matching the step; the positional predicate
@@ -350,15 +855,12 @@ impl Repository {
         &self,
         ctx: NodePtr,
         step: &Step,
-        name_label: Option<natix_xml::LabelId>,
+        name_label: Option<LabelId>,
         out: &mut Vec<NodePtr>,
     ) -> NatixResult<()> {
         let mut seen = 0usize;
         self.tree.for_each_logical_child(ctx, &mut |child| {
-            if self
-                .step_matches(child, step, name_label)
-                .map_err(to_tree_err)?
-            {
+            if self.step_matches(child, step, name_label)? {
                 seen += 1;
                 match step.position {
                     None => out.push(child),
@@ -374,12 +876,13 @@ impl Repository {
         Ok(())
     }
 
-    /// Descendant-or-self collection in document order.
+    /// The lazy walk operator: descendant-or-self collection in document
+    /// order under one context.
     fn collect_descendants(
         &self,
         ctx: NodePtr,
         step: &Step,
-        name_label: Option<natix_xml::LabelId>,
+        name_label: Option<LabelId>,
         out: &mut Vec<NodePtr>,
     ) -> NatixResult<()> {
         // `//x[n]` takes the n-th match in document order under this
@@ -409,380 +912,7 @@ impl Repository {
         Ok(())
     }
 
-    // -----------------------------------------------------------------
-    // Cost-based planner
-    // -----------------------------------------------------------------
-
-    /// Evaluates a path query through the cost-based planner, returning
-    /// the matches plus how the plan was chosen. Semantically identical
-    /// to [`Repository::query`] for every plan shape — the plan-shape
-    /// differential suite enforces this bit-for-bit.
-    pub fn query_planned(
-        &self,
-        name: &str,
-        path: &str,
-        opts: &PlannerOptions,
-    ) -> NatixResult<(Vec<NodeId>, PlanExplain)> {
-        let q = PathQuery::parse(path)?;
-        let doc = self.doc_id(name)?;
-        self.query_planned_parsed(doc, &q, opts)
-    }
-
-    /// [`query_planned`](Self::query_planned) over a pre-parsed query.
-    pub fn query_planned_parsed(
-        &self,
-        doc: DocId,
-        q: &PathQuery,
-        opts: &PlannerOptions,
-    ) -> NatixResult<(Vec<NodeId>, PlanExplain)> {
-        match self.eval_planned(doc, q, opts, PlanMode::Ids)? {
-            (PlannedOutput::Ids(ids), explain) => Ok((ids, explain)),
-            _ => unreachable!("Ids mode returns ids"),
-        }
-    }
-
-    /// Structural count of a path query's matches (duplicates included,
-    /// exactly as `query(..).len()` counts them). Served straight from
-    /// the path summary whenever the query is path-decidable — zero
-    /// record access — and by the cheapest applicable evaluator
-    /// otherwise.
-    pub fn count_planned(
-        &self,
-        name: &str,
-        path: &str,
-        opts: &PlannerOptions,
-    ) -> NatixResult<(u64, PlanExplain)> {
-        let q = PathQuery::parse(path)?;
-        let doc = self.doc_id(name)?;
-        match self.eval_planned(doc, &q, opts, PlanMode::Count)? {
-            (PlannedOutput::Count(n), explain) => Ok((n, explain)),
-            _ => unreachable!("Count mode returns a count"),
-        }
-    }
-
-    /// [`count_planned`](Self::count_planned) with default options.
-    pub fn query_count(&self, name: &str, path: &str) -> NatixResult<u64> {
-        Ok(self
-            .count_planned(name, path, &PlannerOptions::default())?
-            .0)
-    }
-
-    /// Whether the query matches anything (a pure structural existence
-    /// probe — summary-answered when possible).
-    pub fn query_exists(&self, name: &str, path: &str) -> NatixResult<bool> {
-        Ok(self.query_count(name, path)? > 0)
-    }
-
-    /// The plan the planner would choose, without executing it.
-    pub fn explain(
-        &self,
-        name: &str,
-        path: &str,
-        opts: &PlannerOptions,
-    ) -> NatixResult<PlanExplain> {
-        let q = PathQuery::parse(path)?;
-        let doc = self.doc_id(name)?;
-        Ok(self.eval_planned(doc, &q, opts, PlanMode::Explain)?.1)
-    }
-
-    /// Plans and (per `mode`) executes one query. The decision order is
-    /// load-bearing:
-    ///
-    /// 1. Unknown name test, no forced shape → empty before touching the
-    ///    summary, the snapshot, or a single page.
-    /// 2. Build the summary if missing (outside the pin; skipped under an
-    ///    ambient snapshot), then pin and read the summary *at the pinned
-    ///    epoch* — a stale or missing summary abstains, never lies.
-    /// 3. Choose: positional predicates go to the walk/scan shapes;
-    ///    summary-decidable counts and provably-empty results are
-    ///    summary-only; selective node queries descend through the
-    ///    summary's ancestor closure or an attached current index;
-    ///    everything else is the parallel record scan.
-    ///
-    /// Forcing a shape runs exactly that machinery, or fails with
-    /// [`NatixError::PlanUnsupported`] when its preconditions do not
-    /// hold.
-    fn eval_planned(
-        &self,
-        doc: DocId,
-        q: &PathQuery,
-        opts: &PlannerOptions,
-        mode: PlanMode,
-    ) -> NatixResult<(PlannedOutput, PlanExplain)> {
-        let state = self.state(doc)?;
-        let resolved = self.resolve_steps(q);
-        let unknown = resolved
-            .iter()
-            .any(|(s, l)| matches!(s.test, Test::Name(_)) && l.is_none());
-        let positional = q.steps.iter().any(|s| s.position.is_some());
-        let lazy_positional = q.steps.iter().any(|s| s.descendant && s.position.is_some());
-
-        // Calibrated page-miss cost: the buffer pool's live miss-latency
-        // EWMA (random-access reads measured at the demand-miss path),
-        // else the static fallback.
-        let page_cost_ns = match self.io_stats().miss_latency_ns() {
-            0 => DEFAULT_PAGE_COST_NS,
-            measured => measured,
-        };
-
-        // 1. Unknown-label short circuit: a name the alphabet has never
-        // seen occurs in no stored document. Answered with zero page
-        // reads (pinned by the buffer-miss counter test) unless a
-        // record-touching shape is forced.
-        if unknown && matches!(opts.force, None | Some(PlanShape::SummaryOnly)) {
-            let explain = PlanExplain {
-                shape: PlanShape::SummaryOnly,
-                forced: opts.force.is_some(),
-                reason: "name test not in the alphabet: provably empty".into(),
-                summary_current: self.summaries.has_current(doc),
-                estimated_matches: Some(0),
-                estimated_visited: Some(0),
-                total_nodes: None,
-                page_cost_ns,
-            };
-            return Ok((Self::empty_output(mode), explain));
-        }
-
-        // 2. Summary + snapshot.
-        self.ensure_summary(doc, &state)?;
-        let _pin = self.tree.begin_read();
-        let epoch = self.tree.ambient_read_epoch();
-        let root = NodePtr::new(self.snapshot_root(&state)?, 0);
-        let summary = self.summaries.summary_at(doc, epoch);
-        let summary_current = summary.is_some();
-        let pmatch = summary.as_ref().and_then(|s| s.match_query(&resolved));
-
-        // An attached index is usable when the seed it provides is the
-        // one `eval_parallel_ptrs` would actually take: leading
-        // descendant step over a resolvable name (or `text()`), index
-        // current for this document. The slot guard is dropped
-        // immediately; only the (unranked, caller-owned) index lock is
-        // held across execution, and released before id binding.
-        let index_arc = self.attached_index.lock().clone();
-        let index_usable = index_arc.as_ref().is_some_and(|idx| {
-            let (first, first_label) = resolved[0];
-            first.descendant
-                && match first.test {
-                    Test::Name(_) => first_label.is_some(),
-                    Test::Text => true,
-                    Test::Any => false,
-                }
-                && idx.lock().is_current(doc)
-        });
-
-        let (shape, reason) = match opts.force {
-            Some(forced) => {
-                self.check_forced(forced, positional, index_usable, &pmatch, mode)?;
-                (forced, "forced by caller".to_string())
-            }
-            None => Self::choose_plan(
-                positional,
-                lazy_positional,
-                index_usable,
-                &pmatch,
-                summary.as_deref(),
-                mode,
-                page_cost_ns,
-            ),
-        };
-        let explain = PlanExplain {
-            shape,
-            forced: opts.force.is_some(),
-            reason,
-            summary_current,
-            estimated_matches: pmatch.as_ref().map(|pm| pm.matched),
-            estimated_visited: pmatch.as_ref().map(|pm| pm.visited),
-            total_nodes: summary.as_ref().map(|s| s.total_nodes()),
-            page_cost_ns,
-        };
-        if mode == PlanMode::Explain {
-            return Ok((PlannedOutput::ExplainOnly, explain));
-        }
-
-        // 3. Execute under the pin; drop the index guard before binding
-        // ids (binding takes the edit latch, which writers hold while
-        // notifying the attached index — holding the index lock there
-        // would deadlock).
-        let output = match shape {
-            PlanShape::SummaryOnly => {
-                let pm = pmatch.as_ref().expect("checked by choose/force");
-                match mode {
-                    PlanMode::Count => PlannedOutput::Count(pm.matched),
-                    _ => PlannedOutput::Ids(Vec::new()),
-                }
-            }
-            PlanShape::SummarySeeded => {
-                let pm = pmatch.as_ref().expect("checked by choose/force");
-                let summary = summary.as_ref().expect("match implies summary");
-                let ptrs = self.eval_summary_seeded(root, summary, pm)?;
-                self.finish_ptrs(&state, ptrs, mode)?
-            }
-            PlanShape::IndexSeeded => {
-                let idx = index_arc.as_ref().expect("checked by choose/force");
-                let ptrs = {
-                    let guard = idx.lock();
-                    self.eval_parallel_ptrs(doc, root, q, &opts.exec, Some(&guard))?
-                };
-                self.finish_ptrs(&state, ptrs, mode)?
-            }
-            PlanShape::ParallelScan => {
-                let ptrs = self.eval_parallel_ptrs(doc, root, q, &opts.exec, None)?;
-                self.finish_ptrs(&state, ptrs, mode)?
-            }
-            PlanShape::LazyWalk => {
-                let ptrs = self.eval_lazy_ptrs(root, q)?;
-                self.finish_ptrs(&state, ptrs, mode)?
-            }
-        };
-        Ok((output, explain))
-    }
-
-    fn empty_output(mode: PlanMode) -> PlannedOutput {
-        match mode {
-            PlanMode::Ids => PlannedOutput::Ids(Vec::new()),
-            PlanMode::Count => PlannedOutput::Count(0),
-            PlanMode::Explain => PlannedOutput::ExplainOnly,
-        }
-    }
-
-    /// Binds or counts a shape's physical matches (counting never touches
-    /// the id map).
-    fn finish_ptrs(
-        &self,
-        state: &crate::document::DocState,
-        ptrs: Vec<NodePtr>,
-        mode: PlanMode,
-    ) -> NatixResult<PlannedOutput> {
-        Ok(match mode {
-            PlanMode::Count => PlannedOutput::Count(ptrs.len() as u64),
-            _ => PlannedOutput::Ids(self.bind_snapshot(state, ptrs)?),
-        })
-    }
-
-    /// The cost model. `pmatch` is `Some` exactly when the summary is
-    /// current for this snapshot *and* the query is path-decidable (no
-    /// positional predicates).
-    ///
-    /// The seeded-vs-scan decision is *calibrated*: `page_cost_ns` is the
-    /// measured buffer-pool miss latency (or an override/fallback), and
-    /// each shape's per-node cost adds that miss cost amortised over the
-    /// nodes one read serves — few for the random proxy hops of a seeded
-    /// descent, many for a prefetched scan. On a fast (cached, in-memory)
-    /// pool the two converge and the seeded descent wins whenever it
-    /// visits fewer nodes; on a slow pool (cold spinning disk) random
-    /// access is penalised and the descent must be far more selective.
-    #[allow(clippy::too_many_arguments)]
-    fn choose_plan(
-        positional: bool,
-        lazy_positional: bool,
-        index_usable: bool,
-        pmatch: &Option<PathMatch>,
-        summary: Option<&PathSummary>,
-        mode: PlanMode,
-        page_cost_ns: u64,
-    ) -> (PlanShape, String) {
-        let Some(pm) = pmatch else {
-            return if positional && lazy_positional && !index_usable {
-                (
-                    PlanShape::LazyWalk,
-                    "positional descendant step: lazy early-exit walk".into(),
-                )
-            } else if index_usable {
-                (
-                    PlanShape::IndexSeeded,
-                    "summary cannot decide; attached index is current".into(),
-                )
-            } else if positional {
-                (
-                    PlanShape::ParallelScan,
-                    "positional predicate is not path-decidable".into(),
-                )
-            } else {
-                (
-                    PlanShape::ParallelScan,
-                    "no current summary for this snapshot: falling back to scan".into(),
-                )
-            };
-        };
-        if pm.is_empty() {
-            return (
-                PlanShape::SummaryOnly,
-                "summary proves the result is empty".into(),
-            );
-        }
-        if mode == PlanMode::Count {
-            return (
-                PlanShape::SummaryOnly,
-                "exact cardinality from summary counts".into(),
-            );
-        }
-        let total = summary.map(|s| s.total_nodes()).unwrap_or(0);
-        let seeded_per_node = NODE_COST_NS + page_cost_ns / SEEDED_NODES_PER_READ;
-        let scan_per_node = NODE_COST_NS + page_cost_ns / SCAN_NODES_PER_READ;
-        let seeded_cost = pm.visited.saturating_mul(seeded_per_node);
-        let scan_cost = total.saturating_mul(scan_per_node);
-        if pm.enumerable && seeded_cost <= scan_cost {
-            return (
-                PlanShape::SummarySeeded,
-                format!(
-                    "selective: pruned descent visits {} of {} nodes \
-                     ({seeded_cost} vs {scan_cost} ns at {page_cost_ns} ns/miss)",
-                    pm.visited, total
-                ),
-            );
-        }
-        if index_usable {
-            return (
-                PlanShape::IndexSeeded,
-                "unselective for pruning; attached index seeds the leading step".into(),
-            );
-        }
-        (
-            PlanShape::ParallelScan,
-            "unselective: record-granular parallel scan".into(),
-        )
-    }
-
-    /// Validates a forced shape's preconditions, so forcing never yields
-    /// a wrong (as opposed to refused) answer.
-    fn check_forced(
-        &self,
-        forced: PlanShape,
-        positional: bool,
-        index_usable: bool,
-        pmatch: &Option<PathMatch>,
-        mode: PlanMode,
-    ) -> NatixResult<()> {
-        let unsupported = |m: &str| Err(NatixError::PlanUnsupported(m.to_string()));
-        match forced {
-            PlanShape::SummaryOnly => match pmatch {
-                None if positional => {
-                    unsupported("summary-only cannot evaluate positional predicates")
-                }
-                None => unsupported("no current path summary for this snapshot"),
-                Some(pm) if mode != PlanMode::Count && !pm.is_empty() => {
-                    unsupported("summary-only answers counts and emptiness, not node lists")
-                }
-                Some(_) => Ok(()),
-            },
-            PlanShape::SummarySeeded => match pmatch {
-                None if positional => {
-                    unsupported("summary-seeded descent cannot evaluate positional predicates")
-                }
-                None => unsupported("no current path summary for this snapshot"),
-                Some(pm) if !pm.enumerable => unsupported(
-                    "nested context sets: per-context emission differs from document order",
-                ),
-                Some(_) => Ok(()),
-            },
-            PlanShape::IndexSeeded if !index_usable => {
-                unsupported("no attached current index can seed this query's leading step")
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// The summary-seeded evaluator: a document-order descent that only
+    /// The summary-seeded operator: a document-order descent that only
     /// enters children whose label path lies in the ancestor closure of
     /// the final match set, emitting nodes whose path is a final match.
     /// Exactly equal to the lazy walk whenever the match is `enumerable`
@@ -797,7 +927,7 @@ impl Repository {
     fn eval_summary_seeded(
         &self,
         root: NodePtr,
-        summary: &Arc<PathSummary>,
+        summary: &PathSummary,
         pm: &PathMatch,
     ) -> NatixResult<Vec<NodePtr>> {
         let mut out = Vec::new();
@@ -983,15 +1113,15 @@ mod tests {
             .query("play", "/PLAY/UNKNOWN[2]/ALSO_UNKNOWN")
             .unwrap()
             .is_empty());
-        let doc = repo.doc_id("play").unwrap();
-        let q = PathQuery::parse("//NEVER_SEEN/text()").unwrap();
+        // A forced record-touching shape runs the scan and finds nothing.
+        let scan = PlannerOptions {
+            force: Some(PlanShape::ParallelScan),
+            ..PlannerOptions::default()
+        };
         assert!(repo
-            .query_parallel(
-                doc,
-                &q,
-                &crate::parallel_query::ParallelQueryOptions::default()
-            )
+            .query_planned("play", "//NEVER_SEEN/text()", &scan)
             .unwrap()
+            .0
             .is_empty());
         assert_eq!(
             repo.symbols().len(),

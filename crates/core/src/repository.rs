@@ -63,8 +63,9 @@
 //!
 //! Deliberately unranked: per-frame page-content `RwLock`s (leaf locks
 //! acquired one at a time under the pool's protocol — see
-//! `crates/storage/src/buffer.rs`) and `LabelIndex` internals (the index
-//! object is caller-owned; only its holder slot is ranked).
+//! `crates/storage/src/buffer.rs`) and the lock around an attached
+//! `LabelIndex` (the index object is caller-owned; only its holder slot
+//! is ranked).
 //!
 //! Usage notes behind the table: symbol readers (serialisation, queries,
 //! name lookups) share the `SYMBOLS` lock and concurrent parsers intern
@@ -129,15 +130,19 @@
 //! refused with [`NatixError::SnapshotRace`] instead of poisoning the id
 //! map with a historical pointer. Racing readers that need
 //! self-contained results use the snapshot-consistent
-//! [`Repository::query_content`] family, which resolves labels and text
-//! within the query's own snapshot and never touches the id map.
+//! [`Repository::content_planned`] / [`Repository::query_content`], which
+//! resolve labels and text within the query's own snapshot and never
+//! touch the id map.
 //!
 //! # Query-side lock and pin discipline
 //!
-//! The parallel query evaluators ([`crate::parallel_query`]) are pure
-//! readers and obey three rules that keep any number of them — plus the
-//! index and ingestion of other documents — deadlock-free on one
-//! repository:
+//! Every query runs through the one planned read path of
+//! [`crate::query`]; the only step of it that takes the edit latch is
+//! building a missing path summary, before the snapshot is pinned. Scan
+//! workers ([`crate::parallel_query`]) adopt the coordinator's epoch, so
+//! every record is read as of the same instant. The path is a pure
+//! reader and obeys four rules that keep any number of queries — plus
+//! index maintenance and ingestion of other documents — deadlock-free:
 //!
 //! 1. **Symbol table: one read-locked lookup per query, never a write.**
 //!    Name tests are resolved to label ids once, up front, through
@@ -151,11 +156,14 @@
 //!    never holds a pin while blocking on another pin, and a worker
 //!    stalled on a miss waits on the buffer's in-flight condvar without
 //!    reserving frames it does not need.
-//! 3. **Per-document id maps bind only results.** Workers traverse
+//! 3. **Per-document id maps bind only results.** Operators traverse
 //!    physical pointers; the per-document id-map mutex is taken once at
-//!    the end, to bind the merged result list — so scans of different
+//!    the end, by the ids consumer, to bind the merged result list — the
+//!    count and content consumers never take it — so scans of different
 //!    documents (and scans racing ingestion of other documents) never
-//!    serialize on shared mutable state.
+//!    serialize on shared mutable state. An attached index's lock is held
+//!    for the seed lookup only, never into the bind: binding takes the
+//!    edit latch, which writers hold while notifying the index.
 //! 4. **Prefetch is an I/O region, issued lock-free.** A scan worker
 //!    snapshots the pages of the next queued records while it holds the
 //!    `SCAN_QUEUE` mutex (a map lookup, no I/O), *drops the lock*, and
@@ -195,20 +203,23 @@
 //!
 //! # Plan shapes and their oracles
 //!
-//! [`Repository::query_planned`] routes every path query through the
-//! cost-based planner ([`crate::query`]), which picks one of five plan
-//! shapes from the document's path summary ([`crate::path_summary`]).
-//! Each shape is independently forceable via
-//! [`crate::query::PlannerOptions`] and each is pinned by a differential
-//! oracle — no plan path exists without oracle coverage:
+//! Every query entry point ([`Repository::query_planned`],
+//! [`count_planned`](Repository::count_planned),
+//! [`content_planned`](Repository::content_planned) and the conveniences
+//! over them) goes through the cost-based planner ([`crate::query`]),
+//! which picks one of five plan shapes from the document's path summary
+//! ([`crate::path_summary`]). Each shape is independently forceable via
+//! `PlannerOptions { force: Some(shape), .. }` — that is also how tests
+//! and the figures harness reach one operator — and each is pinned by a
+//! differential oracle; no plan path exists without oracle coverage:
 //!
 //! | Shape | Strategy | Oracle |
 //! |---|---|---|
-//! | `SummaryOnly` | counts/emptiness straight from summary counts, zero record access | DOM re-evaluation (`prop_query.rs`), exact-cardinality vs evaluator output |
-//! | `SummarySeeded` | document-order descent pruned to the ancestor closure of matching paths | bit-identical node list vs the lazy walk and the DOM oracle |
-//! | `IndexSeeded` | leading descendant step seeded from an attached, current [`LabelIndex`] | same differential corpus, plus the index staleness gate |
-//! | `ParallelScan` | record-granular parallel scan (`parallel_query`) | existing scan-vs-lazy differential suite, re-run per forced shape |
-//! | `LazyWalk` | the sequential lazy evaluator | DOM oracle (`prop_query.rs`) |
+//! | `SummaryOnly` | counts/emptiness straight from summary counts, zero record access | DOM re-evaluation (`prop_query.rs`), exact cardinality vs the DOM match list |
+//! | `SummarySeeded` | document-order descent pruned to the ancestor closure of matching paths | ids, counts and content rows vs the DOM oracle; chosen == forced |
+//! | `IndexSeeded` | leading descendant step seeded from the attached, current [`LabelIndex`](crate::index::LabelIndex) | same matrix, plus the staleness gate (`parallel_query::tests`) |
+//! | `ParallelScan` | record-granular scan (`parallel_query`), inline or over the work queue | same matrix; forced scan vs forced `LazyWalk` across thread counts, page sizes and eviction policies; racing edits and ingestion (`prop_edit_race.rs`, `concurrent_ingest.rs`) |
+//! | `LazyWalk` | the sequential lazy walk (early exit on `x[n]`) | same matrix; the paper's figures 11–13 (`crates/bench/figures.quick.txt`) |
 //!
 //! The planner only picks a shape whose preconditions hold (summary
 //! current for the pinned epoch, no positional predicates for the
@@ -216,9 +227,11 @@
 //! order); forcing an inapplicable shape surfaces
 //! [`NatixError::PlanUnsupported`] rather than a wrong answer. A stale
 //! summary (failed delta, pin older than the last rebuild) always falls
-//! back to scans — the summary never lies, it only abstains. Racing
-//! edits are covered by `prop_edit_race.rs` (counts vs a serial oracle),
-//! reopen/recovery equivalence by `reopen.rs` / `crash_recovery.rs`.
+//! back to scans — the summary never lies, it only abstains — and a
+//! query that could not read a summary (positional, or forced onto the
+//! walk, scan or index) never builds one. Racing edits are covered by
+//! `prop_edit_race.rs` (counts vs a serial oracle), reopen/recovery
+//! equivalence by `reopen.rs` / `crash_recovery.rs`.
 //!
 //! **Claim-name-then-publish:** storing a document first *claims* its name
 //! atomically in the registry (the name is neither taken nor pending, or
@@ -821,7 +834,7 @@ impl Repository {
 
     /// Pins the current record-version epoch as a read snapshot for the
     /// calling thread. Every read through this repository until the guard
-    /// drops — queries, navigation, serialisation, cursors — observes the
+    /// drops — queries, navigation, serialisation — observes the
     /// stored documents exactly as of one instant, even while other
     /// threads edit or ingest them. Individual read operations pin their
     /// own snapshot internally; take this only to make *several* calls
@@ -1189,8 +1202,9 @@ impl Repository {
     /// values (including the record moves, splits and packed-cluster
     /// normalizations they trigger) patch the index's relocated entries
     /// in place and the index **stays current**; edits that add or remove
-    /// nodes mark the document stale as before. Pass the same `Arc` the
-    /// query side uses.
+    /// nodes mark the document stale as before. While it is current for a
+    /// document the planner can seed that document's queries from it
+    /// ([`crate::query::PlanShape::IndexSeeded`]).
     pub fn attach_label_index(&self, index: &Arc<Mutex<crate::index::LabelIndex>>) {
         *self.attached_index.lock() = Some(Arc::clone(index));
     }

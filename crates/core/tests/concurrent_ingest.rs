@@ -5,7 +5,10 @@
 //! ingestion of *other* documents, and — since record-level versioning —
 //! queries overlapping streaming ingestion of the *same* document.
 
-use natix::{NatixError, ParallelQueryOptions, PathQuery, Repository, RepositoryOptions};
+use natix::{
+    NatixError, ParallelQueryOptions, PathQuery, PlanShape, PlannerOptions, Repository,
+    RepositoryOptions,
+};
 
 fn repo(page_size: usize) -> Repository {
     Repository::create_in_memory(RepositoryOptions {
@@ -204,15 +207,28 @@ fn queries_race_ingestion_of_other_documents() {
         .iter()
         .map(|q| PathQuery::parse(q).unwrap())
         .collect();
-    let baseline: Vec<Vec<Vec<natix::NodeId>>> = parsed
+    // The sequential lazy walk before any ingestion starts.
+    let lazy = PlannerOptions {
+        force: Some(PlanShape::LazyWalk),
+        ..PlannerOptions::default()
+    };
+    let baseline: Vec<Vec<Vec<natix::NodeId>>> = queries
         .iter()
         .map(|q| {
             expected
                 .iter()
-                .map(|&(_, id)| r.query_parsed(id, q).unwrap())
+                .map(|(name, _)| r.query_planned(name, q, &lazy).unwrap().0)
                 .collect()
         })
         .collect();
+    // Both racing readers force the record scan over the small pool.
+    let scan = |threads, parallel_record_threshold| PlannerOptions {
+        force: Some(PlanShape::ParallelScan),
+        exec: ParallelQueryOptions {
+            threads,
+            parallel_record_threshold,
+        },
+    };
     let ids: Vec<natix::DocId> = expected.iter().map(|&(_, id)| id).collect();
     let r = &r;
     let incoming: Vec<(String, String)> = (0..10)
@@ -223,14 +239,11 @@ fn queries_race_ingestion_of_other_documents() {
         // intra-document parallel scans, while 4 ingest workers load a
         // fresh batch — all over the same 24-frame pool.
         let fanout = s.spawn(|| {
-            let opts = ParallelQueryOptions {
-                threads: 3,
-                parallel_record_threshold: 16,
-            };
+            let opts = scan(3, 16);
             for _ in 0..25 {
                 for (q, base) in parsed.iter().zip(&baseline) {
                     let got: Vec<Vec<natix::NodeId>> = r
-                        .query_documents_opts(&ids, q, &opts)
+                        .query_documents(&ids, q, &opts)
                         .into_iter()
                         .map(|res| res.unwrap())
                         .collect();
@@ -239,14 +252,11 @@ fn queries_race_ingestion_of_other_documents() {
             }
         });
         let intra = s.spawn(|| {
-            let opts = ParallelQueryOptions {
-                threads: 3,
-                parallel_record_threshold: 1, // force the record work queue
-            };
+            let opts = scan(3, 1); // force the record work queue
             for _ in 0..25 {
-                for (q, base) in parsed.iter().zip(&baseline) {
-                    for (slot, &id) in ids.iter().enumerate() {
-                        let got = r.query_parallel(id, q, &opts).unwrap();
+                for (q, base) in queries.iter().zip(&baseline) {
+                    for (slot, (name, _)) in expected.iter().enumerate() {
+                        let (got, _) = r.query_planned(name, q, &opts).unwrap();
                         assert_eq!(got, base[slot], "parallel scan changed under ingestion");
                     }
                 }
@@ -308,9 +318,12 @@ fn queries_overlap_ingestion_of_the_same_document() {
         // the complete document.
         for t in 0..2 {
             s.spawn(move || {
-                let opts = ParallelQueryOptions {
-                    threads: 3,
-                    parallel_record_threshold: 1,
+                let opts = PlannerOptions {
+                    force: Some(PlanShape::ParallelScan),
+                    exec: ParallelQueryOptions {
+                        threads: 3,
+                        parallel_record_threshold: 1,
+                    },
                 };
                 let mut seen_complete = false;
                 for _ in 0..400 {
@@ -321,7 +334,7 @@ fn queries_overlap_ingestion_of_the_same_document() {
                             let sku = if t == 0 {
                                 r.query_content(id, q_sku).unwrap()
                             } else {
-                                r.query_content_opts(id, q_sku, &opts).unwrap()
+                                r.content_planned("incoming", "//sku", &opts).unwrap().0
                             };
                             assert_eq!(&sku, expected_sku, "partial ingest visible");
                             assert_eq!(&r.query_content(id, q_qty).unwrap(), expected_qty);

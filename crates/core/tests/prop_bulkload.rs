@@ -459,11 +459,16 @@ fn deep_corpus_queries_match_the_lazy_oracle() {
     };
     let doc = natix_corpus::generate_deep(&cfg, &mut syms);
     let r = repo(1024, SplitMatrix::all_other(), &syms);
-    let id = r.put_document("d", &doc).unwrap();
-    let par = natix::ParallelQueryOptions {
-        threads: 3,
-        parallel_record_threshold: 1,
+    r.put_document("d", &doc).unwrap();
+    let forced = |shape, threads, parallel_record_threshold| natix::PlannerOptions {
+        force: Some(shape),
+        exec: natix::ParallelQueryOptions {
+            threads,
+            parallel_record_threshold,
+        },
     };
+    let run =
+        |path: &str, opts: &natix::PlannerOptions| r.query_planned("d", path, opts).unwrap().0;
     for path in [
         "//TAIL",
         "//META/NOTE",
@@ -472,10 +477,9 @@ fn deep_corpus_queries_match_the_lazy_oracle() {
         "//SECTION/TAIL",
         "//*",
     ] {
-        let q = natix::PathQuery::parse(path).unwrap();
-        let lazy = r.query_parsed(id, &q).unwrap();
-        let seq = r.query_sequential(id, &q).unwrap();
-        let pll = r.query_parallel(id, &q, &par).unwrap();
+        let lazy = run(path, &forced(natix::PlanShape::LazyWalk, 1, 16));
+        let seq = run(path, &forced(natix::PlanShape::ParallelScan, 1, usize::MAX));
+        let pll = run(path, &forced(natix::PlanShape::ParallelScan, 3, 1));
         assert_eq!(seq, lazy, "{path}: sequential scan diverges");
         assert_eq!(pll, lazy, "{path}: parallel scan diverges");
     }

@@ -8,8 +8,8 @@
 //! serialisation plus the answers of a fixed query set — taken between
 //! its own edits, these records *are* the serial execution history. The
 //! reader threads race it with snapshot queries
-//! ([`Repository::query_content`] / [`query_content_opts`] with forced
-//! parallel record scans) and whole-document serialisations; every result
+//! ([`Repository::query_content`], and [`Repository::content_planned`]
+//! forcing the record work queue) and whole-document serialisations; every result
 //! a reader observes must be byte-identical to **some** recorded version.
 //! Record-level versioning guarantees exactly that: a reader's snapshot
 //! lands on an epoch boundary, i.e. between two whole edits.
@@ -225,9 +225,12 @@ fn run_race(seed: u64, edits: usize) {
         for r in 0..3u64 {
             s.spawn(move || {
                 let mut g = Gen::new(seed ^ (0xC0FFEE + r));
-                let par = ParallelQueryOptions {
-                    threads: 3,
-                    parallel_record_threshold: 1, // force the record work queue
+                let par = PlannerOptions {
+                    force: Some(PlanShape::ParallelScan),
+                    exec: ParallelQueryOptions {
+                        threads: 3,
+                        parallel_record_threshold: 1, // force the record work queue
+                    },
                 };
                 while !done.load(Ordering::Acquire) {
                     let qi = g.below(QUERIES.len());
@@ -237,7 +240,7 @@ fn run_race(seed: u64, edits: usize) {
                             assert_eventually(|| oracle.matches_query(qi, &got), QUERIES[qi]);
                         }
                         1 => {
-                            let got = repo.query_content_opts(doc, &queries[qi], &par).unwrap();
+                            let (got, _) = repo.content_planned("doc", QUERIES[qi], &par).unwrap();
                             assert_eventually(|| oracle.matches_query(qi, &got), QUERIES[qi]);
                         }
                         _ => {

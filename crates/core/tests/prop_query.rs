@@ -3,13 +3,14 @@
 //! For random documents (stored both through the streaming bulkloader and
 //! through the per-node oracle path) and random generated path queries:
 //!
-//! * the **parallel** evaluator (forced past its sequential fallback with
-//!   a threshold of 1) must return exactly what the **sequential**
-//!   evaluator returns, across thread counts;
+//! * the forced **record scan** (pushed past its sequential fallback with
+//!   a threshold of 1) must return exactly what the forced **lazy walk**
+//!   returns, across thread counts;
 //! * both must agree with a **naive in-memory DOM oracle** that evaluates
 //!   the same steps over the parsed `Document`, node for node;
-//! * the multi-document fan-out must agree with per-document sequential
-//!   evaluation.
+//! * the multi-document fan-out must agree with per-document walks;
+//! * every plan shape, forced, must agree with the oracle on ids, counts
+//!   and content rows.
 //!
 //! Node identity across the storage/DOM boundary is compared by pre-order
 //! position: generated text stays below the chunking limit, so stored
@@ -220,6 +221,24 @@ fn repo(page_size: usize, syms: &SymbolTable) -> Repository {
     r
 }
 
+/// Options forcing one plan shape with the given scan tuning.
+fn forced(shape: PlanShape, threads: usize, parallel_record_threshold: usize) -> PlannerOptions {
+    PlannerOptions {
+        force: Some(shape),
+        exec: ParallelQueryOptions {
+            threads,
+            parallel_record_threshold,
+        },
+    }
+}
+
+/// The forced sequential lazy walk: the stored-tree reference.
+fn walk(r: &Repository, name: &str, path: &str) -> Vec<NodeId> {
+    r.query_planned(name, path, &forced(PlanShape::LazyWalk, 1, 16))
+        .unwrap()
+        .0
+}
+
 /// All logical node ids of a stored document in pre-order (binds every
 /// node through the read-only `children` API).
 fn collect_preorder_ids(r: &Repository, doc: DocId) -> Vec<NodeId> {
@@ -264,21 +283,13 @@ fn parallel_and_sequential_match_dom_oracle() {
                 repo_pre.iter().enumerate().map(|(i, &n)| (n, i)).collect();
 
             for (path, osteps) in &queries {
-                let q = PathQuery::parse(path).unwrap();
-                let seq = r.query_parsed(id, &q).unwrap();
+                let seq = walk(r, "d", path);
                 // Threshold 1 defeats the sequential fallback so the
                 // record work queue really runs; 1 thread exercises the
                 // degenerate pool.
                 for threads in [1usize, 2, 4] {
-                    let par = r
-                        .query_parallel(
-                            id,
-                            &q,
-                            &ParallelQueryOptions {
-                                threads,
-                                parallel_record_threshold: 1,
-                            },
-                        )
+                    let (par, _) = r
+                        .query_planned("d", path, &forced(PlanShape::ParallelScan, threads, 1))
                         .unwrap();
                     assert_eq!(
                         par, seq,
@@ -314,19 +325,11 @@ fn fanout_matches_per_document_sequential_on_random_corpora() {
         for _ in 0..4 {
             let (path, _) = random_query(&mut g);
             let q = PathQuery::parse(&path).unwrap();
-            let seq: Vec<Vec<NodeId>> = ids
-                .iter()
-                .map(|&d| r.query_parsed(d, &q).unwrap())
+            let seq: Vec<Vec<NodeId>> = (0..ids.len())
+                .map(|i| walk(&r, &format!("doc{i}"), &path))
                 .collect();
             let par: Vec<Vec<NodeId>> = r
-                .query_documents_opts(
-                    &ids,
-                    &q,
-                    &ParallelQueryOptions {
-                        threads: 4,
-                        parallel_record_threshold: 16,
-                    },
-                )
+                .query_documents(&ids, &q, &forced(PlanShape::ParallelScan, 4, 16))
                 .into_iter()
                 .map(|res| res.unwrap())
                 .collect();
@@ -345,10 +348,11 @@ const ALL_SHAPES: &[PlanShape] = &[
 
 /// The plan-shape matrix: every shape the planner can emit is forced over
 /// the generated document × query corpus and must return bit-identical
-/// results to the DOM oracle — or refuse with `PlanUnsupported` when its
-/// preconditions don't hold (never a wrong answer). The planner's freely
-/// chosen plan must equal its forced equivalent, and every shape must be
-/// exercised somewhere in the corpus.
+/// results to the DOM oracle — ids, counts and `(label, text)` content
+/// rows — or refuse with `PlanUnsupported` when its preconditions don't
+/// hold (never a wrong answer). The planner's freely chosen plan must
+/// equal its forced equivalent, and every shape must be exercised
+/// somewhere in the corpus.
 #[test]
 fn every_forced_plan_shape_matches_the_dom_oracle() {
     let mut exercised: HashSet<PlanShape> = HashSet::new();
@@ -374,13 +378,19 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
             repo_pre.iter().enumerate().map(|(i, &n)| (n, i)).collect();
 
         for (path, osteps) in &queries {
-            let q = PathQuery::parse(path).unwrap();
             let oracle = oracle_eval(&doc, &syms, osteps);
             let oracle_pos: Vec<usize> = oracle.iter().map(|n| dom_pos[n]).collect();
+            let oracle_rows: Vec<(String, String)> = oracle
+                .iter()
+                .map(|&n| {
+                    let label = syms.name(doc.data(n).label()).to_string();
+                    (label, doc.text_content(n))
+                })
+                .collect();
 
             // The planner's own choice is the baseline.
             let (chosen_ids, chosen) = r
-                .query_planned_parsed(id, &q, &PlannerOptions::default())
+                .query_planned("d", path, &PlannerOptions::default())
                 .unwrap();
             let chosen_pos: Vec<usize> = chosen_ids.iter().map(|n| repo_pos[n]).collect();
             assert_eq!(
@@ -403,7 +413,7 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
                     force: Some(shape),
                     ..PlannerOptions::default()
                 };
-                match r.query_planned_parsed(id, &q, &forced) {
+                match r.query_planned("d", path, &forced) {
                     Ok((ids, explain)) => {
                         assert_eq!(explain.shape, shape, "case {case} '{path}'");
                         assert!(explain.forced, "case {case} '{path}'");
@@ -430,6 +440,22 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
                         );
                     }
                     Err(e) => panic!("case {case} '{path}' forced {shape:?}: {e}"),
+                }
+                // Content is a consumer of the same pointer set: it is
+                // refused exactly when the node list is.
+                match r.content_planned("d", path, &forced) {
+                    Ok((rows, explain)) => {
+                        assert_eq!(explain.shape, shape, "case {case} '{path}'");
+                        assert_eq!(
+                            rows, oracle_rows,
+                            "case {case} '{path}' forced {shape:?}: content diverges"
+                        );
+                    }
+                    Err(NatixError::PlanUnsupported(_)) => assert!(
+                        r.query_planned("d", path, &forced).is_err(),
+                        "case {case} '{path}' forced {shape:?}: content refused, ids served"
+                    ),
+                    Err(e) => panic!("case {case} '{path}' forced {shape:?} (content): {e}"),
                 }
                 match r.count_planned("d", path, &forced) {
                     Ok((n, explain)) => {
@@ -515,13 +541,65 @@ fn unknown_label_short_circuits_with_zero_page_reads() {
     assert!(ids.is_empty());
     assert_eq!(explain.shape, PlanShape::SummaryOnly);
     assert_eq!(explain.estimated_matches, Some(0));
-    assert_eq!(r.query_count("d", "//zz").unwrap(), 0);
-    assert!(!r.query_exists("d", "/a/zz/text()").unwrap());
+    for path in ["//zz", "/a/zz/text()"] {
+        let (n, _) = r
+            .count_planned("d", path, &PlannerOptions::default())
+            .unwrap();
+        assert_eq!(n, 0, "{path}");
+    }
     let misses = r.io_stats().snapshot().since(&before).buffer_misses;
     assert_eq!(
         misses, 0,
         "unknown-label queries must not touch a single page"
     );
+}
+
+/// A query must not build a path summary it cannot read: building one is
+/// a whole-document traversal under the edit latch, a positional query is
+/// never path-decidable, and the forced walk never consults the summary.
+/// Pinned by buffer misses on a cleared pool — the paper's Query 3 walk
+/// reads a handful of records, not the play — and by `explain`, which
+/// reports the summary still missing. The next query that *can* read a
+/// summary builds it and answers from it.
+#[test]
+fn positional_walk_does_not_build_the_summary() {
+    let mut syms = SymbolTable::new();
+    let cfg = CorpusConfig {
+        plays: 37,
+        seed: 0x5A77E,
+        scale: 0.25,
+    };
+    let play = generate_play(&cfg, 0, &mut syms).doc;
+    let r = repo(2048, &syms);
+    let id = r.put_document("play", &play).unwrap();
+    r.invalidate_path_summary("play").unwrap();
+
+    let misses = |f: &mut dyn FnMut()| {
+        r.clear_buffer().unwrap();
+        let before = r.io_stats().snapshot();
+        f();
+        r.io_stats().snapshot().since(&before).buffer_misses
+    };
+    let query3 = "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]";
+    let lazy = forced(PlanShape::LazyWalk, 1, 16);
+    let walked = misses(&mut || {
+        let (ids, _) = r.query_planned("play", query3, &lazy).unwrap();
+        assert_eq!(ids.len(), 1);
+    });
+    let traversed = misses(&mut || r.traverse_document(id, |_, _| {}).unwrap());
+    assert!(
+        walked < traversed,
+        "the opening-speech walk read {walked} pages, a full traversal {traversed}: \
+         the query paid for a summary build it cannot use"
+    );
+    assert!(!r.explain("play", query3, &lazy).unwrap().summary_current);
+
+    let (n, explain) = r
+        .count_planned("play", "//SPEAKER", &PlannerOptions::default())
+        .unwrap();
+    assert!(n > 0);
+    assert!(explain.summary_current, "a path-decidable query builds it");
+    assert_eq!(explain.shape, PlanShape::SummaryOnly);
 }
 
 /// Scan-cache matrix: the parallel evaluator must be bit-identical to
@@ -553,21 +631,13 @@ fn eviction_policy_never_changes_results() {
             })
             .unwrap();
             *r.symbols_mut() = syms.clone();
-            let id = r.put_document("d", &doc).unwrap();
+            r.put_document("d", &doc).unwrap();
 
             for path in &queries {
-                let q = PathQuery::parse(path).unwrap();
-                let seq = r.query_parsed(id, &q).unwrap();
+                let seq = walk(&r, "d", path);
                 r.clear_buffer().unwrap();
-                let par = r
-                    .query_parallel(
-                        id,
-                        &q,
-                        &ParallelQueryOptions {
-                            threads: 4,
-                            parallel_record_threshold: 1,
-                        },
-                    )
+                let (par, _) = r
+                    .query_planned("d", path, &forced(PlanShape::ParallelScan, 4, 1))
                     .unwrap();
                 assert_eq!(
                     par, seq,

@@ -142,7 +142,7 @@ pub static BUFFER_POOL: Rank = Rank::new_io_tolerant("buffer.pool", 1100);
 /// WAL core (`Wal::core`): append buffer and sync batching.
 pub static WAL: Rank = Rank::new_io_tolerant("wal.core", 1200);
 
-/// Simulated-disk head position (`ThrottledDisk`); wraps the raw device
+/// Simulated-disk head position (`SimDisk::head`); wraps the raw device
 /// locks below.
 pub static DISK_SIM: Rank = Rank::new_io_tolerant("disk.sim-head", 1290);
 

@@ -277,39 +277,17 @@ pub struct ThrottledDisk<B> {
     inner: B,
     read_latency: std::time::Duration,
     write_latency: std::time::Duration,
-    sync_latency: std::time::Duration,
-    /// Per-page service time for the 2nd…nth page of a batched read: the
-    /// sequential-transfer share, without the per-request seek+rotation
-    /// that `read_latency` models. Defaults to ¼ of the read latency.
-    batch_read_latency: std::time::Duration,
 }
 
 impl<B: DiskBackend> ThrottledDisk<B> {
     /// Wraps `inner`, charging the given per-page service times. `sync`
-    /// is free; see [`with_sync_latency`](Self::with_sync_latency).
+    /// is free.
     pub fn new(inner: B, read_latency_us: u64, write_latency_us: u64) -> ThrottledDisk<B> {
         ThrottledDisk {
             inner,
             read_latency: std::time::Duration::from_micros(read_latency_us),
             write_latency: std::time::Duration::from_micros(write_latency_us),
-            sync_latency: std::time::Duration::ZERO,
-            batch_read_latency: std::time::Duration::from_micros(read_latency_us / 4),
         }
-    }
-
-    /// Charges `sync_latency_us` per `sync` call, so durability benches
-    /// reflect real fsync cost (a barrier plus device cache flush, not a
-    /// page transfer).
-    pub fn with_sync_latency(mut self, sync_latency_us: u64) -> ThrottledDisk<B> {
-        self.sync_latency = std::time::Duration::from_micros(sync_latency_us);
-        self
-    }
-
-    /// Overrides the per-page transfer share charged to the 2nd…nth page
-    /// of a [`read_pages`](DiskBackend::read_pages) batch.
-    pub fn with_batch_read_latency(mut self, batch_read_latency_us: u64) -> ThrottledDisk<B> {
-        self.batch_read_latency = std::time::Duration::from_micros(batch_read_latency_us);
-        self
     }
 }
 
@@ -326,11 +304,11 @@ impl<B: DiskBackend> DiskBackend for ThrottledDisk<B> {
     fn read_pages(&self, reqs: &mut [(PageId, &mut [u8])]) -> StorageResult<()> {
         // One seek+rotation for the whole batch, then sequential
         // transfers: the first page pays the full per-page service time,
-        // every further page only the transfer share. This is what makes
-        // prefetch overlap honestly measurable — a batch of n is cheaper
-        // than n demand reads, but not free.
+        // every further page only the transfer share, a quarter of it.
+        // This is what makes prefetch overlap honestly measurable — a
+        // batch of n is cheaper than n demand reads, but not free.
         if let Some(extra) = reqs.len().checked_sub(1) {
-            std::thread::sleep(self.read_latency + self.batch_read_latency * extra as u32);
+            std::thread::sleep(self.read_latency + self.read_latency / 4 * extra as u32);
         }
         for (page, buf) in reqs.iter_mut() {
             self.inner.read_page(*page, buf)?;
@@ -354,9 +332,6 @@ impl<B: DiskBackend> DiskBackend for ThrottledDisk<B> {
     }
 
     fn sync(&self) -> StorageResult<()> {
-        if !self.sync_latency.is_zero() {
-            std::thread::sleep(self.sync_latency);
-        }
         self.inner.sync()
     }
 }
@@ -531,11 +506,10 @@ mod tests {
 
     #[test]
     fn throttled_batch_read_is_cheaper_than_single_reads() {
-        // 20 ms per demand read, 1 ms per extra batched page: a batch of
-        // 8 costs ~27 ms where 8 single reads would cost 160 ms. The
+        // 20 ms per demand read, 5 ms per extra batched page: a batch of
+        // 8 costs ~55 ms where 8 single reads would cost 160 ms. The
         // upper bound is loose so scheduler noise cannot flake it.
-        let d = ThrottledDisk::new(MemStorage::new(512).unwrap(), 20_000, 0)
-            .with_batch_read_latency(1_000);
+        let d = ThrottledDisk::new(MemStorage::new(512).unwrap(), 20_000, 0);
         d.grow(8).unwrap();
         let mut bufs = vec![vec![0u8; 512]; 8];
         let mut reqs: Vec<(PageId, &mut [u8])> = bufs
@@ -546,9 +520,9 @@ mod tests {
         let t0 = std::time::Instant::now();
         d.read_pages(&mut reqs).unwrap();
         let elapsed = t0.elapsed();
-        assert!(elapsed >= std::time::Duration::from_millis(27));
+        assert!(elapsed >= std::time::Duration::from_millis(55));
         assert!(
-            elapsed < std::time::Duration::from_millis(80),
+            elapsed < std::time::Duration::from_millis(120),
             "batch took {elapsed:?}: per-batch model not applied"
         );
     }
@@ -644,19 +618,6 @@ mod tests {
             Err(StorageError::Corrupt(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn throttled_sync_pays_latency() {
-        let t = ThrottledDisk::new(MemStorage::new(512).unwrap(), 0, 0).with_sync_latency(2_000);
-        let t0 = std::time::Instant::now();
-        for _ in 0..3 {
-            t.sync().unwrap();
-        }
-        assert!(
-            t0.elapsed() >= std::time::Duration::from_millis(6),
-            "three 2 ms syncs must take at least 6 ms"
-        );
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //!   children live in separator-style continuation groups (path-prefix
 //!   entries + a single continuation placeholder per piece), keeping the
 //!   record tree's height tracking fanout instead of document depth;
-//! * [`cursor`] — DOM-style navigation that transparently crosses records;
 //! * [`reconstruct`] — proxy substitution back into logical documents,
 //!   streaming traversal and XML serialisation;
 //! * [`validate`] — invariant checks and the physical statistics used by
@@ -43,7 +42,6 @@
 
 pub mod bulkload;
 pub mod config;
-pub mod cursor;
 pub mod error;
 pub mod matrix;
 pub mod model;
@@ -57,7 +55,6 @@ pub mod version;
 
 pub use bulkload::{bulkload_document, BulkLoader, BulkStats};
 pub use config::TreeConfig;
-pub use cursor::Cursor;
 pub use error::{TreeError, TreeResult};
 pub use matrix::{SplitBehaviour, SplitMatrix};
 pub use model::{NodePtr, PContent, PNode, PNodeId, RecordTree};

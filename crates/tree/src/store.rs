@@ -1842,11 +1842,12 @@ impl TreeStore {
     /// The logical children of the facade node at `ptr`, crossing proxies
     /// and skipping scaffolding.
     pub fn logical_children(&self, ptr: NodePtr) -> TreeResult<Vec<NodePtr>> {
-        Ok(self
-            .logical_children_labeled(ptr)?
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect())
+        let mut out = Vec::new();
+        self.for_each_logical_child(ptr, &mut |child| {
+            out.push(child);
+            Ok(true)
+        })?;
+        Ok(out)
     }
 
     /// [`logical_children`](Self::logical_children) with each child's
@@ -1855,108 +1856,13 @@ impl TreeStore {
     /// yields `(child root, digest)` with **no page read** — only
     /// digest-less proxies (scaffolding-rooted children) are resolved by
     /// loading the child record.
-    ///
-    /// The record of `ptr` comes from [`load_shared`](Self::load_shared):
-    /// a pinned walk that asks for the children of every node it enters
-    /// decodes each record once, not once per node.
     pub fn logical_children_labeled(&self, ptr: NodePtr) -> TreeResult<Vec<(NodePtr, LabelId)>> {
-        let tree = self.load_shared(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        if tree.try_node(arena).is_none() {
-            return Err(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            });
-        }
         let mut out = Vec::new();
-        self.expand_children(ptr.rid, &tree, arena, &mut out)?;
+        self.visit_logical_children(ptr, &mut |child, label| {
+            out.push((child, label));
+            Ok(true)
+        })?;
         Ok(out)
-    }
-
-    fn expand_children(
-        &self,
-        rid: Rid,
-        tree: &RecordTree,
-        node: PNodeId,
-        out: &mut Vec<(NodePtr, LabelId)>,
-    ) -> TreeResult<()> {
-        for &c in tree.children(node) {
-            let n = tree.node(c);
-            match n.content {
-                PContent::Proxy(target) => {
-                    if n.label != LABEL_NONE {
-                        // Label digest: the child is facade-rooted (a
-                        // digest is only ever written for one) with this
-                        // label at pre-order index 0 — no page read.
-                        out.push((NodePtr::new(target, 0), n.label));
-                        continue;
-                    }
-                    let child = self.load_shared(target)?;
-                    let root = child.root();
-                    if child.node(root).is_scaffolding_aggregate() {
-                        self.expand_children(target, &child, root, out)?;
-                    } else if child.node(root).is_prefix() {
-                        // The lower half of a split prefix chain: its root
-                        // prefix copies *this* node's next spilled level,
-                        // so only content of deeper levels hangs here —
-                        // none of it is a child of `node`.
-                        debug_assert!(tree.node(node).is_prefix());
-                    } else {
-                        out.push((
-                            NodePtr::new(target, preorder_index(&child, root)),
-                            child.node(root).label,
-                        ));
-                    }
-                }
-                // Deeper levels' late children — not children of `node`.
-                PContent::Prefix(_) => {}
-                // Late children of this record's spilled path: appended
-                // below, from the continuation group's matching prefix.
-                PContent::Continuation(_) => {}
-                _ => out.push((NodePtr::new(rid, preorder_index(tree, c)), n.label)),
-            }
-        }
-        // Depth-aware packing: when the record has a continuation and
-        // `node` sits on its spilled path, the node's child list continues
-        // in the group record, under the prefix entry copying it.
-        if let Some((_, path, group)) = spilled_path(tree) {
-            if let Some(i) = path.iter().position(|&p| p == node) {
-                self.expand_group_children(group, i, out)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends the logical children stored in continuation group
-    /// `group_rid` under prefix-chain index `level` (late children of the
-    /// copied ancestor). A chain split across group records (the group
-    /// itself spilled inside its prefix chain) is followed through the
-    /// prefix-rooted lower piece.
-    fn expand_group_children(
-        &self,
-        group_rid: Rid,
-        level: usize,
-        out: &mut Vec<(NodePtr, LabelId)>,
-    ) -> TreeResult<()> {
-        let group = self.load_shared(group_rid)?;
-        let chain = prefix_chain(&group);
-        if let Some(&pnode) = chain.get(level) {
-            return self.expand_children(group_rid, &group, pnode, out);
-        }
-        // The level's prefix lives in the lower piece of a split chain,
-        // proxied from the deepest prefix of this record.
-        let Some(&last) = chain.last() else {
-            return Ok(());
-        };
-        for &c in group.children(last) {
-            if let PContent::Proxy(target) = group.node(c).content {
-                let child = self.load_shared(target)?;
-                if child.node(child.root()).is_prefix() {
-                    return self.expand_group_children(target, level - chain.len(), out);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Lazy variant of [`logical_children`](Self::logical_children):
@@ -1968,6 +1874,19 @@ impl TreeStore {
     where
         F: FnMut(NodePtr) -> TreeResult<bool>,
     {
+        self.visit_logical_children(ptr, &mut |child, _| f(child))
+    }
+
+    /// The one child visitor behind the three accessors above: resolves
+    /// `ptr` and hands every logical child to `f` with its label.
+    ///
+    /// The record of `ptr` comes from [`load_shared`](Self::load_shared):
+    /// a pinned walk that asks for the children of every node it enters
+    /// decodes each record once, not once per node.
+    fn visit_logical_children<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
+    where
+        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
+    {
         let tree = self.load_shared(ptr.rid)?;
         let arena = preorder_to_arena(&tree, ptr.node);
         if tree.try_node(arena).is_none() {
@@ -1976,10 +1895,10 @@ impl TreeStore {
                 node: ptr.node,
             });
         }
-        self.expand_children_lazy(ptr.rid, &tree, arena, f)
+        self.expand_children(ptr.rid, &tree, arena, f)
     }
 
-    fn expand_children_lazy<F>(
+    fn expand_children<F>(
         &self,
         rid: Rid,
         tree: &RecordTree,
@@ -1987,15 +1906,17 @@ impl TreeStore {
         f: &mut F,
     ) -> TreeResult<bool>
     where
-        F: FnMut(NodePtr) -> TreeResult<bool>,
+        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
     {
         for &c in tree.children(node) {
-            match tree.node(c).content {
+            let n = tree.node(c);
+            match n.content {
                 PContent::Proxy(target) => {
-                    if tree.node(c).label != LABEL_NONE {
-                        // Label digest: facade-rooted child, root at
-                        // pre-order index 0 — no page read needed.
-                        if !f(NodePtr::new(target, 0))? {
+                    if n.label != LABEL_NONE {
+                        // Label digest: the child is facade-rooted (a
+                        // digest is only ever written for one) with this
+                        // label at pre-order index 0 — no page read.
+                        if !f(NodePtr::new(target, 0), n.label)? {
                             return Ok(false);
                         }
                         continue;
@@ -2003,49 +1924,61 @@ impl TreeStore {
                     let child = self.load_shared(target)?;
                     let root = child.root();
                     if child.node(root).is_scaffolding_aggregate() {
-                        if !self.expand_children_lazy(target, &child, root, f)? {
+                        if !self.expand_children(target, &child, root, f)? {
                             return Ok(false);
                         }
                     } else if child.node(root).is_prefix() {
-                        // Split prefix chain's lower piece: deeper levels
-                        // only (see `expand_children`).
+                        // The lower half of a split prefix chain: its root
+                        // prefix copies *this* node's next spilled level,
+                        // so only content of deeper levels hangs here —
+                        // none of it is a child of `node`.
                         debug_assert!(tree.node(node).is_prefix());
-                    } else if !f(NodePtr::new(target, preorder_index(&child, root)))? {
+                    } else if !f(
+                        NodePtr::new(target, preorder_index(&child, root)),
+                        child.node(root).label,
+                    )? {
                         return Ok(false);
                     }
                 }
-                PContent::Prefix(_) | PContent::Continuation(_) => {}
+                // Deeper levels' late children — not children of `node`.
+                PContent::Prefix(_) => {}
+                // Late children of this record's spilled path: visited
+                // below, from the continuation group's matching prefix.
+                PContent::Continuation(_) => {}
                 _ => {
-                    if !f(NodePtr::new(rid, preorder_index(tree, c)))? {
+                    if !f(NodePtr::new(rid, preorder_index(tree, c)), n.label)? {
                         return Ok(false);
                     }
                 }
             }
         }
-        // Late children from the continuation group (depth-aware packing).
+        // Depth-aware packing: when the record has a continuation and
+        // `node` sits on its spilled path, the node's child list continues
+        // in the group record, under the prefix entry copying it.
         if let Some((_, path, group)) = spilled_path(tree) {
             if let Some(i) = path.iter().position(|&p| p == node) {
-                return self.expand_group_children_lazy(group, i, f);
+                return self.expand_group_children(group, i, f);
             }
         }
         Ok(true)
     }
 
-    /// Lazy counterpart of [`expand_group_children`](Self::expand_group_children).
-    fn expand_group_children_lazy<F>(
-        &self,
-        group_rid: Rid,
-        level: usize,
-        f: &mut F,
-    ) -> TreeResult<bool>
+    /// Visits the logical children stored in continuation group
+    /// `group_rid` under prefix-chain index `level` (late children of the
+    /// copied ancestor). A chain split across group records (the group
+    /// itself spilled inside its prefix chain) is followed through the
+    /// prefix-rooted lower piece.
+    fn expand_group_children<F>(&self, group_rid: Rid, level: usize, f: &mut F) -> TreeResult<bool>
     where
-        F: FnMut(NodePtr) -> TreeResult<bool>,
+        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
     {
         let group = self.load_shared(group_rid)?;
         let chain = prefix_chain(&group);
         if let Some(&pnode) = chain.get(level) {
-            return self.expand_children_lazy(group_rid, &group, pnode, f);
+            return self.expand_children(group_rid, &group, pnode, f);
         }
+        // The level's prefix lives in the lower piece of a split chain,
+        // proxied from the deepest prefix of this record.
         let Some(&last) = chain.last() else {
             return Ok(true);
         };
@@ -2053,7 +1986,7 @@ impl TreeStore {
             if let PContent::Proxy(target) = group.node(c).content {
                 let child = self.load_shared(target)?;
                 if child.node(child.root()).is_prefix() {
-                    return self.expand_group_children_lazy(target, level - chain.len(), f);
+                    return self.expand_group_children(target, level - chain.len(), f);
                 }
             }
         }
