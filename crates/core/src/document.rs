@@ -294,27 +294,7 @@ pub(crate) fn chunk_limit(net_capacity: usize) -> usize {
     (net_capacity / 2).max(64)
 }
 
-/// What a structural edit did to the set of indexed (facade) nodes —
-/// drives attached-index maintenance (see
-/// [`crate::index::LabelIndex::apply_relocations`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum EditImpact {
-    /// Nodes were added or removed: per-label occurrence numbering
-    /// shifted, the document's index entries go stale.
-    NodeSet,
-    /// Only literal values changed (plus any record moves/splits/
-    /// normalizations they caused): the indexed node set is intact and
-    /// relocated entries can be patched in place.
-    Values,
-}
-
 impl Repository {
-    /// Completes one published structural edit: applies relocation events
-    /// to the id map immediately (the writer needs them for its next
-    /// operation) and schedules the root move, if any, for the ambient
-    /// write operation's publish point — the root RID must switch
-    /// *atomically with the epoch*, or a reader could pair a fresh epoch
-    /// with the stale root (or vice versa) and walk a mixed record graph.
     /// Rejects edits of a deleted document. Called after acquiring the
     /// edit latch: the deleting operation retires the document (publish
     /// hook) *before* releasing its latch, so this check is race-free.
@@ -325,16 +305,13 @@ impl Repository {
         Ok(())
     }
 
+    /// Completes one published structural edit: applies relocation events
+    /// to the id map immediately (the writer needs them for its next
+    /// operation) and schedules the root move, if any, for the ambient
+    /// write operation's publish point — the root RID must switch
+    /// *atomically with the epoch*, or a reader could pair a fresh epoch
+    /// with the stale root (or vice versa) and walk a mixed record graph.
     fn finish_edit(&self, state: &Arc<DocState>, res: &OpResult) {
-        self.finish_edit_impact(state, res, EditImpact::NodeSet);
-    }
-
-    /// [`finish_edit`](Self::finish_edit) with an explicit index impact:
-    /// `Values` tells an attached [`crate::index::LabelIndex`] that the
-    /// edit introduced/removed no indexed nodes, so its entries are
-    /// patched from the relocation events instead of invalidating the
-    /// document.
-    fn finish_edit_impact(&self, state: &Arc<DocState>, res: &OpResult, impact: EditImpact) {
         state.apply_relocations(res);
         if let Some((old, new)) = res.root_moved {
             let st = Arc::clone(state);
@@ -348,25 +325,6 @@ impl Repository {
                 self.log_root_move(state, new);
             } else {
                 state.set_root_now(old, new);
-            }
-        }
-        let attached = self.attached_index.lock().clone();
-        if let Some(index) = attached {
-            if let Ok(doc) = self.doc_id(&state.name) {
-                let mut index = index.lock();
-                match impact {
-                    EditImpact::NodeSet => index.mark_stale(doc),
-                    EditImpact::Values => {
-                        // Best effort: a failed patch falls back to the
-                        // rescan the patch exists to avoid.
-                        if index
-                            .apply_relocations(self, doc, &res.relocations)
-                            .is_err()
-                        {
-                            index.mark_stale(doc);
-                        }
-                    }
-                }
             }
         }
     }
@@ -453,9 +411,7 @@ impl Repository {
             match f(self) {
                 Err(NatixError::Tree(natix_tree::TreeError::PackedRecord(rid))) => {
                     let res = self.tree.normalize_packed(rid)?;
-                    // Normalization is a pure re-clustering: relocations
-                    // only, no logical nodes added or removed.
-                    self.finish_edit_impact(state, &res, EditImpact::Values);
+                    self.finish_edit(state, &res);
                 }
                 other => return other,
             }
@@ -1356,9 +1312,7 @@ impl Repository {
                     .tree
                     .update_literal(ptr, LiteralValue::String(text.to_string()))?)
             })?;
-            // A value update adds/removes no indexed nodes: an attached
-            // label index is patched from the relocations, not invalidated.
-            self.finish_edit_impact(&state, &res, EditImpact::Values);
+            self.finish_edit(&state, &res);
         }
         self.durable_gate()?;
         Ok(())

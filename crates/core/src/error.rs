@@ -24,8 +24,8 @@ pub enum NatixError {
     /// Catalog corruption on open.
     Catalog(String),
     /// A forced plan shape cannot execute the given query (e.g. forcing
-    /// the summary-only plan for a query that must touch records, or an
-    /// index-seeded plan with no attached index). Only surfaced when the
+    /// the summary-only plan for a query that must touch records, or the
+    /// retired index-seeded shape). Only surfaced when the
     /// caller forces a shape; the planner itself never picks an
     /// inapplicable plan.
     PlanUnsupported(String),

@@ -18,7 +18,11 @@
 //! * the **schema manager** ([`schema`]) and the **system catalog**
 //!   ([`catalog`]) — stored, as in the paper, *as an XML document inside
 //!   the system itself*;
-//! * **index management** ([`index`]) on the page-level B+-tree;
+//! * the **path summary** ([`path_summary`]): the engine's one derived
+//!   structure — per-document label-path counts, versioned with the
+//!   snapshot epochs and rebuilt rather than persisted — and the
+//!   planner's only seed source (the paper ships no index; §6 lists
+//!   index structures as research in progress);
 //! * a small **path query pipeline** ([`query`]) sufficient for the
 //!   paper's evaluation queries (the full query engine is "not yet
 //!   implemented" in the paper as well): one planned read path behind
@@ -47,7 +51,6 @@
 pub mod catalog;
 pub mod document;
 pub mod error;
-pub mod index;
 pub mod ingest;
 pub mod parallel_query;
 pub mod path_summary;
@@ -58,7 +61,6 @@ pub mod schema;
 
 pub use document::{DocId, NodeId, NodeKind, NodeSummary};
 pub use error::{NatixError, NatixResult};
-pub use index::LabelIndex;
 pub use parallel_query::ParallelQueryOptions;
 pub use path_summary::PathSummary;
 pub use query::{PathQuery, PlanExplain, PlanShape, PlannerOptions};

@@ -1,5 +1,4 @@
-//! The record-granular scan: the planner's `ParallelScan` and
-//! `IndexSeeded` operator.
+//! The record-granular scan: the planner's `ParallelScan` operator.
 //!
 //! [`crate::query`] owns every entry point and the step loop; this module
 //! is what that loop calls for a descendant (`//`) step when the plan is a
@@ -18,9 +17,6 @@
 //! * **Child steps** fan their context nodes out across workers instead:
 //!   each context's lazy child walk is independent (positional predicates
 //!   count per parent).
-//! * A **leading descendant step** can skip the scan altogether when an
-//!   attached [`LabelIndex`] is current: its document-order entries *are*
-//!   the step's matches.
 //!
 //! ## Determinism
 //!
@@ -53,9 +49,7 @@ use parking_lot::{Condvar, Mutex};
 use natix_tree::{NodePtr, RecordEntry};
 use natix_xml::LabelId;
 
-use crate::document::DocId;
 use crate::error::{NatixError, NatixResult};
-use crate::index::LabelIndex;
 use crate::query::{Step, Test};
 use crate::repository::Repository;
 
@@ -144,36 +138,6 @@ struct ScanQueueState {
 }
 
 impl Repository {
-    /// Seeds a leading descendant step straight from the label index: the
-    /// index stores one entry per facade node in document (traversal)
-    /// order, so its range for `label` in this document *is* the step's
-    /// match list — no record is scanned at all. `None` when the index has
-    /// gone stale for `doc` since the plan was made: the scan is the
-    /// conservative default.
-    pub(crate) fn index_seed(
-        &self,
-        index: &LabelIndex,
-        doc: DocId,
-        label: LabelId,
-        position: Option<usize>,
-    ) -> NatixResult<Option<Vec<NodePtr>>> {
-        if !index.is_current(doc) {
-            return Ok(None);
-        }
-        let mut ptrs = index.lookup_ptrs(self, doc, label)?;
-        if let Some(n) = position {
-            // `//x[n]` from the document root: the n-th match in document
-            // order, exactly as the scan's deterministic merge selects.
-            ptrs = ptrs
-                .get(n - 1)
-                .map(|&p| vec![p])
-                .into_iter()
-                .flatten()
-                .collect();
-        }
-        Ok(Some(ptrs))
-    }
-
     /// The descendant-or-self axis over all `contexts`, split at record
     /// boundaries. Mirrors the lazy walk's `collect_descendants` exactly,
     /// positional predicate included.
@@ -509,10 +473,8 @@ impl Repository {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
-    use crate::document::NodeId;
+    use crate::document::{DocId, NodeId};
     use crate::query::{PathQuery, PlanShape, PlannerOptions};
     use crate::repository::RepositoryOptions;
 
@@ -578,6 +540,7 @@ mod tests {
             "/PLAY/ACT/SCENE/SPEECH/LINE",
             "//SPEECH[7]",
             "//LINE/text()",
+            "//SPEECH/LINE",
             "/PLAY//SPEECH[3]/SPEAKER",
             "//*",
             "//NOPE",
@@ -632,96 +595,6 @@ mod tests {
             assert_eq!(hits, walk(&repo, name, "/PLAY/ACT/SCENE/SPEECH[1]/SPEAKER"));
             assert_eq!(hits.len(), 1, "{name}");
         }
-    }
-
-    /// A current index over `name`, attached the way callers attach one.
-    fn attach_index(repo: &Repository, name: &str) -> Arc<Mutex<LabelIndex>> {
-        // natix-lint: allow(unranked-lock): the index lock is caller-owned
-        let idx = Arc::new(Mutex::new(LabelIndex::create(repo).unwrap()));
-        idx.lock().index_document(repo, name).unwrap();
-        repo.attach_label_index(&idx);
-        idx
-    }
-
-    #[test]
-    fn index_seeded_descendant_scan_matches_plain_scan() {
-        let (repo, names) = multi_record_repo(1);
-        let name = names[0].as_str();
-        let doc = repo.doc_id(name).unwrap();
-        let idx = attach_index(&repo, name);
-        let seeded = forced(PlanShape::IndexSeeded, opts(3, 1));
-        for (path, seedable) in [
-            ("//SPEAKER", true),                 // leading descendant name step
-            ("//SPEECH[7]", true),               // seeded with a positional predicate
-            ("//LINE/text()", true),             // seeded, then a child step
-            ("//SPEECH/LINE", true),             // seeded context set feeds a child step
-            ("//*", false),                      // wildcard: nothing to look up
-            ("//NOPE", false),                   // unknown label
-            ("/PLAY//SPEECH[3]/SPEAKER", false), // not a leading descendant step
-        ] {
-            match repo.query_planned(name, path, &seeded) {
-                Ok((ids, _)) => {
-                    assert!(seedable, "{path}: seeded from an index that cannot answer");
-                    assert_eq!(ids, scan(&repo, name, path, opts(3, 1)), "{path}");
-                }
-                Err(NatixError::PlanUnsupported(_)) => assert!(!seedable, "{path}: refused"),
-                Err(e) => panic!("{path}: {e}"),
-            }
-        }
-        // A stale index is never consulted: results stay correct after an
-        // edit that invalidates the entries.
-        let root = repo.root(doc).unwrap();
-        repo.insert_element(doc, root, natix_tree::InsertPos::Last, "SPEAKER")
-            .unwrap();
-        assert!(
-            !idx.lock().is_current(doc),
-            "the edit marks the index stale"
-        );
-        assert!(matches!(
-            repo.query_planned(name, "//SPEAKER", &seeded),
-            Err(NatixError::PlanUnsupported(_))
-        ));
-        let unforced = PlannerOptions {
-            force: None,
-            exec: opts(3, 1),
-        };
-        let (ids, explain) = repo.query_planned(name, "//SPEAKER", &unforced).unwrap();
-        assert_ne!(explain.shape, PlanShape::IndexSeeded);
-        assert_eq!(ids, scan(&repo, name, "//SPEAKER", opts(3, 1)));
-        assert_eq!(ids.len(), 41, "40 speeches + the appended SPEAKER");
-    }
-
-    #[test]
-    fn index_seeding_skips_the_scan_entirely() {
-        // With a current index and a single `//TAG` step, the evaluation
-        // must not read a single record beyond the B+-tree pages: compare
-        // buffer misses after clearing the pool.
-        let (repo, names) = multi_record_repo(1);
-        let name = names[0].as_str();
-        let _idx = attach_index(&repo, name);
-        let full = scan(&repo, name, "//SPEAKER", opts(1, 1));
-
-        repo.clear_buffer().unwrap();
-        let before = repo.io_stats().snapshot();
-        let (seeded, _) = repo
-            .query_planned(
-                name,
-                "//SPEAKER",
-                &forced(PlanShape::IndexSeeded, opts(1, 1)),
-            )
-            .unwrap();
-        let seeded_misses = repo.io_stats().snapshot().since(&before).buffer_misses;
-        assert_eq!(seeded, full);
-
-        repo.clear_buffer().unwrap();
-        let before = repo.io_stats().snapshot();
-        let _ = scan(&repo, name, "//SPEAKER", opts(1, 1));
-        let scan_misses = repo.io_stats().snapshot().since(&before).buffer_misses;
-        assert!(
-            seeded_misses < scan_misses,
-            "index seeding must read fewer pages than the record scan \
-             ({seeded_misses} vs {scan_misses})"
-        );
     }
 
     #[test]

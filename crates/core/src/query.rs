@@ -34,14 +34,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use natix_tree::{NodePtr, ReadPin, TreeResult};
 use natix_xml::{LabelId, LABEL_TEXT};
 
 use crate::document::{DocId, DocState, NodeId};
 use crate::error::{NatixError, NatixResult};
-use crate::index::LabelIndex;
 use crate::parallel_query::ParallelQueryOptions;
 use crate::path_summary::{PathMatch, PathSummary};
 use crate::repository::Repository;
@@ -121,6 +118,9 @@ impl PathQuery {
                 }
                 position = Some(n);
                 token = &token[..open];
+                if token.is_empty() {
+                    return Err(bad("empty step"));
+                }
             }
             let test = match token {
                 "*" => Test::Any,
@@ -163,8 +163,11 @@ pub enum PlanShape {
     /// Document-order descent pruned to the ancestor closure of the
     /// summary's matching paths.
     SummarySeeded,
-    /// Leading descendant step seeded from an attached, current
-    /// [`crate::index::LabelIndex`].
+    /// Retired: the label index that seeded this shape is gone and the
+    /// path summary is the planner's only seed source. Never planned;
+    /// forcing it returns [`NatixError::PlanUnsupported`]. The variant
+    /// stays until the benchmark's `core.plans.index_seeded` row, which
+    /// matches on it, is dropped (ROADMAP open item 3).
     IndexSeeded,
     /// Record-granular parallel scan ([`crate::parallel_query`]).
     ParallelScan,
@@ -246,7 +249,6 @@ enum Plan {
     /// The exact cardinality; no node is materialised.
     SummaryOnly(u64),
     SummarySeeded(Arc<PathSummary>, PathMatch),
-    IndexSeeded(IndexSeed),
     ParallelScan,
     LazyWalk,
 }
@@ -256,16 +258,11 @@ impl Plan {
         match self {
             Plan::SummaryOnly(_) => PlanShape::SummaryOnly,
             Plan::SummarySeeded(..) => PlanShape::SummarySeeded,
-            Plan::IndexSeeded(_) => PlanShape::IndexSeeded,
             Plan::ParallelScan => PlanShape::ParallelScan,
             Plan::LazyWalk => PlanShape::LazyWalk,
         }
     }
 }
-
-/// The attached index, current for the document when planned, and the
-/// label its entries seed the query's leading descendant step with.
-type IndexSeed = (Arc<Mutex<LabelIndex>>, LabelId);
 
 /// The summary current for the pinned epoch with its verdict on the
 /// query: present exactly when the query is path-decidable there.
@@ -493,8 +490,8 @@ impl Repository {
     /// 3. Choose: positional predicates go to the walk/scan shapes;
     ///    summary-decidable counts and provably-empty results are
     ///    summary-only; selective node queries descend through the
-    ///    summary's ancestor closure or an attached current index;
-    ///    everything else is the parallel record scan.
+    ///    summary's ancestor closure; everything else is the parallel
+    ///    record scan.
     ///
     /// Forcing a shape runs exactly that machinery, or fails with
     /// [`NatixError::PlanUnsupported`] when its preconditions do not
@@ -548,8 +545,8 @@ impl Repository {
         // 2. Summary + snapshot. Building a summary is a whole-document
         // traversal under the edit latch, so it is only worth it for a
         // query that can read one: a positional query is never
-        // path-decidable, and the walk, scan and index shapes never
-        // consult the summary.
+        // path-decidable, and the walk and scan shapes never consult the
+        // summary.
         let summary_readable = !positional
             && matches!(
                 opts.force,
@@ -567,37 +564,15 @@ impl Repository {
         let decided = summary.and_then(|s| s.match_query(&steps).map(|pm| (s, pm)));
         let estimates = decided.as_ref().map(|(_, pm)| (pm.matched, pm.visited));
 
-        // An attached index is usable when it can seed the leading step:
-        // a descendant step over a resolvable name (or `text()`), index
-        // current for this document. The slot guard is dropped
-        // immediately.
-        let (first, first_label) = steps[0];
-        let seed_label = match first.test {
-            Test::Name(_) => first_label,
-            Test::Text => Some(LABEL_TEXT),
-            Test::Any => None,
-        };
-        let attached = self.attached_index.lock().clone();
-        let index = attached
-            .zip(seed_label.filter(|_| first.descendant))
-            .filter(|(idx, _)| idx.lock().is_current(doc));
-
         let counting = want == Want::Count;
         let (plan, reason) = match opts.force {
             Some(forced) => (
-                Self::check_forced(forced, positional, decided, index, counting)?,
+                Self::check_forced(forced, positional, decided, counting)?,
                 "forced by caller".to_string(),
             ),
             None => {
                 let lazy_positional = q.steps.iter().any(|s| s.descendant && s.position.is_some());
-                Self::choose_plan(
-                    positional,
-                    lazy_positional,
-                    decided,
-                    index,
-                    counting,
-                    page_cost_ns,
-                )
+                Self::choose_plan(positional, lazy_positional, decided, counting, page_cost_ns)
             }
         };
         let explain = PlanExplain {
@@ -614,7 +589,7 @@ impl Repository {
         // 3. Run the plan's operator under the pin.
         let (ptrs, count) = match want {
             Want::PlanOnly => (Vec::new(), 0),
-            _ => self.run_plan(plan, doc, root, &steps, &opts.exec)?,
+            _ => self.run_plan(plan, root, &steps, &opts.exec)?,
         };
         let matched = Matched {
             _pin: Some(pin),
@@ -631,7 +606,6 @@ impl Repository {
     fn run_plan(
         &self,
         plan: Plan,
-        doc: DocId,
         root: NodePtr,
         steps: &[(&Step, Option<LabelId>)],
         exec: &ParallelQueryOptions,
@@ -639,16 +613,8 @@ impl Repository {
         let ptrs = match plan {
             Plan::SummaryOnly(count) => return Ok((Vec::new(), count)),
             Plan::SummarySeeded(summary, pm) => self.eval_summary_seeded(root, &summary, &pm)?,
-            Plan::IndexSeeded((idx, label)) => {
-                // The index lock (unranked, caller-owned) is held for the
-                // seed lookup only, never into id binding: binding takes
-                // the edit latch, which writers hold while notifying the
-                // attached index.
-                let seed = self.index_seed(&idx.lock(), doc, label, steps[0].0.position)?;
-                self.eval_steps(root, steps, Descend::Scan(exec), seed)?
-            }
-            Plan::ParallelScan => self.eval_steps(root, steps, Descend::Scan(exec), None)?,
-            Plan::LazyWalk => self.eval_steps(root, steps, Descend::Walk, None)?,
+            Plan::ParallelScan => self.eval_steps(root, steps, Descend::Scan(exec))?,
+            Plan::LazyWalk => self.eval_steps(root, steps, Descend::Walk)?,
         };
         let count = ptrs.len() as u64;
         Ok((ptrs, count))
@@ -669,28 +635,25 @@ impl Repository {
         positional: bool,
         lazy_positional: bool,
         decided: Option<Decided>,
-        index: Option<IndexSeed>,
         counting: bool,
         page_cost_ns: u64,
     ) -> (Plan, String) {
         let Some((summary, pm)) = decided else {
-            return match index {
-                None if lazy_positional => (
+            return if lazy_positional {
+                (
                     Plan::LazyWalk,
                     "positional descendant step: lazy early-exit walk".into(),
-                ),
-                Some(idx) => (
-                    Plan::IndexSeeded(idx),
-                    "summary cannot decide; attached index is current".into(),
-                ),
-                None if positional => (
+                )
+            } else if positional {
+                (
                     Plan::ParallelScan,
                     "positional predicate is not path-decidable".into(),
-                ),
-                None => (
+                )
+            } else {
+                (
                     Plan::ParallelScan,
                     "no current summary for this snapshot: falling back to scan".into(),
-                ),
+                )
             };
         };
         if pm.is_empty() {
@@ -718,16 +681,10 @@ impl Repository {
             );
             return (Plan::SummarySeeded(summary, pm), reason);
         }
-        match index {
-            Some(idx) => (
-                Plan::IndexSeeded(idx),
-                "unselective for pruning; attached index seeds the leading step".into(),
-            ),
-            None => (
-                Plan::ParallelScan,
-                "unselective: record-granular parallel scan".into(),
-            ),
-        }
+        (
+            Plan::ParallelScan,
+            "unselective: record-granular parallel scan".into(),
+        )
     }
 
     /// Validates a forced shape's preconditions and builds its plan, so
@@ -736,7 +693,6 @@ impl Repository {
         forced: PlanShape,
         positional: bool,
         decided: Option<Decided>,
-        index: Option<IndexSeed>,
         counting: bool,
     ) -> NatixResult<Plan> {
         let unsupported = |m: &str| Err(NatixError::PlanUnsupported(m.to_string()));
@@ -761,10 +717,9 @@ impl Repository {
                 ),
                 Some((summary, pm)) => Ok(Plan::SummarySeeded(summary, pm)),
             },
-            PlanShape::IndexSeeded => match index {
-                Some(seed) => Ok(Plan::IndexSeeded(seed)),
-                None => unsupported("no attached current index can seed this query's leading step"),
-            },
+            PlanShape::IndexSeeded => {
+                unsupported("index-seeded is retired: the path summary is the only seed source")
+            }
             PlanShape::ParallelScan => Ok(Plan::ParallelScan),
             PlanShape::LazyWalk => Ok(Plan::LazyWalk),
         }
@@ -776,26 +731,21 @@ impl Repository {
 
     /// The step loop both descendant operators run under: the first step
     /// matches the root element itself (absolute paths address the
-    /// document element) unless `seed` already holds its matches, then
-    /// every later step maps the context set through a child step or the
-    /// plan's descendant operator.
+    /// document element), then every later step maps the context set
+    /// through a child step or the plan's descendant operator.
     fn eval_steps(
         &self,
         root: NodePtr,
         steps: &[(&Step, Option<LabelId>)],
         descend: Descend<'_>,
-        seed: Option<Vec<NodePtr>>,
     ) -> NatixResult<Vec<NodePtr>> {
         let (first, first_label) = steps[0];
-        let mut current = match seed {
-            Some(seeded) => seeded,
-            None if first.descendant => self.descend_step(&[root], first, first_label, descend)?,
-            None if self.step_matches(root, first, first_label)?
-                && first.position.unwrap_or(1) == 1 =>
-            {
-                vec![root]
-            }
-            None => Vec::new(),
+        let mut current = if first.descendant {
+            self.descend_step(&[root], first, first_label, descend)?
+        } else if self.step_matches(root, first, first_label)? && first.position.unwrap_or(1) == 1 {
+            vec![root]
+        } else {
+            Vec::new()
         };
         for &(step, label) in &steps[1..] {
             if current.is_empty() {
@@ -1098,6 +1048,13 @@ mod tests {
         assert!(PathQuery::parse("/a[]").is_err());
         assert!(PathQuery::parse("/a[-1]").is_err());
         assert!(PathQuery::parse("/a[1]]").is_err());
+        // A predicate with no name test in front of it is an empty step.
+        for path in ["/[1]", "//[2]/a", "/a/[1]"] {
+            assert!(
+                matches!(PathQuery::parse(path), Err(NatixError::BadQuery(m)) if m.contains("empty step")),
+                "{path}"
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //! |---|---|---|
 //! | `CHECKPOINT` | 100 (io) | [`Repository::checkpoint`] serialisation |
 //! | `DOC_EDIT_LATCH` | 200 (io) | per-document edit latch (`DocState::edit_latch`) |
-//! | `INDEX_ATTACH` | 300 | the attached-index slot |
 //! | `INGEST_POOL` | 350 (io) | ingestion segment pool |
 //! | `SYMBOL_MARK` | 400 | logged-symbol watermark |
 //! | `SYMBOLS` | 500 | shared symbol table |
@@ -61,11 +60,9 @@
 //! registry — so directory writers take the matrix *before* the
 //! registry).
 //!
-//! Deliberately unranked: per-frame page-content `RwLock`s (leaf locks
-//! acquired one at a time under the pool's protocol — see
-//! `crates/storage/src/buffer.rs`) and the lock around an attached
-//! `LabelIndex` (the index object is caller-owned; only its holder slot
-//! is ranked).
+//! Deliberately unranked, and the only such family: per-frame
+//! page-content `RwLock`s (leaf locks acquired one at a time under the
+//! pool's protocol — see `crates/storage/src/buffer.rs`).
 //!
 //! Usage notes behind the table: symbol readers (serialisation, queries,
 //! name lookups) share the `SYMBOLS` lock and concurrent parsers intern
@@ -142,7 +139,7 @@
 //! workers ([`crate::parallel_query`]) adopt the coordinator's epoch, so
 //! every record is read as of the same instant. The path is a pure
 //! reader and obeys four rules that keep any number of queries — plus
-//! index maintenance and ingestion of other documents — deadlock-free:
+//! ingestion of other documents — deadlock-free:
 //!
 //! 1. **Symbol table: one read-locked lookup per query, never a write.**
 //!    Name tests are resolved to label ids once, up front, through
@@ -161,9 +158,7 @@
 //!    the end, by the ids consumer, to bind the merged result list — the
 //!    count and content consumers never take it — so scans of different
 //!    documents (and scans racing ingestion of other documents) never
-//!    serialize on shared mutable state. An attached index's lock is held
-//!    for the seed lookup only, never into the bind: binding takes the
-//!    edit latch, which writers hold while notifying the index.
+//!    serialize on shared mutable state.
 //! 4. **Prefetch is an I/O region, issued lock-free.** A scan worker
 //!    snapshots the pages of the next queued records while it holds the
 //!    `SCAN_QUEUE` mutex (a map lookup, no I/O), *drops the lock*, and
@@ -207,8 +202,9 @@
 //! [`count_planned`](Repository::count_planned),
 //! [`content_planned`](Repository::content_planned) and the conveniences
 //! over them) goes through the cost-based planner ([`crate::query`]),
-//! which picks one of five plan shapes from the document's path summary
-//! ([`crate::path_summary`]). Each shape is independently forceable via
+//! which picks one of four plan shapes from the document's path summary
+//! ([`crate::path_summary`]) — the only derived structure, and the only
+//! seed source. Each shape is independently forceable via
 //! `PlannerOptions { force: Some(shape), .. }` — that is also how tests
 //! and the figures harness reach one operator — and each is pinned by a
 //! differential oracle; no plan path exists without oracle coverage:
@@ -217,7 +213,6 @@
 //! |---|---|---|
 //! | `SummaryOnly` | counts/emptiness straight from summary counts, zero record access | DOM re-evaluation (`prop_query.rs`), exact cardinality vs the DOM match list |
 //! | `SummarySeeded` | document-order descent pruned to the ancestor closure of matching paths | ids, counts and content rows vs the DOM oracle; chosen == forced |
-//! | `IndexSeeded` | leading descendant step seeded from the attached, current [`LabelIndex`](crate::index::LabelIndex) | same matrix, plus the staleness gate (`parallel_query::tests`) |
 //! | `ParallelScan` | record-granular scan (`parallel_query`), inline or over the work queue | same matrix; forced scan vs forced `LazyWalk` across thread counts, page sizes and eviction policies; racing edits and ingestion (`prop_edit_race.rs`, `concurrent_ingest.rs`) |
 //! | `LazyWalk` | the sequential lazy walk (early exit on `x[n]`) | same matrix; the paper's figures 11–13 (`crates/bench/figures.quick.txt`) |
 //!
@@ -225,11 +220,15 @@
 //! current for the pinned epoch, no positional predicates for the
 //! summary shapes, per-context emission provably equal to document
 //! order); forcing an inapplicable shape surfaces
-//! [`NatixError::PlanUnsupported`] rather than a wrong answer. A stale
+//! [`NatixError::PlanUnsupported`] rather than a wrong answer. The
+//! [`PlanShape`](crate::query::PlanShape) enum has a fifth, retired
+//! variant, `IndexSeeded`: no operator stands behind it, the planner
+//! never picks it and forcing it is always refused (ROADMAP open item 3
+//! schedules its removal). A stale
 //! summary (failed delta, pin older than the last rebuild) always falls
 //! back to scans — the summary never lies, it only abstains — and a
 //! query that could not read a summary (positional, or forced onto the
-//! walk, scan or index) never builds one. Racing edits are covered by
+//! walk or scan) never builds one. Racing edits are covered by
 //! `prop_edit_race.rs` (counts vs a serial oracle), reopen/recovery
 //! equivalence by `reopen.rs` / `crash_recovery.rs`.
 //!
@@ -287,8 +286,8 @@
 //!
 //! Known limitations, by design: split-matrix and DTD changes are
 //! durable only at the next directory dump (registration or
-//! checkpoint); the B+-tree side store is not logged;
-//! and page writes are assumed atomic at the backend's page size.
+//! checkpoint); and page writes are assumed atomic at the backend's
+//! page size.
 //! (Loser-allocated pages no longer leak: recovery sweeps pages that no
 //! inventory, free list or space-map chain accounts for back into the
 //! free pool — see `StorageManager::reclaim_untracked_pages`.)
@@ -459,7 +458,6 @@ pub struct Repository {
     /// Ingestion-segment pool (slot → segment id), grown lazily by
     /// [`Repository::put_documents_parallel`].
     pub(crate) ingest_segs: Mutex<HashMap<usize, natix_storage::SegmentId>>,
-    index_seg: natix_storage::SegmentId,
     stats: Arc<IoStats>,
     sim: Option<Arc<dyn SimControl>>,
     /// Write-ahead log, when the repository was built with one. Present
@@ -468,10 +466,6 @@ pub struct Repository {
     /// Serialises catalog checkpoints (two racing checkpoints would drop
     /// each other's catalog tree); ordinary edits and reads do not take it.
     checkpoint_lock: Mutex<()>,
-    /// A [`crate::index::LabelIndex`] attached for automatic maintenance:
-    /// structural edits notify it — relocation-only edits patch its
-    /// entries in place, node-set changes mark the document stale.
-    pub(crate) attached_index: Mutex<Option<Arc<Mutex<crate::index::LabelIndex>>>>,
     /// Per-document path summaries (epoch-versioned label-path counts);
     /// built at load or lazily by the planner, maintained by structural
     /// edits via publish hooks. See [`crate::path_summary`].
@@ -517,18 +511,17 @@ impl Repository {
                 Arc::new(StorageManager::open(Arc::clone(&bm))?)
             }
         };
-        let (docs_seg, cat_seg, index_seg) = if fresh {
+        let (docs_seg, cat_seg) = if fresh {
             (
                 sm.create_segment("documents")?,
                 sm.create_segment("catalog")?,
-                sm.create_segment("index")?,
             )
         } else {
             let find = |name: &str| {
                 sm.segment_by_name(name)
                     .ok_or_else(|| NatixError::Catalog(format!("missing {name} segment")))
             };
-            (find("documents")?, find("catalog")?, find("index")?)
+            (find("documents")?, find("catalog")?)
         };
         // One version store for every tree store of this repository:
         // records are addressed globally, so snapshot readers of the main
@@ -621,12 +614,10 @@ impl Repository {
             schema: RwLock::with_rank(&parking_lot::rank::SCHEMA, SchemaManager::new()),
             options,
             ingest_segs: Mutex::with_rank(&parking_lot::rank::INGEST_POOL, HashMap::new()),
-            index_seg,
             stats,
             sim,
             wal,
             checkpoint_lock: Mutex::with_rank(&parking_lot::rank::CHECKPOINT, ()),
-            attached_index: Mutex::with_rank(&parking_lot::rank::INDEX_ATTACH, None),
             summaries: Arc::new(crate::path_summary::SummaryStore::new()),
         };
         if let Some(out) = recovered {
@@ -855,11 +846,6 @@ impl Repository {
     /// The underlying storage manager.
     pub fn storage(&self) -> &Arc<StorageManager> {
         &self.sm
-    }
-
-    /// The segment reserved for index structures.
-    pub fn index_segment(&self) -> natix_storage::SegmentId {
-        self.index_seg
     }
 
     /// Shared I/O statistics (buffer counters + simulated disk clock).
@@ -1195,23 +1181,6 @@ impl Repository {
         }
         wal.sync_to(wal.appended_lsn())?;
         Ok(())
-    }
-
-    /// Attaches a [`crate::index::LabelIndex`] for automatic maintenance:
-    /// every structural edit notifies it — edits that only change literal
-    /// values (including the record moves, splits and packed-cluster
-    /// normalizations they trigger) patch the index's relocated entries
-    /// in place and the index **stays current**; edits that add or remove
-    /// nodes mark the document stale as before. While it is current for a
-    /// document the planner can seed that document's queries from it
-    /// ([`crate::query::PlanShape::IndexSeeded`]).
-    pub fn attach_label_index(&self, index: &Arc<Mutex<crate::index::LabelIndex>>) {
-        *self.attached_index.lock() = Some(Arc::clone(index));
-    }
-
-    /// Detaches the automatically maintained label index.
-    pub fn detach_label_index(&self) {
-        *self.attached_index.lock() = None;
     }
 
     /// Changes a split-matrix rule by element names, interning them if

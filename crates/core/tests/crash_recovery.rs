@@ -96,7 +96,9 @@ fn deep_docs() -> Vec<(String, String)> {
         .map(|i| {
             let mut syms = SymbolTable::new();
             let cfg = DeepConfig {
-                depth: 80 + 15 * i,
+                // Deep enough that the script issues more than
+                // `KILL_POINTS` device writes (`baseline` asserts it).
+                depth: 120 + 15 * i,
                 payload_every: 2,
                 sidecar_every: 3,
                 straggler_every: 4,

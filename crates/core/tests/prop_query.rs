@@ -20,15 +20,13 @@
 //! SplitMix64 generator over many seeds — reproducible by seed.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use natix::{
-    DocId, LabelIndex, NatixError, NodeId, ParallelQueryOptions, PathQuery, PlanShape,
-    PlannerOptions, Repository, RepositoryOptions,
+    DocId, NatixError, NodeId, ParallelQueryOptions, PathQuery, PlanShape, PlannerOptions,
+    Repository, RepositoryOptions,
 };
 use natix_corpus::{generate_play, CorpusConfig, SplitMix64 as Gen};
 use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
-use parking_lot::Mutex;
 
 const TAGS: &[&str] = &["a", "b", "c", "d", "e"];
 
@@ -341,7 +339,6 @@ fn fanout_matches_per_document_sequential_on_random_corpora() {
 const ALL_SHAPES: &[PlanShape] = &[
     PlanShape::SummaryOnly,
     PlanShape::SummarySeeded,
-    PlanShape::IndexSeeded,
     PlanShape::ParallelScan,
     PlanShape::LazyWalk,
 ];
@@ -352,7 +349,8 @@ const ALL_SHAPES: &[PlanShape] = &[
 /// rows — or refuse with `PlanUnsupported` when its preconditions don't
 /// hold (never a wrong answer). The planner's freely chosen plan must
 /// equal its forced equivalent, and every shape must be exercised
-/// somewhere in the corpus.
+/// somewhere in the corpus. The retired `IndexSeeded` variant has no
+/// operator: forcing it is refused for every query and consumer.
 #[test]
 fn every_forced_plan_shape_matches_the_dom_oracle() {
     let mut exercised: HashSet<PlanShape> = HashSet::new();
@@ -365,10 +363,6 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
 
         let r = repo(page_size, &syms);
         let id = r.put_document("d", &doc).unwrap();
-        // A current attached label index makes `IndexSeeded` reachable.
-        let idx = Arc::new(Mutex::new(LabelIndex::create(&r).unwrap()));
-        idx.lock().index_document(&r, "d").unwrap();
-        r.attach_label_index(&idx);
 
         let dom_pre: Vec<NodeIdx> = doc.pre_order().collect();
         let dom_pos: HashMap<NodeIdx, usize> =
@@ -471,6 +465,18 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
                     Err(e) => panic!("case {case} '{path}' forced {shape:?} (count): {e}"),
                 }
             }
+
+            let retired = PlannerOptions {
+                force: Some(PlanShape::IndexSeeded),
+                ..PlannerOptions::default()
+            };
+            let refused = |e: Option<NatixError>| matches!(e, Some(NatixError::PlanUnsupported(_)));
+            assert!(
+                refused(r.query_planned("d", path, &retired).err())
+                    && refused(r.count_planned("d", path, &retired).err())
+                    && refused(r.content_planned("d", path, &retired).err()),
+                "case {case} '{path}': the retired IndexSeeded shape must be refused"
+            );
         }
     }
     for &shape in ALL_SHAPES {

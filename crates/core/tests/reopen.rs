@@ -84,15 +84,22 @@ impl Drop for TempRepo {
     }
 }
 
-/// Ingest every corpus document, record the oracle bytes (what `get_xml`
-/// returned at ingest time), optionally checkpoint, then drop.
-fn build_repo(path: &PathBuf, checkpoint: bool) -> BTreeMap<String, String> {
-    let repo = Repository::create_file(path, options()).unwrap();
+/// Ingest every corpus document and record the oracle bytes (what
+/// `get_xml` returned at ingest time).
+fn ingest_corpus(repo: &Repository) -> BTreeMap<String, String> {
     let mut oracle = BTreeMap::new();
     for (name, xml) in corpus_docs() {
         repo.put_xml(&name, &xml).unwrap();
         oracle.insert(name.clone(), repo.get_xml(&name).unwrap());
     }
+    oracle
+}
+
+/// A fresh repository holding the corpus, optionally checkpointed, then
+/// dropped; returns the oracle bytes.
+fn build_repo(path: &PathBuf, checkpoint: bool) -> BTreeMap<String, String> {
+    let repo = Repository::create_file(path, options()).unwrap();
+    let oracle = ingest_corpus(&repo);
     if checkpoint {
         repo.checkpoint().unwrap();
     }
@@ -123,6 +130,24 @@ fn checkpoint_then_reopen_is_byte_identical() {
     let tmp = TempRepo::new("ckpt");
     let oracle = build_repo(&tmp.0, true);
     assert_identical(&tmp.0, &oracle);
+}
+
+#[test]
+fn extra_segment_in_the_directory_is_ignored_at_open() {
+    // Stores written while the engine still reserved an `index` segment
+    // list it in their segment directory. Open looks up only the segments
+    // it uses, so such a store opens and serves its documents unchanged.
+    let tmp = TempRepo::new("extra_seg");
+    let oracle = {
+        let repo = Repository::create_file(&tmp.0, options()).unwrap();
+        repo.storage().create_segment("index").unwrap();
+        let oracle = ingest_corpus(&repo);
+        repo.checkpoint().unwrap();
+        oracle
+    };
+    assert_identical(&tmp.0, &oracle);
+    let repo = Repository::open_file(&tmp.0, options()).unwrap();
+    assert!(repo.storage().segment_by_name("index").is_some());
 }
 
 #[test]

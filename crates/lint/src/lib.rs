@@ -33,10 +33,12 @@
 //! 6. **unranked-lock** — no bare `Mutex::new` / `RwLock::new` in
 //!    `crates/{core,storage,tree}` non-test code: a long-lived lock
 //!    built without `with_rank` is invisible to the lockdep hierarchy
-//!    checker *and* unnamed in model-checker schedules. Genuinely
-//!    short-lived or deliberately unranked locks carry an in-file
+//!    checker *and* unnamed in model-checker schedules. The engine has
+//!    exactly one deliberately unranked lock family, the per-frame latch
+//!    of `crates/storage/src/buffer.rs`, which carries a
 //!    `// natix-lint: allow(unranked-lock): <reason>` exemption on the
-//!    same or preceding line.
+//!    same or preceding line; the marker is honoured in that file only,
+//!    so a second unranked family cannot come back behind a comment.
 //!
 //! Rule 3 covers `crates/storage` and `crates/tree`: both layers sit
 //! under the engine's recovery and latching protocols, where a panic
@@ -582,27 +584,29 @@ pub fn rule_storage_panic(path: &Path, source: &str) -> Vec<Violation> {
 /// `// natix-lint: allow(unranked-lock): per-frame latch, see rank docs`.
 pub const UNRANKED_LOCK_ALLOW: &str = "natix-lint: allow(unranked-lock)";
 
+/// The one file whose [`UNRANKED_LOCK_ALLOW`] markers are honoured: the
+/// buffer pool's per-frame latch is the engine's only unranked lock family.
+pub const UNRANKED_LOCK_HOME: &str = "crates/storage/src/buffer.rs";
+
 /// No bare `Mutex::new` / `RwLock::new` in engine non-test code: an
 /// unranked lock is invisible to the lockdep hierarchy checker and
 /// unnamed in model-checker schedules, so every long-lived lock goes
 /// through `with_rank`. The allow marker (see [`UNRANKED_LOCK_ALLOW`])
-/// exempts deliberate cases in-file, keeping the exemption next to the
-/// lock it justifies.
+/// exempts the per-frame latch next to the lock it justifies, and only in
+/// [`UNRANKED_LOCK_HOME`]: anywhere else the marker exempts nothing.
 pub fn rule_unranked_lock(path: &Path, source: &str) -> Vec<Violation> {
     let clean = sanitize(source);
     let mask = test_mask(&clean);
     // The marker lives in a comment, which sanitisation blanks — read it
     // from the raw source. A marker covers its own line and the next.
     let raw_lines: Vec<&str> = source.lines().collect();
-    let allowed = |idx: usize| {
+    let marker_honoured = path == Path::new(UNRANKED_LOCK_HOME);
+    let marked = |idx: usize| {
         raw_lines
             .get(idx)
             .is_some_and(|l| l.contains(UNRANKED_LOCK_ALLOW))
-            || (idx > 0
-                && raw_lines
-                    .get(idx - 1)
-                    .is_some_and(|l| l.contains(UNRANKED_LOCK_ALLOW)))
     };
+    let allowed = |idx: usize| marker_honoured && (marked(idx) || (idx > 0 && marked(idx - 1)));
     let mut out = Vec::new();
     for (idx, line) in clean.lines().enumerate() {
         if mask.get(idx).copied().unwrap_or(false) || allowed(idx) {
@@ -626,8 +630,9 @@ pub fn rule_unranked_lock(path: &Path, source: &str) -> Vec<Violation> {
                 message: format!(
                     "bare `{ty}::new(..)` builds a lock with no rank — invisible to the \
                      lockdep hierarchy and unnamed in model schedules; use \
-                     `{ty}::with_rank(&rank::..., ..)`, or justify with \
-                     `// {UNRANKED_LOCK_ALLOW}: <reason>`"
+                     `{ty}::with_rank(&rank::..., ..)` (the \
+                     `// {UNRANKED_LOCK_ALLOW}` exemption is honoured only in \
+                     {UNRANKED_LOCK_HOME})"
                 ),
             });
         }

@@ -19,13 +19,15 @@ pub fn fine_ranked() -> Mutex<u32> {
     Mutex::with_rank(&parking_lot::rank::REGISTRY, 0)
 }
 
-pub fn fine_marker_above() -> Mutex<u32> {
+// The two markers below exempt their constructor only when the harness
+// impersonates crates/storage/src/buffer.rs; elsewhere both are flagged.
+pub fn marker_above() -> Mutex<u32> {
     // natix-lint: allow(unranked-lock): fixture's deliberate leaf lock
-    Mutex::new(0)
+    Mutex::new(0) // line 26
 }
 
-pub fn fine_marker_same_line() -> RwLock<u32> {
-    RwLock::new(0) // natix-lint: allow(unranked-lock): same-line marker
+pub fn marker_same_line() -> RwLock<u32> {
+    RwLock::new(0) // line 30 natix-lint: allow(unranked-lock): same-line marker
 }
 
 #[cfg(test)]

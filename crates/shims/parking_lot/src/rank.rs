@@ -66,11 +66,6 @@ pub static CHECKPOINT: Rank = Rank::new_io_tolerant("repository.checkpoint", 100
 /// any page I/O the edit triggers.
 pub static DOC_EDIT_LATCH: Rank = Rank::new_io_tolerant("document.edit-latch", 200);
 
-/// `Repository::attached_index` slot (the `Option<Arc<Mutex<LabelIndex>>>`
-/// holder, not the index itself — `LabelIndex` locks are caller-owned and
-/// unranked).
-pub static INDEX_ATTACH: Rank = Rank::new("repository.attached-index", 300);
-
 /// Ingestion segment pool (`Repository::ingest_segs`). Creating a segment
 /// under this lock allocates and formats pages, hence io-tolerant.
 pub static INGEST_POOL: Rank = Rank::new_io_tolerant("repository.ingest-pool", 350);
@@ -154,7 +149,6 @@ pub static DEVICE: Rank = Rank::new_io_tolerant("disk.device", 1300);
 pub static ALL: &[&Rank] = &[
     &CHECKPOINT,
     &DOC_EDIT_LATCH,
-    &INDEX_ATTACH,
     &INGEST_POOL,
     &SYMBOL_MARK,
     &SYMBOLS,

@@ -35,8 +35,6 @@ pub enum StorageError {
     NoSuchSegment(u16),
     /// A well-known slot was requested but is already occupied.
     SlotOccupied(u16),
-    /// B+-tree keys must all have the key length the tree was created with.
-    BadKeyLength { expected: usize, got: usize },
 }
 
 /// Convenience alias used throughout the storage crate.
@@ -63,9 +61,6 @@ impl fmt::Display for StorageError {
             StorageError::BufferExhausted => write!(f, "all buffer frames are pinned"),
             StorageError::NoSuchSegment(s) => write!(f, "segment {s} does not exist"),
             StorageError::SlotOccupied(s) => write!(f, "slot {s} is already occupied"),
-            StorageError::BadKeyLength { expected, got } => {
-                write!(f, "bad key length: expected {expected}, got {got}")
-            }
         }
     }
 }

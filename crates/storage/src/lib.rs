@@ -26,10 +26,8 @@
 //!   eviction.
 //! * [`segment`] — segment management and page allocation.
 //! * [`freespace`] — the free-space inventory used to place records.
-//! * [`btree`] — a page-based B+-tree used by the NATIX index manager.
 //! * [`stats`] — I/O statistics shared by the benchmark harness.
 
-pub mod btree;
 pub mod buffer;
 pub mod disk;
 pub mod error;

@@ -3,7 +3,7 @@
 //! Every page starts with a fixed 16-byte header; the interpretation of the
 //! rest depends on [`PageKind`]. Slotted pages (see [`crate::slotted`]) hold
 //! records; "plain pages" (§2.1: "for indices and user-defined structures")
-//! are used by the B+-tree and the segment metadata chains.
+//! are used by the segment metadata chains.
 //!
 //! Layout (little-endian):
 //!
@@ -13,7 +13,7 @@
 //! 2   u16  slot_count          (slotted pages)
 //! 4   u16  free_start          (offset of the first unused data byte)
 //! 6   u16  free_total          (free bytes including holes)
-//! 8   u32  next_page           (chained plain pages / B+-tree siblings)
+//! 8   u32  next_page           (chained plain pages)
 //! 12  u32  lsn                 (truncated page LSN, stamped by WAL replay)
 //! 16  ...  payload
 //! ```
@@ -36,8 +36,6 @@ pub enum PageKind {
     Plain = 2,
     /// Segment metadata (space map chain).
     SpaceMap = 3,
-    /// B+-tree node.
-    BTree = 4,
     /// Repository file header (page 0 only).
     Header = 5,
 }
@@ -50,7 +48,6 @@ impl PageKind {
             1 => PageKind::Slotted,
             2 => PageKind::Plain,
             3 => PageKind::SpaceMap,
-            4 => PageKind::BTree,
             5 => PageKind::Header,
             _ => return Err(StorageError::Corrupt(format!("unknown page kind {v}"))),
         })
@@ -287,6 +284,11 @@ mod tests {
         let mut p = PageBuf::new(512);
         p.bytes_mut()[0] = 99;
         assert!(p.kind().is_err());
+        // 4 was the B+-tree node kind; such a page is now a typed error.
+        assert!(matches!(
+            PageKind::from_u8(4),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

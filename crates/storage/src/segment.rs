@@ -399,7 +399,7 @@ impl StorageManager {
         self.persist_alloc_state(&st)
     }
 
-    /// Pins a page for direct access (tree storage manager, B+-tree).
+    /// Pins a page for direct access (tree storage manager).
     pub fn pin(&self, page: PageId) -> StorageResult<PinnedPage> {
         self.buffer.pin(page)
     }

@@ -1,5 +1,4 @@
-//! Property-based tests: slotted pages against a shadow model, and the
-//! B+-tree against `BTreeMap`.
+//! Property-based tests: slotted pages against a shadow model.
 //!
 //! The build environment has no network access, so instead of `proptest`
 //! the cases are driven by a small deterministic SplitMix64 generator over
@@ -82,63 +81,6 @@ fn slotted_page_matches_shadow() {
             sp.check_invariants().unwrap();
             for (&slot, bytes) in &shadow {
                 assert_eq!(sp.get(slot), Some(bytes.as_slice()), "case {case}");
-            }
-        }
-    }
-}
-
-mod btree_props {
-    use super::Gen;
-    use natix_storage::btree::BTree;
-    use natix_storage::{BufferManager, EvictionPolicy, IoStats, MemStorage, StorageManager};
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
-
-    #[test]
-    fn btree_matches_btreemap() {
-        for case in 0..32u64 {
-            let mut g = Gen::new(0xB7EE ^ case);
-            let nops = 1 + g.below(400);
-            let backend = Arc::new(MemStorage::new(512).unwrap());
-            let bm = Arc::new(BufferManager::new(
-                backend,
-                128,
-                EvictionPolicy::Lru,
-                IoStats::new_shared(),
-            ));
-            let sm = StorageManager::create(bm).unwrap();
-            let seg = sm.create_segment("idx").unwrap();
-            let bt = BTree::create(&sm, seg, 2).unwrap();
-            let mut shadow: BTreeMap<u16, u64> = BTreeMap::new();
-            for _ in 0..nops {
-                let key = g.next_u64() as u16;
-                let action = g.next_u64() as u8;
-                let k = key.to_be_bytes();
-                if action.is_multiple_of(4) {
-                    assert_eq!(bt.delete(&k).unwrap(), shadow.remove(&key), "case {case}");
-                } else {
-                    let v = action as u64;
-                    assert_eq!(
-                        bt.insert(&k, v).unwrap(),
-                        shadow.insert(key, v),
-                        "case {case}"
-                    );
-                }
-            }
-            // Full scan agrees, in order.
-            let all = bt.collect_all().unwrap();
-            assert_eq!(all.len(), shadow.len(), "case {case}");
-            for ((k, v), (sk, sv)) in all.iter().zip(shadow.iter()) {
-                let expect = sk.to_be_bytes();
-                assert_eq!(k.as_slice(), expect.as_slice(), "case {case}");
-                assert_eq!(v, sv, "case {case}");
-            }
-            // Random range agrees.
-            if let (Some(&lo), Some(&hi)) = (shadow.keys().next(), shadow.keys().last()) {
-                let got = bt
-                    .range_collect(&lo.to_be_bytes(), &hi.to_be_bytes())
-                    .unwrap();
-                assert_eq!(got.len(), shadow.len(), "case {case}");
             }
         }
     }

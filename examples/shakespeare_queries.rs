@@ -1,11 +1,12 @@
 //! Loads a slice of the synthetic Shakespeare corpus and runs the paper's
-//! three evaluation queries (§4.3), with and without a label index.
+//! three evaluation queries (§4.3), then shows how a label lookup is
+//! served from the path summary.
 //!
 //! ```sh
 //! cargo run --release --example shakespeare_queries
 //! ```
 
-use natix::{LabelIndex, Repository, RepositoryOptions};
+use natix::{PlannerOptions, Repository, RepositoryOptions};
 use natix_corpus::{generate_corpus, CorpusConfig};
 use natix_xml::WriteOptions;
 
@@ -77,24 +78,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         d.sim_disk_ms()
     );
 
-    // Ablation: Query-1-style lookup through the label index instead of
-    // navigation (index structures are the paper's §6 future work).
-    let mut index = LabelIndex::create(&repo)?;
-    for play in &plays {
-        index.index_document(&repo, &play.name)?;
-    }
+    // A label lookup (`//SPEAKER`) needs no index: the planner seeds it
+    // from the document's path summary. `explain` shows the plan a node
+    // list would get; the count is answered from the summary's path counts
+    // alone, with zero record access.
+    let opts = PlannerOptions::default();
     repo.clear_buffer()?;
-    let before = repo.io_stats().snapshot();
-    let mut via_index = 0usize;
     for play in &plays {
-        via_index += index.lookup(&repo, &play.name, "SPEAKER")?.len();
+        let plan = repo.explain(&play.name, "//SPEAKER", &opts)?;
+        let before = repo.io_stats().snapshot();
+        let (count, counted) = repo.count_planned(&play.name, "//SPEAKER", &opts)?;
+        let d = repo.io_stats().snapshot().since(&before);
+        println!(
+            "  {}: //SPEAKER as a node list → {:?} (visits ~{} of {} nodes); \
+             as a count → {count} via {:?}, {} page reads",
+            play.name,
+            plan.shape,
+            plan.estimated_visited.unwrap_or(0),
+            plan.total_nodes.unwrap_or(0),
+            counted.shape,
+            d.physical_reads
+        );
     }
-    let d = repo.io_stats().snapshot().since(&before);
-    println!(
-        "index ablation: {via_index} SPEAKERs via B+-tree, {:.1} ms simulated disk, \
-         {} page reads",
-        d.sim_disk_ms(),
-        d.physical_reads
-    );
     Ok(())
 }
