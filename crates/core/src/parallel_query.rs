@@ -13,7 +13,10 @@
 //!   ([`TreeStore::scan_record_subtree`] loads a record, releases its
 //!   page pin, then matches in memory — pins stay short), and every
 //!   record is reached through exactly one proxy, so no record is
-//!   scanned twice.
+//!   scanned twice. The queue is the scan's read-ahead frontier: the
+//!   pages of the records queued next are asked for a whole window at a
+//!   time ([`natix_tree::readahead`], the walk's policy too), inline
+//!   warm-up included.
 //! * **Child steps** fan their context nodes out across workers instead:
 //!   each context's lazy child walk is independent (positional predicates
 //!   count per parent).
@@ -46,7 +49,8 @@ use std::sync::OnceLock;
 
 use parking_lot::{Condvar, Mutex};
 
-use natix_tree::{NodePtr, RecordEntry};
+use natix_storage::PageId;
+use natix_tree::{NodePtr, ReadAhead, RecordEntry};
 use natix_xml::LabelId;
 
 use crate::error::{NatixError, NatixResult};
@@ -82,14 +86,6 @@ impl Default for ParallelQueryOptions {
         }
     }
 }
-
-/// Read-ahead window per scan worker: after claiming a record, the worker
-/// issues a best-effort batched prefetch for the claimed record's page plus
-/// up to this many distinct pages of *queued* records, so the buffer pool
-/// overlaps their reads with the current record's scan. The prefetch runs
-/// outside the scan-queue lock (it is an I/O region) and enters frames at
-/// scan priority, so it cannot displace the point-access working set.
-const PREFETCH_WINDOW: usize = 4;
 
 /// Child (`/`) steps fan contexts across workers only above this many
 /// context nodes — below it, thread startup dominates the step.
@@ -135,6 +131,31 @@ struct ScanQueueState {
     /// Set on the first worker error: the scan aborts, remaining workers
     /// drain out, the error is returned to the caller.
     failed: bool,
+    /// The scan's read-ahead: one asked-set for all workers, so their
+    /// windows never overlap.
+    ahead: ReadAhead,
+}
+
+/// Queued records one refill looks at: records are dense on pages, so a
+/// window's worth of pages is many records away, but a deep queue must
+/// not stretch the time the queue lock is held.
+const LOOKAHEAD_TASKS: usize = 1024;
+
+/// The read-ahead batch to issue before scanning the claimed record on
+/// `claimed`: the next window of the queue's pages when fewer than a
+/// quarter-window of asked pages lie ahead, nothing otherwise. Only plans
+/// (the caller may hold the queue lock); the read is the caller's to
+/// issue once it holds no lock.
+fn plan_window(ahead: &mut ReadAhead, claimed: PageId, queue: &VecDeque<ScanTask>) -> Vec<PageId> {
+    let upcoming = || {
+        let queued = queue.iter().take(LOOKAHEAD_TASKS);
+        std::iter::once(claimed).chain(queued.map(|t| t.start.rid.page))
+    };
+    if ahead.running_low(upcoming()) {
+        ahead.plan(&mut upcoming())
+    } else {
+        Vec::new()
+    }
 }
 
 impl Repository {
@@ -163,7 +184,12 @@ impl Repository {
         // proves there is at least a threshold's worth of parallel work.
         // Small subtrees finish right here — the sequential fallback.
         let mut spawned = Vec::new();
+        let mut ahead = ReadAhead::new(&self.tree);
         while let Some(task) = queue.pop_front() {
+            let batch = plan_window(&mut ahead, task.start.rid.page, &queue);
+            if let Some(read) = self.read_ahead(&batch) {
+                ahead.settle(read);
+            }
             self.scan_task(&task, step, label, &mut hits, &mut spawned)?;
             queue.extend(spawned.drain(..));
             if opts.threads > 1 && queue.len() >= opts.parallel_record_threshold.max(1) {
@@ -178,6 +204,7 @@ impl Repository {
                         tasks: queue,
                         active: 0,
                         failed: false,
+                        ahead,
                     },
                 ),
                 work: Condvar::new(),
@@ -189,15 +216,15 @@ impl Repository {
             let helpers = opts.threads - 1;
             let mut worker_hits = std::thread::scope(|scope| -> NatixResult<Vec<Vec<ScanHit>>> {
                 let handles: Vec<_> = (0..helpers)
-                    .map(|w| {
+                    .map(|_| {
                         let shared = &shared;
                         scope.spawn(move || {
                             let _pin = epoch.map(|e| self.tree.adopt_read(e));
-                            self.drain_scan_queue(shared, step, label, w + 1)
+                            self.drain_scan_queue(shared, step, label)
                         })
                     })
                     .collect();
-                let mine = self.drain_scan_queue(&shared, step, label, 0);
+                let mine = self.drain_scan_queue(&shared, step, label);
                 let mut all = Vec::with_capacity(helpers + 1);
                 let mut first_err = None;
                 for res in handles
@@ -248,31 +275,25 @@ impl Repository {
     /// discovered child records back, until the queue is empty with no
     /// active scanners (or a worker failed).
     ///
-    /// The worker keeps a small read-ahead ([`PREFETCH_WINDOW`]) in flight:
-    /// on each claim it snapshots the pages of the next queued records
-    /// *under* the queue lock, then — with the lock dropped, since the read
-    /// is an I/O region — hands them to the buffer pool as one batched,
-    /// scan-priority prefetch together with the claimed record's own page. A demand pin racing the prefetch
-    /// coalesces on the pool's in-flight set, so no page is read twice.
-    ///
-    /// Each worker's window is offset by `worker * PREFETCH_WINDOW`
-    /// *distinct* pages into the queue, so concurrent workers keep
-    /// disjoint batches in flight. Without the stride every worker would
-    /// snapshot the same head-of-queue pages, the pool's in-flight set
-    /// would collapse the batches into one, and the scan would serialize
-    /// on a single reader instead of overlapping batched reads.
+    /// Read-ahead is planned on the claim, *under* the queue lock — the
+    /// queue is the frontier and the asked-set is shared, so the window
+    /// one worker takes is never taken by another — and read with the
+    /// lock dropped, since the read is an I/O region: one batched,
+    /// scan-priority prefetch of the whole window. The worker that finds
+    /// fewer than a quarter-window of asked pages ahead reads the next
+    /// window while the others still scan the last one; a demand pin
+    /// racing the batch coalesces on the pool's in-flight set, so no page
+    /// is read twice.
     fn drain_scan_queue(
         &self,
         shared: &ScanQueue,
         step: &Step,
         label: Option<LabelId>,
-        worker: usize,
     ) -> NatixResult<Vec<ScanHit>> {
         let mut hits = Vec::new();
         let mut spawned = Vec::new();
-        let mut ahead: Vec<natix_storage::PageId> = Vec::new();
         loop {
-            let task = {
+            let (task, batch) = {
                 let mut st = shared.state.lock();
                 let t = loop {
                     if st.failed {
@@ -287,33 +308,11 @@ impl Repository {
                     }
                     st = shared.work.wait(st);
                 };
-                ahead.clear();
-                ahead.push(t.start.rid.page);
-                // Records are dense on pages, so counting *tasks* would
-                // collapse the window to a page or two; count distinct
-                // pages instead, skipping this worker's stride offset.
-                // The queue walk is bounded so a deep queue can't stretch
-                // the lock hold time.
-                let skip = worker * PREFETCH_WINDOW;
-                let mut seen: Vec<natix_storage::PageId> = Vec::new();
-                for queued in st.tasks.iter().take((skip + PREFETCH_WINDOW) * 64) {
-                    if ahead.len() > PREFETCH_WINDOW {
-                        break;
-                    }
-                    let page = queued.start.rid.page;
-                    if page == t.start.rid.page || seen.contains(&page) {
-                        continue;
-                    }
-                    seen.push(page);
-                    if seen.len() > skip {
-                        ahead.push(page);
-                    }
-                }
-                t
+                let st = &mut *st;
+                let batch = plan_window(&mut st.ahead, t.start.rid.page, &st.tasks);
+                (t, batch)
             };
-            // Advisory: a prefetch failure is not a query failure — the
-            // demand read below surfaces any persistent error.
-            let _ = self.tree.prefetch_pages(&ahead);
+            let read = self.read_ahead(&batch);
             // A panicking scan must not strand the queue: `active` was
             // incremented above, and a sibling (or the caller) waiting on
             // the condvar would sleep forever if this task silently
@@ -343,6 +342,9 @@ impl Repository {
             guard.armed = false;
             let mut st = shared.state.lock();
             st.active -= 1;
+            if let Some(read) = read {
+                st.ahead.settle(read);
+            }
             match res {
                 Ok(()) => st.tasks.extend(spawned.drain(..)),
                 Err(e) => {
@@ -357,6 +359,18 @@ impl Repository {
             // idle — either way the sleepers must re-check.
             shared.work.notify_all();
         }
+    }
+
+    /// Issues one planned read-ahead batch (see [`plan_window`]); the
+    /// caller holds no lock. `None` when there was nothing to issue,
+    /// otherwise the pages read, for [`ReadAhead::settle`]. Advisory: a
+    /// failed batch read nothing ahead, and the demand read of the scan
+    /// surfaces any persistent error.
+    fn read_ahead(&self, batch: &[PageId]) -> Option<usize> {
+        if batch.is_empty() {
+            return None;
+        }
+        Some(self.tree.prefetch_pages(batch).unwrap_or(0))
     }
 
     /// Scans one record subtree: matching facade nodes go to `hits` with

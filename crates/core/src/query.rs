@@ -202,8 +202,10 @@ const NODE_COST_NS: u64 = 100;
 /// its proxy hops are random access, so misses are frequent.
 const SEEDED_NODES_PER_READ: u64 = 16;
 /// Nodes over which a record-granular scan amortises one page miss —
-/// the scan workers keep a prefetch window in flight, so misses are
-/// batched and rare per node.
+/// the scan reads its work queue's pages ahead a whole window per request
+/// ([`natix_tree::readahead`]), so a page costs a fraction of a demand
+/// miss (the unit `page_cost_ns` is measured in) and misses proper are
+/// rare per node.
 const SCAN_NODES_PER_READ: u64 = 128;
 
 /// How the planner arrived at a plan; returned alongside every planned

@@ -159,20 +159,29 @@
 //!    count and content consumers never take it — so scans of different
 //!    documents (and scans racing ingestion of other documents) never
 //!    serialize on shared mutable state.
-//! 4. **Prefetch is an I/O region, issued lock-free.** A scan worker
-//!    snapshots the pages of the next queued records while it holds the
-//!    `SCAN_QUEUE` mutex (a map lookup, no I/O), *drops the lock*, and
-//!    only then issues the batched read-ahead
+//! 4. **Read-ahead is an I/O region, issued under no scheduling lock.**
+//!    Two readers know which pages they need next and ask for them a
+//!    window at a time, under one policy ([`natix_tree::readahead`]):
+//!    every whole-subtree walk (`get_xml`, `get_document`,
+//!    `serialize_node`, `text_content`, `traverse_document`, the
+//!    path-summary build — [`natix_tree::reconstruct`]) from the pending
+//!    record hops of its own frame stack, on the walking thread, where
+//!    it holds what its demand reads hold and nothing more; and the
+//!    record scan from its work queue. A scan worker *plans* its window
+//!    while it holds the `SCAN_QUEUE` mutex (set lookups over the queue,
+//!    no I/O), *drops the lock*, and only then issues the batch
 //!    ([`natix_tree::TreeStore::prefetch_pages`] →
-//!    `BufferManager::prefetch`). The buffer manager declares the batch
-//!    read as an I/O region (`buffer.prefetch`), so the lockdep
+//!    `BufferManager::prefetch`). The seeded descent and the lazy
+//!    child-axis walk do not read ahead. The buffer manager declares the
+//!    batch read as an I/O region (`buffer.prefetch`), so the lockdep
 //!    held-across-I/O detector enforces the rule mechanically: holding
 //!    any non-I/O-tolerant lock across a prefetch panics under
 //!    `--features lockdep`. Prefetched pages are marked in-flight in the
 //!    pool, so a racing demand pin coalesces on the same condvar as a
-//!    demand miss — never a duplicate read. Prefetch is *advisory*:
-//!    it stops early rather than evict a dirty frame, and a prefetch
-//!    error is swallowed (the demand read surfaces any real failure).
+//!    demand miss — never a duplicate read. Read-ahead is *exact* (it
+//!    names only pages its reader will visit) and *advisory*: it stops
+//!    early rather than evict a dirty frame, and a prefetch error is
+//!    swallowed (the demand read surfaces any real failure).
 //!
 //! # Replacement hint classes
 //!
@@ -192,9 +201,12 @@
 //!   set (classic scan resistance).
 //!
 //! The pool's hit/miss/eviction counters are split by hint class
-//! ([`natix_storage::IoStats`]), and the demand-miss path feeds a
-//! miss-latency EWMA that the query planner reads as its calibrated
-//! page-cost constant ([`crate::query::PlanExplain::page_cost_ns`]).
+//! ([`natix_storage::IoStats`]), which also counts pages read against
+//! read requests issued (a batch is one request: the pages per request
+//! the read-ahead achieves), and the demand-miss path — single-page
+//! reads only, never a batch — feeds a miss-latency EWMA that the query
+//! planner reads as its calibrated page-cost constant
+//! ([`crate::query::PlanExplain::page_cost_ns`]).
 //!
 //! # Plan shapes and their oracles
 //!

@@ -529,8 +529,8 @@ fn planner_picks_the_summary_shapes_on_a_high_fanout_root() {
 
 /// Satellite pin: a query whose name test is not even in the symbol
 /// alphabet is provably empty and must be answered from the planner's
-/// short circuit with **zero page reads** — pinned by the buffer-miss
-/// counter after clearing the pool.
+/// short circuit with **zero page reads** — pinned by the pool's count
+/// of pages read after clearing it.
 #[test]
 fn unknown_label_short_circuits_with_zero_page_reads() {
     let mut g = Gen::new(0xD0C5);
@@ -553,9 +553,9 @@ fn unknown_label_short_circuits_with_zero_page_reads() {
             .unwrap();
         assert_eq!(n, 0, "{path}");
     }
-    let misses = r.io_stats().snapshot().since(&before).buffer_misses;
+    let pages_read = r.io_stats().snapshot().since(&before).physical_reads;
     assert_eq!(
-        misses, 0,
+        pages_read, 0,
         "unknown-label queries must not touch a single page"
     );
 }
@@ -563,8 +563,9 @@ fn unknown_label_short_circuits_with_zero_page_reads() {
 /// A query must not build a path summary it cannot read: building one is
 /// a whole-document traversal under the edit latch, a positional query is
 /// never path-decidable, and the forced walk never consults the summary.
-/// Pinned by buffer misses on a cleared pool — the paper's Query 3 walk
-/// reads a handful of records, not the play — and by `explain`, which
+/// Pinned by the pages fetched into a cleared pool — the paper's Query 3
+/// walk reads a handful of records, not the play (pages, not misses: a
+/// traversal's pages arrive by read-ahead) — and by `explain`, which
 /// reports the summary still missing. The next query that *can* read a
 /// summary builds it and answers from it.
 #[test]
@@ -580,19 +581,19 @@ fn positional_walk_does_not_build_the_summary() {
     let id = r.put_document("play", &play).unwrap();
     r.invalidate_path_summary("play").unwrap();
 
-    let misses = |f: &mut dyn FnMut()| {
+    let pages_read = |f: &mut dyn FnMut()| {
         r.clear_buffer().unwrap();
         let before = r.io_stats().snapshot();
         f();
-        r.io_stats().snapshot().since(&before).buffer_misses
+        r.io_stats().snapshot().since(&before).physical_reads
     };
     let query3 = "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]";
     let lazy = forced(PlanShape::LazyWalk, 1, 16);
-    let walked = misses(&mut || {
+    let walked = pages_read(&mut || {
         let (ids, _) = r.query_planned("play", query3, &lazy).unwrap();
         assert_eq!(ids.len(), 1);
     });
-    let traversed = misses(&mut || r.traverse_document(id, |_, _| {}).unwrap());
+    let traversed = pages_read(&mut || r.traverse_document(id, |_, _| {}).unwrap());
     assert!(
         walked < traversed,
         "the opening-speech walk read {walked} pages, a full traversal {traversed}: \
@@ -612,7 +613,10 @@ fn positional_walk_does_not_build_the_summary() {
 /// sequential evaluation under both eviction policies, on a pool so small
 /// (8 frames) that scans evict continuously and prefetched frames are
 /// reclaimed while still queued. Prefetch and scan-priority admission are
-/// advisory — they must never change results, only latency.
+/// advisory — they must never change results, only latency. The same goes
+/// for the whole-document walks, whose read-ahead window (2 pages here)
+/// competes for the same 8 frames: the export and the traversal never
+/// surface `BufferExhausted` and never differ from the DOM.
 #[test]
 fn eviction_policy_never_changes_results() {
     use natix_storage::buffer::EvictionPolicy;
@@ -624,6 +628,14 @@ fn eviction_policy_never_changes_results() {
         let doc = random_document(&mut g, &mut syms);
         let page_size = [512usize, 1024][g.below(2)];
         let queries: Vec<String> = (0..6).map(|_| random_query(&mut g).0).collect();
+        // The export of the same input from a pool that holds all of it
+        // (the generator's attribute placement is not serialisable by
+        // `write_document`; the traversal below compares against the DOM).
+        let unpressed_xml = {
+            let r = repo(page_size, &syms);
+            r.put_document("d", &doc).unwrap();
+            r.get_xml("d").unwrap()
+        };
 
         for &policy in POLICIES {
             let r = Repository::create_in_memory(RepositoryOptions {
@@ -637,7 +649,33 @@ fn eviction_policy_never_changes_results() {
             })
             .unwrap();
             *r.symbols_mut() = syms.clone();
-            r.put_document("d", &doc).unwrap();
+            let id = r.put_document("d", &doc).unwrap();
+
+            r.clear_buffer().unwrap();
+            assert_eq!(
+                r.get_xml("d").unwrap(),
+                unpressed_xml,
+                "case {case} [{policy:?}]: export differs from the input"
+            );
+            r.clear_buffer().unwrap();
+            let mut visited = Vec::new();
+            r.traverse_document(id, |depth, n| visited.push((depth, n.label, n.text)))
+                .unwrap();
+            let mut dom = Vec::new();
+            let mut stack = vec![(0usize, doc.root())];
+            while let Some((depth, n)) = stack.pop() {
+                let data = doc.data(n);
+                let text = match data {
+                    NodeData::Literal { value, .. } => Some(value.to_text()),
+                    NodeData::Element(_) => None,
+                };
+                dom.push((depth, syms.name(data.label()).to_string(), text));
+                stack.extend(doc.children(n).iter().rev().map(|&c| (depth + 1, c)));
+            }
+            assert_eq!(
+                visited, dom,
+                "case {case} [{policy:?}]: traversal differs from the DOM walk"
+            );
 
             for path in &queries {
                 let seq = walk(&r, "d", path);

@@ -27,7 +27,8 @@
 //!    `OnceLock` are fine.)
 //! 5. **prefetch-lock-hold** — upper-layer code must not issue a buffer
 //!    prefetch or batched read (`prefetch` / `prefetch_pages` /
-//!    `read_pages`) while a mutex guard is lexically live; those calls
+//!    `read_pages`, or the readers' `read_ahead` helpers that issue a
+//!    planned batch) while a mutex guard is lexically live; those calls
 //!    enter a buffer I/O region and the held lock would stall every
 //!    contender for a device round-trip.
 //! 6. **unranked-lock** — no bare `Mutex::new` / `RwLock::new` in
@@ -686,7 +687,7 @@ pub fn rule_shim_bypass(path: &Path, source: &str) -> Vec<Violation> {
 /// ranked (non-io-tolerant) lock is held is a held-across-I/O bug that
 /// lockdep would catch at runtime — this rule catches the lexical shape
 /// statically, before the path is ever exercised.
-const PREFETCH_IO_CALLS: &[&str] = &["prefetch", "prefetch_pages", "read_pages"];
+const PREFETCH_IO_CALLS: &[&str] = &["prefetch", "prefetch_pages", "read_pages", "read_ahead"];
 
 /// Guard producers whose result is a mutex guard in the upper layers.
 /// RwLock and page-latch guards are left to the runtime `io_region`
@@ -702,8 +703,8 @@ fn stmt_enters_io(stmt: &str) -> Option<&'static str> {
         .copied()
 }
 
-/// Upper-layer callers of `prefetch` / `prefetch_pages` / `read_pages`
-/// must not hold a mutex guard across the call: the pattern is "snapshot
+/// Upper-layer callers of `prefetch` / `prefetch_pages` / `read_pages` /
+/// `read_ahead` must not hold a mutex guard across the call: the pattern is "snapshot
 /// under the lock, drop the guard (explicitly or by closing its block),
 /// then issue the batched read". Tracked lexically per function body:
 /// `let g = ....lock();` registers a live guard at the current brace

@@ -76,7 +76,10 @@ fn missing_gate_fixture_trips_rule() {
 fn held_prefetch_fixture_trips_rule() {
     let src = include_str!("fixtures/held_prefetch.rs");
     let violations = check_file(Path::new("crates/core/src/held_prefetch.rs"), src);
-    assert_eq!(lines_for(&violations, "prefetch-lock-hold"), vec![7, 15]);
+    assert_eq!(
+        lines_for(&violations, "prefetch-lock-hold"),
+        vec![7, 15, 39]
+    );
 }
 
 #[test]

@@ -32,3 +32,9 @@ pub fn good_explicit_drop(&self) {
     drop(st);
     self.pool.prefetch(&pages);
 }
+
+pub fn bad_read_ahead_helper_under_queue_lock(&self, shared: &ScanQueue) {
+    let mut st = shared.state.lock();
+    let batch = plan_window(&mut st.ahead, claimed, &st.tasks);
+    self.read_ahead(&batch);
+}

@@ -36,7 +36,12 @@
 //! frames instead of flushing the point-access working set; a normal pin
 //! on a cold page promotes it out. [`BufferManager::prefetch`] issues a
 //! batched read-ahead ([`DiskBackend::read_pages`]) into free or cleanly
-//! evictable frames without returning pins; prefetched pages are marked
+//! evictable frames without returning pins. Frames are claimed in the
+//! order the caller lists the pages — the pages needed first survive a
+//! short claim — and the batch is read in ascending page order, so a
+//! device that charges for positioning (a seek-modelled or a real one)
+//! sees runs of neighbouring pages rather than the reader's document
+//! order. Prefetched pages are marked
 //! in-flight exactly like demand loads, so a demand pin racing a prefetch
 //! of the same page blocks on the shared condvar instead of issuing a
 //! second read. Prefetch never steals a dirty frame (read-ahead must not
@@ -563,7 +568,7 @@ impl BufferManager {
             self.backend.read_page(page, data.bytes_mut()).map(|()| {
                 self.stats
                     .record_miss_latency(t0.elapsed().as_nanos() as u64);
-                self.stats.add_read()
+                self.stats.add_read_request(1)
             })
         } else {
             data.clear();
@@ -629,14 +634,15 @@ impl BufferManager {
     /// Best-effort batched read-ahead of `pages`, without returning pins.
     ///
     /// Pages already resident or already in flight are skipped. Each
-    /// remaining page claims a victim frame under scan priority; the
-    /// claim stops early (prefetch is advisory, never an error) when the
-    /// pool has no victim or only a *dirty* one — read-ahead must never
-    /// add a foreground write-back. Claimed pages are marked in-flight,
-    /// so a demand pin racing the prefetch coalesces on the shared
-    /// condvar instead of re-reading; the batch itself goes through
-    /// [`DiskBackend::read_pages`] outside the pool mutex. Returns the
-    /// number of pages read. On a read error nothing is published: the
+    /// remaining page claims a victim frame under scan priority, in the
+    /// order the caller listed them; the claim stops early (prefetch is
+    /// advisory, never an error) when the pool has no victim or only a
+    /// *dirty* one — read-ahead must never add a foreground write-back.
+    /// Claimed pages are marked in-flight, so a demand pin racing the
+    /// prefetch coalesces on the shared condvar instead of re-reading;
+    /// the batch itself goes through [`DiskBackend::read_pages`] outside
+    /// the pool mutex, in ascending page order. Returns the number of
+    /// pages read. On a read error nothing is published: the
     /// claimed frames return to the pool free, and the error is reported
     /// (callers treat it as advisory — the demand read will surface it).
     pub fn prefetch(&self, pages: &[PageId]) -> StorageResult<usize> {
@@ -681,6 +687,10 @@ impl BufferManager {
         if claims.is_empty() {
             return Ok(0);
         }
+        // Frames were claimed in the caller's priority order (a short
+        // claim keeps the pages needed first); the device is asked in
+        // ascending page order, so neighbouring pages form one run.
+        claims.sort_unstable_by_key(|&(page, _)| page);
 
         // The batched read, outside the pool mutex. The claimed frames are
         // reserved and unmapped, so their content locks are uncontended
@@ -716,7 +726,7 @@ impl BufferManager {
         drop(st);
         self.io_done.notify_all();
         result.map(|()| {
-            self.stats.add_reads(claims.len() as u64);
+            self.stats.add_read_request(claims.len() as u64);
             claims.len()
         })
     }
@@ -1247,6 +1257,81 @@ mod tests {
         assert_eq!(delta.physical_reads, 0);
         // Resident and in-flight pages are skipped: nothing re-read.
         assert_eq!(bm.prefetch(&[3, 4, 5]).unwrap(), 0);
+    }
+
+    /// Records the page order of every batched read.
+    struct OrderRecorder {
+        inner: MemStorage,
+        batches: Mutex<Vec<Vec<PageId>>>,
+    }
+
+    impl DiskBackend for OrderRecorder {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
+            self.inner.read_page(page, buf)
+        }
+        fn read_pages(&self, reqs: &mut [(PageId, &mut [u8])]) -> StorageResult<()> {
+            self.batches
+                .lock()
+                .push(reqs.iter().map(|(page, _)| *page).collect());
+            self.inner.read_pages(reqs)
+        }
+        fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
+            self.inner.write_page(page, buf)
+        }
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+        fn grow(&self, new_count: u64) -> StorageResult<()> {
+            self.inner.grow(new_count)
+        }
+        fn sync(&self) -> StorageResult<()> {
+            self.inner.sync()
+        }
+    }
+
+    #[test]
+    fn prefetch_claims_in_caller_order_and_reads_in_page_order() {
+        let backend = Arc::new(OrderRecorder {
+            inner: MemStorage::new(512).unwrap(),
+            batches: Mutex::new(Vec::new()),
+        });
+        backend.grow(64).unwrap();
+        let stats = IoStats::new_shared();
+        let bm = BufferManager::new(
+            Arc::clone(&backend) as Arc<dyn DiskBackend>,
+            4,
+            EvictionPolicy::Lru,
+            Arc::clone(&stats),
+        );
+        // One frame stays pinned: three are claimable, so the claim is
+        // short and must keep the caller's first three pages.
+        let held = bm.pin(0).unwrap();
+        let before = stats.snapshot();
+        assert_eq!(bm.prefetch(&[40, 7, 23, 5, 60]).unwrap(), 3);
+        assert_eq!(*backend.batches.lock(), vec![vec![7, 23, 40]]);
+        let delta = stats.snapshot().since(&before);
+        assert_eq!(
+            (delta.physical_reads, delta.read_requests),
+            (3, 1),
+            "one request for the whole batch"
+        );
+        drop(held);
+        let before = stats.snapshot();
+        for p in [40, 7, 23] {
+            drop(bm.pin(p).unwrap());
+        }
+        let delta = stats.snapshot().since(&before);
+        assert_eq!((delta.buffer_hits, delta.read_requests), (3, 0));
+        drop(bm.pin(5).unwrap());
+        let delta = stats.snapshot().since(&before);
+        assert_eq!(
+            (delta.physical_reads, delta.read_requests),
+            (1, 1),
+            "a demand miss is one request for one page"
+        );
     }
 
     #[test]

@@ -11,13 +11,21 @@ use std::sync::Arc;
 /// Shared, thread-safe I/O and buffer counters.
 #[derive(Debug, Default)]
 pub struct IoStats {
-    /// Pages read from the backend.
+    /// Pages read from the backend, by demand misses and by prefetch
+    /// batches alike.
     pub physical_reads: AtomicU64,
+    /// Read requests the pool issued to the backend: a demand miss is
+    /// one, a prefetch batch of any size is one. `physical_reads /
+    /// read_requests` is the pages-per-request the read-ahead achieves.
+    pub read_requests: AtomicU64,
     /// Pages written to the backend.
     pub physical_writes: AtomicU64,
     /// Buffer pool hits.
     pub buffer_hits: AtomicU64,
-    /// Buffer pool misses (each implies a physical read).
+    /// Buffer pool misses: pins that found their page neither resident
+    /// nor in flight and read it themselves, one page per request. Pages
+    /// that arrive by prefetch are never misses, so this is not the
+    /// number of pages read — `physical_reads` is.
     pub buffer_misses: AtomicU64,
     /// Buffer hits taken through a scan-hinted pin
     /// ([`crate::buffer::AccessHint::Scan`]); a subset of `buffer_hits`.
@@ -48,6 +56,7 @@ impl IoStats {
     /// Resets every counter to zero.
     pub fn reset(&self) {
         self.physical_reads.store(0, Ordering::Relaxed);
+        self.read_requests.store(0, Ordering::Relaxed);
         self.physical_writes.store(0, Ordering::Relaxed);
         self.buffer_hits.store(0, Ordering::Relaxed);
         self.buffer_misses.store(0, Ordering::Relaxed);
@@ -64,6 +73,7 @@ impl IoStats {
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {
             physical_reads: self.physical_reads.load(Ordering::Relaxed),
+            read_requests: self.read_requests.load(Ordering::Relaxed),
             physical_writes: self.physical_writes.load(Ordering::Relaxed),
             buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
             buffer_misses: self.buffer_misses.load(Ordering::Relaxed),
@@ -92,12 +102,11 @@ impl IoStats {
         self.miss_latency_ewma_ns.store(new, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_read(&self) {
-        self.physical_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_reads(&self, n: u64) {
-        self.physical_reads.fetch_add(n, Ordering::Relaxed);
+    /// One read request that fetched `pages` pages: a demand miss (one
+    /// page) or a prefetch batch.
+    pub(crate) fn add_read_request(&self, pages: u64) {
+        self.physical_reads.fetch_add(pages, Ordering::Relaxed);
+        self.read_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn add_write(&self) {
@@ -131,6 +140,7 @@ impl IoStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoSnapshot {
     pub physical_reads: u64,
+    pub read_requests: u64,
     pub physical_writes: u64,
     pub buffer_hits: u64,
     pub buffer_misses: u64,
@@ -156,6 +166,7 @@ impl IoSnapshot {
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
         IoSnapshot {
             physical_reads: self.physical_reads - earlier.physical_reads,
+            read_requests: self.read_requests - earlier.read_requests,
             physical_writes: self.physical_writes - earlier.physical_writes,
             buffer_hits: self.buffer_hits - earlier.buffer_hits,
             buffer_misses: self.buffer_misses - earlier.buffer_misses,
@@ -177,14 +188,15 @@ mod tests {
     #[test]
     fn snapshot_and_reset() {
         let s = IoStats::new_shared();
-        s.add_read();
-        s.add_read();
+        s.add_read_request(1);
+        s.add_read_request(5);
         s.add_write();
         s.add_hit(false);
         s.add_miss(true);
         s.add_eviction(true);
         let snap = s.snapshot();
-        assert_eq!(snap.physical_reads, 2);
+        assert_eq!(snap.physical_reads, 6);
+        assert_eq!(snap.read_requests, 2, "a batch is one request");
         assert_eq!(snap.physical_writes, 1);
         assert_eq!(snap.buffer_hits, 1);
         assert_eq!(snap.buffer_misses, 1);
@@ -217,12 +229,13 @@ mod tests {
     #[test]
     fn since_subtracts() {
         let s = IoStats::new_shared();
-        s.add_read();
+        s.add_read_request(1);
         let a = s.snapshot();
-        s.add_read();
-        s.add_read();
+        s.add_read_request(1);
+        s.add_read_request(3);
         let b = s.snapshot();
-        assert_eq!(b.since(&a).physical_reads, 2);
+        assert_eq!(b.since(&a).physical_reads, 4);
+        assert_eq!(b.since(&a).read_requests, 2);
     }
 
     #[test]

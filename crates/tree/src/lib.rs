@@ -34,6 +34,8 @@
 //!   record tree's height tracking fanout instead of document depth;
 //! * [`reconstruct`] — proxy substitution back into logical documents,
 //!   streaming traversal and XML serialisation;
+//! * [`readahead`] — the one read-ahead policy: a reader's frontier of
+//!   pages turned into batched requests (the walk's and the scan's);
 //! * [`validate`] — invariant checks and the physical statistics used by
 //!   the evaluation harness;
 //! * [`version`] — record-level versioning: epoch-pinned read snapshots
@@ -45,6 +47,7 @@ pub mod config;
 pub mod error;
 pub mod matrix;
 pub mod model;
+pub mod readahead;
 pub mod reconstruct;
 pub mod record;
 pub mod split;
@@ -58,6 +61,7 @@ pub use config::TreeConfig;
 pub use error::{TreeError, TreeResult};
 pub use matrix::{SplitBehaviour, SplitMatrix};
 pub use model::{NodePtr, PContent, PNode, PNodeId, RecordTree};
+pub use readahead::ReadAhead;
 pub use reconstruct::{reconstruct_document, serialize_xml, subtree_text, traverse, VisitEvent};
 pub use split::{find_separator, plan_split, SplitPlan};
 pub use store::{

@@ -8,10 +8,44 @@
 //! [`serialize_xml`] recreates the textual representation straight from
 //! the records (Query 2: "recreates the textual representation of the
 //! complete first speech in every scene").
+//!
+//! # Read-ahead
+//!
+//! All of the above run on one walk, and the walk reads ahead: before it
+//! follows a proxy or continuation to a page it has not asked for yet, it
+//! asks for that page *together with* the next window of pages it is
+//! going to need, in one batched request ([`crate::readahead`] holds the
+//! policy; this module supplies the frontier).
+//!
+//! * **The frontier** is the record hops still pending in the walk's own
+//!   frame stack, innermost frame first — which is document order. A hop
+//!   whose page an earlier refill already asked for is in the pool, so
+//!   the lookahead reads that record and continues with the hops *it*
+//!   holds: children of the current record alone do not fill a window,
+//!   because much of a subtree hangs one record level below the known
+//!   frontier.
+//! * **Scope.** The frame stack holds nothing outside the walked subtree
+//!   (a walk of one `SCENE` starts with one frame, and a continuation
+//!   group is entered at the prefix matching the walk's start level), and
+//!   a record behind a proxy lies wholly inside the subtree of its proxy,
+//!   so every page the lookahead names is a page the walk will visit —
+//!   unless the visitor stops it early. A continuation group is named but
+//!   never looked into: its outer prefix levels carry late children of
+//!   ancestors the walk may not cover.
+//! * **Looking inside is free under the memo.** Under a pinned snapshot
+//!   the record the lookahead decodes is the `Arc` the walk gets back when
+//!   it arrives ([`crate::version`]'s decoded-record memo). Where the
+//!   memo is bypassed — no pin, or a write operation ambient on the
+//!   thread, as in `delete_node`'s victim walk — the lookahead does not
+//!   look inside records and names the pages of the stack's own records
+//!   only.
+//! * **Budget.** The lookahead is lazy — it stops as soon as the window
+//!   is full — and opens at most `LOOKAHEAD_RECORDS` (64) records per refill,
+//!   so a refill over a long run of already-asked pages stays cheap.
 
 use std::sync::Arc;
 
-use natix_storage::Rid;
+use natix_storage::{PageId, Rid};
 use natix_xml::escape::{escape_attr, escape_text};
 use natix_xml::{
     Document, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_COMMENT, LABEL_PI, LABEL_TEXT,
@@ -19,7 +53,12 @@ use natix_xml::{
 
 use crate::error::{TreeError, TreeResult};
 use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
+use crate::readahead::{Frontier, ReadAhead};
 use crate::store::TreeStore;
+
+/// Records one refill's lookahead may open (walk frames it seeds from plus
+/// records it looks inside).
+const LOOKAHEAD_RECORDS: usize = 64;
 
 /// Streaming traversal events for facade nodes, in document order.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +95,132 @@ enum Flow {
     Done,
     /// Subtree ended in a continuation: the holder's `Leave` was delegated.
     Open,
+}
+
+/// One in-progress aggregate/prefix node of the walk (leaves are handled
+/// inline).
+struct Frame {
+    rid: Rid,
+    tree: Arc<RecordTree>,
+    node: PNodeId,
+    /// The node this record's walk began at (continuation scoping).
+    record_start: PNodeId,
+    /// Next child index to process.
+    next: usize,
+    /// Flow of the most recently completed child.
+    last: Flow,
+    /// What this frame reports upward when it completes, overriding
+    /// its own flow: `Done` for a record entered through a proxy
+    /// (complete from the outside), `Open` for a continuation group
+    /// (the holder's `Leave`s were delegated). `None` for in-record
+    /// frames, which report their own flow.
+    report: Option<Flow>,
+}
+
+/// The walk's [`Frontier`]: the pages of the record hops still ahead of
+/// it, in document order (see the module docs).
+struct Lookahead<'a> {
+    store: &'a TreeStore,
+    /// The page of the hop the walk stands on, named first.
+    first: Option<PageId>,
+    /// Walk frames not looked at yet; the innermost is taken first.
+    frames: std::slice::Iter<'a, Frame>,
+    /// Records being looked through, innermost last, each with its nodes
+    /// still to examine (reversed, so `pop` yields document order).
+    open: Vec<(Arc<RecordTree>, Vec<PNodeId>)>,
+    /// Target of the proxy whose page was named last: what
+    /// [`expand`](Frontier::expand) looks inside.
+    last_proxy: Option<Rid>,
+    /// Records this lookahead may still open.
+    budget: usize,
+    /// Whether looking inside a record is free (the memo is active).
+    peek: bool,
+}
+
+impl<'a> Lookahead<'a> {
+    fn new(store: &'a TreeStore, first: PageId, stack: &'a [Frame]) -> Lookahead<'a> {
+        Lookahead {
+            store,
+            first: Some(first),
+            frames: stack.iter(),
+            open: Vec::new(),
+            last_proxy: None,
+            budget: LOOKAHEAD_RECORDS,
+            peek: store.versions().memoizes_reads(),
+        }
+    }
+}
+
+impl Frontier for Lookahead<'_> {
+    fn next_page(&mut self) -> Option<PageId> {
+        if let Some(page) = self.first.take() {
+            return Some(page);
+        }
+        self.last_proxy = None;
+        loop {
+            let Some((tree, nodes)) = self.open.last_mut() else {
+                // Nothing open: continue with what the next frame out
+                // still has to walk.
+                if self.budget == 0 {
+                    return None;
+                }
+                self.budget -= 1;
+                let frame = self.frames.next_back()?;
+                let pending = &frame.tree.children(frame.node)[frame.next..];
+                self.open.push((
+                    Arc::clone(&frame.tree),
+                    pending.iter().rev().copied().collect(),
+                ));
+                continue;
+            };
+            let Some(n) = nodes.pop() else {
+                self.open.pop();
+                continue;
+            };
+            match &tree.node(n).content {
+                PContent::Aggregate(kids) | PContent::Prefix(kids) => {
+                    nodes.extend(kids.iter().rev());
+                }
+                PContent::Literal(_) => {}
+                PContent::Proxy(target) => {
+                    self.last_proxy = Some(*target);
+                    return Some(target.page);
+                }
+                PContent::Continuation(target) => return Some(target.page),
+            }
+        }
+    }
+
+    fn expand(&mut self) {
+        let Some(rid) = self.last_proxy.take() else {
+            return;
+        };
+        if !self.peek || self.budget == 0 {
+            return;
+        }
+        self.budget -= 1;
+        // Advisory: a record that does not load is the walk's to report
+        // when it gets there.
+        if let Ok(tree) = self.store.load_shared(rid) {
+            let root = tree.root();
+            self.open.push((tree, vec![root]));
+        }
+    }
+}
+
+/// Reads ahead before the walk hops to record `target`: when its page has
+/// not been asked for yet, asks for it and the window of pages behind it
+/// in one batch.
+fn read_ahead(store: &TreeStore, ahead: &mut ReadAhead, target: Rid, stack: &[Frame]) {
+    if ahead.asked(target.page) {
+        return;
+    }
+    let batch = ahead.plan(&mut Lookahead::new(store, target.page, stack));
+    if !batch.is_empty() {
+        // Advisory: a failed batch reads nothing ahead, and the demand
+        // read that follows surfaces what is broken.
+        ahead.settle(store.prefetch_pages(&batch).unwrap_or(0));
+    }
 }
 
 /// Pre-order traversal of the whole stored tree under `ptr`, invoking
@@ -99,25 +264,6 @@ fn walk<F>(
 where
     F: FnMut(VisitEvent<'_>) -> bool,
 {
-    /// One in-progress aggregate/prefix node (leaves are handled inline).
-    struct Frame {
-        rid: Rid,
-        tree: Arc<RecordTree>,
-        node: PNodeId,
-        /// The node this record's walk began at (continuation scoping).
-        record_start: PNodeId,
-        /// Next child index to process.
-        next: usize,
-        /// Flow of the most recently completed child.
-        last: Flow,
-        /// What this frame reports upward when it completes, overriding
-        /// its own flow: `Done` for a record entered through a proxy
-        /// (complete from the outside), `Open` for a continuation group
-        /// (the holder's `Leave`s were delegated). `None` for in-record
-        /// frames, which report their own flow.
-        report: Option<Flow>,
-    }
-
     /// Pushes a frame for `node` in `tree`, emitting its `Enter`/literal
     /// event; literals and empty aggregates complete immediately and
     /// return their flow instead of pushing.
@@ -176,6 +322,7 @@ where
     }
 
     let mut stack: Vec<Frame> = Vec::new();
+    let mut ahead = ReadAhead::new(store);
     if let Some(flow) = open_frame(&mut stack, rid, &root_tree, node, record_start, None, visit)? {
         return Ok(flow);
     }
@@ -200,6 +347,7 @@ where
                     // subtree, so any `Open` it reports concerns only
                     // facades within it.
                     let t = *target;
+                    read_ahead(store, &mut ahead, t, &stack);
                     let sub = store.load_shared(t)?;
                     let root = sub.root();
                     if let Some(flow) =
@@ -226,6 +374,7 @@ where
                             "record {frid}: walk start is not on the spilled path"
                         ))
                     })?;
+                    read_ahead(store, &mut ahead, t, &stack);
                     let sub = store.load_shared(t)?;
                     let entry = *crate::store::prefix_chain(&sub).get(i0).ok_or_else(|| {
                         TreeError::Invariant(format!(

@@ -380,7 +380,7 @@ impl VersionStore {
         let Some(epoch) = self.ambient_read_epoch() else {
             return read_page().map(Arc::new);
         };
-        let memo_key = WRITE_OP.get().is_none().then_some((self.id(), epoch));
+        let memo_key = self.memo_key();
         if let Some(hit) = memo_key.and_then(|key| RECORD_MEMO.with_borrow(|m| m.get(key, rid))) {
             return Ok(hit);
         }
@@ -404,6 +404,21 @@ impl VersionStore {
             RECORD_MEMO.with_borrow_mut(|m| m.insert(key, rid, Arc::clone(&tree)));
         }
         Ok(tree)
+    }
+
+    /// The key [`read`](Self::read) memoises the calling thread's decoded
+    /// records under: its snapshot on this store, unless a write operation
+    /// is ambient (a writer's reads go back to the page every time).
+    fn memo_key(&self) -> Option<(usize, u64)> {
+        let epoch = self.ambient_read_epoch()?;
+        WRITE_OP.get().is_none().then_some((self.id(), epoch))
+    }
+
+    /// Whether [`read`](Self::read) currently remembers what it decodes
+    /// for the calling thread, so that reading a record early costs the
+    /// later read nothing.
+    pub(crate) fn memoizes_reads(&self) -> bool {
+        self.memo_key().is_some()
     }
 
     /// Number of records in the calling thread's memo.
