@@ -20,7 +20,7 @@
 //! the model reproduces their shape.
 
 use natix::{
-    DocId, NatixResult, NodeId, PlanShape, PlannerOptions, Repository, RepositoryOptions,
+    DocId, InsertAt, NatixResult, NodeId, PlanShape, PlannerOptions, Repository, RepositoryOptions,
     SplitMatrix,
 };
 use natix_corpus::{generate_play, incremental_order, Anchor, CorpusConfig, PlayDoc};
@@ -143,7 +143,8 @@ fn insert_play(repo: &mut Repository, play: &PlayDoc, order: Order) -> NatixResu
                 };
                 let parent_id = ids[parent as usize].expect("pre-order: parent inserted");
                 let (label, node) = payload(doc, n);
-                let new = repo.insert_node(id, parent_id, InsertPos::Last, label, node)?;
+                let new =
+                    repo.insert_node(id, InsertAt::Child(parent_id, InsertPos::Last), label, node)?;
                 ids[n as usize] = Some(new);
             }
         }
@@ -153,15 +154,15 @@ fn insert_play(repo: &mut Repository, play: &PlayDoc, order: Order) -> NatixResu
                 let new = match step.anchor {
                     Anchor::FirstChildOf(p) => {
                         let pid = ids[p as usize].expect("BFS: anchor inserted");
-                        repo.insert_node(id, pid, InsertPos::First, label, node)?
+                        repo.insert_node(id, InsertAt::Child(pid, InsertPos::First), label, node)?
                     }
                     Anchor::After(s) => {
                         let sid = ids[s as usize].expect("BFS: anchor inserted");
-                        repo.insert_node_after(id, sid, label, node)?
+                        repo.insert_node(id, InsertAt::After(sid), label, node)?
                     }
                     Anchor::LastChildOf(p) => {
                         let pid = ids[p as usize].expect("anchor inserted");
-                        repo.insert_node(id, pid, InsertPos::Last, label, node)?
+                        repo.insert_node(id, InsertAt::Child(pid, InsertPos::Last), label, node)?
                     }
                 };
                 ids[step.node as usize] = Some(new);

@@ -27,8 +27,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use natix_storage::Rid;
-use natix_tree::{BulkStats, InsertPos, NewNode, NodePtr, OpResult, TreeStore, VisitEvent};
-use natix_xml::{Document, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
+use natix_tree::version::WriteOp;
+use natix_tree::{BulkStats, InsertPos, NewNode, NodePtr, OpResult, VisitEvent};
+use natix_xml::{Document, LabelId, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
 
 use crate::error::{NatixError, NatixResult};
 use crate::path_summary::{PathSummary, SummaryBuilder, SummaryDelta};
@@ -179,8 +180,7 @@ impl DocState {
         r.old.retain(|&(valid_until, _)| valid_until > floor);
     }
 
-    /// Immediate root swap for unpublished paths (per-node loads of
-    /// not-yet-registered documents, reopened catalogs).
+    /// Immediate root swap, behind [`apply`](Self::apply) only.
     fn set_root_now(&self, old: Rid, new: Rid) {
         let mut r = self.root.lock();
         if r.current == old {
@@ -245,8 +245,7 @@ impl DocState {
 
     /// Applies an operation result with an *immediate* root swap — only
     /// for documents no reader can see yet (per-node loads before
-    /// registration). Published edits go through
-    /// [`Repository::finish_edit`].
+    /// registration). Published edits go through [`Edit::tree_op`].
     pub(crate) fn apply(&self, res: &OpResult) {
         self.apply_relocations(res);
         if let Some((old, new)) = res.root_moved {
@@ -294,6 +293,137 @@ pub(crate) fn chunk_limit(net_capacity: usize) -> usize {
     (net_capacity / 2).max(64)
 }
 
+/// Where [`Repository::insert_node`] puts the new node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InsertAt {
+    /// Under a parent, at a position of its logical child list.
+    Child(NodeId, InsertPos),
+    /// As the next logical sibling of a node.
+    After(NodeId),
+}
+
+/// One edit in flight (see [`Repository::edit`]): the document, held
+/// under its edit latch, and the write operation whose publish makes the
+/// edit visible.
+struct Edit<'a> {
+    repo: &'a Repository,
+    doc: DocId,
+    state: &'a Arc<DocState>,
+    op: &'a WriteOp<'a>,
+}
+
+impl Edit<'_> {
+    /// Runs one tree operation of the edit and folds its result into the
+    /// document: relocation events go to the id map at once (the writer
+    /// needs them for its next operation), a root move is scheduled for
+    /// the publish point — the root RID must switch *atomically with the
+    /// epoch*, or a reader could pair a fresh epoch with the stale root
+    /// (or vice versa) and walk a mixed record graph.
+    ///
+    /// Depth-aware-packed clusters are normalized on demand: a bulkloaded
+    /// deep document stores late children in continuation-group records
+    /// whose layout in-place edits cannot preserve, so the tree layer
+    /// reports [`TreeError::PackedRecord`]; the cluster is then rewritten
+    /// into plain records and the operation retried with fresh pointers —
+    /// which is why `f` must re-resolve its node ids on every attempt.
+    ///
+    /// [`TreeError::PackedRecord`]: natix_tree::TreeError::PackedRecord
+    fn tree_op(&self, mut f: impl FnMut() -> NatixResult<OpResult>) -> NatixResult<OpResult> {
+        // Each round eliminates the packed cluster it tripped over; a
+        // bounded retry count turns a (logically impossible) livelock into
+        // a clean error.
+        for _ in 0..64 {
+            match f() {
+                Err(NatixError::Tree(natix_tree::TreeError::PackedRecord(rid))) => {
+                    self.absorb(&self.repo.tree.normalize_packed(rid)?)
+                }
+                other => return other.inspect(|res| self.absorb(res)),
+            }
+        }
+        Err(NatixError::Validation(
+            "structural edit kept hitting packed records".into(),
+        ))
+    }
+
+    /// Folds one operation result into the document (see
+    /// [`tree_op`](Self::tree_op)).
+    fn absorb(&self, res: &OpResult) {
+        self.state.apply_relocations(res);
+        if let Some((old, new)) = res.root_moved {
+            let st = Arc::clone(self.state);
+            self.op.defer_until_publish(move |epoch, floor| {
+                st.publish_root_move(old, new, epoch, floor)
+            });
+            self.repo.log_root_move(self.state, self.op.id(), new);
+        }
+    }
+
+    /// Inserts one node, schedules its path-summary increment and binds
+    /// its logical id.
+    fn insert_one(&self, at: InsertAt, label: LabelId, node: &NewNode) -> NatixResult<NodeId> {
+        let tree = &self.repo.tree;
+        let resolve = |id| self.state.resolve(id).ok_or(NatixError::NoSuchNode(id));
+        let res = self.tree_op(|| {
+            Ok(match at {
+                InsertAt::Child(parent, pos) => {
+                    tree.insert(resolve(parent)?, pos, label, node.clone())?
+                }
+                InsertAt::After(sibling) => {
+                    tree.insert_after(resolve(sibling)?, label, node.clone())?
+                }
+            })
+        })?;
+        let new_ptr = res.new_node.expect("insert yields node");
+        self.note_summary_insert(new_ptr, matches!(node, NewNode::Literal(_)));
+        Ok(self.state.fresh_id(new_ptr))
+    }
+
+    /// Schedules the path-summary increment for the node just inserted at
+    /// `new_ptr`, to apply atomically with the publish. Called after the
+    /// insert succeeded, so the label path reads the writer's own,
+    /// not-yet-published state.
+    fn note_summary_insert(&self, new_ptr: NodePtr, literal: bool) {
+        let doc = self.doc;
+        if !self.repo.summaries.has_slot(doc) {
+            return;
+        }
+        let store = Arc::clone(&self.repo.summaries);
+        match self.repo.tree.label_path(new_ptr) {
+            Ok(path) => {
+                let delta = SummaryDelta::Insert {
+                    path,
+                    literal,
+                    count: 1,
+                };
+                self.op.defer_until_publish(move |epoch, floor| {
+                    store.apply_delta(doc, &delta, epoch, floor)
+                });
+            }
+            // The new node's label path could not be read; mark the
+            // summary stale from this edit's epoch on — readers pinned
+            // before it keep their versions.
+            Err(_) => self
+                .op
+                .defer_until_publish(move |epoch, floor| store.invalidate(doc, epoch, floor)),
+        }
+    }
+
+    /// Schedules the path-summary decrements of a just-deleted subtree
+    /// (per-path node counts collected by the delete's own traversal).
+    fn note_summary_remove(&self, decrements: HashMap<Vec<LabelId>, u64>) {
+        let doc = self.doc;
+        if decrements.is_empty() || !self.repo.summaries.has_slot(doc) {
+            return;
+        }
+        let store = Arc::clone(&self.repo.summaries);
+        let delta = SummaryDelta::Remove {
+            decrements: decrements.into_iter().collect(),
+        };
+        self.op
+            .defer_until_publish(move |epoch, floor| store.apply_delta(doc, &delta, epoch, floor));
+    }
+}
+
 impl Repository {
     /// Rejects edits of a deleted document. Called after acquiring the
     /// edit latch: the deleting operation retires the document (publish
@@ -305,33 +435,74 @@ impl Repository {
         Ok(())
     }
 
-    /// Completes one published structural edit: applies relocation events
-    /// to the id map immediately (the writer needs them for its next
-    /// operation) and schedules the root move, if any, for the ambient
-    /// write operation's publish point — the root RID must switch
-    /// *atomically with the epoch*, or a reader could pair a fresh epoch
-    /// with the stale root (or vice versa) and walk a mixed record graph.
-    fn finish_edit(&self, state: &Arc<DocState>, res: &OpResult) {
-        state.apply_relocations(res);
-        if let Some((old, new)) = res.root_moved {
-            let st = Arc::clone(state);
-            let deferred = self
-                .tree
-                .versions()
-                .defer_until_publish(move |epoch, floor| {
-                    st.publish_root_move(old, new, epoch, floor)
-                });
-            if deferred {
-                self.log_root_move(state, new);
-            } else {
-                state.set_root_now(old, new);
+    /// The one edit protocol — every mutation of a registered document
+    /// (the node edits and [`delete_document`](Self::delete_document))
+    /// runs as `body` inside it: the document's edit latch, the liveness
+    /// check, one write operation of the version store, and — once the
+    /// operation has published and the latch is free — the durability
+    /// gate. `body` changes the tree through [`Edit::tree_op`] and schedules
+    /// whatever must switch with the epoch through the operation's
+    /// publish hooks.
+    fn edit<T>(
+        &self,
+        doc: DocId,
+        body: impl FnOnce(&Edit<'_>) -> NatixResult<T>,
+    ) -> NatixResult<T> {
+        let state = self.state(doc)?;
+        let result = {
+            let _latch = state.edit_latch.lock();
+            // The document may have been deleted while this writer waited
+            // on the latch: proceeding would mutate (or double-free)
+            // records whose slots another document may already own.
+            self.check_live(&state)?;
+            // Publishes (epoch advance + hooks) when the block ends, after
+            // the body's bookkeeping and before the latch releases (drop
+            // order is reverse declaration order) — on error too, because
+            // the pages were modified either way.
+            let op = self.tree.begin_write();
+            body(&Edit {
+                repo: self,
+                doc,
+                state: &state,
+                op: &op,
+            })
+        };
+        self.durable_gate()?;
+        result
+    }
+
+    /// The one load protocol — every way of storing a new document runs
+    /// its loader inside it: claim the name, load (the loader's write
+    /// operation publishes and logs the content), register the document,
+    /// install the path summary the loader built, gate on log durability.
+    /// Registration — and then the gate — come strictly after the content
+    /// commit. A failed load has rolled back its own records; its claim
+    /// is released here.
+    fn publish_load(
+        &self,
+        name: &str,
+        load: impl FnOnce() -> NatixResult<(DocState, Option<PathSummary>)>,
+    ) -> NatixResult<DocId> {
+        self.claim_name(name)?;
+        match load() {
+            Ok((state, summary)) => {
+                let id = self.register(state);
+                if let Some(summary) = summary {
+                    self.summaries.install(id, Arc::new(summary), 0);
+                }
+                self.durable_gate()?;
+                Ok(id)
+            }
+            Err(e) => {
+                self.abandon_claim(name);
+                Err(e)
             }
         }
     }
 
     /// Logs the directory with `state`'s root already at `new`, owned by
-    /// the ambient write operation: the checkpointed directory still names
-    /// the old root, so without this record a crash before the next
+    /// write operation `op`: the checkpointed directory still names the
+    /// old root, so without this record a crash before the next
     /// checkpoint would reopen the document at a RID that no longer holds
     /// its root. The record precedes the operation's commit record (that
     /// one is appended after publish), and recovery's directory fold
@@ -340,8 +511,8 @@ impl Repository {
     /// of *another* document that dumps the directory between this record
     /// and the operation's publish still lists the old root, and the later
     /// dump wins the fold.
-    fn log_root_move(&self, state: &DocState, new: Rid) {
-        let (Some(wal), Some(op)) = (&self.wal, self.tree.versions().ambient_write_op()) else {
+    fn log_root_move(&self, state: &DocState, op: u64, new: Rid) {
+        let Some(wal) = &self.wal else {
             return;
         };
         let symbols = self.symbols.read();
@@ -356,6 +527,19 @@ impl Repository {
             Some((&state.name, new)),
         );
         wal.append(&natix_storage::WalRecord::Catalog { op, payload });
+    }
+
+    /// Interns `tag` as an element label — after checking that it is a
+    /// name the parser would read back: the serializer writes labels
+    /// verbatim, so anything else would export XML this repository's own
+    /// parser rejects.
+    fn element_label(&self, tag: &str) -> NatixResult<LabelId> {
+        if !natix_xml::is_name(tag) {
+            return Err(NatixError::Validation(format!(
+                "{tag:?} is not an XML element name"
+            )));
+        }
+        Ok(self.intern_shared(natix_xml::LabelKind::Element, tag))
     }
 
     /// Binds logical node ids for pointers discovered under the calling
@@ -390,37 +574,6 @@ impl Repository {
         Ok(out)
     }
 
-    /// Runs a structural edit, normalizing depth-aware-packed clusters on
-    /// demand: a bulkloaded deep document stores late children in
-    /// continuation-group records whose layout in-place edits cannot
-    /// preserve, so the tree layer reports [`TreeError::PackedRecord`];
-    /// the cluster is then rewritten into plain records (relocations
-    /// applied to the id map) and the edit retried with fresh pointers —
-    /// which is why `f` must re-resolve its node ids on every attempt.
-    ///
-    /// [`TreeError::PackedRecord`]: natix_tree::TreeError::PackedRecord
-    fn edit_with_normalize<T>(
-        &self,
-        state: &Arc<DocState>,
-        mut f: impl FnMut(&Self) -> NatixResult<T>,
-    ) -> NatixResult<T> {
-        // Each round eliminates the packed cluster it tripped over; a
-        // bounded retry count turns a (logically impossible) livelock into
-        // a clean error.
-        for _ in 0..64 {
-            match f(self) {
-                Err(NatixError::Tree(natix_tree::TreeError::PackedRecord(rid))) => {
-                    let res = self.tree.normalize_packed(rid)?;
-                    self.finish_edit(state, &res);
-                }
-                other => return other,
-            }
-        }
-        Err(NatixError::Validation(
-            "structural edit kept hitting packed records".into(),
-        ))
-    }
-
     // ==================================================================
     // Document granularity.
     // ==================================================================
@@ -433,34 +586,20 @@ impl Repository {
     ///
     /// [`put_document_per_node`]: Self::put_document_per_node
     pub fn put_document(&self, name: &str, doc: &Document) -> NatixResult<DocId> {
-        self.claim_name(name)?;
-        let load = || -> NatixResult<BulkStats> {
+        self.publish_load(name, || {
             if !matches!(doc.data(doc.root()), NodeData::Element(_)) {
                 return Err(NatixError::Validation(
                     "document root must be an element".into(),
                 ));
             }
             let limit = chunk_limit(self.tree.net_capacity());
-            Ok(natix_tree::bulkload_document(&self.tree, doc, Some(limit))?)
-        };
-        match load() {
-            // Node ids are handed out lazily as the document is navigated
-            // (`children`/`parent` bind unseen pointers); only the root is
-            // bound eagerly. The loader's operation has published (and
-            // logged) by now, so registration — and then the durability
-            // gate — come strictly after the content commit.
-            Ok(stats) => {
-                let id = self.register(DocState::new(name.to_string(), stats.root_rid));
-                self.summaries
-                    .install(id, Arc::new(self.dom_summary(doc, stats.records)), 0);
-                self.durable_gate()?;
-                Ok(id)
-            }
-            Err(e) => {
-                self.abandon_claim(name);
-                Err(e)
-            }
-        }
+            let stats = natix_tree::bulkload_document(&self.tree, doc, Some(limit))?;
+            let summary = self.dom_summary(doc, stats.records);
+            Ok((
+                DocState::new(name.to_string(), stats.root_rid),
+                Some(summary),
+            ))
+        })
     }
 
     /// Stores a logical document by inserting one node at a time through
@@ -468,18 +607,7 @@ impl Repository {
     /// path, kept as the oracle for differential tests and benchmarks of
     /// the bulkloader.
     pub fn put_document_per_node(&self, name: &str, doc: &Document) -> NatixResult<DocId> {
-        self.claim_name(name)?;
-        match self.per_node_load(name, doc) {
-            Ok(state) => {
-                let id = self.register(state);
-                self.durable_gate()?;
-                Ok(id)
-            }
-            Err(e) => {
-                self.abandon_claim(name);
-                Err(e)
-            }
-        }
+        self.publish_load(name, || Ok((self.per_node_load(name, doc)?, None)))
     }
 
     fn per_node_load(&self, name: &str, doc: &Document) -> NatixResult<DocState> {
@@ -584,72 +712,6 @@ impl Repository {
         b.finish(records)
     }
 
-    /// Schedules a path-summary increment for a node just inserted at
-    /// `new_ptr`, to apply atomically when the surrounding write
-    /// operation publishes. Must be called inside the write operation
-    /// (after the edit succeeded) so the label path reads the writer's
-    /// own, not-yet-published state. If the update cannot be deferred the
-    /// summary is dropped — a later query rebuilds it lazily.
-    fn note_summary_insert(&self, doc: DocId, new_ptr: NodePtr, literal: bool) {
-        if !self.summaries.has_slot(doc) {
-            return;
-        }
-        match self.tree.label_path(new_ptr) {
-            Ok(path) => {
-                let store = Arc::clone(&self.summaries);
-                let delta = SummaryDelta::Insert {
-                    path,
-                    literal,
-                    count: 1,
-                };
-                let deferred = self
-                    .tree
-                    .versions()
-                    .defer_until_publish(move |epoch, floor| {
-                        store.apply_delta(doc, &delta, epoch, floor);
-                    });
-                if !deferred {
-                    self.summaries.remove(doc);
-                }
-            }
-            Err(_) => {
-                // The new node's label path could not be read; mark the
-                // summary stale from this edit's epoch on — readers pinned
-                // before it keep their versions.
-                let store = Arc::clone(&self.summaries);
-                let deferred = self
-                    .tree
-                    .versions()
-                    .defer_until_publish(move |epoch, floor| store.invalidate(doc, epoch, floor));
-                if !deferred {
-                    self.summaries.remove(doc);
-                }
-            }
-        }
-    }
-
-    /// Schedules the path-summary decrements of a just-deleted subtree
-    /// (per-path node counts collected by the delete's own traversal).
-    /// Same deferral protocol as [`Self::note_summary_insert`].
-    fn note_summary_remove(&self, doc: DocId, decrements: HashMap<Vec<natix_xml::LabelId>, u64>) {
-        if decrements.is_empty() || !self.summaries.has_slot(doc) {
-            return;
-        }
-        let store = Arc::clone(&self.summaries);
-        let delta = SummaryDelta::Remove {
-            decrements: decrements.into_iter().collect(),
-        };
-        let deferred = self
-            .tree
-            .versions()
-            .defer_until_publish(move |epoch, floor| {
-                store.apply_delta(doc, &delta, epoch, floor);
-            });
-        if !deferred {
-            self.summaries.remove(doc);
-        }
-    }
-
     /// Parses and stores XML text.
     pub fn put_xml(&self, name: &str, xml: &str) -> NatixResult<DocId> {
         let options = self.parser_options();
@@ -671,36 +733,37 @@ impl Repository {
     /// document size — node ids are bound lazily on navigation, never
     /// materialised for the whole document. A failed load deletes every
     /// record it had already flushed and releases its name claim.
+    ///
+    /// Takes `&self`: the load is one write operation of the
+    /// record-version layer, so queries — of other documents *and of this
+    /// name, which simply does not exist until the publish point* — run
+    /// concurrently with the ingestion and never observe a half-loaded
+    /// document; so do other loads
+    /// ([`put_documents_parallel`](Self::put_documents_parallel)).
     pub fn put_xml_streaming(&self, name: &str, xml: &str) -> NatixResult<DocId> {
-        // Takes `&self`: the load is one write operation of the
-        // record-version layer, so queries — of other documents *and of
-        // this name, which simply does not exist until the publish point*
-        // — run concurrently with the ingestion and never observe a
-        // half-loaded document. Same claim → load → publish protocol as
-        // one concurrent ingestion job, over the main document store.
-        self.ingest_one(&self.tree, name, xml)
+        self.publish_load(name, || {
+            let (stats, summary) = self.stream_load(xml)?;
+            Ok((
+                DocState::new(name.to_string(), stats.root_rid),
+                Some(summary),
+            ))
+        })
     }
 
-    /// The shared streaming-load engine: parses `xml` and feeds the event
-    /// stream to a bulkloader over `tree` (the main document store, or a
-    /// per-worker ingestion store — see [`Self::put_documents_parallel`]).
-    /// Labels are interned through the read-locked fast path, so any
-    /// number of these can run concurrently. On failure every flushed
-    /// record has been rolled back; registry bookkeeping is the caller's.
-    /// Returns the bulkload stats together with a [`PathSummary`] built
-    /// from the same event stream — one literal per *stored* node, so
-    /// chunked long text counts once per chunk, exactly as a walk of the
-    /// stored tree would count it.
-    pub(crate) fn stream_load(
-        &self,
-        tree: &TreeStore,
-        xml: &str,
-    ) -> NatixResult<(BulkStats, PathSummary)> {
+    /// The streaming-load engine: parses `xml` and feeds the event stream
+    /// to a bulkloader over the document store. Labels are interned
+    /// through the read-locked fast path, so any number of these can run
+    /// concurrently. On failure every flushed record has been rolled
+    /// back. Returns the bulkload stats together with a [`PathSummary`]
+    /// built from the same event stream — one literal per *stored* node,
+    /// so chunked long text counts once per chunk, exactly as a walk of
+    /// the stored tree would count it.
+    fn stream_load(&self, xml: &str) -> NatixResult<(BulkStats, PathSummary)> {
         use natix_xml::{LabelKind, PullParser, XmlEvent};
         let options = self.parser_options();
-        let limit = chunk_limit(tree.net_capacity());
+        let limit = chunk_limit(self.tree.net_capacity());
         let mut parser = PullParser::new(xml, options);
-        let mut loader = natix_tree::BulkLoader::new(tree);
+        let mut loader = natix_tree::BulkLoader::new(&self.tree);
         let mut builder = SummaryBuilder::new();
         let mut feed = |loader: &mut natix_tree::BulkLoader<'_>,
                         builder: &mut SummaryBuilder|
@@ -789,25 +852,10 @@ impl Repository {
 
     /// Creates an empty document with the given root tag.
     pub fn create_document(&self, name: &str, root_tag: &str) -> NatixResult<DocId> {
-        self.claim_name(name)?;
-        let label = self.symbols.write().intern_element(root_tag);
-        let created = {
-            // Scoped write operation: it publishes (and logs its commit)
-            // before the registration below is appended to the log.
-            let _op = self.tree.begin_write();
-            self.tree.create_tree(label)
-        };
-        match created {
-            Ok(root_rid) => {
-                let id = self.register(DocState::new(name.to_string(), root_rid));
-                self.durable_gate()?;
-                Ok(id)
-            }
-            Err(e) => {
-                self.abandon_claim(name);
-                Err(e.into())
-            }
-        }
+        self.publish_load(name, || {
+            let root_rid = self.tree.create_tree(self.element_label(root_tag)?)?;
+            Ok((DocState::new(name.to_string(), root_rid), None))
+        })
     }
 
     /// Reconstructs the whole logical document (§2.3.3: proxy
@@ -847,19 +895,8 @@ impl Repository {
     /// readers arriving after the drop see [`NatixError::NoSuchDocument`].
     pub fn delete_document(&self, name: &str) -> NatixResult<()> {
         let id = self.doc_id(name)?;
-        let state = self.state(id)?;
-        let result = {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Outer write operation: publishes (epoch advance + root-move
-            // hook) after the edit's bookkeeping below, before the latch
-            // releases (drop order is reverse declaration order).
-            let _op = self.tree.begin_write();
-            let op_id = _op.id();
-            let result = self.tree.drop_tree(state.root_rid());
+        self.edit(id, |e| {
+            let result = self.tree.drop_tree(e.state.root_rid());
             // Unregister and retire atomically with the publish: readers
             // pinned earlier keep both name resolution and the deposited
             // records; readers pinned later get a clean NoSuchDocument, and
@@ -867,37 +904,33 @@ impl Repository {
             // exists. On a failed cascade the document is retired anyway —
             // a half-freed tree must not stay addressable (the unfreed
             // records leak, which beats dangling-pointer walks).
-            let st = Arc::clone(&state);
+            let st = Arc::clone(e.state);
             let registry = Arc::clone(&self.registry);
-            let doc_name = state.name.clone();
             let wal = self.wal.clone();
             let summaries = Arc::clone(&self.summaries);
-            self.tree
-                .versions()
-                .defer_until_publish(move |epoch, floor| {
-                    st.retire(epoch, floor);
-                    summaries.remove(id);
-                    let mut reg = registry.lock();
-                    if reg.by_name.get(&doc_name) == Some(&id) {
-                        reg.by_name.remove(&doc_name);
-                        reg.docs[id as usize] = None;
-                        // Logged under the registry lock, like every other
-                        // directory mutation: the log's order matches the
-                        // registry's, so a racing registration whose
-                        // payload still lists this document cannot land
-                        // *after* the deletion and resurrect it.
-                        if let Some(w) = &wal {
-                            w.append(&natix_storage::WalRecord::DocDelete {
-                                op: op_id,
-                                name: doc_name.clone(),
-                            });
-                        }
+            let op_id = e.op.id();
+            e.op.defer_until_publish(move |epoch, floor| {
+                st.retire(epoch, floor);
+                summaries.remove(id);
+                let mut reg = registry.lock();
+                if reg.by_name.get(&st.name) == Some(&id) {
+                    reg.by_name.remove(&st.name);
+                    reg.docs[id as usize] = None;
+                    // Logged under the registry lock, like every other
+                    // directory mutation: the log's order matches the
+                    // registry's, so a racing registration whose payload
+                    // still lists this document cannot land *after* the
+                    // deletion and resurrect it.
+                    if let Some(w) = &wal {
+                        w.append(&natix_storage::WalRecord::DocDelete {
+                            op: op_id,
+                            name: st.name.clone(),
+                        });
                     }
-                });
-            result
-        };
-        self.durable_gate()?;
-        Ok(result?)
+                }
+            });
+            Ok(result?)
+        })
     }
 
     // ==================================================================
@@ -982,6 +1015,18 @@ impl Repository {
         Ok(n)
     }
 
+    /// Inserts a new node — the generic insert under the two conveniences
+    /// below, for callers that hold a label id and a payload.
+    pub fn insert_node(
+        &self,
+        doc: DocId,
+        at: InsertAt,
+        label: LabelId,
+        node: NewNode,
+    ) -> NatixResult<NodeId> {
+        self.edit(doc, |e| e.insert_one(at, label, &node))
+    }
+
     /// Inserts a new element under `parent`. Takes `&self`: the
     /// document's edit latch serialises writers of *this* document;
     /// readers and writers of other documents proceed concurrently.
@@ -992,35 +1037,13 @@ impl Repository {
         pos: InsertPos,
         tag: &str,
     ) -> NatixResult<NodeId> {
-        let state = self.state(doc)?;
-        let id = {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Outer write operation: publishes (epoch advance + root-move
-            // hook) after the edit's bookkeeping below, before the latch
-            // releases (drop order is reverse declaration order).
-            let _op = self.tree.begin_write();
-            let label = self.symbols.write().intern_element(tag);
-            let res = self.edit_with_normalize(&state, |repo| {
-                let ptr = state
-                    .resolve(parent)
-                    .ok_or(NatixError::NoSuchNode(parent))?;
-                Ok(repo.tree.insert(ptr, pos, label, NewNode::Element)?)
-            })?;
-            self.finish_edit(&state, &res);
-            let new_ptr = res.new_node.expect("insert yields node");
-            self.note_summary_insert(doc, new_ptr, false);
-            state.fresh_id(new_ptr)
-        };
-        self.durable_gate()?;
-        Ok(id)
+        let label = self.element_label(tag)?;
+        self.insert_node(doc, InsertAt::Child(parent, pos), label, NewNode::Element)
     }
 
     /// Inserts a text literal under `parent`; long text is chunked into
-    /// several sibling literals and all their ids are returned.
+    /// several sibling literals — one write operation, so readers see all
+    /// of them or none — and all their ids are returned.
     pub fn insert_text(
         &self,
         doc: DocId,
@@ -1028,248 +1051,67 @@ impl Repository {
         pos: InsertPos,
         text: &str,
     ) -> NatixResult<Vec<NodeId>> {
-        let state = self.state(doc)?;
-        let ids = self.insert_text_inner(doc, &state, parent, pos, text)?;
-        self.durable_gate()?;
-        Ok(ids)
-    }
-
-    fn insert_text_inner(
-        &self,
-        doc: DocId,
-        state: &Arc<DocState>,
-        parent: NodeId,
-        pos: InsertPos,
-        text: &str,
-    ) -> NatixResult<Vec<NodeId>> {
-        let state = Arc::clone(state);
-        let _latch = state.edit_latch.lock();
-        // The document may have been deleted while this writer waited on
-        // the latch: proceeding would mutate (or double-free) records
-        // whose slots another document may already own.
-        self.check_live(&state)?;
-        // Outer write operation: publishes (epoch advance + root-move
-        // hook) after the edit's bookkeeping below, before the latch
-        // releases (drop order is reverse declaration order).
-        let _op = self.tree.begin_write();
         let limit = chunk_limit(self.tree.net_capacity());
-        let chunks: Vec<String> = if text.len() > limit {
-            // Split on UTF-8 character boundaries: a byte split would
-            // corrupt multi-byte characters straddling a chunk edge.
-            natix_xml::chunk_str(text, limit)
-                .map(str::to_owned)
-                .collect()
+        // Split on UTF-8 character boundaries: a byte split would corrupt
+        // multi-byte characters straddling a chunk edge.
+        let chunks: Vec<&str> = if text.len() > limit {
+            natix_xml::chunk_str(text, limit).collect()
         } else {
-            vec![text.to_string()]
+            vec![text]
         };
-        let mut ids = Vec::with_capacity(chunks.len());
-        let mut insert_pos = pos;
-        for chunk in chunks {
-            // Re-resolve the parent for every chunk: inserting the
-            // previous chunk may have split or moved its record.
-            let res = self.edit_with_normalize(&state, |repo| {
-                let ptr = state
-                    .resolve(parent)
-                    .ok_or(NatixError::NoSuchNode(parent))?;
-                Ok(repo.tree.insert(
-                    ptr,
-                    insert_pos,
-                    LABEL_TEXT,
-                    NewNode::Literal(LiteralValue::String(chunk.clone())),
-                )?)
-            })?;
-            self.finish_edit(&state, &res);
-            let new_ptr = res.new_node.expect("insert yields node");
-            self.note_summary_insert(doc, new_ptr, true);
-            let id = state.fresh_id(new_ptr);
-            // Subsequent chunks follow the one just inserted.
-            insert_pos = match insert_pos {
-                InsertPos::First => InsertPos::At(1),
-                InsertPos::At(k) => InsertPos::At(k + 1),
-                InsertPos::Last => InsertPos::Last,
-            };
-            ids.push(id);
-        }
-        Ok(ids)
+        self.edit(doc, |e| {
+            let mut pos = pos;
+            let mut ids = Vec::with_capacity(chunks.len());
+            for chunk in chunks {
+                // The parent is re-resolved for every chunk: inserting the
+                // previous one may have split or moved its record.
+                let node = NewNode::Literal(LiteralValue::String(chunk.to_owned()));
+                ids.push(e.insert_one(InsertAt::Child(parent, pos), LABEL_TEXT, &node)?);
+                // Subsequent chunks follow the one just inserted.
+                pos = match pos {
+                    InsertPos::First => InsertPos::At(1),
+                    InsertPos::At(k) => InsertPos::At(k + 1),
+                    InsertPos::Last => InsertPos::Last,
+                };
+            }
+            Ok(ids)
+        })
     }
 
-    /// Inserts an element as the next sibling of `sibling`.
-    pub fn insert_element_after(
-        &self,
-        doc: DocId,
-        sibling: NodeId,
-        tag: &str,
-    ) -> NatixResult<NodeId> {
-        let state = self.state(doc)?;
-        let id = {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Outer write operation: publishes (epoch advance + root-move
-            // hook) after the edit's bookkeeping below, before the latch
-            // releases (drop order is reverse declaration order).
-            let _op = self.tree.begin_write();
-            let label = self.symbols.write().intern_element(tag);
-            let res = self.edit_with_normalize(&state, |repo| {
-                let ptr = state
-                    .resolve(sibling)
-                    .ok_or(NatixError::NoSuchNode(sibling))?;
-                Ok(repo.tree.insert_after(ptr, label, NewNode::Element)?)
-            })?;
-            self.finish_edit(&state, &res);
-            let new_ptr = res.new_node.expect("insert yields node");
-            self.note_summary_insert(doc, new_ptr, false);
-            state.fresh_id(new_ptr)
-        };
-        self.durable_gate()?;
-        Ok(id)
-    }
-
-    /// Inserts a literal as the next sibling of `sibling`.
-    pub fn insert_literal_after(
-        &self,
-        doc: DocId,
-        sibling: NodeId,
-        label: natix_xml::LabelId,
-        value: LiteralValue,
-    ) -> NatixResult<NodeId> {
-        let state = self.state(doc)?;
-        let id = {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Outer write operation: publishes (epoch advance + root-move
-            // hook) after the edit's bookkeeping below, before the latch
-            // releases (drop order is reverse declaration order).
-            let _op = self.tree.begin_write();
-            let res = self.edit_with_normalize(&state, |repo| {
-                let ptr = state
-                    .resolve(sibling)
-                    .ok_or(NatixError::NoSuchNode(sibling))?;
-                Ok(repo
-                    .tree
-                    .insert_after(ptr, label, NewNode::Literal(value.clone()))?)
-            })?;
-            self.finish_edit(&state, &res);
-            let new_ptr = res.new_node.expect("insert yields node");
-            self.note_summary_insert(doc, new_ptr, true);
-            state.fresh_id(new_ptr)
-        };
-        self.durable_gate()?;
-        Ok(id)
-    }
-
-    /// Generic insert used by the benchmark harness (label id + payload).
-    pub fn insert_node(
-        &self,
-        doc: DocId,
-        parent: NodeId,
-        pos: InsertPos,
-        label: natix_xml::LabelId,
-        node: NewNode,
-    ) -> NatixResult<NodeId> {
-        let state = self.state(doc)?;
-        let id = {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Outer write operation: publishes (epoch advance + root-move
-            // hook) after the edit's bookkeeping below, before the latch
-            // releases (drop order is reverse declaration order).
-            let _op = self.tree.begin_write();
-            let literal = matches!(node, NewNode::Literal(_));
-            let res = self.edit_with_normalize(&state, |repo| {
-                let ptr = state
-                    .resolve(parent)
-                    .ok_or(NatixError::NoSuchNode(parent))?;
-                Ok(repo.tree.insert(ptr, pos, label, node.clone())?)
-            })?;
-            self.finish_edit(&state, &res);
-            let new_ptr = res.new_node.expect("insert yields node");
-            self.note_summary_insert(doc, new_ptr, literal);
-            state.fresh_id(new_ptr)
-        };
-        self.durable_gate()?;
-        Ok(id)
-    }
-
-    /// Generic sibling insert used by the benchmark harness.
-    pub fn insert_node_after(
-        &self,
-        doc: DocId,
-        sibling: NodeId,
-        label: natix_xml::LabelId,
-        node: NewNode,
-    ) -> NatixResult<NodeId> {
-        let state = self.state(doc)?;
-        let id = {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Outer write operation: publishes (epoch advance + root-move
-            // hook) after the edit's bookkeeping below, before the latch
-            // releases (drop order is reverse declaration order).
-            let _op = self.tree.begin_write();
-            let literal = matches!(node, NewNode::Literal(_));
-            let res = self.edit_with_normalize(&state, |repo| {
-                let ptr = state
-                    .resolve(sibling)
-                    .ok_or(NatixError::NoSuchNode(sibling))?;
-                Ok(repo.tree.insert_after(ptr, label, node.clone())?)
-            })?;
-            self.finish_edit(&state, &res);
-            let new_ptr = res.new_node.expect("insert yields node");
-            self.note_summary_insert(doc, new_ptr, literal);
-            state.fresh_id(new_ptr)
-        };
-        self.durable_gate()?;
-        Ok(id)
-    }
-
-    /// Deletes the subtree rooted at `node`.
+    /// Deletes the subtree rooted at `node`. The document's root is not a
+    /// subtree to delete — a registered document always has one; use
+    /// [`delete_document`](Self::delete_document).
     pub fn delete_node(&self, doc: DocId, node: NodeId) -> NatixResult<()> {
-        let state = self.state(doc)?;
-        {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Outer write operation: publishes (epoch advance + root-move
-            // hook) after the edit's bookkeeping below, before the latch
-            // releases (drop order is reverse declaration order).
-            let _op = self.tree.begin_write();
-            let (res, victims, decrements) = self.edit_with_normalize(&state, |repo| {
-                let ptr = state.resolve(node).ok_or(NatixError::NoSuchNode(node))?;
-                // Collect the subtree's logical ids first (their pointers are
-                // purged before relocations are applied); recollected on every
-                // attempt, since normalization relocates them. The same walk
-                // tallies per-path node counts for the summary decrement,
-                // keyed by root-to-node label path: `prefix` starts as the
-                // victim root's *ancestor* path and tracks the walk depth.
+        self.edit(doc, |e| {
+            if node == e.state.root_id {
+                return Err(NatixError::Validation(
+                    "the root node cannot be deleted; use delete_document".into(),
+                ));
+            }
+            let mut decrements = HashMap::new();
+            e.tree_op(|| {
+                let ptr = e.state.resolve(node).ok_or(NatixError::NoSuchNode(node))?;
+                // Collect the subtree's logical ids first; recollected on
+                // every attempt, since normalization relocates them. The
+                // same walk tallies per-path node counts for the summary
+                // decrement, keyed by root-to-node label path: `prefix`
+                // starts as the victim root's *ancestor* path and tracks
+                // the walk depth.
                 let mut victims = Vec::new();
-                let mut decrements: HashMap<Vec<natix_xml::LabelId>, u64> = HashMap::new();
-                let mut prefix = repo.tree.label_path(ptr)?;
+                decrements.clear();
+                let mut prefix = self.tree.label_path(ptr)?;
                 prefix.pop();
-                natix_tree::traverse(&repo.tree, ptr, &mut |ev| {
+                natix_tree::traverse(&self.tree, ptr, &mut |ev| {
                     match ev {
                         VisitEvent::Enter { ptr, label } => {
-                            if let Some(id) = state.lookup_ptr(ptr) {
+                            if let Some(id) = e.state.lookup_ptr(ptr) {
                                 victims.push(id);
                             }
                             prefix.push(label);
                             *decrements.entry(prefix.clone()).or_default() += 1;
                         }
                         VisitEvent::Literal { ptr, label, .. } => {
-                            if let Some(id) = state.lookup_ptr(ptr) {
+                            if let Some(id) = e.state.lookup_ptr(ptr) {
                                 victims.push(id);
                             }
                             prefix.push(label);
@@ -1282,40 +1124,27 @@ impl Repository {
                     }
                     true
                 })?;
-                let res = repo.tree.delete_subtree(ptr)?;
-                Ok((res, victims, decrements))
+                let res = self.tree.delete_subtree(ptr)?;
+                // Purged before the relocations of the same operation are
+                // applied — survivors may move into freed addresses.
+                e.state.purge(&victims);
+                Ok(res)
             })?;
-            state.purge(&victims);
-            self.finish_edit(&state, &res);
-            self.note_summary_remove(doc, decrements);
-        }
-        self.durable_gate()?;
-        Ok(())
+            e.note_summary_remove(decrements);
+            Ok(())
+        })
     }
 
     /// Replaces the value of a text/literal node.
     pub fn update_text(&self, doc: DocId, node: NodeId, text: &str) -> NatixResult<()> {
-        let state = self.state(doc)?;
-        {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Outer write operation: publishes (epoch advance + root-move
-            // hook) after the edit's bookkeeping below, before the latch
-            // releases (drop order is reverse declaration order).
-            let _op = self.tree.begin_write();
-            let res = self.edit_with_normalize(&state, |repo| {
-                let ptr = state.resolve(node).ok_or(NatixError::NoSuchNode(node))?;
-                Ok(repo
-                    .tree
-                    .update_literal(ptr, LiteralValue::String(text.to_string()))?)
+        self.edit(doc, |e| {
+            e.tree_op(|| {
+                let ptr = e.state.resolve(node).ok_or(NatixError::NoSuchNode(node))?;
+                let value = LiteralValue::String(text.to_string());
+                Ok(self.tree.update_literal(ptr, value)?)
             })?;
-            self.finish_edit(&state, &res);
-        }
-        self.durable_gate()?;
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Concatenated text content of a subtree (Query 2/3 style reads).
@@ -1459,7 +1288,10 @@ mod tests {
             .unwrap();
         repo.insert_text(id, speaker, InsertPos::Last, "OTHELLO")
             .unwrap();
-        let line = repo.insert_element_after(id, speaker, "LINE").unwrap();
+        let line_label = repo.symbols_mut().intern_element("LINE");
+        let line = repo
+            .insert_node(id, InsertAt::After(speaker), line_label, NewNode::Element)
+            .unwrap();
         repo.insert_text(id, line, InsertPos::Last, "Look in my face.")
             .unwrap();
         assert_eq!(
@@ -1474,6 +1306,38 @@ mod tests {
             repo.text_content(id, root).unwrap(),
             "OTHELLOLook in my face."
         );
+    }
+
+    #[test]
+    fn tags_that_are_not_names_are_refused_before_interning() {
+        // `"a b<"` used to be interned and exported as `<a b</>`, which
+        // this repository's own parser rejects.
+        let repo = small_repo();
+        let id = repo.put_xml("d", "<a><b>x</b></a>").unwrap();
+        let root = repo.root(id).unwrap();
+        let labels = repo.symbols().len();
+        for bad in ["a b<", "", "9lives", "a/b"] {
+            assert!(
+                matches!(
+                    repo.insert_element(id, root, InsertPos::Last, bad),
+                    Err(NatixError::Validation(_))
+                ),
+                "insert_element {bad:?}"
+            );
+            assert!(
+                matches!(
+                    repo.create_document("fresh", bad),
+                    Err(NatixError::Validation(_))
+                ),
+                "create_document {bad:?}"
+            );
+        }
+        assert_eq!(repo.get_xml("d").unwrap(), "<a><b>x</b></a>");
+        assert_eq!(repo.symbols().len(), labels, "nothing was interned");
+        assert_eq!(repo.document_names(), vec!["d"]);
+        // The refused name is free, and a real name still goes through.
+        repo.create_document("fresh", "ns:root-1.x").unwrap();
+        assert_eq!(repo.get_xml("fresh").unwrap(), "<ns:root-1.x/>");
     }
 
     #[test]

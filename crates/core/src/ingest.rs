@@ -2,13 +2,16 @@
 //!
 //! The paper's storage manager serves multiple users; loading a corpus one
 //! document at a time leaves the machine idle whenever the single writer
-//! stalls on disk. [`Repository::put_documents_parallel`] runs N streaming
-//! bulkloads on worker threads **into distinct segments** simultaneously:
+//! stalls on disk. [`Repository::put_documents_parallel`] is a scoped
+//! worker pool over [`Repository::put_xml_streaming`]: N threads take
+//! documents off one shared counter and run the ordinary streaming load —
+//! the same routine, the same document store, the same log — on each.
+//! Nothing here is a second write path; what makes the loads concurrent
+//! lives in the layers they already go through:
 //!
-//! * each worker owns a [`TreeStore`] over an ingestion segment from a
-//!   lazily created pool (`ingest0`, `ingest1`, …), so page allocation and
-//!   free-space bookkeeping of different writers never contend on one
-//!   segment inventory, and each document's pages stay clustered;
+//! * every bulkloader appends through its own page cursor, so the fill
+//!   pages of concurrent loads are distinct and each document's records
+//!   stay as clustered as a serial load leaves them;
 //! * labels are interned through the symbol table's read-locked fast path
 //!   — parsers run concurrently, escalating to the write lock only for a
 //!   genuinely new tag or attribute name;
@@ -17,39 +20,39 @@
 //!   the loser fails with [`crate::NatixError::DocumentExists`] before
 //!   writing a single record, and a load failing mid-stream rolls back
 //!   every record it flushed and releases its claim;
-//! * record RIDs are global (a page id addresses the whole repository), so
-//!   documents ingested into any segment are read, queried, edited and
-//!   checkpointed exactly like documents in the main segment.
+//! * each load is one write operation of the repository's version store,
+//!   so it commits through the write-ahead log and passes the durability
+//!   gate like any other write: an acknowledged document survives a
+//!   crash, and the gates of concurrent loads share log syncs;
+//! * the buffer manager performs all disk I/O outside its pool mutex and
+//!   the storage manager's allocator lock is never held across page I/O,
+//!   so one writer's eviction write-back overlaps the other writers'
+//!   parsing and page fills.
 //!
-//! The buffer manager performs all disk I/O outside its pool mutex and the
-//! storage manager's allocator lock is never held across page I/O, so one
-//! writer's eviction write-back overlaps the other writers' parsing and
-//! page fills.
+//! There is deliberately no per-worker store or segment. A pool of
+//! `ingestN` segments once stood here and bought neither thing it was
+//! built for: every segment's inventory sits behind the storage manager's
+//! one allocator mutex, so the writers contended exactly as on one
+//! segment, and pages come from one global free list whatever the
+//! segment, so the clustering was the bulkloader's cursor all along —
+//! while its stores, built beside the repository's version store, had no
+//! log, and a crash lost documents they had acknowledged.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use natix_tree::TreeStore;
-
-use crate::document::{DocId, DocState};
-use crate::error::{NatixError, NatixResult};
+use crate::document::DocId;
+use crate::error::NatixResult;
 use crate::repository::Repository;
-
-/// Upper bound on the ingestion-segment pool. Segments are a scarce
-/// directory resource (the header page holds the whole segment directory),
-/// and more than this many concurrent writers share segments round-robin —
-/// sharing is safe, the pool only exists for clustering and to keep
-/// free-space inventories from contending.
-const MAX_INGEST_SEGMENTS: usize = 8;
 
 impl Repository {
     /// Stores many XML documents concurrently with up to `writers` worker
-    /// threads, each running the streaming bulkloader into its own
-    /// ingestion segment. Returns one result per input document, in input
-    /// order. Takes `&self`: ingestion runs against a shared repository
-    /// reference, concurrently with readers of already-stored documents.
+    /// threads, each running [`put_xml_streaming`](Self::put_xml_streaming)
+    /// on the next unclaimed document. Returns one result per input
+    /// document, in input order. Takes `&self`: ingestion runs against a
+    /// shared repository reference, concurrently with readers of
+    /// already-stored documents.
     ///
     /// Failure of one document never affects the others: its records are
     /// rolled back, its name claim is released, and its slot in the result
@@ -59,45 +62,20 @@ impl Repository {
         docs: &[(String, String)],
         writers: usize,
     ) -> Vec<NatixResult<DocId>> {
-        let writers = writers.max(1).min(docs.len().max(1));
-        if docs.is_empty() {
-            return Vec::new();
-        }
-        // Create the segment pool up front, serially: the pool is shared
-        // by all workers and `create_segment` persists the directory.
-        let slots = writers.min(MAX_INGEST_SEGMENTS);
-        let mut stores = Vec::with_capacity(slots);
-        for slot in 0..slots {
-            match self.ingest_store(slot) {
-                Ok(store) => stores.push(store),
-                Err(e) => {
-                    // Could not set up segments (e.g. directory full):
-                    // every document fails the same way.
-                    let msg = e.to_string();
-                    return docs
-                        .iter()
-                        .map(|_| Err(NatixError::Catalog(msg.clone())))
-                        .collect();
-                }
-            }
-        }
-        let stores: Vec<Arc<TreeStore>> = stores.into_iter().map(Arc::new).collect();
+        let writers = writers.clamp(1, docs.len().max(1));
         let next = AtomicUsize::new(0);
         let results: Vec<Mutex<Option<NatixResult<DocId>>>> = docs
             .iter()
             .map(|_| Mutex::with_rank(&parking_lot::rank::RESULT_SLOT, None))
             .collect();
         std::thread::scope(|scope| {
-            for w in 0..writers {
-                let store = Arc::clone(&stores[w % slots]);
-                let next = &next;
-                let results = &results;
-                scope.spawn(move || loop {
+            for _ in 0..writers {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some((name, xml)) = docs.get(i) else {
                         break;
                     };
-                    *results[i].lock() = Some(self.ingest_one(&store, name, xml));
+                    *results[i].lock() = Some(self.put_xml_streaming(name, xml));
                 });
             }
         });
@@ -106,66 +84,12 @@ impl Repository {
             .map(|r| r.into_inner().expect("every job produced a result"))
             .collect()
     }
-
-    /// Claims `name`, streams `xml` through a bulkloader over `store`, and
-    /// publishes the document — the per-job body of one ingestion worker,
-    /// and (over the main tree store) the body of
-    /// [`put_xml_streaming`](Repository::put_xml_streaming).
-    pub(crate) fn ingest_one(
-        &self,
-        store: &TreeStore,
-        name: &str,
-        xml: &str,
-    ) -> NatixResult<DocId> {
-        self.claim_name(name)?;
-        match self.stream_load(store, xml) {
-            Ok((stats, summary)) => {
-                // The load's write operation has published and logged by
-                // now; register the name, then gate on log durability.
-                let id = self.register(DocState::new(name.to_string(), stats.root_rid));
-                self.summaries.install(id, std::sync::Arc::new(summary), 0);
-                self.durable_gate()?;
-                Ok(id)
-            }
-            Err(e) => {
-                // stream_load already rolled back every flushed record.
-                self.abandon_claim(name);
-                Err(e)
-            }
-        }
-    }
-
-    /// The ingestion [`TreeStore`] for pool slot `slot`, creating (or, on
-    /// a reopened repository, finding) its segment on first use. The store
-    /// snapshots the main tree's current split matrix — matrix changes
-    /// affect future loads, exactly as for the single-writer path.
-    fn ingest_store(&self, slot: usize) -> NatixResult<TreeStore> {
-        let mut pool = self.ingest_segs.lock();
-        let seg = match pool.get(&slot) {
-            Some(&seg) => seg,
-            None => {
-                let name = format!("ingest{slot}");
-                let seg = match self.sm.segment_by_name(&name) {
-                    Some(seg) => seg,
-                    None => self.sm.create_segment(&name)?,
-                };
-                pool.insert(slot, seg);
-                seg
-            }
-        };
-        drop(pool);
-        Ok(TreeStore::new(
-            Arc::clone(&self.sm),
-            seg,
-            self.options.tree_config,
-            self.tree.matrix().clone(),
-        )?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::NatixError;
     use crate::repository::RepositoryOptions;
 
     fn repo() -> Repository {

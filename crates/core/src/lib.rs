@@ -14,7 +14,10 @@
 //!   tree-structured split algorithm and split matrix;
 //! * the **document manager** ([`document`]): document- and
 //!   node-granularity access, schema validation, long-text chunking,
-//!   stable logical node ids maintained from relocation events;
+//!   stable logical node ids maintained from relocation events — and the
+//!   one write path: every edit runs through its `edit` routine, every
+//!   load through its `publish_load`, on the one document store
+//!   ([`ingest`] is a worker pool over [`Repository::put_xml_streaming`]);
 //! * the **schema manager** ([`schema`]) and the **system catalog**
 //!   ([`catalog`]) — stored, as in the paper, *as an XML document inside
 //!   the system itself*;
@@ -59,7 +62,7 @@ pub(crate) mod recovery;
 pub mod repository;
 pub mod schema;
 
-pub use document::{DocId, NodeId, NodeKind, NodeSummary};
+pub use document::{DocId, InsertAt, NodeId, NodeKind, NodeSummary};
 pub use error::{NatixError, NatixResult};
 pub use parallel_query::ParallelQueryOptions;
 pub use path_summary::PathSummary;

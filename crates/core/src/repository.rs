@@ -30,7 +30,6 @@
 //! |---|---|---|
 //! | `CHECKPOINT` | 100 (io) | [`Repository::checkpoint`] serialisation |
 //! | `DOC_EDIT_LATCH` | 200 (io) | per-document edit latch (`DocState::edit_latch`) |
-//! | `INGEST_POOL` | 350 (io) | ingestion segment pool |
 //! | `SYMBOL_MARK` | 400 | logged-symbol watermark |
 //! | `SYMBOLS` | 500 | shared symbol table |
 //! | `SPLIT_MATRIX` | 550 | split-matrix rules (`TreeStore`) |
@@ -80,9 +79,24 @@
 //! read-only operations against structural edits **and streaming
 //! ingestion of the same document**; structural edits of *different*
 //! documents; and N concurrent streaming bulkloads
-//! ([`put_documents_parallel`]) into distinct segments. The global
+//! ([`put_documents_parallel`]) into the one document store. The global
 //! reader/writer phase distinction is gone — everything below takes
 //! `&self`.
+//!
+//! # One write path
+//!
+//! Every mutation goes through one of two private routines of
+//! [`crate::document`], over the one document store built in
+//! `Repository::build` (the only place a tree store is constructed, so
+//! no write can miss the log). `edit` — edit latch, liveness check, one
+//! write operation, tree operations under normalize-retry, relocations
+//! and publish hooks, durability gate — carries
+//! [`Repository::insert_node`] (and `insert_element` / `insert_text`
+//! over it), `delete_node`, `update_text` and `delete_document`.
+//! `publish_load` — claim the name, load, register, install the summary,
+//! gate; abandon the claim on error — carries `put_document`,
+//! `put_document_per_node`, `create_document` and `put_xml_streaming`,
+//! which [`put_documents_parallel`] calls from a worker pool.
 //!
 //! # Record versions and the latch discipline
 //!
@@ -94,9 +108,9 @@
 //!   order: (1) the target document's **edit latch** (a per-document
 //!   mutex inside `DocState` — writers of one document are serialised,
 //!   writers of different documents are not), (2) a **write operation**
-//!   of the shared version store (every tree store of this repository —
-//!   documents, catalog, ingestion pool — feeds one
-//!   [`natix_tree::VersionStore`]), (3) page pins/frame locks, one page
+//!   of the shared version store (both tree stores of this repository —
+//!   documents and catalog — feed one [`natix_tree::VersionStore`]),
+//!   (3) page pins/frame locks, one page
 //!   at a time. No latch is ever taken while holding a page pin, so the
 //!   hierarchy is acyclic.
 //! * **Copy-on-write publish point.** Before the writer overwrites,
@@ -298,8 +312,11 @@
 //!
 //! Known limitations, by design: split-matrix and DTD changes are
 //! durable only at the next directory dump (registration or
-//! checkpoint); and page writes are assumed atomic at the backend's
-//! page size.
+//! checkpoint); page writes are assumed atomic at the backend's page
+//! size; and a root-record move logged while *another* document's
+//! registration or checkpoint dumps the directory can be folded away at
+//! recovery (`document.rs::log_root_move` documents the window; closing
+//! it takes a delta record, ROADMAP open item 2).
 //! (Loser-allocated pages no longer leak: recovery sweeps pages that no
 //! inventory, free list or space-map chain accounts for back into the
 //! free pool — see `StorageManager::reclaim_untracked_pages`.)
@@ -467,9 +484,6 @@ pub struct Repository {
     pub(crate) registry: Arc<Mutex<DocRegistry>>,
     pub(crate) schema: RwLock<SchemaManager>,
     pub(crate) options: RepositoryOptions,
-    /// Ingestion-segment pool (slot → segment id), grown lazily by
-    /// [`Repository::put_documents_parallel`].
-    pub(crate) ingest_segs: Mutex<HashMap<usize, natix_storage::SegmentId>>,
     stats: Arc<IoStats>,
     sim: Option<Arc<dyn SimControl>>,
     /// Write-ahead log, when the repository was built with one. Present
@@ -535,18 +549,20 @@ impl Repository {
             };
             (find("documents")?, find("catalog")?)
         };
-        // One version store for every tree store of this repository:
-        // records are addressed globally, so snapshot readers of the main
-        // store must see versions deposited through any store.
+        // One version store for both tree stores of this repository —
+        // the only place the engine builds either: records are addressed
+        // globally, so a snapshot reader must see versions deposited
+        // through any store, and the log and commit hook wired to it
+        // below cover every write there is.
         let versions = Arc::new(VersionStore::new());
-        let tree = TreeStore::with_versions(
+        let tree = TreeStore::new(
             Arc::clone(&sm),
             docs_seg,
             options.tree_config,
             options.matrix.clone(),
             Arc::clone(&versions),
         )?;
-        let catalog_tree = TreeStore::with_versions(
+        let catalog_tree = TreeStore::new(
             Arc::clone(&sm),
             cat_seg,
             options.tree_config,
@@ -625,7 +641,6 @@ impl Repository {
             )),
             schema: RwLock::with_rank(&parking_lot::rank::SCHEMA, SchemaManager::new()),
             options,
-            ingest_segs: Mutex::with_rank(&parking_lot::rank::INGEST_POOL, HashMap::new()),
             stats,
             sim,
             wal,

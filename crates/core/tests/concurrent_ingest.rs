@@ -1,7 +1,7 @@
 //! Integration tests of the concurrent ingestion subsystem: the
 //! duplicate-name race, rollback without leaked pages, persistence of
-//! documents ingested into the segment pool, readers running against
-//! in-flight ingestion, path queries (sequential and parallel) racing
+//! documents ingested in parallel, readers running against in-flight
+//! ingestion, path queries (sequential and parallel) racing
 //! ingestion of *other* documents, and — since record-level versioning —
 //! queries overlapping streaming ingestion of the *same* document.
 
@@ -32,18 +32,16 @@ fn order_doc(i: usize, items: usize) -> String {
     format!("<orders>{body}</orders>")
 }
 
-/// Every page of the given segment is empty apart from its node-type
-/// table (authoritative free counts from the pages themselves, not the
-/// free-space inventory).
-fn assert_segment_empty(r: &Repository, seg_name: &str, page_size: usize) {
-    let Some(seg) = r.storage().segment_by_name(seg_name) else {
-        return; // never created — trivially empty
-    };
+/// Every page of the document segment — the only one documents are
+/// loaded into — is empty apart from its node-type table (authoritative
+/// free counts from the pages themselves, not the free-space inventory).
+fn assert_documents_segment_empty(r: &Repository, page_size: usize) {
+    let seg = r.storage().segment_by_name("documents").unwrap();
     for (page, _) in r.storage().segment_pages(seg) {
         let free = r.storage().page_free_space(page).unwrap();
         assert!(
             free > page_size - 64,
-            "segment {seg_name}: page {page} still holds {} bytes of leaked records",
+            "page {page} still holds {} bytes of leaked records",
             page_size - free
         );
     }
@@ -82,14 +80,10 @@ fn duplicate_name_race_has_exactly_one_winner_and_no_leaks() {
     assert!(stored == xml_a || stored == xml_b);
     r.physical_stats("contested").unwrap();
 
-    // Delete the winner: every record across the document and ingestion
-    // segments must be gone — the loser left nothing behind.
-    let r = r;
+    // Delete the winner: every record of the document segment must be
+    // gone — the loser left nothing behind.
     r.delete_document("contested").unwrap();
-    assert_segment_empty(&r, "documents", page_size);
-    for slot in 0..8 {
-        assert_segment_empty(&r, &format!("ingest{slot}"), page_size);
-    }
+    assert_documents_segment_empty(&r, page_size);
 }
 
 #[test]
@@ -104,10 +98,7 @@ fn failed_concurrent_load_rolls_back_all_records() {
     ];
     let results = r.put_documents_parallel(&docs, 2);
     assert!(results.iter().all(|r| r.is_err()));
-    assert_segment_empty(&r, "documents", page_size);
-    for slot in 0..8 {
-        assert_segment_empty(&r, &format!("ingest{slot}"), page_size);
-    }
+    assert_documents_segment_empty(&r, page_size);
     // The names and the storage are immediately reusable.
     let good = format!("<root>{body}</root>");
     let results = r.put_documents_parallel(
@@ -150,7 +141,7 @@ fn parallel_ingested_documents_survive_checkpoint_and_reopen() {
             assert_eq!(&repo.get_xml(name).unwrap(), xml, "{name} after reopen");
             repo.physical_stats(name).unwrap();
         }
-        // Documents ingested into pool segments are ordinary documents:
+        // Documents ingested in parallel are ordinary documents:
         // queryable and editable after reopen.
         let hits = repo.query("orders-0", "//sku").unwrap();
         assert!(!hits.is_empty());
@@ -164,11 +155,10 @@ fn parallel_ingested_documents_survive_checkpoint_and_reopen() {
 }
 
 #[test]
-fn more_writers_than_segments_share_stores_safely() {
-    // The ingestion-segment pool is capped at 8; with more writers,
-    // several worker threads append through one shared TreeStore into
-    // the same segment (per-loader cursors keep their fill pages
-    // distinct). Exercise that sharing branch explicitly.
+fn twelve_writers_share_the_one_store_safely() {
+    // Twelve worker threads append through the one document store into
+    // the one segment at once; per-loader cursors keep their fill pages
+    // distinct.
     let r = repo(1024);
     let docs: Vec<(String, String)> = (0..24)
         .map(|i| (format!("shared-{i}"), order_doc(i, 40)))

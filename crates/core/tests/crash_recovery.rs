@@ -61,11 +61,15 @@ fn options() -> RepositoryOptions {
 // ---------------------------------------------------------------------------
 
 fn shakespeare_docs() -> Vec<(String, String)> {
+    plays(0.02)
+}
+
+fn plays(scale: f64) -> Vec<(String, String)> {
     let mut syms = SymbolTable::new();
     let cfg = CorpusConfig {
         plays: 37,
         seed: 0x5EED_CAFE,
-        scale: 0.02,
+        scale,
     };
     (0..5)
         .map(|i| {
@@ -592,6 +596,117 @@ fn concurrent_committers_are_all_durable_without_checkpoint() {
     for (name, xml) in &acknowledged {
         assert_eq!(&reopened.get_xml(name).unwrap(), xml, "{name} after crash");
     }
+}
+
+/// One `put_documents_parallel` call (3 writers) on a machine that dies
+/// after `budget` device writes — or, with `None`, is simply switched off
+/// without a checkpoint — then a reopen over the durable bytes. Every
+/// acknowledged document must read back byte-identical; every other name
+/// is absent or complete (its commit may have become durable before the
+/// acknowledgement was cut off), never torn; and the store stays
+/// writable. `expected[i]` is what `docs[i]` serializes to once stored
+/// ([`stored_form`]). Returns how many documents were acknowledged.
+fn parallel_ingest_crash(
+    docs: &[(String, String)],
+    expected: &[String],
+    budget: Option<u64>,
+) -> usize {
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), budget);
+    let repo = m
+        .create()
+        .expect("budget always covers repository creation");
+    let results = repo.put_documents_parallel(docs, 3);
+    drop(repo);
+
+    let m2 = Machine::boot(Arc::clone(&store), m.log.durable_bytes(), None);
+    let reopened = m2
+        .open()
+        .unwrap_or_else(|e| panic!("recovery failed at budget {budget:?}: {e}"));
+    for (((name, _), expected), res) in docs.iter().zip(expected).zip(&results) {
+        match (res, reopened.get_xml(name)) {
+            (_, Ok(got)) => {
+                assert_eq!(&got, expected, "budget {budget:?}: {name} torn");
+                reopened.physical_stats(name).unwrap();
+            }
+            (Ok(_), Err(e)) => panic!("budget {budget:?}: acknowledged {name} lost: {e}"),
+            (Err(_), Err(_)) => {}
+        }
+    }
+    assert!(
+        reopened.document_names().len() <= docs.len(),
+        "budget {budget:?}: ghost documents after recovery"
+    );
+    let orphans = reopened.storage().untracked_pages().unwrap();
+    assert!(
+        orphans.is_empty(),
+        "budget {budget:?}: recovery leaked pages {orphans:?}"
+    );
+    reopened
+        .put_xml("fresh-after-recovery", "<ok>fresh</ok>")
+        .unwrap_or_else(|e| panic!("budget {budget:?}: recovered repo not writable: {e}"));
+    assert_eq!(
+        reopened.get_xml("fresh-after-recovery").unwrap(),
+        "<ok>fresh</ok>"
+    );
+    results.iter().filter(|r| r.is_ok()).count()
+}
+
+/// What each document reads back as once stored, from a scratch
+/// repository (reads of the crashed one may not survive its dead device).
+fn stored_form(docs: &[(String, String)]) -> Vec<String> {
+    let scratch = Repository::create_in_memory(options()).unwrap();
+    docs.iter()
+        .map(|(name, xml)| {
+            scratch.put_xml_streaming(name, xml).unwrap();
+            scratch.get_xml(name).unwrap()
+        })
+        .collect()
+}
+
+/// Parallel ingestion goes through the one write path, so its
+/// acknowledgement means what every other one means: on stable storage.
+/// No checkpoint between the call and the power cut.
+#[test]
+fn parallel_ingest_is_durable_without_checkpoint() {
+    let docs = orders_docs();
+    let acknowledged = parallel_ingest_crash(&docs, &stored_form(&docs), None);
+    assert_eq!(acknowledged, docs.len());
+}
+
+/// Kill points spread over one parallel ingestion. The writers race, so
+/// the write sequence — and which documents a given budget lets through —
+/// differs from run to run; the contract does not.
+#[test]
+fn parallel_ingest_survives_kill_points() {
+    const POINTS: u64 = 12;
+    let docs: Vec<_> = [plays(0.4), orders_docs()].concat();
+    let expected = stored_form(&docs);
+    let initial = i64::MAX as u64;
+    let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let create_cost = m.consumed(initial);
+    for res in repo.put_documents_parallel(&docs, 3) {
+        res.unwrap();
+    }
+    let span = m.consumed(initial) - create_cost;
+    assert!(
+        span > POINTS,
+        "ingestion too small for {POINTS} kill points"
+    );
+    let mut cut_short = 0;
+    for k in 0..POINTS {
+        // Over the first four fifths of the measured sequence: a racing
+        // run's own sequence may be shorter than the measured one.
+        let budget = create_cost + 1 + span * 4 / 5 * k / (POINTS - 1);
+        if parallel_ingest_crash(&docs, &expected, Some(budget)) < docs.len() {
+            cut_short += 1;
+        }
+    }
+    assert!(
+        cut_short >= 10,
+        "only {cut_short} of {POINTS} budgets interrupted the ingestion"
+    );
 }
 
 #[test]

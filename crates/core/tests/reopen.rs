@@ -134,20 +134,26 @@ fn checkpoint_then_reopen_is_byte_identical() {
 
 #[test]
 fn extra_segment_in_the_directory_is_ignored_at_open() {
-    // Stores written while the engine still reserved an `index` segment
-    // list it in their segment directory. Open looks up only the segments
-    // it uses, so such a store opens and serves its documents unchanged.
+    // Stores written while the engine still reserved an `index` segment,
+    // or grew `ingestN` segments for parallel ingestion, list them in
+    // their segment directory. Open looks up only the segments it uses
+    // (and records are addressed by page, whatever the segment), so such
+    // a store opens and serves its documents unchanged.
     let tmp = TempRepo::new("extra_seg");
     let oracle = {
         let repo = Repository::create_file(&tmp.0, options()).unwrap();
-        repo.storage().create_segment("index").unwrap();
+        for name in ["index", "ingest0", "ingest1"] {
+            repo.storage().create_segment(name).unwrap();
+        }
         let oracle = ingest_corpus(&repo);
         repo.checkpoint().unwrap();
         oracle
     };
     assert_identical(&tmp.0, &oracle);
     let repo = Repository::open_file(&tmp.0, options()).unwrap();
-    assert!(repo.storage().segment_by_name("index").is_some());
+    for name in ["index", "ingest0", "ingest1"] {
+        assert!(repo.storage().segment_by_name(name).is_some());
+    }
 }
 
 #[test]
@@ -207,6 +213,36 @@ fn reopened_summaries_equal_from_scratch_rebuild() {
         maintained,
         "play0: delta-maintained summary diverges from a rebuild after edits"
     );
+}
+
+#[test]
+fn deleting_the_root_node_is_refused_and_the_store_reopens() {
+    // `delete_node(doc, root)` used to drop the root record and leave the
+    // document registered: unreadable at once, and after the next
+    // checkpoint the whole repository failed to open.
+    let tmp = TempRepo::new("rootdel");
+    let victim = "<PLAY><TITLE>kept</TITLE><ACT>whole</ACT></PLAY>";
+    {
+        let repo = Repository::create_file(&tmp.0, options()).unwrap();
+        let doc = repo.put_xml("victim", victim).unwrap();
+        repo.put_xml("bystander", "<b>also kept</b>").unwrap();
+        let root = repo.root(doc).unwrap();
+        match repo.delete_node(doc, root) {
+            Err(natix::NatixError::Validation(msg)) => {
+                assert!(msg.contains("delete_document"), "{msg}")
+            }
+            other => panic!("deleting the root node must be refused, got {other:?}"),
+        }
+        assert_eq!(repo.get_xml("victim").unwrap(), victim);
+        repo.physical_stats("victim").unwrap();
+        repo.checkpoint().unwrap();
+    }
+    let repo = Repository::open_file(&tmp.0, options()).unwrap();
+    assert_eq!(repo.get_xml("victim").unwrap(), victim);
+    assert_eq!(repo.get_xml("bystander").unwrap(), "<b>also kept</b>");
+    // What the caller meant is still there to be said.
+    repo.delete_document("victim").unwrap();
+    assert_eq!(repo.document_names(), vec!["bystander"]);
 }
 
 #[test]

@@ -73,6 +73,37 @@ fn missing_gate_fixture_trips_rule() {
 }
 
 #[test]
+fn durable_gate_surface_is_every_file_of_core() {
+    // A write API outside document.rs / repository.rs is on the surface,
+    // and reaches helpers of the other files by name.
+    for file in [
+        "document.rs",
+        "repository.rs",
+        "ingest.rs",
+        "anything_new.rs",
+    ] {
+        let rel = Path::new("crates/core/src").join(file);
+        assert!(natix_lint::is_durable_gate_surface(&rel), "{file}");
+    }
+    assert!(!natix_lint::is_durable_gate_surface(Path::new(
+        "crates/tree/src/store.rs"
+    )));
+    let ingest = Path::new("crates/core/src/ingest.rs");
+    let violations = rule_durable_gate(&[
+        (
+            Path::new("crates/core/src/document.rs"),
+            include_str!("fixtures/missing_gate.rs"),
+        ),
+        (ingest, include_str!("fixtures/missing_gate_ingest.rs")),
+    ]);
+    let in_ingest: Vec<&Violation> = violations.iter().filter(|v| v.file == ingest).collect();
+    assert_eq!(violations.len(), 3, "{violations:?}");
+    assert_eq!(in_ingest.len(), 1, "{violations:?}");
+    assert!(in_ingest[0].message.contains("`bad_parallel_load`"));
+    assert_eq!(in_ingest[0].line, 8);
+}
+
+#[test]
 fn held_prefetch_fixture_trips_rule() {
     let src = include_str!("fixtures/held_prefetch.rs");
     let violations = check_file(Path::new("crates/core/src/held_prefetch.rs"), src);

@@ -66,10 +66,6 @@ pub static CHECKPOINT: Rank = Rank::new_io_tolerant("repository.checkpoint", 100
 /// any page I/O the edit triggers.
 pub static DOC_EDIT_LATCH: Rank = Rank::new_io_tolerant("document.edit-latch", 200);
 
-/// Ingestion segment pool (`Repository::ingest_segs`). Creating a segment
-/// under this lock allocates and formats pages, hence io-tolerant.
-pub static INGEST_POOL: Rank = Rank::new_io_tolerant("repository.ingest-pool", 350);
-
 // ---------------------------------------------------------------------------
 // Catalog band — symbol table, directory, schema.
 // ---------------------------------------------------------------------------
@@ -149,7 +145,6 @@ pub static DEVICE: Rank = Rank::new_io_tolerant("disk.device", 1300);
 pub static ALL: &[&Rank] = &[
     &CHECKPOINT,
     &DOC_EDIT_LATCH,
-    &INGEST_POOL,
     &SYMBOL_MARK,
     &SYMBOLS,
     &SPLIT_MATRIX,

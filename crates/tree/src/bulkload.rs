@@ -1051,7 +1051,7 @@ mod tests {
         ));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         let seg = sm.create_segment("docs").unwrap();
-        TreeStore::new(sm, seg, TreeConfig::paper(), matrix).unwrap()
+        TreeStore::new(sm, seg, TreeConfig::paper(), matrix, Default::default()).unwrap()
     }
 
     fn text(s: &str) -> LiteralValue {

@@ -176,28 +176,19 @@ pub struct TreeStore {
     matrix: parking_lot::RwLock<SplitMatrix>,
     /// Record-version/epoch state (see [`crate::version`]). Shared across
     /// every tree store of one repository — records are addressed
-    /// globally, so a reader of the main store must see versions
-    /// deposited through an ingestion store and vice versa.
+    /// globally, so a reader of one store must see versions deposited
+    /// through another.
     versions: Arc<VersionStore>,
 }
 
 impl TreeStore {
-    /// Creates a tree store over `segment` of an existing storage manager,
-    /// with its own private version store. Fails on an invalid
-    /// [`TreeConfig`].
+    /// Creates a tree store over `segment` of an existing storage manager.
+    /// The caller supplies the version store, because the caller decides
+    /// what it is wired to: a repository hands every one of its stores
+    /// the one [`VersionStore`] that carries its log and commit hook, so a
+    /// store whose writes bypass them cannot be built by accident. Fails
+    /// on an invalid [`TreeConfig`].
     pub fn new(
-        sm: Arc<StorageManager>,
-        segment: SegmentId,
-        config: TreeConfig,
-        matrix: SplitMatrix,
-    ) -> TreeResult<TreeStore> {
-        TreeStore::with_versions(sm, segment, config, matrix, Arc::new(VersionStore::new()))
-    }
-
-    /// Creates a tree store sharing `versions` with other stores of the
-    /// same storage manager (the repository wires all of its stores —
-    /// documents, catalog, ingestion pool — to one version store).
-    pub fn with_versions(
         sm: Arc<StorageManager>,
         segment: SegmentId,
         config: TreeConfig,

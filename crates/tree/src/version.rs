@@ -640,23 +640,6 @@ impl VersionStore {
         self.retained.fetch_add(1, Ordering::Release);
     }
 
-    /// Schedules `hook` to run at the current thread's operation's publish
-    /// point, atomically with the epoch advance. Returns `false` (without
-    /// scheduling) when no operation is active on this thread — the caller
-    /// then applies the effect immediately (unpublished/bootstrap paths).
-    pub fn defer_until_publish(&self, hook: impl FnOnce(u64, u64) + Send + 'static) -> bool {
-        let Some(op) = self.ambient_write_op() else {
-            return false;
-        };
-        self.state
-            .lock()
-            .hooks
-            .entry(op)
-            .or_default()
-            .push(Box::new(hook));
-        true
-    }
-
     /// Publishes operation `op`: the epoch advances, every image the
     /// operation deposited becomes valid-for-readers-below-the-new-epoch,
     /// and the operation's publish hooks run — all inside one critical
@@ -778,6 +761,16 @@ impl WriteOp<'_> {
     /// The operation's token (the outer operation's for a nested guard).
     pub fn id(&self) -> u64 {
         self.token
+    }
+
+    /// Schedules `hook(epoch, reader floor)` to run at this operation's
+    /// publish point, atomically with the epoch advance. Holding the
+    /// guard is what proves an operation is open, so scheduling cannot
+    /// fail; a nested guard's hooks run when the outer operation
+    /// publishes.
+    pub fn defer_until_publish(&self, hook: impl FnOnce(u64, u64) + Send + 'static) {
+        let mut st = self.store.state.lock();
+        st.hooks.entry(self.token).or_default().push(Box::new(hook));
     }
 }
 
@@ -1071,7 +1064,14 @@ mod tests {
         ));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         let seg = sm.create_segment("docs").unwrap();
-        TreeStore::new(sm, seg, TreeConfig::default(), SplitMatrix::all_other()).unwrap()
+        TreeStore::new(
+            sm,
+            seg,
+            TreeConfig::default(),
+            SplitMatrix::all_other(),
+            Default::default(),
+        )
+        .unwrap()
     }
 
     /// A one-record tree `root(label) — #text(text)`; returns the root

@@ -118,7 +118,14 @@ fn run(seed: u64, nops: usize, verify_each: bool) {
         merge_enabled: true,
         ..TreeConfig::paper()
     };
-    let store = TreeStore::new(sm, seg, config, SplitMatrix::all_other()).unwrap();
+    let store = TreeStore::new(
+        sm,
+        seg,
+        config,
+        SplitMatrix::all_other(),
+        Default::default(),
+    )
+    .unwrap();
     let root_rid = store.create_tree(1).unwrap();
     let mut h = H {
         store,

@@ -114,7 +114,7 @@ impl Harness {
         ));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         let seg = sm.create_segment("docs").unwrap();
-        let store = TreeStore::new(sm, seg, config, matrix).unwrap();
+        let store = TreeStore::new(sm, seg, config, matrix, Default::default()).unwrap();
         let root_rid = store.create_tree(1).unwrap();
         let mut h = Harness {
             store,

@@ -30,7 +30,7 @@ fn mk_store(page_size: usize, matrix: SplitMatrix, config: TreeConfig) -> TreeSt
     ));
     let sm = Arc::new(StorageManager::create(bm).unwrap());
     let seg = sm.create_segment("docs").unwrap();
-    TreeStore::new(sm, seg, config, matrix).unwrap()
+    TreeStore::new(sm, seg, config, matrix, Default::default()).unwrap()
 }
 
 /// Shadow logical document plus the logical↔physical node map, kept

@@ -40,7 +40,7 @@ pub mod writer;
 
 pub use dtd::Dtd;
 pub use error::{XmlError, XmlResult};
-pub use parser::{ParserOptions, PullParser, XmlEvent};
+pub use parser::{is_name, ParserOptions, PullParser, XmlEvent};
 pub use symbols::{
     LabelId, LabelKind, SymbolTable, LABEL_COMMENT, LABEL_NONE, LABEL_PI, LABEL_TEXT,
 };

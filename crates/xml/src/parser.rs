@@ -60,6 +60,22 @@ pub enum XmlEvent<'a> {
     },
 }
 
+fn is_name_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
+}
+
+fn is_name_char(b: u8) -> bool {
+    is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
+}
+
+/// True when the whole of `s` is one name by this parser's rule — what it
+/// accepts as a tag or attribute name, so what the writer may emit as one
+/// and have this parser read back.
+pub fn is_name(s: &str) -> bool {
+    let b = s.as_bytes();
+    b.first().is_some_and(|&c| is_name_start(c)) && b[1..].iter().all(|&c| is_name_char(c))
+}
+
 /// Streaming XML parser over a string slice.
 pub struct PullParser<'a> {
     input: &'a str,
@@ -131,22 +147,14 @@ impl<'a> PullParser<'a> {
         self.input[self.pos..].find(pat).map(|p| self.pos + p)
     }
 
-    fn is_name_start(b: u8) -> bool {
-        b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-    }
-
-    fn is_name_char(b: u8) -> bool {
-        Self::is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
-    }
-
     fn parse_name(&mut self) -> XmlResult<&'a str> {
         let start = self.pos;
         let bytes = self.bytes();
-        if start >= bytes.len() || !Self::is_name_start(bytes[start]) {
+        if start >= bytes.len() || !is_name_start(bytes[start]) {
             return Err(self.err("expected a name"));
         }
         let mut end = start + 1;
-        while end < bytes.len() && Self::is_name_char(bytes[end]) {
+        while end < bytes.len() && is_name_char(bytes[end]) {
             end += 1;
         }
         self.pos = end;
@@ -380,6 +388,21 @@ pub fn parse_events(input: &str, options: ParserOptions) -> XmlResult<Vec<XmlEve
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn is_name_is_the_rule_parse_name_applies() {
+        for good in ["a", "_x", "ns:tag", "a-b.c9", "é"] {
+            assert!(is_name(good), "{good}");
+            let xml = format!("<{good}/>");
+            assert!(
+                parse_events(&xml, ParserOptions::default()).is_ok(),
+                "{xml}"
+            );
+        }
+        for bad in ["", "9a", "-a", "a b", "a<", "a b<", "a/"] {
+            assert!(!is_name(bad), "{bad:?}");
+        }
+    }
 
     fn ev(input: &str) -> Vec<XmlEvent<'_>> {
         parse_events(input, ParserOptions::default()).unwrap()
