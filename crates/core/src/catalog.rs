@@ -3,198 +3,209 @@
 //! §2.1: "The system catalog itself is stored as a collection of XML
 //! documents inside the system." We follow that design literally: the
 //! catalog is one XML document, stored through the same tree storage
-//! manager as user data, in its own segment. It records
+//! manager as user data, in its own segment. It is the on-page form of
+//! the repository directory (alphabet, documents and their roots, split
+//! matrix, DTDs), and this module is the codec between the directory's
+//! delta list ([`crate::directory`]) and that document, nothing more:
+//! [`save_catalog`] writes the cut a checkpoint captured,
+//! [`load_catalog`] reads the document back into a delta list for
+//! [`crate::directory::restore`]. The document is read only when no log
+//! holds a checkpoint (a repository run without a log); with one, the
+//! log's own copy of the directory is newer and the catalog pages are
+//! not even recovered ([`crate::recovery`]).
 //!
-//! * the user label alphabet (so interned ids stay stable across opens),
-//! * the document directory (name → root record RID),
-//! * the split-matrix configuration,
-//! * registered DTDs.
-//!
-//! Bootstrap: the catalog's own element/attribute labels are interned into
-//! a *fixed, code-defined* symbol table (ids are deterministic), so the
-//! catalog document can be decoded before the user alphabet is known. The
+//! Bootstrap: the catalog's own element and attribute labels have fixed,
+//! code-defined ids right behind the built-ins, so the document can be
+//! decoded before the user alphabet — which it holds — is known. The
 //! catalog root RID lives in the storage manager's header user-root area.
 
 use natix_storage::Rid;
-use natix_tree::{SplitBehaviour, SplitMatrix, TreeStore};
-use natix_xml::{Document, LabelKind, NodeData, SymbolTable};
+use natix_xml::symbols::FIRST_USER_LABEL;
+use natix_xml::{Document, NodeData, NodeIdx};
 
-use crate::document::DocState;
+use crate::directory::{
+    behaviour_code, behaviour_from, kind_code, kind_from, Delta, Directory, LabelRef,
+};
 use crate::error::{NatixError, NatixResult};
 use crate::repository::Repository;
 
 const MAGIC: &[u8; 6] = b"NXCAT1";
 
-/// The catalog's fixed label alphabet.
-pub struct CatalogSymbols {
-    pub table: SymbolTable,
-    pub catalog: u16,
-    pub symbols: u16,
-    pub sym: u16,
-    pub documents: u16,
-    pub doc: u16,
-    pub matrix: u16,
-    pub rule: u16,
-    pub dtds: u16,
-    pub dtd: u16,
-    // attributes
-    pub a_kind: u16,
-    pub a_name: u16,
-    pub a_page: u16,
-    pub a_slot: u16,
-    pub a_default: u16,
-    pub a_parent: u16,
-    pub a_child: u16,
-    pub a_value: u16,
-}
+// The catalog document's own labels: elements `natix-catalog`, `symbols` /
+// `sym`, `documents` / `doc`, `matrix` / `rule`, `dtds` / `dtd`, then the
+// attributes.
+const CATALOG: u16 = FIRST_USER_LABEL;
+const SYMBOLS: u16 = CATALOG + 1;
+const SYM: u16 = CATALOG + 2;
+const DOCUMENTS: u16 = CATALOG + 3;
+const DOC: u16 = CATALOG + 4;
+const MATRIX: u16 = CATALOG + 5;
+const RULE: u16 = CATALOG + 6;
+const DTDS: u16 = CATALOG + 7;
+const DTD: u16 = CATALOG + 8;
+const A_KIND: u16 = CATALOG + 9;
+const A_NAME: u16 = CATALOG + 10;
+const A_PAGE: u16 = CATALOG + 11;
+const A_SLOT: u16 = CATALOG + 12;
+const A_DEFAULT: u16 = CATALOG + 13;
+const A_PARENT: u16 = CATALOG + 14;
+const A_CHILD: u16 = CATALOG + 15;
+const A_VALUE: u16 = CATALOG + 16;
+const A_PARENT_KIND: u16 = CATALOG + 17;
+const A_CHILD_KIND: u16 = CATALOG + 18;
 
-impl CatalogSymbols {
-    /// Builds the fixed table — intern order defines the ids, so this must
-    /// never change between versions.
-    pub fn new() -> CatalogSymbols {
-        let mut t = SymbolTable::new();
-        CatalogSymbols {
-            catalog: t.intern_element("natix-catalog"),
-            symbols: t.intern_element("symbols"),
-            sym: t.intern_element("sym"),
-            documents: t.intern_element("documents"),
-            doc: t.intern_element("doc"),
-            matrix: t.intern_element("matrix"),
-            rule: t.intern_element("rule"),
-            dtds: t.intern_element("dtds"),
-            dtd: t.intern_element("dtd"),
-            a_kind: t.intern_attribute("k"),
-            a_name: t.intern_attribute("name"),
-            a_page: t.intern_attribute("page"),
-            a_slot: t.intern_attribute("slot"),
-            a_default: t.intern_attribute("default"),
-            a_parent: t.intern_attribute("parent"),
-            a_child: t.intern_attribute("child"),
-            a_value: t.intern_attribute("v"),
-            table: t,
-        }
-    }
-}
-
-impl Default for CatalogSymbols {
-    fn default() -> Self {
-        CatalogSymbols::new()
-    }
-}
-
-fn attr(doc: &mut Document, node: natix_xml::NodeIdx, label: u16, value: impl Into<String>) {
+fn attr(doc: &mut Document, node: NodeIdx, label: u16, value: impl Into<String>) {
     doc.add_child(node, NodeData::attribute(label, value));
 }
 
-fn behaviour_name(b: SplitBehaviour) -> &'static str {
-    match b {
-        SplitBehaviour::Standalone => "standalone",
-        SplitBehaviour::KeepWithParent => "inf",
-        SplitBehaviour::Other => "other",
-    }
-}
-
-fn behaviour_from(name: &str) -> NatixResult<SplitBehaviour> {
-    Ok(match name {
-        "standalone" => SplitBehaviour::Standalone,
-        "inf" => SplitBehaviour::KeepWithParent,
-        "other" => SplitBehaviour::Other,
-        other => return Err(NatixError::Catalog(format!("unknown behaviour '{other}'"))),
-    })
-}
-
-/// Builds the catalog document from the repository's current state.
-fn build_catalog_doc(repo: &Repository, cs: &CatalogSymbols) -> Document {
-    let mut doc = Document::new(NodeData::Element(cs.catalog));
+/// The catalog document of the directory `deltas` add up to.
+fn to_document(deltas: &[Delta]) -> NatixResult<Document> {
+    let dir = Directory::build(deltas)?;
+    let mut doc = Document::new(NodeData::Element(CATALOG));
     let root = doc.root();
 
-    let symbols = repo.symbols();
-    let syms = doc.add_child(root, NodeData::Element(cs.symbols));
-    for (_, kind, name) in symbols
-        .iter()
-        .skip(natix_xml::symbols::FIRST_USER_LABEL as usize)
-    {
-        let s = doc.add_child(syms, NodeData::Element(cs.sym));
-        let k = match kind {
-            LabelKind::Element => "e",
-            LabelKind::Attribute => "a",
-            LabelKind::Builtin => "b",
-        };
-        attr(&mut doc, s, cs.a_kind, k);
-        attr(&mut doc, s, cs.a_name, name);
+    let syms = doc.add_child(root, NodeData::Element(SYMBOLS));
+    for (kind, name) in dir.labels.iter().skip(FIRST_USER_LABEL as usize) {
+        let s = doc.add_child(syms, NodeData::Element(SYM));
+        attr(&mut doc, s, A_KIND, char::from(kind_code(*kind)));
+        attr(&mut doc, s, A_NAME, name);
     }
 
-    let docs = doc.add_child(root, NodeData::Element(cs.documents));
-    for (name, _, root_rid) in repo.doc_entries() {
-        let d = doc.add_child(docs, NodeData::Element(cs.doc));
-        attr(&mut doc, d, cs.a_name, name);
-        attr(&mut doc, d, cs.a_page, root_rid.page.to_string());
-        attr(&mut doc, d, cs.a_slot, root_rid.slot.to_string());
+    let docs = doc.add_child(root, NodeData::Element(DOCUMENTS));
+    for (name, root_rid) in dir.docs_in_order() {
+        let d = doc.add_child(docs, NodeData::Element(DOC));
+        attr(&mut doc, d, A_NAME, name);
+        attr(&mut doc, d, A_PAGE, root_rid.page.to_string());
+        attr(&mut doc, d, A_SLOT, root_rid.slot.to_string());
     }
 
-    let matrix = repo.tree.matrix();
-    let m = doc.add_child(root, NodeData::Element(cs.matrix));
-    attr(
-        &mut doc,
-        m,
-        cs.a_default,
-        behaviour_name(matrix.default_behaviour()),
-    );
-    // Rules whose labels are not interned yet (a matrix installed before
-    // any document used those names) cannot affect stored content and have
-    // no printable name — skip them; a later checkpoint captures them.
-    let known = symbols.len() as u16;
-    let mut rules: Vec<(u16, u16, SplitBehaviour)> = matrix
-        .overrides()
-        .filter(|&(p, c, _)| p < known && c < known)
-        .collect();
-    rules.sort_by_key(|&(p, c, _)| (p, c));
-    for (p, c, b) in rules {
-        let r = doc.add_child(m, NodeData::Element(cs.rule));
-        attr(&mut doc, r, cs.a_parent, symbols.name(p));
-        attr(&mut doc, r, cs.a_child, symbols.name(c));
-        attr(&mut doc, r, cs.a_value, behaviour_name(b));
+    let m = doc.add_child(root, NodeData::Element(MATRIX));
+    let default = behaviour_code(dir.matrix_default);
+    attr(&mut doc, m, A_DEFAULT, char::from(default));
+    let mut rules: Vec<_> = dir.rules.iter().collect();
+    rules.sort_unstable_by_key(|(((pk, p), (ck, c)), _)| (p, kind_code(*pk), c, kind_code(*ck)));
+    for (((parent_kind, parent), (child_kind, child)), value) in rules {
+        let r = doc.add_child(m, NodeData::Element(RULE));
+        attr(&mut doc, r, A_PARENT, parent);
+        attr(
+            &mut doc,
+            r,
+            A_PARENT_KIND,
+            char::from(kind_code(*parent_kind)),
+        );
+        attr(&mut doc, r, A_CHILD, child);
+        attr(
+            &mut doc,
+            r,
+            A_CHILD_KIND,
+            char::from(kind_code(*child_kind)),
+        );
+        attr(&mut doc, r, A_VALUE, char::from(behaviour_code(*value)));
     }
-    drop(matrix);
-    drop(symbols);
 
-    let dtds = doc.add_child(root, NodeData::Element(cs.dtds));
-    let schema = repo.schema();
-    for (name, text) in schema.dtd_sources() {
-        let d = doc.add_child(dtds, NodeData::Element(cs.dtd));
-        attr(&mut doc, d, cs.a_name, name);
+    let dtds = doc.add_child(root, NodeData::Element(DTDS));
+    for (name, text) in &dir.dtds {
+        let d = doc.add_child(dtds, NodeData::Element(DTD));
+        attr(&mut doc, d, A_NAME, name);
         doc.add_child(d, NodeData::text(text));
     }
-    doc
+    Ok(doc)
 }
 
-/// Stores a logical document into a tree store through the streaming
-/// bulkloader (records built bottom-up, each written once), without
-/// document-manager bookkeeping. Long string literals (DTD sources) are
-/// chunked into sibling literals to stay below the record-size ceiling.
-/// Returns the root record RID.
-pub(crate) fn store_plain_document(tree: &TreeStore, doc: &Document) -> NatixResult<Rid> {
-    if !matches!(doc.data(doc.root()), NodeData::Element(_)) {
-        return Err(NatixError::Validation(
-            "catalog root must be an element".into(),
+/// The delta list a catalog document stands for — in the order
+/// [`crate::directory::capture`] lists a directory.
+fn from_document(doc: &Document) -> NatixResult<Vec<Delta>> {
+    let root = doc.root();
+    if doc.data(root).label() != CATALOG {
+        return Err(NatixError::Catalog("catalog root element mismatch".into()));
+    }
+    let need = |node: NodeIdx, label: u16, what: &str| {
+        doc.children(node)
+            .iter()
+            .find_map(|&c| match doc.data(c) {
+                NodeData::Literal { label: l, value } if *l == label => Some(value.to_text()),
+                _ => None,
+            })
+            .ok_or_else(|| NatixError::Catalog(format!("{what} missing")))
+    };
+    // A one-byte code of the directory codec, stored as one character.
+    let code = |node: NodeIdx, label: u16, what: &str| match need(node, label, what)?.as_bytes() {
+        [code] => Ok(*code),
+        _ => Err(NatixError::Catalog(format!("bad {what}"))),
+    };
+    let number = |node: NodeIdx, label: u16, what: &str| {
+        need(node, label, what)?
+            .parse::<u32>()
+            .map_err(|_| NatixError::Catalog(format!("bad {what}")))
+    };
+    let section = |section: u16, entry: u16| {
+        doc.first_child_element(root, section)
+            .into_iter()
+            .flat_map(|s| doc.children(s).iter().copied())
+            .filter(move |&n| doc.data(n).label() == entry)
+    };
+    let mut deltas = Vec::new();
+
+    let mut rows = Vec::new();
+    for s in section(SYMBOLS, SYM) {
+        rows.push((
+            kind_from(code(s, A_KIND, "symbol kind")?)?,
+            need(s, A_NAME, "symbol name")?,
         ));
     }
-    let limit = crate::document::chunk_limit(tree.net_capacity());
-    let stats = natix_tree::bulkload_document(tree, doc, Some(limit))?;
-    Ok(stats.root_rid)
+    deltas.push(Delta::Symbols {
+        base: FIRST_USER_LABEL as u32,
+        rows,
+    });
+
+    if let Some(m) = doc.first_child_element(root, MATRIX) {
+        let default = behaviour_from(code(m, A_DEFAULT, "matrix default")?)?;
+        deltas.push(Delta::MatrixDefault(default));
+    }
+    for r in section(MATRIX, RULE) {
+        let label = |kind: u16, name: u16, what: &str| -> NatixResult<LabelRef> {
+            Ok((kind_from(code(r, kind, what)?)?, need(r, name, what)?))
+        };
+        deltas.push(Delta::MatrixRule {
+            parent: label(A_PARENT_KIND, A_PARENT, "rule parent")?,
+            child: label(A_CHILD_KIND, A_CHILD, "rule child")?,
+            value: behaviour_from(code(r, A_VALUE, "rule value")?)?,
+        });
+    }
+
+    for d in section(DTDS, DTD) {
+        deltas.push(Delta::Dtd {
+            name: need(d, A_NAME, "dtd name")?,
+            text: doc.text_content(d),
+        });
+    }
+
+    for d in section(DOCUMENTS, DOC) {
+        let slot = u16::try_from(number(d, A_SLOT, "document slot")?)
+            .map_err(|_| NatixError::Catalog("bad document slot".into()))?;
+        deltas.push(Delta::DocAdd {
+            name: need(d, A_NAME, "document name")?,
+            root: Rid::new(number(d, A_PAGE, "document page")?, slot),
+        });
+    }
+    Ok(deltas)
 }
 
-/// Writes the catalog document and records its root RID in the header.
-/// Takes `&Repository`: the rewrite is an ordinary write operation of the
-/// record-version layer (callers serialise checkpoints).
-pub fn save_catalog(repo: &Repository) -> NatixResult<()> {
-    let cs = CatalogSymbols::new();
-    let doc = build_catalog_doc(repo, &cs);
+/// Writes `deltas` — a checkpoint's cut of the directory — as the catalog
+/// document and records its root RID in the header. The rewrite is an
+/// ordinary write operation of the record-version layer (callers
+/// serialise checkpoints).
+pub(crate) fn save_catalog(repo: &Repository, deltas: &[Delta]) -> NatixResult<()> {
+    let doc = to_document(deltas)?;
     // Drop the previous catalog tree, if any.
     if let Some(old) = read_catalog_root(repo)? {
         repo.catalog_tree.drop_tree(old)?;
     }
-    let rid = store_plain_document(&repo.catalog_tree, &doc)?;
+    // Through the streaming bulkloader, without document-manager
+    // bookkeeping; long literals (DTD sources) are chunked into sibling
+    // literals to stay below the record-size ceiling.
+    let limit = crate::document::chunk_limit(repo.catalog_tree.net_capacity());
+    let rid = natix_tree::bulkload_document(&repo.catalog_tree, &doc, Some(limit))?.root_rid;
     let mut root = [0u8; 14];
     root[..6].copy_from_slice(MAGIC);
     rid.encode(&mut root[6..14]);
@@ -210,117 +221,29 @@ fn read_catalog_root(repo: &Repository) -> NatixResult<Option<Rid>> {
     Ok(Some(Rid::decode(&root[6..14])))
 }
 
-/// Restores repository state from the catalog document (on open).
-pub fn load_catalog(repo: &mut Repository) -> NatixResult<()> {
+/// Reads the catalog document back into the delta list it stands for
+/// (`None`: never checkpointed).
+pub(crate) fn load_catalog(repo: &Repository) -> NatixResult<Option<Vec<Delta>>> {
     let Some(rid) = read_catalog_root(repo)? else {
-        return Ok(()); // freshly created, never checkpointed
+        return Ok(None);
     };
-    let cs = CatalogSymbols::new();
     let doc = natix_tree::reconstruct_document(&repo.catalog_tree, rid)?;
-    let root = doc.root();
-    if doc.data(root).label() != cs.catalog {
-        return Err(NatixError::Catalog("catalog root element mismatch".into()));
-    }
-    let get_attr = |node: natix_xml::NodeIdx, label: u16| -> Option<String> {
-        doc.children(node).iter().find_map(|&c| match doc.data(c) {
-            NodeData::Literal { label: l, value } if *l == label => Some(value.to_text()),
-            _ => None,
-        })
-    };
-
-    // 1. Symbols: rebuild the alphabet in stored order.
-    let mut rows: Vec<(LabelKind, String)> = SymbolTable::new()
-        .iter()
-        .map(|(_, k, n)| (k, n.to_string()))
-        .collect();
-    if let Some(syms) = doc.first_child_element(root, cs.symbols) {
-        for &s in doc.children(syms) {
-            if doc.data(s).label() != cs.sym {
-                continue;
-            }
-            let kind = match get_attr(s, cs.a_kind).as_deref() {
-                Some("e") => LabelKind::Element,
-                Some("a") => LabelKind::Attribute,
-                Some("b") => LabelKind::Builtin,
-                other => return Err(NatixError::Catalog(format!("bad symbol kind {other:?}"))),
-            };
-            let name = get_attr(s, cs.a_name)
-                .ok_or_else(|| NatixError::Catalog("symbol without name".into()))?;
-            rows.push((kind, name));
-        }
-    }
-    *repo.symbols_mut() = SymbolTable::from_rows(&rows);
-
-    // 2. Split matrix.
-    if let Some(m) = doc.first_child_element(root, cs.matrix) {
-        let default = behaviour_from(get_attr(m, cs.a_default).as_deref().unwrap_or("other"))?;
-        let mut matrix = SplitMatrix::with_default(default);
-        let symbols = repo.symbols();
-        for &r in doc.children(m) {
-            if doc.data(r).label() != cs.rule {
-                continue;
-            }
-            let p = get_attr(r, cs.a_parent)
-                .and_then(|n| symbols.lookup_element(&n))
-                .ok_or_else(|| NatixError::Catalog("rule parent unknown".into()))?;
-            let c = get_attr(r, cs.a_child)
-                .and_then(|n| symbols.lookup_element(&n))
-                .ok_or_else(|| NatixError::Catalog("rule child unknown".into()))?;
-            let v = behaviour_from(&get_attr(r, cs.a_value).unwrap_or_default())?;
-            matrix.set(p, c, v);
-        }
-        drop(symbols);
-        repo.tree.set_matrix(matrix);
-    }
-
-    // 3. DTDs.
-    if let Some(dtds) = doc.first_child_element(root, cs.dtds) {
-        for &d in doc.children(dtds) {
-            if doc.data(d).label() != cs.dtd {
-                continue;
-            }
-            let name = get_attr(d, cs.a_name)
-                .ok_or_else(|| NatixError::Catalog("dtd without name".into()))?;
-            let text = doc.text_content(d);
-            repo.schema_mut().register_dtd(&name, &text)?;
-        }
-    }
-
-    // 4. Documents (maps rebuilt eagerly so node ids are deterministic).
-    if let Some(docs) = doc.first_child_element(root, cs.documents) {
-        for &d in doc.children(docs) {
-            if doc.data(d).label() != cs.doc {
-                continue;
-            }
-            let name = get_attr(d, cs.a_name)
-                .ok_or_else(|| NatixError::Catalog("document without name".into()))?;
-            let page: u32 = get_attr(d, cs.a_page)
-                .and_then(|p| p.parse().ok())
-                .ok_or_else(|| NatixError::Catalog("bad document page".into()))?;
-            let slot: u16 = get_attr(d, cs.a_slot)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| NatixError::Catalog("bad document slot".into()))?;
-            let state = DocState::new(name, Rid::new(page, slot));
-            let id = repo.register(state);
-            repo.rebuild_map(id)?;
-        }
-    }
-    Ok(())
+    from_document(&doc).map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::repository::RepositoryOptions;
+    use natix_tree::SplitBehaviour;
 
     #[test]
     fn catalog_symbols_are_stable() {
-        let a = CatalogSymbols::new();
-        let b = CatalogSymbols::new();
-        assert_eq!(a.catalog, b.catalog);
-        assert_eq!(a.a_value, b.a_value);
-        // Fixed ids: user labels must never collide with these.
-        assert_eq!(a.catalog, natix_xml::symbols::FIRST_USER_LABEL);
+        // Fixed ids right behind the built-ins: the document must decode
+        // before the user alphabet — which it holds — is known.
+        assert_eq!(CATALOG, FIRST_USER_LABEL);
+        assert_eq!(DTD, FIRST_USER_LABEL + 8);
+        assert_eq!(A_CHILD_KIND, FIRST_USER_LABEL + 18);
     }
 
     #[test]
@@ -334,9 +257,9 @@ mod tests {
             let repo = Repository::create_file(&path, RepositoryOptions::default()).unwrap();
             repo.put_xml("t1", doc_xml).unwrap();
             repo.put_xml("t2", "<a><b x=\"1\">v</b></a>").unwrap();
-            repo.set_matrix_rule("SPEECH", "SPEAKER", SplitBehaviour::KeepWithParent);
-            repo.schema_mut()
-                .register_dtd("play", "<!ELEMENT PLAY (TITLE, ACT+)>")
+            repo.set_matrix_rule("SPEECH", "SPEAKER", SplitBehaviour::KeepWithParent)
+                .unwrap();
+            repo.register_dtd("play", "<!ELEMENT PLAY (TITLE, ACT+)>")
                 .unwrap();
             repo.checkpoint().unwrap();
         }

@@ -11,11 +11,14 @@
 //! `(rid, index)` pointers are volatile. The document manager keeps a
 //! bidirectional map `NodeId ↔ NodePtr`, updated from the relocation
 //! events every structural operation returns. The on-disk format carries
-//! no logical ids (keeping the paper's space numbers intact); the map is
-//! rebuilt by one traversal when a persisted document is first touched
-//! after re-opening.
+//! no logical ids (keeping the paper's space numbers intact) and the map
+//! is sparse: only the root is bound when a document is registered —
+//! freshly loaded or reopened alike — and every other id is bound the
+//! first time navigation, a query result or an insert hands the node out.
+//! Ids are stable for the life of the `Repository` object, not across
+//! reopens.
 //!
-//! The id map lives behind a per-document mutex inside [`DocState`]:
+//! The id map lives behind a per-document mutex inside `DocState`:
 //! read-only traversal (`children`, `parent`) binds ids lazily through
 //! `&self`, so concurrent readers of different documents — and readers
 //! running alongside ingestion of other documents — never serialize
@@ -31,6 +34,7 @@ use natix_tree::version::WriteOp;
 use natix_tree::{BulkStats, InsertPos, NewNode, NodePtr, OpResult, VisitEvent};
 use natix_xml::{Document, LabelId, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
 
+use crate::directory::{log_directory, Delta};
 use crate::error::{NatixError, NatixResult};
 use crate::path_summary::{PathSummary, SummaryBuilder, SummaryDelta};
 use crate::repository::Repository;
@@ -161,12 +165,24 @@ impl DocState {
     /// publish critical section, so the new root becomes current exactly
     /// when the moving operation's epoch does. Readers pinned below
     /// `epoch` keep starting from `old` (whose pre-image the operation
-    /// deposited).
-    fn publish_root_move(&self, old: Rid, new: Rid, epoch: u64, floor: u64) {
+    /// deposited). The move is logged here, under the root slot's lock
+    /// (a checkpoint's cut reads the slot under it) and owned by `op`:
+    /// recovery honours it only if `op`'s commit record, appended right
+    /// after publish, reached the log.
+    fn publish_root_move(
+        &self,
+        wal: Option<&Arc<natix_storage::Wal>>,
+        op: u64,
+        (old, new): (Rid, Rid),
+        epoch: u64,
+        floor: u64,
+    ) {
         let mut r = self.root.lock();
         if r.current == old {
             r.old.push((epoch, old));
             r.current = new;
+            let name = self.name.clone();
+            log_directory(wal, op, &[Delta::RootMove { name, root: new }]);
         }
         r.old.retain(|&(valid_until, _)| valid_until > floor);
     }
@@ -263,18 +279,6 @@ impl DocState {
             }
         }
     }
-
-    /// Rebinds the whole map to `ptrs` in order, ids starting at 0 (used
-    /// when a persisted document is reopened).
-    pub(crate) fn reset_map(&self, ptrs: &[NodePtr]) {
-        let mut ids = self.ids.lock();
-        ids.map.clear();
-        ids.rev.clear();
-        ids.next_id = 0;
-        for &ptr in ptrs {
-            fresh(&mut ids, ptr);
-        }
-    }
 }
 
 fn fresh(ids: &mut NodeMap, ptr: NodePtr) -> NodeId {
@@ -349,12 +353,13 @@ impl Edit<'_> {
     /// [`tree_op`](Self::tree_op)).
     fn absorb(&self, res: &OpResult) {
         self.state.apply_relocations(res);
-        if let Some((old, new)) = res.root_moved {
+        if let Some(moved) = res.root_moved {
             let st = Arc::clone(self.state);
+            let wal = self.repo.wal.clone();
+            let op = self.op.id();
             self.op.defer_until_publish(move |epoch, floor| {
-                st.publish_root_move(old, new, epoch, floor)
+                st.publish_root_move(wal.as_ref(), op, moved, epoch, floor)
             });
-            self.repo.log_root_move(self.state, self.op.id(), new);
         }
     }
 
@@ -373,7 +378,9 @@ impl Edit<'_> {
                 }
             })
         })?;
-        let new_ptr = res.new_node.expect("insert yields node");
+        let new_ptr = res
+            .new_node
+            .ok_or_else(|| natix_tree::TreeError::Invariant("an insert returned no node".into()))?;
         self.note_summary_insert(new_ptr, matches!(node, NewNode::Literal(_)));
         Ok(self.state.fresh_id(new_ptr))
     }
@@ -498,35 +505,6 @@ impl Repository {
                 Err(e)
             }
         }
-    }
-
-    /// Logs the directory with `state`'s root already at `new`, owned by
-    /// write operation `op`: the checkpointed directory still names the
-    /// old root, so without this record a crash before the next
-    /// checkpoint would reopen the document at a RID that no longer holds
-    /// its root. The record precedes the operation's commit record (that
-    /// one is appended after publish), and recovery's directory fold
-    /// honours it only if the operation committed. Guard order as in
-    /// [`Repository::register`]. Not covered: a registration or checkpoint
-    /// of *another* document that dumps the directory between this record
-    /// and the operation's publish still lists the old root, and the later
-    /// dump wins the fold.
-    fn log_root_move(&self, state: &DocState, op: u64, new: Rid) {
-        let Some(wal) = &self.wal else {
-            return;
-        };
-        let symbols = self.symbols.read();
-        let matrix = self.tree.matrix();
-        let reg = self.registry.lock();
-        let schema = self.schema.read();
-        let payload = crate::recovery::capture_directory(
-            &symbols,
-            &reg,
-            &matrix,
-            &schema,
-            Some((&state.name, new)),
-        );
-        wal.append(&natix_storage::WalRecord::Catalog { op, payload });
     }
 
     /// Interns `tag` as an element label — after checking that it is a
@@ -916,17 +894,11 @@ impl Repository {
                 if reg.by_name.get(&st.name) == Some(&id) {
                     reg.by_name.remove(&st.name);
                     reg.docs[id as usize] = None;
-                    // Logged under the registry lock, like every other
-                    // directory mutation: the log's order matches the
-                    // registry's, so a racing registration whose payload
-                    // still lists this document cannot land *after* the
-                    // deletion and resurrect it.
-                    if let Some(w) = &wal {
-                        w.append(&natix_storage::WalRecord::DocDelete {
-                            op: op_id,
-                            name: st.name.clone(),
-                        });
-                    }
+                    // Under the registry lock, like `register`'s delta;
+                    // owned by this operation: it counts only if the
+                    // delete commits.
+                    let name = st.name.clone();
+                    log_directory(wal.as_ref(), op_id, &[Delta::DocDelete { name }]);
                 }
             });
             Ok(result?)
@@ -1202,23 +1174,6 @@ impl Repository {
             }
             true
         })?;
-        Ok(())
-    }
-
-    /// Rebuilds the logical-node map of a re-opened document by one full
-    /// traversal (ids are assigned in pre-order). Called by the catalog
-    /// loader; for freshly stored documents the map is already current.
-    pub(crate) fn rebuild_map(&self, doc: DocId) -> NatixResult<()> {
-        let state = self.state(doc)?;
-        let mut ptrs = Vec::new();
-        natix_tree::traverse(&self.tree, NodePtr::new(state.root_rid(), 0), &mut |ev| {
-            match ev {
-                VisitEvent::Enter { ptr, .. } | VisitEvent::Literal { ptr, .. } => ptrs.push(ptr),
-                VisitEvent::Leave { .. } => {}
-            }
-            true
-        })?;
-        state.reset_map(&ptrs);
         Ok(())
     }
 }

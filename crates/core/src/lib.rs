@@ -19,8 +19,9 @@
 //!   load through its `publish_load`, on the one document store
 //!   ([`ingest`] is a worker pool over [`Repository::put_xml_streaming`]);
 //! * the **schema manager** ([`schema`]) and the **system catalog**
-//!   ([`catalog`]) — stored, as in the paper, *as an XML document inside
-//!   the system itself*;
+//!   (`catalog.rs`) — stored, as in the paper, *as an XML document inside
+//!   the system itself* — the on-page form of the repository directory,
+//!   whose delta records, log fold and restore live in `directory.rs`;
 //! * the **path summary** ([`path_summary`]): the engine's one derived
 //!   structure — per-document label-path counts, versioned with the
 //!   snapshot epochs and rebuilt rather than persisted — and the
@@ -51,7 +52,8 @@
 //! assert_eq!(speakers.len(), 1);
 //! ```
 
-pub mod catalog;
+pub(crate) mod catalog;
+pub(crate) mod directory;
 pub mod document;
 pub mod error;
 pub mod ingest;

@@ -5,7 +5,7 @@
 //! A *label path* is the sequence of labels from the document root down to
 //! a node (inclusive). Documents repeat structure heavily, so the set of
 //! distinct label paths is tiny compared to the node count — the summary
-//! stores one [`PathNode`] per distinct path with the number of facade
+//! stores one `PathNode` per distinct path with the number of facade
 //! nodes bearing it. Following Arion et al.'s path-summary argument, a
 //! path query without positional predicates can then be answered *at path
 //! level*: a node matches iff its label path is in the computed match set,
@@ -16,9 +16,9 @@
 //! # Versioning
 //!
 //! Summaries follow the same epoch protocol as document root slots
-//! (`DocState::root`): a [`SummarySlot`] holds the current summary plus a
+//! (`DocState::root`): a `SummarySlot` holds the current summary plus a
 //! chain of `(valid_until, summary)` pre-images. Structural edits compute
-//! a [`SummaryDelta`] under the edit latch and defer its application to
+//! a `SummaryDelta` under the edit latch and defer its application to
 //! publish time, so the summary version chain advances atomically with
 //! the version-store epoch. A delta that fails to apply (or an edit whose
 //! path could not be computed) *invalidates* the current summary instead
@@ -33,7 +33,7 @@
 //! The step evaluators emit matches *per context*: a descendant step over
 //! nested contexts reports a node once per matching ancestor, and nested
 //! context subtrees emit out of document order. Both effects are
-//! path-computable. [`PathMatch`] therefore carries per-path
+//! path-computable. `PathMatch` therefore carries per-path
 //! *multiplicities* (making summary-only counts exact even with nested
 //! contexts) and an `enumerable` flag: true iff every intermediate
 //! context path set is prefix-free, in which case the evaluators' output

@@ -65,7 +65,7 @@
 //!
 //! Usage notes behind the table: symbol readers (serialisation, queries,
 //! name lookups) share the `SYMBOLS` lock and concurrent parsers intern
-//! through a read-locked fast path ([`Repository::intern_shared`]),
+//! through a read-locked fast path (`Repository::intern_shared`),
 //! escalating to the write lock only for a genuinely new name; the
 //! `REGISTRY` mutex is held only for map operations, never across I/O,
 //! and each registered document is an `Arc<DocState>` whose lazy node-id
@@ -249,7 +249,7 @@
 //! [`NatixError::PlanUnsupported`] rather than a wrong answer. The
 //! [`PlanShape`](crate::query::PlanShape) enum has a fifth, retired
 //! variant, `IndexSeeded`: no operator stands behind it, the planner
-//! never picks it and forcing it is always refused (ROADMAP open item 3
+//! never picks it and forcing it is always refused (ROADMAP open item 6c
 //! schedules its removal). A stale
 //! summary (failed delta, pin older than the last rebuild) always falls
 //! back to scans — the summary never lies, it only abstains — and a
@@ -282,44 +282,58 @@
 //! 1. During the operation, storage-level events are logged as they
 //!    happen — `PreImage` (undo: a record's bytes before the first
 //!    overwrite), `Created` (undo: delete on rollback), `Alloc`/`Free`/
-//!    `SegCreate` (allocator replay), `Symbols` (alphabet growth past
-//!    the logged watermark). None of these are forced; they ride in the
-//!    log buffer.
+//!    `SegCreate` (allocator replay). None of these are forced; they
+//!    ride in the log buffer.
 //! 2. At publish, the version store's commit hook captures a full page
 //!    image of every page the operation touched (`PageImage` records —
-//!    physical redo, idempotent by construction) and appends `Commit`.
+//!    physical redo, idempotent by construction) and appends `Commit` —
+//!    behind the alphabet's growth past the logged watermark, so no
+//!    image names a label the log does not.
 //! 3. The **durability gate** every public write API passes through then
 //!    forces the log, joining a group-commit window so concurrent
 //!    committers share one fsync. Only after the force does the call
 //!    return `Ok` — an acknowledged operation is on stable storage.
 //!
+//! **The directory log.** The directory (alphabet, documents and their
+//! roots, split matrix, DTDs) changes by one family of delta records,
+//! owned by `directory.rs`. Each is appended by the operation that makes
+//! the change, where the in-memory directory changes and under the lock
+//! that guards that part of it: unconditionally for a registration (its
+//! content committed first), alphabet growth, a matrix rule and a DTD;
+//! owned by their operation for a deletion and a root-record move (they
+//! count only if it commits). A checkpoint carries the same deltas, from
+//! empty. **The horizon rule:** [`Repository::checkpoint`] reads the
+//! log's end *before* it captures the directory; recovery applies, over
+//! what was captured, every delta at or above that position in log order
+//! — whether or not the capture saw it, since each is an assignment to
+//! its key — and the checkpoint resets the log only if it still ends
+//! there.
+//!
 //! The **WAL rule** is enforced one layer down: the buffer manager never
 //! writes a dirty frame back (eviction steal, flush or clear) without
 //! first forcing the log to its current end, so the base file never
 //! holds effects whose log records could still be lost. Recovery
-//! ([`crate::recovery`]) is ARIES-shaped over physical redo: analysis
+//! (`recovery.rs`) is ARIES-shaped over physical redo: analysis
 //! finds the last checkpoint and the committed-operation set, redo
 //! replays committed page images at or above the checkpoint's horizon,
 //! undo reverts the loser operations' record-level effects in reverse
-//! log order.
+//! log order, and the directory fold above ends it.
 //!
-//! [`Repository::checkpoint`] is fuzzy: it captures the allocator and
-//! directory, flushes the pool, and — only when no write operation is
-//! active — atomically truncate-resets the log to a single checkpoint
-//! record (whose redo horizon is 0: LSNs restart in the new log's
-//! coordinates); otherwise the checkpoint appends behind the running
-//! operations' records and the log keeps its history.
+//! [`Repository::checkpoint`] is fuzzy: it captures the directory,
+//! flushes the pool, snapshots the allocator and — only when no write
+//! operation is active and nothing was logged meanwhile — atomically
+//! truncate-resets the log to a single checkpoint record (whose horizon
+//! is 0: LSNs restart in the new log's coordinates); otherwise the
+//! checkpoint appends behind the running operations' records and the log
+//! keeps its history.
 //!
-//! Known limitations, by design: split-matrix and DTD changes are
-//! durable only at the next directory dump (registration or
-//! checkpoint); page writes are assumed atomic at the backend's page
-//! size; and a root-record move logged while *another* document's
-//! registration or checkpoint dumps the directory can be folded away at
-//! recovery (`document.rs::log_root_move` documents the window; closing
-//! it takes a delta record, ROADMAP open item 2).
-//! (Loser-allocated pages no longer leak: recovery sweeps pages that no
-//! inventory, free list or space-map chain accounts for back into the
-//! free pool — see `StorageManager::reclaim_untracked_pages`.)
+//! Known limitations: page writes are assumed atomic at the backend's
+//! page size (ROADMAP open item 2). And a checkpoint does not yet record
+//! which operations are active: its capture can see the deletion or root
+//! move of an operation that has published but not yet appended its
+//! commit record, and a crash between that checkpoint's record and that
+//! commit record becoming durable rolls the operation back under a
+//! directory that kept its change (ROADMAP open item 3a).
 //!
 //! # Model-checked protocols
 //!
@@ -335,7 +349,7 @@
 //! report carries a **schedule token** (`dfs:0.1.0...` / `seed:N`) that
 //! replays the exact interleaving deterministically.
 //!
-//! Five scenarios in `crates/core/tests/model/` pin the protocols down
+//! Six scenarios in `crates/core/tests/model/` pin the protocols down
 //! (`cargo test -p natix --features model --test model`):
 //!
 //! * **root-publish** — a pinned snapshot reader vs a writer that forces
@@ -355,13 +369,17 @@
 //! * **path-summary** — a pinned reader's query counts (eager and lazy
 //!   plan shapes) must agree with its epoch's path summary while a
 //!   writer inserts matching elements.
+//! * **directory-log** — a checkpoint racing a registration and a
+//!   deletion, then recovery from the log alone: both acknowledged
+//!   changes survive wherever they land relative to the capture.
 //!
 //! Each scenario is paired with a **mutation harness**: reverting a
 //! named production guard (`root-slot.epoch-recheck`,
 //! `wal.force-before-write-back`, `buffer.inflight-recheck`,
-//! `buffer.prefetch-coalesce` — see `parking_lot::fail_point`) must make
-//! the checker report a violation whose token replays to the identical
-//! failure, proving the suite actually guards those lines. A
+//! `buffer.prefetch-coalesce`, `checkpoint.directory-horizon` — see
+//! `parking_lot::fail_point`) must make the checker report a violation
+//! whose token replays to the identical failure, proving the suite
+//! actually guards those lines. A
 //! vector-clock race detector over tracked atomics runs inside the same
 //! exploration. CI runs the suite in both modes with the seed logged
 //! (`NATIX_MODEL_SEED` / `NATIX_MODEL_SCHEDULES` override).
@@ -378,15 +396,16 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use natix_storage::buffer::EvictionPolicy;
-use natix_storage::wal::{log_suppressed, take_commit_error, SuppressLogging};
+use natix_storage::wal::{take_commit_error, SuppressLogging};
 use natix_storage::{
     BufferManager, DiskBackend, DiskProfile, FileLogDevice, FileStorage, IoStats, LogDevice,
-    MemLogDevice, MemStorage, Rid, SimDisk, StorageManager, Wal, WalRecord, WalSyncMode,
+    MemLogDevice, MemStorage, Rid, SimDisk, StorageManager, Wal, WalSyncMode,
 };
 use natix_tree::version::ReadPin;
 use natix_tree::{NodePtr, SplitMatrix, TreeConfig, TreeStore, VersionStore, VisitEvent};
 use natix_xml::{LabelId, LabelKind, ParserOptions, SymbolTable};
 
+use crate::directory::{self, Delta};
 use crate::document::{DocId, DocState, NodeId};
 use crate::error::{NatixError, NatixResult};
 use crate::schema::SchemaManager;
@@ -475,12 +494,12 @@ pub struct Repository {
     pub(crate) tree: TreeStore,
     pub(crate) catalog_tree: TreeStore,
     pub(crate) symbols: Arc<RwLock<SymbolTable>>,
-    /// Count of label rows already covered by the log (a `Symbols` record
-    /// or a checkpoint's directory payload). The commit hook appends the
-    /// alphabet's growth past this watermark before each commit record,
-    /// so redo never replays a record whose labels recovery cannot name.
-    /// Lock order: this mutex before the symbol table's lock.
-    logged_symbols: Arc<Mutex<usize>>,
+    /// Count of label rows already logged as `Symbols` deltas. The commit
+    /// hook appends the alphabet's growth past this watermark before each
+    /// commit record, so redo never replays a record whose labels
+    /// recovery cannot name. Lock order: this mutex before the symbol
+    /// table's lock.
+    pub(crate) logged_symbols: Arc<Mutex<usize>>,
     pub(crate) registry: Arc<Mutex<DocRegistry>>,
     pub(crate) schema: RwLock<SchemaManager>,
     pub(crate) options: RepositoryOptions,
@@ -521,20 +540,20 @@ impl Repository {
         let sm = if fresh {
             Arc::new(StorageManager::create(Arc::clone(&bm))?)
         } else {
+            // Before the log is read (and its tail trimmed): the log has
+            // no version of its own, and another format's records would
+            // read as a torn tail.
+            StorageManager::check_format(&bm)?;
             let records = match &log {
                 Some(device) => Wal::read_log(&**device)?,
                 None => Vec::new(),
             };
-            if records
-                .iter()
-                .any(|(_, r)| matches!(r, WalRecord::Checkpoint(_)))
-            {
-                let out = crate::recovery::replay(Arc::clone(&bm), &records, "catalog")?;
-                let sm = Arc::clone(&out.sm);
-                recovered = Some(out);
-                sm
-            } else {
-                Arc::new(StorageManager::open(Arc::clone(&bm))?)
+            match crate::recovery::replay(Arc::clone(&bm), &records, "catalog")? {
+                Some((sm, directory)) => {
+                    recovered = Some(directory);
+                    sm
+                }
+                None => Arc::new(StorageManager::open(Arc::clone(&bm))?),
             }
         };
         let (docs_seg, cat_seg) = if fresh {
@@ -574,7 +593,10 @@ impl Repository {
             &parking_lot::rank::SYMBOLS,
             SymbolTable::new(),
         ));
-        let logged_symbols = Arc::new(Mutex::with_rank(&parking_lot::rank::SYMBOL_MARK, 0usize));
+        let logged_symbols = Arc::new(Mutex::with_rank(
+            &parking_lot::rank::SYMBOL_MARK,
+            natix_xml::symbols::FIRST_USER_LABEL as usize,
+        ));
         if let Some(w) = &wal {
             // Wire the log into every layer: the buffer honours the WAL
             // rule on dirty-frame write-back, the allocator logs its
@@ -603,29 +625,18 @@ impl Repository {
                         }
                     }
                 }
-                {
-                    // Any label this operation interned must be decodable
-                    // on replay: log the alphabet's growth past the
-                    // watermark before the images it names.
-                    let mut mark = hook_mark.lock();
-                    let syms = hook_syms.read();
-                    if syms.len() > *mark {
-                        let rows = syms
-                            .iter()
-                            .skip(*mark)
-                            .map(|(_, k, n)| (crate::recovery::kind_code(k), n.to_string()))
-                            .collect();
-                        hook_wal.append(&WalRecord::Symbols {
-                            base: *mark as u32,
-                            rows,
-                        });
-                        *mark = syms.len();
-                    }
-                }
+                // Any label this operation interned must be decodable on
+                // replay: log the alphabet's growth past the watermark
+                // before the images it names.
+                directory::log_symbol_growth(
+                    Some(&hook_wal),
+                    &mut hook_mark.lock(),
+                    &hook_syms.read(),
+                );
                 hook_wal.append_commit_batch(op, images);
             }));
         }
-        let mut repo = Repository {
+        let repo = Repository {
             sm,
             tree,
             catalog_tree,
@@ -647,20 +658,17 @@ impl Repository {
             checkpoint_lock: Mutex::with_rank(&parking_lot::rank::CHECKPOINT, ()),
             summaries: Arc::new(crate::path_summary::SummaryStore::new()),
         };
-        if let Some(out) = recovered {
-            // Rebuild the directory from the log, not from catalog pages
-            // (recovery discarded those). Suppressed: the checkpoint
-            // below re-seeds the log with the final state.
+        // The directory comes from the log when recovery ran (it discarded
+        // the catalog pages), from the catalog document otherwise.
+        let restored = match recovered {
+            None if !fresh => crate::catalog::load_catalog(&repo)?,
+            recovered => recovered,
+        };
+        if let Some(deltas) = restored {
+            // Suppressed: nothing restored is news to the log, and the
+            // checkpoint below re-seeds it with the final state.
             let _quiet = SuppressLogging::new();
-            crate::recovery::apply_directory(
-                &mut repo,
-                &out.directory,
-                &out.deletions,
-                &out.symbols,
-            )?;
-        } else if !fresh {
-            let _quiet = repo.wal.is_some().then(SuppressLogging::new);
-            crate::catalog::load_catalog(&mut repo)?;
+            directory::restore(&repo, &deltas)?;
         }
         if repo.wal.is_some() {
             // Seed (fresh store), reset (clean recovery), or re-anchor
@@ -839,11 +847,6 @@ impl Repository {
         self.schema.read()
     }
 
-    /// Write access to the schema manager.
-    pub fn schema_mut(&self) -> RwLockWriteGuard<'_, SchemaManager> {
-        self.schema.write()
-    }
-
     /// The document tree store (exposed for the benchmark harness and the
     /// validator; ordinary clients use the document API).
     pub fn tree_store(&self) -> &TreeStore {
@@ -923,25 +926,6 @@ impl Repository {
         v.into_iter().map(|(_, n)| n).collect()
     }
 
-    /// Snapshot of `(name, id, root rid)` for every document, in id order
-    /// (catalog persistence).
-    pub(crate) fn doc_entries(&self) -> Vec<(String, DocId, Rid)> {
-        let reg = self.registry.lock();
-        let mut v: Vec<(String, DocId, Rid)> = reg
-            .by_name
-            .iter()
-            .filter_map(|(n, &id)| {
-                reg.docs
-                    .get(id as usize)
-                    .and_then(|d| d.as_ref())
-                    .map(|st| (n.clone(), id, st.root_rid()))
-            })
-            .collect();
-        drop(reg);
-        v.sort_by_key(|&(_, id, _)| id);
-        v
-    }
-
     pub(crate) fn state(&self, doc: DocId) -> NatixResult<Arc<DocState>> {
         self.registry
             .lock()
@@ -976,40 +960,17 @@ impl Repository {
     /// published) resolve the document to "not there yet".
     pub(crate) fn register(&self, state: DocState) -> DocId {
         state.set_born(self.tree.versions().epoch());
-        if self.wal.is_none() || log_suppressed() {
-            let mut reg = self.registry.lock();
-            let id = reg.docs.len() as DocId;
-            reg.pending.remove(&state.name);
-            reg.by_name.insert(state.name.clone(), id);
-            reg.docs.push(Some(Arc::new(state)));
-            return id;
-        }
-        // Log the updated directory while still holding the registry
-        // lock: every directory mutation appends in registry order, so
-        // recovery's "latest payload wins" fold is race-free. Guard order
-        // follows the rank table: SYMBOLS → SPLIT_MATRIX → REGISTRY →
-        // SCHEMA (the matrix guard comes *before* the registry because
-        // bulkloads hold the matrix across version-store entry, and the
-        // delete publish hook holds the version store across the
-        // registry — same as the catalog writer's order).
-        let symbols = self.symbols.read();
-        let matrix = self.tree.matrix();
         let mut reg = self.registry.lock();
         let id = reg.docs.len() as DocId;
         reg.pending.remove(&state.name);
         reg.by_name.insert(state.name.clone(), id);
+        // Logged under the registry lock, like every change to the
+        // document list (a checkpoint's cut reads the list under it).
+        // Unconditional: the document's content committed before
+        // `register` was called, so the registration itself must stick.
+        let (name, root) = (state.name.clone(), state.root_rid());
+        directory::log_directory(self.wal.as_ref(), 0, &[Delta::DocAdd { name, root }]);
         reg.docs.push(Some(Arc::new(state)));
-        let payload = {
-            let schema = self.schema.read();
-            crate::recovery::capture_directory(&symbols, &reg, &matrix, &schema, None)
-        };
-        // op 0: unconditional. The document's content committed before
-        // register was called (the loader's operation published and
-        // logged its images), so the registration itself must stick.
-        self.wal
-            .as_ref()
-            .expect("checked above")
-            .append(&WalRecord::Catalog { op: 0, payload });
         id
     }
 
@@ -1130,21 +1091,16 @@ impl Repository {
         self.sm.allocated_pages() * self.options.page_size as u64
     }
 
-    /// Persists the catalog (symbol table, document directory, split
-    /// matrix, DTDs) and flushes everything to the backend. Takes
-    /// `&self`: checkpoints are serialised against each other by the
-    /// checkpoint lock, and the catalog rewrite runs as an ordinary write
-    /// operation of the version layer, so readers (and edits of user
-    /// documents) proceed concurrently. Page flushes race in-flight
-    /// edits; the *catalog itself* is consistent, as the directory
-    /// snapshot is taken under the registry lock.
+    /// Persists the directory (symbol table, document list, split matrix,
+    /// DTDs) and flushes everything to the backend. Takes `&self`:
+    /// checkpoints are serialised against each other by the checkpoint
+    /// lock, and the catalog rewrite runs as an ordinary write operation
+    /// of the version layer, so readers (and edits of user documents)
+    /// proceed concurrently. Page flushes race in-flight edits; the
+    /// *directory* is one consistent cut (`directory::capture`), written
+    /// both as the catalog document and into the checkpoint record.
     pub fn checkpoint(&self) -> NatixResult<()> {
         let _ck = self.checkpoint_lock.lock();
-        let Some(wal) = &self.wal else {
-            crate::catalog::save_catalog(self)?;
-            self.sm.checkpoint()?;
-            return Ok(());
-        };
         // Quiescence baseline, taken before the suppressed work below
         // (whose operations are deliberately uncounted): if no outside
         // operation begins or finishes across the whole checkpoint, the
@@ -1152,34 +1108,22 @@ impl Repository {
         let versions = self.tree.versions();
         let b0 = versions.ops_begun();
         let f0 = versions.ops_finished();
-        // Redo horizon: the flush below writes every page state visible
-        // at this point into the base file, so committed images logged
-        // before this LSN never need replay. Captured before the flush —
-        // images appended *during* it land above the horizon and are
-        // replayed, whether or not the flush caught them.
-        let redo_horizon = wal.appended_lsn();
+        // The horizon, read before the cut and before the flush: what the
+        // log holds below it is in the cut (directory deltas) and in the
+        // base file once the flush is done (page images); what lands at
+        // or above it, recovery replays over both.
+        let horizon = self.wal.as_ref().map(|wal| wal.appended_lsn());
+        let cut = directory::capture(self);
         {
             // The catalog rewrite and the flush are checkpoint internals:
             // their pages are rebuilt from the checkpoint itself, never
             // rolled forward or back individually.
             let _quiet = SuppressLogging::new();
-            crate::catalog::save_catalog(self)?;
+            crate::catalog::save_catalog(self, &cut)?;
             self.sm.checkpoint()?;
         }
-        let payload = {
-            // Lock order: the watermark mutex before the symbol table.
-            // The payload dumps the full alphabet, so every row is now
-            // covered by the log; commits racing this block either logged
-            // their Symbols record already (it survives until the next
-            // truncate-reset, which installs this payload) or will see
-            // the advanced watermark and log only newer rows.
-            let mut mark = self.logged_symbols.lock();
-            let symbols = self.symbols.read();
-            *mark = symbols.len();
-            let matrix = self.tree.matrix();
-            let reg = self.registry.lock();
-            let schema = self.schema.read();
-            crate::recovery::capture_directory(&symbols, &reg, &matrix, &schema, None)
+        let Some(horizon) = horizon else {
+            return Ok(());
         };
         let quiesced = move || {
             versions.active_ops() == 0
@@ -1187,9 +1131,8 @@ impl Repository {
                 && versions.ops_finished() == f0
         };
         self.sm
-            .append_checkpoint(redo_horizon, payload, Some(&quiesced))?;
-        wal.sync_to(wal.appended_lsn())?;
-        Ok(())
+            .append_checkpoint(horizon, directory::encode(&cut), &quiesced)?;
+        self.durable_gate()
     }
 
     /// The durability gate every public write API passes through after
@@ -1212,21 +1155,47 @@ impl Repository {
 
     /// Changes a split-matrix rule by element names, interning them if
     /// necessary. Affects future insertions (loads already in flight keep
-    /// their snapshot of the matrix).
+    /// their snapshot of the matrix). Durable when it returns.
     pub fn set_matrix_rule(
         &self,
         parent_tag: &str,
         child_tag: &str,
         value: natix_tree::SplitBehaviour,
-    ) {
-        let (p, c) = {
+    ) -> NatixResult<()> {
+        {
+            // Under the watermark mutex, which a checkpoint's cut holds
+            // too: the labels the rule names are in the log directly
+            // ahead of it (rules are stored by name; a restore must never
+            // meet one whose labels it cannot resolve).
+            let mut mark = self.logged_symbols.lock();
             let mut symbols = self.symbols.write();
-            (
-                symbols.intern_element(parent_tag),
-                symbols.intern_element(child_tag),
-            )
-        };
-        self.tree.set_matrix_entry(p, c, value);
+            let p = symbols.intern_element(parent_tag);
+            let c = symbols.intern_element(child_tag);
+            directory::log_symbol_growth(self.wal.as_ref(), &mut mark, &symbols);
+            drop(symbols);
+            self.tree.set_matrix_entry(p, c, value);
+            let element = |tag: &str| (LabelKind::Element, tag.to_string());
+            let (parent, child) = (element(parent_tag), element(child_tag));
+            let rule = Delta::MatrixRule {
+                parent,
+                child,
+                value,
+            };
+            directory::log_directory(self.wal.as_ref(), 0, &[rule]);
+        }
+        self.durable_gate()
+    }
+
+    /// Registers (or replaces) a DTD under `name`. Durable when it
+    /// returns.
+    pub fn register_dtd(&self, name: &str, text: &str) -> NatixResult<()> {
+        {
+            let mut schema = self.schema.write();
+            schema.register_dtd(name, text)?;
+            let (name, text) = (name.to_string(), text.to_string());
+            directory::log_directory(self.wal.as_ref(), 0, &[Delta::Dtd { name, text }]);
+        }
+        self.durable_gate()
     }
 }
 

@@ -709,6 +709,203 @@ fn parallel_ingest_survives_kill_points() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// The directory log: every directory change is one delta, durable with
+// its acknowledgement, whatever a concurrent checkpoint is doing.
+// ---------------------------------------------------------------------------
+
+/// Trials per checkpoint-race test. Neither test can force the window it
+/// probes (a change logged after a running checkpoint captured the
+/// directory, before its record landed), so each repeats until the window
+/// is hit many times over; the deterministic cases are `directory.rs`'s
+/// fold tests and the model suite's `directory_log` scenario.
+const RACE_TRIALS: usize = 300;
+const RACE_DOCS: usize = 30;
+
+/// Runs `work` while another thread checkpoints in a loop.
+fn beside_checkpoints(repo: &Repository, work: impl FnOnce()) {
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let checkpointer = s.spawn(|| {
+            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                repo.checkpoint().expect("checkpoint beside writers");
+            }
+        });
+        work();
+        stop.store(true, std::sync::atomic::Ordering::Release);
+        checkpointer.join().expect("checkpointer panicked");
+    });
+}
+
+/// Power cut without a final checkpoint, then recovery over what the log
+/// device made durable: `present` read back byte-identical, nothing else
+/// exists, no page is leaked.
+fn reopen_after_race(trial: usize, m: &Machine, present: &[(String, String)]) {
+    let m2 = Machine::boot(Arc::clone(&m.store), m.log.durable_bytes(), None);
+    let reopened = m2
+        .open()
+        .unwrap_or_else(|e| panic!("trial {trial}: recovery failed: {e}"));
+    for (name, xml) in present {
+        let got = reopened
+            .get_xml(name)
+            .unwrap_or_else(|e| panic!("trial {trial}: acknowledged {name} lost: {e}"));
+        assert_eq!(&got, xml, "trial {trial}: {name}");
+    }
+    let mut expected: Vec<&str> = present.iter().map(|(name, _)| name.as_str()).collect();
+    expected.sort_unstable();
+    let mut names = reopened.document_names();
+    names.sort_unstable();
+    assert_eq!(names, expected, "trial {trial}: directory after recovery");
+    let orphans = reopened.storage().untracked_pages().unwrap();
+    assert!(
+        orphans.is_empty(),
+        "trial {trial}: recovery leaked pages {orphans:?}"
+    );
+}
+
+fn tiny_docs() -> Vec<(String, String)> {
+    (0..RACE_DOCS)
+        .map(|i| (format!("d{i}"), format!("<d>{i}</d>")))
+        .collect()
+}
+
+/// A registration acknowledged while a checkpoint runs is in the
+/// checkpoint's cut or in the log above its horizon — never in neither.
+#[test]
+fn registrations_racing_checkpoints_survive_a_crash() {
+    let docs = tiny_docs();
+    for trial in 0..RACE_TRIALS {
+        let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+        let repo = m.create().unwrap();
+        beside_checkpoints(&repo, || {
+            for (name, xml) in &docs {
+                repo.put_xml_streaming(name, xml).unwrap();
+            }
+        });
+        drop(repo);
+        reopen_after_race(trial, &m, &docs);
+    }
+}
+
+/// The same for deletions: a document whose deletion was acknowledged
+/// stays deleted (resurrected, its root would point into freed pages).
+#[test]
+fn deletions_racing_checkpoints_survive_a_crash() {
+    let docs = tiny_docs();
+    let survivors = [("keep".to_string(), "<d>kept</d>".to_string())];
+    for trial in 0..RACE_TRIALS {
+        let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+        let repo = m.create().unwrap();
+        for (name, xml) in docs.iter().chain(&survivors) {
+            repo.put_xml_streaming(name, xml).unwrap();
+        }
+        beside_checkpoints(&repo, || {
+            for (name, _) in &docs {
+                repo.delete_document(name).unwrap();
+            }
+        });
+        drop(repo);
+        reopen_after_race(trial, &m, &survivors);
+    }
+}
+
+/// Matrix rules and DTDs are directory changes like any other: durable
+/// when the call returns, not "at the next checkpoint".
+#[test]
+fn matrix_rule_and_dtd_survive_a_crash_without_checkpoint() {
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    repo.put_xml_streaming("doc", "<d>loaded last</d>").unwrap();
+    // Two labels no stored document uses: the rule's own `Symbols` delta
+    // must precede it in the log.
+    repo.set_matrix_rule(
+        "SPEECH",
+        "SPEAKER",
+        natix_tree::SplitBehaviour::KeepWithParent,
+    )
+    .unwrap();
+    repo.register_dtd("play", "<!ELEMENT PLAY (TITLE, ACT+)>")
+        .unwrap();
+    drop(repo);
+
+    let m2 = Machine::boot(Arc::clone(&store), m.log.durable_bytes(), None);
+    let reopened = m2.open().unwrap();
+    let label = |tag| reopened.symbols().lookup_element(tag).expect(tag);
+    let (parent, child) = (label("SPEECH"), label("SPEAKER"));
+    assert_eq!(
+        reopened.tree_store().matrix().get(parent, child),
+        natix_tree::SplitBehaviour::KeepWithParent,
+        "the rule was lost"
+    );
+    assert!(reopened.schema().dtd("play").is_some(), "the DTD was lost");
+    assert_eq!(reopened.get_xml("doc").unwrap(), "<d>loaded last</d>");
+}
+
+/// Log bytes per registration do not depend on how many documents exist:
+/// a registration appends its own delta, not the directory.
+#[test]
+fn registration_log_bytes_do_not_grow_with_the_directory() {
+    /// Registers `existing` tiny documents, then the least a further
+    /// registration (same names in every store) adds to the log — the
+    /// least of a few, so that a registration that happens to open a new
+    /// page in one store is not compared with one that does not.
+    fn bytes_per_registration(existing: usize) -> usize {
+        let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+        let repo = m.create().unwrap();
+        for i in 0..existing {
+            repo.put_xml_streaming(&format!("d{i}"), "<d>tiny</d>")
+                .unwrap();
+        }
+        (0..8)
+            .map(|i| {
+                let before = m.log.durable_bytes().len();
+                repo.put_xml_streaming(&format!("extra{i}"), "<d>tiny</d>")
+                    .unwrap();
+                m.log.durable_bytes().len() - before
+            })
+            .min()
+            .unwrap()
+    }
+    let (few, many) = (bytes_per_registration(10), bytes_per_registration(1_000));
+    assert_eq!(
+        few, many,
+        "one registration logged {few} bytes beside 10 documents, {many} beside 1000"
+    );
+}
+
+/// The log has no format version of its own, and reading it trims
+/// whatever does not parse as this build's records. So the store's
+/// version is checked first: a store of another format is refused with
+/// its log exactly as it was.
+#[test]
+fn a_store_of_another_format_is_refused_before_its_log_is_read() {
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    repo.put_xml("doc", "<d>of an older build</d>").unwrap();
+    drop(repo);
+    // Header page: the format version follows the 16-byte page header
+    // and the 8-byte magic (`segment.rs`). Version 2 logged directory
+    // changes as three record kinds this build does not know; to its
+    // parser they are a torn tail, like the bytes appended here.
+    let mut header = vec![0u8; PAGE];
+    store.read_page(0, &mut header).unwrap();
+    assert_eq!(header[24..28], 3u32.to_le_bytes());
+    header[24..28].copy_from_slice(&2u32.to_le_bytes());
+    store.write_page(0, &header).unwrap();
+    let mut log = m.log.durable_bytes();
+    log.extend_from_slice(b"records of another format");
+
+    let m2 = Machine::boot(Arc::clone(&store), log.clone(), None);
+    let err = m2.open().err().expect("a version 2 store must not open");
+    assert!(
+        err.to_string().contains("unsupported format version 2"),
+        "{err}"
+    );
+    assert_eq!(m2.log.durable_bytes(), log, "the refused store's log");
+}
+
 #[test]
 fn crash_recovery_shakespeare() {
     sweep(&shakespeare_docs());

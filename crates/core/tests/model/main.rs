@@ -23,6 +23,7 @@ mod util;
 
 mod buffer_coalesce;
 mod deposit_read;
+mod directory_log;
 mod path_summary;
 mod root_publish;
 mod wal_commit;

@@ -11,8 +11,10 @@
 //! 1. **durable-gate** — every `pub fn` write API in `crates/core/src`
 //!    (all of its files, read as one surface: they are one `impl
 //!    Repository`) that reaches the version store's publish hook
-//!    (`begin_write` / `defer_until_publish`, directly or through helpers
-//!    anywhere on that surface) must also reach `durable_gate`.
+//!    (`begin_write` / `defer_until_publish`) or appends a directory
+//!    delta (`log_directory`, the one helper that does), directly or
+//!    through helpers anywhere on that surface, must also reach
+//!    `durable_gate`.
 //!    Committed-but-not-durable write paths were PR 6's whole point; this
 //!    keeps the next API honest. Call edges are by name, so a helper that
 //!    publishes must not share its name with a std method its neighbours
@@ -305,6 +307,13 @@ fn contains_word(hay: &str, word: &str) -> bool {
     false
 }
 
+/// Does `hay` call `name`: the whole token, directly followed by `(`?
+fn calls(hay: &str, name: &str) -> bool {
+    let b = hay.as_bytes();
+    hay.match_indices(&format!("{name}("))
+        .any(|(at, _)| at == 0 || !is_ident(b[at - 1]))
+}
+
 // ---------------------------------------------------------------------------
 // Rule 1: durable-gate coverage in crates/core/src
 // ---------------------------------------------------------------------------
@@ -340,9 +349,11 @@ fn collect_fns(clean: &str, mask: &[bool]) -> Vec<FnItem> {
             continue;
         }
         let name = clean[name_start..name_end].to_string();
-        // `pub` / `pub(crate)` etc. on the same declaration line, before `fn`.
+        // `pub` on the same declaration line, before `fn`. Not
+        // `pub(crate)` and the like: those are steps of an API, reached
+        // and checked through the `pub fn`s that call them.
         let decl_line_start = clean[..at].rfind('\n').map(|x| x + 1).unwrap_or(0);
-        let is_pub = clean[decl_line_start..at].trim_start().starts_with("pub");
+        let is_pub = clean[decl_line_start..at].split_whitespace().next() == Some("pub");
         // Body: first `{` at paren/bracket depth 0 after the signature.
         let mut j = name_end;
         let mut depth = 0i32;
@@ -388,7 +399,9 @@ pub fn rule_durable_gate(files: &[(&Path, &str)]) -> Vec<Violation> {
         }
     }
     let publishes_directly = |f: &FnItem| {
-        contains_word(&f.body, "begin_write") || contains_word(&f.body, "defer_until_publish")
+        contains_word(&f.body, "begin_write")
+            || contains_word(&f.body, "defer_until_publish")
+            || contains_word(&f.body, "log_directory")
     };
     let gates_directly = |f: &FnItem| contains_word(&f.body, "durable_gate");
 
@@ -403,10 +416,7 @@ pub fn rule_durable_gate(files: &[(&Path, &str)]) -> Vec<Violation> {
                     continue;
                 }
                 for j in 0..all.len() {
-                    if flag[j]
-                        && contains_word(&all[i].1.body, &all[j].1.name)
-                        && all[i].1.body.contains(&format!("{}(", all[j].1.name))
-                    {
+                    if flag[j] && calls(&all[i].1.body, &all[j].1.name) {
                         flag[i] = true;
                         changed = true;
                         break;
@@ -430,8 +440,8 @@ pub fn rule_durable_gate(files: &[(&Path, &str)]) -> Vec<Violation> {
                 line: f.line,
                 rule: "durable-gate",
                 message: format!(
-                    "pub fn `{}` reaches the version store's publish hook but never \
-                     calls `durable_gate`; committed work may be lost on crash",
+                    "pub fn `{}` publishes a write or appends a directory delta but \
+                     never calls `durable_gate`; acknowledged work may be lost on crash",
                     f.name
                 ),
             });

@@ -73,6 +73,14 @@ fn missing_gate_fixture_trips_rule() {
 }
 
 #[test]
+fn missing_gate_directory_fixture_trips_rule() {
+    let src = include_str!("fixtures/missing_gate_directory.rs");
+    let violations = rule_durable_gate(&[(Path::new("crates/core/src/repository.rs"), src)]);
+    let lines: Vec<usize> = violations.iter().map(|v| v.line).collect();
+    assert_eq!(lines, vec![8, 13], "{violations:?}");
+}
+
+#[test]
 fn durable_gate_surface_is_every_file_of_core() {
     // A write API outside document.rs / repository.rs is on the surface,
     // and reaches helpers of the other files by name.

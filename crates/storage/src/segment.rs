@@ -38,10 +38,12 @@ use crate::wal::{SegmentSnapshot, StoreSnapshot, Wal, WalRecord, NO_ALLOC_SEGMEN
 pub type SegmentId = u16;
 
 const MAGIC: &[u8; 8] = b"NATIXSTO";
-/// On-disk format version, the only one this build opens. Version 2 added
-/// proxy label digests: child-record proxies may carry the child root's
-/// label in their type-table entry.
-const VERSION: u32 = 2;
+/// On-disk format version, the only one this build opens — of the page
+/// file *and* of its log, which has no version field of its own. Version 2
+/// added proxy label digests (child-record proxies may carry the child
+/// root's label in their type-table entry); version 3 replaced the log's
+/// three directory record kinds with one carrying directory deltas.
+const VERSION: u32 = 3;
 
 // Header page layout (after the common 16-byte page header).
 const OFF_MAGIC: usize = 16;
@@ -130,22 +132,33 @@ impl StorageManager {
         })
     }
 
+    /// Checks that page 0 is a NATIX header of this build's format
+    /// version. Both fields are written once, at creation, so they hold
+    /// even after a crash that left the rest of the header stale: callers
+    /// that recover from the log check here *before* reading it, because
+    /// another format's records parse as a torn tail and are cut off.
+    pub fn check_format(buffer: &BufferManager) -> StorageResult<()> {
+        let hdr = buffer.pin(0)?;
+        let page = hdr.read();
+        if page.kind()? != PageKind::Header || &page.bytes()[OFF_MAGIC..OFF_MAGIC + 8] != MAGIC {
+            return Err(StorageError::Corrupt("missing NATIX header".into()));
+        }
+        let version = page.read_u32(OFF_VERSION);
+        if version != VERSION {
+            return Err(StorageError::Corrupt(format!(
+                "unsupported format version {version} (supported: {VERSION})"
+            )));
+        }
+        Ok(())
+    }
+
     /// Opens an existing repository, loading the segment directory and
     /// space maps.
     pub fn open(buffer: Arc<BufferManager>) -> StorageResult<StorageManager> {
+        StorageManager::check_format(&buffer)?;
         let (next_unallocated, free_list_head, seg_heads) = {
             let hdr = buffer.pin(0)?;
             let page = hdr.read();
-            if page.kind()? != PageKind::Header || &page.bytes()[OFF_MAGIC..OFF_MAGIC + 8] != MAGIC
-            {
-                return Err(StorageError::Corrupt("missing NATIX header".into()));
-            }
-            let version = page.read_u32(OFF_VERSION);
-            if version != VERSION {
-                return Err(StorageError::Corrupt(format!(
-                    "unsupported format version {version} (supported: {VERSION})"
-                )));
-            }
             let stored_ps = page.read_u32(OFF_PAGE_SIZE) as usize;
             if stored_ps != buffer.page_size() {
                 return Err(StorageError::Corrupt(format!(
@@ -357,13 +370,19 @@ impl StorageManager {
             if segment as usize >= st.segments.len() {
                 return Err(StorageError::NoSuchSegment(segment));
             }
-            self.alloc_raw(&mut st, segment)?
+            let page = self.alloc_raw(&mut st, segment)?;
+            // Listed under the lock hold that logged the `Alloc`: a
+            // checkpoint snapshot taken before the real entry below must
+            // list the page, or recovery — which adopts only allocations
+            // logged after the checkpoint record — frees it under its
+            // committed content. No free bytes: no placement picks it yet.
+            st.segments[segment as usize].fsi.set(page, 0);
+            page
         };
         // Format outside the allocator lock: pinning the fresh page can
         // evict a dirty frame (a disk write), and holding the state mutex
         // across that would serialize every concurrent bulkload behind one
-        // writer's I/O stall. The page id is not published anywhere until
-        // the FSI entry below, so no other thread can reach it yet.
+        // writer's I/O stall.
         let free = {
             let pin = self.buffer.pin_new_hinted(page, hint)?;
             let mut buf = pin.write();
@@ -709,12 +728,15 @@ impl StorageManager {
     /// append holds — so each allocation event lands either inside the
     /// snapshot or after the checkpoint record in the log, never both.
     ///
-    /// When `quiesced` is provided the truncate-reset fast path is tried
-    /// first: flush the append buffer, then atomically replace the whole
-    /// log with the single checkpoint record if nothing appended meanwhile
-    /// and `quiesced` still holds (see [`Wal::try_truncate_reset`]).
-    /// Otherwise (or on any mismatch) a fuzzy checkpoint is appended; the
-    /// caller is responsible for syncing it.
+    /// `redo_horizon` is the log's end as the caller read it *before*
+    /// flushing and before capturing `catalog`. The truncate-reset fast
+    /// path is tried first: flush the append buffer, then atomically
+    /// replace the whole log with the single checkpoint record if the log
+    /// still ends at `redo_horizon` — nothing was appended while the
+    /// checkpoint ran, so `catalog` covers every record the reset drops —
+    /// and `quiesced` holds (see [`Wal::try_truncate_reset`]). On any
+    /// mismatch a fuzzy checkpoint is appended; the caller is responsible
+    /// for syncing it.
     ///
     /// No-op without an attached log. Must be called outside any
     /// [`crate::wal::SuppressLogging`] region.
@@ -722,12 +744,11 @@ impl StorageManager {
         &self,
         redo_horizon: u64,
         catalog: Vec<u8>,
-        quiesced: Option<&dyn Fn() -> bool>,
+        quiesced: &dyn Fn() -> bool,
     ) -> StorageResult<()> {
         let Some(wal) = self.wal.get() else {
             return Ok(());
         };
-        let user_root = self.user_root()?.to_vec();
         let st = self.state.lock();
         let mut free_list = Vec::new();
         let mut cur = st.free_list_head;
@@ -763,24 +784,20 @@ impl StorageManager {
             next_unallocated: st.next_unallocated,
             free_list,
             segments,
-            user_root,
             catalog,
         };
-        if let Some(pred) = quiesced {
-            wal.flush_buffered()?;
-            let expected = wal.appended_lsn();
-            // In the reset log this checkpoint sits at offset 0 and is the
-            // only surviving record: every LSN restarts, so the redo
-            // horizon must restart with them — keeping the pre-truncate
-            // horizon would make every later record look pre-checkpoint
-            // and redo would skip it all.
-            let reset = WalRecord::Checkpoint(Box::new(StoreSnapshot {
-                redo_horizon: 0,
-                ..snap.clone()
-            }));
-            if wal.try_truncate_reset(expected, pred, &reset)? {
-                return Ok(());
-            }
+        wal.flush_buffered()?;
+        // In the reset log this checkpoint sits at offset 0 and is the
+        // only surviving record: every LSN restarts, so the redo horizon
+        // must restart with them — keeping the pre-truncate horizon would
+        // make every later record look pre-checkpoint and redo would skip
+        // it all.
+        let reset = WalRecord::Checkpoint(Box::new(StoreSnapshot {
+            redo_horizon: 0,
+            ..snap.clone()
+        }));
+        if wal.try_truncate_reset(redo_horizon, quiesced, &reset)? {
+            return Ok(());
         }
         wal.append(&WalRecord::Checkpoint(Box::new(snap)));
         Ok(())
@@ -790,7 +807,8 @@ impl StorageManager {
     /// the (untrustworthy post-crash) header page from it. The free list
     /// starts empty — recovery folds the post-checkpoint Alloc/Free
     /// records into the snapshot's list and installs the result via
-    /// [`install_free_list`](Self::install_free_list).
+    /// [`install_free_list`](Self::install_free_list) — and so does the
+    /// user-root area: what it pointed to was not logged.
     pub fn restore_from_snapshot(
         buffer: Arc<BufferManager>,
         snap: &StoreSnapshot,
@@ -808,9 +826,6 @@ impl StorageManager {
             page.write_u32(OFF_NEXT_UNALLOCATED, next_unallocated);
             page.write_u32(OFF_FREE_LIST, INVALID_PAGE);
             page.write_u16(OFF_SEGMENT_COUNT, snap.segments.len() as u16);
-            let n = snap.user_root.len().min(USER_ROOT_LEN);
-            page.bytes_mut()[OFF_USER_ROOT..OFF_USER_ROOT + n]
-                .copy_from_slice(&snap.user_root[..n]);
             for (i, seg) in snap.segments.iter().enumerate() {
                 let at = OFF_SEGDIR + i * SEGDIR_ENTRY;
                 page.write_u32(at, INVALID_PAGE);
@@ -1011,32 +1026,6 @@ impl StorageManager {
         self.persist_alloc_state(&st)?;
         Ok(orphans)
     }
-
-    /// Reformats every page of `segment` as an empty slotted page
-    /// (recovery: the catalog segment is rebuilt from the logged
-    /// directory, so its stale pre-crash pages are wiped first).
-    pub fn wipe_segment_pages(&self, segment: SegmentId) -> StorageResult<()> {
-        let mut st = self.state.lock();
-        if segment as usize >= st.segments.len() {
-            return Err(StorageError::NoSuchSegment(segment));
-        }
-        let pages: Vec<PageId> = st.segments[segment as usize]
-            .fsi
-            .iter()
-            .map(|(p, _)| p)
-            .collect();
-        for p in pages {
-            self.buffer.discard(p)?;
-            let pin = self.buffer.pin_new(p)?;
-            let free = {
-                let mut buf = pin.write();
-                SlottedPage::format(&mut buf);
-                buf.free_total()
-            };
-            st.segments[segment as usize].fsi.set(p, free);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1213,6 +1202,9 @@ mod tests {
                 err.to_string().contains("unsupported format version"),
                 "unexpected error for version {bad}: {err}"
             );
+            // The check callers run before they read the log says the same.
+            let err = StorageManager::check_format(&bm).unwrap_err();
+            assert!(err.to_string().contains("unsupported format version"));
         }
     }
 

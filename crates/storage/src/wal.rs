@@ -31,6 +31,14 @@
 //! rewrites it as a single [`WalRecord::Checkpoint`] carrying an allocator
 //! snapshot and the document directory, so analysis never trusts the
 //! (possibly torn) header page after a crash.
+//!
+//! Directory data is opaque here and travels in two places: the
+//! checkpoint's [`StoreSnapshot::catalog`] and [`WalRecord::Catalog`], the
+//! one record kind for every directory change. Both hold encoded deltas of
+//! the repository layer's directory module, which owns their format and
+//! their fold. The log has no format version of its own — an undecodable
+//! record reads as a torn tail — so a change to any record's encoding bumps
+//! the store's ([`crate::segment`]), which is checked before the log is read.
 
 use std::cell::{Cell, RefCell};
 use std::fs::{File, OpenOptions};
@@ -151,8 +159,6 @@ const KIND_CATALOG: u8 = 6;
 const KIND_ALLOC: u8 = 7;
 const KIND_FREE: u8 = 8;
 const KIND_SEG_CREATE: u8 = 9;
-const KIND_DOC_DELETE: u8 = 10;
-const KIND_SYMBOLS: u8 = 11;
 
 /// Per-segment part of a [`StoreSnapshot`]: name plus the free-space
 /// inventory (page id, cached free bytes).
@@ -180,9 +186,8 @@ pub struct StoreSnapshot {
     pub free_list: Vec<PageId>,
     /// Segments in id order.
     pub segments: Vec<SegmentSnapshot>,
-    /// The 64-byte user-root area (catalog bootstrap).
-    pub user_root: Vec<u8>,
-    /// Opaque document-directory payload, encoded by the repository layer.
+    /// The directory as of the checkpoint: encoded deltas that build it
+    /// from empty (repository layer format, opaque here).
     pub catalog: Vec<u8>,
 }
 
@@ -228,13 +233,15 @@ pub enum WalRecord {
         /// The committed operation.
         op: u64,
     },
-    /// Directory update. `op == 0` applies unconditionally (document
-    /// registrations — logged only after their content committed);
-    /// otherwise it applies only if `op` committed.
+    /// Directory change — the one record kind that carries directory
+    /// data. `op == 0` applies unconditionally (a registration, logged
+    /// only after its content committed; alphabet growth; matrix and DTD
+    /// changes); otherwise it applies only if `op` committed.
     Catalog {
         /// Owning operation, or 0 for unconditional.
         op: u64,
-        /// Opaque directory payload (repository layer format).
+        /// One or more encoded directory deltas, opaque to this layer
+        /// (the repository's directory module owns the format).
         payload: Vec<u8>,
     },
     /// A page left the free pool / extended the file.
@@ -258,34 +265,15 @@ pub enum WalRecord {
         /// Segment name.
         name: String,
     },
-    /// Document `name` was dropped by operation `op` (applied only if the
-    /// operation committed).
-    DocDelete {
-        /// Owning update operation.
-        op: u64,
-        /// Document name removed from the directory.
-        name: String,
-    },
-    /// Label-alphabet growth: `rows` are the `(kind code, name)` rows at
-    /// ids `base..base + rows.len()`. Appended by the commit hook whenever
-    /// a committing operation's alphabet has grown past the logged
-    /// watermark; applied **unconditionally** on recovery — label ids are
-    /// assigned sequentially across operations, so a loser's labels must
-    /// keep their slots for every later committed id to stay aligned.
-    Symbols {
-        /// Absolute label id of the first row.
-        base: u32,
-        /// `(kind code, name)` per new label (codes are the repository
-        /// directory codec's, opaque to this layer).
-        rows: Vec<(u8, String)>,
-    },
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Appends `v`, little-endian (the log's integer encoding; also the
+/// repository layer's, for the payloads it stores in the log).
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -293,23 +281,34 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+/// Appends `b` behind its length.
+pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u32(out, b.len() as u32);
     out.extend_from_slice(b);
 }
 
-struct Reader<'a> {
+/// A bounds-checked reader over encoded bytes. Lengths come from the
+/// input: nothing is allocated for one before the bytes it promises were
+/// seen.
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+    /// True once every byte was read.
+    pub fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
+        if n > self.buf.len() - self.pos {
             return Err(StorageError::Corrupt("log record truncated".into()));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -322,7 +321,8 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    fn u32(&mut self) -> StorageResult<u32> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> StorageResult<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
@@ -339,7 +339,8 @@ impl<'a> Reader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
-    fn string(&mut self) -> StorageResult<String> {
+    /// A length-prefixed UTF-8 string.
+    pub fn string(&mut self) -> StorageResult<String> {
         String::from_utf8(self.bytes()?)
             .map_err(|_| StorageError::Corrupt("log record holds invalid UTF-8".into()))
     }
@@ -362,7 +363,6 @@ impl StoreSnapshot {
                 put_u16(out, f);
             }
         }
-        put_bytes(out, &self.user_root);
         put_bytes(out, &self.catalog);
     }
 
@@ -387,14 +387,12 @@ impl StoreSnapshot {
             }
             segments.push(SegmentSnapshot { name, pages });
         }
-        let user_root = r.bytes()?;
         let catalog = r.bytes()?;
         Ok(StoreSnapshot {
             redo_horizon,
             next_unallocated,
             free_list,
             segments,
-            user_root,
             catalog,
         })
     }
@@ -453,20 +451,6 @@ impl WalRecord {
             }
             WalRecord::SegCreate { name } => {
                 out.push(KIND_SEG_CREATE);
-                put_bytes(&mut out, name.as_bytes());
-            }
-            WalRecord::Symbols { base, rows } => {
-                out.push(KIND_SYMBOLS);
-                put_u32(&mut out, *base);
-                put_u32(&mut out, rows.len() as u32);
-                for (kind, name) in rows {
-                    out.push(*kind);
-                    put_bytes(&mut out, name.as_bytes());
-                }
-            }
-            WalRecord::DocDelete { op, name } => {
-                out.push(KIND_DOC_DELETE);
-                put_u64(&mut out, *op);
                 put_bytes(&mut out, name.as_bytes());
             }
         }
@@ -532,21 +516,6 @@ impl WalRecord {
             }
             KIND_FREE => WalRecord::Free { page: r.u32()? },
             KIND_SEG_CREATE => WalRecord::SegCreate { name: r.string()? },
-            KIND_SYMBOLS => {
-                let base = r.u32()?;
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let kind = r.take(1)?[0];
-                    rows.push((kind, r.string()?));
-                }
-                WalRecord::Symbols { base, rows }
-            }
-            KIND_DOC_DELETE => {
-                let op = r.u64()?;
-                let name = r.string()?;
-                WalRecord::DocDelete { op, name }
-            }
             k => {
                 return Err(StorageError::Corrupt(format!(
                     "unknown log record kind {k}"
@@ -936,13 +905,19 @@ impl Wal {
     /// the leader: it takes the whole append buffer, writes and fsyncs it
     /// outside the lock, and wakes the others — commits that appended
     /// before the batch was taken ride the same fsync.
+    ///
+    /// A `target` beyond the log's end was read before a
+    /// [truncate-reset](Self::try_truncate_reset) restarted the LSNs —
+    /// which happens only with everything appended already durable, so the
+    /// target is met; unclamped, its waiter would lead empty syncs forever.
     pub fn sync_to(&self, target: u64) -> StorageResult<()> {
         let mut core = self.core.lock();
         loop {
             if self.dead.load(Ordering::Acquire) {
                 return Err(Self::dead_error());
             }
-            if self.durable.load(Ordering::Acquire) >= target {
+            let end = core.buf_base + core.buf.len() as u64;
+            if self.durable.load(Ordering::Acquire) >= target.min(end) {
                 return Ok(());
             }
             if core.syncing {
@@ -974,10 +949,13 @@ impl Wal {
     /// still matches `expected` (appended == durable == expected) *and*
     /// `quiesced` holds: any concurrent append or unsynced tail aborts with
     /// `Ok(false)` and the caller falls back to appending a fuzzy
-    /// checkpoint. `quiesced` is evaluated under the log's append lock, so
-    /// an update operation that has started but not yet logged anything can
-    /// veto the truncation before its first record could land in the old
-    /// log (appends serialise on the same lock).
+    /// checkpoint. `expected` is the LSN the caller read *before* it
+    /// captured what the checkpoint record carries, so a record appended
+    /// while the checkpoint ran — which that capture may not cover — keeps
+    /// the log from being reset over it. `quiesced` is evaluated under the
+    /// log's append lock, so an update operation that has started but not
+    /// yet logged anything can veto the truncation before its first record
+    /// could land in the old log (appends serialise on the same lock).
     pub fn try_truncate_reset(
         &self,
         expected: u64,
@@ -1041,7 +1019,6 @@ mod tests {
                     name: "documents".into(),
                     pages: vec![(5, 100), (6, 0)],
                 }],
-                user_root: vec![1u8; 64],
                 catalog: b"dir".to_vec(),
             })),
             WalRecord::PreImage {
@@ -1071,14 +1048,6 @@ mod tests {
             WalRecord::Free { page: 18 },
             WalRecord::SegCreate {
                 name: "ingest0".into(),
-            },
-            WalRecord::DocDelete {
-                op: 12,
-                name: "gone".into(),
-            },
-            WalRecord::Symbols {
-                base: 4,
-                rows: vec![(0, "SPEECH".into()), (1, "id".into())],
             },
         ]
     }
@@ -1230,7 +1199,6 @@ mod tests {
             next_unallocated: 1,
             free_list: vec![],
             segments: vec![],
-            user_root: vec![0; 64],
             catalog: vec![],
         }));
         // Wrong expectation: no reset.
@@ -1242,6 +1210,39 @@ mod tests {
         assert_eq!(wal.durable_lsn(), wal.appended_lsn());
         assert!(wal.appended_lsn() > 0);
         assert!(wal.appended_lsn() != lsn);
+    }
+
+    /// A committer reads its target, a quiesced checkpoint resets the log
+    /// (LSNs restart below the target), then the committer waits: what it
+    /// waits for was durable when the log was reset, so it must come back
+    /// instead of leading empty syncs forever.
+    #[test]
+    fn sync_to_a_target_from_before_a_reset_returns() {
+        let wal = Arc::new(Wal::new(Box::new(MemLogDevice::new())));
+        let mut stale = 0;
+        for op in 0..64 {
+            stale = wal.append(&WalRecord::Commit { op });
+        }
+        wal.sync_to(stale).unwrap();
+        let ckpt = WalRecord::Checkpoint(Box::new(StoreSnapshot {
+            redo_horizon: 0,
+            next_unallocated: 1,
+            free_list: vec![],
+            segments: vec![],
+            catalog: vec![],
+        }));
+        assert!(wal.try_truncate_reset(stale, &|| true, &ckpt).unwrap());
+        assert!(wal.appended_lsn() < stale, "the reset log must be shorter");
+        let (done, waited) = std::sync::mpsc::channel();
+        let waiter = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || done.send(wal.sync_to(stale)).unwrap())
+        };
+        waited
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("sync_to spins on a target beyond the reset log")
+            .unwrap();
+        waiter.join().unwrap();
     }
 
     #[test]

@@ -52,13 +52,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     show("1:1 emulation (all 0)", &one2one, "play")?;
 
     let pinned = build(SplitMatrix::all_other(), |repo| {
-        repo.set_matrix_rule("SPEECH", "SPEAKER", SplitBehaviour::KeepWithParent);
-        repo.set_matrix_rule("SPEECH", "LINE", SplitBehaviour::KeepWithParent);
+        repo.set_matrix_rule("SPEECH", "SPEAKER", SplitBehaviour::KeepWithParent)
+            .unwrap();
+        repo.set_matrix_rule("SPEECH", "LINE", SplitBehaviour::KeepWithParent)
+            .unwrap();
     });
     show("SPEAKER,LINE pinned (inf)", &pinned, "play")?;
 
     let standalone_speech = build(SplitMatrix::all_other(), |repo| {
-        repo.set_matrix_rule("SCENE", "SPEECH", SplitBehaviour::Standalone);
+        repo.set_matrix_rule("SCENE", "SPEECH", SplitBehaviour::Standalone)
+            .unwrap();
     });
     show("SPEECH standalone (0)", &standalone_speech, "play")?;
 

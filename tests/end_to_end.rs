@@ -74,9 +74,9 @@ fn full_lifecycle_with_persistence() {
         let repo = Repository::create_file(&path, options()).unwrap();
         let play = generate_play(&tiny_corpus(), 0, &mut repo.symbols_mut());
         repo.put_document("play", &play.doc).unwrap();
-        repo.set_matrix_rule("SPEECH", "SPEAKER", SplitBehaviour::KeepWithParent);
-        repo.schema_mut()
-            .register_dtd("play", natix_corpus::shakespeare::PLAY_DTD)
+        repo.set_matrix_rule("SPEECH", "SPEAKER", SplitBehaviour::KeepWithParent)
+            .unwrap();
+        repo.register_dtd("play", natix_corpus::shakespeare::PLAY_DTD)
             .unwrap();
         repo.checkpoint().unwrap();
         repo.get_xml("play").unwrap()
@@ -178,7 +178,8 @@ fn hyperstorm_style_matrix_round_trips() {
         ("SPEECH", "LINE"),
         ("SPEECH", "STAGEDIR"),
     ] {
-        repo.set_matrix_rule(parent, child, SplitBehaviour::KeepWithParent);
+        repo.set_matrix_rule(parent, child, SplitBehaviour::KeepWithParent)
+            .unwrap();
     }
     // Text literals: keep with whatever parent they have. (#text is a
     // builtin label; pin it under the flat element types.)
