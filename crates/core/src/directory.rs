@@ -6,15 +6,15 @@
 //! family of **delta records** ([`Delta`]), one codec for them
 //! ([`encode`] / [`decode`]), and three things built from them:
 //!
-//! * **The log.** Every directory change is one delta, appended
-//!   ([`log_directory`]) by the operation that makes the change, at the
-//!   point and under the lock where the in-memory directory changes:
-//!   `DocAdd` in `Repository::register` under the registry lock, `DocDelete`
-//!   in the deletion's publish hook under the same lock, `RootMove` in the
-//!   root move's publish hook under the document's root slot, `Symbols`
-//!   under the logged-symbols watermark ([`log_symbol_growth`], from the
-//!   commit hook), `MatrixRule` and `Dtd` in `Repository::set_matrix_rule`
-//!   and `Repository::register_dtd`. A delta owned by a write operation
+//! * **The log.** Every directory change is one delta, appended by the
+//!   operation that makes the change, at the point and under the lock
+//!   where the in-memory directory changes — all of it in the write path
+//!   (`write.rs`, which holds the only code that appends one): `DocAdd` in `register` under the registry lock,
+//!   `DocDelete` in the deletion's publish hook under the same lock,
+//!   `RootMove` in the root move's publish hook under the document's root
+//!   slot, `Symbols` under the logged-symbols watermark (from the commit
+//!   hook), `MatrixRule` and `Dtd` in `Repository::set_matrix_rule` and
+//!   `Repository::register_dtd`. A delta owned by a write operation
 //!   (`DocDelete`, `RootMove`) counts only if that operation committed;
 //!   the others are unconditional (operation 0).
 //! * **The checkpoint.** [`capture`] is the directory as the list of
@@ -34,10 +34,9 @@
 //!   [`restore`] then installs what the deltas add up to.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use natix_storage::rid::RID_BYTES;
-use natix_storage::wal::{put_bytes, put_u32, Reader, Wal, WalRecord};
+use natix_storage::wal::{put_bytes, put_u32, Reader, WalRecord};
 use natix_storage::Rid;
 use natix_tree::{SplitBehaviour, SplitMatrix};
 use natix_xml::symbols::FIRST_USER_LABEL;
@@ -230,42 +229,13 @@ fn read_deltas(r: &mut Reader<'_>) -> NatixResult<Vec<Delta>> {
     Ok(deltas)
 }
 
-// ======================================================================
-// Logging.
-// ======================================================================
-
-/// Appends `deltas` to the log as one directory record owned by write
-/// operation `op` (0: unconditional). Called where the in-memory
-/// directory changes, under the lock that guards that part of it, so the
-/// log's order is the directory's. No-op without a log or under log
-/// suppression.
-pub(crate) fn log_directory(wal: Option<&Arc<Wal>>, op: u64, deltas: &[Delta]) {
-    if let Some(wal) = wal {
-        wal.append(&WalRecord::Catalog {
-            op,
-            payload: encode(deltas),
-        });
-    }
-}
-
 /// The alphabet's rows from position `from` on.
-fn label_rows(symbols: &SymbolTable, from: usize) -> Delta {
+pub(crate) fn label_rows(symbols: &SymbolTable, from: usize) -> Delta {
     Delta::Symbols {
         base: from as u32,
         rows: (symbols.iter().skip(from))
             .map(|(_, kind, name)| (kind, name.to_string()))
             .collect(),
-    }
-}
-
-/// Logs the alphabet's growth past the logged-symbols watermark, which
-/// the caller holds locked as `mark`: a record that names a label by id
-/// (a committed page image) or by name (a matrix rule) must find it in
-/// the log ahead of itself.
-pub(crate) fn log_symbol_growth(wal: Option<&Arc<Wal>>, mark: &mut usize, symbols: &SymbolTable) {
-    if symbols.len() > *mark {
-        log_directory(wal, 0, &[label_rows(symbols, *mark)]);
-        *mark = symbols.len();
     }
 }
 
@@ -464,8 +434,9 @@ pub(crate) fn restore(repo: &Repository, deltas: &[Delta]) -> NatixResult<()> {
     for (name, text) in &dir.dtds {
         repo.schema.write().register_dtd(name, text)?;
     }
+    let mut registry = repo.registry.lock();
     for (name, root) in dir.docs_in_order() {
-        repo.register(DocState::new(name.to_string(), root));
+        registry.install(DocState::new(name.to_string(), root));
     }
     Ok(())
 }

@@ -25,18 +25,15 @@
 //! behind a repository-wide writer lock.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use natix_storage::Rid;
-use natix_tree::version::WriteOp;
 use natix_tree::{BulkStats, InsertPos, NewNode, NodePtr, OpResult, VisitEvent};
-use natix_xml::{Document, LabelId, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
+use natix_xml::{Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
 
-use crate::directory::{log_directory, Delta};
 use crate::error::{NatixError, NatixResult};
-use crate::path_summary::{PathSummary, SummaryBuilder, SummaryDelta};
+use crate::path_summary::{PathSummary, SummaryBuilder};
 use crate::repository::Repository;
 
 /// Identifies a document within a repository.
@@ -165,24 +162,20 @@ impl DocState {
     /// publish critical section, so the new root becomes current exactly
     /// when the moving operation's epoch does. Readers pinned below
     /// `epoch` keep starting from `old` (whose pre-image the operation
-    /// deposited). The move is logged here, under the root slot's lock
-    /// (a checkpoint's cut reads the slot under it) and owned by `op`:
-    /// recovery honours it only if `op`'s commit record, appended right
-    /// after publish, reached the log.
-    fn publish_root_move(
+    /// deposited). `log` is called with the new root if the move took
+    /// effect, under the root slot's lock.
+    pub(crate) fn publish_root_move(
         &self,
-        wal: Option<&Arc<natix_storage::Wal>>,
-        op: u64,
         (old, new): (Rid, Rid),
         epoch: u64,
         floor: u64,
+        log: impl FnOnce(Rid),
     ) {
         let mut r = self.root.lock();
         if r.current == old {
             r.old.push((epoch, old));
             r.current = new;
-            let name = self.name.clone();
-            log_directory(wal, op, &[Delta::RootMove { name, root: new }]);
+            log(new);
         }
         r.old.retain(|&(valid_until, _)| valid_until > floor);
     }
@@ -190,18 +183,10 @@ impl DocState {
     /// Publish hook of a document deletion: readers pinned below `epoch`
     /// keep reading the deposited records, later ones get "no such
     /// document".
-    fn retire(&self, epoch: u64, floor: u64) {
+    pub(crate) fn retire(&self, epoch: u64, floor: u64) {
         let mut r = self.root.lock();
         r.dead_from = Some(epoch);
         r.old.retain(|&(valid_until, _)| valid_until > floor);
-    }
-
-    /// Immediate root swap, behind [`apply`](Self::apply) only.
-    fn set_root_now(&self, old: Rid, new: Rid) {
-        let mut r = self.root.lock();
-        if r.current == old {
-            r.current = new;
-        }
     }
 
     /// Stamps the registration epoch (called once, by
@@ -261,11 +246,15 @@ impl DocState {
 
     /// Applies an operation result with an *immediate* root swap — only
     /// for documents no reader can see yet (per-node loads before
-    /// registration). Published edits go through [`Edit::tree_op`].
+    /// registration). Published edits go through
+    /// [`Edit::tree_op`](crate::write::Edit::tree_op).
     pub(crate) fn apply(&self, res: &OpResult) {
         self.apply_relocations(res);
         if let Some((old, new)) = res.root_moved {
-            self.set_root_now(old, new);
+            let mut r = self.root.lock();
+            if r.current == old {
+                r.current = new;
+            }
         }
     }
 
@@ -306,218 +295,53 @@ pub enum InsertAt {
     After(NodeId),
 }
 
-/// One edit in flight (see [`Repository::edit`]): the document, held
-/// under its edit latch, and the write operation whose publish makes the
-/// edit visible.
-struct Edit<'a> {
-    repo: &'a Repository,
-    doc: DocId,
-    state: &'a Arc<DocState>,
-    op: &'a WriteOp<'a>,
-}
-
-impl Edit<'_> {
-    /// Runs one tree operation of the edit and folds its result into the
-    /// document: relocation events go to the id map at once (the writer
-    /// needs them for its next operation), a root move is scheduled for
-    /// the publish point — the root RID must switch *atomically with the
-    /// epoch*, or a reader could pair a fresh epoch with the stale root
-    /// (or vice versa) and walk a mixed record graph.
-    ///
-    /// Depth-aware-packed clusters are normalized on demand: a bulkloaded
-    /// deep document stores late children in continuation-group records
-    /// whose layout in-place edits cannot preserve, so the tree layer
-    /// reports [`TreeError::PackedRecord`]; the cluster is then rewritten
-    /// into plain records and the operation retried with fresh pointers —
-    /// which is why `f` must re-resolve its node ids on every attempt.
-    ///
-    /// [`TreeError::PackedRecord`]: natix_tree::TreeError::PackedRecord
-    fn tree_op(&self, mut f: impl FnMut() -> NatixResult<OpResult>) -> NatixResult<OpResult> {
-        // Each round eliminates the packed cluster it tripped over; a
-        // bounded retry count turns a (logically impossible) livelock into
-        // a clean error.
-        for _ in 0..64 {
-            match f() {
-                Err(NatixError::Tree(natix_tree::TreeError::PackedRecord(rid))) => {
-                    self.absorb(&self.repo.tree.normalize_packed(rid)?)
-                }
-                other => return other.inspect(|res| self.absorb(res)),
-            }
-        }
-        Err(NatixError::Validation(
-            "structural edit kept hitting packed records".into(),
-        ))
-    }
-
-    /// Folds one operation result into the document (see
-    /// [`tree_op`](Self::tree_op)).
-    fn absorb(&self, res: &OpResult) {
-        self.state.apply_relocations(res);
-        if let Some(moved) = res.root_moved {
-            let st = Arc::clone(self.state);
-            let wal = self.repo.wal.clone();
-            let op = self.op.id();
-            self.op.defer_until_publish(move |epoch, floor| {
-                st.publish_root_move(wal.as_ref(), op, moved, epoch, floor)
-            });
-        }
-    }
-
-    /// Inserts one node, schedules its path-summary increment and binds
-    /// its logical id.
-    fn insert_one(&self, at: InsertAt, label: LabelId, node: &NewNode) -> NatixResult<NodeId> {
-        let tree = &self.repo.tree;
-        let resolve = |id| self.state.resolve(id).ok_or(NatixError::NoSuchNode(id));
-        let res = self.tree_op(|| {
-            Ok(match at {
-                InsertAt::Child(parent, pos) => {
-                    tree.insert(resolve(parent)?, pos, label, node.clone())?
-                }
-                InsertAt::After(sibling) => {
-                    tree.insert_after(resolve(sibling)?, label, node.clone())?
-                }
-            })
-        })?;
-        let new_ptr = res
-            .new_node
-            .ok_or_else(|| natix_tree::TreeError::Invariant("an insert returned no node".into()))?;
-        self.note_summary_insert(new_ptr, matches!(node, NewNode::Literal(_)));
-        Ok(self.state.fresh_id(new_ptr))
-    }
-
-    /// Schedules the path-summary increment for the node just inserted at
-    /// `new_ptr`, to apply atomically with the publish. Called after the
-    /// insert succeeded, so the label path reads the writer's own,
-    /// not-yet-published state.
-    fn note_summary_insert(&self, new_ptr: NodePtr, literal: bool) {
-        let doc = self.doc;
-        if !self.repo.summaries.has_slot(doc) {
-            return;
-        }
-        let store = Arc::clone(&self.repo.summaries);
-        match self.repo.tree.label_path(new_ptr) {
-            Ok(path) => {
-                let delta = SummaryDelta::Insert {
-                    path,
-                    literal,
-                    count: 1,
-                };
-                self.op.defer_until_publish(move |epoch, floor| {
-                    store.apply_delta(doc, &delta, epoch, floor)
-                });
-            }
-            // The new node's label path could not be read; mark the
-            // summary stale from this edit's epoch on — readers pinned
-            // before it keep their versions.
-            Err(_) => self
-                .op
-                .defer_until_publish(move |epoch, floor| store.invalidate(doc, epoch, floor)),
-        }
-    }
-
-    /// Schedules the path-summary decrements of a just-deleted subtree
-    /// (per-path node counts collected by the delete's own traversal).
-    fn note_summary_remove(&self, decrements: HashMap<Vec<LabelId>, u64>) {
-        let doc = self.doc;
-        if decrements.is_empty() || !self.repo.summaries.has_slot(doc) {
-            return;
-        }
-        let store = Arc::clone(&self.repo.summaries);
-        let delta = SummaryDelta::Remove {
-            decrements: decrements.into_iter().collect(),
-        };
-        self.op
-            .defer_until_publish(move |epoch, floor| store.apply_delta(doc, &delta, epoch, floor));
+/// Checks that `tag` is a name the parser would read back: the serializer
+/// writes labels verbatim, so anything else would export XML this
+/// repository's own parser rejects.
+pub(crate) fn check_element_name(tag: &str) -> NatixResult<()> {
+    if natix_xml::is_name(tag) {
+        Ok(())
+    } else {
+        Err(NatixError::Validation(format!(
+            "{tag:?} is not an XML element name"
+        )))
     }
 }
 
 impl Repository {
-    /// Rejects edits of a deleted document. Called after acquiring the
-    /// edit latch: the deleting operation retires the document (publish
-    /// hook) *before* releasing its latch, so this check is race-free.
-    fn check_live(&self, state: &DocState) -> NatixResult<()> {
-        if state.is_dead() {
-            return Err(NatixError::NoSuchDocument(state.name.clone()));
-        }
-        Ok(())
-    }
-
-    /// The one edit protocol — every mutation of a registered document
-    /// (the node edits and [`delete_document`](Self::delete_document))
-    /// runs as `body` inside it: the document's edit latch, the liveness
-    /// check, one write operation of the version store, and — once the
-    /// operation has published and the latch is free — the durability
-    /// gate. `body` changes the tree through [`Edit::tree_op`] and schedules
-    /// whatever must switch with the epoch through the operation's
-    /// publish hooks.
-    fn edit<T>(
-        &self,
-        doc: DocId,
-        body: impl FnOnce(&Edit<'_>) -> NatixResult<T>,
-    ) -> NatixResult<T> {
-        let state = self.state(doc)?;
-        let result = {
-            let _latch = state.edit_latch.lock();
-            // The document may have been deleted while this writer waited
-            // on the latch: proceeding would mutate (or double-free)
-            // records whose slots another document may already own.
-            self.check_live(&state)?;
-            // Publishes (epoch advance + hooks) when the block ends, after
-            // the body's bookkeeping and before the latch releases (drop
-            // order is reverse declaration order) — on error too, because
-            // the pages were modified either way.
-            let op = self.tree.begin_write();
-            body(&Edit {
-                repo: self,
-                doc,
-                state: &state,
-                op: &op,
-            })
-        };
-        self.durable_gate()?;
-        result
-    }
-
-    /// The one load protocol — every way of storing a new document runs
-    /// its loader inside it: claim the name, load (the loader's write
-    /// operation publishes and logs the content), register the document,
-    /// install the path summary the loader built, gate on log durability.
-    /// Registration — and then the gate — come strictly after the content
-    /// commit. A failed load has rolled back its own records; its claim
-    /// is released here.
-    fn publish_load(
-        &self,
-        name: &str,
-        load: impl FnOnce() -> NatixResult<(DocState, Option<PathSummary>)>,
-    ) -> NatixResult<DocId> {
-        self.claim_name(name)?;
-        match load() {
-            Ok((state, summary)) => {
-                let id = self.register(state);
-                if let Some(summary) = summary {
-                    self.summaries.install(id, Arc::new(summary), 0);
-                }
-                self.durable_gate()?;
-                Ok(id)
-            }
-            Err(e) => {
-                self.abandon_claim(name);
-                Err(e)
-            }
-        }
-    }
-
-    /// Interns `tag` as an element label — after checking that it is a
-    /// name the parser would read back: the serializer writes labels
-    /// verbatim, so anything else would export XML this repository's own
-    /// parser rejects.
+    /// Interns `tag` as an element label, once it is
+    /// [checked](check_element_name).
     fn element_label(&self, tag: &str) -> NatixResult<LabelId> {
-        if !natix_xml::is_name(tag) {
-            return Err(NatixError::Validation(format!(
-                "{tag:?} is not an XML element name"
-            )));
-        }
-        Ok(self.intern_shared(natix_xml::LabelKind::Element, tag))
+        check_element_name(tag)?;
+        Ok(self.intern_shared(LabelKind::Element, tag))
+    }
+
+    /// Checks what [`insert_node`](Self::insert_node) was handed: the
+    /// label is in the alphabet and of the payload's kind, and a comment
+    /// or processing instruction does not hold its own terminator — the
+    /// serializer writes all three verbatim.
+    fn check_insertable(&self, label: LabelId, node: &NewNode) -> NatixResult<()> {
+        let kind = {
+            let symbols = self.symbols.read();
+            ((label as usize) < symbols.len()).then(|| symbols.kind(label))
+        };
+        let problem = match (kind, node) {
+            (None, _) => "is not in the alphabet",
+            (Some(LabelKind::Element), NewNode::Element) => return Ok(()),
+            (Some(_), NewNode::Element) => "is not an element label",
+            (Some(LabelKind::Element), NewNode::Literal(_)) => "is an element label",
+            (Some(_), NewNode::Literal(value)) => match label {
+                natix_xml::LABEL_NONE => "is the scaffolding label",
+                natix_xml::LABEL_COMMENT if value.to_text().contains("--") => {
+                    "is a comment, which cannot contain \"--\""
+                }
+                natix_xml::LABEL_PI if value.to_text().contains("?>") => {
+                    "is a processing instruction, which cannot contain \"?>\""
+                }
+                _ => return Ok(()),
+            },
+        };
+        Err(NatixError::Validation(format!("label {label} {problem}")))
     }
 
     /// Binds logical node ids for pointers discovered under the calling
@@ -573,10 +397,7 @@ impl Repository {
             let limit = chunk_limit(self.tree.net_capacity());
             let stats = natix_tree::bulkload_document(&self.tree, doc, Some(limit))?;
             let summary = self.dom_summary(doc, stats.records);
-            Ok((
-                DocState::new(name.to_string(), stats.root_rid),
-                Some(summary),
-            ))
+            Ok((DocState::new(name.to_string(), stats.root_rid), summary))
         })
     }
 
@@ -588,73 +409,11 @@ impl Repository {
         self.publish_load(name, || Ok((self.per_node_load(name, doc)?, None)))
     }
 
-    fn per_node_load(&self, name: &str, doc: &Document) -> NatixResult<DocState> {
-        let NodeData::Element(root_label) = doc.data(doc.root()) else {
-            return Err(NatixError::Validation(
-                "document root must be an element".into(),
-            ));
-        };
-        // One write operation for the whole load: the version layer logs
-        // the created records, and the publish on return commits them.
-        let _op = self.tree.begin_write();
-        let root_rid = self.tree.create_tree(*root_label)?;
-        let state = DocState::new(name.to_string(), root_rid);
-        let limit = chunk_limit(self.tree.net_capacity());
-        // Pre-order walk, inserting every node as the last child of its
-        // (already inserted) parent.
-        let mut shadow_ids: HashMap<natix_xml::NodeIdx, NodeId> = HashMap::new();
-        shadow_ids.insert(doc.root(), state.root_id);
-        for n in doc.pre_order() {
-            let Some(parent) = doc.parent(n) else {
-                continue;
-            };
-            let parent_id = shadow_ids[&parent];
-            let parent_ptr = state.resolve(parent_id).expect("parent id is bound");
-            match doc.data(n) {
-                NodeData::Element(label) => {
-                    let res =
-                        self.tree
-                            .insert(parent_ptr, InsertPos::Last, *label, NewNode::Element)?;
-                    state.apply(&res);
-                    let id = state.fresh_id(res.new_node.expect("insert yields node"));
-                    shadow_ids.insert(n, id);
-                }
-                NodeData::Literal { label, value } => {
-                    // Long character data is chunked into sibling literals
-                    // on UTF-8 boundaries; other labels (attributes,
-                    // comments, PIs) stay whole — splitting them would
-                    // change the serialisation.
-                    let texts: Vec<LiteralValue> = match value {
-                        LiteralValue::String(s) if s.len() > limit && *label == LABEL_TEXT => {
-                            natix_xml::chunk_str(s, limit)
-                                .map(|c| LiteralValue::String(c.to_owned()))
-                                .collect()
-                        }
-                        other => vec![other.clone()],
-                    };
-                    for v in texts {
-                        // Re-resolve the parent for every chunk: inserting
-                        // the previous chunk may have split or moved the
-                        // parent's record, invalidating the old pointer.
-                        let ptr = state.resolve(parent_id).expect("parent id is bound");
-                        let res =
-                            self.tree
-                                .insert(ptr, InsertPos::Last, *label, NewNode::Literal(v))?;
-                        state.apply(&res);
-                        let id = state.fresh_id(res.new_node.expect("insert yields node"));
-                        shadow_ids.insert(n, id);
-                    }
-                }
-            }
-        }
-        Ok(state)
-    }
-
     /// Builds a [`PathSummary`] from a logical document, mirroring the
     /// bulkloader's storage decisions: long character data counts once
     /// per stored chunk, so the summary equals what a walk of the stored
     /// tree would produce.
-    fn dom_summary(&self, doc: &Document, records: u64) -> PathSummary {
+    fn dom_summary(&self, doc: &Document, records: u64) -> Option<PathSummary> {
         enum Walk {
             Enter(natix_xml::NodeIdx),
             Leave,
@@ -721,10 +480,7 @@ impl Repository {
     pub fn put_xml_streaming(&self, name: &str, xml: &str) -> NatixResult<DocId> {
         self.publish_load(name, || {
             let (stats, summary) = self.stream_load(xml)?;
-            Ok((
-                DocState::new(name.to_string(), stats.root_rid),
-                Some(summary),
-            ))
+            Ok((DocState::new(name.to_string(), stats.root_rid), summary))
         })
     }
 
@@ -736,8 +492,8 @@ impl Repository {
     /// built from the same event stream — one literal per *stored* node,
     /// so chunked long text counts once per chunk, exactly as a walk of
     /// the stored tree would count it.
-    fn stream_load(&self, xml: &str) -> NatixResult<(BulkStats, PathSummary)> {
-        use natix_xml::{LabelKind, PullParser, XmlEvent};
+    fn stream_load(&self, xml: &str) -> NatixResult<(BulkStats, Option<PathSummary>)> {
+        use natix_xml::{PullParser, XmlEvent};
         let options = self.parser_options();
         let limit = chunk_limit(self.tree.net_capacity());
         let mut parser = PullParser::new(xml, options);
@@ -875,32 +631,10 @@ impl Repository {
         let id = self.doc_id(name)?;
         self.edit(id, |e| {
             let result = self.tree.drop_tree(e.state.root_rid());
-            // Unregister and retire atomically with the publish: readers
-            // pinned earlier keep both name resolution and the deposited
-            // records; readers pinned later get a clean NoSuchDocument, and
-            // the name only becomes re-claimable once the delete's epoch
-            // exists. On a failed cascade the document is retired anyway —
-            // a half-freed tree must not stay addressable (the unfreed
-            // records leak, which beats dangling-pointer walks).
-            let st = Arc::clone(e.state);
-            let registry = Arc::clone(&self.registry);
-            let wal = self.wal.clone();
-            let summaries = Arc::clone(&self.summaries);
-            let op_id = e.op.id();
-            e.op.defer_until_publish(move |epoch, floor| {
-                st.retire(epoch, floor);
-                summaries.remove(id);
-                let mut reg = registry.lock();
-                if reg.by_name.get(&st.name) == Some(&id) {
-                    reg.by_name.remove(&st.name);
-                    reg.docs[id as usize] = None;
-                    // Under the registry lock, like `register`'s delta;
-                    // owned by this operation: it counts only if the
-                    // delete commits.
-                    let name = st.name.clone();
-                    log_directory(wal.as_ref(), op_id, &[Delta::DocDelete { name }]);
-                }
-            });
+            // Retired even on a failed cascade — a half-freed tree must
+            // not stay addressable (the unfreed records leak, which beats
+            // dangling-pointer walks).
+            e.retire_document();
             Ok(result?)
         })
     }
@@ -987,8 +721,12 @@ impl Repository {
         Ok(n)
     }
 
-    /// Inserts a new node — the generic insert under the two conveniences
-    /// below, for callers that hold a label id and a payload.
+    /// Inserts a new node — the generic insert beside the two conveniences
+    /// below, for callers that hold a label id and a payload. Both are
+    /// checked first: a label outside the alphabet or of the wrong kind
+    /// for the payload, or a comment or processing instruction holding
+    /// its own terminator, is [`NatixError::Validation`] and changes
+    /// nothing.
     pub fn insert_node(
         &self,
         doc: DocId,
@@ -996,6 +734,7 @@ impl Repository {
         label: LabelId,
         node: NewNode,
     ) -> NatixResult<NodeId> {
+        self.check_insertable(label, &node)?;
         self.edit(doc, |e| e.insert_one(at, label, &node))
     }
 
@@ -1010,7 +749,9 @@ impl Repository {
         tag: &str,
     ) -> NatixResult<NodeId> {
         let label = self.element_label(tag)?;
-        self.insert_node(doc, InsertAt::Child(parent, pos), label, NewNode::Element)
+        self.edit(doc, |e| {
+            e.insert_one(InsertAt::Child(parent, pos), label, &NewNode::Element)
+        })
     }
 
     /// Inserts a text literal under `parent`; long text is chunked into
@@ -1293,6 +1034,65 @@ mod tests {
         // The refused name is free, and a real name still goes through.
         repo.create_document("fresh", "ns:root-1.x").unwrap();
         assert_eq!(repo.get_xml("fresh").unwrap(), "<ns:root-1.x/>");
+    }
+
+    #[test]
+    fn unchecked_labels_and_payloads_are_refused_before_anything_changes() {
+        // `insert_node` takes any label id and payload, `set_matrix_rule`
+        // any two strings: label 9999 used to be stored (and `get_xml`
+        // then panicked, reopen included), `#text` as an element exported
+        // `<#text/>`, a comment holding `-->` exported text this
+        // repository's parser refuses, and a rule on `"a b<"` durably
+        // interned two non-names.
+        let repo = small_repo();
+        let xml = "<a><b>x</b></a>";
+        let id = repo.put_xml("d", xml).unwrap();
+        let root = repo.root(id).unwrap();
+        let b = repo.symbols().lookup_element("b").unwrap();
+        let labels = repo.symbols().len();
+        let log_end = || repo.wal.as_ref().unwrap().appended_lsn();
+        let logged = log_end();
+        let text = |s: &str| NewNode::Literal(LiteralValue::String(s.into()));
+        let at = InsertAt::Child(root, InsertPos::Last);
+        for (label, node) in [
+            (9999, NewNode::Element),
+            (LABEL_TEXT, NewNode::Element),
+            (natix_xml::LABEL_NONE, text("scaffolding")),
+            (b, text("an element label")),
+            (natix_xml::LABEL_COMMENT, text("a-->b<")),
+            (natix_xml::LABEL_PI, text("t ?><x")),
+        ] {
+            assert!(
+                matches!(
+                    repo.insert_node(id, at, label, node.clone()),
+                    Err(NatixError::Validation(_))
+                ),
+                "insert_node({label}, {node:?})"
+            );
+        }
+        for (parent, child) in [("a b<", ""), ("a", "9lives"), ("", "b")] {
+            assert!(
+                matches!(
+                    repo.set_matrix_rule(parent, child, natix_tree::SplitBehaviour::Standalone),
+                    Err(NatixError::Validation(_))
+                ),
+                "set_matrix_rule({parent:?}, {child:?})"
+            );
+        }
+        assert_eq!(repo.get_xml("d").unwrap(), xml);
+        assert_eq!(repo.symbols().len(), labels, "nothing was interned");
+        assert_eq!(log_end(), logged, "nothing was logged");
+        // What the checks let through still round-trips.
+        repo.insert_node(id, at, natix_xml::LABEL_COMMENT, text("a->b"))
+            .unwrap();
+        repo.insert_node(id, at, natix_xml::LABEL_PI, text("t a?b"))
+            .unwrap();
+        repo.insert_node(id, at, b, NewNode::Element).unwrap();
+        let out = repo.get_xml("d").unwrap();
+        assert_eq!(out, "<a><b>x</b><!--a->b--><?t a?b?><b/></a>");
+        let again = small_repo();
+        again.put_xml("d", &out).unwrap();
+        assert_eq!(again.get_xml("d").unwrap(), out);
     }
 
     #[test]

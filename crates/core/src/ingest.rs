@@ -38,9 +38,7 @@
 //! while its stores, built beside the repository's version store, had no
 //! log, and a crash lost documents they had acknowledged.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::convert::Infallible;
 
 use crate::document::DocId;
 use crate::error::NatixResult;
@@ -63,26 +61,12 @@ impl Repository {
         writers: usize,
     ) -> Vec<NatixResult<DocId>> {
         let writers = writers.clamp(1, docs.len().max(1));
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<NatixResult<DocId>>>> = docs
-            .iter()
-            .map(|_| Mutex::with_rank(&parking_lot::rank::RESULT_SLOT, None))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..writers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((name, xml)) = docs.get(i) else {
-                        break;
-                    };
-                    *results[i].lock() = Some(self.put_xml_streaming(name, xml));
-                });
-            }
+        // A failed load is that document's result, never the pool's.
+        let Ok(results) = self.fan_out(docs.len(), writers, None, |i| {
+            let (name, xml) = &docs[i];
+            Ok::<_, Infallible>(self.put_xml_streaming(name, xml))
         });
         results
-            .into_iter()
-            .map(|r| r.into_inner().expect("every job produced a result"))
-            .collect()
     }
 }
 

@@ -14,10 +14,11 @@
 //!   tree-structured split algorithm and split matrix;
 //! * the **document manager** ([`document`]): document- and
 //!   node-granularity access, schema validation, long-text chunking,
-//!   stable logical node ids maintained from relocation events — and the
-//!   one write path: every edit runs through its `edit` routine, every
-//!   load through its `publish_load`, on the one document store
-//!   ([`ingest`] is a worker pool over [`Repository::put_xml_streaming`]);
+//!   stable logical node ids maintained from relocation events — over the
+//!   one write path (`write.rs`, the only module that can publish): every
+//!   edit runs as a body of its `edit` routine, every load through its
+//!   `publish_load`, on the one document store ([`ingest`] is a worker
+//!   pool over [`Repository::put_xml_streaming`]);
 //! * the **schema manager** ([`schema`]) and the **system catalog**
 //!   (`catalog.rs`) — stored, as in the paper, *as an XML document inside
 //!   the system itself* — the on-page form of the repository directory,
@@ -52,6 +53,9 @@
 //! assert_eq!(speakers.len(), 1);
 //! ```
 
+#![deny(let_underscore_drop)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub(crate) mod catalog;
 pub(crate) mod directory;
 pub mod document;
@@ -63,6 +67,7 @@ pub mod query;
 pub(crate) mod recovery;
 pub mod repository;
 pub mod schema;
+mod write;
 
 pub use document::{DocId, InsertAt, NodeId, NodeKind, NodeSummary};
 pub use error::{NatixError, NatixResult};

@@ -214,7 +214,7 @@ impl Repository {
             // workers read records as of the same instant.
             let epoch = self.tree.ambient_read_epoch();
             let helpers = opts.threads - 1;
-            let mut worker_hits = std::thread::scope(|scope| -> NatixResult<Vec<Vec<ScanHit>>> {
+            let worker_hits = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..helpers)
                     .map(|_| {
                         let shared = &shared;
@@ -225,26 +225,14 @@ impl Repository {
                     })
                     .collect();
                 let mine = self.drain_scan_queue(&shared, step, label);
-                let mut all = Vec::with_capacity(helpers + 1);
-                let mut first_err = None;
-                for res in handles
+                // The first error in worker order, if any.
+                handles
                     .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                     .chain(std::iter::once(mine))
-                {
-                    match res {
-                        Ok(h) => all.push(h),
-                        Err(e) => first_err = first_err.or(Some(e)),
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(all),
-                }
+                    .collect::<NatixResult<Vec<_>>>()
             })?;
-            for h in &mut worker_hits {
-                hits.append(h);
-            }
+            hits.extend(worker_hits.into_iter().flatten());
         }
         // Deterministic merge: (context, key) lexicographic order *is*
         // the sequential enumeration order.
@@ -426,9 +414,9 @@ impl Repository {
     }
 
     /// A child (`/`) step: the lazy per-context child walk, run on the
-    /// calling thread for a short context list and fanned out otherwise —
-    /// contexts are claimed from a shared counter, and per-context result
-    /// slots make the concatenation order independent of scheduling.
+    /// calling thread for a short context list and fanned out otherwise
+    /// ([`fan_out`](Self::fan_out): one job per context, results
+    /// concatenated in context order).
     pub(crate) fn child_step(
         &self,
         contexts: &[NodePtr],
@@ -443,45 +431,60 @@ impl Repository {
             }
             return Ok(out);
         }
-        let slots: Vec<Mutex<Vec<NodePtr>>> = contexts
-            .iter()
-            .map(|_| Mutex::with_rank(&parking_lot::rank::RESULT_SLOT, Vec::new()))
-            .collect();
-        let next = AtomicUsize::new(0);
-        let failed: Mutex<Option<NatixError>> =
-            Mutex::with_rank(&parking_lot::rank::RESULT_SLOT, None);
+        // Workers adopt the coordinator's snapshot epoch, as the scan's do.
         let epoch = self.tree.ambient_read_epoch();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let _pin = epoch.map(|e| self.tree.adopt_read(e));
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&ctx) = contexts.get(i) else {
-                            break;
-                        };
-                        if failed.lock().is_some() {
-                            break;
-                        }
-                        let mut out = Vec::new();
-                        match self.collect_children(ctx, step, label, &mut out) {
-                            Ok(()) => *slots[i].lock() = out,
-                            Err(e) => {
-                                let mut f = failed.lock();
-                                if f.is_none() {
-                                    *f = Some(e);
-                                }
-                                break;
-                            }
-                        }
+        let per_context = self.fan_out(contexts.len(), threads, epoch, |i| {
+            let mut out = Vec::new();
+            self.collect_children(contexts[i], step, label, &mut out)?;
+            Ok::<_, NatixError>(out)
+        })?;
+        Ok(per_context.into_iter().flatten().collect())
+    }
+
+    /// The engine's one scoped worker pool: runs `job(i)` for every `i` in
+    /// `0..n` on `workers` threads that claim the next index off a shared
+    /// counter, and returns the results in index order whatever the
+    /// scheduling. The first `Err` stops the claiming and is what the call
+    /// returns. A worker reads under snapshot `epoch`, when one is given,
+    /// for as long as it runs.
+    pub(crate) fn fan_out<T: Send, E: Send>(
+        &self,
+        n: usize,
+        workers: usize,
+        epoch: Option<u64>,
+        job: impl Fn(usize) -> Result<T, E> + Sync,
+    ) -> Result<Vec<T>, E> {
+        let next = AtomicUsize::new(0);
+        let failed: Mutex<Option<E>> = Mutex::with_rank(&parking_lot::rank::RESULT_SLOT, None);
+        let worker = || {
+            let _pin = epoch.map(|e| self.tree.adopt_read(e));
+            let mut mine = Vec::new();
+            while failed.lock().is_none() {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                match job(i) {
+                    Ok(result) => mine.push((i, result)),
+                    Err(e) => {
+                        failed.lock().get_or_insert(e);
                     }
-                });
+                }
             }
+            mine
+        };
+        let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers.max(1)).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
         if let Some(e) = failed.into_inner() {
             return Err(e);
         }
-        Ok(slots.into_iter().flat_map(Mutex::into_inner).collect())
+        done.sort_unstable_by_key(|&(i, _)| i);
+        Ok(done.into_iter().map(|(_, result)| result).collect())
     }
 }
 

@@ -529,27 +529,33 @@ impl SummaryStore {
 
 /// Streaming summary builder: fed the same event order as the bulkloader
 /// (or a DOM walk), one call per stored facade node.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct SummaryBuilder {
-    summary: PathSummary,
+    /// `None` once the events turned out not to be one rooted tree (a
+    /// second root element under another label): the builder abstains.
+    summary: Option<PathSummary>,
     stack: Vec<u32>,
 }
 
 impl SummaryBuilder {
     pub(crate) fn new() -> SummaryBuilder {
-        SummaryBuilder::default()
+        SummaryBuilder {
+            summary: Some(PathSummary::default()),
+            stack: Vec::new(),
+        }
     }
 
     fn bump(&mut self, label: LabelId, literal: bool) -> u32 {
         let parent = self.stack.last().copied();
-        // Infallible: ensure_child only errs on a root-label mismatch,
-        // and the builder only ever sees one root.
-        let id = self
-            .summary
-            .ensure_child(parent, label, literal)
-            .expect("builder paths are consistent");
-        self.summary.paths[id as usize].nodes += 1;
-        self.summary.total_nodes += 1;
+        let Some(summary) = &mut self.summary else {
+            return 0;
+        };
+        let Ok(id) = summary.ensure_child(parent, label, literal) else {
+            self.summary = None;
+            return 0;
+        };
+        summary.paths[id as usize].nodes += 1;
+        summary.total_nodes += 1;
         id
     }
 
@@ -566,10 +572,14 @@ impl SummaryBuilder {
         self.stack.pop();
     }
 
-    pub(crate) fn finish(mut self, records: u64) -> PathSummary {
-        self.summary.total_records = records;
-        self.summary.records_exact = true;
-        self.summary
+    /// The summary of the events fed, `None` if they were not one rooted
+    /// tree — the planner then builds one from the stored tree when it
+    /// needs it.
+    pub(crate) fn finish(self, records: u64) -> Option<PathSummary> {
+        let mut summary = self.summary?;
+        summary.total_records = records;
+        summary.records_exact = true;
+        Some(summary)
     }
 }
 
@@ -601,7 +611,7 @@ mod tests {
         s.start_element(b);
         s.end_element();
         s.end_element();
-        s.finish(3)
+        s.finish(3).unwrap()
     }
 
     fn matched(summary: &PathSummary, q: &str, table: &SymbolTable) -> (u64, u64, bool) {
@@ -662,7 +672,7 @@ mod tests {
         s.end_element();
         s.end_element();
         s.end_element();
-        let s = s.finish(1);
+        let s = s.finish(1).unwrap();
         let (m, _, enumerable) = matched(&s, "//a//b", &table);
         assert_eq!(m, 2);
         assert!(!enumerable);

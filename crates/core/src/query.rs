@@ -31,7 +31,7 @@
 //! ([`crate::parallel_query`]); the walk and the scan are the two
 //! *descendant operators* of one step loop.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use natix_tree::{NodePtr, ReadPin, TreeResult};
@@ -398,29 +398,11 @@ impl Repository {
         if workers <= 1 {
             return docs.iter().map(|&doc| one(doc)).collect();
         }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<(usize, NatixResult<Vec<NodeId>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&doc) = docs.get(i) else {
-                                break mine;
-                            };
-                            mine.push((i, one(doc)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
+        // A failed query is that document's result, never the pool's.
+        let Ok(results) = self.fan_out(docs.len(), workers, None, |i| {
+            Ok::<_, Infallible>(one(docs[i]))
         });
-        slots.sort_unstable_by_key(|&(i, _)| i);
-        slots.into_iter().map(|(_, r)| r).collect()
+        results
     }
 
     /// The ids consumer: binds the matched pointers to logical node ids,

@@ -63,6 +63,22 @@
 //! page-content `RwLock`s (leaf locks acquired one at a time under the
 //! pool's protocol — see `crates/storage/src/buffer.rs`).
 //!
+//! **Where the rules are enforced.** Each standing rule belongs to the
+//! checker that can decide it; all run in the ordinary `cargo clippy
+//! --all-targets -- -D warnings` (default, `lockdep`, `model`) and `cargo
+//! test --features lockdep`, and `crates/core/tests/invariants.rs` holds
+//! one `#[expect]`-ed violation per lint and `clippy.toml` entry, so the
+//! same run fails if one stops firing:
+//!
+//! | Rule | Enforced by |
+//! |---|---|
+//! | nothing acknowledged before it is durable | module privacy + `clippy.toml` `disallowed-methods`: only `write.rs` can publish (see "One write path") |
+//! | no guard dropped where it is made | `#[must_use]` on the pins, operations and guards; `#![deny(let_underscore_drop)]` in storage, tree, core |
+//! | no panic below the API | `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]` in storage, tree, core, xml |
+//! | no lock behind the shim's back | `clippy.toml` `disallowed-types`: `std::sync::{Mutex, RwLock, Condvar}` outside `crates/shims` |
+//! | no unranked lock | `clippy.toml` `disallowed-methods`: `Mutex::new` / `RwLock::new`; the per-frame latch has the one `#[expect]` |
+//! | no lock held across a read-ahead batch | lockdep's `buffer.prefetch` I/O region, in every test under `--features lockdep` |
+//!
 //! Usage notes behind the table: symbol readers (serialisation, queries,
 //! name lookups) share the `SYMBOLS` lock and concurrent parsers intern
 //! through a read-locked fast path (`Repository::intern_shared`),
@@ -85,18 +101,26 @@
 //!
 //! # One write path
 //!
-//! Every mutation goes through one of two private routines of
-//! [`crate::document`], over the one document store built in
-//! `Repository::build` (the only place a tree store is constructed, so
-//! no write can miss the log). `edit` — edit latch, liveness check, one
-//! write operation, tree operations under normalize-retry, relocations
-//! and publish hooks, durability gate — carries
-//! [`Repository::insert_node`] (and `insert_element` / `insert_text`
-//! over it), `delete_node`, `update_text` and `delete_document`.
-//! `publish_load` — claim the name, load, register, install the summary,
-//! gate; abandon the claim on error — carries `put_document`,
+//! Every mutation goes through one of two routines of the private module
+//! `write.rs`, over the one document store built in `Repository::build`
+//! (the only place a tree store is constructed, so no write can miss the
+//! log). `edit` — edit latch, liveness check, one write operation, tree
+//! operations under normalize-retry, relocations and publish hooks,
+//! durability gate — carries [`Repository::insert_node`],
+//! `insert_element`, `insert_text`, `delete_node`, `update_text` and
+//! `delete_document`, each a body that sees its operation only as an
+//! `Edit`. `publish_load` — claim the name, load, register, install the
+//! summary, gate; abandon the claim on error — carries `put_document`,
 //! `put_document_per_node`, `create_document` and `put_xml_streaming`,
 //! which [`put_documents_parallel`] calls from a worker pool.
+//!
+//! That module is the only code that *can* publish: the gate and the
+//! directory log are private to it, and opening a write operation or
+//! scheduling a publish hook (`natix_tree`'s two publishing primitives) is
+//! disallowed by `clippy.toml` outside its three `#[expect]`-ed calls. Five routines end in the gate — `edit`,
+//! `publish_load`, [`Repository::checkpoint`],
+//! [`Repository::set_matrix_rule`], [`Repository::register_dtd`] — and
+//! `crash_recovery.rs` has a test for each that fails without the call.
 //!
 //! # Record versions and the latch discipline
 //!
@@ -289,7 +313,7 @@
 //!    physical redo, idempotent by construction) and appends `Commit` —
 //!    behind the alphabet's growth past the logged watermark, so no
 //!    image names a label the log does not.
-//! 3. The **durability gate** every public write API passes through then
+//! 3. The **durability gate** every write routine ends in (`write.rs`) then
 //!    forces the log, joining a group-commit window so concurrent
 //!    committers share one fsync. Only after the force does the call
 //!    return `Ok` — an acknowledged operation is on stable storage.
@@ -396,7 +420,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use natix_storage::buffer::EvictionPolicy;
-use natix_storage::wal::{take_commit_error, SuppressLogging};
+use natix_storage::wal::SuppressLogging;
 use natix_storage::{
     BufferManager, DiskBackend, DiskProfile, FileLogDevice, FileStorage, IoStats, LogDevice,
     MemLogDevice, MemStorage, Rid, SimDisk, StorageManager, Wal, WalSyncMode,
@@ -405,7 +429,7 @@ use natix_tree::version::ReadPin;
 use natix_tree::{NodePtr, SplitMatrix, TreeConfig, TreeStore, VersionStore, VisitEvent};
 use natix_xml::{LabelId, LabelKind, ParserOptions, SymbolTable};
 
-use crate::directory::{self, Delta};
+use crate::directory;
 use crate::document::{DocId, DocState, NodeId};
 use crate::error::{NatixError, NatixResult};
 use crate::schema::SchemaManager;
@@ -488,6 +512,19 @@ pub(crate) struct DocRegistry {
     pending: HashSet<String>,
 }
 
+impl DocRegistry {
+    /// Adds a document to the list under the next id, releasing its
+    /// name's claim if one was taken. Logs nothing: a load registers
+    /// through the write path (`write.rs`), a restore is already logged.
+    pub(crate) fn install(&mut self, state: DocState) -> DocId {
+        let id = self.docs.len() as DocId;
+        self.pending.remove(&state.name);
+        self.by_name.insert(state.name.clone(), id);
+        self.docs.push(Some(Arc::new(state)));
+        id
+    }
+}
+
 /// A NATIX repository.
 pub struct Repository {
     pub(crate) sm: Arc<StorageManager>,
@@ -506,11 +543,11 @@ pub struct Repository {
     stats: Arc<IoStats>,
     sim: Option<Arc<dyn SimControl>>,
     /// Write-ahead log, when the repository was built with one. Present
-    /// ⇒ every public write API ends in [`Repository::durable_gate`].
+    /// ⇒ every write ends in the durability gate (`write.rs`).
     pub(crate) wal: Option<Arc<Wal>>,
     /// Serialises catalog checkpoints (two racing checkpoints would drop
     /// each other's catalog tree); ordinary edits and reads do not take it.
-    checkpoint_lock: Mutex<()>,
+    pub(crate) checkpoint_lock: Mutex<()>,
     /// Per-document path summaries (epoch-versioned label-path counts);
     /// built at load or lazily by the planner, maintained by structural
     /// edits via publish hooks. See [`crate::path_summary`].
@@ -601,40 +638,16 @@ impl Repository {
             // Wire the log into every layer: the buffer honours the WAL
             // rule on dirty-frame write-back, the allocator logs its
             // events, the version store logs undo images — and the commit
-            // hook below captures redo images when an operation publishes.
+            // hook captures redo images when an operation publishes.
             bm.set_wal(Arc::clone(w));
             sm.attach_wal(Arc::clone(w));
             versions.attach_wal(Arc::clone(w));
-            let hook_wal = Arc::clone(w);
-            let hook_bm = Arc::clone(&bm);
-            let hook_syms = Arc::clone(&symbols);
-            let hook_mark = Arc::clone(&logged_symbols);
-            versions.set_commit_hook(Box::new(move |op, pages| {
-                let mut images = Vec::with_capacity(pages.len());
-                for p in pages {
-                    match hook_bm.pin(p) {
-                        Ok(pin) => images.push((p, pin.read().bytes().to_vec())),
-                        Err(e) => {
-                            // The log can no longer describe the published
-                            // state: poison it so no later commit is
-                            // acknowledged, and surface the error at this
-                            // thread's durability gate.
-                            hook_wal.poison();
-                            natix_storage::wal::set_commit_error(e);
-                            return;
-                        }
-                    }
-                }
-                // Any label this operation interned must be decodable on
-                // replay: log the alphabet's growth past the watermark
-                // before the images it names.
-                directory::log_symbol_growth(
-                    Some(&hook_wal),
-                    &mut hook_mark.lock(),
-                    &hook_syms.read(),
-                );
-                hook_wal.append_commit_batch(op, images);
-            }));
+            versions.set_commit_hook(crate::write::commit_hook(
+                Arc::clone(w),
+                Arc::clone(&bm),
+                Arc::clone(&symbols),
+                Arc::clone(&logged_symbols),
+            ));
         }
         let repo = Repository {
             sm,
@@ -702,7 +715,7 @@ impl Repository {
     }
 
     /// Creates a fresh repository over a caller-provided backend (used by
-    /// the concurrency benchmarks to run on a throttled disk model). The
+    /// the benchmark to run on its own device model). The
     /// backend's page size must match `options.page_size`; any
     /// `disk_profile` in the options is ignored — cost accounting is the
     /// backend's business here.
@@ -954,26 +967,6 @@ impl Repository {
         self.registry.lock().pending.remove(name);
     }
 
-    /// Registers a loaded document, releasing its claim if one was taken.
-    /// The registration epoch is stamped into the document's root slot:
-    /// readers pinned below it (snapshots taken before the load
-    /// published) resolve the document to "not there yet".
-    pub(crate) fn register(&self, state: DocState) -> DocId {
-        state.set_born(self.tree.versions().epoch());
-        let mut reg = self.registry.lock();
-        let id = reg.docs.len() as DocId;
-        reg.pending.remove(&state.name);
-        reg.by_name.insert(state.name.clone(), id);
-        // Logged under the registry lock, like every change to the
-        // document list (a checkpoint's cut reads the list under it).
-        // Unconditional: the document's content committed before
-        // `register` was called, so the registration itself must stick.
-        let (name, root) = (state.name.clone(), state.root_rid());
-        directory::log_directory(self.wal.as_ref(), 0, &[Delta::DocAdd { name, root }]);
-        reg.docs.push(Some(Arc::new(state)));
-        id
-    }
-
     /// Root record RID of a document as of the calling thread's snapshot
     /// (see [`DocState::root_rid_at`]): a reader pinned at epoch E must
     /// start its walk from E's root, not from a root published later —
@@ -1029,7 +1022,9 @@ impl Repository {
             }
             true
         })?;
-        Ok(b.finish(rids.len() as u64))
+        Ok(b.finish(rids.len() as u64).ok_or_else(|| {
+            natix_tree::TreeError::Invariant("a stored document has two root elements".into())
+        })?)
     }
 
     /// Canonical form of the document's path summary (building it first
@@ -1090,113 +1085,6 @@ impl Repository {
     pub fn disk_bytes(&self) -> u64 {
         self.sm.allocated_pages() * self.options.page_size as u64
     }
-
-    /// Persists the directory (symbol table, document list, split matrix,
-    /// DTDs) and flushes everything to the backend. Takes `&self`:
-    /// checkpoints are serialised against each other by the checkpoint
-    /// lock, and the catalog rewrite runs as an ordinary write operation
-    /// of the version layer, so readers (and edits of user documents)
-    /// proceed concurrently. Page flushes race in-flight edits; the
-    /// *directory* is one consistent cut (`directory::capture`), written
-    /// both as the catalog document and into the checkpoint record.
-    pub fn checkpoint(&self) -> NatixResult<()> {
-        let _ck = self.checkpoint_lock.lock();
-        // Quiescence baseline, taken before the suppressed work below
-        // (whose operations are deliberately uncounted): if no outside
-        // operation begins or finishes across the whole checkpoint, the
-        // log can be truncated to just the checkpoint record.
-        let versions = self.tree.versions();
-        let b0 = versions.ops_begun();
-        let f0 = versions.ops_finished();
-        // The horizon, read before the cut and before the flush: what the
-        // log holds below it is in the cut (directory deltas) and in the
-        // base file once the flush is done (page images); what lands at
-        // or above it, recovery replays over both.
-        let horizon = self.wal.as_ref().map(|wal| wal.appended_lsn());
-        let cut = directory::capture(self);
-        {
-            // The catalog rewrite and the flush are checkpoint internals:
-            // their pages are rebuilt from the checkpoint itself, never
-            // rolled forward or back individually.
-            let _quiet = SuppressLogging::new();
-            crate::catalog::save_catalog(self, &cut)?;
-            self.sm.checkpoint()?;
-        }
-        let Some(horizon) = horizon else {
-            return Ok(());
-        };
-        let quiesced = move || {
-            versions.active_ops() == 0
-                && versions.ops_begun() == b0
-                && versions.ops_finished() == f0
-        };
-        self.sm
-            .append_checkpoint(horizon, directory::encode(&cut), &quiesced)?;
-        self.durable_gate()
-    }
-
-    /// The durability gate every public write API passes through after
-    /// its write operation published: surfaces a commit-hook failure
-    /// (poisoning the log — the published state is no longer described
-    /// by it), then waits until the log is durable up to this thread's
-    /// last append. Under group commit that wait batches with other
-    /// committers' into one device sync.
-    pub(crate) fn durable_gate(&self) -> NatixResult<()> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
-        };
-        if let Some(e) = take_commit_error() {
-            wal.poison();
-            return Err(e.into());
-        }
-        wal.sync_to(wal.appended_lsn())?;
-        Ok(())
-    }
-
-    /// Changes a split-matrix rule by element names, interning them if
-    /// necessary. Affects future insertions (loads already in flight keep
-    /// their snapshot of the matrix). Durable when it returns.
-    pub fn set_matrix_rule(
-        &self,
-        parent_tag: &str,
-        child_tag: &str,
-        value: natix_tree::SplitBehaviour,
-    ) -> NatixResult<()> {
-        {
-            // Under the watermark mutex, which a checkpoint's cut holds
-            // too: the labels the rule names are in the log directly
-            // ahead of it (rules are stored by name; a restore must never
-            // meet one whose labels it cannot resolve).
-            let mut mark = self.logged_symbols.lock();
-            let mut symbols = self.symbols.write();
-            let p = symbols.intern_element(parent_tag);
-            let c = symbols.intern_element(child_tag);
-            directory::log_symbol_growth(self.wal.as_ref(), &mut mark, &symbols);
-            drop(symbols);
-            self.tree.set_matrix_entry(p, c, value);
-            let element = |tag: &str| (LabelKind::Element, tag.to_string());
-            let (parent, child) = (element(parent_tag), element(child_tag));
-            let rule = Delta::MatrixRule {
-                parent,
-                child,
-                value,
-            };
-            directory::log_directory(self.wal.as_ref(), 0, &[rule]);
-        }
-        self.durable_gate()
-    }
-
-    /// Registers (or replaces) a DTD under `name`. Durable when it
-    /// returns.
-    pub fn register_dtd(&self, name: &str, text: &str) -> NatixResult<()> {
-        {
-            let mut schema = self.schema.write();
-            schema.register_dtd(name, text)?;
-            let (name, text) = (name.to_string(), text.to_string());
-            directory::log_directory(self.wal.as_ref(), 0, &[Delta::Dtd { name, text }]);
-        }
-        self.durable_gate()
-    }
 }
 
 #[cfg(test)]
@@ -1228,7 +1116,7 @@ mod tests {
         repo.put_xml("d", "<a><b>hello</b></a>").unwrap();
         repo.clear_buffer().unwrap();
         let before = repo.io_stats().snapshot();
-        let _ = repo.get_xml("d").unwrap();
+        repo.get_xml("d").unwrap();
         let after = repo.io_stats().snapshot();
         assert!(after.since(&before).buffer_misses > 0);
     }

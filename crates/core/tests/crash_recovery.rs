@@ -810,27 +810,34 @@ fn deletions_racing_checkpoints_survive_a_crash() {
 }
 
 /// Matrix rules and DTDs are directory changes like any other: durable
-/// when the call returns, not "at the next checkpoint".
+/// when the call returns, not "at the next checkpoint" — and by the
+/// call's own gate, so each is the last thing its machine does.
 #[test]
 fn matrix_rule_and_dtd_survive_a_crash_without_checkpoint() {
-    let store = Arc::new(MemStorage::new(PAGE).unwrap());
-    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
-    let repo = m.create().unwrap();
-    repo.put_xml_streaming("doc", "<d>loaded last</d>").unwrap();
+    fn reopened_after(last_call: impl FnOnce(&Repository)) -> Repository {
+        let store = Arc::new(MemStorage::new(PAGE).unwrap());
+        let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+        let repo = m.create().unwrap();
+        repo.put_xml_streaming("doc", "<d>loaded first</d>")
+            .unwrap();
+        last_call(&repo);
+        drop(repo);
+        let reopened = Machine::boot(store, m.log.durable_bytes(), None)
+            .open()
+            .unwrap();
+        assert_eq!(reopened.get_xml("doc").unwrap(), "<d>loaded first</d>");
+        reopened
+    }
     // Two labels no stored document uses: the rule's own `Symbols` delta
     // must precede it in the log.
-    repo.set_matrix_rule(
-        "SPEECH",
-        "SPEAKER",
-        natix_tree::SplitBehaviour::KeepWithParent,
-    )
-    .unwrap();
-    repo.register_dtd("play", "<!ELEMENT PLAY (TITLE, ACT+)>")
-        .unwrap();
-    drop(repo);
-
-    let m2 = Machine::boot(Arc::clone(&store), m.log.durable_bytes(), None);
-    let reopened = m2.open().unwrap();
+    let reopened = reopened_after(|repo| {
+        repo.set_matrix_rule(
+            "SPEECH",
+            "SPEAKER",
+            natix_tree::SplitBehaviour::KeepWithParent,
+        )
+        .unwrap()
+    });
     let label = |tag| reopened.symbols().lookup_element(tag).expect(tag);
     let (parent, child) = (label("SPEECH"), label("SPEAKER"));
     assert_eq!(
@@ -838,8 +845,57 @@ fn matrix_rule_and_dtd_survive_a_crash_without_checkpoint() {
         natix_tree::SplitBehaviour::KeepWithParent,
         "the rule was lost"
     );
+    let reopened = reopened_after(|repo| {
+        repo.register_dtd("play", "<!ELEMENT PLAY (TITLE, ACT+)>")
+            .unwrap()
+    });
     assert!(reopened.schema().dtd("play").is_some(), "the DTD was lost");
-    assert_eq!(reopened.get_xml("doc").unwrap(), "<d>loaded last</d>");
+}
+
+/// A checkpoint is durable when it returns, also when it could not reset
+/// the log: beside an open write operation it appends its record behind
+/// the log's history, and its own gate forces it. What only this
+/// checkpoint captured — a label nothing committed has used — must
+/// survive a power cut right after it.
+#[test]
+fn a_checkpoint_beside_an_open_operation_is_durable_when_it_returns() {
+    use std::sync::mpsc::channel;
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    repo.put_xml_streaming("doc", "<d>loaded first</d>")
+        .unwrap();
+    repo.symbols_mut().intern_element("in-no-document");
+    let (opened, is_open) = channel();
+    let (close, closed) = channel::<()>();
+    let durable = std::thread::scope(|s| {
+        let repo = &repo;
+        s.spawn(move || {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "an operation held open across the checkpoint, so that it appends instead of resetting the log"
+            )]
+            let op = repo.tree_store().begin_write();
+            opened.send(()).unwrap();
+            closed.recv().unwrap();
+            drop(op);
+        });
+        is_open.recv().unwrap();
+        repo.checkpoint().unwrap();
+        let durable = m.log.durable_bytes();
+        close.send(()).unwrap();
+        durable
+    });
+    drop(repo);
+    let reopened = Machine::boot(store, durable, None).open().unwrap();
+    assert!(
+        reopened
+            .symbols()
+            .lookup_element("in-no-document")
+            .is_some(),
+        "the checkpoint returned before its record was durable"
+    );
+    assert_eq!(reopened.get_xml("doc").unwrap(), "<d>loaded first</d>");
 }
 
 /// Log bytes per registration do not depend on how many documents exist:

@@ -18,6 +18,11 @@
 //! - `NATIX_MODEL_SEED`: base seed for the random mode (default fixed);
 //! - `NATIX_MODEL_SCHEDULES`: random schedules per scenario.
 #![cfg(feature = "model")]
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "harness bookkeeping: a std lock keeps it out of the explored schedules, a test-local lock carries no rank"
+)]
 
 mod util;
 

@@ -17,6 +17,8 @@
 //! The suite is seed-driven by the local SplitMix64 generator (no
 //! proptest in the offline build), reproducible by seed.
 
+#![allow(clippy::disallowed_methods, reason = "test-local locks carry no rank")]
+
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 

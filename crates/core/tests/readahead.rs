@@ -14,6 +14,8 @@
 //!   changes latency or yields a typed error, never a wrong answer or a
 //!   panic.
 
+#![allow(clippy::disallowed_methods, reason = "test-local locks carry no rank")]
+
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;

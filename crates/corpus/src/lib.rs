@@ -1,7 +1,7 @@
 //! # natix-corpus — evaluation workloads for the NATIX reproduction
 //!
 //! The paper's evaluation (§4.1) uses "an XML markup version of
-//! Shakespeare's plays [18]. The total size of the documents is about 8 MB,
+//! Shakespeare's plays \[18\]. The total size of the documents is about 8 MB,
 //! their tree representations contain about 320000 nodes total." That
 //! corpus (Jon Bosak's markup) is not redistributable here, so this crate
 //! generates a **deterministic, synthetic corpus with the same structural

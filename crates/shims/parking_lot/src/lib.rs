@@ -7,16 +7,16 @@
 //!
 //! On top of the plain shim this crate carries two NATIX checkers:
 //!
-//! - the **lock-hierarchy checker** ([`lockdep`]): locks built with
+//! - the **lock-hierarchy checker** (`lockdep`): locks built with
 //!   [`Mutex::with_rank`] / [`RwLock::with_rank`] name a class from
 //!   [`rank`], and under `cfg(any(test, feature = "lockdep"))` every
 //!   acquisition is validated against a per-thread acquisition stack
 //!   (rank monotonicity, recursion) and a global lock-order graph
 //!   (cycle detection across threads), with declared I/O regions
 //!   rejecting held non-I/O-tolerant locks;
-//! - the **deterministic model checker** ([`model`]): under
+//! - the **deterministic model checker** (`model`): under
 //!   `cfg(any(test, feature = "model"))`, threads registered with a
-//!   running [`model::explore`] have every lock/condvar/tracked-atomic
+//!   running `model::explore` have every lock/condvar/tracked-atomic
 //!   operation turned into a cooperative scheduling decision, enabling
 //!   bounded-exhaustive and seeded-random interleaving exploration with
 //!   replayable failure seeds.
@@ -25,6 +25,14 @@
 //! compiles down to bare `std::sync` wrappers (the lock's data lives in
 //! an `UnsafeCell` beside a `std::sync` lock of `()`, which costs
 //! nothing extra and lets the model checker bypass the real lock).
+//!
+//! The workspace `clippy.toml` disallows the `std::sync` lock types and
+//! the rankless [`Mutex::new`] / [`RwLock::new`] everywhere but here:
+//! this crate is what wraps the former and defines the latter (kept for
+//! API compatibility and test-local locks), so it allows both lints
+//! wholesale. Engine code builds every lock with `with_rank`.
+
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::cell::UnsafeCell;
 use std::fmt;

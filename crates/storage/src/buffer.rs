@@ -152,13 +152,15 @@ impl BufferManager {
         let page_size = backend.page_size();
         let frames = (0..frame_count)
             .map(|_| {
+                // Per-frame page latch: one of N interchangeable leaf
+                // locks, below every ranked lock, never nested with
+                // another frame's — a single shared rank slot would
+                // false-positive on unrelated frames. The one exception
+                // to `clippy.toml`'s ban on the rankless constructor.
+                #[expect(clippy::disallowed_methods, reason = "per-frame leaf latch")]
+                let data = RwLock::new(PageBuf::new(page_size));
                 Arc::new(Frame {
-                    // Per-frame page latch: one of N interchangeable leaf
-                    // locks, below every ranked lock, never nested with
-                    // another frame's — a single shared rank slot would
-                    // false-positive on unrelated frames.
-                    // natix-lint: allow(unranked-lock): per-frame leaf latch, deliberately rankless
-                    data: RwLock::new(PageBuf::new(page_size)),
+                    data,
                     pin_count: TrackedAtomicU32::new(0),
                     dirty: TrackedAtomicBool::new(false),
                 })
@@ -195,7 +197,8 @@ impl BufferManager {
     /// a page must reach stable storage before the page overwrites its
     /// base image. Cheap when the log has no unsynced tail.
     pub fn set_wal(&self, wal: Arc<crate::wal::Wal>) {
-        let _ = self.wal.set(wal);
+        // A second attach is ignored: the first log stays.
+        drop(self.wal.set(wal));
     }
 
     fn wal_barrier(&self) -> StorageResult<()> {
@@ -837,6 +840,7 @@ impl Drop for PinnedPage {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "test-local locks carry no rank")]
 mod tests {
     use super::*;
     use crate::disk::MemStorage;
@@ -1087,30 +1091,103 @@ mod tests {
         }
     }
 
+    /// A backend whose page reads block while the test holds its gate
+    /// shut: the stand-in for a slow device, with a load in flight for
+    /// exactly as long as the test needs it to be.
+    struct GatedDisk {
+        inner: MemStorage,
+        /// (the gate is shut, reads blocked on it)
+        gate: Mutex<(bool, usize)>,
+        moved: Condvar,
+    }
+
+    impl GatedDisk {
+        fn new(pages: u64) -> Arc<GatedDisk> {
+            let inner = MemStorage::new(512).unwrap();
+            inner.grow(pages).unwrap();
+            Arc::new(GatedDisk {
+                inner,
+                gate: Mutex::new((false, 0)),
+                moved: Condvar::new(),
+            })
+        }
+
+        fn set_shut(&self, shut: bool) {
+            self.gate.lock().0 = shut;
+            self.moved.notify_all();
+        }
+
+        /// Returns once `n` reads are blocked on the shut gate.
+        fn await_blocked(&self, n: usize) {
+            let mut gate = self.gate.lock();
+            while gate.1 < n {
+                gate = self.moved.wait(gate);
+            }
+        }
+    }
+
+    impl DiskBackend for GatedDisk {
+        fn page_size(&self) -> usize {
+            self.inner.page_size()
+        }
+        fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
+            let mut gate = self.gate.lock();
+            gate.1 += 1;
+            self.moved.notify_all();
+            while gate.0 {
+                gate = self.moved.wait(gate);
+            }
+            gate.1 -= 1;
+            drop(gate);
+            self.inner.read_page(page, buf)
+        }
+        fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
+            self.inner.write_page(page, buf)
+        }
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+        fn grow(&self, new_count: u64) -> StorageResult<()> {
+            self.inner.grow(new_count)
+        }
+        fn sync(&self) -> StorageResult<()> {
+            self.inner.sync()
+        }
+    }
+
     #[test]
     fn misses_wait_for_inflight_io_instead_of_failing() {
-        // More threads than frames over a *slow* disk: while two loads are
-        // in flight both frames are reserved, and the third thread's miss
-        // used to fail with a spurious BufferExhausted. With the wait on
-        // the in-flight condvar, every pin succeeds.
+        // More threads than frames: while two loads are in flight both
+        // frames are reserved, and the third thread's miss used to fail
+        // with a spurious BufferExhausted. With the wait on the in-flight
+        // condvar, every pin succeeds. The gate holds the first two loads
+        // in flight until the third thread has started its pin.
         let stats = IoStats::new_shared();
-        let backend = Arc::new(crate::disk::ThrottledDisk::new(
-            MemStorage::new(512).unwrap(),
-            300,
-            600,
+        let backend = GatedDisk::new(16);
+        backend.set_shut(true);
+        let bm = Arc::new(BufferManager::new(
+            Arc::clone(&backend) as Arc<dyn DiskBackend>,
+            2,
+            EvictionPolicy::Lru,
+            stats,
         ));
-        backend.grow(16).unwrap();
-        let bm = Arc::new(BufferManager::new(backend, 2, EvictionPolicy::Lru, stats));
+        let third = Arc::new(std::sync::Barrier::new(2));
         let mut handles = Vec::new();
         for t in 0..3u32 {
             let bm = Arc::clone(&bm);
+            let third = Arc::clone(&third);
             handles.push(std::thread::spawn(move || {
+                if t == 2 {
+                    third.wait();
+                }
                 let mut x = t.wrapping_mul(0xABCD) | 1;
-                for _ in 0..120 {
+                for i in 0..120 {
                     x ^= x << 13;
                     x ^= x >> 17;
                     x ^= x << 5;
-                    let page = x % 16;
+                    // Three different pages first, so that the two loads
+                    // the gate holds take both frames.
+                    let page = if i == 0 { t } else { x % 16 };
                     // Every pin must succeed: transient reservation of all
                     // frames is never an error.
                     let g = bm.pin(page).expect("pin must wait, not fail");
@@ -1118,6 +1195,9 @@ mod tests {
                 }
             }));
         }
+        backend.await_blocked(2);
+        third.wait();
+        backend.set_shut(false);
         for h in handles {
             h.join().unwrap();
         }
@@ -1126,21 +1206,17 @@ mod tests {
     #[test]
     fn concurrent_read_pin_storm_stays_clean() {
         // The parallel-query workload: many reader threads taking *short*
-        // read pins over a pool much smaller than the working set, on a
-        // slow disk, with zero writers. Every pin must succeed (misses
-        // wait for in-flight loads instead of failing with
-        // BufferExhausted), every page must read back its seeded marker,
-        // and — since nobody dirties a frame — eviction under a read-only
-        // storm must never write a single page back.
+        // read pins over a pool much smaller than the working set, with
+        // zero writers. Every pin must succeed (misses wait for in-flight
+        // loads instead of failing with BufferExhausted), every page must
+        // read back its seeded marker, and — since nobody dirties a frame
+        // — eviction under a read-only storm must never write a single
+        // page back. The storm opens against a shut gate: its first six
+        // loads hold every frame in flight while the other readers miss.
         let stats = IoStats::new_shared();
-        let backend = Arc::new(crate::disk::ThrottledDisk::new(
-            MemStorage::new(512).unwrap(),
-            150,
-            300,
-        ));
-        backend.grow(48).unwrap();
+        let backend = GatedDisk::new(48);
         let bm = Arc::new(BufferManager::new(
-            backend,
+            Arc::clone(&backend) as Arc<dyn DiskBackend>,
             6,
             EvictionPolicy::Lru,
             Arc::clone(&stats),
@@ -1151,16 +1227,18 @@ mod tests {
         }
         bm.flush_all().unwrap();
         let writes_after_seed = stats.snapshot().physical_writes;
+        backend.set_shut(true);
         let mut handles = Vec::new();
         for t in 0..8u32 {
             let bm = Arc::clone(&bm);
             handles.push(std::thread::spawn(move || {
                 let mut x = 0xC0FFEEu32.wrapping_mul(t + 1) | 1;
-                for _ in 0..400 {
+                for i in 0..400 {
                     x ^= x << 13;
                     x ^= x >> 17;
                     x ^= x << 5;
-                    let page = x % 48;
+                    // Eight different pages first: six take the frames.
+                    let page = if i == 0 { t } else { x % 48 };
                     let g = bm.pin(page).expect("read pin must wait, not fail");
                     assert_eq!(g.read().bytes()[0], page as u8, "page {page} corrupted");
                     // Pin dropped immediately: short pins are the contract
@@ -1168,6 +1246,8 @@ mod tests {
                 }
             }));
         }
+        backend.await_blocked(6);
+        backend.set_shut(false);
         for h in handles {
             h.join().unwrap();
         }

@@ -261,81 +261,6 @@ impl DiskBackend for FileStorage {
     }
 }
 
-/// A backend wrapper that *sleeps* a fixed service time per page access
-/// before delegating to the inner backend.
-///
-/// [`crate::SimDisk`] charges a mechanical-disk cost model to a virtual
-/// clock without slowing anything down — right for the paper's single-
-/// threaded measurements, useless for concurrency experiments: on a
-/// RAM-backed store every I/O completes instantly, so overlapping I/O
-/// stalls (the whole point of concurrent ingestion) cannot be observed.
-/// `ThrottledDisk` makes the stall real. Because the buffer manager
-/// performs all disk I/O outside its pool mutex, stalls of different
-/// threads overlap — one writer's eviction write-back no longer blocks
-/// another writer's parsing or page fills.
-pub struct ThrottledDisk<B> {
-    inner: B,
-    read_latency: std::time::Duration,
-    write_latency: std::time::Duration,
-}
-
-impl<B: DiskBackend> ThrottledDisk<B> {
-    /// Wraps `inner`, charging the given per-page service times. `sync`
-    /// is free.
-    pub fn new(inner: B, read_latency_us: u64, write_latency_us: u64) -> ThrottledDisk<B> {
-        ThrottledDisk {
-            inner,
-            read_latency: std::time::Duration::from_micros(read_latency_us),
-            write_latency: std::time::Duration::from_micros(write_latency_us),
-        }
-    }
-}
-
-impl<B: DiskBackend> DiskBackend for ThrottledDisk<B> {
-    fn page_size(&self) -> usize {
-        self.inner.page_size()
-    }
-
-    fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        std::thread::sleep(self.read_latency);
-        self.inner.read_page(page, buf)
-    }
-
-    fn read_pages(&self, reqs: &mut [(PageId, &mut [u8])]) -> StorageResult<()> {
-        // One seek+rotation for the whole batch, then sequential
-        // transfers: the first page pays the full per-page service time,
-        // every further page only the transfer share, a quarter of it.
-        // This is what makes prefetch overlap honestly measurable — a
-        // batch of n is cheaper than n demand reads, but not free.
-        if let Some(extra) = reqs.len().checked_sub(1) {
-            std::thread::sleep(self.read_latency + self.read_latency / 4 * extra as u32);
-        }
-        for (page, buf) in reqs.iter_mut() {
-            self.inner.read_page(*page, buf)?;
-        }
-        Ok(())
-    }
-
-    fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
-        std::thread::sleep(self.write_latency);
-        self.inner.write_page(page, buf)
-    }
-
-    fn page_count(&self) -> u64 {
-        self.inner.page_count()
-    }
-
-    fn grow(&self, new_count: u64) -> StorageResult<()> {
-        // Growth is metadata (a file `set_len` / vector resize), not a
-        // page transfer: unthrottled.
-        self.inner.grow(new_count)
-    }
-
-    fn sync(&self) -> StorageResult<()> {
-        self.inner.sync()
-    }
-}
-
 /// Shared write budget for crash injection. One controller is shared by a
 /// [`FaultDisk`] (page writes) and a [`crate::wal::MemLogDevice`] (log
 /// writes); every write consumes one unit, and once the budget is
@@ -401,9 +326,9 @@ impl FaultControl {
     }
 }
 
-/// Fault-injecting backend wrapper (sibling of [`ThrottledDisk`]): page
-/// writes draw on a shared [`FaultControl`] budget and fail permanently
-/// once it is exhausted, simulating a kill at an arbitrary I/O point.
+/// Fault-injecting backend wrapper: page writes draw on a shared
+/// [`FaultControl`] budget and fail permanently once it is exhausted,
+/// simulating a kill at an arbitrary I/O point.
 pub struct FaultDisk<B> {
     inner: B,
     control: Arc<FaultControl>,
@@ -502,29 +427,6 @@ mod tests {
         // An out-of-bounds page surfaces the per-page error.
         let mut reqs = vec![(99, b0.as_mut_slice())];
         assert!(m.read_pages(&mut reqs).is_err());
-    }
-
-    #[test]
-    fn throttled_batch_read_is_cheaper_than_single_reads() {
-        // 20 ms per demand read, 5 ms per extra batched page: a batch of
-        // 8 costs ~55 ms where 8 single reads would cost 160 ms. The
-        // upper bound is loose so scheduler noise cannot flake it.
-        let d = ThrottledDisk::new(MemStorage::new(512).unwrap(), 20_000, 0);
-        d.grow(8).unwrap();
-        let mut bufs = vec![vec![0u8; 512]; 8];
-        let mut reqs: Vec<(PageId, &mut [u8])> = bufs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, b)| (i as PageId, b.as_mut_slice()))
-            .collect();
-        let t0 = std::time::Instant::now();
-        d.read_pages(&mut reqs).unwrap();
-        let elapsed = t0.elapsed();
-        assert!(elapsed >= std::time::Duration::from_millis(55));
-        assert!(
-            elapsed < std::time::Duration::from_millis(120),
-            "batch took {elapsed:?}: per-batch model not applied"
-        );
     }
 
     /// Stamps a minimal valid NATIX header (magic + page size) on page 0
@@ -637,27 +539,6 @@ mod tests {
         let mut out = vec![0u8; 512];
         d.read_page(0, &mut out).unwrap();
         assert_eq!(out, page);
-    }
-
-    #[test]
-    fn throttled_backend_delegates() {
-        let t = ThrottledDisk::new(MemStorage::new(1024).unwrap(), 0, 0);
-        exercise(&t);
-    }
-
-    #[test]
-    fn throttled_backend_sleeps() {
-        let t = ThrottledDisk::new(MemStorage::new(512).unwrap(), 0, 2_000);
-        t.grow(1).unwrap();
-        let page = vec![1u8; 512];
-        let t0 = std::time::Instant::now();
-        for _ in 0..3 {
-            t.write_page(0, &page).unwrap();
-        }
-        assert!(
-            t0.elapsed() >= std::time::Duration::from_millis(6),
-            "three 2 ms writes must take at least 6 ms"
-        );
     }
 
     #[test]

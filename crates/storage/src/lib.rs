@@ -28,6 +28,9 @@
 //! * [`freespace`] — the free-space inventory used to place records.
 //! * [`stats`] — I/O statistics shared by the benchmark harness.
 
+#![deny(let_underscore_drop)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod buffer;
 pub mod disk;
 pub mod error;
@@ -41,7 +44,7 @@ pub mod stats;
 pub mod wal;
 
 pub use buffer::{AccessHint, BufferManager, EvictionPolicy, PinnedPage};
-pub use disk::{DiskBackend, FaultControl, FaultDisk, FileStorage, MemStorage, ThrottledDisk};
+pub use disk::{DiskBackend, FaultControl, FaultDisk, FileStorage, MemStorage};
 pub use error::{StorageError, StorageResult};
 pub use page::{PageBuf, PageKind, PAGE_HEADER_SIZE};
 pub use rid::{PageId, Rid, SlotId, INVALID_PAGE};

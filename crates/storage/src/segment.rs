@@ -225,7 +225,8 @@ impl StorageManager {
     /// frees and segment creation append log records (unless the calling
     /// thread suppresses logging, e.g. during checkpoint or recovery).
     pub fn attach_wal(&self, wal: Arc<Wal>) {
-        let _ = self.wal.set(wal);
+        // A second attach is ignored: the first log stays.
+        drop(self.wal.set(wal));
     }
 
     fn wal_append(&self, rec: &WalRecord) {

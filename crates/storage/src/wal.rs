@@ -107,6 +107,7 @@ pub fn log_suppressed() -> bool {
 /// RAII guard suppressing WAL appends on the current thread. Nesting is
 /// counted. Only the thread holding the guard is affected — concurrent
 /// user operations on other threads keep logging.
+#[must_use = "dropping a SuppressLogging immediately ends the suppressed region"]
 pub struct SuppressLogging;
 
 impl SuppressLogging {

@@ -214,7 +214,7 @@ impl<'s> BulkLoader<'s> {
         BulkLoader {
             matrix: store.matrix().clone(),
             capacity: store.net_capacity(),
-            _op: store.begin_write(),
+            _op: store.versions().begin_write(),
             store,
             cur: None,
             spine: Vec::new(),
@@ -251,7 +251,7 @@ impl<'s> BulkLoader<'s> {
 
     fn abort_in_place(&mut self) {
         for rid in self.flushed.drain(..) {
-            let _ = self.store.discard_record(rid);
+            self.store.discard_record(rid).ok();
         }
     }
 

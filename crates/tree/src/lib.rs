@@ -42,6 +42,9 @@
 //!   over copy-on-write record pre-images, so readers overlap structural
 //!   edits and bulkloads of the same tree.
 
+#![deny(let_underscore_drop)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bulkload;
 pub mod config;
 pub mod error;

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! Serialisation assigns every node its **pre-order index**; that index is
-//! the node half of a [`crate::store::NodePtr`]. The mapping from arena
+//! the node half of a [`crate::NodePtr`]. The mapping from arena
 //! slots to pre-order indices is returned so the store can emit relocation
 //! events for nodes whose index changed.
 

@@ -234,8 +234,10 @@ impl TreeStore {
     /// Starts (or joins) a write operation for this thread; superseded
     /// record images deposited during the operation are published when
     /// the outermost guard drops. Public mutating operations take this
-    /// internally — explicit use is only needed by multi-call writers
-    /// like the bulkloader.
+    /// internally — explicit use is only needed by multi-call writers:
+    /// the document manager's gated write routines
+    /// (`natix/src/write.rs`), the only callers the workspace
+    /// `clippy.toml` lets through.
     pub fn begin_write(&self) -> WriteOp<'_> {
         self.versions.begin_write()
     }
@@ -553,14 +555,12 @@ impl TreeStore {
 
     /// Bulk-append fast path (used by [`crate::bulkload`]): writes `tree`
     /// as a new record on the cursor's current fill page, or on a freshly
-    /// allocated page when it no longer fits. Unlike [`write_new`] this
+    /// allocated page when it no longer fits. Unlike `write_new` this
     /// never searches the free-space inventory and never touches existing
     /// pages — sequential bulkloads fill pages one at a time, left to
     /// right, with no read-modify-write of earlier pages. Standalone
     /// parent pointers of records referenced by proxies in `tree` are
     /// patched to the new record's RID.
-    ///
-    /// [`write_new`]: Self::write_new
     pub fn append_record(&self, tree: &RecordTree, cursor: &mut AppendCursor) -> TreeResult<Rid> {
         let _op = self.versions.begin_write();
         let mut ctx = OpCtx::default();
@@ -889,9 +889,7 @@ impl TreeStore {
         }
         // Storing the separator (a fresh record) registers the parent
         // patches for the partition proxies and ∞-moved children it holds.
-        let sep_rid = self.store_possibly_oversized(separator, near, ctx)?;
-        let _ = plan.moved_proxies;
-        Ok(sep_rid)
+        self.store_possibly_oversized(separator, near, ctx)
     }
 
     // ==================================================================

@@ -13,7 +13,8 @@
 //! Consequence, also stated in the paper: record bytes are
 //! location-independent *within* a page ("records can be moved around on
 //! the page without modification"), but moving a record to another page
-//! re-interns its type indices ([`translate`]).
+//! re-interns its type indices ([`TypeTable::intern`] on the target page's
+//! table).
 
 use natix_xml::LabelId;
 

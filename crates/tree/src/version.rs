@@ -47,7 +47,7 @@
 //!
 //! The image of a record seen from a pinned epoch never changes: the page
 //! holds it until a writer supersedes it, and from then on the deposit
-//! does, for as long as the pin lives. [`VersionStore::read`] therefore
+//! does, for as long as the pin lives. `VersionStore::read` therefore
 //! remembers, per thread, every record it has decoded under the thread's
 //! snapshot and hands the same `Arc<RecordTree>` to every later read of
 //! that record — a walk over the N nodes of one record decodes it once,
@@ -256,12 +256,13 @@ impl VersionStore {
     /// Attaches the write-ahead log: from now on every first deposit and
     /// creation notice is also appended as an undo record.
     pub fn attach_wal(&self, wal: Arc<Wal>) {
-        let _ = self.wal.set(wal);
+        // A second attach is ignored: the first log stays.
+        drop(self.wal.set(wal));
     }
 
     /// Installs the redo-logging commit hook (at most once).
     pub fn set_commit_hook(&self, hook: CommitHook) {
-        let _ = self.commit_hook.set(hook);
+        drop(self.commit_hook.set(hook));
     }
 
     /// Outer write operations started so far.
@@ -499,8 +500,10 @@ impl VersionStore {
 
     /// Starts a write operation for this thread. Nested calls on the same
     /// store return a passive guard — the outermost operation owns the
-    /// publish.
-    pub fn begin_write(&self) -> WriteOp<'_> {
+    /// publish. Crate-private: the layer above opens its operations
+    /// through [`TreeStore::begin_write`](crate::TreeStore::begin_write),
+    /// the one door the workspace `clippy.toml` guards.
+    pub(crate) fn begin_write(&self) -> WriteOp<'_> {
         let prev = WRITE_OP.get();
         if let Some((id, ambient)) = prev {
             if id == self.id() {
@@ -1033,7 +1036,7 @@ mod tests {
         let (rid, _) = mk_tree(&store, 7, "text");
         let _pin = store.begin_read();
         {
-            let op = store.begin_write();
+            let op = store.versions().begin_write();
             store
                 .versions()
                 .supersede_raw(op.id(), rid, vec![1, 2, 3], vec![0xff]);
@@ -1188,7 +1191,7 @@ mod tests {
         // No snapshot: a writer reads its own page writes, mid-operation
         // and after, and nothing is memoised.
         {
-            let _op = store.begin_write();
+            let _op = store.versions().begin_write();
             set_text(&store, ptr, "mid");
             assert_eq!(text_at(&store, ptr), "mid");
             assert_eq!(VersionStore::memo_len(), 0);
@@ -1203,7 +1206,7 @@ mod tests {
         let pinned = store.load_shared(rid).unwrap();
         assert_eq!(VersionStore::memo_len(), 1);
         {
-            let _op = store.begin_write();
+            let _op = store.versions().begin_write();
             set_text(&store, ptr, "new");
             let during = store.load_shared(rid).unwrap();
             assert!(!Arc::ptr_eq(&pinned, &during), "the memo is not read");

@@ -330,10 +330,8 @@ impl ExprParser<'_> {
             self.pos += 1;
             let first = self.parse_particle()?;
             self.skip_ws();
-            let b = self.s.as_bytes().get(self.pos).copied();
-            match b {
-                Some(b',') | Some(b'|') => {
-                    let sep = b.unwrap();
+            match self.s.as_bytes().get(self.pos).copied() {
+                Some(sep @ (b',' | b'|')) => {
                     let mut items = vec![first];
                     while self.s.as_bytes().get(self.pos) == Some(&sep) {
                         self.pos += 1;

@@ -30,6 +30,8 @@
 //! for the ≈8 MB Shakespeare corpus) and can be kept via
 //! [`parser::ParserOptions`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dtd;
 pub mod error;
 pub mod escape;

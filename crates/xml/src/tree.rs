@@ -298,17 +298,16 @@ pub fn build_from_text(
         match event {
             XmlEvent::StartElement { name, attrs } => {
                 let label = symbols.intern_element(name);
-                let node = match (&mut doc, stack.last()) {
-                    (None, _) => {
-                        doc = Some(Document::new(NodeData::Element(label)));
-                        0
+                let (d, node) = match (&mut doc, stack.last()) {
+                    (None, _) => (doc.insert(Document::new(NodeData::Element(label))), 0),
+                    (Some(d), Some(&parent)) => {
+                        let node = d.add_child(parent, NodeData::Element(label));
+                        (d, node)
                     }
-                    (Some(d), Some(&parent)) => d.add_child(parent, NodeData::Element(label)),
                     (Some(_), None) => {
                         return Err(XmlError::Structure("multiple root elements".into()))
                     }
                 };
-                let d = doc.as_mut().expect("document exists after root");
                 for (attr_name, value) in attrs {
                     let alabel = symbols.intern_attribute(attr_name);
                     d.add_child(node, NodeData::attribute(alabel, value));
