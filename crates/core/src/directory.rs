@@ -501,7 +501,11 @@ mod tests {
         }
 
         fn commit(self, op: u64) -> Log {
-            self.push(WalRecord::Commit { op })
+            self.push(WalRecord::Commit {
+                op,
+                forced: Vec::new(),
+                force_lsn: 0,
+            })
         }
 
         /// A checkpoint whose cut is `cut`, taken with the log's end at

@@ -7,8 +7,12 @@
 //!   [`crate::directory`]. The last checkpoint is where analysis starts.
 //! * **Redo** — full page images captured when an operation publishes,
 //!   followed by its `Commit` record. Committed images at or above the
-//!   checkpoint's redo horizon are replayed; everything below it was
-//!   flushed to the base file by the checkpoint itself.
+//!   checkpoint's redo horizon are replayed in log order; everything
+//!   below it was flushed to the base file by the checkpoint itself. The
+//!   pages a commit record lists as *forced* (a load's) have no image:
+//!   the device holds them, and a committed image of such a page below
+//!   the record's `force_lsn` — its previous tenant's — is **skipped**
+//!   (see [`natix_storage::wal`], Redo).
 //! * **Undo** — record pre-images and creation notices deposited by the
 //!   record-version layer before an operation first touches a stored
 //!   record. Operations without a `Commit` record (in flight at the
@@ -30,7 +34,7 @@
 //! re-used them since the checkpoint); the checkpoint that ends recovery
 //! writes a fresh catalog document.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use natix_storage::slotted::SlottedPage;
@@ -53,6 +57,9 @@ pub(crate) struct Analysis<'a> {
     pub(crate) snapshot: &'a StoreSnapshot,
     /// Operations with a `Commit` record.
     pub(crate) committed: HashSet<u64>,
+    /// Pages committed operations forced, each with the highest
+    /// `force_lsn` it was forced at: redo skips its images below that.
+    pub(crate) forced: HashMap<PageId, u64>,
 }
 
 /// `None`: the log holds no checkpoint, so there is nothing to recover
@@ -62,17 +69,27 @@ pub(crate) fn analyse(records: &[(u64, WalRecord)]) -> Option<Analysis<'_>> {
         WalRecord::Checkpoint(s) => Some((*lsn, s.as_ref())),
         _ => None,
     })?;
-    let committed = records
-        .iter()
-        .filter_map(|(_, r)| match r {
-            WalRecord::Commit { op } => Some(*op),
-            _ => None,
-        })
-        .collect();
+    let mut committed = HashSet::new();
+    let mut forced: HashMap<PageId, u64> = HashMap::new();
+    for (_, r) in records {
+        if let WalRecord::Commit {
+            op,
+            forced: pages,
+            force_lsn,
+        } = r
+        {
+            committed.insert(*op);
+            for page in pages {
+                let at = forced.entry(*page).or_default();
+                *at = (*at).max(*force_lsn);
+            }
+        }
+    }
     Some(Analysis {
         checkpoint_lsn,
         snapshot,
         committed,
+        forced,
     })
 }
 
@@ -154,11 +171,13 @@ pub(crate) fn replay(
     }
     sm.set_next_unallocated(next)?;
 
-    // --- Redo: committed page images at/above the horizon, log order.
+    // --- Redo: committed page images at/above the horizon, log order,
+    //     except below a committed force of their page.
     let page_size = buffer.page_size();
     for (lsn, r) in records {
         if let WalRecord::PageImage { op, page, image } = r {
-            if *lsn < snap.redo_horizon || !committed.contains(op) {
+            let forced_later = analysis.forced.get(page).is_some_and(|at| lsn < at);
+            if *lsn < snap.redo_horizon || !committed.contains(op) || forced_later {
                 continue;
             }
             if image.len() != page_size {

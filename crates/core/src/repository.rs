@@ -308,11 +308,15 @@
 //!    overwrite), `Created` (undo: delete on rollback), `Alloc`/`Free`/
 //!    `SegCreate` (allocator replay). None of these are forced; they
 //!    ride in the log buffer.
-//! 2. At publish, the version store's commit hook captures a full page
-//!    image of every page the operation touched (`PageImage` records —
-//!    physical redo, idempotent by construction) and appends `Commit` —
+//! 2. At publish, the version store's commit hook **forces** the pages
+//!    the operation's append stream allocated (a load's: all of them) —
+//!    writes them to the page device and syncs it, so a load writes each
+//!    page once — captures a full page image of every other page it
+//!    touched (`PageImage` records — physical redo, idempotent by
+//!    construction) and only then appends the images and `Commit`, which
+//!    lists the forced pages (`natix_storage::wal`, Redo, has the why) —
 //!    behind the alphabet's growth past the logged watermark, so no
-//!    image names a label the log does not.
+//!    page names a label the log does not.
 //! 3. The **durability gate** every write routine ends in (`write.rs`) then
 //!    forces the log, joining a group-commit window so concurrent
 //!    committers share one fsync. Only after the force does the call
@@ -339,9 +343,10 @@
 //! holds effects whose log records could still be lost. Recovery
 //! (`recovery.rs`) is ARIES-shaped over physical redo: analysis
 //! finds the last checkpoint and the committed-operation set, redo
-//! replays committed page images at or above the checkpoint's horizon,
-//! undo reverts the loser operations' record-level effects in reverse
-//! log order, and the directory fold above ends it.
+//! replays committed page images at or above the checkpoint's horizon
+//! (but not below a committed force of their page), undo reverts the
+//! loser operations' record-level effects in reverse log order, and the
+//! directory fold above ends it.
 //!
 //! [`Repository::checkpoint`] is fuzzy: it captures the directory,
 //! flushes the pool, snapshots the allocator and — only when no write
@@ -352,7 +357,12 @@
 //! keeps its history.
 //!
 //! Known limitations: page writes are assumed atomic at the backend's
-//! page size (ROADMAP open item 2). And a checkpoint does not yet record
+//! page size (ROADMAP open item 2) — and a torn forced page of a
+//! *committed* load, which exists only on the page device, is now
+//! unrepairable from the log and, without a page checksum, undetected:
+//! item 2's checksum and first-touch image must cover it. Two operations'
+//! images of one page are ordered in the log by append, not by capture
+//! (item 2's page LSN decides it). And a checkpoint does not yet record
 //! which operations are active: its capture can see the deletion or root
 //! move of an operation that has published but not yet appended its
 //! commit record, and a crash between that checkpoint's record and that
@@ -385,11 +395,14 @@
 //! * **buffer-coalesce** — a demand pin racing an in-flight prefetch of
 //!   the same page (and the mirror case) must coalesce onto one frame
 //!   and one physical read; the frame table is validated for duplicate
-//!   residency.
-//! * **wal-commit** — group commit from two committers plus the
+//!   residency. And a writer's change beside a flush of its page
+//!   reaches the device (the dirty flag is raised under the page latch).
+//! * **wal-commit** — group commit from two committers; the
 //!   force-before-steal rule: a dirty page may reach disk only once the
 //!   log covering its commit record is durable (checked by an
-//!   LSN-asserting disk wrapper).
+//!   LSN-asserting disk wrapper); and force-before-commit: beside an
+//!   editor's group syncs, no loader's commit record is durable before
+//!   its forced pages (checked at every log sync on a forgetting device).
 //! * **path-summary** — a pinned reader's query counts (eager and lazy
 //!   plan shapes) must agree with its epoch's path summary while a
 //!   writer inserts matching elements.
@@ -399,8 +412,9 @@
 //!
 //! Each scenario is paired with a **mutation harness**: reverting a
 //! named production guard (`root-slot.epoch-recheck`,
-//! `wal.force-before-write-back`, `buffer.inflight-recheck`,
-//! `buffer.prefetch-coalesce`, `checkpoint.directory-horizon` — see
+//! `wal.force-before-write-back`, `commit.force-before-append`,
+//! `buffer.inflight-recheck`, `buffer.prefetch-coalesce`,
+//! `buffer.dirty-under-latch`, `checkpoint.directory-horizon` — see
 //! `parking_lot::fail_point`) must make the checker report a violation
 //! whose token replays to the identical failure, proving the suite
 //! actually guards those lines. A

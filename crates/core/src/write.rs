@@ -17,8 +17,8 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use natix_storage::wal::{take_commit_error, SuppressLogging, WalRecord};
-use natix_storage::{BufferManager, Wal};
-use natix_tree::version::{CommitHook, WriteOp};
+use natix_storage::{BufferManager, PageId, StorageError, Wal};
+use natix_tree::version::{CommitHook, TouchedPages, WriteOp};
 use natix_tree::{InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour};
 use natix_xml::{Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
 
@@ -54,34 +54,52 @@ fn log_symbol_growth(wal: Option<&Arc<Wal>>, mark: &mut usize, symbols: &SymbolT
 }
 
 /// The version store's commit hook: at an operation's publish point,
-/// captures the redo image of every page it touched and appends them with
-/// the commit record — behind the alphabet's growth past the logged
-/// watermark, so no image names a label the log does not.
+/// forces the pages its append stream allocated, captures the redo image
+/// of every other page it touched and appends the images with the commit
+/// record — after the force (why: [`natix_storage::wal`], Redo), and
+/// behind the alphabet's growth past the logged watermark, so no page
+/// names a label the log does not.
 pub(crate) fn commit_hook(
     wal: Arc<Wal>,
     bm: Arc<BufferManager>,
     symbols: Arc<RwLock<SymbolTable>>,
     mark: Arc<Mutex<usize>>,
 ) -> CommitHook {
-    Box::new(move |op, pages| {
-        let mut images = Vec::with_capacity(pages.len());
-        for p in pages {
-            match bm.pin(p) {
-                Ok(pin) => images.push((p, pin.read().bytes().to_vec())),
-                Err(e) => {
-                    // The log can no longer describe the published
-                    // state: poison it so no later commit is
-                    // acknowledged, and surface the error at this
-                    // thread's durability gate.
-                    wal.poison();
-                    natix_storage::wal::set_commit_error(e);
-                    return;
-                }
+    Box::new(move |op, pages: TouchedPages| {
+        // Read before the force begins: see `WalRecord::Commit`.
+        let force_lsn = wal.appended_lsn();
+        let images = match force_and_capture(&bm, &pages) {
+            Ok(images) => images,
+            Err(e) => {
+                // The log can no longer describe the published state:
+                // poison it so no later commit is acknowledged, and
+                // surface the error at this thread's durability gate.
+                wal.poison();
+                natix_storage::wal::set_commit_error(e);
+                return;
             }
-        }
+        };
         log_symbol_growth(Some(&wal), &mut mark.lock(), &symbols.read());
-        wal.append_commit_batch(op, images);
+        wal.append_commit_batch(op, &images, pages.fresh, force_lsn);
     })
+}
+
+/// Writes back the fresh pages (ascending, WAL rule) and syncs the page
+/// device — done when this returns — then captures the other pages.
+fn force_and_capture(
+    bm: &BufferManager,
+    pages: &TouchedPages,
+) -> Result<Vec<(PageId, Vec<u8>)>, StorageError> {
+    if !pages.fresh.is_empty() {
+        bm.flush_pages(&pages.fresh)?;
+        // natix-model fail point: without the sync the model suite's log
+        // device finds a durable commit whose forced pages are volatile.
+        if !parking_lot::fail_point("commit.force-before-append") {
+            bm.backend().sync()?;
+        }
+    }
+    let image = |&p| Ok((p, bm.pin(p)?.read().bytes().to_vec()));
+    pages.imaged.iter().map(image).collect()
 }
 
 /// One edit in flight (see [`Repository::edit`]): the document, held

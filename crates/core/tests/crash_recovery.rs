@@ -598,7 +598,7 @@ fn concurrent_committers_are_all_durable_without_checkpoint() {
     }
 }
 
-/// One `put_documents_parallel` call (3 writers) on a machine that dies
+/// One `put_documents_parallel` call (`writers` of them) on a machine that dies
 /// after `budget` device writes — or, with `None`, is simply switched off
 /// without a checkpoint — then a reopen over the durable bytes. Every
 /// acknowledged document must read back byte-identical; every other name
@@ -609,6 +609,7 @@ fn concurrent_committers_are_all_durable_without_checkpoint() {
 fn parallel_ingest_crash(
     docs: &[(String, String)],
     expected: &[String],
+    writers: usize,
     budget: Option<u64>,
 ) -> usize {
     let store = Arc::new(MemStorage::new(PAGE).unwrap());
@@ -616,7 +617,7 @@ fn parallel_ingest_crash(
     let repo = m
         .create()
         .expect("budget always covers repository creation");
-    let results = repo.put_documents_parallel(docs, 3);
+    let results = repo.put_documents_parallel(docs, writers);
     drop(repo);
 
     let m2 = Machine::boot(Arc::clone(&store), m.log.durable_bytes(), None);
@@ -670,7 +671,7 @@ fn stored_form(docs: &[(String, String)]) -> Vec<String> {
 #[test]
 fn parallel_ingest_is_durable_without_checkpoint() {
     let docs = orders_docs();
-    let acknowledged = parallel_ingest_crash(&docs, &stored_form(&docs), None);
+    let acknowledged = parallel_ingest_crash(&docs, &stored_form(&docs), 3, None);
     assert_eq!(acknowledged, docs.len());
 }
 
@@ -699,7 +700,7 @@ fn parallel_ingest_survives_kill_points() {
         // Over the first four fifths of the measured sequence: a racing
         // run's own sequence may be shorter than the measured one.
         let budget = create_cost + 1 + span * 4 / 5 * k / (POINTS - 1);
-        if parallel_ingest_crash(&docs, &expected, Some(budget)) < docs.len() {
+        if parallel_ingest_crash(&docs, &expected, 3, Some(budget)) < docs.len() {
             cut_short += 1;
         }
     }
@@ -930,6 +931,452 @@ fn registration_log_bytes_do_not_grow_with_the_directory() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// Loads write each page once: the pages a load's append stream allocated
+// are forced to the page device before its commit record, not logged.
+// ---------------------------------------------------------------------------
+
+/// The records of `log`, a run of whole frames.
+fn records_of(log: &[u8]) -> Vec<(u64, WalRecord)> {
+    let (records, valid) = natix_storage::wal::parse_log(log);
+    assert_eq!(valid, log.len() as u64, "the durable log is whole frames");
+    records
+}
+
+/// What the commit records of `records` list as forced, with the page
+/// images beside them.
+fn forced_and_imaged(records: &[(u64, WalRecord)]) -> (Vec<u32>, Vec<u32>) {
+    let (mut forced, mut imaged) = (Vec::new(), Vec::new());
+    for (_, r) in records {
+        match r {
+            WalRecord::Commit { forced: pages, .. } => forced.extend(pages),
+            WalRecord::PageImage { page, .. } => imaged.push(*page),
+            _ => {}
+        }
+    }
+    (forced, imaged)
+}
+
+/// A load's log carries its undo and its commit, not its pages: no image
+/// of any page its append stream allocated, those pages listed in the
+/// commit record instead, and a fraction of their bytes in all.
+#[test]
+fn a_load_logs_no_image_of_the_pages_it_allocated() {
+    let (name, xml) = plays(1.0).swap_remove(0);
+    let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let before = m.log.durable_bytes().len();
+    repo.put_xml_streaming(&name, &xml).unwrap();
+    let log = m.log.durable_bytes();
+    let records = records_of(&log[before..]);
+    let allocated: Vec<u32> = records
+        .iter()
+        .filter_map(|(_, r)| match r {
+            WalRecord::Alloc { page, .. } => Some(*page),
+            _ => None,
+        })
+        .collect();
+    assert!(allocated.len() > 48, "the load must outgrow the pool");
+    let (forced, imaged) = forced_and_imaged(&records);
+    assert_eq!(imaged, Vec::<u32>::new(), "a load imaged pages");
+    assert_eq!(forced, allocated, "the commit record's forced list");
+    let (log_bytes, page_bytes) = (log.len() - before, allocated.len() * PAGE);
+    assert!(
+        (log_bytes as f64) < 0.15 * page_bytes as f64,
+        "{log_bytes} log bytes for {page_bytes} bytes of pages"
+    );
+}
+
+/// Every kill point of one load — the mid-load steals, the write-ahead
+/// sync ahead of the force, each forced page (accepted by a device that
+/// forgets it unless the sync after it lands), the commit record's write
+/// — on a machine with an earlier, checkpointed document. An acknowledged
+/// load reads back byte-identical, a cut-off one is absent or complete,
+/// the earlier document is untouched.
+#[test]
+fn a_load_survives_every_kill_point_of_its_force_window() {
+    let docs = plays(0.4);
+    let expected = stored_form(&docs[..2]);
+    let history = |repo: &Repository| -> NatixResult<()> {
+        repo.put_xml_streaming(&docs[0].0, &docs[0].1)?;
+        repo.checkpoint()
+    };
+    let initial = i64::MAX as u64;
+    let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+    let repo = m.create().unwrap();
+    history(&repo).unwrap();
+    let first = m.consumed(initial);
+    repo.put_xml_streaming(&docs[1].0, &docs[1].1).unwrap();
+    let last = m.consumed(initial);
+    drop(repo);
+    assert!(last - first > 20, "the load is too small to have a window");
+
+    let mut acknowledged = 0;
+    for budget in first..=last {
+        let store = Arc::new(MemStorage::new(PAGE).unwrap());
+        let m = Machine::boot(Arc::clone(&store), Vec::new(), Some(budget));
+        let repo = m.create().unwrap();
+        history(&repo).expect("the budget covers the history");
+        let loaded = repo.put_xml_streaming(&docs[1].0, &docs[1].1).is_ok();
+        drop(repo);
+        let reopened = Machine::boot(store, m.log.durable_bytes(), None)
+            .open()
+            .unwrap_or_else(|e| panic!("recovery failed at budget {budget}: {e}"));
+        assert_eq!(
+            reopened.get_xml(&docs[0].0).unwrap(),
+            expected[0],
+            "budget {budget}: the checkpointed document"
+        );
+        match reopened.get_xml(&docs[1].0) {
+            Ok(got) => assert_eq!(got, expected[1], "budget {budget}: the load is torn"),
+            Err(e) => assert!(!loaded, "budget {budget}: acknowledged load lost: {e}"),
+        }
+        let orphans = reopened.storage().untracked_pages().unwrap();
+        assert!(orphans.is_empty(), "budget {budget}: leaked {orphans:?}");
+        reopened.put_xml("fresh-after-recovery", "<ok/>").unwrap();
+        acknowledged += loaded as u64;
+    }
+    assert_eq!(
+        acknowledged, 1,
+        "only the whole window lets the load through"
+    );
+}
+
+/// The same density over one `put_documents_parallel` with two loaders:
+/// each forces and commits on its own, and either's group sync may carry
+/// the other's records.
+#[test]
+fn two_parallel_loaders_survive_every_kill_point() {
+    let docs = orders_docs();
+    let expected = stored_form(&docs);
+    let initial = i64::MAX as u64;
+    let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let create_cost = m.consumed(initial);
+    for res in repo.put_documents_parallel(&docs, 2) {
+        res.unwrap();
+    }
+    let span = m.consumed(initial) - create_cost;
+    drop(repo);
+    assert!(span > 20, "ingestion too small for a dense sweep");
+    let mut cut_short = 0;
+    for budget in create_cost..create_cost + span {
+        if parallel_ingest_crash(&docs, &expected, 2, Some(budget)) < docs.len() {
+            cut_short += 1;
+        }
+    }
+    assert!(
+        cut_short * 2 > span,
+        "only {cut_short} of {span} budgets interrupted the ingestion"
+    );
+}
+
+/// The id of the `documents` segment.
+fn documents_segment(repo: &Repository) -> u16 {
+    repo.storage().segment_by_name("documents").unwrap()
+}
+
+/// *Stale image.* Page P is imaged by an edit of document A, emptied by
+/// A's deletion (imaged again), returned to the free pool and
+/// re-allocated by load B, which forces it. Replaying either image would
+/// put A's page over B's: redo must skip an image that a later committed
+/// force of its page supersedes. (The tree layer does not return emptied
+/// pages to the pool yet — only recovery does — so the test frees P by
+/// hand, standing in for a delete that reclaims.)
+#[test]
+fn a_forced_page_is_not_overwritten_by_its_previous_tenants_images() {
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let a = repo.put_xml_streaming("a", "<d>first tenant</d>").unwrap();
+    let p = repo.root_rid(a).unwrap().page;
+    let root = repo.root(a).unwrap();
+    repo.insert_text(a, root, InsertPos::Last, "edited in place")
+        .unwrap();
+    repo.delete_document("a").unwrap();
+    repo.storage()
+        .free_page(documents_segment(&repo), p)
+        .unwrap();
+    let b = repo.put_xml_streaming("b", "<d>second tenant</d>").unwrap();
+    assert_eq!(repo.root_rid(b).unwrap().page, p, "B must re-use A's page");
+    let (forced, imaged) = forced_and_imaged(&records_of(&m.log.durable_bytes()));
+    assert_eq!(imaged, [p, p], "the edit's and the deletion's images of P");
+    assert_eq!(forced, [p, p], "both loads forced P");
+    drop(repo);
+
+    let reopened = Machine::boot(store, m.log.durable_bytes(), None)
+        .open()
+        .unwrap();
+    assert_eq!(reopened.get_xml("b").unwrap(), "<d>second tenant</d>");
+    assert!(
+        reopened.get_xml("a").is_err(),
+        "the deleted document is back"
+    );
+    assert_eq!(reopened.document_names(), ["b"]);
+}
+
+/// *Catalog page re-use.* Recovery rebuilds the catalog segment and
+/// returns the pages the checkpoint listed for it to the free pool —
+/// except those a committed operation imaged since. A load that was
+/// handed one (freed by hand here, as above) forced it without imaging
+/// it, and keeps it all the same: the `Alloc` above the checkpoint takes
+/// the page off the free list and adopts it into the documents.
+#[test]
+fn a_load_on_a_former_catalog_page_survives_reopen() {
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let catalog = repo.storage().segment_by_name("catalog").unwrap();
+    // The creation checkpoint's catalog document: the next checkpoint
+    // writes a new one and leaves these pages empty, still listed.
+    let old_catalog = repo.storage().segment_pages(catalog);
+    repo.put_xml_streaming("kept", "<d>kept</d>").unwrap();
+    repo.checkpoint().unwrap();
+    let (p, _) = old_catalog[0];
+    assert!(
+        repo.storage()
+            .segment_pages(catalog)
+            .iter()
+            .any(|&(q, _)| q == p),
+        "the checkpoint's snapshot lists P for the catalog segment"
+    );
+    repo.storage().free_page(catalog, p).unwrap();
+    let b = repo
+        .put_xml_streaming("b", "<d>on a catalog page</d>")
+        .unwrap();
+    assert_eq!(repo.root_rid(b).unwrap().page, p, "B must re-use the page");
+    drop(repo);
+
+    let reopened = Machine::boot(store, m.log.durable_bytes(), None)
+        .open()
+        .unwrap();
+    assert_eq!(reopened.get_xml("b").unwrap(), "<d>on a catalog page</d>");
+    assert_eq!(reopened.get_xml("kept").unwrap(), "<d>kept</d>");
+    let documents = reopened
+        .storage()
+        .segment_pages(documents_segment(&reopened));
+    assert!(
+        documents.iter().any(|&(q, _)| q == p),
+        "P left the documents"
+    );
+    assert!(reopened.storage().untracked_pages().unwrap().is_empty());
+}
+
+/// How the race of [`edit_on_a_fresh_page`] ends.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Race {
+    /// The edit commits, then the load.
+    EditFirst,
+    /// The load commits, then the edit.
+    LoadFirst,
+    /// The load commits; the edit is still open at the power cut.
+    EditNeverCommits,
+    /// The edit runs and commits while the load's force is inside the
+    /// device sync: its image of the page is in the log *below* the
+    /// load's commit record, of a page state the force did not write.
+    EditDuringForce,
+}
+
+/// A page device whose next `sync`, once armed, stops on entry until the
+/// test releases it.
+struct SyncGate {
+    inner: Arc<dyn DiskBackend>,
+    armed: std::sync::atomic::AtomicBool,
+    entered: std::sync::Barrier,
+    release: std::sync::Barrier,
+}
+
+impl DiskBackend for SyncGate {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+    fn read_page(&self, page: u32, buf: &mut [u8]) -> natix_storage::StorageResult<()> {
+        self.inner.read_page(page, buf)
+    }
+    fn write_page(&self, page: u32, buf: &[u8]) -> natix_storage::StorageResult<()> {
+        self.inner.write_page(page, buf)
+    }
+    fn page_count(&self) -> u64 {
+        self.inner.page_count()
+    }
+    fn grow(&self, new_count: u64) -> natix_storage::StorageResult<()> {
+        self.inner.grow(new_count)
+    }
+    fn sync(&self) -> natix_storage::StorageResult<()> {
+        if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            self.entered.wait();
+            self.release.wait();
+        }
+        self.inner.sync()
+    }
+}
+
+/// A load's fresh page is in the free-space inventory from its first
+/// record on, so an edit of another document can place a record there
+/// before the load commits. The load's force then writes the edit's
+/// record too (its undo is in the log first: the WAL rule), and the
+/// edit's image of the page is either below the position the force began
+/// at — skipped, the device holds it — or above it and replayed over the
+/// forced page. Both operations are held open (an enclosing write
+/// operation each, on its own thread) so that the test picks the commit
+/// order.
+fn edit_on_a_fresh_page(race: Race) {
+    use std::sync::mpsc::channel;
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let gate = Arc::new(SyncGate {
+        inner: m.backend(),
+        armed: false.into(),
+        entered: std::sync::Barrier::new(2),
+        release: std::sync::Barrier::new(2),
+    });
+    let repo = Repository::create_on_backend_with_log(
+        Arc::clone(&gate) as Arc<dyn DiskBackend>,
+        Box::new(Arc::clone(&m.log)),
+        options(),
+    )
+    .unwrap();
+    // A host document filling most of its page: the edit below cannot
+    // stay on it.
+    let filler = "<t>".to_string() + &"host text ".repeat(30) + "</t>";
+    let host_xml = format!("<d>{}</d>", filler.repeat(8));
+    let host = repo.put_xml_streaming("host", &host_xml).unwrap();
+    let host_before = repo.get_xml("host").unwrap();
+    let host_root = repo.root(host).unwrap();
+    let grown = "the edit's text, too long for the host's page. ".repeat(40);
+
+    let (loaded, is_loaded) = channel();
+    let (edited, is_edited) = channel();
+    let (commit_load, load_may_commit) = channel::<()>();
+    let (commit_edit, edit_may_commit) = channel::<()>();
+    std::thread::scope(|s| {
+        let repo = &repo;
+        let loader = s.spawn(move || {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "holds the load's operation open until the test lets it commit"
+            )]
+            let op = repo.tree_store().begin_write();
+            repo.put_xml_streaming("load", "<d>loaded beside an edit</d>")
+                .unwrap();
+            loaded.send(()).unwrap();
+            load_may_commit.recv().unwrap();
+            drop(op);
+        });
+        is_loaded.recv().unwrap();
+        if race == Race::EditDuringForce {
+            // The load's commit hook writes its page and stops inside
+            // the device sync; the edit below runs meanwhile.
+            gate.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+            commit_load.send(()).unwrap();
+            gate.entered.wait();
+            commit_edit.send(()).unwrap();
+        }
+        let grown = &grown;
+        let editor = s.spawn(move || {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "holds the edit's operation open until the test lets it commit"
+            )]
+            let op = repo.tree_store().begin_write();
+            repo.insert_text(host, host_root, InsertPos::Last, grown)
+                .unwrap();
+            edited.send(()).unwrap();
+            match edit_may_commit.recv() {
+                Ok(()) => drop(op),
+                // Never: the operation is open when the machine stops.
+                Err(_) => std::mem::forget(op),
+            }
+        });
+        is_edited.recv().unwrap();
+        match race {
+            Race::EditDuringForce => {
+                editor.join().unwrap();
+                gate.release.wait();
+                loader.join().unwrap();
+            }
+            Race::EditFirst => {
+                commit_edit.send(()).unwrap();
+                editor.join().unwrap();
+                commit_load.send(()).unwrap();
+                loader.join().unwrap();
+            }
+            Race::LoadFirst | Race::EditNeverCommits => {
+                commit_load.send(()).unwrap();
+                loader.join().unwrap();
+                if race == Race::LoadFirst {
+                    commit_edit.send(()).unwrap();
+                } else {
+                    drop(commit_edit);
+                }
+                editor.join().unwrap();
+            }
+        }
+    });
+    // Neither commit went through a gate of its own (the calls returned
+    // inside the enclosing operations): this one forces both.
+    repo.put_xml("gate", "<g/>").unwrap();
+    let host_after = match race {
+        Race::EditNeverCommits => host_before,
+        _ => repo.get_xml("host").unwrap(),
+    };
+    let records = records_of(&m.log.durable_bytes());
+    let load_forced: Vec<u32> = records
+        .iter()
+        .filter_map(|(_, r)| match r {
+            WalRecord::Commit { forced, .. } if forced.len() == 1 => Some(forced[0]),
+            _ => None,
+        })
+        .collect();
+    let created_by_others = |page: u32| {
+        let mut ops: Vec<u64> = records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                WalRecord::Created { op, rid } if rid.page == page => Some(*op),
+                _ => None,
+            })
+            .collect();
+        ops.dedup();
+        ops.len() > 1
+    };
+    assert!(
+        load_forced.iter().any(|&page| created_by_others(page)),
+        "{race:?}: the edit placed nothing on the load's fresh page"
+    );
+    drop(repo);
+
+    let reopened = Machine::boot(store, m.log.durable_bytes(), None)
+        .open()
+        .unwrap_or_else(|e| panic!("{race:?}: recovery failed: {e}"));
+    assert_eq!(
+        reopened.get_xml("load").unwrap(),
+        "<d>loaded beside an edit</d>",
+        "{race:?}"
+    );
+    assert_eq!(reopened.get_xml("host").unwrap(), host_after, "{race:?}");
+    assert!(reopened.storage().untracked_pages().unwrap().is_empty());
+}
+
+#[test]
+fn an_edit_on_a_loads_fresh_page_recovers_when_the_edit_commits_first() {
+    edit_on_a_fresh_page(Race::EditFirst);
+}
+
+#[test]
+fn an_edit_on_a_loads_fresh_page_recovers_when_the_load_commits_first() {
+    edit_on_a_fresh_page(Race::LoadFirst);
+}
+
+#[test]
+fn an_open_edit_on_a_loads_forced_page_is_rolled_back() {
+    edit_on_a_fresh_page(Race::EditNeverCommits);
+}
+
+#[test]
+fn an_edit_committed_during_a_loads_force_is_replayed_over_the_forced_page() {
+    edit_on_a_fresh_page(Race::EditDuringForce);
+}
+
 /// The log has no format version of its own, and reading it trims
 /// whatever does not parse as this build's records. So the store's
 /// version is checked first: a store of another format is refused with
@@ -942,21 +1389,22 @@ fn a_store_of_another_format_is_refused_before_its_log_is_read() {
     repo.put_xml("doc", "<d>of an older build</d>").unwrap();
     drop(repo);
     // Header page: the format version follows the 16-byte page header
-    // and the 8-byte magic (`segment.rs`). Version 2 logged directory
-    // changes as three record kinds this build does not know; to its
-    // parser they are a torn tail, like the bytes appended here.
+    // and the 8-byte magic (`segment.rs`). Version 3's commit record had
+    // no forced-page list — this build's parser would take every v3 load
+    // for one that forced nothing and imaged nothing — and older records
+    // still are a torn tail to it, like the bytes appended here.
     let mut header = vec![0u8; PAGE];
     store.read_page(0, &mut header).unwrap();
-    assert_eq!(header[24..28], 3u32.to_le_bytes());
-    header[24..28].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(header[24..28], 4u32.to_le_bytes());
+    header[24..28].copy_from_slice(&3u32.to_le_bytes());
     store.write_page(0, &header).unwrap();
     let mut log = m.log.durable_bytes();
     log.extend_from_slice(b"records of another format");
 
     let m2 = Machine::boot(Arc::clone(&store), log.clone(), None);
-    let err = m2.open().err().expect("a version 2 store must not open");
+    let err = m2.open().err().expect("a version 3 store must not open");
     assert!(
-        err.to_string().contains("unsupported format version 2"),
+        err.to_string().contains("unsupported format version 3"),
         "{err}"
     );
     assert_eq!(m2.log.durable_bytes(), log, "the refused store's log");

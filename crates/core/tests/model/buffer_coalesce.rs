@@ -25,6 +25,16 @@
 //!
 //! Both revertions are caught by [`BufferManager::validate_frame_table`]
 //! as a duplicate-frame state.
+//!
+//! A third protocol lives on the same frames: the dirty flag's hand-off
+//! between a writer and a write-back that runs beside it (a flush does
+//! not hold the pool mutex across its device writes, and never excluded
+//! a pinned page's writer). The write-back clears the flag, then takes
+//! the page latch to copy the image; the writer must therefore raise the
+//! flag *under* the latch (`buffer.dirty-under-latch`,
+//! `PinnedPage::write`) — raised ahead of it, the flag can be cleared by
+//! a write-back whose image predates the change, which then never
+//! reaches the device. Caught by reading the device after a final flush.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -202,6 +212,55 @@ fn pin_then_prefetch() {
         "prefetch must skip a page a demand pin is loading right now"
     );
     assert_eq!(disk.target_reads.load(Ordering::SeqCst), 1);
+}
+
+/// A writer changes a dirty resident page while a flush writes it back.
+/// Whatever the interleaving, once both are done and whatever is still
+/// dirty has been flushed, the device holds the writer's change.
+fn flush_beside_a_writer() {
+    const PAGE: PageId = 1;
+    let (disk, bm) = pool();
+    bm.pin(PAGE).unwrap().write().bytes_mut()[0] = 1;
+
+    let writer = {
+        let bm = Arc::clone(&bm);
+        model::spawn(move || bm.pin(PAGE).unwrap().write().bytes_mut()[0] = 2)
+    };
+    let flusher = {
+        let bm = Arc::clone(&bm);
+        model::spawn(move || bm.flush_all().unwrap())
+    };
+    writer.join();
+    flusher.join();
+    bm.flush_all().unwrap();
+
+    let mut on_device = vec![0u8; 512];
+    disk.inner.read_page(PAGE, &mut on_device).unwrap();
+    assert_eq!(
+        on_device[0], 2,
+        "dirty hand-off violated: the frame is clean and the device holds an older image"
+    );
+}
+
+#[test]
+fn a_change_made_beside_a_flush_reaches_the_device() {
+    util::assert_clean(
+        "buffer-coalesce/flush-beside-a-writer",
+        300,
+        150,
+        flush_beside_a_writer,
+    );
+}
+
+#[test]
+fn mutation_dirty_under_latch_is_caught() {
+    util::assert_mutation_caught(
+        "buffer-coalesce/flush-beside-a-writer",
+        "buffer.dirty-under-latch",
+        "dirty hand-off violated",
+        300,
+        flush_beside_a_writer,
+    );
 }
 
 #[test]

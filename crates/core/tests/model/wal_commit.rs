@@ -1,7 +1,8 @@
-//! Scenario 4: WAL group commit and the force-before-write-back rule.
+//! Scenario 4: WAL group commit, the force-before-write-back rule and
+//! force-before-commit.
 //!
-//! Two protocols share the log's watermark pair (`appended`, `durable`),
-//! both tracked atomics under the model:
+//! Three protocols share the log's watermark pair (`appended`,
+//! `durable`), both tracked atomics under the model:
 //!
 //! - **Group commit**: concurrent committers append, then `sync_to`
 //!   their own end LSN. One becomes the sync leader and flushes the
@@ -15,18 +16,31 @@
 //!   commit record fails unless the log is already durable past that
 //!   record.
 //!
-//! Named guard: `wal.force-before-write-back` (`wal_barrier`). Reverting
-//! it lets a steal write a committed page whose log tail is still
-//! buffered — the classic lost-redo crash window — which the LSN check
-//! catches on the very write.
+//! - **Force-before-commit**: a load does not log its pages; its commit
+//!   hook writes them to the page device, syncs the device, and only then
+//!   appends the commit record that lists them (`write.rs`). A record in
+//!   the log buffer becomes durable whenever *any* committer's group sync
+//!   runs, so the order is what keeps "commit durable ⇒ every forced page
+//!   durable". [`ForceCheckLog`] asserts it at every log sync, against
+//!   the store a forgetting page device syncs into.
+//!
+//! Named guards: `wal.force-before-write-back` (`wal_barrier`) —
+//! reverting it lets a steal write a committed page whose log tail is
+//! still buffered, the classic lost-redo crash window, which the LSN
+//! check catches on the very write; `commit.force-before-append`
+//! (`write.rs`, the device sync of the force) — reverting it lets a
+//! commit record become durable over pages the device may still forget.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 
+use natix::{Repository, RepositoryOptions};
+use natix_storage::wal::{parse_log, WalRecord};
 use natix_storage::{
-    BufferManager, DiskBackend, EvictionPolicy, IoStats, MemLogDevice, MemStorage, PageId,
-    StorageResult, Wal,
+    BufferManager, DiskBackend, EvictionPolicy, FaultControl, FaultDisk, IoStats, LogDevice,
+    MemLogDevice, MemStorage, PageId, StorageResult, Wal,
 };
+use natix_tree::InsertPos;
 use parking_lot::model;
 
 use crate::util;
@@ -108,7 +122,8 @@ fn group_commit() {
         .map(|op| {
             let wal = Arc::clone(&wal);
             model::spawn(move || {
-                let lsn = wal.append_commit_batch(op, vec![(op as PageId, vec![op as u8; 16])]);
+                let images = [(op as PageId, vec![op as u8; 16])];
+                let lsn = wal.append_commit_batch(op, &images, Vec::new(), 0);
                 wal.sync_to(lsn).unwrap();
                 let durable = wal.durable_lsn();
                 assert!(
@@ -150,7 +165,8 @@ fn steal_forces_log() {
     drop(bm.pin_new(1).unwrap());
 
     // Commit both pages; group mode leaves the record buffered.
-    let lsn = wal.append_commit_batch(7, vec![(0, vec![0xAA; 16]), (1, vec![0xBB; 16])]);
+    let images = [(0, vec![0xAA; 16]), (1, vec![0xBB; 16])];
+    let lsn = wal.append_commit_batch(7, &images, Vec::new(), 0);
     assert!(
         wal.durable_lsn() < lsn,
         "the commit must still be buffered for the scenario to exercise the barrier"
@@ -166,6 +182,110 @@ fn steal_forces_log() {
         "a dirty steal ran, so the barrier must have forced the log"
     );
     bm.validate_frame_table().unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// A log device that checks, each time it makes bytes durable, that every
+/// page a durable commit record lists as forced is durable too: present
+/// on `durable_pages`, the store a forgetting page device syncs into (a
+/// freshly allocated page reads as zeros there until its sync lands).
+struct ForceCheckLog {
+    inner: MemLogDevice,
+    durable_pages: Arc<MemStorage>,
+}
+
+impl LogDevice for ForceCheckLog {
+    fn write(&self, bytes: &[u8]) -> StorageResult<()> {
+        self.inner.write(bytes)
+    }
+
+    fn sync(&self) -> StorageResult<()> {
+        self.inner.sync()?;
+        let mut page_bytes = vec![0u8; self.durable_pages.page_size()];
+        for (lsn, record) in parse_log(&self.inner.durable_bytes()).0 {
+            let WalRecord::Commit { op, forced, .. } = record else {
+                continue;
+            };
+            for page in forced {
+                self.durable_pages.read_page(page, &mut page_bytes).unwrap();
+                assert!(
+                    page_bytes.iter().any(|&b| b != 0),
+                    "force-before-commit violated: the commit record of operation {op} at \
+                     {lsn} is durable, its forced page {page} is not"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    fn read_all(&self) -> StorageResult<Vec<u8>> {
+        self.inner.read_all()
+    }
+
+    fn truncate(&self, len: u64) -> StorageResult<()> {
+        self.inner.truncate(len)
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+}
+
+/// A loader (page writes, device sync, commit append, gate) beside an
+/// editor of another document whose commit gate — one group sync of the
+/// shared log — may run at any point of it. Then the power cut: the
+/// forgetting device keeps what was synced, the log what was synced, and
+/// both acknowledged operations are there.
+fn force_before_commit() {
+    const PAGE: usize = 512;
+    let options = || RepositoryOptions {
+        page_size: PAGE,
+        buffer_bytes: 64 * PAGE,
+        ..RepositoryOptions::default()
+    };
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let log = Arc::new(ForceCheckLog {
+        inner: MemLogDevice::new(),
+        durable_pages: Arc::clone(&store),
+    });
+    let disk = FaultDisk::new(Arc::clone(&store), Arc::new(FaultControl::unlimited()));
+    let repo = Arc::new(
+        Repository::create_on_backend_with_log(
+            Arc::new(disk),
+            Box::new(Arc::clone(&log)),
+            options(),
+        )
+        .unwrap(),
+    );
+    let kept = repo.put_xml_streaming("kept", "<d>kept</d>").unwrap();
+    let root = repo.root(kept).unwrap();
+
+    let loader = {
+        let repo = Arc::clone(&repo);
+        model::spawn(move || {
+            repo.put_xml_streaming("new", "<d>new</d>").unwrap();
+        })
+    };
+    let editor = {
+        let repo = Arc::clone(&repo);
+        model::spawn(move || {
+            repo.insert_text(kept, root, InsertPos::Last, " and edited")
+                .unwrap();
+        })
+    };
+    loader.join();
+    editor.join();
+    drop(repo);
+
+    let durable = Arc::new(MemLogDevice::new());
+    durable.restore(log.inner.durable_bytes());
+    let reopened = Repository::open_on_backend_with_log(
+        store as Arc<dyn DiskBackend>,
+        Box::new(durable),
+        options(),
+    )
+    .unwrap_or_else(|e| panic!("force-before-commit: recovery failed: {e}"));
+    assert_eq!(reopened.get_xml("new").unwrap(), "<d>new</d>");
+    assert_eq!(reopened.get_xml("kept").unwrap(), "<d>kept and edited</d>");
 }
 
 #[test]
@@ -188,5 +308,21 @@ fn mutation_force_before_write_back_is_caught() {
         "WAL rule violated",
         10,
         steal_forces_log,
+    );
+}
+
+#[test]
+fn a_commit_is_never_durable_before_its_forced_pages() {
+    util::assert_clean("wal-commit/force", 300, 150, force_before_commit);
+}
+
+#[test]
+fn mutation_force_before_append_is_caught() {
+    util::assert_mutation_caught(
+        "wal-commit/force",
+        "commit.force-before-append",
+        "force-before-commit violated",
+        50,
+        force_before_commit,
     );
 }

@@ -23,6 +23,16 @@
 //! would surface spurious [`StorageError::BufferExhausted`] under exactly
 //! the concurrent-ingestion load the pool exists to serve.
 //!
+//! Flushing: [`BufferManager::flush_all`], [`BufferManager::flush_pages`]
+//! and [`BufferManager::clear`] share one write-back routine with the
+//! discipline of a miss — dirty frames are collected and reserved under
+//! the pool mutex, written outside it, so pins go on beside a flush. On
+//! return every change made before the call to a page it covers has been
+//! handed to the device — by the flush, by a concurrent flush, or by an
+//! eviction whose write-back of the stolen page was in flight — so the
+//! [`DiskBackend::sync`] a checkpoint or a committing load issues next
+//! covers all of it. A flush does not sync.
+//!
 //! Freed pages and readers: [`BufferManager::discard`] *retires* a page
 //! that is still pinned — the mapping goes away at once, but the
 //! superseded frame image stays alive and readable until the last pin
@@ -49,7 +59,7 @@
 //! (`buffer.prefetch`) under lockdep: like every other buffer I/O it runs
 //! outside the pool mutex, against reserved unmapped frames.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -117,10 +127,21 @@ struct PoolState {
     cold_count: usize,
     clock_hand: usize,
     tick: u64,
-    /// Evicted pages whose dirty image is still being written back (the
-    /// write happens outside the pool mutex). A pin on such a page waits
-    /// until the disk image is current before re-reading it.
-    io_in_flight: HashSet<PageId>,
+    /// Pages with device I/O in flight (all of it happens outside the
+    /// pool mutex): a page being loaded, an evicted page whose dirty image
+    /// is still being written back, a resident page a flush is writing. A
+    /// pin that finds no mapping waits until the I/O settles before
+    /// reading the device; a flush waits for the write-backs.
+    io_in_flight: HashMap<PageId, Io>,
+}
+
+/// What a page listed in `PoolState::io_in_flight` is waiting for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Io {
+    /// Being read into a reserved, unmapped frame.
+    Load,
+    /// Its dirty image is on its way to the device.
+    WriteBack,
 }
 
 /// The buffer pool. Cheap to share via `Arc`.
@@ -180,7 +201,7 @@ impl BufferManager {
                     cold_count: 0,
                     clock_hand: 0,
                     tick: 0,
-                    io_in_flight: HashSet::new(),
+                    io_in_flight: HashMap::new(),
                 },
             ),
             io_done: Condvar::new(),
@@ -435,7 +456,7 @@ impl BufferManager {
                     page,
                 });
             }
-            if st.io_in_flight.contains(&page) {
+            if st.io_in_flight.contains_key(&page) {
                 // Either the page was just evicted and its dirty image is
                 // still on its way to disk (re-reading now would see the
                 // stale image), or another thread is loading it right now.
@@ -496,7 +517,7 @@ impl BufferManager {
             self.stats.add_eviction(scan);
             st.table.remove(&old_page);
             if dirty_old {
-                st.io_in_flight.insert(old_page);
+                st.io_in_flight.insert(old_page, Io::WriteBack);
             }
         }
         // Pre-charge cold-set membership while the load is in flight: a
@@ -512,7 +533,7 @@ impl BufferManager {
             self.frames[frame].dirty.store(false, Ordering::Release);
         }
         st.resident[frame] = None;
-        st.io_in_flight.insert(page);
+        st.io_in_flight.insert(page, Io::Load);
         drop(st);
 
         // All disk I/O happens here, outside the pool mutex. The frame is
@@ -658,7 +679,7 @@ impl BufferManager {
                 // prefetch claims a second frame for a page another thread
                 // is loading right now, which the model suite catches as a
                 // duplicate-frame state.
-                let in_flight_elsewhere = st.io_in_flight.contains(&page)
+                let in_flight_elsewhere = st.io_in_flight.contains_key(&page)
                     && !parking_lot::fail_point("buffer.prefetch-coalesce");
                 if st.table.contains_key(&page)
                     || in_flight_elsewhere
@@ -683,7 +704,7 @@ impl BufferManager {
                 }
                 self.set_cold(&mut st, frame, self.policy == EvictionPolicy::ScanResistant);
                 self.frames[frame].dirty.store(false, Ordering::Release);
-                st.io_in_flight.insert(page);
+                st.io_in_flight.insert(page, Io::Load);
                 claims.push((page, frame));
             }
         }
@@ -734,15 +755,80 @@ impl BufferManager {
         })
     }
 
-    /// Writes back every dirty frame (pages stay resident).
-    pub fn flush_all(&self) -> StorageResult<()> {
-        let st = self.state.lock();
-        for (frame, resident) in st.resident.iter().enumerate() {
-            if let Some(page) = resident {
-                self.write_back(frame, *page)?;
+    /// The one write-back routine behind [`flush_all`](Self::flush_all),
+    /// [`flush_pages`](Self::flush_pages) and [`clear`](Self::clear):
+    /// writes back the dirty frames of `only` (`None`: of every page) and
+    /// returns once none of those pages has a write-back in flight — its
+    /// own, a concurrent flush's, or a steal's (module docs, Flushing).
+    ///
+    /// Each claimed frame is reserved against re-victimisation and its
+    /// page listed in flight while the pool mutex is released for the
+    /// writes. The page stays mapped, so pins of it keep hitting; a pin
+    /// that finds it unmapped (freed and re-allocated meanwhile) waits. A
+    /// page another thread is writing is not written twice: the routine
+    /// waits, then looks again (it may have been dirtied behind the image).
+    fn write_back_pages(&self, only: Option<&[PageId]>) -> StorageResult<()> {
+        // Asked pages go out in ascending order; "every page" in frame
+        // order, as ever (the figure harness's disk charges for order).
+        let mut asked: Option<Vec<PageId>> = only.map(<[PageId]>::to_vec);
+        let mut st = self.state.lock();
+        loop {
+            let scope: Vec<PageId> = match asked.take() {
+                Some(mut pages) => {
+                    pages.sort_unstable();
+                    pages.dedup();
+                    pages
+                }
+                None => (st.resident.iter().flatten())
+                    .chain(st.io_in_flight.keys())
+                    .copied()
+                    .collect(),
+            };
+            let being_written =
+                |st: &PoolState, page: &PageId| st.io_in_flight.get(page) == Some(&Io::WriteBack);
+            let busy: Vec<PageId> = (scope.iter().copied())
+                .filter(|page| being_written(&st, page))
+                .collect();
+            let claims: Vec<(PageId, usize)> = (scope.iter())
+                .filter(|page| !st.io_in_flight.contains_key(page))
+                .filter_map(|page| Some((*page, *st.table.get(page)?)))
+                .filter(|&(_, frame)| self.frames[frame].dirty.load(Ordering::Acquire))
+                .collect();
+            for &(page, frame) in &claims {
+                self.frames[frame].pin_count.fetch_add(1, Ordering::AcqRel);
+                st.io_in_flight.insert(page, Io::WriteBack);
             }
+            drop(st);
+            let written = claims
+                .iter()
+                .try_for_each(|&(page, frame)| self.write_back(frame, page));
+            st = self.state.lock();
+            for &(page, frame) in &claims {
+                st.io_in_flight.remove(&page);
+                self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
+            }
+            self.io_done.notify_all();
+            written?;
+            if busy.is_empty() {
+                return Ok(());
+            }
+            while busy.iter().any(|page| being_written(&st, page)) {
+                st = self.io_done.wait(st);
+            }
+            asked = Some(busy);
         }
-        Ok(())
+    }
+
+    /// Writes back every dirty frame (pages stay resident; pins proceed
+    /// meanwhile). See the module docs for what holds on return.
+    pub fn flush_all(&self) -> StorageResult<()> {
+        self.write_back_pages(None)
+    }
+
+    /// [`flush_all`](Self::flush_all) for `pages` only, in ascending page
+    /// order: what a committing load forces before its commit record.
+    pub fn flush_pages(&self, pages: &[PageId]) -> StorageResult<()> {
+        self.write_back_pages(Some(pages))
     }
 
     /// Flushes everything and empties the pool. Fails with
@@ -750,26 +836,37 @@ impl BufferManager {
     /// benchmark harness calls this before each measured operation ("The
     /// buffer was cleared at the start of each operation", §4.2).
     pub fn clear(&self) -> StorageResult<()> {
-        let mut st = self.state.lock();
-        if self
-            .frames
-            .iter()
-            .any(|f| f.pin_count.load(Ordering::Acquire) != 0)
-        {
-            return Err(StorageError::BufferExhausted);
-        }
-        for (frame, resident) in st.resident.iter().enumerate() {
-            if let Some(page) = resident {
-                self.write_back(frame, *page)?;
+        loop {
+            let mut st = self.state.lock();
+            // A concurrent flush or miss reserves its frames by pin count:
+            // let that I/O settle, so only a caller's pin counts as one.
+            while !st.io_in_flight.is_empty() {
+                st = self.io_done.wait(st);
             }
+            if self
+                .frames
+                .iter()
+                .any(|f| f.pin_count.load(Ordering::Acquire) != 0)
+            {
+                return Err(StorageError::BufferExhausted);
+            }
+            // Nothing is pinned or in flight. Dirty frames are written
+            // outside the mutex; then everything is looked at again.
+            if (self.frames.iter().zip(&st.resident))
+                .any(|(f, page)| page.is_some() && f.dirty.load(Ordering::Acquire))
+            {
+                drop(st);
+                self.write_back_pages(None)?;
+                continue;
+            }
+            st.table.clear();
+            st.resident.iter_mut().for_each(|r| *r = None);
+            st.last_use.iter_mut().for_each(|t| *t = 0);
+            st.ref_bit.iter_mut().for_each(|b| *b = false);
+            st.cold.iter_mut().for_each(|c| *c = false);
+            st.cold_count = 0;
+            return Ok(());
         }
-        st.table.clear();
-        st.resident.iter_mut().for_each(|r| *r = None);
-        st.last_use.iter_mut().for_each(|t| *t = 0);
-        st.ref_bit.iter_mut().for_each(|b| *b = false);
-        st.cold.iter_mut().for_each(|c| *c = false);
-        st.cold_count = 0;
-        Ok(())
     }
 
     /// Drops `page` from the pool without writing it back (used when a
@@ -820,10 +917,20 @@ impl PinnedPage {
         self.frame.data.read()
     }
 
-    /// Exclusive access to the page image; marks the frame dirty.
+    /// Exclusive access to the page image; marks the frame dirty — once
+    /// it holds the latch: a write-back clears the flag and *then* takes
+    /// the latch to copy the image, so a flag raised ahead of the latch
+    /// could be cleared by a write-back whose image predates the change.
     pub fn write(&self) -> RwLockWriteGuard<'_, PageBuf> {
+        // natix-model fail point: the model suite's flush-vs-writer
+        // scenario finds the stale device image the old order leaves.
+        if parking_lot::fail_point("buffer.dirty-under-latch") {
+            self.frame.dirty.store(true, Ordering::Release);
+            return self.frame.data.write();
+        }
+        let guard = self.frame.data.write();
         self.frame.dirty.store(true, Ordering::Release);
-        self.frame.data.write()
+        guard
     }
 
     /// Marks the page dirty without taking the write lock (for callers that
@@ -1091,12 +1198,15 @@ mod tests {
         }
     }
 
-    /// A backend whose page reads block while the test holds its gate
-    /// shut: the stand-in for a slow device, with a load in flight for
-    /// exactly as long as the test needs it to be.
+    /// A backend whose page reads — or, built with
+    /// [`gating_writes`](GatedDisk::gating_writes), page writes — block
+    /// while the test holds its gate shut: the stand-in for a slow device,
+    /// with a transfer in flight for exactly as long as the test needs it
+    /// to be.
     struct GatedDisk {
         inner: MemStorage,
-        /// (the gate is shut, reads blocked on it)
+        gates_writes: bool,
+        /// (the gate is shut, transfers blocked on it)
         gate: Mutex<(bool, usize)>,
         moved: Condvar,
     }
@@ -1107,9 +1217,27 @@ mod tests {
             inner.grow(pages).unwrap();
             Arc::new(GatedDisk {
                 inner,
+                gates_writes: false,
                 gate: Mutex::new((false, 0)),
                 moved: Condvar::new(),
             })
+        }
+
+        fn gating_writes(pages: u64) -> Arc<GatedDisk> {
+            let mut disk = GatedDisk::new(pages);
+            Arc::get_mut(&mut disk).unwrap().gates_writes = true;
+            disk
+        }
+
+        /// Blocks while the gate is shut.
+        fn pass_gate(&self) {
+            let mut gate = self.gate.lock();
+            gate.1 += 1;
+            self.moved.notify_all();
+            while gate.0 {
+                gate = self.moved.wait(gate);
+            }
+            gate.1 -= 1;
         }
 
         fn set_shut(&self, shut: bool) {
@@ -1117,7 +1245,7 @@ mod tests {
             self.moved.notify_all();
         }
 
-        /// Returns once `n` reads are blocked on the shut gate.
+        /// Returns once `n` transfers are blocked on the shut gate.
         fn await_blocked(&self, n: usize) {
             let mut gate = self.gate.lock();
             while gate.1 < n {
@@ -1131,17 +1259,15 @@ mod tests {
             self.inner.page_size()
         }
         fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
-            let mut gate = self.gate.lock();
-            gate.1 += 1;
-            self.moved.notify_all();
-            while gate.0 {
-                gate = self.moved.wait(gate);
+            if !self.gates_writes {
+                self.pass_gate();
             }
-            gate.1 -= 1;
-            drop(gate);
             self.inner.read_page(page, buf)
         }
         fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
+            if self.gates_writes {
+                self.pass_gate();
+            }
             self.inner.write_page(page, buf)
         }
         fn page_count(&self) -> u64 {
@@ -1201,6 +1327,197 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// An LRU pool of `frames` frames over a write-gating disk of `pages`.
+    fn write_gated_pool(pages: u64, frames: usize) -> (Arc<GatedDisk>, Arc<BufferManager>) {
+        let backend = GatedDisk::gating_writes(pages);
+        let bm = BufferManager::new(
+            Arc::clone(&backend) as Arc<dyn DiskBackend>,
+            frames,
+            EvictionPolicy::Lru,
+            IoStats::new_shared(),
+        );
+        (backend, Arc::new(bm))
+    }
+
+    /// How long a gated test gives a call that must *not* return while
+    /// the gate is shut to show that it does.
+    const MUST_STILL_BLOCK: std::time::Duration = std::time::Duration::from_millis(200);
+
+    #[test]
+    fn flush_waits_for_a_stolen_page_still_inside_the_device() {
+        // One frame: the pin of page 1 steals page 0's dirty frame, and its
+        // write-back stays inside the device for as long as the gate is
+        // shut. Page 0 is then unmapped and only listed in flight — a
+        // flush that looks at resident frames alone returns, and the sync
+        // after it (a checkpoint's, a load's force) covers nothing.
+        let (backend, bm) = write_gated_pool(4, 1);
+        bm.pin(0).unwrap().write().bytes_mut()[0] = 0xD1;
+        backend.set_shut(true);
+        let device_byte = |page| {
+            let mut buf = vec![0u8; 512];
+            backend.inner.read_page(page, &mut buf).unwrap();
+            buf[0]
+        };
+        let (done, flushed) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| drop(bm.pin(1).unwrap()));
+            backend.await_blocked(1);
+            s.spawn(|| {
+                bm.flush_all().unwrap();
+                backend.sync().unwrap();
+                done.send(device_byte(0)).unwrap();
+            });
+            let early = flushed.recv_timeout(MUST_STILL_BLOCK);
+            backend.set_shut(false);
+            assert_eq!(
+                early.ok(),
+                None,
+                "flush_all + sync returned with page 0's write-back still in the device"
+            );
+            assert_eq!(flushed.recv().unwrap(), 0xD1, "page 0 on the device");
+        });
+    }
+
+    #[test]
+    fn flush_pages_waits_for_its_pages_only() {
+        // The same steal, but the flush asks for another page: it has
+        // nothing to wait for and nothing to write.
+        let (backend, bm) = write_gated_pool(4, 1);
+        bm.pin(0).unwrap().write().bytes_mut()[0] = 0xD1;
+        backend.set_shut(true);
+        std::thread::scope(|s| {
+            s.spawn(|| drop(bm.pin(1).unwrap()));
+            backend.await_blocked(1);
+            bm.flush_pages(&[2, 3]).unwrap();
+            backend.set_shut(false);
+        });
+        bm.flush_pages(&[0, 1]).unwrap();
+        assert_eq!(bm.stats().snapshot().physical_writes, 1);
+    }
+
+    #[test]
+    fn pins_of_resident_pages_proceed_during_a_flush() {
+        // A flush blocked inside the device must not hold the pool mutex:
+        // hits — and misses into free frames — go on beside it.
+        let (backend, bm) = write_gated_pool(8, 4);
+        bm.pin(0).unwrap().write().bytes_mut()[0] = 7;
+        drop(bm.pin(1).unwrap());
+        backend.set_shut(true);
+        let (done, pinned) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| bm.flush_all().unwrap());
+            backend.await_blocked(1);
+            s.spawn(|| {
+                // A hit on a clean page, a hit on the very page being
+                // written, a miss.
+                for page in [1, 0, 2] {
+                    drop(bm.pin(page).unwrap());
+                }
+                done.send(()).unwrap();
+            });
+            let waited = pinned.recv_timeout(std::time::Duration::from_secs(10));
+            backend.set_shut(false);
+            waited.expect("pins waited for a flush blocked in the device");
+        });
+        let mut on_device = vec![0u8; 512];
+        backend.inner.read_page(0, &mut on_device).unwrap();
+        assert_eq!(on_device[0], 7);
+        bm.validate_frame_table().unwrap();
+    }
+
+    #[test]
+    fn a_second_flush_waits_for_the_first_ones_write() {
+        // Two flushes of one dirty page: the second neither writes the
+        // page again beside the first nor returns before that write is
+        // out of the device.
+        let (backend, bm) = write_gated_pool(4, 2);
+        bm.pin(0).unwrap().write().bytes_mut()[0] = 9;
+        backend.set_shut(true);
+        let (done, flushed) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| bm.flush_all().unwrap());
+            backend.await_blocked(1);
+            s.spawn(|| done.send(bm.flush_pages(&[0])).unwrap());
+            let early = flushed.recv_timeout(MUST_STILL_BLOCK);
+            backend.set_shut(false);
+            assert!(early.is_err(), "the second flush returned first");
+            flushed.recv().unwrap().unwrap();
+        });
+        assert_eq!(bm.stats().snapshot().physical_writes, 1);
+    }
+
+    #[test]
+    fn clear_beside_a_flush_waits_instead_of_reporting_pins() {
+        // The flush reserves the frame it is writing by pin count; nobody
+        // holds a pin, so `clear` must wait for the write, not fail.
+        let (backend, bm) = write_gated_pool(4, 2);
+        bm.pin(0).unwrap().write().bytes_mut()[0] = 5;
+        backend.set_shut(true);
+        let (done, cleared) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| bm.flush_all().unwrap());
+            backend.await_blocked(1);
+            s.spawn(|| done.send(bm.clear()).unwrap());
+            let early = cleared.recv_timeout(MUST_STILL_BLOCK);
+            backend.set_shut(false);
+            assert!(early.is_err(), "clear returned beside the flush's write");
+            cleared.recv().unwrap().expect("no caller holds a pin");
+        });
+        assert_eq!(bm.stats().snapshot().physical_writes, 1);
+        bm.validate_frame_table().unwrap();
+        assert_eq!(bm.pin(0).unwrap().read().bytes()[0], 5);
+    }
+
+    #[test]
+    fn flush_writes_in_ascending_page_order() {
+        // Dirtied in descending order into scattered frames; written low
+        // to high, the asked ones only.
+        struct WriteOrder {
+            inner: MemStorage,
+            written: Mutex<Vec<PageId>>,
+        }
+        impl DiskBackend for WriteOrder {
+            fn page_size(&self) -> usize {
+                self.inner.page_size()
+            }
+            fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
+                self.inner.read_page(page, buf)
+            }
+            fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
+                self.written.lock().push(page);
+                self.inner.write_page(page, buf)
+            }
+            fn page_count(&self) -> u64 {
+                self.inner.page_count()
+            }
+            fn grow(&self, new_count: u64) -> StorageResult<()> {
+                self.inner.grow(new_count)
+            }
+            fn sync(&self) -> StorageResult<()> {
+                self.inner.sync()
+            }
+        }
+        let backend = Arc::new(WriteOrder {
+            inner: MemStorage::new(512).unwrap(),
+            written: Mutex::new(Vec::new()),
+        });
+        backend.grow(32).unwrap();
+        let bm = BufferManager::new(
+            Arc::clone(&backend) as Arc<dyn DiskBackend>,
+            16,
+            EvictionPolicy::Lru,
+            IoStats::new_shared(),
+        );
+        for page in [30, 4, 17, 9, 23, 11] {
+            bm.pin(page).unwrap().write().bytes_mut()[0] = page as u8;
+        }
+        bm.flush_pages(&[23, 9, 30, 5, 9]).unwrap();
+        assert_eq!(*backend.written.lock(), vec![9, 23, 30]);
+        bm.flush_all().unwrap();
+        backend.written.lock()[3..].sort_unstable();
+        assert_eq!(*backend.written.lock(), vec![9, 23, 30, 4, 11, 17]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! single file. The measurement-oriented [`crate::SimDisk`] wraps either and
 //! charges a mechanical-disk cost model.
 
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -328,16 +329,26 @@ impl FaultControl {
 
 /// Fault-injecting backend wrapper: page writes draw on a shared
 /// [`FaultControl`] budget and fail permanently once it is exhausted,
-/// simulating a kill at an arbitrary I/O point.
+/// simulating a kill at an arbitrary I/O point — on a device that
+/// *forgets*: a write lands in a volatile cache that reads see,
+/// [`sync`](DiskBackend::sync) moves it into `inner`, and what was not
+/// synced when the machine died (or the wrapper was dropped) is lost.
 pub struct FaultDisk<B> {
     inner: B,
     control: Arc<FaultControl>,
+    /// Written, not yet synced. Held across the calls into `inner`, whose
+    /// own lock ranks below it.
+    cache: Mutex<HashMap<PageId, Box<[u8]>>>,
 }
 
 impl<B: DiskBackend> FaultDisk<B> {
     /// Wraps `inner` under the given controller.
     pub fn new(inner: B, control: Arc<FaultControl>) -> FaultDisk<B> {
-        FaultDisk { inner, control }
+        FaultDisk {
+            inner,
+            control,
+            cache: Mutex::with_rank(&parking_lot::rank::DISK_SIM, HashMap::new()),
+        }
     }
 
     /// The shared controller.
@@ -352,18 +363,25 @@ impl<B: DiskBackend> DiskBackend for FaultDisk<B> {
     }
 
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
-        // Reads survive the "crash": the process still sees what reached
-        // the store before death. Durability is judged at reopen.
-        self.inner.read_page(page, buf)
-    }
-
-    fn read_pages(&self, reqs: &mut [(PageId, &mut [u8])]) -> StorageResult<()> {
-        self.inner.read_pages(reqs)
+        // Reads survive the "crash": the process still sees what it wrote
+        // before death. Durability is judged at reopen, on `inner`.
+        let cache = self.cache.lock();
+        match cache.get(&page) {
+            Some(cached) => {
+                buf.copy_from_slice(cached);
+                Ok(())
+            }
+            None => self.inner.read_page(page, buf),
+        }
     }
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
         self.control.consume_write()?;
-        self.inner.write_page(page, buf)
+        if (page as u64) >= self.inner.page_count() {
+            return Err(StorageError::PageOutOfBounds(page));
+        }
+        self.cache.lock().insert(page, buf.into());
+        Ok(())
     }
 
     fn page_count(&self) -> u64 {
@@ -377,6 +395,10 @@ impl<B: DiskBackend> DiskBackend for FaultDisk<B> {
 
     fn sync(&self) -> StorageResult<()> {
         self.control.check_alive()?;
+        let mut cache = self.cache.lock();
+        for (page, bytes) in cache.drain() {
+            self.inner.write_page(page, &bytes)?;
+        }
         self.inner.sync()
     }
 }
@@ -539,6 +561,35 @@ mod tests {
         let mut out = vec![0u8; 512];
         d.read_page(0, &mut out).unwrap();
         assert_eq!(out, page);
+    }
+
+    #[test]
+    fn fault_disk_forgets_what_was_not_synced() {
+        let store = Arc::new(MemStorage::new(512).unwrap());
+        let ctl = Arc::new(FaultControl::with_budget(3));
+        let d = FaultDisk::new(Arc::clone(&store), Arc::clone(&ctl));
+        d.grow(4).unwrap();
+        let on_store = |page| {
+            let mut out = vec![0u8; 512];
+            store.read_page(page, &mut out).unwrap();
+            out[0]
+        };
+        d.write_page(0, &[1u8; 512]).unwrap();
+        d.write_page(1, &[2u8; 512]).unwrap();
+        let mut out = vec![0u8; 512];
+        d.read_page(1, &mut out).unwrap();
+        assert_eq!(out[0], 2, "reads see the cache");
+        assert_eq!((on_store(0), on_store(1)), (0, 0), "nothing synced yet");
+        d.sync().unwrap();
+        assert_eq!((on_store(0), on_store(1)), (1, 2));
+        // Accepted, never synced: the machine dies first.
+        d.write_page(0, &[9u8; 512]).unwrap();
+        assert!(d.write_page(2, &[9u8; 512]).is_err());
+        assert!(d.sync().is_err());
+        d.read_page(0, &mut out).unwrap();
+        assert_eq!(out[0], 9, "the dying process still sees its write");
+        drop(d);
+        assert_eq!((on_store(0), on_store(2)), (1, 0), "the device forgot it");
     }
 
     #[test]

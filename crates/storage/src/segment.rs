@@ -42,8 +42,9 @@ const MAGIC: &[u8; 8] = b"NATIXSTO";
 /// file *and* of its log, which has no version field of its own. Version 2
 /// added proxy label digests (child-record proxies may carry the child
 /// root's label in their type-table entry); version 3 replaced the log's
-/// three directory record kinds with one carrying directory deltas.
-const VERSION: u32 = 3;
+/// three directory record kinds with one carrying directory deltas;
+/// version 4 gave the log's commit record its list of forced pages.
+const VERSION: u32 = 4;
 
 // Header page layout (after the common 16-byte page header).
 const OFF_MAGIC: usize = 16;

@@ -12,11 +12,23 @@
 //!   first superseded or created by an update operation, *before* the page
 //!   bytes change. Recovery rolls back operations with no commit record by
 //!   restoring pre-images in reverse LSN order.
-//! * **Redo** — at publish time the commit hook captures a full image of
-//!   every page the operation touched ([`WalRecord::PageImage`]) followed by
-//!   a [`WalRecord::Commit`]. Recovery replays committed images in LSN
-//!   order. Full-page images sidestep torn intra-op page states: the image
-//!   is self-consistent by construction.
+//! * **Redo** — images *or* force. At publish time the commit hook makes
+//!   every page the operation touched redoable and appends a
+//!   [`WalRecord::Commit`]. A page that existed before the operation is
+//!   logged as a full image ([`WalRecord::PageImage`]); recovery replays
+//!   committed images in LSN order, and a full-page image sidesteps torn
+//!   intra-op page states: it is self-consistent by construction. A page
+//!   the operation's own append stream allocated (every page of a load)
+//!   holds nothing older, so its redo is the page itself: the hook
+//!   *forces* it — writes it to the page device and syncs the device —
+//!   and lists it in the commit record instead. **The commit record is
+//!   appended only after that sync has returned**: any committer's group
+//!   sync makes an appended record durable, and a commit durable before
+//!   its pages would have recovery take a lost page for a redone one. A
+//!   committed force counts as an image of each forced page at the
+//!   record's `force_lsn`, the log's end when the force began: older
+//!   images of the page (a previous tenant's, before a delete freed it)
+//!   are skipped, later ones (an edit placed on it meanwhile) replay.
 //! * **WAL rule** — the buffer manager calls [`Wal::flush_buffered`] before
 //!   writing any dirty frame to disk, so undo information for a stolen page
 //!   is always durable before the page itself.
@@ -57,8 +69,11 @@ use crate::rid::{PageId, Rid};
 // CRC32 (IEEE, reflected) — hand-rolled: the build is dependency-free.
 // ---------------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the classic bytewise table, `T[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold into the running CRC with eight independent lookups.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -71,19 +86,44 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-/// CRC32 over `bytes` (IEEE polynomial, as used by zip/png).
+/// CRC32 over `bytes` (IEEE polynomial, as used by zip/png), eight bytes
+/// per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -229,10 +269,16 @@ pub enum WalRecord {
         /// Complete page bytes (page-size long).
         image: Vec<u8>,
     },
-    /// Operation `op` committed; its page images are authoritative.
+    /// Operation `op` committed; its page images are authoritative, and
+    /// so is what the page device holds of its `forced` pages (module
+    /// docs, Redo).
     Commit {
         /// The committed operation.
         op: u64,
+        /// Pages forced to the page device instead of imaged, ascending.
+        forced: Vec<PageId>,
+        /// The log's end when the force began.
+        force_lsn: u64,
     },
     /// Directory change — the one record kind that carries directory
     /// data. `op == 0` applies unconditionally (a registration, logged
@@ -399,13 +445,34 @@ impl StoreSnapshot {
     }
 }
 
+/// Bytes of a frame ahead of its body (checksum + length).
+const FRAME_HEADER: usize = 8;
+
+/// Frames one record in place at the end of `out`: reserves the header,
+/// lets `body` write the rest, then patches checksum and length.
+fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    body(out);
+    let len = (out.len() - at - FRAME_HEADER) as u32;
+    let crc = crc32(&out[at + FRAME_HEADER..]);
+    out[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+    out[at + 4..at + FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
+}
+
+fn put_page_image(out: &mut Vec<u8>, op: u64, page: PageId, image: &[u8]) {
+    out.push(KIND_PAGE_IMAGE);
+    put_u64(out, op);
+    put_u32(out, page);
+    put_bytes(out, image);
+}
+
 impl WalRecord {
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Checkpoint(s) => {
                 out.push(KIND_CHECKPOINT);
-                s.encode(&mut out);
+                s.encode(out);
             }
             WalRecord::PreImage {
                 op,
@@ -414,57 +481,57 @@ impl WalRecord {
                 bytes,
             } => {
                 out.push(KIND_PRE_IMAGE);
-                put_u64(&mut out, *op);
-                put_u32(&mut out, rid.page);
-                put_u16(&mut out, rid.slot);
-                put_bytes(&mut out, table);
-                put_bytes(&mut out, bytes);
+                put_u64(out, *op);
+                put_u32(out, rid.page);
+                put_u16(out, rid.slot);
+                put_bytes(out, table);
+                put_bytes(out, bytes);
             }
             WalRecord::Created { op, rid } => {
                 out.push(KIND_CREATED);
-                put_u64(&mut out, *op);
-                put_u32(&mut out, rid.page);
-                put_u16(&mut out, rid.slot);
+                put_u64(out, *op);
+                put_u32(out, rid.page);
+                put_u16(out, rid.slot);
             }
-            WalRecord::PageImage { op, page, image } => {
-                out.push(KIND_PAGE_IMAGE);
-                put_u64(&mut out, *op);
-                put_u32(&mut out, *page);
-                put_bytes(&mut out, image);
-            }
-            WalRecord::Commit { op } => {
+            WalRecord::PageImage { op, page, image } => put_page_image(out, *op, *page, image),
+            WalRecord::Commit {
+                op,
+                forced,
+                force_lsn,
+            } => {
                 out.push(KIND_COMMIT);
-                put_u64(&mut out, *op);
+                put_u64(out, *op);
+                put_u64(out, *force_lsn);
+                put_u32(out, forced.len() as u32);
+                for &p in forced {
+                    put_u32(out, p);
+                }
             }
             WalRecord::Catalog { op, payload } => {
                 out.push(KIND_CATALOG);
-                put_u64(&mut out, *op);
-                put_bytes(&mut out, payload);
+                put_u64(out, *op);
+                put_bytes(out, payload);
             }
             WalRecord::Alloc { page, segment } => {
                 out.push(KIND_ALLOC);
-                put_u32(&mut out, *page);
-                put_u16(&mut out, *segment);
+                put_u32(out, *page);
+                put_u16(out, *segment);
             }
             WalRecord::Free { page } => {
                 out.push(KIND_FREE);
-                put_u32(&mut out, *page);
+                put_u32(out, *page);
             }
             WalRecord::SegCreate { name } => {
                 out.push(KIND_SEG_CREATE);
-                put_bytes(&mut out, name.as_bytes());
+                put_bytes(out, name.as_bytes());
             }
         }
-        out
     }
 
     /// Frames the record as `[crc32 u32][len u32][kind u8 | payload]`.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let mut out = Vec::with_capacity(8 + body.len());
-        put_u32(&mut out, crc32(&body));
-        put_u32(&mut out, body.len() as u32);
-        out.extend_from_slice(&body);
+        let mut out = Vec::new();
+        frame_into(&mut out, |out| self.encode_body(out));
         out
     }
 
@@ -504,7 +571,17 @@ impl WalRecord {
                 let image = r.bytes()?;
                 WalRecord::PageImage { op, page, image }
             }
-            KIND_COMMIT => WalRecord::Commit { op: r.u64()? },
+            KIND_COMMIT => {
+                let (op, force_lsn) = (r.u64()?, r.u64()?);
+                let forced = (0..r.u32()?)
+                    .map(|_| r.u32())
+                    .collect::<StorageResult<_>>()?;
+                WalRecord::Commit {
+                    op,
+                    forced,
+                    force_lsn,
+                }
+            }
             KIND_CATALOG => {
                 let op = r.u64()?;
                 let payload = r.bytes()?;
@@ -839,44 +916,60 @@ impl Wal {
         self.cond.notify_all();
     }
 
-    /// Appends a record to the log buffer (no I/O). Returns the record's
-    /// end offset. A no-op returning the current end offset while the
-    /// thread holds a [`SuppressLogging`] guard.
+    /// Appends a record to the log buffer (no I/O), framed in place.
+    /// Returns the record's end offset. A no-op returning the current end
+    /// offset while the thread holds a [`SuppressLogging`] guard.
     pub fn append(&self, rec: &WalRecord) -> u64 {
         if log_suppressed() {
             return self.appended_lsn();
         }
-        let frame = rec.encode_frame();
         let mut core = self.core.lock();
-        core.buf.extend_from_slice(&frame);
+        frame_into(&mut core.buf, |out| rec.encode_body(out));
+        self.publish_end(&core)
+    }
+
+    /// Publishes the append buffer's end as the appended watermark.
+    fn publish_end(&self, core: &WalCore) -> u64 {
         let end = core.buf_base + core.buf.len() as u64;
         self.appended.store(end, Ordering::Release);
         end
     }
 
     /// Appends the redo images for a committing operation followed by its
-    /// commit record, contiguously. Each image is stamped with its own
-    /// record's start LSN (truncated to 32 bits) in the page-header LSN
-    /// field before framing, so replayed pages carry the LSN that wrote
+    /// commit record ([`WalRecord::Commit`]: `forced` must be synced on
+    /// the page device by now), contiguously. Each image is stamped with
+    /// its own record's start LSN (truncated to 32 bits) in the
+    /// page-header LSN field, so replayed pages carry the LSN that wrote
     /// them. Returns the commit record's end offset.
-    pub fn append_commit_batch(&self, op: u64, images: Vec<(PageId, Vec<u8>)>) -> u64 {
+    pub fn append_commit_batch(
+        &self,
+        op: u64,
+        images: &[(PageId, Vec<u8>)],
+        forced: Vec<PageId>,
+        force_lsn: u64,
+    ) -> u64 {
         if log_suppressed() {
             return self.appended_lsn();
         }
+        let commit = WalRecord::Commit {
+            op,
+            forced,
+            force_lsn,
+        };
         let mut core = self.core.lock();
-        for (page, mut image) in images {
-            let start = core.buf_base + core.buf.len() as u64;
-            if image.len() >= 16 {
-                image[12..16].copy_from_slice(&(start as u32).to_le_bytes());
-            }
-            let frame = WalRecord::PageImage { op, page, image }.encode_frame();
-            core.buf.extend_from_slice(&frame);
+        let WalCore { buf, buf_base, .. } = &mut *core;
+        for (page, image) in images {
+            let start = *buf_base + buf.len() as u64;
+            frame_into(buf, |out| {
+                put_page_image(out, op, *page, image);
+                if image.len() >= 16 {
+                    let lsn_field = out.len() - image.len() + 12;
+                    out[lsn_field..lsn_field + 4].copy_from_slice(&(start as u32).to_le_bytes());
+                }
+            });
         }
-        let frame = WalRecord::Commit { op }.encode_frame();
-        core.buf.extend_from_slice(&frame);
-        let end = core.buf_base + core.buf.len() as u64;
-        self.appended.store(end, Ordering::Release);
-        end
+        frame_into(buf, |out| commit.encode_body(out));
+        self.publish_end(&core)
     }
 
     fn write_and_sync(&self, batch: &[u8]) -> StorageResult<()> {
@@ -1010,6 +1103,43 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// The reference: one table step per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_by_eight_equals_the_bytewise_reference() {
+        // SplitMix64: seeded, so a failure names its input.
+        let mut x = 0x5EED_C4C3_2000_0001u64;
+        let mut next = move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut lengths: Vec<usize> = (0..=9).chain([4096, 8192]).collect();
+        lengths.extend((0..64).map(|_| (next() % 20_000) as usize));
+        for len in lengths {
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "length {len}");
+        }
+    }
+
+    /// A commit record of an operation that forced nothing.
+    fn commit(op: u64) -> WalRecord {
+        WalRecord::Commit {
+            op,
+            forced: Vec::new(),
+            force_lsn: 0,
+        }
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Checkpoint(Box::new(StoreSnapshot {
@@ -1037,7 +1167,11 @@ mod tests {
                 page: 5,
                 image: vec![0xAB; 512],
             },
-            WalRecord::Commit { op: 11 },
+            WalRecord::Commit {
+                op: 11,
+                forced: vec![5, 6, 900],
+                force_lsn: 77,
+            },
             WalRecord::Catalog {
                 op: 0,
                 payload: b"cat".to_vec(),
@@ -1076,7 +1210,7 @@ mod tests {
         }
         let full = log.len();
         // Append a torn record (cut mid-payload).
-        let extra = WalRecord::Commit { op: 99 }.encode_frame();
+        let extra = commit(99).encode_frame();
         log.extend_from_slice(&extra[..extra.len() - 3]);
         let (parsed, valid) = parse_log(&log);
         assert_eq!(valid, full as u64);
@@ -1096,7 +1230,7 @@ mod tests {
     fn append_and_sync_watermarks() {
         let wal = Wal::new(Box::new(MemLogDevice::new()));
         assert_eq!(wal.appended_lsn(), 0);
-        let lsn = wal.append(&WalRecord::Commit { op: 1 });
+        let lsn = wal.append(&commit(1));
         assert_eq!(wal.appended_lsn(), lsn);
         assert_eq!(wal.durable_lsn(), 0);
         wal.sync_to(lsn).unwrap();
@@ -1105,15 +1239,56 @@ mod tests {
         wal.flush_buffered().unwrap();
     }
 
+    /// Records framed in place, in the append buffer, read back as the
+    /// records `encode_frame` frames: each image stamped with its frame's
+    /// start LSN, the forced list in the commit record behind them.
+    #[test]
+    fn commit_batch_framed_in_place_parses_back() {
+        let dev = Arc::new(MemLogDevice::new());
+        let wal = Wal::new(Box::new(Arc::clone(&dev)));
+        let first = wal.append(&WalRecord::Created {
+            op: 3,
+            rid: Rid::new(9, 1),
+        });
+        let images = vec![(4, vec![0x11u8; 64]), (8, vec![0x22u8; 64])];
+        let end = wal.append_commit_batch(3, &images, vec![9, 12], first);
+        wal.sync_to(end).unwrap();
+        let bytes = dev.durable_bytes();
+        let (parsed, valid) = parse_log(&bytes);
+        assert_eq!(valid, end);
+        assert_eq!(parsed.len(), 4);
+        let mut expect_log = parsed[0].1.encode_frame();
+        for ((page, image), (lsn, rec)) in images.iter().zip(&parsed[1..3]) {
+            let mut stamped = image.clone();
+            stamped[12..16].copy_from_slice(&(*lsn as u32).to_le_bytes());
+            let want = WalRecord::PageImage {
+                op: 3,
+                page: *page,
+                image: stamped,
+            };
+            assert_eq!(rec, &want);
+            assert_eq!(*lsn, expect_log.len() as u64);
+            expect_log.extend_from_slice(&want.encode_frame());
+        }
+        let want = WalRecord::Commit {
+            op: 3,
+            forced: vec![9, 12],
+            force_lsn: first,
+        };
+        assert_eq!(parsed[3].1, want);
+        expect_log.extend_from_slice(&want.encode_frame());
+        assert_eq!(bytes, expect_log, "in-place framing == encode_frame");
+    }
+
     #[test]
     fn suppressed_appends_are_dropped() {
         let wal = Wal::new(Box::new(MemLogDevice::new()));
         {
             let _g = SuppressLogging::new();
-            assert_eq!(wal.append(&WalRecord::Commit { op: 1 }), 0);
+            assert_eq!(wal.append(&commit(1)), 0);
         }
         assert_eq!(wal.appended_lsn(), 0);
-        wal.append(&WalRecord::Commit { op: 2 });
+        wal.append(&commit(2));
         assert!(wal.appended_lsn() > 0);
     }
 
@@ -1121,9 +1296,9 @@ mod tests {
     fn unsynced_tail_dies_with_mem_device() {
         let dev = MemLogDevice::new();
         let wal = Wal::new(Box::new(dev));
-        let lsn1 = wal.append(&WalRecord::Commit { op: 1 });
+        let lsn1 = wal.append(&commit(1));
         wal.sync_to(lsn1).unwrap();
-        wal.append(&WalRecord::Commit { op: 2 });
+        wal.append(&commit(2));
         // Push op 2 to the device but never sync: write without fsync.
         // (flush path requires sync; emulate by checking durable image.)
         // The durable image must contain exactly the first record.
@@ -1176,9 +1351,7 @@ mod tests {
                 let wal = Arc::clone(&wal);
                 s.spawn(move || {
                     for j in 0..20 {
-                        let lsn = wal.append(&WalRecord::Commit {
-                            op: (i * 100 + j) as u64,
-                        });
+                        let lsn = wal.append(&commit((i * 100 + j) as u64));
                         wal.sync_to(lsn).unwrap();
                     }
                 });
@@ -1193,7 +1366,7 @@ mod tests {
     #[test]
     fn truncate_reset_replaces_log() {
         let wal = Wal::new(Box::new(MemLogDevice::new()));
-        let lsn = wal.append(&WalRecord::Commit { op: 1 });
+        let lsn = wal.append(&commit(1));
         wal.sync_to(lsn).unwrap();
         let ckpt = WalRecord::Checkpoint(Box::new(StoreSnapshot {
             redo_horizon: 0,
@@ -1222,7 +1395,7 @@ mod tests {
         let wal = Arc::new(Wal::new(Box::new(MemLogDevice::new())));
         let mut stale = 0;
         for op in 0..64 {
-            stale = wal.append(&WalRecord::Commit { op });
+            stale = wal.append(&commit(op));
         }
         wal.sync_to(stale).unwrap();
         let ckpt = WalRecord::Checkpoint(Box::new(StoreSnapshot {
@@ -1251,7 +1424,7 @@ mod tests {
         let fault = Arc::new(FaultControl::with_budget(0));
         let dev = MemLogDevice::new().with_fault(Arc::clone(&fault));
         let wal = Wal::new(Box::new(dev));
-        let lsn = wal.append(&WalRecord::Commit { op: 1 });
+        let lsn = wal.append(&commit(1));
         assert!(wal.sync_to(lsn).is_err());
         // Subsequent syncs fail fast.
         assert!(wal.flush_buffered().is_err());

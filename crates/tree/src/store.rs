@@ -577,6 +577,11 @@ impl TreeStore {
                 self.sm
                     .allocate_page_hinted(self.segment, PageKind::Slotted, AccessHint::Scan)?;
             cursor.page = Some(page);
+            // Nothing older lives on this page: at commit it is forced
+            // to the page device instead of imaged.
+            if let Some(op) = self.versions.ambient_write_op() {
+                self.versions.note_fresh_page(op, page);
+            }
             match self.try_write_on_page(page, tree, &mut ctx, AccessHint::Scan)? {
                 Some(rid) => rid,
                 None => {

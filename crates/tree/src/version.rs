@@ -182,6 +182,9 @@ struct VersionState {
     /// without this, a streaming bulkload would retain its entire
     /// document in parsed form until publish.
     created: HashMap<u64, HashSet<Rid>>,
+    /// Pages each in-flight operation's append stream allocated
+    /// ([`VersionStore::note_fresh_page`]).
+    fresh: HashMap<u64, HashSet<PageId>>,
     next_op: u64,
 }
 
@@ -196,11 +199,22 @@ impl VersionState {
     }
 }
 
+/// The pages a publishing operation touched (every page holding a record
+/// it superseded or created), as its commit hook receives them: two
+/// disjoint lists, each ascending.
+pub struct TouchedPages {
+    /// Pages [noted](VersionStore::note_fresh_page) as allocated by the
+    /// operation's append stream: forced to the page device.
+    pub fresh: Vec<PageId>,
+    /// Every other touched page: redone from an image in the log.
+    pub imaged: Vec<PageId>,
+}
+
 /// Commit-time callback installed by the repository: `(op, touched pages)`,
-/// invoked after an operation publishes. The repository's hook captures
-/// full images of the touched pages and appends them to the log together
-/// with the operation's commit record.
-pub type CommitHook = Box<dyn Fn(u64, Vec<PageId>) + Send + Sync>;
+/// invoked after an operation publishes. The repository's hook makes the
+/// operation redoable — fresh pages forced to the page device, images of
+/// the others appended to the log — and appends its commit record.
+pub type CommitHook = Box<dyn Fn(u64, TouchedPages) + Send + Sync>;
 
 /// The shared epoch/version state of one repository's record stores. All
 /// [`crate::TreeStore`]s of one storage manager share a single
@@ -242,6 +256,7 @@ impl VersionStore {
                     pending: HashMap::new(),
                     hooks: HashMap::new(),
                     created: HashMap::new(),
+                    fresh: HashMap::new(),
                     next_op: 0,
                 },
             ),
@@ -563,6 +578,14 @@ impl VersionStore {
         }
     }
 
+    /// Marks `page` as allocated by operation `op`'s append stream:
+    /// nothing on it predates `op`, so forcing it to the page device at
+    /// commit stands in for a redo image. Pages the growth procedure
+    /// allocates are not noted: they are imaged like any touched page.
+    pub fn note_fresh_page(&self, op: u64, page: PageId) {
+        self.state.lock().fresh.entry(op).or_default().insert(page);
+    }
+
     /// True when `rid` was created by operation `op` (its supersedes need
     /// no deposit — callers use this to skip the pre-image decode too).
     pub fn created_by(&self, op: u64, rid: Rid) -> bool {
@@ -649,9 +672,8 @@ impl VersionStore {
     /// section, so no reader can pin the new epoch and still observe
     /// pre-publish upper-layer state (e.g. a stale document-root RID).
     ///
-    /// Returns the set of pages the operation touched (every page holding
-    /// a record it superseded or created), for the commit hook.
-    fn end_write(&self, op: u64) -> Vec<PageId> {
+    /// Returns the pages the operation touched, for the commit hook.
+    fn end_write(&self, op: u64) -> TouchedPages {
         let mut st = self.state.lock();
         st.epoch += 1;
         let e = st.epoch;
@@ -679,8 +701,10 @@ impl VersionStore {
                 hook(e, floor);
             }
         }
+        let noted = st.fresh.remove(&op).unwrap_or_default();
         self.gc(&mut st);
-        pages.into_iter().collect()
+        let (fresh, imaged) = pages.into_iter().partition(|page| noted.contains(page));
+        TouchedPages { fresh, imaged }
     }
 
     /// Drops every published version no pinned reader can need. A version
@@ -782,14 +806,15 @@ impl Drop for WriteOp<'_> {
         if let Some(op) = self.op {
             WRITE_OP.set(self.prev);
             let pages = self.store.end_write(op);
-            // Redo logging: capture-and-commit the touched pages. Runs
-            // after publish (the images must be the final, published
-            // bytes) but before the operation counts as finished — a
-            // checkpoint's quiescence check must not truncate the log
-            // while the hook is still appending to it. Skipped for
-            // operations that touched nothing and under log suppression
-            // (checkpoint/recovery internals).
-            if !pages.is_empty() && !log_suppressed() {
+            // Redo logging: force or capture the touched pages, and
+            // commit. Runs after publish (the pages must hold their
+            // final, published bytes) but before the operation counts as
+            // finished — a checkpoint's quiescence check must not
+            // truncate the log while the hook is still appending to it.
+            // Skipped for operations that touched nothing and under log
+            // suppression (checkpoint/recovery internals).
+            let touched = !(pages.fresh.is_empty() && pages.imaged.is_empty());
+            if touched && !log_suppressed() {
                 if let Some(hook) = self.store.commit_hook.get() {
                     hook(op, pages);
                 }
