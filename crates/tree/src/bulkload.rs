@@ -85,6 +85,43 @@
 //! differential-testing oracle. Unlike the per-node path, total work is
 //! O(document bytes): each node is serialised once, each page written
 //! once (plus an 8-byte in-buffer patch when its parent flushes).
+//!
+//! # What keeps it linear
+//!
+//! Until PR 24 that paragraph was false per document. Sizes were asked of
+//! the tree by recursion ([`RecordTree::body_len`]) from inside loops that
+//! descend it — the encoder for every header it wrote, `spill_spine` for
+//! every spine level, the run search for every child — so a record holding
+//! a 1 300-level chain cost ≈ 850 000 node visits to encode instead of
+//! 1 300, and every spill swept all spine levels from the root. The one
+//! deep document of the benchmark's corpus (1.9 % of its bytes) took half
+//! of every load: 168 ms against a play's 3.0 ms. Three rules now hold:
+//!
+//! * **Sizes once.** The loader keeps the embedded size of every finished
+//!   subtree of the in-flight tree in a table by arena id (`sizes`) and,
+//!   per open level, the bytes of its header and finished children
+//!   (`own`); both are updated in O(1) per event and rebuilt by one
+//!   [`RecordTree::subtree_sizes`] pass when the tree is re-rooted. The
+//!   size of an open level is a suffix sum of `own`; nothing re-walks a
+//!   subtree. The encoder back-patches size fields
+//!   ([`crate::record::try_serialize`]).
+//! * **A resume cursor per run search.** A spine level found to hold no
+//!   evictable run gains one only when something is appended to it, the
+//!   element below it closes, or a run is cut out of it; each search
+//!   variant remembers the level above which nothing changed and resumes
+//!   there, picking exactly the run a sweep from the root would.
+//! * **Fit before encode.** The store decides whether a record fits the
+//!   cursor page from its exact size and type-table growth, and encodes it
+//!   once, on the page that takes it.
+//!
+//! Per family (release build, 8 KiB pages, streaming load; the
+//! `depth_experiment` example prints the table), before → after: plays
+//! 3.0 → 2.9 ms per document (75 MB/s), an order batch 6.0 → 5.7 ms
+//! (40 MB/s), the deep document 168 → 10.8 ms (17 MB/s) — and the stored
+//! bytes are the same, record for record
+//! (`crates/core/tests/placement.rs`). What still separates the deep
+//! document from the plays is its 2 555 records of ≈ 80 bytes, a layout
+//! question (ROADMAP), not a cost of sizing them.
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
@@ -102,6 +139,14 @@ use crate::version::WriteOp;
 /// the page capacity. Two allocations can happen per event, so any margin
 /// below `u16::MAX` works; compacting earlier keeps the copies small.
 const COMPACT_THRESHOLD: usize = 48_000;
+
+/// Embedded size of a proxy or continuation placeholder.
+const PROXY_SIZE: usize = EMBEDDED_HEADER + PROXY_BODY;
+
+/// The four run searches of [`BulkLoader::spill_run`], in the order it
+/// tries them: `(ignore_matrix, allow_proxy_start)`.
+const SPILL_VARIANTS: [(bool, bool); 4] =
+    [(false, false), (false, true), (true, false), (true, true)];
 
 /// A broken loader invariant, surfaced as an error instead of a panic.
 /// Free-standing so `ok_or_else` closures can build it while `self` is
@@ -190,6 +235,29 @@ pub struct BulkLoader<'s> {
     spilled: Vec<SpilledPiece>,
     /// Exact serialised size of `cur`, maintained incrementally.
     cur_size: usize,
+    /// Embedded size of every node of `cur`, by arena id — exact for
+    /// *finished* subtrees (closed elements, literals, proxies), which is
+    /// all the spill searches read; an open spine node's entry is not
+    /// maintained (its size is a suffix sum of `own`). Filled by one
+    /// [`RecordTree::subtree_sizes`] pass whenever `cur` is re-rooted
+    /// (`rebase`) and extended by one entry per node allocated since, so
+    /// no spill re-walks a subtree to learn its size.
+    sizes: Vec<usize>,
+    /// Parallel to `spine`: each open level's embedded header plus its
+    /// finished children — everything of it except the open child. The
+    /// embedded size of `spine[k]` is the sum of `own[k..]`, and
+    /// `cur_size` is the sum of all of it with the root's header
+    /// standalone.
+    own: Vec<usize>,
+    /// Per [`SPILL_VARIANTS`] entry: every spine level above this one is
+    /// known to hold no run for that variant, so its sweep resumes here
+    /// instead of at the root. A level gains an evictable child only when
+    /// something is appended to it, the element below it closes or a run
+    /// is cut out of it; each of those lowers the cursors to that level
+    /// (`touch_level`). The sweep therefore finds exactly the run a sweep
+    /// from level 0 would find, at a cost that does not grow with the
+    /// spine's depth.
+    resume: [usize; 4],
     /// True once the root element has been closed.
     root_closed: bool,
     cursor: AppendCursor,
@@ -223,6 +291,9 @@ impl<'s> BulkLoader<'s> {
             cur_resolves: None,
             spilled: Vec::new(),
             cur_size: 0,
+            sizes: Vec::new(),
+            own: Vec::new(),
+            resume: [0; 4],
             root_closed: false,
             cursor: AppendCursor::new(),
             flushed: Vec::new(),
@@ -284,6 +355,81 @@ impl<'s> BulkLoader<'s> {
             .ok_or_else(|| bulk_invariant("empty spine"))
     }
 
+    /// The children of spine level `level` changed: every run search must
+    /// look at it again.
+    fn touch_level(&mut self, level: usize) {
+        for r in &mut self.resume {
+            *r = (*r).min(level);
+        }
+    }
+
+    /// `cur` was replaced or re-rooted (arena ids changed): recomputes the
+    /// size table, the per-level bookkeeping and `cur_size` from the tree
+    /// in one pass, and restarts the run searches at the root.
+    fn rebase(&mut self) -> TreeResult<()> {
+        let root = *self
+            .spine
+            .first()
+            .ok_or_else(|| bulk_invariant("empty spine"))?;
+        let sizes = self.cur_ref()?.subtree_sizes();
+        self.own = self.spine.iter().map(|&n| sizes[n as usize]).collect();
+        for i in 1..self.own.len() {
+            self.own[i - 1] -= self.own[i];
+        }
+        self.cur_size = sizes[root as usize] - EMBEDDED_HEADER + STANDALONE_HEADER;
+        self.sizes = sizes;
+        self.resume = [0; 4];
+        Ok(())
+    }
+
+    /// Pops the deepest open level. Its subtree is finished: its size
+    /// becomes a table entry and joins the finished children of the level
+    /// above. Returns the closed node and its embedded size.
+    fn close_top(&mut self) -> TreeResult<(PNodeId, usize)> {
+        let (Some(closed), Some(size)) = (self.spine.pop(), self.own.pop()) else {
+            return Err(bulk_invariant("end_element with an empty spine"));
+        };
+        self.sizes[closed as usize] = size;
+        if let Some(parent_own) = self.own.last_mut() {
+            *parent_own += size;
+            self.touch_level(self.spine.len() - 1);
+        }
+        Ok((closed, size))
+    }
+
+    /// Appends a finished leaf of `size` embedded bytes (a literal or a
+    /// proxy) under the deepest open element.
+    fn append_leaf(&mut self, label: LabelId, content: PContent, size: usize) -> TreeResult<()> {
+        let parent = self.top()?;
+        let tree = self.cur_mut()?;
+        let node = tree.alloc(label, content);
+        let at = tree.children(parent).len();
+        tree.attach(parent, at, node);
+        self.sizes.push(size);
+        let level = self.spine.len() - 1;
+        self.own[level] += size;
+        self.cur_size += size;
+        self.touch_level(level);
+        Ok(())
+    }
+
+    /// Splices a proxy to `rid` under `parent` at child index `at`, in
+    /// place of content that was just moved out into that record. The
+    /// caller adjusts `cur_size` and the level's `own` by what left.
+    fn splice_proxy(
+        &mut self,
+        parent: PNodeId,
+        at: usize,
+        digest: LabelId,
+        rid: Rid,
+    ) -> TreeResult<()> {
+        let tree = self.cur_mut()?;
+        let proxy = tree.alloc(digest, PContent::Proxy(rid));
+        tree.attach(parent, at, proxy);
+        self.sizes.push(PROXY_SIZE);
+        Ok(())
+    }
+
     /// Opens an element with `label`.
     pub fn start_element(&mut self, label: LabelId) -> TreeResult<()> {
         if self.root_closed {
@@ -299,8 +445,7 @@ impl<'s> BulkLoader<'s> {
                 self.prefix_base = 0;
                 self.cur_is_group = false;
                 self.cur_resolves = None;
-                self.cur_size = STANDALONE_HEADER;
-                return Ok(());
+                return self.rebase();
             }
             // Detached: a late child of a spilled open element — start the
             // deepest spilled piece's continuation group.
@@ -311,7 +456,11 @@ impl<'s> BulkLoader<'s> {
         let node = tree.alloc(label, PContent::Aggregate(Vec::new()));
         let at = tree.children(parent).len();
         tree.attach(parent, at, node);
+        // A new, empty level: nothing to evict there or (the open child
+        // never joins a run) at its parent's.
         self.spine.push(node);
+        self.sizes.push(0);
+        self.own.push(EMBEDDED_HEADER);
         self.cur_size += EMBEDDED_HEADER;
         self.maybe_compact()?;
         self.spill_until_fits()
@@ -348,18 +497,9 @@ impl<'s> BulkLoader<'s> {
             // the designated record.
             let child = RecordTree::new(label, PContent::Literal(value), Rid::invalid());
             let rid = self.write_record(&child)?;
-            let digest = child.proxy_digest();
-            let tree = self.cur_mut()?;
-            let proxy = tree.alloc(digest, PContent::Proxy(rid));
-            let at = tree.children(parent).len();
-            tree.attach(parent, at, proxy);
-            self.cur_size += EMBEDDED_HEADER + PROXY_BODY;
+            self.append_leaf(child.proxy_digest(), PContent::Proxy(rid), PROXY_SIZE)?;
         } else {
-            let tree = self.cur_mut()?;
-            let node = tree.alloc(label, PContent::Literal(value));
-            let at = tree.children(parent).len();
-            tree.attach(parent, at, node);
-            self.cur_size += EMBEDDED_HEADER + body;
+            self.append_leaf(label, PContent::Literal(value), EMBEDDED_HEADER + body)?;
         }
         self.maybe_compact()?;
         self.spill_until_fits()
@@ -399,7 +539,7 @@ impl<'s> BulkLoader<'s> {
             // prefix entry stays in the tree — it emits the level's
             // deferred `Leave` — but leaves the spine; late children of
             // the next-outer level now append after it.
-            self.spine.pop();
+            self.close_top()?;
             self.prefix_base -= 1;
             if self.cur_is_group {
                 let piece = self.spilled.last_mut().ok_or_else(|| {
@@ -423,10 +563,7 @@ impl<'s> BulkLoader<'s> {
             }
             return Ok(());
         }
-        let closed = self
-            .spine
-            .pop()
-            .ok_or_else(|| bulk_invariant("end_element with an empty spine"))?;
+        let (closed, sub_size) = self.close_top()?;
         if self.spine.is_empty() {
             debug_assert_eq!(self.prefix_base, 0);
             if self.spilled.is_empty() {
@@ -449,15 +586,12 @@ impl<'s> BulkLoader<'s> {
                 .iter()
                 .position(|&c| c == closed)
                 .ok_or_else(|| bulk_invariant("closed element not listed under its parent"))?;
-            let sub_size = tree.embedded_size(closed);
-            let tree = self.cur_mut()?;
             let child = RecordTree::from_transplant(tree, closed);
             let rid = self.write_record(&child)?;
-            let digest = child.proxy_digest();
-            let tree = self.cur_mut()?;
-            let proxy = tree.alloc(digest, PContent::Proxy(rid));
-            tree.attach(parent, at, proxy);
-            self.cur_size = self.cur_size - sub_size + EMBEDDED_HEADER + PROXY_BODY;
+            self.splice_proxy(parent, at, child.proxy_digest(), rid)?;
+            let level = self.spine.len() - 1;
+            self.own[level] = self.own[level] - sub_size + PROXY_SIZE;
+            self.cur_size = self.cur_size - sub_size + PROXY_SIZE;
             self.maybe_compact()?;
         }
         self.spill_until_fits()
@@ -546,9 +680,8 @@ impl<'s> BulkLoader<'s> {
         self.prefix_base = open;
         self.cur_is_group = true;
         self.cur_resolves = Some((holder, sentinel));
-        self.cur_size = STANDALONE_HEADER + (levels.len() - 1) * EMBEDDED_HEADER;
         self.cur = Some(tree);
-        Ok(())
+        self.rebase()
     }
 
     /// Flushes `cur` as a complete record and resolves the placeholder it
@@ -559,6 +692,7 @@ impl<'s> BulkLoader<'s> {
             .take()
             .ok_or_else(|| bulk_invariant("flush without an in-flight piece"))?;
         self.spine.clear();
+        self.own.clear();
         self.prefix_base = 0;
         self.cur_is_group = false;
         let rid = self.write_record(&tree)?;
@@ -594,23 +728,7 @@ impl<'s> BulkLoader<'s> {
             if self.spill_closed_chain(self.capacity * 3 / 4)? {
                 continue;
             }
-            // Prefer runs that do not *start* with an already-packed proxy:
-            // letting proxies accumulate until they fill a run of their own
-            // yields a record tree with logarithmic fan-out, instead of one
-            // nested group record per eviction.
-            if self.spill_once(false, false)? {
-                continue;
-            }
-            if self.spill_once(false, true)? {
-                continue;
-            }
-            // Everything evictable is pinned by ∞ matrix entries; like the
-            // split planner's fallback, "kept as long as possible in the
-            // same record" ends where the page does.
-            if self.spill_once(true, false)? {
-                continue;
-            }
-            if self.spill_once(true, true)? {
+            if self.spill_run()? {
                 continue;
             }
             // No finished subtree can move: the open spine itself carries
@@ -648,14 +766,20 @@ impl<'s> BulkLoader<'s> {
             return Ok(false);
         }
         // The upper record is everything except the subtree at spine[k],
-        // plus the chain placeholder and the continuation placeholder;
-        // embedded_size(spine[k]) shrinks as k grows, so take the largest
-        // k that still fits (fullest record, shortest remaining chain).
-        let tree = self.cur_ref()?;
+        // plus the chain placeholder and the continuation placeholder; the
+        // subtree at spine[k] — the suffix sum of `own` from k — shrinks
+        // as k grows, so take the largest k that still fits (fullest
+        // record, shortest remaining chain).
+        let mut below: usize = self.own.iter().sum();
+        debug_assert_eq!(
+            below - EMBEDDED_HEADER + STANDALONE_HEADER,
+            self.cur_size,
+            "size accounting must be exact"
+        );
         let mut chosen = None;
         for k in 1..self.spine.len() {
-            let upper = self.cur_size - tree.embedded_size(self.spine[k])
-                + 2 * (EMBEDDED_HEADER + PROXY_BODY);
+            below -= self.own[k - 1];
+            let upper = self.cur_size - below + 2 * PROXY_SIZE;
             if upper <= self.capacity {
                 chosen = Some(k);
             } else {
@@ -708,6 +832,7 @@ impl<'s> BulkLoader<'s> {
         let remaining_depth = self.spine.len() - k;
         let lower_prefixes = self.prefix_base.saturating_sub(k);
         self.spine.clear();
+        self.own.clear();
         self.prefix_base = 0;
         self.cur_is_group = false;
         let upper_rid = self.write_record(&upper)?;
@@ -739,7 +864,6 @@ impl<'s> BulkLoader<'s> {
         // The lower chain continues in flight, parented on the record that
         // now holds its (placeholder) proxy.
         lower.parent_rid = upper_rid;
-        self.cur_size = lower.record_size();
         self.cur_resolves = Some((upper_rid, chain_sentinel));
         // The spine below the split survives as the chain of last children
         // from the new root (no placeholders were added below the split);
@@ -755,6 +879,7 @@ impl<'s> BulkLoader<'s> {
             self.spine.push(node);
         }
         self.cur = Some(lower);
+        self.rebase()?;
         Ok(true)
     }
 
@@ -771,81 +896,115 @@ impl<'s> BulkLoader<'s> {
         if self.prefix_base == 0 {
             return Ok(false);
         }
-        let bottom = self.spine[self.prefix_base - 1];
-        let tree = self.cur_ref()?;
+        let bottom_level = self.prefix_base - 1;
+        let bottom = self.spine[bottom_level];
+        // A field borrow, not `cur_ref`: the size table is patched below
+        // while the tree is still being read.
+        let tree = self
+            .cur
+            .as_ref()
+            .ok_or_else(|| bulk_invariant("no in-flight tree"))?;
         let Some(&first) = tree.children(bottom).first() else {
             return Ok(false);
         };
         if !tree.node(first).is_prefix() {
             return Ok(false);
         }
-        if tree.standalone_size(first) < min_bytes {
+        // The chain is closed, so every size below comes from the table.
+        let standalone = |n: PNodeId| self.sizes[n as usize] - EMBEDDED_HEADER + STANDALONE_HEADER;
+        if standalone(first) < min_bytes {
             return Ok(false);
         }
         // Cut as high as a record can take: descend the first-child chain
         // while the subtree would overflow a record of its own.
         let mut head = first;
-        while tree.standalone_size(head) > self.capacity {
+        while standalone(head) > self.capacity {
             match tree.children(head).first() {
                 Some(&next) if tree.node(next).is_prefix() => head = next,
                 _ => return Ok(false),
             }
         }
-        let cut = tree.embedded_size(head);
-        if cut <= EMBEDDED_HEADER + PROXY_BODY {
+        let cut = self.sizes[head as usize];
+        if cut <= PROXY_SIZE {
             return Ok(false);
         }
-        let bottom = tree
+        let holder = tree
             .node(head)
             .parent
             .ok_or_else(|| bulk_invariant("closed chain head without a parent"))?;
+        // The closed prefixes between the cut and the open level shrink by
+        // what leaves.
+        let mut at = holder;
+        while at != bottom {
+            self.sizes[at as usize] -= cut - PROXY_SIZE;
+            at = tree
+                .node(at)
+                .parent
+                .ok_or_else(|| bulk_invariant("closed chain detached from its open level"))?;
+        }
         let tree = self.cur_mut()?;
         let piece = RecordTree::from_transplant(tree, head);
         // Parent pointer: patched automatically when the holder flushes
         // (append_record re-homes every record its proxies reference).
         let rid = self.write_record(&piece)?;
-        let tree = self.cur_mut()?;
-        let proxy = tree.alloc(LABEL_NONE, PContent::Proxy(rid));
-        tree.attach(bottom, 0, proxy);
-        self.cur_size = self.cur_size - cut + EMBEDDED_HEADER + PROXY_BODY;
+        self.splice_proxy(holder, 0, LABEL_NONE, rid)?;
+        self.own[bottom_level] -= cut - PROXY_SIZE;
+        self.cur_size -= cut - PROXY_SIZE;
+        self.touch_level(bottom_level);
         self.maybe_compact()?;
         Ok(true)
     }
 
     /// Packs the first maximal run of finished, evictable sibling subtrees
     /// into one record. Returns false when no such run exists.
-    fn spill_once(&mut self, ignore_matrix: bool, allow_proxy_start: bool) -> TreeResult<bool> {
-        // Sweep the spine top-down: upper levels hold the oldest finished
-        // subtrees (titles, earlier acts), which pack into records first —
-        // the same front-to-back order in which the incremental path splits
-        // them off, and the order that keeps pages filling sequentially.
-        for level in 0..self.spine.len() {
-            let parent = self.spine[level];
-            let spine_child = self.spine.get(level + 1).copied();
-            if let Some((start, count, bytes)) =
-                self.find_run(parent, spine_child, ignore_matrix, allow_proxy_start)
-            {
-                self.flush_run(parent, start, count, bytes)?;
-                return Ok(true);
+    fn spill_run(&mut self) -> TreeResult<bool> {
+        // Prefer runs that do not *start* with an already-packed proxy:
+        // letting proxies accumulate until they fill a run of their own
+        // yields a record tree with logarithmic fan-out, instead of one
+        // nested group record per eviction. Only when everything evictable
+        // is pinned by ∞ matrix entries do the last two variants ignore
+        // them: like the split planner's fallback, "kept as long as
+        // possible in the same record" ends where the page does.
+        for (variant, (ignore_matrix, allow_proxy_start)) in SPILL_VARIANTS.into_iter().enumerate()
+        {
+            // Sweep the spine top-down: upper levels hold the oldest
+            // finished subtrees (titles, earlier acts), which pack into
+            // records first — the same front-to-back order in which the
+            // incremental path splits them off, and the order that keeps
+            // pages filling sequentially. Levels above the variant's
+            // resume cursor are known to hold no run (see `resume`).
+            for level in self.resume[variant]..self.spine.len() {
+                if let Some((start, count, bytes)) =
+                    self.find_run(level, ignore_matrix, allow_proxy_start)
+                {
+                    self.flush_run(level, start, count, bytes)?;
+                    // The level may hold another run; everything above it
+                    // still holds none.
+                    self.resume[variant] = level;
+                    return Ok(true);
+                }
             }
+            self.resume[variant] = self.spine.len();
         }
         Ok(false)
     }
 
     /// Finds the first run of consecutive evictable finished children of
-    /// `parent`: at most `capacity`-sized, skipping the open (spine) child
-    /// and — unless `ignore_matrix` — children pinned by ∞ entries. Unless
+    /// spine level `level`: at most `capacity`-sized, skipping the open
+    /// (spine) child and — unless `ignore_matrix` — children pinned by ∞
+    /// entries. Unless
     /// `allow_proxy_start`, a proxy cannot *start* a run (packing the
     /// previous group record into every new group would chain records
     /// linearly). Returns `(start index, count, embedded bytes)`.
     fn find_run(
         &self,
-        parent: PNodeId,
-        spine_child: Option<PNodeId>,
+        level: usize,
         ignore_matrix: bool,
         allow_proxy_start: bool,
     ) -> Option<(usize, usize, usize)> {
         let tree = self.cur.as_ref()?;
+        let parent = self.spine[level];
+        let spine_child = self.spine.get(level + 1).copied();
         let parent_label = tree.node(parent).label;
         let kids = tree.children(parent);
         // Budget for the children's embedded bodies inside a group record:
@@ -872,7 +1031,7 @@ impl<'s> BulkLoader<'s> {
                 && !pinned
                 && (allow_proxy_start || count > 0 || !node.is_proxy());
             if evictable {
-                let sz = tree.embedded_size(k);
+                let sz = self.sizes[k as usize];
                 if count > 0 && bytes + sz > budget {
                     break; // run full — pack what we have
                 }
@@ -893,20 +1052,22 @@ impl<'s> BulkLoader<'s> {
             }
         }
         // A run must shrink the record: replacing it with a proxy costs
-        // EMBEDDED_HEADER + PROXY_BODY bytes.
-        (count > 0 && bytes > EMBEDDED_HEADER + PROXY_BODY).then_some((start, count, bytes))
+        // PROXY_SIZE bytes.
+        (count > 0 && bytes > PROXY_SIZE).then_some((start, count, bytes))
     }
 
-    /// Extracts children `[start, start + count)` of `parent` into a new
-    /// record (scaffolding-rooted for sibling groups, facade-rooted for a
-    /// single subtree) and splices a proxy in their place.
+    /// Extracts children `[start, start + count)` of spine level `level`
+    /// into a new record (scaffolding-rooted for sibling groups,
+    /// facade-rooted for a single subtree) and splices a proxy in their
+    /// place.
     fn flush_run(
         &mut self,
-        parent: PNodeId,
+        level: usize,
         start: usize,
         count: usize,
         bytes: usize,
     ) -> TreeResult<()> {
+        let parent = self.spine[level];
         let tree = self.cur_mut()?;
         let record = if count == 1 {
             let child = tree.children(parent)[start];
@@ -927,11 +1088,10 @@ impl<'s> BulkLoader<'s> {
         // Single-subtree runs are facade-rooted: their proxy carries the
         // label digest. Sibling groups (scaffolding-rooted) stay "must
         // read".
-        let digest = record.proxy_digest();
-        let tree = self.cur_mut()?;
-        let proxy = tree.alloc(digest, PContent::Proxy(rid));
-        tree.attach(parent, start, proxy);
-        self.cur_size = self.cur_size - bytes + EMBEDDED_HEADER + PROXY_BODY;
+        self.splice_proxy(parent, start, record.proxy_digest(), rid)?;
+        self.own[level] = self.own[level] - bytes + PROXY_SIZE;
+        self.cur_size = self.cur_size - bytes + PROXY_SIZE;
+        self.touch_level(level);
         self.maybe_compact()?;
         Ok(())
     }
@@ -967,7 +1127,7 @@ impl<'s> BulkLoader<'s> {
             }
         }
         self.cur = Some(fresh);
-        Ok(())
+        self.rebase()
     }
 }
 
@@ -1296,6 +1456,59 @@ mod tests {
         let stats = l.finish().unwrap();
         let s = check_tree(&st, stats.root_rid).unwrap();
         assert_eq!(s.records as u64, stats.records);
+    }
+
+    #[test]
+    fn load_cost_is_linear_in_the_document_not_in_its_depth() {
+        // Size visits (the recursive definition plus the table pass) per
+        // stored node while loading the deep corpus: one constant for all
+        // three depths (5.1, 6.0 and 6.5 here). With a subtree re-walked
+        // at every level above it the ratio grew with the depth of the
+        // spine a record holds: 593, 837 and 926 at PR 24's parent.
+        for depth in [1_000usize, 2_000, 4_000] {
+            let mut syms = natix_xml::SymbolTable::new();
+            let cfg = natix_corpus::DeepConfig {
+                depth,
+                ..natix_corpus::DeepConfig::paper()
+            };
+            let doc = natix_corpus::generate_deep(&cfg, &mut syms);
+            let st = store(8192, SplitMatrix::all_other());
+            crate::model::visits::take();
+            let stats = bulkload_document(&st, &doc, None).unwrap();
+            let visits = crate::model::visits::take();
+            assert!(
+                visits <= 8 * stats.nodes,
+                "depth {depth}: {visits} size visits for {} nodes",
+                stats.nodes
+            );
+            check_tree(&st, stats.root_rid).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_record_is_encoded_once_per_placement() {
+        // Small pages, many records: most appends find the cursor page
+        // full at least once. Fit is decided before encoding, so a full
+        // page costs no encode — one per record written.
+        let st = store(512, SplitMatrix::all_other());
+        let mut l = BulkLoader::new(&st);
+        crate::record::encodes::take();
+        l.start_element(10).unwrap();
+        for i in 0..400 {
+            l.start_element(11).unwrap();
+            l.literal(
+                LABEL_TEXT,
+                text(&format!("payload {i} {}", "x".repeat(i % 90))),
+            )
+            .unwrap();
+            l.end_element().unwrap();
+        }
+        l.end_element().unwrap();
+        let stats = l.finish().unwrap();
+        let encodes = crate::record::encodes::take();
+        let pages = check_tree(&st, stats.root_rid).unwrap().pages as u64;
+        assert!(pages > 20, "the load must have moved on from full pages");
+        assert_eq!(encodes, stats.records, "one encode per record written");
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! mutation (inserts, splits, deletions) happens here, then the tree is
 //! serialised back through [`crate::record`]. Byte sizes computed here are
 //! exact mirror images of the serialised format — the split algorithm's
-//! decisions are byte-accurate.
+//! decisions are byte-accurate. [`RecordTree::body_len`] is their
+//! definition, a recursion over the subtree, for callers that need one
+//! size of one tree; a loop over a tree's levels or children reads
+//! [`RecordTree::subtree_sizes`], every size from one pass.
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
@@ -353,8 +356,18 @@ impl RecordTree {
     }
 
     /// Exact serialised body length of the subtree at `id` (without its own
-    /// header).
+    /// header). This recursion is the *definition* of every size in this
+    /// module and walks the whole subtree: call it (or [`embedded_size`],
+    /// [`standalone_size`], [`record_size`]) once per tree, never per
+    /// level of a loop that descends one — such loops read
+    /// [`subtree_sizes`](Self::subtree_sizes).
+    ///
+    /// [`embedded_size`]: Self::embedded_size
+    /// [`standalone_size`]: Self::standalone_size
+    /// [`record_size`]: Self::record_size
     pub fn body_len(&self, id: PNodeId) -> usize {
+        #[cfg(test)]
+        visits::count(1);
         match &self.node(id).content {
             PContent::Literal(v) => literal_body_len(v),
             PContent::Proxy(_) | PContent::Continuation(_) => PROXY_BODY,
@@ -378,6 +391,40 @@ impl RecordTree {
     /// Size the subtree at `id` would have as the root of its own record.
     pub fn standalone_size(&self, id: PNodeId) -> usize {
         STANDALONE_HEADER + self.body_len(id)
+    }
+
+    /// [`embedded_size`](Self::embedded_size) of every node at once, indexed
+    /// by arena id (0 for tombstones): one iterative bottom-up pass over
+    /// the arena's trees. What a loop over the levels or children of a
+    /// tree reads instead of re-walking a subtree at every step; a
+    /// standalone size is the entry minus [`EMBEDDED_HEADER`] plus
+    /// [`STANDALONE_HEADER`].
+    pub fn subtree_sizes(&self) -> Vec<usize> {
+        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut stack: Vec<PNodeId> = (0..self.nodes.len())
+            .filter(|&i| matches!(&self.nodes[i], Some(n) if n.parent.is_none()))
+            .map(|i| i as PNodeId)
+            .collect();
+        while let Some(n) = stack.pop() {
+            order.push(n);
+            stack.extend(self.children(n));
+        }
+        #[cfg(test)]
+        visits::count(order.len() as u64);
+        // Parents precede their children in `order`; backwards, every
+        // child's size is final before its parent sums it.
+        let mut sizes = vec![0; self.nodes.len()];
+        for &n in order.iter().rev() {
+            sizes[n as usize] = EMBEDDED_HEADER
+                + match &self.node(n).content {
+                    PContent::Literal(v) => literal_body_len(v),
+                    PContent::Proxy(_) | PContent::Continuation(_) => PROXY_BODY,
+                    PContent::Aggregate(kids) | PContent::Prefix(kids) => {
+                        kids.iter().map(|&c| sizes[c as usize]).sum()
+                    }
+                };
+        }
+        sizes
     }
 
     /// All child-record RIDs referenced from the subtree at `id` — proxies
@@ -460,6 +507,28 @@ impl RecordTree {
                 new_id
             }
         }
+    }
+}
+
+/// Test-only count of nodes the size computations visit (`body_len`'s
+/// recursion and the `subtree_sizes` pass), per thread: what the
+/// "linear, not quadratic" tests of the encoder, the bulkloader and the
+/// split planner assert on instead of a stopwatch.
+#[cfg(test)]
+pub(crate) mod visits {
+    use std::cell::Cell;
+
+    thread_local! {
+        static VISITS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count(n: u64) {
+        VISITS.with(|v| v.set(v.get() + n));
+    }
+
+    /// Reads and resets the calling thread's count.
+    pub(crate) fn take() -> u64 {
+        VISITS.with(|v| v.replace(0))
     }
 }
 

@@ -20,6 +20,15 @@
 //! the node half of a [`crate::NodePtr`]. The mapping from arena
 //! slots to pre-order indices is returned so the store can emit relocation
 //! events for nodes whose index changed.
+//!
+//! The encoder writes each `size` field *after* the body it measures: the
+//! header goes out with the field empty and is patched once the node's
+//! last descendant is written. Asking the tree for the size up front
+//! ([`RecordTree::embedded_size`]) walks the subtree, and doing so for
+//! every header walks a subtree once per level above it — quadratic in the
+//! depth of a record. The bytes are the same either way: a node's
+//! embedded size is by definition the length of its header plus body,
+//! which is what the encoder has appended when it patches the field.
 
 use natix_storage::Rid;
 use natix_xml::LiteralValue;
@@ -60,18 +69,49 @@ pub fn collect_types(tree: &RecordTree) -> Vec<(ContentKind, natix_xml::LabelId)
         .collect()
 }
 
+/// The arena→pre-order index mapping an encode returns.
+pub type Mapping = Vec<(PNodeId, PNodeId)>;
+
 /// Serialises `tree`, interning types into `table` (the caller persists the
 /// table if it grew). Returns the record bytes and the arena→pre-order
 /// index mapping.
-pub fn serialize(tree: &RecordTree, table: &mut TypeTable) -> (Vec<u8>, Vec<(PNodeId, PNodeId)>) {
-    let mut out = Vec::with_capacity(tree.record_size());
+///
+/// Precondition, checked: the record fits the format's `u16` size and
+/// offset fields and `table` has room for its types. A tree that breaks
+/// it is an [`TreeError::Invariant`] before a byte is produced — never a
+/// wrapped size field. The store decides fit before it encodes, so only a
+/// planner bug gets here with such a tree.
+///
+/// The tree is asked for one size only, the record's; embedded size
+/// fields are back-patched (module docs). The tests of this module keep
+/// the encoder that asked for each and compare the two byte for byte.
+pub fn try_serialize(tree: &RecordTree, table: &mut TypeTable) -> TreeResult<(Vec<u8>, Mapping)> {
+    serialize_sized(tree, tree.record_size(), table)
+}
+
+/// [`try_serialize`] for a caller that has already computed
+/// `len = tree.record_size()` for its fit test. A `len` that is not the
+/// tree's is an invariant error, not a wrong record.
+pub(crate) fn serialize_sized(
+    tree: &RecordTree,
+    len: usize,
+    table: &mut TypeTable,
+) -> TreeResult<(Vec<u8>, Mapping)> {
+    if len > u16::MAX as usize {
+        return Err(TreeError::Invariant(format!(
+            "record of {len} bytes exceeds the format's 16-bit sizes"
+        )));
+    }
+    #[cfg(test)]
+    encodes::count();
+    let mut out = Vec::with_capacity(len);
     let mut mapping = Vec::with_capacity(tree.live_count());
     let mut next_serial: PNodeId = 0;
 
     let root = tree.root();
     tree.parent_rid.encode_to(&mut out);
     let rn = tree.node(root);
-    let (root_type, _) = table.intern(content_kind(&rn.content), rn.label);
+    let (root_type, _) = table.intern(content_kind(&rn.content), rn.label)?;
     out.extend_from_slice(&root_type.to_le_bytes());
     mapping.push((root, next_serial));
     next_serial += 1;
@@ -83,13 +123,27 @@ pub fn serialize(tree: &RecordTree, table: &mut TypeTable) -> (Vec<u8>, Vec<(PNo
         &mut out,
         &mut mapping,
         &mut next_serial,
-    );
-    debug_assert_eq!(
-        out.len(),
-        tree.record_size(),
-        "size accounting must be exact"
-    );
-    (out, mapping)
+    )?;
+    if out.len() != len {
+        return Err(TreeError::Invariant(format!(
+            "record of {} bytes encoded where {len} were accounted",
+            out.len()
+        )));
+    }
+    Ok((out, mapping))
+}
+
+/// [`try_serialize`] for callers outside the engine that re-encode trees
+/// read back from a store (which fit by construction).
+///
+/// # Panics
+///
+/// When the tree breaks [`try_serialize`]'s precondition.
+pub fn serialize(tree: &RecordTree, table: &mut TypeTable) -> (Vec<u8>, Mapping) {
+    match try_serialize(tree, table) {
+        Ok(encoded) => encoded,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 fn write_body(
@@ -98,27 +152,32 @@ fn write_body(
     my_header_off: usize,
     table: &mut TypeTable,
     out: &mut Vec<u8>,
-    mapping: &mut Vec<(PNodeId, PNodeId)>,
+    mapping: &mut Mapping,
     next_serial: &mut PNodeId,
-) {
+) -> TreeResult<()> {
     match &tree.node(id).content {
         PContent::Literal(v) => write_literal(v, out),
         PContent::Proxy(rid) | PContent::Continuation(rid) => rid.encode_to(out),
         PContent::Aggregate(kids) | PContent::Prefix(kids) => {
             for &child in kids {
+                // Offsets and sizes are bounded by the record length,
+                // which `serialize_sized` checks against `u16`.
                 let header_off = out.len();
                 let cn = tree.node(child);
-                let (type_idx, _) = table.intern(content_kind(&cn.content), cn.label);
-                let size = tree.embedded_size(child);
+                let (type_idx, _) = table.intern(content_kind(&cn.content), cn.label)?;
                 out.extend_from_slice(&type_idx.to_le_bytes());
                 out.extend_from_slice(&(my_header_off as u16).to_le_bytes());
-                out.extend_from_slice(&(size as u16).to_le_bytes());
+                out.extend_from_slice(&[0, 0]);
                 mapping.push((child, *next_serial));
                 *next_serial += 1;
-                write_body(tree, child, header_off, table, out, mapping, next_serial);
+                write_body(tree, child, header_off, table, out, mapping, next_serial)?;
+                let size = (out.len() - header_off) as u16;
+                out[header_off + 4..header_off + EMBEDDED_HEADER]
+                    .copy_from_slice(&size.to_le_bytes());
             }
         }
     }
+    Ok(())
 }
 
 fn write_literal(v: &LiteralValue, out: &mut Vec<u8>) {
@@ -293,10 +352,336 @@ fn decode_literal(kind: ContentKind, body: &[u8]) -> Option<LiteralValue> {
     })
 }
 
+/// Test-only count of encoder runs on the calling thread: what "a record
+/// is encoded once per placement" is asserted on.
+#[cfg(test)]
+pub(crate) mod encodes {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ENCODES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count() {
+        ENCODES.with(|v| v.set(v.get() + 1));
+    }
+
+    /// Reads and resets the calling thread's count.
+    pub(crate) fn take() -> u64 {
+        ENCODES.with(|v| v.replace(0))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use natix_xml::{LABEL_NONE, LABEL_TEXT};
+    use crate::model::visits;
+    use natix_corpus::SplitMix64 as Gen;
+    use natix_storage::INVALID_PAGE;
+    use natix_xml::{LabelId, LABEL_NONE, LABEL_TEXT};
+
+    /// The encoder as it was before sizes were back-patched (PR 24's
+    /// parent, verbatim but for `intern`'s `Result`): every embedded
+    /// header asks the tree for its subtree's size, which re-walks the
+    /// subtree at every level above it. Kept as the reference the
+    /// back-patching encoder is compared against.
+    fn reference_serialize(tree: &RecordTree, table: &mut TypeTable) -> (Vec<u8>, Mapping) {
+        let mut out = Vec::with_capacity(tree.record_size());
+        let mut mapping = Vec::with_capacity(tree.live_count());
+        let mut next_serial: PNodeId = 0;
+
+        let root = tree.root();
+        tree.parent_rid.encode_to(&mut out);
+        let rn = tree.node(root);
+        let (root_type, _) = table.intern(content_kind(&rn.content), rn.label).unwrap();
+        out.extend_from_slice(&root_type.to_le_bytes());
+        mapping.push((root, next_serial));
+        next_serial += 1;
+        reference_write_body(
+            tree,
+            root,
+            0,
+            table,
+            &mut out,
+            &mut mapping,
+            &mut next_serial,
+        );
+        debug_assert_eq!(
+            out.len(),
+            tree.record_size(),
+            "size accounting must be exact"
+        );
+        (out, mapping)
+    }
+
+    fn reference_write_body(
+        tree: &RecordTree,
+        id: PNodeId,
+        my_header_off: usize,
+        table: &mut TypeTable,
+        out: &mut Vec<u8>,
+        mapping: &mut Vec<(PNodeId, PNodeId)>,
+        next_serial: &mut PNodeId,
+    ) {
+        match &tree.node(id).content {
+            PContent::Literal(v) => write_literal(v, out),
+            PContent::Proxy(rid) | PContent::Continuation(rid) => rid.encode_to(out),
+            PContent::Aggregate(kids) | PContent::Prefix(kids) => {
+                for &child in kids {
+                    let header_off = out.len();
+                    let cn = tree.node(child);
+                    let (type_idx, _) = table.intern(content_kind(&cn.content), cn.label).unwrap();
+                    let size = tree.embedded_size(child);
+                    out.extend_from_slice(&type_idx.to_le_bytes());
+                    out.extend_from_slice(&(my_header_off as u16).to_le_bytes());
+                    out.extend_from_slice(&(size as u16).to_le_bytes());
+                    mapping.push((child, *next_serial));
+                    *next_serial += 1;
+                    reference_write_body(tree, child, header_off, table, out, mapping, next_serial);
+                }
+            }
+        }
+    }
+
+    fn words(g: &mut Gen) -> String {
+        let len = g.below(40);
+        (0..len)
+            .map(|_| (b'a' + g.below(26) as u8) as char)
+            .collect()
+    }
+
+    /// A random leaf: every literal kind, and proxies with and without a
+    /// label digest.
+    fn leaf(g: &mut Gen) -> (LabelId, PContent) {
+        let lit = |v| (LABEL_TEXT, PContent::Literal(v));
+        match g.below(10) {
+            0 => lit(LiteralValue::Uri(format!("http://{}", words(g)))),
+            1 => lit(LiteralValue::I8(g.next_u64() as i8)),
+            2 => lit(LiteralValue::I16(g.next_u64() as i16)),
+            3 => lit(LiteralValue::I32(g.next_u64() as i32)),
+            4 => lit(LiteralValue::I64(g.next_u64() as i64)),
+            5 => lit(LiteralValue::F64(g.below(1_000_000) as f64 / 8.0)),
+            6 => (
+                [LABEL_NONE, 12][g.below(2)],
+                PContent::Proxy(Rid::new(g.below(5_000) as u32, g.below(60) as u16)),
+            ),
+            _ => lit(LiteralValue::String(words(g))),
+        }
+    }
+
+    fn append(
+        t: &mut RecordTree,
+        parent: PNodeId,
+        (label, content): (LabelId, PContent),
+    ) -> PNodeId {
+        let n = t.alloc(label, content);
+        t.attach(parent, usize::MAX, n);
+        n
+    }
+
+    /// A bushy record: aggregates (facade and scaffolding) and leaves
+    /// attached at random positions.
+    fn bushy(g: &mut Gen) -> RecordTree {
+        let parent_rid = Rid::new(g.below(9_000) as u32, g.below(40) as u16);
+        let mut t = RecordTree::new(10, PContent::Aggregate(vec![]), parent_rid);
+        let mut aggregates = vec![t.root()];
+        for _ in 0..g.below(300) {
+            let parent = *g.pick(&aggregates);
+            let at = g.below(t.children(parent).len() + 1);
+            let n = if g.below(3) == 0 {
+                let label = [LABEL_NONE, 11, 12, 13, 14][g.below(5)];
+                let n = t.alloc(label, PContent::Aggregate(vec![]));
+                aggregates.push(n);
+                n
+            } else {
+                let (label, content) = leaf(g);
+                t.alloc(label, content)
+            };
+            t.attach(parent, at, n);
+        }
+        t
+    }
+
+    /// A `depth`-level chain record, the shape the bulkloader's spine
+    /// pieces have: optionally with finished sidecars at its levels, and
+    /// optionally as a continuation group's prefix chain ending in a
+    /// continuation placeholder.
+    fn chain(g: &mut Gen, depth: usize, sidecars: bool, prefix: bool) -> RecordTree {
+        let level = |label| {
+            if prefix {
+                (label, PContent::Prefix(vec![]))
+            } else {
+                (label, PContent::Aggregate(vec![]))
+            }
+        };
+        let (label, content) = level(20);
+        let mut t = RecordTree::new(label, content, Rid::new(7, 7));
+        let mut at = t.root();
+        for _ in 0..depth {
+            if sidecars && g.below(3) == 0 {
+                append(&mut t, at, leaf(g));
+            }
+            if sidecars && g.below(4) == 0 {
+                let meta = append(&mut t, at, (21, PContent::Aggregate(vec![])));
+                let note = append(&mut t, meta, (22, PContent::Aggregate(vec![])));
+                append(&mut t, note, leaf(g));
+            }
+            at = append(&mut t, at, level(20 + g.below(2) as LabelId));
+        }
+        append(&mut t, at, leaf(g));
+        if prefix {
+            let slot = PContent::Continuation(Rid::new(INVALID_PAGE, 3));
+            append(&mut t, at, (LABEL_NONE, slot));
+        }
+        t
+    }
+
+    /// The `case`-th tree of the equivalence set: bushy, pure chains,
+    /// chains with sidecars, prefix chains with a continuation
+    /// placeholder, and arenas with tombstones (the bulkloader's in-flight
+    /// tree is encoded with them) — a few of the chains at the 1 300
+    /// levels an 8 KiB record of bare headers holds.
+    fn equivalence_tree(case: u64) -> RecordTree {
+        let mut g = Gen::new(0xC0DE_C0DE ^ case);
+        let depth = if case % 400 < 5 {
+            1_300
+        } else {
+            1 + g.below(150)
+        };
+        match case % 5 {
+            0 => bushy(&mut g),
+            1 => chain(&mut g, depth, false, false),
+            2 => chain(&mut g, depth, true, false),
+            3 => chain(&mut g, depth, true, true),
+            _ => {
+                let mut t = bushy(&mut g);
+                for _ in 0..g.below(8) {
+                    let live: Vec<PNodeId> = t.pre_order(t.root());
+                    let victim = *g.pick(&live);
+                    if victim != t.root() {
+                        t.remove_subtree(victim);
+                    }
+                }
+                t
+            }
+        }
+    }
+
+    /// Structural equality, labels and contents, over aggregates and
+    /// prefix entries alike.
+    fn same_tree(a: &RecordTree, an: PNodeId, b: &RecordTree, bn: PNodeId) -> bool {
+        let (na, nb) = (a.node(an), b.node(bn));
+        if na.label != nb.label {
+            return false;
+        }
+        match (&na.content, &nb.content) {
+            (PContent::Aggregate(ka), PContent::Aggregate(kb))
+            | (PContent::Prefix(ka), PContent::Prefix(kb)) => {
+                ka.len() == kb.len() && ka.iter().zip(kb).all(|(&x, &y)| same_tree(a, x, b, y))
+            }
+            (x, y) => x == y,
+        }
+    }
+
+    #[test]
+    fn back_patched_sizes_equal_the_recursive_encoder() {
+        // The *decoder* recurses per level with a frame that, unoptimised,
+        // does not fit 1 300 times into a test thread's 2 MiB.
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(encoders_agree_and_round_trip)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn encoders_agree_and_round_trip() {
+        // One table across the set, like the records of one page: index
+        // assignment order is part of what must not move.
+        let (mut table, mut reference_table) = (TypeTable::new(), TypeTable::new());
+        for case in 0..2_000 {
+            let tree = equivalence_tree(case);
+            let (bytes, mapping) = try_serialize(&tree, &mut table).unwrap();
+            let (want_bytes, want_mapping) = reference_serialize(&tree, &mut reference_table);
+            assert_eq!(bytes, want_bytes, "case {case}: record bytes");
+            assert_eq!(
+                mapping, want_mapping,
+                "case {case}: arena→pre-order mapping"
+            );
+            assert_eq!(table.encode(), reference_table.encode(), "case {case}");
+            let back = deserialize(&bytes, &table, Rid::new(1, 1)).unwrap();
+            assert!(
+                same_tree(&tree, tree.root(), &back, back.root()),
+                "case {case}: decode(encode(tree)) != tree"
+            );
+            assert_eq!(back.parent_rid, tree.parent_rid, "case {case}");
+        }
+    }
+
+    #[test]
+    fn the_size_table_equals_the_recursive_definition() {
+        for case in 0..2_000 {
+            let tree = equivalence_tree(case);
+            let sizes = tree.subtree_sizes();
+            assert_eq!(sizes.len(), tree.arena_len());
+            for id in 0..tree.arena_len() as PNodeId {
+                let want = tree.try_node(id).map_or(0, |_| tree.embedded_size(id));
+                assert_eq!(sizes[id as usize], want, "case {case}, node {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn encoding_a_chain_visits_each_level_a_constant_number_of_times() {
+        // The recursive-size encoder visited ≈ d²/2 nodes for a d-level
+        // chain (every header re-walked the chain below it).
+        for depth in [200usize, 650, 1_300] {
+            let tree = chain(&mut Gen::new(1), depth, false, false);
+            visits::take();
+            try_serialize(&tree, &mut TypeTable::new()).unwrap();
+            let linear = visits::take();
+            assert!(
+                linear <= 4 * depth as u64,
+                "depth {depth}: {linear} size visits to encode"
+            );
+            reference_serialize(&tree, &mut TypeTable::new());
+            let quadratic = visits::take();
+            assert!(
+                quadratic >= (depth * depth / 2) as u64,
+                "depth {depth}: the reference is expected to re-walk ({quadratic})"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tree_beyond_the_format_is_an_error_not_wrapped_sizes() {
+        // > 64 KiB under one aggregate: its 16-bit size field would wrap.
+        let mut t = RecordTree::new(10, PContent::Aggregate(vec![]), Rid::invalid());
+        let wrapper = append(&mut t, 0, (11, PContent::Aggregate(vec![])));
+        for _ in 0..3_000 {
+            let text = LiteralValue::String("twenty bytes of text.".into());
+            append(&mut t, wrapper, (LABEL_TEXT, PContent::Literal(text)));
+        }
+        assert!(t.record_size() > u16::MAX as usize);
+        let mut table = TypeTable::new();
+        assert!(matches!(
+            try_serialize(&t, &mut table),
+            Err(TreeError::Invariant(_))
+        ));
+        assert!(table.is_empty(), "refused before a type was interned");
+
+        // A full type table: the next new type is an error, not a panic.
+        let mut full = vec![0xFF, 0xFF];
+        for label in 0..u16::MAX {
+            full.push(ContentKind::Aggregate as u8);
+            full.extend_from_slice(&label.to_le_bytes());
+        }
+        let mut table = TypeTable::decode(&full).unwrap();
+        assert!(matches!(
+            try_serialize(&sample(), &mut table),
+            Err(TreeError::Invariant(_))
+        ));
+    }
 
     fn sample() -> RecordTree {
         let mut t = RecordTree::new(10, PContent::Aggregate(vec![]), Rid::new(4, 2));

@@ -11,7 +11,10 @@
 //! a [`SplitPlan`]; all I/O (allocating partition records, the recursive
 //! separator insertion of §3.2.2 step (c), parent-pointer patching) lives
 //! in [`crate::store`]. Keeping the planner pure makes the trickiest part
-//! of the paper unit- and property-testable in isolation.
+//! of the paper unit- and property-testable in isolation. The descent to
+//! the separator reads subtree sizes from one
+//! [`RecordTree::subtree_sizes`] table, so a plan costs the record's
+//! nodes once, however deep the record is.
 //!
 //! The implementation generalises the paper's left/right description to
 //! *runs*: walking a separator-level's children in order, each maximal run
@@ -32,7 +35,7 @@ use natix_xml::LABEL_NONE;
 use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
-use crate::model::{PContent, PNodeId, RecordTree, STANDALONE_HEADER};
+use crate::model::{PContent, PNodeId, RecordTree, EMBEDDED_HEADER, STANDALONE_HEADER};
 
 /// Where a proxy that *moved* during the split ended up — the store must
 /// update the standalone parent pointer of the record it references.
@@ -64,14 +67,20 @@ pub struct SplitPlan {
 /// separator"): descend from the root into the child whose subtree
 /// contains the configured byte position, stopping at a leaf or when the
 /// subtree about to be entered is smaller than the split tolerance.
-/// Returns the path `root..=parent(d)` and `d`.
+/// Returns the path `root..=parent(d)` and `d`. Sizes come from one
+/// [`RecordTree::subtree_sizes`] pass, so planning the split of a record
+/// that is one long chain costs its length, not its length squared.
 pub fn find_separator(
     tree: &RecordTree,
     cfg: &TreeConfig,
     page_size: usize,
 ) -> TreeResult<(Vec<PNodeId>, PNodeId)> {
     let tolerance = cfg.tolerance_bytes(page_size).max(1);
-    let total = tree.record_size();
+    // Every size the descent reads, computed once: the walk below costs
+    // the children it passes, not a subtree walk per child per level.
+    let sizes = tree.subtree_sizes();
+    let size = |n: PNodeId| sizes[n as usize];
+    let total = STANDALONE_HEADER - EMBEDDED_HEADER + size(tree.root());
     let target = (total as f64 * cfg.split_target) as usize;
     let mut cur = tree.root();
     let mut path = Vec::new();
@@ -90,7 +99,7 @@ pub fn find_separator(
         let mut pos = body_at;
         let mut found = None;
         for &k in kids {
-            let sz = tree.embedded_size(k);
+            let sz = size(k);
             if target < pos + sz {
                 found = Some((k, pos));
                 break;
@@ -101,14 +110,13 @@ pub fn find_separator(
             (Some(f), _) => f,
             // Target beyond the last child (standalone-header slack): the
             // physical middle lies in the last child.
-            (None, Some(&last)) => (last, pos - tree.embedded_size(last)),
+            (None, Some(&last)) => (last, pos - size(last)),
             (None, None) => {
                 return Err(TreeError::Invariant("split level with no children".into()));
             }
         };
-        let chosen_size = tree.embedded_size(chosen);
         let is_leaf = tree.children(chosen).is_empty();
-        if is_leaf || chosen_size < tolerance {
+        if is_leaf || size(chosen) < tolerance {
             // Degenerate-split guard: if d were the first child at this
             // level (and the whole path above has no left siblings), the
             // left partition would be empty and the right partition could
@@ -120,7 +128,7 @@ pub fn find_separator(
             }
             return Ok((path, d));
         }
-        body_at = chosen_pos + crate::model::EMBEDDED_HEADER;
+        body_at = chosen_pos + EMBEDDED_HEADER;
         cur = chosen;
     }
 }
@@ -543,6 +551,46 @@ mod tests {
             .moved_proxies
             .iter()
             .any(|&(r, _)| r == Rid::new(42, 1)));
+    }
+
+    #[test]
+    fn separator_of_a_chain_record_costs_its_length() {
+        // A record that is one long chain — what the bulkloader's spine
+        // pieces become when an edit normalizes them. `(path, d)` are the
+        // values the recursive-size descent produced (recorded from PR
+        // 24's parent, which visited ≈ d²/2 nodes to find them).
+        for (depth, page_size, levels) in [
+            (200usize, 2048usize, 170usize),
+            (200, 8192, 67),
+            (650, 2048, 620),
+            (650, 8192, 517),
+            (1_300, 2048, 1_270),
+            (1_300, 8192, 1_167),
+        ] {
+            let mut t = RecordTree::new(1, PContent::Aggregate(vec![]), Rid::invalid());
+            let mut at = t.root();
+            for _ in 0..depth {
+                let n = t.alloc(2, PContent::Aggregate(vec![]));
+                t.attach(at, 0, n);
+                at = n;
+            }
+            let leaf = PContent::Literal(LiteralValue::String("bottom".into()));
+            let leaf = t.alloc(LABEL_TEXT, leaf);
+            t.attach(at, 0, leaf);
+            crate::model::visits::take();
+            let (path, d) = find_separator(&t, &cfg(), page_size).unwrap();
+            let visited = crate::model::visits::take();
+            let want: Vec<PNodeId> = (0..levels as PNodeId).collect();
+            assert_eq!(
+                (path, d),
+                (want, levels as PNodeId),
+                "depth {depth}, page {page_size}"
+            );
+            assert!(
+                visited <= 4 * depth as u64,
+                "depth {depth}, page {page_size}: {visited} size visits"
+            );
+        }
     }
 
     #[test]

@@ -393,7 +393,13 @@ impl TreeStore {
             None => TypeTable::new(),
         };
         let before = table.len();
-        let (bytes, mapping) = record::serialize(tree, &mut table);
+        // Encoded — into a copy of the page's table — ahead of the space
+        // check below: callers pass a record within the net capacity or
+        // an in-place shrink, the encoder refuses what the format cannot
+        // hold, and no page byte has changed yet. An update gets the
+        // table's exact growth from this one interning pass, which is
+        // cheaper for it than the type scan appends do before encoding.
+        let (bytes, mapping) = record::try_serialize(tree, &mut table)?;
         // Conservative pre-check so a failed update leaves no half-state:
         // compute the worst-case growth of table + record together.
         let old_len = sp.get(rid.slot).map(|b| b.len()).unwrap_or(0);
@@ -500,15 +506,16 @@ impl TreeStore {
             None => TypeTable::new(),
         };
         let before = table.len();
-        let (bytes, mapping) = record::serialize(tree, &mut table);
-        let tt_growth = if had_tt {
-            (table.len() - before) * crate::typetable::ENTRY_BYTES
-        } else {
-            table.encoded_len() + SLOT_ENTRY_SIZE
-        };
-        if tt_growth + bytes.len() > sp.free_for_new_record() {
+        // Fit is decided before encoding (`record_size` is exact, and so
+        // is the table's growth): a full page costs no encode — mostly not
+        // even the scan of the record's types — and the encoder only ever
+        // sees a record that fits.
+        let free = sp.free_for_new_record();
+        let len = tree.record_size();
+        if len > free || type_table_growth(&table, had_tt, tree) + len > free {
             return Ok(None);
         }
+        let (bytes, mapping) = record::serialize_sized(tree, len, &mut table)?;
         if !had_tt {
             sp.insert_at(0, &table.encode())?;
         } else if table.len() > before {
@@ -1564,7 +1571,9 @@ impl TreeStore {
                 crate::model::EMBEDDED_HEADER + child_body
             };
             // Replacing the 14-byte proxy with the inlined subtree.
-            let new_size = tree.record_size() - tree.embedded_size(proxy) + inline_growth;
+            let new_size = tree.record_size()
+                - (crate::model::EMBEDDED_HEADER + crate::model::PROXY_BODY)
+                + inline_growth;
             if new_size > budget {
                 return Ok(());
             }
@@ -2177,6 +2186,20 @@ struct Site {
     tree: RecordTree,
     parent_node: PNodeId,
     index: usize,
+}
+
+/// Bytes a page's type table grows by when `tree` is written there: one
+/// entry per type the table lacks, plus — on a page that has no table yet
+/// — the table record itself and its slot. Exactly what interning the
+/// record's types adds, known before a byte is encoded.
+fn type_table_growth(table: &TypeTable, had_tt: bool, tree: &RecordTree) -> usize {
+    let new_entries =
+        table.missing_count(record::collect_types(tree)) * crate::typetable::ENTRY_BYTES;
+    if had_tt {
+        new_entries
+    } else {
+        table.encoded_len() + new_entries + SLOT_ENTRY_SIZE
+    }
 }
 
 /// Maps a pre-order index back to an arena id. For freshly loaded trees

@@ -136,17 +136,19 @@ impl TypeTable {
             .map(|i| i as u16)
     }
 
-    /// Index of an entry, appending it if new. Returns `(index, grew)`.
-    pub fn intern(&mut self, kind: ContentKind, label: LabelId) -> (u16, bool) {
+    /// Index of an entry, appending it if new. Returns `(index, grew)`, or
+    /// an invariant error when the table is full (indices are `u16`; a
+    /// page's table is bounded by the alphabet, so only a corrupt table or
+    /// a planner bug gets here).
+    pub fn intern(&mut self, kind: ContentKind, label: LabelId) -> TreeResult<(u16, bool)> {
         if let Some(i) = self.find(kind, label) {
-            return (i, false);
+            return Ok((i, false));
         }
-        assert!(
-            self.entries.len() < u16::MAX as usize,
-            "type table exhausted"
-        );
+        if self.entries.len() >= u16::MAX as usize {
+            return Err(TreeError::Invariant("type table exhausted".into()));
+        }
         self.entries.push((kind, label));
-        ((self.entries.len() - 1) as u16, true)
+        Ok(((self.entries.len() - 1) as u16, true))
     }
 
     /// Resolves a type index from an object header.
@@ -160,13 +162,19 @@ impl TypeTable {
     /// How many of `types` are missing from this table — the byte cost of
     /// interning them is `missing * ENTRY_BYTES`.
     pub fn missing_count(&self, types: impl IntoIterator<Item = (ContentKind, LabelId)>) -> usize {
-        let mut missing: Vec<(ContentKind, LabelId)> = Vec::new();
+        // A record repeats a handful of types over hundreds of nodes:
+        // reduce to the distinct ones first, then probe the table once
+        // per distinct type.
+        let mut distinct: Vec<(ContentKind, LabelId)> = Vec::new();
         for t in types {
-            if self.find(t.0, t.1).is_none() && !missing.contains(&t) {
-                missing.push(t);
+            if !distinct.contains(&t) {
+                distinct.push(t);
             }
         }
-        missing.len()
+        distinct
+            .iter()
+            .filter(|t| self.find(t.0, t.1).is_none())
+            .count()
     }
 }
 
@@ -177,12 +185,12 @@ mod tests {
     #[test]
     fn intern_and_get() {
         let mut t = TypeTable::new();
-        let (a, grew) = t.intern(ContentKind::Aggregate, 7);
+        let (a, grew) = t.intern(ContentKind::Aggregate, 7).unwrap();
         assert!(grew);
-        let (b, grew2) = t.intern(ContentKind::Aggregate, 7);
+        let (b, grew2) = t.intern(ContentKind::Aggregate, 7).unwrap();
         assert!(!grew2);
         assert_eq!(a, b);
-        let (c, _) = t.intern(ContentKind::LitString, 1);
+        let (c, _) = t.intern(ContentKind::LitString, 1).unwrap();
         assert_ne!(a, c);
         assert_eq!(t.get(a).unwrap(), (ContentKind::Aggregate, 7));
         assert_eq!(t.get(c).unwrap(), (ContentKind::LitString, 1));
@@ -192,9 +200,9 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let mut t = TypeTable::new();
-        t.intern(ContentKind::Aggregate, 5);
-        t.intern(ContentKind::Proxy, 0);
-        t.intern(ContentKind::LitF64, 1);
+        t.intern(ContentKind::Aggregate, 5).unwrap();
+        t.intern(ContentKind::Proxy, 0).unwrap();
+        t.intern(ContentKind::LitF64, 1).unwrap();
         let bytes = t.encode();
         assert_eq!(bytes.len(), t.encoded_len());
         let t2 = TypeTable::decode(&bytes).unwrap();
@@ -218,7 +226,7 @@ mod tests {
     #[test]
     fn missing_count_dedupes() {
         let mut t = TypeTable::new();
-        t.intern(ContentKind::Aggregate, 5);
+        t.intern(ContentKind::Aggregate, 5).unwrap();
         let missing = t.missing_count(vec![
             (ContentKind::Aggregate, 5),
             (ContentKind::LitString, 1),
