@@ -364,12 +364,7 @@ where
                     // level — content of outer levels is outside the
                     // walked subtree.
                     let t = *target;
-                    let (_, path, _) = crate::store::spilled_path(&ftree).ok_or_else(|| {
-                        TreeError::Invariant(format!(
-                            "record {frid}: continuation without a spilled path"
-                        ))
-                    })?;
-                    let i0 = path.iter().position(|&p| p == fstart).ok_or_else(|| {
+                    let (i0, _) = crate::store::spilled_level(&ftree, fstart).ok_or_else(|| {
                         TreeError::Invariant(format!(
                             "record {frid}: walk start is not on the spilled path"
                         ))

@@ -194,6 +194,8 @@ fn write_literal(v: &LiteralValue, out: &mut Vec<u8>) {
 /// Parses record bytes back into a [`RecordTree`]. Node arena slots equal
 /// pre-order indices, and `orig` markers are set accordingly.
 pub fn deserialize(bytes: &[u8], table: &TypeTable, rid: Rid) -> TreeResult<RecordTree> {
+    #[cfg(test)]
+    decodes::count();
     let corrupt = |m: String| TreeError::CorruptRecord { rid, message: m };
     if bytes.len() < STANDALONE_HEADER {
         return Err(corrupt(format!(
@@ -212,6 +214,7 @@ pub fn deserialize(bytes: &[u8], table: &TypeTable, rid: Rid) -> TreeResult<Reco
         orig: Some(NodePtr::new(rid, 0)),
     }));
     let body = &bytes[STANDALONE_HEADER..];
+    let mut continuation = None;
     parse_body(
         bytes,
         STANDALONE_HEADER,
@@ -221,9 +224,10 @@ pub fn deserialize(bytes: &[u8], table: &TypeTable, rid: Rid) -> TreeResult<Reco
         kind,
         table,
         &mut nodes,
+        &mut continuation,
         rid,
     )?;
-    Ok(RecordTree::from_parts(nodes, 0, parent_rid))
+    Ok(RecordTree::from_parts(nodes, 0, parent_rid, continuation))
 }
 
 fn placeholder(kind: ContentKind) -> PContent {
@@ -251,7 +255,8 @@ fn node_slot(nodes: &mut [Option<PNode>], id: PNodeId, rid: Rid) -> TreeResult<&
 
 /// Parses the body of node `me` (arena index) located at
 /// `[body_at, body_at+body_len)`; `my_header_off` is where `me`'s header
-/// starts (0 for the root).
+/// starts (0 for the root). Nodes are met in pre-order: the first
+/// continuation placeholder met is noted in `continuation`.
 #[allow(clippy::too_many_arguments)]
 fn parse_body(
     bytes: &[u8],
@@ -262,6 +267,7 @@ fn parse_body(
     kind: ContentKind,
     table: &TypeTable,
     nodes: &mut Vec<Option<PNode>>,
+    continuation: &mut Option<(PNodeId, Rid)>,
     rid: Rid,
 ) -> TreeResult<()> {
     let corrupt = |m: String| TreeError::CorruptRecord { rid, message: m };
@@ -277,6 +283,7 @@ fn parse_body(
             node_slot(nodes, me, rid)?.content = if kind == ContentKind::Proxy {
                 PContent::Proxy(target)
             } else {
+                continuation.get_or_insert((me, target));
                 PContent::Continuation(target)
             };
         }
@@ -317,6 +324,7 @@ fn parse_body(
                     ckind,
                     table,
                     nodes,
+                    continuation,
                     rid,
                 )?;
                 at += size;
@@ -369,6 +377,26 @@ pub(crate) mod encodes {
     /// Reads and resets the calling thread's count.
     pub(crate) fn take() -> u64 {
         ENCODES.with(|v| v.replace(0))
+    }
+}
+
+/// Test-only count of decoder runs on the calling thread: what "an
+/// ancestor walk decodes each record once" is asserted on.
+#[cfg(test)]
+pub(crate) mod decodes {
+    use std::cell::Cell;
+
+    thread_local! {
+        static DECODES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count() {
+        DECODES.with(|v| v.set(v.get() + 1));
+    }
+
+    /// Reads and resets the calling thread's count.
+    pub(crate) fn take() -> u64 {
+        DECODES.with(|v| v.replace(0))
     }
 }
 
@@ -615,6 +643,94 @@ mod tests {
                 "case {case}: decode(encode(tree)) != tree"
             );
             assert_eq!(back.parent_rid, tree.parent_rid, "case {case}");
+        }
+    }
+
+    #[test]
+    fn the_continuation_lookup_equals_the_pre_order_reference() {
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(continuation_lookups_agree)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn pick<'a, T>(g: &mut Gen, items: &'a [T]) -> Option<&'a T> {
+        (!items.is_empty()).then(|| g.pick(items))
+    }
+
+    /// On every tree of the equivalence set: as built, as decoded (the
+    /// placeholder the decoder noted), and after each `&mut self` mutator
+    /// (the placeholder forgotten and found again by the arena scan) —
+    /// including mutators that make, unmake, detach and move a placeholder.
+    fn continuation_lookups_agree() {
+        use crate::store::tests::reference_find_continuation as reference;
+        fn check(t: &RecordTree, case: u64, what: &str) {
+            assert_eq!(t.continuation(), reference(t), "case {case}: {what}");
+        }
+        let slot = || PContent::Continuation(Rid::new(INVALID_PAGE, 9));
+        let mut table = TypeTable::new();
+        for case in 0..2_000 {
+            let mut g = Gen::new(case);
+            let built = equivalence_tree(case);
+            check(&built, case, "as built");
+            let (bytes, _) = try_serialize(&built, &mut table).unwrap();
+            let mut t = deserialize(&bytes, &table, Rid::new(1, 1)).unwrap();
+            check(&t, case, "as decoded");
+            let below_root = |t: &RecordTree| t.pre_order(t.root())[1..].to_vec();
+
+            let v = *g.pick(&t.pre_order(t.root()));
+            t.node_mut(v).orig = None;
+            check(&t, case, "node_mut");
+            if let Some(&v) = pick(&mut g, &below_root(&t)) {
+                let parent = t.node(v).parent.unwrap();
+                let at = t.children(parent).iter().position(|&c| c == v).unwrap();
+                t.detach(v);
+                check(&t, case, "detach");
+                t.attach(parent, at, v);
+                check(&t, case, "attach");
+            }
+            match t.continuation() {
+                Some((c, _)) => {
+                    t.node_mut(c).content = PContent::Literal(LiteralValue::I8(1));
+                    check(&t, case, "node_mut unmaking the placeholder");
+                }
+                None => {
+                    let leaves: Vec<PNodeId> = below_root(&t)
+                        .into_iter()
+                        .filter(|&n| {
+                            matches!(t.node(n).content, PContent::Literal(_) | PContent::Proxy(_))
+                        })
+                        .collect();
+                    if let Some(&v) = pick(&mut g, &leaves) {
+                        t.node_mut(v).content = slot();
+                        check(&t, case, "node_mut making a placeholder");
+                    }
+                }
+            }
+            if t.continuation().is_none() {
+                let c = t.alloc(LABEL_NONE, slot());
+                check(&t, case, "alloc");
+                let holders: Vec<PNodeId> = t
+                    .pre_order(t.root())
+                    .into_iter()
+                    .filter(|&n| matches!(t.node(n).content, PContent::Aggregate(_)))
+                    .collect();
+                if let Some(&h) = pick(&mut g, &holders) {
+                    t.attach(h, usize::MAX, c);
+                    check(&t, case, "attaching a placeholder");
+                }
+            }
+            if let Some(&v) = pick(&mut g, &below_root(&t)) {
+                let moved = RecordTree::from_transplant(&mut t, v);
+                check(&t, case, "transplant (source)");
+                check(&moved, case, "transplant (destination)");
+            }
+            if let Some(&v) = pick(&mut g, &below_root(&t)) {
+                t.remove_subtree(v);
+                check(&t, case, "remove_subtree");
+            }
         }
     }
 

@@ -16,6 +16,31 @@
 //! change; the document manager keeps its logical-node map current from
 //! these events. Standalone parent pointers (Appendix A) are maintained by
 //! deferred 8-byte patches collected per operation.
+//!
+//! # Reading
+//!
+//! Every reader asks for a record's decoded tree (once per read snapshot,
+//! thanks to [`crate::version`]'s memo) and then navigates it. The
+//! summary-seeded descent and the lazy walk call the child enumeration at
+//! every node they visit, so each helper must cost what it visits, not
+//! what its record holds — a per-call walk of the whole record made a
+//! seeded `//SPEAKER` over a play cost 3.4 ms where the scan took 1.1:
+//!
+//! * [`TreeStore::node_info`] and [`TreeStore::node_label`]: one node.
+//! * [`TreeStore::logical_children`] and its two siblings: the node's
+//!   child list, plus — for a node on the record's spilled path only —
+//!   the walk from the continuation placeholder to the record root and
+//!   the continuation group's prefix chain, O(record depth). A decoded
+//!   record knows its placeholder ([`crate::model`]), so a record without
+//!   one pays nothing to find that out.
+//! * [`TreeStore::scan_record_subtree`]: the scanned subtree; entering a
+//!   continuation group costs the same O(record depth).
+//! * [`TreeStore::logical_parent`]: the parent chain inside each record it
+//!   crosses; a crossing finds the proxy by an allocation-free scan of the
+//!   parent record.
+//! * [`TreeStore::label_path`]: as many steps, but the walk holds the
+//!   record it stands in, so each record on the path is loaded once per
+//!   call — writers, who bypass the memo, call it on every insert.
 
 use std::sync::Arc;
 
@@ -27,7 +52,7 @@ use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
 use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
-use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
+use crate::model::{NodePtr, PContent, PNode, PNodeId, RecordTree};
 use crate::record;
 use crate::split::{plan_split, ProxyHome};
 use crate::typetable::TypeTable;
@@ -737,7 +762,7 @@ impl TreeStore {
     pub(crate) fn remove_placeholder(&self, rid: Rid, sentinel: Rid) -> TreeResult<()> {
         let _op = self.versions.begin_write();
         let mut tree = self.load_current(rid)?;
-        let Some(proxy) = find_proxy(&tree, sentinel) else {
+        let Some(proxy) = tree.find_proxy(sentinel) else {
             return Err(TreeError::Invariant(format!(
                 "record {rid} has no placeholder proxy {sentinel}"
             )));
@@ -750,7 +775,7 @@ impl TreeStore {
     pub(crate) fn repoint_proxy(&self, parent_rid: Rid, old: Rid, new: Rid) -> TreeResult<()> {
         let _op = self.versions.begin_write();
         let mut parent = self.load_current(parent_rid)?;
-        let Some(proxy) = find_proxy(&parent, old) else {
+        let Some(proxy) = parent.find_proxy(old) else {
             return Err(TreeError::Invariant(format!(
                 "record {parent_rid} has no proxy for child {old}"
             )));
@@ -811,7 +836,7 @@ impl TreeStore {
         // Splice the separator into the parent in place of the old proxy
         // (§3.2.2, "Inserting the separator"), honouring special case 2.
         let mut parent = self.load_current(parent_rid)?;
-        let Some(proxy) = find_proxy(&parent, rid) else {
+        let Some(proxy) = parent.find_proxy(rid) else {
             return Err(TreeError::Invariant(format!(
                 "record {parent_rid} has no proxy for split child {rid}"
             )));
@@ -984,7 +1009,7 @@ impl TreeStore {
                 if tree_is_packed(&ptree) {
                     return Err(TreeError::PackedRecord(parent_rid));
                 }
-                let proxy = find_proxy(&ptree, sibling.rid).ok_or_else(|| {
+                let proxy = ptree.find_proxy(sibling.rid).ok_or_else(|| {
                     TreeError::Invariant(format!(
                         "record {parent_rid} has no proxy for {}",
                         sibling.rid
@@ -1012,26 +1037,30 @@ impl TreeStore {
             }
         };
         // The logical parent's label governs the split-matrix lookup.
-        let lparent = self
-            .logical_parent_from(site.rid, site.parent_node, &site.tree, true)?
+        let (lparent, _) = self
+            .logical_parent_from(site.rid, Some(site.parent_node), &site.tree, true)?
             .ok_or_else(|| TreeError::Invariant("sibling has no logical parent".into()))?;
         self.insert_at_site(site, lparent, label, node)
     }
 
-    /// Walks up from `(rid, node)` (inclusive) to the nearest facade node,
-    /// crossing record boundaries through standalone parent pointers. The
-    /// starting tree is borrowed (the common case never leaves it); only
-    /// boundary crossings load further records. `current` selects the
-    /// on-page image (write paths) over the versioned view (read paths).
+    /// Walks up from `(rid, node)` (inclusive; `None` stands for the proxy
+    /// above the record root) to the nearest facade node, crossing record
+    /// boundaries through standalone parent pointers. The starting tree is
+    /// borrowed (the common case never leaves it); only boundary crossings
+    /// load further records, each once. Returns the facade and, when the
+    /// walk left `tree`, the record the facade lives in — an ancestor walk
+    /// steps on from that record instead of loading it again. `current`
+    /// selects the on-page image (write paths) over the versioned view
+    /// (read paths).
     fn logical_parent_from(
         &self,
         mut rid: Rid,
-        mut node: PNodeId,
+        mut node: Option<PNodeId>,
         tree: &RecordTree,
         current: bool,
-    ) -> TreeResult<Option<NodePtr>> {
+    ) -> TreeResult<Option<(NodePtr, Option<Arc<RecordTree>>)>> {
         enum Next {
-            Up(PNodeId),
+            Up(Option<PNodeId>),
             Cross(Rid),
             /// A prefix entry at the given chain index: hop to the record
             /// whose node it copies.
@@ -1048,23 +1077,19 @@ impl TreeStore {
         loop {
             let action = {
                 let t = owned.as_deref().unwrap_or(tree);
-                let n = t.node(node);
-                if n.is_facade() {
-                    return Ok(Some(NodePtr::new(rid, preorder_index(t, node))));
-                }
-                if n.is_prefix() {
-                    // Chain index = number of (prefix) ancestors above.
-                    let mut i = 0usize;
-                    let mut up = n.parent;
-                    while let Some(p) = up {
-                        i += 1;
-                        up = t.node(p).parent;
-                    }
-                    Next::Hop(i, t.parent_rid)
-                } else {
-                    match n.parent {
-                        Some(p) => Next::Up(p),
-                        None => Next::Cross(t.parent_rid),
+                match node {
+                    None => Next::Cross(t.parent_rid),
+                    Some(id) => {
+                        let n = t.node(id);
+                        if n.is_facade() {
+                            return Ok(Some((NodePtr::new(rid, preorder_index(t, id)), owned)));
+                        }
+                        if n.is_prefix() {
+                            // Chain index = number of (prefix) ancestors above.
+                            Next::Hop(t.depth(id), t.parent_rid)
+                        } else {
+                            Next::Up(n.parent)
+                        }
                     }
                 }
             };
@@ -1075,12 +1100,12 @@ impl TreeStore {
                         return Ok(None);
                     }
                     let ptree = load(parent_rid)?;
-                    let proxy = find_proxy(&ptree, rid).ok_or_else(|| {
+                    let proxy = ptree.find_proxy(rid).ok_or_else(|| {
                         TreeError::Invariant(format!("record {parent_rid} has no proxy for {rid}"))
                     })?;
-                    node = ptree.node(proxy).parent.ok_or_else(|| {
+                    node = Some(ptree.node(proxy).parent.ok_or_else(|| {
                         TreeError::Invariant(format!("record {parent_rid}: detached proxy"))
-                    })?;
+                    })?);
                     rid = parent_rid;
                     owned = Some(ptree);
                 }
@@ -1096,7 +1121,7 @@ impl TreeStore {
                             ));
                         }
                         let holder = load(holder_rid)?;
-                        if find_continuation(&holder).map(|(_, t)| t) == Some(rid) {
+                        if holder.continuation().map(|(_, t)| t) == Some(rid) {
                             // Our record is the holder's continuation
                             // group: chain index i maps to spilled-path
                             // node i.
@@ -1112,7 +1137,7 @@ impl TreeStore {
                                      its group's prefix chain"
                                 ))
                             })?;
-                            node = at;
+                            node = Some(at);
                             rid = holder_rid;
                             owned = Some(holder);
                             break;
@@ -1501,7 +1526,7 @@ impl TreeStore {
         ctx: &mut OpCtx,
     ) -> TreeResult<()> {
         let mut tree = self.load_current(parent_rid)?;
-        let Some(proxy) = find_proxy(&tree, child) else {
+        let Some(proxy) = tree.find_proxy(child) else {
             return Err(TreeError::Invariant(format!(
                 "record {parent_rid} has no proxy for deleted child {child}"
             )));
@@ -1706,14 +1731,14 @@ impl TreeStore {
         }
         let budget = self.net_capacity();
         let mut bound = tree.record_size();
-        let mut work: Vec<Rid> = spilled_path(&tree).map(|(_, _, g)| g).into_iter().collect();
+        let mut work: Vec<Rid> = tree.continuation().map(|(_, g)| g).into_iter().collect();
         while let Some(g) = work.pop() {
             let gt = self.load_current(g)?;
             bound += gt.record_size();
             if bound > budget {
                 return Ok(None);
             }
-            if let Some((_, _, next)) = spilled_path(&gt) {
+            if let Some((_, next)) = gt.continuation() {
                 work.push(next);
             }
             // Split prefix chains: lower pieces hang as digest-less
@@ -1833,12 +1858,7 @@ impl TreeStore {
     /// kind only, without the copy of a literal's value.
     pub fn node_label(&self, ptr: NodePtr) -> TreeResult<(LabelId, bool)> {
         let tree = self.load_shared(ptr.rid)?;
-        let n = tree
-            .try_node(preorder_to_arena(&tree, ptr.node))
-            .ok_or(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            })?;
+        let n = checked_node(&tree, ptr)?;
         Ok((n.label, matches!(n.content, PContent::Literal(_))))
     }
 
@@ -1926,20 +1946,18 @@ impl TreeStore {
                     }
                     let child = self.load_shared(target)?;
                     let root = child.root();
-                    if child.node(root).is_scaffolding_aggregate() {
+                    let r = child.node(root);
+                    if r.is_scaffolding_aggregate() {
                         if !self.expand_children(target, &child, root, f)? {
                             return Ok(false);
                         }
-                    } else if child.node(root).is_prefix() {
+                    } else if r.is_prefix() {
                         // The lower half of a split prefix chain: its root
                         // prefix copies *this* node's next spilled level,
                         // so only content of deeper levels hangs here —
                         // none of it is a child of `node`.
                         debug_assert!(tree.node(node).is_prefix());
-                    } else if !f(
-                        NodePtr::new(target, preorder_index(&child, root)),
-                        child.node(root).label,
-                    )? {
+                    } else if !f(NodePtr::new(target, preorder_index(&child, root)), r.label)? {
                         return Ok(false);
                     }
                 }
@@ -1958,10 +1976,8 @@ impl TreeStore {
         // Depth-aware packing: when the record has a continuation and
         // `node` sits on its spilled path, the node's child list continues
         // in the group record, under the prefix entry copying it.
-        if let Some((_, path, group)) = spilled_path(tree) {
-            if let Some(i) = path.iter().position(|&p| p == node) {
-                return self.expand_group_children(group, i, f);
-            }
+        if let Some((i, group)) = spilled_level(tree, node) {
+            return self.expand_group_children(group, i, f);
         }
         Ok(true)
     }
@@ -2092,10 +2108,7 @@ impl TreeStore {
         start: PNodeId,
         target: Rid,
     ) -> TreeResult<NodePtr> {
-        let (_, path, _) = spilled_path(tree).ok_or_else(|| {
-            TreeError::Invariant("continuation entry on a record with no continuation".into())
-        })?;
-        let i0 = path.iter().position(|&p| p == start).ok_or_else(|| {
+        let (i0, _) = spilled_level(tree, start).ok_or_else(|| {
             TreeError::Invariant("scan start is not on the record's spilled path".into())
         })?;
         let group = self.load_shared_hinted(target, AccessHint::Scan)?;
@@ -2112,48 +2125,36 @@ impl TreeStore {
     /// root).
     pub fn logical_parent(&self, ptr: NodePtr) -> TreeResult<Option<NodePtr>> {
         let tree = self.load_shared(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        let parent = tree
-            .try_node(arena)
-            .ok_or(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            })?
-            .parent;
-        match parent {
-            Some(p) => self.logical_parent_from(ptr.rid, p, &tree, false),
-            None => {
-                let parent_rid = tree.parent_rid;
-                if parent_rid.is_invalid() {
-                    return Ok(None);
-                }
-                let ptree = self.load_shared(parent_rid)?;
-                let proxy = find_proxy(&ptree, ptr.rid).ok_or_else(|| {
-                    TreeError::Invariant(format!(
-                        "record {parent_rid} has no proxy for {}",
-                        ptr.rid
-                    ))
-                })?;
-                let pp = ptree.node(proxy).parent.ok_or_else(|| {
-                    TreeError::Invariant(format!("record {parent_rid}: detached proxy"))
-                })?;
-                self.logical_parent_from(parent_rid, pp, &ptree, false)
-            }
-        }
+        let parent = checked_node(&tree, ptr)?.parent;
+        Ok(self
+            .logical_parent_from(ptr.rid, parent, &tree, false)?
+            .map(|(p, _)| p))
     }
 
     /// Root-to-node label path of a logical node: the labels of all its
     /// logical ancestors from the document root down, ending with the
     /// node's own label. Feeds path-summary maintenance: an inserted
-    /// node's path identifies exactly the summary entry to bump. Cost is
-    /// one record load per logical ancestor (record depth, not node
-    /// depth, thanks to intra-record parent chains).
+    /// node's path identifies exactly the summary entry to bump.
+    ///
+    /// The walk holds the record it stands in and reads labels from it,
+    /// so each record on the path is loaded once per call — the record
+    /// depth, not the node depth — with or without the decoded-record
+    /// memo (writers, who call this on every insert, bypass the memo).
     pub fn label_path(&self, ptr: NodePtr) -> TreeResult<Vec<LabelId>> {
-        let mut path = vec![self.node_info(ptr)?.label];
-        let mut cur = ptr;
-        while let Some(parent) = self.logical_parent(cur)? {
-            path.push(self.node_info(parent)?.label);
-            cur = parent;
+        let mut tree = self.load_shared(ptr.rid)?;
+        let mut at = ptr;
+        let mut path = Vec::new();
+        loop {
+            let n = checked_node(&tree, at)?;
+            path.push(n.label);
+            let Some((parent, held)) = self.logical_parent_from(at.rid, n.parent, &tree, false)?
+            else {
+                break;
+            };
+            if let Some(t) = held {
+                tree = t;
+            }
+            at = parent;
         }
         path.reverse();
         Ok(path)
@@ -2202,6 +2203,15 @@ fn type_table_growth(table: &TypeTable, had_tt: bool, tree: &RecordTree) -> usiz
     }
 }
 
+/// The node `ptr` names in `tree`, the record at `ptr.rid`.
+fn checked_node(tree: &RecordTree, ptr: NodePtr) -> TreeResult<&PNode> {
+    tree.try_node(preorder_to_arena(tree, ptr.node))
+        .ok_or(TreeError::BadNodePtr {
+            rid: ptr.rid,
+            node: ptr.node,
+        })
+}
+
 /// Maps a pre-order index back to an arena id. For freshly loaded trees
 /// these coincide (deserialisation numbers nodes in pre-order).
 fn preorder_to_arena(tree: &RecordTree, pre: PNodeId) -> PNodeId {
@@ -2215,14 +2225,6 @@ fn preorder_to_arena(tree: &RecordTree, pre: PNodeId) -> PNodeId {
 fn preorder_index(tree: &RecordTree, arena: PNodeId) -> PNodeId {
     let _ = tree;
     arena
-}
-
-/// Finds the proxy (or continuation) node in `tree` pointing at `child`.
-fn find_proxy(tree: &RecordTree, child: Rid) -> Option<PNodeId> {
-    tree.pre_order(tree.root()).into_iter().find(|&n| {
-        matches!(tree.node(n).content,
-            PContent::Proxy(r) | PContent::Continuation(r) if r == child)
-    })
 }
 
 /// True when the record carries depth-aware-packing structure that
@@ -2243,22 +2245,7 @@ pub(crate) fn packed_site_is_plain(tree: &RecordTree, node: PNodeId) -> bool {
     if tree.node(node).is_prefix() {
         return false;
     }
-    match spilled_path(tree) {
-        Some((_, path, _)) => !path.contains(&node),
-        None => true,
-    }
-}
-
-/// The record's continuation placeholder and its target, if any (at most
-/// one per record — enforced by the validator).
-pub(crate) fn find_continuation(tree: &RecordTree) -> Option<(PNodeId, Rid)> {
-    tree.pre_order(tree.root()).into_iter().find_map(|n| {
-        if let PContent::Continuation(target) = tree.node(n).content {
-            Some((n, target))
-        } else {
-            None
-        }
-    })
+    spilled_level(tree, node).is_none()
 }
 
 /// The record's *spilled path* — the chain of nodes from the record root
@@ -2268,7 +2255,7 @@ pub(crate) fn find_continuation(tree: &RecordTree) -> Option<(PNodeId, Rid)> {
 /// path entry for entry; every consumer of the path ↔ chain
 /// correspondence goes through this one helper.
 pub(crate) fn spilled_path(tree: &RecordTree) -> Option<(PNodeId, Vec<PNodeId>, Rid)> {
-    let (cont, target) = find_continuation(tree)?;
+    let (cont, target) = tree.continuation()?;
     let mut path = Vec::new();
     let mut at = tree.node(cont).parent;
     while let Some(p) = at {
@@ -2279,17 +2266,34 @@ pub(crate) fn spilled_path(tree: &RecordTree) -> Option<(PNodeId, Vec<PNodeId>, 
     Some((cont, path, target))
 }
 
+/// Where `node` lies on the record's spilled path: its index there (its
+/// depth below the record root) and the continuation group; `None` when
+/// the record has no continuation or `node` is not on the path. What
+/// every child enumeration and scan entry asks, so it walks only the
+/// placeholder's ancestors and allocates nothing.
+pub(crate) fn spilled_level(tree: &RecordTree, node: PNodeId) -> Option<(usize, Rid)> {
+    let (cont, group) = tree.continuation()?;
+    let mut up = tree.node(cont).parent;
+    while let Some(p) = up {
+        if p == node {
+            return Some((tree.depth(node), group));
+        }
+        up = tree.node(p).parent;
+    }
+    None
+}
+
 /// The prefix chain of a continuation-group record: the record root and
 /// its first-child descendants while they are prefix entries, root first.
 pub(crate) fn prefix_chain(tree: &RecordTree) -> Vec<PNodeId> {
     let mut chain = Vec::new();
-    let mut at = tree.root();
-    while tree.node(at).is_prefix() {
-        chain.push(at);
-        match tree.children(at).first() {
-            Some(&first) if tree.node(first).is_prefix() => at = first,
-            _ => break,
-        }
+    let mut at = Some(tree.root());
+    while let Some(id) = at {
+        let PContent::Prefix(kids) = &tree.node(id).content else {
+            break;
+        };
+        chain.push(id);
+        at = kids.first().copied();
     }
     chain
 }
@@ -2300,5 +2304,410 @@ fn edge_child(tree: &RecordTree, node: PNodeId, first: bool) -> Option<PNodeId> 
         kids.first().copied()
     } else {
         kids.last().copied()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    //! Navigation costs what it visits — asserted on counters, not a
+    //! stopwatch — and answers what the parent's whole-record lookups
+    //! answered, which are kept here as the references.
+
+    use std::collections::{BTreeSet, HashMap};
+
+    use natix_corpus::shakespeare::PlayLabels;
+    use natix_corpus::{
+        generate_corpus, generate_deep, generate_orders, generate_play, CorpusConfig, DeepConfig,
+        OrdersConfig, SplitMix64,
+    };
+    use natix_storage::{BufferManager, EvictionPolicy, IoStats, MemStorage};
+    use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
+
+    use super::*;
+    use crate::bulkload::bulkload_document;
+    use crate::model::touches;
+    use crate::reconstruct::{traverse, VisitEvent};
+    use crate::record::decodes;
+    use crate::validate::check_tree;
+
+    /// The parent's continuation lookup: the first placeholder of a
+    /// pre-order walk over the whole record.
+    pub(crate) fn reference_find_continuation(tree: &RecordTree) -> Option<(PNodeId, Rid)> {
+        tree.pre_order(tree.root()).into_iter().find_map(|n| {
+            if let PContent::Continuation(target) = tree.node(n).content {
+                Some((n, target))
+            } else {
+                None
+            }
+        })
+    }
+
+    /// The parent's `find_proxy`.
+    fn reference_find_proxy(tree: &RecordTree, child: Rid) -> Option<PNodeId> {
+        tree.pre_order(tree.root()).into_iter().find(|&n| {
+            matches!(tree.node(n).content,
+                PContent::Proxy(r) | PContent::Continuation(r) if r == child)
+        })
+    }
+
+    /// The parent's `spilled_path`, over the reference lookup.
+    fn reference_spilled_path(tree: &RecordTree) -> Option<(PNodeId, Vec<PNodeId>, Rid)> {
+        let (cont, target) = reference_find_continuation(tree)?;
+        let mut path = Vec::new();
+        let mut at = tree.node(cont).parent;
+        while let Some(p) = at {
+            path.push(p);
+            at = tree.node(p).parent;
+        }
+        path.reverse();
+        Some((cont, path, target))
+    }
+
+    /// The parent's `logical_parent_from` on the read path: every record
+    /// boundary loads the next record afresh.
+    fn reference_logical_parent_from(
+        st: &TreeStore,
+        mut rid: Rid,
+        mut node: PNodeId,
+        tree: &RecordTree,
+    ) -> Option<NodePtr> {
+        let mut owned: Option<Arc<RecordTree>> = None;
+        loop {
+            let t = owned.as_deref().unwrap_or(tree);
+            let n = t.node(node);
+            if n.is_facade() {
+                return Some(NodePtr::new(rid, node));
+            }
+            if n.is_prefix() {
+                let mut level = 0;
+                let mut up = n.parent;
+                while let Some(p) = up {
+                    level += 1;
+                    up = t.node(p).parent;
+                }
+                let mut holder_rid = t.parent_rid;
+                loop {
+                    let holder = st.load_shared(holder_rid).unwrap();
+                    if reference_find_continuation(&holder).map(|(_, t)| t) == Some(rid) {
+                        let (_, path, _) = reference_spilled_path(&holder).unwrap();
+                        node = path[level];
+                        rid = holder_rid;
+                        owned = Some(holder);
+                        break;
+                    }
+                    level += prefix_chain(&holder).len();
+                    rid = holder_rid;
+                    holder_rid = holder.parent_rid;
+                }
+                continue;
+            }
+            match n.parent {
+                Some(p) => node = p,
+                None => {
+                    let parent_rid = t.parent_rid;
+                    if parent_rid.is_invalid() {
+                        return None;
+                    }
+                    let ptree = st.load_shared(parent_rid).unwrap();
+                    let proxy = reference_find_proxy(&ptree, rid).unwrap();
+                    node = ptree.node(proxy).parent.unwrap();
+                    rid = parent_rid;
+                    owned = Some(ptree);
+                }
+            }
+        }
+    }
+
+    /// The parent's `logical_parent`.
+    fn reference_logical_parent(st: &TreeStore, ptr: NodePtr) -> Option<NodePtr> {
+        let tree = st.load_shared(ptr.rid).unwrap();
+        match tree.node(ptr.node).parent {
+            Some(p) => reference_logical_parent_from(st, ptr.rid, p, &tree),
+            None => {
+                let parent_rid = tree.parent_rid;
+                if parent_rid.is_invalid() {
+                    return None;
+                }
+                let ptree = st.load_shared(parent_rid).unwrap();
+                let proxy = reference_find_proxy(&ptree, ptr.rid).unwrap();
+                let pp = ptree.node(proxy).parent.unwrap();
+                reference_logical_parent_from(st, parent_rid, pp, &ptree)
+            }
+        }
+    }
+
+    /// The parent's step-by-step `label_path`: a label lookup and a fresh
+    /// parent walk per logical ancestor.
+    fn reference_label_path(st: &TreeStore, ptr: NodePtr) -> Vec<LabelId> {
+        let mut path = vec![st.node_info(ptr).unwrap().label];
+        let mut cur = ptr;
+        while let Some(parent) = reference_logical_parent(st, cur) {
+            path.push(st.node_info(parent).unwrap().label);
+            cur = parent;
+        }
+        path.reverse();
+        path
+    }
+
+    fn store(page_size: usize) -> TreeStore {
+        let backend = Arc::new(MemStorage::new(page_size).unwrap());
+        let bm = Arc::new(BufferManager::new(
+            backend,
+            1024,
+            EvictionPolicy::Lru,
+            IoStats::new_shared(),
+        ));
+        let sm = Arc::new(StorageManager::create(bm).unwrap());
+        let seg = sm.create_segment("docs").unwrap();
+        let matrix = SplitMatrix::all_other();
+        TreeStore::new(sm, seg, TreeConfig::paper(), matrix, Default::default()).unwrap()
+    }
+
+    /// Every facade node of the document at `root` in document order:
+    /// pointer, label, and whether it is an element.
+    fn facades(st: &TreeStore, root: Rid) -> Vec<(NodePtr, LabelId, bool)> {
+        let mut out = Vec::new();
+        traverse(st, NodePtr::new(root, 0), &mut |ev| {
+            match ev {
+                VisitEvent::Enter { label, ptr } => out.push((ptr, label, true)),
+                VisitEvent::Literal { label, ptr, .. } => out.push((ptr, label, false)),
+                VisitEvent::Leave { .. } => {}
+            }
+            true
+        })
+        .unwrap();
+        out
+    }
+
+    /// Follows one operation's root move.
+    fn follow_root(root: &mut Rid, res: &OpResult) {
+        if let Some((old, new)) = res.root_moved {
+            if *root == old {
+                *root = new;
+            }
+        }
+    }
+
+    /// Follows one operation's relocations and root move.
+    fn follow(ptrs: &mut HashMap<NodeIdx, NodePtr>, root: &mut Rid, res: &OpResult) {
+        let moved: HashMap<NodePtr, NodePtr> =
+            res.relocations.iter().map(|r| (r.old, r.new)).collect();
+        for p in ptrs.values_mut() {
+            if let Some(&new) = moved.get(p) {
+                *p = new;
+            }
+        }
+        follow_root(root, res);
+    }
+
+    /// Loads `doc` the per-node oracle's way: one tree-growth insert per
+    /// node, in pre-order, each as its parent's last child.
+    fn load_per_node(st: &TreeStore, doc: &Document) -> Rid {
+        let mut root = st.create_tree(doc.data(doc.root()).label()).unwrap();
+        let mut ptrs = HashMap::from([(doc.root(), NodePtr::new(root, 0))]);
+        for n in doc.pre_order().skip(1) {
+            let parent = ptrs[&doc.parent(n).unwrap()];
+            let node = match doc.data(n) {
+                NodeData::Element(_) => NewNode::Element,
+                NodeData::Literal { value, .. } => NewNode::Literal(value.clone()),
+            };
+            let res = st
+                .insert(parent, InsertPos::Last, doc.data(n).label(), node)
+                .unwrap();
+            follow(&mut ptrs, &mut root, &res);
+            ptrs.insert(n, res.new_node.unwrap());
+        }
+        root
+    }
+
+    /// A store at `page_size` holding four plays, an order batch and the
+    /// tiny deep document, bulkloaded (prefix chains and continuation
+    /// groups; split chains at 2 KiB), plus the first play once more,
+    /// loaded per node. Returns the store and the documents' root records.
+    fn corpus(page_size: usize) -> (TreeStore, Vec<Rid>) {
+        let mut syms = SymbolTable::new();
+        let mut docs: Vec<Document> = generate_corpus(&CorpusConfig::tiny(), &mut syms)
+            .into_iter()
+            .map(|p| p.doc)
+            .collect();
+        docs.push(generate_orders(&OrdersConfig::tiny(), &mut syms));
+        docs.push(generate_deep(&DeepConfig::tiny(), &mut syms));
+        let st = store(page_size);
+        let mut roots: Vec<Rid> = docs
+            .iter()
+            .map(|d| bulkload_document(&st, d, None).unwrap().root_rid)
+            .collect();
+        roots.push(load_per_node(&st, &docs[0]));
+        (st, roots)
+    }
+
+    /// Every node's logical parent and label path against the references.
+    fn check_ancestor_walks(st: &TreeStore, root: Rid) {
+        let _pin = st.begin_read();
+        for (ptr, ..) in facades(st, root) {
+            let parent = st.logical_parent(ptr).unwrap();
+            assert_eq!(parent, reference_logical_parent(st, ptr), "parent of {ptr}");
+            let path = st.label_path(ptr).unwrap();
+            assert_eq!(path, reference_label_path(st, ptr), "label path of {ptr}");
+        }
+    }
+
+    /// One seeded edit of the document at `roots[d]`: an insert under an
+    /// element or beside a literal, a text update, or a subtree deletion.
+    /// A packed cluster in the way is normalized and the edit retried on
+    /// the same node (found again by its document-order position), as the
+    /// document manager does.
+    fn edit(st: &TreeStore, root: &mut Rid, g: &mut SplitMix64) {
+        let k = g.below(facades(st, *root).len());
+        let kind = g.below(3);
+        let text = |g: &mut SplitMix64| {
+            NewNode::Literal(LiteralValue::String(format!("edit {}", g.below(1_000))))
+        };
+        for _ in 0..64 {
+            let (ptr, label, element) = facades(st, *root)[k];
+            let res = match (kind, element) {
+                (2, _) if k > 0 => st.delete_subtree(ptr),
+                (1, false) => {
+                    let value = LiteralValue::String(format!("updated {}", g.below(1_000)));
+                    st.update_literal(ptr, value)
+                }
+                (_, true) if g.below(2) == 0 => {
+                    st.insert(ptr, InsertPos::At(g.below(4)), label, NewNode::Element)
+                }
+                (_, true) => st.insert(ptr, InsertPos::At(g.below(4)), LABEL_TEXT, text(g)),
+                (_, false) => st.insert_after(ptr, LABEL_TEXT, text(g)),
+            };
+            match res {
+                Err(TreeError::PackedRecord(rid)) => {
+                    follow_root(root, &st.normalize_packed(rid).unwrap())
+                }
+                other => return follow_root(root, &other.unwrap()),
+            }
+        }
+        panic!("edit kept hitting packed records");
+    }
+
+    #[test]
+    fn ancestor_walks_equal_the_step_by_step_reference() {
+        let mut g = SplitMix64::new(0x0A2C_E570);
+        for page_size in [2_048, 8_192] {
+            let (st, mut roots) = corpus(page_size);
+            for &root in &roots {
+                check_ancestor_walks(&st, root);
+            }
+            for i in 0..250 {
+                let d = i % roots.len();
+                edit(&st, &mut roots[d], &mut g);
+            }
+            for &root in &roots {
+                check_tree(&st, root).unwrap();
+                check_ancestor_walks(&st, root);
+            }
+        }
+    }
+
+    /// A full-size play at 8 KiB pages (records of ≈ 200 nodes).
+    fn play() -> (TreeStore, Rid, PlayLabels) {
+        let mut syms = SymbolTable::new();
+        let play = generate_play(&CorpusConfig::paper(), 0, &mut syms);
+        let st = store(8_192);
+        let root = bulkload_document(&st, &play.doc, None).unwrap().root_rid;
+        (st, root, PlayLabels::intern(&mut syms))
+    }
+
+    #[test]
+    fn child_enumeration_touches_its_children_and_the_record_depth() {
+        // The parent looked for a continuation placeholder with a pre-order
+        // walk of the whole record at every enumeration: ≈ 2 × record size
+        // nodes per call, whatever the node.
+        let (play, play_root, _) = play();
+        let deep = store(2_048);
+        let deep_doc = generate_deep(&DeepConfig::tiny(), &mut SymbolTable::new());
+        let deep_root = bulkload_document(&deep, &deep_doc, None).unwrap().root_rid;
+        let mut largest = 0;
+        for (st, root) in [(&play, play_root), (&deep, deep_root)] {
+            let records: BTreeSet<Rid> = facades(st, root).iter().map(|f| f.0.rid).collect();
+            for rid in records {
+                let tree = st.load(rid).unwrap();
+                let nodes = tree.arena_len() as PNodeId;
+                // Levels: the root alone is a record of depth 1.
+                let height = 1 + (0..nodes).map(|n| tree.depth(n)).max().unwrap_or(0);
+                largest = largest.max(tree.live_count());
+                for n in (0..nodes).filter(|&n| tree.node(n).is_facade()) {
+                    touches::take();
+                    let kids = st.logical_children(NodePtr::new(rid, n)).unwrap();
+                    let touched = touches::take();
+                    assert!(
+                        touched <= 4 * (kids.len() + height) as u64,
+                        "record {rid} node {n}: {touched} nodes touched for {} children \
+                         (record depth {height})",
+                        kids.len()
+                    );
+                }
+            }
+        }
+        assert!(largest >= 150, "largest record: {largest} nodes");
+    }
+
+    #[test]
+    fn a_lazy_walk_touches_a_constant_number_of_nodes_per_node() {
+        // `//SPEAKER` the lazy walk's way: a label test and a child
+        // enumeration at every node. The parent touched ≈ 2 × record size
+        // nodes per node.
+        let (st, root, labels) = play();
+        let _pin = st.begin_read();
+        touches::take();
+        let (mut visited, mut speakers) = (0u64, 0);
+        let mut stack = vec![NodePtr::new(root, 0)];
+        while let Some(p) = stack.pop() {
+            visited += 1;
+            if st.node_label(p).unwrap().0 == labels.speaker {
+                speakers += 1;
+            }
+            stack.extend(st.logical_children(p).unwrap().into_iter().rev());
+        }
+        let touched = touches::take();
+        assert!(speakers > 100, "{speakers} speakers");
+        assert!(
+            touched <= 6 * visited,
+            "{touched} nodes touched to walk {visited}"
+        );
+    }
+
+    #[test]
+    fn a_writers_label_path_decodes_each_record_on_its_path_once() {
+        // Writers bypass the decoded-record memo. The parent decoded a
+        // record for the label and again for the parent step at every
+        // logical ancestor: 2–3 decodes per ancestor.
+        let (st, root, labels) = play();
+        let nodes = facades(&st, root);
+        // A LINE's text is the event right after the LINE's `Enter`.
+        let texts: Vec<NodePtr> = nodes
+            .windows(2)
+            .filter(|w| w[0].1 == labels.line && w[0].2 && !w[1].2)
+            .map(|w| w[1].0)
+            .collect();
+        assert!(texts.len() > 1_000, "{} lines", texts.len());
+        let _op = st.versions().begin_write();
+        let mut deepest = 0;
+        for ptr in texts {
+            let mut records = 1;
+            let mut up = st.load(ptr.rid).unwrap().parent_rid;
+            while !up.is_invalid() {
+                records += 1;
+                up = st.load(up).unwrap().parent_rid;
+            }
+            deepest = deepest.max(records);
+            decodes::take();
+            let path = st.label_path(ptr).unwrap();
+            let decoded = decodes::take();
+            assert_eq!(path[path.len() - 2..], [labels.line, LABEL_TEXT]);
+            assert_eq!(path.len(), 6, "PLAY/ACT/SCENE/SPEECH/LINE/#text");
+            assert!(
+                decoded <= records,
+                "{ptr}: {decoded} decodes for {records} records on the path"
+            );
+        }
+        assert!(deepest >= 2, "the lines sit {deepest} records deep");
     }
 }

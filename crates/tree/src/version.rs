@@ -67,6 +67,17 @@
 //! * it holds at most `MEMO_CAPACITY` (256) records: a walk that decodes
 //!   more starts over with an empty memo, which costs a depth-first walk
 //!   one re-decode per record on its current root-to-leaf path.
+//!
+//! Writers bypass the memo because a writer must read its own records:
+//! the page changes under it with every record it rewrites, and a memo
+//! entry would serve the image from before. The price is that a writer
+//! pays a decode (≈ 20 µs for an 8 KiB record) for every load. Code the
+//! write path runs that takes several steps through one record therefore
+//! holds the record's `Arc<RecordTree>` from step to step instead of
+//! loading it again: `TreeStore::label_path` — run for every insert's
+//! path-summary delta and every delete's prefix — decodes each record on
+//! its ancestor path once, where reloading per step cost two to three
+//! decodes per logical ancestor.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};

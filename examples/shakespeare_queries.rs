@@ -1,12 +1,16 @@
 //! Loads a slice of the synthetic Shakespeare corpus and runs the paper's
 //! three evaluation queries (§4.3), then shows how a label lookup is
-//! served from the path summary.
+//! served from the path summary, and ends with what each plan shape costs
+//! per query on a resident pool — a shape whose per-node cost is out of
+//! line shows there in one run.
 //!
 //! ```sh
 //! cargo run --release --example shakespeare_queries
 //! ```
 
-use natix::{PlannerOptions, Repository, RepositoryOptions};
+use std::time::Instant;
+
+use natix::{ParallelQueryOptions, PlanShape, PlannerOptions, Repository, RepositoryOptions};
 use natix_corpus::{generate_corpus, CorpusConfig};
 use natix_xml::WriteOptions;
 
@@ -21,12 +25,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..CorpusConfig::paper()
     };
     let plays = generate_corpus(&cfg, &mut repo.symbols_mut());
-    let mut bytes = 0usize;
+    let mut xmls = Vec::new();
     for play in &plays {
-        let xml = natix_xml::write_document(&play.doc, &repo.symbols(), WriteOptions::compact())?;
-        bytes += xml.len();
+        xmls.push(natix_xml::write_document(
+            &play.doc,
+            &repo.symbols(),
+            WriteOptions::compact(),
+        )?);
         repo.put_document(&play.name, &play.doc)?;
     }
+    let bytes: usize = xmls.iter().map(String::len).sum();
     println!("loaded {} plays ({} KB of XML)", plays.len(), bytes / 1024);
 
     // Query 1: all speakers in act 3, scene 2 of every play.
@@ -99,6 +107,66 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             counted.shape,
             d.physical_reads
         );
+    }
+
+    // Each shape forced on the descendant queries, on a pool that holds
+    // the whole corpus (no page reads: what is left is navigation and
+    // record decode), beside the shape the planner picks.
+    let resident = Repository::create_in_memory(RepositoryOptions {
+        page_size: 8192,
+        buffer_bytes: 64 << 20,
+        ..RepositoryOptions::default()
+    })?;
+    for (play, xml) in plays.iter().zip(&xmls) {
+        resident.put_xml(&play.name, xml)?;
+    }
+    const RUNS: usize = 5;
+    let forced = [
+        PlanShape::SummarySeeded,
+        PlanShape::ParallelScan,
+        PlanShape::LazyWalk,
+    ];
+    println!(
+        "\nµs per query and play, resident 64 MiB pool, one thread, {RUNS} runs of {} plays:",
+        plays.len()
+    );
+    println!(
+        "{:<24}{:>12}{:>12}{:>12}  planner picks",
+        "query", "seeded", "scan", "lazy walk"
+    );
+    for query in ["//SPEAKER", "//STAGEDIR", "/PLAY/ACT/SCENE/TITLE", "//LINE"] {
+        let mut cells = String::new();
+        for shape in forced {
+            let opts = PlannerOptions {
+                force: Some(shape),
+                exec: ParallelQueryOptions {
+                    threads: 1,
+                    ..ParallelQueryOptions::default()
+                },
+            };
+            // One untimed pass warms the pool and the summaries.
+            for play in &plays {
+                resident.query_planned(&play.name, query, &opts)?;
+            }
+            let start = Instant::now();
+            for _ in 0..RUNS {
+                for play in &plays {
+                    resident.query_planned(&play.name, query, &opts)?;
+                }
+            }
+            let us = start.elapsed().as_secs_f64() * 1e6 / (RUNS * plays.len()) as f64;
+            cells.push_str(&format!("{us:>12.0}"));
+        }
+        let mut picked: Vec<PlanShape> = Vec::new();
+        for play in &plays {
+            let shape = resident
+                .explain(&play.name, query, &PlannerOptions::default())?
+                .shape;
+            if !picked.contains(&shape) {
+                picked.push(shape);
+            }
+        }
+        println!("{query:<24}{cells}  {picked:?}");
     }
     Ok(())
 }
