@@ -451,10 +451,9 @@ impl Repository {
 
     /// Parses and stores XML text.
     pub fn put_xml(&self, name: &str, xml: &str) -> NatixResult<DocId> {
-        let options = self.parser_options();
         let doc = {
             let mut symbols = self.symbols.write();
-            natix_xml::parse_document(xml, &mut symbols, options)?
+            natix_xml::parse_document(xml, &mut symbols, natix_xml::ParserOptions::default())?
         };
         self.put_document(name, &doc)
     }
@@ -493,10 +492,9 @@ impl Repository {
     /// so chunked long text counts once per chunk, exactly as a walk of
     /// the stored tree would count it.
     fn stream_load(&self, xml: &str) -> NatixResult<(BulkStats, Option<PathSummary>)> {
-        use natix_xml::{PullParser, XmlEvent};
-        let options = self.parser_options();
+        use natix_xml::{ParserOptions, PullParser, XmlEvent};
         let limit = chunk_limit(self.tree.net_capacity());
-        let mut parser = PullParser::new(xml, options);
+        let mut parser = PullParser::new(xml, ParserOptions::default());
         let mut loader = natix_tree::BulkLoader::new(&self.tree);
         let mut builder = SummaryBuilder::new();
         let mut feed = |loader: &mut natix_tree::BulkLoader<'_>,

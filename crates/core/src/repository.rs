@@ -220,29 +220,16 @@
 //!    early rather than evict a dirty frame, and a prefetch error is
 //!    swallowed (the demand read surfaces any real failure).
 //!
-//! # Replacement hint classes
+//! # Pool counters
 //!
-//! Every pin carries an [`natix_storage::AccessHint`] telling the buffer
-//! pool what kind of access it is:
-//!
-//! * **`Normal`** — point accesses (navigation, edits, catalog and
-//!   id-map reads). Under the scan-resistant policy these enter at hot
-//!   priority and are promoted on re-reference, exactly like classic
-//!   second chance.
-//! * **`Scan`** — one-shot streams: the record scan
-//!   ([`natix_tree::TreeStore::scan_record_subtree`]), bulkload append
-//!   streams, and all prefetched pages. Scan-hinted frames enter a
-//!   *bounded cold set* and are never promoted past one reference bit,
-//!   so a full `//*` scan of an arbitrarily large document recycles a
-//!   bounded set of frames instead of flushing the point-access working
-//!   set (classic scan resistance).
-//!
-//! The pool's hit/miss/eviction counters are split by hint class
-//! ([`natix_storage::IoStats`]), which also counts pages read against
-//! read requests issued (a batch is one request: the pages per request
-//! the read-ahead achieves), and the demand-miss path — single-page
-//! reads only, never a batch — feeds a miss-latency EWMA that the query
-//! planner reads as its calibrated page-cost constant
+//! The buffer pool is LRU; scans, edits and loads pin alike. Its counters
+//! ([`natix_storage::IoStats`]) count hits and misses, and split evictions
+//! by source — frames a prefetch batch took over (`scan_evictions`) and
+//! frames a demand miss took over (`normal_evictions`). They also count
+//! pages read against read requests issued (a batch is one request: the
+//! pages per request the read-ahead achieves), and the demand-miss path —
+//! single-page reads only, never a batch — feeds a miss-latency EWMA that
+//! the query planner reads as its calibrated page-cost constant
 //! ([`crate::query::PlanExplain::page_cost_ns`]).
 //!
 //! # Plan shapes and their oracles
@@ -262,7 +249,7 @@
 //! |---|---|---|
 //! | `SummaryOnly` | counts/emptiness straight from summary counts, zero record access | DOM re-evaluation (`prop_query.rs`), exact cardinality vs the DOM match list |
 //! | `SummarySeeded` | document-order descent pruned to the ancestor closure of matching paths | ids, counts and content rows vs the DOM oracle; chosen == forced |
-//! | `ParallelScan` | record-granular scan (`parallel_query`) on the query's thread | same matrix; forced scan vs forced `LazyWalk` across page sizes and eviction policies; racing edits and ingestion (`prop_edit_race.rs`, `concurrent_ingest.rs`) |
+//! | `ParallelScan` | record-granular scan (`parallel_query`) on the query's thread | same matrix; forced scan vs forced `LazyWalk` across page sizes and on an 8-frame pool; racing edits and ingestion (`prop_edit_race.rs`, `concurrent_ingest.rs`) |
 //! | `LazyWalk` | the sequential lazy walk (early exit on `x[n]`) | same matrix; the paper's figures 11–13 (`crates/bench/figures.quick.txt`) |
 //!
 //! The planner only picks a shape whose preconditions hold (summary
@@ -432,7 +419,6 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use natix_storage::buffer::EvictionPolicy;
 use natix_storage::wal::SuppressLogging;
 use natix_storage::{
     BufferManager, DiskBackend, DiskProfile, FileLogDevice, FileStorage, IoStats, LogDevice,
@@ -440,7 +426,7 @@ use natix_storage::{
 };
 use natix_tree::version::ReadPin;
 use natix_tree::{NodePtr, SplitMatrix, TreeConfig, TreeStore, VersionStore, VisitEvent};
-use natix_xml::{LabelId, LabelKind, ParserOptions, SymbolTable};
+use natix_xml::{LabelId, LabelKind, SymbolTable};
 
 use crate::directory;
 use crate::document::{DocId, DocState, NodeId};
@@ -454,8 +440,6 @@ pub struct RepositoryOptions {
     pub page_size: usize,
     /// Buffer pool size in bytes (the paper uses 2 MB).
     pub buffer_bytes: usize,
-    /// Buffer replacement policy.
-    pub eviction: EvictionPolicy,
     /// Tree-storage-manager configuration (split target/tolerance, merge).
     pub tree_config: TreeConfig,
     /// Initial split matrix (default: the native 1:n configuration).
@@ -463,8 +447,6 @@ pub struct RepositoryOptions {
     /// When set, all I/O is charged to this mechanical-disk model and the
     /// simulated clock in [`IoStats`] (used by the benchmark harness).
     pub disk_profile: Option<DiskProfile>,
-    /// Keep whitespace-only text nodes when parsing (default: drop).
-    pub keep_whitespace_text: bool,
     /// Write-ahead logging. `Some(_)` makes every completed write
     /// operation durable before its API call returns (concurrent commits
     /// share one log sync). `None` disables the log entirely: durability
@@ -478,11 +460,9 @@ impl Default for RepositoryOptions {
         RepositoryOptions {
             page_size: 8192,
             buffer_bytes: 2 * 1024 * 1024,
-            eviction: EvictionPolicy::Lru,
             tree_config: TreeConfig::paper(),
             matrix: SplitMatrix::all_other(),
             disk_profile: None,
-            keep_whitespace_text: false,
             durability: Some(WalSyncMode::Group),
         }
     }
@@ -579,7 +559,6 @@ impl Repository {
         let bm = Arc::new(BufferManager::with_buffer_bytes(
             backend,
             options.buffer_bytes,
-            options.eviction,
             Arc::clone(&stats),
         ));
         // A non-fresh open whose log holds a checkpoint recovers from the
@@ -918,14 +897,6 @@ impl Repository {
             sim.reset_head();
         }
         Ok(())
-    }
-
-    /// Parser options implied by the repository options.
-    pub(crate) fn parser_options(&self) -> ParserOptions {
-        ParserOptions {
-            keep_whitespace_text: self.options.keep_whitespace_text,
-            ..Default::default()
-        }
     }
 
     // ==================================================================

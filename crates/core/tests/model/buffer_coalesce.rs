@@ -39,9 +39,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use natix_storage::{
-    BufferManager, DiskBackend, EvictionPolicy, IoStats, MemStorage, PageId, StorageResult,
-};
+use natix_storage::{BufferManager, DiskBackend, IoStats, MemStorage, PageId, StorageResult};
 use parking_lot::{model, Condvar, Mutex};
 
 use crate::util;
@@ -141,7 +139,6 @@ fn pool() -> (Arc<GatedDisk>, Arc<BufferManager>) {
     let bm = Arc::new(BufferManager::new(
         Arc::clone(&disk) as Arc<dyn DiskBackend>,
         FRAMES,
-        EvictionPolicy::Lru,
         IoStats::new_shared(),
     ));
     (disk, bm)

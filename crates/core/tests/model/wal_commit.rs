@@ -37,8 +37,8 @@ use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 use natix::{Repository, RepositoryOptions};
 use natix_storage::wal::{parse_log, WalRecord};
 use natix_storage::{
-    BufferManager, DiskBackend, EvictionPolicy, FaultControl, FaultDisk, IoStats, LogDevice,
-    MemLogDevice, MemStorage, PageId, StorageResult, Wal,
+    BufferManager, DiskBackend, FaultControl, FaultDisk, IoStats, LogDevice, MemLogDevice,
+    MemStorage, PageId, StorageResult, Wal,
 };
 use natix_tree::InsertPos;
 use parking_lot::model;
@@ -153,7 +153,6 @@ fn steal_forces_log() {
     let bm = BufferManager::new(
         Arc::clone(&disk) as Arc<dyn DiskBackend>,
         2,
-        EvictionPolicy::Lru,
         IoStats::new_shared(),
     );
     let wal = Arc::new(Wal::new(Box::new(MemLogDevice::new())));

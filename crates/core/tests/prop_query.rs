@@ -590,19 +590,15 @@ fn positional_walk_does_not_build_the_summary() {
     assert_eq!(explain.shape, PlanShape::SummaryOnly);
 }
 
-/// Scan-cache matrix: the record scan must be bit-identical to the lazy
-/// walk under both eviction policies, on a pool so small
-/// (8 frames) that scans evict continuously and prefetched frames are
-/// reclaimed while still queued. Prefetch and scan-priority admission are
-/// advisory — they must never change results, only latency. The same goes
+/// Small-pool matrix: the record scan must be bit-identical to the lazy
+/// walk on a pool so small (8 frames) that scans evict continuously and
+/// prefetched frames are reclaimed while still queued. Prefetch is
+/// advisory — it must never change results, only latency. The same goes
 /// for the whole-document walks, whose read-ahead window (2 pages here)
 /// competes for the same 8 frames: the export and the traversal never
 /// surface `BufferExhausted` and never differ from the DOM.
 #[test]
-fn eviction_policy_never_changes_results() {
-    use natix_storage::buffer::EvictionPolicy;
-
-    const POLICIES: &[EvictionPolicy] = &[EvictionPolicy::Lru, EvictionPolicy::ScanResistant];
+fn a_small_pool_never_changes_results() {
     for case in 0..6u64 {
         let mut g = Gen::new(0x5CA9_CAC4E ^ case);
         let mut syms = SymbolTable::new();
@@ -618,57 +614,53 @@ fn eviction_policy_never_changes_results() {
             r.get_xml("d").unwrap()
         };
 
-        for &policy in POLICIES {
-            let r = Repository::create_in_memory(RepositoryOptions {
-                page_size,
-                // 8 frames: descendant scans turn the pool over many
-                // times per query, so eviction decisions really differ
-                // between the policies.
-                buffer_bytes: 8 * page_size,
-                eviction: policy,
-                ..RepositoryOptions::default()
-            })
+        let r = Repository::create_in_memory(RepositoryOptions {
+            page_size,
+            // 8 frames: descendant scans turn the pool over many times
+            // per query.
+            buffer_bytes: 8 * page_size,
+            ..RepositoryOptions::default()
+        })
+        .unwrap();
+        *r.symbols_mut() = syms.clone();
+        let id = r.put_document("d", &doc).unwrap();
+
+        r.clear_buffer().unwrap();
+        assert_eq!(
+            r.get_xml("d").unwrap(),
+            unpressed_xml,
+            "case {case}: export differs from the input"
+        );
+        r.clear_buffer().unwrap();
+        let mut visited = Vec::new();
+        r.traverse_document(id, |depth, n| visited.push((depth, n.label, n.text)))
             .unwrap();
-            *r.symbols_mut() = syms.clone();
-            let id = r.put_document("d", &doc).unwrap();
+        let mut dom = Vec::new();
+        let mut stack = vec![(0usize, doc.root())];
+        while let Some((depth, n)) = stack.pop() {
+            let data = doc.data(n);
+            let text = match data {
+                NodeData::Literal { value, .. } => Some(value.to_text()),
+                NodeData::Element(_) => None,
+            };
+            dom.push((depth, syms.name(data.label()).to_string(), text));
+            stack.extend(doc.children(n).iter().rev().map(|&c| (depth + 1, c)));
+        }
+        assert_eq!(
+            visited, dom,
+            "case {case}: traversal differs from the DOM walk"
+        );
 
+        for path in &queries {
+            let seq = walk(&r, "d", path);
             r.clear_buffer().unwrap();
-            assert_eq!(
-                r.get_xml("d").unwrap(),
-                unpressed_xml,
-                "case {case} [{policy:?}]: export differs from the input"
-            );
-            r.clear_buffer().unwrap();
-            let mut visited = Vec::new();
-            r.traverse_document(id, |depth, n| visited.push((depth, n.label, n.text)))
+            let (scanned, _) = r
+                .query_planned("d", path, &forced(PlanShape::ParallelScan))
                 .unwrap();
-            let mut dom = Vec::new();
-            let mut stack = vec![(0usize, doc.root())];
-            while let Some((depth, n)) = stack.pop() {
-                let data = doc.data(n);
-                let text = match data {
-                    NodeData::Literal { value, .. } => Some(value.to_text()),
-                    NodeData::Element(_) => None,
-                };
-                dom.push((depth, syms.name(data.label()).to_string(), text));
-                stack.extend(doc.children(n).iter().rev().map(|&c| (depth + 1, c)));
-            }
             assert_eq!(
-                visited, dom,
-                "case {case} [{policy:?}]: traversal differs from the DOM walk"
+                scanned, seq,
+                "case {case} '{path}': the scan diverges from the walk"
             );
-
-            for path in &queries {
-                let seq = walk(&r, "d", path);
-                r.clear_buffer().unwrap();
-                let (scanned, _) = r
-                    .query_planned("d", path, &forced(PlanShape::ParallelScan))
-                    .unwrap();
-                assert_eq!(
-                    scanned, seq,
-                    "case {case} '{path}' [{policy:?}]: the scan diverges from the walk"
-                );
-            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! §2.1: the record manager "is responsible for disk memory management and
 //! buffering". The pool holds a fixed number of frames (the paper uses a
 //! 2 MB buffer, i.e. `2 MB / page_size` frames); pages are pinned for
-//! access and unpinned on guard drop; eviction is LRU by default.
+//! access and unpinned on guard drop; eviction is LRU.
 //!
 //! Concurrency model: the frame table and replacement state live under one
 //! pool mutex, but the mutex is **not** held across disk I/O. A miss
@@ -39,14 +39,12 @@
 //! drops. Writers freeing storage therefore never block on, or fail
 //! because of, concurrent snapshot readers holding short pins.
 //!
-//! Replacement hints and prefetch: a pin carries an [`AccessHint`].
-//! Under [`EvictionPolicy::ScanResistant`], scan-hinted pages live in a
-//! bounded *cold set* (at most `frame_count / 8` frames) and never earn
-//! more than one reference bit, so a full-document scan recycles its own
-//! frames instead of flushing the point-access working set; a normal pin
-//! on a cold page promotes it out. [`BufferManager::prefetch`] issues a
-//! batched read-ahead ([`DiskBackend::read_pages`]) into free or cleanly
-//! evictable frames without returning pins. Frames are claimed in the
+//! Replacement and prefetch: every pin, allocation and prefetch takes a
+//! free frame if there is one, else the unpinned frame used least
+//! recently; a hit or a load makes its frame the most recently used.
+//! [`BufferManager::prefetch`] issues a batched read-ahead
+//! ([`DiskBackend::read_pages`]) into free or cleanly evictable frames,
+//! chosen the same way, without returning pins. Frames are claimed in the
 //! order the caller lists the pages — the pages needed first survive a
 //! short claim — and the batch is read in ascending page order, so a
 //! device that charges for positioning (a seek-modelled or a real one)
@@ -73,34 +71,6 @@ use crate::page::PageBuf;
 use crate::rid::PageId;
 use crate::stats::IoStats;
 
-/// Page replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Least-recently-used (default; what the paper's era systems used).
-    Lru,
-    /// Scan-hinted second-chance clock. Pages faulted in through
-    /// [`AccessHint::Scan`] enter a bounded cold set (`frame_count / 8`
-    /// frames, at least 2) with no reference bit; once the set is full, a
-    /// scan miss must recycle a cold frame and cannot touch the rest of
-    /// the pool. A scan hit grants at most the one clock reference bit; a
-    /// normal hit adopts the page into the working set.
-    ScanResistant,
-}
-
-/// How a pin intends to use its page — the replacement hint consumed by
-/// [`EvictionPolicy::ScanResistant`] ([`EvictionPolicy::Lru`] ignores it,
-/// which is what makes the hint safe to thread through unconditionally).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccessHint {
-    /// Point access: the page belongs to the working set.
-    #[default]
-    Normal,
-    /// One pass of a sequential stream (record-queue scans, bulkload
-    /// appends): cache at cold priority, never promote past one
-    /// reference bit.
-    Scan,
-}
-
 struct Frame {
     /// Page contents. Deliberately *unranked* under lockdep: `pin_inner`
     /// takes the pool mutex while holding a reserved frame's write guard
@@ -118,14 +88,8 @@ struct PoolState {
     table: HashMap<PageId, usize>,
     /// frame index -> resident page
     resident: Vec<Option<PageId>>,
+    /// frame index -> `tick` of its last hit or load (the LRU order)
     last_use: Vec<u64>,
-    ref_bit: Vec<bool>,
-    /// Frame belongs to the scan cold set ([`EvictionPolicy::ScanResistant`]
-    /// only; always false under LRU).
-    cold: Vec<bool>,
-    /// Number of `true` entries in `cold`.
-    cold_count: usize,
-    clock_hand: usize,
     tick: u64,
     /// Pages with device I/O in flight (all of it happens outside the
     /// pool mutex): a page being loaded, an evicted page whose dirty image
@@ -151,10 +115,6 @@ pub struct BufferManager {
     state: Mutex<PoolState>,
     /// Signalled whenever an entry leaves `io_in_flight`.
     io_done: Condvar,
-    policy: EvictionPolicy,
-    /// Largest number of frames scan-hinted pages may occupy at once
-    /// (`frame_count / 8`, at least 2) under `ScanResistant`.
-    cold_cap: usize,
     stats: Arc<IoStats>,
     /// When attached, the WAL rule is enforced: the log is made durable
     /// before any dirty frame is written back (steal or flush).
@@ -166,7 +126,6 @@ impl BufferManager {
     pub fn new(
         backend: Arc<dyn DiskBackend>,
         frame_count: usize,
-        policy: EvictionPolicy,
         stats: Arc<IoStats>,
     ) -> BufferManager {
         assert!(frame_count > 0, "buffer pool needs at least one frame");
@@ -196,17 +155,11 @@ impl BufferManager {
                     table: HashMap::with_capacity(frame_count * 2),
                     resident: vec![None; frame_count],
                     last_use: vec![0; frame_count],
-                    ref_bit: vec![false; frame_count],
-                    cold: vec![false; frame_count],
-                    cold_count: 0,
-                    clock_hand: 0,
                     tick: 0,
                     io_in_flight: HashMap::new(),
                 },
             ),
             io_done: Condvar::new(),
-            policy,
-            cold_cap: (frame_count / 8).max(2).min(frame_count),
             stats,
             wal: std::sync::OnceLock::new(),
         }
@@ -240,11 +193,10 @@ impl BufferManager {
     pub fn with_buffer_bytes(
         backend: Arc<dyn DiskBackend>,
         buffer_bytes: usize,
-        policy: EvictionPolicy,
         stats: Arc<IoStats>,
     ) -> BufferManager {
         let frames = (buffer_bytes / backend.page_size()).max(8);
-        BufferManager::new(backend, frames, policy, stats)
+        BufferManager::new(backend, frames, stats)
     }
 
     /// The page size of the underlying backend.
@@ -301,117 +253,27 @@ impl BufferManager {
         &self.backend
     }
 
-    /// Flips a frame's cold-set membership, keeping the count in sync.
-    fn set_cold(&self, st: &mut PoolState, frame: usize, cold: bool) {
-        if st.cold[frame] != cold {
-            st.cold[frame] = cold;
-            if cold {
-                st.cold_count += 1;
-            } else {
-                st.cold_count -= 1;
-            }
-        }
-    }
-
-    fn touch(&self, st: &mut PoolState, frame: usize, hint: AccessHint) {
+    /// Makes `frame` the most recently used.
+    fn touch(&self, st: &mut PoolState, frame: usize) {
         st.tick += 1;
-        let tick = st.tick;
-        st.last_use[frame] = tick;
-        // A scan reference grants at most this one bit; a normal reference
-        // additionally promotes a cold page into the working set.
-        st.ref_bit[frame] = true;
-        if hint == AccessHint::Normal {
-            self.set_cold(st, frame, false);
-        }
+        st.last_use[frame] = st.tick;
     }
 
-    /// Publishes replacement state for a freshly loaded frame. Under
-    /// `ScanResistant`, a scan-hinted load enters the cold set *without* a
-    /// reference bit — the load itself is not a reference, so an
-    /// unclaimed prefetched page is the first thing recycled.
-    fn install(&self, st: &mut PoolState, frame: usize, hint: AccessHint) {
-        if self.policy == EvictionPolicy::ScanResistant && hint == AccessHint::Scan {
-            st.tick += 1;
-            st.last_use[frame] = st.tick;
-            st.ref_bit[frame] = false;
-            self.set_cold(st, frame, true);
-        } else {
-            self.touch(st, frame, hint);
-        }
-    }
-
-    fn find_victim(&self, st: &mut PoolState, hint: AccessHint) -> StorageResult<usize> {
+    /// A free frame, else the unpinned frame used least recently.
+    fn find_victim(&self, st: &PoolState) -> StorageResult<usize> {
         // Prefer an unused frame. The pin-count check matters: a frame
         // mid-install (reserved, I/O in flight) has no resident page but
         // must not be handed out again.
+        let unpinned = |i: usize| self.frames[i].pin_count.load(Ordering::Acquire) == 0;
         if let Some(free) =
-            st.resident.iter().enumerate().position(|(i, r)| {
-                r.is_none() && self.frames[i].pin_count.load(Ordering::Acquire) == 0
-            })
+            (0..self.frames.len()).find(|&i| st.resident[i].is_none() && unpinned(i))
         {
             return Ok(free);
         }
-        match self.policy {
-            EvictionPolicy::Lru => {
-                let mut best: Option<(u64, usize)> = None;
-                for (i, frame) in self.frames.iter().enumerate() {
-                    if frame.pin_count.load(Ordering::Acquire) == 0 {
-                        let t = st.last_use[i];
-                        if best.is_none_or(|(bt, _)| t < bt) {
-                            best = Some((t, i));
-                        }
-                    }
-                }
-                best.map(|(_, i)| i).ok_or(StorageError::BufferExhausted)
-            }
-            EvictionPolicy::ScanResistant => {
-                let n = self.frames.len();
-                if hint == AccessHint::Scan {
-                    // A scan miss recycles *within the cold set* whenever
-                    // it can: a cold-only second-chance sweep that leaves
-                    // hot frames' reference bits untouched (a global sweep
-                    // here would let a long scan strip the working set's
-                    // bits one miss at a time). Only when every cold frame
-                    // is pinned — concurrent scans, prefetch claims — may
-                    // the scan grow the set, and only up to the cap.
-                    for _ in 0..2 * n {
-                        let i = st.clock_hand;
-                        st.clock_hand = (st.clock_hand + 1) % n;
-                        if !st.cold[i] || self.frames[i].pin_count.load(Ordering::Acquire) != 0 {
-                            continue;
-                        }
-                        if st.ref_bit[i] {
-                            st.ref_bit[i] = false;
-                        } else {
-                            return Ok(i);
-                        }
-                    }
-                    if st.cold_count >= self.cold_cap {
-                        // The allowance is exhausted and all of it is in
-                        // use: wait (patience loop) rather than touch the
-                        // working set — the bounded-eviction guarantee.
-                        return Err(StorageError::BufferExhausted);
-                    }
-                }
-                // Normal misses, and scan misses still growing their
-                // allowance: global second-chance sweep. Cold frames carry
-                // at most one reference bit, so the sweep reclaims them
-                // ahead of the working set.
-                for _ in 0..2 * n {
-                    let i = st.clock_hand;
-                    st.clock_hand = (st.clock_hand + 1) % n;
-                    if self.frames[i].pin_count.load(Ordering::Acquire) != 0 {
-                        continue;
-                    }
-                    if st.ref_bit[i] {
-                        st.ref_bit[i] = false;
-                    } else {
-                        return Ok(i);
-                    }
-                }
-                Err(StorageError::BufferExhausted)
-            }
-        }
+        (0..self.frames.len())
+            .filter(|&i| unpinned(i))
+            .min_by_key(|&i| st.last_use[i])
+            .ok_or(StorageError::BufferExhausted)
     }
 
     fn write_back(&self, frame: usize, page: PageId) -> StorageResult<()> {
@@ -433,13 +295,7 @@ impl BufferManager {
         Ok(())
     }
 
-    fn pin_inner(
-        &self,
-        page: PageId,
-        load_from_disk: bool,
-        hint: AccessHint,
-    ) -> StorageResult<PinnedPage> {
-        let scan = hint == AccessHint::Scan;
+    fn pin_inner(&self, page: PageId, load_from_disk: bool) -> StorageResult<PinnedPage> {
         let mut st = self.state.lock();
         // Bounded patience for the all-frames-pinned case below: pins are
         // short-lived (a guard over one record operation), so a brief
@@ -448,9 +304,9 @@ impl BufferManager {
         let mut patience = 64u32;
         let frame = loop {
             if let Some(&frame) = st.table.get(&page) {
-                self.stats.add_hit(scan);
+                self.stats.add_hit();
                 self.frames[frame].pin_count.fetch_add(1, Ordering::AcqRel);
-                self.touch(&mut st, frame, hint);
+                self.touch(&mut st, frame);
                 return Ok(PinnedPage {
                     frame: Arc::clone(&self.frames[frame]),
                     page,
@@ -473,7 +329,7 @@ impl BufferManager {
                     continue;
                 }
             }
-            match self.find_victim(&mut st, hint) {
+            match self.find_victim(&st) {
                 Ok(f) => break f,
                 // No evictable frame right now. With many threads missing
                 // concurrently this is usually *transient*: frames reserved
@@ -499,7 +355,7 @@ impl BufferManager {
                 }
             }
         };
-        self.stats.add_miss(scan);
+        self.stats.add_miss();
         // Reserve the frame under the lock: the nonzero pin count keeps it
         // from being re-victimised while the I/O below runs without the
         // lock. The page→frame mapping is NOT published yet — a mapping
@@ -514,19 +370,12 @@ impl BufferManager {
         // mutating the dirty flag concurrently.
         let dirty_old = old.is_some() && self.frames[frame].dirty.load(Ordering::Acquire);
         if let Some(old_page) = old {
-            self.stats.add_eviction(scan);
+            self.stats.add_eviction(false);
             st.table.remove(&old_page);
             if dirty_old {
                 st.io_in_flight.insert(old_page, Io::WriteBack);
             }
         }
-        // Pre-charge cold-set membership while the load is in flight: a
-        // scan-claimed frame counts against the cap *immediately*, so
-        // concurrent scan misses cannot slip past it and evict working-set
-        // frames beyond the bound. `install` re-asserts the same state on
-        // publish; the error paths below undo it.
-        let enter_cold = scan && self.policy == EvictionPolicy::ScanResistant;
-        self.set_cold(&mut st, frame, enter_cold);
         if !dirty_old {
             // A frame retired by `discard` while its page was dirty keeps
             // the stale flag; clear it so the new tenant starts clean.
@@ -566,7 +415,6 @@ impl BufferManager {
                 st.io_in_flight.remove(&page);
                 st.resident[frame] = Some(old_page);
                 st.table.insert(old_page, frame);
-                self.set_cold(&mut st, frame, false);
                 drop(st);
                 self.io_done.notify_all();
                 self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
@@ -603,23 +451,15 @@ impl BufferManager {
 
         let mut st = self.state.lock();
         st.io_in_flight.remove(&page);
-        let out = match result {
-            Ok(()) => {
-                st.resident[frame] = Some(page);
-                st.table.insert(page, frame);
-                self.install(&mut st, frame, hint);
-                Ok(PinnedPage {
-                    frame: Arc::clone(&self.frames[frame]),
-                    page,
-                })
+        let out = result.map(|()| {
+            st.resident[frame] = Some(page);
+            st.table.insert(page, frame);
+            self.touch(&mut st, frame);
+            PinnedPage {
+                frame: Arc::clone(&self.frames[frame]),
+                page,
             }
-            Err(e) => {
-                // The frame stays unmapped; release its pre-charged
-                // cold-set slot along with it.
-                self.set_cold(&mut st, frame, false);
-                Err(e)
-            }
-        };
+        });
         drop(st);
         self.io_done.notify_all();
         if out.is_err() {
@@ -633,33 +473,21 @@ impl BufferManager {
 
     /// Pins `page` for access, reading it from disk on a miss.
     pub fn pin(&self, page: PageId) -> StorageResult<PinnedPage> {
-        self.pin_inner(page, true, AccessHint::Normal)
-    }
-
-    /// [`pin`](Self::pin) under an explicit replacement hint.
-    pub fn pin_hinted(&self, page: PageId, hint: AccessHint) -> StorageResult<PinnedPage> {
-        self.pin_inner(page, true, hint)
+        self.pin_inner(page, true)
     }
 
     /// Pins a freshly allocated page *without* reading it from disk: the
     /// frame is zeroed and marked dirty. The caller must have allocated the
     /// page id (see [`crate::segment::StorageManager`]).
     pub fn pin_new(&self, page: PageId) -> StorageResult<PinnedPage> {
-        self.pin_inner(page, false, AccessHint::Normal)
-    }
-
-    /// [`pin_new`](Self::pin_new) under an explicit replacement hint
-    /// (bulkload append streams pass [`AccessHint::Scan`]: freshly
-    /// written pages of a one-pass load are not a working set).
-    pub fn pin_new_hinted(&self, page: PageId, hint: AccessHint) -> StorageResult<PinnedPage> {
-        self.pin_inner(page, false, hint)
+        self.pin_inner(page, false)
     }
 
     /// Best-effort batched read-ahead of `pages`, without returning pins.
     ///
     /// Pages already resident or already in flight are skipped. Each
-    /// remaining page claims a victim frame under scan priority, in the
-    /// order the caller listed them; the claim stops early (prefetch is
+    /// remaining page claims a victim frame exactly as a demand miss does,
+    /// in the order the caller listed them; the claim stops early (prefetch is
     /// advisory, never an error) when the pool has no victim or only a
     /// *dirty* one — read-ahead must never add a foreground write-back.
     /// Claimed pages are marked in-flight, so a demand pin racing the
@@ -687,7 +515,7 @@ impl BufferManager {
                 {
                     continue;
                 }
-                let Ok(frame) = self.find_victim(&mut st, AccessHint::Scan) else {
+                let Ok(frame) = self.find_victim(&st) else {
                     break;
                 };
                 if st.resident[frame].is_some() && self.frames[frame].dirty.load(Ordering::Acquire)
@@ -695,14 +523,12 @@ impl BufferManager {
                     break;
                 }
                 // Reserve exactly like a demand miss: pin count up,
-                // mapping unpublished, page marked in-flight, cold-set
-                // membership pre-charged against the scan cap.
+                // mapping unpublished, page marked in-flight.
                 self.frames[frame].pin_count.fetch_add(1, Ordering::AcqRel);
                 if let Some(old) = st.resident[frame].take() {
                     self.stats.add_eviction(true);
                     st.table.remove(&old);
                 }
-                self.set_cold(&mut st, frame, self.policy == EvictionPolicy::ScanResistant);
                 self.frames[frame].dirty.store(false, Ordering::Release);
                 st.io_in_flight.insert(page, Io::Load);
                 claims.push((page, frame));
@@ -741,9 +567,7 @@ impl BufferManager {
             if result.is_ok() {
                 st.resident[frame] = Some(page);
                 st.table.insert(page, frame);
-                self.install(&mut st, frame, AccessHint::Scan);
-            } else {
-                self.set_cold(&mut st, frame, false);
+                self.touch(&mut st, frame);
             }
             self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
         }
@@ -862,9 +686,6 @@ impl BufferManager {
             st.table.clear();
             st.resident.iter_mut().for_each(|r| *r = None);
             st.last_use.iter_mut().for_each(|t| *t = 0);
-            st.ref_bit.iter_mut().for_each(|b| *b = false);
-            st.cold.iter_mut().for_each(|c| *c = false);
-            st.cold_count = 0;
             return Ok(());
         }
     }
@@ -887,7 +708,6 @@ impl BufferManager {
             self.frames[frame].dirty.store(false, Ordering::Release);
             st.table.remove(&page);
             st.resident[frame] = None;
-            self.set_cold(&mut st, frame, false);
             // If pinned, the nonzero pin count keeps `find_victim` away
             // until the last holder unpins; nothing else to do.
         }
@@ -952,22 +772,17 @@ mod tests {
     use super::*;
     use crate::disk::MemStorage;
 
-    fn pool(frames: usize, policy: EvictionPolicy) -> (Arc<BufferManager>, Arc<IoStats>) {
+    fn pool(frames: usize) -> (Arc<BufferManager>, Arc<IoStats>) {
         let stats = IoStats::new_shared();
         let backend = Arc::new(MemStorage::new(512).unwrap());
         backend.grow(256).unwrap();
-        let bm = Arc::new(BufferManager::new(
-            backend,
-            frames,
-            policy,
-            Arc::clone(&stats),
-        ));
+        let bm = Arc::new(BufferManager::new(backend, frames, Arc::clone(&stats)));
         (bm, stats)
     }
 
     #[test]
     fn hit_and_miss_counting() {
-        let (bm, stats) = pool(4, EvictionPolicy::Lru);
+        let (bm, stats) = pool(4);
         {
             let p = bm.pin(3).unwrap();
             assert_eq!(p.page_id(), 3);
@@ -981,7 +796,7 @@ mod tests {
 
     #[test]
     fn dirty_pages_written_back_on_eviction() {
-        let (bm, stats) = pool(2, EvictionPolicy::Lru);
+        let (bm, stats) = pool(2);
         {
             let p = bm.pin(0).unwrap();
             p.write().bytes_mut()[100] = 42;
@@ -998,7 +813,7 @@ mod tests {
 
     #[test]
     fn pinned_pages_are_not_evicted() {
-        let (bm, _) = pool(2, EvictionPolicy::Lru);
+        let (bm, _) = pool(2);
         let _a = bm.pin(0).unwrap();
         let _b = bm.pin(1).unwrap();
         assert!(matches!(bm.pin(2), Err(StorageError::BufferExhausted)));
@@ -1008,7 +823,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let (bm, _) = pool(2, EvictionPolicy::Lru);
+        let (bm, _) = pool(2);
         drop(bm.pin(0).unwrap());
         drop(bm.pin(1).unwrap());
         drop(bm.pin(0).unwrap()); // 0 is now MRU
@@ -1021,7 +836,7 @@ mod tests {
 
     #[test]
     fn clear_flushes_and_empties() {
-        let (bm, stats) = pool(4, EvictionPolicy::Lru);
+        let (bm, stats) = pool(4);
         {
             let p = bm.pin(5).unwrap();
             p.write().bytes_mut()[0] = 9;
@@ -1040,14 +855,14 @@ mod tests {
 
     #[test]
     fn clear_fails_with_pins() {
-        let (bm, _) = pool(4, EvictionPolicy::Lru);
+        let (bm, _) = pool(4);
         let _p = bm.pin(1).unwrap();
         assert!(bm.clear().is_err());
     }
 
     #[test]
     fn discard_drops_without_writeback() {
-        let (bm, stats) = pool(4, EvictionPolicy::Lru);
+        let (bm, stats) = pool(4);
         {
             let p = bm.pin(7).unwrap();
             p.write().bytes_mut()[0] = 1;
@@ -1058,7 +873,7 @@ mod tests {
 
     #[test]
     fn discard_retires_pinned_page_until_last_unpin() {
-        let (bm, _) = pool(4, EvictionPolicy::Lru);
+        let (bm, _) = pool(4);
         // Seed page 7 on disk with a marker, then dirty it in the pool.
         {
             let p = bm.pin(7).unwrap();
@@ -1088,7 +903,7 @@ mod tests {
 
     #[test]
     fn pin_new_skips_read() {
-        let (bm, stats) = pool(4, EvictionPolicy::Lru);
+        let (bm, stats) = pool(4);
         let p = bm.pin_new(9).unwrap();
         assert!(p.read().bytes().iter().all(|&b| b == 0));
         assert_eq!(stats.snapshot().physical_reads, 0);
@@ -1106,7 +921,7 @@ mod tests {
         let stats = IoStats::new_shared();
         let backend = Arc::new(MemStorage::new(512).unwrap());
         backend.grow(32).unwrap();
-        let bm = Arc::new(BufferManager::new(backend, 4, EvictionPolicy::Lru, stats));
+        let bm = Arc::new(BufferManager::new(backend, 4, stats));
         // Seed every page with its own marker.
         for p in 0..32u32 {
             let g = bm.pin(p).unwrap();
@@ -1149,7 +964,7 @@ mod tests {
         let stats = IoStats::new_shared();
         let backend = Arc::new(MemStorage::new(512).unwrap());
         backend.grow(24).unwrap();
-        let bm = Arc::new(BufferManager::new(backend, 3, EvictionPolicy::Lru, stats));
+        let bm = Arc::new(BufferManager::new(backend, 3, stats));
         for p in 0..24u32 {
             let g = bm.pin(p).unwrap();
             let mut w = g.write();
@@ -1294,7 +1109,6 @@ mod tests {
         let bm = Arc::new(BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             2,
-            EvictionPolicy::Lru,
             stats,
         ));
         let third = Arc::new(std::sync::Barrier::new(2));
@@ -1335,7 +1149,6 @@ mod tests {
         let bm = BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             frames,
-            EvictionPolicy::Lru,
             IoStats::new_shared(),
         );
         (backend, Arc::new(bm))
@@ -1507,7 +1320,6 @@ mod tests {
         let bm = BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             16,
-            EvictionPolicy::Lru,
             IoStats::new_shared(),
         );
         for page in [30, 4, 17, 9, 23, 11] {
@@ -1535,7 +1347,6 @@ mod tests {
         let bm = Arc::new(BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             6,
-            EvictionPolicy::Lru,
             Arc::clone(&stats),
         ));
         for p in 0..48u32 {
@@ -1576,74 +1387,26 @@ mod tests {
     }
 
     #[test]
-    fn scan_hints_cannot_evict_beyond_the_cold_cap() {
-        // 16 frames → cold cap 2. Fill the pool with a normal-hinted
-        // working set, then stream 64 scan-hinted pages through: the scan
-        // must recycle within its 2-frame allowance, so at most 2 of the
-        // 16 working-set pages may be displaced, no matter how long the
-        // scan runs.
-        let (bm, stats) = pool(16, EvictionPolicy::ScanResistant);
-        for p in 0..16u32 {
+    fn evictions_are_counted_by_source() {
+        // On a full pool a demand miss displaces a page as a normal
+        // eviction, a prefetch claim as a scan eviction; never both.
+        let (bm, stats) = pool(4);
+        for p in 0..4u32 {
             drop(bm.pin(p).unwrap());
         }
         let before = stats.snapshot();
-        for p in 100..164u32 {
-            let g = bm.pin_hinted(p, AccessHint::Scan).unwrap();
-            let _ = g.read().bytes()[0];
-        }
-        let st = bm.state.lock();
-        let survivors = (0..16u32).filter(|p| st.table.contains_key(p)).count();
-        drop(st);
-        assert!(
-            survivors >= 14,
-            "scan displaced {} working-set pages; the cold cap allows 2",
-            16 - survivors
-        );
+        drop(bm.pin(10).unwrap());
         let delta = stats.snapshot().since(&before);
-        assert_eq!(delta.scan_misses, 64);
-        assert_eq!(delta.scan_hits, 0);
-        assert_eq!(
-            delta.normal_evictions, 0,
-            "only the scan evicted during the stream"
-        );
-    }
-
-    #[test]
-    fn normal_hit_promotes_a_scanned_page_out_of_the_cold_set() {
-        let (bm, _) = pool(16, EvictionPolicy::ScanResistant);
-        for p in 0..14u32 {
-            drop(bm.pin(p).unwrap());
-        }
-        // Page 40 arrives via scan (cold), then a point access adopts it.
-        drop(bm.pin_hinted(40, AccessHint::Scan).unwrap());
-        drop(bm.pin(40).unwrap());
-        // A long scan stream may recycle the cold allowance freely, but
-        // the promoted page is working set now and must survive.
-        for p in 100..150u32 {
-            drop(bm.pin_hinted(p, AccessHint::Scan).unwrap());
-        }
-        let st = bm.state.lock();
-        assert!(st.table.contains_key(&40), "promoted page was evicted");
-    }
-
-    #[test]
-    fn lru_ignores_scan_hints_and_flushes_the_working_set() {
-        // Under plain LRU the same scan stream displaces everything.
-        let (bm, _) = pool(8, EvictionPolicy::Lru);
-        for p in 0..8u32 {
-            drop(bm.pin(p).unwrap());
-        }
-        for p in 100..132u32 {
-            drop(bm.pin_hinted(p, AccessHint::Scan).unwrap());
-        }
-        let st = bm.state.lock();
-        let survivors = (0..8u32).filter(|p| st.table.contains_key(p)).count();
-        assert_eq!(survivors, 0, "LRU kept {survivors} pages under a scan");
+        assert_eq!((delta.normal_evictions, delta.scan_evictions), (1, 0));
+        let before = stats.snapshot();
+        assert_eq!(bm.prefetch(&[20, 21]).unwrap(), 2);
+        let delta = stats.snapshot().since(&before);
+        assert_eq!((delta.normal_evictions, delta.scan_evictions), (0, 2));
     }
 
     #[test]
     fn prefetch_loads_pages_and_demand_pins_hit() {
-        let (bm, stats) = pool(8, EvictionPolicy::Lru);
+        let (bm, stats) = pool(8);
         assert_eq!(bm.prefetch(&[3, 4, 5]).unwrap(), 3);
         let before = stats.snapshot();
         for p in 3..6u32 {
@@ -1700,7 +1463,6 @@ mod tests {
         let bm = BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             4,
-            EvictionPolicy::Lru,
             Arc::clone(&stats),
         );
         // One frame stays pinned: three are claimable, so the claim is
@@ -1735,7 +1497,7 @@ mod tests {
     fn prefetch_skips_dirty_victims_and_stays_write_free() {
         // A 2-frame pool whose every frame is dirty: prefetch must give
         // up rather than write anything back.
-        let (bm, stats) = pool(2, EvictionPolicy::Lru);
+        let (bm, stats) = pool(2);
         for p in 0..2u32 {
             let g = bm.pin(p).unwrap();
             g.write().bytes_mut()[0] = 1;
@@ -1745,36 +1507,11 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_under_scan_resistance_respects_the_cold_cap() {
-        let (bm, _) = pool(16, EvictionPolicy::ScanResistant);
-        for p in 0..16u32 {
-            drop(bm.pin(p).unwrap());
-        }
-        // Read-ahead of a whole "document": only the cold allowance may
-        // be claimed, the working set stays resident.
-        let want: Vec<PageId> = (100..140).collect();
-        let got = bm.prefetch(&want).unwrap();
-        assert!(got <= 2, "prefetch claimed {got} frames; cap is 2");
-        let st = bm.state.lock();
-        let survivors = (0..16u32).filter(|p| st.table.contains_key(p)).count();
-        assert!(survivors >= 14);
-    }
-
-    #[test]
-    fn concurrent_scan_and_point_pins_keep_the_working_set_resident() {
-        // The scan_cache bench's workload in miniature, as a correctness
-        // stress: one thread streams scan-hinted misses while others
-        // hammer a small hot set with normal pins. Every access must
-        // return the right bytes, and the hot set must stay resident.
-        let stats = IoStats::new_shared();
-        let backend = Arc::new(MemStorage::new(512).unwrap());
-        backend.grow(256).unwrap();
-        let bm = Arc::new(BufferManager::new(
-            backend,
-            32,
-            EvictionPolicy::ScanResistant,
-            stats,
-        ));
+    fn concurrent_scan_and_point_pins_read_the_right_bytes() {
+        // A long scan beside point readers, as a correctness stress: one
+        // thread streams misses over the whole store while others hammer
+        // a small hot set. Every access must return the right bytes.
+        let (bm, _) = pool(32);
         for p in 0..256u32 {
             let g = bm.pin(p).unwrap();
             g.write().bytes_mut()[0] = p as u8;
@@ -1782,15 +1519,12 @@ mod tests {
         bm.flush_all().unwrap();
         bm.clear().unwrap();
         let hot: Vec<PageId> = (0..8).collect();
-        for &p in &hot {
-            drop(bm.pin(p).unwrap());
-        }
         let scanner = {
             let bm = Arc::clone(&bm);
             std::thread::spawn(move || {
                 for pass in 0..4 {
                     for p in 8..256u32 {
-                        let g = bm.pin_hinted(p, AccessHint::Scan).unwrap();
+                        let g = bm.pin(p).unwrap();
                         assert_eq!(g.read().bytes()[0], p as u8, "pass {pass}");
                     }
                 }
@@ -1816,19 +1550,11 @@ mod tests {
         for h in pointers {
             h.join().unwrap();
         }
-        // After the storm the hot set is still resident: point misses
-        // stay bounded by the cold allowance, not the scan volume.
-        let st = bm.state.lock();
-        let survivors = hot.iter().filter(|p| st.table.contains_key(p)).count();
-        assert!(
-            survivors >= hot.len() - 4,
-            "hot set flushed by scan: {survivors}/8 resident"
-        );
     }
 
     #[test]
     fn concurrent_readers_on_distinct_pages() {
-        let (bm, _) = pool(8, EvictionPolicy::Lru);
+        let (bm, _) = pool(8);
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let bm = Arc::clone(&bm);

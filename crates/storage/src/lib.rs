@@ -22,8 +22,8 @@
 //!   backends.
 //! * [`simdisk`] — a seek/rotation/transfer cost model replaying the paper's
 //!   IBM DCAS 34330W measurement disk.
-//! * [`buffer`] — a pin/unpin buffer manager with LRU and scan-resistant
-//!   eviction.
+//! * [`buffer`] — a pin/unpin buffer manager with LRU eviction and
+//!   batched read-ahead.
 //! * [`segment`] — segment management and page allocation.
 //! * [`freespace`] — the free-space inventory used to place records.
 //! * [`stats`] — I/O statistics shared by the benchmark harness.
@@ -43,7 +43,7 @@ pub mod slotted;
 pub mod stats;
 pub mod wal;
 
-pub use buffer::{AccessHint, BufferManager, EvictionPolicy, PinnedPage};
+pub use buffer::{BufferManager, PinnedPage};
 pub use disk::{DiskBackend, FaultControl, FaultDisk, FileStorage, MemStorage};
 pub use error::{StorageError, StorageResult};
 pub use page::{PageBuf, PageKind, PAGE_HEADER_SIZE};

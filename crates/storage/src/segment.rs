@@ -26,7 +26,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::buffer::{AccessHint, BufferManager, PinnedPage};
+use crate::buffer::{BufferManager, PinnedPage};
 use crate::error::{StorageError, StorageResult};
 use crate::freespace::FreeSpaceInventory;
 use crate::page::{PageKind, PAGE_HEADER_SIZE};
@@ -355,18 +355,6 @@ impl StorageManager {
     /// Allocates and formats a page for `segment`. Slotted pages enter the
     /// segment's free-space inventory immediately.
     pub fn allocate_page(&self, segment: SegmentId, kind: PageKind) -> StorageResult<PageId> {
-        self.allocate_page_hinted(segment, kind, AccessHint::Normal)
-    }
-
-    /// [`allocate_page`](Self::allocate_page) under a buffer-replacement
-    /// hint: bulkload append streams pass [`AccessHint::Scan`] so the
-    /// pages they fill once enter the pool at cold priority.
-    pub fn allocate_page_hinted(
-        &self,
-        segment: SegmentId,
-        kind: PageKind,
-        hint: AccessHint,
-    ) -> StorageResult<PageId> {
         let page = {
             let mut st = self.state.lock();
             if segment as usize >= st.segments.len() {
@@ -386,7 +374,7 @@ impl StorageManager {
         // across that would serialize every concurrent bulkload behind one
         // writer's I/O stall.
         let free = {
-            let pin = self.buffer.pin_new_hinted(page, hint)?;
+            let pin = self.buffer.pin_new(page)?;
             let mut buf = pin.write();
             if kind == PageKind::Slotted {
                 SlottedPage::format(&mut buf);
@@ -423,13 +411,6 @@ impl StorageManager {
     /// Pins a page for direct access (tree storage manager).
     pub fn pin(&self, page: PageId) -> StorageResult<PinnedPage> {
         self.buffer.pin(page)
-    }
-
-    /// Pins a page for direct access under a replacement hint — scans and
-    /// bulkload append streams pass [`AccessHint::Scan`] so their one-shot
-    /// pages do not displace the point-access working set.
-    pub fn pin_hinted(&self, page: PageId, hint: AccessHint) -> StorageResult<PinnedPage> {
-        self.buffer.pin_hinted(page, hint)
     }
 
     /// Best-effort read-ahead: see [`BufferManager::prefetch`]. Returns
@@ -1033,18 +1014,12 @@ impl StorageManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::EvictionPolicy;
     use crate::disk::MemStorage;
     use crate::stats::IoStats;
 
     fn mk(page_size: usize, frames: usize) -> StorageManager {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(
-            backend,
-            frames,
-            EvictionPolicy::Lru,
-            IoStats::new_shared(),
-        ));
+        let bm = Arc::new(BufferManager::new(backend, frames, IoStats::new_shared()));
         StorageManager::create(bm).unwrap()
     }
 
@@ -1125,7 +1100,6 @@ mod tests {
         let bm = Arc::new(BufferManager::new(
             Arc::clone(&backend) as Arc<dyn crate::disk::DiskBackend>,
             16,
-            EvictionPolicy::Lru,
             Arc::clone(&stats),
         ));
         let sm = StorageManager::create(Arc::clone(&bm)).unwrap();
@@ -1171,7 +1145,6 @@ mod tests {
         let bm = Arc::new(BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             16,
-            EvictionPolicy::Lru,
             Arc::clone(&stats),
         ));
         let sm = StorageManager::create(Arc::clone(&bm)).unwrap();

@@ -27,15 +27,10 @@ pub struct IoStats {
     /// that arrive by prefetch are never misses, so this is not the
     /// number of pages read — `physical_reads` is.
     pub buffer_misses: AtomicU64,
-    /// Buffer hits taken through a scan-hinted pin
-    /// ([`crate::buffer::AccessHint::Scan`]); a subset of `buffer_hits`.
-    pub scan_hits: AtomicU64,
-    /// Buffer misses on scan-hinted pins; a subset of `buffer_misses`.
-    pub scan_misses: AtomicU64,
-    /// Resident pages displaced to serve a scan-hinted miss (including
-    /// prefetch claims).
+    /// Resident pages displaced by a prefetch batch's frame claims (the
+    /// read-ahead's evictions).
     pub scan_evictions: AtomicU64,
-    /// Resident pages displaced to serve a normal (point-access) miss.
+    /// Resident pages displaced by a demand miss (a pin or an allocation).
     pub normal_evictions: AtomicU64,
     /// Simulated elapsed disk time in nanoseconds (filled by [`crate::SimDisk`]).
     pub sim_disk_ns: AtomicU64,
@@ -60,8 +55,6 @@ impl IoStats {
         self.physical_writes.store(0, Ordering::Relaxed);
         self.buffer_hits.store(0, Ordering::Relaxed);
         self.buffer_misses.store(0, Ordering::Relaxed);
-        self.scan_hits.store(0, Ordering::Relaxed);
-        self.scan_misses.store(0, Ordering::Relaxed);
         self.scan_evictions.store(0, Ordering::Relaxed);
         self.normal_evictions.store(0, Ordering::Relaxed);
         self.sim_disk_ns.store(0, Ordering::Relaxed);
@@ -77,8 +70,6 @@ impl IoStats {
             physical_writes: self.physical_writes.load(Ordering::Relaxed),
             buffer_hits: self.buffer_hits.load(Ordering::Relaxed),
             buffer_misses: self.buffer_misses.load(Ordering::Relaxed),
-            scan_hits: self.scan_hits.load(Ordering::Relaxed),
-            scan_misses: self.scan_misses.load(Ordering::Relaxed),
             scan_evictions: self.scan_evictions.load(Ordering::Relaxed),
             normal_evictions: self.normal_evictions.load(Ordering::Relaxed),
             sim_disk_ns: self.sim_disk_ns.load(Ordering::Relaxed),
@@ -113,22 +104,17 @@ impl IoStats {
         self.physical_writes.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_hit(&self, scan: bool) {
+    pub(crate) fn add_hit(&self) {
         self.buffer_hits.fetch_add(1, Ordering::Relaxed);
-        if scan {
-            self.scan_hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
-    pub(crate) fn add_miss(&self, scan: bool) {
+    pub(crate) fn add_miss(&self) {
         self.buffer_misses.fetch_add(1, Ordering::Relaxed);
-        if scan {
-            self.scan_misses.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
-    pub(crate) fn add_eviction(&self, scan: bool) {
-        if scan {
+    /// One resident page displaced, by a prefetch claim or a demand miss.
+    pub(crate) fn add_eviction(&self, by_prefetch: bool) {
+        if by_prefetch {
             self.scan_evictions.fetch_add(1, Ordering::Relaxed);
         } else {
             self.normal_evictions.fetch_add(1, Ordering::Relaxed);
@@ -144,8 +130,6 @@ pub struct IoSnapshot {
     pub physical_writes: u64,
     pub buffer_hits: u64,
     pub buffer_misses: u64,
-    pub scan_hits: u64,
-    pub scan_misses: u64,
     pub scan_evictions: u64,
     pub normal_evictions: u64,
     pub sim_disk_ns: u64,
@@ -170,8 +154,6 @@ impl IoSnapshot {
             physical_writes: self.physical_writes - earlier.physical_writes,
             buffer_hits: self.buffer_hits - earlier.buffer_hits,
             buffer_misses: self.buffer_misses - earlier.buffer_misses,
-            scan_hits: self.scan_hits - earlier.scan_hits,
-            scan_misses: self.scan_misses - earlier.scan_misses,
             scan_evictions: self.scan_evictions - earlier.scan_evictions,
             normal_evictions: self.normal_evictions - earlier.normal_evictions,
             sim_disk_ns: self.sim_disk_ns - earlier.sim_disk_ns,
@@ -191,8 +173,8 @@ mod tests {
         s.add_read_request(1);
         s.add_read_request(5);
         s.add_write();
-        s.add_hit(false);
-        s.add_miss(true);
+        s.add_hit();
+        s.add_miss();
         s.add_eviction(true);
         let snap = s.snapshot();
         assert_eq!(snap.physical_reads, 6);
@@ -200,8 +182,6 @@ mod tests {
         assert_eq!(snap.physical_writes, 1);
         assert_eq!(snap.buffer_hits, 1);
         assert_eq!(snap.buffer_misses, 1);
-        assert_eq!(snap.scan_hits, 0);
-        assert_eq!(snap.scan_misses, 1);
         assert_eq!(snap.scan_evictions, 1);
         assert_eq!(snap.normal_evictions, 0);
         s.reset();

@@ -1197,18 +1197,13 @@ mod tests {
     use super::*;
     use crate::config::TreeConfig;
     use crate::validate::check_tree;
-    use natix_storage::{BufferManager, EvictionPolicy, IoStats, MemStorage, StorageManager};
+    use natix_storage::{BufferManager, IoStats, MemStorage, StorageManager};
     use natix_xml::LABEL_TEXT;
     use std::sync::Arc;
 
     fn store(page_size: usize, matrix: SplitMatrix) -> TreeStore {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(
-            backend,
-            256,
-            EvictionPolicy::Lru,
-            IoStats::new_shared(),
-        ));
+        let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         let seg = sm.create_segment("docs").unwrap();
         TreeStore::new(sm, seg, TreeConfig::paper(), matrix, Default::default()).unwrap()

@@ -18,6 +18,10 @@
 use natix_storage::slotted::SLOT_ENTRY_SIZE;
 use natix_storage::PAGE_HEADER_SIZE;
 
+/// Bytes reserved on each page for node-type-table growth when computing
+/// the *net page capacity* a record may reach before it must be split.
+const TYPE_TABLE_RESERVE: usize = 96;
+
 /// Configuration of a [`crate::store::TreeStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
@@ -27,10 +31,6 @@ pub struct TreeConfig {
     /// Minimum subtree size (fraction of the page) below which the
     /// separator search stops descending. The paper's experiments use ⅒.
     pub split_tolerance: f64,
-    /// Bytes reserved on each page for node-type-table growth when
-    /// computing the *net page capacity* a record may reach before it must
-    /// be split.
-    pub type_table_reserve: usize,
     /// Enables the record-merge extension: after deletions, records whose
     /// fill drops below `merge_threshold` try to absorb proxy children
     /// whose records fit inline (§1: clustered nodes "can become records of
@@ -48,7 +48,6 @@ impl Default for TreeConfig {
         TreeConfig {
             split_target: 0.5,
             split_tolerance: 0.1,
-            type_table_reserve: 96,
             merge_enabled: false,
             merge_threshold: 0.25,
             merge_fill_max: 0.8,
@@ -66,7 +65,7 @@ impl TreeConfig {
     /// whole. Page header, two slot entries (type table + record) and the
     /// type-table reserve are subtracted from the page size.
     pub fn net_capacity(&self, page_size: usize) -> usize {
-        page_size - PAGE_HEADER_SIZE - 2 * SLOT_ENTRY_SIZE - self.type_table_reserve
+        page_size - PAGE_HEADER_SIZE - 2 * SLOT_ENTRY_SIZE - TYPE_TABLE_RESERVE
     }
 
     /// Split tolerance in bytes for a given page size.

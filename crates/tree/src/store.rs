@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use natix_storage::segment::PlacementHint;
 use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
-use natix_storage::{AccessHint, PageKind, Rid, SegmentId, StorageError, StorageManager};
+use natix_storage::{PageKind, Rid, SegmentId, StorageError, StorageManager};
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
 
 use crate::config::TreeConfig;
@@ -335,25 +335,12 @@ impl TreeStore {
     /// on a thread with a write operation in flight, every call reads the
     /// page.
     pub(crate) fn load_shared(&self, rid: Rid) -> TreeResult<Arc<RecordTree>> {
-        self.load_shared_hinted(rid, AccessHint::Normal)
-    }
-
-    /// [`load_shared`](Self::load_shared) under a buffer-replacement hint:
-    /// record-queue scans pass [`AccessHint::Scan`] so their one-shot
-    /// pages enter the pool at cold priority instead of displacing the
-    /// point-access working set.
-    fn load_shared_hinted(&self, rid: Rid, hint: AccessHint) -> TreeResult<Arc<RecordTree>> {
-        self.versions
-            .read(rid, || self.load_current_hinted(rid, hint))
+        self.versions.read(rid, || self.load_current(rid))
     }
 
     /// Loads the on-page image of the record at `rid` (no versioning).
     fn load_current(&self, rid: Rid) -> TreeResult<RecordTree> {
-        self.load_current_hinted(rid, AccessHint::Normal)
-    }
-
-    fn load_current_hinted(&self, rid: Rid, hint: AccessHint) -> TreeResult<RecordTree> {
-        let pin = self.sm.pin_hinted(rid.page, hint)?;
+        let pin = self.sm.pin(rid.page)?;
         let buf = pin.read();
         let sp = SlottedPageRef::open(&buf)?;
         let table = match sp.get(0) {
@@ -492,13 +479,13 @@ impl TreeStore {
                 }
             };
             let Some(page) = candidate else { break };
-            if let Some(rid) = self.try_write_on_page(page, tree, ctx, AccessHint::Normal)? {
+            if let Some(rid) = self.try_write_on_page(page, tree, ctx)? {
                 return Ok(rid);
             }
             tried = Some(page);
         }
         let page = self.sm.allocate_page(self.segment, PageKind::Slotted)?;
-        match self.try_write_on_page(page, tree, ctx, AccessHint::Normal)? {
+        match self.try_write_on_page(page, tree, ctx)? {
             Some(rid) => Ok(rid),
             None => Err(TreeError::Storage(StorageError::RecordTooLarge {
                 len,
@@ -514,9 +501,8 @@ impl TreeStore {
         page: u32,
         tree: &RecordTree,
         ctx: &mut OpCtx,
-        hint: AccessHint,
     ) -> TreeResult<Option<Rid>> {
-        let pin = self.sm.pin_hinted(page, hint)?;
+        let pin = self.sm.pin(page)?;
         let mut buf = pin.write();
         let mut sp = SlottedPage::open(&mut buf)?;
         let had_tt = sp.is_live(0);
@@ -590,25 +576,20 @@ impl TreeStore {
     pub fn append_record(&self, tree: &RecordTree, cursor: &mut AppendCursor) -> TreeResult<Rid> {
         let _op = self.versions.begin_write();
         let mut ctx = OpCtx::default();
-        // Append streams are one-shot writers: their pages enter the
-        // buffer pool at scan (cold) priority so a long bulkload does not
-        // flush the point-access working set.
         let rid = 'placed: {
             if let Some(page) = cursor.page {
-                if let Some(rid) = self.try_write_on_page(page, tree, &mut ctx, AccessHint::Scan)? {
+                if let Some(rid) = self.try_write_on_page(page, tree, &mut ctx)? {
                     break 'placed rid;
                 }
             }
-            let page =
-                self.sm
-                    .allocate_page_hinted(self.segment, PageKind::Slotted, AccessHint::Scan)?;
+            let page = self.sm.allocate_page(self.segment, PageKind::Slotted)?;
             cursor.page = Some(page);
             // Nothing older lives on this page: at commit it is forced
             // to the page device instead of imaged.
             if let Some(op) = self.versions.ambient_write_op() {
                 self.versions.note_fresh_page(op, page);
             }
-            match self.try_write_on_page(page, tree, &mut ctx, AccessHint::Scan)? {
+            match self.try_write_on_page(page, tree, &mut ctx)? {
                 Some(rid) => rid,
                 None => {
                     return Err(TreeError::Storage(StorageError::RecordTooLarge {
@@ -2018,9 +1999,7 @@ impl TreeStore {
     where
         F: FnMut(&RecordEntry) -> TreeResult<bool>,
     {
-        // Scan-hinted load: record-queue scans touch each page once, so
-        // their frames enter the buffer pool at cold priority.
-        let tree = self.load_shared_hinted(ptr.rid, AccessHint::Scan)?;
+        let tree = self.load_shared(ptr.rid)?;
         let arena = preorder_to_arena(&tree, ptr.node);
         if tree.try_node(arena).is_none() {
             return Err(TreeError::BadNodePtr {
@@ -2105,7 +2084,7 @@ impl TreeStore {
         let (i0, _) = spilled_level(tree, start).ok_or_else(|| {
             TreeError::Invariant("scan start is not on the record's spilled path".into())
         })?;
-        let group = self.load_shared_hinted(target, AccessHint::Scan)?;
+        let group = self.load_shared(target)?;
         let chain = prefix_chain(&group);
         let node = *chain.get(i0).ok_or_else(|| {
             TreeError::Invariant(format!(
@@ -2314,7 +2293,7 @@ pub(crate) mod tests {
         generate_corpus, generate_deep, generate_orders, generate_play, CorpusConfig, DeepConfig,
         OrdersConfig, SplitMix64,
     };
-    use natix_storage::{BufferManager, EvictionPolicy, IoStats, MemStorage};
+    use natix_storage::{BufferManager, IoStats, MemStorage};
     use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
 
     use super::*;
@@ -2445,12 +2424,7 @@ pub(crate) mod tests {
 
     fn store(page_size: usize) -> TreeStore {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(
-            backend,
-            1024,
-            EvictionPolicy::Lru,
-            IoStats::new_shared(),
-        ));
+        let bm = Arc::new(BufferManager::new(backend, 1024, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         let seg = sm.create_segment("docs").unwrap();
         let matrix = SplitMatrix::all_other();

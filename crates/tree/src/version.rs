@@ -1044,14 +1044,9 @@ mod tests {
     use natix_xml::{LiteralValue, LABEL_TEXT};
 
     fn mk_store() -> TreeStore {
-        use natix_storage::{BufferManager, EvictionPolicy, IoStats, MemStorage, StorageManager};
+        use natix_storage::{BufferManager, IoStats, MemStorage, StorageManager};
         let backend = Arc::new(MemStorage::new(2048).unwrap());
-        let bm = Arc::new(BufferManager::new(
-            backend,
-            64,
-            EvictionPolicy::Lru,
-            IoStats::new_shared(),
-        ));
+        let bm = Arc::new(BufferManager::new(backend, 64, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         let seg = sm.create_segment("docs").unwrap();
         TreeStore::new(

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use natix_storage::{BufferManager, EvictionPolicy, IoStats, MemStorage, Rid, StorageManager};
+use natix_storage::{BufferManager, IoStats, MemStorage, Rid, StorageManager};
 use natix_tree::{
     check_tree, reconstruct_document, InsertPos, NewNode, NodePtr, OpResult, SplitMatrix,
     TreeConfig, TreeStore,
@@ -106,12 +106,7 @@ impl H {
 fn run(seed: u64, nops: usize, verify_each: bool) {
     let mut rng = Rng(seed);
     let backend = Arc::new(MemStorage::new(512).unwrap());
-    let bm = Arc::new(BufferManager::new(
-        backend,
-        256,
-        EvictionPolicy::Lru,
-        IoStats::new_shared(),
-    ));
+    let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
     let sm = Arc::new(StorageManager::create(bm).unwrap());
     let seg = sm.create_segment("docs").unwrap();
     let config = TreeConfig {

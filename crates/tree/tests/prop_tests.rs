@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use natix_storage::{BufferManager, EvictionPolicy, IoStats, MemStorage, Rid, StorageManager};
+use natix_storage::{BufferManager, IoStats, MemStorage, Rid, StorageManager};
 use natix_tree::{
     check_tree, reconstruct_document, InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour,
     SplitMatrix, TreeConfig, TreeStore,
@@ -106,12 +106,7 @@ struct Harness {
 impl Harness {
     fn new(page_size: usize, matrix: SplitMatrix, config: TreeConfig) -> Harness {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(
-            backend,
-            256,
-            EvictionPolicy::Lru,
-            IoStats::new_shared(),
-        ));
+        let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         let seg = sm.create_segment("docs").unwrap();
         let store = TreeStore::new(sm, seg, config, matrix, Default::default()).unwrap();
