@@ -50,6 +50,7 @@ pub mod config;
 pub mod error;
 pub mod matrix;
 pub mod model;
+pub mod read;
 pub mod readahead;
 pub mod reconstruct;
 pub mod record;

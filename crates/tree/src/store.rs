@@ -16,31 +16,6 @@
 //! change; the document manager keeps its logical-node map current from
 //! these events. Standalone parent pointers (Appendix A) are maintained by
 //! deferred 8-byte patches collected per operation.
-//!
-//! # Reading
-//!
-//! Every reader asks for a record's decoded tree (once per read snapshot,
-//! thanks to [`crate::version`]'s memo) and then navigates it. The
-//! summary-seeded descent and the lazy walk call the child enumeration at
-//! every node they visit, so each helper must cost what it visits, not
-//! what its record holds — a per-call walk of the whole record made a
-//! seeded `//SPEAKER` over a play cost 3.4 ms where the scan took 1.1:
-//!
-//! * [`TreeStore::node_info`] and [`TreeStore::node_label`]: one node.
-//! * [`TreeStore::logical_children`] and its two siblings: the node's
-//!   child list, plus — for a node on the record's spilled path only —
-//!   the walk from the continuation placeholder to the record root and
-//!   the continuation group's prefix chain, O(record depth). A decoded
-//!   record knows its placeholder ([`crate::model`]), so a record without
-//!   one pays nothing to find that out.
-//! * [`TreeStore::scan_record_subtree`]: the scanned subtree; entering a
-//!   continuation group costs the same O(record depth).
-//! * [`TreeStore::logical_parent`]: the parent chain inside each record it
-//!   crosses; a crossing finds the proxy by an allocation-free scan of the
-//!   parent record.
-//! * [`TreeStore::label_path`]: as many steps, but the walk holds the
-//!   record it stands in, so each record on the path is loaded once per
-//!   call — writers, who bypass the memo, call it on every insert.
 
 use std::sync::Arc;
 
@@ -52,7 +27,7 @@ use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
 use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
-use crate::model::{NodePtr, PContent, PNode, PNodeId, RecordTree};
+use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
 use crate::record;
 use crate::split::{plan_split, ProxyHome};
 use crate::typetable::TypeTable;
@@ -1027,7 +1002,7 @@ impl TreeStore {
     /// steps on from that record instead of loading it again. `current`
     /// selects the on-page image (write paths) over the versioned view
     /// (read paths).
-    fn logical_parent_from(
+    pub(crate) fn logical_parent_from(
         &self,
         mut rid: Rid,
         mut node: Option<PNodeId>,
@@ -1804,334 +1779,6 @@ impl TreeStore {
         self.delete_record_raw(group_rid, ctx)?;
         Ok(())
     }
-
-    // ==================================================================
-    // Reading.
-    // ==================================================================
-
-    /// Information about the node at `ptr`.
-    pub fn node_info(&self, ptr: NodePtr) -> TreeResult<NodeInfo> {
-        let tree = self.load_shared(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        let n = tree.try_node(arena).ok_or(TreeError::BadNodePtr {
-            rid: ptr.rid,
-            node: ptr.node,
-        })?;
-        Ok(NodeInfo {
-            label: n.label,
-            value: match &n.content {
-                PContent::Literal(v) => Some(v.clone()),
-                _ => None,
-            },
-            facade: n.is_facade(),
-            physical_children: tree.children(arena).len(),
-        })
-    }
-
-    /// Label of the node at `ptr` and whether it is a literal —
-    /// [`node_info`](Self::node_info) for callers that match on label and
-    /// kind only, without the copy of a literal's value.
-    pub fn node_label(&self, ptr: NodePtr) -> TreeResult<(LabelId, bool)> {
-        let tree = self.load_shared(ptr.rid)?;
-        let n = checked_node(&tree, ptr)?;
-        Ok((n.label, matches!(n.content, PContent::Literal(_))))
-    }
-
-    /// The logical children of the facade node at `ptr`, crossing proxies
-    /// and skipping scaffolding.
-    pub fn logical_children(&self, ptr: NodePtr) -> TreeResult<Vec<NodePtr>> {
-        let mut out = Vec::new();
-        self.for_each_logical_child(ptr, &mut |child| {
-            out.push(child);
-            Ok(true)
-        })?;
-        Ok(out)
-    }
-
-    /// [`logical_children`](Self::logical_children) with each child's
-    /// label alongside its pointer. Proxy label digests make this cheaper
-    /// than `logical_children` + `node_info` per child: a digested proxy
-    /// yields `(child root, digest)` with **no page read** — only
-    /// digest-less proxies (scaffolding-rooted children) are resolved by
-    /// loading the child record.
-    pub fn logical_children_labeled(&self, ptr: NodePtr) -> TreeResult<Vec<(NodePtr, LabelId)>> {
-        let mut out = Vec::new();
-        self.visit_logical_children(ptr, &mut |child, label| {
-            out.push((child, label));
-            Ok(true)
-        })?;
-        Ok(out)
-    }
-
-    /// Lazy variant of [`logical_children`](Self::logical_children):
-    /// calls `f` for each logical child in order; `f` returning `false`
-    /// stops the walk (and no further proxy records are read). Positional
-    /// path predicates like `SPEECH[1]` rely on this to avoid loading a
-    /// whole scene to find its first speech.
-    pub fn for_each_logical_child<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
-    where
-        F: FnMut(NodePtr) -> TreeResult<bool>,
-    {
-        self.visit_logical_children(ptr, &mut |child, _| f(child))
-    }
-
-    /// The one child visitor behind the three accessors above: resolves
-    /// `ptr` and hands every logical child to `f` with its label.
-    ///
-    /// The record of `ptr` comes from [`load_shared`](Self::load_shared):
-    /// a pinned walk that asks for the children of every node it enters
-    /// decodes each record once, not once per node.
-    fn visit_logical_children<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
-    where
-        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
-    {
-        let tree = self.load_shared(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        if tree.try_node(arena).is_none() {
-            return Err(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            });
-        }
-        self.expand_children(ptr.rid, &tree, arena, f)
-    }
-
-    fn expand_children<F>(
-        &self,
-        rid: Rid,
-        tree: &RecordTree,
-        node: PNodeId,
-        f: &mut F,
-    ) -> TreeResult<bool>
-    where
-        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
-    {
-        for &c in tree.children(node) {
-            let n = tree.node(c);
-            match n.content {
-                PContent::Proxy(target) => {
-                    if n.label != LABEL_NONE {
-                        // Label digest: the child is facade-rooted (a
-                        // digest is only ever written for one) with this
-                        // label at pre-order index 0 — no page read.
-                        if !f(NodePtr::new(target, 0), n.label)? {
-                            return Ok(false);
-                        }
-                        continue;
-                    }
-                    let child = self.load_shared(target)?;
-                    let root = child.root();
-                    let r = child.node(root);
-                    if r.is_scaffolding_aggregate() {
-                        if !self.expand_children(target, &child, root, f)? {
-                            return Ok(false);
-                        }
-                    } else if r.is_prefix() {
-                        // The lower half of a split prefix chain: its root
-                        // prefix copies *this* node's next spilled level,
-                        // so only content of deeper levels hangs here —
-                        // none of it is a child of `node`.
-                        debug_assert!(tree.node(node).is_prefix());
-                    } else if !f(NodePtr::new(target, preorder_index(&child, root)), r.label)? {
-                        return Ok(false);
-                    }
-                }
-                // Deeper levels' late children — not children of `node`.
-                PContent::Prefix(_) => {}
-                // Late children of this record's spilled path: visited
-                // below, from the continuation group's matching prefix.
-                PContent::Continuation(_) => {}
-                _ => {
-                    if !f(NodePtr::new(rid, preorder_index(tree, c)), n.label)? {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-        // Depth-aware packing: when the record has a continuation and
-        // `node` sits on its spilled path, the node's child list continues
-        // in the group record, under the prefix entry copying it.
-        if let Some((i, group)) = spilled_level(tree, node) {
-            return self.expand_group_children(group, i, f);
-        }
-        Ok(true)
-    }
-
-    /// Visits the logical children stored in continuation group
-    /// `group_rid` under prefix-chain index `level` (late children of the
-    /// copied ancestor). A chain split across group records (the group
-    /// itself spilled inside its prefix chain) is followed through the
-    /// prefix-rooted lower piece.
-    fn expand_group_children<F>(&self, group_rid: Rid, level: usize, f: &mut F) -> TreeResult<bool>
-    where
-        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
-    {
-        let group = self.load_shared(group_rid)?;
-        let chain = prefix_chain(&group);
-        if let Some(&pnode) = chain.get(level) {
-            return self.expand_children(group_rid, &group, pnode, f);
-        }
-        // The level's prefix lives in the lower piece of a split chain,
-        // proxied from the deepest prefix of this record.
-        let Some(&last) = chain.last() else {
-            return Ok(true);
-        };
-        for &c in group.children(last) {
-            if let PContent::Proxy(target) = group.node(c).content {
-                let child = self.load_shared(target)?;
-                if child.node(child.root()).is_prefix() {
-                    return self.expand_group_children(target, level - chain.len(), f);
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// Scans the subtree of `ptr` **within its own record only**, calling
-    /// `f` for every facade node and for every proxy to a child record, in
-    /// document (pre-)order. Exactly one record is loaded — and `load`
-    /// releases its page pin before `f` ever runs — so the record is a
-    /// natural unit of scan work: a scanner that queues whole records
-    /// keeps buffer pins short and never reads a record twice.
-    /// Scaffolding aggregates are descended through silently (they carry
-    /// no logical node). `f` returning `false` stops the scan.
-    pub fn scan_record_subtree<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
-    where
-        F: FnMut(&RecordEntry) -> TreeResult<bool>,
-    {
-        let tree = self.load_shared(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        if tree.try_node(arena).is_none() {
-            return Err(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            });
-        }
-        let mut stack = vec![arena];
-        while let Some(n) = stack.pop() {
-            let node = tree.node(n);
-            match &node.content {
-                // Child records are reported, never followed: following
-                // them here would chain page reads under one task and
-                // hide them from the scanner's queue and read-ahead.
-                PContent::Proxy(target) => {
-                    if !f(&RecordEntry::ChildRecord {
-                        ptr: NodePtr::new(*target, 0),
-                        label: node.label,
-                    })? {
-                        return Ok(false);
-                    }
-                    continue;
-                }
-                // A continuation group is a child record too — its facades
-                // (late children of this record's spilled path) belong to
-                // the scanned subtree, and the placeholder's pre-order
-                // position is exactly their document-order slot. The group
-                // is entered at the prefix matching the scan's start
-                // level, so late children of *outer* levels stay out.
-                PContent::Continuation(target) => {
-                    let entry = self.continuation_entry(&tree, arena, *target)?;
-                    if !f(&RecordEntry::ChildRecord {
-                        ptr: entry,
-                        label: LABEL_NONE,
-                    })? {
-                        return Ok(false);
-                    }
-                    continue;
-                }
-                // Prefix entries are scaffolding: no logical node of their
-                // own, but their children (the copied ancestor's late
-                // children) are scanned.
-                PContent::Prefix(_) => {}
-                PContent::Literal(_) => {
-                    if node.is_facade()
-                        && !f(&RecordEntry::Node {
-                            ptr: NodePtr::new(ptr.rid, preorder_index(&tree, n)),
-                            label: node.label,
-                            literal: true,
-                        })?
-                    {
-                        return Ok(false);
-                    }
-                }
-                PContent::Aggregate(_) => {
-                    if node.is_facade()
-                        && !f(&RecordEntry::Node {
-                            ptr: NodePtr::new(ptr.rid, preorder_index(&tree, n)),
-                            label: node.label,
-                            literal: false,
-                        })?
-                    {
-                        return Ok(false);
-                    }
-                }
-            }
-            for &k in tree.children(n).iter().rev() {
-                stack.push(k);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Resolves the scan entry point of a continuation group: the prefix
-    /// entry matching the scan start's level on the holder's spilled path.
-    fn continuation_entry(
-        &self,
-        tree: &RecordTree,
-        start: PNodeId,
-        target: Rid,
-    ) -> TreeResult<NodePtr> {
-        let (i0, _) = spilled_level(tree, start).ok_or_else(|| {
-            TreeError::Invariant("scan start is not on the record's spilled path".into())
-        })?;
-        let group = self.load_shared(target)?;
-        let chain = prefix_chain(&group);
-        let node = *chain.get(i0).ok_or_else(|| {
-            TreeError::Invariant(format!(
-                "continuation group {target}: prefix chain shorter than spilled path"
-            ))
-        })?;
-        Ok(NodePtr::new(target, preorder_index(&group, node)))
-    }
-
-    /// The logical parent of the facade node at `ptr` (`None` for the tree
-    /// root).
-    pub fn logical_parent(&self, ptr: NodePtr) -> TreeResult<Option<NodePtr>> {
-        let tree = self.load_shared(ptr.rid)?;
-        let parent = checked_node(&tree, ptr)?.parent;
-        Ok(self
-            .logical_parent_from(ptr.rid, parent, &tree, false)?
-            .map(|(p, _)| p))
-    }
-
-    /// Root-to-node label path of a logical node: the labels of all its
-    /// logical ancestors from the document root down, ending with the
-    /// node's own label. Feeds path-summary maintenance: an inserted
-    /// node's path identifies exactly the summary entry to bump.
-    ///
-    /// The walk holds the record it stands in and reads labels from it,
-    /// so each record on the path is loaded once per call — the record
-    /// depth, not the node depth — with or without the decoded-record
-    /// memo (writers, who call this on every insert, bypass the memo).
-    pub fn label_path(&self, ptr: NodePtr) -> TreeResult<Vec<LabelId>> {
-        let mut tree = self.load_shared(ptr.rid)?;
-        let mut at = ptr;
-        let mut path = Vec::new();
-        loop {
-            let n = checked_node(&tree, at)?;
-            path.push(n.label);
-            let Some((parent, held)) = self.logical_parent_from(at.rid, n.parent, &tree, false)?
-            else {
-                break;
-            };
-            if let Some(t) = held {
-                tree = t;
-            }
-            at = parent;
-        }
-        path.reverse();
-        Ok(path)
-    }
 }
 
 /// Placement state of a sequential bulk append: the page currently being
@@ -2175,19 +1822,9 @@ fn type_table_growth(table: &TypeTable, had_tt: bool, tree: &RecordTree) -> usiz
         table.encoded_len() + new_entries + SLOT_ENTRY_SIZE
     }
 }
-
-/// The node `ptr` names in `tree`, the record at `ptr.rid`.
-fn checked_node(tree: &RecordTree, ptr: NodePtr) -> TreeResult<&PNode> {
-    tree.try_node(preorder_to_arena(tree, ptr.node))
-        .ok_or(TreeError::BadNodePtr {
-            rid: ptr.rid,
-            node: ptr.node,
-        })
-}
-
 /// Maps a pre-order index back to an arena id. For freshly loaded trees
 /// these coincide (deserialisation numbers nodes in pre-order).
-fn preorder_to_arena(tree: &RecordTree, pre: PNodeId) -> PNodeId {
+pub(crate) fn preorder_to_arena(tree: &RecordTree, pre: PNodeId) -> PNodeId {
     // Loaded trees are never mutated before resolution, so this is the
     // identity; kept as a function for clarity and future caching.
     let _ = tree;
@@ -2195,7 +1832,7 @@ fn preorder_to_arena(tree: &RecordTree, pre: PNodeId) -> PNodeId {
 }
 
 /// Pre-order index of an (unmutated, freshly loaded) arena node.
-fn preorder_index(tree: &RecordTree, arena: PNodeId) -> PNodeId {
+pub(crate) fn preorder_index(tree: &RecordTree, arena: PNodeId) -> PNodeId {
     let _ = tree;
     arena
 }
