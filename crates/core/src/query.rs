@@ -192,9 +192,9 @@ pub struct PlannerOptions {
 /// rule on the in-memory backend.
 pub const DEFAULT_PAGE_COST_NS: u64 = 2_000;
 /// CPU cost (ns) the model charges per facade node visited, any shape.
-/// It assumes a record is decoded once however many of its nodes the
-/// shape visits — true of the seeded descent and the walk since their
-/// reads share one decoded record per snapshot (the decoded-record memo of
+/// It assumes a record is read once however many of its nodes the shape
+/// visits — true of the seeded descent and the walk since their reads
+/// share one parsed record view per snapshot (the parsed-record memo of
 /// [`natix_tree::version`]), and of the scan by construction.
 const NODE_COST_NS: u64 = 100;
 /// Nodes over which a summary-seeded descent amortises one page miss —

@@ -665,14 +665,13 @@ fn a_small_pool_never_changes_results() {
     }
 }
 
-/// Regression pin for the decoded-record memo (`natix_tree::version`): a
-/// pinned walk decodes a record once, however many of its nodes it
-/// enters. With the document resident in the pool every decode is one
-/// buffer pin, so the pins a query takes (hits + misses) are bounded by
-/// the document's record count — not by the nodes visited, which is what
-/// a per-node `load` costs (the parent of this change took more than ten
-/// pins per record on both queries). Answers stay those of the DOM
-/// oracle.
+/// Regression pin for the parsed-record memo (`natix_tree::version`): a
+/// pinned walk reads a record once, however many of its nodes it enters.
+/// With the document resident in the pool every read is one buffer pin,
+/// so the pins a query takes (hits + misses) are bounded by the
+/// document's record count — not by the nodes visited, which is what a
+/// per-node read costs (more than ten pins per record on both queries,
+/// before the memo). Answers stay those of the DOM oracle.
 #[test]
 fn pinned_walks_decode_each_record_once() {
     let mut syms = SymbolTable::new();

@@ -15,9 +15,14 @@
 //! Module map:
 //!
 //! * [`model`] — physical nodes (aggregate/literal/proxy; facade vs
-//!   scaffolding; standalone vs embedded) and in-memory record trees;
+//!   scaffolding; standalone vs embedded) and the in-memory record trees
+//!   an edit mutates;
 //! * [`record`] — the Appendix-A byte format (10-byte standalone headers,
-//!   6-byte embedded headers, per-page type tables — see [`typetable`]);
+//!   6-byte embedded headers, per-page type tables — see [`typetable`]),
+//!   and its two readers: the decoder into a record tree, for a record
+//!   about to be edited, and [`record::RecordView`], the validated index
+//!   over the bytes that every read navigates, decoding only the literals
+//!   it returns;
 //! * [`matrix`] — the split matrix s_ij ∈ {0, ∞, other} (§3.3);
 //! * [`config`] — split target, split tolerance, merge knobs;
 //! * [`split`] — the tree-structured separator split (§3.2.2), pure and
@@ -25,6 +30,9 @@
 //! * [`store`] — the tree growth procedure (figure 5): insertion-location
 //!   resolution, record moves, splits with recursive separator insertion,
 //!   deletion with cascades, the merge extension, relocation events;
+//! * [`read`] — navigation: node lookups, logical child lists, the
+//!   record-granular scan, logical parents and label paths, all over
+//!   record views;
 //! * [`bulkload`] — the streaming bottom-up bulkloader for whole-document
 //!   loads (the paper's §4.3 append workload without per-node
 //!   read-modify-write), including depth-aware packing: deeply nested
@@ -40,7 +48,8 @@
 //!   the evaluation harness;
 //! * [`version`] — record-level versioning: epoch-pinned read snapshots
 //!   over copy-on-write record pre-images, so readers overlap structural
-//!   edits and bulkloads of the same tree.
+//!   edits and bulkloads of the same tree, and the per-thread memo of
+//!   parsed record views.
 
 #![deny(let_underscore_drop)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -22,17 +22,8 @@
 //! size of one tree; a loop over a tree's levels or children reads
 //! [`RecordTree::subtree_sizes`], every size from one pass.
 //!
-//! A record holds at most one continuation placeholder (depth-aware
-//! packing; the validator enforces it), and every child enumeration of a
-//! reader asks for it. A decoded tree knows it: the decoder records the
-//! placeholder it meets, and [`RecordTree::continuation`] answers from
-//! that in O(1). The answer cannot go stale, because nothing but this
-//! module's `&mut self` methods can change a tree (its arena is private)
-//! and every one of them reaches the arena through one accessor that
-//! marks the placeholder *unknown*; an unknown placeholder is found again
-//! by an allocation-free scan of the arena. Readers navigate decoded trees
-//! they never mutate, so they always take the O(1) answer; writers mutate
-//! and pay the scan.
+//! A record tree is what an edit mutates. Readers never build one: they
+//! navigate the stored bytes through a [`crate::record::RecordView`].
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
@@ -177,9 +168,6 @@ pub struct RecordTree {
     /// RID of the parent record (invalid for a tree's root record) — the
     /// standalone header's parent pointer.
     pub parent_rid: Rid,
-    /// The continuation placeholder and its target, when known: `None`
-    /// once the arena may have changed (module docs).
-    continuation: Option<Option<(PNodeId, Rid)>>,
 }
 
 impl RecordTree {
@@ -194,24 +182,15 @@ impl RecordTree {
             })],
             root: 0,
             parent_rid,
-            continuation: None,
         }
     }
 
     /// Creates a tree from already-built arena parts (deserialisation).
-    /// `continuation` is the first continuation placeholder in pre-order
-    /// (the decoder meets nodes in pre-order), with its target.
-    pub(crate) fn from_parts(
-        nodes: Vec<Option<PNode>>,
-        root: PNodeId,
-        parent_rid: Rid,
-        continuation: Option<(PNodeId, Rid)>,
-    ) -> Self {
+    pub(crate) fn from_parts(nodes: Vec<Option<PNode>>, root: PNodeId, parent_rid: Rid) -> Self {
         RecordTree {
             nodes,
             root,
             parent_rid,
-            continuation: Some(continuation),
         }
     }
 
@@ -223,7 +202,6 @@ impl RecordTree {
             nodes: Vec::new(),
             root: 0,
             parent_rid: Rid::invalid(),
-            continuation: None,
         };
         let id = src.transplant(node, &mut dst);
         dst.root = id;
@@ -261,8 +239,9 @@ impl RecordTree {
     }
 
     /// True when the record holds depth-aware-packing structure (prefix
-    /// entries or a continuation placeholder). Allocation-free arena scan
-    /// — cheap enough for per-record checks on navigation paths.
+    /// entries or a continuation placeholder): an allocation-free arena
+    /// scan ([`RecordView::is_packed`](crate::record::RecordView::is_packed)
+    /// for a record read but not edited).
     pub fn has_packed_entries(&self) -> bool {
         self.nodes.iter().any(|n| {
             matches!(
@@ -275,88 +254,18 @@ impl RecordTree {
         })
     }
 
-    /// The record's continuation placeholder and its target, if any: O(1)
-    /// on a tree as decoded, an allocation-free arena scan once a `&mut
-    /// self` method has run (module docs).
-    pub fn continuation(&self) -> Option<(PNodeId, Rid)> {
-        match self.continuation {
-            Some(known) => known,
-            None => self.find_below_root(|id, content| match *content {
-                PContent::Continuation(target) => Some((id, target)),
-                _ => None,
-            }),
-        }
-    }
-
-    /// The proxy (or continuation placeholder) below the root pointing at
-    /// `child`.
-    pub(crate) fn find_proxy(&self, child: Rid) -> Option<PNodeId> {
-        self.find_below_root(|id, content| {
-            matches!(*content, PContent::Proxy(r) | PContent::Continuation(r) if r == child)
-                .then_some(id)
-        })
-    }
-
-    /// The first answer `f` gives for a live node that hangs below the
-    /// root (a detached subtree is not part of the record), in arena
-    /// order: an allocation-free scan. Arena order is pre-order on a tree
-    /// as decoded, and the placeholder and the proxy of a child record are
-    /// unique in a record (the validator enforces both), so on any tree
-    /// this finds what a pre-order walk would.
-    fn find_below_root<T>(&self, f: impl Fn(PNodeId, &PContent) -> Option<T>) -> Option<T> {
-        #[cfg(test)]
-        touches::count(self.nodes.len() as u64);
-        self.nodes.iter().enumerate().find_map(|(i, n)| {
-            let id = i as PNodeId;
-            f(id, &n.as_ref()?.content).filter(|_| self.under_root(id))
-        })
-    }
-
-    /// True when the parent chain of `id` ends at the record root.
-    fn under_root(&self, mut id: PNodeId) -> bool {
-        while let Some(n) = self.try_node(id) {
-            match n.parent {
-                Some(p) => id = p,
-                None => return id == self.root,
-            }
-        }
-        false
-    }
-
-    /// Number of ancestors of `id` within the record (0 for the root).
-    pub(crate) fn depth(&self, id: PNodeId) -> usize {
-        std::iter::successors(self.node(id).parent, |&p| self.node(p).parent).count()
-    }
-
     /// Borrow a node. Panics on tombstones — indices are only produced by
     /// this tree's own API.
     pub fn node(&self, id: PNodeId) -> &PNode {
-        #[cfg(test)]
-        touches::count(1);
         match self.nodes[id as usize].as_ref() {
             Some(n) => n,
             None => unreachable!("record-tree id {id} points at a tombstone"),
         }
     }
 
-    /// Checked borrow (external pointers may be stale).
-    pub fn try_node(&self, id: PNodeId) -> Option<&PNode> {
-        #[cfg(test)]
-        touches::count(1);
-        self.nodes.get(id as usize).and_then(|n| n.as_ref())
-    }
-
-    /// The arena, for a method about to change it: the one way to it from
-    /// a `&mut self` method, so every change forgets the continuation
-    /// placeholder (module docs).
-    fn nodes_mut(&mut self) -> &mut Vec<Option<PNode>> {
-        self.continuation = None;
-        &mut self.nodes
-    }
-
     /// Mutable borrow.
     pub fn node_mut(&mut self, id: PNodeId) -> &mut PNode {
-        match self.nodes_mut()[id as usize].as_mut() {
+        match self.nodes[id as usize].as_mut() {
             Some(n) => n,
             None => unreachable!("record-tree id {id} points at a tombstone"),
         }
@@ -372,7 +281,7 @@ impl RecordTree {
 
     /// Allocates a detached node.
     pub fn alloc(&mut self, label: LabelId, content: PContent) -> PNodeId {
-        let nodes = self.nodes_mut();
+        let nodes = &mut self.nodes;
         let id = nodes.len();
         assert!(id <= u16::MAX as usize, "record arena exhausted");
         nodes.push(Some(PNode {
@@ -403,7 +312,7 @@ impl RecordTree {
         };
         // A tombstoned parent has no child list left to prune; clearing
         // the child's back-pointer below is all the detach there is.
-        if let Some(Some(p)) = self.nodes_mut().get_mut(parent as usize) {
+        if let Some(Some(p)) = self.nodes.get_mut(parent as usize) {
             if let PContent::Aggregate(kids) | PContent::Prefix(kids) = &mut p.content {
                 kids.retain(|&c| c != child);
             }
@@ -421,7 +330,7 @@ impl RecordTree {
         while let Some(n) = stack.pop() {
             // Already-tombstoned entries (removal is idempotent) have
             // nothing left to cascade.
-            let Some(node) = self.nodes_mut()[n as usize].take() else {
+            let Some(node) = self.nodes[n as usize].take() else {
                 continue;
             };
             match node.content {
@@ -537,7 +446,7 @@ impl RecordTree {
     /// serialised).
     pub fn transplant(&mut self, id: PNodeId, dst: &mut RecordTree) -> PNodeId {
         self.detach(id);
-        let Some(node) = self.nodes_mut()[id as usize].take() else {
+        let Some(node) = self.nodes[id as usize].take() else {
             unreachable!("transplant of tombstoned node {id}");
         };
         let (label, content, orig) = (node.label, node.content, node.orig);
@@ -569,7 +478,7 @@ impl RecordTree {
     }
 
     fn transplant_inner(&mut self, id: PNodeId, dst: &mut RecordTree) -> PNodeId {
-        let Some(node) = self.nodes_mut()[id as usize].take() else {
+        let Some(node) = self.nodes[id as usize].take() else {
             unreachable!("transplant of tombstoned node {id}");
         };
         let (label, content, orig) = (node.label, node.content, node.orig);
@@ -620,27 +529,6 @@ pub(crate) mod visits {
     /// Reads and resets the calling thread's count.
     pub(crate) fn take() -> u64 {
         VISITS.with(|v| v.replace(0))
-    }
-}
-
-/// Test-only count of nodes read out of record trees (each [`RecordTree::node`]
-/// / [`RecordTree::try_node`] borrow, and a whole arena per scan), per
-/// thread: what "navigation costs what it visits" is asserted on.
-#[cfg(test)]
-pub(crate) mod touches {
-    use std::cell::Cell;
-
-    thread_local! {
-        static TOUCHES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(crate) fn count(n: u64) {
-        TOUCHES.with(|v| v.set(v.get() + n));
-    }
-
-    /// Reads and resets the calling thread's count.
-    pub(crate) fn take() -> u64 {
-        TOUCHES.with(|v| v.replace(0))
     }
 }
 

@@ -1,69 +1,59 @@
 //! Reading: how the tree storage manager answers navigation.
 //!
-//! Every reader asks for a record's decoded tree (once per read snapshot,
-//! thanks to [`crate::version`]'s memo) and then navigates it. The
-//! summary-seeded descent and the lazy walk call the child enumeration at
-//! every node they visit, so each helper must cost what it visits, not
-//! what its record holds — a per-call walk of the whole record made a
-//! seeded `//SPEAKER` over a play cost 3.4 ms where the scan took 1.1:
+//! Every reader asks for a record's [`RecordView`] — its bytes, validated
+//! and indexed — once per read snapshot, thanks to [`crate::version`]'s
+//! memo, and navigates that. No read decodes a
+//! [`RecordTree`](crate::model::RecordTree): a view
+//! costs ≈ 2 µs to parse where a decode of the same 200-node record costs
+//! ≈ 20 µs, and only the literals a reader returns are decoded, each when
+//! it is returned. The summary-seeded descent and the lazy walk call the
+//! child enumeration at every node they visit, so each helper must cost
+//! what it visits, not what its record holds:
 //!
-//! * [`TreeStore::node_info`] and [`TreeStore::node_label`]: one node.
-//! * [`TreeStore::logical_children`] and its two siblings: the node's
-//!   child list, plus — for a node on the record's spilled path only —
-//!   the walk from the continuation placeholder to the record root and
-//!   the continuation group's prefix chain, O(record depth). A decoded
-//!   record knows its placeholder ([`crate::model`]), so a record without
-//!   one pays nothing to find that out.
-//! * [`TreeStore::scan_record_subtree`]: the scanned subtree; entering a
-//!   continuation group costs the same O(record depth).
+//! * [`TreeStore::node_info`] and [`TreeStore::node_label`]: one index
+//!   entry (and the literal's value, for `node_info` of a literal).
+//! * [`TreeStore::logical_children`] and its two siblings: one index entry
+//!   per child, plus — for a node on the record's spilled path only — the
+//!   node's depth in its record, O(record depth). Whether a node is on the
+//!   spilled path is one comparison of index ranges: the view knows its
+//!   placeholder, and a node is on the path iff its subtree holds it.
+//! * [`TreeStore::scan_record_subtree`]: one index entry per scanned node;
+//!   entering a continuation group costs the same O(record depth).
 //! * [`TreeStore::logical_parent`]: the parent chain inside each record it
-//!   crosses; a crossing finds the proxy by an allocation-free scan of the
-//!   parent record.
+//!   crosses; a crossing finds the proxy by a scan of the parent record's
+//!   index.
 //! * [`TreeStore::label_path`]: as many steps, but the walk holds the
-//!   record it stands in, so each record on the path is loaded once per
+//!   record it stands in, so each record on the path is read once per
 //!   call — writers, who bypass the memo, call it on every insert.
 
+use natix_storage::Rid;
 use natix_xml::{LabelId, LABEL_NONE};
 
 use crate::error::{TreeError, TreeResult};
-use crate::model::{NodePtr, PContent, PNode, PNodeId, RecordTree};
-use crate::store::{
-    prefix_chain, preorder_index, preorder_to_arena, spilled_level, NodeInfo, RecordEntry,
-    TreeStore,
-};
-use natix_storage::Rid;
+use crate::model::{NodePtr, PNodeId};
+use crate::record::{RecordView, Shape};
+use crate::store::{NodeInfo, RecordEntry, TreeStore};
 
 impl TreeStore {
-    // ==================================================================
-    // Reading.
-    // ==================================================================
-
     /// Information about the node at `ptr`.
     pub fn node_info(&self, ptr: NodePtr) -> TreeResult<NodeInfo> {
-        let tree = self.load_shared(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        let n = tree.try_node(arena).ok_or(TreeError::BadNodePtr {
-            rid: ptr.rid,
-            node: ptr.node,
-        })?;
+        let view = self.view(ptr.rid)?;
+        let n = view.checked(ptr.node)?;
         Ok(NodeInfo {
-            label: n.label,
-            value: match &n.content {
-                PContent::Literal(v) => Some(v.clone()),
-                _ => None,
-            },
-            facade: n.is_facade(),
-            physical_children: tree.children(arena).len(),
+            label: view.label(n),
+            value: view.is_literal(n).then(|| view.literal(n)).transpose()?,
+            facade: view.is_facade(n),
+            physical_children: view.children(n).count(),
         })
     }
 
     /// Label of the node at `ptr` and whether it is a literal —
     /// [`node_info`](Self::node_info) for callers that match on label and
-    /// kind only, without the copy of a literal's value.
+    /// kind only, without decoding a literal's value.
     pub fn node_label(&self, ptr: NodePtr) -> TreeResult<(LabelId, bool)> {
-        let tree = self.load_shared(ptr.rid)?;
-        let n = checked_node(&tree, ptr)?;
-        Ok((n.label, matches!(n.content, PContent::Literal(_))))
+        let view = self.view(ptr.rid)?;
+        let n = view.checked(ptr.node)?;
+        Ok((view.label(n), view.is_literal(n)))
     }
 
     /// The logical children of the facade node at `ptr`, crossing proxies
@@ -82,7 +72,7 @@ impl TreeStore {
     /// than `logical_children` + `node_info` per child: a digested proxy
     /// yields `(child root, digest)` with **no page read** — only
     /// digest-less proxies (scaffolding-rooted children) are resolved by
-    /// loading the child record.
+    /// reading the child record.
     pub fn logical_children_labeled(&self, ptr: NodePtr) -> TreeResult<Vec<(NodePtr, LabelId)>> {
         let mut out = Vec::new();
         self.visit_logical_children(ptr, &mut |child, label| {
@@ -95,7 +85,7 @@ impl TreeStore {
     /// Lazy variant of [`logical_children`](Self::logical_children):
     /// calls `f` for each logical child in order; `f` returning `false`
     /// stops the walk (and no further proxy records are read). Positional
-    /// path predicates like `SPEECH[1]` rely on this to avoid loading a
+    /// path predicates like `SPEECH[1]` rely on this to avoid reading a
     /// whole scene to find its first speech.
     pub fn for_each_logical_child<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
     where
@@ -107,71 +97,58 @@ impl TreeStore {
     /// The one child visitor behind the three accessors above: resolves
     /// `ptr` and hands every logical child to `f` with its label.
     ///
-    /// The record of `ptr` comes from [`load_shared`](Self::load_shared):
-    /// a pinned walk that asks for the children of every node it enters
-    /// decodes each record once, not once per node.
+    /// The record of `ptr` comes from [`view`](Self::view): a pinned walk
+    /// that asks for the children of every node it enters parses each
+    /// record once, not once per node.
     fn visit_logical_children<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
     where
         F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
     {
-        let tree = self.load_shared(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        if tree.try_node(arena).is_none() {
-            return Err(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            });
-        }
-        self.expand_children(ptr.rid, &tree, arena, f)
+        let view = self.view(ptr.rid)?;
+        let n = view.checked(ptr.node)?;
+        self.expand_children(&view, n, f)
     }
 
-    fn expand_children<F>(
-        &self,
-        rid: Rid,
-        tree: &RecordTree,
-        node: PNodeId,
-        f: &mut F,
-    ) -> TreeResult<bool>
+    fn expand_children<F>(&self, view: &RecordView, node: PNodeId, f: &mut F) -> TreeResult<bool>
     where
         F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
     {
-        for &c in tree.children(node) {
-            let n = tree.node(c);
-            match n.content {
-                PContent::Proxy(target) => {
-                    if n.label != LABEL_NONE {
+        for c in view.children(node) {
+            let label = view.label(c);
+            match view.shape(c) {
+                Shape::Proxy(target) => {
+                    if label != LABEL_NONE {
                         // Label digest: the child is facade-rooted (a
                         // digest is only ever written for one) with this
                         // label at pre-order index 0 — no page read.
-                        if !f(NodePtr::new(target, 0), n.label)? {
+                        if !f(NodePtr::new(target, 0), label)? {
                             return Ok(false);
                         }
                         continue;
                     }
-                    let child = self.load_shared(target)?;
+                    let child = self.view(target)?;
                     let root = child.root();
-                    let r = child.node(root);
-                    if r.is_scaffolding_aggregate() {
-                        if !self.expand_children(target, &child, root, f)? {
+                    if child.is_scaffolding_aggregate(root) {
+                        if !self.expand_children(&child, root, f)? {
                             return Ok(false);
                         }
-                    } else if r.is_prefix() {
+                    } else if child.is_prefix(root) {
                         // The lower half of a split prefix chain: its root
                         // prefix copies *this* node's next spilled level,
                         // so only content of deeper levels hangs here —
                         // none of it is a child of `node`.
-                        debug_assert!(tree.node(node).is_prefix());
-                    } else if !f(NodePtr::new(target, preorder_index(&child, root)), r.label)? {
+                        debug_assert!(view.is_prefix(node));
+                    } else if !f(NodePtr::new(target, root), child.label(root))? {
                         return Ok(false);
                     }
                 }
                 // Deeper levels' late children — not children of `node`.
-                PContent::Prefix(_) => {}
+                Shape::Prefix => {}
                 // Late children of this record's spilled path: visited
                 // below, from the continuation group's matching prefix.
-                PContent::Continuation(_) => {}
-                _ => {
-                    if !f(NodePtr::new(rid, preorder_index(tree, c)), n.label)? {
+                Shape::Continuation(_) => {}
+                Shape::Aggregate | Shape::Literal => {
+                    if !f(NodePtr::new(view.rid(), c), label)? {
                         return Ok(false);
                     }
                 }
@@ -180,7 +157,7 @@ impl TreeStore {
         // Depth-aware packing: when the record has a continuation and
         // `node` sits on its spilled path, the node's child list continues
         // in the group record, under the prefix entry copying it.
-        if let Some((i, group)) = spilled_level(tree, node) {
+        if let Some((i, group)) = view.spilled_level(node) {
             return self.expand_group_children(group, i, f);
         }
         Ok(true)
@@ -195,21 +172,22 @@ impl TreeStore {
     where
         F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
     {
-        let group = self.load_shared(group_rid)?;
-        let chain = prefix_chain(&group);
-        if let Some(&pnode) = chain.get(level) {
-            return self.expand_children(group_rid, &group, pnode, f);
+        let group = self.view(group_rid)?;
+        let levels = group.prefix_levels();
+        if level < levels {
+            // Chain entry `level` is node `level`.
+            return self.expand_children(&group, level as PNodeId, f);
         }
         // The level's prefix lives in the lower piece of a split chain,
         // proxied from the deepest prefix of this record.
-        let Some(&last) = chain.last() else {
+        let Some(last) = levels.checked_sub(1) else {
             return Ok(true);
         };
-        for &c in group.children(last) {
-            if let PContent::Proxy(target) = group.node(c).content {
-                let child = self.load_shared(target)?;
-                if child.node(child.root()).is_prefix() {
-                    return self.expand_group_children(target, level - chain.len(), f);
+        for c in group.children(last as PNodeId) {
+            if let Shape::Proxy(target) = group.shape(c) {
+                let child = self.view(target)?;
+                if child.is_prefix(child.root()) {
+                    return self.expand_group_children(target, level - levels, f);
                 }
             }
         }
@@ -218,7 +196,7 @@ impl TreeStore {
 
     /// Scans the subtree of `ptr` **within its own record only**, calling
     /// `f` for every facade node and for every proxy to a child record, in
-    /// document (pre-)order. Exactly one record is loaded — and `load`
+    /// document (pre-)order. Exactly one record is read — and the read
     /// releases its page pin before `f` ever runs — so the record is a
     /// natural unit of scan work: a scanner that queues whole records
     /// keeps buffer pins short and never reads a record twice.
@@ -228,75 +206,42 @@ impl TreeStore {
     where
         F: FnMut(&RecordEntry) -> TreeResult<bool>,
     {
-        let tree = self.load_shared(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        if tree.try_node(arena).is_none() {
-            return Err(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            });
-        }
-        let mut stack = vec![arena];
-        while let Some(n) = stack.pop() {
-            let node = tree.node(n);
-            match &node.content {
+        let view = self.view(ptr.rid)?;
+        let start = view.checked(ptr.node)?;
+        // The subtree is an index range in pre-order, and proxies and
+        // placeholders are leaves: a scan of the range visits it in
+        // document order.
+        for n in view.subtree(start) {
+            let label = view.label(n);
+            let entry = match view.shape(n) {
                 // Child records are reported, never followed: following
                 // them here would chain page reads under one task and
                 // hide them from the scanner's queue and read-ahead.
-                PContent::Proxy(target) => {
-                    if !f(&RecordEntry::ChildRecord {
-                        ptr: NodePtr::new(*target, 0),
-                        label: node.label,
-                    })? {
-                        return Ok(false);
-                    }
-                    continue;
-                }
+                Shape::Proxy(target) => RecordEntry::ChildRecord {
+                    ptr: NodePtr::new(target, 0),
+                    label,
+                },
                 // A continuation group is a child record too — its facades
                 // (late children of this record's spilled path) belong to
                 // the scanned subtree, and the placeholder's pre-order
                 // position is exactly their document-order slot. The group
                 // is entered at the prefix matching the scan's start
                 // level, so late children of *outer* levels stay out.
-                PContent::Continuation(target) => {
-                    let entry = self.continuation_entry(&tree, arena, *target)?;
-                    if !f(&RecordEntry::ChildRecord {
-                        ptr: entry,
-                        label: LABEL_NONE,
-                    })? {
-                        return Ok(false);
-                    }
-                    continue;
-                }
-                // Prefix entries are scaffolding: no logical node of their
-                // own, but their children (the copied ancestor's late
-                // children) are scanned.
-                PContent::Prefix(_) => {}
-                PContent::Literal(_) => {
-                    if node.is_facade()
-                        && !f(&RecordEntry::Node {
-                            ptr: NodePtr::new(ptr.rid, preorder_index(&tree, n)),
-                            label: node.label,
-                            literal: true,
-                        })?
-                    {
-                        return Ok(false);
-                    }
-                }
-                PContent::Aggregate(_) => {
-                    if node.is_facade()
-                        && !f(&RecordEntry::Node {
-                            ptr: NodePtr::new(ptr.rid, preorder_index(&tree, n)),
-                            label: node.label,
-                            literal: false,
-                        })?
-                    {
-                        return Ok(false);
-                    }
-                }
-            }
-            for &k in tree.children(n).iter().rev() {
-                stack.push(k);
+                Shape::Continuation(target) => RecordEntry::ChildRecord {
+                    ptr: self.continuation_entry(&view, start, target)?,
+                    label: LABEL_NONE,
+                },
+                // Prefix entries and scaffolding aggregates are no logical
+                // node of their own; their children are scanned.
+                _ if !view.is_facade(n) => continue,
+                shape => RecordEntry::Node {
+                    ptr: NodePtr::new(ptr.rid, n),
+                    label,
+                    literal: shape == Shape::Literal,
+                },
+            };
+            if !f(&entry)? {
+                return Ok(false);
             }
         }
         Ok(true)
@@ -306,30 +251,29 @@ impl TreeStore {
     /// entry matching the scan start's level on the holder's spilled path.
     fn continuation_entry(
         &self,
-        tree: &RecordTree,
+        view: &RecordView,
         start: PNodeId,
         target: Rid,
     ) -> TreeResult<NodePtr> {
-        let (i0, _) = spilled_level(tree, start).ok_or_else(|| {
+        let (i0, _) = view.spilled_level(start).ok_or_else(|| {
             TreeError::Invariant("scan start is not on the record's spilled path".into())
         })?;
-        let group = self.load_shared(target)?;
-        let chain = prefix_chain(&group);
-        let node = *chain.get(i0).ok_or_else(|| {
-            TreeError::Invariant(format!(
+        if i0 >= self.view(target)?.prefix_levels() {
+            return Err(TreeError::Invariant(format!(
                 "continuation group {target}: prefix chain shorter than spilled path"
-            ))
-        })?;
-        Ok(NodePtr::new(target, preorder_index(&group, node)))
+            )));
+        }
+        // Chain entry `i0` is node `i0`.
+        Ok(NodePtr::new(target, i0 as PNodeId))
     }
 
     /// The logical parent of the facade node at `ptr` (`None` for the tree
     /// root).
     pub fn logical_parent(&self, ptr: NodePtr) -> TreeResult<Option<NodePtr>> {
-        let tree = self.load_shared(ptr.rid)?;
-        let parent = checked_node(&tree, ptr)?.parent;
+        let view = self.view(ptr.rid)?;
+        let parent = view.parent(view.checked(ptr.node)?);
         Ok(self
-            .logical_parent_from(ptr.rid, parent, &tree, false)?
+            .logical_parent_from(parent, &view, false)?
             .map(|(p, _)| p))
     }
 
@@ -339,35 +283,27 @@ impl TreeStore {
     /// node's path identifies exactly the summary entry to bump.
     ///
     /// The walk holds the record it stands in and reads labels from it,
-    /// so each record on the path is loaded once per call — the record
-    /// depth, not the node depth — with or without the decoded-record
-    /// memo (writers, who call this on every insert, bypass the memo).
+    /// so each record on the path is read once per call — the record
+    /// depth, not the node depth — with or without the parsed-record memo
+    /// (writers, who call this on every insert, bypass the memo), and no
+    /// record is decoded.
     pub fn label_path(&self, ptr: NodePtr) -> TreeResult<Vec<LabelId>> {
-        let mut tree = self.load_shared(ptr.rid)?;
-        let mut at = ptr;
+        let mut view = self.view(ptr.rid)?;
+        let mut at = ptr.node;
         let mut path = Vec::new();
         loop {
-            let n = checked_node(&tree, at)?;
-            path.push(n.label);
-            let Some((parent, held)) = self.logical_parent_from(at.rid, n.parent, &tree, false)?
+            let n = view.checked(at)?;
+            path.push(view.label(n));
+            let Some((parent, held)) = self.logical_parent_from(view.parent(n), &view, false)?
             else {
                 break;
             };
-            if let Some(t) = held {
-                tree = t;
+            if let Some(v) = held {
+                view = v;
             }
-            at = parent;
+            at = parent.node;
         }
         path.reverse();
         Ok(path)
     }
-}
-
-/// The node `ptr` names in `tree`, the record at `ptr.rid`.
-fn checked_node(tree: &RecordTree, ptr: NodePtr) -> TreeResult<&PNode> {
-    tree.try_node(preorder_to_arena(tree, ptr.node))
-        .ok_or(TreeError::BadNodePtr {
-            rid: ptr.rid,
-            node: ptr.node,
-        })
 }

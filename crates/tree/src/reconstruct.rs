@@ -33,16 +33,24 @@
 //!   never looked into: its outer prefix levels carry late children of
 //!   ancestors the walk may not cover.
 //! * **Looking inside is free under the memo.** Under a pinned snapshot
-//!   the record the lookahead decodes is the `Arc` the walk gets back when
-//!   it arrives ([`crate::version`]'s decoded-record memo). Where the
+//!   the record view the lookahead parses is the `Arc` the walk gets back
+//!   when it arrives ([`crate::version`]'s parsed-record memo). Where the
 //!   memo is bypassed — no pin, or a write operation ambient on the
 //!   thread, as in `delete_node`'s victim walk — the lookahead does not
 //!   look inside records and names the pages of the stack's own records
-//!   only.
+//!   only. Looking through a record is a scan of an index range: the
+//!   subtrees a frame has still to walk are one range in pre-order.
 //! * **Budget.** The lookahead is lazy — it stops as soon as the window
 //!   is full — and opens at most `LOOKAHEAD_RECORDS` (64) records per refill,
 //!   so a refill over a long run of already-asked pages stays cheap.
+//!
+//! # What a walk decodes
+//!
+//! Nothing but the literals it emits: the walk navigates each record's
+//! [`RecordView`] and decodes a literal's value when it hands the literal
+//! to the visitor.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use natix_storage::{PageId, Rid};
@@ -52,8 +60,9 @@ use natix_xml::{
 };
 
 use crate::error::{TreeError, TreeResult};
-use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
+use crate::model::{NodePtr, PNodeId};
 use crate::readahead::{Frontier, ReadAhead};
+use crate::record::{RecordView, Shape};
 use crate::store::TreeStore;
 
 /// Records one refill's lookahead may open (walk frames it seeds from plus
@@ -80,7 +89,8 @@ pub enum VisitEvent<'a> {
 
 /// Outcome of walking one physical node (depth-aware packing aware).
 ///
-/// `Open` means the node's subtree consumed a [`PContent::Continuation`]
+/// `Open` means the node's subtree consumed a
+/// [`PContent::Continuation`](crate::model::PContent::Continuation)
 /// as its last event: the `Leave` events of every facade on the path from
 /// the continuation up to (and including) this node were emitted by the
 /// continuation group's prefix entries, so the enclosing facades must not
@@ -100,13 +110,13 @@ enum Flow {
 /// One in-progress aggregate/prefix node of the walk (leaves are handled
 /// inline).
 struct Frame {
-    rid: Rid,
-    tree: Arc<RecordTree>,
+    view: Arc<RecordView>,
     node: PNodeId,
     /// The node this record's walk began at (continuation scoping).
     record_start: PNodeId,
-    /// Next child index to process.
-    next: usize,
+    /// The next child to process: where the subtrees of the children
+    /// processed so far end.
+    next: PNodeId,
     /// Flow of the most recently completed child.
     last: Flow,
     /// What this frame reports upward when it completes, overriding
@@ -125,9 +135,9 @@ struct Lookahead<'a> {
     first: Option<PageId>,
     /// Walk frames not looked at yet; the innermost is taken first.
     frames: std::slice::Iter<'a, Frame>,
-    /// Records being looked through, innermost last, each with its nodes
-    /// still to examine (reversed, so `pop` yields document order).
-    open: Vec<(Arc<RecordTree>, Vec<PNodeId>)>,
+    /// Records being looked through, innermost last, each with the nodes
+    /// still to examine: an index range, in document order.
+    open: Vec<(Arc<RecordView>, Range<PNodeId>)>,
     /// Target of the proxy whose page was named last: what
     /// [`expand`](Frontier::expand) looks inside.
     last_proxy: Option<Rid>,
@@ -158,7 +168,7 @@ impl Frontier for Lookahead<'_> {
         }
         self.last_proxy = None;
         loop {
-            let Some((tree, nodes)) = self.open.last_mut() else {
+            let Some((view, nodes)) = self.open.last_mut() else {
                 // Nothing open: continue with what the next frame out
                 // still has to walk.
                 if self.budget == 0 {
@@ -166,27 +176,21 @@ impl Frontier for Lookahead<'_> {
                 }
                 self.budget -= 1;
                 let frame = self.frames.next_back()?;
-                let pending = &frame.tree.children(frame.node)[frame.next..];
-                self.open.push((
-                    Arc::clone(&frame.tree),
-                    pending.iter().rev().copied().collect(),
-                ));
+                let pending = frame.next..frame.view.subtree(frame.node).end;
+                self.open.push((Arc::clone(&frame.view), pending));
                 continue;
             };
-            let Some(n) = nodes.pop() else {
+            let Some(n) = nodes.next() else {
                 self.open.pop();
                 continue;
             };
-            match &tree.node(n).content {
-                PContent::Aggregate(kids) | PContent::Prefix(kids) => {
-                    nodes.extend(kids.iter().rev());
-                }
-                PContent::Literal(_) => {}
-                PContent::Proxy(target) => {
-                    self.last_proxy = Some(*target);
+            match view.shape(n) {
+                Shape::Proxy(target) => {
+                    self.last_proxy = Some(target);
                     return Some(target.page);
                 }
-                PContent::Continuation(target) => return Some(target.page),
+                Shape::Continuation(target) => return Some(target.page),
+                Shape::Aggregate | Shape::Prefix | Shape::Literal => {}
             }
         }
     }
@@ -201,9 +205,9 @@ impl Frontier for Lookahead<'_> {
         self.budget -= 1;
         // Advisory: a record that does not load is the walk's to report
         // when it gets there.
-        if let Ok(tree) = self.store.load_shared(rid) {
-            let root = tree.root();
-            self.open.push((tree, vec![root]));
+        if let Ok(view) = self.store.view(rid) {
+            let all = view.subtree(view.root());
+            self.open.push((view, all));
         }
     }
 }
@@ -233,14 +237,9 @@ pub fn traverse<F>(store: &TreeStore, ptr: NodePtr, visit: &mut F) -> TreeResult
 where
     F: FnMut(VisitEvent<'_>) -> bool,
 {
-    let tree = store.load_shared(ptr.rid)?;
-    if tree.try_node(ptr.node).is_none() {
-        return Err(TreeError::BadNodePtr {
-            rid: ptr.rid,
-            node: ptr.node,
-        });
-    }
-    Ok(walk(store, ptr.rid, tree, ptr.node, ptr.node, visit)? != Flow::Stop)
+    let view = store.view(ptr.rid)?;
+    let node = view.checked(ptr.node)?;
+    Ok(walk(store, view, node, visit)? != Flow::Stop)
 }
 
 /// Iterative engine of [`traverse`]: an explicit heap stack instead of
@@ -255,22 +254,19 @@ where
 /// prefix entry.
 fn walk<F>(
     store: &TreeStore,
-    rid: Rid,
-    root_tree: Arc<RecordTree>,
+    root_view: Arc<RecordView>,
     node: PNodeId,
-    record_start: PNodeId,
     visit: &mut F,
 ) -> TreeResult<Flow>
 where
     F: FnMut(VisitEvent<'_>) -> bool,
 {
-    /// Pushes a frame for `node` in `tree`, emitting its `Enter`/literal
+    /// Pushes a frame for `node` in `view`, emitting its `Enter`/literal
     /// event; literals and empty aggregates complete immediately and
     /// return their flow instead of pushing.
     fn open_frame<F>(
         stack: &mut Vec<Frame>,
-        rid: Rid,
-        tree: &Arc<RecordTree>,
+        view: &Arc<RecordView>,
         node: PNodeId,
         record_start: PNodeId,
         report: Option<Flow>,
@@ -279,51 +275,41 @@ where
     where
         F: FnMut(VisitEvent<'_>) -> bool,
     {
-        let n = tree.node(node);
-        match &n.content {
-            PContent::Literal(v) => {
-                if n.is_facade()
-                    && !visit(VisitEvent::Literal {
-                        label: n.label,
-                        value: v,
-                        ptr: NodePtr::new(rid, node),
-                    })
-                {
+        let (label, ptr) = (view.label(node), NodePtr::new(view.rid(), node));
+        let facade = view.is_facade(node);
+        if view.is_literal(node) {
+            if facade {
+                let value = view.literal(node)?;
+                if !visit(VisitEvent::Literal {
+                    label,
+                    value: &value,
+                    ptr,
+                }) {
                     return Ok(Some(Flow::Stop));
                 }
-                Ok(Some(report.unwrap_or(Flow::Done)))
             }
-            PContent::Aggregate(_) | PContent::Prefix(_) => {
-                if n.is_facade()
-                    && !visit(VisitEvent::Enter {
-                        label: n.label,
-                        ptr: NodePtr::new(rid, node),
-                    })
-                {
-                    return Ok(Some(Flow::Stop));
-                }
-                stack.push(Frame {
-                    rid,
-                    tree: Arc::clone(tree),
-                    node,
-                    record_start,
-                    next: 0,
-                    last: Flow::Done,
-                    report,
-                });
-                Ok(None)
-            }
-            // Proxies/continuations are record hops, resolved by the
-            // caller (`step`) so the target record is loaded exactly once.
-            PContent::Proxy(_) | PContent::Continuation(_) => {
-                unreachable!("record hops are opened via hop_frame")
-            }
+            return Ok(Some(report.unwrap_or(Flow::Done)));
         }
+        // Proxies and continuations are record hops, resolved by the walk
+        // so the target record is read exactly once: what arrives here is
+        // an aggregate or a prefix entry.
+        if facade && !visit(VisitEvent::Enter { label, ptr }) {
+            return Ok(Some(Flow::Stop));
+        }
+        stack.push(Frame {
+            view: Arc::clone(view),
+            node,
+            record_start,
+            next: node + 1,
+            last: Flow::Done,
+            report,
+        });
+        Ok(None)
     }
 
     let mut stack: Vec<Frame> = Vec::new();
     let mut ahead = ReadAhead::new(store);
-    if let Some(flow) = open_frame(&mut stack, rid, &root_tree, node, record_start, None, visit)? {
+    if let Some(flow) = open_frame(&mut stack, &root_view, node, node, None, visit)? {
         return Ok(flow);
     }
     let mut completed: Option<Flow> = None;
@@ -334,62 +320,48 @@ where
             }
             frame.last = flow;
         }
-        let kids = frame.tree.children(frame.node);
-        if frame.next < kids.len() {
-            let child = kids[frame.next];
-            frame.next += 1;
-            let (frid, ftree, fstart) = (frame.rid, Arc::clone(&frame.tree), frame.record_start);
-            let n = ftree.node(child);
-            match &n.content {
-                PContent::Proxy(target) => {
+        if frame.next < frame.view.subtree(frame.node).end {
+            let child = frame.next;
+            frame.next = frame.view.subtree(child).end;
+            let (fview, fstart) = (Arc::clone(&frame.view), frame.record_start);
+            let flow = match fview.shape(child) {
+                Shape::Proxy(t) => {
                     // A proxied record is complete from the outside: its
                     // own continuation chain (if any) hangs inside its
                     // subtree, so any `Open` it reports concerns only
                     // facades within it.
-                    let t = *target;
                     read_ahead(store, &mut ahead, t, &stack);
-                    let sub = store.load_shared(t)?;
+                    let sub = store.view(t)?;
                     let root = sub.root();
-                    if let Some(flow) =
-                        open_frame(&mut stack, t, &sub, root, root, Some(Flow::Done), visit)?
-                    {
-                        completed = Some(flow);
-                    }
+                    open_frame(&mut stack, &sub, root, root, Some(Flow::Done), visit)?
                 }
-                PContent::Continuation(target) => {
+                Shape::Continuation(t) => {
                     // The group's prefix entries emit the deferred
                     // `Leave`s of the spilled path; report `Open` so the
                     // holder's facades skip their own. The group is
                     // entered at the prefix matching the walk's start
                     // level — content of outer levels is outside the
                     // walked subtree.
-                    let t = *target;
-                    let (i0, _) = crate::store::spilled_level(&ftree, fstart).ok_or_else(|| {
+                    let (i0, _) = fview.spilled_level(fstart).ok_or_else(|| {
                         TreeError::Invariant(format!(
-                            "record {frid}: walk start is not on the spilled path"
+                            "record {}: walk start is not on the spilled path",
+                            fview.rid()
                         ))
                     })?;
                     read_ahead(store, &mut ahead, t, &stack);
-                    let sub = store.load_shared(t)?;
-                    let entry = *crate::store::prefix_chain(&sub).get(i0).ok_or_else(|| {
-                        TreeError::Invariant(format!(
+                    let sub = store.view(t)?;
+                    if i0 >= sub.prefix_levels() {
+                        return Err(TreeError::Invariant(format!(
                             "continuation group {t}: prefix chain shorter than spilled path"
-                        ))
-                    })?;
-                    if let Some(flow) =
-                        open_frame(&mut stack, t, &sub, entry, entry, Some(Flow::Open), visit)?
-                    {
-                        completed = Some(flow);
+                        )));
                     }
+                    // Chain entry `i0` is node `i0`.
+                    let entry = i0 as PNodeId;
+                    open_frame(&mut stack, &sub, entry, entry, Some(Flow::Open), visit)?
                 }
-                _ => {
-                    if let Some(flow) =
-                        open_frame(&mut stack, frid, &ftree, child, fstart, None, visit)?
-                    {
-                        completed = Some(flow);
-                    }
-                }
-            }
+                _ => open_frame(&mut stack, &fview, child, fstart, None, visit)?,
+            };
+            completed = flow;
             continue;
         }
         // All children done: close this node.
@@ -399,9 +371,13 @@ where
             // enclosing prefix delegates again to the *next* group).
             Flow::Open
         } else {
-            let n = frame.tree.node(frame.node);
-            let emit_leave = n.is_facade() || n.is_prefix();
-            if emit_leave && !visit(VisitEvent::Leave { label: n.label }) {
+            let (view, n) = (&frame.view, frame.node);
+            let emit_leave = view.is_facade(n) || view.is_prefix(n);
+            if emit_leave
+                && !visit(VisitEvent::Leave {
+                    label: view.label(n),
+                })
+            {
                 return Ok(Flow::Stop);
             }
             Flow::Done
@@ -415,9 +391,9 @@ where
 
 /// Rebuilds the logical document rooted at record `root`.
 pub fn reconstruct_document(store: &TreeStore, root: Rid) -> TreeResult<Document> {
-    let tree = store.load_shared(root)?;
-    let root_node = tree.root();
-    if !tree.node(root_node).is_facade() {
+    let view = store.view(root)?;
+    let root_node = view.root();
+    if !view.is_facade(root_node) {
         return Err(TreeError::Invariant(format!(
             "record {root} is not a facade-rooted tree root"
         )));

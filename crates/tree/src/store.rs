@@ -16,6 +16,12 @@
 //! change; the document manager keeps its logical-node map current from
 //! these events. Standalone parent pointers (Appendix A) are maintained by
 //! deferred 8-byte patches collected per operation.
+//!
+//! An operation navigates the records it only reads — resolving the
+//! insertion site, crossing to a parent, checking ancestors for packed
+//! structure — through their [`RecordView`]s, and decodes a record into a
+//! [`RecordTree`] only when it is about to change it. The read-only
+//! operations are in [`crate::read`].
 
 use std::sync::Arc;
 
@@ -28,7 +34,7 @@ use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
 use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
-use crate::record;
+use crate::record::{self, RecordView, Shape};
 use crate::split::{plan_split, ProxyHome};
 use crate::typetable::TypeTable;
 use crate::version::{ReadPin, VersionStore, WriteOp};
@@ -284,7 +290,7 @@ impl TreeStore {
     // Record I/O.
     // ==================================================================
 
-    /// Loads and parses the record at `rid`.
+    /// Loads and decodes the record at `rid`.
     ///
     /// With a read snapshot pinned on this thread
     /// ([`begin_read`](Self::begin_read)), the load is *versioned*: a
@@ -294,38 +300,64 @@ impl TreeStore {
     /// Without a pin (and on every writer's own loads) the on-page image
     /// is authoritative: one buffer pin and one decode per call.
     ///
-    /// This is the read path's shared accessor made owned: under a pin
-    /// the record may come from the thread's decoded-record memo (see
-    /// [`crate::version`]) and is then copied, which is why this crate's
-    /// own readers take the shared form.
+    /// This is the owned, decoded form of a record, for callers outside
+    /// the engine's read path; the engine's readers navigate the record's
+    /// [`RecordView`] and decode nothing.
     pub fn load(&self, rid: Rid) -> TreeResult<RecordTree> {
-        self.load_shared(rid).map(Arc::unwrap_or_clone)
+        match self.versions.ambient_read_epoch() {
+            None => self.load_current(rid),
+            Some(_) => self.view(rid)?.decode(),
+        }
     }
 
-    /// The read path's one record accessor: the image of `rid` for the
+    /// The read path's one record accessor: the view of `rid` for the
     /// calling thread, shared. Under a pinned snapshot each record is
-    /// decoded once per pin — later reads of the same record on this
-    /// thread get the same `Arc` back without a buffer pin or a decode
-    /// (the decoded-record memo of [`crate::version`]); outside a pin, and
-    /// on a thread with a write operation in flight, every call reads the
-    /// page.
-    pub(crate) fn load_shared(&self, rid: Rid) -> TreeResult<Arc<RecordTree>> {
-        self.versions.read(rid, || self.load_current(rid))
+    /// parsed once per pin — later reads of the same record on this thread
+    /// get the same `Arc` back without a buffer pin (the parsed-record
+    /// memo of [`crate::version`]); outside a pin, and on a thread with a
+    /// write operation in flight, every call reads the page.
+    pub(crate) fn view(&self, rid: Rid) -> TreeResult<Arc<RecordView>> {
+        self.versions.read(rid, || self.view_current(rid))
     }
 
-    /// Loads the on-page image of the record at `rid` (no versioning).
+    /// The view of the on-page image of `rid` (no versioning): what a
+    /// write operation navigates before it edits.
+    fn view_current(&self, rid: Rid) -> TreeResult<RecordView> {
+        self.with_record(rid, |bytes, table| {
+            RecordView::parse(bytes.to_vec(), table, rid)
+        })
+    }
+
+    /// Loads and decodes the on-page image of `rid` (no versioning).
     fn load_current(&self, rid: Rid) -> TreeResult<RecordTree> {
+        self.with_record(rid, |bytes, table| record::deserialize(bytes, &table, rid))
+    }
+
+    /// The on-page record `rid`, decoded for an edit, and its proxy (or
+    /// continuation placeholder) naming `child`.
+    fn load_holder(&self, rid: Rid, child: Rid) -> TreeResult<(RecordTree, PNodeId)> {
+        let view = self.view_current(rid)?;
+        let proxy = view.find_proxy(child).ok_or_else(|| {
+            TreeError::Invariant(format!("record {rid} has no proxy for {child}"))
+        })?;
+        Ok((view.decode()?, proxy))
+    }
+
+    /// Runs `read` on the on-page bytes of `rid` and its page's type
+    /// table, under the page's read latch.
+    fn with_record<T>(
+        &self,
+        rid: Rid,
+        read: impl FnOnce(&[u8], TypeTable) -> TreeResult<T>,
+    ) -> TreeResult<T> {
         let pin = self.sm.pin(rid.page)?;
         let buf = pin.read();
         let sp = SlottedPageRef::open(&buf)?;
-        let table = match sp.get(0) {
-            Some(b) => TypeTable::decode(b)?,
-            None => TypeTable::new(),
-        };
+        let table = page_table(sp.get(0), rid)?;
         let bytes = sp
             .get(rid.slot)
             .ok_or(TreeError::Storage(StorageError::RecordNotFound(rid)))?;
-        record::deserialize(bytes, &table, rid)
+        read(bytes, table)
     }
 
     /// Deposits the current image of `rid` into the version store before a
@@ -334,10 +366,10 @@ impl TreeStore {
     /// write operation (standalone stores keep the old single-writer
     /// behaviour) and for slots that hold no record.
     ///
-    /// The deposit is *raw*: record bytes plus the page's encoded type
-    /// table, two memcpys. The parsed pre-image is produced lazily by the
-    /// version store on the first superseded load — an edit with zero
-    /// pinned readers behind it never pays a record decode.
+    /// The deposit is the record's bytes plus the page's encoded type
+    /// table, two memcpys; a reader parses it only if it reads the record
+    /// from behind the edit, so an edit with no pinned reader behind it
+    /// parses nothing.
     fn deposit_superseded(
         &self,
         rid: Rid,
@@ -357,7 +389,7 @@ impl TreeStore {
             return Ok(());
         }
         self.versions
-            .supersede_raw(op, rid, bytes.to_vec(), table.encode());
+            .supersede(op, rid, bytes.to_vec(), table.encode());
         Ok(())
     }
 
@@ -369,10 +401,7 @@ impl TreeStore {
         let mut buf = pin.write();
         let mut sp = SlottedPage::open(&mut buf)?;
         let had_tt = sp.is_live(0);
-        let mut table = match sp.get(0) {
-            Some(b) => TypeTable::decode(b)?,
-            None => TypeTable::new(),
-        };
+        let mut table = page_table(sp.get(0), rid)?;
         let before = table.len();
         // Encoded — into a copy of the page's table — ahead of the space
         // check below: callers pass a record within the net capacity or
@@ -481,10 +510,7 @@ impl TreeStore {
         let mut buf = pin.write();
         let mut sp = SlottedPage::open(&mut buf)?;
         let had_tt = sp.is_live(0);
-        let mut table = match sp.get(0) {
-            Some(b) => TypeTable::decode(b)?,
-            None => TypeTable::new(),
-        };
+        let mut table = page_table(sp.get(0), Rid::new(page, 0))?;
         let before = table.len();
         // Fit is decided before encoding (`record_size` is exact, and so
         // is the table's growth): a full page costs no encode — mostly not
@@ -614,10 +640,7 @@ impl TreeStore {
         let pin = self.sm.pin(rid.page)?;
         let mut buf = pin.write();
         let mut sp = SlottedPage::open(&mut buf)?;
-        let table = match sp.get(0) {
-            Some(b) => TypeTable::decode(b)?,
-            None => TypeTable::new(),
-        };
+        let table = page_table(sp.get(0), rid)?;
         self.deposit_superseded(rid, sp.get(rid.slot), &table)?;
         sp.delete(rid.slot)
             .map_err(|_| TreeError::Storage(StorageError::RecordNotFound(rid)))?;
@@ -635,10 +658,7 @@ impl TreeStore {
         let pin = self.sm.pin(child.page)?;
         let mut buf = pin.write();
         let mut sp = SlottedPage::open(&mut buf)?;
-        let table = match sp.get(0) {
-            Some(b) => TypeTable::decode(b)?,
-            None => TypeTable::new(),
-        };
+        let table = page_table(sp.get(0), child)?;
         self.deposit_superseded(child, sp.get(child.slot), &table)?;
         let bytes = sp
             .get_mut(child.slot)
@@ -711,12 +731,7 @@ impl TreeStore {
     /// never fail for space.
     pub(crate) fn remove_placeholder(&self, rid: Rid, sentinel: Rid) -> TreeResult<()> {
         let _op = self.versions.begin_write();
-        let mut tree = self.load_current(rid)?;
-        let Some(proxy) = tree.find_proxy(sentinel) else {
-            return Err(TreeError::Invariant(format!(
-                "record {rid} has no placeholder proxy {sentinel}"
-            )));
-        };
+        let (mut tree, proxy) = self.load_holder(rid, sentinel)?;
         tree.remove_subtree(proxy);
         let mut scratch = OpCtx::default();
         self.write_at(rid, &tree, &mut scratch)
@@ -724,12 +739,7 @@ impl TreeStore {
 
     pub(crate) fn repoint_proxy(&self, parent_rid: Rid, old: Rid, new: Rid) -> TreeResult<()> {
         let _op = self.versions.begin_write();
-        let mut parent = self.load_current(parent_rid)?;
-        let Some(proxy) = parent.find_proxy(old) else {
-            return Err(TreeError::Invariant(format!(
-                "record {parent_rid} has no proxy for child {old}"
-            )));
-        };
+        let (mut parent, proxy) = self.load_holder(parent_rid, old)?;
         // Preserve the reference kind: a continuation placeholder stays a
         // continuation (its delegated-Leave semantics must survive the
         // patch).
@@ -785,12 +795,7 @@ impl TreeStore {
         }
         // Splice the separator into the parent in place of the old proxy
         // (§3.2.2, "Inserting the separator"), honouring special case 2.
-        let mut parent = self.load_current(parent_rid)?;
-        let Some(proxy) = parent.find_proxy(rid) else {
-            return Err(TreeError::Invariant(format!(
-                "record {parent_rid} has no proxy for split child {rid}"
-            )));
-        };
+        let (mut parent, proxy) = self.load_holder(parent_rid, rid)?;
         let proxy_parent = parent
             .node(proxy)
             .parent
@@ -916,99 +921,59 @@ impl TreeStore {
         node: NewNode,
     ) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
-        let tree = self.load_current(sibling.rid)?;
-        if tree_is_packed(&tree) {
+        let view = self.view_current(sibling.rid)?;
+        if view.is_packed() {
             return Err(TreeError::PackedRecord(sibling.rid));
         }
-        let parent = tree
-            .try_node(sibling.node)
-            .ok_or(TreeError::BadNodePtr {
-                rid: sibling.rid,
-                node: sibling.node,
-            })?
-            .parent;
-        let site = match parent {
-            Some(p) => {
-                let idx = tree
-                    .children(p)
-                    .iter()
-                    .position(|&c| c == sibling.node)
-                    .ok_or_else(|| {
-                        TreeError::Invariant(
-                            "sibling node missing from its parent's child list".into(),
-                        )
-                    })?
-                    + 1;
-                Site {
-                    rid: sibling.rid,
-                    tree,
-                    parent_node: p,
-                    index: idx,
-                }
-            }
+        let site = match view.parent(view.checked(sibling.node)?) {
+            Some(p) => Site::after(view, p, sibling.node),
             None => {
                 // The sibling is a record root: insert after the proxy that
                 // points to this record, in the parent record.
-                let parent_rid = tree.parent_rid;
+                let parent_rid = view.parent_rid();
                 if parent_rid.is_invalid() {
                     return Err(TreeError::Invariant(
                         "cannot insert a sibling of the tree root".into(),
                     ));
                 }
-                let ptree = self.load_current(parent_rid)?;
-                if tree_is_packed(&ptree) {
+                let pview = self.view_current(parent_rid)?;
+                if pview.is_packed() {
                     return Err(TreeError::PackedRecord(parent_rid));
                 }
-                let proxy = ptree.find_proxy(sibling.rid).ok_or_else(|| {
+                let proxy = pview.find_proxy(sibling.rid).ok_or_else(|| {
                     TreeError::Invariant(format!(
                         "record {parent_rid} has no proxy for {}",
                         sibling.rid
                     ))
                 })?;
-                let pp = ptree.node(proxy).parent.ok_or_else(|| {
+                let pp = pview.parent(proxy).ok_or_else(|| {
                     TreeError::Invariant(format!("record {parent_rid}: detached proxy"))
                 })?;
-                let idx = ptree
-                    .children(pp)
-                    .iter()
-                    .position(|&c| c == proxy)
-                    .ok_or_else(|| {
-                        TreeError::Invariant(format!(
-                            "record {parent_rid}: proxy missing from its parent's child list"
-                        ))
-                    })?
-                    + 1;
-                Site {
-                    rid: parent_rid,
-                    tree: ptree,
-                    parent_node: pp,
-                    index: idx,
-                }
+                Site::after(pview, pp, proxy)
             }
         };
         // The logical parent's label governs the split-matrix lookup.
         let (lparent, _) = self
-            .logical_parent_from(site.rid, Some(site.parent_node), &site.tree, true)?
+            .logical_parent_from(Some(site.parent_node), &site.view, true)?
             .ok_or_else(|| TreeError::Invariant("sibling has no logical parent".into()))?;
         self.insert_at_site(site, lparent, label, node)
     }
 
-    /// Walks up from `(rid, node)` (inclusive; `None` stands for the proxy
-    /// above the record root) to the nearest facade node, crossing record
-    /// boundaries through standalone parent pointers. The starting tree is
-    /// borrowed (the common case never leaves it); only boundary crossings
-    /// load further records, each once. Returns the facade and, when the
-    /// walk left `tree`, the record the facade lives in — an ancestor walk
-    /// steps on from that record instead of loading it again. `current`
-    /// selects the on-page image (write paths) over the versioned view
-    /// (read paths).
+    /// Walks up from `node` of `view` (inclusive; `None` stands for the
+    /// proxy above the record root) to the nearest facade node, crossing
+    /// record boundaries through standalone parent pointers. The starting
+    /// view is borrowed (the common case never leaves it); only boundary
+    /// crossings read further records, each once. Returns the facade and,
+    /// when the walk left `view`, the record the facade lives in — an
+    /// ancestor walk steps on from that record instead of reading it
+    /// again. `current` selects the on-page image (write paths) over the
+    /// versioned one (read paths).
     pub(crate) fn logical_parent_from(
         &self,
-        mut rid: Rid,
         mut node: Option<PNodeId>,
-        tree: &RecordTree,
+        view: &RecordView,
         current: bool,
-    ) -> TreeResult<Option<(NodePtr, Option<Arc<RecordTree>>)>> {
+    ) -> TreeResult<Option<(NodePtr, Option<Arc<RecordView>>)>> {
         enum Next {
             Up(Option<PNodeId>),
             Cross(Rid),
@@ -1016,31 +981,26 @@ impl TreeStore {
             /// whose node it copies.
             Hop(usize, Rid),
         }
-        let load = |rid: Rid| {
+        let read = |rid: Rid| {
             if current {
-                self.load_current(rid).map(Arc::new)
+                self.view_current(rid).map(Arc::new)
             } else {
-                self.load_shared(rid)
+                self.view(rid)
             }
         };
-        let mut owned: Option<Arc<RecordTree>> = None;
+        let mut rid = view.rid();
+        let mut owned: Option<Arc<RecordView>> = None;
         loop {
             let action = {
-                let t = owned.as_deref().unwrap_or(tree);
+                let t = owned.as_deref().unwrap_or(view);
                 match node {
-                    None => Next::Cross(t.parent_rid),
-                    Some(id) => {
-                        let n = t.node(id);
-                        if n.is_facade() {
-                            return Ok(Some((NodePtr::new(rid, preorder_index(t, id)), owned)));
-                        }
-                        if n.is_prefix() {
-                            // Chain index = number of (prefix) ancestors above.
-                            Next::Hop(t.depth(id), t.parent_rid)
-                        } else {
-                            Next::Up(n.parent)
-                        }
+                    None => Next::Cross(t.parent_rid()),
+                    Some(id) if t.is_facade(id) => {
+                        return Ok(Some((NodePtr::new(rid, id), owned)));
                     }
+                    // Chain index = number of (prefix) ancestors above.
+                    Some(id) if t.is_prefix(id) => Next::Hop(t.depth(id), t.parent_rid()),
+                    Some(id) => Next::Up(t.parent(id)),
                 }
             };
             match action {
@@ -1049,15 +1009,15 @@ impl TreeStore {
                     if parent_rid.is_invalid() {
                         return Ok(None);
                     }
-                    let ptree = load(parent_rid)?;
-                    let proxy = ptree.find_proxy(rid).ok_or_else(|| {
+                    let parent = read(parent_rid)?;
+                    let proxy = parent.find_proxy(rid).ok_or_else(|| {
                         TreeError::Invariant(format!("record {parent_rid} has no proxy for {rid}"))
                     })?;
-                    node = Some(ptree.node(proxy).parent.ok_or_else(|| {
+                    node = Some(parent.parent(proxy).ok_or_else(|| {
                         TreeError::Invariant(format!("record {parent_rid}: detached proxy"))
                     })?);
                     rid = parent_rid;
-                    owned = Some(ptree);
+                    owned = Some(parent);
                 }
                 Next::Hop(mut level, mut holder_rid) => {
                     // A prefix copies a spilled level of an ancestor
@@ -1070,33 +1030,26 @@ impl TreeStore {
                                 "prefix chain with no holder record".into(),
                             ));
                         }
-                        let holder = load(holder_rid)?;
+                        let holder = read(holder_rid)?;
                         if holder.continuation().map(|(_, t)| t) == Some(rid) {
                             // Our record is the holder's continuation
                             // group: chain index i maps to spilled-path
                             // node i.
-                            let (_, path, _) = spilled_path(&holder).ok_or_else(|| {
-                                TreeError::Invariant(format!(
-                                    "record {holder_rid}: continuation group without a \
-                                     spilled path"
-                                ))
-                            })?;
-                            let at = *path.get(level).ok_or_else(|| {
+                            node = Some(holder.spilled_node(level).ok_or_else(|| {
                                 TreeError::Invariant(format!(
                                     "record {holder_rid}: spilled path shorter than \
                                      its group's prefix chain"
                                 ))
-                            })?;
-                            node = Some(at);
+                            })?);
                             rid = holder_rid;
                             owned = Some(holder);
                             break;
                         }
                         // Reached via a chain proxy: our record continues
                         // the holder's prefix chain.
-                        level += prefix_chain(&holder).len();
+                        level += holder.prefix_levels();
                         rid = holder_rid;
-                        holder_rid = holder.parent_rid;
+                        holder_rid = holder.parent_rid();
                     }
                 }
             }
@@ -1125,28 +1078,25 @@ impl TreeStore {
 
     fn insert_at_site(
         &self,
-        mut site: Site,
+        site: Site,
         logical_parent: NodePtr,
         label: LabelId,
         node: NewNode,
     ) -> TreeResult<OpResult> {
         self.check_node_size(&node)?;
-        let parent_label = {
-            // The logical parent may live in the site's record or higher.
-            if logical_parent.rid == site.rid {
-                site.tree
-                    .try_node(preorder_to_arena(&site.tree, logical_parent.node))
-                    .map(|n| n.label)
-            } else {
-                let t = self.load_current(logical_parent.rid)?;
-                t.try_node(preorder_to_arena(&t, logical_parent.node))
-                    .map(|n| n.label)
-            }
-        }
-        .ok_or(TreeError::BadNodePtr {
-            rid: logical_parent.rid,
-            node: logical_parent.node,
-        })?;
+        let Site {
+            view,
+            parent_node,
+            index,
+        } = site;
+        let rid = view.rid();
+        // The logical parent may live in the site's record or higher.
+        let parent_label = if logical_parent.rid == rid {
+            view.label(view.checked(logical_parent.node)?)
+        } else {
+            let t = self.view_current(logical_parent.rid)?;
+            t.label(t.checked(logical_parent.node)?)
+        };
 
         // A split of the site record splices its separator into ancestor
         // records, and the splice machinery requires plain (non-packed)
@@ -1160,23 +1110,24 @@ impl TreeStore {
                 NewNode::Element => 0,
                 NewNode::Literal(v) => crate::model::literal_body_len(v),
             });
-        if site.tree.record_size() + growth > self.net_capacity() {
-            if tree_is_packed(&site.tree) {
+        if view.byte_len() + growth > self.net_capacity() {
+            if view.is_packed() {
                 // An in-place edit of a packed record is only safe while
                 // it cannot split: a split would run the plan/separator
                 // machinery on packed structure. Normalize and retry.
-                return Err(TreeError::PackedRecord(site.rid));
+                return Err(TreeError::PackedRecord(rid));
             }
-            let mut p = site.tree.parent_rid;
+            let mut p = view.parent_rid();
             while !p.is_invalid() {
-                let pt = self.load_current(p)?;
-                if tree_is_packed(&pt) {
+                let pv = self.view_current(p)?;
+                if pv.is_packed() {
                     return Err(TreeError::PackedRecord(p));
                 }
-                p = pt.parent_rid;
+                p = pv.parent_rid();
             }
         }
         let behaviour = self.matrix.read().get(parent_label, label);
+        let mut tree = view.decode()?;
         let mut ctx = OpCtx::default();
         match behaviour {
             SplitBehaviour::Standalone => {
@@ -1184,28 +1135,26 @@ impl TreeStore {
                 // into the designated record. Hint: same page as the parent
                 // ("store parent with children ... on the same page if
                 // possible", §4.2).
-                let mut child = RecordTree::new(label, node.into_content(), site.rid);
+                let mut child = RecordTree::new(label, node.into_content(), rid);
                 child.node_mut(child.root()).orig = Some(WATCH);
                 let child_rid =
-                    self.write_new(&child, PlacementHint::NearPage(site.rid.page), &mut ctx)?;
-                let proxy = site
-                    .tree
-                    .alloc(child.proxy_digest(), PContent::Proxy(child_rid));
-                site.tree.attach(site.parent_node, site.index, proxy);
-                let final_rid = self.store_updated(site.rid, site.tree, &mut ctx)?;
-                if final_rid == site.rid {
+                    self.write_new(&child, PlacementHint::NearPage(rid.page), &mut ctx)?;
+                let proxy = tree.alloc(child.proxy_digest(), PContent::Proxy(child_rid));
+                tree.attach(parent_node, index, proxy);
+                let final_rid = self.store_updated(rid, tree, &mut ctx)?;
+                if final_rid == rid {
                     // The host did not move/split: the tentative parent is
                     // still right, but make it explicit for clarity.
-                    ctx.parent_patches.push((child_rid, site.rid));
+                    ctx.parent_patches.push((child_rid, rid));
                 }
                 self.apply_patches(&mut ctx)?;
                 Ok(ctx.finish())
             }
             SplitBehaviour::KeepWithParent | SplitBehaviour::Other => {
-                let new = site.tree.alloc(label, node.into_content());
-                site.tree.node_mut(new).orig = Some(WATCH);
-                site.tree.attach(site.parent_node, site.index, new);
-                self.store_updated(site.rid, site.tree, &mut ctx)?;
+                let new = tree.alloc(label, node.into_content());
+                tree.node_mut(new).orig = Some(WATCH);
+                tree.attach(parent_node, index, new);
+                self.store_updated(rid, tree, &mut ctx)?;
                 self.apply_patches(&mut ctx)?;
                 Ok(ctx.finish())
             }
@@ -1218,189 +1167,137 @@ impl TreeStore {
     /// §3.3: "the node is inserted on the same record as one of its
     /// designated siblings (wherever there is more free space)").
     fn resolve_site(&self, parent: NodePtr, pos: InsertPos) -> TreeResult<Site> {
-        let tree = self.load_current(parent.rid)?;
-        let pnode = preorder_to_arena(&tree, parent.node);
-        let n = tree.try_node(pnode).ok_or(TreeError::BadNodePtr {
-            rid: parent.rid,
-            node: parent.node,
-        })?;
-        if tree_is_packed(&tree) && !packed_site_is_plain(&tree, pnode) {
-            // An insert whose site node's child list is local to this
-            // record (not a prefix entry, not on the spilled path)
-            // proceeds in place — the packed structure around it is
-            // untouched. Sites that *do* participate in the packed layout
-            // take the normalize-and-retry path.
+        let view = self.view_current(parent.rid)?;
+        let pnode = view.checked(parent.node)?;
+        // Inside a packed record, an insert proceeds in place only when
+        // the site node's logical child list is entirely local to the
+        // record: not a prefix entry (whose local children are only the
+        // *late* tail of a child list whose head lives in an earlier
+        // piece) and not on the spilled path (whose child lists continue
+        // in the continuation group). Anything else there — a descendant
+        // of a prefix entry, content beside the spilled path — owns its
+        // whole child list, and normalization moves such subtrees intact.
+        // Sites that *do* take part in the packed layout take the
+        // normalize-and-retry path.
+        if view.is_packed() && (view.is_prefix(pnode) || view.spilled_level(pnode).is_some()) {
             return Err(TreeError::PackedRecord(parent.rid));
         }
-        if !matches!(n.content, PContent::Aggregate(_)) {
+        if view.shape(pnode) != Shape::Aggregate {
             return Err(TreeError::NotAnAggregate {
                 rid: parent.rid,
                 node: parent.node,
             });
         }
         match pos {
-            InsertPos::First => self.resolve_edge(parent.rid, tree, pnode, true),
-            InsertPos::Last => self.resolve_edge(parent.rid, tree, pnode, false),
-            InsertPos::At(k) => self.resolve_at(parent.rid, tree, pnode, k),
+            InsertPos::First => self.resolve_edge(view, pnode, true),
+            InsertPos::Last => self.resolve_edge(view, pnode, false),
+            InsertPos::At(k) => self.resolve_at(view, pnode, k),
         }
     }
 
     /// Site at the first/last edge of the logical child list: either
     /// embedded in the parent's record, or inside the first/last child's
     /// host record reached through scaffolding chains.
-    fn resolve_edge(
-        &self,
-        rid: Rid,
-        tree: RecordTree,
-        node: PNodeId,
-        first: bool,
-    ) -> TreeResult<Site> {
+    fn resolve_edge(&self, view: RecordView, node: PNodeId, first: bool) -> TreeResult<Site> {
         // Follow the edge-child proxy chain to the deepest scaffolding
         // host (the record holding the designated sibling).
-        let mut deep: Option<(Rid, RecordTree)> = None;
+        let mut deep: Option<RecordView> = None;
         loop {
-            let (t, n) = match &deep {
-                Some((_, t)) => (t, t.root()),
-                None => (&tree, node),
+            let (v, n) = match &deep {
+                Some(d) => (d, d.root()),
+                None => (&view, node),
             };
-            let Some(c) = edge_child(t, n, first) else {
+            let edge = if first {
+                v.children(n).next()
+            } else {
+                v.children(n).last()
+            };
+            let Some(Shape::Proxy(target)) = edge.map(|c| v.shape(c)) else {
                 break;
             };
-            let PContent::Proxy(target) = t.node(c).content else {
-                break;
-            };
-            let child_tree = self.load_current(target)?;
-            if !child_tree
-                .node(child_tree.root())
-                .is_scaffolding_aggregate()
-            {
+            let child = self.view_current(target)?;
+            if !child.is_scaffolding_aggregate(child.root()) {
                 break; // facade-rooted record is a logical child itself
             }
-            if tree_is_packed(&child_tree) {
+            if child.is_packed() {
                 // The designated sibling's host is packed and its root's
                 // child list is part of the packed layout — edge
                 // resolution there needs the cluster normalized first.
                 return Err(TreeError::PackedRecord(target));
             }
-            deep = Some((target, child_tree));
+            deep = Some(child);
         }
-        match deep {
-            None => {
-                let index = if first { 0 } else { tree.children(node).len() };
-                Ok(Site {
-                    rid,
-                    tree,
-                    parent_node: node,
-                    index,
-                })
-            }
-            Some((drid, dtree)) => {
-                // "Wherever there is more free space": parent record vs the
-                // designated sibling's record.
-                let shallow_free = self.sm.page_free_space(rid.page)?;
-                let deep_free = self.sm.page_free_space(drid.page)?;
-                if deep_free > shallow_free {
-                    let droot = dtree.root();
-                    let index = if first {
-                        0
-                    } else {
-                        dtree.children(droot).len()
-                    };
-                    Ok(Site {
-                        rid: drid,
-                        tree: dtree,
-                        parent_node: droot,
-                        index,
-                    })
-                } else {
-                    let index = if first { 0 } else { tree.children(node).len() };
-                    Ok(Site {
-                        rid,
-                        tree,
-                        parent_node: node,
-                        index,
-                    })
-                }
+        if let Some(d) = deep {
+            // "Wherever there is more free space": parent record vs the
+            // designated sibling's record.
+            if self.sm.page_free_space(d.rid().page)? > self.sm.page_free_space(view.rid().page)? {
+                let root = d.root();
+                return Ok(Site::edge(d, root, first));
             }
         }
+        Ok(Site::edge(view, node, first))
     }
 
     /// Site after the k-th logical child (so the new node lands at logical
     /// index `k`); clamps to the end when fewer children exist.
-    fn resolve_at(&self, rid: Rid, tree: RecordTree, node: PNodeId, k: usize) -> TreeResult<Site> {
+    fn resolve_at(&self, view: RecordView, node: PNodeId, k: usize) -> TreeResult<Site> {
         if k == 0 {
-            return self.resolve_edge(rid, tree, node, true);
+            return self.resolve_edge(view, node, true);
         }
-        // Walk the expanded logical child list, consuming k children. The
-        // child list is indexed in place — nothing here mutates the trees,
-        // so no copy of the list is needed.
+        let rid = view.rid();
+        // Walk the expanded logical child list, consuming k children: the
+        // records entered, each with the node whose children it counts and
+        // the next child to count.
         let mut remaining = k;
-        let mut stack: Vec<(Rid, RecordTree, PNodeId, usize)> = vec![(rid, tree, node, 0)];
-        while let Some((crid, ctree, cnode, start)) = stack.pop() {
-            let mut idx = start;
-            while idx < ctree.children(cnode).len() {
-                let c = ctree.children(cnode)[idx];
-                if let PContent::Proxy(target) = ctree.node(c).content {
-                    let child_tree = self.load_current(target)?;
-                    if child_tree
-                        .node(child_tree.root())
-                        .is_scaffolding_aggregate()
-                    {
-                        if tree_is_packed(&child_tree) {
+        let mut stack: Vec<(RecordView, PNodeId, PNodeId)> = vec![(view, node, node + 1)];
+        while let Some((v, n, mut c)) = stack.pop() {
+            let end = v.subtree(n).end;
+            while c < end {
+                if let Shape::Proxy(target) = v.shape(c) {
+                    let child = self.view_current(target)?;
+                    if child.is_scaffolding_aggregate(child.root()) {
+                        if child.is_packed() {
                             // A packed scaffolding host's local child list
                             // is incomplete — indexing through it would
                             // miscount; normalize the cluster first.
                             return Err(TreeError::PackedRecord(target));
                         }
-                        let root = child_tree.root();
-                        stack.push((crid, ctree, cnode, idx + 1));
-                        stack.push((target, child_tree, root, 0));
+                        let next = v.subtree(c).end;
+                        stack.push((v, n, next));
+                        stack.push((child, 0, 1));
                         break;
                     }
                     // A facade-rooted record counts as one logical child.
                 }
                 remaining -= 1;
                 if remaining == 0 {
-                    return Ok(Site {
-                        rid: crid,
-                        tree: ctree,
-                        parent_node: cnode,
-                        index: idx + 1,
-                    });
+                    return Ok(Site::after(v, n, c));
                 }
-                idx += 1;
+                c = v.subtree(c).end;
             }
         }
         // Fewer than k logical children: append at the end.
-        self.resolve_edge_reload(rid, node, false)
-    }
-
-    fn resolve_edge_reload(&self, rid: Rid, node: PNodeId, first: bool) -> TreeResult<Site> {
-        let tree = self.load_current(rid)?;
-        self.resolve_edge(rid, tree, node, first)
+        self.resolve_edge(self.view_current(rid)?, node, false)
     }
 
     /// Replaces the value of a literal node. The record is rewritten and
     /// may move or split when the value grew.
     pub fn update_literal(&self, ptr: NodePtr, value: LiteralValue) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
-        let mut tree = self.load_current(ptr.rid)?;
-        if tree_is_packed(&tree) {
+        let view = self.view_current(ptr.rid)?;
+        if view.is_packed() {
             return Err(TreeError::PackedRecord(ptr.rid));
         }
-        let arena = preorder_to_arena(&tree, ptr.node);
-        let n = tree.try_node(arena).ok_or(TreeError::BadNodePtr {
-            rid: ptr.rid,
-            node: ptr.node,
-        })?;
-        if !matches!(n.content, PContent::Literal(_)) {
+        let n = view.checked(ptr.node)?;
+        if !view.is_literal(n) {
             return Err(TreeError::NotALiteral {
                 rid: ptr.rid,
                 node: ptr.node,
             });
         }
         self.check_node_size(&NewNode::Literal(value.clone()))?;
-        tree.node_mut(arena).content = PContent::Literal(value);
+        let mut tree = view.decode()?;
+        tree.node_mut(n).content = PContent::Literal(value);
         let mut ctx = OpCtx::default();
         self.store_updated(ptr.rid, tree, &mut ctx)?;
         self.apply_patches(&mut ctx)?;
@@ -1413,20 +1310,14 @@ impl TreeStore {
     pub fn delete_subtree(&self, ptr: NodePtr) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
         let mut ctx = OpCtx::default();
-        let tree = self.load_current(ptr.rid)?;
-        if tree_is_packed(&tree) {
+        let view = self.view_current(ptr.rid)?;
+        if view.is_packed() {
             return Err(TreeError::PackedRecord(ptr.rid));
         }
-        let arena = preorder_to_arena(&tree, ptr.node);
-        if tree.try_node(arena).is_none() {
-            return Err(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            });
-        }
-        if arena == tree.root() {
-            let parent_rid = tree.parent_rid;
-            if !parent_rid.is_invalid() && tree_is_packed(&self.load_current(parent_rid)?) {
+        let n = view.checked(ptr.node)?;
+        if n == view.root() {
+            let parent_rid = view.parent_rid();
+            if !parent_rid.is_invalid() && self.view_current(parent_rid)?.is_packed() {
                 // Removing this record rewrites the (packed) parent.
                 return Err(TreeError::PackedRecord(parent_rid));
             }
@@ -1435,8 +1326,8 @@ impl TreeStore {
                 self.remove_proxy_cascading(parent_rid, ptr.rid, &mut ctx)?;
             }
         } else {
-            let mut tree = tree;
-            let cascade = tree.remove_subtree(arena);
+            let mut tree = view.decode()?;
+            let cascade = tree.remove_subtree(n);
             for rid in cascade {
                 self.drop_record_recursive(rid, &mut ctx)?;
             }
@@ -1475,12 +1366,7 @@ impl TreeStore {
         child: Rid,
         ctx: &mut OpCtx,
     ) -> TreeResult<()> {
-        let mut tree = self.load_current(parent_rid)?;
-        let Some(proxy) = tree.find_proxy(child) else {
-            return Err(TreeError::Invariant(format!(
-                "record {parent_rid} has no proxy for deleted child {child}"
-            )));
-        };
+        let (mut tree, proxy) = self.load_holder(parent_rid, child)?;
         tree.remove_subtree(proxy);
         self.finish_after_removal(parent_rid, tree, ctx)
     }
@@ -1488,8 +1374,8 @@ impl TreeStore {
     /// Frees the record at `rid` and every record reachable through its
     /// proxies.
     fn drop_record_recursive(&self, rid: Rid, ctx: &mut OpCtx) -> TreeResult<()> {
-        let tree = self.load_current(rid)?;
-        for child in tree.proxies_under(tree.root()) {
+        let view = self.view_current(rid)?;
+        for child in view.targets() {
             self.drop_record_recursive(child, ctx)?;
         }
         self.delete_record_raw(rid, ctx)
@@ -1509,7 +1395,7 @@ impl TreeStore {
         if tree.record_size() as f64 > capacity as f64 * self.config.merge_threshold {
             return Ok(());
         }
-        if tree_is_packed(tree) {
+        if tree.has_packed_entries() {
             // Packed records are normalized before structural edits reach
             // them; never merge into one.
             return Ok(());
@@ -1531,15 +1417,15 @@ impl TreeStore {
             let Some((proxy, target)) = candidate else {
                 return Ok(());
             };
-            let child = self.load_current(target)?;
-            if tree_is_packed(&child) {
+            let child = self.view_current(target)?;
+            if child.is_packed() {
                 // A packed child (piece or split prefix chain) cannot be
                 // inlined without breaking its group mapping.
                 rejected.insert(target);
                 continue;
             }
-            let child_body = child.body_len(child.root());
-            let inline_growth = if child.node(child.root()).is_scaffolding_aggregate() {
+            let child_body = child.byte_len() - crate::model::STANDALONE_HEADER;
+            let inline_growth = if child.is_scaffolding_aggregate(child.root()) {
                 // Children splice in; the scaffolding root vanishes.
                 child_body
             } else {
@@ -1552,7 +1438,7 @@ impl TreeStore {
             if new_size > budget {
                 return Ok(());
             }
-            let mut child = child;
+            let mut child = child.decode()?;
             let pparent = tree
                 .node(proxy)
                 .parent
@@ -1617,31 +1503,30 @@ impl TreeStore {
         }
         // Ancestor chain from `rid` upward while parents stay packed.
         let mut chain = vec![rid];
-        let mut cur = rid;
+        let mut cur = self.view_current(rid)?;
         loop {
-            let t = self.load_current(cur)?;
-            let parent = t.parent_rid;
+            let parent = cur.parent_rid();
             if parent.is_invalid() {
                 break;
             }
-            let pt = self.load_current(parent)?;
-            if !tree_is_packed(&pt) {
+            let pv = self.view_current(parent)?;
+            if !pv.is_packed() {
                 break;
             }
             chain.push(parent);
-            cur = parent;
+            cur = pv;
         }
         for &rc in chain.iter().rev() {
             if ctx.deleted.contains(&rc) {
                 continue; // consumed by an ancestor's normalization
             }
-            let tree = self.load_current(rc)?;
-            if tree.node(tree.root()).is_prefix() || !tree_is_packed(&tree) {
+            let view = self.view_current(rc)?;
+            if view.is_prefix(view.root()) || !view.is_packed() {
                 // Groups and split-chain pieces are consumed by their
                 // holder's normalization; plain records need none.
                 continue;
             }
-            let mut tree = tree;
+            let mut tree = view.decode()?;
             self.inline_continuations(rc, &mut tree, &mut ctx)?;
             self.store_updated(rc, tree, &mut ctx)?;
             // Apply parent patches step by step: a later chain entry's
@@ -1664,51 +1549,45 @@ impl TreeStore {
     /// Returns the host RID, or `None` when the eager full-chain path
     /// must run (cluster too big, or `rid`'s record is plain).
     fn lazy_cluster_host(&self, rid: Rid) -> TreeResult<Option<Rid>> {
-        let mut host = rid;
-        let mut tree = self.load_current(host)?;
-        while tree.node(tree.root()).is_prefix() {
-            let parent = tree.parent_rid;
+        let mut host = self.view_current(rid)?;
+        while host.is_prefix(host.root()) {
+            let parent = host.parent_rid();
             if parent.is_invalid() {
                 return Ok(None); // orphan piece: let the eager path report
             }
-            host = parent;
-            tree = self.load_current(host)?;
+            host = self.view_current(parent)?;
         }
-        if !tree_is_packed(&tree) {
+        if !host.is_packed() {
             // The record itself is plain; any packed *ancestors* need the
             // eager top-down walk.
             return Ok(None);
         }
         let budget = self.net_capacity();
-        let mut bound = tree.record_size();
-        let mut work: Vec<Rid> = tree.continuation().map(|(_, g)| g).into_iter().collect();
+        let mut bound = host.byte_len();
+        let mut work: Vec<Rid> = host.continuation().map(|(_, g)| g).into_iter().collect();
         while let Some(g) = work.pop() {
-            let gt = self.load_current(g)?;
-            bound += gt.record_size();
+            let group = self.view_current(g)?;
+            bound += group.byte_len();
             if bound > budget {
                 return Ok(None);
             }
-            if let Some((_, next)) = gt.continuation() {
-                work.push(next);
-            }
+            work.extend(group.continuation().map(|(_, next)| next));
             // Split prefix chains: lower pieces hang as digest-less
             // proxies under the chain's prefix entries (a labelled proxy
             // is facade-rooted content, never a chain piece — the digest
             // saves the probe read).
-            for &p in &prefix_chain(&gt) {
-                for &c in gt.children(p) {
-                    if let PContent::Proxy(t) = gt.node(c).content {
-                        if gt.node(c).label == LABEL_NONE {
-                            let ct = self.load_current(t)?;
-                            if ct.node(ct.root()).is_prefix() {
-                                work.push(t);
-                            }
+            for p in 0..group.prefix_levels() as PNodeId {
+                for c in group.children(p) {
+                    if let (Shape::Proxy(t), LABEL_NONE) = (group.shape(c), group.label(c)) {
+                        let piece = self.view_current(t)?;
+                        if piece.is_prefix(piece.root()) {
+                            work.push(t);
                         }
                     }
                 }
             }
         }
-        Ok(Some(host))
+        Ok(Some(host.rid()))
     }
 
     /// Splices every continuation group of `tree` (and, transitively, the
@@ -1741,14 +1620,17 @@ impl TreeStore {
         group_rid: Rid,
         ctx: &mut OpCtx,
     ) -> TreeResult<()> {
-        let mut group = self.load_current(group_rid)?;
-        let chain = prefix_chain(&group);
-        if chain.len() > path.len() {
+        let view = self.view_current(group_rid)?;
+        let levels = view.prefix_levels();
+        if levels > path.len() {
             return Err(TreeError::Invariant(format!(
                 "continuation group {group_rid}: prefix chain longer than the spilled path"
             )));
         }
-        for (i, &pnode) in chain.iter().enumerate() {
+        let mut group = view.decode()?;
+        for i in 0..levels {
+            // Chain entry `i` is node `i` (`RecordView::prefix_levels`).
+            let pnode = i as PNodeId;
             loop {
                 let next = group
                     .children(pnode)
@@ -1757,8 +1639,8 @@ impl TreeStore {
                     .find(|&c| !group.node(c).is_prefix());
                 let Some(c) = next else { break };
                 if let PContent::Proxy(t) = group.node(c).content {
-                    let lower = self.load_current(t)?;
-                    if lower.node(lower.root()).is_prefix() {
+                    let lower = self.view_current(t)?;
+                    if lower.is_prefix(lower.root()) {
                         // Lower piece of a split prefix chain: its levels
                         // continue this chain.
                         group.remove_subtree(c);
@@ -1800,13 +1682,51 @@ impl AppendCursor {
     }
 }
 
-/// An insertion site: a record (already loaded), the physical parent node
-/// within it, and the child index at which to attach.
+/// An insertion site: a record (read, to be decoded when the insert
+/// edits it), the physical parent node within it, and the child index at
+/// which to attach.
 struct Site {
-    rid: Rid,
-    tree: RecordTree,
+    view: RecordView,
     parent_node: PNodeId,
     index: usize,
+}
+
+impl Site {
+    /// The site right after `child` in `parent`'s child list.
+    fn after(view: RecordView, parent: PNodeId, child: PNodeId) -> Site {
+        let index = view.children(parent).take_while(|&c| c != child).count() + 1;
+        Site {
+            view,
+            parent_node: parent,
+            index,
+        }
+    }
+
+    /// The site at the first or the last edge of `parent`'s child list.
+    fn edge(view: RecordView, parent: PNodeId, first: bool) -> Site {
+        let index = if first {
+            0
+        } else {
+            view.children(parent).count()
+        };
+        Site {
+            view,
+            parent_node: parent,
+            index,
+        }
+    }
+}
+
+/// The type table of a page from its slot-0 record (empty on a page
+/// without one). A table that does not decode makes every record on the
+/// page unreadable: a corrupt-record error for `rid`, the record at hand.
+fn page_table(slot0: Option<&[u8]>, rid: Rid) -> TreeResult<TypeTable> {
+    slot0.map_or_else(
+        || Ok(TypeTable::new()),
+        |bytes| {
+            TypeTable::decode(bytes).map_err(|message| TreeError::CorruptRecord { rid, message })
+        },
+    )
 }
 
 /// Bytes a page's type table grows by when `tree` is written there: one
@@ -1822,108 +1742,36 @@ fn type_table_growth(table: &TypeTable, had_tt: bool, tree: &RecordTree) -> usiz
         table.encoded_len() + new_entries + SLOT_ENTRY_SIZE
     }
 }
-/// Maps a pre-order index back to an arena id. For freshly loaded trees
-/// these coincide (deserialisation numbers nodes in pre-order).
-pub(crate) fn preorder_to_arena(tree: &RecordTree, pre: PNodeId) -> PNodeId {
-    // Loaded trees are never mutated before resolution, so this is the
-    // identity; kept as a function for clarity and future caching.
-    let _ = tree;
-    pre
-}
 
-/// Pre-order index of an (unmutated, freshly loaded) arena node.
-pub(crate) fn preorder_index(tree: &RecordTree, arena: PNodeId) -> PNodeId {
-    let _ = tree;
-    arena
-}
-
-/// True when the record carries depth-aware-packing structure that
-/// in-place structural edits cannot preserve.
-pub(crate) fn tree_is_packed(tree: &RecordTree) -> bool {
-    tree.has_packed_entries()
-}
-
-/// True when `node`'s logical child list is entirely local to this
-/// packed record, so an in-place insert cannot disturb the packed
-/// structure: the node is not a prefix entry (its local children are
-/// only the *late* tail of a child list whose head lives in an earlier
-/// piece), and not on the spilled path (whose child lists continue in
-/// the continuation group). Anything else inside a packed record — a
-/// descendant of a prefix entry, content beside the spilled path — owns
-/// its whole child list, and normalization moves such subtrees intact.
-pub(crate) fn packed_site_is_plain(tree: &RecordTree, node: PNodeId) -> bool {
-    if tree.node(node).is_prefix() {
-        return false;
-    }
-    spilled_level(tree, node).is_none()
-}
-
-/// The record's *spilled path* — the chain of nodes from the record root
-/// down to the continuation placeholder's parent, root first — plus the
-/// placeholder node itself and the continuation-group RID. `None` when
-/// the record has no continuation. The group's prefix chain mirrors the
-/// path entry for entry; every consumer of the path ↔ chain
-/// correspondence goes through this one helper.
-pub(crate) fn spilled_path(tree: &RecordTree) -> Option<(PNodeId, Vec<PNodeId>, Rid)> {
-    let (cont, target) = tree.continuation()?;
-    let mut path = Vec::new();
-    let mut at = tree.node(cont).parent;
-    while let Some(p) = at {
-        path.push(p);
-        at = tree.node(p).parent;
-    }
+/// The spilled path of a record being normalized — the chain of nodes
+/// from the record root down to its continuation placeholder's parent,
+/// root first — plus the placeholder and the continuation group: a walk
+/// of the tree, whose bytes no longer describe it mid-rewrite. The group's
+/// prefix chain mirrors the path entry for entry.
+fn spilled_path(tree: &RecordTree) -> Option<(PNodeId, Vec<PNodeId>, Rid)> {
+    let (cont, target) =
+        tree.pre_order(tree.root())
+            .into_iter()
+            .find_map(|n| match tree.node(n).content {
+                PContent::Continuation(target) => Some((n, target)),
+                _ => None,
+            })?;
+    let mut path: Vec<PNodeId> =
+        std::iter::successors(tree.node(cont).parent, |&p| tree.node(p).parent).collect();
     path.reverse();
     Some((cont, path, target))
 }
 
-/// Where `node` lies on the record's spilled path: its index there (its
-/// depth below the record root) and the continuation group; `None` when
-/// the record has no continuation or `node` is not on the path. What
-/// every child enumeration and scan entry asks, so it walks only the
-/// placeholder's ancestors and allocates nothing.
-pub(crate) fn spilled_level(tree: &RecordTree, node: PNodeId) -> Option<(usize, Rid)> {
-    let (cont, group) = tree.continuation()?;
-    let mut up = tree.node(cont).parent;
-    while let Some(p) = up {
-        if p == node {
-            return Some((tree.depth(node), group));
-        }
-        up = tree.node(p).parent;
-    }
-    None
-}
-
-/// The prefix chain of a continuation-group record: the record root and
-/// its first-child descendants while they are prefix entries, root first.
-pub(crate) fn prefix_chain(tree: &RecordTree) -> Vec<PNodeId> {
-    let mut chain = Vec::new();
-    let mut at = Some(tree.root());
-    while let Some(id) = at {
-        let PContent::Prefix(kids) = &tree.node(id).content else {
-            break;
-        };
-        chain.push(id);
-        at = kids.first().copied();
-    }
-    chain
-}
-
-fn edge_child(tree: &RecordTree, node: PNodeId, first: bool) -> Option<PNodeId> {
-    let kids = tree.children(node);
-    if first {
-        kids.first().copied()
-    } else {
-        kids.last().copied()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
-    //! Navigation costs what it visits — asserted on counters, not a
-    //! stopwatch — and answers what the parent's whole-record lookups
-    //! answered, which are kept here as the references.
+    //! Navigation costs what it visits and decodes no record — asserted
+    //! on counters, not a stopwatch — and answers what whole-record
+    //! lookups over decoded trees answer, which are kept here (and in
+    //! `record::tests`) as the references.
 
+    use std::cell::RefCell;
     use std::collections::{BTreeSet, HashMap};
+    use std::rc::Rc;
 
     use natix_corpus::shakespeare::PlayLabels;
     use natix_corpus::{
@@ -1935,55 +1783,43 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::bulkload::bulkload_document;
-    use crate::model::touches;
-    use crate::reconstruct::{traverse, VisitEvent};
-    use crate::record::decodes;
+    use crate::reconstruct::{subtree_text, traverse, VisitEvent};
+    use crate::record::tests::{
+        assert_view_matches_tree, reference_find_continuation, reference_find_proxy,
+        reference_prefix_chain, reference_spilled_path,
+    };
+    use crate::record::{decodes, parses, touches};
     use crate::validate::check_tree;
+    use crate::version::VersionStore;
 
-    /// The parent's continuation lookup: the first placeholder of a
-    /// pre-order walk over the whole record.
-    pub(crate) fn reference_find_continuation(tree: &RecordTree) -> Option<(PNodeId, Rid)> {
-        tree.pre_order(tree.root()).into_iter().find_map(|n| {
-            if let PContent::Continuation(target) = tree.node(n).content {
-                Some((n, target))
-            } else {
-                None
-            }
-        })
+    /// The decoded trees of one snapshot, each decoded once: what the
+    /// references below read.
+    struct Decoded<'a> {
+        st: &'a TreeStore,
+        trees: RefCell<HashMap<Rid, Rc<RecordTree>>>,
     }
 
-    /// The parent's `find_proxy`.
-    fn reference_find_proxy(tree: &RecordTree, child: Rid) -> Option<PNodeId> {
-        tree.pre_order(tree.root()).into_iter().find(|&n| {
-            matches!(tree.node(n).content,
-                PContent::Proxy(r) | PContent::Continuation(r) if r == child)
-        })
-    }
-
-    /// The parent's `spilled_path`, over the reference lookup.
-    fn reference_spilled_path(tree: &RecordTree) -> Option<(PNodeId, Vec<PNodeId>, Rid)> {
-        let (cont, target) = reference_find_continuation(tree)?;
-        let mut path = Vec::new();
-        let mut at = tree.node(cont).parent;
-        while let Some(p) = at {
-            path.push(p);
-            at = tree.node(p).parent;
+    impl Decoded<'_> {
+        fn get(&self, rid: Rid) -> Rc<RecordTree> {
+            let mut trees = self.trees.borrow_mut();
+            Rc::clone(
+                trees
+                    .entry(rid)
+                    .or_insert_with(|| Rc::new(self.st.load(rid).unwrap())),
+            )
         }
-        path.reverse();
-        Some((cont, path, target))
     }
 
-    /// The parent's `logical_parent_from` on the read path: every record
-    /// boundary loads the next record afresh.
+    /// The reference `logical_parent_from`, over decoded trees and the
+    /// whole-record lookups: every record boundary looks the next record
+    /// up afresh.
     fn reference_logical_parent_from(
-        st: &TreeStore,
+        trees: &Decoded,
         mut rid: Rid,
         mut node: PNodeId,
-        tree: &RecordTree,
     ) -> Option<NodePtr> {
-        let mut owned: Option<Arc<RecordTree>> = None;
         loop {
-            let t = owned.as_deref().unwrap_or(tree);
+            let t = trees.get(rid);
             let n = t.node(node);
             if n.is_facade() {
                 return Some(NodePtr::new(rid, node));
@@ -1997,15 +1833,14 @@ pub(crate) mod tests {
                 }
                 let mut holder_rid = t.parent_rid;
                 loop {
-                    let holder = st.load_shared(holder_rid).unwrap();
+                    let holder = trees.get(holder_rid);
                     if reference_find_continuation(&holder).map(|(_, t)| t) == Some(rid) {
                         let (_, path, _) = reference_spilled_path(&holder).unwrap();
                         node = path[level];
                         rid = holder_rid;
-                        owned = Some(holder);
                         break;
                     }
-                    level += prefix_chain(&holder).len();
+                    level += reference_prefix_chain(&holder).len();
                     rid = holder_rid;
                     holder_rid = holder.parent_rid;
                 }
@@ -2018,41 +1853,41 @@ pub(crate) mod tests {
                     if parent_rid.is_invalid() {
                         return None;
                     }
-                    let ptree = st.load_shared(parent_rid).unwrap();
+                    let ptree = trees.get(parent_rid);
                     let proxy = reference_find_proxy(&ptree, rid).unwrap();
                     node = ptree.node(proxy).parent.unwrap();
                     rid = parent_rid;
-                    owned = Some(ptree);
                 }
             }
         }
     }
 
-    /// The parent's `logical_parent`.
-    fn reference_logical_parent(st: &TreeStore, ptr: NodePtr) -> Option<NodePtr> {
-        let tree = st.load_shared(ptr.rid).unwrap();
+    /// The reference `logical_parent`.
+    fn reference_logical_parent(trees: &Decoded, ptr: NodePtr) -> Option<NodePtr> {
+        let tree = trees.get(ptr.rid);
         match tree.node(ptr.node).parent {
-            Some(p) => reference_logical_parent_from(st, ptr.rid, p, &tree),
+            Some(p) => reference_logical_parent_from(trees, ptr.rid, p),
             None => {
                 let parent_rid = tree.parent_rid;
                 if parent_rid.is_invalid() {
                     return None;
                 }
-                let ptree = st.load_shared(parent_rid).unwrap();
+                let ptree = trees.get(parent_rid);
                 let proxy = reference_find_proxy(&ptree, ptr.rid).unwrap();
                 let pp = ptree.node(proxy).parent.unwrap();
-                reference_logical_parent_from(st, parent_rid, pp, &ptree)
+                reference_logical_parent_from(trees, parent_rid, pp)
             }
         }
     }
 
-    /// The parent's step-by-step `label_path`: a label lookup and a fresh
-    /// parent walk per logical ancestor.
-    fn reference_label_path(st: &TreeStore, ptr: NodePtr) -> Vec<LabelId> {
-        let mut path = vec![st.node_info(ptr).unwrap().label];
+    /// The reference `label_path`, step by step: a label lookup and a
+    /// fresh parent walk per logical ancestor.
+    fn reference_label_path(trees: &Decoded, ptr: NodePtr) -> Vec<LabelId> {
+        let label = |p: NodePtr| trees.get(p.rid).node(p.node).label;
+        let mut path = vec![label(ptr)];
         let mut cur = ptr;
-        while let Some(parent) = reference_logical_parent(st, cur) {
-            path.push(st.node_info(parent).unwrap().label);
+        while let Some(parent) = reference_logical_parent(trees, cur) {
+            path.push(label(parent));
             cur = parent;
         }
         path.reverse();
@@ -2129,7 +1964,7 @@ pub(crate) mod tests {
     /// tiny deep document, bulkloaded (prefix chains and continuation
     /// groups; split chains at 2 KiB), plus the first play once more,
     /// loaded per node. Returns the store and the documents' root records.
-    fn corpus(page_size: usize) -> (TreeStore, Vec<Rid>) {
+    pub(crate) fn corpus(page_size: usize) -> (TreeStore, Vec<Rid>) {
         let mut syms = SymbolTable::new();
         let mut docs: Vec<Document> = generate_corpus(&CorpusConfig::tiny(), &mut syms)
             .into_iter()
@@ -2149,11 +1984,23 @@ pub(crate) mod tests {
     /// Every node's logical parent and label path against the references.
     fn check_ancestor_walks(st: &TreeStore, root: Rid) {
         let _pin = st.begin_read();
+        let trees = Decoded {
+            st,
+            trees: RefCell::default(),
+        };
         for (ptr, ..) in facades(st, root) {
             let parent = st.logical_parent(ptr).unwrap();
-            assert_eq!(parent, reference_logical_parent(st, ptr), "parent of {ptr}");
+            assert_eq!(
+                parent,
+                reference_logical_parent(&trees, ptr),
+                "parent of {ptr}"
+            );
             let path = st.label_path(ptr).unwrap();
-            assert_eq!(path, reference_label_path(st, ptr), "label path of {ptr}");
+            assert_eq!(
+                path,
+                reference_label_path(&trees, ptr),
+                "label path of {ptr}"
+            );
         }
     }
 
@@ -2222,8 +2069,8 @@ pub(crate) mod tests {
 
     #[test]
     fn child_enumeration_touches_its_children_and_the_record_depth() {
-        // The parent looked for a continuation placeholder with a pre-order
-        // walk of the whole record at every enumeration: ≈ 2 × record size
+        // A lookup of the continuation placeholder by a pre-order walk of
+        // the whole record at every enumeration cost ≈ 2 × record size
         // nodes per call, whatever the node.
         let (play, play_root, _) = play();
         let deep = store(2_048);
@@ -2233,12 +2080,12 @@ pub(crate) mod tests {
         for (st, root) in [(&play, play_root), (&deep, deep_root)] {
             let records: BTreeSet<Rid> = facades(st, root).iter().map(|f| f.0.rid).collect();
             for rid in records {
-                let tree = st.load(rid).unwrap();
-                let nodes = tree.arena_len() as PNodeId;
+                let view = st.view(rid).unwrap();
+                let nodes = view.node_count() as PNodeId;
                 // Levels: the root alone is a record of depth 1.
-                let height = 1 + (0..nodes).map(|n| tree.depth(n)).max().unwrap_or(0);
-                largest = largest.max(tree.live_count());
-                for n in (0..nodes).filter(|&n| tree.node(n).is_facade()) {
+                let height = 1 + (0..nodes).map(|n| view.depth(n)).max().unwrap_or(0);
+                largest = largest.max(view.node_count());
+                for n in (0..nodes).filter(|&n| view.is_facade(n)) {
                     touches::take();
                     let kids = st.logical_children(NodePtr::new(rid, n)).unwrap();
                     let touched = touches::take();
@@ -2257,8 +2104,8 @@ pub(crate) mod tests {
     #[test]
     fn a_lazy_walk_touches_a_constant_number_of_nodes_per_node() {
         // `//SPEAKER` the lazy walk's way: a label test and a child
-        // enumeration at every node. The parent touched ≈ 2 × record size
-        // nodes per node.
+        // enumeration at every node. Whole-record lookups touched ≈ 2 ×
+        // record size nodes per node.
         let (st, root, labels) = play();
         let _pin = st.begin_read();
         touches::take();
@@ -2280,10 +2127,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_writers_label_path_decodes_each_record_on_its_path_once() {
-        // Writers bypass the decoded-record memo. The parent decoded a
-        // record for the label and again for the parent step at every
-        // logical ancestor: 2–3 decodes per ancestor.
+    fn a_writers_label_path_parses_each_record_on_its_path_once() {
+        // Writers bypass the parsed-record memo. A walk that reloads per
+        // step decoded a record for the label and again for the parent
+        // step at every logical ancestor (2–3 decodes per ancestor); one
+        // that holds its record decoded each record on the path once. On
+        // views it parses each record on the path once and decodes none.
         let (st, root, labels) = play();
         let nodes = facades(&st, root);
         // A LINE's text is the event right after the LINE's `Enter`.
@@ -2297,22 +2146,159 @@ pub(crate) mod tests {
         let mut deepest = 0;
         for ptr in texts {
             let mut records = 1;
-            let mut up = st.load(ptr.rid).unwrap().parent_rid;
+            let mut up = st.view(ptr.rid).unwrap().parent_rid();
             while !up.is_invalid() {
                 records += 1;
-                up = st.load(up).unwrap().parent_rid;
+                up = st.view(up).unwrap().parent_rid();
             }
             deepest = deepest.max(records);
-            decodes::take();
+            counters();
             let path = st.label_path(ptr).unwrap();
-            let decoded = decodes::take();
+            let (decoded, parsed) = counters();
             assert_eq!(path[path.len() - 2..], [labels.line, LABEL_TEXT]);
             assert_eq!(path.len(), 6, "PLAY/ACT/SCENE/SPEECH/LINE/#text");
+            assert_eq!(decoded, 0, "{ptr}: a read decodes no record");
             assert!(
-                decoded <= records,
-                "{ptr}: {decoded} decodes for {records} records on the path"
+                parsed <= records,
+                "{ptr}: {parsed} parses for {records} records on the path"
             );
         }
         assert!(deepest >= 2, "the lines sit {deepest} records deep");
+    }
+
+    /// Reads and resets the calling thread's decode and parse counts.
+    fn counters() -> (u64, u64) {
+        (decodes::take(), parses::take())
+    }
+
+    /// Every record of a document, root first.
+    fn records_of(st: &TreeStore, root: Rid) -> Vec<Rid> {
+        let (mut out, mut work) = (Vec::new(), vec![root]);
+        while let Some(rid) = work.pop() {
+            work.extend(st.view(rid).unwrap().targets());
+            out.push(rid);
+        }
+        out
+    }
+
+    #[test]
+    fn the_views_of_stored_records_answer_what_their_decoded_trees_answer() {
+        // Plays, an order batch and the deep document — prefix chains,
+        // continuation groups and split chains — at both page sizes, as
+        // loaded and after 100 edits.
+        let mut g = SplitMix64::new(0x000D_1FF0);
+        for page_size in [2_048, 8_192] {
+            let (st, mut roots) = corpus(page_size);
+            for round in 0..2 {
+                for &root in &roots {
+                    for rid in records_of(&st, root) {
+                        let what = format!("{page_size} B pages, round {round}, record {rid}");
+                        assert_view_matches_tree(
+                            &st.view(rid).unwrap(),
+                            &st.load(rid).unwrap(),
+                            &what,
+                        );
+                    }
+                }
+                for i in 0..100 {
+                    let d = i % roots.len();
+                    edit(&st, &mut roots[d], &mut g);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_queries_parse_each_record_they_visit_once_and_decode_none() {
+        // `//SPEAKER` the summary-seeded descent's way (children along
+        // PLAY/ACT/SCENE/SPEECH/SPEAKER only) and `//LINE` the record
+        // scan's way, each under its own pin.
+        let (st, root, labels) = play();
+        let total = records_of(&st, root).len();
+        let path = [labels.act, labels.scene, labels.speech, labels.speaker];
+        {
+            let _pin = st.begin_read();
+            counters();
+            let mut level = vec![NodePtr::new(root, 0)];
+            for label in path {
+                let mut next = Vec::new();
+                for p in level {
+                    for (child, l) in st.logical_children_labeled(p).unwrap() {
+                        if l == label {
+                            next.push(child);
+                        }
+                    }
+                }
+                level = next;
+            }
+            let (decoded, parsed) = counters();
+            assert!(level.len() > 100, "{} speakers", level.len());
+            assert_eq!(decoded, 0, "the seeded descent decodes no record");
+            assert_eq!(
+                parsed as usize,
+                VersionStore::memo_len(),
+                "one parse per record"
+            );
+            assert!(parsed as usize <= total, "{parsed} parses, {total} records");
+        }
+        let _pin = st.begin_read();
+        counters();
+        let (mut queue, mut units, mut lines) = (vec![NodePtr::new(root, 0)], 0, 0);
+        while let Some(unit) = queue.pop() {
+            units += 1;
+            st.scan_record_subtree(unit, &mut |entry| {
+                match *entry {
+                    RecordEntry::Node { label, .. } if label == labels.line => lines += 1,
+                    RecordEntry::ChildRecord { ptr, .. } => queue.push(ptr),
+                    RecordEntry::Node { .. } => {}
+                }
+                Ok(true)
+            })
+            .unwrap();
+        }
+        let (decoded, parsed) = counters();
+        assert!(lines > 1_000, "{lines} lines");
+        assert_eq!(units, total, "the scan visits every record once");
+        assert_eq!(decoded, 0, "the scan decodes no record");
+        assert_eq!(parsed as usize, units, "one parse per record scanned");
+    }
+
+    #[test]
+    fn subtree_text_of_a_speech_decodes_no_record() {
+        let (st, root, labels) = play();
+        let speeches: Vec<NodePtr> = facades(&st, root)
+            .into_iter()
+            .filter(|f| f.1 == labels.speech && f.2)
+            .map(|f| f.0)
+            .collect();
+        let _pin = st.begin_read();
+        for ptr in speeches.into_iter().step_by(50) {
+            decodes::take();
+            let text = subtree_text(&st, ptr).unwrap();
+            assert!(!text.is_empty(), "{ptr}");
+            assert_eq!(decodes::take(), 0, "{ptr}: the text walk decodes no record");
+        }
+    }
+
+    #[test]
+    fn a_type_table_that_does_not_decode_is_a_corrupt_record() {
+        let (st, root, _) = play();
+        {
+            let pin = st.storage().pin(root.page).unwrap();
+            let mut buf = pin.write();
+            let mut sp = SlottedPage::open(&mut buf).unwrap();
+            sp.update(0, &[0xFF]).unwrap();
+        }
+        let errors = [
+            st.view(root).err(),
+            st.load(root).err(),
+            st.node_info(NodePtr::new(root, 0)).err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(err, Some(TreeError::CorruptRecord { rid, .. }) if rid == root),
+                "{err:?}"
+            );
+        }
     }
 }

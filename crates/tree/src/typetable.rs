@@ -82,8 +82,10 @@ impl TypeTable {
     }
 
     /// Parses the slot-0 record payload: `count: u16` then `count` entries.
-    pub fn decode(bytes: &[u8]) -> TreeResult<TypeTable> {
-        let corrupt = |m: &str| TreeError::Invariant(format!("type table: {m}"));
+    /// The error says what is wrong with the bytes; the caller knows which
+    /// record could not be read ([`TreeError::CorruptRecord`]).
+    pub fn decode(bytes: &[u8]) -> Result<TypeTable, String> {
+        let corrupt = |m: &str| format!("type table: {m}");
         if bytes.len() < 2 {
             return Err(corrupt("missing count"));
         }
@@ -151,12 +153,10 @@ impl TypeTable {
         Ok(((self.entries.len() - 1) as u16, true))
     }
 
-    /// Resolves a type index from an object header.
-    pub fn get(&self, index: u16) -> TreeResult<(ContentKind, LabelId)> {
-        self.entries
-            .get(index as usize)
-            .copied()
-            .ok_or_else(|| TreeError::Invariant(format!("type index {index} out of range")))
+    /// Resolves a type index from an object header (`None` when the table
+    /// has no such entry: the record naming it is corrupt).
+    pub fn get(&self, index: u16) -> Option<(ContentKind, LabelId)> {
+        self.entries.get(index as usize).copied()
     }
 
     /// How many of `types` are missing from this table — the byte cost of
@@ -194,7 +194,7 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(t.get(a).unwrap(), (ContentKind::Aggregate, 7));
         assert_eq!(t.get(c).unwrap(), (ContentKind::LitString, 1));
-        assert!(t.get(99).is_err());
+        assert!(t.get(99).is_none());
     }
 
     #[test]

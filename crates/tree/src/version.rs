@@ -17,12 +17,12 @@
 //!   reader's snapshot identity.
 //! * **Copy-on-write record versions.** Before a writer overwrites,
 //!   patches or deletes a stored record, it deposits the record's current
-//!   parsed image in the version store ([`VersionStore::supersede`]),
-//!   tagged with its operation. When the operation completes
-//!   ([`WriteOp`] drop), the deposited versions are *published*: stamped
-//!   with the new epoch, meaning "readers pinned below this epoch read
-//!   me". Versions are garbage-collected as soon as no pinned reader can
-//!   need them.
+//!   bytes and its page's type table in the version store
+//!   ([`VersionStore::supersede`]), tagged with its operation. When the
+//!   operation completes ([`WriteOp`] drop), the deposited versions are
+//!   *published*: stamped with the new epoch, meaning "readers pinned
+//!   below this epoch read me". Versions are garbage-collected as soon as
+//!   no pinned reader can need them.
 //! * **Latch-free read validation.** A reader first consults the version
 //!   store, then reads the page, then consults the version store *again*:
 //!   because the writer deposits the old image before touching the page
@@ -43,40 +43,45 @@
 //! plumbing. A read runs on the thread that pinned it; a thread that
 //! reads on another's behalf pins its own snapshot.
 //!
-//! # Decoded-record memo
+//! # Parsed-record memo
 //!
-//! The image of a record seen from a pinned epoch never changes: the page
-//! holds it until a writer supersedes it, and from then on the deposit
-//! does, for as long as the pin lives. `VersionStore::read` therefore
-//! remembers, per thread, every record it has decoded under the thread's
-//! snapshot and hands the same `Arc<RecordTree>` to every later read of
-//! that record — a walk over the N nodes of one record decodes it once,
-//! not N times. The memo sits beside the thread's ambient pin and needs
-//! **no invalidation, no lock and no shared state**:
+//! A read navigates a [`RecordView`] — the record's bytes, validated and
+//! indexed, ≈ 2 µs for a 200-node 8 KiB record — and never decodes a
+//! record tree (≈ 20 µs): see [`crate::record`]. The image of a record
+//! seen from a pinned epoch never changes: the page holds it until a
+//! writer supersedes it, and from then on the deposit does, for as long as
+//! the pin lives. `VersionStore::read` therefore remembers, per thread,
+//! every view it has parsed under the thread's snapshot and hands the same
+//! `Arc<RecordView>` to every later read of that record — a walk over the
+//! N nodes of one record copies and parses it once, not N times. The memo
+//! sits beside the thread's ambient pin and needs **no invalidation, no
+//! lock and no shared state**:
 //!
 //! * it is keyed by the `(store identity, epoch)` that filled it, so two
 //!   repositories used on one thread (equal `Rid`s, different records)
 //!   never see each other's entries;
 //! * it is emptied when the thread's outermost pin on that snapshot
-//!   drops; nested pins share it, and nothing decoded under one pin is
+//!   drops; nested pins share it, and nothing parsed under one pin is
 //!   ever served under the next;
 //! * it is bypassed, neither read nor filled, while a [`WriteOp`] is
 //!   ambient on the thread (a writer's reads go back to the page and the
 //!   version store every time) and for reads outside any pin;
-//! * it holds at most `MEMO_CAPACITY` (256) records: a walk that decodes
+//! * it holds at most `MEMO_CAPACITY` (256) records: a walk that parses
 //!   more starts over with an empty memo, which costs a depth-first walk
-//!   one re-decode per record on its current root-to-leaf path.
+//!   one re-parse per record on its current root-to-leaf path. A view
+//!   holds the record's bytes plus a 20-byte index entry per node: ≈ 12
+//!   KiB for a 200-node record of an 8 KiB page, so a full memo is ≈ 3 MiB
+//!   per pinned thread, and ≈ 9 MiB if every record were a full page of
+//!   bare 6-byte headers.
 //!
 //! Writers bypass the memo because a writer must read its own records:
 //! the page changes under it with every record it rewrites, and a memo
-//! entry would serve the image from before. The price is that a writer
-//! pays a decode (≈ 20 µs for an 8 KiB record) for every load. Code the
-//! write path runs that takes several steps through one record therefore
-//! holds the record's `Arc<RecordTree>` from step to step instead of
-//! loading it again: `TreeStore::label_path` — run for every insert's
-//! path-summary delta and every delete's prefix — decodes each record on
-//! its ancestor path once, where reloading per step cost two to three
-//! decodes per logical ancestor.
+//! entry would serve the image from before. A writer's read therefore
+//! copies and parses the record every time, and code the write path runs
+//! that takes several steps through one record holds the record's view
+//! from step to step instead of reading it again: `TreeStore::label_path`
+//! — run for every insert's path-summary delta and every delete's prefix —
+//! parses each record on its ancestor path once and decodes none.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -90,35 +95,35 @@ use natix_storage::wal::{log_suppressed, Wal, WalRecord};
 use natix_storage::{PageId, Rid};
 
 use crate::error::{TreeError, TreeResult};
-use crate::model::RecordTree;
+use crate::record::RecordView;
+use crate::typetable::TypeTable;
 
-/// Entry bound of a thread's decoded-record memo (see the module docs):
-/// the records of 2 MiB of 8 KiB pages, held as a few MiB of decoded
-/// trees per pinned thread in the worst case.
+/// Entry bound of a thread's parsed-record memo (see the module docs):
+/// the records of 2 MiB of 8 KiB pages.
 const MEMO_CAPACITY: usize = 256;
 
-/// The records a thread has decoded under its ambient snapshot.
+/// The records a thread has parsed under its ambient snapshot.
 struct RecordMemo {
     /// `(store identity, pinned epoch)` of the snapshot that filled
     /// `records`; entries are only ever served to that same snapshot.
     key: (usize, u64),
-    records: HashMap<Rid, Arc<RecordTree>>,
+    records: HashMap<Rid, Arc<RecordView>>,
 }
 
 impl RecordMemo {
-    fn get(&self, key: (usize, u64), rid: Rid) -> Option<Arc<RecordTree>> {
+    fn get(&self, key: (usize, u64), rid: Rid) -> Option<Arc<RecordView>> {
         if self.key != key {
             return None;
         }
         self.records.get(&rid).cloned()
     }
 
-    fn insert(&mut self, key: (usize, u64), rid: Rid, tree: Arc<RecordTree>) {
+    fn insert(&mut self, key: (usize, u64), rid: Rid, view: Arc<RecordView>) {
         if self.key != key || self.records.len() >= MEMO_CAPACITY {
             self.records.clear();
             self.key = key;
         }
-        self.records.insert(rid, tree);
+        self.records.insert(rid, view);
     }
 
     /// Empties the memo if snapshot `key` filled it.
@@ -136,25 +141,17 @@ thread_local! {
     /// `(store identity, op token)` of the write operation active on this
     /// thread.
     static WRITE_OP: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
-    /// This thread's decoded-record memo (see the module docs).
+    /// This thread's parsed-record memo (see the module docs).
     static RECORD_MEMO: RefCell<RecordMemo> = RefCell::new(RecordMemo {
         key: (0, 0),
         records: HashMap::new(),
     });
 }
 
-/// A deposited pre-image: raw page bytes until a superseded load actually
-/// needs the parsed tree. Writers deposit on *every* overwrite, but most
-/// deposits are never read (no reader is pinned behind the edit), so the
-/// record decode — the dominant CPU cost of a deposit — is deferred to
-/// the first superseded load and cached for the rest.
-enum Image {
-    /// `(record bytes, encoded type table)` as of the deposit.
-    Raw(Vec<u8>, Vec<u8>),
-    Decoded(Arc<RecordTree>),
-}
-
-/// One retained pre-image of a record.
+/// One retained pre-image of a record: its bytes and its page's encoded
+/// type table as of the deposit, two memcpys. Writers deposit on *every*
+/// overwrite, but most deposits are never read (no reader is pinned
+/// behind the edit), so nothing is parsed until a superseded read asks.
 struct RecordVersion {
     /// Epoch from which the replacement is current: readers pinned at an
     /// epoch `< valid_until` read this image. `u64::MAX` while the
@@ -162,7 +159,8 @@ struct RecordVersion {
     valid_until: u64,
     /// Token of the superseding operation (meaningful while pending).
     op: u64,
-    image: Image,
+    bytes: Vec<u8>,
+    table: Vec<u8>,
 }
 
 /// A side effect an operation schedules for its publish point: runs with
@@ -378,13 +376,12 @@ impl VersionStore {
     /// (`read_page`) outside a snapshot, the image as of the pinned epoch
     /// under one. This is the one implementation of the latch-free read
     /// validation described in the module docs — version store, page,
-    /// version store again — and of the decoded-record memo in front of
-    /// it.
+    /// version store again — and of the parsed-record memo in front of it.
     pub(crate) fn read(
         &self,
         rid: Rid,
-        read_page: impl FnOnce() -> TreeResult<RecordTree>,
-    ) -> TreeResult<Arc<RecordTree>> {
+        read_page: impl FnOnce() -> TreeResult<RecordView>,
+    ) -> TreeResult<Arc<RecordView>> {
         let Some(epoch) = self.ambient_read_epoch() else {
             return read_page().map(Arc::new);
         };
@@ -392,7 +389,7 @@ impl VersionStore {
         if let Some(hit) = memo_key.and_then(|key| RECORD_MEMO.with_borrow(|m| m.get(key, rid))) {
             return Ok(hit);
         }
-        let tree = match self.lookup(rid, epoch)? {
+        let view = match self.lookup(rid, epoch)? {
             Some(v) => v,
             None => {
                 let current = read_page();
@@ -404,17 +401,18 @@ impl VersionStore {
                 // underneath us.
                 match self.lookup(rid, epoch)? {
                     Some(v) => v,
-                    None => Arc::new(current?),
+                    None => current?,
                 }
             }
         };
+        let view = Arc::new(view);
         if let Some(key) = memo_key {
-            RECORD_MEMO.with_borrow_mut(|m| m.insert(key, rid, Arc::clone(&tree)));
+            RECORD_MEMO.with_borrow_mut(|m| m.insert(key, rid, Arc::clone(&view)));
         }
-        Ok(tree)
+        Ok(view)
     }
 
-    /// The key [`read`](Self::read) memoises the calling thread's decoded
+    /// The key [`read`](Self::read) memoises the calling thread's parsed
     /// records under: its snapshot on this store, unless a write operation
     /// is ambient (a writer's reads go back to the page every time).
     fn memo_key(&self) -> Option<(usize, u64)> {
@@ -422,7 +420,7 @@ impl VersionStore {
         WRITE_OP.get().is_none().then_some((self.id(), epoch))
     }
 
-    /// Whether [`read`](Self::read) currently remembers what it decodes
+    /// Whether [`read`](Self::read) currently remembers what it parses
     /// for the calling thread, so that reading a record early costs the
     /// later read nothing.
     pub(crate) fn memoizes_reads(&self) -> bool {
@@ -437,7 +435,7 @@ impl VersionStore {
 
     /// Whether a reader pinned at `epoch` must read `rid` from the version
     /// store rather than the page — [`lookup`](Self::lookup)`.is_some()`
-    /// without decoding a raw deposit or touching an `Arc`.
+    /// without copying or parsing the deposit.
     pub fn is_superseded(&self, rid: Rid, epoch: u64) -> bool {
         if self.retained.load(Ordering::Acquire) == 0 {
             return false;
@@ -446,48 +444,24 @@ impl VersionStore {
     }
 
     /// The superseded image of `rid` a reader pinned at `epoch` must use,
-    /// or `None` when the on-page record is current for that epoch.
-    /// Raw deposits are decoded on this first superseded load and the
-    /// parsed tree cached in place; the decode runs outside the state
-    /// mutex (the bytes are cloned), so concurrent lookups never stall
-    /// behind each other's parsing. A raw deposit that fails to decode is
-    /// reported as [`TreeError::CorruptRecord`].
-    pub fn lookup(&self, rid: Rid, epoch: u64) -> TreeResult<Option<Arc<RecordTree>>> {
+    /// or `None` when the on-page record is current for that epoch. The
+    /// deposit is copied under the state mutex and parsed outside it, so
+    /// concurrent lookups never stall behind each other's parsing. A
+    /// deposit that does not parse is a [`TreeError::CorruptRecord`].
+    pub fn lookup(&self, rid: Rid, epoch: u64) -> TreeResult<Option<RecordView>> {
         if self.retained.load(Ordering::Acquire) == 0 {
             return Ok(None);
         }
-        let (valid_until, op, bytes, table) = {
+        let (bytes, table) = {
             let st = self.state.lock();
             let Some(v) = st.version_at(rid, epoch) else {
                 return Ok(None);
             };
-            match &v.image {
-                Image::Decoded(tree) => return Ok(Some(Arc::clone(tree))),
-                Image::Raw(bytes, table) => (v.valid_until, v.op, bytes.clone(), table.clone()),
-            }
+            (v.bytes.clone(), v.table.clone())
         };
-        let parsed = crate::typetable::TypeTable::decode(&table)
-            .and_then(|t| crate::record::deserialize(&bytes, &t, rid))
-            .map_err(|e| TreeError::CorruptRecord {
-                rid,
-                message: format!("pre-image deposit does not decode: {e}"),
-            })?;
-        let tree = Arc::new(parsed);
-        let mut st = self.state.lock();
-        if let Some(versions) = st.records.get_mut(&rid) {
-            // Cache for later loads of the same version (matched by its
-            // window, not by position — publishes may have stamped it or
-            // stacked newer deposits meanwhile).
-            if let Some(v) = versions
-                .iter_mut()
-                .find(|v| v.op == op && (v.valid_until == valid_until || valid_until == u64::MAX))
-            {
-                if matches!(v.image, Image::Raw(..)) {
-                    v.image = Image::Decoded(Arc::clone(&tree));
-                }
-            }
-        }
-        Ok(Some(tree))
+        let table = TypeTable::decode(&table)
+            .map_err(|message| TreeError::CorruptRecord { rid, message })?;
+        RecordView::parse(bytes, table, rid).map(Some)
     }
 
     fn unpin(&self, epoch: u64) {
@@ -579,7 +553,7 @@ impl VersionStore {
     }
 
     /// True when `rid` was created by operation `op` (its supersedes need
-    /// no deposit — callers use this to skip the pre-image decode too).
+    /// no deposit — callers use this to skip the pre-image copy too).
     pub fn created_by(&self, op: u64, rid: Rid) -> bool {
         self.state
             .lock()
@@ -608,24 +582,13 @@ impl VersionStore {
             .is_some_and(|vs| vs.iter().any(|v| v.valid_until == u64::MAX && v.op != op))
     }
 
-    /// Deposits the current image of `rid` before operation `op`
-    /// overwrites, patches or deletes it. Must be called *before* the page
-    /// bytes change. Only the first deposit per record per operation
-    /// sticks — later rewrites of the same record within one operation are
+    /// Deposits the current image of `rid` — the record's bytes and its
+    /// page's encoded type table — before operation `op` overwrites,
+    /// patches or deletes it. Must be called *before* the page bytes
+    /// change. Only the first deposit per record per operation sticks —
+    /// later rewrites of the same record within one operation are
     /// intermediate states no reader may observe.
-    pub fn supersede(&self, op: u64, rid: Rid, tree: Arc<RecordTree>) {
-        self.deposit(op, rid, Image::Decoded(tree));
-    }
-
-    /// Like [`supersede`](Self::supersede), but deposits the raw record
-    /// bytes plus the page's encoded type table — the cheap (memcpy-only)
-    /// form writers use on their hot path. The decode happens lazily, on
-    /// the first superseded load, and only if one ever comes.
-    pub fn supersede_raw(&self, op: u64, rid: Rid, bytes: Vec<u8>, table: Vec<u8>) {
-        self.deposit(op, rid, Image::Raw(bytes, table));
-    }
-
-    fn deposit(&self, op: u64, rid: Rid, image: Image) {
+    pub fn supersede(&self, op: u64, rid: Rid, bytes: Vec<u8>, table: Vec<u8>) {
         let mut st = self.state.lock();
         if st.created.get(&op).is_some_and(|s| s.contains(&rid)) {
             return; // created by this very operation — no reader can need it
@@ -639,9 +602,8 @@ impl VersionStore {
             }
         }
         // The sticking deposit *is* the undo image: log it before the
-        // caller touches the page bytes. (The decoded form is test-only;
-        // the write path always deposits raw bytes + table.)
-        if let (Some(wal), Image::Raw(bytes, table)) = (self.wal.get(), &image) {
+        // caller touches the page bytes.
+        if let Some(wal) = self.wal.get() {
             wal.append(&WalRecord::PreImage {
                 op,
                 rid,
@@ -652,7 +614,8 @@ impl VersionStore {
         st.records.entry(rid).or_default().push(RecordVersion {
             valid_until: u64::MAX,
             op,
-            image,
+            bytes,
+            table,
         });
         st.pending.entry(op).or_default().push(rid);
         self.retained.fetch_add(1, Ordering::Release);
@@ -747,7 +710,7 @@ impl Drop for ReadPin<'_> {
         let key = (self.store.id(), self.epoch);
         if self.prev != Some(key) {
             // The thread's outermost pin on this snapshot: what was
-            // decoded under it must not outlive it.
+            // parsed under it must not outlive it.
             RECORD_MEMO.with_borrow_mut(|m| m.forget(key));
         }
         self.store.unpin(self.epoch);
@@ -820,14 +783,16 @@ impl Drop for WriteOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::PContent;
+    use crate::model::{PContent, RecordTree};
+    use crate::record::parses;
 
-    fn tree_with_label(label: u16) -> Arc<RecordTree> {
-        Arc::new(RecordTree::new(
-            label,
-            PContent::Aggregate(Vec::new()),
-            Rid::invalid(),
-        ))
+    /// Deposits, as operation `op`'s pre-image of `rid`, a one-node record
+    /// whose root carries `label`.
+    fn deposit(vs: &VersionStore, op: u64, rid: Rid, label: u16) {
+        let tree = RecordTree::new(label, PContent::Aggregate(Vec::new()), Rid::invalid());
+        let mut table = TypeTable::new();
+        let (bytes, _) = crate::record::serialize(&tree, &mut table);
+        vs.supersede(op, rid, bytes, table.encode());
     }
 
     #[test]
@@ -839,9 +804,9 @@ mod tests {
         // A writer deposits mid-operation: the pinned reader must see it.
         let op = vs.begin_write();
         let tok = vs.ambient_write_op().unwrap();
-        vs.supersede(tok, rid, tree_with_label(7));
+        deposit(&vs, tok, rid, 7);
         assert_eq!(
-            vs.lookup(rid, old).unwrap().unwrap().node(0).label,
+            vs.lookup(rid, old).unwrap().unwrap().label(0),
             7,
             "pending version serves pinned readers"
         );
@@ -856,32 +821,32 @@ mod tests {
     }
 
     #[test]
-    fn raw_deposits_decode_lazily_and_cache() {
-        // The write-path deposit is raw bytes; the parsed tree appears on
-        // the first superseded load and later loads share it (pointer
-        // equality of the cached Arc).
+    fn raw_deposits_parse_only_when_read() {
+        // A deposit is bytes and a table: nothing is parsed until a pinned
+        // reader looks the record up, and every lookup — pending or
+        // published — parses the deposit into the same view.
         let vs = VersionStore::new();
         let rid = Rid::new(6, 2);
-        let src = tree_with_label(33);
-        let mut table = crate::typetable::TypeTable::new();
-        let (bytes, _) = crate::record::serialize(&src, &mut table);
         let pin = vs.pin_raw();
         let op = vs.begin_write();
         let tok = vs.ambient_write_op().unwrap();
-        vs.supersede_raw(tok, rid, bytes, table.encode());
+        parses::take();
+        deposit(&vs, tok, rid, 33);
+        assert_eq!(parses::take(), 0, "a deposit parses nothing");
         let first = vs
             .lookup(rid, pin)
             .unwrap()
-            .expect("pending raw deposit serves");
-        assert_eq!(first.node(first.root()).label, 33);
+            .expect("pending deposit serves");
+        assert_eq!(first.label(first.root()), 33);
         drop(op);
         let second = vs
             .lookup(rid, pin)
             .unwrap()
             .expect("published deposit serves");
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "decode must be cached, not repeated"
+        assert_eq!(parses::take(), 2, "one parse per lookup");
+        assert_eq!(
+            (second.label(0), second.byte_len()),
+            (first.label(0), first.byte_len())
         );
         vs.unpin(pin);
         assert_eq!(vs.retained_versions(), 0);
@@ -894,9 +859,9 @@ mod tests {
         let pin = vs.pin_raw();
         let op = vs.begin_write();
         let tok = vs.ambient_write_op().unwrap();
-        vs.supersede(tok, rid, tree_with_label(1));
-        vs.supersede(tok, rid, tree_with_label(2)); // intermediate — ignored
-        assert_eq!(vs.lookup(rid, pin).unwrap().unwrap().node(0).label, 1);
+        deposit(&vs, tok, rid, 1);
+        deposit(&vs, tok, rid, 2); // intermediate — ignored
+        assert_eq!(vs.lookup(rid, pin).unwrap().unwrap().label(0), 1);
         drop(op);
         vs.unpin(pin);
     }
@@ -908,7 +873,7 @@ mod tests {
         let pin = vs.pin_raw();
         let op1 = vs.begin_write();
         let tok1 = vs.ambient_write_op().unwrap();
-        vs.supersede(tok1, rid, tree_with_label(9));
+        deposit(&vs, tok1, rid, 9);
         // The depositing op itself may reuse the slot; others may not
         // while the deposit is pending.
         assert!(!vs.pending_elsewhere(rid, tok1));
@@ -928,7 +893,7 @@ mod tests {
         let tok = vs.ambient_write_op().unwrap();
         vs.note_created(tok, rid);
         assert!(vs.created_by(tok, rid));
-        vs.supersede(tok, rid, tree_with_label(5));
+        deposit(&vs, tok, rid, 5);
         assert!(
             vs.lookup(rid, pin).unwrap().is_none(),
             "self-created records retain no versions"
@@ -946,15 +911,15 @@ mod tests {
         let pin0 = vs.pin_raw(); // epoch 0
         {
             let _op = vs.begin_write();
-            vs.supersede(vs.ambient_write_op().unwrap(), rid, tree_with_label(10));
+            deposit(&vs, vs.ambient_write_op().unwrap(), rid, 10);
         } // epoch 1
         let pin1 = vs.pin_raw();
         {
             let _op = vs.begin_write();
-            vs.supersede(vs.ambient_write_op().unwrap(), rid, tree_with_label(11));
+            deposit(&vs, vs.ambient_write_op().unwrap(), rid, 11);
         } // epoch 2
-        assert_eq!(vs.lookup(rid, pin0).unwrap().unwrap().node(0).label, 10);
-        assert_eq!(vs.lookup(rid, pin1).unwrap().unwrap().node(0).label, 11);
+        assert_eq!(vs.lookup(rid, pin0).unwrap().unwrap().label(0), 10);
+        assert_eq!(vs.lookup(rid, pin1).unwrap().unwrap().label(0), 11);
         let pin2 = vs.pin_raw();
         assert!(vs.lookup(rid, pin2).unwrap().is_none());
         vs.unpin(pin0);
@@ -987,16 +952,16 @@ mod tests {
 
     #[test]
     fn corrupt_raw_deposit_is_a_typed_error() {
-        // A raw pre-image that does not decode surfaces as CorruptRecord
-        // from `lookup` and through `read` — never a panic — while the
-        // non-decoding existence test still answers.
+        // A pre-image that does not parse surfaces as CorruptRecord from
+        // `lookup` and through `read` — never a panic — while the
+        // non-parsing existence test still answers.
         let vs = VersionStore::new();
         let rid = Rid::new(5, 3);
         let pin = vs.begin_read();
         {
             let _op = vs.begin_write();
             let tok = vs.ambient_write_op().unwrap();
-            vs.supersede_raw(tok, rid, vec![1, 2, 3], vec![0xff]);
+            vs.supersede(tok, rid, vec![1, 2, 3], vec![0xff]);
         }
         assert!(vs.is_superseded(rid, pin.epoch()));
         assert!(!vs.is_superseded(Rid::new(5, 4), pin.epoch()));
@@ -1026,7 +991,7 @@ mod tests {
             let op = store.versions().begin_write();
             store
                 .versions()
-                .supersede_raw(op.id(), rid, vec![1, 2, 3], vec![0xff]);
+                .supersede(op.id(), rid, vec![1, 2, 3], vec![0xff]);
         }
         let err = store.load(rid).unwrap_err();
         assert!(
@@ -1089,8 +1054,8 @@ mod tests {
         let store = mk_store();
         let (rid, ptr) = mk_tree(&store, 7, "old");
         let outer = store.begin_read();
-        let first = store.load_shared(rid).unwrap();
-        assert!(Arc::ptr_eq(&first, &store.load_shared(rid).unwrap()));
+        let first = store.view(rid).unwrap();
+        assert!(Arc::ptr_eq(&first, &store.view(rid).unwrap()));
         let inner = store.begin_read();
         // Another thread rewrites the record and publishes.
         std::thread::scope(|s| {
@@ -1098,11 +1063,11 @@ mod tests {
         });
         assert_eq!(text_at(&store, ptr), "old");
         assert!(
-            Arc::ptr_eq(&first, &store.load_shared(rid).unwrap()),
+            Arc::ptr_eq(&first, &store.view(rid).unwrap()),
             "nested pins share the outermost pin's memo"
         );
         drop(inner);
-        assert!(Arc::ptr_eq(&first, &store.load_shared(rid).unwrap()));
+        assert!(Arc::ptr_eq(&first, &store.view(rid).unwrap()));
         assert_eq!(VersionStore::memo_len(), 1);
         drop(outer);
         assert_eq!(VersionStore::memo_len(), 0, "nothing outlives the pin");
@@ -1111,7 +1076,7 @@ mod tests {
         assert_eq!(VersionStore::memo_len(), 0);
         let _again = store.begin_read();
         assert_eq!(text_at(&store, ptr), "new");
-        assert!(!Arc::ptr_eq(&first, &store.load_shared(rid).unwrap()));
+        assert!(!Arc::ptr_eq(&first, &store.view(rid).unwrap()));
     }
 
     #[test]
@@ -1130,11 +1095,11 @@ mod tests {
             // B's pin nested inside A's takes the thread's ambient slot.
             let _pin_b = b.begin_read();
             assert_eq!(text_at(&b, ptr_b), "of b");
-            assert_eq!(b.load_shared(rid_b).unwrap().node(0).label, 9);
+            assert_eq!(b.view(rid_b).unwrap().label(0), 9);
             assert_eq!(text_at(&a, ptr_a), "of a");
         }
         assert_eq!(VersionStore::memo_len(), 0, "B's entries left with B's pin");
-        assert_eq!(a.load_shared(rid_a).unwrap().node(0).label, 7);
+        assert_eq!(a.view(rid_a).unwrap().label(0), 7);
         assert_eq!(text_at(&b, ptr_b), "of b");
         drop(pin_a);
         assert_eq!(VersionStore::memo_len(), 0);
@@ -1161,20 +1126,20 @@ mod tests {
         // while the operation is in flight) and its write path sees its
         // own writes.
         let pin = store.begin_read();
-        let pinned = store.load_shared(rid).unwrap();
+        let pinned = store.view(rid).unwrap();
         assert_eq!(VersionStore::memo_len(), 1);
         {
             let _op = store.versions().begin_write();
             set_text(&store, ptr, "new");
-            let during = store.load_shared(rid).unwrap();
+            let during = store.view(rid).unwrap();
             assert!(!Arc::ptr_eq(&pinned, &during), "the memo is not read");
             assert_eq!(text_at(&store, ptr), "mid", "the snapshot's image");
-            store.load_shared(other).unwrap();
+            store.view(other).unwrap();
             assert_eq!(VersionStore::memo_len(), 1, "the memo is not filled");
             // The second rewrite reads the first through the write path.
             set_text(&store, ptr, "newer");
         }
-        assert!(Arc::ptr_eq(&pinned, &store.load_shared(rid).unwrap()));
+        assert!(Arc::ptr_eq(&pinned, &store.view(rid).unwrap()));
         assert_eq!(text_at(&store, ptr), "mid");
         drop(pin);
         assert_eq!(text_at(&store, ptr), "newer");
@@ -1193,8 +1158,8 @@ mod tests {
             for (i, &(rid, ptr)) in trees.iter().enumerate() {
                 assert_eq!(text_at(&store, ptr), format!("t{i}"), "round {round}");
                 assert!(Arc::ptr_eq(
-                    &store.load_shared(rid).unwrap(),
-                    &store.load_shared(rid).unwrap()
+                    &store.view(rid).unwrap(),
+                    &store.view(rid).unwrap()
                 ));
                 assert!(VersionStore::memo_len() <= MEMO_CAPACITY);
             }

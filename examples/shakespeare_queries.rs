@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Each shape forced on the descendant queries, on a pool that holds
     // the whole corpus (no page reads: what is left is navigation and
-    // record decode), beside the shape the planner picks.
+    // record parsing), beside the shape the planner picks.
     let resident = Repository::create_in_memory(RepositoryOptions {
         page_size: 8192,
         buffer_bytes: 64 << 20,
