@@ -19,10 +19,10 @@
 //!   an edit mutates;
 //! * [`record`] — the Appendix-A byte format (10-byte standalone headers,
 //!   6-byte embedded headers, per-page type tables — see [`typetable`]),
-//!   and its two readers: the decoder into a record tree, for a record
-//!   about to be edited, and [`record::RecordView`], the validated index
-//!   over the bytes that every read navigates, decoding only the literals
-//!   it returns;
+//!   and its reader [`record::RecordView`], the validated index over the
+//!   bytes that every read navigates, decoding only the literals it
+//!   returns; a view decodes into a record tree only for a record about
+//!   to be edited;
 //! * [`matrix`] — the split matrix s_ij ∈ {0, ∞, other} (§3.3);
 //! * [`config`] — split target, split tolerance, merge knobs;
 //! * [`split`] — the tree-structured separator split (§3.2.2), pure and

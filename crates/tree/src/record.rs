@@ -30,26 +30,27 @@
 //! embedded size is by definition the length of its header plus body,
 //! which is what the encoder has appended when it patches the field.
 //!
-//! # Two ways to read a record
+//! # Two forms of a read record, one validator
 //!
-//! * [`deserialize`] decodes the record into a [`RecordTree`]: an arena
-//!   node and, for a literal, an owned value per node (≈ 20 µs for a
-//!   200-node 8 KiB record). Only a record about to be edited needs one.
 //! * [`RecordView::parse`] validates the bytes and indexes them — per node
 //!   its type, its parent, its header's offset and body end, and the
 //!   pre-order index past its subtree — in one pass that allocates the
-//!   index only (≈ 2 µs for the same record). Every reader navigates this
-//!   form and decodes just the literals it returns.
+//!   index only (≈ 2 µs for a 200-node 8 KiB record). Every reader
+//!   navigates this form and decodes just the literals it returns.
+//! * [`RecordView::decode`] turns a view into a [`RecordTree`]: an arena
+//!   node and, for a literal, an owned value per node (≈ 20 µs for the
+//!   same record). Only a record about to be edited needs one;
+//!   [`deserialize`] is parse then decode.
 //!
-//! Both forms make the same checks, and a record one of them refuses the
-//! other refuses too. At parse time: the standalone header is present;
-//! every type index resolves in the page's table; every embedded header is
-//! whole, names its parent's header as its parent offset, and has a size
-//! that covers its own header and stays inside its parent's body; a proxy
-//! or continuation body is one RID; a numeric literal body has its type's
-//! width. One check is deferred by the view to the read of the literal
-//! ([`RecordView::literal`]): that a string or URI literal is UTF-8. A
-//! corrupt record is a [`TreeError::CorruptRecord`] from either form.
+//! The parse is the format's one validator. It checks that the standalone
+//! header is present; every type index resolves in the page's table; every
+//! embedded header is whole, names its parent's header as its parent
+//! offset, and has a size that covers its own header and stays inside its
+//! parent's body; a proxy or continuation body is one RID; a numeric
+//! literal body has its type's width. One check is deferred to the read of
+//! the literal ([`RecordView::literal`], which the decode makes for every
+//! literal): that a string or URI literal is UTF-8. A corrupt record is a
+//! [`TreeError::CorruptRecord`] either way.
 
 use std::ops::Range;
 
@@ -214,41 +215,11 @@ fn write_literal(v: &LiteralValue, out: &mut Vec<u8>) {
     }
 }
 
-/// Parses record bytes back into a [`RecordTree`]. Node arena slots equal
+/// Parses record bytes back into a [`RecordTree`]: the record's
+/// [`RecordView`], [decoded](RecordView::decode). Node arena slots equal
 /// pre-order indices, and `orig` markers are set accordingly.
 pub fn deserialize(bytes: &[u8], table: &TypeTable, rid: Rid) -> TreeResult<RecordTree> {
-    #[cfg(test)]
-    decodes::count();
-    let corrupt = |m: String| TreeError::CorruptRecord { rid, message: m };
-    if bytes.len() < STANDALONE_HEADER {
-        return Err(corrupt(format!(
-            "record of {} bytes has no standalone header",
-            bytes.len()
-        )));
-    }
-    let parent_rid = Rid::decode(&bytes[0..8]);
-    let root_type = u16::from_le_bytes([bytes[8], bytes[9]]);
-    let (kind, label) = resolve_type(table, root_type, rid)?;
-    let mut nodes: Vec<Option<PNode>> = Vec::new();
-    nodes.push(Some(PNode {
-        label,
-        content: placeholder(kind),
-        parent: None,
-        orig: Some(NodePtr::new(rid, 0)),
-    }));
-    let body = &bytes[STANDALONE_HEADER..];
-    parse_body(
-        bytes,
-        STANDALONE_HEADER,
-        body.len(),
-        0,
-        0,
-        kind,
-        table,
-        &mut nodes,
-        rid,
-    )?;
-    Ok(RecordTree::from_parts(nodes, 0, parent_rid))
+    RecordView::parse(bytes.to_vec(), table.clone(), rid)?.decode()
 }
 
 /// The `(kind, label)` of a header's type index: an index the page's table
@@ -258,116 +229,6 @@ fn resolve_type(table: &TypeTable, index: u16, rid: Rid) -> TreeResult<(ContentK
         rid,
         message: format!("type index {index} out of range"),
     })
-}
-
-fn placeholder(kind: ContentKind) -> PContent {
-    match kind {
-        ContentKind::Aggregate => PContent::Aggregate(Vec::new()),
-        ContentKind::Prefix => PContent::Prefix(Vec::new()),
-        ContentKind::Proxy => PContent::Proxy(Rid::invalid()),
-        ContentKind::Continuation => PContent::Continuation(Rid::invalid()),
-        _ => PContent::Literal(LiteralValue::String(String::new())),
-    }
-}
-
-/// Mutable access to a parsed node's arena slot. The parser itself hands
-/// out every index, so a missing or tombstoned slot means the record bytes
-/// drove it off the rails — a corrupt-record error, not a panic.
-fn node_slot(nodes: &mut [Option<PNode>], id: PNodeId, rid: Rid) -> TreeResult<&mut PNode> {
-    nodes
-        .get_mut(id as usize)
-        .and_then(|n| n.as_mut())
-        .ok_or_else(|| TreeError::CorruptRecord {
-            rid,
-            message: format!("parsed node {id} lost its arena slot"),
-        })
-}
-
-/// Parses the body of node `me` (arena index) located at
-/// `[body_at, body_at+body_len)`; `my_header_off` is where `me`'s header
-/// starts (0 for the root).
-#[allow(clippy::too_many_arguments)]
-fn parse_body(
-    bytes: &[u8],
-    body_at: usize,
-    body_len: usize,
-    my_header_off: usize,
-    me: PNodeId,
-    kind: ContentKind,
-    table: &TypeTable,
-    nodes: &mut Vec<Option<PNode>>,
-    rid: Rid,
-) -> TreeResult<()> {
-    let corrupt = |m: String| TreeError::CorruptRecord { rid, message: m };
-    let body = bytes
-        .get(body_at..body_at + body_len)
-        .ok_or_else(|| corrupt("body extends past record end".into()))?;
-    match kind {
-        ContentKind::Proxy | ContentKind::Continuation => {
-            if body_len != PROXY_BODY {
-                return Err(corrupt(format!("proxy body of {body_len} bytes")));
-            }
-            let target = Rid::decode(body);
-            node_slot(nodes, me, rid)?.content = if kind == ContentKind::Proxy {
-                PContent::Proxy(target)
-            } else {
-                PContent::Continuation(target)
-            };
-        }
-        ContentKind::Aggregate | ContentKind::Prefix => {
-            let mut at = 0;
-            let mut kids = Vec::new();
-            while at < body_len {
-                if body_len - at < EMBEDDED_HEADER {
-                    return Err(corrupt("truncated embedded header".into()));
-                }
-                let h = body_at + at;
-                let type_idx = u16::from_le_bytes([bytes[h], bytes[h + 1]]);
-                let parent_off = u16::from_le_bytes([bytes[h + 2], bytes[h + 3]]) as usize;
-                let size = u16::from_le_bytes([bytes[h + 4], bytes[h + 5]]) as usize;
-                if parent_off != my_header_off {
-                    return Err(corrupt(format!(
-                        "embedded object at {h}: parent offset {parent_off} != {my_header_off}"
-                    )));
-                }
-                if size < EMBEDDED_HEADER || at + size > body_len {
-                    return Err(corrupt(format!("embedded object at {h}: bad size {size}")));
-                }
-                let (ckind, clabel) = resolve_type(table, type_idx, rid)?;
-                let child = nodes.len() as PNodeId;
-                nodes.push(Some(PNode {
-                    label: clabel,
-                    content: placeholder(ckind),
-                    parent: Some(me),
-                    orig: Some(NodePtr::new(rid, child)),
-                }));
-                kids.push(child);
-                parse_body(
-                    bytes,
-                    h + EMBEDDED_HEADER,
-                    size - EMBEDDED_HEADER,
-                    h,
-                    child,
-                    ckind,
-                    table,
-                    nodes,
-                    rid,
-                )?;
-                at += size;
-            }
-            node_slot(nodes, me, rid)?.content = if kind == ContentKind::Aggregate {
-                PContent::Aggregate(kids)
-            } else {
-                PContent::Prefix(kids)
-            };
-        }
-        lit => {
-            let value = decode_literal(lit, body)
-                .ok_or_else(|| corrupt(format!("bad literal body for {lit:?}")))?;
-            node_slot(nodes, me, rid)?.content = PContent::Literal(value);
-        }
-    }
-    Ok(())
 }
 
 /// The value of a literal body, `None` when the body does not hold one of
@@ -752,9 +613,28 @@ impl RecordView {
     }
 
     /// The record as the tree an edit mutates: node `n` of the view is
-    /// arena node `n` of the tree.
+    /// arena node `n` of the tree. Every literal is decoded, so the UTF-8
+    /// check the parse deferred is made here.
     pub fn decode(&self) -> TreeResult<RecordTree> {
-        deserialize(&self.bytes, &self.table, self.rid)
+        #[cfg(test)]
+        decodes::count();
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        for n in 0..self.nodes.len() as PNodeId {
+            let content = match self.shape(n) {
+                Shape::Aggregate => PContent::Aggregate(self.children(n).collect()),
+                Shape::Prefix => PContent::Prefix(self.children(n).collect()),
+                Shape::Proxy(rid) => PContent::Proxy(rid),
+                Shape::Continuation(rid) => PContent::Continuation(rid),
+                Shape::Literal => PContent::Literal(self.literal(n)?),
+            };
+            nodes.push(Some(PNode {
+                label: self.label(n),
+                content,
+                parent: self.parent(n),
+                orig: Some(NodePtr::new(self.rid, n)),
+            }));
+        }
+        Ok(RecordTree::from_parts(nodes, 0, self.parent_rid()))
     }
 }
 
@@ -1055,8 +935,9 @@ pub(crate) mod tests {
 
     #[test]
     fn back_patched_sizes_equal_the_recursive_encoder() {
-        // The *decoder* recurses per level with a frame that, unoptimised,
-        // does not fit 1 300 times into a test thread's 2 MiB.
+        // The reference encoder and `same_tree` recurse per level with
+        // frames that, unoptimised, do not fit 1 300 times into a test
+        // thread's 2 MiB.
         std::thread::Builder::new()
             .stack_size(32 << 20)
             .spawn(encoders_agree_and_round_trip)
@@ -1302,6 +1183,32 @@ pub(crate) mod tests {
         assert_eq!(view.is_packed(), tree.has_packed_entries(), "{what}");
     }
 
+    /// `tree` renumbered through the encoder's arena→pre-order `mapping`:
+    /// the tree a view of its encoding describes, built without the view.
+    fn renumbered(tree: &RecordTree, mapping: &Mapping) -> RecordTree {
+        let to: HashMap<PNodeId, PNodeId> = mapping.iter().copied().collect();
+        let nodes = mapping
+            .iter()
+            .map(|&(n, _)| {
+                let node = tree.node(n);
+                let content = match &node.content {
+                    PContent::Aggregate(k) => {
+                        PContent::Aggregate(k.iter().map(|c| to[c]).collect())
+                    }
+                    PContent::Prefix(k) => PContent::Prefix(k.iter().map(|c| to[c]).collect()),
+                    other => other.clone(),
+                };
+                Some(PNode {
+                    label: node.label,
+                    content,
+                    parent: node.parent.map(|p| to[&p]),
+                    orig: None,
+                })
+            })
+            .collect();
+        RecordTree::from_parts(nodes, 0, tree.parent_rid)
+    }
+
     #[test]
     fn views_answer_what_decoded_trees_answer() {
         std::thread::Builder::new()
@@ -1309,11 +1216,12 @@ pub(crate) mod tests {
             .spawn(|| {
                 let mut table = TypeTable::new();
                 for case in 0..2_000 {
-                    let (bytes, _) = try_serialize(&equivalence_tree(case), &mut table).unwrap();
-                    let rid = Rid::new(1, 1);
-                    let tree = deserialize(&bytes, &table, rid).unwrap();
-                    let view = RecordView::parse(bytes, table.clone(), rid).unwrap();
-                    assert_view_matches_tree(&view, &tree, &format!("case {case}"));
+                    let tree = equivalence_tree(case);
+                    let (bytes, mapping) = try_serialize(&tree, &mut table).unwrap();
+                    let view = RecordView::parse(bytes, table.clone(), Rid::new(1, 1)).unwrap();
+                    let what = format!("case {case}");
+                    assert_view_matches_tree(&view, &renumbered(&tree, &mapping), &what);
+                    assert_view_matches_tree(&view, &view.decode().unwrap(), &what);
                 }
             })
             .unwrap()
@@ -1386,7 +1294,7 @@ pub(crate) mod tests {
         b
     }
 
-    /// Mutational fuzzing of both decoders (ROADMAP 7b's record decoder
+    /// Mutational fuzzing of both read forms (ROADMAP 7b's record decoder
     /// run) on real records — every stored record of a bulkloaded corpus of
     /// plays, an order batch and the deep document at 2 KiB pages, and the
     /// first 200 trees of the equivalence set — with fixed SplitMix64
@@ -1395,9 +1303,10 @@ pub(crate) mod tests {
     /// [`deserialize`] and through [`RecordView::parse`] followed by a full
     /// navigation of the view, literal reads included, and must end in a
     /// `CorruptRecord` naming the record or in the same answers from both —
-    /// never a panic. The view refuses exactly what the decoder refuses,
-    /// with one deferral: a string literal that is not UTF-8 passes the
-    /// parse and is refused by the navigation's read of that literal.
+    /// never a panic. The parse is the one validator; the decode adds one
+    /// check the parse defers to a literal's read: a string literal that
+    /// is not UTF-8 passes the parse and is refused by the navigation's
+    /// read of that literal, as by the decode.
     #[test]
     fn mutated_records_are_corrupt_record_errors_or_consistent_answers() {
         std::thread::Builder::new()

@@ -298,16 +298,13 @@ impl TreeStore {
     /// store instead of the page, so a multi-record walk observes the
     /// record graph as of one epoch even while writers rewrite it.
     /// Without a pin (and on every writer's own loads) the on-page image
-    /// is authoritative: one buffer pin and one decode per call.
+    /// is authoritative: one buffer pin, one parse and one decode per call.
     ///
     /// This is the owned, decoded form of a record, for callers outside
     /// the engine's read path; the engine's readers navigate the record's
     /// [`RecordView`] and decode nothing.
     pub fn load(&self, rid: Rid) -> TreeResult<RecordTree> {
-        match self.versions.ambient_read_epoch() {
-            None => self.load_current(rid),
-            Some(_) => self.view(rid)?.decode(),
-        }
+        self.view(rid)?.decode()
     }
 
     /// The read path's one record accessor: the view of `rid` for the
@@ -326,11 +323,6 @@ impl TreeStore {
         self.with_record(rid, |bytes, table| {
             RecordView::parse(bytes.to_vec(), table, rid)
         })
-    }
-
-    /// Loads and decodes the on-page image of `rid` (no versioning).
-    fn load_current(&self, rid: Rid) -> TreeResult<RecordTree> {
-        self.with_record(rid, |bytes, table| record::deserialize(bytes, &table, rid))
     }
 
     /// The on-page record `rid`, decoded for an edit, and its proxy (or
@@ -1495,7 +1487,7 @@ impl TreeStore {
         // an edit deep in a packed corpus then rewrites one cluster
         // instead of the whole ancestor chain.
         if let Some(host) = self.lazy_cluster_host(rid)? {
-            let mut tree = self.load_current(host)?;
+            let mut tree = self.view_current(host)?.decode()?;
             self.inline_continuations(host, &mut tree, &mut ctx)?;
             self.store_updated(host, tree, &mut ctx)?;
             self.apply_patches(&mut ctx)?;
