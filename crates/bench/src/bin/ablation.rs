@@ -8,17 +8,15 @@
 //!   tree if insertion is mainly on the right side" (pre-order appends);
 //! * **split tolerance** sweep (2 %, 5 %, 10 %, 20 % of the page):
 //!   fragmentation vs separator quality;
-//! * **merge extension** on/off under a delete-heavy workload;
 //! * **buffer size** sweep for the incremental build (thrash threshold).
 //!
 //! ```sh
 //! cargo run --release -p natix-bench --bin ablation
 //! ```
 
-use natix::{Repository, RepositoryOptions, SplitMatrix, TreeConfig};
+use natix::{Repository, RepositoryOptions, TreeConfig};
 use natix_bench::{build_repo, Mode, Order};
 use natix_corpus::{generate_play, CorpusConfig};
-use natix_tree::InsertPos;
 
 fn corpus() -> CorpusConfig {
     CorpusConfig {
@@ -89,42 +87,6 @@ fn main() {
         });
         let (r, b, h, d) = summarise(&repo);
         println!("{tol:>8.2} {r:>9} {b:>10} {h:>9} {d:>6}");
-    }
-
-    println!("\n== merge extension under churn (2K pages) ==");
-    for merge in [false, true] {
-        let repo = Repository::create_in_memory(RepositoryOptions {
-            page_size: 2048,
-            tree_config: TreeConfig {
-                merge_enabled: merge,
-                ..TreeConfig::paper()
-            },
-            matrix: SplitMatrix::all_other(),
-            ..RepositoryOptions::default()
-        })
-        .expect("create");
-        let id = repo.create_document("doc", "root").expect("doc");
-        let root = repo.root(id).expect("root");
-        let mut kids = Vec::new();
-        for i in 0..400 {
-            let e = repo
-                .insert_element(id, root, InsertPos::Last, "item")
-                .expect("insert");
-            repo.insert_text(
-                id,
-                e,
-                InsertPos::Last,
-                &format!("payload {i} {}", "x".repeat(20)),
-            )
-            .expect("text");
-            kids.push(e);
-        }
-        let before = repo.physical_stats("doc").expect("stats").records;
-        for &k in kids.iter().skip(10) {
-            repo.delete_node(id, k).expect("delete");
-        }
-        let after = repo.physical_stats("doc").expect("stats").records;
-        println!("merge={merge:<5}  records before delete: {before:>4}, after: {after:>4}");
     }
 
     println!("\n== buffer size sweep (per-node pre-order build, 2K pages, 1:n, sim-disk ms) ==");

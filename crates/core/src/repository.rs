@@ -440,7 +440,7 @@ pub struct RepositoryOptions {
     pub page_size: usize,
     /// Buffer pool size in bytes (the paper uses 2 MB).
     pub buffer_bytes: usize,
-    /// Tree-storage-manager configuration (split target/tolerance, merge).
+    /// Tree-storage-manager configuration (split target and tolerance).
     pub tree_config: TreeConfig,
     /// Initial split matrix (default: the native 1:n configuration).
     pub matrix: SplitMatrix,

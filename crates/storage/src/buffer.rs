@@ -752,12 +752,6 @@ impl PinnedPage {
         self.frame.dirty.store(true, Ordering::Release);
         guard
     }
-
-    /// Marks the page dirty without taking the write lock (for callers that
-    /// mutated through `write` earlier in a multi-step operation).
-    pub fn mark_dirty(&self) {
-        self.frame.dirty.store(true, Ordering::Release);
-    }
 }
 
 impl Drop for PinnedPage {

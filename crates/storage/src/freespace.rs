@@ -130,13 +130,6 @@ impl FreeSpaceInventory {
     pub fn iter(&self) -> impl Iterator<Item = (PageId, u16)> + '_ {
         self.by_page.iter().map(|(&p, &f)| (p, f))
     }
-
-    /// All tracked pages, ascending (deterministic space accounting).
-    pub fn pages_sorted(&self) -> Vec<PageId> {
-        let mut v: Vec<PageId> = self.by_page.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]

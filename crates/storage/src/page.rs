@@ -71,11 +71,6 @@ impl PageBuf {
         }
     }
 
-    /// Wraps an existing page image.
-    pub fn from_bytes(data: Box<[u8]>) -> Self {
-        PageBuf { data }
-    }
-
     /// The page size in bytes.
     #[inline]
     pub fn len(&self) -> usize {

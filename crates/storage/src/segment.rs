@@ -13,14 +13,21 @@
 //!   [`FreeSpaceInventory`] persisted to a chain of space-map pages on
 //!   [`checkpoint`](StorageManager::checkpoint).
 //!
-//! On top of that it offers RID-granular record operations used by the tree
-//! storage manager and the catalog. The paper's system has no recovery
-//! component — durability there is via explicit checkpointing. Here, when a
-//! [`Wal`] is attached via [`StorageManager::attach_wal`], allocation-state
-//! transitions (page alloc/free, segment creation) are additionally logged
-//! so recovery can rebuild the allocator from a checkpoint snapshot plus
-//! the log suffix: after a crash the header page, free-list chain and space
-//! maps on disk are all untrustworthy (they are ordinary unlogged pages).
+//! Records themselves are written by the tree store, straight onto the
+//! slotted pages it [`pin`](StorageManager::pin)s: it deposits a record's
+//! pre-image and updates the page's node-type table under the same page
+//! latch as the record write. This module picks the page
+//! ([`find_page_with_space`](StorageManager::find_page_with_space)) and
+//! tracks the free space left
+//! ([`note_free_space`](StorageManager::note_free_space)).
+//!
+//! The paper's system has no recovery component — durability there is via
+//! explicit checkpointing. Here, when a [`Wal`] is attached via
+//! [`StorageManager::attach_wal`], allocation-state transitions (page
+//! alloc/free, segment creation) are additionally logged so recovery can
+//! rebuild the allocator from a checkpoint snapshot plus the log suffix:
+//! after a crash the header page, free-list chain and space maps on disk
+//! are all untrustworthy (they are ordinary unlogged pages).
 
 use std::sync::{Arc, OnceLock};
 
@@ -30,8 +37,8 @@ use crate::buffer::{BufferManager, PinnedPage};
 use crate::error::{StorageError, StorageResult};
 use crate::freespace::FreeSpaceInventory;
 use crate::page::{PageKind, PAGE_HEADER_SIZE};
-use crate::rid::{PageId, Rid, INVALID_PAGE};
-use crate::slotted::{max_record_payload, SlottedPage, SlottedPageRef};
+use crate::rid::{PageId, INVALID_PAGE};
+use crate::slotted::SlottedPage;
 use crate::wal::{SegmentSnapshot, StoreSnapshot, Wal, WalRecord, NO_ALLOC_SEGMENT};
 
 /// Identifies a segment within a repository.
@@ -62,6 +69,11 @@ const MAX_SEGMENT_NAME: usize = 14;
 
 // Space-map page payload: entry = u32 page + u16 free bytes.
 const SPACEMAP_ENTRY: usize = 6;
+
+/// Entries one space-map page holds.
+fn spacemap_capacity(page_size: usize) -> usize {
+    (page_size - PAGE_HEADER_SIZE) / SPACEMAP_ENTRY
+}
 
 struct SegmentState {
     name: String,
@@ -95,8 +107,8 @@ impl PlacementHint {
     }
 }
 
-/// The record-manager facade: segments, page allocation, RID-level record
-/// operations and the free-space inventory.
+/// The record-manager facade: segments, page allocation and the free-space
+/// inventory.
 pub struct StorageManager {
     buffer: Arc<BufferManager>,
     state: Mutex<SmState>,
@@ -168,11 +180,21 @@ impl StorageManager {
                 )));
             }
             let nseg = page.read_u16(OFF_SEGMENT_COUNT) as usize;
+            if nseg > (stored_ps - OFF_SEGDIR) / SEGDIR_ENTRY {
+                return Err(StorageError::Corrupt(format!(
+                    "segment count {nseg} overflows the header page"
+                )));
+            }
             let mut heads = Vec::with_capacity(nseg);
             for i in 0..nseg {
                 let at = OFF_SEGDIR + i * SEGDIR_ENTRY;
                 let head = page.read_u32(at);
                 let name_len = page.read_u16(at + 4) as usize;
+                if name_len > MAX_SEGMENT_NAME {
+                    return Err(StorageError::Corrupt(format!(
+                        "segment {i}: name length {name_len}"
+                    )));
+                }
                 let name =
                     String::from_utf8_lossy(&page.bytes()[at + 6..at + 6 + name_len]).into_owned();
                 heads.push((head, name));
@@ -183,11 +205,17 @@ impl StorageManager {
                 heads,
             )
         };
+        let per_page = spacemap_capacity(buffer.page_size());
         let mut segments = Vec::with_capacity(seg_heads.len());
         for (head, name) in seg_heads {
             let mut fsi = FreeSpaceInventory::new();
             let mut cur = head;
-            while cur != INVALID_PAGE {
+            // A chain has at most one page per allocated page; a longer
+            // walk is a cycle.
+            for _ in 0..=next_unallocated {
+                if cur == INVALID_PAGE {
+                    break;
+                }
                 let pin = buffer.pin(cur)?;
                 let page = pin.read();
                 if page.kind()? != PageKind::SpaceMap {
@@ -196,11 +224,21 @@ impl StorageManager {
                     )));
                 }
                 let n = page.slot_count() as usize;
+                if n > per_page {
+                    return Err(StorageError::Corrupt(format!(
+                        "segment '{name}': space map {cur} claims {n} entries"
+                    )));
+                }
                 for e in 0..n {
                     let at = PAGE_HEADER_SIZE + e * SPACEMAP_ENTRY;
                     fsi.set(page.read_u32(at), page.read_u16(at + 4));
                 }
                 cur = page.next_page();
+            }
+            if cur != INVALID_PAGE {
+                return Err(StorageError::Corrupt(format!(
+                    "segment '{name}': space-map chain cycles"
+                )));
             }
             segments.push(SegmentState {
                 name,
@@ -244,12 +282,6 @@ impl StorageManager {
     /// Page size of this repository.
     pub fn page_size(&self) -> usize {
         self.buffer.page_size()
-    }
-
-    /// Largest record payload a page can hold (one record per page, before
-    /// any client-level reserves such as the node-type table).
-    pub fn max_record_size(&self) -> usize {
-        max_record_payload(self.page_size())
     }
 
     fn persist_alloc_state(&self, st: &SmState) -> StorageResult<()> {
@@ -313,16 +345,6 @@ impl StorageManager {
             .iter()
             .position(|s| s.name == name)
             .map(|i| i as SegmentId)
-    }
-
-    /// Names of all segments, in id order.
-    pub fn segment_names(&self) -> Vec<String> {
-        self.state
-            .lock()
-            .segments
-            .iter()
-            .map(|s| s.name.clone())
-            .collect()
     }
 
     /// `fsi_segment` is the inventory the caller will register the page
@@ -510,102 +532,6 @@ impl StorageManager {
         }
     }
 
-    // ------------------------------------------------------------------
-    // RID-granular record operations.
-    // ------------------------------------------------------------------
-
-    /// Inserts a record into `segment`, allocating a page if necessary.
-    pub fn insert_record(
-        &self,
-        segment: SegmentId,
-        bytes: &[u8],
-        hint: PlacementHint,
-    ) -> StorageResult<Rid> {
-        if bytes.len() > self.max_record_size() {
-            return Err(StorageError::RecordTooLarge {
-                len: bytes.len(),
-                max: self.max_record_size(),
-            });
-        }
-        // +SLOT_ENTRY because a new slot may be needed.
-        let needed = bytes.len() + crate::slotted::SLOT_ENTRY_SIZE;
-        let page_id = match self.find_page_with_space(segment, needed, hint) {
-            Some(p) => p,
-            None => self.allocate_page(segment, PageKind::Slotted)?,
-        };
-        let pin = self.buffer.pin(page_id)?;
-        let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf)?;
-        let slot = sp.insert(bytes)?;
-        let free = sp.free_total();
-        drop(buf);
-        self.note_free_space(segment, page_id, free);
-        Ok(Rid::new(page_id, slot))
-    }
-
-    /// Inserts at a caller-chosen slot on a caller-chosen page (well-known
-    /// locations such as catalog roots).
-    pub fn insert_record_at(
-        &self,
-        segment: SegmentId,
-        rid: Rid,
-        bytes: &[u8],
-    ) -> StorageResult<()> {
-        let pin = self.buffer.pin(rid.page)?;
-        let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf)?;
-        sp.insert_at(rid.slot, bytes)?;
-        let free = sp.free_total();
-        drop(buf);
-        self.note_free_space(segment, rid.page, free);
-        Ok(())
-    }
-
-    /// Copies a record's payload out of the buffer.
-    pub fn read_record(&self, rid: Rid) -> StorageResult<Vec<u8>> {
-        self.with_record(rid, |b| b.to_vec())
-    }
-
-    /// Runs `f` over the record payload without copying it out.
-    pub fn with_record<R>(&self, rid: Rid, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
-        let pin = self.buffer.pin(rid.page)?;
-        let buf = pin.read();
-        let sp = SlottedPageRef::open(&buf)?;
-        match sp.get(rid.slot) {
-            Some(bytes) => Ok(f(bytes)),
-            None => Err(StorageError::RecordNotFound(rid)),
-        }
-    }
-
-    /// Replaces a record's payload in place; fails with
-    /// [`StorageError::PageFull`] when the page cannot absorb the growth
-    /// (the tree layer then moves or splits the record).
-    pub fn update_record(&self, segment: SegmentId, rid: Rid, bytes: &[u8]) -> StorageResult<()> {
-        let pin = self.buffer.pin(rid.page)?;
-        let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf)?;
-        sp.update(rid.slot, bytes)?;
-        let free = sp.free_total();
-        drop(buf);
-        self.note_free_space(segment, rid.page, free);
-        Ok(())
-    }
-
-    /// Deletes a record. The page is *not* freed even if it becomes empty —
-    /// the caller decides (the tree layer frees pages via
-    /// [`free_page`](Self::free_page) when a whole document is dropped).
-    pub fn delete_record(&self, segment: SegmentId, rid: Rid) -> StorageResult<()> {
-        let pin = self.buffer.pin(rid.page)?;
-        let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf)?;
-        sp.delete(rid.slot)
-            .map_err(|_| StorageError::RecordNotFound(rid))?;
-        let free = sp.free_total();
-        drop(buf);
-        self.note_free_space(segment, rid.page, free);
-        Ok(())
-    }
-
     /// Free bytes currently available on `page` (authoritative, not FSI).
     pub fn page_free_space(&self, page: PageId) -> StorageResult<usize> {
         let pin = self.buffer.pin(page)?;
@@ -640,7 +566,7 @@ impl StorageManager {
     pub fn checkpoint(&self) -> StorageResult<()> {
         let mut st = self.state.lock();
         // Rewrite each segment's space-map chain from the in-memory FSI.
-        let per_page = (self.page_size() - PAGE_HEADER_SIZE) / SPACEMAP_ENTRY;
+        let per_page = spacemap_capacity(self.page_size());
         for i in 0..st.segments.len() {
             let entries: Vec<(PageId, u16)> = {
                 let mut v: Vec<(PageId, u16)> = st.segments[i].fsi.iter().collect();
@@ -1014,7 +940,9 @@ impl StorageManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::MemStorage;
+    use crate::disk::{DiskBackend, MemStorage};
+    use crate::rid::Rid;
+    use crate::slotted::{SlottedPageRef, SLOT_ENTRY_SIZE};
     use crate::stats::IoStats;
 
     fn mk(page_size: usize, frames: usize) -> StorageManager {
@@ -1023,56 +951,38 @@ mod tests {
         StorageManager::create(bm).unwrap()
     }
 
-    #[test]
-    fn create_segment_and_records() {
-        let sm = mk(2048, 16);
-        let seg = sm.create_segment("docs").unwrap();
-        let rid = sm
-            .insert_record(seg, b"hello natix", PlacementHint::Anywhere)
-            .unwrap();
-        assert_eq!(sm.read_record(rid).unwrap(), b"hello natix");
-        sm.update_record(seg, rid, b"updated").unwrap();
-        assert_eq!(sm.read_record(rid).unwrap(), b"updated");
-        sm.delete_record(seg, rid).unwrap();
-        assert!(sm.read_record(rid).is_err());
+    /// Stores `bytes` the way the tree store does: a page from the
+    /// inventory (or a fresh one), a slotted-page insert, then the page's
+    /// new free space noted.
+    fn put(sm: &StorageManager, seg: SegmentId, bytes: &[u8], hint: PlacementHint) -> Rid {
+        let page = match sm.find_page_with_space(seg, bytes.len() + SLOT_ENTRY_SIZE, hint) {
+            Some(p) => p,
+            None => sm.allocate_page(seg, PageKind::Slotted).unwrap(),
+        };
+        let pin = sm.pin(page).unwrap();
+        let mut buf = pin.write();
+        let mut sp = SlottedPage::open(&mut buf).unwrap();
+        let slot = sp.insert(bytes).unwrap();
+        let free = sp.free_total();
+        drop(buf);
+        sm.note_free_space(seg, page, free);
+        Rid::new(page, slot)
+    }
+
+    fn get(sm: &StorageManager, rid: Rid) -> Vec<u8> {
+        let pin = sm.pin(rid.page).unwrap();
+        let buf = pin.read();
+        let sp = SlottedPageRef::open(&buf).unwrap();
+        sp.get(rid.slot).unwrap().to_vec()
     }
 
     #[test]
     fn placement_hint_clusters_records() {
         let sm = mk(2048, 16);
         let seg = sm.create_segment("docs").unwrap();
-        let a = sm
-            .insert_record(seg, &[0u8; 100], PlacementHint::Anywhere)
-            .unwrap();
-        let b = sm
-            .insert_record(seg, &[1u8; 100], PlacementHint::NearPage(a.page))
-            .unwrap();
+        let a = put(&sm, seg, &[0u8; 100], PlacementHint::Anywhere);
+        let b = put(&sm, seg, &[1u8; 100], PlacementHint::NearPage(a.page));
         assert_eq!(a.page, b.page, "hint should cluster on the same page");
-    }
-
-    #[test]
-    fn records_spill_to_new_pages() {
-        let sm = mk(512, 16);
-        let seg = sm.create_segment("docs").unwrap();
-        let mut pages = std::collections::HashSet::new();
-        for _ in 0..20 {
-            let rid = sm
-                .insert_record(seg, &[7u8; 200], PlacementHint::Anywhere)
-                .unwrap();
-            pages.insert(rid.page);
-        }
-        assert!(pages.len() >= 10, "two 200-byte records per 512-byte page");
-    }
-
-    #[test]
-    fn oversized_record_rejected() {
-        let sm = mk(512, 16);
-        let seg = sm.create_segment("docs").unwrap();
-        let big = vec![0u8; 600];
-        assert!(matches!(
-            sm.insert_record(seg, &big, PlacementHint::Anywhere),
-            Err(StorageError::RecordTooLarge { .. })
-        ));
     }
 
     #[test]
@@ -1098,7 +1008,7 @@ mod tests {
         let backend = Arc::new(MemStorage::new(1024).unwrap());
         let stats = IoStats::new_shared();
         let bm = Arc::new(BufferManager::new(
-            Arc::clone(&backend) as Arc<dyn crate::disk::DiskBackend>,
+            Arc::clone(&backend) as Arc<dyn DiskBackend>,
             16,
             Arc::clone(&stats),
         ));
@@ -1107,14 +1017,9 @@ mod tests {
         let seg2 = sm.create_segment("index").unwrap();
         let mut rids = Vec::new();
         for i in 0..50u8 {
-            rids.push(
-                sm.insert_record(seg, &[i; 64], PlacementHint::Anywhere)
-                    .unwrap(),
-            );
+            rids.push(put(&sm, seg, &[i; 64], PlacementHint::Anywhere));
         }
-        let irid = sm
-            .insert_record(seg2, b"idx", PlacementHint::Anywhere)
-            .unwrap();
+        let irid = put(&sm, seg2, b"idx", PlacementHint::Anywhere);
         sm.set_user_root(b"root!").unwrap();
         sm.checkpoint().unwrap();
         drop(sm);
@@ -1124,53 +1029,92 @@ mod tests {
         assert_eq!(sm.segment_by_name("docs"), Some(seg));
         assert_eq!(sm.segment_by_name("index"), Some(seg2));
         for (i, rid) in rids.iter().enumerate() {
-            assert_eq!(sm.read_record(*rid).unwrap(), vec![i as u8; 64]);
+            assert_eq!(get(&sm, *rid), vec![i as u8; 64]);
         }
-        assert_eq!(sm.read_record(irid).unwrap(), b"idx");
+        assert_eq!(get(&sm, irid), b"idx");
         assert_eq!(&sm.user_root().unwrap()[..5], b"root!");
         // FSI survives: a small record lands on an existing page.
-        let r = sm
-            .insert_record(seg, &[9u8; 16], PlacementHint::Anywhere)
-            .unwrap();
+        let r = put(&sm, seg, &[9u8; 16], PlacementHint::Anywhere);
         assert!(rids.iter().any(|old| old.page == r.page));
+    }
+
+    /// A checkpointed 1 KiB image with one segment, "docs", whose one
+    /// record is `payload`; `reopen` patches one of its pages on the
+    /// device and opens it again.
+    struct Image {
+        backend: Arc<MemStorage>,
+        bm: Arc<BufferManager>,
+        rid: Rid,
+    }
+
+    impl Image {
+        fn checkpointed() -> Image {
+            let backend = Arc::new(MemStorage::new(1024).unwrap());
+            let bm = Arc::new(BufferManager::new(
+                Arc::clone(&backend) as Arc<dyn DiskBackend>,
+                16,
+                IoStats::new_shared(),
+            ));
+            let sm = StorageManager::create(Arc::clone(&bm)).unwrap();
+            let seg = sm.create_segment("docs").unwrap();
+            let rid = put(&sm, seg, b"payload", PlacementHint::Anywhere);
+            sm.checkpoint().unwrap();
+            Image { backend, bm, rid }
+        }
+
+        fn page(&self, page: PageId) -> Vec<u8> {
+            let mut bytes = vec![0u8; 1024];
+            self.backend.read_page(page, &mut bytes).unwrap();
+            bytes
+        }
+
+        fn reopen(
+            &self,
+            page: PageId,
+            patch: impl FnOnce(&mut [u8]),
+        ) -> StorageResult<StorageManager> {
+            self.bm.clear().unwrap();
+            let mut bytes = self.page(page);
+            patch(&mut bytes);
+            self.backend.write_page(page, &bytes).unwrap();
+            self.bm.clear().unwrap();
+            StorageManager::open(Arc::clone(&self.bm))
+        }
+
+        /// Head of segment 0's space-map chain, from the header page.
+        fn spacemap_head(&self) -> PageId {
+            let hdr = self.page(0);
+            PageId::from_le_bytes(hdr[OFF_SEGDIR..OFF_SEGDIR + 4].try_into().unwrap())
+        }
+    }
+
+    fn assert_corrupt(res: StorageResult<StorageManager>, what: &str) {
+        match res {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            Err(e) => panic!("expected Corrupt({what}), got {e}"),
+            Ok(_) => panic!("expected Corrupt({what}), the store opened"),
+        }
     }
 
     /// An image whose header carries any format version but this build's
     /// must be rejected with a typed error, not misread.
     #[test]
     fn other_format_versions_are_rejected() {
-        use crate::disk::DiskBackend;
-        let backend = Arc::new(MemStorage::new(1024).unwrap());
-        let stats = IoStats::new_shared();
-        let bm = Arc::new(BufferManager::new(
-            Arc::clone(&backend) as Arc<dyn DiskBackend>,
-            16,
-            Arc::clone(&stats),
-        ));
-        let sm = StorageManager::create(Arc::clone(&bm)).unwrap();
-        let seg = sm.create_segment("docs").unwrap();
-        let rid = sm
-            .insert_record(seg, b"payload", PlacementHint::Anywhere)
-            .unwrap();
-        sm.checkpoint().unwrap();
-        drop(sm);
-
-        let reopen_with_version = |version: u32| {
-            bm.clear().unwrap();
-            let mut hdr = vec![0u8; 1024];
-            backend.read_page(0, &mut hdr).unwrap();
-            hdr[OFF_VERSION..OFF_VERSION + 4].copy_from_slice(&version.to_le_bytes());
-            backend.write_page(0, &hdr).unwrap();
-            bm.clear().unwrap();
-            StorageManager::open(Arc::clone(&bm))
+        let image = Image::checkpointed();
+        let set_version = |version: u32| {
+            move |hdr: &mut [u8]| {
+                hdr[OFF_VERSION..OFF_VERSION + 4].copy_from_slice(&version.to_le_bytes())
+            }
         };
 
-        let sm = reopen_with_version(VERSION).expect("current-version image must open");
-        assert_eq!(sm.read_record(rid).unwrap(), b"payload");
+        let sm = image
+            .reopen(0, set_version(VERSION))
+            .expect("current-version image must open");
+        assert_eq!(get(&sm, image.rid), b"payload");
         drop(sm);
 
         for bad in [0u32, VERSION - 1, VERSION + 1] {
-            let Err(err) = reopen_with_version(bad) else {
+            let Err(err) = image.reopen(0, set_version(bad)) else {
                 panic!("version {bad} must be rejected");
             };
             assert!(
@@ -1178,18 +1122,63 @@ mod tests {
                 "unexpected error for version {bad}: {err}"
             );
             // The check callers run before they read the log says the same.
-            let err = StorageManager::check_format(&bm).unwrap_err();
+            let err = StorageManager::check_format(&image.bm).unwrap_err();
             assert!(err.to_string().contains("unsupported format version"));
         }
+    }
+
+    /// A segment count larger than the header page's directory would read
+    /// entries past the page's end.
+    #[test]
+    fn an_overflowing_segment_count_is_corrupt() {
+        let image = Image::checkpointed();
+        let res = image.reopen(0, |hdr| {
+            hdr[OFF_SEGMENT_COUNT..OFF_SEGMENT_COUNT + 2].copy_from_slice(&u16::MAX.to_le_bytes())
+        });
+        assert_corrupt(res, "segment count");
+    }
+
+    /// A segment name longer than its directory entry would slice past the
+    /// page's end.
+    #[test]
+    fn an_overlong_segment_name_is_corrupt() {
+        let image = Image::checkpointed();
+        let res = image.reopen(0, |hdr| {
+            hdr[OFF_SEGDIR + 4..OFF_SEGDIR + 6].copy_from_slice(&u16::MAX.to_le_bytes())
+        });
+        assert_corrupt(res, "name length");
+    }
+
+    /// A space-map page claiming more entries than it holds would read
+    /// past the page's end.
+    #[test]
+    fn an_overfull_space_map_is_corrupt() {
+        let image = Image::checkpointed();
+        let res = image.reopen(image.spacemap_head(), |map| {
+            // The page header's slot count is the entry count.
+            map[2..4].copy_from_slice(&u16::MAX.to_le_bytes())
+        });
+        assert_corrupt(res, "entries");
+    }
+
+    /// A space-map chain whose `next_page` leads back to itself would be
+    /// walked forever.
+    #[test]
+    fn a_cyclic_space_map_chain_is_corrupt() {
+        let image = Image::checkpointed();
+        let head = image.spacemap_head();
+        let res = image.reopen(head, |map| {
+            // The page header's `next_page`.
+            map[8..12].copy_from_slice(&head.to_le_bytes())
+        });
+        assert_corrupt(res, "cycles");
     }
 
     #[test]
     fn find_page_with_space_excluding() {
         let sm = mk(512, 16);
         let seg = sm.create_segment("docs").unwrap();
-        let a = sm
-            .insert_record(seg, &[1u8; 100], PlacementHint::Anywhere)
-            .unwrap();
+        let a = put(&sm, seg, &[1u8; 100], PlacementHint::Anywhere);
         let found = sm.find_page_with_space_excluding(seg, 50, PlacementHint::Anywhere, a.page);
         assert!(found.is_none(), "only one page exists and it is excluded");
     }

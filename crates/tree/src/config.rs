@@ -13,7 +13,8 @@
 //!   fragmentation."
 //!
 //! The paper's experiments use target = ½ and tolerance = page size/10
-//! (§4.2); those are the defaults here.
+//! (§4.2); those are the defaults here. They are the only two: the growth
+//! procedure (figure 5) grows and splits records and never merges them.
 
 use natix_storage::slotted::SLOT_ENTRY_SIZE;
 use natix_storage::PAGE_HEADER_SIZE;
@@ -31,16 +32,6 @@ pub struct TreeConfig {
     /// Minimum subtree size (fraction of the page) below which the
     /// separator search stops descending. The paper's experiments use ⅒.
     pub split_tolerance: f64,
-    /// Enables the record-merge extension: after deletions, records whose
-    /// fill drops below `merge_threshold` try to absorb proxy children
-    /// whose records fit inline (§1: clustered nodes "can become records of
-    /// their own or again be merged into clusters").
-    pub merge_enabled: bool,
-    /// Fill fraction (of net capacity) under which merging is attempted.
-    pub merge_threshold: f64,
-    /// Fill fraction a merge result may not exceed (hysteresis so a merge
-    /// is not immediately undone by the next insert).
-    pub merge_fill_max: f64,
 }
 
 impl Default for TreeConfig {
@@ -48,15 +39,12 @@ impl Default for TreeConfig {
         TreeConfig {
             split_target: 0.5,
             split_tolerance: 0.1,
-            merge_enabled: false,
-            merge_threshold: 0.25,
-            merge_fill_max: 0.8,
         }
     }
 }
 
 impl TreeConfig {
-    /// The paper's §4.2 configuration (target ½, tolerance ⅒, no merging).
+    /// The paper's §4.2 configuration (target ½, tolerance ⅒).
     pub fn paper() -> TreeConfig {
         TreeConfig::default()
     }
@@ -86,9 +74,6 @@ impl TreeConfig {
                 "split_tolerance {} outside [0, 0.5]",
                 self.split_tolerance
             ));
-        }
-        if self.merge_threshold >= self.merge_fill_max {
-            return Err("merge_threshold must be below merge_fill_max".into());
         }
         Ok(())
     }
@@ -124,11 +109,6 @@ mod tests {
         assert!(c.validate().is_err());
         let c = TreeConfig {
             split_tolerance: 0.9,
-            ..TreeConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = TreeConfig {
-            merge_threshold: 0.9,
             ..TreeConfig::default()
         };
         assert!(c.validate().is_err());

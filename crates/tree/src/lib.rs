@@ -24,12 +24,12 @@
 //!   returns; a view decodes into a record tree only for a record about
 //!   to be edited;
 //! * [`matrix`] — the split matrix s_ij ∈ {0, ∞, other} (§3.3);
-//! * [`config`] — split target, split tolerance, merge knobs;
+//! * [`config`] — split target and split tolerance;
 //! * [`split`] — the tree-structured separator split (§3.2.2), pure and
 //!   testable in isolation;
 //! * [`store`] — the tree growth procedure (figure 5): insertion-location
 //!   resolution, record moves, splits with recursive separator insertion,
-//!   deletion with cascades, the merge extension, relocation events;
+//!   deletion with cascades, relocation events;
 //! * [`read`] — navigation: node lookups, logical child lists, the
 //!   record-granular scan, logical parents and label paths, all over
 //!   record views;

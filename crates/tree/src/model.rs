@@ -238,22 +238,6 @@ impl RecordTree {
         self.nodes.len()
     }
 
-    /// True when the record holds depth-aware-packing structure (prefix
-    /// entries or a continuation placeholder): an allocation-free arena
-    /// scan ([`RecordView::is_packed`](crate::record::RecordView::is_packed)
-    /// for a record read but not edited).
-    pub fn has_packed_entries(&self) -> bool {
-        self.nodes.iter().any(|n| {
-            matches!(
-                n,
-                Some(PNode {
-                    content: PContent::Prefix(_) | PContent::Continuation(_),
-                    ..
-                })
-            )
-        })
-    }
-
     /// Borrow a node. Panics on tombstones — indices are only produced by
     /// this tree's own API.
     pub fn node(&self, id: PNodeId) -> &PNode {

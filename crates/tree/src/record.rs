@@ -1180,7 +1180,13 @@ pub(crate) mod tests {
             tree.proxies_under(tree.root()),
             "{what}: targets"
         );
-        assert_eq!(view.is_packed(), tree.has_packed_entries(), "{what}");
+        let packed = tree.pre_order(tree.root()).into_iter().any(|n| {
+            matches!(
+                tree.node(n).content,
+                PContent::Prefix(_) | PContent::Continuation(_)
+            )
+        });
+        assert_eq!(view.is_packed(), packed, "{what}");
     }
 
     /// `tree` renumbered through the encoder's arena→pre-order `mapping`:

@@ -145,9 +145,9 @@ struct OpCtx {
     /// applied in order (later entries win).
     parent_patches: Vec<(Rid, Rid)>,
     /// Records deleted during this operation. Patches targeting them are
-    /// stale and skipped — e.g. a record absorbed by a merge after its
-    /// parent pointer was queued for patching. Re-creating a RID (slot
-    /// reuse within the op) clears the mark.
+    /// stale and skipped — e.g. a packed record that normalization consumes
+    /// after its parent pointer was queued for patching. Re-creating a RID
+    /// (slot reuse within the op) clears the mark.
     deleted: std::collections::HashSet<Rid>,
 }
 
@@ -1330,8 +1330,7 @@ impl TreeStore {
     }
 
     /// After removing nodes from `rid`'s tree: delete the record if it
-    /// became empty scaffolding, otherwise rewrite it (and optionally try
-    /// to merge, §1's "merged into clusters").
+    /// became empty scaffolding, otherwise rewrite it.
     fn finish_after_removal(&self, rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<()> {
         let root = tree.root();
         if tree.node(root).is_scaffolding_aggregate() && tree.children(root).is_empty() {
@@ -1341,10 +1340,6 @@ impl TreeStore {
                 self.remove_proxy_cascading(parent_rid, rid, ctx)?;
             }
             return Ok(());
-        }
-        let mut tree = tree;
-        if self.config.merge_enabled {
-            self.try_absorb(rid, &mut tree, ctx)?;
         }
         self.store_updated(rid, tree, ctx)?;
         Ok(())
@@ -1378,88 +1373,6 @@ impl TreeStore {
         let _op = self.versions.begin_write();
         let mut ctx = OpCtx::default();
         self.drop_record_recursive(root, &mut ctx)
-    }
-
-    /// Merge extension: absorb proxy children whose records fit inline
-    /// while the merged record stays under `merge_fill_max` of capacity.
-    fn try_absorb(&self, rid: Rid, tree: &mut RecordTree, ctx: &mut OpCtx) -> TreeResult<()> {
-        let capacity = self.net_capacity();
-        if tree.record_size() as f64 > capacity as f64 * self.config.merge_threshold {
-            return Ok(());
-        }
-        if tree.has_packed_entries() {
-            // Packed records are normalized before structural edits reach
-            // them; never merge into one.
-            return Ok(());
-        }
-        let budget = (capacity as f64 * self.config.merge_fill_max) as usize;
-        // Absorb one child at a time until the budget stops us.
-        let mut rejected: std::collections::HashSet<Rid> = std::collections::HashSet::new();
-        loop {
-            let mut candidate = None;
-            for id in tree.pre_order(tree.root()) {
-                if let PContent::Proxy(target) = tree.node(id).content {
-                    if rejected.contains(&target) {
-                        continue;
-                    }
-                    candidate = Some((id, target));
-                    break;
-                }
-            }
-            let Some((proxy, target)) = candidate else {
-                return Ok(());
-            };
-            let child = self.view_current(target)?;
-            if child.is_packed() {
-                // A packed child (piece or split prefix chain) cannot be
-                // inlined without breaking its group mapping.
-                rejected.insert(target);
-                continue;
-            }
-            let child_body = child.byte_len() - crate::model::STANDALONE_HEADER;
-            let inline_growth = if child.is_scaffolding_aggregate(child.root()) {
-                // Children splice in; the scaffolding root vanishes.
-                child_body
-            } else {
-                crate::model::EMBEDDED_HEADER + child_body
-            };
-            // Replacing the 14-byte proxy with the inlined subtree.
-            let new_size = tree.record_size()
-                - (crate::model::EMBEDDED_HEADER + crate::model::PROXY_BODY)
-                + inline_growth;
-            if new_size > budget {
-                return Ok(());
-            }
-            let mut child = child.decode()?;
-            let pparent = tree
-                .node(proxy)
-                .parent
-                .ok_or_else(|| TreeError::Invariant("detached proxy".into()))?;
-            let at = tree
-                .children(pparent)
-                .iter()
-                .position(|&c| c == proxy)
-                .ok_or_else(|| {
-                    TreeError::Invariant("proxy missing from its parent's child list".into())
-                })?;
-            tree.remove_subtree(proxy);
-            if child.node(child.root()).is_scaffolding_aggregate() {
-                let mut i = 0;
-                while let Some(&k) = child.children(child.root()).first() {
-                    let moved = child.transplant(k, tree);
-                    tree.attach(pparent, at + i, moved);
-                    i += 1;
-                }
-            } else {
-                let root = child.root();
-                let moved = child.transplant(root, tree);
-                tree.attach(pparent, at, moved);
-            }
-            for grand in tree.proxies_under(pparent) {
-                ctx.parent_patches.push((grand, rid));
-            }
-            self.delete_record_raw(target, ctx)?;
-        }
     }
 
     // ==================================================================

@@ -6,8 +6,8 @@
 //! 1. every record parses under its page's node-type table;
 //! 2. every record's size is within the net page capacity;
 //! 3. scaffolding aggregates appear only as record roots (they are created
-//!    exclusively as partition-group helpers, and special case 2 plus the
-//!    merge path preserve this);
+//!    exclusively as partition-group helpers, and special case 2 preserves
+//!    this);
 //! 4. every non-root record's standalone parent pointer names the record
 //!    whose proxy refers to it;
 //! 5. the proxy graph is acyclic (each record is reached exactly once);
@@ -160,8 +160,8 @@ pub fn check_tree(store: &TreeStore, root: Rid) -> TreeResult<PhysicalStats> {
     Ok(stats)
 }
 
-/// Statistics without the invariant failures (tolerates e.g. merged or
-/// exotic configurations during benchmarking) — counts only.
+/// The tree's physical statistics: [`check_tree`], which also fails on
+/// the first broken invariant.
 pub fn physical_stats(store: &TreeStore, root: Rid) -> TreeResult<PhysicalStats> {
     check_tree(store, root)
 }

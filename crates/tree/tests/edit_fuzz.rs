@@ -1,6 +1,6 @@
-//! Deterministic mini-fuzzer for the merge (absorb) path: random insert /
-//! delete / update sequences with verification after every operation, so a
-//! failure pinpoints the exact op.
+//! Deterministic mini-fuzzer for the edit paths on the paper's
+//! configuration: random insert / delete / update sequences with
+//! verification after every operation, so a failure pinpoints the exact op.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,14 +109,10 @@ fn run(seed: u64, nops: usize, verify_each: bool) {
     let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
     let sm = Arc::new(StorageManager::create(bm).unwrap());
     let seg = sm.create_segment("docs").unwrap();
-    let config = TreeConfig {
-        merge_enabled: true,
-        ..TreeConfig::paper()
-    };
     let store = TreeStore::new(
         sm,
         seg,
-        config,
+        TreeConfig::paper(),
         SplitMatrix::all_other(),
         Default::default(),
     )
@@ -134,28 +130,6 @@ fn run(seed: u64, nops: usize, verify_each: bool) {
     h.rev.insert(NodePtr::new(root_rid, 0), 0);
 
     for op in 0..nops {
-        if std::env::var("MERGE_FUZZ_DUMP").is_ok() && seed == 2 && op == 125 {
-            eprintln!("== state before op {op}, root={}", h.root_rid);
-            for (page, _) in h.store.storage().segment_pages(h.store.segment()) {
-                let pin = h.store.storage().pin(page).unwrap();
-                let buf = pin.read();
-                let sp = natix_storage::slotted::SlottedPageRef::open(&buf).unwrap();
-                for s in sp.live_slots().filter(|&s| s != 0) {
-                    let rid = Rid::new(page, s);
-                    match h.store.load(rid) {
-                        Ok(t) => eprintln!(
-                            "  {rid}: parent={} label={} scaffold={} nodes={} proxies={:?}",
-                            t.parent_rid,
-                            t.node(t.root()).label,
-                            t.node(t.root()).is_scaffolding_aggregate(),
-                            t.live_count(),
-                            t.proxies_under(t.root())
-                        ),
-                        Err(e) => eprintln!("  {rid}: PARSE ERROR {e}"),
-                    }
-                }
-            }
-        }
         let kind = rng.below(10);
         let desc;
         if kind < 6 {
@@ -270,7 +244,7 @@ fn run(seed: u64, nops: usize, verify_each: bool) {
 }
 
 #[test]
-fn merge_fuzz_many_seeds() {
+fn edit_fuzz_many_seeds() {
     for seed in 0..60 {
         run(seed, 150, true);
     }

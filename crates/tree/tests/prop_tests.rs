@@ -277,23 +277,8 @@ fn random_ops_preserve_document() {
         let config = TreeConfig {
             split_target: f64_range(&mut g, 0.2, 0.8),
             split_tolerance: f64_range(&mut g, 0.02, 0.3),
-            ..TreeConfig::paper()
         };
         run_ops(page_size, matrix, config, &ops);
-    }
-}
-
-#[test]
-fn random_ops_with_merging() {
-    for case in 0..48u64 {
-        let mut g = Gen::new(0x4E46 ^ case);
-        let ops = random_ops(&mut g, 1, 100);
-        let page_size = [512usize, 1024][g.below(2)];
-        let config = TreeConfig {
-            merge_enabled: true,
-            ..TreeConfig::paper()
-        };
-        run_ops(page_size, SplitMatrix::all_other(), config, &ops);
     }
 }
 

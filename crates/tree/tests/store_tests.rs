@@ -441,40 +441,6 @@ fn oversized_single_node_rejected() {
 }
 
 #[test]
-fn merge_absorbs_small_records() {
-    let mut config = TreeConfig::paper();
-    config.merge_enabled = true;
-    let store = mk_store(512, SplitMatrix::all_other(), config);
-    let mut sh = Shadow::new(&store, 1);
-    let mut kids = Vec::new();
-    for i in 0..80 {
-        let e = sh.insert(&store, 0, InsertPos::Last, 2, NewNode::Element);
-        sh.insert(&store, e, InsertPos::Last, LABEL_TEXT, text(12, i));
-        kids.push(e);
-    }
-    sh.verify(&store);
-    let before = check_tree(&store, sh.root_rid).unwrap();
-    // Delete most of the content; merging should shrink the record count
-    // rather than leaving a chain of near-empty records.
-    for &e in kids.iter().skip(4) {
-        let res = store.delete_subtree(sh.ptr(e)).unwrap();
-        for n in sh.doc.pre_order_from(e).collect::<Vec<_>>() {
-            if let Some(p) = sh.map.remove(&n) {
-                sh.rev.remove(&p);
-            }
-        }
-        sh.apply(&res);
-        sh.doc.detach(e);
-    }
-    sh.verify(&store);
-    let after = check_tree(&store, sh.root_rid).unwrap();
-    assert!(
-        after.records < before.records / 2,
-        "merge should reclaim records: before {before:?}, after {after:?}"
-    );
-}
-
-#[test]
 fn drop_tree_frees_all_records() {
     let store = mk_store(512, SplitMatrix::all_other(), TreeConfig::paper());
     let mut sh = Shadow::new(&store, 1);

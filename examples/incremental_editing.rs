@@ -1,6 +1,6 @@
 //! Node-granular editing under churn: the dynamic behaviour of §3 — records
-//! split as subtrees grow and (with the merge extension) coalesce again as
-//! they shrink, while logical node ids stay stable throughout.
+//! split as subtrees grow and are rewritten or freed as they shrink, while
+//! logical node ids stay stable throughout.
 //!
 //! Since the record-level-versioning refactor the whole edit API takes
 //! `&self`: this example drives the growth phase from the main thread
@@ -14,16 +14,12 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use natix::{PathQuery, Repository, RepositoryOptions, TreeConfig};
+use natix::{PathQuery, Repository, RepositoryOptions};
 use natix_tree::InsertPos;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let repo = Repository::create_in_memory(RepositoryOptions {
         page_size: 2048,
-        tree_config: TreeConfig {
-            merge_enabled: true,
-            ..TreeConfig::paper()
-        },
         ..RepositoryOptions::default()
     })?;
 
@@ -91,9 +87,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("entry 150 now: {}", repo.text_content(doc, entries[150])?);
 
-    // Shrink: delete 90% of the entries; with merging enabled, records are
-    // absorbed back into their parents ("clustered nodes can become records
-    // of their own or again be merged into clusters", §1).
+    // Shrink: delete 90% of the entries. A record that loses its last node
+    // is freed; the others are rewritten smaller. Records are never merged
+    // (figure 5 only grows and splits them), so the survivors stay spread
+    // over the records the growth phase made.
     for (i, &e) in entries.iter().enumerate() {
         if i % 10 != 0 {
             repo.delete_node(doc, e)?;
@@ -101,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let s = repo.physical_stats("notebook")?;
     println!(
-        "after deleting 270 entries: {} records, {} facade nodes (merge extension at work)",
+        "after deleting 270 entries: {} records, {} facade nodes",
         s.records, s.facade_nodes
     );
 

@@ -213,10 +213,6 @@ fn hyperstorm_style_matrix_round_trips() {
 fn heavy_editing_session_stays_consistent() {
     let repo = Repository::create_in_memory(RepositoryOptions {
         page_size: 1024,
-        tree_config: natix::TreeConfig {
-            merge_enabled: true,
-            ..natix::TreeConfig::paper()
-        },
         ..Default::default()
     })
     .unwrap();
