@@ -20,8 +20,8 @@
 //! * **The checkpoint.** [`capture`] is the directory as the list of
 //!   deltas that builds it from empty, taken as one cut under the same
 //!   locks. `Repository::checkpoint`, its only caller, puts the cut into
-//!   the checkpoint record and hands the same cut to the catalog document
-//!   ([`crate::catalog`]).
+//!   the checkpoint record, which is its one consumer: the directory has
+//!   no other durable form.
 //! * **Recovery.** [`fold`] is linear: the last checkpoint's deltas, then
 //!   every later delta in log order. "Later" means at or above the
 //!   checkpoint's **horizon** — the log's end as `checkpoint` read it
@@ -91,9 +91,8 @@ fn corrupt(what: impl std::fmt::Display) -> NatixError {
     NatixError::Catalog(format!("directory: {what}"))
 }
 
-/// The stored code of a label kind — one ASCII byte, in a payload and
-/// (as a one-character string) in the catalog document.
-pub(crate) fn kind_code(kind: LabelKind) -> u8 {
+/// The stored code of a label kind — one ASCII byte.
+fn kind_code(kind: LabelKind) -> u8 {
     match kind {
         LabelKind::Element => b'e',
         LabelKind::Attribute => b'a',
@@ -101,7 +100,7 @@ pub(crate) fn kind_code(kind: LabelKind) -> u8 {
     }
 }
 
-pub(crate) fn kind_from(code: u8) -> NatixResult<LabelKind> {
+fn kind_from(code: u8) -> NatixResult<LabelKind> {
     Ok(match code {
         b'e' => LabelKind::Element,
         b'a' => LabelKind::Attribute,
@@ -111,7 +110,7 @@ pub(crate) fn kind_from(code: u8) -> NatixResult<LabelKind> {
 }
 
 /// The stored code of a split behaviour, like [`kind_code`].
-pub(crate) fn behaviour_code(b: SplitBehaviour) -> u8 {
+fn behaviour_code(b: SplitBehaviour) -> u8 {
     match b {
         SplitBehaviour::Standalone => b's',
         SplitBehaviour::KeepWithParent => b'i',
@@ -119,7 +118,7 @@ pub(crate) fn behaviour_code(b: SplitBehaviour) -> u8 {
     }
 }
 
-pub(crate) fn behaviour_from(code: u8) -> NatixResult<SplitBehaviour> {
+fn behaviour_from(code: u8) -> NatixResult<SplitBehaviour> {
     Ok(match code {
         b's' => SplitBehaviour::Standalone,
         b'i' => SplitBehaviour::KeepWithParent,
@@ -292,21 +291,21 @@ pub(crate) fn capture(repo: &Repository) -> Vec<Delta> {
 // ======================================================================
 
 /// What a list of deltas adds up to.
-pub(crate) struct Directory {
+struct Directory {
     /// The whole alphabet, built-ins included: a label's id is its
     /// position.
-    pub(crate) labels: Vec<LabelRef>,
+    labels: Vec<LabelRef>,
     /// Document name → (registration order, root record).
-    pub(crate) docs: HashMap<String, (u64, Rid)>,
+    docs: HashMap<String, (u64, Rid)>,
     registered: u64,
-    pub(crate) matrix_default: SplitBehaviour,
-    pub(crate) rules: HashMap<(LabelRef, LabelRef), SplitBehaviour>,
-    pub(crate) dtds: Vec<(String, String)>,
+    matrix_default: SplitBehaviour,
+    rules: HashMap<(LabelRef, LabelRef), SplitBehaviour>,
+    dtds: Vec<(String, String)>,
 }
 
 impl Directory {
     /// Applies `deltas`, in order, to the empty directory.
-    pub(crate) fn build(deltas: &[Delta]) -> NatixResult<Directory> {
+    fn build(deltas: &[Delta]) -> NatixResult<Directory> {
         let mut dir = Directory {
             labels: SymbolTable::new()
                 .iter()
@@ -375,7 +374,7 @@ impl Directory {
     }
 
     /// The documents in registration order.
-    pub(crate) fn docs_in_order(&self) -> Vec<(&str, Rid)> {
+    fn docs_in_order(&self) -> Vec<(&str, Rid)> {
         let mut docs: Vec<_> = self.docs.iter().collect();
         docs.sort_unstable_by_key(|(_, &(order, _))| order);
         docs.into_iter()
@@ -391,7 +390,7 @@ pub(crate) fn fold(
     analysis: &Analysis<'_>,
     records: &[(u64, WalRecord)],
 ) -> NatixResult<Vec<Delta>> {
-    let mut deltas = decode(&analysis.snapshot.catalog)?;
+    let mut deltas = decode(&analysis.snapshot.directory)?;
     // natix-model fail point: folding from the checkpoint *record* drops
     // every delta appended while the checkpoint ran that its cut did not
     // see — the model suite's directory-log scenario catches the loss.
@@ -410,10 +409,9 @@ pub(crate) fn fold(
     Ok(deltas)
 }
 
-/// Installs the directory `deltas` add up to into a newly built
-/// repository — the only code that does, whether the deltas come from the
-/// log or, when no log holds a checkpoint, from the catalog document:
-/// alphabet, matrix, DTDs, then the documents. The caller suppresses
+/// Installs the directory `deltas` add up to — the log's, from [`fold`] —
+/// into a newly built repository, the only code that does: alphabet,
+/// matrix, DTDs, then the documents. The caller suppresses
 /// logging — what is restored is already in the log, or about to be
 /// checkpointed into it. Node ids are not restored: a reopened document
 /// binds them on first use, like a freshly loaded one.
@@ -516,7 +514,7 @@ mod tests {
                 next_unallocated: 1,
                 free_list: Vec::new(),
                 segments: Vec::new(),
-                catalog: encode(cut),
+                directory: encode(cut),
             })))
         }
 

@@ -19,10 +19,11 @@
 //!   edit runs as a body of its `edit` routine, every load through its
 //!   `publish_load`, on the one document store ([`ingest`] is a worker
 //!   pool over [`Repository::put_xml_streaming`]);
-//! * the **schema manager** ([`schema`]) and the **system catalog**
-//!   (`catalog.rs`) — stored, as in the paper, *as an XML document inside
-//!   the system itself* — the on-page form of the repository directory,
-//!   whose delta records, log fold and restore live in `directory.rs`;
+//! * the **schema manager** ([`schema`]) and the **repository
+//!   directory** (`directory.rs`: alphabet, documents, split matrix,
+//!   DTDs) — the paper keeps its system catalog as an XML document inside
+//!   the system; here the directory's durable form is its delta records
+//!   in the log, folded over the last checkpoint record's copy;
 //! * the **path summary** ([`path_summary`]): the engine's one derived
 //!   structure — per-document label-path counts, versioned with the
 //!   snapshot epochs and rebuilt rather than persisted — and the
@@ -57,7 +58,6 @@
 #![deny(let_underscore_drop)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub(crate) mod catalog;
 pub(crate) mod directory;
 pub mod document;
 pub mod error;

@@ -26,19 +26,16 @@
 //!   the checkpoint's directory, in log order, every delta at or above
 //!   the same horizon that is unconditional or whose operation committed.
 //!
-//! The catalog *document* (the on-page form of the directory, see
-//! [`crate::catalog`]) is **not** recovered from its pages: its rewrite
-//! during a checkpoint runs log-suppressed, so its page states after a
-//! crash are untrustworthy. Recovery instead returns the catalog
-//! segment's pages to the free pool (unless a committed operation
-//! re-used them since the checkpoint); the checkpoint that ends recovery
-//! writes a fresh catalog document.
+//! Every open of a store runs this, logged or not: the last checkpoint
+//! record is the only durable copy of the allocator and the directory (a
+//! store without per-operation logging has just that record), and a log
+//! without one is refused.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use natix_storage::slotted::SlottedPage;
-use natix_storage::wal::{StoreSnapshot, WalRecord, NO_ALLOC_SEGMENT};
+use natix_storage::wal::{StoreSnapshot, WalRecord};
 use natix_storage::{BufferManager, PageId, PageKind, StorageError, StorageManager};
 
 use crate::directory::Delta;
@@ -62,8 +59,7 @@ pub(crate) struct Analysis<'a> {
     pub(crate) forced: HashMap<PageId, u64>,
 }
 
-/// `None`: the log holds no checkpoint, so there is nothing to recover
-/// from (a store that never ran with a log).
+/// `None`: the log holds no checkpoint.
 pub(crate) fn analyse(records: &[(u64, WalRecord)]) -> Option<Analysis<'_>> {
     let (checkpoint_lsn, snapshot) = records.iter().rev().find_map(|(lsn, r)| match r {
         WalRecord::Checkpoint(s) => Some((*lsn, s.as_ref())),
@@ -96,48 +92,24 @@ pub(crate) fn analyse(records: &[(u64, WalRecord)]) -> Option<Analysis<'_>> {
 /// Replays the log against `buffer`'s backend: restores the allocator
 /// from the last checkpoint, folds post-checkpoint allocation events,
 /// redoes committed page images, rolls back in-flight operations from
-/// their pre-images, and folds the directory. `catalog_segment` names
-/// the segment whose pages are rebuilt rather than recovered (see the
-/// module docs). Returns the restored storage manager and the directory
-/// to install once the repository object exists — or `None` when the log
-/// holds no checkpoint and the base file is authoritative.
+/// their pre-images, and folds the directory. Returns the restored
+/// storage manager and the directory to install once the repository
+/// object exists. A log without a checkpoint is a
+/// [`NatixError::Catalog`]: nothing else holds the allocator or the
+/// directory.
 pub(crate) fn replay(
     buffer: Arc<BufferManager>,
     records: &[(u64, WalRecord)],
-    catalog_segment: &str,
-) -> NatixResult<Option<(Arc<StorageManager>, Vec<Delta>)>> {
-    let Some(analysis) = analyse(records) else {
-        return Ok(None);
-    };
+) -> NatixResult<(Arc<StorageManager>, Vec<Delta>)> {
+    let analysis = analyse(records)
+        .ok_or_else(|| NatixError::Catalog("the log holds no checkpoint".into()))?;
     let (ckpt_lsn, committed) = (analysis.checkpoint_lsn, &analysis.committed);
-
-    // --- Which pages committed operations redo.
-    let mut committed_pages: HashSet<PageId> = HashSet::new();
-    for (_, r) in records {
-        if let WalRecord::PageImage { op, page, .. } = r {
-            if committed.contains(op) {
-                committed_pages.insert(*page);
-            }
-        }
-    }
-
-    // The checkpoint's catalog pages are not recovered (their rewrite is
-    // log-suppressed): drop them from the segment and return them to the
-    // free pool — unless a committed operation re-allocated one since
-    // the checkpoint, in which case redo below owns its content.
-    let mut snap: StoreSnapshot = analysis.snapshot.clone();
-    if let Some(cat) = snap.segments.iter_mut().find(|s| s.name == catalog_segment) {
-        for (p, _) in std::mem::take(&mut cat.pages) {
-            if !committed_pages.contains(&p) && !snap.free_list.contains(&p) {
-                snap.free_list.push(p);
-            }
-        }
-    }
+    let snap = analysis.snapshot;
 
     // --- Restore the allocator and fold post-checkpoint allocation.
     let sm = Arc::new(StorageManager::restore_from_snapshot(
         Arc::clone(&buffer),
-        &snap,
+        snap,
     )?);
     let mut free: Vec<PageId> = snap.free_list.clone();
     let mut next = snap.next_unallocated.max(1);
@@ -156,11 +128,7 @@ pub(crate) fn replay(
             WalRecord::Alloc { page, segment } => {
                 free.retain(|p| p != page);
                 next = next.max(page + 1);
-                if *segment == NO_ALLOC_SEGMENT {
-                    adopted.remove(page);
-                } else {
-                    adopted.insert(*page, *segment);
-                }
+                adopted.insert(*page, *segment);
             }
             WalRecord::Free { page } => {
                 free.push(*page);
@@ -269,5 +237,5 @@ pub(crate) fn replay(
     // full checkpoint happens to rebuild the free list. Release them now.
     sm.reclaim_untracked_pages()?;
 
-    Ok(Some((sm, crate::directory::fold(&analysis, records)?)))
+    Ok((sm, crate::directory::fold(&analysis, records)?))
 }

@@ -2,9 +2,9 @@
 //!
 //! A [`Repository`] owns the storage stack of the paper's figure 1: disk
 //! backend (optionally behind the measurement disk model), buffer manager,
-//! record manager, one tree store for documents and one for the system
-//! catalog, plus the schema manager. Documents are named; node-granular
-//! operations live in [`crate::document`].
+//! record manager, the one tree store for documents, the schema manager
+//! and the log. Documents are named; node-granular operations live in
+//! [`crate::document`].
 //!
 //! # Concurrency model
 //!
@@ -116,10 +116,11 @@
 //! That module is the only code that *can* publish: the gate and the
 //! directory log are private to it, and opening a write operation or
 //! scheduling a publish hook (`natix_tree`'s two publishing primitives) is
-//! disallowed by `clippy.toml` outside its three `#[expect]`-ed calls. Five routines end in the gate — `edit`,
-//! `publish_load`, [`Repository::checkpoint`],
-//! [`Repository::set_matrix_rule`], [`Repository::register_dtd`] — and
-//! `crash_recovery.rs` has a test for each that fails without the call.
+//! disallowed by `clippy.toml` outside its three `#[expect]`-ed calls. Four routines end in the gate — `edit`,
+//! `publish_load`, [`Repository::set_matrix_rule`],
+//! [`Repository::register_dtd`] — and [`Repository::checkpoint`] syncs its
+//! own record; `crash_recovery.rs` has a test for each that fails without
+//! the call.
 //!
 //! # Record versions and the latch discipline
 //!
@@ -131,8 +132,7 @@
 //!   order: (1) the target document's **edit latch** (a per-document
 //!   mutex inside `DocState` — writers of one document are serialised,
 //!   writers of different documents are not), (2) a **write operation**
-//!   of the shared version store (both tree stores of this repository —
-//!   documents and catalog — feed one [`natix_tree::VersionStore`]),
+//!   of the shared [`natix_tree::VersionStore`],
 //!   (3) page pins/frame locks, one page
 //!   at a time. No latch is ever taken while holding a page pin, so the
 //!   hierarchy is acyclic.
@@ -278,14 +278,26 @@
 //!
 //! # Durability
 //!
-//! When a log device is attached (the default for file-backed and
-//! crash-harness repositories; `durability: None` disables it), nothing
-//! acknowledged is ever lost. The write-ahead log
+//! Every repository has a log: a `.wal` sidecar beside a file store, an
+//! in-memory device otherwise. Its checkpoint record is the only durable
+//! copy of the allocator (high-water mark, free list, segments and their
+//! free-space inventories) and of the directory; the page file holds
+//! pages and a header — magic, format version, page size — written once,
+//! at creation. So opening a store *is* recovery: `Repository::build`
+//! reads the log's last checkpoint and what follows it, and a log without
+//! one is refused with [`NatixError::Catalog`]. Every build ends in a
+//! checkpoint.
+//!
+//! With `durability` set (the default), every operation is logged and
+//! nothing acknowledged is ever lost. The write-ahead log
 //! ([`natix_storage::wal`]) sits **below** every lock above: no lock in
 //! the hierarchy is ever taken while holding the log's append mutex, and
 //! log appends happen either inside an operation (pre-images, allocation
 //! events — under whatever latches that operation already holds) or at
-//! its publish point.
+//! its publish point. With `durability: None` the log gets the checkpoint
+//! records and nothing else — no WAL rule, no commit hook, no directory
+//! deltas, no durability gate — and what the last [`Repository::checkpoint`]
+//! wrote is what a reopen finds.
 //!
 //! The commit protocol rides the version store's publish point:
 //!
@@ -336,11 +348,14 @@
 //!
 //! [`Repository::checkpoint`] is fuzzy: it captures the directory,
 //! flushes the pool, snapshots the allocator and — only when no write
-//! operation is active and nothing was logged meanwhile — atomically
-//! truncate-resets the log to a single checkpoint record (whose horizon
-//! is 0: LSNs restart in the new log's coordinates); otherwise the
-//! checkpoint appends behind the running operations' records and the log
-//! keeps its history.
+//! operation is active and nothing was logged meanwhile — replaces the
+//! log with a single checkpoint record (whose horizon is 0: LSNs restart
+//! in the new log's coordinates). The replacement is one step of the log
+//! device ([`LogDevice::replace`]: a swap of the in-memory image, a
+//! rename over the sidecar file), so a crash inside it leaves the old log
+//! or the new one, and a store's log holds a checkpoint at every instant.
+//! Otherwise the checkpoint appends behind the running operations'
+//! records and the log keeps its history.
 //!
 //! Known limitations: page writes are assumed atomic at the backend's
 //! page size (ROADMAP open item 2) — and a torn forced page of a
@@ -348,12 +363,15 @@
 //! unrepairable from the log and, without a page checksum, undetected:
 //! item 2's checksum and first-touch image must cover it. Two operations'
 //! images of one page are ordered in the log by append, not by capture
-//! (item 2's page LSN decides it). And a checkpoint does not yet record
+//! (item 2's page LSN decides it). A checkpoint does not yet record
 //! which operations are active: its capture can see the deletion or root
 //! move of an operation that has published but not yet appended its
 //! commit record, and a crash between that checkpoint's record and that
 //! commit record becoming durable rolls the operation back under a
-//! directory that kept its change (ROADMAP open item 3a).
+//! directory that kept its change (ROADMAP open item 3a). The checkpoint
+//! record holds the whole allocator and directory, so its size grows
+//! with the collection (ROADMAP open item 3). And the tree layer does not
+//! return an emptied page to the free list (ROADMAP open item 10).
 //!
 //! # Model-checked protocols
 //!
@@ -447,11 +465,12 @@ pub struct RepositoryOptions {
     /// When set, all I/O is charged to this mechanical-disk model and the
     /// simulated clock in [`IoStats`] (used by the benchmark harness).
     pub disk_profile: Option<DiskProfile>,
-    /// Write-ahead logging. `Some(_)` makes every completed write
-    /// operation durable before its API call returns (concurrent commits
-    /// share one log sync). `None` disables the log entirely: durability
-    /// then comes only from explicit [`Repository::checkpoint`] calls (the
-    /// paper's measurement configuration, where logging is out of scope).
+    /// Write-ahead logging. `Some(_)` logs every write operation and makes
+    /// it durable before its API call returns (concurrent commits share
+    /// one log sync). `None` logs no operation: durability then comes only
+    /// from explicit [`Repository::checkpoint`] calls, whose records still
+    /// go to the repository's log (the paper's measurement configuration,
+    /// where logging is out of scope).
     pub durability: Option<WalSyncMode>,
 }
 
@@ -522,7 +541,6 @@ impl DocRegistry {
 pub struct Repository {
     pub(crate) sm: Arc<StorageManager>,
     pub(crate) tree: TreeStore,
-    pub(crate) catalog_tree: TreeStore,
     pub(crate) symbols: Arc<RwLock<SymbolTable>>,
     /// Count of label rows already logged as `Symbols` deltas. The commit
     /// hook appends the alphabet's growth past this watermark before each
@@ -535,11 +553,15 @@ pub struct Repository {
     pub(crate) options: RepositoryOptions,
     stats: Arc<IoStats>,
     sim: Option<Arc<dyn SimControl>>,
-    /// Write-ahead log, when the repository was built with one. Present
-    /// ⇒ every write ends in the durability gate (`write.rs`).
+    /// The log every repository has: its checkpoint records are the only
+    /// durable copy of the allocator and the directory.
+    pub(crate) log: Arc<Wal>,
+    /// The same log when every operation is logged to it (`durability`
+    /// set): present ⇒ every write ends in the durability gate
+    /// (`write.rs`).
     pub(crate) wal: Option<Arc<Wal>>,
-    /// Serialises catalog checkpoints (two racing checkpoints would drop
-    /// each other's catalog tree); ordinary edits and reads do not take it.
+    /// Serialises checkpoints (two racing ones could each reset the log
+    /// under the other's record); ordinary edits and reads do not take it.
     pub(crate) checkpoint_lock: Mutex<()>,
     /// Per-document path summaries (epoch-versioned label-path counts);
     /// built at load or lazily by the planner, maintained by structural
@@ -548,60 +570,48 @@ pub struct Repository {
 }
 
 impl Repository {
+    /// The one constructor: a fresh store is formatted, an existing one
+    /// is opened through recovery — its log's last checkpoint is the only
+    /// copy of the allocator and the directory — and either way the build
+    /// ends in a checkpoint.
     fn build(
         backend: Arc<dyn DiskBackend>,
-        log: Option<Box<dyn LogDevice>>,
+        log: Box<dyn LogDevice>,
         sim: Option<Arc<dyn SimControl>>,
         options: RepositoryOptions,
         stats: Arc<IoStats>,
         fresh: bool,
     ) -> NatixResult<Repository> {
+        if backend.page_size() != options.page_size {
+            return Err(NatixError::Catalog(format!(
+                "backend page size {} != options page size {}",
+                backend.page_size(),
+                options.page_size
+            )));
+        }
         let bm = Arc::new(BufferManager::with_buffer_bytes(
             backend,
             options.buffer_bytes,
             Arc::clone(&stats),
         ));
-        // A non-fresh open whose log holds a checkpoint recovers from the
-        // log (the base file may be mid-crash); otherwise — fresh store,
-        // no log, or a log never checkpointed (pre-logging store) — the
-        // base file is authoritative.
-        let mut recovered = None;
-        let sm = if fresh {
-            Arc::new(StorageManager::create(Arc::clone(&bm))?)
+        let (sm, restored) = if fresh {
+            let sm = Arc::new(StorageManager::create(Arc::clone(&bm))?);
+            sm.create_segment("documents")?;
+            (sm, None)
         } else {
             // Before the log is read (and its tail trimmed): the log has
             // no version of its own, and another format's records would
             // read as a torn tail.
             StorageManager::check_format(&bm)?;
-            let records = match &log {
-                Some(device) => Wal::read_log(&**device)?,
-                None => Vec::new(),
-            };
-            match crate::recovery::replay(Arc::clone(&bm), &records, "catalog")? {
-                Some((sm, directory)) => {
-                    recovered = Some(directory);
-                    sm
-                }
-                None => Arc::new(StorageManager::open(Arc::clone(&bm))?),
-            }
+            let (sm, directory) = crate::recovery::replay(Arc::clone(&bm), &Wal::read_log(&*log)?)?;
+            (sm, Some(directory))
         };
-        let (docs_seg, cat_seg) = if fresh {
-            (
-                sm.create_segment("documents")?,
-                sm.create_segment("catalog")?,
-            )
-        } else {
-            let find = |name: &str| {
-                sm.segment_by_name(name)
-                    .ok_or_else(|| NatixError::Catalog(format!("missing {name} segment")))
-            };
-            (find("documents")?, find("catalog")?)
-        };
-        // One version store for both tree stores of this repository —
-        // the only place the engine builds either: records are addressed
-        // globally, so a snapshot reader must see versions deposited
-        // through any store, and the log and commit hook wired to it
-        // below cover every write there is.
+        let docs_seg = sm
+            .segment_by_name("documents")
+            .ok_or_else(|| NatixError::Catalog("missing documents segment".into()))?;
+        // One version store, and the only place the engine builds a tree
+        // store: the log and commit hook wired to it below cover every
+        // write there is.
         let versions = Arc::new(VersionStore::new());
         let tree = TreeStore::new(
             Arc::clone(&sm),
@@ -610,14 +620,7 @@ impl Repository {
             options.matrix.clone(),
             Arc::clone(&versions),
         )?;
-        let catalog_tree = TreeStore::new(
-            Arc::clone(&sm),
-            cat_seg,
-            options.tree_config,
-            SplitMatrix::all_other(),
-            Arc::clone(&versions),
-        )?;
-        let wal = log.map(|device| Arc::new(Wal::new(device)));
+        let log = Arc::new(Wal::new(log));
         let symbols = Arc::new(RwLock::with_rank(
             &parking_lot::rank::SYMBOLS,
             SymbolTable::new(),
@@ -626,6 +629,7 @@ impl Repository {
             &parking_lot::rank::SYMBOL_MARK,
             natix_xml::symbols::FIRST_USER_LABEL as usize,
         ));
+        let wal = options.durability.map(|_| Arc::clone(&log));
         if let Some(w) = &wal {
             // Wire the log into every layer: the buffer honours the WAL
             // rule on dirty-frame write-back, the allocator logs its
@@ -644,7 +648,6 @@ impl Repository {
         let repo = Repository {
             sm,
             tree,
-            catalog_tree,
             symbols,
             logged_symbols,
             registry: Arc::new(Mutex::with_rank(
@@ -659,15 +662,10 @@ impl Repository {
             options,
             stats,
             sim,
+            log,
             wal,
             checkpoint_lock: Mutex::with_rank(&parking_lot::rank::CHECKPOINT, ()),
             summaries: Arc::new(crate::path_summary::SummaryStore::new()),
-        };
-        // The directory comes from the log when recovery ran (it discarded
-        // the catalog pages), from the catalog document otherwise.
-        let restored = match recovered {
-            None if !fresh => crate::catalog::load_catalog(&repo)?,
-            recovered => recovered,
         };
         if let Some(deltas) = restored {
             // Suppressed: nothing restored is news to the log, and the
@@ -675,27 +673,17 @@ impl Repository {
             let _quiet = SuppressLogging::new();
             directory::restore(&repo, &deltas)?;
         }
-        if repo.wal.is_some() {
-            // Seed (fresh store), reset (clean recovery), or re-anchor
-            // (pre-logging store) the log with a checkpoint: from here on
-            // every committed operation is recoverable.
-            repo.checkpoint()?;
-        }
+        // Seed (fresh store) or reset (recovery) the log with a
+        // checkpoint: from here on it describes the store.
+        repo.checkpoint()?;
         Ok(repo)
-    }
-
-    /// The log device implied by the options for a memory-backed store.
-    fn mem_log(options: &RepositoryOptions) -> Option<Box<dyn LogDevice>> {
-        options
-            .durability
-            .map(|_| Box::new(MemLogDevice::new()) as Box<dyn LogDevice>)
     }
 
     /// Creates a fresh in-memory repository.
     pub fn create_in_memory(options: RepositoryOptions) -> NatixResult<Repository> {
         let stats = IoStats::new_shared();
         let mem = MemStorage::new(options.page_size)?;
-        let log = Repository::mem_log(&options);
+        let log = Box::new(MemLogDevice::new());
         match options.disk_profile {
             Some(profile) => {
                 let sim = Arc::new(SimDisk::new(mem, profile, Arc::clone(&stats)));
@@ -707,81 +695,63 @@ impl Repository {
     }
 
     /// Creates a fresh repository over a caller-provided backend (used by
-    /// the benchmark to run on its own device model). The
-    /// backend's page size must match `options.page_size`; any
+    /// the benchmark to run on its own device model), with an in-memory
+    /// log. The backend's page size must match `options.page_size`; any
     /// `disk_profile` in the options is ignored — cost accounting is the
     /// backend's business here.
     pub fn create_on_backend(
         backend: Arc<dyn DiskBackend>,
         options: RepositoryOptions,
     ) -> NatixResult<Repository> {
-        if backend.page_size() != options.page_size {
-            return Err(NatixError::Catalog(format!(
-                "backend page size {} != options page size {}",
-                backend.page_size(),
-                options.page_size
-            )));
-        }
-        let stats = IoStats::new_shared();
-        let log = Repository::mem_log(&options);
-        Repository::build(backend, log, None, options, stats, true)
+        let log = Box::new(MemLogDevice::new());
+        Repository::build(backend, log, None, options, IoStats::new_shared(), true)
     }
 
     /// Creates a fresh repository over a caller-provided backend *and*
     /// log device (the crash-injection harness: both sit behind a shared
     /// fault controller, and the caller keeps handles to reopen them
-    /// after a simulated crash). The log is used regardless of
-    /// `options.durability`.
+    /// after a simulated crash).
     pub fn create_on_backend_with_log(
         backend: Arc<dyn DiskBackend>,
         log: Box<dyn LogDevice>,
         options: RepositoryOptions,
     ) -> NatixResult<Repository> {
-        if backend.page_size() != options.page_size {
-            return Err(NatixError::Catalog(format!(
-                "backend page size {} != options page size {}",
-                backend.page_size(),
-                options.page_size
-            )));
-        }
-        let stats = IoStats::new_shared();
-        Repository::build(backend, Some(log), None, options, stats, true)
+        Repository::build(backend, log, None, options, IoStats::new_shared(), true)
     }
 
     /// Opens an existing repository over a caller-provided backend and
-    /// log device, running crash recovery if the log demands it.
+    /// log device, recovering from the log.
     pub fn open_on_backend_with_log(
         backend: Arc<dyn DiskBackend>,
         log: Box<dyn LogDevice>,
         options: RepositoryOptions,
     ) -> NatixResult<Repository> {
-        if backend.page_size() != options.page_size {
-            return Err(NatixError::Catalog(format!(
-                "backend page size {} != options page size {}",
-                backend.page_size(),
-                options.page_size
-            )));
-        }
-        let stats = IoStats::new_shared();
-        Repository::build(backend, Some(log), None, options, stats, false)
+        Repository::build(backend, log, None, options, IoStats::new_shared(), false)
     }
 
-    /// The log device implied by the options for a file-backed store:
-    /// the `<path>.wal` sidecar.
-    fn file_log(
-        path: &Path,
-        options: &RepositoryOptions,
-        fresh: bool,
-    ) -> NatixResult<Option<Box<dyn LogDevice>>> {
-        let Some(_) = options.durability else {
-            return Ok(None);
+    /// Creates (truncating `path`) or opens the file-backed repository at
+    /// `path`, with its log in the `<path>.wal` sidecar.
+    fn on_file(path: &Path, options: RepositoryOptions, fresh: bool) -> NatixResult<Repository> {
+        let stats = IoStats::new_shared();
+        let file = if fresh {
+            FileStorage::create(path, options.page_size)?
+        } else {
+            FileStorage::open(path, options.page_size)?
         };
-        let device = FileLogDevice::open(&FileLogDevice::sidecar_path(path))?;
+        let log = FileLogDevice::open(&FileLogDevice::sidecar_path(path))?;
         if fresh {
             // The base file was truncated; a stale log must not outlive it.
-            device.truncate(0)?;
+            log.truncate(0)?;
         }
-        Ok(Some(Box::new(device)))
+        let log = Box::new(log);
+        match options.disk_profile {
+            Some(profile) => {
+                let sim = Arc::new(SimDisk::new(file, profile, Arc::clone(&stats)));
+                let backend: Arc<dyn DiskBackend> = Arc::clone(&sim) as Arc<dyn DiskBackend>;
+                Repository::build(backend, log, Some(sim), options, stats, fresh)
+            }
+            None => Repository::build(Arc::new(file), log, None, options, stats, fresh),
+        }
     }
 
     /// Creates a fresh file-backed repository (truncates `path`).
@@ -789,37 +759,17 @@ impl Repository {
         path: P,
         options: RepositoryOptions,
     ) -> NatixResult<Repository> {
-        let stats = IoStats::new_shared();
-        let file = FileStorage::create(&path, options.page_size)?;
-        let log = Repository::file_log(path.as_ref(), &options, true)?;
-        match options.disk_profile {
-            Some(profile) => {
-                let sim = Arc::new(SimDisk::new(file, profile, Arc::clone(&stats)));
-                let backend: Arc<dyn DiskBackend> = Arc::clone(&sim) as Arc<dyn DiskBackend>;
-                Repository::build(backend, log, Some(sim), options, stats, true)
-            }
-            None => Repository::build(Arc::new(file), log, None, options, stats, true),
-        }
+        Repository::on_file(path.as_ref(), options, true)
     }
 
-    /// Opens an existing file-backed repository, restoring the catalog —
-    /// through crash recovery when its log sidecar holds a checkpoint,
-    /// directly from the base file otherwise.
+    /// Opens an existing file-backed repository through recovery from its
+    /// `.wal` sidecar, which holds its last checkpoint: a store whose
+    /// sidecar is gone does not open.
     pub fn open_file<P: AsRef<Path>>(
         path: P,
         options: RepositoryOptions,
     ) -> NatixResult<Repository> {
-        let stats = IoStats::new_shared();
-        let file = FileStorage::open(&path, options.page_size)?;
-        let log = Repository::file_log(path.as_ref(), &options, false)?;
-        match options.disk_profile {
-            Some(profile) => {
-                let sim = Arc::new(SimDisk::new(file, profile, Arc::clone(&stats)));
-                let backend: Arc<dyn DiskBackend> = Arc::clone(&sim) as Arc<dyn DiskBackend>;
-                Repository::build(backend, log, Some(sim), options, stats, false)
-            }
-            None => Repository::build(Arc::new(file), log, None, options, stats, false),
-        }
+        Repository::on_file(path.as_ref(), options, false)
     }
 
     /// The repository's construction options.
@@ -1109,6 +1059,34 @@ mod tests {
     fn repository_is_sync() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<Repository>();
+    }
+
+    /// A checkpoint writes pages it already has and one log record: an
+    /// unchanged store keeps its size however often it checkpoints, with
+    /// per-operation logging and without.
+    #[test]
+    fn checkpoints_of_an_unchanged_store_keep_its_size() {
+        for durability in [Some(WalSyncMode::Group), None] {
+            let repo = Repository::create_in_memory(RepositoryOptions {
+                durability,
+                ..RepositoryOptions::default()
+            })
+            .unwrap();
+            for i in 0..44 {
+                repo.put_xml(&format!("d{i}"), &format!("<d><n>{i}</n>small</d>"))
+                    .unwrap();
+            }
+            repo.checkpoint().unwrap();
+            let size = repo.disk_bytes();
+            for round in 0..50 {
+                repo.checkpoint().unwrap();
+                assert_eq!(
+                    repo.disk_bytes(),
+                    size,
+                    "durability {durability:?}: checkpoint {round} grew the store"
+                );
+            }
+        }
     }
 
     #[test]

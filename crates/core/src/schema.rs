@@ -5,10 +5,10 @@
 //! > (logical XML schema information) and physical schema information and
 //! > statistics.
 //!
-//! DTDs are registered by name, persisted via the catalog, and used for
-//! *document validation* (§2.1: "checks schema consistency, called
-//! document validation in the XML world"). Physical schema information is
-//! the split matrix, configured through
+//! DTDs are registered by name, persisted as directory deltas in the log,
+//! and used for *document validation* (§2.1: "checks schema consistency,
+//! called document validation in the XML world"). Physical schema
+//! information is the split matrix, configured through
 //! [`crate::Repository::set_matrix_rule`]; statistics come from
 //! [`crate::Repository::physical_stats`] and
 //! [`SchemaManager::label_histogram`].
@@ -50,7 +50,7 @@ impl SchemaManager {
             .map(|(_, _, d)| d)
     }
 
-    /// Registered `(name, source)` pairs (catalog persistence).
+    /// Registered `(name, source)` pairs (directory capture).
     pub fn dtd_sources(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
         self.dtds.iter().map(|(n, s, _)| (n.as_str(), s.as_str()))
     }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use natix_storage::wal::{take_commit_error, SuppressLogging, WalRecord};
+use natix_storage::wal::{take_commit_error, WalRecord};
 use natix_storage::{BufferManager, PageId, StorageError, Wal};
 use natix_tree::version::{CommitHook, TouchedPages, WriteOp};
 use natix_tree::{InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour};
@@ -457,19 +457,18 @@ impl Repository {
     }
 
     /// Persists the directory (symbol table, document list, split matrix,
-    /// DTDs) and flushes everything to the backend. Takes `&self`:
-    /// checkpoints are serialised against each other by the checkpoint
-    /// lock, and the catalog rewrite runs as an ordinary write operation
-    /// of the version layer, so readers (and edits of user documents)
-    /// proceed concurrently. Page flushes race in-flight edits; the
-    /// *directory* is one consistent cut (`directory::capture`), written
-    /// both as the catalog document and into the checkpoint record.
+    /// DTDs) and the allocator: flushes every page to the backend, then
+    /// writes one checkpoint record to the log and syncs it — the only
+    /// durable copy of either, for a store with per-operation logging and
+    /// for one without. Takes `&self`: checkpoints are serialised against
+    /// each other by the checkpoint lock, and readers and edits proceed
+    /// concurrently. Page flushes race in-flight edits; the *directory* is
+    /// one consistent cut (`directory::capture`).
     pub fn checkpoint(&self) -> NatixResult<()> {
         let _ck = self.checkpoint_lock.lock();
-        // Quiescence baseline, taken before the suppressed work below
-        // (whose operations are deliberately uncounted): if no outside
-        // operation begins or finishes across the whole checkpoint, the
-        // log can be truncated to just the checkpoint record.
+        // Quiescence baseline: if no operation begins or finishes across
+        // the whole checkpoint, the log can be reset to just the
+        // checkpoint record.
         let versions = self.tree.versions();
         let b0 = versions.ops_begun();
         let f0 = versions.ops_finished();
@@ -477,27 +476,20 @@ impl Repository {
         // log holds below it is in the cut (directory deltas) and in the
         // base file once the flush is done (page images); what lands at
         // or above it, recovery replays over both.
-        let horizon = self.wal.as_ref().map(|wal| wal.appended_lsn());
+        let horizon = self.log.appended_lsn();
         let cut = directory::capture(self);
-        {
-            // The catalog rewrite and the flush are checkpoint internals:
-            // their pages are rebuilt from the checkpoint itself, never
-            // rolled forward or back individually.
-            let _quiet = SuppressLogging::new();
-            crate::catalog::save_catalog(self, &cut)?;
-            self.sm.checkpoint()?;
-        }
-        let Some(horizon) = horizon else {
-            return Ok(());
-        };
+        self.sm.checkpoint()?;
         let quiesced = move || {
             versions.active_ops() == 0
                 && versions.ops_begun() == b0
                 && versions.ops_finished() == f0
         };
         self.sm
-            .append_checkpoint(horizon, directory::encode(&cut), &quiesced)?;
-        self.durable_gate()
+            .append_checkpoint(&self.log, horizon, directory::encode(&cut), &quiesced)?;
+        // Durable when it returns, also when it appended behind the log's
+        // history instead of resetting it.
+        self.log.sync_to(self.log.appended_lsn())?;
+        Ok(())
     }
 
     /// Changes a split-matrix rule by element names, interning them if

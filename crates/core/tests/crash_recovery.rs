@@ -178,6 +178,11 @@ fn script() -> Vec<Step> {
         Prune(3),
         Checkpoint,
         AnnexText(4, 4),
+        Put(2),
+        AnnexEl(0, 3),
+        Prune(4),
+        Checkpoint,
+        AnnexText(2, 5),
     ]
 }
 
@@ -367,8 +372,8 @@ fn crash_at(docs: &[(String, String)], budget: u64) {
         .unwrap_or_else(|e| panic!("recovery failed at budget {budget}: {e}"));
 
     // 0. No orphaned pages: recovery reclaims loser allocations, so
-    //    every allocated page is either the header, on the free list, in
-    //    a free-space inventory, or on a space-map chain.
+    //    every allocated page is either the header, on the free list, or
+    //    in a free-space inventory.
     let orphans = reopened.storage().untracked_pages().unwrap();
     assert!(
         orphans.is_empty(),
@@ -898,6 +903,51 @@ fn a_checkpoint_beside_an_open_operation_is_durable_when_it_returns() {
     assert_eq!(reopened.get_xml("doc").unwrap(), "<d>loaded first</d>");
 }
 
+/// A kill at a checkpoint's log reset, the one write that replaces the
+/// whole log: the reset is one step of the log device, so the durable log
+/// is still the old one, whole, and every acknowledged document reopens
+/// from it. (A reset that truncated first would leave no checkpoint at
+/// all — and nothing else holds the allocator or the directory.)
+#[test]
+fn a_kill_at_the_log_reset_keeps_the_old_log() {
+    let docs = orders_docs();
+    let initial = i64::MAX as u64;
+    let load = |repo: &Repository| {
+        for (name, xml) in &docs {
+            repo.put_xml_streaming(name, xml).unwrap();
+        }
+    };
+    let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+    let repo = m.create().unwrap();
+    load(&repo);
+    repo.checkpoint().unwrap();
+    // The reset is the checkpoint's last write: the log it leaves is the
+    // checkpoint record alone.
+    assert_eq!(records_of(&m.log.durable_bytes()).len(), 1);
+    let budget = m.consumed(initial) - 1;
+    drop(repo);
+
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), Some(budget));
+    let repo = m.create().unwrap();
+    load(&repo);
+    let oracle: Vec<(String, String)> = docs
+        .iter()
+        .map(|(name, _)| (name.clone(), repo.get_xml(name).unwrap()))
+        .collect();
+    let before = m.log.durable_bytes();
+    assert!(repo.checkpoint().is_err(), "the reset's write is refused");
+    assert_eq!(m.log.durable_bytes(), before, "the old log is intact");
+    drop(repo);
+
+    let reopened = Machine::boot(store, before, None).open().unwrap();
+    for (name, xml) in &oracle {
+        assert_eq!(&reopened.get_xml(name).unwrap(), xml, "{name}");
+    }
+    assert_eq!(reopened.document_names().len(), docs.len());
+    assert!(reopened.storage().untracked_pages().unwrap().is_empty());
+}
+
 /// Log bytes per registration do not depend on how many documents exist:
 /// a registration appends its own delta, not the directory.
 #[test]
@@ -1112,53 +1162,6 @@ fn a_forced_page_is_not_overwritten_by_its_previous_tenants_images() {
         "the deleted document is back"
     );
     assert_eq!(reopened.document_names(), ["b"]);
-}
-
-/// *Catalog page re-use.* Recovery rebuilds the catalog segment and
-/// returns the pages the checkpoint listed for it to the free pool —
-/// except those a committed operation imaged since. A load that was
-/// handed one (freed by hand here, as above) forced it without imaging
-/// it, and keeps it all the same: the `Alloc` above the checkpoint takes
-/// the page off the free list and adopts it into the documents.
-#[test]
-fn a_load_on_a_former_catalog_page_survives_reopen() {
-    let store = Arc::new(MemStorage::new(PAGE).unwrap());
-    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
-    let repo = m.create().unwrap();
-    let catalog = repo.storage().segment_by_name("catalog").unwrap();
-    // The creation checkpoint's catalog document: the next checkpoint
-    // writes a new one and leaves these pages empty, still listed.
-    let old_catalog = repo.storage().segment_pages(catalog);
-    repo.put_xml_streaming("kept", "<d>kept</d>").unwrap();
-    repo.checkpoint().unwrap();
-    let (p, _) = old_catalog[0];
-    assert!(
-        repo.storage()
-            .segment_pages(catalog)
-            .iter()
-            .any(|&(q, _)| q == p),
-        "the checkpoint's snapshot lists P for the catalog segment"
-    );
-    repo.storage().free_page(catalog, p).unwrap();
-    let b = repo
-        .put_xml_streaming("b", "<d>on a catalog page</d>")
-        .unwrap();
-    assert_eq!(repo.root_rid(b).unwrap().page, p, "B must re-use the page");
-    drop(repo);
-
-    let reopened = Machine::boot(store, m.log.durable_bytes(), None)
-        .open()
-        .unwrap();
-    assert_eq!(reopened.get_xml("b").unwrap(), "<d>on a catalog page</d>");
-    assert_eq!(reopened.get_xml("kept").unwrap(), "<d>kept</d>");
-    let documents = reopened
-        .storage()
-        .segment_pages(documents_segment(&reopened));
-    assert!(
-        documents.iter().any(|&(q, _)| q == p),
-        "P left the documents"
-    );
-    assert!(reopened.storage().untracked_pages().unwrap().is_empty());
 }
 
 /// How the race of [`edit_on_a_fresh_page`] ends.
@@ -1388,22 +1391,22 @@ fn a_store_of_another_format_is_refused_before_its_log_is_read() {
     repo.put_xml("doc", "<d>of an older build</d>").unwrap();
     drop(repo);
     // Header page: the format version follows the 16-byte page header
-    // and the 8-byte magic (`segment.rs`). Version 3's commit record had
-    // no forced-page list — this build's parser would take every v3 load
-    // for one that forced nothing and imaged nothing — and older records
-    // still are a torn tail to it, like the bytes appended here.
+    // and the 8-byte magic (`segment.rs`). A version 4 store keeps its
+    // allocator and directory in the header, space maps and a catalog
+    // document, none of which this build reads — and records of other
+    // formats are a torn tail to its parser, like the bytes appended here.
     let mut header = vec![0u8; PAGE];
     store.read_page(0, &mut header).unwrap();
-    assert_eq!(header[24..28], 4u32.to_le_bytes());
-    header[24..28].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(header[24..28], 5u32.to_le_bytes());
+    header[24..28].copy_from_slice(&4u32.to_le_bytes());
     store.write_page(0, &header).unwrap();
     let mut log = m.log.durable_bytes();
     log.extend_from_slice(b"records of another format");
 
     let m2 = Machine::boot(Arc::clone(&store), log.clone(), None);
-    let err = m2.open().err().expect("a version 3 store must not open");
+    let err = m2.open().err().expect("a version 4 store must not open");
     assert!(
-        err.to_string().contains("unsupported format version 3"),
+        err.to_string().contains("unsupported format version 4"),
         "{err}"
     );
     assert_eq!(m2.log.durable_bytes(), log, "the refused store's log");

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use natix::{Repository, RepositoryOptions};
+use natix::{NatixError, Repository, RepositoryOptions, SplitBehaviour};
 use natix_corpus::{
     generate_deep, generate_orders, generate_play, CorpusConfig, DeepConfig, OrdersConfig,
 };
@@ -243,6 +243,59 @@ fn deleting_the_root_node_is_refused_and_the_store_reopens() {
     // What the caller meant is still there to be said.
     repo.delete_document("victim").unwrap();
     assert_eq!(repo.document_names(), vec!["bystander"]);
+}
+
+/// A store without per-operation logging is durable at its checkpoints,
+/// and a checkpoint's record goes to the sidecar like a logged store's:
+/// documents, a matrix rule and a DTD are all back after `open_file`.
+#[test]
+fn an_unlogged_store_reopens_from_its_checkpoint() {
+    let tmp = TempRepo::new("unlogged");
+    let unlogged = || RepositoryOptions {
+        durability: None,
+        ..options()
+    };
+    let oracle = {
+        let repo = Repository::create_file(&tmp.0, unlogged()).unwrap();
+        let oracle = ingest_corpus(&repo);
+        repo.set_matrix_rule("SPEECH", "SPEAKER", SplitBehaviour::KeepWithParent)
+            .unwrap();
+        repo.register_dtd("play", "<!ELEMENT PLAY (TITLE, ACT+)>")
+            .unwrap();
+        repo.checkpoint().unwrap();
+        oracle
+    };
+    let repo = Repository::open_file(&tmp.0, unlogged()).unwrap();
+    assert_eq!(repo.document_names().len(), oracle.len());
+    for (name, bytes) in &oracle {
+        assert_eq!(&repo.get_xml(name).unwrap(), bytes, "{name}");
+    }
+    let label = |tag| repo.symbols().lookup_element(tag).expect(tag);
+    let (parent, child) = (label("SPEECH"), label("SPEAKER"));
+    assert_eq!(
+        repo.tree_store().matrix().get(parent, child),
+        SplitBehaviour::KeepWithParent
+    );
+    assert!(repo.schema().dtd("play").is_some());
+    assert!(repo.storage().untracked_pages().unwrap().is_empty());
+}
+
+/// The sidecar holds the store's only checkpoint: without it the store
+/// does not open — a typed error, not a panic and not an empty store.
+#[test]
+fn a_store_whose_log_was_deleted_is_refused() {
+    let tmp = TempRepo::new("nolog");
+    {
+        let repo = Repository::create_file(&tmp.0, options()).unwrap();
+        repo.put_xml("d", "<d>kept only in the pages</d>").unwrap();
+        repo.checkpoint().unwrap();
+    }
+    std::fs::remove_file(FileLogDevice::sidecar_path(&tmp.0)).unwrap();
+    match Repository::open_file(&tmp.0, options()) {
+        Err(NatixError::Catalog(msg)) => assert!(msg.contains("no checkpoint"), "{msg}"),
+        Err(e) => panic!("expected a catalog error, got {e}"),
+        Ok(_) => panic!("a store without its log opened"),
+    }
 }
 
 #[test]

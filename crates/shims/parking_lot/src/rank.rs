@@ -58,7 +58,7 @@ impl Rank {
 // ---------------------------------------------------------------------------
 
 /// `Repository::checkpoint` serialisation. Outermost lock in the system;
-/// held across the catalog rewrite and snapshot flush, hence io-tolerant.
+/// held across the page flush and the log write, hence io-tolerant.
 pub static CHECKPOINT: Rank = Rank::new_io_tolerant("repository.checkpoint", 100);
 
 /// Per-document edit latch (`DocState::edit_latch`): writers of one

@@ -126,7 +126,7 @@ impl FreeSpaceInventory {
         best.map(|(_, p)| p)
     }
 
-    /// Iterates over all `(page, free)` pairs (spacemap serialisation).
+    /// Iterates over all `(page, free)` pairs (checkpoint snapshots).
     pub fn iter(&self) -> impl Iterator<Item = (PageId, u16)> + '_ {
         self.by_page.iter().map(|(&p, &f)| (p, f))
     }

@@ -3,7 +3,7 @@
 //! Every page starts with a fixed 16-byte header; the interpretation of the
 //! rest depends on [`PageKind`]. Slotted pages (see [`crate::slotted`]) hold
 //! records; "plain pages" (§2.1: "for indices and user-defined structures")
-//! are used by the segment metadata chains.
+//! hold free-form payload.
 //!
 //! Layout (little-endian):
 //!
@@ -13,7 +13,7 @@
 //! 2   u16  slot_count          (slotted pages)
 //! 4   u16  free_start          (offset of the first unused data byte)
 //! 6   u16  free_total          (free bytes including holes)
-//! 8   u32  next_page           (chained plain pages)
+//! 8   u32  next_page           (chained free pages)
 //! 12  u32  lsn                 (truncated page LSN, stamped by WAL replay)
 //! 16  ...  payload
 //! ```
@@ -32,10 +32,8 @@ pub enum PageKind {
     Free = 0,
     /// Slotted page holding records (the tree storage manager's pages).
     Slotted = 1,
-    /// Plain page: free-form payload for indices and catalog structures.
+    /// Plain page: free-form payload for indices and user structures.
     Plain = 2,
-    /// Segment metadata (space map chain).
-    SpaceMap = 3,
     /// Repository file header (page 0 only).
     Header = 5,
 }
@@ -47,7 +45,6 @@ impl PageKind {
             0 => PageKind::Free,
             1 => PageKind::Slotted,
             2 => PageKind::Plain,
-            3 => PageKind::SpaceMap,
             5 => PageKind::Header,
             _ => return Err(StorageError::Corrupt(format!("unknown page kind {v}"))),
         })

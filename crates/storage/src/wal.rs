@@ -40,12 +40,14 @@
 //! *end* offset of the appended record (the sync target that makes it
 //! durable); the recovery scan yields *start* offsets (stable positions for
 //! ordering). The log is truncated only by a quiesced checkpoint, which
-//! rewrites it as a single [`WalRecord::Checkpoint`] carrying an allocator
-//! snapshot and the document directory, so analysis never trusts the
-//! (possibly torn) header page after a crash.
+//! [replaces](LogDevice::replace) it in one step with a single
+//! [`WalRecord::Checkpoint`] carrying an allocator snapshot and the
+//! document directory. That record is the only durable copy of either: the
+//! page file holds pages and a header that never changes after creation,
+//! so a created store's log holds a checkpoint at every instant.
 //!
 //! Directory data is opaque here and travels in two places: the
-//! checkpoint's [`StoreSnapshot::catalog`] and [`WalRecord::Catalog`], the
+//! checkpoint's [`StoreSnapshot::directory`] and [`WalRecord::Catalog`], the
 //! one record kind for every directory change. Both hold encoded deltas of
 //! the repository layer's directory module, which owns their format and
 //! their fold. The log has no format version of its own — an undecodable
@@ -55,7 +57,7 @@
 use std::cell::{Cell, RefCell};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -138,8 +140,8 @@ thread_local! {
 }
 
 /// True while the current thread runs with WAL logging suppressed
-/// (checkpointing, recovery, catalog persistence — activity that is
-/// reconstructed from the checkpoint snapshot rather than replayed).
+/// (recovery's restore — activity that is reconstructed from the
+/// checkpoint snapshot rather than replayed).
 pub fn log_suppressed() -> bool {
     SUPPRESS_DEPTH.with(|d| d.get() > 0)
 }
@@ -213,9 +215,9 @@ pub struct SegmentSnapshot {
 
 /// Allocator + directory state embedded in a [`WalRecord::Checkpoint`].
 ///
-/// After a crash the header page, free-list chain and space maps are
-/// untrustworthy (they are ordinary unlogged pages); recovery rebuilds the
-/// storage manager from this snapshot plus the post-checkpoint log.
+/// The only durable copy of both: every open rebuilds the storage manager
+/// from the last snapshot plus the log behind it, and the repository's
+/// directory from the snapshot's deltas plus the log's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreSnapshot {
     /// Committed page images at or above this LSN must be replayed; below
@@ -229,12 +231,8 @@ pub struct StoreSnapshot {
     pub segments: Vec<SegmentSnapshot>,
     /// The directory as of the checkpoint: encoded deltas that build it
     /// from empty (repository layer format, opaque here).
-    pub catalog: Vec<u8>,
+    pub directory: Vec<u8>,
 }
-
-/// Sentinel segment id in [`WalRecord::Alloc`]: the page belongs to no
-/// free-space inventory.
-pub const NO_ALLOC_SEGMENT: u16 = u16::MAX;
 
 /// One logical log record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -296,10 +294,8 @@ pub enum WalRecord {
         /// The allocated page.
         page: PageId,
         /// Segment whose free-space inventory lists the page (positional
-        /// id, see [`SegCreate`](WalRecord::SegCreate)), or
-        /// [`NO_ALLOC_SEGMENT`] for pages outside every inventory
-        /// (space-map chains). Recovery re-adopts surviving allocations
-        /// into their inventory from this.
+        /// id, see [`SegCreate`](WalRecord::SegCreate)). Recovery re-adopts
+        /// surviving allocations into their inventory from this.
         segment: u16,
     },
     /// A page returned to the free pool.
@@ -410,7 +406,7 @@ impl StoreSnapshot {
                 put_u16(out, f);
             }
         }
-        put_bytes(out, &self.catalog);
+        put_bytes(out, &self.directory);
     }
 
     fn decode(r: &mut Reader<'_>) -> StorageResult<StoreSnapshot> {
@@ -434,13 +430,13 @@ impl StoreSnapshot {
             }
             segments.push(SegmentSnapshot { name, pages });
         }
-        let catalog = r.bytes()?;
+        let directory = r.bytes()?;
         Ok(StoreSnapshot {
             redo_horizon,
             next_unallocated,
             free_list,
             segments,
-            catalog,
+            directory,
         })
     }
 }
@@ -647,13 +643,23 @@ pub trait LogDevice: Send + Sync {
     fn sync(&self) -> StorageResult<()>;
     /// Reads the entire log image (recovery).
     fn read_all(&self) -> StorageResult<Vec<u8>>;
-    /// Truncates the log to `len` bytes (tail cleanup / checkpoint reset).
+    /// Truncates the log to `len` bytes (torn-tail cleanup).
     fn truncate(&self, len: u64) -> StorageResult<()>;
     /// Current log length in bytes (written, not necessarily durable).
     fn len(&self) -> u64;
     /// True when no bytes have been written.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+    /// Replaces the whole log with `bytes`, durably (the checkpoint
+    /// reset). A device that can crash inside the reset must do it in one
+    /// step — a crash leaves the old log or the new one, never an empty
+    /// or a partial one. This default truncates, writes and syncs, which
+    /// is atomic only on a device that cannot die in between.
+    fn replace(&self, bytes: &[u8]) -> StorageResult<()> {
+        self.truncate(0)?;
+        self.write(bytes)?;
+        self.sync()
     }
 }
 
@@ -676,10 +682,14 @@ impl<T: LogDevice + ?Sized> LogDevice for Arc<T> {
     fn len(&self) -> u64 {
         (**self).len()
     }
+    fn replace(&self, bytes: &[u8]) -> StorageResult<()> {
+        (**self).replace(bytes)
+    }
 }
 
 /// File-backed log device — the sidecar `<repo>.wal` file.
 pub struct FileLogDevice {
+    path: PathBuf,
     file: Mutex<File>,
     len: AtomicU64,
 }
@@ -695,17 +705,23 @@ impl FileLogDevice {
             .open(path)?;
         let len = file.metadata()?.len();
         Ok(FileLogDevice {
+            path: path.to_path_buf(),
             file: Mutex::with_rank(&parking_lot::rank::DEVICE, file),
             len: AtomicU64::new(len),
         })
     }
 
     /// The conventional sidecar path for a repository file.
-    pub fn sidecar_path(repo_path: &Path) -> std::path::PathBuf {
-        let mut os = repo_path.as_os_str().to_owned();
-        os.push(".wal");
-        std::path::PathBuf::from(os)
+    pub fn sidecar_path(repo_path: &Path) -> PathBuf {
+        suffixed(repo_path, ".wal")
     }
+}
+
+/// `path` with `suffix` appended to its last component.
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    os.push(suffix);
+    PathBuf::from(os)
 }
 
 impl LogDevice for FileLogDevice {
@@ -740,6 +756,31 @@ impl LogDevice for FileLogDevice {
 
     fn len(&self) -> u64 {
         self.len.load(Ordering::Acquire)
+    }
+
+    /// Writes `<log>.tmp`, syncs it and renames it over the log: a crash
+    /// before the rename's directory sync leaves the old log, one after it
+    /// the new. The renamed file is the device's file from then on.
+    fn replace(&self, bytes: &[u8]) -> StorageResult<()> {
+        let mut f = self.file.lock();
+        let tmp = suffixed(&self.path, ".tmp");
+        let mut staged = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        staged.write_all(bytes)?;
+        staged.sync_all()?;
+        std::fs::rename(&tmp, &self.path)?;
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
+        *f = staged;
+        self.len.store(bytes.len() as u64, Ordering::Release);
+        Ok(())
     }
 }
 
@@ -835,6 +876,15 @@ impl LogDevice for MemLogDevice {
     fn len(&self) -> u64 {
         let st = self.state.lock();
         (st.durable.len() + st.staging.len()) as u64
+    }
+
+    /// One write of the fault budget; a dead device keeps its old image.
+    fn replace(&self, bytes: &[u8]) -> StorageResult<()> {
+        if let Some(f) = &self.fault {
+            f.consume_write()?;
+        }
+        self.restore(bytes.to_vec());
+        Ok(())
     }
 }
 
@@ -1069,12 +1119,9 @@ impl Wal {
         }
         #[cfg(feature = "lockdep")]
         let _io = parking_lot::lockdep::io_region("wal.truncate-reset");
-        self.device.truncate(0)?;
-        core.buf.clear();
-        core.buf_base = 0;
         let frame = checkpoint.encode_frame();
-        self.device.write(&frame)?;
-        self.device.sync()?;
+        self.device.replace(&frame)?;
+        core.buf.clear();
         core.buf_base = frame.len() as u64;
         self.appended.store(frame.len() as u64, Ordering::Release);
         self.durable.store(frame.len() as u64, Ordering::Release);
@@ -1150,7 +1197,7 @@ mod tests {
                     name: "documents".into(),
                     pages: vec![(5, 100), (6, 0)],
                 }],
-                catalog: b"dir".to_vec(),
+                directory: b"dir".to_vec(),
             })),
             WalRecord::PreImage {
                 op: 11,
@@ -1373,7 +1420,7 @@ mod tests {
             next_unallocated: 1,
             free_list: vec![],
             segments: vec![],
-            catalog: vec![],
+            directory: vec![],
         }));
         // Wrong expectation: no reset.
         assert!(!wal.try_truncate_reset(lsn + 1, &|| true, &ckpt).unwrap());
@@ -1403,7 +1450,7 @@ mod tests {
             next_unallocated: 1,
             free_list: vec![],
             segments: vec![],
-            catalog: vec![],
+            directory: vec![],
         }));
         assert!(wal.try_truncate_reset(stale, &|| true, &ckpt).unwrap());
         assert!(wal.appended_lsn() < stale, "the reset log must be shorter");
@@ -1417,6 +1464,48 @@ mod tests {
             .expect("sync_to spins on a target beyond the reset log")
             .unwrap();
         waiter.join().unwrap();
+    }
+
+    /// The reset is one write of the fault budget: refused, it leaves the
+    /// old durable image whole (a truncate first would have emptied it).
+    #[test]
+    fn a_refused_replace_keeps_the_old_durable_image() {
+        let fault = Arc::new(FaultControl::with_budget(1));
+        let dev = MemLogDevice::new().with_fault(Arc::clone(&fault));
+        dev.write(b"old log").unwrap();
+        dev.sync().unwrap();
+        assert!(dev.replace(b"new log").is_err(), "the budget is spent");
+        assert_eq!(dev.durable_bytes(), b"old log");
+
+        let dev = MemLogDevice::new().with_fault(Arc::new(FaultControl::with_budget(2)));
+        dev.write(b"old log, unsynced tail").unwrap();
+        dev.replace(b"new log").unwrap();
+        assert_eq!(dev.durable_bytes(), b"new log");
+        assert_eq!(dev.len(), 7);
+    }
+
+    #[test]
+    fn a_file_log_replace_round_trips_and_leaves_no_temporary() {
+        let dir = std::env::temp_dir().join(format!("natix-wal-replace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("repo.natix.wal");
+        let dev = FileLogDevice::open(&path).unwrap();
+        dev.write(b"the log before the checkpoint").unwrap();
+        dev.sync().unwrap();
+        dev.replace(b"checkpoint").unwrap();
+        assert_eq!(dev.len(), 10);
+        dev.write(b"+tail").unwrap();
+        assert_eq!(dev.read_all().unwrap(), b"checkpoint+tail");
+        drop(dev);
+        let reopened = FileLogDevice::open(&path).unwrap();
+        assert_eq!(reopened.read_all().unwrap(), b"checkpoint+tail");
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["repo.natix.wal"]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

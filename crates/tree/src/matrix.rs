@@ -115,7 +115,7 @@ impl SplitMatrix {
         self.entries.len()
     }
 
-    /// Iterates the non-default entries (catalog persistence).
+    /// Iterates the non-default entries (directory capture).
     pub fn overrides(&self) -> impl Iterator<Item = (LabelId, LabelId, SplitBehaviour)> + '_ {
         self.entries.iter().map(|(&(p, c), &b)| (p, c, b))
     }

@@ -506,9 +506,9 @@ impl VersionStore {
         // Counted before the operation can log anything: a checkpoint's
         // quiescence check that sees an unchanged count knows no record of
         // this operation can be in the log it is about to truncate.
-        // Suppressed operations (checkpoint/recovery internals) never log,
-        // so they stay invisible to that check — otherwise a checkpoint's
-        // own catalog save would veto its log truncation.
+        // Suppressed operations (recovery internals) never log, so they
+        // stay invisible to that check: none can veto a checkpoint's log
+        // truncation.
         let counted = !log_suppressed();
         if counted {
             self.ops_begun.fetch_add(1, Ordering::AcqRel);

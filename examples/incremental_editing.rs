@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         repo.text_content(doc, survivors[0])?
     );
 
-    // Persisting and re-opening would go through the XML system catalog —
+    // Persisting and re-opening go through the log's checkpoint record —
     // see `Repository::create_file` / `checkpoint` / `open_file`.
     Ok(())
 }
