@@ -411,10 +411,10 @@ pub(crate) fn fold(
 
 /// Installs the directory `deltas` add up to — the log's, from [`fold`] —
 /// into a newly built repository, the only code that does: alphabet,
-/// matrix, DTDs, then the documents. The caller suppresses
-/// logging — what is restored is already in the log, or about to be
-/// checkpointed into it. Node ids are not restored: a reopened document
-/// binds them on first use, like a freshly loaded one.
+/// matrix, DTDs, then the documents. It sets in-memory state only and
+/// logs nothing — what is restored is already in the log, and the build's
+/// closing checkpoint records it again. Node ids are not restored: a
+/// reopened document binds them on first use, like a freshly loaded one.
 pub(crate) fn restore(repo: &Repository, deltas: &[Delta]) -> NatixResult<()> {
     let dir = Directory::build(deltas)?;
     let symbols = SymbolTable::from_rows(&dir.labels);
@@ -513,7 +513,7 @@ mod tests {
                 redo_horizon: horizon,
                 next_unallocated: 1,
                 free_list: Vec::new(),
-                segments: Vec::new(),
+                pages: Vec::new(),
                 directory: encode(cut),
             })))
         }

@@ -29,11 +29,11 @@
 //!   so one writer's eviction write-back overlaps the other writers'
 //!   parsing and page fills.
 //!
-//! There is deliberately no per-worker store or segment. A pool of
+//! There is deliberately no per-worker store or page space. A pool of
 //! `ingestN` segments once stood here and bought neither thing it was
-//! built for: every segment's inventory sits behind the storage manager's
+//! built for: every segment's inventory sat behind the storage manager's
 //! one allocator mutex, so the writers contended exactly as on one
-//! segment, and pages come from one global free list whatever the
+//! segment, and pages came from one global free list whatever the
 //! segment, so the clustering was the bulkloader's cursor all along —
 //! while its stores, built beside the repository's version store, had no
 //! log, and a crash lost documents they had acknowledged.

@@ -7,8 +7,9 @@
 //!
 //! The crate wires the paper's architecture (figure 1) together:
 //!
-//! * the physical **record manager** ([`natix_storage`]): slotted pages,
-//!   segments, buffering;
+//! * the physical **record manager** ([`natix_storage`]): slotted pages
+//!   in one page space (no segments: the engine stores records only),
+//!   page allocation, buffering, the write-ahead log;
 //! * the **tree storage manager** ([`natix_tree`]): the paper's primary
 //!   contribution — dynamic clustering of subtrees into records with a
 //!   tree-structured split algorithm and split matrix;

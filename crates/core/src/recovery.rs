@@ -17,9 +17,8 @@
 //!   record-version layer before an operation first touches a stored
 //!   record. Operations without a `Commit` record (in flight at the
 //!   crash) are rolled back from these, in reverse log order.
-//! * **Allocation** — `Alloc`/`Free`/`SegCreate` events after the
-//!   checkpoint, folded into the snapshot's free list and segment
-//!   directory.
+//! * **Allocation** — `Alloc`/`Free` events after the checkpoint, folded
+//!   into the snapshot's free list and free-space inventory.
 //! * **Directory changes** — `Catalog` records, one delta of
 //!   [`crate::directory`] per change. This module does not read them: it
 //!   hands its analysis to [`crate::directory::fold`], which applies over
@@ -31,7 +30,7 @@
 //! store without per-operation logging has just that record), and a log
 //! without one is refused.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use natix_storage::slotted::SlottedPage;
@@ -113,22 +112,19 @@ pub(crate) fn replay(
     )?);
     let mut free: Vec<PageId> = snap.free_list.clone();
     let mut next = snap.next_unallocated.max(1);
-    // Pages allocated since the checkpoint, with the inventory that owns
-    // them: the snapshot's segment lists predate these allocations, so
-    // each survivor must be adopted back into its inventory below.
-    let mut adopted: BTreeMap<PageId, u16> = BTreeMap::new();
+    // Pages allocated since the checkpoint: the snapshot's inventory
+    // predates these allocations, so each survivor must be adopted back
+    // into it below.
+    let mut adopted: BTreeSet<PageId> = BTreeSet::new();
     for (lsn, r) in records {
         if *lsn <= ckpt_lsn {
             continue;
         }
         match r {
-            WalRecord::SegCreate { name } => {
-                sm.create_segment(name)?;
-            }
-            WalRecord::Alloc { page, segment } => {
+            WalRecord::Alloc { page } => {
                 free.retain(|p| p != page);
                 next = next.max(page + 1);
-                adopted.insert(*page, *segment);
+                adopted.insert(*page);
             }
             WalRecord::Free { page } => {
                 free.push(*page);
@@ -222,9 +218,11 @@ pub(crate) fn replay(
     // --- Install the folded free list, then re-derive every cached
     //     free-space value from the final page states.
     sm.install_free_list(&free)?;
-    for (page, segment) in &adopted {
+    for page in &adopted {
         if !free.contains(page) {
-            sm.adopt_page(*segment, *page);
+            // A placeholder entry: the refresh below reads the page's real
+            // free space (or drops it, if its content never reached disk).
+            sm.note_free_space(*page, 0);
         }
     }
     sm.refresh_fsi_from_pages()?;
@@ -233,8 +231,9 @@ pub(crate) fn replay(
     // fold above re-adopted every post-checkpoint allocation, and the
     // refresh just dropped the ones whose content never reached disk.
     // Without this sweep those pages stay allocated but unreachable —
-    // invisible to the inventories and to every later snapshot — until a
-    // full checkpoint happens to rebuild the free list. Release them now.
+    // invisible to the inventory and to every later snapshot — until a
+    // full checkpoint happens to rebuild the free list. Release them now;
+    // the checkpoint that ends the build makes the release durable.
     sm.reclaim_untracked_pages()?;
 
     Ok((sm, crate::directory::fold(&analysis, records)?))

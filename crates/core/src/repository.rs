@@ -280,10 +280,10 @@
 //!
 //! Every repository has a log: a `.wal` sidecar beside a file store, an
 //! in-memory device otherwise. Its checkpoint record is the only durable
-//! copy of the allocator (high-water mark, free list, segments and their
-//! free-space inventories) and of the directory; the page file holds
-//! pages and a header — magic, format version, page size — written once,
-//! at creation. So opening a store *is* recovery: `Repository::build`
+//! copy of the allocator (high-water mark, free list and the free-space
+//! inventory of the store's one page space) and of the directory; the
+//! page file holds pages and a header — magic, format version, page size
+//! — written once, at creation. So opening a store *is* recovery: `Repository::build`
 //! reads the log's last checkpoint and what follows it, and a log without
 //! one is refused with [`NatixError::Catalog`]. Every build ends in a
 //! checkpoint.
@@ -303,9 +303,9 @@
 //!
 //! 1. During the operation, storage-level events are logged as they
 //!    happen — `PreImage` (undo: a record's bytes before the first
-//!    overwrite), `Created` (undo: delete on rollback), `Alloc`/`Free`/
-//!    `SegCreate` (allocator replay). None of these are forced; they
-//!    ride in the log buffer.
+//!    overwrite), `Created` (undo: delete on rollback), `Alloc`/`Free`
+//!    (allocator replay). None of these are forced; they ride in the log
+//!    buffer.
 //! 2. At publish, the version store's commit hook **forces** the pages
 //!    the operation's append stream allocated (a load's: all of them) —
 //!    writes them to the page device and syncs it, so a load writes each
@@ -437,7 +437,6 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use natix_storage::wal::SuppressLogging;
 use natix_storage::{
     BufferManager, DiskBackend, DiskProfile, FileLogDevice, FileStorage, IoStats, LogDevice,
     MemLogDevice, MemStorage, Rid, SimDisk, StorageManager, Wal, WalSyncMode,
@@ -595,9 +594,7 @@ impl Repository {
             Arc::clone(&stats),
         ));
         let (sm, restored) = if fresh {
-            let sm = Arc::new(StorageManager::create(Arc::clone(&bm))?);
-            sm.create_segment("documents")?;
-            (sm, None)
+            (Arc::new(StorageManager::create(Arc::clone(&bm))?), None)
         } else {
             // Before the log is read (and its tail trimmed): the log has
             // no version of its own, and another format's records would
@@ -606,16 +603,12 @@ impl Repository {
             let (sm, directory) = crate::recovery::replay(Arc::clone(&bm), &Wal::read_log(&*log)?)?;
             (sm, Some(directory))
         };
-        let docs_seg = sm
-            .segment_by_name("documents")
-            .ok_or_else(|| NatixError::Catalog("missing documents segment".into()))?;
         // One version store, and the only place the engine builds a tree
         // store: the log and commit hook wired to it below cover every
         // write there is.
         let versions = Arc::new(VersionStore::new());
         let tree = TreeStore::new(
             Arc::clone(&sm),
-            docs_seg,
             options.tree_config,
             options.matrix.clone(),
             Arc::clone(&versions),
@@ -668,9 +661,8 @@ impl Repository {
             summaries: Arc::new(crate::path_summary::SummaryStore::new()),
         };
         if let Some(deltas) = restored {
-            // Suppressed: nothing restored is news to the log, and the
+            // Logs nothing: nothing restored is news to the log, and the
             // checkpoint below re-seeds it with the final state.
-            let _quiet = SuppressLogging::new();
             directory::restore(&repo, &deltas)?;
         }
         // Seed (fresh store) or reset (recovery) the log with a

@@ -31,8 +31,7 @@ use crate::repository::Repository;
 /// Appends `deltas` to the log as one directory record owned by write
 /// operation `op` (0: unconditional). Called where the in-memory
 /// directory changes, under the lock that guards that part of it, so the
-/// log's order is the directory's. No-op without a log or under log
-/// suppression.
+/// log's order is the directory's. No-op without a log.
 fn log_directory(wal: Option<&Arc<Wal>>, op: u64, deltas: &[Delta]) {
     if let Some(wal) = wal {
         wal.append(&WalRecord::Catalog {

@@ -29,12 +29,11 @@ fn order_doc(i: usize, items: usize) -> String {
     format!("<orders>{body}</orders>")
 }
 
-/// Every page of the document segment — the only one documents are
-/// loaded into — is empty apart from its node-type table (authoritative
-/// free counts from the pages themselves, not the free-space inventory).
-fn assert_documents_segment_empty(r: &Repository, page_size: usize) {
-    let seg = r.storage().segment_by_name("documents").unwrap();
-    for (page, _) in r.storage().segment_pages(seg) {
+/// Every allocated page of the store is empty apart from its node-type
+/// table (authoritative free counts from the pages themselves, not the
+/// free-space inventory).
+fn assert_every_page_empty(r: &Repository, page_size: usize) {
+    for (page, _) in r.storage().pages() {
         let free = r.storage().page_free_space(page).unwrap();
         assert!(
             free > page_size - 64,
@@ -77,10 +76,10 @@ fn duplicate_name_race_has_exactly_one_winner_and_no_leaks() {
     assert!(stored == xml_a || stored == xml_b);
     r.physical_stats("contested").unwrap();
 
-    // Delete the winner: every record of the document segment must be
-    // gone — the loser left nothing behind.
+    // Delete the winner: every record of the store must be gone — the
+    // loser left nothing behind.
     r.delete_document("contested").unwrap();
-    assert_documents_segment_empty(&r, page_size);
+    assert_every_page_empty(&r, page_size);
 }
 
 #[test]
@@ -95,7 +94,7 @@ fn failed_concurrent_load_rolls_back_all_records() {
     ];
     let results = r.put_documents_parallel(&docs, 2);
     assert!(results.iter().all(|r| r.is_err()));
-    assert_documents_segment_empty(&r, page_size);
+    assert_every_page_empty(&r, page_size);
     // The names and the storage are immediately reusable.
     let good = format!("<root>{body}</root>");
     let results = r.put_documents_parallel(
@@ -154,7 +153,7 @@ fn parallel_ingested_documents_survive_checkpoint_and_reopen() {
 #[test]
 fn twelve_writers_share_the_one_store_safely() {
     // Twelve worker threads append through the one document store into
-    // the one segment at once; per-loader cursors keep their fill pages
+    // the one page space at once; per-loader cursors keep their fill pages
     // distinct.
     let r = repo(1024);
     let docs: Vec<(String, String)> = (0..24)

@@ -373,7 +373,7 @@ fn crash_at(docs: &[(String, String)], budget: u64) {
 
     // 0. No orphaned pages: recovery reclaims loser allocations, so
     //    every allocated page is either the header, on the free list, or
-    //    in a free-space inventory.
+    //    in the free-space inventory.
     let orphans = reopened.storage().untracked_pages().unwrap();
     assert!(
         orphans.is_empty(),
@@ -492,7 +492,9 @@ fn sweep(docs: &[(String, String)]) {
 /// produce this exact interleaving, so forge the log shape directly:
 /// recovery must raise the high-water mark past the page (the Alloc is
 /// durable) but hand the page back to the free pool instead of leaking
-/// it until the next checkpoint.
+/// it until the next checkpoint. The reclaim itself is not logged: the
+/// checkpoint that ends the reopen records the page on the free list, so
+/// a second reopen finds it there and allocates nothing new.
 #[test]
 fn recovery_reclaims_loser_allocations() {
     let store = Arc::new(MemStorage::new(PAGE).unwrap());
@@ -507,10 +509,7 @@ fn recovery_reclaims_loser_allocations() {
     let forged = Arc::new(MemLogDevice::new());
     forged.restore(m.log.durable_bytes());
     let wal = Wal::new(Box::new(Arc::clone(&forged)));
-    wal.append(&WalRecord::Alloc {
-        page: high_water,
-        segment: 0,
-    });
+    wal.append(&WalRecord::Alloc { page: high_water });
     wal.flush_buffered().unwrap();
 
     let m2 = Machine::boot(Arc::clone(&store), forged.durable_bytes(), None);
@@ -524,6 +523,23 @@ fn recovery_reclaims_loser_allocations() {
     assert!(
         orphans.is_empty(),
         "loser-allocated pages {orphans:?} leaked past recovery"
+    );
+    let allocated = reopened.storage().allocated_pages();
+    drop(reopened);
+
+    let again = Machine::boot(Arc::clone(&store), m2.log.durable_bytes(), None)
+        .open()
+        .unwrap();
+    assert_eq!(again.get_xml("doc").unwrap(), "<d>survivor</d>");
+    let orphans = again.storage().untracked_pages().unwrap();
+    assert!(
+        orphans.is_empty(),
+        "pages {orphans:?} leaked across the second reopen"
+    );
+    assert_eq!(
+        again.storage().allocated_pages(),
+        allocated,
+        "the second reopen grew the store"
     );
 }
 
@@ -1120,11 +1136,6 @@ fn two_parallel_loaders_survive_every_kill_point() {
     );
 }
 
-/// The id of the `documents` segment.
-fn documents_segment(repo: &Repository) -> u16 {
-    repo.storage().segment_by_name("documents").unwrap()
-}
-
 /// *Stale image.* Page P is imaged by an edit of document A, emptied by
 /// A's deletion (imaged again), returned to the free pool and
 /// re-allocated by load B, which forces it. Replaying either image would
@@ -1143,9 +1154,7 @@ fn a_forced_page_is_not_overwritten_by_its_previous_tenants_images() {
     repo.insert_text(a, root, InsertPos::Last, "edited in place")
         .unwrap();
     repo.delete_document("a").unwrap();
-    repo.storage()
-        .free_page(documents_segment(&repo), p)
-        .unwrap();
+    repo.storage().free_page(p).unwrap();
     let b = repo.put_xml_streaming("b", "<d>second tenant</d>").unwrap();
     assert_eq!(repo.root_rid(b).unwrap().page, p, "B must re-use A's page");
     let (forced, imaged) = forced_and_imaged(&records_of(&m.log.durable_bytes()));
@@ -1391,22 +1400,22 @@ fn a_store_of_another_format_is_refused_before_its_log_is_read() {
     repo.put_xml("doc", "<d>of an older build</d>").unwrap();
     drop(repo);
     // Header page: the format version follows the 16-byte page header
-    // and the 8-byte magic (`segment.rs`). A version 4 store keeps its
-    // allocator and directory in the header, space maps and a catalog
-    // document, none of which this build reads — and records of other
-    // formats are a torn tail to its parser, like the bytes appended here.
+    // and the 8-byte magic (`segment.rs`). A version 5 store names a
+    // segment in its checkpoint records and its `Alloc` records, which
+    // this build does not read — records of other formats are a torn tail
+    // to its parser, like the bytes appended here.
     let mut header = vec![0u8; PAGE];
     store.read_page(0, &mut header).unwrap();
-    assert_eq!(header[24..28], 5u32.to_le_bytes());
-    header[24..28].copy_from_slice(&4u32.to_le_bytes());
+    assert_eq!(header[24..28], 6u32.to_le_bytes());
+    header[24..28].copy_from_slice(&5u32.to_le_bytes());
     store.write_page(0, &header).unwrap();
     let mut log = m.log.durable_bytes();
     log.extend_from_slice(b"records of another format");
 
     let m2 = Machine::boot(Arc::clone(&store), log.clone(), None);
-    let err = m2.open().err().expect("a version 4 store must not open");
+    let err = m2.open().err().expect("a version 5 store must not open");
     assert!(
-        err.to_string().contains("unsupported format version 4"),
+        err.to_string().contains("unsupported format version 5"),
         "{err}"
     );
     assert_eq!(m2.log.durable_bytes(), log, "the refused store's log");

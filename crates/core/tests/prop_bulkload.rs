@@ -233,8 +233,8 @@ fn random_serializable_document(g: &mut Gen, syms: &mut SymbolTable) -> Document
 #[test]
 fn concurrent_ingest_matches_sequential_per_node_oracle() {
     // Differential property of the concurrent ingestion subsystem: N
-    // random documents loaded *concurrently* (4 writers, distinct
-    // segments, shared symbol table) are byte-identical on `get_xml` to
+    // random documents loaded *concurrently* (4 writers, distinct fill
+    // pages, shared symbol table) are byte-identical on `get_xml` to
     // the same documents loaded *sequentially* through the per-node
     // oracle, across page sizes and split matrices — and every stored
     // tree satisfies all physical invariants.
@@ -517,16 +517,15 @@ fn multibyte_text_survives_chunking() {
 fn failed_streaming_load_leaks_no_records() {
     // A load that fails mid-stream (mismatched tags near the end of a
     // large document) must delete every record it had already flushed;
-    // otherwise repeated failing ingests grow the segment unboundedly.
+    // otherwise repeated failing ingests grow the store unboundedly.
     let syms = SymbolTable::new();
     let r = repo(512, SplitMatrix::all_other(), &syms);
     let body = "<item>payload</item>".repeat(500);
     let bad = format!("<root>{body}<oops></root>");
     assert!(r.put_xml_streaming("d", &bad).is_err());
-    // Every page of the documents segment is empty again apart from its
-    // node-type table (which is a handful of bytes).
-    let seg = r.tree_store().segment();
-    for (page, free) in r.storage().segment_pages(seg) {
+    // Every page of the store is empty again apart from its node-type
+    // table (which is a handful of bytes).
+    for (page, free) in r.storage().pages() {
         assert!(
             free as usize > 512 - 64,
             "page {page} still holds {} bytes of leaked records",

@@ -133,30 +133,6 @@ fn checkpoint_then_reopen_is_byte_identical() {
 }
 
 #[test]
-fn extra_segment_in_the_directory_is_ignored_at_open() {
-    // Stores written while the engine still reserved an `index` segment,
-    // or grew `ingestN` segments for parallel ingestion, list them in
-    // their segment directory. Open looks up only the segments it uses
-    // (and records are addressed by page, whatever the segment), so such
-    // a store opens and serves its documents unchanged.
-    let tmp = TempRepo::new("extra_seg");
-    let oracle = {
-        let repo = Repository::create_file(&tmp.0, options()).unwrap();
-        for name in ["index", "ingest0", "ingest1"] {
-            repo.storage().create_segment(name).unwrap();
-        }
-        let oracle = ingest_corpus(&repo);
-        repo.checkpoint().unwrap();
-        oracle
-    };
-    assert_identical(&tmp.0, &oracle);
-    let repo = Repository::open_file(&tmp.0, options()).unwrap();
-    for name in ["index", "ingest0", "ingest1"] {
-        assert!(repo.storage().segment_by_name(name).is_some());
-    }
-}
-
-#[test]
 fn reopen_without_checkpoint_recovers_from_log() {
     // No explicit checkpoint: the base file holds whatever the buffer
     // pool happened to evict, and reopen must rebuild the rest from the

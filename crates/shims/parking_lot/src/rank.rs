@@ -119,8 +119,9 @@ pub static RESULT_SLOT: Rank = Rank::new("query.result-slot", 970);
 // Storage band — innermost; these serialise I/O and are io-tolerant.
 // ---------------------------------------------------------------------------
 
-/// Storage-manager allocator state (`SmState`): free lists, FSIs, segment
-/// directory. Pins pages and appends WAL records while held.
+/// Storage-manager allocator state (`SmState`): high-water mark, free
+/// list, the free-space inventory. Pins pages and appends WAL records
+/// while held.
 pub static ALLOCATOR: Rank = Rank::new_io_tolerant("storage.allocator", 1000);
 
 /// Buffer-pool state (`BufferManager::state`): frame table, clock hand,

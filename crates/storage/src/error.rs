@@ -31,8 +31,6 @@ pub enum StorageError {
     PageFull { needed: usize, free: usize },
     /// All buffer frames are pinned; no eviction victim exists.
     BufferExhausted,
-    /// Attempt to use a segment id that was never created.
-    NoSuchSegment(u16),
     /// A well-known slot was requested but is already occupied.
     SlotOccupied(u16),
 }
@@ -59,7 +57,6 @@ impl fmt::Display for StorageError {
                 write!(f, "page full: need {needed} bytes, {free} free")
             }
             StorageError::BufferExhausted => write!(f, "all buffer frames are pinned"),
-            StorageError::NoSuchSegment(s) => write!(f, "segment {s} does not exist"),
             StorageError::SlotOccupied(s) => write!(f, "slot {s} is already occupied"),
         }
     }

@@ -1,11 +1,13 @@
-//! In-memory free-space inventory (FSI) for one segment.
+//! In-memory free-space inventory (FSI) of the store's page space.
 //!
-//! The tree storage manager asks "which page of this segment can take a
-//! record of n bytes, preferably near this hint?" — e.g. the paper's 1:1
-//! configuration where "the record manager was told to store parent with
-//! children and sibling nodes on the same page if possible" (§4.2). The FSI
-//! answers from memory; the authoritative free counts live in the slotted
-//! pages themselves, so FSI values are hints that are re-checked on use.
+//! The tree storage manager asks "which page near this one can take a
+//! record of n bytes?" ([`find_near`](FreeSpaceInventory::find_near)) —
+//! e.g. the paper's 1:1 configuration where "the record manager was told
+//! to store parent with children and sibling nodes on the same page if
+//! possible" (§4.2) — and, for a record with no neighbour, "which page
+//! fits it best?" ([`find`](FreeSpaceInventory::find)). The FSI answers
+//! from memory; the authoritative free counts live in the slotted pages
+//! themselves, so FSI values are hints that are re-checked on use.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -58,50 +60,17 @@ impl FreeSpaceInventory {
         self.by_page.get(&page).copied()
     }
 
-    /// Finds a page with at least `needed` free bytes. The `hint` page is
-    /// preferred if it qualifies ("same page if possible"); otherwise the
-    /// tightest fit is returned to limit fragmentation.
-    pub fn find(&self, needed: usize, hint: Option<PageId>) -> Option<PageId> {
+    /// Finds the page with the fewest free bytes that are still at least
+    /// `needed` — the tightest fit, to limit fragmentation — other than
+    /// `exclude` (a record moving off a full page must not pick it again).
+    pub fn find(&self, needed: usize, exclude: Option<PageId>) -> Option<PageId> {
         if needed > u16::MAX as usize {
             return None;
-        }
-        if let Some(h) = hint {
-            if let Some(&free) = self.by_page.get(&h) {
-                if free as usize >= needed {
-                    return Some(h);
-                }
-            }
-        }
-        self.by_free
-            .range((needed as u16, 0)..)
-            .next()
-            .map(|&(_, p)| p)
-    }
-
-    /// Like [`find`](Self::find) but excludes one page (used when moving a
-    /// record off a full page: the source page must not be chosen).
-    pub fn find_excluding(
-        &self,
-        needed: usize,
-        hint: Option<PageId>,
-        exclude: PageId,
-    ) -> Option<PageId> {
-        if needed > u16::MAX as usize {
-            return None;
-        }
-        if let Some(h) = hint {
-            if h != exclude {
-                if let Some(&free) = self.by_page.get(&h) {
-                    if free as usize >= needed {
-                        return Some(h);
-                    }
-                }
-            }
         }
         self.by_free
             .range((needed as u16, 0)..)
             .map(|&(_, p)| p)
-            .find(|&p| p != exclude)
+            .find(|&p| Some(p) != exclude)
     }
 
     /// Finds a page with at least `needed` free bytes whose page id is
@@ -126,7 +95,8 @@ impl FreeSpaceInventory {
         best.map(|(_, p)| p)
     }
 
-    /// Iterates over all `(page, free)` pairs (checkpoint snapshots).
+    /// Iterates over all `(page, free)` pairs, ascending by page
+    /// (checkpoint snapshots, the space accounting).
     pub fn iter(&self) -> impl Iterator<Item = (PageId, u16)> + '_ {
         self.by_page.iter().map(|(&p, &f)| (p, f))
     }
@@ -148,14 +118,56 @@ mod tests {
         assert_eq!(fsi.find(600, None), None);
     }
 
+    /// The hint page is at distance 0 from itself: it wins whenever it
+    /// fits.
     #[test]
     fn hint_wins_when_it_fits() {
         let mut fsi = FreeSpaceInventory::new();
-        fsi.set(1, 100);
-        fsi.set(2, 500);
-        assert_eq!(fsi.find(50, Some(1)), Some(1));
-        assert_eq!(fsi.find(200, Some(1)), Some(2), "hint too small, fall back");
-        assert_eq!(fsi.find(50, Some(99)), Some(1), "unknown hint ignored");
+        fsi.set(10, 100);
+        fsi.set(11, 500);
+        assert_eq!(fsi.find_near(50, 10, 16), Some(10));
+        assert_eq!(fsi.find_near(200, 10, 16), Some(11), "hint too small, next");
+        assert_eq!(
+            fsi.find_near(50, 12, 16),
+            Some(11),
+            "untracked hint, nearest"
+        );
+    }
+
+    /// The placement every hinted record takes: the closest page in the
+    /// window that fits — a full page is skipped however close, a page
+    /// just outside the window is ignored however empty.
+    #[test]
+    fn find_near_takes_the_closest_fitting_page_in_its_window() {
+        let mut fsi = FreeSpaceInventory::new();
+        fsi.set(100, 50); // the hint page, full for this record
+        fsi.set(101, 199); // one byte short
+        fsi.set(105, 400);
+        fsi.set(95, 200);
+        fsi.set(83, 4000); // one page below the window [84, 116]
+        fsi.set(117, 4000); // one page above it
+        assert_eq!(fsi.find_near(200, 100, 16), Some(95));
+        fsi.set(97, 300);
+        fsi.set(103, 300);
+        assert_eq!(
+            fsi.find_near(200, 100, 16),
+            Some(97),
+            "a tie takes the lower page"
+        );
+        for p in [95, 97, 103, 105] {
+            fsi.remove(p);
+        }
+        assert_eq!(
+            fsi.find_near(200, 100, 16),
+            None,
+            "nothing in the window fits"
+        );
+        fsi.set(84, 200);
+        assert_eq!(
+            fsi.find_near(200, 100, 16),
+            Some(84),
+            "the window's edge is in it"
+        );
     }
 
     #[test]
@@ -183,11 +195,11 @@ mod tests {
         let mut fsi = FreeSpaceInventory::new();
         fsi.set(1, 300);
         fsi.set(2, 300);
-        let found = fsi.find_excluding(200, Some(1), 1).unwrap();
-        assert_eq!(found, 2);
-        assert_eq!(fsi.find_excluding(200, None, 2), Some(1));
+        assert_eq!(fsi.find(200, Some(1)), Some(2));
+        assert_eq!(fsi.find(200, Some(2)), Some(1));
         fsi.remove(2);
-        assert_eq!(fsi.find_excluding(200, None, 1), None);
+        assert_eq!(fsi.find(200, Some(1)), None);
+        assert_eq!(fsi.find(200, Some(7)), Some(1), "an untracked exclusion");
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! > organized as slotted pages, records are identified by a pair
 //! > (pageid, slot) (called record ID or RID).
 //!
+//! This store's page space is one such collection of pages and is not
+//! divided into segments, and it holds slotted pages only: the engine
+//! keeps no index and no user structure in it (see [`segment`] for why).
+//!
 //! Components:
 //!
 //! * [`rid`] — page ids, slot ids and 8-byte RIDs.
@@ -24,8 +28,10 @@
 //!   IBM DCAS 34330W measurement disk.
 //! * [`buffer`] — a pin/unpin buffer manager with LRU eviction and
 //!   batched read-ahead.
-//! * [`segment`] — segment management and page allocation.
+//! * [`segment`] — the record-manager facade: the header page, page
+//!   allocation and the free list, and the allocator's checkpoint record.
 //! * [`freespace`] — the free-space inventory used to place records.
+//! * [`wal`] — the write-ahead log and its devices.
 //! * [`stats`] — I/O statistics shared by the benchmark harness.
 
 #![deny(let_underscore_drop)]
@@ -48,7 +54,7 @@ pub use disk::{DiskBackend, FaultControl, FaultDisk, FileStorage, MemStorage};
 pub use error::{StorageError, StorageResult};
 pub use page::{PageBuf, PageKind, PAGE_HEADER_SIZE};
 pub use rid::{PageId, Rid, SlotId, INVALID_PAGE};
-pub use segment::{SegmentId, StorageManager};
+pub use segment::StorageManager;
 pub use simdisk::{DiskProfile, SimDisk};
 pub use stats::IoStats;
 pub use wal::{FileLogDevice, LogDevice, MemLogDevice, StoreSnapshot, Wal, WalRecord, WalSyncMode};

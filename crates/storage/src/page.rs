@@ -2,8 +2,9 @@
 //!
 //! Every page starts with a fixed 16-byte header; the interpretation of the
 //! rest depends on [`PageKind`]. Slotted pages (see [`crate::slotted`]) hold
-//! records; "plain pages" (§2.1: "for indices and user-defined structures")
-//! hold free-form payload.
+//! records. The store has no "plain pages" (§2.1: "for indices and
+//! user-defined structures"): it keeps no index and no user structure in
+//! its page space.
 //!
 //! Layout (little-endian):
 //!
@@ -32,8 +33,6 @@ pub enum PageKind {
     Free = 0,
     /// Slotted page holding records (the tree storage manager's pages).
     Slotted = 1,
-    /// Plain page: free-form payload for indices and user structures.
-    Plain = 2,
     /// Repository file header (page 0 only).
     Header = 5,
 }
@@ -44,7 +43,6 @@ impl PageKind {
         Ok(match v {
             0 => PageKind::Free,
             1 => PageKind::Slotted,
-            2 => PageKind::Plain,
             5 => PageKind::Header,
             _ => return Err(StorageError::Corrupt(format!("unknown page kind {v}"))),
         })
@@ -266,7 +264,7 @@ mod tests {
     fn format_resets_payload() {
         let mut p = PageBuf::new(512);
         p.bytes_mut()[100] = 0xFF;
-        p.format(PageKind::Plain);
+        p.format(PageKind::Slotted);
         assert_eq!(p.bytes()[100], 0);
         assert_eq!(p.next_page(), INVALID_PAGE);
     }
@@ -276,11 +274,14 @@ mod tests {
         let mut p = PageBuf::new(512);
         p.bytes_mut()[0] = 99;
         assert!(p.kind().is_err());
-        // 4 was the B+-tree node kind; such a page is now a typed error.
-        assert!(matches!(
-            PageKind::from_u8(4),
-            Err(StorageError::Corrupt(_))
-        ));
+        // 2 was the plain page kind, 4 the B+-tree node kind; such a page
+        // is now a typed error.
+        for retired in [2, 4] {
+            assert!(matches!(
+                PageKind::from_u8(retired),
+                Err(StorageError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,34 +1,43 @@
-//! Segment management and the record-manager facade.
+//! Page allocation and the record-manager facade.
 //!
 //! §2.1: the record manager "provides a memory space divided into segments,
-//! which are a linear collection of equal-sized pages". A
-//! [`StorageManager`] owns the repository's page space:
+//! which are a linear collection of equal-sized pages". This store's memory
+//! space is one such collection and is not divided: a [`StorageManager`]
+//! owns the repository's page space as a whole.
 //!
 //! * **page 0** is the header page: magic, format version and page size,
 //!   written once when the store is created and never again;
 //! * freed pages form an intrusive free list chained through their header's
 //!   `next_page` field;
-//! * each segment tracks its pages and their free space in an in-memory
-//!   [`FreeSpaceInventory`].
+//! * every other allocated page is a slotted page of the document store,
+//!   tracked with its free space in one in-memory [`FreeSpaceInventory`].
+//!
+//! The departure from §2.1 is deliberate. The paper's segments keep record
+//! pages apart from plain pages "for indices and user-defined structures".
+//! This engine stores records only: it has no index, its one derived
+//! structure (the path summary) is rebuilt rather than stored, and its
+//! directory lives in the log. A segment directory would name one segment,
+//! and records are addressed by page whatever segment holds them.
 //!
 //! Records themselves are written by the tree store, straight onto the
 //! slotted pages it [`pin`](StorageManager::pin)s: it deposits a record's
 //! pre-image and updates the page's node-type table under the same page
 //! latch as the record write. This module picks the page
-//! ([`find_page_with_space`](StorageManager::find_page_with_space)) and
+//! ([`find_page_with_space_near`](StorageManager::find_page_with_space_near),
+//! [`find_page_with_space`](StorageManager::find_page_with_space)) and
 //! tracks the free space left
 //! ([`note_free_space`](StorageManager::note_free_space)).
 //!
-//! The allocator state — high-water mark, free list, segments and their
-//! inventories — has one durable form: the [`StoreSnapshot`] a checkpoint
-//! appends to the log ([`append_checkpoint`](StorageManager::append_checkpoint)).
-//! Every open rebuilds the storage manager from the last one
+//! The allocator state — high-water mark, free list and the inventory —
+//! has one durable form: the [`StoreSnapshot`] a checkpoint appends to the
+//! log ([`append_checkpoint`](StorageManager::append_checkpoint)). Every
+//! open rebuilds the storage manager from the last one
 //! ([`restore_from_snapshot`](StorageManager::restore_from_snapshot)) and
 //! folds the allocation events logged behind it, which a [`Wal`] attached
-//! via [`StorageManager::attach_wal`] records as they happen (page
-//! alloc/free, segment creation). The paper's system has no recovery
-//! component; durability there is via explicit checkpointing, which a
-//! store without per-operation logging keeps.
+//! via [`StorageManager::attach_wal`] records as they happen (page alloc
+//! and free). The paper's system has no recovery component; durability
+//! there is via explicit checkpointing, which a store without
+//! per-operation logging keeps.
 
 use std::sync::{Arc, OnceLock};
 
@@ -40,10 +49,7 @@ use crate::freespace::FreeSpaceInventory;
 use crate::page::PageKind;
 use crate::rid::{PageId, INVALID_PAGE};
 use crate::slotted::SlottedPage;
-use crate::wal::{SegmentSnapshot, StoreSnapshot, Wal, WalRecord};
-
-/// Identifies a segment within a repository.
-pub type SegmentId = u16;
+use crate::wal::{StoreSnapshot, Wal, WalRecord};
 
 const MAGIC: &[u8; 8] = b"NATIXSTO";
 /// On-disk format version, the only one this build opens — of the page
@@ -54,45 +60,24 @@ const MAGIC: &[u8; 8] = b"NATIXSTO";
 /// version 4 gave the log's commit record its list of forced pages;
 /// version 5 dropped the header's allocation state and segment directory,
 /// the space-map chains and the catalog document: the log's checkpoint
-/// record is the one durable copy of the allocator and the directory.
-const VERSION: u32 = 5;
+/// record is the one durable copy of the allocator and the directory;
+/// version 6 dropped segments from the log: the checkpoint record lists
+/// one page inventory, `Alloc` names no segment, and the segment-creation
+/// record is gone.
+const VERSION: u32 = 6;
 
 // Header page layout (after the common 16-byte page header).
 const OFF_MAGIC: usize = 16;
 const OFF_VERSION: usize = 24;
 const OFF_PAGE_SIZE: usize = 28;
 
-struct SegmentState {
-    name: String,
-    fsi: FreeSpaceInventory,
-}
-
 struct SmState {
     next_unallocated: PageId,
     free_list_head: PageId,
-    segments: Vec<SegmentState>,
+    fsi: FreeSpaceInventory,
 }
 
-/// Placement preference for new records (§4.2's "same page if possible").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementHint {
-    /// No preference: best fit anywhere in the segment.
-    #[default]
-    Anywhere,
-    /// Prefer this page (typically the parent record's page).
-    NearPage(PageId),
-}
-
-impl PlacementHint {
-    fn page(self) -> Option<PageId> {
-        match self {
-            PlacementHint::Anywhere => None,
-            PlacementHint::NearPage(p) => Some(p),
-        }
-    }
-}
-
-/// The record-manager facade: segments, page allocation and the free-space
+/// The record-manager facade: page allocation and the free-space
 /// inventory.
 pub struct StorageManager {
     buffer: Arc<BufferManager>,
@@ -113,13 +98,17 @@ impl StorageManager {
             page.write_u32(OFF_VERSION, VERSION);
             page.write_u32(OFF_PAGE_SIZE, buffer.page_size() as u32);
         }
-        Ok(StorageManager::with_state(buffer, 1, Vec::new()))
+        Ok(StorageManager::with_state(
+            buffer,
+            1,
+            FreeSpaceInventory::new(),
+        ))
     }
 
     fn with_state(
         buffer: Arc<BufferManager>,
         next_unallocated: PageId,
-        segments: Vec<SegmentState>,
+        fsi: FreeSpaceInventory,
     ) -> StorageManager {
         StorageManager {
             buffer,
@@ -128,7 +117,7 @@ impl StorageManager {
                 SmState {
                     next_unallocated,
                     free_list_head: INVALID_PAGE,
-                    segments,
+                    fsi,
                 },
             ),
             wal: OnceLock::new(),
@@ -161,9 +150,8 @@ impl StorageManager {
         Ok(())
     }
 
-    /// Attaches the write-ahead log. From now on page allocation, page
-    /// frees and segment creation append log records (unless the calling
-    /// thread suppresses logging).
+    /// Attaches the write-ahead log. From now on every page allocation and
+    /// page free appends a log record.
     pub fn attach_wal(&self, wal: Arc<Wal>) {
         // A second attach is ignored: the first log stays.
         drop(self.wal.set(wal));
@@ -185,47 +173,11 @@ impl StorageManager {
         self.buffer.page_size()
     }
 
-    /// Creates a new segment; fails if the name is taken.
-    pub fn create_segment(&self, name: &str) -> StorageResult<SegmentId> {
-        let mut st = self.state.lock();
-        if st.segments.iter().any(|s| s.name == name) {
-            return Err(StorageError::Corrupt(format!(
-                "segment '{name}' already exists"
-            )));
-        }
-        let Ok(id) = SegmentId::try_from(st.segments.len()) else {
-            return Err(StorageError::Corrupt("segment directory full".into()));
-        };
-        st.segments.push(SegmentState {
-            name: name.to_string(),
-            fsi: FreeSpaceInventory::new(),
-        });
-        // Logged under the state lock so the record order in the log
-        // matches the positional segment-id order recovery replays.
-        self.wal_append(&WalRecord::SegCreate {
-            name: name.to_string(),
-        });
-        Ok(id)
-    }
-
-    /// Looks up a segment id by name.
-    pub fn segment_by_name(&self, name: &str) -> Option<SegmentId> {
-        self.state
-            .lock()
-            .segments
-            .iter()
-            .position(|s| s.name == name)
-            .map(|i| i as SegmentId)
-    }
-
-    /// Allocates and formats a page for `segment`. Slotted pages enter the
-    /// segment's free-space inventory immediately.
-    pub fn allocate_page(&self, segment: SegmentId, kind: PageKind) -> StorageResult<PageId> {
+    /// Allocates a page and formats it as an empty slotted page, which
+    /// enters the free-space inventory immediately.
+    pub fn allocate_page(&self) -> StorageResult<PageId> {
         let page = {
             let mut st = self.state.lock();
-            if segment as usize >= st.segments.len() {
-                return Err(StorageError::NoSuchSegment(segment));
-            }
             let page = match st.free_list_head {
                 INVALID_PAGE => {
                     let page = st.next_unallocated;
@@ -238,15 +190,13 @@ impl StorageManager {
                     page
                 }
             };
-            // Logged with the inventory the page joins, so recovery can
-            // re-adopt a surviving allocation.
-            self.wal_append(&WalRecord::Alloc { page, segment });
+            self.wal_append(&WalRecord::Alloc { page });
             // Listed under the lock hold that logged the `Alloc`: a
             // checkpoint snapshot taken before the real entry below must
             // list the page, or recovery — which adopts only allocations
             // logged after the checkpoint record — frees it under its
             // committed content. No free bytes: no placement picks it yet.
-            st.segments[segment as usize].fsi.set(page, 0);
+            st.fsi.set(page, 0);
             page
         };
         // Format outside the allocator lock: pinning the fresh page can
@@ -256,25 +206,17 @@ impl StorageManager {
         let free = {
             let pin = self.buffer.pin_new(page)?;
             let mut buf = pin.write();
-            if kind == PageKind::Slotted {
-                SlottedPage::format(&mut buf);
-            } else {
-                buf.format(kind);
-            }
+            SlottedPage::format(&mut buf);
             buf.free_total()
         };
-        let mut st = self.state.lock();
-        st.segments[segment as usize].fsi.set(page, free);
+        self.state.lock().fsi.set(page, free);
         Ok(page)
     }
 
-    /// Returns `page` to the global free pool and forgets its FSI entry.
-    pub fn free_page(&self, segment: SegmentId, page: PageId) -> StorageResult<()> {
+    /// Returns `page` to the free pool and forgets its FSI entry.
+    pub fn free_page(&self, page: PageId) -> StorageResult<()> {
         let mut st = self.state.lock();
-        if segment as usize >= st.segments.len() {
-            return Err(StorageError::NoSuchSegment(segment));
-        }
-        st.segments[segment as usize].fsi.remove(page);
+        st.fsi.remove(page);
         self.push_free(&mut st, page)?;
         self.wal_append(&WalRecord::Free { page });
         Ok(())
@@ -302,27 +244,16 @@ impl StorageManager {
         self.buffer.prefetch(pages)
     }
 
-    /// Updates the cached free-space value of `page` in `segment`'s
-    /// inventory.
-    pub fn note_free_space(&self, segment: SegmentId, page: PageId, free: usize) {
+    /// Updates the cached free-space value of `page`.
+    pub fn note_free_space(&self, page: PageId, free: usize) {
         let free = free.min(u16::MAX as usize) as u16;
-        if let Some(seg) = self.state.lock().segments.get_mut(segment as usize) {
-            seg.fsi.set(page, free);
-        }
+        self.state.lock().fsi.set(page, free);
     }
 
-    /// Finds a page in `segment` with at least `needed` free bytes.
-    pub fn find_page_with_space(
-        &self,
-        segment: SegmentId,
-        needed: usize,
-        hint: PlacementHint,
-    ) -> Option<PageId> {
-        let st = self.state.lock();
-        st.segments
-            .get(segment as usize)?
-            .fsi
-            .find(needed, hint.page())
+    /// The tightest-fitting page with at least `needed` free bytes, other
+    /// than `exclude` (see [`FreeSpaceInventory::find`]).
+    pub fn find_page_with_space(&self, needed: usize, exclude: Option<PageId>) -> Option<PageId> {
+        self.state.lock().fsi.find(needed, exclude)
     }
 
     /// Locality-preserving variant: a page with enough space whose id is
@@ -330,46 +261,17 @@ impl StorageManager {
     /// [`FreeSpaceInventory::find_near`]).
     pub fn find_page_with_space_near(
         &self,
-        segment: SegmentId,
         needed: usize,
         hint: PageId,
         window: u32,
     ) -> Option<PageId> {
-        let st = self.state.lock();
-        st.segments
-            .get(segment as usize)?
-            .fsi
-            .find_near(needed, hint, window)
+        self.state.lock().fsi.find_near(needed, hint, window)
     }
 
-    /// Like [`find_page_with_space`](Self::find_page_with_space) but never
-    /// returns `exclude` (for record moves off a crowded page).
-    pub fn find_page_with_space_excluding(
-        &self,
-        segment: SegmentId,
-        needed: usize,
-        hint: PlacementHint,
-        exclude: PageId,
-    ) -> Option<PageId> {
-        let st = self.state.lock();
-        st.segments
-            .get(segment as usize)?
-            .fsi
-            .find_excluding(needed, hint.page(), exclude)
-    }
-
-    /// All pages of a segment (ascending) with their cached free bytes —
-    /// the space-accounting walk for Figure 14.
-    pub fn segment_pages(&self, segment: SegmentId) -> Vec<(PageId, u16)> {
-        let st = self.state.lock();
-        match st.segments.get(segment as usize) {
-            Some(seg) => {
-                let mut v: Vec<(PageId, u16)> = seg.fsi.iter().collect();
-                v.sort_unstable();
-                v
-            }
-            None => Vec::new(),
-        }
+    /// Every allocated page (ascending) with its cached free bytes — the
+    /// space-accounting walk for Figure 14.
+    pub fn pages(&self) -> Vec<(PageId, u16)> {
+        self.state.lock().fsi.iter().collect()
     }
 
     /// Free bytes currently available on `page` (authoritative, not FSI).
@@ -399,9 +301,9 @@ impl StorageManager {
 
     /// Builds an allocator snapshot and appends it to `wal` as a
     /// [`WalRecord::Checkpoint`]. Snapshot capture and append both run
-    /// under the state lock — the same lock every Alloc/Free/SegCreate
-    /// append holds — so each allocation event lands either inside the
-    /// snapshot or after the checkpoint record in the log, never both.
+    /// under the state lock — the same lock every Alloc/Free append holds
+    /// — so each allocation event lands either inside the snapshot or
+    /// after the checkpoint record in the log, never both.
     ///
     /// `redo_horizon` is the log's end as the caller read it *before*
     /// flushing and before capturing `directory`. The truncate-reset fast
@@ -415,7 +317,6 @@ impl StorageManager {
     ///
     /// `wal` is the store's log whether or not it is attached: a store
     /// without per-operation logging still keeps its checkpoints there.
-    /// Must be called outside any [`crate::wal::SuppressLogging`] region.
     pub fn append_checkpoint(
         &self,
         wal: &Wal,
@@ -430,23 +331,11 @@ impl StorageManager {
             free_list.push(cur);
             cur = self.buffer.pin(cur)?.read().next_page();
         }
-        let segments = st
-            .segments
-            .iter()
-            .map(|s| {
-                let mut pages: Vec<(PageId, u16)> = s.fsi.iter().collect();
-                pages.sort_unstable();
-                SegmentSnapshot {
-                    name: s.name.clone(),
-                    pages,
-                }
-            })
-            .collect();
         let snap = StoreSnapshot {
             redo_horizon,
             next_unallocated: st.next_unallocated,
             free_list,
-            segments,
+            pages: st.fsi.iter().collect(),
             directory,
         };
         wal.flush_buffered()?;
@@ -476,25 +365,11 @@ impl StorageManager {
     ) -> StorageResult<StorageManager> {
         let next_unallocated = snap.next_unallocated.max(1);
         buffer.backend().grow(next_unallocated as u64)?;
-        let segments = snap
-            .segments
-            .iter()
-            .map(|s| {
-                let mut fsi = FreeSpaceInventory::new();
-                for &(p, f) in &s.pages {
-                    fsi.set(p, f);
-                }
-                SegmentState {
-                    name: s.name.clone(),
-                    fsi,
-                }
-            })
-            .collect();
-        Ok(StorageManager::with_state(
-            buffer,
-            next_unallocated,
-            segments,
-        ))
+        let mut fsi = FreeSpaceInventory::new();
+        for &(p, f) in &snap.pages {
+            fsi.set(p, f);
+        }
+        Ok(StorageManager::with_state(buffer, next_unallocated, fsi))
     }
 
     /// Raises the allocation high-water mark (recovery: fold of the
@@ -511,7 +386,7 @@ impl StorageManager {
     }
 
     /// Installs `pages` (head first) as the free list: formats each page
-    /// as `Free`, chains them, and drops them from every free-space
+    /// as `Free`, chains them, and drops them from the free-space
     /// inventory.
     pub fn install_free_list(&self, pages: &[PageId]) -> StorageResult<()> {
         let mut st = self.state.lock();
@@ -519,29 +394,10 @@ impl StorageManager {
         for &p in pages.iter().rev() {
             self.push_free(&mut st, p)?;
         }
-        for seg in &mut st.segments {
-            for &p in pages {
-                seg.fsi.remove(p);
-            }
+        for &p in pages {
+            st.fsi.remove(p);
         }
         Ok(())
-    }
-
-    /// Re-registers `page` in `segment`'s free-space inventory with a
-    /// placeholder value (recovery: a page allocated after the checkpoint
-    /// whose Alloc record survived — without this the page would stay
-    /// allocated but invisible to the inventory and to every later
-    /// snapshot). Call [`refresh_fsi_from_pages`] afterwards to replace
-    /// the placeholder with the page's real free space. Unknown segments
-    /// are ignored: the log may carry allocations for segments whose
-    /// creation never became durable.
-    ///
-    /// [`refresh_fsi_from_pages`]: Self::refresh_fsi_from_pages
-    pub fn adopt_page(&self, segment: SegmentId, page: PageId) {
-        let mut st = self.state.lock();
-        if let Some(seg) = st.segments.get_mut(segment as usize) {
-            seg.fsi.set(page, 0);
-        }
     }
 
     /// Re-derives every cached free-space value from the pages themselves
@@ -549,22 +405,20 @@ impl StorageManager {
     /// Entries whose page is free — or unreadable — are dropped.
     pub fn refresh_fsi_from_pages(&self) -> StorageResult<()> {
         let mut st = self.state.lock();
-        for si in 0..st.segments.len() {
-            let pages: Vec<PageId> = st.segments[si].fsi.iter().map(|(p, _)| p).collect();
-            for p in pages {
-                let pin = self.buffer.pin(p)?;
-                let free = {
-                    let buf = pin.read();
-                    match buf.kind() {
-                        Ok(PageKind::Free) | Err(_) => None,
-                        Ok(_) => Some(buf.free_total()),
-                    }
-                };
-                match free {
-                    Some(f) => st.segments[si].fsi.set(p, f),
-                    None => {
-                        st.segments[si].fsi.remove(p);
-                    }
+        let pages: Vec<PageId> = st.fsi.iter().map(|(p, _)| p).collect();
+        for p in pages {
+            let pin = self.buffer.pin(p)?;
+            let free = {
+                let buf = pin.read();
+                match buf.kind() {
+                    Ok(PageKind::Free) | Err(_) => None,
+                    Ok(_) => Some(buf.free_total()),
+                }
+            };
+            match free {
+                Some(f) => st.fsi.set(p, f),
+                None => {
+                    st.fsi.remove(p);
                 }
             }
         }
@@ -573,7 +427,7 @@ impl StorageManager {
 
     /// Pages below the allocation high-water mark that no structure
     /// accounts for: not the header page, not on the free-list chain, and
-    /// in no segment's free-space inventory.
+    /// not in the free-space inventory.
     ///
     /// On a healthy quiescent store this is empty. After crash recovery
     /// it is exactly the *loser allocations*: `Alloc` records carry no
@@ -600,11 +454,9 @@ impl StorageManager {
             }
             cur = self.buffer.pin(cur)?.read().next_page();
         }
-        for seg in &st.segments {
-            for (p, _) in seg.fsi.iter() {
-                if let Some(t) = tracked.get_mut(p as usize) {
-                    *t = true;
-                }
+        for (p, _) in st.fsi.iter() {
+            if let Some(t) = tracked.get_mut(p as usize) {
+                *t = true;
             }
         }
         Ok(tracked
@@ -615,24 +467,19 @@ impl StorageManager {
             .collect())
     }
 
-    /// Returns every [`untracked_pages`] orphan to the global free pool
+    /// Returns every [`untracked_pages`] orphan to the free pool
     /// (recovery: release loser allocations instead of leaking them until
-    /// the next checkpoint). Reports the pages it reclaimed. Frees are
-    /// logged like [`free_page`] frees, so a crash after recovery cannot
-    /// resurrect the orphans; without an attached log this is a no-op
-    /// append.
+    /// the next checkpoint). Reports the pages it reclaimed. Logs nothing:
+    /// recovery runs before the log is attached, and the checkpoint that
+    /// ends every build records the reclaimed pages in its free list —
+    /// that checkpoint is what makes the reclaim durable.
     ///
     /// [`untracked_pages`]: Self::untracked_pages
-    /// [`free_page`]: Self::free_page
     pub fn reclaim_untracked_pages(&self) -> StorageResult<Vec<PageId>> {
         let orphans = self.untracked_pages()?;
-        if orphans.is_empty() {
-            return Ok(orphans);
-        }
         let mut st = self.state.lock();
         for &page in &orphans {
             self.push_free(&mut st, page)?;
-            self.wal_append(&WalRecord::Free { page });
         }
         Ok(orphans)
     }
@@ -653,13 +500,13 @@ mod tests {
         StorageManager::create(bm).unwrap()
     }
 
-    /// Stores `bytes` the way the tree store does: a page from the
-    /// inventory (or a fresh one), a slotted-page insert, then the page's
-    /// new free space noted.
-    fn put(sm: &StorageManager, seg: SegmentId, bytes: &[u8], hint: PlacementHint) -> Rid {
-        let page = match sm.find_page_with_space(seg, bytes.len() + SLOT_ENTRY_SIZE, hint) {
+    /// Stores `bytes` the way the tree store does without a locality
+    /// hint: the tightest fit (or a fresh page), a slotted-page insert,
+    /// then the page's new free space noted.
+    fn put(sm: &StorageManager, bytes: &[u8]) -> Rid {
+        let page = match sm.find_page_with_space(bytes.len() + SLOT_ENTRY_SIZE, None) {
             Some(p) => p,
-            None => sm.allocate_page(seg, PageKind::Slotted).unwrap(),
+            None => sm.allocate_page().unwrap(),
         };
         let pin = sm.pin(page).unwrap();
         let mut buf = pin.write();
@@ -667,7 +514,7 @@ mod tests {
         let slot = sp.insert(bytes).unwrap();
         let free = sp.free_total();
         drop(buf);
-        sm.note_free_space(seg, page, free);
+        sm.note_free_space(page, free);
         Rid::new(page, slot)
     }
 
@@ -678,28 +525,31 @@ mod tests {
         sp.get(rid.slot).unwrap().to_vec()
     }
 
+    /// A record placed near another's page lands on that page while it
+    /// has room, among many emptier pages.
     #[test]
     fn placement_hint_clusters_records() {
-        let sm = mk(2048, 16);
-        let seg = sm.create_segment("docs").unwrap();
-        let a = put(&sm, seg, &[0u8; 100], PlacementHint::Anywhere);
-        let b = put(&sm, seg, &[1u8; 100], PlacementHint::NearPage(a.page));
-        assert_eq!(a.page, b.page, "hint should cluster on the same page");
+        let sm = mk(2048, 64);
+        let a = put(&sm, &[0u8; 100]);
+        for _ in 0..40 {
+            sm.allocate_page().unwrap();
+        }
+        let near = sm.find_page_with_space_near(100 + SLOT_ENTRY_SIZE, a.page, 16);
+        assert_eq!(near, Some(a.page), "hint should cluster on the same page");
     }
 
     #[test]
     fn free_page_recycled() {
         let sm = mk(2048, 16);
-        let seg = sm.create_segment("docs").unwrap();
-        let p1 = sm.allocate_page(seg, PageKind::Slotted).unwrap();
-        sm.free_page(seg, p1).unwrap();
-        let p2 = sm.allocate_page(seg, PageKind::Plain).unwrap();
+        let p1 = sm.allocate_page().unwrap();
+        sm.free_page(p1).unwrap();
+        let p2 = sm.allocate_page().unwrap();
         assert_eq!(p1, p2, "freed page is reused first");
     }
 
     /// The checkpoint record is the allocator's durable form: rebuilt from
-    /// it over the flushed pages, a store has its segments, records,
-    /// inventories and free list back.
+    /// it over the flushed pages, a store has its records, inventory and
+    /// free list back.
     #[test]
     fn checkpoint_reopen_preserves_everything() {
         let backend = Arc::new(MemStorage::new(1024).unwrap());
@@ -708,21 +558,19 @@ mod tests {
             Arc::new(BufferManager::new(backend, 16, IoStats::new_shared()))
         };
         let sm = StorageManager::create(pool()).unwrap();
-        let seg = sm.create_segment("docs").unwrap();
-        let seg2 = sm.create_segment("index").unwrap();
         let mut rids = Vec::new();
         for i in 0..50u8 {
-            rids.push(put(&sm, seg, &[i; 64], PlacementHint::Anywhere));
+            rids.push(put(&sm, &[i; 64]));
         }
-        let irid = put(&sm, seg2, b"idx", PlacementHint::Anywhere);
-        let freed = sm.allocate_page(seg, PageKind::Slotted).unwrap();
-        sm.free_page(seg, freed).unwrap();
+        let freed = sm.allocate_page().unwrap();
+        sm.free_page(freed).unwrap();
         let log = Arc::new(MemLogDevice::new());
         let wal = Wal::new(Box::new(Arc::clone(&log)));
         sm.checkpoint().unwrap();
         sm.append_checkpoint(&wal, 0, b"dir".to_vec(), &|| true)
             .unwrap();
         let allocated = sm.allocated_pages();
+        let pages = sm.pages();
         drop(sm);
 
         let (mut records, _) = crate::wal::parse_log(&log.durable_bytes());
@@ -732,21 +580,19 @@ mod tests {
         assert_eq!(snap.directory, b"dir");
         let sm = StorageManager::restore_from_snapshot(pool(), &snap).unwrap();
         sm.install_free_list(&snap.free_list).unwrap();
-        assert_eq!(sm.segment_by_name("docs"), Some(seg));
-        assert_eq!(sm.segment_by_name("index"), Some(seg2));
         assert_eq!(sm.allocated_pages(), allocated);
+        assert_eq!(sm.pages(), pages);
         for (i, rid) in rids.iter().enumerate() {
             assert_eq!(get(&sm, *rid), vec![i as u8; 64]);
         }
-        assert_eq!(get(&sm, irid), b"idx");
         assert!(sm.untracked_pages().unwrap().is_empty());
         // FSI survives: a small record lands on an existing page.
-        let r = put(&sm, seg, &[9u8; 16], PlacementHint::Anywhere);
+        let r = put(&sm, &[9u8; 16]);
         assert!(rids.iter().any(|old| old.page == r.page));
-        assert_eq!(sm.allocate_page(seg, PageKind::Slotted).unwrap(), freed);
+        assert_eq!(sm.allocate_page().unwrap(), freed);
     }
 
-    /// A header of any format version but this build's — version 4
+    /// A header of any format version but this build's — versions 4 and 5
     /// included — or of another page size is refused with a typed error,
     /// not misread.
     #[test]
@@ -773,7 +619,7 @@ mod tests {
             Err(StorageError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
             other => panic!("expected Corrupt({what}), got {other:?}"),
         };
-        for bad in [0u32, VERSION - 1, VERSION + 1] {
+        for bad in [0u32, 4, 5, VERSION + 1] {
             refused(patched(OFF_VERSION, bad), "unsupported format version");
         }
         patched(OFF_VERSION, VERSION).expect("the current version opens");
@@ -783,18 +629,9 @@ mod tests {
     #[test]
     fn find_page_with_space_excluding() {
         let sm = mk(512, 16);
-        let seg = sm.create_segment("docs").unwrap();
-        let a = put(&sm, seg, &[1u8; 100], PlacementHint::Anywhere);
-        let found = sm.find_page_with_space_excluding(seg, 50, PlacementHint::Anywhere, a.page);
+        let a = put(&sm, &[1u8; 100]);
+        assert_eq!(sm.find_page_with_space(50, None), Some(a.page));
+        let found = sm.find_page_with_space(50, Some(a.page));
         assert!(found.is_none(), "only one page exists and it is excluded");
-    }
-
-    #[test]
-    fn unknown_segment_errors() {
-        let sm = mk(512, 16);
-        assert!(matches!(
-            sm.allocate_page(3, PageKind::Plain),
-            Err(StorageError::NoSuchSegment(3))
-        ));
     }
 }

@@ -54,7 +54,7 @@
 //! record reads as a torn tail — so a change to any record's encoding bumps
 //! the store's ([`crate::segment`]), which is checked before the log is read.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -135,41 +135,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static SUPPRESS_DEPTH: Cell<u32> = const { Cell::new(0) };
     static COMMIT_ERROR: RefCell<Option<StorageError>> = const { RefCell::new(None) };
-}
-
-/// True while the current thread runs with WAL logging suppressed
-/// (recovery's restore — activity that is reconstructed from the
-/// checkpoint snapshot rather than replayed).
-pub fn log_suppressed() -> bool {
-    SUPPRESS_DEPTH.with(|d| d.get() > 0)
-}
-
-/// RAII guard suppressing WAL appends on the current thread. Nesting is
-/// counted. Only the thread holding the guard is affected — concurrent
-/// user operations on other threads keep logging.
-#[must_use = "dropping a SuppressLogging immediately ends the suppressed region"]
-pub struct SuppressLogging;
-
-impl SuppressLogging {
-    /// Enters a suppressed region.
-    pub fn new() -> SuppressLogging {
-        SUPPRESS_DEPTH.with(|d| d.set(d.get() + 1));
-        SuppressLogging
-    }
-}
-
-impl Default for SuppressLogging {
-    fn default() -> Self {
-        SuppressLogging::new()
-    }
-}
-
-impl Drop for SuppressLogging {
-    fn drop(&mut self) {
-        SUPPRESS_DEPTH.with(|d| d.set(d.get() - 1));
-    }
 }
 
 /// Records an error raised inside the commit hook (which runs in a `Drop`
@@ -201,17 +167,6 @@ const KIND_COMMIT: u8 = 5;
 const KIND_CATALOG: u8 = 6;
 const KIND_ALLOC: u8 = 7;
 const KIND_FREE: u8 = 8;
-const KIND_SEG_CREATE: u8 = 9;
-
-/// Per-segment part of a [`StoreSnapshot`]: name plus the free-space
-/// inventory (page id, cached free bytes).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentSnapshot {
-    /// Segment name (id is positional).
-    pub name: String,
-    /// FSI entries at snapshot time.
-    pub pages: Vec<(PageId, u16)>,
-}
 
 /// Allocator + directory state embedded in a [`WalRecord::Checkpoint`].
 ///
@@ -227,8 +182,9 @@ pub struct StoreSnapshot {
     pub next_unallocated: PageId,
     /// Pages on the free list, head first.
     pub free_list: Vec<PageId>,
-    /// Segments in id order.
-    pub segments: Vec<SegmentSnapshot>,
+    /// The free-space inventory: every allocated page with its cached
+    /// free bytes, ascending.
+    pub pages: Vec<(PageId, u16)>,
     /// The directory as of the checkpoint: encoded deltas that build it
     /// from empty (repository layer format, opaque here).
     pub directory: Vec<u8>,
@@ -289,24 +245,16 @@ pub enum WalRecord {
         /// (the repository's directory module owns the format).
         payload: Vec<u8>,
     },
-    /// A page left the free pool / extended the file.
+    /// A page left the free pool / extended the file. Recovery adopts
+    /// a surviving allocation back into the free-space inventory.
     Alloc {
         /// The allocated page.
         page: PageId,
-        /// Segment whose free-space inventory lists the page (positional
-        /// id, see [`SegCreate`](WalRecord::SegCreate)). Recovery re-adopts
-        /// surviving allocations into their inventory from this.
-        segment: u16,
     },
     /// A page returned to the free pool.
     Free {
         /// The freed page.
         page: PageId,
-    },
-    /// A segment was appended to the directory (ids are positional).
-    SegCreate {
-        /// Segment name.
-        name: String,
     },
 }
 
@@ -397,14 +345,10 @@ impl StoreSnapshot {
         for &p in &self.free_list {
             put_u32(out, p);
         }
-        put_u16(out, self.segments.len() as u16);
-        for seg in &self.segments {
-            put_bytes(out, seg.name.as_bytes());
-            put_u32(out, seg.pages.len() as u32);
-            for &(p, f) in &seg.pages {
-                put_u32(out, p);
-                put_u16(out, f);
-            }
+        put_u32(out, self.pages.len() as u32);
+        for &(p, f) in &self.pages {
+            put_u32(out, p);
+            put_u16(out, f);
         }
         put_bytes(out, &self.directory);
     }
@@ -412,30 +356,20 @@ impl StoreSnapshot {
     fn decode(r: &mut Reader<'_>) -> StorageResult<StoreSnapshot> {
         let redo_horizon = r.u64()?;
         let next_unallocated = r.u32()?;
-        let nfree = r.u32()? as usize;
-        let mut free_list = Vec::with_capacity(nfree);
-        for _ in 0..nfree {
-            free_list.push(r.u32()?);
-        }
-        let nseg = r.u16()? as usize;
-        let mut segments = Vec::with_capacity(nseg);
-        for _ in 0..nseg {
-            let name = r.string()?;
-            let npages = r.u32()? as usize;
-            let mut pages = Vec::with_capacity(npages);
-            for _ in 0..npages {
-                let p = r.u32()?;
-                let f = r.u16()?;
-                pages.push((p, f));
-            }
-            segments.push(SegmentSnapshot { name, pages });
-        }
+        // Counts are collected through, not reserved: a count the
+        // record's bytes cannot back ends in a truncation error.
+        let free_list = (0..r.u32()?)
+            .map(|_| r.u32())
+            .collect::<StorageResult<_>>()?;
+        let pages = (0..r.u32()?)
+            .map(|_| Ok((r.u32()?, r.u16()?)))
+            .collect::<StorageResult<_>>()?;
         let directory = r.bytes()?;
         Ok(StoreSnapshot {
             redo_horizon,
             next_unallocated,
             free_list,
-            segments,
+            pages,
             directory,
         })
     }
@@ -508,18 +442,13 @@ impl WalRecord {
                 put_u64(out, *op);
                 put_bytes(out, payload);
             }
-            WalRecord::Alloc { page, segment } => {
+            WalRecord::Alloc { page } => {
                 out.push(KIND_ALLOC);
                 put_u32(out, *page);
-                put_u16(out, *segment);
             }
             WalRecord::Free { page } => {
                 out.push(KIND_FREE);
                 put_u32(out, *page);
-            }
-            WalRecord::SegCreate { name } => {
-                out.push(KIND_SEG_CREATE);
-                put_bytes(out, name.as_bytes());
             }
         }
     }
@@ -583,13 +512,8 @@ impl WalRecord {
                 let payload = r.bytes()?;
                 WalRecord::Catalog { op, payload }
             }
-            KIND_ALLOC => {
-                let page = r.u32()?;
-                let segment = r.u16()?;
-                WalRecord::Alloc { page, segment }
-            }
+            KIND_ALLOC => WalRecord::Alloc { page: r.u32()? },
             KIND_FREE => WalRecord::Free { page: r.u32()? },
-            KIND_SEG_CREATE => WalRecord::SegCreate { name: r.string()? },
             k => {
                 return Err(StorageError::Corrupt(format!(
                     "unknown log record kind {k}"
@@ -967,12 +891,8 @@ impl Wal {
     }
 
     /// Appends a record to the log buffer (no I/O), framed in place.
-    /// Returns the record's end offset. A no-op returning the current end
-    /// offset while the thread holds a [`SuppressLogging`] guard.
+    /// Returns the record's end offset.
     pub fn append(&self, rec: &WalRecord) -> u64 {
-        if log_suppressed() {
-            return self.appended_lsn();
-        }
         let mut core = self.core.lock();
         frame_into(&mut core.buf, |out| rec.encode_body(out));
         self.publish_end(&core)
@@ -998,9 +918,6 @@ impl Wal {
         forced: Vec<PageId>,
         force_lsn: u64,
     ) -> u64 {
-        if log_suppressed() {
-            return self.appended_lsn();
-        }
         let commit = WalRecord::Commit {
             op,
             forced,
@@ -1193,10 +1110,7 @@ mod tests {
                 redo_horizon: 7,
                 next_unallocated: 42,
                 free_list: vec![3, 9],
-                segments: vec![SegmentSnapshot {
-                    name: "documents".into(),
-                    pages: vec![(5, 100), (6, 0)],
-                }],
+                pages: vec![(5, 100), (6, 0)],
                 directory: b"dir".to_vec(),
             })),
             WalRecord::PreImage {
@@ -1223,14 +1137,8 @@ mod tests {
                 op: 0,
                 payload: b"cat".to_vec(),
             },
-            WalRecord::Alloc {
-                page: 17,
-                segment: 2,
-            },
+            WalRecord::Alloc { page: 17 },
             WalRecord::Free { page: 18 },
-            WalRecord::SegCreate {
-                name: "ingest0".into(),
-            },
         ]
     }
 
@@ -1271,6 +1179,28 @@ mod tests {
         log2[n - 1] ^= 0xFF;
         let (parsed2, _) = parse_log(&log2);
         assert_eq!(parsed2.len(), sample_records().len() - 1);
+    }
+
+    /// A checkpoint body whose counts claim more entries than its bytes
+    /// hold — `u32::MAX` free pages, or inventory pages, in a few bytes —
+    /// is refused as truncated, with nothing reserved on the count's say-so
+    /// (reserving it would abort the process).
+    #[test]
+    fn a_checkpoint_claiming_more_pages_than_it_holds_is_corrupt() {
+        let mut head = vec![KIND_CHECKPOINT];
+        put_u64(&mut head, 0);
+        put_u32(&mut head, 9);
+        for (nfree, npages) in [(u32::MAX, 0), (0, u32::MAX)] {
+            let mut body = head.clone();
+            put_u32(&mut body, nfree);
+            put_u32(&mut body, npages);
+            body.extend_from_slice(&[1, 2, 3]);
+            let decoded = WalRecord::decode_body(&body);
+            assert!(
+                matches!(decoded, Err(StorageError::Corrupt(_))),
+                "{nfree} free, {npages} pages: {decoded:?}"
+            );
+        }
     }
 
     #[test]
@@ -1325,18 +1255,6 @@ mod tests {
         assert_eq!(parsed[3].1, want);
         expect_log.extend_from_slice(&want.encode_frame());
         assert_eq!(bytes, expect_log, "in-place framing == encode_frame");
-    }
-
-    #[test]
-    fn suppressed_appends_are_dropped() {
-        let wal = Wal::new(Box::new(MemLogDevice::new()));
-        {
-            let _g = SuppressLogging::new();
-            assert_eq!(wal.append(&commit(1)), 0);
-        }
-        assert_eq!(wal.appended_lsn(), 0);
-        wal.append(&commit(2));
-        assert!(wal.appended_lsn() > 0);
     }
 
     #[test]
@@ -1419,7 +1337,7 @@ mod tests {
             redo_horizon: 0,
             next_unallocated: 1,
             free_list: vec![],
-            segments: vec![],
+            pages: vec![],
             directory: vec![],
         }));
         // Wrong expectation: no reset.
@@ -1449,7 +1367,7 @@ mod tests {
             redo_horizon: 0,
             next_unallocated: 1,
             free_list: vec![],
-            segments: vec![],
+            pages: vec![],
             directory: vec![],
         }));
         assert!(wal.try_truncate_reset(stale, &|| true, &ckpt).unwrap());

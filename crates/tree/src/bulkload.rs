@@ -314,7 +314,7 @@ impl<'s> BulkLoader<'s> {
 
     /// Aborts the load, deleting every record flushed so far — a failed or
     /// abandoned bulkload must not leak unreachable records into the
-    /// segment. Deletion errors are ignored (best-effort cleanup on a path
+    /// store. Deletion errors are ignored (best-effort cleanup on a path
     /// that is already failing).
     pub fn abort(mut self) {
         self.abort_in_place();
@@ -1205,8 +1205,7 @@ mod tests {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
         let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
-        let seg = sm.create_segment("docs").unwrap();
-        TreeStore::new(sm, seg, TreeConfig::paper(), matrix, Default::default()).unwrap()
+        TreeStore::new(sm, TreeConfig::paper(), matrix, Default::default()).unwrap()
     }
 
     fn text(s: &str) -> LiteralValue {

@@ -25,9 +25,8 @@
 
 use std::sync::Arc;
 
-use natix_storage::segment::PlacementHint;
 use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
-use natix_storage::{PageKind, Rid, SegmentId, StorageError, StorageManager};
+use natix_storage::{PageId, Rid, StorageError, StorageManager};
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
 
 use crate::config::TreeConfig;
@@ -177,7 +176,6 @@ impl OpCtx {
 /// The tree storage manager.
 pub struct TreeStore {
     sm: Arc<StorageManager>,
-    segment: SegmentId,
     config: TreeConfig,
     matrix: parking_lot::RwLock<SplitMatrix>,
     /// Record-version/epoch state (see [`crate::version`]). Shared across
@@ -188,7 +186,7 @@ pub struct TreeStore {
 }
 
 impl TreeStore {
-    /// Creates a tree store over `segment` of an existing storage manager.
+    /// Creates a tree store over the pages of an existing storage manager.
     /// The caller supplies the version store, because the caller decides
     /// what it is wired to: a repository hands every one of its stores
     /// the one [`VersionStore`] that carries its log and commit hook, so a
@@ -196,7 +194,6 @@ impl TreeStore {
     /// on an invalid [`TreeConfig`].
     pub fn new(
         sm: Arc<StorageManager>,
-        segment: SegmentId,
         config: TreeConfig,
         matrix: SplitMatrix,
         versions: Arc<VersionStore>,
@@ -206,7 +203,6 @@ impl TreeStore {
             .map_err(|m| TreeError::Invariant(format!("invalid tree configuration: {m}")))?;
         Ok(TreeStore {
             sm,
-            segment,
             config,
             matrix: parking_lot::RwLock::with_rank(&parking_lot::rank::SPLIT_MATRIX, matrix),
             versions,
@@ -252,13 +248,8 @@ impl TreeStore {
     /// priority; already-resident or in-flight pages are skipped. This is
     /// an I/O region: callers must not hold any non-I/O-tolerant lock
     /// across it. Returns the number of pages actually read.
-    pub fn prefetch_pages(&self, pages: &[natix_storage::PageId]) -> TreeResult<usize> {
+    pub fn prefetch_pages(&self, pages: &[PageId]) -> TreeResult<usize> {
         Ok(self.sm.prefetch(pages)?)
-    }
-
-    /// The segment records live in.
-    pub fn segment(&self) -> SegmentId {
-        self.segment
     }
 
     /// Page size of the repository.
@@ -430,18 +421,18 @@ impl TreeStore {
         sp.update(rid.slot, &bytes)?;
         let free = sp.free_total();
         drop(buf);
-        self.sm.note_free_space(self.segment, rid.page, free);
+        self.sm.note_free_space(rid.page, free);
         self.emit_relocations(rid, &mapping, tree, ctx);
         Ok(())
     }
 
-    /// Writes `tree` as a new record, choosing a page (hint first, then
-    /// best fit, then a fresh page). Fails with `RecordTooLarge` when even
-    /// a fresh page cannot take it.
+    /// Writes `tree` as a new record, choosing a page (near `near` when
+    /// given, else the best fit, then a fresh page). Fails with
+    /// `RecordTooLarge` when even a fresh page cannot take it.
     fn write_new(
         &self,
         tree: &RecordTree,
-        hint: PlacementHint,
+        near: Option<PageId>,
         ctx: &mut OpCtx,
     ) -> TreeResult<Rid> {
         let len = tree.record_size();
@@ -458,21 +449,12 @@ impl TreeStore {
         // document over cold pages of older documents and destroy exactly
         // the clustering the tree store exists to maintain. Without a
         // hint, best fit bounds fragmentation.
-        let mut tried: Option<u32> = None;
+        let mut tried: Option<PageId> = None;
         for _ in 0..2 {
-            let candidate = match (hint, tried) {
-                (PlacementHint::NearPage(h), None) => {
-                    self.sm
-                        .find_page_with_space_near(self.segment, worst, h, 16)
-                }
-                (PlacementHint::NearPage(_), Some(_)) => None,
-                (PlacementHint::Anywhere, None) => {
-                    self.sm.find_page_with_space(self.segment, worst, hint)
-                }
-                (PlacementHint::Anywhere, Some(t)) => {
-                    self.sm
-                        .find_page_with_space_excluding(self.segment, worst, hint, t)
-                }
+            let candidate = match (near, tried) {
+                (Some(h), None) => self.sm.find_page_with_space_near(worst, h, 16),
+                (Some(_), Some(_)) => None,
+                (None, tried) => self.sm.find_page_with_space(worst, tried),
             };
             let Some(page) = candidate else { break };
             if let Some(rid) = self.try_write_on_page(page, tree, ctx)? {
@@ -480,7 +462,7 @@ impl TreeStore {
             }
             tried = Some(page);
         }
-        let page = self.sm.allocate_page(self.segment, PageKind::Slotted)?;
+        let page = self.sm.allocate_page()?;
         match self.try_write_on_page(page, tree, ctx)? {
             Some(rid) => Ok(rid),
             None => Err(TreeError::Storage(StorageError::RecordTooLarge {
@@ -541,7 +523,7 @@ impl TreeStore {
         }
         let free = sp.free_total();
         drop(buf);
-        self.sm.note_free_space(self.segment, page, free);
+        self.sm.note_free_space(page, free);
         // Slot reuse within one operation: the RID is live again, and any
         // patches queued for its previous tenant must not hit the new one.
         if ctx.deleted.remove(&rid) {
@@ -575,7 +557,7 @@ impl TreeStore {
                     break 'placed rid;
                 }
             }
-            let page = self.sm.allocate_page(self.segment, PageKind::Slotted)?;
+            let page = self.sm.allocate_page()?;
             cursor.page = Some(page);
             // Nothing older lives on this page: at commit it is forced
             // to the page device instead of imaged.
@@ -638,7 +620,7 @@ impl TreeStore {
             .map_err(|_| TreeError::Storage(StorageError::RecordNotFound(rid)))?;
         let free = sp.free_total();
         drop(buf);
-        self.sm.note_free_space(self.segment, rid.page, free);
+        self.sm.note_free_space(rid.page, free);
         Ok(())
     }
 
@@ -703,7 +685,7 @@ impl TreeStore {
     /// more free space".
     fn move_record(&self, old_rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
         // Stay near the old page: the record's neighbours live there.
-        let new_rid = self.write_new(&tree, PlacementHint::NearPage(old_rid.page), ctx)?;
+        let new_rid = self.write_new(&tree, Some(old_rid.page), ctx)?;
         self.delete_record_raw(old_rid, ctx)?;
         if tree.parent_rid.is_invalid() {
             ctx.note_root_move(old_rid, new_rid);
@@ -848,7 +830,7 @@ impl TreeStore {
         ctx: &mut OpCtx,
     ) -> TreeResult<Rid> {
         if tree.record_size() <= self.net_capacity() {
-            return self.write_new(&tree, PlacementHint::NearPage(near), ctx);
+            return self.write_new(&tree, Some(near), ctx);
         }
         let before = tree.record_size();
         let plan = {
@@ -886,7 +868,7 @@ impl TreeStore {
         let _op = self.versions.begin_write();
         let tree = RecordTree::new(label, PContent::Aggregate(Vec::new()), Rid::invalid());
         let mut ctx = OpCtx::default();
-        let rid = self.write_new(&tree, PlacementHint::Anywhere, &mut ctx)?;
+        let rid = self.write_new(&tree, None, &mut ctx)?;
         Ok(rid)
     }
 
@@ -1129,8 +1111,7 @@ impl TreeStore {
                 // possible", §4.2).
                 let mut child = RecordTree::new(label, node.into_content(), rid);
                 child.node_mut(child.root()).orig = Some(WATCH);
-                let child_rid =
-                    self.write_new(&child, PlacementHint::NearPage(rid.page), &mut ctx)?;
+                let child_rid = self.write_new(&child, Some(rid.page), &mut ctx)?;
                 let proxy = tree.alloc(child.proxy_digest(), PContent::Proxy(child_rid));
                 tree.attach(parent_node, index, proxy);
                 let final_rid = self.store_updated(rid, tree, &mut ctx)?;
@@ -1803,9 +1784,8 @@ pub(crate) mod tests {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
         let bm = Arc::new(BufferManager::new(backend, 1024, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
-        let seg = sm.create_segment("docs").unwrap();
         let matrix = SplitMatrix::all_other();
-        TreeStore::new(sm, seg, TreeConfig::paper(), matrix, Default::default()).unwrap()
+        TreeStore::new(sm, TreeConfig::paper(), matrix, Default::default()).unwrap()
     }
 
     /// Every facade node of the document at `root` in document order:

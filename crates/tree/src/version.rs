@@ -91,7 +91,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, TrackedAtomicU64, TrackedAtomicUsize};
 
-use natix_storage::wal::{log_suppressed, Wal, WalRecord};
+use natix_storage::wal::{Wal, WalRecord};
 use natix_storage::{PageId, Rid};
 
 use crate::error::{TreeError, TreeResult};
@@ -493,7 +493,6 @@ impl VersionStore {
                     op: None,
                     token: ambient,
                     prev,
-                    counted: false,
                     _not_send: PhantomData,
                 };
             }
@@ -506,20 +505,13 @@ impl VersionStore {
         // Counted before the operation can log anything: a checkpoint's
         // quiescence check that sees an unchanged count knows no record of
         // this operation can be in the log it is about to truncate.
-        // Suppressed operations (recovery internals) never log, so they
-        // stay invisible to that check: none can veto a checkpoint's log
-        // truncation.
-        let counted = !log_suppressed();
-        if counted {
-            self.ops_begun.fetch_add(1, Ordering::AcqRel);
-        }
+        self.ops_begun.fetch_add(1, Ordering::AcqRel);
         WRITE_OP.set(Some((self.id(), op)));
         WriteOp {
             store: self,
             op: Some(op),
             token: op,
             prev,
-            counted,
             _not_send: PhantomData,
         }
     }
@@ -732,9 +724,6 @@ pub struct WriteOp<'a> {
     /// construction so `id` never has to re-derive it from thread state.
     token: u64,
     prev: Option<(usize, u64)>,
-    /// Whether this guard bumped `ops_begun` (false when it began under
-    /// log suppression and is invisible to quiescence checks).
-    counted: bool,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -765,17 +754,14 @@ impl Drop for WriteOp<'_> {
             // final, published bytes) but before the operation counts as
             // finished — a checkpoint's quiescence check must not
             // truncate the log while the hook is still appending to it.
-            // Skipped for operations that touched nothing and under log
-            // suppression (checkpoint/recovery internals).
+            // Skipped for operations that touched nothing.
             let touched = !(pages.fresh.is_empty() && pages.imaged.is_empty());
-            if touched && !log_suppressed() {
+            if touched {
                 if let Some(hook) = self.store.commit_hook.get() {
                     hook(op, pages);
                 }
             }
-            if self.counted {
-                self.store.ops_finished.fetch_add(1, Ordering::AcqRel);
-            }
+            self.store.ops_finished.fetch_add(1, Ordering::AcqRel);
         }
     }
 }
@@ -1013,10 +999,8 @@ mod tests {
         let backend = Arc::new(MemStorage::new(2048).unwrap());
         let bm = Arc::new(BufferManager::new(backend, 64, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
-        let seg = sm.create_segment("docs").unwrap();
         TreeStore::new(
             sm,
-            seg,
             TreeConfig::default(),
             SplitMatrix::all_other(),
             Default::default(),

@@ -108,10 +108,8 @@ fn run(seed: u64, nops: usize, verify_each: bool) {
     let backend = Arc::new(MemStorage::new(512).unwrap());
     let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
     let sm = Arc::new(StorageManager::create(bm).unwrap());
-    let seg = sm.create_segment("docs").unwrap();
     let store = TreeStore::new(
         sm,
-        seg,
         TreeConfig::paper(),
         SplitMatrix::all_other(),
         Default::default(),

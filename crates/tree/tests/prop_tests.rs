@@ -108,8 +108,7 @@ impl Harness {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
         let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
-        let seg = sm.create_segment("docs").unwrap();
-        let store = TreeStore::new(sm, seg, config, matrix, Default::default()).unwrap();
+        let store = TreeStore::new(sm, config, matrix, Default::default()).unwrap();
         let root_rid = store.create_tree(1).unwrap();
         let mut h = Harness {
             store,

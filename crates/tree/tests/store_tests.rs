@@ -22,8 +22,7 @@ fn mk_store(page_size: usize, matrix: SplitMatrix, config: TreeConfig) -> TreeSt
     let backend = Arc::new(MemStorage::new(page_size).unwrap());
     let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
     let sm = Arc::new(StorageManager::create(bm).unwrap());
-    let seg = sm.create_segment("docs").unwrap();
-    TreeStore::new(sm, seg, config, matrix, Default::default()).unwrap()
+    TreeStore::new(sm, config, matrix, Default::default()).unwrap()
 }
 
 /// Shadow logical document plus the logical↔physical node map, kept
@@ -527,7 +526,7 @@ fn logical_navigation_matches_shadow() {
 
 #[test]
 fn page_kind_bookkeeping() {
-    // The store must only ever touch slotted pages in its segment.
+    // The store must only ever allocate slotted pages.
     let store = mk_store(512, SplitMatrix::all_other(), TreeConfig::paper());
     let mut sh = Shadow::new(&store, 1);
     for i in 0..40 {
@@ -535,7 +534,7 @@ fn page_kind_bookkeeping() {
     }
     sh.verify(&store);
     let sm = store.storage();
-    for (page, _) in sm.segment_pages(store.segment()) {
+    for (page, _) in sm.pages() {
         let pin = sm.pin(page).unwrap();
         assert_eq!(pin.read().kind().unwrap(), PageKind::Slotted);
     }
