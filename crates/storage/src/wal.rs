@@ -827,6 +827,9 @@ pub enum WalSyncMode {
 struct WalCore {
     /// Appended records not yet handed to the device.
     buf: Vec<u8>,
+    /// The allocation of the batch last written, empty: the append buffer
+    /// a sync swaps in, so a commit after a sync does not regrow one.
+    spare: Vec<u8>,
     /// Device length == log offset where `buf` starts.
     buf_base: u64,
     /// A leader is currently writing + syncing outside the lock.
@@ -855,6 +858,7 @@ impl Wal {
                 &parking_lot::rank::WAL,
                 WalCore {
                     buf: Vec::new(),
+                    spare: Vec::new(),
                     buf_base: len,
                     syncing: false,
                 },
@@ -963,9 +967,11 @@ impl Wal {
     }
 
     /// Waits until the log is durable up to `target`. One waiter becomes
-    /// the leader: it takes the whole append buffer, writes and fsyncs it
-    /// outside the lock, and wakes the others — commits that appended
-    /// before the batch was taken ride the same fsync.
+    /// the leader: it takes the whole append buffer, leaving the spare
+    /// allocation the previous batch gave back in its place, writes and
+    /// fsyncs it outside the lock, gives its allocation back as the next
+    /// spare, and wakes the others — commits that appended before the
+    /// batch was taken ride the same fsync.
     ///
     /// A `target` beyond the log's end was read before a
     /// [truncate-reset](Self::try_truncate_reset) restarted the LSNs —
@@ -986,12 +992,15 @@ impl Wal {
                 continue;
             }
             core.syncing = true;
-            let batch = std::mem::take(&mut core.buf);
+            let spare = std::mem::take(&mut core.spare);
+            let mut batch = std::mem::replace(&mut core.buf, spare);
             let new_end = core.buf_base + batch.len() as u64;
             core.buf_base = new_end;
             drop(core);
             let res = self.write_and_sync(&batch);
+            batch.clear();
             core = self.core.lock();
+            core.spare = batch;
             core.syncing = false;
             match res {
                 Ok(()) => self.durable.store(new_end, Ordering::Release),

@@ -21,8 +21,8 @@
 //!   6-byte embedded headers, per-page type tables — see [`typetable`]),
 //!   and its reader [`record::RecordView`], the validated index over the
 //!   bytes that every read navigates, decoding only the literals it
-//!   returns; a view decodes into a record tree only for a record about
-//!   to be edited;
+//!   returns, and that a one-node edit splices; a view decodes into a
+//!   record tree only for an edit that overflows its page;
 //! * [`matrix`] — the split matrix s_ij ∈ {0, ∞, other} (§3.3);
 //! * [`config`] — split target and split tolerance;
 //! * [`split`] — the tree-structured separator split (§3.2.2), pure and

@@ -13,17 +13,19 @@
 //!   nodes, scaffolding objects (proxies and helper aggregates) only exist
 //!   to represent large trees.
 //!
-//! [`RecordTree`] is the in-memory form of one record's subtree; all
-//! mutation (inserts, splits, deletions) happens here, then the tree is
-//! serialised back through [`crate::record`]. Byte sizes computed here are
+//! [`RecordTree`] is the in-memory form of one record's subtree: what the
+//! bulkloader builds, and what figure 5's moves and splits and the
+//! normalization of packed records restructure before it is serialised
+//! back through [`crate::record`]. Byte sizes computed here are
 //! exact mirror images of the serialised format — the split algorithm's
 //! decisions are byte-accurate. [`RecordTree::body_len`] is their
 //! definition, a recursion over the subtree, for callers that need one
 //! size of one tree; a loop over a tree's levels or children reads
 //! [`RecordTree::subtree_sizes`], every size from one pass.
 //!
-//! A record tree is what an edit mutates. Readers never build one: they
-//! navigate the stored bytes through a [`crate::record::RecordView`].
+//! Readers never build one: they navigate the stored bytes through a
+//! [`crate::record::RecordView`]. A one-node edit that fits its page does
+//! not either: it splices the bytes ([`crate::record::RecordView::splice`]).
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
@@ -430,67 +432,25 @@ impl RecordTree {
     /// serialised).
     pub fn transplant(&mut self, id: PNodeId, dst: &mut RecordTree) -> PNodeId {
         self.detach(id);
-        let Some(node) = self.nodes[id as usize].take() else {
-            unreachable!("transplant of tombstoned node {id}");
-        };
-        let (label, content, orig) = (node.label, node.content, node.orig);
-        match content {
-            PContent::Aggregate(kids) => {
-                let new_id = dst.alloc(label, PContent::Aggregate(Vec::new()));
-                dst.node_mut(new_id).orig = orig;
-                for (i, k) in kids.into_iter().enumerate() {
-                    let moved = self.transplant_inner(k, dst);
-                    dst.attach(new_id, i, moved);
-                }
-                new_id
-            }
-            PContent::Prefix(kids) => {
-                let new_id = dst.alloc(label, PContent::Prefix(Vec::new()));
-                dst.node_mut(new_id).orig = orig;
-                for (i, k) in kids.into_iter().enumerate() {
-                    let moved = self.transplant_inner(k, dst);
-                    dst.attach(new_id, i, moved);
-                }
-                new_id
-            }
-            other => {
-                let new_id = dst.alloc(label, other);
-                dst.node_mut(new_id).orig = orig;
-                new_id
-            }
-        }
+        self.transplant_inner(id, dst)
     }
 
     fn transplant_inner(&mut self, id: PNodeId, dst: &mut RecordTree) -> PNodeId {
         let Some(node) = self.nodes[id as usize].take() else {
             unreachable!("transplant of tombstoned node {id}");
         };
-        let (label, content, orig) = (node.label, node.content, node.orig);
-        match content {
-            PContent::Aggregate(kids) => {
-                let new_id = dst.alloc(label, PContent::Aggregate(Vec::new()));
-                dst.node_mut(new_id).orig = orig;
-                for (i, k) in kids.into_iter().enumerate() {
-                    let moved = self.transplant_inner(k, dst);
-                    dst.attach(new_id, i, moved);
-                }
-                new_id
-            }
-            PContent::Prefix(kids) => {
-                let new_id = dst.alloc(label, PContent::Prefix(Vec::new()));
-                dst.node_mut(new_id).orig = orig;
-                for (i, k) in kids.into_iter().enumerate() {
-                    let moved = self.transplant_inner(k, dst);
-                    dst.attach(new_id, i, moved);
-                }
-                new_id
-            }
-            other => {
-                let new_id = dst.alloc(label, other);
-                dst.node_mut(new_id).orig = orig;
-                new_id
-            }
+        let (kids, content) = match node.content {
+            PContent::Aggregate(kids) => (kids, PContent::Aggregate(Vec::new())),
+            PContent::Prefix(kids) => (kids, PContent::Prefix(Vec::new())),
+            leaf => (Vec::new(), leaf),
+        };
+        let new_id = dst.alloc(node.label, content);
+        dst.node_mut(new_id).orig = node.orig;
+        for (i, k) in kids.into_iter().enumerate() {
+            let moved = self.transplant_inner(k, dst);
+            dst.attach(new_id, i, moved);
         }
+        new_id
     }
 }
 

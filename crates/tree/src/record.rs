@@ -39,8 +39,8 @@
 //!   navigates this form and decodes just the literals it returns.
 //! * [`RecordView::decode`] turns a view into a [`RecordTree`]: an arena
 //!   node and, for a literal, an owned value per node (≈ 20 µs for the
-//!   same record). Only a record about to be edited needs one;
-//!   [`deserialize`] is parse then decode.
+//!   same record). Only an edit that overflows its page needs one (next
+//!   section); [`deserialize`] is parse then decode.
 //!
 //! The parse is the format's one validator. It checks that the standalone
 //! header is present; every type index resolves in the page's table; every
@@ -51,6 +51,30 @@
 //! the literal ([`RecordView::literal`], which the decode makes for every
 //! literal): that a string or URI literal is UTF-8. A corrupt record is a
 //! [`TreeError::CorruptRecord`] either way.
+//!
+//! # Editing the encoded record
+//!
+//! Every embedded node carries its type, its parent offset and its size,
+//! so a one-node edit is a byte splice. [`RecordView::splice`] turns an
+//! [`Edit`] — a leaf inserted under an aggregate, a subtree removed, a
+//! literal's or a proxy's body replaced — into a [`Patch`]: the span of
+//! old bytes it replaces and the node written there, its type interned
+//! into the page's table the way the encoder interns. [`Patch::apply`]
+//! makes the bytes and two sets of fixups, each by the record's growth:
+//!
+//! * the size field of every embedded ancestor of the span;
+//! * the parent offset of every node after the span whose parent header
+//!   also lies after it (its parent moved; a node whose parent is before
+//!   the span keeps its offset).
+//!
+//! The result is byte for byte what the encoder makes of the decoded
+//! record with the same edit made. Pre-order indices after the span move
+//! by +1 on an insert and by −(subtree size) on a removal
+//! ([`Patch::moved`]), which is what the encoder's mapping says of them.
+//! The store writes a patch in place while the record fits its page. On
+//! an overflow it decodes the *spliced* record ([`Patch::decode`]: every
+//! node carries its pre-edit address) and hands it to figure 5's move or
+//! split.
 
 use std::ops::Range;
 
@@ -635,6 +659,193 @@ impl RecordView {
             }));
         }
         Ok(RecordTree::from_parts(nodes, 0, self.parent_rid()))
+    }
+
+    /// `edit` as a [`Patch`] of this record's bytes (module docs). An edit
+    /// the record cannot take — a node it does not hold, an insert under a
+    /// leaf or of a node with children, a removal of the record root, a
+    /// replace that is not leaf for leaf — is an invariant error.
+    pub fn splice(&self, edit: Edit) -> TreeResult<Patch<'_>> {
+        let bad = |what: &str| TreeError::Invariant(format!("record {}: {what}", self.rid));
+        let inner = |kind| matches!(kind, ContentKind::Aggregate | ContentKind::Prefix);
+        let patch = |span: Range<u32>, node, parent, from, shift, inserted| Patch {
+            view: self,
+            span: span.start as usize..span.end as usize,
+            node,
+            parent,
+            from,
+            shift,
+            inserted,
+        };
+        Ok(match edit {
+            Edit::Insert(parent, index, label, content) => {
+                let p = self.nodes[self.checked(parent)? as usize];
+                let body = leaf_body(&content).ok_or_else(|| bad("insert of an inner node"))?;
+                if !inner(p.kind) {
+                    return Err(bad("insert under a leaf"));
+                }
+                let (at, n) = match self.children(parent).nth(index) {
+                    Some(c) => (self.nodes[c as usize].header, c),
+                    None => (p.end, p.next),
+                };
+                let node = (content_kind(&content), label, body);
+                patch(at..at, Some(node), Some(parent), n, 1, Some(n))
+            }
+            Edit::Remove(n) => {
+                let e = self.nodes[self.checked(n)? as usize];
+                let parent = e.parent.ok_or_else(|| bad("removal of the record root"))?;
+                let shift = -i32::from(e.next - n);
+                patch(e.header..e.end, None, Some(parent), e.next, shift, None)
+            }
+            Edit::Replace(n, content) => {
+                let e = self.nodes[self.checked(n)? as usize];
+                let body = leaf_body(&content)
+                    .filter(|_| !inner(e.kind) && !inner(content_kind(&content)))
+                    .ok_or_else(|| bad("replace of an inner node"))?;
+                let node = (content_kind(&content), e.label, body);
+                patch(e.header..e.end, Some(node), e.parent, e.next, 0, None)
+            }
+        })
+    }
+}
+
+/// An edit [`RecordView::splice`] makes on a record's bytes.
+#[derive(Debug, Clone)]
+pub enum Edit {
+    /// `Insert(parent, index, label, content)`: a new leaf — an empty
+    /// element, a literal, a proxy — as child `index` (clamped) of an
+    /// aggregate or prefix entry.
+    Insert(PNodeId, usize, LabelId, PContent),
+    /// The node and its subtree go.
+    Remove(PNodeId),
+    /// A literal's value, or the record a proxy or placeholder names,
+    /// becomes `content`; the label stays.
+    Replace(PNodeId, PContent),
+}
+
+/// The body bytes of a leaf: `None` for a node with children.
+fn leaf_body(content: &PContent) -> Option<Vec<u8>> {
+    let mut body = Vec::new();
+    match content {
+        PContent::Literal(v) => write_literal(v, &mut body),
+        PContent::Proxy(rid) | PContent::Continuation(rid) => rid.encode_to(&mut body),
+        PContent::Aggregate(kids) | PContent::Prefix(kids) if kids.is_empty() => {}
+        PContent::Aggregate(_) | PContent::Prefix(_) => return None,
+    }
+    Some(body)
+}
+
+/// An [`Edit`] of a record as a change of its bytes (module docs): the
+/// span of the old bytes it replaces, the node written there, and where
+/// the edit moves the nodes after the span.
+#[derive(Debug)]
+pub struct Patch<'a> {
+    view: &'a RecordView,
+    /// A node's header and body, or where the inserted node goes.
+    span: Range<usize>,
+    /// The node written there (type and body), unless it is a removal.
+    node: Option<(ContentKind, LabelId, Vec<u8>)>,
+    /// The span's parent, `None` for a replace of the record root.
+    parent: Option<PNodeId>,
+    /// The first old pre-order index after the span: it and every later
+    /// node are renumbered by `shift`.
+    from: PNodeId,
+    shift: i32,
+    /// The inserted node's pre-order index.
+    pub inserted: Option<PNodeId>,
+}
+
+impl Patch<'_> {
+    /// The edited record's length in bytes.
+    pub fn byte_len(&self) -> usize {
+        let header = self.parent.map_or(STANDALONE_HEADER, |_| EMBEDDED_HEADER);
+        let written = self
+            .node
+            .as_ref()
+            .map_or(0, |(.., body)| header + body.len());
+        self.view.bytes.len() - self.span.len() + written
+    }
+
+    /// The edited record's bytes, the written node's type interned into
+    /// `table` (the page's) as the encoder interns: the bytes around the
+    /// span, then the two sets of fixups of the module docs.
+    pub fn apply(&self, table: &mut TypeTable) -> TreeResult<Vec<u8>> {
+        let len = self.byte_len();
+        if len > u16::MAX as usize {
+            return Err(TreeError::Invariant(format!(
+                "record of {len} bytes exceeds the format's 16-bit sizes"
+            )));
+        }
+        let (old, nodes) = (&self.view.bytes, &self.view.nodes);
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(&old[..self.span.start]);
+        if let Some((kind, label, body)) = &self.node {
+            let (type_idx, _) = table.intern(*kind, *label)?;
+            if self.parent.is_none() {
+                out.extend_from_slice(&old[..8]);
+            }
+            out.extend_from_slice(&type_idx.to_le_bytes());
+            if let Some(p) = self.parent {
+                out.extend_from_slice(&(nodes[p as usize].header as u16).to_le_bytes());
+                out.extend_from_slice(&((EMBEDDED_HEADER + body.len()) as u16).to_le_bytes());
+            }
+            out.extend_from_slice(body);
+        }
+        out.extend_from_slice(&old[self.span.end..]);
+        let growth = len as isize - old.len() as isize;
+        let mut bump = |at: usize| {
+            let field = u16::from_le_bytes([out[at], out[at + 1]]) as isize;
+            out[at..at + 2].copy_from_slice(&((field + growth) as u16).to_le_bytes());
+        };
+        let mut up = self.parent;
+        while let Some(a) = up.filter(|&a| a != 0) {
+            bump(nodes[a as usize].header as usize + 4);
+            up = nodes[a as usize].parent;
+        }
+        for e in &nodes[self.from as usize..] {
+            let parent_header = e.parent.map_or(0, |p| nodes[p as usize].header as usize);
+            if parent_header >= self.span.end {
+                bump((e.header as isize + growth) as usize + 2);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The nodes the edit renumbers, each old pre-order index with its new
+    /// one (a replace renumbers none).
+    pub fn moved(&self) -> impl Iterator<Item = (PNodeId, PNodeId)> + '_ {
+        let end = match self.shift {
+            0 => self.from,
+            _ => self.view.node_count() as PNodeId,
+        };
+        (self.from..end).map(|n| (n, (i32::from(n) + self.shift) as PNodeId))
+    }
+
+    /// The pre-edit index of node `n` of the edited record (`None` for
+    /// the inserted node).
+    pub fn old_index(&self, n: PNodeId) -> Option<PNodeId> {
+        if Some(n) == self.inserted {
+            return None;
+        }
+        if i32::from(n) >= i32::from(self.from) + self.shift {
+            Some((i32::from(n) - self.shift) as PNodeId)
+        } else {
+            Some(n)
+        }
+    }
+
+    /// The edited record decoded, for figure 5's move or split: every
+    /// node's `orig` is its address before the edit, the inserted node
+    /// has none.
+    pub fn decode(&self) -> TreeResult<RecordTree> {
+        let mut table = self.view.table.clone();
+        let bytes = self.apply(&mut table)?;
+        let rid = self.view.rid;
+        let mut tree = RecordView::parse(bytes, table, rid)?.decode()?;
+        for n in 0..tree.arena_len() as PNodeId {
+            tree.node_mut(n).orig = self.old_index(n).map(|old| NodePtr::new(rid, old));
+        }
+        Ok(tree)
     }
 }
 
@@ -1233,6 +1444,119 @@ pub(crate) mod tests {
             .unwrap()
             .join()
             .unwrap();
+    }
+
+    /// `edit` made on `tree`, a decoded record (arena id == pre-order
+    /// index): the reference a splice is checked against.
+    fn edited(tree: &RecordTree, edit: &Edit) -> RecordTree {
+        let mut t = tree.clone();
+        match edit.clone() {
+            Edit::Insert(parent, index, label, content) => {
+                let n = t.alloc(label, content);
+                t.attach(parent, index, n);
+            }
+            Edit::Remove(n) => {
+                t.remove_subtree(n);
+            }
+            Edit::Replace(n, content) => t.node_mut(n).content = content,
+        }
+        t
+    }
+
+    /// Every edit `view`'s record takes, each with seeded parameters: at
+    /// an inner node an insert (an empty element or a random leaf, at a
+    /// random index, one past the end included), at a leaf a replace by
+    /// a random leaf (a placeholder's by a placeholder), and the removal
+    /// of every node but the root.
+    fn every_edit(view: &RecordView, g: &mut Gen) -> Vec<Edit> {
+        let mut edits = Vec::new();
+        for n in 0..view.node_count() as PNodeId {
+            edits.push(match view.shape(n) {
+                Shape::Aggregate | Shape::Prefix => {
+                    let (label, content) = match g.below(3) {
+                        0 => (11, PContent::Aggregate(vec![])),
+                        _ => leaf(g),
+                    };
+                    let index = g.below(view.children(n).count() + 2);
+                    Edit::Insert(n, index, label, content)
+                }
+                Shape::Continuation(_) => {
+                    let target = Rid::new(g.below(5_000) as u32, 1);
+                    Edit::Replace(n, PContent::Continuation(target))
+                }
+                Shape::Proxy(_) | Shape::Literal => Edit::Replace(n, leaf(g).1),
+            });
+            if n != 0 {
+                edits.push(Edit::Remove(n));
+            }
+        }
+        edits
+    }
+
+    #[test]
+    fn splices_equal_the_re_encoded_edit() {
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(splices_agree)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// On the 2 000-tree set, every edit kind at every applicable node
+    /// (a seeded sample of 16 edits on a tree that takes more): the
+    /// spliced bytes are the encoder's bytes of the decoded tree with the
+    /// same edit made, and the type table grows the same; the patch's
+    /// renumbering is the encoder's arena→pre-order mapping; the decoded
+    /// patch is the edited tree, each node carrying its pre-edit address.
+    fn splices_agree() {
+        let rid = Rid::new(1, 1);
+        let mut table = TypeTable::new();
+        let mut splices = 0;
+        for case in 0..2_000 {
+            let mut g = Gen::new(0x5911_CE00 ^ case);
+            let (bytes, _) = try_serialize(&equivalence_tree(case), &mut table).unwrap();
+            let view = RecordView::parse(bytes, table.clone(), rid).unwrap();
+            let tree = view.decode().unwrap();
+            let mut edits = every_edit(&view, &mut g);
+            while edits.len() > 16 {
+                edits.swap_remove(g.below(edits.len()));
+            }
+            for edit in edits {
+                let what = format!("case {case}, {edit:?}");
+                let patch = view.splice(edit.clone()).unwrap();
+                let reference = edited(&tree, &edit);
+                let (mut want_table, mut got_table) = (table.clone(), table.clone());
+                let (want, mapping) = try_serialize(&reference, &mut want_table).unwrap();
+                let got = patch.apply(&mut got_table).unwrap();
+                assert!(got == want, "{what}: spliced bytes");
+                assert_eq!(patch.byte_len(), want.len(), "{what}");
+                assert_eq!(got_table.encode(), want_table.encode(), "{what}: types");
+                // The inserted node is the one arena slot past the
+                // decoded record's.
+                let mut moved = Vec::new();
+                for (arena, serial) in mapping {
+                    let old = (arena < view.node_count() as PNodeId).then_some(arena);
+                    assert_eq!(patch.old_index(serial), old, "{what}: node {serial}");
+                    match old {
+                        None => assert_eq!(patch.inserted, Some(serial), "{what}"),
+                        Some(old) if old != serial => moved.push((old, serial)),
+                        Some(_) => {}
+                    }
+                }
+                let inserted = matches!(edit, Edit::Insert(..));
+                assert_eq!(patch.inserted.is_some(), inserted, "{what}");
+                assert_eq!(patch.moved().collect::<Vec<_>>(), moved, "{what}");
+                let back = patch.decode().unwrap();
+                assert!(same_tree(&reference, 0, &back, 0), "{what}: decoded");
+                for n in 0..back.arena_len() as PNodeId {
+                    let orig = patch.old_index(n).map(|old| NodePtr::new(rid, old));
+                    assert_eq!(back.node(n).orig, orig, "{what}: node {n}");
+                }
+                splices += 1;
+            }
+        }
+        assert!(splices > 20_000, "{splices} splices");
     }
 
     /// Everything a reader can ask a view, literal values included: the

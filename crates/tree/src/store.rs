@@ -11,16 +11,21 @@
 //!    insert the separator into the parent record, recursively;
 //! 3. insert the new node into its designated partition record.
 //!
-//! All structural changes report **relocation events**: records are
-//! rewritten wholesale, so a node's `(rid, pre-order index)` address can
-//! change; the document manager keeps its logical-node map current from
-//! these events. Standalone parent pointers (Appendix A) are maintained by
-//! deferred 8-byte patches collected per operation.
+//! All structural changes report **relocation events**: an edit renumbers
+//! the nodes after it and a move or split re-homes whole records, so a
+//! node's `(rid, pre-order index)` address can change; the document
+//! manager keeps its logical-node map current from these events.
+//! Standalone parent pointers (Appendix A) are maintained by deferred
+//! 8-byte patches collected per operation.
 //!
-//! An operation navigates the records it only reads — resolving the
-//! insertion site, crossing to a parent, checking ancestors for packed
-//! structure — through their [`RecordView`]s, and decodes a record into a
-//! [`RecordTree`] only when it is about to change it. The read-only
+//! An operation navigates the records it reads — resolving the insertion
+//! site, crossing to a parent, checking ancestors for packed structure —
+//! through their [`RecordView`]s, and edits a record by splicing its bytes
+//! ([`RecordView::splice`], the `record` module docs): an insert, an
+//! update or a removal that fits the record's page decodes and encodes
+//! nothing. A [`RecordTree`] is decoded only for figure 5's overflow (the
+//! spliced record, moved or split), for the parent record a split's
+//! separator goes into, and to normalize packed records. The read-only
 //! operations are in [`crate::read`].
 
 use std::sync::Arc;
@@ -33,7 +38,7 @@ use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
 use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
-use crate::record::{self, RecordView, Shape};
+use crate::record::{self, Edit, Patch, RecordView, Shape};
 use crate::split::{plan_split, ProxyHome};
 use crate::typetable::TypeTable;
 use crate::version::{ReadPin, VersionStore, WriteOp};
@@ -278,7 +283,8 @@ impl TreeStore {
     }
 
     // ==================================================================
-    // Record I/O.
+    // Record I/O: views in; `write_at` rewrites a record in place (spliced
+    // bytes or an encoded tree), `write_new` places a new one.
     // ==================================================================
 
     /// Loads and decodes the record at `rid`.
@@ -316,14 +322,14 @@ impl TreeStore {
         })
     }
 
-    /// The on-page record `rid`, decoded for an edit, and its proxy (or
-    /// continuation placeholder) naming `child`.
-    fn load_holder(&self, rid: Rid, child: Rid) -> TreeResult<(RecordTree, PNodeId)> {
+    /// The view of the on-page record `rid` and its proxy (or continuation
+    /// placeholder) naming `child`.
+    fn holder(&self, rid: Rid, child: Rid) -> TreeResult<(RecordView, PNodeId)> {
         let view = self.view_current(rid)?;
         let proxy = view.find_proxy(child).ok_or_else(|| {
             TreeError::Invariant(format!("record {rid} has no proxy for {child}"))
         })?;
-        Ok((view.decode()?, proxy))
+        Ok((view, proxy))
     }
 
     /// Runs `read` on the on-page bytes of `rid` and its page's type
@@ -376,23 +382,29 @@ impl TreeStore {
         Ok(())
     }
 
-    /// Rewrites the record at `rid` in place. Fails with `PageFull` when
-    /// the page cannot absorb the growth (type table included); the caller
-    /// then moves or splits.
-    fn write_at(&self, rid: Rid, tree: &RecordTree, ctx: &mut OpCtx) -> TreeResult<()> {
+    /// Rewrites the record at `rid` in place with the bytes `encode` makes
+    /// — a spliced record ([`Patch::apply`]) or an encoded tree — under a
+    /// copy of the page's type table, which it grows by the types it
+    /// interns. Fails with `PageFull` when the page cannot absorb the
+    /// growth (type table included); the caller then moves or splits.
+    fn write_at<T>(
+        &self,
+        rid: Rid,
+        encode: impl FnOnce(&mut TypeTable) -> TreeResult<(Vec<u8>, T)>,
+    ) -> TreeResult<T> {
         let pin = self.sm.pin(rid.page)?;
         let mut buf = pin.write();
         let mut sp = SlottedPage::open(&mut buf)?;
         let had_tt = sp.is_live(0);
         let mut table = page_table(sp.get(0), rid)?;
         let before = table.len();
-        // Encoded — into a copy of the page's table — ahead of the space
-        // check below: callers pass a record within the net capacity or
-        // an in-place shrink, the encoder refuses what the format cannot
-        // hold, and no page byte has changed yet. An update gets the
-        // table's exact growth from this one interning pass, which is
-        // cheaper for it than the type scan appends do before encoding.
-        let (bytes, mapping) = record::try_serialize(tree, &mut table)?;
+        // Encoded under the latch — into a copy of the page's table as it
+        // is now, which a writer of another document may have grown since
+        // the record was read — ahead of the space check below: callers
+        // pass a record within the net capacity or an in-place shrink,
+        // the encoder refuses what the format cannot hold, and no page
+        // byte has changed yet.
+        let (bytes, encoded) = encode(&mut table)?;
         // Conservative pre-check so a failed update leaves no half-state:
         // compute the worst-case growth of table + record together.
         let old_len = sp.get(rid.slot).map(|b| b.len()).unwrap_or(0);
@@ -422,8 +434,12 @@ impl TreeStore {
         let free = sp.free_total();
         drop(buf);
         self.sm.note_free_space(rid.page, free);
-        self.emit_relocations(rid, &mapping, tree, ctx);
-        Ok(())
+        Ok(encoded)
+    }
+
+    /// Writes `patch` of the record at `rid` in place.
+    fn write_patch(&self, rid: Rid, patch: &Patch) -> TreeResult<()> {
+        self.write_at(rid, |table| Ok((patch.apply(table)?, ())))
     }
 
     /// Writes `tree` as a new record, choosing a page (near `near` when
@@ -662,16 +678,63 @@ impl TreeStore {
     }
 
     // ==================================================================
-    // The tree growth procedure (figure 5).
+    // The tree growth procedure (figure 5): an edit is spliced in place
+    // while its record fits the page; an overflow is decoded, then moved
+    // or split. `store_updated` runs the same steps for a record tree.
     // ==================================================================
+
+    /// Stores an edit of the record `view` shows: spliced in place while
+    /// the record fits its page; otherwise the spliced record, decoded,
+    /// is moved or — past the net capacity — split. `watch` makes the
+    /// inserted node's address the operation's `new_node`. Returns the rid
+    /// now holding the (possibly shrunken) record.
+    fn store_edit(
+        &self,
+        view: &RecordView,
+        edit: Edit,
+        watch: bool,
+        ctx: &mut OpCtx,
+    ) -> TreeResult<Rid> {
+        let rid = view.rid();
+        let patch = view.splice(edit)?;
+        let fits = patch.byte_len() <= self.net_capacity();
+        if fits {
+            match self.write_patch(rid, &patch) {
+                Ok(()) => {
+                    for (old, new) in patch.moved().filter(|&(old, _)| view.is_facade(old)) {
+                        let (old, new) = (NodePtr::new(rid, old), NodePtr::new(rid, new));
+                        ctx.relocations.push(Relocation { old, new });
+                    }
+                    if watch {
+                        ctx.new_node = patch.inserted.map(|n| NodePtr::new(rid, n));
+                    }
+                    return Ok(rid);
+                }
+                Err(TreeError::Storage(StorageError::PageFull { .. })) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let mut tree = patch.decode()?;
+        if let Some(n) = patch.inserted.filter(|_| watch) {
+            tree.node_mut(n).orig = Some(WATCH);
+        }
+        if fits {
+            self.move_record(rid, tree, ctx)
+        } else {
+            self.split_stored(rid, tree, ctx)
+        }
+    }
 
     /// Stores an updated version of record `rid`: in place if it fits,
     /// otherwise move, otherwise split. Returns the rid now holding the
     /// (possibly shrunken) record.
     fn store_updated(&self, rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
         if tree.record_size() <= self.net_capacity() {
-            match self.write_at(rid, &tree, ctx) {
-                Ok(()) => return Ok(rid),
+            match self.write_at(rid, |table| record::try_serialize(&tree, table)) {
+                Ok(mapping) => {
+                    self.emit_relocations(rid, &mapping, &tree, ctx);
+                    return Ok(rid);
+                }
                 Err(TreeError::Storage(StorageError::PageFull { .. })) => {
                     return self.move_record(rid, tree, ctx)
                 }
@@ -698,34 +761,30 @@ impl TreeStore {
         Ok(new_rid)
     }
 
-    /// Rewrites the proxy in `parent_rid` that pointed at `old` to point at
-    /// `new` (an equal-size in-place rewrite).
     /// Removes a placeholder proxy (bulkload continuation slot that was
-    /// never needed) from a stored record — an in-place shrink, so it can
-    /// never fail for space.
+    /// never needed) from a stored record: a splice that shrinks the
+    /// record in place, so it can never fail for space. It reports no
+    /// relocations.
     pub(crate) fn remove_placeholder(&self, rid: Rid, sentinel: Rid) -> TreeResult<()> {
         let _op = self.versions.begin_write();
-        let (mut tree, proxy) = self.load_holder(rid, sentinel)?;
-        tree.remove_subtree(proxy);
-        let mut scratch = OpCtx::default();
-        self.write_at(rid, &tree, &mut scratch)
+        let (view, proxy) = self.holder(rid, sentinel)?;
+        self.write_patch(rid, &view.splice(Edit::Remove(proxy))?)
     }
 
+    /// Rewrites the proxy in `parent_rid` that pointed at `old` to point at
+    /// `new`: an 8-byte body replace, spliced in place — the same length,
+    /// so it can never fail for space.
     pub(crate) fn repoint_proxy(&self, parent_rid: Rid, old: Rid, new: Rid) -> TreeResult<()> {
         let _op = self.versions.begin_write();
-        let (mut parent, proxy) = self.load_holder(parent_rid, old)?;
+        let (view, proxy) = self.holder(parent_rid, old)?;
         // Preserve the reference kind: a continuation placeholder stays a
         // continuation (its delegated-Leave semantics must survive the
         // patch).
-        parent.node_mut(proxy).content = match parent.node(proxy).content {
-            PContent::Continuation(_) => PContent::Continuation(new),
+        let target = match view.shape(proxy) {
+            Shape::Continuation(_) => PContent::Continuation(new),
             _ => PContent::Proxy(new),
         };
-        // Same length: an in-place update can never fail for space.
-        let mut scratch = OpCtx::default();
-        self.write_at(parent_rid, &parent, &mut scratch)?;
-        debug_assert!(scratch.relocations.is_empty(), "structure unchanged");
-        Ok(())
+        self.write_patch(parent_rid, &view.splice(Edit::Replace(proxy, target))?)
     }
 
     /// Splits a stored record (§3.2.2) whose updated in-memory tree
@@ -769,7 +828,8 @@ impl TreeStore {
         }
         // Splice the separator into the parent in place of the old proxy
         // (§3.2.2, "Inserting the separator"), honouring special case 2.
-        let (mut parent, proxy) = self.load_holder(parent_rid, rid)?;
+        let (view, proxy) = self.holder(parent_rid, rid)?;
+        let mut parent = view.decode()?;
         let proxy_parent = parent
             .node(proxy)
             .parent
@@ -1101,8 +1161,8 @@ impl TreeStore {
             }
         }
         let behaviour = self.matrix.read().get(parent_label, label);
-        let mut tree = view.decode()?;
         let mut ctx = OpCtx::default();
+        let insert = |label, content| Edit::Insert(parent_node, index, label, content);
         match behaviour {
             SplitBehaviour::Standalone => {
                 // §3.3: "x is stored as a standalone node"; a proxy goes
@@ -1112,26 +1172,19 @@ impl TreeStore {
                 let mut child = RecordTree::new(label, node.into_content(), rid);
                 child.node_mut(child.root()).orig = Some(WATCH);
                 let child_rid = self.write_new(&child, Some(rid.page), &mut ctx)?;
-                let proxy = tree.alloc(child.proxy_digest(), PContent::Proxy(child_rid));
-                tree.attach(parent_node, index, proxy);
-                let final_rid = self.store_updated(rid, tree, &mut ctx)?;
-                if final_rid == rid {
+                let proxy = insert(child.proxy_digest(), PContent::Proxy(child_rid));
+                if self.store_edit(&view, proxy, false, &mut ctx)? == rid {
                     // The host did not move/split: the tentative parent is
                     // still right, but make it explicit for clarity.
                     ctx.parent_patches.push((child_rid, rid));
                 }
-                self.apply_patches(&mut ctx)?;
-                Ok(ctx.finish())
             }
             SplitBehaviour::KeepWithParent | SplitBehaviour::Other => {
-                let new = tree.alloc(label, node.into_content());
-                tree.node_mut(new).orig = Some(WATCH);
-                tree.attach(parent_node, index, new);
-                self.store_updated(rid, tree, &mut ctx)?;
-                self.apply_patches(&mut ctx)?;
-                Ok(ctx.finish())
+                self.store_edit(&view, insert(label, node.into_content()), true, &mut ctx)?;
             }
         }
+        self.apply_patches(&mut ctx)?;
+        Ok(ctx.finish())
     }
 
     /// Resolves an insertion site for `pos` under `parent`. For `First`
@@ -1253,8 +1306,10 @@ impl TreeStore {
         self.resolve_edge(self.view_current(rid)?, node, false)
     }
 
-    /// Replaces the value of a literal node. The record is rewritten and
-    /// may move or split when the value grew.
+    /// Replaces the value of a literal node: the literal's body is spliced
+    /// in place while the record fits its page. A value that grew past the
+    /// page's free space moves the record, and one past the net capacity
+    /// splits it (figure 5), both from the spliced record decoded.
     pub fn update_literal(&self, ptr: NodePtr, value: LiteralValue) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
         let view = self.view_current(ptr.rid)?;
@@ -1269,10 +1324,9 @@ impl TreeStore {
             });
         }
         self.check_node_size(&NewNode::Literal(value.clone()))?;
-        let mut tree = view.decode()?;
-        tree.node_mut(n).content = PContent::Literal(value);
         let mut ctx = OpCtx::default();
-        self.store_updated(ptr.rid, tree, &mut ctx)?;
+        let edit = Edit::Replace(n, PContent::Literal(value));
+        self.store_edit(&view, edit, false, &mut ctx)?;
         self.apply_patches(&mut ctx)?;
         Ok(ctx.finish())
     }
@@ -1299,30 +1353,37 @@ impl TreeStore {
                 self.remove_proxy_cascading(parent_rid, ptr.rid, &mut ctx)?;
             }
         } else {
-            let mut tree = view.decode()?;
-            let cascade = tree.remove_subtree(n);
-            for rid in cascade {
-                self.drop_record_recursive(rid, &mut ctx)?;
+            // The records behind the subtree's proxies, last first.
+            for j in view.subtree(n).rev() {
+                if let Some(child) = view.target(j) {
+                    self.drop_record_recursive(child, &mut ctx)?;
+                }
             }
-            self.finish_after_removal(ptr.rid, tree, &mut ctx)?;
+            self.finish_after_removal(&view, n, &mut ctx)?;
         }
         self.apply_patches(&mut ctx)?;
         Ok(ctx.finish())
     }
 
-    /// After removing nodes from `rid`'s tree: delete the record if it
-    /// became empty scaffolding, otherwise rewrite it.
-    fn finish_after_removal(&self, rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<()> {
-        let root = tree.root();
-        if tree.node(root).is_scaffolding_aggregate() && tree.children(root).is_empty() {
-            let parent_rid = tree.parent_rid;
+    /// Removes node `n` from the record `view` shows: deletes the record
+    /// when that leaves it empty scaffolding, splices `n` out otherwise.
+    fn finish_after_removal(
+        &self,
+        view: &RecordView,
+        n: PNodeId,
+        ctx: &mut OpCtx,
+    ) -> TreeResult<()> {
+        let rid = view.rid();
+        let last_child = view.subtree(n) == (1..view.node_count() as PNodeId);
+        if view.is_scaffolding_aggregate(view.root()) && last_child {
+            let parent_rid = view.parent_rid();
             self.delete_record_raw(rid, ctx)?;
             if !parent_rid.is_invalid() {
                 self.remove_proxy_cascading(parent_rid, rid, ctx)?;
             }
             return Ok(());
         }
-        self.store_updated(rid, tree, ctx)?;
+        self.store_edit(view, Edit::Remove(n), false, ctx)?;
         Ok(())
     }
 
@@ -1334,9 +1395,8 @@ impl TreeStore {
         child: Rid,
         ctx: &mut OpCtx,
     ) -> TreeResult<()> {
-        let (mut tree, proxy) = self.load_holder(parent_rid, child)?;
-        tree.remove_subtree(proxy);
-        self.finish_after_removal(parent_rid, tree, ctx)
+        let (view, proxy) = self.holder(parent_rid, child)?;
+        self.finish_after_removal(&view, proxy, ctx)
     }
 
     /// Frees the record at `rid` and every record reachable through its
@@ -1568,7 +1628,7 @@ impl AppendCursor {
     }
 }
 
-/// An insertion site: a record (read, to be decoded when the insert
+/// An insertion site: a record (read, to be spliced when the insert
 /// edits it), the physical parent node within it, and the child index at
 /// which to attach.
 struct Site {
@@ -1669,12 +1729,12 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::bulkload::bulkload_document;
-    use crate::reconstruct::{subtree_text, traverse, VisitEvent};
+    use crate::reconstruct::{reconstruct_document, subtree_text, traverse, VisitEvent};
     use crate::record::tests::{
         assert_view_matches_tree, reference_find_continuation, reference_find_proxy,
         reference_prefix_chain, reference_spilled_path,
     };
-    use crate::record::{decodes, parses, touches};
+    use crate::record::{decodes, encodes, parses, touches};
     use crate::validate::check_tree;
     use crate::version::VersionStore;
 
@@ -2163,6 +2223,269 @@ pub(crate) mod tests {
             assert!(!text.is_empty(), "{ptr}");
             assert_eq!(decodes::take(), 0, "{ptr}: the text walk decodes no record");
         }
+    }
+
+    /// Each facade's address, by the shadow document's node: `doc` and the
+    /// stored document list their nodes in the same document order.
+    fn addresses(st: &TreeStore, root: Rid, doc: &Document) -> HashMap<NodeIdx, NodePtr> {
+        let stored = facades(st, root);
+        assert_eq!(stored.len(), doc.pre_order().count(), "node count");
+        doc.pre_order().zip(stored).map(|(n, f)| (n, f.0)).collect()
+    }
+
+    /// Runs one tree operation on the document at `root`, which `before`
+    /// shadows; `after` is `before` with the reference edit made. Checks
+    /// the content against `after`, the invariants, and the addresses:
+    /// every node's address before the operation, followed through the
+    /// relocations it reported (the new node: its `new_node`), is its
+    /// address after it. Returns the operation's decodes and encodes.
+    fn checked_edit(
+        st: &TreeStore,
+        root: &mut Rid,
+        (before, after): (&Document, &Document),
+        op: impl FnOnce(&HashMap<NodeIdx, NodePtr>) -> TreeResult<OpResult>,
+    ) -> (u64, u64) {
+        let old = addresses(st, *root, before);
+        let _ = (decodes::take(), encodes::take());
+        let res = op(&old).unwrap();
+        let counts = (decodes::take(), encodes::take());
+        follow_root(root, &res);
+        let moved: HashMap<NodePtr, NodePtr> =
+            res.relocations.iter().map(|r| (r.old, r.new)).collect();
+        for (n, now) in addresses(st, *root, after) {
+            let want = match old.get(&n) {
+                Some(p) => moved.get(p).copied().unwrap_or(*p),
+                None => res.new_node.unwrap(),
+            };
+            assert_eq!(now, want, "node {n}");
+        }
+        assert!(reconstruct_document(st, *root).unwrap() == *after);
+        check_tree(st, *root).unwrap();
+        counts
+    }
+
+    fn text(s: &str) -> NodeData {
+        NodeData::Literal {
+            label: LABEL_TEXT,
+            value: LiteralValue::String(s.into()),
+        }
+    }
+
+    /// A document of `lines` elements, each holding one text of `len`
+    /// bytes, loaded per node into one record.
+    fn lines_doc(st: &TreeStore, lines: usize, len: usize) -> (Rid, Document) {
+        let mut doc = Document::new(NodeData::Element(1));
+        for i in 0..lines {
+            let line = doc.insert_child(doc.root(), i, NodeData::Element(2));
+            doc.insert_child(line, 0, text(&"x".repeat(len)));
+        }
+        (load_per_node(st, &doc), doc)
+    }
+
+    /// The `i`-th node of `doc` in document order.
+    fn nth(doc: &Document, i: usize) -> NodeIdx {
+        doc.pre_order().nth(i).unwrap()
+    }
+
+    #[test]
+    fn an_edit_that_fits_its_page_decodes_and_encodes_nothing() {
+        let st = store(8_192);
+        let (mut root, mut doc) = lines_doc(&st, 6, 20);
+        let (top, lines) = (doc.root(), doc.children(doc.root()).to_vec());
+        let (line, line_text) = (lines[1], doc.children(lines[2])[0]);
+        let lit = |s: &str| LiteralValue::String(s.into());
+        let position = |d: &Document, n| d.children(top).iter().position(|&c| c == n).unwrap();
+        // One edit: made on the shadow (which returns the node the store
+        // is handed), then by the store, and gated.
+        type Op<'a> = &'a dyn Fn(NodePtr) -> TreeResult<OpResult>;
+        let mut gated = |what: &str, shadow: &dyn Fn(&mut Document) -> NodeIdx, op: Op| {
+            let before = doc.clone();
+            let n = shadow(&mut doc);
+            let counts = checked_edit(&st, &mut root, (&before, &doc), |a| op(a[&n]));
+            assert_eq!(counts, (0, 0), "{what}: (decodes, encodes)");
+        };
+        let long = "a longer line of text";
+        gated(
+            "a growing update",
+            &|d| {
+                *d.data_mut(line_text) = text(long);
+                line_text
+            },
+            &|p| st.update_literal(p, lit(long)),
+        );
+        gated(
+            "a shrinking update",
+            &|d| {
+                *d.data_mut(line_text) = text("s");
+                line_text
+            },
+            &|p| st.update_literal(p, lit("s")),
+        );
+        for (pos, k) in [
+            (InsertPos::First, 0),
+            (InsertPos::At(3), 3),
+            (InsertPos::Last, 99),
+        ] {
+            gated(
+                &format!("an element insert at {pos:?}"),
+                &|d| {
+                    d.insert_child(top, k.min(d.children(top).len()), NodeData::Element(4));
+                    top
+                },
+                &|p| st.insert(p, pos, 4, NewNode::Element),
+            );
+            gated(
+                &format!("a text insert at {pos:?}"),
+                &|d| {
+                    d.insert_child(top, k.min(d.children(top).len()), text("new"));
+                    top
+                },
+                &|p| st.insert(p, pos, LABEL_TEXT, NewNode::Literal(lit("new"))),
+            );
+        }
+        gated(
+            "an element insert after a sibling",
+            &|d| {
+                d.insert_child(top, position(d, line) + 1, NodeData::Element(4));
+                line
+            },
+            &|p| st.insert_after(p, 4, NewNode::Element),
+        );
+        gated(
+            "a text insert after a sibling",
+            &|d| {
+                d.insert_child(top, position(d, line) + 1, text("new"));
+                line
+            },
+            &|p| st.insert_after(p, LABEL_TEXT, NewNode::Literal(lit("new"))),
+        );
+        gated(
+            "a leaf delete",
+            &|d| {
+                d.detach(line_text);
+                line_text
+            },
+            &|p| st.delete_subtree(p),
+        );
+
+        // Under the standalone rule an insert writes a record (and encodes
+        // it) and splices a proxy into its host.
+        st.set_matrix_entry(2, 3, SplitBehaviour::Standalone);
+        let standalone_child = |doc: &mut Document, root: &mut Rid, line| {
+            let before = doc.clone();
+            doc.insert_child(line, 1, NodeData::Element(3));
+            checked_edit(&st, root, (&before, doc), |a| {
+                st.insert(a[&line], InsertPos::Last, 3, NewNode::Element)
+            });
+            st.view(*root).unwrap().targets().next().unwrap()
+        };
+        let child = standalone_child(&mut doc, &mut root, line);
+        let before = doc.clone();
+        doc.detach(line);
+        let counts = checked_edit(&st, &mut root, (&before, &doc), |a| {
+            st.delete_subtree(a[&line])
+        });
+        assert_eq!(counts, (0, 0), "a delete of a subtree holding a proxy");
+        assert!(st.view(child).is_err(), "the record behind the proxy went");
+
+        let line = doc.children(top)[2];
+        let child = standalone_child(&mut doc, &mut root, line);
+        let sentinel = Rid::new(natix_storage::INVALID_PAGE, 7);
+        let _ = (decodes::take(), encodes::take());
+        st.repoint_proxy(root, child, sentinel).unwrap();
+        assert_eq!((decodes::take(), encodes::take()), (0, 0), "repoint_proxy");
+        assert!(st.view(root).unwrap().find_proxy(sentinel).is_some());
+        st.remove_placeholder(root, sentinel).unwrap();
+        assert_eq!(
+            (decodes::take(), encodes::take()),
+            (0, 0),
+            "remove_placeholder"
+        );
+        st.discard_record(child).unwrap();
+        doc.detach(doc.children(line)[1]);
+        assert!(reconstruct_document(&st, root).unwrap() == doc);
+        check_tree(&st, root).unwrap();
+    }
+
+    /// Eats the free space of `page` down to `left` bytes with a record
+    /// no tree reaches.
+    fn fill_page(st: &TreeStore, page: PageId, left: usize) {
+        let pin = st.storage().pin(page).unwrap();
+        let mut buf = pin.write();
+        let mut sp = SlottedPage::open(&mut buf).unwrap();
+        let take = sp.free_for_new_record() - left;
+        sp.insert(&vec![0; take]).unwrap();
+        let free = sp.free_total();
+        drop(buf);
+        st.storage().note_free_space(page, free);
+    }
+
+    /// The record at `rid` encoded under a fresh table: its canonical
+    /// bytes, whatever page holds it.
+    fn fresh_encoding(tree: &RecordTree) -> Vec<u8> {
+        record::try_serialize(tree, &mut TypeTable::new())
+            .unwrap()
+            .0
+    }
+
+    #[test]
+    fn an_update_past_the_pages_free_space_moves_the_record() {
+        let st = store(2_048);
+        let (mut root, mut doc) = lines_doc(&st, 3, 100);
+        fill_page(&st, root.page, 50);
+        let old_root = root;
+        // The reference: the record decoded, the literal replaced.
+        let mut reference = st.load(root).unwrap();
+        let value = LiteralValue::String("y".repeat(300));
+        reference.node_mut(4).content = PContent::Literal(value.clone());
+        let before = doc.clone();
+        let n = nth(&doc, 4);
+        *doc.data_mut(n) = text(&"y".repeat(300));
+        let (decoded, _) = checked_edit(&st, &mut root, (&before, &doc), |a| {
+            st.update_literal(a[&n], value)
+        });
+        assert_eq!(decoded, 1, "the spliced record, decoded once");
+        assert_ne!(root.page, old_root.page, "moved to another page");
+        assert_eq!(
+            fresh_encoding(&st.load(root).unwrap()),
+            fresh_encoding(&reference)
+        );
+    }
+
+    #[test]
+    fn an_update_past_the_net_capacity_splits_the_record() {
+        let st = store(2_048);
+        let net = st.net_capacity();
+        let (mut root, mut doc) = lines_doc(&st, 6, net / 8);
+        let before = doc.clone();
+        let n = nth(&doc, 4);
+        *doc.data_mut(n) = text(&"y".repeat(net / 2));
+        let (decoded, _) = checked_edit(&st, &mut root, (&before, &doc), |a| {
+            st.update_literal(a[&n], LiteralValue::String("y".repeat(net / 2)))
+        });
+        assert_eq!(decoded, 1, "the spliced record, decoded once");
+        assert!(records_of(&st, root).len() > 1, "split");
+    }
+
+    #[test]
+    fn an_insert_into_a_full_host_splits_it() {
+        let st = store(2_048);
+        let net = st.net_capacity();
+        let (mut root, mut doc) = lines_doc(&st, 6, net / 7);
+        let before = doc.clone();
+        let line = nth(&doc, 3);
+        doc.insert_child(line, 1, text(&"z".repeat(net / 4)));
+        let (decoded, _) = checked_edit(&st, &mut root, (&before, &doc), |a| {
+            let value = LiteralValue::String("z".repeat(net / 4));
+            st.insert(
+                a[&line],
+                InsertPos::Last,
+                LABEL_TEXT,
+                NewNode::Literal(value),
+            )
+        });
+        assert_eq!(decoded, 1, "the spliced record, decoded once");
+        assert!(records_of(&st, root).len() > 1, "split");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use natix_storage::slotted::SlottedPageRef;
 use natix_storage::{BufferManager, IoStats, MemStorage, Rid, StorageManager};
+use natix_tree::record::{try_serialize, RecordView};
+use natix_tree::typetable::TypeTable;
 use natix_tree::{
     check_tree, reconstruct_document, InsertPos, NewNode, NodePtr, OpResult, SplitMatrix,
     TreeConfig, TreeStore,
@@ -67,6 +70,7 @@ impl H {
         );
         check_tree(&self.store, self.root_rid)
             .unwrap_or_else(|e| panic!("seed {seed} op {op} ({desc}): {e}"));
+        self.check_canonical(&format!("seed {seed} op {op} ({desc})"));
         // The logical↔physical map must agree with the store, including
         // node identity (parent relationship), not just labels.
         for (&idx, &ptr) in &self.map {
@@ -99,6 +103,30 @@ impl H {
                      shadow {dp:?}"
                 ),
             }
+        }
+    }
+
+    /// Every record reachable from the root is canonical: its bytes are
+    /// what the encoder makes of its decoded tree under its page's type
+    /// table, byte for byte. A spliced record with a stale size or parent
+    /// offset that the parse alone would not refuse fails here.
+    fn check_canonical(&self, what: &str) {
+        let mut work = vec![self.root_rid];
+        while let Some(rid) = work.pop() {
+            let (bytes, table) = {
+                let pin = self.store.storage().pin(rid.page).unwrap();
+                let buf = pin.read();
+                let sp = SlottedPageRef::open(&buf).unwrap();
+                let table = TypeTable::decode(sp.get(0).unwrap()).unwrap();
+                (sp.get(rid.slot).unwrap().to_vec(), table)
+            };
+            let view = RecordView::parse(bytes.clone(), table.clone(), rid)
+                .unwrap_or_else(|e| panic!("{what}: record {rid}: {e}"));
+            work.extend(view.targets());
+            let mut grown = table.clone();
+            let (encoded, _) = try_serialize(&view.decode().unwrap(), &mut grown).unwrap();
+            assert!(encoded == bytes, "{what}: record {rid} is not canonical");
+            assert_eq!(grown.len(), table.len(), "{what}: record {rid}'s types");
         }
     }
 }
