@@ -5,18 +5,25 @@
 //! * **Checkpoints** — an allocator snapshot ([`StoreSnapshot`]) plus the
 //!   repository directory as of the checkpoint, an opaque payload of
 //!   [`crate::directory`]. The last checkpoint is where analysis starts.
-//! * **Redo** — full page images captured when an operation publishes,
-//!   followed by its `Commit` record. Committed images at or above the
-//!   checkpoint's redo horizon are replayed in log order; everything
-//!   below it was flushed to the base file by the checkpoint itself. The
-//!   pages a commit record lists as *forced* (a load's) have no image:
-//!   the device holds them, and a committed image of such a page below
-//!   the record's `force_lsn` — its previous tenant's — is **skipped**
-//!   (see [`natix_storage::wal`], Redo).
-//! * **Undo** — record pre-images and creation notices deposited by the
-//!   record-version layer before an operation first touches a stored
-//!   record. Operations without a `Commit` record (in flight at the
-//!   crash) are rolled back from these, in reverse log order.
+//! * **Page writes** — every record write of an operation, as one
+//!   slot-level patch ([`natix_storage::patch`]), each page's first patch
+//!   since the checkpoint's horizon behind a full image of the page. Redo
+//!   repeats history: every image and patch at or above the horizon, in
+//!   log order, whether or not its operation committed — an image
+//!   installed whatever the page holds, a patch applied iff the page's
+//!   LSN is below the patch's. Everything below the horizon was flushed to
+//!   the base file by the checkpoint itself. The pages a commit record
+//!   lists as *forced* (a load's) are not logged: the device holds them,
+//!   and what the log holds of such a page below the record's
+//!   `force_lsn` — an edit of it before the force, its previous tenant —
+//!   is **skipped** (see [`natix_storage::wal`], Forced pages).
+//! * **Undo** — operations without a `Commit` record (in flight at the
+//!   crash) are rolled back in reverse log order: each of their patches
+//!   inverted, each record their `Created` notices name deleted. Before
+//!   the first page changes, every page a patch will be inverted on is
+//!   imaged into the log and the images are synced: a crash before the
+//!   checkpoint that ends the build leaves pages that redo resets to
+//!   those images, so the next recovery undoes from the same state.
 //! * **Allocation** — `Alloc`/`Free` events after the checkpoint, folded
 //!   into the snapshot's free list and free-space inventory.
 //! * **Directory changes** — `Catalog` records, one delta of
@@ -35,7 +42,7 @@ use std::sync::Arc;
 
 use natix_storage::slotted::SlottedPage;
 use natix_storage::wal::{StoreSnapshot, WalRecord};
-use natix_storage::{BufferManager, PageId, PageKind, StorageError, StorageManager};
+use natix_storage::{BufferManager, PageId, PageKind, StorageManager, Wal};
 
 use crate::directory::Delta;
 use crate::error::{NatixError, NatixResult};
@@ -48,13 +55,14 @@ use crate::error::{NatixError, NatixResult};
 pub(crate) struct Analysis<'a> {
     /// Start LSN of the last checkpoint record.
     pub(crate) checkpoint_lsn: u64,
-    /// Its snapshot; page images and directory deltas replay from its
+    /// Its snapshot; page writes and directory deltas replay from its
     /// `redo_horizon`.
     pub(crate) snapshot: &'a StoreSnapshot,
     /// Operations with a `Commit` record.
     pub(crate) committed: HashSet<u64>,
     /// Pages committed operations forced, each with the highest
-    /// `force_lsn` it was forced at: redo skips its images below that.
+    /// `force_lsn` it was forced at: redo skips its images and patches
+    /// below that.
     pub(crate) forced: HashMap<PageId, u64>,
 }
 
@@ -90,15 +98,17 @@ pub(crate) fn analyse(records: &[(u64, WalRecord)]) -> Option<Analysis<'_>> {
 
 /// Replays the log against `buffer`'s backend: restores the allocator
 /// from the last checkpoint, folds post-checkpoint allocation events,
-/// redoes committed page images, rolls back in-flight operations from
-/// their pre-images, and folds the directory. Returns the restored
-/// storage manager and the directory to install once the repository
-/// object exists. A log without a checkpoint is a
-/// [`NatixError::Catalog`]: nothing else holds the allocator or the
-/// directory.
+/// repeats history from the horizon, rolls back in-flight operations —
+/// imaging, into `log`, the pages it changes first — and folds the
+/// directory. Returns the restored storage manager and the directory to
+/// install once the repository object exists. A log without a checkpoint
+/// is a [`NatixError::Catalog`]: nothing else holds the allocator or the
+/// directory. A page write the page does not match is a typed error, never
+/// applied.
 pub(crate) fn replay(
     buffer: Arc<BufferManager>,
     records: &[(u64, WalRecord)],
+    log: &Wal,
 ) -> NatixResult<(Arc<StorageManager>, Vec<Delta>)> {
     let analysis = analyse(records)
         .ok_or_else(|| NatixError::Catalog("the log holds no checkpoint".into()))?;
@@ -135,31 +145,63 @@ pub(crate) fn replay(
     }
     sm.set_next_unallocated(next)?;
 
-    // --- Redo: committed page images at/above the horizon, log order,
-    //     except below a committed force of their page.
+    // --- Redo: repeat history — images and patches at/above the horizon,
+    //     log order, except below a committed force of their page.
     let page_size = buffer.page_size();
-    for (lsn, r) in records {
-        if let WalRecord::PageImage { op, page, image } = r {
-            let forced_later = analysis.forced.get(page).is_some_and(|at| lsn < at);
-            if *lsn < snap.redo_horizon || !committed.contains(op) || forced_later {
-                continue;
+    let replayed = |page: PageId, lsn: u64| {
+        lsn >= snap.redo_horizon && analysis.forced.get(&page).is_none_or(|&at| lsn >= at)
+    };
+    for &(lsn, ref r) in records {
+        match r {
+            WalRecord::PageImage { page, image } if replayed(*page, lsn) => {
+                if image.len() != page_size {
+                    return Err(NatixError::Catalog(format!(
+                        "recovery: page image of {} bytes on a {page_size}-byte store",
+                        image.len()
+                    )));
+                }
+                buffer.discard(*page)?;
+                let pin = buffer.pin_new(*page)?;
+                let mut buf = pin.write();
+                buf.bytes_mut().copy_from_slice(image);
+                buf.set_lsn32(lsn as u32);
             }
-            if image.len() != page_size {
-                return Err(NatixError::Catalog(format!(
-                    "recovery: page image of {} bytes on a {page_size}-byte store",
-                    image.len()
-                )));
+            WalRecord::Patch(p) if replayed(p.rid.page, lsn) => {
+                let pin = buffer.pin(p.rid.page)?;
+                let mut buf = pin.write();
+                if buf.lsn32() < lsn as u32 {
+                    p.redo(&mut buf)?;
+                    buf.set_lsn32(lsn as u32);
+                }
             }
-            buffer.discard(*page)?;
-            let pin = buffer.pin_new(*page)?;
-            pin.write().bytes_mut().copy_from_slice(image);
+            _ => {}
         }
     }
 
-    // --- Undo: roll back in-flight operations, reverse log order.
+    // --- Undo: roll back in-flight operations, reverse log order, once
+    //     the pages it inverts patches on are imaged and the images are
+    //     durable (module docs).
+    let loser = |op: &u64| !committed.contains(op);
+    let undone: BTreeSet<PageId> = records
+        .iter()
+        .filter_map(|(_, r)| match r {
+            WalRecord::Patch(p) if loser(&p.op) => Some(p.rid.page),
+            _ => None,
+        })
+        .collect();
+    for &page in &undone {
+        let image = buffer.pin(page)?.read().bytes().to_vec();
+        log.append(&WalRecord::PageImage { page, image });
+    }
+    if !undone.is_empty() {
+        log.sync_to(log.appended_lsn())?;
+    }
     for (_, r) in records.iter().rev() {
         match r {
-            WalRecord::Created { op, rid } if !committed.contains(op) => {
+            WalRecord::Patch(p) if loser(&p.op) => {
+                p.undo(&mut buffer.pin(p.rid.page)?.write())?;
+            }
+            WalRecord::Created { op, rid } if loser(op) => {
                 let pin = buffer.pin(rid.page)?;
                 let mut buf = pin.write();
                 if matches!(buf.kind(), Ok(PageKind::Slotted)) {
@@ -167,48 +209,6 @@ pub(crate) fn replay(
                     if sp.is_live(rid.slot) {
                         sp.delete(rid.slot)?;
                     }
-                }
-            }
-            WalRecord::PreImage {
-                op,
-                rid,
-                table,
-                bytes,
-            } if !committed.contains(op) => {
-                let pin = buffer.pin(rid.page)?;
-                let mut buf = pin.write();
-                if !matches!(buf.kind(), Ok(PageKind::Slotted)) {
-                    SlottedPage::format(&mut buf);
-                }
-                let mut sp = SlottedPage::open(&mut buf)?;
-                // Slot 0 is the page's node-type table. Type tables only
-                // grow, so the longest encoding seen is the superset every
-                // record on the page can decode through.
-                let cur_table = if sp.is_live(0) {
-                    sp.get(0).map(|b| b.len()).unwrap_or(0)
-                } else {
-                    0
-                };
-                if table.len() > cur_table {
-                    if sp.is_live(0) {
-                        sp.update(0, table)?;
-                    } else {
-                        sp.insert_at(0, table)?;
-                    }
-                }
-                if sp.is_live(rid.slot) {
-                    match sp.update(rid.slot, bytes) {
-                        Ok(()) => {}
-                        Err(StorageError::PageFull { .. }) => {
-                            // The live payload is larger than the page can
-                            // grow it in place; replace it outright.
-                            sp.delete(rid.slot)?;
-                            sp.insert_at(rid.slot, bytes)?;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                } else {
-                    sp.insert_at(rid.slot, bytes)?;
                 }
             }
             _ => {}

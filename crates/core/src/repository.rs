@@ -292,29 +292,38 @@
 //! nothing acknowledged is ever lost. The write-ahead log
 //! ([`natix_storage::wal`]) sits **below** every lock above: no lock in
 //! the hierarchy is ever taken while holding the log's append mutex, and
-//! log appends happen either inside an operation (pre-images, allocation
-//! events — under whatever latches that operation already holds) or at
-//! its publish point. With `durability: None` the log gets the checkpoint
+//! log appends happen either inside an operation (record writes,
+//! allocation events — under whatever latches that operation already
+//! holds) or at its publish point. With `durability: None` the log gets the checkpoint
 //! records and nothing else — no WAL rule, no commit hook, no directory
 //! deltas, no durability gate — and what the last [`Repository::checkpoint`]
 //! wrote is what a reopen finds.
 //!
 //! The commit protocol rides the version store's publish point:
 //!
-//! 1. During the operation, storage-level events are logged as they
-//!    happen — `PreImage` (undo: a record's bytes before the first
-//!    overwrite), `Created` (undo: delete on rollback), `Alloc`/`Free`
-//!    (allocator replay). None of these are forced; they ride in the log
-//!    buffer.
+//! 1. During the operation, every record write is logged as it happens,
+//!    while the writer holds the page's latch and before the page changes:
+//!    one slot-level patch (`natix_storage::patch`: the span it replaced,
+//!    the bytes it wrote, the fields the growth shifted, the type-table
+//!    entries it appended — redo and undo in one record), the page's
+//!    first since the checkpoint's horizon behind a full image of the
+//!    page; the page header's LSN is stamped with the patch's under the
+//!    same latch. `Created` (undo: delete on rollback) and `Alloc`/`Free`
+//!    (allocator replay) ride beside them. None of these are forced; they
+//!    ride in the log buffer. A record an operation creates on a page its
+//!    own append stream allocated (every record of a load) is written
+//!    without a patch: step 2 forces the page instead — unless another
+//!    operation has logged a patch of that page since (an edit placed a
+//!    record there), after which the page is rebuilt from the log and
+//!    every write on it is a patch.
 //! 2. At publish, the version store's commit hook **forces** the pages
 //!    the operation's append stream allocated (a load's: all of them) —
 //!    writes them to the page device and syncs it, so a load writes each
-//!    page once — captures a full page image of every other page it
-//!    touched (`PageImage` records — physical redo, idempotent by
-//!    construction) and only then appends the images and `Commit`, which
-//!    lists the forced pages (`natix_storage::wal`, Redo, has the why) —
-//!    behind the alphabet's growth past the logged watermark, so no
-//!    page names a label the log does not.
+//!    page once — and only then appends `Commit`, which lists the forced
+//!    pages (`natix_storage::wal`, Forced pages, has the why) — behind
+//!    the alphabet's growth past the logged watermark, so no committed
+//!    page names a label the log does not. An edit forces nothing: its
+//!    commit is that one record.
 //! 3. The **durability gate** every write routine ends in (`write.rs`) then
 //!    forces the log, joining a group-commit window so concurrent
 //!    committers share one fsync. Only after the force does the call
@@ -339,12 +348,12 @@
 //! writes a dirty frame back (eviction steal, flush or clear) without
 //! first forcing the log to its current end, so the base file never
 //! holds effects whose log records could still be lost. Recovery
-//! (`recovery.rs`) is ARIES-shaped over physical redo: analysis
-//! finds the last checkpoint and the committed-operation set, redo
-//! replays committed page images at or above the checkpoint's horizon
-//! (but not below a committed force of their page), undo reverts the
-//! loser operations' record-level effects in reverse log order, and the
-//! directory fold above ends it.
+//! (`recovery.rs`) is ARIES over physiological redo: analysis finds the
+//! last checkpoint and the committed-operation set, redo repeats history
+//! — every image and patch at or above the checkpoint's horizon (but not
+//! below a committed force of its page), a patch iff the page's LSN is
+//! below its own — undo inverts the loser operations' patches in reverse
+//! log order, and the directory fold above ends it.
 //!
 //! [`Repository::checkpoint`] is fuzzy: it captures the directory,
 //! flushes the pool, snapshots the allocator and — only when no write
@@ -358,12 +367,11 @@
 //! records and the log keeps its history.
 //!
 //! Known limitations: page writes are assumed atomic at the backend's
-//! page size (ROADMAP open item 2) — and a torn forced page of a
-//! *committed* load, which exists only on the page device, is now
-//! unrepairable from the log and, without a page checksum, undetected:
-//! item 2's checksum and first-touch image must cover it. Two operations'
-//! images of one page are ordered in the log by append, not by capture
-//! (item 2's page LSN decides it). A checkpoint does not yet record
+//! page size. Without a page checksum a torn page goes undetected — the
+//! first-touch image would repair it, but nothing tells recovery to — and
+//! a torn forced page of a *committed* load, which exists only on the page
+//! device, has no copy in the log at all: the CRC half of ROADMAP open
+//! item 2 must cover both. A checkpoint does not yet record
 //! which operations are active: its capture can see the deletion or root
 //! move of an operation that has published but not yet appended its
 //! commit record, and a crash between that checkpoint's record and that
@@ -403,10 +411,12 @@
 //!   reaches the device (the dirty flag is raised under the page latch).
 //! * **wal-commit** — group commit from two committers; the
 //!   force-before-steal rule: a dirty page may reach disk only once the
-//!   log covering its commit record is durable (checked by an
-//!   LSN-asserting disk wrapper); and force-before-commit: beside an
-//!   editor's group syncs, no loader's commit record is durable before
-//!   its forced pages (checked at every log sync on a forgetting device).
+//!   log covering its patches is durable (checked by an LSN-asserting
+//!   disk wrapper); force-before-commit: beside an editor's group syncs,
+//!   no loader's commit record is durable before its forced pages
+//!   (checked at every log sync on a forgetting device); and the
+//!   first-touch image: an edit racing a (resetting) checkpoint survives
+//!   the power cut after both.
 //! * **path-summary** — a pinned reader's query counts (eager and lazy
 //!   plan shapes) must agree with its epoch's path summary while a
 //!   writer inserts matching elements.
@@ -417,6 +427,7 @@
 //! Each scenario is paired with a **mutation harness**: reverting a
 //! named production guard (`root-slot.epoch-recheck`,
 //! `wal.force-before-write-back`, `commit.force-before-append`,
+//! `wal.first-touch-image`,
 //! `buffer.inflight-recheck`, `buffer.prefetch-coalesce`,
 //! `buffer.dirty-under-latch`, `checkpoint.directory-horizon` — see
 //! `parking_lot::fail_point`) must make the checker report a violation
@@ -593,14 +604,20 @@ impl Repository {
             options.buffer_bytes,
             Arc::clone(&stats),
         ));
-        let (sm, restored) = if fresh {
-            (Arc::new(StorageManager::create(Arc::clone(&bm))?), None)
+        let records = if fresh {
+            Vec::new()
         } else {
             // Before the log is read (and its tail trimmed): the log has
             // no version of its own, and another format's records would
             // read as a torn tail.
             StorageManager::check_format(&bm)?;
-            let (sm, directory) = crate::recovery::replay(Arc::clone(&bm), &Wal::read_log(&*log)?)?;
+            Wal::read_log(&*log)?
+        };
+        let log = Arc::new(Wal::new(log));
+        let (sm, restored) = if fresh {
+            (Arc::new(StorageManager::create(Arc::clone(&bm))?), None)
+        } else {
+            let (sm, directory) = crate::recovery::replay(Arc::clone(&bm), &records, &log)?;
             (sm, Some(directory))
         };
         // One version store, and the only place the engine builds a tree
@@ -613,7 +630,6 @@ impl Repository {
             options.matrix.clone(),
             Arc::clone(&versions),
         )?;
-        let log = Arc::new(Wal::new(log));
         let symbols = Arc::new(RwLock::with_rank(
             &parking_lot::rank::SYMBOLS,
             SymbolTable::new(),
@@ -626,8 +642,9 @@ impl Repository {
         if let Some(w) = &wal {
             // Wire the log into every layer: the buffer honours the WAL
             // rule on dirty-frame write-back, the allocator logs its
-            // events, the version store logs undo images — and the commit
-            // hook captures redo images when an operation publishes.
+            // events, the tree store logs every record write through the
+            // version store — and the commit hook forces a load's pages
+            // and commits when an operation publishes.
             bm.set_wal(Arc::clone(w));
             sm.attach_wal(Arc::clone(w));
             versions.attach_wal(Arc::clone(w));

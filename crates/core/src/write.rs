@@ -18,7 +18,7 @@ use parking_lot::{Mutex, RwLock};
 
 use natix_storage::wal::{take_commit_error, WalRecord};
 use natix_storage::{BufferManager, PageId, StorageError, Wal};
-use natix_tree::version::{CommitHook, TouchedPages, WriteOp};
+use natix_tree::version::{CommitHook, WriteOp};
 use natix_tree::{InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour};
 use natix_xml::{Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
 
@@ -43,8 +43,8 @@ fn log_directory(wal: Option<&Arc<Wal>>, op: u64, deltas: &[Delta]) {
 
 /// Logs the alphabet's growth past the logged-symbols watermark, which
 /// the caller holds locked as `mark`: a record that names a label by id
-/// (a committed page image) or by name (a matrix rule) must find it in
-/// the log ahead of itself.
+/// (a committed patch's type-table entry, a forced page) or by name (a
+/// matrix rule) must find it in the log ahead of its commit.
 fn log_symbol_growth(wal: Option<&Arc<Wal>>, mark: &mut usize, symbols: &SymbolTable) {
     if symbols.len() > *mark {
         log_directory(wal, 0, &[directory::label_rows(symbols, *mark)]);
@@ -53,52 +53,51 @@ fn log_symbol_growth(wal: Option<&Arc<Wal>>, mark: &mut usize, symbols: &SymbolT
 }
 
 /// The version store's commit hook: at an operation's publish point,
-/// forces the pages its append stream allocated, captures the redo image
-/// of every other page it touched and appends the images with the commit
-/// record — after the force (why: [`natix_storage::wal`], Redo), and
-/// behind the alphabet's growth past the logged watermark, so no page
-/// names a label the log does not.
+/// forces the pages its append stream allocated and appends its commit
+/// record — after the force (why: [`natix_storage::wal`], Forced pages),
+/// and behind the alphabet's growth past the logged watermark, so no
+/// committed page names a label the log does not. Every other write of
+/// the operation is in the log already, as the patch the tree store
+/// logged when it made it.
 pub(crate) fn commit_hook(
     wal: Arc<Wal>,
     bm: Arc<BufferManager>,
     symbols: Arc<RwLock<SymbolTable>>,
     mark: Arc<Mutex<usize>>,
 ) -> CommitHook {
-    Box::new(move |op, pages: TouchedPages| {
+    Box::new(move |op, forced: Vec<PageId>| {
         // Read before the force begins: see `WalRecord::Commit`.
-        let force_lsn = wal.appended_lsn();
-        let images = match force_and_capture(&bm, &pages) {
-            Ok(images) => images,
-            Err(e) => {
-                // The log can no longer describe the published state:
-                // poison it so no later commit is acknowledged, and
-                // surface the error at this thread's durability gate.
-                wal.poison();
-                natix_storage::wal::set_commit_error(e);
-                return;
-            }
-        };
+        let force_lsn = wal.begin_force(&forced);
+        if let Err(e) = force(&bm, &forced) {
+            // The log can no longer describe the published state:
+            // poison it so no later commit is acknowledged, and
+            // surface the error at this thread's durability gate.
+            wal.poison();
+            natix_storage::wal::set_commit_error(e);
+            return;
+        }
         log_symbol_growth(Some(&wal), &mut mark.lock(), &symbols.read());
-        wal.append_commit_batch(op, &images, pages.fresh, force_lsn);
+        wal.append(&WalRecord::Commit {
+            op,
+            forced,
+            force_lsn,
+        });
     })
 }
 
-/// Writes back the fresh pages (ascending, WAL rule) and syncs the page
-/// device — done when this returns — then captures the other pages.
-fn force_and_capture(
-    bm: &BufferManager,
-    pages: &TouchedPages,
-) -> Result<Vec<(PageId, Vec<u8>)>, StorageError> {
-    if !pages.fresh.is_empty() {
-        bm.flush_pages(&pages.fresh)?;
-        // natix-model fail point: without the sync the model suite's log
-        // device finds a durable commit whose forced pages are volatile.
-        if !parking_lot::fail_point("commit.force-before-append") {
-            bm.backend().sync()?;
-        }
+/// Writes back `pages` (ascending, WAL rule) and syncs the page device —
+/// done when this returns.
+fn force(bm: &BufferManager, pages: &[PageId]) -> Result<(), StorageError> {
+    if pages.is_empty() {
+        return Ok(());
     }
-    let image = |&p| Ok((p, bm.pin(p)?.read().bytes().to_vec()));
-    pages.imaged.iter().map(image).collect()
+    bm.flush_pages(pages)?;
+    // natix-model fail point: without the sync the model suite's log
+    // device finds a durable commit whose forced pages are volatile.
+    if !parking_lot::fail_point("commit.force-before-append") {
+        bm.backend().sync()?;
+    }
+    Ok(())
 }
 
 /// One edit in flight (see [`Repository::edit`]): the document, held
@@ -473,9 +472,10 @@ impl Repository {
         let f0 = versions.ops_finished();
         // The horizon, read before the cut and before the flush: what the
         // log holds below it is in the cut (directory deltas) and in the
-        // base file once the flush is done (page images); what lands at
-        // or above it, recovery replays over both.
-        let horizon = self.log.appended_lsn();
+        // base file once the flush is done (patches); what lands at or
+        // above it, recovery replays over both — each page's first patch
+        // from here on behind an image of the page (`publish_horizon`).
+        let horizon = self.log.publish_horizon();
         let cut = directory::capture(self);
         self.sm.checkpoint()?;
         let quiesced = move || {

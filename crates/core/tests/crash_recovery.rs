@@ -1023,8 +1023,9 @@ fn forced_and_imaged(records: &[(u64, WalRecord)]) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// A load's log carries its undo and its commit, not its pages: no image
-/// of any page its append stream allocated, those pages listed in the
-/// commit record instead, and a fraction of their bytes in all.
+/// and no patch of any page its append stream allocated, those pages
+/// listed in the commit record instead, and a fraction of their bytes in
+/// all.
 #[test]
 fn a_load_logs_no_image_of_the_pages_it_allocated() {
     let (name, xml) = plays(1.0).swap_remove(0);
@@ -1044,6 +1045,10 @@ fn a_load_logs_no_image_of_the_pages_it_allocated() {
     assert!(allocated.len() > 48, "the load must outgrow the pool");
     let (forced, imaged) = forced_and_imaged(&records);
     assert_eq!(imaged, Vec::<u32>::new(), "a load imaged pages");
+    let patches = records
+        .iter()
+        .filter(|(_, r)| matches!(r, WalRecord::Patch(_)));
+    assert_eq!(patches.count(), 0, "a load logged a record write");
     assert_eq!(forced, allocated, "the commit record's forced list");
     let (log_bytes, page_bytes) = (log.len() - before, allocated.len() * PAGE);
     assert!(
@@ -1136,11 +1141,11 @@ fn two_parallel_loaders_survive_every_kill_point() {
     );
 }
 
-/// *Stale image.* Page P is imaged by an edit of document A, emptied by
-/// A's deletion (imaged again), returned to the free pool and
-/// re-allocated by load B, which forces it. Replaying either image would
-/// put A's page over B's: redo must skip an image that a later committed
-/// force of its page supersedes. (The tree layer does not return emptied
+/// *Stale image.* Page P is imaged by the first patch of an edit of
+/// document A, emptied by A's deletion (patched again), returned to the
+/// free pool and re-allocated by load B, which forces it. Replaying the
+/// image or the patches would put A's page over B's: redo must skip what
+/// a later committed force of its page supersedes. (The tree layer does not return emptied
 /// pages to the pool yet — only recovery does — so the test frees P by
 /// hand, standing in for a delete that reclaims.)
 #[test]
@@ -1157,9 +1162,15 @@ fn a_forced_page_is_not_overwritten_by_its_previous_tenants_images() {
     repo.storage().free_page(p).unwrap();
     let b = repo.put_xml_streaming("b", "<d>second tenant</d>").unwrap();
     assert_eq!(repo.root_rid(b).unwrap().page, p, "B must re-use A's page");
-    let (forced, imaged) = forced_and_imaged(&records_of(&m.log.durable_bytes()));
-    assert_eq!(imaged, [p, p], "the edit's and the deletion's images of P");
+    let records = records_of(&m.log.durable_bytes());
+    let (forced, imaged) = forced_and_imaged(&records);
+    assert_eq!(imaged, [p], "the edit's first-touch image of P");
     assert_eq!(forced, [p, p], "both loads forced P");
+    let patched = records
+        .iter()
+        .filter(|(_, r)| matches!(r, WalRecord::Patch(w) if w.rid.page == p))
+        .count();
+    assert!(patched >= 2, "the edit and the deletion patch P");
     drop(repo);
 
     let reopened = Machine::boot(store, m.log.durable_bytes(), None)
@@ -1186,6 +1197,10 @@ enum Race {
     /// device sync: its image of the page is in the log *below* the
     /// load's commit record, of a page state the force did not write.
     EditDuringForce,
+    /// The edit commits; the load then interns a new node type on the
+    /// page (below the edit's image of it) and is still open at the power
+    /// cut; a second committed edit writes that type on the page.
+    LoadNeverCommits,
 }
 
 /// A page device whose next `sync`, once armed, stops on entry until the
@@ -1228,9 +1243,12 @@ impl DiskBackend for SyncGate {
 /// record too (its undo is in the log first: the WAL rule), and the
 /// edit's image of the page is either below the position the force began
 /// at — skipped, the device holds it — or above it and replayed over the
-/// forced page. Both operations are held open (an enclosing write
-/// operation each, on its own thread) so that the test picks the commit
-/// order.
+/// forced page. Once the edit's patch is in the log the page is no longer
+/// the load's to write unlogged: what the load writes there later (a type
+/// it interns in the page's table, say) is logged too, or a committed
+/// edit that uses it would come back unreadable when the load never
+/// commits. Both operations are held open (an enclosing write operation
+/// each, on its own thread) so that the test picks the commit order.
 fn edit_on_a_fresh_page(race: Race) {
     use std::sync::mpsc::channel;
     let store = Arc::new(MemStorage::new(PAGE).unwrap());
@@ -1260,6 +1278,8 @@ fn edit_on_a_fresh_page(race: Race) {
     let (edited, is_edited) = channel();
     let (commit_load, load_may_commit) = channel::<()>();
     let (commit_edit, edit_may_commit) = channel::<()>();
+    let (intern, may_intern) = channel::<()>();
+    let (interned, is_interned) = channel();
     std::thread::scope(|s| {
         let repo = &repo;
         let loader = s.spawn(move || {
@@ -1268,11 +1288,23 @@ fn edit_on_a_fresh_page(race: Race) {
                 reason = "holds the load's operation open until the test lets it commit"
             )]
             let op = repo.tree_store().begin_write();
-            repo.put_xml_streaming("load", "<d>loaded beside an edit</d>")
+            let load = repo
+                .put_xml_streaming("load", "<d>loaded beside an edit</d>")
                 .unwrap();
             loaded.send(()).unwrap();
-            load_may_commit.recv().unwrap();
-            drop(op);
+            if race == Race::LoadNeverCommits {
+                may_intern.recv().unwrap();
+                // A write of a record the load created, on its own page,
+                // with a type the page's table lacks.
+                let root = repo.root(load).unwrap();
+                repo.insert_element(load, root, InsertPos::Last, "interned")
+                    .unwrap();
+                interned.send(()).unwrap();
+            }
+            match load_may_commit.recv() {
+                Ok(()) => drop(op),
+                Err(_) => std::mem::forget(op),
+            }
         });
         is_loaded.recv().unwrap();
         if race == Race::EditDuringForce {
@@ -1312,6 +1344,19 @@ fn edit_on_a_fresh_page(race: Race) {
                 commit_load.send(()).unwrap();
                 loader.join().unwrap();
             }
+            Race::LoadNeverCommits => {
+                commit_edit.send(()).unwrap();
+                editor.join().unwrap();
+                intern.send(()).unwrap();
+                is_interned.recv().unwrap();
+                // Beside the host's last child, the edit's text: the new
+                // element joins that child's record, on the load's page.
+                let at = repo.children(host, host_root).unwrap().len();
+                repo.insert_element(host, host_root, InsertPos::At(at), "interned")
+                    .unwrap();
+                drop(commit_load);
+                loader.join().unwrap();
+            }
             Race::LoadFirst | Race::EditNeverCommits => {
                 commit_load.send(()).unwrap();
                 loader.join().unwrap();
@@ -1332,13 +1377,31 @@ fn edit_on_a_fresh_page(race: Race) {
         _ => repo.get_xml("host").unwrap(),
     };
     let records = records_of(&m.log.durable_bytes());
-    let load_forced: Vec<u32> = records
+    let committed: Vec<u64> = records
         .iter()
         .filter_map(|(_, r)| match r {
-            WalRecord::Commit { forced, .. } if forced.len() == 1 => Some(forced[0]),
+            WalRecord::Commit { op, .. } => Some(*op),
             _ => None,
         })
         .collect();
+    let load_forced: Vec<u32> = match race {
+        // The open load forces nothing: its page is the one its creation
+        // notices name.
+        Race::LoadNeverCommits => records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                WalRecord::Created { op, rid } if !committed.contains(op) => Some(rid.page),
+                _ => None,
+            })
+            .collect(),
+        _ => records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                WalRecord::Commit { forced, .. } if forced.len() == 1 => Some(forced[0]),
+                _ => None,
+            })
+            .collect(),
+    };
     let created_by_others = |page: u32| {
         let mut ops: Vec<u64> = records
             .iter()
@@ -1354,16 +1417,44 @@ fn edit_on_a_fresh_page(race: Race) {
         load_forced.iter().any(|&page| created_by_others(page)),
         "{race:?}: the edit placed nothing on the load's fresh page"
     );
+    if race == Race::LoadNeverCommits {
+        // Both committed edits wrote records on the load's page.
+        let mut editors: Vec<u64> = records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                WalRecord::Patch(w) if load_forced.contains(&w.rid.page) => Some(w.op),
+                _ => None,
+            })
+            .filter(|op| committed.contains(op))
+            .collect();
+        editors.sort_unstable();
+        editors.dedup();
+        assert!(
+            editors.len() >= 2,
+            "only {editors:?} wrote on the load's page"
+        );
+        // Once the edit patched the page, the load's writes there are
+        // logged: its type-table growth is in the log below the second
+        // edit's use of the type.
+        assert!(
+            records.iter().any(|(_, r)| matches!(r,
+                WalRecord::Patch(w) if !committed.contains(&w.op) && !w.types.is_empty())),
+            "the type the load interned is not in the log"
+        );
+    }
     drop(repo);
 
     let reopened = Machine::boot(store, m.log.durable_bytes(), None)
         .open()
         .unwrap_or_else(|e| panic!("{race:?}: recovery failed: {e}"));
-    assert_eq!(
-        reopened.get_xml("load").unwrap(),
-        "<d>loaded beside an edit</d>",
-        "{race:?}"
-    );
+    match race {
+        Race::LoadNeverCommits => assert!(reopened.get_xml("load").is_err()),
+        _ => assert_eq!(
+            reopened.get_xml("load").unwrap(),
+            "<d>loaded beside an edit</d>",
+            "{race:?}"
+        ),
+    }
     assert_eq!(reopened.get_xml("host").unwrap(), host_after, "{race:?}");
     assert!(reopened.storage().untracked_pages().unwrap().is_empty());
 }
@@ -1388,6 +1479,11 @@ fn an_edit_committed_during_a_loads_force_is_replayed_over_the_forced_page() {
     edit_on_a_fresh_page(Race::EditDuringForce);
 }
 
+#[test]
+fn a_type_an_open_load_interned_on_its_page_survives_for_a_committed_edit() {
+    edit_on_a_fresh_page(Race::LoadNeverCommits);
+}
+
 /// The log has no format version of its own, and reading it trims
 /// whatever does not parse as this build's records. So the store's
 /// version is checked first: a store of another format is refused with
@@ -1400,22 +1496,22 @@ fn a_store_of_another_format_is_refused_before_its_log_is_read() {
     repo.put_xml("doc", "<d>of an older build</d>").unwrap();
     drop(repo);
     // Header page: the format version follows the 16-byte page header
-    // and the 8-byte magic (`segment.rs`). A version 5 store names a
-    // segment in its checkpoint records and its `Alloc` records, which
-    // this build does not read — records of other formats are a torn tail
-    // to its parser, like the bytes appended here.
+    // and the 8-byte magic (`segment.rs`). A version 6 store logs
+    // pre-images and commit-time page images, which this build does not
+    // read — records of other formats are a torn tail to its parser, like
+    // the bytes appended here.
     let mut header = vec![0u8; PAGE];
     store.read_page(0, &mut header).unwrap();
-    assert_eq!(header[24..28], 6u32.to_le_bytes());
-    header[24..28].copy_from_slice(&5u32.to_le_bytes());
+    assert_eq!(header[24..28], 7u32.to_le_bytes());
+    header[24..28].copy_from_slice(&6u32.to_le_bytes());
     store.write_page(0, &header).unwrap();
     let mut log = m.log.durable_bytes();
     log.extend_from_slice(b"records of another format");
 
     let m2 = Machine::boot(Arc::clone(&store), log.clone(), None);
-    let err = m2.open().err().expect("a version 5 store must not open");
+    let err = m2.open().err().expect("a version 6 store must not open");
     assert!(
-        err.to_string().contains("unsupported format version 5"),
+        err.to_string().contains("unsupported format version 6"),
         "{err}"
     );
     assert_eq!(m2.log.durable_bytes(), log, "the refused store's log");
@@ -1434,4 +1530,286 @@ fn crash_recovery_orders() {
 #[test]
 fn crash_recovery_deep_nesting() {
     sweep(&deep_docs());
+}
+
+// ---------------------------------------------------------------------------
+// An edit logs its writes as slot-level patches, each page's first since
+// the horizon behind an image of the page; recovery repeats history and
+// undoes the operations without a commit record by inverse patches.
+// ---------------------------------------------------------------------------
+
+/// A copy of `store` as it is now: what a power cut leaves of it.
+fn frozen(store: &MemStorage) -> Arc<MemStorage> {
+    let copy = Arc::new(MemStorage::new(PAGE).unwrap());
+    copy.grow(store.page_count()).unwrap();
+    let mut page = vec![0u8; PAGE];
+    for p in 0..store.page_count() as u32 {
+        store.read_page(p, &mut page).unwrap();
+        copy.write_page(p, &page).unwrap();
+    }
+    copy
+}
+
+/// One edit of a checkpointed document, cut at every record boundary of
+/// what it logged: between its first-touch image and its patch, between
+/// its patches, before and after its commit record. The edit reopens
+/// whole or not at all, and the store stays writable.
+#[test]
+fn an_edit_cut_at_every_record_it_logged_reopens_whole_or_not_at_all() {
+    let (name, xml) = plays(0.02).swap_remove(0);
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let doc = repo.put_xml_streaming(&name, &xml).unwrap();
+    repo.checkpoint().unwrap();
+    let before_xml = repo.get_xml(&name).unwrap();
+    let at = m.log.durable_bytes().len() as u64;
+    let root = repo.root(doc).unwrap();
+    repo.insert_text(doc, root, InsertPos::First, "an edit cut short")
+        .unwrap();
+    let after_xml = repo.get_xml(&name).unwrap();
+    let log = m.log.durable_bytes();
+    let store = frozen(&store);
+    drop(repo);
+
+    let edit: Vec<(u64, WalRecord)> = records_of(&log)
+        .into_iter()
+        .filter(|(lsn, _)| *lsn >= at)
+        .collect();
+    let kinds: Vec<&str> = edit
+        .iter()
+        .map(|(_, r)| match r {
+            WalRecord::PageImage { .. } => "image",
+            WalRecord::Patch(_) => "patch",
+            WalRecord::Commit { .. } => "commit",
+            _ => "other",
+        })
+        .collect();
+    assert_eq!(kinds[..2], ["image", "patch"], "the page's first touch");
+    assert!(!kinds.contains(&"other"), "{kinds:?}");
+    let cuts = edit.iter().map(|(lsn, _)| *lsn).chain([log.len() as u64]);
+    for cut in cuts {
+        let committed = cut == log.len() as u64;
+        let reopened = Machine::boot(frozen(&store), log[..cut as usize].to_vec(), None)
+            .open()
+            .unwrap_or_else(|e| panic!("cut at {cut}: recovery failed: {e}"));
+        let want = if committed { &after_xml } else { &before_xml };
+        assert_eq!(&reopened.get_xml(&name).unwrap(), want, "cut at {cut}");
+        let doc = reopened.doc_id(&name).unwrap();
+        let root = reopened.root(doc).unwrap();
+        reopened
+            .insert_text(doc, root, InsertPos::Last, "written after recovery")
+            .unwrap();
+    }
+}
+
+/// Editors racing fuzzy checkpoints, killed at budgets spread over the
+/// race: each horizon a checkpoint publishes makes every page's next patch
+/// bring its image, decided under the log's append lock, so wherever the
+/// kill lands the document reopens as of its last acknowledged edit or
+/// the one in flight.
+#[test]
+fn edits_racing_checkpoints_survive_every_kill_point() {
+    const EDITS: u32 = 40;
+    let (name, xml) = plays(0.02).swap_remove(1);
+    let text = |k: u32| format!("racing edit {k}");
+    // The states the edits step through, on a machine that never dies.
+    let states: Vec<String> = {
+        let repo = Repository::create_in_memory(options()).unwrap();
+        let doc = repo.put_xml_streaming(&name, &xml).unwrap();
+        let root = repo.root(doc).unwrap();
+        let mut states = vec![repo.get_xml(&name).unwrap()];
+        for k in 0..EDITS {
+            repo.insert_text(doc, root, InsertPos::Last, &text(k))
+                .unwrap();
+            states.push(repo.get_xml(&name).unwrap());
+        }
+        states
+    };
+    let loaded = |m: &Machine| {
+        let repo = m.create().unwrap();
+        let doc = repo.put_xml_streaming(&name, &xml).unwrap();
+        (repo, doc)
+    };
+    let run = |m: &Machine| -> usize {
+        let (repo, doc) = loaded(m);
+        let root = repo.root(doc).unwrap();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                    if repo.checkpoint().is_err() {
+                        break;
+                    }
+                }
+            });
+            let acked = (0..EDITS)
+                .take_while(|&k| {
+                    repo.insert_text(doc, root, InsertPos::Last, &text(k))
+                        .is_ok()
+                })
+                .count();
+            stop.store(true, std::sync::atomic::Ordering::Release);
+            acked
+        })
+    };
+    let initial = i64::MAX as u64;
+    let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+    drop(loaded(&m));
+    let base = m.consumed(initial);
+    let m = Machine::boot(Arc::new(MemStorage::new(PAGE).unwrap()), Vec::new(), None);
+    assert_eq!(run(&m), EDITS as usize);
+    let span = m.consumed(initial) - base;
+    for i in 1..=20 {
+        let budget = base + span * i / 21;
+        let store = Arc::new(MemStorage::new(PAGE).unwrap());
+        let m = Machine::boot(Arc::clone(&store), Vec::new(), Some(budget));
+        let acked = run(&m);
+        let reopened = Machine::boot(store, m.log.durable_bytes(), None)
+            .open()
+            .unwrap_or_else(|e| panic!("budget {budget}: recovery failed: {e}"));
+        let got = reopened.get_xml(&name).unwrap();
+        let fits = states[acked..].iter().take(2).any(|s| *s == got);
+        assert!(
+            fits,
+            "budget {budget}: {acked} edits acknowledged, other state"
+        );
+    }
+}
+
+/// A loser's patch below the checkpoint's horizon — the edit's operation
+/// was open while a fuzzy checkpoint flushed its page — is undone on the
+/// page the checkpoint wrote. A kill anywhere in that recovery, the log
+/// reset behind the undone pages' flush included, leaves what the next
+/// recovery undoes again from the same state: before the first page
+/// changes, recovery images every page it undoes on, durably.
+#[test]
+fn a_kill_inside_recoverys_undo_is_recovered_by_the_next_reopen() {
+    let (name, xml) = plays(0.02).swap_remove(2);
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let doc = repo.put_xml_streaming(&name, &xml).unwrap();
+    repo.checkpoint().unwrap();
+    let oracle = repo.get_xml(&name).unwrap();
+    let root = natix_tree::NodePtr::new(repo.root_rid(doc).unwrap(), 0);
+    let (opened, is_open) = std::sync::mpsc::channel();
+    let (close, closed) = std::sync::mpsc::channel::<()>();
+    let (log, crashed) = std::thread::scope(|s| {
+        let repo = &repo;
+        s.spawn(move || {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "an edit's operation held open across a checkpoint and a power cut"
+            )]
+            let op = repo.tree_store().begin_write();
+            for k in 0..3 {
+                let text = natix_xml::LiteralValue::String(format!("never committed {k}"));
+                let node = natix_tree::NewNode::Literal(text);
+                repo.tree_store()
+                    .insert(root, InsertPos::First, natix_xml::LABEL_TEXT, node)
+                    .unwrap();
+            }
+            opened.send(()).unwrap();
+            closed.recv().unwrap();
+            drop(op);
+        });
+        is_open.recv().unwrap();
+        repo.checkpoint().unwrap();
+        let cut = (m.log.durable_bytes(), frozen(&store));
+        close.send(()).unwrap();
+        cut
+    });
+    drop(repo);
+    let records = records_of(&log);
+    let horizon = records
+        .iter()
+        .rev()
+        .find_map(|(_, r)| match r {
+            WalRecord::Checkpoint(s) => Some(s.redo_horizon),
+            _ => None,
+        })
+        .unwrap();
+    assert!(
+        records
+            .iter()
+            .any(|(lsn, r)| matches!(r, WalRecord::Patch(_)) && *lsn < horizon),
+        "the loser's patches lie below the horizon"
+    );
+
+    let initial = i64::MAX as u64;
+    let m = Machine::boot(frozen(&crashed), log.clone(), None);
+    assert_eq!(m.open().unwrap().get_xml(&name).unwrap(), oracle);
+    let span = m.consumed(initial);
+    for budget in 0..span {
+        let store = frozen(&crashed);
+        let m = Machine::boot(Arc::clone(&store), log.clone(), Some(budget));
+        assert!(m.open().is_err(), "budget {budget}: the reopen survived");
+        let reopened = Machine::boot(store, m.log.durable_bytes(), None)
+            .open()
+            .unwrap_or_else(|e| panic!("budget {budget}: second recovery failed: {e}"));
+        assert_eq!(reopened.get_xml(&name).unwrap(), oracle, "budget {budget}");
+    }
+}
+
+/// Reopens a store whose log holds one committed edit, with `forge`
+/// applied to each of its patches; returns the refusal.
+fn reopen_forged(forge: impl Fn(&mut natix_storage::SlotPatch)) -> natix::NatixError {
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = m.create().unwrap();
+    let doc = repo.put_xml_streaming("doc", "<d>kept</d>").unwrap();
+    let root = repo.root(doc).unwrap();
+    repo.insert_text(doc, root, InsertPos::First, "patched")
+        .unwrap();
+    drop(repo);
+    let mut forged = Vec::new();
+    for (_, mut r) in records_of(&m.log.durable_bytes()) {
+        if let WalRecord::Patch(p) = &mut r {
+            forge(p);
+        }
+        forged.extend_from_slice(&r.encode_frame());
+    }
+    Machine::boot(store, forged, None)
+        .open()
+        .err()
+        .expect("a forged patch was applied")
+}
+
+/// A patch whose replaced bytes are not the page's is refused at reopen
+/// with a typed error, never applied.
+#[test]
+fn a_log_patch_its_page_does_not_match_is_refused_at_reopen() {
+    let err = reopen_forged(|p| {
+        p.splice.old.push(0xEE);
+        p.splice.at = 0;
+    });
+    assert!(
+        err.to_string().contains("the replaced bytes are not there"),
+        "{err}"
+    );
+}
+
+/// A patch whose fixup lies past the record it writes is refused.
+#[test]
+fn a_log_patch_with_a_fixup_past_its_record_is_refused_at_reopen() {
+    let err = reopen_forged(|p| p.splice.fixups.push(u16::MAX - 1));
+    assert!(
+        err.to_string().contains("a fixup lies outside the record"),
+        "{err}"
+    );
+}
+
+/// A patch naming a slot past its page is refused.
+#[test]
+fn a_log_patch_of_a_slot_past_its_page_is_refused_at_reopen() {
+    let err = reopen_forged(|p| p.rid.slot = u16::MAX);
+    assert!(matches!(err, natix::NatixError::Storage(_)), "{err}");
+}
+
+/// A patch naming a page past the store is refused.
+#[test]
+fn a_log_patch_of_a_page_past_the_store_is_refused_at_reopen() {
+    let err = reopen_forged(|p| p.rid.page = 1 << 20);
+    assert!(matches!(err, natix::NatixError::Storage(_)), "{err}");
 }

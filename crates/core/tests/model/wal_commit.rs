@@ -1,7 +1,7 @@
-//! Scenario 4: WAL group commit, the force-before-write-back rule and
-//! force-before-commit.
+//! Scenario 4: WAL group commit, the force-before-write-back rule,
+//! force-before-commit and the first-touch image.
 //!
-//! Three protocols share the log's watermark pair (`appended`,
+//! Four protocols share the log's watermark pair (`appended`,
 //! `durable`), both tracked atomics under the model:
 //!
 //! - **Group commit**: concurrent committers append, then `sync_to`
@@ -12,9 +12,8 @@
 //! - **The WAL rule**: the buffer manager must force the log before a
 //!   dirty page steal overwrites the page's base image on disk
 //!   (`BufferManager::wal_barrier`). [`LsnCheckDisk`] turns the rule
-//!   into a checkable assertion: `write_page` of a page covered by a
-//!   commit record fails unless the log is already durable past that
-//!   record.
+//!   into a checkable assertion: `write_page` of a page covered by a log
+//!   record fails unless the log is already durable past that record.
 //!
 //! - **Force-before-commit**: a load does not log its pages; its commit
 //!   hook writes them to the page device, syncs the device, and only then
@@ -23,13 +22,21 @@
 //!   runs, so the order is what keeps "commit durable ⇒ every forced page
 //!   durable". [`ForceCheckLog`] asserts it at every log sync, against
 //!   the store a forgetting page device syncs into.
+//! - **First-touch image**: a page's first patch since the checkpoint's
+//!   horizon comes behind an image of the page, decided under the log's
+//!   append lock against the horizon the checkpoint publishes there
+//!   (`Wal::log_patch`). A checkpoint that resets the log restarts its
+//!   LSNs below the page LSNs already on disk, so a patch without its
+//!   image would be taken for one the page already holds.
 //!
 //! Named guards: `wal.force-before-write-back` (`wal_barrier`) —
 //! reverting it lets a steal write a committed page whose log tail is
 //! still buffered, the classic lost-redo crash window, which the LSN
 //! check catches on the very write; `commit.force-before-append`
 //! (`write.rs`, the device sync of the force) — reverting it lets a
-//! commit record become durable over pages the device may still forget.
+//! commit record become durable over pages the device may still forget;
+//! `wal.first-touch-image` (`Wal::log_patch`) — reverting it loses an
+//! acknowledged edit made behind a resetting checkpoint.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex as StdMutex, OnceLock};
@@ -38,7 +45,7 @@ use natix::{Repository, RepositoryOptions};
 use natix_storage::wal::{parse_log, WalRecord};
 use natix_storage::{
     BufferManager, DiskBackend, FaultControl, FaultDisk, IoStats, LogDevice, MemLogDevice,
-    MemStorage, PageId, StorageResult, Wal,
+    MemStorage, PageId, PatchKind, Rid, SlotPatch, Splice, StorageResult, Wal,
 };
 use natix_tree::InsertPos;
 use parking_lot::model;
@@ -47,7 +54,7 @@ use crate::util;
 
 /// A disk that enforces the WAL rule as a hard assertion: pages with a
 /// registered requirement may only be written back once the log is
-/// durable past the commit record that covered them.
+/// durable past the record that covered them.
 struct LsnCheckDisk {
     inner: MemStorage,
     wal: OnceLock<Arc<Wal>>,
@@ -94,7 +101,7 @@ impl DiskBackend for LsnCheckDisk {
             assert!(
                 durable >= lsn,
                 "WAL rule violated: page {page} written back at durable_lsn {durable} \
-                 but its commit record ends at {lsn}"
+                 but its log record ends at {lsn}"
             );
         }
         self.inner.write_page(page, buf)
@@ -122,8 +129,11 @@ fn group_commit() {
         .map(|op| {
             let wal = Arc::clone(&wal);
             model::spawn(move || {
-                let images = [(op as PageId, vec![op as u8; 16])];
-                let lsn = wal.append_commit_batch(op, &images, Vec::new(), 0);
+                let lsn = wal.append(&WalRecord::Commit {
+                    op,
+                    forced: Vec::new(),
+                    force_lsn: 0,
+                });
                 wal.sync_to(lsn).unwrap();
                 let durable = wal.durable_lsn();
                 assert!(
@@ -144,8 +154,8 @@ fn group_commit() {
     );
 }
 
-/// Dirties two pages, logs their commit record *without* syncing it
-/// (group mode buffers), then forces steals. The write-backs are legal
+/// Dirties two pages, logs a patch of each *without* syncing it (group
+/// mode buffers), then forces steals. The write-backs are legal
 /// only because `wal_barrier` forces the log first — which the disk
 /// checks on every write.
 fn steal_forces_log() {
@@ -163,12 +173,21 @@ fn steal_forces_log() {
     drop(bm.pin_new(0).unwrap());
     drop(bm.pin_new(1).unwrap());
 
-    // Commit both pages; group mode leaves the record buffered.
-    let images = [(0, vec![0xAA; 16]), (1, vec![0xBB; 16])];
-    let lsn = wal.append_commit_batch(7, &images, Vec::new(), 0);
+    // Patch both pages; group mode leaves the records buffered.
+    for page in [0, 1] {
+        let patch = SlotPatch {
+            op: 7,
+            rid: Rid::new(page, 1),
+            kind: PatchKind::Create,
+            splice: Splice::whole(&[], vec![0xAA; 16]),
+            types: Vec::new(),
+        };
+        wal.log_patch(&bm.pin(page).unwrap().read(), &patch);
+    }
+    let lsn = wal.appended_lsn();
     assert!(
         wal.durable_lsn() < lsn,
-        "the commit must still be buffered for the scenario to exercise the barrier"
+        "the patches must still be buffered for the scenario to exercise the barrier"
     );
     disk.require(0, lsn);
     disk.require(1, lsn);
@@ -287,6 +306,65 @@ fn force_before_commit() {
     assert_eq!(reopened.get_xml("kept").unwrap(), "<d>kept and edited</d>");
 }
 
+/// A checkpoint beside an editor whose edit is its page's first touch
+/// since the checkpoint began — after edits that raised the page's LSN in
+/// a log the checkpoint may reset. Then the power cut: the acknowledged
+/// edit is there wherever the checkpoint's horizon fell.
+fn checkpoint_versus_first_touch() {
+    const PAGE: usize = 512;
+    let options = || RepositoryOptions {
+        page_size: PAGE,
+        buffer_bytes: 64 * PAGE,
+        ..RepositoryOptions::default()
+    };
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let log = Arc::new(MemLogDevice::new());
+    let disk = FaultDisk::new(Arc::clone(&store), Arc::new(FaultControl::unlimited()));
+    let repo = Arc::new(
+        Repository::create_on_backend_with_log(
+            Arc::new(disk),
+            Box::new(Arc::clone(&log)),
+            options(),
+        )
+        .unwrap(),
+    );
+    let doc = repo.put_xml_streaming("doc", "<d>first</d>").unwrap();
+    let root = repo.root(doc).unwrap();
+    for k in 0..3 {
+        repo.insert_text(doc, root, InsertPos::Last, &format!(" {k}"))
+            .unwrap();
+    }
+    let checkpointer = {
+        let repo = Arc::clone(&repo);
+        model::spawn(move || repo.checkpoint().unwrap())
+    };
+    let editor = {
+        let repo = Arc::clone(&repo);
+        model::spawn(move || {
+            repo.insert_text(doc, root, InsertPos::Last, " raced")
+                .unwrap();
+        })
+    };
+    checkpointer.join();
+    editor.join();
+    let acknowledged = repo.get_xml("doc").unwrap();
+    drop(repo);
+
+    let durable = Arc::new(MemLogDevice::new());
+    durable.restore(log.durable_bytes());
+    let reopened = Repository::open_on_backend_with_log(
+        store as Arc<dyn DiskBackend>,
+        Box::new(durable),
+        options(),
+    )
+    .unwrap_or_else(|e| panic!("first touch after the power cut: recovery failed: {e}"));
+    assert_eq!(
+        reopened.get_xml("doc").unwrap(),
+        acknowledged,
+        "first touch after the power cut: an acknowledged edit is lost"
+    );
+}
+
 #[test]
 fn group_commit_watermarks_hold_in_every_interleaving() {
     util::assert_clean("wal-commit/group", 300, 150, group_commit);
@@ -323,5 +401,26 @@ fn mutation_force_before_append_is_caught() {
         "force-before-commit violated",
         50,
         force_before_commit,
+    );
+}
+
+#[test]
+fn an_edit_racing_a_checkpoint_is_imaged_on_its_first_touch() {
+    util::assert_clean(
+        "wal-commit/first-touch",
+        100,
+        50,
+        checkpoint_versus_first_touch,
+    );
+}
+
+#[test]
+fn mutation_first_touch_image_is_caught() {
+    util::assert_mutation_caught(
+        "wal-commit/first-touch",
+        "wal.first-touch-image",
+        "first touch after the power cut",
+        50,
+        checkpoint_versus_first_touch,
     );
 }

@@ -32,6 +32,8 @@
 //!   allocation and the free list, and the allocator's checkpoint record.
 //! * [`freespace`] — the free-space inventory used to place records.
 //! * [`wal`] — the write-ahead log and its devices.
+//! * [`patch`] — the slot-level patch: the log's redo and undo of one
+//!   record write.
 //! * [`stats`] — I/O statistics shared by the benchmark harness.
 
 #![deny(let_underscore_drop)]
@@ -42,6 +44,7 @@ pub mod disk;
 pub mod error;
 pub mod freespace;
 pub mod page;
+pub mod patch;
 pub mod rid;
 pub mod segment;
 pub mod simdisk;
@@ -53,6 +56,7 @@ pub use buffer::{BufferManager, PinnedPage};
 pub use disk::{DiskBackend, FaultControl, FaultDisk, FileStorage, MemStorage};
 pub use error::{StorageError, StorageResult};
 pub use page::{PageBuf, PageKind, PAGE_HEADER_SIZE};
+pub use patch::{PatchKind, SlotPatch, Splice};
 pub use rid::{PageId, Rid, SlotId, INVALID_PAGE};
 pub use segment::StorageManager;
 pub use simdisk::{DiskProfile, SimDisk};

@@ -15,7 +15,7 @@
 //! 4   u16  free_start          (offset of the first unused data byte)
 //! 6   u16  free_total          (free bytes including holes)
 //! 8   u32  next_page           (chained free pages)
-//! 12  u32  lsn                 (truncated page LSN, stamped by WAL replay)
+//! 12  u32  lsn                 (truncated LSN of the page's last patch)
 //! 16  ...  payload
 //! ```
 
@@ -172,11 +172,11 @@ impl PageBuf {
         self.data[8..12].copy_from_slice(&p.to_le_bytes());
     }
 
-    /// Page LSN (truncated to 32 bits): the log position of the last redo
-    /// image written for this page, stamped by WAL replay and by the
-    /// commit hook's image capture. Informational — recovery replay is
-    /// idempotent and does not depend on it (stolen frames reach disk
-    /// without a stamp).
+    /// Page LSN (truncated to 32 bits): the start LSN of the last logged
+    /// patch written to this page, stamped under the page latch by the
+    /// writer and by redo, or of the image redo installed. Redo applies a
+    /// patch iff this is below the patch's LSN; the log re-images a page
+    /// in each new 2³² window, so the low half compares exactly.
     #[inline]
     pub fn lsn32(&self) -> u32 {
         self.read_u32(12)

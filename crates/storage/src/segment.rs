@@ -21,8 +21,8 @@
 //!
 //! Records themselves are written by the tree store, straight onto the
 //! slotted pages it [`pin`](StorageManager::pin)s: it deposits a record's
-//! pre-image and updates the page's node-type table under the same page
-//! latch as the record write. This module picks the page
+//! pre-image for readers, logs the write's patch and updates the page's
+//! node-type table under the same page latch as the record write. This module picks the page
 //! ([`find_page_with_space_near`](StorageManager::find_page_with_space_near),
 //! [`find_page_with_space`](StorageManager::find_page_with_space)) and
 //! tracks the free space left
@@ -63,8 +63,10 @@ const MAGIC: &[u8; 8] = b"NATIXSTO";
 /// record is the one durable copy of the allocator and the directory;
 /// version 6 dropped segments from the log: the checkpoint record lists
 /// one page inventory, `Alloc` names no segment, and the segment-creation
-/// record is gone.
-const VERSION: u32 = 6;
+/// record is gone; version 7 logs every record write as a slot-level patch
+/// (each page's first since the horizon behind an image of the page)
+/// instead of a pre-image and a commit-time page image.
+const VERSION: u32 = 7;
 
 // Header page layout (after the common 16-byte page header).
 const OFF_MAGIC: usize = 16;
@@ -173,8 +175,12 @@ impl StorageManager {
         self.buffer.page_size()
     }
 
-    /// Allocates a page and formats it as an empty slotted page, which
-    /// enters the free-space inventory immediately.
+    /// Allocates a page and formats it as an empty slotted page. It
+    /// enters the free-space inventory with no free bytes: the caller's
+    /// first write notes its space ([`note_free_space`](Self::note_free_space)),
+    /// so no other writer can place a record on the page before the one
+    /// that allocated it has claimed it (a load claims its pages as its
+    /// own to force at commit).
     pub fn allocate_page(&self) -> StorageResult<PageId> {
         let page = {
             let mut st = self.state.lock();
@@ -195,7 +201,7 @@ impl StorageManager {
             // checkpoint snapshot taken before the real entry below must
             // list the page, or recovery — which adopts only allocations
             // logged after the checkpoint record — frees it under its
-            // committed content. No free bytes: no placement picks it yet.
+            // committed content. No free bytes: no placement picks it.
             st.fsi.set(page, 0);
             page
         };
@@ -203,13 +209,8 @@ impl StorageManager {
         // evict a dirty frame (a disk write), and holding the state mutex
         // across that would serialize every concurrent bulkload behind one
         // writer's I/O stall.
-        let free = {
-            let pin = self.buffer.pin_new(page)?;
-            let mut buf = pin.write();
-            SlottedPage::format(&mut buf);
-            buf.free_total()
-        };
-        self.state.lock().fsi.set(page, free);
+        let pin = self.buffer.pin_new(page)?;
+        SlottedPage::format(&mut pin.write());
         Ok(page)
     }
 
@@ -538,6 +539,19 @@ mod tests {
         assert_eq!(near, Some(a.page), "hint should cluster on the same page");
     }
 
+    /// A fresh page is offered for placement only once its allocator has
+    /// written it and noted its space.
+    #[test]
+    fn a_fresh_page_is_placed_on_only_after_its_first_write() {
+        let sm = mk(2048, 16);
+        let page = sm.allocate_page().unwrap();
+        assert_eq!(sm.find_page_with_space(16, None), None);
+        assert_eq!(sm.find_page_with_space_near(16, page, 16), None);
+        let free = sm.pin(page).unwrap().read().free_total();
+        sm.note_free_space(page, free as usize);
+        assert_eq!(sm.find_page_with_space(16, None), Some(page));
+    }
+
     #[test]
     fn free_page_recycled() {
         let sm = mk(2048, 16);
@@ -619,7 +633,7 @@ mod tests {
             Err(StorageError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
             other => panic!("expected Corrupt({what}), got {other:?}"),
         };
-        for bad in [0u32, 4, 5, VERSION + 1] {
+        for bad in [0u32, 4, 5, 6, VERSION + 1] {
             refused(patched(OFF_VERSION, bad), "unsupported format version");
         }
         patched(OFF_VERSION, VERSION).expect("the current version opens");

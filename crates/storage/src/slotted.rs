@@ -100,6 +100,16 @@ impl<'a> SlottedPage<'a> {
         }
     }
 
+    /// The slot a new record takes on a record page: the first free slot
+    /// past slot 0 (the page's node-type table), else a new one — where
+    /// [`insert`](Self::insert) puts it once the table is in place.
+    pub fn slot_for_new_record(&self) -> SlotId {
+        let count = self.slot_count();
+        (1..count)
+            .find(|&s| !self.is_live(s))
+            .unwrap_or(count.max(1))
+    }
+
     fn first_free_slot(&self) -> Option<SlotId> {
         (0..self.slot_count()).find(|&s| self.slot_entry(s).0 == 0)
     }

@@ -5,33 +5,51 @@
 //! append-only, CRC-framed, page-size-independent log that makes every
 //! acknowledged commit survive a crash at any I/O point.
 //!
-//! Design (ARIES-lite, adapted to the version store's copy-on-write model):
+//! Design (ARIES, physiological): every record write is logged as it
+//! happens, as one slot-level patch, and recovery repeats history from the
+//! checkpoint's horizon, then takes back what the operations without a
+//! commit record did.
 //!
-//! * **Undo** — the version store's pre-images ([`WalRecord::PreImage`]) and
-//!   creation notices ([`WalRecord::Created`]) are logged when a record is
-//!   first superseded or created by an update operation, *before* the page
-//!   bytes change. Recovery rolls back operations with no commit record by
-//!   restoring pre-images in reverse LSN order.
-//! * **Redo** — images *or* force. At publish time the commit hook makes
-//!   every page the operation touched redoable and appends a
-//!   [`WalRecord::Commit`]. A page that existed before the operation is
-//!   logged as a full image ([`WalRecord::PageImage`]); recovery replays
-//!   committed images in LSN order, and a full-page image sidesteps torn
-//!   intra-op page states: it is self-consistent by construction. A page
-//!   the operation's own append stream allocated (every page of a load)
-//!   holds nothing older, so its redo is the page itself: the hook
-//!   *forces* it — writes it to the page device and syncs the device —
-//!   and lists it in the commit record instead. **The commit record is
-//!   appended only after that sync has returned**: any committer's group
-//!   sync makes an appended record durable, and a commit durable before
-//!   its pages would have recovery take a lost page for a redone one. A
-//!   committed force counts as an image of each forced page at the
-//!   record's `force_lsn`, the log's end when the force began: older
-//!   images of the page (a previous tenant's, before a delete freed it)
-//!   are skipped, later ones (an edit placed on it meanwhile) replay.
+//! * **Patches** — a write of a record ([`WalRecord::Patch`],
+//!   [`crate::patch`]) is appended while the writer holds the page's write
+//!   latch, before it changes a byte, and the page header's LSN field is
+//!   stamped with the patch's start LSN under the same latch. The patch
+//!   carries the bytes it replaced as well as those it wrote: the same
+//!   record is the redo and the undo.
+//! * **First-touch images** — a page's first patch after the redo horizon,
+//!   after the page was last forced or allocated, or in a new 2³² window
+//!   of the log comes behind a full image of the page as the writer found
+//!   it ([`WalRecord::PageImage`]). Whether a page needs one is decided
+//!   under the log's append lock, against the set of pages imaged since
+//!   the horizon, which the checkpoint empties under the same lock when it
+//!   reads its horizon ([`Wal::publish_horizon`]) — so no checkpoint can
+//!   fall between the decision and the append. Redo installs an image
+//!   whatever the page holds (every later change of the page is in the
+//!   log behind it) and applies a patch iff the page's LSN is below the
+//!   patch's; within one 2³² window the 32-bit page LSN compares exactly.
+//! * **Forced pages** — a page an operation's own append stream
+//!   allocated (every page of a load) holds nothing older, and its writes
+//!   log nothing — until another operation logs a patch of it: from then
+//!   on redo rebuilds the page from the log, and the operation's writes
+//!   there are patches like any other's. Otherwise, at publish the commit
+//!   hook *forces* it — writes it to the page device and syncs the
+//!   device — and lists it in the commit
+//!   record. **The commit record is appended only after that sync has
+//!   returned**: any committer's group sync makes an appended record
+//!   durable, and a commit durable before its pages would have recovery
+//!   take a lost page for a redone one. A committed force counts as an
+//!   image of each forced page at the record's `force_lsn`, the log's end
+//!   when the force began ([`Wal::begin_force`], which also drops the
+//!   pages from the imaged set): older images and patches of the page (an
+//!   edit placed on it meanwhile) are skipped, later ones replay.
+//! * **Undo** — the patches of an operation without a commit record are
+//!   inverted in reverse log order, and the records it created
+//!   ([`WalRecord::Created`]) are deleted — after recovery has imaged
+//!   the pages it undoes on, durably, so that a crash inside undo leaves
+//!   pages the next redo resets.
 //! * **WAL rule** — the buffer manager calls [`Wal::flush_buffered`] before
-//!   writing any dirty frame to disk, so undo information for a stolen page
-//!   is always durable before the page itself.
+//!   writing any dirty frame to disk, so the patch of every change a page
+//!   on disk holds is durable before the page itself.
 //! * **Group commit** — [`Wal::sync_to`] batches concurrent committers
 //!   behind one leader that writes and fsyncs the accumulated buffer while
 //!   followers wait on the durable-LSN watermark.
@@ -55,6 +73,7 @@
 //! the store's ([`crate::segment`]), which is checked before the log is read.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -65,6 +84,8 @@ use parking_lot::{Condvar, Mutex, TrackedAtomicBool, TrackedAtomicU64};
 
 use crate::disk::FaultControl;
 use crate::error::{StorageError, StorageResult};
+use crate::page::PageBuf;
+use crate::patch::{PatchKind, SlotPatch, Splice};
 use crate::rid::{PageId, Rid};
 
 // ---------------------------------------------------------------------------
@@ -160,7 +181,7 @@ pub fn take_commit_error() -> Option<StorageError> {
 // ---------------------------------------------------------------------------
 
 const KIND_CHECKPOINT: u8 = 1;
-const KIND_PRE_IMAGE: u8 = 2;
+const KIND_PATCH: u8 = 2;
 const KIND_CREATED: u8 = 3;
 const KIND_PAGE_IMAGE: u8 = 4;
 const KIND_COMMIT: u8 = 5;
@@ -175,7 +196,7 @@ const KIND_FREE: u8 = 8;
 /// directory from the snapshot's deltas plus the log's.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreSnapshot {
-    /// Committed page images at or above this LSN must be replayed; below
+    /// Page images and patches at or above this LSN are replayed; below
     /// it, the checkpoint's flush already put them in the base file.
     pub redo_horizon: u64,
     /// Allocation high-water mark.
@@ -195,18 +216,9 @@ pub struct StoreSnapshot {
 pub enum WalRecord {
     /// Analysis starting point: allocator snapshot + directory.
     Checkpoint(Box<StoreSnapshot>),
-    /// Undo: the payload (and page type table) a record held before
-    /// operation `op` first overwrote or deleted it.
-    PreImage {
-        /// Owning update operation.
-        op: u64,
-        /// Record address.
-        rid: Rid,
-        /// Encoded node-type table of the record's page at deposit time.
-        table: Vec<u8>,
-        /// Record payload before the change.
-        bytes: Vec<u8>,
-    },
+    /// Redo and undo: one record write of operation `op`
+    /// ([`crate::patch`]).
+    Patch(Box<SlotPatch>),
     /// Undo: operation `op` created this record (rollback deletes it).
     Created {
         /// Owning update operation.
@@ -214,18 +226,18 @@ pub enum WalRecord {
         /// Record address.
         rid: Rid,
     },
-    /// Redo: full image of a page touched by `op`, captured at publish.
+    /// Redo: a full image of a page, as its first patch since the horizon
+    /// (or since the page was forced or allocated) found it — or as
+    /// recovery found it before undoing patches on it.
     PageImage {
-        /// Owning update operation.
-        op: u64,
         /// Page the image belongs to.
         page: PageId,
         /// Complete page bytes (page-size long).
         image: Vec<u8>,
     },
-    /// Operation `op` committed; its page images are authoritative, and
-    /// so is what the page device holds of its `forced` pages (module
-    /// docs, Redo).
+    /// Operation `op` committed: its patches stay, and what the page
+    /// device holds of its `forced` pages is authoritative (module docs,
+    /// Forced pages).
     Commit {
         /// The committed operation.
         op: u64,
@@ -390,11 +402,54 @@ fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     out[at + 4..at + FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
 }
 
-fn put_page_image(out: &mut Vec<u8>, op: u64, page: PageId, image: &[u8]) {
+fn put_page_image(out: &mut Vec<u8>, page: PageId, image: &[u8]) {
     out.push(KIND_PAGE_IMAGE);
-    put_u64(out, op);
     put_u32(out, page);
     put_bytes(out, image);
+}
+
+/// A patch's body. The span's offset, and every fixup, is a `u16`: a
+/// record fits a page of at most 32 KiB.
+fn put_patch(out: &mut Vec<u8>, p: &SlotPatch) {
+    out.push(KIND_PATCH);
+    put_u64(out, p.op);
+    put_u32(out, p.rid.page);
+    put_u16(out, p.rid.slot);
+    out.push(p.kind as u8);
+    put_u16(out, p.splice.at as u16);
+    put_bytes(out, &p.splice.old);
+    put_bytes(out, &p.splice.new);
+    put_u16(out, p.splice.fixups.len() as u16);
+    for &f in &p.splice.fixups {
+        put_u16(out, f);
+    }
+    put_bytes(out, &p.types);
+}
+
+fn read_patch(r: &mut Reader<'_>) -> StorageResult<SlotPatch> {
+    let op = r.u64()?;
+    let rid = Rid::new(r.u32()?, r.u16()?);
+    let kind = PatchKind::from_u8(r.take(1)?[0])
+        .ok_or_else(|| StorageError::Corrupt("log patch of an unknown kind".into()))?;
+    let at = r.u16()? as usize;
+    let (old, new) = (r.bytes()?, r.bytes()?);
+    let fixups = (0..r.u16()?)
+        .map(|_| r.u16())
+        .collect::<StorageResult<_>>()?;
+    let splice = Splice {
+        at,
+        old,
+        new,
+        fixups,
+    };
+    let types = r.bytes()?;
+    Ok(SlotPatch {
+        op,
+        rid,
+        kind,
+        splice,
+        types,
+    })
 }
 
 impl WalRecord {
@@ -404,26 +459,14 @@ impl WalRecord {
                 out.push(KIND_CHECKPOINT);
                 s.encode(out);
             }
-            WalRecord::PreImage {
-                op,
-                rid,
-                table,
-                bytes,
-            } => {
-                out.push(KIND_PRE_IMAGE);
-                put_u64(out, *op);
-                put_u32(out, rid.page);
-                put_u16(out, rid.slot);
-                put_bytes(out, table);
-                put_bytes(out, bytes);
-            }
+            WalRecord::Patch(p) => put_patch(out, p),
             WalRecord::Created { op, rid } => {
                 out.push(KIND_CREATED);
                 put_u64(out, *op);
                 put_u32(out, rid.page);
                 put_u16(out, rid.slot);
             }
-            WalRecord::PageImage { op, page, image } => put_page_image(out, *op, *page, image),
+            WalRecord::PageImage { page, image } => put_page_image(out, *page, image),
             WalRecord::Commit {
                 op,
                 forced,
@@ -466,21 +509,9 @@ impl WalRecord {
         }
         let kind = body[0];
         let mut r = Reader::new(&body[1..]);
-        Ok(match kind {
+        let rec = match kind {
             KIND_CHECKPOINT => WalRecord::Checkpoint(Box::new(StoreSnapshot::decode(&mut r)?)),
-            KIND_PRE_IMAGE => {
-                let op = r.u64()?;
-                let page = r.u32()?;
-                let slot = r.u16()?;
-                let table = r.bytes()?;
-                let bytes = r.bytes()?;
-                WalRecord::PreImage {
-                    op,
-                    rid: Rid::new(page, slot),
-                    table,
-                    bytes,
-                }
-            }
+            KIND_PATCH => WalRecord::Patch(Box::new(read_patch(&mut r)?)),
             KIND_CREATED => {
                 let op = r.u64()?;
                 let page = r.u32()?;
@@ -491,10 +522,9 @@ impl WalRecord {
                 }
             }
             KIND_PAGE_IMAGE => {
-                let op = r.u64()?;
                 let page = r.u32()?;
                 let image = r.bytes()?;
-                WalRecord::PageImage { op, page, image }
+                WalRecord::PageImage { page, image }
             }
             KIND_COMMIT => {
                 let (op, force_lsn) = (r.u64()?, r.u64()?);
@@ -519,7 +549,15 @@ impl WalRecord {
                     "unknown log record kind {k}"
                 )))
             }
-        })
+        };
+        // A record is its fields and nothing else: bytes past them are
+        // not this build's encoding.
+        if !r.is_empty() {
+            return Err(StorageError::Corrupt(format!(
+                "log record of kind {kind} has trailing bytes"
+            )));
+        }
+        Ok(rec)
     }
 }
 
@@ -778,9 +816,10 @@ impl LogDevice for MemLogDevice {
         if let Some(f) = &self.fault {
             f.check_alive()?;
         }
-        let mut st = self.state.lock();
-        let staged = std::mem::take(&mut st.staging);
-        st.durable.extend_from_slice(&staged);
+        let st = &mut *self.state.lock();
+        st.durable.extend_from_slice(&st.staging);
+        // Cleared, not taken: the next writes reuse the allocation.
+        st.staging.clear();
         Ok(())
     }
 
@@ -834,6 +873,9 @@ struct WalCore {
     buf_base: u64,
     /// A leader is currently writing + syncing outside the lock.
     syncing: bool,
+    /// Pages imaged since the horizon, each with its image's start LSN
+    /// (module docs, First-touch images).
+    imaged: HashMap<PageId, u64>,
 }
 
 /// The write-ahead log: an append buffer over a [`LogDevice`] with
@@ -861,6 +903,7 @@ impl Wal {
                     spare: Vec::new(),
                     buf_base: len,
                     syncing: false,
+                    imaged: HashMap::new(),
                 },
             ),
             cond: Condvar::new(),
@@ -886,18 +929,22 @@ impl Wal {
     }
 
     /// Marks the log failed: every later durability gate errors out. Called
-    /// when a commit hook could not capture its redo images — the log no
-    /// longer reflects published state, so no further commit may be
-    /// acknowledged (recovery rolls the un-logged operations back).
+    /// when a commit hook could not force its pages, or a logged write
+    /// could not be made — the log no longer reflects published state, so
+    /// no further commit may be acknowledged.
     pub fn poison(&self) {
         self.dead.store(true, Ordering::Release);
         self.cond.notify_all();
     }
 
     /// Appends a record to the log buffer (no I/O), framed in place.
-    /// Returns the record's end offset.
+    /// Returns the record's end offset. An allocated page's next patch
+    /// images it: the page is formatted after its `Alloc`.
     pub fn append(&self, rec: &WalRecord) -> u64 {
         let mut core = self.core.lock();
+        if let WalRecord::Alloc { page } = rec {
+            core.imaged.remove(page);
+        }
         frame_into(&mut core.buf, |out| rec.encode_body(out));
         self.publish_end(&core)
     }
@@ -909,38 +956,58 @@ impl Wal {
         end
     }
 
-    /// Appends the redo images for a committing operation followed by its
-    /// commit record ([`WalRecord::Commit`]: `forced` must be synced on
-    /// the page device by now), contiguously. Each image is stamped with
-    /// its own record's start LSN (truncated to 32 bits) in the
-    /// page-header LSN field, so replayed pages carry the LSN that wrote
-    /// them. Returns the commit record's end offset.
-    pub fn append_commit_batch(
-        &self,
-        op: u64,
-        images: &[(PageId, Vec<u8>)],
-        forced: Vec<PageId>,
-        force_lsn: u64,
-    ) -> u64 {
-        let commit = WalRecord::Commit {
-            op,
-            forced,
-            force_lsn,
-        };
+    /// Logs `patch` of `page`, which the caller holds write-latched and has
+    /// not changed yet: behind a full image of the page when the page has
+    /// none since the horizon, or none in the log's current 2³² window
+    /// (module docs, First-touch images). Returns the patch's start LSN,
+    /// which the caller stamps into the page header once it has made the
+    /// write, before it releases the latch.
+    pub fn log_patch(&self, page: &PageBuf, patch: &SlotPatch) -> u64 {
+        let id = patch.rid.page;
         let mut core = self.core.lock();
-        let WalCore { buf, buf_base, .. } = &mut *core;
-        for (page, image) in images {
-            let start = *buf_base + buf.len() as u64;
-            frame_into(buf, |out| {
-                put_page_image(out, op, *page, image);
-                if image.len() >= 16 {
-                    let lsn_field = out.len() - image.len() + 12;
-                    out[lsn_field..lsn_field + 4].copy_from_slice(&(start as u32).to_le_bytes());
-                }
-            });
+        let WalCore {
+            buf,
+            buf_base,
+            imaged,
+            ..
+        } = &mut *core;
+        let at = |buf: &Vec<u8>| *buf_base + buf.len() as u64;
+        // An image that ends past a window boundary takes a second one:
+        // the patch and its image share the LSN's high half.
+        while imaged.get(&id).is_none_or(|&i| i >> 32 != at(buf) >> 32) {
+            // natix-model fail point: without the image, redo patches a
+            // page the checkpoint's flush may not have caught up with.
+            if parking_lot::fail_point("wal.first-touch-image") {
+                break;
+            }
+            imaged.insert(id, at(buf));
+            frame_into(buf, |out| put_page_image(out, id, page.bytes()));
         }
-        frame_into(buf, |out| commit.encode_body(out));
-        self.publish_end(&core)
+        let start = at(buf);
+        frame_into(buf, |out| put_patch(out, patch));
+        self.publish_end(&core);
+        start
+    }
+
+    /// The redo horizon of a starting checkpoint: the log's end, read under
+    /// the append lock that also forgets every page's image — each page's
+    /// next patch comes behind a fresh one, at or above the horizon.
+    pub fn publish_horizon(&self) -> u64 {
+        let mut core = self.core.lock();
+        core.imaged.clear();
+        core.buf_base + core.buf.len() as u64
+    }
+
+    /// The `force_lsn` of a commit that forces `pages`: the log's end,
+    /// read under the append lock that also forgets the pages' images —
+    /// redo skips what the log holds of them below this LSN, so their next
+    /// patch must bring its own image.
+    pub fn begin_force(&self, pages: &[PageId]) -> u64 {
+        let mut core = self.core.lock();
+        for page in pages {
+            core.imaged.remove(page);
+        }
+        core.buf_base + core.buf.len() as u64
     }
 
     fn write_and_sync(&self, batch: &[u8]) -> StorageResult<()> {
@@ -1047,6 +1114,8 @@ impl Wal {
         let _io = parking_lot::lockdep::io_region("wal.truncate-reset");
         let frame = checkpoint.encode_frame();
         self.device.replace(&frame)?;
+        // The old log's images are gone with it.
+        core.imaged.clear();
         core.buf.clear();
         core.buf_base = frame.len() as u64;
         self.appended.store(frame.len() as u64, Ordering::Release);
@@ -1087,15 +1156,7 @@ mod tests {
 
     #[test]
     fn crc32_by_eight_equals_the_bytewise_reference() {
-        // SplitMix64: seeded, so a failure names its input.
-        let mut x = 0x5EED_C4C3_2000_0001u64;
-        let mut next = move || {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix(0x5EED_C4C3_2000_0001);
         let mut lengths: Vec<usize> = (0..=9).chain([4096, 8192]).collect();
         lengths.extend((0..64).map(|_| (next() % 20_000) as usize));
         for len in lengths {
@@ -1122,18 +1183,23 @@ mod tests {
                 pages: vec![(5, 100), (6, 0)],
                 directory: b"dir".to_vec(),
             })),
-            WalRecord::PreImage {
+            WalRecord::Patch(Box::new(SlotPatch {
                 op: 11,
                 rid: Rid::new(5, 2),
-                table: vec![1, 2, 3],
-                bytes: vec![9; 40],
-            },
+                kind: PatchKind::Update,
+                splice: Splice {
+                    at: 12,
+                    old: vec![9; 40],
+                    new: vec![8; 3],
+                    fixups: vec![4, 10, 16],
+                },
+                types: vec![2, 0, 1, 7, 0],
+            })),
             WalRecord::Created {
                 op: 11,
                 rid: Rid::new(6, 0),
             },
             WalRecord::PageImage {
-                op: 11,
                 page: 5,
                 image: vec![0xAB; 512],
             },
@@ -1212,6 +1278,135 @@ mod tests {
         }
     }
 
+    /// SplitMix64: seeded, so a failure names its input.
+    fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// Mutational fuzz of the log decoder over frames of every record
+    /// kind, the patch included: byte flips, truncations, insertions and
+    /// rewritten lengths, half of them inside a frame whose checksum is
+    /// then fixed, so the mutant reaches the body decoder. `parse_log`
+    /// never panics, and what it returns is a prefix of whole frames that
+    /// re-encodes to exactly the bytes it consumed — a torn tail, or the
+    /// typed refusal of the body decoder ending the scan.
+    #[test]
+    fn a_mutated_log_parses_to_a_prefix_of_whole_frames() {
+        let mut next = splitmix(0x5EED_0A7C_0000_0033);
+        let frames: Vec<Vec<u8>> = sample_records().iter().map(|r| r.encode_frame()).collect();
+        for round in 0..20_000 {
+            let mut log: Vec<u8> = frames.concat();
+            for _ in 0..1 + next() % 3 {
+                if log.is_empty() {
+                    break;
+                }
+                let at = (next() as usize) % log.len();
+                match next() % 5 {
+                    0 => log[at] ^= 1 << (next() % 8),
+                    1 => log[at] = next() as u8,
+                    2 => log.truncate(at),
+                    3 => log
+                        .splice(at..at, (0..next() % 9).map(|_| next() as u8))
+                        .for_each(drop),
+                    _ => {
+                        let v = (next() % 64) as u32;
+                        let end = (at + 4).min(log.len());
+                        log.splice(at..end, v.to_le_bytes()).for_each(drop);
+                    }
+                }
+            }
+            if next().is_multiple_of(2) {
+                // Fix the checksum of the first frame whose body fails it.
+                let mut pos = 0;
+                while pos + FRAME_HEADER <= log.len() {
+                    let len =
+                        u32::from_le_bytes(log[pos + 4..pos + 8].try_into().unwrap()) as usize;
+                    let Some(body) = log.get(pos + FRAME_HEADER..pos + FRAME_HEADER + len) else {
+                        break;
+                    };
+                    let crc = crc32(body);
+                    if crc.to_le_bytes() != log[pos..pos + 4] {
+                        log[pos..pos + 4].copy_from_slice(&crc.to_le_bytes());
+                        break;
+                    }
+                    pos += FRAME_HEADER + len;
+                }
+            }
+            let (records, valid) = parse_log(&log);
+            assert!(valid as usize <= log.len(), "round {round}");
+            let again: Vec<u8> = records.iter().flat_map(|(_, r)| r.encode_frame()).collect();
+            assert_eq!(
+                again,
+                log[..valid as usize],
+                "round {round}: a prefix of whole frames"
+            );
+        }
+    }
+
+    /// A patch body that claims more fixups than it holds is refused as
+    /// truncated, with nothing reserved on the count's say-so.
+    #[test]
+    fn a_patch_claiming_more_fixups_than_it_holds_is_corrupt() {
+        let mut body = vec![KIND_PATCH];
+        put_u64(&mut body, 1);
+        put_u32(&mut body, 3);
+        put_u16(&mut body, 1);
+        body.push(PatchKind::Update as u8);
+        put_u16(&mut body, 0);
+        put_bytes(&mut body, &[]);
+        put_bytes(&mut body, &[]);
+        put_u16(&mut body, u16::MAX);
+        put_u16(&mut body, 4);
+        let decoded = WalRecord::decode_body(&body);
+        assert!(
+            matches!(decoded, Err(StorageError::Corrupt(_))),
+            "{decoded:?}"
+        );
+    }
+
+    /// A patch of a kind this build does not know is refused.
+    #[test]
+    fn a_patch_of_an_unknown_kind_is_corrupt() {
+        let patch = WalRecord::Patch(Box::new(SlotPatch {
+            op: 1,
+            rid: Rid::new(3, 1),
+            kind: PatchKind::Delete,
+            splice: Splice::whole(&[1, 2], Vec::new()),
+            types: Vec::new(),
+        }));
+        let mut body = Vec::new();
+        patch.encode_body(&mut body);
+        assert_eq!(WalRecord::decode_body(&body).unwrap(), patch);
+        body[1 + 8 + 4 + 2] = 3;
+        let decoded = WalRecord::decode_body(&body);
+        assert!(
+            matches!(decoded, Err(StorageError::Corrupt(_))),
+            "{decoded:?}"
+        );
+    }
+
+    /// A record with bytes past its fields is not this build's encoding.
+    #[test]
+    fn a_record_with_trailing_bytes_is_corrupt() {
+        for rec in sample_records() {
+            let mut body = Vec::new();
+            rec.encode_body(&mut body);
+            body.push(0);
+            let decoded = WalRecord::decode_body(&body);
+            assert!(
+                matches!(decoded, Err(StorageError::Corrupt(_))),
+                "{decoded:?}"
+            );
+        }
+    }
+
     #[test]
     fn append_and_sync_watermarks() {
         let wal = Wal::new(Box::new(MemLogDevice::new()));
@@ -1225,45 +1420,121 @@ mod tests {
         wal.flush_buffered().unwrap();
     }
 
-    /// Records framed in place, in the append buffer, read back as the
-    /// records `encode_frame` frames: each image stamped with its frame's
-    /// start LSN, the forced list in the commit record behind them.
+    /// A patch of `page` that creates slot 1.
+    fn create(page: PageId, op: u64) -> SlotPatch {
+        SlotPatch {
+            op,
+            rid: Rid::new(page, 1),
+            kind: PatchKind::Create,
+            splice: Splice::whole(&[], vec![op as u8; 12]),
+            types: Vec::new(),
+        }
+    }
+
+    /// The pages imaged in `log`, in log order.
+    fn imaged(log: &[(u64, WalRecord)]) -> Vec<PageId> {
+        let image = |(_, r): &(u64, WalRecord)| match r {
+            WalRecord::PageImage { page, .. } => Some(*page),
+            _ => None,
+        };
+        log.iter().filter_map(image).collect()
+    }
+
+    /// A page's first patch comes behind its image; later patches of it
+    /// do not — until a horizon is published, the page is forced, or it
+    /// is allocated again. Every record reads back as `encode_frame`
+    /// frames it, and a patch's LSN is its frame's start.
     #[test]
-    fn commit_batch_framed_in_place_parses_back() {
+    fn a_pages_first_patch_since_the_horizon_comes_behind_its_image() {
         let dev = Arc::new(MemLogDevice::new());
         let wal = Wal::new(Box::new(Arc::clone(&dev)));
-        let first = wal.append(&WalRecord::Created {
-            op: 3,
-            rid: Rid::new(9, 1),
-        });
-        let images = vec![(4, vec![0x11u8; 64]), (8, vec![0x22u8; 64])];
-        let end = wal.append_commit_batch(3, &images, vec![9, 12], first);
-        wal.sync_to(end).unwrap();
+        let mut page = PageBuf::new(64);
+        let mut starts = Vec::new();
+        let mut patch = |p: PageId, op: u64| {
+            page.bytes_mut()[20] = op as u8;
+            starts.push(wal.log_patch(&page, &create(p, op)));
+        };
+        patch(4, 1);
+        patch(4, 2);
+        patch(5, 3);
+        let horizon = wal.publish_horizon();
+        assert_eq!(horizon, wal.appended_lsn());
+        patch(4, 4);
+        wal.begin_force(&[5]);
+        patch(4, 5);
+        patch(5, 6);
+        wal.append(&WalRecord::Alloc { page: 4 });
+        patch(4, 7);
+        wal.sync_to(wal.appended_lsn()).unwrap();
         let bytes = dev.durable_bytes();
         let (parsed, valid) = parse_log(&bytes);
-        assert_eq!(valid, end);
-        assert_eq!(parsed.len(), 4);
-        let mut expect_log = parsed[0].1.encode_frame();
-        for ((page, image), (lsn, rec)) in images.iter().zip(&parsed[1..3]) {
-            let mut stamped = image.clone();
-            stamped[12..16].copy_from_slice(&(*lsn as u32).to_le_bytes());
-            let want = WalRecord::PageImage {
-                op: 3,
-                page: *page,
-                image: stamped,
-            };
-            assert_eq!(rec, &want);
-            assert_eq!(*lsn, expect_log.len() as u64);
-            expect_log.extend_from_slice(&want.encode_frame());
+        assert_eq!(valid, bytes.len() as u64);
+        assert_eq!(imaged(&parsed), [4, 5, 4, 5, 4]);
+        let mut framed = Vec::new();
+        for (lsn, rec) in &parsed {
+            assert_eq!(*lsn, framed.len() as u64);
+            framed.extend_from_slice(&rec.encode_frame());
+            if let WalRecord::PageImage { image, .. } = rec {
+                assert_eq!(image.len(), 64, "the page as the writer found it");
+            }
         }
-        let want = WalRecord::Commit {
-            op: 3,
-            forced: vec![9, 12],
-            force_lsn: first,
+        assert_eq!(bytes, framed, "in-place framing == encode_frame");
+        let patches: Vec<u64> = parsed
+            .iter()
+            .filter(|(_, r)| matches!(r, WalRecord::Patch(_)))
+            .map(|(lsn, _)| *lsn)
+            .collect();
+        assert_eq!(patches, starts);
+        let found: Vec<u8> = parsed
+            .iter()
+            .filter_map(|(_, r)| match r {
+                WalRecord::PageImage { image, .. } => Some(image[20]),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(found, [1, 3, 4, 6, 7], "each image holds its patch's page");
+    }
+
+    /// A page imaged in one 2³² window of the log is imaged again in the
+    /// next, and the patch lands in the window of its image: 32-bit page
+    /// LSNs compare exactly within one window.
+    #[test]
+    fn a_patch_in_a_new_lsn_window_is_imaged_again() {
+        struct Len(u64);
+        impl LogDevice for Len {
+            fn write(&self, _: &[u8]) -> StorageResult<()> {
+                Ok(())
+            }
+            fn sync(&self) -> StorageResult<()> {
+                Ok(())
+            }
+            fn read_all(&self) -> StorageResult<Vec<u8>> {
+                Ok(Vec::new())
+            }
+            fn truncate(&self, _: u64) -> StorageResult<()> {
+                Ok(())
+            }
+            fn len(&self) -> u64 {
+                self.0
+            }
+        }
+        // The log ends 40 bytes short of the 2³² boundary: the first
+        // image crosses it.
+        let wal = Wal::new(Box::new(Len((1 << 32) - 40)));
+        let page = PageBuf::new(64);
+        let image = WalRecord::PageImage {
+            page: 3,
+            image: page.bytes().to_vec(),
         };
-        assert_eq!(parsed[3].1, want);
-        expect_log.extend_from_slice(&want.encode_frame());
-        assert_eq!(bytes, expect_log, "in-place framing == encode_frame");
+        let first = wal.log_patch(&page, &create(3, 1));
+        assert_eq!(
+            first,
+            (1 << 32) - 40 + 2 * image.encode_frame().len() as u64
+        );
+        assert_eq!(wal.core.lock().imaged.get(&3), Some(&(first - 81)));
+        let second = wal.log_patch(&page, &create(3, 2));
+        let patch = WalRecord::Patch(Box::new(create(3, 1)));
+        assert_eq!(second, first + patch.encode_frame().len() as u64);
     }
 
     #[test]

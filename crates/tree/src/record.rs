@@ -59,8 +59,10 @@
 //! [`Edit`] — a leaf inserted under an aggregate, a subtree removed, a
 //! literal's or a proxy's body replaced — into a [`Patch`]: the span of
 //! old bytes it replaces and the node written there, its type interned
-//! into the page's table the way the encoder interns. [`Patch::apply`]
-//! makes the bytes and two sets of fixups, each by the record's growth:
+//! into the page's table the way the encoder interns. [`Patch::splice`]
+//! makes the bytes written there and two sets of fixups, each by the
+//! record's growth — a [`Splice`], which is also what the log records of
+//! the write (`natix_storage::patch`):
 //!
 //! * the size field of every embedded ancestor of the span;
 //! * the parent offset of every node after the span whose parent header
@@ -78,7 +80,7 @@
 
 use std::ops::Range;
 
-use natix_storage::Rid;
+use natix_storage::{Rid, Splice};
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
 
 use crate::error::{TreeError, TreeResult};
@@ -766,10 +768,11 @@ impl Patch<'_> {
         self.view.bytes.len() - self.span.len() + written
     }
 
-    /// The edited record's bytes, the written node's type interned into
-    /// `table` (the page's) as the encoder interns: the bytes around the
-    /// span, then the two sets of fixups of the module docs.
-    pub fn apply(&self, table: &mut TypeTable) -> TreeResult<Vec<u8>> {
+    /// The edit as a splice of the record's bytes — what the store writes
+    /// and logs: the span's old bytes, the node written there, its type
+    /// interned into `table` (the page's) as the encoder interns, and the
+    /// two sets of fixups of the module docs.
+    pub fn splice(&self, table: &mut TypeTable) -> TreeResult<Splice> {
         let len = self.byte_len();
         if len > u16::MAX as usize {
             return Err(TreeError::Invariant(format!(
@@ -777,38 +780,49 @@ impl Patch<'_> {
             )));
         }
         let (old, nodes) = (&self.view.bytes, &self.view.nodes);
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(&old[..self.span.start]);
+        let mut new = Vec::new();
         if let Some((kind, label, body)) = &self.node {
             let (type_idx, _) = table.intern(*kind, *label)?;
             if self.parent.is_none() {
-                out.extend_from_slice(&old[..8]);
+                new.extend_from_slice(&old[..8]);
             }
-            out.extend_from_slice(&type_idx.to_le_bytes());
+            new.extend_from_slice(&type_idx.to_le_bytes());
             if let Some(p) = self.parent {
-                out.extend_from_slice(&(nodes[p as usize].header as u16).to_le_bytes());
-                out.extend_from_slice(&((EMBEDDED_HEADER + body.len()) as u16).to_le_bytes());
+                new.extend_from_slice(&(nodes[p as usize].header as u16).to_le_bytes());
+                new.extend_from_slice(&((EMBEDDED_HEADER + body.len()) as u16).to_le_bytes());
             }
-            out.extend_from_slice(body);
+            new.extend_from_slice(body);
         }
-        out.extend_from_slice(&old[self.span.end..]);
         let growth = len as isize - old.len() as isize;
-        let mut bump = |at: usize| {
-            let field = u16::from_le_bytes([out[at], out[at + 1]]) as isize;
-            out[at..at + 2].copy_from_slice(&((field + growth) as u16).to_le_bytes());
-        };
+        let mut fixups = Vec::new();
         let mut up = self.parent;
         while let Some(a) = up.filter(|&a| a != 0) {
-            bump(nodes[a as usize].header as usize + 4);
+            fixups.push(nodes[a as usize].header as u16 + 4);
             up = nodes[a as usize].parent;
         }
         for e in &nodes[self.from as usize..] {
             let parent_header = e.parent.map_or(0, |p| nodes[p as usize].header as usize);
             if parent_header >= self.span.end {
-                bump((e.header as isize + growth) as usize + 2);
+                fixups.push((e.header as isize + growth) as u16 + 2);
             }
         }
-        Ok(out)
+        Ok(Splice {
+            at: self.span.start,
+            old: old[self.span.clone()].to_vec(),
+            new,
+            fixups,
+        })
+    }
+
+    /// The edited record's bytes: [`splice`](Self::splice) applied.
+    pub fn apply(&self, table: &mut TypeTable) -> TreeResult<Vec<u8>> {
+        let rid = self.view.rid;
+        self.splice(table)?
+            .apply(&self.view.bytes)
+            .map_err(|message| TreeError::CorruptRecord {
+                rid,
+                message: message.into(),
+            })
     }
 
     /// The nodes the edit renumbers, each old pre-order index with its new

@@ -23,7 +23,11 @@
 //! through their [`RecordView`]s, and edits a record by splicing its bytes
 //! ([`RecordView::splice`], the `record` module docs): an insert, an
 //! update or a removal that fits the record's page decodes and encodes
-//! nothing. A [`RecordTree`] is decoded only for figure 5's overflow (the
+//! nothing. Every record write — a splice, a whole record's rewrite, a
+//! creation, a deletion — is one [`SlotPatch`], logged under the page
+//! latch before the page changes and made by the redo recovery replays it
+//! with (`natix_storage::patch`). A [`RecordTree`] is decoded only for
+//! figure 5's overflow (the
 //! spliced record, moved or split), for the parent record a split's
 //! separator goes into, and to normalize packed records. The read-only
 //! operations are in [`crate::read`].
@@ -31,7 +35,9 @@
 use std::sync::Arc;
 
 use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
-use natix_storage::{PageId, Rid, StorageError, StorageManager};
+use natix_storage::{
+    PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice, StorageError, StorageManager,
+};
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
 
 use crate::config::TreeConfig;
@@ -284,7 +290,8 @@ impl TreeStore {
 
     // ==================================================================
     // Record I/O: views in; `write_at` rewrites a record in place (spliced
-    // bytes or an encoded tree), `write_new` places a new one.
+    // bytes or an encoded tree), `write_new` places a new one, each write
+    // one logged patch (`write_page`).
     // ==================================================================
 
     /// Loads and decodes the record at `rid`.
@@ -349,71 +356,111 @@ impl TreeStore {
         read(bytes, table)
     }
 
-    /// Deposits the current image of `rid` into the version store before a
-    /// write operation overwrites, patches or deletes it — the
-    /// copy-on-write half of record-level versioning. No-op outside a
-    /// write operation (standalone stores keep the old single-writer
-    /// behaviour) and for slots that hold no record.
+    /// Readies a write of record `rid`, whose current bytes are `current`
+    /// (`None`: the write creates it) under its page's `table`: deposits
+    /// those bytes in the version store, for the readers pinned behind the
+    /// edit, and returns the operation the write is logged under — the
+    /// ambient write operation, unless it created the record on a page it
+    /// forces ([`VersionStore::origin`]). A logged write takes the page
+    /// out of the forced set of any other operation
+    /// ([`VersionStore::share_page`]); the caller holds the page latch, so
+    /// no unlogged write can follow it there. Nothing is deposited for a
+    /// record the operation created (no reader can reach it), and outside
+    /// a write operation nothing is deposited or logged (standalone stores
+    /// keep the old single-writer behaviour).
     ///
     /// The deposit is the record's bytes plus the page's encoded type
     /// table, two memcpys; a reader parses it only if it reads the record
     /// from behind the edit, so an edit with no pinned reader behind it
     /// parses nothing.
-    fn deposit_superseded(
-        &self,
-        rid: Rid,
-        bytes: Option<&[u8]>,
-        table: &TypeTable,
-    ) -> TreeResult<()> {
-        let Some(op) = self.versions.ambient_write_op() else {
-            return Ok(());
-        };
-        let Some(bytes) = bytes else {
-            return Ok(());
-        };
-        if self.versions.created_by(op, rid) {
-            // Created by this very operation (bulkloaded records being
-            // parent-patched, recursively re-split partitions): no reader
-            // can reach it, so skip the pre-image copy entirely.
-            return Ok(());
+    fn before_write(&self, rid: Rid, current: Option<&[u8]>, table: &TypeTable) -> Option<u64> {
+        let op = self.versions.ambient_write_op()?;
+        let (created, forced) = self.versions.origin(op, rid);
+        if let Some(bytes) = current.filter(|_| !created) {
+            self.versions
+                .supersede(op, rid, bytes.to_vec(), table.encode());
         }
-        self.versions
-            .supersede(op, rid, bytes.to_vec(), table.encode());
+        if forced && (created || current.is_none()) || self.versions.wal().is_none() {
+            return None;
+        }
+        self.versions.share_page(op, rid.page);
+        Some(op)
+    }
+
+    /// Makes the write of `splice` on record `rid` — a change of `kind`,
+    /// growing the page's type table by `types` — on the page in `buf`,
+    /// which the caller holds write-latched: one [`SlotPatch`], logged
+    /// first when `op` names the operation to log it under (behind the
+    /// page's image, on its first touch since the horizon), made by the
+    /// redo recovery replays it with, and the page's LSN stamped with the
+    /// patch's — all under the latch.
+    fn write_page(
+        &self,
+        buf: &mut PageBuf,
+        op: Option<u64>,
+        rid: Rid,
+        kind: PatchKind,
+        splice: Splice,
+        types: Vec<u8>,
+    ) -> TreeResult<()> {
+        let patch = SlotPatch {
+            op: op.unwrap_or(0),
+            rid,
+            kind,
+            splice,
+            types,
+        };
+        let wal = self.versions.wal().filter(|_| op.is_some());
+        let lsn = wal.map(|wal| wal.log_patch(buf, &patch));
+        if let Err(e) = patch.redo(buf) {
+            // The log now holds a write the page did not take: it no
+            // longer describes the store, so nothing more may commit.
+            if let Some(wal) = wal {
+                wal.poison();
+            }
+            return Err(e.into());
+        }
+        if let Some(lsn) = lsn {
+            buf.set_lsn32(lsn as u32);
+        }
         Ok(())
     }
 
-    /// Rewrites the record at `rid` in place with the bytes `encode` makes
-    /// — a spliced record ([`Patch::apply`]) or an encoded tree — under a
-    /// copy of the page's type table, which it grows by the types it
-    /// interns. Fails with `PageFull` when the page cannot absorb the
-    /// growth (type table included); the caller then moves or splits.
+    /// Rewrites the record at `rid` in place with the splice `encode` makes
+    /// of its current bytes — an edit's ([`Patch::splice`]) or a whole
+    /// re-encoding — under a copy of the page's type table, which it grows
+    /// by the types it interns. Fails with `PageFull` when the page cannot
+    /// absorb the growth (type table included); the caller then moves or
+    /// splits.
     fn write_at<T>(
         &self,
         rid: Rid,
-        encode: impl FnOnce(&mut TypeTable) -> TreeResult<(Vec<u8>, T)>,
+        encode: impl FnOnce(&[u8], &mut TypeTable) -> TreeResult<(Splice, T)>,
     ) -> TreeResult<T> {
         let pin = self.sm.pin(rid.page)?;
         let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf)?;
+        let sp = SlottedPageRef::open(&buf)?;
         let had_tt = sp.is_live(0);
         let mut table = page_table(sp.get(0), rid)?;
         let before = table.len();
+        let current = sp
+            .get(rid.slot)
+            .ok_or(TreeError::Storage(StorageError::RecordNotFound(rid)))?;
         // Encoded under the latch — into a copy of the page's table as it
         // is now, which a writer of another document may have grown since
         // the record was read — ahead of the space check below: callers
         // pass a record within the net capacity or an in-place shrink,
         // the encoder refuses what the format cannot hold, and no page
         // byte has changed yet.
-        let (bytes, encoded) = encode(&mut table)?;
+        let (splice, encoded) = encode(current, &mut table)?;
         // Conservative pre-check so a failed update leaves no half-state:
         // compute the worst-case growth of table + record together.
-        let old_len = sp.get(rid.slot).map(|b| b.len()).unwrap_or(0);
         let tt_growth = if had_tt {
             (table.len() - before) * crate::typetable::ENTRY_BYTES
         } else {
             table.encoded_len() + SLOT_ENTRY_SIZE
         };
-        let record_growth = bytes.len().saturating_sub(old_len);
+        let record_growth = splice.new.len().saturating_sub(splice.old.len());
         if tt_growth + record_growth > sp.free_total() {
             return Err(TreeError::Storage(StorageError::PageFull {
                 needed: tt_growth + record_growth,
@@ -421,17 +468,12 @@ impl TreeStore {
             }));
         }
         // Copy-on-write: deposit the record's pre-image before any page
-        // byte changes (the type-table update below may already compact
-        // the page). Type-table growth is append-only, so decoding the old
-        // bytes with the grown table is exact.
-        self.deposit_superseded(rid, sp.get(rid.slot), &table)?;
-        if !had_tt {
-            sp.insert_at(0, &table.encode())?;
-        } else if table.len() > before {
-            sp.update(0, &table.encode())?;
-        }
-        sp.update(rid.slot, &bytes)?;
-        let free = sp.free_total();
+        // byte changes. Type-table growth is append-only, so decoding the
+        // old bytes with the grown table is exact.
+        let op = self.before_write(rid, Some(current), &table);
+        let types = table_growth(&table, had_tt, before);
+        self.write_page(&mut buf, op, rid, PatchKind::Update, splice, types)?;
+        let free = buf.free_total() as usize;
         drop(buf);
         self.sm.note_free_space(rid.page, free);
         Ok(encoded)
@@ -439,7 +481,7 @@ impl TreeStore {
 
     /// Writes `patch` of the record at `rid` in place.
     fn write_patch(&self, rid: Rid, patch: &Patch) -> TreeResult<()> {
-        self.write_at(rid, |table| Ok((patch.apply(table)?, ())))
+        self.write_at(rid, |_, table| Ok((patch.splice(table)?, ())))
     }
 
     /// Writes `tree` as a new record, choosing a page (near `near` when
@@ -498,7 +540,7 @@ impl TreeStore {
     ) -> TreeResult<Option<Rid>> {
         let pin = self.sm.pin(page)?;
         let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf)?;
+        let sp = SlottedPage::open(&mut buf)?;
         let had_tt = sp.is_live(0);
         let mut table = page_table(sp.get(0), Rid::new(page, 0))?;
         let before = table.len();
@@ -511,33 +553,31 @@ impl TreeStore {
         if len > free || type_table_growth(&table, had_tt, tree) + len > free {
             return Ok(None);
         }
-        let (bytes, mapping) = record::serialize_sized(tree, len, &mut table)?;
-        if !had_tt {
-            sp.insert_at(0, &table.encode())?;
-        } else if table.len() > before {
-            sp.update(0, &table.encode())?;
-        }
-        let slot = sp.insert(&bytes)?;
-        let rid = Rid::new(page, slot);
+        let rid = Rid::new(page, sp.slot_for_new_record());
         // Slot-reuse quarantine: a slot freed by a *different, still
         // in-flight* operation must not be re-tenanted — the old tenant's
         // pending pre-image and the new record would claim overlapping
         // epoch windows and `(rid, epoch)` lookups would become ambiguous
-        // (see `VersionStore::pending_elsewhere`). Back the insert out
-        // and report "does not fit here"; the caller falls back to
-        // another page or a fresh one.
-        if let Some(op) = self.versions.ambient_write_op() {
-            if self.versions.pending_elsewhere(rid, op) {
-                sp.delete(slot)
-                    .map_err(|_| TreeError::Storage(StorageError::RecordNotFound(rid)))?;
-                return Ok(None);
-            }
-            // A record this operation creates has no pre-image: snapshot
-            // readers resolve the RID through the previous tenant's
-            // deposit (same-operation reuse) or cannot reach it at all.
+        // (see `VersionStore::pending_elsewhere`). Report "does not fit
+        // here"; the caller falls back to another page or a fresh one.
+        let ambient = self.versions.ambient_write_op();
+        if ambient.is_some_and(|op| self.versions.pending_elsewhere(rid, op)) {
+            return Ok(None);
+        }
+        let (bytes, mapping) = record::serialize_sized(tree, len, &mut table)?;
+        let op = self.before_write(rid, None, &table);
+        let (splice, types) = (
+            Splice::whole(&[], bytes),
+            table_growth(&table, had_tt, before),
+        );
+        self.write_page(&mut buf, op, rid, PatchKind::Create, splice, types)?;
+        // A record this operation creates has no pre-image: snapshot
+        // readers resolve the RID through the previous tenant's deposit
+        // (same-operation reuse) or cannot reach it at all.
+        if let Some(op) = ambient {
             self.versions.note_created(op, rid);
         }
-        let free = sp.free_total();
+        let free = buf.free_total() as usize;
         drop(buf);
         self.sm.note_free_space(page, free);
         // Slot reuse within one operation: the RID is live again, and any
@@ -576,7 +616,8 @@ impl TreeStore {
             let page = self.sm.allocate_page()?;
             cursor.page = Some(page);
             // Nothing older lives on this page: at commit it is forced
-            // to the page device instead of imaged.
+            // to the page device, and the records written on it are not
+            // logged.
             if let Some(op) = self.versions.ambient_write_op() {
                 self.versions.note_fresh_page(op, page);
             }
@@ -629,12 +670,15 @@ impl TreeStore {
     pub(crate) fn discard_record(&self, rid: Rid) -> TreeResult<()> {
         let pin = self.sm.pin(rid.page)?;
         let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf)?;
+        let sp = SlottedPageRef::open(&buf)?;
         let table = page_table(sp.get(0), rid)?;
-        self.deposit_superseded(rid, sp.get(rid.slot), &table)?;
-        sp.delete(rid.slot)
-            .map_err(|_| TreeError::Storage(StorageError::RecordNotFound(rid)))?;
-        let free = sp.free_total();
+        let current = sp
+            .get(rid.slot)
+            .ok_or(TreeError::Storage(StorageError::RecordNotFound(rid)))?;
+        let op = self.before_write(rid, Some(current), &table);
+        let splice = Splice::whole(current, Vec::new());
+        self.write_page(&mut buf, op, rid, PatchKind::Delete, splice, Vec::new())?;
+        let free = buf.free_total() as usize;
         drop(buf);
         self.sm.note_free_space(rid.page, free);
         Ok(())
@@ -647,14 +691,20 @@ impl TreeStore {
     fn patch_parent_rid(&self, child: Rid, parent: Rid) -> TreeResult<()> {
         let pin = self.sm.pin(child.page)?;
         let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf)?;
+        let sp = SlottedPageRef::open(&buf)?;
         let table = page_table(sp.get(0), child)?;
-        self.deposit_superseded(child, sp.get(child.slot), &table)?;
-        let bytes = sp
-            .get_mut(child.slot)
+        let current = sp
+            .get(child.slot)
             .ok_or(TreeError::Storage(StorageError::RecordNotFound(child)))?;
-        parent.encode(&mut bytes[0..8]);
-        Ok(())
+        let old = current.get(..8).ok_or_else(|| TreeError::CorruptRecord {
+            rid: child,
+            message: "no standalone header".into(),
+        })?;
+        let mut new = Vec::with_capacity(8);
+        parent.encode_to(&mut new);
+        let splice = Splice::whole(old, new);
+        let op = self.before_write(child, Some(current), &table);
+        self.write_page(&mut buf, op, child, PatchKind::Update, splice, Vec::new())
     }
 
     fn apply_patches(&self, ctx: &mut OpCtx) -> TreeResult<()> {
@@ -730,7 +780,11 @@ impl TreeStore {
     /// (possibly shrunken) record.
     fn store_updated(&self, rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
         if tree.record_size() <= self.net_capacity() {
-            match self.write_at(rid, |table| record::try_serialize(&tree, table)) {
+            let encode = |current: &[u8], table: &mut TypeTable| {
+                let (bytes, mapping) = record::try_serialize(&tree, table)?;
+                Ok((Splice::whole(current, bytes), mapping))
+            };
+            match self.write_at(rid, encode) {
                 Ok(mapping) => {
                     self.emit_relocations(rid, &mapping, &tree, ctx);
                     return Ok(rid);
@@ -1673,6 +1727,17 @@ fn page_table(slot0: Option<&[u8]>, rid: Rid) -> TreeResult<TypeTable> {
             TypeTable::decode(bytes).map_err(|message| TreeError::CorruptRecord { rid, message })
         },
     )
+}
+
+/// The type-table growth a write's patch carries
+/// ([`TypeTable::encode_growth`]): nothing when the page's table, `before`
+/// entries long, did not grow; the whole table when the page had none.
+fn table_growth(table: &TypeTable, had_tt: bool, before: usize) -> Vec<u8> {
+    match (had_tt, table.len() > before) {
+        (true, false) => Vec::new(),
+        (true, true) => table.encode_growth(before),
+        (false, _) => table.encode_growth(0),
+    }
 }
 
 /// Bytes a page's type table grows by when `tree` is written there: one

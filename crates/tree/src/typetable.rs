@@ -64,8 +64,9 @@ impl ContentKind {
     }
 }
 
-/// Bytes per serialised table entry: kind (1) + label (2).
-pub const ENTRY_BYTES: usize = 3;
+/// Bytes per serialised table entry: kind (1) + label (2) — the width
+/// the log's patches grow slot 0 by.
+pub const ENTRY_BYTES: usize = natix_storage::patch::TYPE_ENTRY_BYTES;
 
 /// A page's node-type table: an append-only list of
 /// `(content kind, logical label)` pairs indexed by the 2-byte type indices
@@ -112,6 +113,15 @@ impl TypeTable {
             out.push(*kind as u8);
             out.extend_from_slice(&label.to_le_bytes());
         }
+        out
+    }
+
+    /// The table's growth past its first `from` entries, as a log patch
+    /// carries it (`natix_storage::patch`): the entry count, then the
+    /// entries from `from` on. From 0, it is the whole encoding.
+    pub fn encode_growth(&self, from: usize) -> Vec<u8> {
+        let mut out = self.encode();
+        out.drain(2..2 + from.min(self.entries.len()) * ENTRY_BYTES);
         out
     }
 

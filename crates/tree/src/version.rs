@@ -207,22 +207,14 @@ impl VersionState {
     }
 }
 
-/// The pages a publishing operation touched (every page holding a record
-/// it superseded or created), as its commit hook receives them: two
-/// disjoint lists, each ascending.
-pub struct TouchedPages {
-    /// Pages [noted](VersionStore::note_fresh_page) as allocated by the
-    /// operation's append stream: forced to the page device.
-    pub fresh: Vec<PageId>,
-    /// Every other touched page: redone from an image in the log.
-    pub imaged: Vec<PageId>,
-}
-
-/// Commit-time callback installed by the repository: `(op, touched pages)`,
-/// invoked after an operation publishes. The repository's hook makes the
-/// operation redoable — fresh pages forced to the page device, images of
-/// the others appended to the log — and appends its commit record.
-pub type CommitHook = Box<dyn Fn(u64, TouchedPages) + Send + Sync>;
+/// Commit-time callback installed by the repository: `(op, forced pages)`,
+/// invoked after an operation that wrote records publishes. The pages are
+/// those of its records that its append stream allocated
+/// ([`VersionStore::note_fresh_page`]), ascending; the repository's hook
+/// forces them to the page device and appends the operation's commit
+/// record. Every other write of the operation is already in the log, as
+/// the patch the tree store logged when it made it.
+pub type CommitHook = Box<dyn Fn(u64, Vec<PageId>) + Send + Sync>;
 
 /// The shared epoch/version state of one repository's record stores. All
 /// [`crate::TreeStore`]s of one storage manager share a single
@@ -233,9 +225,10 @@ pub struct VersionStore {
     /// means no writer has deposited anything a reader could need, so
     /// `lookup` never takes the mutex.
     retained: TrackedAtomicUsize,
-    /// Attached write-ahead log: deposits double as logged undo images.
+    /// Attached write-ahead log: the tree store logs every record write an
+    /// operation makes to it, and creation notices go there too.
     wal: OnceLock<Arc<Wal>>,
-    /// Redo-logging hook run when an operation publishes.
+    /// Commit hook run when an operation publishes.
     commit_hook: OnceLock<CommitHook>,
     /// Outer write operations started (counts up-front, before the
     /// operation's first log append can happen).
@@ -276,14 +269,20 @@ impl VersionStore {
         }
     }
 
-    /// Attaches the write-ahead log: from now on every first deposit and
-    /// creation notice is also appended as an undo record.
+    /// Attaches the write-ahead log: from now on the tree store logs every
+    /// record write of an operation, and every creation notice is appended
+    /// as an undo record.
     pub fn attach_wal(&self, wal: Arc<Wal>) {
         // A second attach is ignored: the first log stays.
         drop(self.wal.set(wal));
     }
 
-    /// Installs the redo-logging commit hook (at most once).
+    /// The attached write-ahead log, if any.
+    pub fn wal(&self) -> Option<&Arc<Wal>> {
+        self.wal.get()
+    }
+
+    /// Installs the commit hook (at most once).
     pub fn set_commit_hook(&self, hook: CommitHook) {
         drop(self.commit_hook.set(hook));
     }
@@ -538,20 +537,40 @@ impl VersionStore {
 
     /// Marks `page` as allocated by operation `op`'s append stream:
     /// nothing on it predates `op`, so forcing it to the page device at
-    /// commit stands in for a redo image. Pages the growth procedure
-    /// allocates are not noted: they are imaged like any touched page.
+    /// commit stands in for the log — `op`'s writes of the records it
+    /// creates there log nothing (see [`origin`](Self::origin)) — until
+    /// another operation logs a write there ([`share_page`](Self::share_page)).
+    /// Pages the growth procedure allocates are not noted: their writes
+    /// are logged like any other, the page's first patch behind its image.
     pub fn note_fresh_page(&self, op: u64, page: PageId) {
         self.state.lock().fresh.entry(op).or_default().insert(page);
     }
 
-    /// True when `rid` was created by operation `op` (its supersedes need
-    /// no deposit — callers use this to skip the pre-image copy too).
-    pub fn created_by(&self, op: u64, rid: Rid) -> bool {
-        self.state
-            .lock()
-            .created
-            .get(&op)
-            .is_some_and(|s| s.contains(&rid))
+    /// Takes `page` out of every operation's forced set but `op`'s: `op`
+    /// is about to log a write there. An operation writes the records it
+    /// creates on a page it forces without a log record, but once another
+    /// operation's patch of the page — behind the page's image — is in
+    /// the log, redo rebuilds the page from the log, so every later write
+    /// on it must be there too (a type the loader interned below the
+    /// image would be missing from the rebuilt table).
+    pub fn share_page(&self, op: u64, page: PageId) {
+        let mut st = self.state.lock();
+        for (_, pages) in st.fresh.iter_mut().filter(|(o, _)| **o != op) {
+            pages.remove(&page);
+        }
+    }
+
+    /// Where record `rid` stands for operation `op`'s next write of it:
+    /// `(created, forced)` — whether `op` created the record (it has no
+    /// pre-image a reader could need), and whether its page is one `op`
+    /// forces at commit. A record both created and forced by `op` is
+    /// written without a log record: the force is its redo, its creation
+    /// notice its undo.
+    pub fn origin(&self, op: u64, rid: Rid) -> (bool, bool) {
+        let st = self.state.lock();
+        let created = st.created.get(&op).is_some_and(|s| s.contains(&rid));
+        let forced = st.fresh.get(&op).is_some_and(|s| s.contains(&rid.page));
+        (created, forced)
     }
 
     /// True when `rid` has a *pending* deposit from an operation other
@@ -576,10 +595,12 @@ impl VersionStore {
 
     /// Deposits the current image of `rid` — the record's bytes and its
     /// page's encoded type table — before operation `op` overwrites,
-    /// patches or deletes it. Must be called *before* the page bytes
-    /// change. Only the first deposit per record per operation sticks —
-    /// later rewrites of the same record within one operation are
-    /// intermediate states no reader may observe.
+    /// patches or deletes it, for the readers pinned behind the edit. Must
+    /// be called *before* the page bytes change. Only the first deposit
+    /// per record per operation sticks — later rewrites of the same record
+    /// within one operation are intermediate states no reader may observe.
+    /// The deposit is not logged: the write's patch carries the bytes it
+    /// replaced, and that is its undo.
     pub fn supersede(&self, op: u64, rid: Rid, bytes: Vec<u8>, table: Vec<u8>) {
         let mut st = self.state.lock();
         if st.created.get(&op).is_some_and(|s| s.contains(&rid)) {
@@ -592,16 +613,6 @@ impl VersionStore {
             {
                 return; // already deposited by this operation
             }
-        }
-        // The sticking deposit *is* the undo image: log it before the
-        // caller touches the page bytes.
-        if let Some(wal) = self.wal.get() {
-            wal.append(&WalRecord::PreImage {
-                op,
-                rid,
-                table: table.clone(),
-                bytes: bytes.clone(),
-            });
         }
         st.records.entry(rid).or_default().push(RecordVersion {
             valid_until: u64::MAX,
@@ -619,8 +630,9 @@ impl VersionStore {
     /// section, so no reader can pin the new epoch and still observe
     /// pre-publish upper-layer state (e.g. a stale document-root RID).
     ///
-    /// Returns the pages the operation touched, for the commit hook.
-    fn end_write(&self, op: u64) -> TouchedPages {
+    /// Returns, when the operation wrote any record, the pages of its
+    /// records that it forces, for the commit hook.
+    fn end_write(&self, op: u64) -> Option<Vec<PageId>> {
         let mut st = self.state.lock();
         st.epoch += 1;
         let e = st.epoch;
@@ -650,8 +662,9 @@ impl VersionStore {
         }
         let noted = st.fresh.remove(&op).unwrap_or_default();
         self.gc(&mut st);
-        let (fresh, imaged) = pages.into_iter().partition(|page| noted.contains(page));
-        TouchedPages { fresh, imaged }
+        let touched = !pages.is_empty();
+        let forced = pages.into_iter().filter(|page| noted.contains(page));
+        touched.then(|| forced.collect())
     }
 
     /// Drops every published version no pinned reader can need. A version
@@ -748,17 +761,15 @@ impl Drop for WriteOp<'_> {
     fn drop(&mut self) {
         if let Some(op) = self.op {
             WRITE_OP.set(self.prev);
-            let pages = self.store.end_write(op);
-            // Redo logging: force or capture the touched pages, and
-            // commit. Runs after publish (the pages must hold their
-            // final, published bytes) but before the operation counts as
-            // finished — a checkpoint's quiescence check must not
-            // truncate the log while the hook is still appending to it.
-            // Skipped for operations that touched nothing.
-            let touched = !(pages.fresh.is_empty() && pages.imaged.is_empty());
-            if touched {
+            // Force the pages the operation's append stream allocated,
+            // and commit. Runs after publish (the forced pages must hold
+            // their final, published bytes) but before the operation
+            // counts as finished — a checkpoint's quiescence check must
+            // not truncate the log while the hook is still appending to
+            // it. Skipped for operations that wrote no record.
+            if let Some(forced) = self.store.end_write(op) {
                 if let Some(hook) = self.store.commit_hook.get() {
-                    hook(op, pages);
+                    hook(op, forced);
                 }
             }
             self.store.ops_finished.fetch_add(1, Ordering::AcqRel);
@@ -878,14 +889,18 @@ mod tests {
         let op = vs.begin_write();
         let tok = vs.ambient_write_op().unwrap();
         vs.note_created(tok, rid);
-        assert!(vs.created_by(tok, rid));
+        assert_eq!(vs.origin(tok, rid), (true, false));
         deposit(&vs, tok, rid, 5);
         assert!(
             vs.lookup(rid, pin).unwrap().is_none(),
             "self-created records retain no versions"
         );
         drop(op);
-        assert!(!vs.created_by(tok, rid), "created set cleared on publish");
+        assert_eq!(
+            vs.origin(tok, rid),
+            (false, false),
+            "created set cleared on publish"
+        );
         vs.unpin(pin);
         assert_eq!(vs.retained_versions(), 0);
     }
