@@ -6,17 +6,20 @@
 //! > updates and integrates document fragments from other sources into a
 //! > single document view for the user.
 //!
-//! Node-granularity access uses stable **logical node ids**: records are
-//! rewritten wholesale by the tree storage manager, so physical
-//! `(rid, index)` pointers are volatile. The document manager keeps a
-//! bidirectional map `NodeId ↔ NodePtr`, updated from the relocation
-//! events every structural operation returns. The on-disk format carries
-//! no logical ids (keeping the paper's space numbers intact) and the map
-//! is sparse: only the root is bound when a document is registered —
-//! freshly loaded or reopened alike — and every other id is bound the
-//! first time navigation, a query result or an insert hands the node out.
-//! Ids are stable for the life of the `Repository` object, not across
-//! reopens.
+//! Node-granularity access uses stable **logical node ids**: an edit
+//! renumbers the nodes of its record behind the splice point, and figure
+//! 5's moves and splits re-home whole records, so physical `(rid, index)`
+//! pointers are volatile. The document manager keeps a bidirectional map
+//! `NodeId ↔ NodePtr` (`idmap.rs`), updated from the relocation
+//! events every structural operation returns — one shift per in-place
+//! splice, one move per node a move or split re-homes. The on-disk format
+//! carries no logical ids (keeping the paper's space numbers intact) and
+//! the map is sparse: only the root is bound when a document is
+//! registered — freshly loaded or reopened alike — and every other id is
+//! bound the first time navigation, a query result or an insert hands the
+//! node out. Ids are stable for the life of the `Repository` object, not
+//! across reopens. A bound id carries its label path once derived (an
+//! insert's from its parent's), which the path summary's upkeep reads.
 //!
 //! The id map lives behind a per-document mutex inside `DocState`:
 //! read-only traversal (`children`, `parent`) binds ids lazily through
@@ -33,6 +36,7 @@ use natix_tree::{BulkStats, InsertPos, NewNode, NodePtr, OpResult, VisitEvent};
 use natix_xml::{Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
 
 use crate::error::{NatixError, NatixResult};
+use crate::idmap::NodeMap;
 use crate::path_summary::{PathSummary, SummaryBuilder};
 use crate::repository::Repository;
 
@@ -57,13 +61,6 @@ pub struct NodeSummary {
     pub label: String,
     /// Literal value as text (`None` for elements).
     pub text: Option<String>,
-}
-
-/// The lazy `NodeId ↔ NodePtr` map of one document.
-struct NodeMap {
-    map: HashMap<NodeId, NodePtr>,
-    rev: HashMap<NodePtr, NodeId>,
-    next_id: NodeId,
 }
 
 /// The document's root record RID, versioned by publish epoch: the root
@@ -104,13 +101,7 @@ pub(crate) struct DocState {
 
 impl DocState {
     pub(crate) fn new(name: String, root_rid: Rid) -> DocState {
-        let root_ptr = NodePtr::new(root_rid, 0);
-        let mut ids = NodeMap {
-            map: HashMap::new(),
-            rev: HashMap::new(),
-            next_id: 0,
-        };
-        let root_id = fresh(&mut ids, root_ptr);
+        let ids = NodeMap::new(NodePtr::new(root_rid, 0));
         DocState {
             name,
             root: Mutex::with_rank(
@@ -122,7 +113,7 @@ impl DocState {
                     dead_from: None,
                 },
             ),
-            root_id,
+            root_id: 0,
             ids: Mutex::with_rank(&parking_lot::rank::DOC_IDS, ids),
             edit_latch: Mutex::with_rank(&parking_lot::rank::DOC_EDIT_LATCH, ()),
         }
@@ -202,45 +193,28 @@ impl DocState {
 
     /// Resolves a logical id to its current physical pointer.
     pub(crate) fn resolve(&self, id: NodeId) -> Option<NodePtr> {
-        self.ids.lock().map.get(&id).copied()
+        self.ids.lock().resolve(id)
     }
 
-    /// The id already bound to `ptr`, if any (no binding).
-    pub(crate) fn lookup_ptr(&self, ptr: NodePtr) -> Option<NodeId> {
-        self.ids.lock().rev.get(&ptr).copied()
-    }
-
-    /// The id bound to `ptr`, binding a fresh one if it was never seen —
-    /// the lazy-id path of read-only navigation.
-    pub(crate) fn bind(&self, ptr: NodePtr) -> NodeId {
+    /// The ids bound to `ptrs`, binding a fresh one to each pointer never
+    /// seen — the lazy-id path of read-only navigation — under one
+    /// acquisition of the id map.
+    pub(crate) fn bind_all(&self, ptrs: &[NodePtr]) -> Vec<NodeId> {
         let mut ids = self.ids.lock();
-        match ids.rev.get(&ptr) {
-            Some(&id) => id,
-            None => fresh(&mut ids, ptr),
-        }
+        ptrs.iter().map(|&p| ids.bind(p)).collect()
     }
 
-    /// Binds a fresh id to `ptr` (insertion results).
-    pub(crate) fn fresh_id(&self, ptr: NodePtr) -> NodeId {
-        fresh(&mut self.ids.lock(), ptr)
+    /// The id map, locked.
+    pub(crate) fn ids(&self) -> parking_lot::MutexGuard<'_, NodeMap> {
+        self.ids.lock()
     }
 
-    /// Applies relocation events (two-phase so intra-record shifts cannot
-    /// collide). Does not touch the root slot — published edits defer the
-    /// root move to the publish hook, unpublished paths use
-    /// [`apply`](Self::apply).
+    /// Applies an operation's relocation events. Does not touch the root
+    /// slot — published edits defer the root move to the publish hook,
+    /// unpublished paths use [`apply`](Self::apply).
     pub(crate) fn apply_relocations(&self, res: &OpResult) {
-        let mut ids = self.ids.lock();
-        let moved: Vec<(Option<NodeId>, NodePtr)> = res
-            .relocations
-            .iter()
-            .map(|r| (ids.rev.remove(&r.old), r.new))
-            .collect();
-        for (id, new) in moved {
-            if let Some(i) = id {
-                ids.map.insert(i, new);
-                ids.rev.insert(new, i);
-            }
+        if !res.relocations.is_empty() {
+            self.ids.lock().apply(&res.relocations);
         }
     }
 
@@ -257,25 +231,6 @@ impl DocState {
             }
         }
     }
-
-    /// Drops the subtree's ids (before applying relocations of the same
-    /// operation — survivors may move into freed addresses).
-    pub(crate) fn purge(&self, victims: &[NodeId]) {
-        let mut ids = self.ids.lock();
-        for id in victims {
-            if let Some(p) = ids.map.remove(id) {
-                ids.rev.remove(&p);
-            }
-        }
-    }
-}
-
-fn fresh(ids: &mut NodeMap, ptr: NodePtr) -> NodeId {
-    let id = ids.next_id;
-    ids.next_id += 1;
-    ids.map.insert(id, ptr);
-    ids.rev.insert(ptr, id);
-    id
 }
 
 /// How much text goes into one literal node before the document manager
@@ -353,27 +308,27 @@ impl Repository {
     /// relocations only track entries that were current when it ran). The
     /// latch makes {validate, insert} atomic against writers of this
     /// document; a superseded address surfaces as
-    /// [`NatixError::SnapshotRace`] instead of a silently wrong id.
-    /// Without an ambient snapshot the bind is unvalidated (nothing can
-    /// have raced a read that has no epoch).
+    /// [`NatixError::SnapshotRace`] instead of a silently wrong id. The
+    /// whole batch is validated under one acquisition of the version
+    /// store and bound under one of the id map, so the latch is held for
+    /// two lock round trips, not two per pointer. Without an ambient
+    /// snapshot the bind is unvalidated (nothing can have raced a read
+    /// that has no epoch).
     pub(crate) fn bind_snapshot(
         &self,
         state: &DocState,
         ptrs: impl IntoIterator<Item = NodePtr>,
     ) -> NatixResult<Vec<NodeId>> {
+        let ptrs: Vec<NodePtr> = ptrs.into_iter().collect();
         let Some(epoch) = self.tree.ambient_read_epoch() else {
-            return Ok(ptrs.into_iter().map(|p| state.bind(p)).collect());
+            return Ok(state.bind_all(&ptrs));
         };
         let _latch = state.edit_latch.lock();
         let versions = self.tree.versions();
-        let mut out = Vec::new();
-        for p in ptrs {
-            if versions.is_superseded(p.rid, epoch) {
-                return Err(NatixError::SnapshotRace(state.name.clone()));
-            }
-            out.push(state.bind(p));
+        if versions.any_superseded(ptrs.iter().map(|p| p.rid), epoch) {
+            return Err(NatixError::SnapshotRace(state.name.clone()));
         }
-        Ok(out)
+        Ok(state.bind_all(&ptrs))
     }
 
     // ==================================================================
@@ -806,23 +761,25 @@ impl Repository {
                 // every attempt, since normalization relocates them. The
                 // same walk tallies per-path node counts for the summary
                 // decrement, keyed by root-to-node label path: `prefix`
-                // starts as the victim root's *ancestor* path and tracks
-                // the walk depth.
+                // starts as the victim root's *ancestor* path (the path
+                // its id carries, less its own label) and tracks the walk
+                // depth.
                 let mut victims = Vec::new();
                 decrements.clear();
-                let mut prefix = self.tree.label_path(ptr)?;
+                let path = e.path(node)?;
+                let mut prefix = e.state.ids().labels(path);
                 prefix.pop();
                 natix_tree::traverse(&self.tree, ptr, &mut |ev| {
                     match ev {
                         VisitEvent::Enter { ptr, label } => {
-                            if let Some(id) = e.state.lookup_ptr(ptr) {
+                            if let Some(id) = e.state.ids().lookup(ptr) {
                                 victims.push(id);
                             }
                             prefix.push(label);
                             *decrements.entry(prefix.clone()).or_default() += 1;
                         }
                         VisitEvent::Literal { ptr, label, .. } => {
-                            if let Some(id) = e.state.lookup_ptr(ptr) {
+                            if let Some(id) = e.state.ids().lookup(ptr) {
                                 victims.push(id);
                             }
                             prefix.push(label);
@@ -838,7 +795,7 @@ impl Repository {
                 let res = self.tree.delete_subtree(ptr)?;
                 // Purged before the relocations of the same operation are
                 // applied — survivors may move into freed addresses.
-                e.state.purge(&victims);
+                e.state.ids().purge(&victims);
                 Ok(res)
             })?;
             e.note_summary_remove(decrements);

@@ -62,6 +62,7 @@
 pub(crate) mod directory;
 pub mod document;
 pub mod error;
+mod idmap;
 pub mod ingest;
 pub mod parallel_query;
 pub mod path_summary;

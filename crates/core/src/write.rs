@@ -25,6 +25,7 @@ use natix_xml::{Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTabl
 use crate::directory::{self, Delta};
 use crate::document::{chunk_limit, DocId, DocState, InsertAt, NodeId};
 use crate::error::{NatixError, NatixResult};
+use crate::idmap::{PathId, NO_PATH};
 use crate::path_summary::{PathSummary, SummaryDelta};
 use crate::repository::Repository;
 
@@ -178,7 +179,10 @@ impl Edit<'_> {
     }
 
     /// Inserts one node, schedules its path-summary increment and binds
-    /// its logical id.
+    /// its logical id. While the document keeps a path summary, the new
+    /// node's label path is its parent's (for `After`, the sibling's
+    /// parent's) plus `label`: no record is read for it once the parent's
+    /// path is known.
     pub(crate) fn insert_one(
         &self,
         at: InsertAt,
@@ -187,6 +191,17 @@ impl Edit<'_> {
     ) -> NatixResult<NodeId> {
         let tree = &self.repo.tree;
         let resolve = |id| self.state.resolve(id).ok_or(NatixError::NoSuchNode(id));
+        let summarized = self.repo.summaries.has_slot(self.doc);
+        // `None` in a summarized document: the path could not be derived,
+        // and the summary goes stale from this edit on.
+        let parent_path = match at {
+            _ if !summarized => None,
+            InsertAt::Child(parent, _) => self.path(parent).ok(),
+            InsertAt::After(sibling) => self
+                .path(sibling)
+                .ok()
+                .map(|p| self.state.ids().parent_path(p)),
+        };
         let res = self.tree_op(|| {
             Ok(match at {
                 InsertAt::Child(parent, pos) => {
@@ -198,22 +213,37 @@ impl Edit<'_> {
             })
         })?;
         let new_ptr = inserted(&res)?;
-        self.note_summary_insert(new_ptr, matches!(node, NewNode::Literal(_)));
-        Ok(self.state.fresh_id(new_ptr))
+        let mut ids = self.state.ids();
+        let path = parent_path.map(|p| ids.child_path(p, label));
+        let id = ids.fresh(new_ptr, path.unwrap_or(NO_PATH));
+        let labels = path.map(|p| ids.labels(p));
+        drop(ids);
+        if summarized {
+            self.note_summary_insert(labels, matches!(node, NewNode::Literal(_)));
+        }
+        Ok(id)
     }
 
-    /// Schedules the path-summary increment for the node just inserted at
-    /// `new_ptr`, to apply atomically with the publish. Called after the
-    /// insert succeeded, so the label path reads the writer's own,
-    /// not-yet-published state.
-    fn note_summary_insert(&self, new_ptr: NodePtr, literal: bool) {
-        let doc = self.doc;
-        if !self.repo.summaries.has_slot(doc) {
-            return;
+    /// The interned label path of the node `id`: the one it carries, or —
+    /// for an id whose path was never derived — one walk of the stored
+    /// tree, remembered on the id.
+    pub(crate) fn path(&self, id: NodeId) -> NatixResult<PathId> {
+        if let Some(path) = self.state.ids().path(id) {
+            return Ok(path);
         }
+        let ptr = self.state.resolve(id).ok_or(NatixError::NoSuchNode(id))?;
+        let labels = self.repo.tree.label_path(ptr)?;
+        Ok(self.state.ids().learn_path(id, &labels))
+    }
+
+    /// Schedules the path-summary increment for the node just inserted,
+    /// whose root-to-node labels are `path` (`None`: unknown), to apply
+    /// atomically with the publish.
+    fn note_summary_insert(&self, path: Option<Vec<LabelId>>, literal: bool) {
+        let doc = self.doc;
         let store = Arc::clone(&self.repo.summaries);
-        match self.repo.tree.label_path(new_ptr) {
-            Ok(path) => {
+        match path {
+            Some(path) => {
                 let delta = SummaryDelta::Insert {
                     path,
                     literal,
@@ -224,7 +254,7 @@ impl Edit<'_> {
             // The new node's label path could not be read; mark the
             // summary stale from this edit's epoch on — readers pinned
             // before it keep their versions.
-            Err(_) => self.at_publish(move |epoch, floor| store.invalidate(doc, epoch, floor)),
+            None => self.at_publish(move |epoch, floor| store.invalidate(doc, epoch, floor)),
         }
     }
 
@@ -405,7 +435,7 @@ impl Repository {
                 .ok_or(NatixError::NoSuchNode(parent))?;
             let res = self.tree.insert(ptr, InsertPos::Last, label, node)?;
             state.apply(&res);
-            Ok(state.fresh_id(inserted(&res)?))
+            Ok(state.ids().fresh(inserted(&res)?, NO_PATH))
         };
         for n in doc.pre_order() {
             let Some(parent) = doc.parent(n) else {

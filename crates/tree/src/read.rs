@@ -24,7 +24,9 @@
 //!   index.
 //! * [`TreeStore::label_path`]: as many steps, but the walk holds the
 //!   record it stands in, so each record on the path is read once per
-//!   call — writers, who bypass the memo, call it on every insert.
+//!   call. Writers, who bypass the memo, call it only for a node whose
+//!   path the document manager has not derived yet: an inserted node's
+//!   path is its parent's plus its label.
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LABEL_NONE};
@@ -285,8 +287,9 @@ impl TreeStore {
     /// The walk holds the record it stands in and reads labels from it,
     /// so each record on the path is read once per call — the record
     /// depth, not the node depth — with or without the parsed-record memo
-    /// (writers, who call this on every insert, bypass the memo), and no
-    /// record is decoded.
+    /// (writers bypass it), and no record is decoded. The document manager
+    /// walks a node's path once, the first time an edit needs it, and
+    /// derives the paths of the nodes inserted below it from that one.
     pub fn label_path(&self, ptr: NodePtr) -> TreeResult<Vec<LabelId>> {
         let mut view = self.view(ptr.rid)?;
         let mut at = ptr.node;

@@ -72,7 +72,8 @@
 //! The result is byte for byte what the encoder makes of the decoded
 //! record with the same edit made. Pre-order indices after the span move
 //! by +1 on an insert and by −(subtree size) on a removal
-//! ([`Patch::moved`]), which is what the encoder's mapping says of them.
+//! ([`Patch::renumbering`]), which is what the encoder's mapping says of
+//! them; the store reports it as one shift of the record.
 //! The store writes a patch in place while the record fits its page. On
 //! an overflow it decodes the *spliced* record ([`Patch::decode`]: every
 //! node carries its pre-edit address) and hands it to figure 5's move or
@@ -825,14 +826,11 @@ impl Patch<'_> {
             })
     }
 
-    /// The nodes the edit renumbers, each old pre-order index with its new
-    /// one (a replace renumbers none).
-    pub fn moved(&self) -> impl Iterator<Item = (PNodeId, PNodeId)> + '_ {
-        let end = match self.shift {
-            0 => self.from,
-            _ => self.view.node_count() as PNodeId,
-        };
-        (self.from..end).map(|n| (n, (i32::from(n) + self.shift) as PNodeId))
+    /// How the edit renumbers the record: `(from, shift)`, every node at
+    /// old pre-order index `from` or later moves by `shift` (a replace
+    /// renumbers none: `shift` is 0).
+    pub fn renumbering(&self) -> (PNodeId, i32) {
+        (self.from, self.shift)
     }
 
     /// The pre-edit index of node `n` of the edited record (`None` for
@@ -1547,20 +1545,26 @@ pub(crate) mod tests {
                 assert_eq!(patch.byte_len(), want.len(), "{what}");
                 assert_eq!(got_table.encode(), want_table.encode(), "{what}: types");
                 // The inserted node is the one arena slot past the
-                // decoded record's.
-                let mut moved = Vec::new();
+                // decoded record's. Every surviving node from `from` on
+                // moves by `shift`, every node before it stays.
+                let (from, shift) = patch.renumbering();
+                let mut survivors = 0;
                 for (arena, serial) in mapping {
                     let old = (arena < view.node_count() as PNodeId).then_some(arena);
                     assert_eq!(patch.old_index(serial), old, "{what}: node {serial}");
                     match old {
                         None => assert_eq!(patch.inserted, Some(serial), "{what}"),
-                        Some(old) if old != serial => moved.push((old, serial)),
-                        Some(_) => {}
+                        Some(old) if old >= from => {
+                            assert_eq!(i32::from(serial), i32::from(old) + shift, "{what}");
+                            survivors += 1;
+                        }
+                        Some(old) => assert_eq!(serial, old, "{what}: node {old} moved"),
                     }
                 }
+                assert_eq!(survivors, view.node_count() - from as usize, "{what}");
+                assert_eq!(shift == 0, matches!(edit, Edit::Replace(..)), "{what}");
                 let inserted = matches!(edit, Edit::Insert(..));
                 assert_eq!(patch.inserted.is_some(), inserted, "{what}");
-                assert_eq!(patch.moved().collect::<Vec<_>>(), moved, "{what}");
                 let back = patch.decode().unwrap();
                 assert!(same_tree(&reference, 0, &back, 0), "{what}: decoded");
                 for n in 0..back.arena_len() as PNodeId {

@@ -14,7 +14,10 @@
 //! All structural changes report **relocation events**: an edit renumbers
 //! the nodes after it and a move or split re-homes whole records, so a
 //! node's `(rid, pre-order index)` address can change; the document
-//! manager keeps its logical-node map current from these events.
+//! manager keeps its logical-node map current from these events. An
+//! in-place splice reports its renumbering as one [`Relocation::Shift`],
+//! whatever the number of nodes behind it; a move, a split and
+//! normalization report one [`Relocation::Move`] per re-homed node.
 //! Standalone parent pointers (Appendix A) are maintained by deferred
 //! 8-byte patches collected per operation.
 //!
@@ -59,22 +62,57 @@ const WATCH: NodePtr = NodePtr {
     node: u16::MAX,
 };
 
-/// A node moved from `old` to `new` (same identity, new address).
+/// How an operation changed the addresses of facade nodes. The events of
+/// an [`OpResult`] apply in order ([`OpResult::follow`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Relocation {
-    pub old: NodePtr,
-    pub new: NodePtr,
+pub enum Relocation {
+    /// A node moved from `old` to `new` (same identity, new address):
+    /// figure 5's move or split, a separator's insertion, normalization.
+    /// A run of consecutive moves is one batch — every `old` is an
+    /// address from before the run, and a `new` may be another move's
+    /// `old` — so a run applies as a whole.
+    Move { old: NodePtr, new: NodePtr },
+    /// An in-place splice of record `rid` renumbered every node at
+    /// pre-order index `from` or later by `by`. A removal (`by < 0`)
+    /// deleted the nodes at `from + by .. from`.
+    Shift { rid: Rid, from: PNodeId, by: i32 },
 }
 
 /// Result of a structural operation.
 #[derive(Debug, Default)]
 pub struct OpResult {
-    /// Facade nodes whose address changed, in application order.
+    /// How facade node addresses changed, in application order.
     pub relocations: Vec<Relocation>,
     /// Address of the node the operation created (inserts only).
     pub new_node: Option<NodePtr>,
     /// Set when the tree's root record was replaced: `(old, new)`.
     pub root_moved: Option<(Rid, Rid)>,
+}
+
+impl OpResult {
+    /// The address after the operation of the node at `ptr` before it:
+    /// the relocation events applied in order, one run of moves at a
+    /// time. A node the operation deleted keeps an address it no longer
+    /// holds.
+    pub fn follow(&self, mut ptr: NodePtr) -> NodePtr {
+        let mut moved = false;
+        for r in &self.relocations {
+            match *r {
+                Relocation::Move { old, new } if old == ptr && !moved => {
+                    ptr = new;
+                    moved = true;
+                }
+                Relocation::Move { .. } => {}
+                Relocation::Shift { rid, from, by } => {
+                    moved = false;
+                    if ptr.rid == rid && ptr.node >= from {
+                        ptr.node = (i32::from(ptr.node) + by) as PNodeId;
+                    }
+                }
+            }
+        }
+        ptr
+    }
 }
 
 /// Where to insert relative to the parent's *logical* child list.
@@ -149,6 +187,8 @@ pub enum RecordEntry {
 #[derive(Default)]
 struct OpCtx {
     relocations: Vec<Relocation>,
+    /// Where the current step's relocations begin (see [`Self::seal`]).
+    step: usize,
     new_node: Option<NodePtr>,
     root_moved: Option<(Rid, Rid)>,
     /// Deferred standalone-parent patches: `(child record, new parent)`,
@@ -168,6 +208,39 @@ impl OpCtx {
             new_node: self.new_node,
             root_moved: self.root_moved,
         }
+    }
+
+    /// Ends a step of a multi-step operation, whose next step reads the
+    /// records this one wrote. The step's moves start from the addresses
+    /// the earlier steps left: a move of a node an earlier step moved
+    /// composes with that step's move, so a run of moves stays one batch
+    /// of addresses from before the run (see [`Relocation::Move`]).
+    fn seal(&mut self) {
+        let step = self.relocations.split_off(self.step);
+        // Where the earlier steps left each node they moved since the
+        // last shift: the index of its move.
+        let mut left = std::collections::HashMap::new();
+        for (i, r) in self.relocations.iter().enumerate() {
+            match *r {
+                Relocation::Move { new, .. } => drop(left.insert(new, i)),
+                Relocation::Shift { .. } => left.clear(),
+            }
+        }
+        for r in step {
+            match r {
+                Relocation::Move { old, new } if left.contains_key(&old) => {
+                    if let Relocation::Move { new: at, .. } = &mut self.relocations[left[&old]] {
+                        *at = new;
+                    }
+                }
+                Relocation::Shift { .. } => {
+                    left.clear();
+                    self.relocations.push(r);
+                }
+                Relocation::Move { .. } => self.relocations.push(r),
+            }
+        }
+        self.step = self.relocations.len();
     }
 
     /// Records a root-record move. One operation can move the root more
@@ -653,7 +726,7 @@ impl TreeStore {
             if old == WATCH {
                 ctx.new_node = Some(new);
             } else if node.is_facade() && old != new {
-                ctx.relocations.push(Relocation { old, new });
+                ctx.relocations.push(Relocation::Move { old, new });
             }
         }
     }
@@ -751,9 +824,9 @@ impl TreeStore {
         if fits {
             match self.write_patch(rid, &patch) {
                 Ok(()) => {
-                    for (old, new) in patch.moved().filter(|&(old, _)| view.is_facade(old)) {
-                        let (old, new) = (NodePtr::new(rid, old), NodePtr::new(rid, new));
-                        ctx.relocations.push(Relocation { old, new });
+                    let (from, by) = patch.renumbering();
+                    if by != 0 {
+                        ctx.relocations.push(Relocation::Shift { rid, from, by });
                     }
                     if watch {
                         ctx.new_node = patch.inserted.map(|n| NodePtr::new(rid, n));
@@ -1533,6 +1606,7 @@ impl TreeStore {
             // split consults its parent record, which this step may just
             // have restructured.
             self.apply_patches(&mut ctx)?;
+            ctx.seal();
         }
         Ok(ctx.finish())
     }
@@ -1940,12 +2014,8 @@ pub(crate) mod tests {
 
     /// Follows one operation's relocations and root move.
     fn follow(ptrs: &mut HashMap<NodeIdx, NodePtr>, root: &mut Rid, res: &OpResult) {
-        let moved: HashMap<NodePtr, NodePtr> =
-            res.relocations.iter().map(|r| (r.old, r.new)).collect();
         for p in ptrs.values_mut() {
-            if let Some(&new) = moved.get(p) {
-                *p = new;
-            }
+            *p = res.follow(*p);
         }
         follow_root(root, res);
     }
@@ -2047,6 +2117,63 @@ pub(crate) mod tests {
             }
         }
         panic!("edit kept hitting packed records");
+    }
+
+    /// Normalizing packed clusters of a deep document changes no logical
+    /// node, only addresses: every facade's address before, followed
+    /// through the reported relocations, is its address after — also
+    /// when a normalization step splits a record an earlier step wrote,
+    /// reusing its slot, and when the insert that asked for the
+    /// normalization then splices or splits.
+    #[test]
+    fn normalization_reports_every_address_it_changes() {
+        let mut syms = SymbolTable::new();
+        let mut g = SplitMix64::new(0x0B0A_11CE);
+        for (page_size, seed) in [(1_024, 0xDEE9), (1_024, 0xDEE8), (2_048, 0xDEE9)] {
+            let cfg = DeepConfig {
+                depth: 160,
+                seed,
+                ..DeepConfig::tiny()
+            };
+            let doc = generate_deep(&cfg, &mut syms);
+            let st = store(page_size);
+            let mut root = bulkload_document(&st, &doc, None).unwrap().root_rid;
+            for round in 0..200 {
+                let before = facades(&st, root);
+                let (mut ptr, _, element) = before[g.below(before.len())];
+                let mut results = Vec::new();
+                if element && round % 2 == 1 {
+                    loop {
+                        let text = LiteralValue::String("x".repeat(389));
+                        match st.insert(ptr, InsertPos::Last, LABEL_TEXT, NewNode::Literal(text)) {
+                            Err(TreeError::PackedRecord(rid)) => {
+                                let res = st.normalize_packed(rid).unwrap();
+                                ptr = res.follow(ptr);
+                                results.push(res);
+                            }
+                            other => {
+                                results.push(other.unwrap());
+                                break;
+                            }
+                        }
+                    }
+                } else {
+                    results.push(st.normalize_packed(ptr.rid).unwrap());
+                }
+                let new_node = results.last().unwrap().new_node;
+                for res in &results {
+                    follow_root(&mut root, res);
+                }
+                let mut after = facades(&st, root);
+                after.retain(|a| Some(a.0) != new_node);
+                assert_eq!(before.len(), after.len());
+                for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+                    let followed = results.iter().fold(b.0, |p, res| res.follow(p));
+                    assert_eq!(followed, a.0, "page {page_size} round {round} node {i}");
+                }
+                check_tree(&st, root).unwrap();
+            }
+        }
     }
 
     #[test]
@@ -2315,11 +2442,9 @@ pub(crate) mod tests {
         let res = op(&old).unwrap();
         let counts = (decodes::take(), encodes::take());
         follow_root(root, &res);
-        let moved: HashMap<NodePtr, NodePtr> =
-            res.relocations.iter().map(|r| (r.old, r.new)).collect();
         for (n, now) in addresses(st, *root, after) {
             let want = match old.get(&n) {
-                Some(p) => moved.get(p).copied().unwrap_or(*p),
+                Some(&p) => res.follow(p),
                 None => res.new_node.unwrap(),
             };
             assert_eq!(now, want, "node {n}");

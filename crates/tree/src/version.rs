@@ -79,9 +79,11 @@
 //! entry would serve the image from before. A writer's read therefore
 //! copies and parses the record every time, and code the write path runs
 //! that takes several steps through one record holds the record's view
-//! from step to step instead of reading it again: `TreeStore::label_path`
-//! — run for every insert's path-summary delta and every delete's prefix —
-//! parses each record on its ancestor path once and decodes none.
+//! from step to step instead of reading it again. `TreeStore::label_path`
+//! parses each record on its ancestor path once and decodes none; the
+//! write path runs it only for a node whose label path the document
+//! manager's id map has not derived yet (an inserted node's path is its
+//! parent's plus its label), not for every insert and delete.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -432,14 +434,17 @@ impl VersionStore {
         RECORD_MEMO.with_borrow(|m| m.records.len())
     }
 
-    /// Whether a reader pinned at `epoch` must read `rid` from the version
-    /// store rather than the page — [`lookup`](Self::lookup)`.is_some()`
-    /// without copying or parsing the deposit.
-    pub fn is_superseded(&self, rid: Rid, epoch: u64) -> bool {
+    /// Whether a reader pinned at `epoch` must read any of `rids` from the
+    /// version store rather than the page — [`lookup`](Self::lookup)`.is_some()`
+    /// for one of them, without copying or parsing a deposit, under one
+    /// acquisition of the state mutex.
+    pub fn any_superseded(&self, rids: impl IntoIterator<Item = Rid>, epoch: u64) -> bool {
         if self.retained.load(Ordering::Acquire) == 0 {
             return false;
         }
-        self.state.lock().version_at(rid, epoch).is_some()
+        let st = self.state.lock();
+        rids.into_iter()
+            .any(|rid| st.version_at(rid, epoch).is_some())
     }
 
     /// The superseded image of `rid` a reader pinned at `epoch` must use,
@@ -964,8 +969,8 @@ mod tests {
             let tok = vs.ambient_write_op().unwrap();
             vs.supersede(tok, rid, vec![1, 2, 3], vec![0xff]);
         }
-        assert!(vs.is_superseded(rid, pin.epoch()));
-        assert!(!vs.is_superseded(Rid::new(5, 4), pin.epoch()));
+        assert!(vs.any_superseded([rid], pin.epoch()));
+        assert!(!vs.any_superseded([Rid::new(5, 4)], pin.epoch()));
         for err in [
             vs.lookup(rid, pin.epoch()).unwrap_err(),
             vs.read(rid, || {
@@ -980,7 +985,7 @@ mod tests {
         }
         drop(pin);
         assert!(
-            !vs.is_superseded(rid, vs.epoch()),
+            !vs.any_superseded([rid], vs.epoch()),
             "gc after the last unpin"
         );
 

@@ -58,18 +58,11 @@ impl Shadow {
     }
 
     fn apply(&mut self, res: &OpResult) {
-        // Two-phase: remove all old addresses, then install the new ones
-        // (relocations within one record may otherwise collide).
-        let moved: Vec<(Option<NodeIdx>, NodePtr)> = res
-            .relocations
-            .iter()
-            .map(|r| (self.rev.remove(&r.old), r.new))
-            .collect();
-        for (idx, new) in moved {
-            if let Some(i) = idx {
-                self.map.insert(i, new);
-                self.rev.insert(new, i);
+        if !res.relocations.is_empty() {
+            for p in self.map.values_mut() {
+                *p = res.follow(*p);
             }
+            self.rev = self.map.iter().map(|(&i, &p)| (p, i)).collect();
         }
         if let Some((old, new)) = res.root_moved {
             if self.root_rid == old {
