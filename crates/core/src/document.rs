@@ -221,7 +221,7 @@ impl DocState {
     /// Applies an operation result with an *immediate* root swap — only
     /// for documents no reader can see yet (per-node loads before
     /// registration). Published edits go through
-    /// [`Edit::tree_op`](crate::write::Edit::tree_op).
+    /// [`Edit::absorb`](crate::write::Edit::absorb).
     pub(crate) fn apply(&self, res: &OpResult) {
         self.apply_relocations(res);
         if let Some((old, new)) = res.root_moved {
@@ -688,7 +688,7 @@ impl Repository {
         node: NewNode,
     ) -> NatixResult<NodeId> {
         self.check_insertable(label, &node)?;
-        self.edit(doc, |e| e.insert_one(at, label, &node))
+        self.edit(doc, |e| e.insert_one(at, label, node))
     }
 
     /// Inserts a new element under `parent`. Takes `&self`: the
@@ -703,7 +703,7 @@ impl Repository {
     ) -> NatixResult<NodeId> {
         let label = self.element_label(tag)?;
         self.edit(doc, |e| {
-            e.insert_one(InsertAt::Child(parent, pos), label, &NewNode::Element)
+            e.insert_one(InsertAt::Child(parent, pos), label, NewNode::Element)
         })
     }
 
@@ -732,7 +732,7 @@ impl Repository {
                 // The parent is re-resolved for every chunk: inserting the
                 // previous one may have split or moved its record.
                 let node = NewNode::Literal(LiteralValue::String(chunk.to_owned()));
-                ids.push(e.insert_one(InsertAt::Child(parent, pos), LABEL_TEXT, &node)?);
+                ids.push(e.insert_one(InsertAt::Child(parent, pos), LABEL_TEXT, node)?);
                 // Subsequent chunks follow the one just inserted.
                 pos = match pos {
                     InsertPos::First => InsertPos::At(1),
@@ -754,50 +754,40 @@ impl Repository {
                     "the root node cannot be deleted; use delete_document".into(),
                 ));
             }
+            let ptr = e.state.resolve(node).ok_or(NatixError::NoSuchNode(node))?;
+            // Collect the subtree's logical ids first. The same walk
+            // tallies per-path node counts for the summary decrement, keyed
+            // by root-to-node label path: `prefix` starts as the victim
+            // root's *ancestor* path (the path its id carries, less its own
+            // label) and tracks the walk depth.
+            let mut victims = Vec::new();
             let mut decrements = HashMap::new();
-            e.tree_op(|| {
-                let ptr = e.state.resolve(node).ok_or(NatixError::NoSuchNode(node))?;
-                // Collect the subtree's logical ids first; recollected on
-                // every attempt, since normalization relocates them. The
-                // same walk tallies per-path node counts for the summary
-                // decrement, keyed by root-to-node label path: `prefix`
-                // starts as the victim root's *ancestor* path (the path
-                // its id carries, less its own label) and tracks the walk
-                // depth.
-                let mut victims = Vec::new();
-                decrements.clear();
-                let path = e.path(node)?;
-                let mut prefix = e.state.ids().labels(path);
-                prefix.pop();
-                natix_tree::traverse(&self.tree, ptr, &mut |ev| {
-                    match ev {
-                        VisitEvent::Enter { ptr, label } => {
-                            if let Some(id) = e.state.ids().lookup(ptr) {
-                                victims.push(id);
-                            }
-                            prefix.push(label);
-                            *decrements.entry(prefix.clone()).or_default() += 1;
+            let path = e.path(node)?;
+            let mut prefix = e.state.ids().labels(path);
+            prefix.pop();
+            natix_tree::traverse(&self.tree, ptr, &mut |ev| {
+                match ev {
+                    VisitEvent::Enter { ptr, label } | VisitEvent::Literal { ptr, label, .. } => {
+                        if let Some(id) = e.state.ids().lookup(ptr) {
+                            victims.push(id);
                         }
-                        VisitEvent::Literal { ptr, label, .. } => {
-                            if let Some(id) = e.state.ids().lookup(ptr) {
-                                victims.push(id);
-                            }
-                            prefix.push(label);
-                            *decrements.entry(prefix.clone()).or_default() += 1;
-                            prefix.pop();
-                        }
-                        VisitEvent::Leave { .. } => {
+                        prefix.push(label);
+                        *decrements.entry(prefix.clone()).or_default() += 1;
+                        if matches!(ev, VisitEvent::Literal { .. }) {
                             prefix.pop();
                         }
                     }
-                    true
-                })?;
-                let res = self.tree.delete_subtree(ptr)?;
-                // Purged before the relocations of the same operation are
-                // applied — survivors may move into freed addresses.
-                e.state.ids().purge(&victims);
-                Ok(res)
+                    VisitEvent::Leave { .. } => {
+                        prefix.pop();
+                    }
+                }
+                true
             })?;
+            let res = self.tree.delete_subtree(ptr)?;
+            // Purged before the relocations of the same operation are
+            // applied — survivors may move into freed addresses.
+            e.state.ids().purge(&victims);
+            e.absorb(&res);
             e.note_summary_remove(decrements);
             Ok(())
         })
@@ -806,11 +796,9 @@ impl Repository {
     /// Replaces the value of a text/literal node.
     pub fn update_text(&self, doc: DocId, node: NodeId, text: &str) -> NatixResult<()> {
         self.edit(doc, |e| {
-            e.tree_op(|| {
-                let ptr = e.state.resolve(node).ok_or(NatixError::NoSuchNode(node))?;
-                let value = LiteralValue::String(text.to_string());
-                Ok(self.tree.update_literal(ptr, value)?)
-            })?;
+            let ptr = e.state.resolve(node).ok_or(NatixError::NoSuchNode(node))?;
+            let value = LiteralValue::String(text.to_string());
+            e.absorb(&self.tree.update_literal(ptr, value)?);
             Ok(())
         })
     }

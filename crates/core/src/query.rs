@@ -166,7 +166,7 @@ pub enum PlanShape {
     /// path summary is the planner's only seed source. Never planned;
     /// forcing it returns [`NatixError::PlanUnsupported`]. The variant
     /// stays until the benchmark's `core.plans.index_seeded` row, which
-    /// matches on it, is dropped (ROADMAP open item 3).
+    /// matches on it, is dropped (ROADMAP item 6c, then 8c).
     IndexSeeded,
     /// Record-granular scan on the query's thread
     /// ([`crate::parallel_query`]). The name predates the scan's single

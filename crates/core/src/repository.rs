@@ -104,14 +104,15 @@
 //! `write.rs`, over the one document store built in `Repository::build`
 //! (the only place a tree store is constructed, so no write can miss the
 //! log). `edit` — edit latch, liveness check, one write operation, tree
-//! operations under normalize-retry, relocations and publish hooks,
-//! durability gate — carries [`Repository::insert_node`],
-//! `insert_element`, `insert_text`, `delete_node`, `update_text` and
-//! `delete_document`, each a body that sees its operation only as an
-//! `Edit`. `publish_load` — claim the name, load, register, install the
-//! summary, gate; abandon the claim on error — carries `put_document`,
-//! `put_document_per_node`, `create_document` and `put_xml_streaming`,
-//! which [`put_documents_parallel`] calls from a worker pool.
+//! operations (each called once: it normalizes the packed records it
+//! meets), relocations and publish hooks, durability gate — carries
+//! [`Repository::insert_node`], `insert_element`, `insert_text`,
+//! `delete_node`, `update_text` and `delete_document`, each a body that
+//! sees its operation only as an `Edit`. `publish_load` — claim the
+//! name, load, register, install the summary, gate; abandon the claim on
+//! error — carries `put_document`, `put_document_per_node`,
+//! `create_document` and `put_xml_streaming`, which
+//! [`put_documents_parallel`] calls from a worker pool.
 //!
 //! That module is the only code that *can* publish: the gate and the
 //! directory log are private to it, and opening a write operation or

@@ -122,48 +122,17 @@ impl Edit<'_> {
         self.op.defer_until_publish(hook);
     }
 
-    /// Runs one tree operation of the edit and folds its result into the
+    /// Folds the result of one tree operation of the edit into the
     /// document: relocation events go to the id map at once (the writer
     /// needs them for its next operation), a root move is scheduled for
     /// the publish point — the root RID must switch *atomically with the
     /// epoch*, or a reader could pair a fresh epoch with the stale root
-    /// (or vice versa) and walk a mixed record graph.
-    ///
-    /// Depth-aware-packed clusters are normalized on demand: a bulkloaded
-    /// deep document stores late children in continuation-group records
-    /// whose layout in-place edits cannot preserve, so the tree layer
-    /// reports [`TreeError::PackedRecord`]; the cluster is then rewritten
-    /// into plain records and the operation retried with fresh pointers —
-    /// which is why `f` must re-resolve its node ids on every attempt.
-    ///
-    /// [`TreeError::PackedRecord`]: natix_tree::TreeError::PackedRecord
-    pub(crate) fn tree_op(
-        &self,
-        mut f: impl FnMut() -> NatixResult<OpResult>,
-    ) -> NatixResult<OpResult> {
-        // Each round eliminates the packed cluster it tripped over; a
-        // bounded retry count turns a (logically impossible) livelock into
-        // a clean error.
-        for _ in 0..64 {
-            match f() {
-                Err(NatixError::Tree(natix_tree::TreeError::PackedRecord(rid))) => {
-                    self.absorb(&self.repo.tree.normalize_packed(rid)?)
-                }
-                other => return other.inspect(|res| self.absorb(res)),
-            }
-        }
-        Err(NatixError::Validation(
-            "structural edit kept hitting packed records".into(),
-        ))
-    }
-
-    /// Folds one operation result into the document (see
-    /// [`tree_op`](Self::tree_op)). The root move is logged by its
-    /// publish hook, under the root slot's lock (a checkpoint's cut reads
-    /// the slot under it) and owned by the operation: recovery honours it
-    /// only if the operation's commit record, appended right after
-    /// publish, reached the log.
-    fn absorb(&self, res: &OpResult) {
+    /// (or vice versa) and walk a mixed record graph. The root move is
+    /// logged by its publish hook, under the root slot's lock (a
+    /// checkpoint's cut reads the slot under it) and owned by the
+    /// operation: recovery honours it only if the operation's commit
+    /// record, appended right after publish, reached the log.
+    pub(crate) fn absorb(&self, res: &OpResult) {
         self.state.apply_relocations(res);
         if let Some(moved) = res.root_moved {
             let st = Arc::clone(self.state);
@@ -187,7 +156,7 @@ impl Edit<'_> {
         &self,
         at: InsertAt,
         label: LabelId,
-        node: &NewNode,
+        node: NewNode,
     ) -> NatixResult<NodeId> {
         let tree = &self.repo.tree;
         let resolve = |id| self.state.resolve(id).ok_or(NatixError::NoSuchNode(id));
@@ -202,16 +171,12 @@ impl Edit<'_> {
                 .ok()
                 .map(|p| self.state.ids().parent_path(p)),
         };
-        let res = self.tree_op(|| {
-            Ok(match at {
-                InsertAt::Child(parent, pos) => {
-                    tree.insert(resolve(parent)?, pos, label, node.clone())?
-                }
-                InsertAt::After(sibling) => {
-                    tree.insert_after(resolve(sibling)?, label, node.clone())?
-                }
-            })
-        })?;
+        let literal = matches!(node, NewNode::Literal(_));
+        let res = match at {
+            InsertAt::Child(parent, pos) => tree.insert(resolve(parent)?, pos, label, node)?,
+            InsertAt::After(sibling) => tree.insert_after(resolve(sibling)?, label, node)?,
+        };
+        self.absorb(&res);
         let new_ptr = inserted(&res)?;
         let mut ids = self.state.ids();
         let path = parent_path.map(|p| ids.child_path(p, label));
@@ -219,7 +184,7 @@ impl Edit<'_> {
         let labels = path.map(|p| ids.labels(p));
         drop(ids);
         if summarized {
-            self.note_summary_insert(labels, matches!(node, NewNode::Literal(_)));
+            self.note_summary_insert(labels, literal);
         }
         Ok(id)
     }
@@ -333,9 +298,9 @@ impl Repository {
     /// runs as `body` inside it: the document's edit latch, the liveness
     /// check, one write operation of the version store, and — once the
     /// operation has published and the latch is free — the durability
-    /// gate. `body` changes the tree through [`Edit::tree_op`] and
-    /// schedules whatever must switch with the epoch through the
-    /// [`Edit`]'s publish hooks.
+    /// gate. `body` changes the tree by tree operations, each folded into
+    /// the document by [`Edit::absorb`], and schedules whatever must
+    /// switch with the epoch through the [`Edit`]'s publish hooks.
     pub(crate) fn edit<T>(
         &self,
         doc: DocId,

@@ -380,9 +380,9 @@ fn deep_corpus_height_tracks_the_oracle() {
 
 #[test]
 fn deep_bulkloaded_documents_are_editable() {
-    // Edits anywhere in a depth-aware-packed document must work: the
-    // document manager normalizes the packed cluster on demand and the
-    // result keeps matching a per-node oracle given the same edits.
+    // Edits anywhere in a depth-aware-packed document must work: each tree
+    // operation normalizes the packed cluster it meets inside itself, and
+    // the result keeps matching a per-node oracle given the same edits.
     let mut syms = SymbolTable::new();
     let cfg = natix_corpus::DeepConfig {
         depth: 300,

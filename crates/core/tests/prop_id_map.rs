@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use natix::{DocId, InsertAt, NatixError, NodeId, NodeKind, Repository, RepositoryOptions};
 use natix_corpus::{generate_deep, DeepConfig, SplitMix64 as Gen};
-use natix_tree::{InsertPos, NewNode};
+use natix_tree::{InsertPos, NewNode, TreeError};
 use natix_xml::{
     write_document, Document, LiteralValue, NodeData, NodeIdx, SymbolTable, WriteOptions,
     LABEL_TEXT,
@@ -411,4 +411,59 @@ fn edits_of_a_packed_deep_document_keep_every_id_on_its_node() {
         normalized += run.normalized;
     }
     assert!(normalized > 0, "no edit normalized a packed cluster");
+}
+
+/// Edits the tree store refuses — a text update of an element, an insert
+/// under a text, an insert beside the root — change nothing on a packed
+/// deep document: every id stays on its node and the document reads
+/// back unchanged.
+#[test]
+fn refused_edits_of_a_packed_deep_document_keep_every_id_on_its_node() {
+    let mut syms = SymbolTable::new();
+    let cfg = DeepConfig {
+        depth: 160,
+        seed: 0xDEE9,
+        ..DeepConfig::tiny()
+    };
+    let dom = generate_deep(&cfg, &mut syms);
+    let mut run = Run::new(0, "deep", dom, syms);
+    run.what = "refusals".into();
+    for n in run.live() {
+        run.id_of(n);
+    }
+    let shape = run.shape();
+    let (doc, root) = (run.doc, run.dom.root());
+    let refused = |what: String, res: natix::NatixResult<()>, run: &Run| {
+        let err = res.expect_err(&what);
+        assert!(matches!(err, NatixError::Tree(_)), "{what}: {err}");
+        assert_eq!(run.shape(), shape, "{what}: records or scaffolding changed");
+    };
+    let label = run.repo.symbols_mut().intern_element("a");
+    let at = InsertAt::After(run.ids[&root]);
+    let res = run.repo.insert_node(doc, at, label, NewNode::Element);
+    refused("insert after the root".into(), res.map(drop), &run);
+    for n in run.live() {
+        let id = run.ids[&n];
+        let res = match run.dom.data(n) {
+            NodeData::Element(_) => {
+                let res = run.repo.update_text(doc, id, "text");
+                if let Err(NatixError::Tree(e)) = &res {
+                    assert!(matches!(e, TreeError::NotALiteral { .. }), "{n}: {e}");
+                }
+                res
+            }
+            NodeData::Literal { .. } => {
+                let res = run.repo.insert_element(doc, id, InsertPos::Last, "a");
+                if let Err(NatixError::Tree(e)) = &res {
+                    assert!(matches!(e, TreeError::NotAnAggregate { .. }), "{n}: {e}");
+                }
+                res.map(drop)
+            }
+        };
+        refused(format!("node {n}"), res, &run);
+    }
+    run.what = "after the refusals:".into();
+    run.verify();
+    let want = write_document(&run.dom, &run.syms, WriteOptions::compact()).unwrap();
+    assert!(run.repo.get_xml(run.name).unwrap() == want, "document");
 }

@@ -74,10 +74,10 @@
 //! *closed* chain suffix — final by construction — is cut into a dense
 //! record of its own once it is worth one.
 //!
-//! Structural edits cannot preserve the packed layout in place;
-//! [`TreeStore::normalize_packed`] splices the groups back into their
-//! piece and re-stores it through the ordinary split machinery before an
-//! edit proceeds (the document manager drives this on demand).
+//! Structural edits cannot preserve the packed layout in place: an edit
+//! of [`TreeStore`] that meets a packed record first splices the groups
+//! back into their piece and re-stores it through the ordinary split
+//! machinery, inside the same operation, then edits plain records.
 //!
 //! The result obeys every invariant of [`crate::validate::check_tree`] and
 //! reconstructs to the identical logical document as the per-node path,

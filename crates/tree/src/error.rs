@@ -23,11 +23,6 @@ pub enum TreeError {
     NotAnAggregate { rid: Rid, node: PNodeId },
     /// Attempted a literal operation on a non-literal node.
     NotALiteral { rid: Rid, node: PNodeId },
-    /// The record carries depth-aware-packing structure (path-prefix
-    /// entries or a continuation placeholder) that in-place structural
-    /// edits cannot preserve; the caller must normalize the cluster
-    /// ([`crate::store::TreeStore::normalize_packed`]) and retry.
-    PackedRecord(Rid),
     /// Invariant violation detected by the validator.
     Invariant(String),
 }
@@ -56,12 +51,6 @@ impl fmt::Display for TreeError {
             }
             TreeError::NotALiteral { rid, node } => {
                 write!(f, "node {rid}/{node} is not a literal")
-            }
-            TreeError::PackedRecord(rid) => {
-                write!(
-                    f,
-                    "record {rid} holds packed-prefix structure; normalize before editing"
-                )
             }
             TreeError::Invariant(m) => write!(f, "invariant violation: {m}"),
         }

@@ -27,9 +27,10 @@
 //! * [`config`] — split target and split tolerance;
 //! * [`split`] — the tree-structured separator split (§3.2.2), pure and
 //!   testable in isolation;
-//! * [`store`] — the tree growth procedure (figure 5): insertion-location
-//!   resolution, record moves, splits with recursive separator insertion,
-//!   deletion with cascades, relocation events;
+//! * [`store`] — insertion-location resolution, deletion with cascades,
+//!   relocation events, over private modules: record I/O, the tree growth
+//!   procedure (figure 5: moves, splits with recursive separator
+//!   insertion) and the normalization of packed records an edit meets;
 //! * [`read`] — navigation: node lookups, logical child lists, the
 //!   record-granular scan, logical parents and label paths, all over
 //!   record views;

@@ -31,9 +31,10 @@
 use natix_storage::Rid;
 use natix_xml::{LabelId, LABEL_NONE};
 
-use crate::error::{TreeError, TreeResult};
+use crate::error::TreeResult;
 use crate::model::{NodePtr, PNodeId};
 use crate::record::{RecordView, Shape};
+use crate::store::pack::continuation_entry;
 use crate::store::{NodeInfo, RecordEntry, TreeStore};
 
 impl TreeStore {
@@ -230,7 +231,10 @@ impl TreeStore {
                 // is entered at the prefix matching the scan's start
                 // level, so late children of *outer* levels stay out.
                 Shape::Continuation(target) => RecordEntry::ChildRecord {
-                    ptr: self.continuation_entry(&view, start, target)?,
+                    ptr: NodePtr::new(
+                        target,
+                        continuation_entry(&view, start, &*self.view(target)?)?,
+                    ),
                     label: LABEL_NONE,
                 },
                 // Prefix entries and scaffolding aggregates are no logical
@@ -247,26 +251,6 @@ impl TreeStore {
             }
         }
         Ok(true)
-    }
-
-    /// Resolves the scan entry point of a continuation group: the prefix
-    /// entry matching the scan start's level on the holder's spilled path.
-    fn continuation_entry(
-        &self,
-        view: &RecordView,
-        start: PNodeId,
-        target: Rid,
-    ) -> TreeResult<NodePtr> {
-        let (i0, _) = view.spilled_level(start).ok_or_else(|| {
-            TreeError::Invariant("scan start is not on the record's spilled path".into())
-        })?;
-        if i0 >= self.view(target)?.prefix_levels() {
-            return Err(TreeError::Invariant(format!(
-                "continuation group {target}: prefix chain shorter than spilled path"
-            )));
-        }
-        // Chain entry `i0` is node `i0`.
-        Ok(NodePtr::new(target, i0 as PNodeId))
     }
 
     /// The logical parent of the facade node at `ptr` (`None` for the tree

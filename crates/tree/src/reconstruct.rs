@@ -63,6 +63,7 @@ use crate::error::{TreeError, TreeResult};
 use crate::model::{NodePtr, PNodeId};
 use crate::readahead::{Frontier, ReadAhead};
 use crate::record::{RecordView, Shape};
+use crate::store::pack::continuation_entry;
 use crate::store::TreeStore;
 
 /// Records one refill's lookahead may open (walk frames it seeds from plus
@@ -342,21 +343,9 @@ where
                     // entered at the prefix matching the walk's start
                     // level — content of outer levels is outside the
                     // walked subtree.
-                    let (i0, _) = fview.spilled_level(fstart).ok_or_else(|| {
-                        TreeError::Invariant(format!(
-                            "record {}: walk start is not on the spilled path",
-                            fview.rid()
-                        ))
-                    })?;
                     read_ahead(store, &mut ahead, t, &stack);
                     let sub = store.view(t)?;
-                    if i0 >= sub.prefix_levels() {
-                        return Err(TreeError::Invariant(format!(
-                            "continuation group {t}: prefix chain shorter than spilled path"
-                        )));
-                    }
-                    // Chain entry `i0` is node `i0`.
-                    let entry = i0 as PNodeId;
+                    let entry = continuation_entry(&fview, fstart, &sub)?;
                     open_frame(&mut stack, &sub, entry, entry, Some(Flow::Open), visit)?
                 }
                 _ => open_frame(&mut stack, &fview, child, fstart, None, visit)?,

@@ -149,8 +149,8 @@ pub fn plan_split(
     // Depth-aware packing: prefix entries and continuation placeholders
     // are position-dependent structure (the group mapping is by spilled
     // path), which a separator split cannot preserve — such records are
-    // normalized back into plain form before any structural edit reaches
-    // the split path (`TreeStore::normalize_packed`). A prefix here is
+    // normalized back into plain form, inside the edit, before it reaches
+    // the split path (`store::pack`). A prefix here is
     // non-evictable by definition; reaching this point is a logic error.
     if tree
         .pre_order(tree.root())

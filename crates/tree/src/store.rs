@@ -26,31 +26,31 @@
 //! through their [`RecordView`]s, and edits a record by splicing its bytes
 //! ([`RecordView::splice`], the `record` module docs): an insert, an
 //! update or a removal that fits the record's page decodes and encodes
-//! nothing. Every record write — a splice, a whole record's rewrite, a
-//! creation, a deletion — is one [`SlotPatch`], logged under the page
-//! latch before the page changes and made by the redo recovery replays it
-//! with (`natix_storage::patch`). A [`RecordTree`] is decoded only for
-//! figure 5's overflow (the
+//! nothing. A [`RecordTree`] is decoded only for figure 5's overflow (the
 //! spliced record, moved or split), for the parent record a split's
-//! separator goes into, and to normalize packed records. The read-only
-//! operations are in [`crate::read`].
+//! separator goes into, and to normalize packed records.
+//!
+//! This module holds the public types and operations. Its child modules
+//! hold the write path: `slot`, record I/O, each write one logged patch;
+//! `growth`, figure 5; `pack`, the normalization of the packed records an
+//! edit meets. The read-only operations are in [`crate::read`].
 
 use std::sync::Arc;
 
-use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
-use natix_storage::{
-    PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice, StorageError, StorageManager,
-};
-use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
+use natix_storage::{PageId, Rid, StorageManager};
+use natix_xml::{LabelId, LiteralValue};
 
 use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
 use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
-use crate::record::{self, Edit, Patch, RecordView, Shape};
-use crate::split::{plan_split, ProxyHome};
-use crate::typetable::TypeTable;
+use crate::record::{Edit, RecordView, Shape};
 use crate::version::{ReadPin, VersionStore, WriteOp};
+use pack::{plain, Attempt, Stop};
+
+mod growth;
+pub(crate) mod pack;
+mod slot;
 
 /// Sentinel `orig` marker for the node being inserted: its final address
 /// surfaces as the operation's `new_node` instead of a relocation.
@@ -136,6 +136,14 @@ pub enum NewNode {
 }
 
 impl NewNode {
+    /// The node's body bytes in a record.
+    fn body_len(&self) -> usize {
+        match self {
+            NewNode::Element => 0,
+            NewNode::Literal(v) => crate::model::literal_body_len(v),
+        }
+    }
+
     fn into_content(self) -> PContent {
         match self {
             NewNode::Element => PContent::Aggregate(Vec::new()),
@@ -177,8 +185,8 @@ pub enum RecordEntry {
     ChildRecord {
         ptr: NodePtr,
         /// The proxy's label digest: the child record root's label, or
-        /// [`LABEL_NONE`] when unknown (continuation groups, scaffolding-
-        /// rooted children).
+        /// [`LABEL_NONE`](natix_xml::LABEL_NONE) when unknown (continuation
+        /// groups, scaffolding-rooted children).
         label: LabelId,
     },
 }
@@ -186,11 +194,12 @@ pub enum RecordEntry {
 /// Per-operation bookkeeping.
 #[derive(Default)]
 struct OpCtx {
-    relocations: Vec<Relocation>,
+    /// What the operation reports, built up over its steps: the
+    /// normalizations of the packed records it met (`pack`), then the
+    /// edit.
+    result: OpResult,
     /// Where the current step's relocations begin (see [`Self::seal`]).
     step: usize,
-    new_node: Option<NodePtr>,
-    root_moved: Option<(Rid, Rid)>,
     /// Deferred standalone-parent patches: `(child record, new parent)`,
     /// applied in order (later entries win).
     parent_patches: Vec<(Rid, Rid)>,
@@ -202,12 +211,13 @@ struct OpCtx {
 }
 
 impl OpCtx {
-    fn finish(self) -> OpResult {
-        OpResult {
-            relocations: self.relocations,
-            new_node: self.new_node,
-            root_moved: self.root_moved,
+    /// The operation's result: its last step sealed onto the earlier
+    /// ones, so the events apply as [`OpResult::follow`] applies them.
+    fn finish(mut self) -> OpResult {
+        if self.step > 0 {
+            self.seal();
         }
+        self.result
     }
 
     /// Ends a step of a multi-step operation, whose next step reads the
@@ -216,11 +226,12 @@ impl OpCtx {
     /// composes with that step's move, so a run of moves stays one batch
     /// of addresses from before the run (see [`Relocation::Move`]).
     fn seal(&mut self) {
-        let step = self.relocations.split_off(self.step);
+        let relocations = &mut self.result.relocations;
+        let step = relocations.split_off(self.step);
         // Where the earlier steps left each node they moved since the
         // last shift: the index of its move.
         let mut left = std::collections::HashMap::new();
-        for (i, r) in self.relocations.iter().enumerate() {
+        for (i, r) in relocations.iter().enumerate() {
             match *r {
                 Relocation::Move { new, .. } => drop(left.insert(new, i)),
                 Relocation::Shift { .. } => left.clear(),
@@ -229,18 +240,18 @@ impl OpCtx {
         for r in step {
             match r {
                 Relocation::Move { old, new } if left.contains_key(&old) => {
-                    if let Relocation::Move { new: at, .. } = &mut self.relocations[left[&old]] {
+                    if let Relocation::Move { new: at, .. } = &mut relocations[left[&old]] {
                         *at = new;
                     }
                 }
                 Relocation::Shift { .. } => {
                     left.clear();
-                    self.relocations.push(r);
+                    relocations.push(r);
                 }
-                Relocation::Move { .. } => self.relocations.push(r),
+                Relocation::Move { .. } => relocations.push(r),
             }
         }
-        self.step = self.relocations.len();
+        self.step = relocations.len();
     }
 
     /// Records a root-record move. One operation can move the root more
@@ -250,7 +261,7 @@ impl OpCtx {
     /// final new)` — overwriting with the latest pair would lose the RID
     /// the document manager knows the root by.
     fn note_root_move(&mut self, old: Rid, new: Rid) {
-        self.root_moved = match self.root_moved.take() {
+        self.result.root_moved = match self.result.root_moved.take() {
             Some((first, _)) => Some((first, new)),
             None => Some((old, new)),
         };
@@ -361,12 +372,6 @@ impl TreeStore {
         self.matrix.write().set(parent, child, value);
     }
 
-    // ==================================================================
-    // Record I/O: views in; `write_at` rewrites a record in place (spliced
-    // bytes or an encoded tree), `write_new` places a new one, each write
-    // one logged patch (`write_page`).
-    // ==================================================================
-
     /// Loads and decodes the record at `rid`.
     ///
     /// With a read snapshot pinned on this thread
@@ -394,280 +399,9 @@ impl TreeStore {
         self.versions.read(rid, || self.view_current(rid))
     }
 
-    /// The view of the on-page image of `rid` (no versioning): what a
-    /// write operation navigates before it edits.
-    fn view_current(&self, rid: Rid) -> TreeResult<RecordView> {
-        self.with_record(rid, |bytes, table| {
-            RecordView::parse(bytes.to_vec(), table, rid)
-        })
-    }
-
-    /// The view of the on-page record `rid` and its proxy (or continuation
-    /// placeholder) naming `child`.
-    fn holder(&self, rid: Rid, child: Rid) -> TreeResult<(RecordView, PNodeId)> {
-        let view = self.view_current(rid)?;
-        let proxy = view.find_proxy(child).ok_or_else(|| {
-            TreeError::Invariant(format!("record {rid} has no proxy for {child}"))
-        })?;
-        Ok((view, proxy))
-    }
-
-    /// Runs `read` on the on-page bytes of `rid` and its page's type
-    /// table, under the page's read latch.
-    fn with_record<T>(
-        &self,
-        rid: Rid,
-        read: impl FnOnce(&[u8], TypeTable) -> TreeResult<T>,
-    ) -> TreeResult<T> {
-        let pin = self.sm.pin(rid.page)?;
-        let buf = pin.read();
-        let sp = SlottedPageRef::open(&buf)?;
-        let table = page_table(sp.get(0), rid)?;
-        let bytes = sp
-            .get(rid.slot)
-            .ok_or(TreeError::Storage(StorageError::RecordNotFound(rid)))?;
-        read(bytes, table)
-    }
-
-    /// Readies a write of record `rid`, whose current bytes are `current`
-    /// (`None`: the write creates it) under its page's `table`: deposits
-    /// those bytes in the version store, for the readers pinned behind the
-    /// edit, and returns the operation the write is logged under — the
-    /// ambient write operation, unless it created the record on a page it
-    /// forces ([`VersionStore::origin`]). A logged write takes the page
-    /// out of the forced set of any other operation
-    /// ([`VersionStore::share_page`]); the caller holds the page latch, so
-    /// no unlogged write can follow it there. Nothing is deposited for a
-    /// record the operation created (no reader can reach it), and outside
-    /// a write operation nothing is deposited or logged (standalone stores
-    /// keep the old single-writer behaviour).
-    ///
-    /// The deposit is the record's bytes plus the page's encoded type
-    /// table, two memcpys; a reader parses it only if it reads the record
-    /// from behind the edit, so an edit with no pinned reader behind it
-    /// parses nothing.
-    fn before_write(&self, rid: Rid, current: Option<&[u8]>, table: &TypeTable) -> Option<u64> {
-        let op = self.versions.ambient_write_op()?;
-        let (created, forced) = self.versions.origin(op, rid);
-        if let Some(bytes) = current.filter(|_| !created) {
-            self.versions
-                .supersede(op, rid, bytes.to_vec(), table.encode());
-        }
-        if forced && (created || current.is_none()) || self.versions.wal().is_none() {
-            return None;
-        }
-        self.versions.share_page(op, rid.page);
-        Some(op)
-    }
-
-    /// Makes the write of `splice` on record `rid` — a change of `kind`,
-    /// growing the page's type table by `types` — on the page in `buf`,
-    /// which the caller holds write-latched: one [`SlotPatch`], logged
-    /// first when `op` names the operation to log it under (behind the
-    /// page's image, on its first touch since the horizon), made by the
-    /// redo recovery replays it with, and the page's LSN stamped with the
-    /// patch's — all under the latch.
-    fn write_page(
-        &self,
-        buf: &mut PageBuf,
-        op: Option<u64>,
-        rid: Rid,
-        kind: PatchKind,
-        splice: Splice,
-        types: Vec<u8>,
-    ) -> TreeResult<()> {
-        let patch = SlotPatch {
-            op: op.unwrap_or(0),
-            rid,
-            kind,
-            splice,
-            types,
-        };
-        let wal = self.versions.wal().filter(|_| op.is_some());
-        let lsn = wal.map(|wal| wal.log_patch(buf, &patch));
-        if let Err(e) = patch.redo(buf) {
-            // The log now holds a write the page did not take: it no
-            // longer describes the store, so nothing more may commit.
-            if let Some(wal) = wal {
-                wal.poison();
-            }
-            return Err(e.into());
-        }
-        if let Some(lsn) = lsn {
-            buf.set_lsn32(lsn as u32);
-        }
-        Ok(())
-    }
-
-    /// Rewrites the record at `rid` in place with the splice `encode` makes
-    /// of its current bytes — an edit's ([`Patch::splice`]) or a whole
-    /// re-encoding — under a copy of the page's type table, which it grows
-    /// by the types it interns. Fails with `PageFull` when the page cannot
-    /// absorb the growth (type table included); the caller then moves or
-    /// splits.
-    fn write_at<T>(
-        &self,
-        rid: Rid,
-        encode: impl FnOnce(&[u8], &mut TypeTable) -> TreeResult<(Splice, T)>,
-    ) -> TreeResult<T> {
-        let pin = self.sm.pin(rid.page)?;
-        let mut buf = pin.write();
-        let sp = SlottedPageRef::open(&buf)?;
-        let had_tt = sp.is_live(0);
-        let mut table = page_table(sp.get(0), rid)?;
-        let before = table.len();
-        let current = sp
-            .get(rid.slot)
-            .ok_or(TreeError::Storage(StorageError::RecordNotFound(rid)))?;
-        // Encoded under the latch — into a copy of the page's table as it
-        // is now, which a writer of another document may have grown since
-        // the record was read — ahead of the space check below: callers
-        // pass a record within the net capacity or an in-place shrink,
-        // the encoder refuses what the format cannot hold, and no page
-        // byte has changed yet.
-        let (splice, encoded) = encode(current, &mut table)?;
-        // Conservative pre-check so a failed update leaves no half-state:
-        // compute the worst-case growth of table + record together.
-        let tt_growth = if had_tt {
-            (table.len() - before) * crate::typetable::ENTRY_BYTES
-        } else {
-            table.encoded_len() + SLOT_ENTRY_SIZE
-        };
-        let record_growth = splice.new.len().saturating_sub(splice.old.len());
-        if tt_growth + record_growth > sp.free_total() {
-            return Err(TreeError::Storage(StorageError::PageFull {
-                needed: tt_growth + record_growth,
-                free: sp.free_total(),
-            }));
-        }
-        // Copy-on-write: deposit the record's pre-image before any page
-        // byte changes. Type-table growth is append-only, so decoding the
-        // old bytes with the grown table is exact.
-        let op = self.before_write(rid, Some(current), &table);
-        let types = table_growth(&table, had_tt, before);
-        self.write_page(&mut buf, op, rid, PatchKind::Update, splice, types)?;
-        let free = buf.free_total() as usize;
-        drop(buf);
-        self.sm.note_free_space(rid.page, free);
-        Ok(encoded)
-    }
-
-    /// Writes `patch` of the record at `rid` in place.
-    fn write_patch(&self, rid: Rid, patch: &Patch) -> TreeResult<()> {
-        self.write_at(rid, |_, table| Ok((patch.splice(table)?, ())))
-    }
-
-    /// Writes `tree` as a new record, choosing a page (near `near` when
-    /// given, else the best fit, then a fresh page). Fails with
-    /// `RecordTooLarge` when even a fresh page cannot take it.
-    fn write_new(
-        &self,
-        tree: &RecordTree,
-        near: Option<PageId>,
-        ctx: &mut OpCtx,
-    ) -> TreeResult<Rid> {
-        let len = tree.record_size();
-        let types = record::collect_types(tree);
-        // Worst case: every type is new and the page has no table yet.
-        let worst = len
-            + SLOT_ENTRY_SIZE
-            + 2
-            + types.len() * crate::typetable::ENTRY_BYTES
-            + SLOT_ENTRY_SIZE;
-        // Placement policy: with a locality hint, only pages *near* the
-        // hint are considered (paper §4.2: related records on the same
-        // page "if possible") — a global best-fit would scatter a growing
-        // document over cold pages of older documents and destroy exactly
-        // the clustering the tree store exists to maintain. Without a
-        // hint, best fit bounds fragmentation.
-        let mut tried: Option<PageId> = None;
-        for _ in 0..2 {
-            let candidate = match (near, tried) {
-                (Some(h), None) => self.sm.find_page_with_space_near(worst, h, 16),
-                (Some(_), Some(_)) => None,
-                (None, tried) => self.sm.find_page_with_space(worst, tried),
-            };
-            let Some(page) = candidate else { break };
-            if let Some(rid) = self.try_write_on_page(page, tree, ctx)? {
-                return Ok(rid);
-            }
-            tried = Some(page);
-        }
-        let page = self.sm.allocate_page()?;
-        match self.try_write_on_page(page, tree, ctx)? {
-            Some(rid) => Ok(rid),
-            None => Err(TreeError::Storage(StorageError::RecordTooLarge {
-                len,
-                max: self.net_capacity(),
-            })),
-        }
-    }
-
-    /// Attempts to place `tree` on `page`; returns `None` when it does not
-    /// fit there.
-    fn try_write_on_page(
-        &self,
-        page: u32,
-        tree: &RecordTree,
-        ctx: &mut OpCtx,
-    ) -> TreeResult<Option<Rid>> {
-        let pin = self.sm.pin(page)?;
-        let mut buf = pin.write();
-        let sp = SlottedPage::open(&mut buf)?;
-        let had_tt = sp.is_live(0);
-        let mut table = page_table(sp.get(0), Rid::new(page, 0))?;
-        let before = table.len();
-        // Fit is decided before encoding (`record_size` is exact, and so
-        // is the table's growth): a full page costs no encode — mostly not
-        // even the scan of the record's types — and the encoder only ever
-        // sees a record that fits.
-        let free = sp.free_for_new_record();
-        let len = tree.record_size();
-        if len > free || type_table_growth(&table, had_tt, tree) + len > free {
-            return Ok(None);
-        }
-        let rid = Rid::new(page, sp.slot_for_new_record());
-        // Slot-reuse quarantine: a slot freed by a *different, still
-        // in-flight* operation must not be re-tenanted — the old tenant's
-        // pending pre-image and the new record would claim overlapping
-        // epoch windows and `(rid, epoch)` lookups would become ambiguous
-        // (see `VersionStore::pending_elsewhere`). Report "does not fit
-        // here"; the caller falls back to another page or a fresh one.
-        let ambient = self.versions.ambient_write_op();
-        if ambient.is_some_and(|op| self.versions.pending_elsewhere(rid, op)) {
-            return Ok(None);
-        }
-        let (bytes, mapping) = record::serialize_sized(tree, len, &mut table)?;
-        let op = self.before_write(rid, None, &table);
-        let (splice, types) = (
-            Splice::whole(&[], bytes),
-            table_growth(&table, had_tt, before),
-        );
-        self.write_page(&mut buf, op, rid, PatchKind::Create, splice, types)?;
-        // A record this operation creates has no pre-image: snapshot
-        // readers resolve the RID through the previous tenant's deposit
-        // (same-operation reuse) or cannot reach it at all.
-        if let Some(op) = ambient {
-            self.versions.note_created(op, rid);
-        }
-        let free = buf.free_total() as usize;
-        drop(buf);
-        self.sm.note_free_space(page, free);
-        // Slot reuse within one operation: the RID is live again, and any
-        // patches queued for its previous tenant must not hit the new one.
-        if ctx.deleted.remove(&rid) {
-            ctx.parent_patches.retain(|(child, _)| *child != rid);
-        }
-        self.emit_relocations(rid, &mapping, tree, ctx);
-        // Every record referenced by a proxy in this fresh record now has
-        // this record as its parent. Registering here (instead of from
-        // split plans) keeps the patch order right even when partitions
-        // are split recursively.
-        for child in tree.proxies_under(tree.root()) {
-            ctx.parent_patches.push((child, rid));
-        }
-        Ok(Some(rid))
-    }
+    // ==================================================================
+    // Public operations.
+    // ==================================================================
 
     /// Bulk-append fast path (used by [`crate::bulkload`]): writes `tree`
     /// as a new record on the cursor's current fill page, or on a freshly
@@ -694,15 +428,7 @@ impl TreeStore {
             if let Some(op) = self.versions.ambient_write_op() {
                 self.versions.note_fresh_page(op, page);
             }
-            match self.try_write_on_page(page, tree, &mut ctx)? {
-                Some(rid) => rid,
-                None => {
-                    return Err(TreeError::Storage(StorageError::RecordTooLarge {
-                        len: tree.record_size(),
-                        max: self.net_capacity(),
-                    }))
-                }
-            }
+            self.write_on_fresh_page(page, tree, &mut ctx)?
         };
         // try_write_on_page queued a parent patch for every proxy in the
         // fresh record; apply them now (bulkloads flush children before
@@ -712,351 +438,12 @@ impl TreeStore {
         Ok(rid)
     }
 
-    fn emit_relocations(
-        &self,
-        rid: Rid,
-        mapping: &[(PNodeId, PNodeId)],
-        tree: &RecordTree,
-        ctx: &mut OpCtx,
-    ) {
-        for &(arena, serial) in mapping {
-            let node = tree.node(arena);
-            let Some(old) = node.orig else { continue };
-            let new = NodePtr::new(rid, serial);
-            if old == WATCH {
-                ctx.new_node = Some(new);
-            } else if node.is_facade() && old != new {
-                ctx.relocations.push(Relocation::Move { old, new });
-            }
-        }
-    }
-
-    /// Deletes the physical record at `rid` (no cascading).
-    fn delete_record_raw(&self, rid: Rid, ctx: &mut OpCtx) -> TreeResult<()> {
-        ctx.deleted.insert(rid);
-        self.discard_record(rid)
-    }
-
-    /// Deletes a single physical record with no cascading and no operation
-    /// bookkeeping — used by the bulkloader to roll back flushed records
-    /// when a load is aborted.
-    pub(crate) fn discard_record(&self, rid: Rid) -> TreeResult<()> {
-        let pin = self.sm.pin(rid.page)?;
-        let mut buf = pin.write();
-        let sp = SlottedPageRef::open(&buf)?;
-        let table = page_table(sp.get(0), rid)?;
-        let current = sp
-            .get(rid.slot)
-            .ok_or(TreeError::Storage(StorageError::RecordNotFound(rid)))?;
-        let op = self.before_write(rid, Some(current), &table);
-        let splice = Splice::whole(current, Vec::new());
-        self.write_page(&mut buf, op, rid, PatchKind::Delete, splice, Vec::new())?;
-        let free = buf.free_total() as usize;
-        drop(buf);
-        self.sm.note_free_space(rid.page, free);
-        Ok(())
-    }
-
-    /// Patches the standalone parent pointer (first 8 record bytes). The
-    /// pre-image is deposited first: a snapshot reader navigating upward
-    /// from this record must see the parent RID of its epoch, not the
-    /// patched one (the new parent record may not exist in its snapshot).
-    fn patch_parent_rid(&self, child: Rid, parent: Rid) -> TreeResult<()> {
-        let pin = self.sm.pin(child.page)?;
-        let mut buf = pin.write();
-        let sp = SlottedPageRef::open(&buf)?;
-        let table = page_table(sp.get(0), child)?;
-        let current = sp
-            .get(child.slot)
-            .ok_or(TreeError::Storage(StorageError::RecordNotFound(child)))?;
-        let old = current.get(..8).ok_or_else(|| TreeError::CorruptRecord {
-            rid: child,
-            message: "no standalone header".into(),
-        })?;
-        let mut new = Vec::with_capacity(8);
-        parent.encode_to(&mut new);
-        let splice = Splice::whole(old, new);
-        let op = self.before_write(child, Some(current), &table);
-        self.write_page(&mut buf, op, child, PatchKind::Update, splice, Vec::new())
-    }
-
-    fn apply_patches(&self, ctx: &mut OpCtx) -> TreeResult<()> {
-        let patches = std::mem::take(&mut ctx.parent_patches);
-        let mut last = std::collections::HashMap::new();
-        for (child, parent) in patches {
-            if child.is_invalid() {
-                // Placeholder proxy (bulkload spine chaining): the target
-                // record does not exist yet; the bulkloader repoints it.
-                continue;
-            }
-            last.insert(child, parent);
-        }
-        for (child, parent) in last {
-            if ctx.deleted.contains(&child) {
-                continue; // the child record died later in this operation
-            }
-            self.patch_parent_rid(child, parent)?;
-        }
-        Ok(())
-    }
-
-    // ==================================================================
-    // The tree growth procedure (figure 5): an edit is spliced in place
-    // while its record fits the page; an overflow is decoded, then moved
-    // or split. `store_updated` runs the same steps for a record tree.
-    // ==================================================================
-
-    /// Stores an edit of the record `view` shows: spliced in place while
-    /// the record fits its page; otherwise the spliced record, decoded,
-    /// is moved or — past the net capacity — split. `watch` makes the
-    /// inserted node's address the operation's `new_node`. Returns the rid
-    /// now holding the (possibly shrunken) record.
-    fn store_edit(
-        &self,
-        view: &RecordView,
-        edit: Edit,
-        watch: bool,
-        ctx: &mut OpCtx,
-    ) -> TreeResult<Rid> {
-        let rid = view.rid();
-        let patch = view.splice(edit)?;
-        let fits = patch.byte_len() <= self.net_capacity();
-        if fits {
-            match self.write_patch(rid, &patch) {
-                Ok(()) => {
-                    let (from, by) = patch.renumbering();
-                    if by != 0 {
-                        ctx.relocations.push(Relocation::Shift { rid, from, by });
-                    }
-                    if watch {
-                        ctx.new_node = patch.inserted.map(|n| NodePtr::new(rid, n));
-                    }
-                    return Ok(rid);
-                }
-                Err(TreeError::Storage(StorageError::PageFull { .. })) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        let mut tree = patch.decode()?;
-        if let Some(n) = patch.inserted.filter(|_| watch) {
-            tree.node_mut(n).orig = Some(WATCH);
-        }
-        if fits {
-            self.move_record(rid, tree, ctx)
-        } else {
-            self.split_stored(rid, tree, ctx)
-        }
-    }
-
-    /// Stores an updated version of record `rid`: in place if it fits,
-    /// otherwise move, otherwise split. Returns the rid now holding the
-    /// (possibly shrunken) record.
-    fn store_updated(&self, rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
-        if tree.record_size() <= self.net_capacity() {
-            let encode = |current: &[u8], table: &mut TypeTable| {
-                let (bytes, mapping) = record::try_serialize(&tree, table)?;
-                Ok((Splice::whole(current, bytes), mapping))
-            };
-            match self.write_at(rid, encode) {
-                Ok(mapping) => {
-                    self.emit_relocations(rid, &mapping, &tree, ctx);
-                    return Ok(rid);
-                }
-                Err(TreeError::Storage(StorageError::PageFull { .. })) => {
-                    return self.move_record(rid, tree, ctx)
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.split_stored(rid, tree, ctx)
-    }
-
-    /// §3.2 step 2: "the system tries to move the record to a page with
-    /// more free space".
-    fn move_record(&self, old_rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
-        // Stay near the old page: the record's neighbours live there.
-        let new_rid = self.write_new(&tree, Some(old_rid.page), ctx)?;
-        self.delete_record_raw(old_rid, ctx)?;
-        if tree.parent_rid.is_invalid() {
-            ctx.note_root_move(old_rid, new_rid);
-        } else {
-            self.repoint_proxy(tree.parent_rid, old_rid, new_rid)?;
-        }
-        for child in tree.proxies_under(tree.root()) {
-            ctx.parent_patches.push((child, new_rid));
-        }
-        Ok(new_rid)
-    }
-
-    /// Removes a placeholder proxy (bulkload continuation slot that was
-    /// never needed) from a stored record: a splice that shrinks the
-    /// record in place, so it can never fail for space. It reports no
-    /// relocations.
-    pub(crate) fn remove_placeholder(&self, rid: Rid, sentinel: Rid) -> TreeResult<()> {
-        let _op = self.versions.begin_write();
-        let (view, proxy) = self.holder(rid, sentinel)?;
-        self.write_patch(rid, &view.splice(Edit::Remove(proxy))?)
-    }
-
-    /// Rewrites the proxy in `parent_rid` that pointed at `old` to point at
-    /// `new`: an 8-byte body replace, spliced in place — the same length,
-    /// so it can never fail for space.
-    pub(crate) fn repoint_proxy(&self, parent_rid: Rid, old: Rid, new: Rid) -> TreeResult<()> {
-        let _op = self.versions.begin_write();
-        let (view, proxy) = self.holder(parent_rid, old)?;
-        // Preserve the reference kind: a continuation placeholder stays a
-        // continuation (its delegated-Leave semantics must survive the
-        // patch).
-        let target = match view.shape(proxy) {
-            Shape::Continuation(_) => PContent::Continuation(new),
-            _ => PContent::Proxy(new),
-        };
-        self.write_patch(parent_rid, &view.splice(Edit::Replace(proxy, target))?)
-    }
-
-    /// Splits a stored record (§3.2.2) whose updated in-memory tree
-    /// exceeds the net page capacity, and recursively inserts the separator
-    /// into the parent record. Returns the rid of the record holding the
-    /// (facade or scaffolding) root of the split subtree's remainder.
-    fn split_stored(&self, rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
-        let parent_rid = tree.parent_rid;
-        let plan = {
-            let matrix = self.matrix.read();
-            plan_split(tree, &self.config, &matrix, self.page_size())?
-        };
-        // Delete the old record first: partitions gladly reuse its space.
-        self.delete_record_raw(rid, ctx)?;
-        let part_rids = self.store_partitions(plan.partitions, rid.page, ctx)?;
-        let mut separator = plan.separator;
-        for (node, part) in plan.partition_proxies {
-            separator.node_mut(node).content = PContent::Proxy(part_rids[part]);
-        }
-        if parent_rid.is_invalid() {
-            // "If the old record had no parent record, a new root record
-            // for the tree is created which contains just the separator."
-            // Storing the separator registers parent patches for every
-            // proxy it contains (partitions and ∞-moved children alike).
-            let sep_rid = self.store_possibly_oversized(separator, rid.page, ctx)?;
-            ctx.note_root_move(rid, sep_rid);
-            return Ok(sep_rid);
-        }
-        // The separator is spliced into the *existing* parent record below
-        // (an in-place rewrite that does not auto-register patches), so the
-        // records its proxies reference re-home to the parent explicitly.
-        // These are tentative: if the parent itself splits or moves, later
-        // patches override them.
-        for (child, home) in plan.moved_proxies {
-            if home == ProxyHome::Separator {
-                ctx.parent_patches.push((child, parent_rid));
-            }
-        }
-        for &p in &part_rids {
-            ctx.parent_patches.push((p, parent_rid));
-        }
-        // Splice the separator into the parent in place of the old proxy
-        // (§3.2.2, "Inserting the separator"), honouring special case 2.
-        let (view, proxy) = self.holder(parent_rid, rid)?;
-        let mut parent = view.decode()?;
-        let proxy_parent = parent
-            .node(proxy)
-            .parent
-            .ok_or_else(|| TreeError::Invariant(format!("record {parent_rid}: detached proxy")))?;
-        let at = parent
-            .children(proxy_parent)
-            .iter()
-            .position(|&c| c == proxy)
-            .ok_or_else(|| {
-                TreeError::Invariant(format!(
-                    "record {parent_rid}: proxy missing from its parent's child list"
-                ))
-            })?;
-        parent.detach(proxy);
-        let sep_root = separator.root();
-        if separator.node(sep_root).is_scaffolding_aggregate() {
-            // Special case 2: "if the root node of the separator is a
-            // scaffolding aggregate, it is disregarded, and the children of
-            // the separator root are inserted in the parent record
-            // instead." Transplanting detaches the child, so the first
-            // child advances without copying the child list.
-            let mut i = 0;
-            while let Some(&k) = separator.children(sep_root).first() {
-                let moved = separator.transplant(k, &mut parent);
-                parent.attach(proxy_parent, at + i, moved);
-                i += 1;
-            }
-        } else {
-            let moved = separator.transplant(sep_root, &mut parent);
-            parent.attach(proxy_parent, at, moved);
-        }
-        self.store_updated(parent_rid, parent, ctx)
-    }
-
-    /// Stores split partitions, splitting any partition that is *still*
-    /// larger than a page (possible with coarse tolerances).
-    fn store_partitions(
-        &self,
-        partitions: Vec<RecordTree>,
-        near: u32,
-        ctx: &mut OpCtx,
-    ) -> TreeResult<Vec<Rid>> {
-        let mut rids = Vec::with_capacity(partitions.len());
-        for p in partitions {
-            rids.push(self.store_possibly_oversized(p, near, ctx)?);
-        }
-        Ok(rids)
-    }
-
-    /// Stores a fresh (not-yet-stored) tree, recursively splitting it while
-    /// it exceeds the net capacity. Terminates because every split strictly
-    /// shrinks the remainder; a childless oversized root is reported as
-    /// [`TreeError::OversizedNode`].
-    fn store_possibly_oversized(
-        &self,
-        tree: RecordTree,
-        near: u32,
-        ctx: &mut OpCtx,
-    ) -> TreeResult<Rid> {
-        if tree.record_size() <= self.net_capacity() {
-            return self.write_new(&tree, Some(near), ctx);
-        }
-        let before = tree.record_size();
-        let plan = {
-            let matrix = self.matrix.read();
-            plan_split(tree, &self.config, &matrix, self.page_size())?
-        };
-        // Convergence guard: every split must strictly shrink the pieces,
-        // otherwise recursion would never terminate (only possible with a
-        // node close to the page size plus pathological configuration).
-        if plan.separator.record_size() >= before
-            || plan.partitions.iter().any(|p| p.record_size() >= before)
-        {
-            return Err(TreeError::OversizedNode {
-                size: before,
-                max: self.net_capacity(),
-            });
-        }
-        let part_rids = self.store_partitions(plan.partitions, near, ctx)?;
-        let mut separator = plan.separator;
-        for (node, part) in plan.partition_proxies {
-            separator.node_mut(node).content = PContent::Proxy(part_rids[part]);
-        }
-        // Storing the separator (a fresh record) registers the parent
-        // patches for the partition proxies and ∞-moved children it holds.
-        self.store_possibly_oversized(separator, near, ctx)
-    }
-
-    // ==================================================================
-    // Public operations.
-    // ==================================================================
-
     /// Creates a new tree whose root is an element with `label`; returns
     /// the root record's RID (== the root node's pointer with index 0).
     pub fn create_tree(&self, label: LabelId) -> TreeResult<Rid> {
         let _op = self.versions.begin_write();
         let tree = RecordTree::new(label, PContent::Aggregate(Vec::new()), Rid::invalid());
-        let mut ctx = OpCtx::default();
-        let rid = self.write_new(&tree, None, &mut ctx)?;
-        Ok(rid)
+        self.write_new(&tree, None, &mut OpCtx::default())
     }
 
     /// Inserts a new facade node under `parent` at the given logical
@@ -1068,9 +455,9 @@ impl TreeStore {
         label: LabelId,
         node: NewNode,
     ) -> TreeResult<OpResult> {
-        let _op = self.versions.begin_write();
-        let site = self.resolve_site(parent, pos)?;
-        self.insert_at_site(site, parent, label, node)
+        self.insert_at(parent, label, node, |parent| {
+            Ok((self.resolve_site(parent, pos)?, parent))
+        })
     }
 
     /// Inserts a new facade node as the next logical sibling of `sibling`
@@ -1081,43 +468,35 @@ impl TreeStore {
         label: LabelId,
         node: NewNode,
     ) -> TreeResult<OpResult> {
-        let _op = self.versions.begin_write();
-        let view = self.view_current(sibling.rid)?;
-        if view.is_packed() {
-            return Err(TreeError::PackedRecord(sibling.rid));
-        }
-        let site = match view.parent(view.checked(sibling.node)?) {
-            Some(p) => Site::after(view, p, sibling.node),
-            None => {
-                // The sibling is a record root: insert after the proxy that
-                // points to this record, in the parent record.
-                let parent_rid = view.parent_rid();
-                if parent_rid.is_invalid() {
-                    return Err(TreeError::Invariant(
-                        "cannot insert a sibling of the tree root".into(),
-                    ));
-                }
-                let pview = self.view_current(parent_rid)?;
-                if pview.is_packed() {
-                    return Err(TreeError::PackedRecord(parent_rid));
-                }
-                let proxy = pview.find_proxy(sibling.rid).ok_or_else(|| {
-                    TreeError::Invariant(format!(
-                        "record {parent_rid} has no proxy for {}",
-                        sibling.rid
-                    ))
-                })?;
-                let pp = pview.parent(proxy).ok_or_else(|| {
-                    TreeError::Invariant(format!("record {parent_rid}: detached proxy"))
-                })?;
-                Site::after(pview, pp, proxy)
+        self.insert_at(sibling, label, node, |sibling| {
+            let view = self.view_current(sibling.rid)?;
+            let parent = view.parent(view.checked(sibling.node)?);
+            let parent_rid = view.parent_rid();
+            if parent.is_none() && parent_rid.is_invalid() {
+                return Err(Stop::Error(TreeError::Invariant(
+                    "cannot insert a sibling of the tree root".into(),
+                )));
             }
-        };
-        // The logical parent's label governs the split-matrix lookup.
-        let (lparent, _) = self
-            .logical_parent_from(Some(site.parent_node), &site.view, true)?
-            .ok_or_else(|| TreeError::Invariant("sibling has no logical parent".into()))?;
-        self.insert_at_site(site, lparent, label, node)
+            plain(&view)?;
+            let site = match parent {
+                Some(p) => Site::after(view, p, sibling.node),
+                None => {
+                    // The sibling is a record root: insert after the proxy
+                    // that points to this record, in the parent record.
+                    let (pview, proxy) = self.holder(parent_rid, sibling.rid)?;
+                    plain(&pview)?;
+                    let pp = pview.parent(proxy).ok_or_else(|| {
+                        TreeError::Invariant(format!("record {parent_rid}: detached proxy"))
+                    })?;
+                    Site::after(pview, pp, proxy)
+                }
+            };
+            // The logical parent's label governs the split-matrix lookup.
+            let (lparent, _) = self
+                .logical_parent_from(Some(site.parent_node), &site.view, true)?
+                .ok_or_else(|| TreeError::Invariant("sibling has no logical parent".into()))?;
+            Ok((site, lparent))
+        })
     }
 
     /// Walks up from `node` of `view` (inclusive; `None` stands for the
@@ -1217,16 +596,13 @@ impl TreeStore {
         }
     }
 
-    /// A single node larger than the net capacity can never be stored: the
-    /// split algorithm cannot divide below node granularity (§3.2.2 always
-    /// descends into subtrees; a childless node terminates it). Rejecting
-    /// it up front keeps failures non-destructive; the document manager
+    /// A single node (here: one of `body` body bytes) larger than the net
+    /// capacity can never be stored: the split algorithm cannot divide
+    /// below node granularity (§3.2.2 always descends into subtrees; a
+    /// childless node terminates it). Rejecting it up front, before any
+    /// normalization, keeps failures non-destructive; the document manager
     /// chunks long text to stay below this bound.
-    fn check_node_size(&self, node: &NewNode) -> TreeResult<()> {
-        let body = match node {
-            NewNode::Element => 0,
-            NewNode::Literal(v) => crate::model::literal_body_len(v),
-        };
+    fn check_node_size(&self, body: usize) -> TreeResult<()> {
         let standalone = crate::model::STANDALONE_HEADER + body;
         if standalone > self.net_capacity() {
             return Err(TreeError::OversizedNode {
@@ -1237,14 +613,47 @@ impl TreeStore {
         Ok(())
     }
 
-    fn insert_at_site(
+    /// A split of the site record splices its separator into ancestor
+    /// records, and the splice machinery requires plain (non-packed)
+    /// ancestors — lazy normalization deliberately leaves them packed.
+    /// When inserting `node` could overflow the site record, this demands
+    /// plain records from the site all the way up, one packed record per
+    /// round of [`resolve_plain`](Self::resolve_plain).
+    fn splittable(&self, site: &Site, node: &NewNode) -> Attempt<()> {
+        let growth = crate::model::EMBEDDED_HEADER + crate::model::PROXY_BODY.max(node.body_len());
+        if site.view.byte_len() + growth <= self.net_capacity() {
+            return Ok(());
+        }
+        // An in-place edit of a packed record is only safe while it cannot
+        // split: a split would run the plan/separator machinery on packed
+        // structure.
+        plain(&site.view)?;
+        let mut p = site.view.parent_rid();
+        while !p.is_invalid() {
+            let pv = self.view_current(p)?;
+            plain(&pv)?;
+            p = pv.parent_rid();
+        }
+        Ok(())
+    }
+
+    /// Inserts `node` at the site `site_of` resolves from `ptr`, with the
+    /// logical parent it names.
+    fn insert_at(
         &self,
-        site: Site,
-        logical_parent: NodePtr,
+        ptr: NodePtr,
         label: LabelId,
         node: NewNode,
+        mut site_of: impl FnMut(NodePtr) -> Attempt<(Site, NodePtr)>,
     ) -> TreeResult<OpResult> {
-        self.check_node_size(&node)?;
+        let _op = self.versions.begin_write();
+        self.check_node_size(node.body_len())?;
+        let mut ctx = OpCtx::default();
+        let (site, logical_parent) = self.resolve_plain(ptr, &mut ctx, |ptr| {
+            let (site, logical_parent) = site_of(ptr)?;
+            self.splittable(&site, &node)?;
+            Ok((site, logical_parent))
+        })?;
         let Site {
             view,
             parent_node,
@@ -1258,37 +667,7 @@ impl TreeStore {
             let t = self.view_current(logical_parent.rid)?;
             t.label(t.checked(logical_parent.node)?)
         };
-
-        // A split of the site record splices its separator into ancestor
-        // records, and the splice machinery requires plain (non-packed)
-        // ancestors — lazy normalization deliberately leaves them packed.
-        // When this insert could overflow the site record, demand plain
-        // ancestors all the way up *before any page is written*: the
-        // document layer normalizes the reported cluster and retries, one
-        // level per round, until the chain is plain.
-        let growth = crate::model::EMBEDDED_HEADER
-            + crate::model::PROXY_BODY.max(match &node {
-                NewNode::Element => 0,
-                NewNode::Literal(v) => crate::model::literal_body_len(v),
-            });
-        if view.byte_len() + growth > self.net_capacity() {
-            if view.is_packed() {
-                // An in-place edit of a packed record is only safe while
-                // it cannot split: a split would run the plan/separator
-                // machinery on packed structure. Normalize and retry.
-                return Err(TreeError::PackedRecord(rid));
-            }
-            let mut p = view.parent_rid();
-            while !p.is_invalid() {
-                let pv = self.view_current(p)?;
-                if pv.is_packed() {
-                    return Err(TreeError::PackedRecord(p));
-                }
-                p = pv.parent_rid();
-            }
-        }
         let behaviour = self.matrix.read().get(parent_label, label);
-        let mut ctx = OpCtx::default();
         let insert = |label, content| Edit::Insert(parent_node, index, label, content);
         match behaviour {
             SplitBehaviour::Standalone => {
@@ -1319,7 +698,7 @@ impl TreeStore {
     /// alternative host and the one with more free space wins (§3.2.1,
     /// §3.3: "the node is inserted on the same record as one of its
     /// designated siblings (wherever there is more free space)").
-    fn resolve_site(&self, parent: NodePtr, pos: InsertPos) -> TreeResult<Site> {
+    fn resolve_site(&self, parent: NodePtr, pos: InsertPos) -> Attempt<Site> {
         let view = self.view_current(parent.rid)?;
         let pnode = view.checked(parent.node)?;
         // Inside a packed record, an insert proceeds in place only when
@@ -1330,16 +709,16 @@ impl TreeStore {
         // in the continuation group). Anything else there — a descendant
         // of a prefix entry, content beside the spilled path — owns its
         // whole child list, and normalization moves such subtrees intact.
-        // Sites that *do* take part in the packed layout take the
-        // normalize-and-retry path.
-        if view.is_packed() && (view.is_prefix(pnode) || view.spilled_level(pnode).is_some()) {
-            return Err(TreeError::PackedRecord(parent.rid));
-        }
+        // Sites that *do* take part in the packed layout are normalized
+        // first.
         if view.shape(pnode) != Shape::Aggregate {
-            return Err(TreeError::NotAnAggregate {
+            return Err(Stop::Error(TreeError::NotAnAggregate {
                 rid: parent.rid,
                 node: parent.node,
-            });
+            }));
+        }
+        if view.is_prefix(pnode) || view.spilled_level(pnode).is_some() {
+            plain(&view)?;
         }
         match pos {
             InsertPos::First => self.resolve_edge(view, pnode, true),
@@ -1351,7 +730,7 @@ impl TreeStore {
     /// Site at the first/last edge of the logical child list: either
     /// embedded in the parent's record, or inside the first/last child's
     /// host record reached through scaffolding chains.
-    fn resolve_edge(&self, view: RecordView, node: PNodeId, first: bool) -> TreeResult<Site> {
+    fn resolve_edge(&self, view: RecordView, node: PNodeId, first: bool) -> Attempt<Site> {
         // Follow the edge-child proxy chain to the deepest scaffolding
         // host (the record holding the designated sibling).
         let mut deep: Option<RecordView> = None;
@@ -1372,18 +751,16 @@ impl TreeStore {
             if !child.is_scaffolding_aggregate(child.root()) {
                 break; // facade-rooted record is a logical child itself
             }
-            if child.is_packed() {
-                // The designated sibling's host is packed and its root's
-                // child list is part of the packed layout — edge
-                // resolution there needs the cluster normalized first.
-                return Err(TreeError::PackedRecord(target));
-            }
+            // A packed host's root child list is part of the packed layout:
+            // edge resolution there needs the cluster normalized first.
+            plain(&child)?;
             deep = Some(child);
         }
         if let Some(d) = deep {
             // "Wherever there is more free space": parent record vs the
             // designated sibling's record.
-            if self.sm.page_free_space(d.rid().page)? > self.sm.page_free_space(view.rid().page)? {
+            let free = |rid: Rid| self.sm.page_free_space(rid.page).map_err(TreeError::from);
+            if free(d.rid())? > free(view.rid())? {
                 let root = d.root();
                 return Ok(Site::edge(d, root, first));
             }
@@ -1393,7 +770,7 @@ impl TreeStore {
 
     /// Site after the k-th logical child (so the new node lands at logical
     /// index `k`); clamps to the end when fewer children exist.
-    fn resolve_at(&self, view: RecordView, node: PNodeId, k: usize) -> TreeResult<Site> {
+    fn resolve_at(&self, view: RecordView, node: PNodeId, k: usize) -> Attempt<Site> {
         if k == 0 {
             return self.resolve_edge(view, node, true);
         }
@@ -1409,12 +786,10 @@ impl TreeStore {
                 if let Shape::Proxy(target) = v.shape(c) {
                     let child = self.view_current(target)?;
                     if child.is_scaffolding_aggregate(child.root()) {
-                        if child.is_packed() {
-                            // A packed scaffolding host's local child list
-                            // is incomplete — indexing through it would
-                            // miscount; normalize the cluster first.
-                            return Err(TreeError::PackedRecord(target));
-                        }
+                        // A packed scaffolding host's local child list
+                        // is incomplete: indexing through it would
+                        // miscount.
+                        plain(&child)?;
                         let next = v.subtree(c).end;
                         stack.push((v, n, next));
                         stack.push((child, 0, 1));
@@ -1439,19 +814,20 @@ impl TreeStore {
     /// splits it (figure 5), both from the spliced record decoded.
     pub fn update_literal(&self, ptr: NodePtr, value: LiteralValue) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
-        let view = self.view_current(ptr.rid)?;
-        if view.is_packed() {
-            return Err(TreeError::PackedRecord(ptr.rid));
-        }
-        let n = view.checked(ptr.node)?;
-        if !view.is_literal(n) {
-            return Err(TreeError::NotALiteral {
-                rid: ptr.rid,
-                node: ptr.node,
-            });
-        }
-        self.check_node_size(&NewNode::Literal(value.clone()))?;
+        self.check_node_size(crate::model::literal_body_len(&value))?;
         let mut ctx = OpCtx::default();
+        let (view, n) = self.resolve_plain(ptr, &mut ctx, |ptr| {
+            let view = self.view_current(ptr.rid)?;
+            let n = view.checked(ptr.node)?;
+            if !view.is_literal(n) {
+                return Err(Stop::Error(TreeError::NotALiteral {
+                    rid: view.rid(),
+                    node: n,
+                }));
+            }
+            plain(&view)?;
+            Ok((view, n))
+        })?;
         let edit = Edit::Replace(n, PContent::Literal(value));
         self.store_edit(&view, edit, false, &mut ctx)?;
         self.apply_patches(&mut ctx)?;
@@ -1464,20 +840,23 @@ impl TreeStore {
     pub fn delete_subtree(&self, ptr: NodePtr) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
         let mut ctx = OpCtx::default();
-        let view = self.view_current(ptr.rid)?;
-        if view.is_packed() {
-            return Err(TreeError::PackedRecord(ptr.rid));
-        }
-        let n = view.checked(ptr.node)?;
+        let (view, n) = self.resolve_plain(ptr, &mut ctx, |ptr| {
+            let view = self.view_current(ptr.rid)?;
+            let n = view.checked(ptr.node)?;
+            plain(&view)?;
+            let parent_rid = view.parent_rid();
+            if n == view.root() && !parent_rid.is_invalid() {
+                // Removing this record rewrites the parent.
+                plain(&self.view_current(parent_rid)?)?;
+            }
+            Ok((view, n))
+        })?;
+        let rid = view.rid();
         if n == view.root() {
             let parent_rid = view.parent_rid();
-            if !parent_rid.is_invalid() && self.view_current(parent_rid)?.is_packed() {
-                // Removing this record rewrites the (packed) parent.
-                return Err(TreeError::PackedRecord(parent_rid));
-            }
-            self.drop_record_recursive(ptr.rid, &mut ctx)?;
+            self.drop_record_recursive(rid, &mut ctx)?;
             if !parent_rid.is_invalid() {
-                self.remove_proxy_cascading(parent_rid, ptr.rid, &mut ctx)?;
+                self.remove_proxy_cascading(parent_rid, rid, &mut ctx)?;
             }
         } else {
             // The records behind the subtree's proxies, last first.
@@ -1539,201 +918,7 @@ impl TreeStore {
     /// Drops an entire tree by its root record.
     pub fn drop_tree(&self, root: Rid) -> TreeResult<()> {
         let _op = self.versions.begin_write();
-        let mut ctx = OpCtx::default();
-        self.drop_record_recursive(root, &mut ctx)
-    }
-
-    // ==================================================================
-    // Depth-aware packing: normalization before structural edits.
-    // ==================================================================
-
-    /// Rewrites the depth-aware-packed cluster containing `rid` into plain
-    /// records: every continuation group is spliced back into its piece's
-    /// levels (late children re-join their facades' child lists in
-    /// document order), the group records are deleted, and the merged tree
-    /// is re-stored through the ordinary tree-growth machinery (splitting
-    /// as needed). Packed *ancestor* records are normalized first,
-    /// top-down, so a split's separator always splices into a plain
-    /// parent. Returns relocation events for the logical-id map.
-    ///
-    /// Structural edit entry points surface [`TreeError::PackedRecord`]
-    /// when they would touch packed structure; callers normalize and
-    /// retry.
-    pub fn normalize_packed(&self, rid: Rid) -> TreeResult<OpResult> {
-        let _op = self.versions.begin_write();
-        let mut ctx = OpCtx::default();
-        // Lazy path: when the touched cluster provably merges back into a
-        // single record (no split, so no separator ever reaches a packed
-        // parent), normalize it alone and leave packed ancestors packed —
-        // an edit deep in a packed corpus then rewrites one cluster
-        // instead of the whole ancestor chain.
-        if let Some(host) = self.lazy_cluster_host(rid)? {
-            let mut tree = self.view_current(host)?.decode()?;
-            self.inline_continuations(host, &mut tree, &mut ctx)?;
-            self.store_updated(host, tree, &mut ctx)?;
-            self.apply_patches(&mut ctx)?;
-            return Ok(ctx.finish());
-        }
-        // Ancestor chain from `rid` upward while parents stay packed.
-        let mut chain = vec![rid];
-        let mut cur = self.view_current(rid)?;
-        loop {
-            let parent = cur.parent_rid();
-            if parent.is_invalid() {
-                break;
-            }
-            let pv = self.view_current(parent)?;
-            if !pv.is_packed() {
-                break;
-            }
-            chain.push(parent);
-            cur = pv;
-        }
-        for &rc in chain.iter().rev() {
-            if ctx.deleted.contains(&rc) {
-                continue; // consumed by an ancestor's normalization
-            }
-            let view = self.view_current(rc)?;
-            if view.is_prefix(view.root()) || !view.is_packed() {
-                // Groups and split-chain pieces are consumed by their
-                // holder's normalization; plain records need none.
-                continue;
-            }
-            let mut tree = view.decode()?;
-            self.inline_continuations(rc, &mut tree, &mut ctx)?;
-            self.store_updated(rc, tree, &mut ctx)?;
-            // Apply parent patches step by step: a later chain entry's
-            // split consults its parent record, which this step may just
-            // have restructured.
-            self.apply_patches(&mut ctx)?;
-            ctx.seal();
-        }
-        Ok(ctx.finish())
-    }
-
-    /// Decides whether the packed cluster containing `rid` can be
-    /// normalized lazily: resolves the cluster *host* (walking out of
-    /// prefix-rooted group/chain records to the record holding the
-    /// continuation placeholder) and sums an upper bound on the merged
-    /// record — the host plus every group and chain-piece record its
-    /// continuations splice back in. Prefix entries, placeholders and the
-    /// merged records' standalone headers all vanish in the merge, so the
-    /// raw sum over-counts; if even the over-count fits the net capacity,
-    /// the merge cannot split and packed ancestors can stay packed.
-    /// Returns the host RID, or `None` when the eager full-chain path
-    /// must run (cluster too big, or `rid`'s record is plain).
-    fn lazy_cluster_host(&self, rid: Rid) -> TreeResult<Option<Rid>> {
-        let mut host = self.view_current(rid)?;
-        while host.is_prefix(host.root()) {
-            let parent = host.parent_rid();
-            if parent.is_invalid() {
-                return Ok(None); // orphan piece: let the eager path report
-            }
-            host = self.view_current(parent)?;
-        }
-        if !host.is_packed() {
-            // The record itself is plain; any packed *ancestors* need the
-            // eager top-down walk.
-            return Ok(None);
-        }
-        let budget = self.net_capacity();
-        let mut bound = host.byte_len();
-        let mut work: Vec<Rid> = host.continuation().map(|(_, g)| g).into_iter().collect();
-        while let Some(g) = work.pop() {
-            let group = self.view_current(g)?;
-            bound += group.byte_len();
-            if bound > budget {
-                return Ok(None);
-            }
-            work.extend(group.continuation().map(|(_, next)| next));
-            // Split prefix chains: lower pieces hang as digest-less
-            // proxies under the chain's prefix entries (a labelled proxy
-            // is facade-rooted content, never a chain piece — the digest
-            // saves the probe read).
-            for p in 0..group.prefix_levels() as PNodeId {
-                for c in group.children(p) {
-                    if let (Shape::Proxy(t), LABEL_NONE) = (group.shape(c), group.label(c)) {
-                        let piece = self.view_current(t)?;
-                        if piece.is_prefix(piece.root()) {
-                            work.push(t);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(Some(host.rid()))
-    }
-
-    /// Splices every continuation group of `tree` (and, transitively, the
-    /// groups those groups spilled into) back into the spilled path's
-    /// child lists.
-    fn inline_continuations(
-        &self,
-        host_rid: Rid,
-        tree: &mut RecordTree,
-        ctx: &mut OpCtx,
-    ) -> TreeResult<()> {
-        while let Some((cont, path, target)) = spilled_path(tree) {
-            tree.remove_subtree(cont);
-            self.splice_group(host_rid, tree, &path, target, ctx)?;
-        }
-        Ok(())
-    }
-
-    /// Moves the content of continuation group `group_rid` into `tree`:
-    /// each prefix entry's children are appended to the path node it
-    /// copies, in order; a split prefix chain's lower piece is inlined
-    /// under the remaining path; the group record is deleted. The group's
-    /// own continuation placeholder (if any) travels into `tree`, where
-    /// [`inline_continuations`](Self::inline_continuations) picks it up.
-    fn splice_group(
-        &self,
-        host_rid: Rid,
-        tree: &mut RecordTree,
-        path: &[PNodeId],
-        group_rid: Rid,
-        ctx: &mut OpCtx,
-    ) -> TreeResult<()> {
-        let view = self.view_current(group_rid)?;
-        let levels = view.prefix_levels();
-        if levels > path.len() {
-            return Err(TreeError::Invariant(format!(
-                "continuation group {group_rid}: prefix chain longer than the spilled path"
-            )));
-        }
-        let mut group = view.decode()?;
-        for i in 0..levels {
-            // Chain entry `i` is node `i` (`RecordView::prefix_levels`).
-            let pnode = i as PNodeId;
-            loop {
-                let next = group
-                    .children(pnode)
-                    .iter()
-                    .copied()
-                    .find(|&c| !group.node(c).is_prefix());
-                let Some(c) = next else { break };
-                if let PContent::Proxy(t) = group.node(c).content {
-                    let lower = self.view_current(t)?;
-                    if lower.is_prefix(lower.root()) {
-                        // Lower piece of a split prefix chain: its levels
-                        // continue this chain.
-                        group.remove_subtree(c);
-                        self.splice_group(host_rid, tree, &path[i + 1..], t, ctx)?;
-                        continue;
-                    }
-                }
-                // Child records referenced by the moved content re-home to
-                // the host (later patches from splits/moves override).
-                for r in group.proxies_under(c) {
-                    ctx.parent_patches.push((r, host_rid));
-                }
-                let moved = group.transplant(c, tree);
-                let end = tree.children(path[i]).len();
-                tree.attach(path[i], end, moved);
-            }
-        }
-        self.delete_record_raw(group_rid, ctx)?;
-        Ok(())
+        self.drop_record_recursive(root, &mut OpCtx::default())
     }
 }
 
@@ -1791,62 +976,6 @@ impl Site {
     }
 }
 
-/// The type table of a page from its slot-0 record (empty on a page
-/// without one). A table that does not decode makes every record on the
-/// page unreadable: a corrupt-record error for `rid`, the record at hand.
-fn page_table(slot0: Option<&[u8]>, rid: Rid) -> TreeResult<TypeTable> {
-    slot0.map_or_else(
-        || Ok(TypeTable::new()),
-        |bytes| {
-            TypeTable::decode(bytes).map_err(|message| TreeError::CorruptRecord { rid, message })
-        },
-    )
-}
-
-/// The type-table growth a write's patch carries
-/// ([`TypeTable::encode_growth`]): nothing when the page's table, `before`
-/// entries long, did not grow; the whole table when the page had none.
-fn table_growth(table: &TypeTable, had_tt: bool, before: usize) -> Vec<u8> {
-    match (had_tt, table.len() > before) {
-        (true, false) => Vec::new(),
-        (true, true) => table.encode_growth(before),
-        (false, _) => table.encode_growth(0),
-    }
-}
-
-/// Bytes a page's type table grows by when `tree` is written there: one
-/// entry per type the table lacks, plus — on a page that has no table yet
-/// — the table record itself and its slot. Exactly what interning the
-/// record's types adds, known before a byte is encoded.
-fn type_table_growth(table: &TypeTable, had_tt: bool, tree: &RecordTree) -> usize {
-    let new_entries =
-        table.missing_count(record::collect_types(tree)) * crate::typetable::ENTRY_BYTES;
-    if had_tt {
-        new_entries
-    } else {
-        table.encoded_len() + new_entries + SLOT_ENTRY_SIZE
-    }
-}
-
-/// The spilled path of a record being normalized — the chain of nodes
-/// from the record root down to its continuation placeholder's parent,
-/// root first — plus the placeholder and the continuation group: a walk
-/// of the tree, whose bytes no longer describe it mid-rewrite. The group's
-/// prefix chain mirrors the path entry for entry.
-fn spilled_path(tree: &RecordTree) -> Option<(PNodeId, Vec<PNodeId>, Rid)> {
-    let (cont, target) =
-        tree.pre_order(tree.root())
-            .into_iter()
-            .find_map(|n| match tree.node(n).content {
-                PContent::Continuation(target) => Some((n, target)),
-                _ => None,
-            })?;
-    let mut path: Vec<PNodeId> =
-        std::iter::successors(tree.node(cont).parent, |&p| tree.node(p).parent).collect();
-    path.reverse();
-    Some((cont, path, target))
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     //! Navigation costs what it visits and decodes no record — asserted
@@ -1863,6 +992,7 @@ pub(crate) mod tests {
         generate_corpus, generate_deep, generate_orders, generate_play, CorpusConfig, DeepConfig,
         OrdersConfig, SplitMix64,
     };
+    use natix_storage::slotted::SlottedPage;
     use natix_storage::{BufferManager, IoStats, MemStorage};
     use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
 
@@ -1873,7 +1003,8 @@ pub(crate) mod tests {
         assert_view_matches_tree, reference_find_continuation, reference_find_proxy,
         reference_prefix_chain, reference_spilled_path,
     };
-    use crate::record::{decodes, encodes, parses, touches};
+    use crate::record::{self, decodes, encodes, parses, touches};
+    use crate::typetable::TypeTable;
     use crate::validate::check_tree;
     use crate::version::VersionStore;
 
@@ -2086,45 +1217,46 @@ pub(crate) mod tests {
 
     /// One seeded edit of the document at `roots[d]`: an insert under an
     /// element or beside a literal, a text update, or a subtree deletion.
-    /// A packed cluster in the way is normalized and the edit retried on
-    /// the same node (found again by its document-order position), as the
-    /// document manager does.
     fn edit(st: &TreeStore, root: &mut Rid, g: &mut SplitMix64) {
-        let k = g.below(facades(st, *root).len());
-        let kind = g.below(3);
+        let all = facades(st, *root);
+        let k = g.below(all.len());
+        let (ptr, label, element) = all[k];
         let text = |g: &mut SplitMix64| {
             NewNode::Literal(LiteralValue::String(format!("edit {}", g.below(1_000))))
         };
-        for _ in 0..64 {
-            let (ptr, label, element) = facades(st, *root)[k];
-            let res = match (kind, element) {
-                (2, _) if k > 0 => st.delete_subtree(ptr),
-                (1, false) => {
-                    let value = LiteralValue::String(format!("updated {}", g.below(1_000)));
-                    st.update_literal(ptr, value)
-                }
-                (_, true) if g.below(2) == 0 => {
-                    st.insert(ptr, InsertPos::At(g.below(4)), label, NewNode::Element)
-                }
-                (_, true) => st.insert(ptr, InsertPos::At(g.below(4)), LABEL_TEXT, text(g)),
-                (_, false) => st.insert_after(ptr, LABEL_TEXT, text(g)),
-            };
-            match res {
-                Err(TreeError::PackedRecord(rid)) => {
-                    follow_root(root, &st.normalize_packed(rid).unwrap())
-                }
-                other => return follow_root(root, &other.unwrap()),
+        let res = match (g.below(3), element) {
+            (2, _) if k > 0 => st.delete_subtree(ptr),
+            (1, false) => {
+                let value = LiteralValue::String(format!("updated {}", g.below(1_000)));
+                st.update_literal(ptr, value)
             }
-        }
-        panic!("edit kept hitting packed records");
+            (_, true) if g.below(2) == 0 => {
+                st.insert(ptr, InsertPos::At(g.below(4)), label, NewNode::Element)
+            }
+            (_, true) => st.insert(ptr, InsertPos::At(g.below(4)), LABEL_TEXT, text(g)),
+            (_, false) => st.insert_after(ptr, LABEL_TEXT, text(g)),
+        };
+        follow_root(root, &res.unwrap());
+    }
+
+    /// Normalization of the packed cluster holding `rid`, as an operation
+    /// of its own.
+    fn normalized(st: &TreeStore, rid: Rid) -> OpResult {
+        let _op = st.versions.begin_write();
+        let mut ctx = OpCtx::default();
+        st.normalize_packed(rid, &mut ctx).unwrap();
+        ctx.finish()
     }
 
     /// Normalizing packed clusters of a deep document changes no logical
     /// node, only addresses: every facade's address before, followed
     /// through the reported relocations, is its address after — also
     /// when a normalization step splits a record an earlier step wrote,
-    /// reusing its slot, and when the insert that asked for the
-    /// normalization then splices or splits.
+    /// reusing its slot. Every call is on a node of a packed record: a
+    /// normalization on its own, or an edit that normalizes what it meets
+    /// inside itself and reports one result for both — an insert under an
+    /// element or after a literal that then splices or splits, an update,
+    /// a deletion.
     #[test]
     fn normalization_reports_every_address_it_changes() {
         let mut syms = SymbolTable::new();
@@ -2137,43 +1269,128 @@ pub(crate) mod tests {
             };
             let doc = generate_deep(&cfg, &mut syms);
             let st = store(page_size);
-            let mut root = bulkload_document(&st, &doc, None).unwrap().root_rid;
+            let load = || bulkload_document(&st, &doc, None).unwrap().root_rid;
+            let mut root = load();
             for round in 0..200 {
-                let before = facades(&st, root);
-                let (mut ptr, _, element) = before[g.below(before.len())];
-                let mut results = Vec::new();
-                if element && round % 2 == 1 {
-                    loop {
-                        let text = LiteralValue::String("x".repeat(389));
-                        match st.insert(ptr, InsertPos::Last, LABEL_TEXT, NewNode::Literal(text)) {
-                            Err(TreeError::PackedRecord(rid)) => {
-                                let res = st.normalize_packed(rid).unwrap();
-                                ptr = res.follow(ptr);
-                                results.push(res);
-                            }
-                            other => {
-                                results.push(other.unwrap());
-                                break;
-                            }
-                        }
+                // The facades of packed records the round's call takes.
+                let kind = round % 5;
+                let packed = |before: &[(NodePtr, LabelId, bool)]| -> Vec<usize> {
+                    let takes = |i: usize, element: bool| match kind {
+                        1 => element,
+                        2 | 3 => !element,
+                        4 => i > 0,
+                        _ => true,
+                    };
+                    let mut plain = HashMap::new();
+                    (0..before.len())
+                        .filter(|&i| {
+                            let (ptr, _, element) = before[i];
+                            takes(i, element)
+                                && !*plain
+                                    .entry(ptr.rid)
+                                    .or_insert_with(|| !st.view(ptr.rid).unwrap().is_packed())
+                        })
+                        .collect()
+                };
+                let mut before = facades(&st, root);
+                let mut candidates = packed(&before);
+                if candidates.is_empty() {
+                    // Every cluster is plain by now: a fresh copy.
+                    root = load();
+                    before = facades(&st, root);
+                    candidates = packed(&before);
+                }
+                assert!(!candidates.is_empty(), "round {round}: no packed record");
+                let i = candidates[g.below(candidates.len())];
+                let ptr = before[i].0;
+                let text = LiteralValue::String("x".repeat(389));
+                // The facades the call deletes: `ptr`'s subtree.
+                let mut gone = 0..0;
+                let res = match kind {
+                    1 => st.insert(ptr, InsertPos::Last, LABEL_TEXT, NewNode::Literal(text)),
+                    2 => st.insert_after(ptr, LABEL_TEXT, NewNode::Literal(text)),
+                    3 => st.update_literal(ptr, text),
+                    4 => {
+                        let mut n = 0;
+                        traverse(&st, ptr, &mut |ev| {
+                            n += usize::from(!matches!(ev, VisitEvent::Leave { .. }));
+                            true
+                        })
+                        .unwrap();
+                        gone = i..i + n;
+                        st.delete_subtree(ptr)
                     }
-                } else {
-                    results.push(st.normalize_packed(ptr.rid).unwrap());
+                    _ => Ok(normalized(&st, ptr.rid)),
                 }
-                let new_node = results.last().unwrap().new_node;
-                for res in &results {
-                    follow_root(&mut root, res);
-                }
+                .unwrap();
+                follow_root(&mut root, &res);
                 let mut after = facades(&st, root);
-                after.retain(|a| Some(a.0) != new_node);
-                assert_eq!(before.len(), after.len());
-                for (i, (b, a)) in before.iter().zip(&after).enumerate() {
-                    let followed = results.iter().fold(b.0, |p, res| res.follow(p));
-                    assert_eq!(followed, a.0, "page {page_size} round {round} node {i}");
+                after.retain(|a| Some(a.0) != res.new_node);
+                let kept: Vec<_> = (0..before.len()).filter(|j| !gone.contains(j)).collect();
+                assert_eq!(kept.len(), after.len());
+                for (&j, a) in kept.iter().zip(&after) {
+                    let followed = res.follow(before[j].0);
+                    assert_eq!(followed, a.0, "page {page_size} round {round} node {j}");
                 }
                 check_tree(&st, root).unwrap();
             }
         }
+    }
+
+    /// An edit it refuses leaves a packed record as it found it: the
+    /// refusal comes before any normalization, which the caller would
+    /// never hear of (a failed edit reports no relocations). Inputs: an
+    /// update of every element of a packed record, an insert under every
+    /// literal of one, and an insert beside the root of a deep document
+    /// whose root record is packed.
+    #[test]
+    fn a_refused_edit_of_a_packed_record_normalizes_nothing() {
+        let mut syms = SymbolTable::new();
+        let cfg = DeepConfig {
+            depth: 160,
+            seed: 0xDEE9,
+            ..DeepConfig::tiny()
+        };
+        let doc = generate_deep(&cfg, &mut syms);
+        let st = store(1_024);
+        let root = bulkload_document(&st, &doc, None).unwrap().root_rid;
+        assert!(st.view(root).unwrap().is_packed(), "root record not packed");
+        let (facades0, records0) = (facades(&st, root), records_of(&st, root));
+        let unchanged = |what: &str| {
+            assert_eq!(facades(&st, root), facades0, "{what}: addresses");
+            assert_eq!(records_of(&st, root), records0, "{what}: records");
+        };
+        let text = || NewNode::Literal(LiteralValue::String("x".into()));
+        let err = st
+            .insert_after(NodePtr::new(root, 0), LABEL_TEXT, text())
+            .unwrap_err();
+        assert!(
+            matches!(err, TreeError::Invariant(_)),
+            "root sibling: {err}"
+        );
+        unchanged("root sibling");
+        let mut refused = 0;
+        for &(ptr, label, element) in &facades0 {
+            if !st.view(ptr.rid).unwrap().is_packed() {
+                continue;
+            }
+            let err = if element {
+                let value = LiteralValue::String("y".into());
+                let err = st.update_literal(ptr, value).unwrap_err();
+                assert!(matches!(err, TreeError::NotALiteral { .. }), "{ptr}: {err}");
+                err
+            } else {
+                let err = st.insert(ptr, InsertPos::Last, label, text()).unwrap_err();
+                assert!(
+                    matches!(err, TreeError::NotAnAggregate { .. }),
+                    "{ptr}: {err}"
+                );
+                err
+            };
+            unchanged(&format!("{ptr}: {err}"));
+            refused += 1;
+        }
+        assert!(refused > 0, "no facade of a packed record");
     }
 
     #[test]

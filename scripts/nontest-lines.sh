@@ -1,17 +1,27 @@
 #!/usr/bin/env sh
 # Prints the line-budget count of ROADMAP item 8: the non-test lines of the
-# `core`, `tree` and `storage` crates, per crate and in total. A file's
-# non-test lines are the lines before its first column-0 `#[cfg(test)]`
-# (the whole file when it has none); only `src/` counts. It prints and
-# gates nothing. Run from anywhere: `sh scripts/nontest-lines.sh`.
+# `core`, `tree` and `storage` crates, per crate and in total, then the five
+# largest files by the same count. A file's non-test lines are the lines
+# before its first column-0 `#[cfg(test)]` (the whole file when it has
+# none); only `src/` counts. It prints and gates nothing. Run from
+# anywhere: `sh scripts/nontest-lines.sh`.
 set -eu
 cd "$(dirname "$0")/.."
+nontest() {
+    awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+}
 total=0
 for crate in core tree storage; do
     n=$(find "crates/$crate/src" -name '*.rs' | sort | while read -r f; do
-        awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f"
+        nontest "$f"
     done | awk '{ s += $1 } END { print s + 0 }')
     printf '%-8s %6d\n' "$crate" "$n"
     total=$((total + n))
 done
 printf '%-8s %6d\n' total "$total"
+echo "largest files:"
+for crate in core tree storage; do
+    find "crates/$crate/src" -name '*.rs'
+done | sort | while read -r f; do
+    printf '%6d  %s\n' "$(nontest "$f")" "$f"
+done | sort -rn | head -5
