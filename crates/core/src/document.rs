@@ -32,12 +32,14 @@ use std::collections::HashMap;
 use parking_lot::Mutex;
 
 use natix_storage::Rid;
-use natix_tree::{BulkStats, InsertPos, NewNode, NodePtr, OpResult, VisitEvent};
-use natix_xml::{Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
+use natix_tree::{InsertPos, NewNode, NodePtr, OpResult, VisitEvent};
+use natix_xml::{
+    Document, LabelId, LabelKind, LiteralValue, ParserOptions, PullParser, SymbolTable, LABEL_TEXT,
+};
 
 use crate::error::{NatixError, NatixResult};
+use crate::feed::{text_chunks, Feed};
 use crate::idmap::NodeMap;
-use crate::path_summary::{PathSummary, SummaryBuilder};
 use crate::repository::Repository;
 
 /// Identifies a document within a repository.
@@ -233,14 +235,6 @@ impl DocState {
     }
 }
 
-/// How much text goes into one literal node before the document manager
-/// chunks it: the tree layer cannot split a single node across records, so
-/// long text becomes consecutive literal siblings (serialisation-identical
-/// for XML character data).
-pub(crate) fn chunk_limit(net_capacity: usize) -> usize {
-    (net_capacity / 2).max(64)
-}
-
 /// Where [`Repository::insert_node`] puts the new node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertAt {
@@ -335,25 +329,41 @@ impl Repository {
     // Document granularity.
     // ==================================================================
 
-    /// Stores a logical document under `name` through the streaming
-    /// bulkloader: records are built bottom-up and written once each,
-    /// instead of rewriting the enclosing record for every node (see
-    /// [`natix_tree::bulkload`]). [`put_document_per_node`] keeps the
-    /// node-by-node path as the differential-testing oracle.
+    /// Parses and stores XML text, streaming (§4.3: "we used an XML
+    /// parser ... and inserted the document tree"): parse events feed the
+    /// bulkloader and the path summary one at a time, with no DOM, so
+    /// besides the text a load holds only the right spine of open subtrees
+    /// (at most a page per level). Records are built bottom-up and each
+    /// page is written once. A failed load deletes the records it flushed
+    /// and releases its name claim. Until it publishes, the name does not
+    /// exist for readers, which — like other loads — run alongside it.
+    pub fn put_xml(&self, name: &str, xml: &str) -> NatixResult<DocId> {
+        self.publish_load(name, || {
+            let mut parser = PullParser::new(xml, ParserOptions::default());
+            Feed::load(self, name, |feed| {
+                while let Some(event) = parser.next_event()? {
+                    feed.event(event)?;
+                }
+                Ok(())
+            })
+        })
+    }
+
+    /// [`put_xml`](Self::put_xml) under its older name, kept for callers
+    /// such as the `spine` benchmark.
+    pub fn put_xml_streaming(&self, name: &str, xml: &str) -> NatixResult<DocId> {
+        self.put_xml(name, xml)
+    }
+
+    /// Stores an in-memory document by replaying its DOM in pre-order
+    /// through the feed [`put_xml`](Self::put_xml) streams into, so it
+    /// stores what the document's XML text would; beyond the caller's DOM
+    /// the load holds what a streaming one does. [`put_document_per_node`]
+    /// keeps the node-by-node path as the differential-testing oracle.
     ///
     /// [`put_document_per_node`]: Self::put_document_per_node
     pub fn put_document(&self, name: &str, doc: &Document) -> NatixResult<DocId> {
-        self.publish_load(name, || {
-            if !matches!(doc.data(doc.root()), NodeData::Element(_)) {
-                return Err(NatixError::Validation(
-                    "document root must be an element".into(),
-                ));
-            }
-            let limit = chunk_limit(self.tree.net_capacity());
-            let stats = natix_tree::bulkload_document(&self.tree, doc, Some(limit))?;
-            let summary = self.dom_summary(doc, stats.records);
-            Ok((DocState::new(name.to_string(), stats.root_rid), summary))
-        })
+        self.publish_load(name, || Feed::load(self, name, |feed| feed.replay(doc)))
     }
 
     /// Stores a logical document by inserting one node at a time through
@@ -362,179 +372,6 @@ impl Repository {
     /// the bulkloader.
     pub fn put_document_per_node(&self, name: &str, doc: &Document) -> NatixResult<DocId> {
         self.publish_load(name, || Ok((self.per_node_load(name, doc)?, None)))
-    }
-
-    /// Builds a [`PathSummary`] from a logical document, mirroring the
-    /// bulkloader's storage decisions: long character data counts once
-    /// per stored chunk, so the summary equals what a walk of the stored
-    /// tree would produce.
-    fn dom_summary(&self, doc: &Document, records: u64) -> Option<PathSummary> {
-        enum Walk {
-            Enter(natix_xml::NodeIdx),
-            Leave,
-        }
-        let limit = chunk_limit(self.tree.net_capacity());
-        let mut b = SummaryBuilder::new();
-        let mut stack = vec![Walk::Enter(doc.root())];
-        while let Some(w) = stack.pop() {
-            match w {
-                Walk::Leave => b.end_element(),
-                Walk::Enter(n) => match doc.data(n) {
-                    NodeData::Element(label) => {
-                        b.start_element(*label);
-                        stack.push(Walk::Leave);
-                        for &c in doc.children(n).iter().rev() {
-                            stack.push(Walk::Enter(c));
-                        }
-                    }
-                    NodeData::Literal { label, value } => {
-                        let chunks = match value {
-                            LiteralValue::String(s) if s.len() > limit && *label == LABEL_TEXT => {
-                                natix_xml::chunk_str(s, limit).count()
-                            }
-                            _ => 1,
-                        };
-                        for _ in 0..chunks {
-                            b.literal(*label);
-                        }
-                    }
-                },
-            }
-        }
-        b.finish(records)
-    }
-
-    /// Parses and stores XML text.
-    pub fn put_xml(&self, name: &str, xml: &str) -> NatixResult<DocId> {
-        let doc = {
-            let mut symbols = self.symbols.write();
-            natix_xml::parse_document(xml, &mut symbols, natix_xml::ParserOptions::default())?
-        };
-        self.put_document(name, &doc)
-    }
-
-    /// Streams XML text straight into storage, one parse event at a time,
-    /// without materialising a DOM — the paper's storage operation ("we
-    /// used an XML parser ... and inserted the document tree", §4.3).
-    ///
-    /// Parse events feed the streaming bulkloader directly: records are
-    /// assembled bottom-up, each page is written once via the append fast
-    /// path, and peak memory is the right spine of open subtrees (bounded
-    /// by the page capacity times the element depth), independent of
-    /// document size — node ids are bound lazily on navigation, never
-    /// materialised for the whole document. A failed load deletes every
-    /// record it had already flushed and releases its name claim.
-    ///
-    /// Takes `&self`: the load is one write operation of the
-    /// record-version layer, so queries — of other documents *and of this
-    /// name, which simply does not exist until the publish point* — run
-    /// concurrently with the ingestion and never observe a half-loaded
-    /// document; so do other loads
-    /// ([`put_documents_parallel`](Self::put_documents_parallel)).
-    pub fn put_xml_streaming(&self, name: &str, xml: &str) -> NatixResult<DocId> {
-        self.publish_load(name, || {
-            let (stats, summary) = self.stream_load(xml)?;
-            Ok((DocState::new(name.to_string(), stats.root_rid), summary))
-        })
-    }
-
-    /// The streaming-load engine: parses `xml` and feeds the event stream
-    /// to a bulkloader over the document store. Labels are interned
-    /// through the read-locked fast path, so any number of these can run
-    /// concurrently. On failure every flushed record has been rolled
-    /// back. Returns the bulkload stats together with a [`PathSummary`]
-    /// built from the same event stream — one literal per *stored* node,
-    /// so chunked long text counts once per chunk, exactly as a walk of
-    /// the stored tree would count it.
-    fn stream_load(&self, xml: &str) -> NatixResult<(BulkStats, Option<PathSummary>)> {
-        use natix_xml::{ParserOptions, PullParser, XmlEvent};
-        let limit = chunk_limit(self.tree.net_capacity());
-        let mut parser = PullParser::new(xml, ParserOptions::default());
-        let mut loader = natix_tree::BulkLoader::new(&self.tree);
-        let mut builder = SummaryBuilder::new();
-        let mut feed = |loader: &mut natix_tree::BulkLoader<'_>,
-                        builder: &mut SummaryBuilder|
-         -> NatixResult<()> {
-            let mut seen_root = false;
-            while let Some(event) = parser.next_event()? {
-                match event {
-                    XmlEvent::StartElement { name: tag, attrs } => {
-                        // A second root element is rejected by the parser
-                        // itself (`XmlError::Structure`).
-                        seen_root = true;
-                        let tag_label = self.intern_shared(LabelKind::Element, tag);
-                        loader.start_element(tag_label)?;
-                        builder.start_element(tag_label);
-                        for (attr_name, value) in attrs {
-                            let label = self.intern_shared(LabelKind::Attribute, attr_name);
-                            loader.literal(label, LiteralValue::String(value))?;
-                            builder.literal(label);
-                        }
-                    }
-                    XmlEvent::EndElement { .. } => {
-                        loader.end_element()?;
-                        builder.end_element();
-                    }
-                    XmlEvent::Text(t) => {
-                        if !seen_root || parser.depth() == 0 {
-                            return Err(NatixError::Validation("text outside root".into()));
-                        }
-                        // Long text becomes consecutive sibling literals,
-                        // split on UTF-8 character boundaries
-                        // (serialisation-identical for XML character data).
-                        if t.len() > limit {
-                            for chunk in natix_xml::chunk_str(&t, limit) {
-                                loader
-                                    .literal(LABEL_TEXT, LiteralValue::String(chunk.to_owned()))?;
-                                builder.literal(LABEL_TEXT);
-                            }
-                        } else {
-                            loader.literal(LABEL_TEXT, LiteralValue::String(t))?;
-                            builder.literal(LABEL_TEXT);
-                        }
-                    }
-                    XmlEvent::Comment(c) => {
-                        // Comments outside the root element are dropped, as
-                        // in the per-node path.
-                        if parser.depth() > 0 {
-                            loader.literal(
-                                natix_xml::LABEL_COMMENT,
-                                LiteralValue::String(c.to_string()),
-                            )?;
-                            builder.literal(natix_xml::LABEL_COMMENT);
-                        }
-                    }
-                    XmlEvent::Pi { target, data } => {
-                        if parser.depth() > 0 {
-                            let body = if data.is_empty() {
-                                target.to_string()
-                            } else {
-                                format!("{target} {data}")
-                            };
-                            loader.literal(natix_xml::LABEL_PI, LiteralValue::String(body))?;
-                            builder.literal(natix_xml::LABEL_PI);
-                        }
-                    }
-                    XmlEvent::Doctype { .. } => {}
-                }
-            }
-            if !seen_root {
-                return Err(NatixError::Validation("empty document".into()));
-            }
-            Ok(())
-        };
-        match feed(&mut loader, &mut builder) {
-            Ok(()) => {
-                let stats = loader.finish()?;
-                let summary = builder.finish(stats.records);
-                Ok((stats, summary))
-            }
-            Err(e) => {
-                // Never leak the records flushed before the failure.
-                loader.abort();
-                Err(e)
-            }
-        }
     }
 
     /// Creates an empty document with the given root tag.
@@ -717,21 +554,14 @@ impl Repository {
         pos: InsertPos,
         text: &str,
     ) -> NatixResult<Vec<NodeId>> {
-        let limit = chunk_limit(self.tree.net_capacity());
-        // Split on UTF-8 character boundaries: a byte split would corrupt
-        // multi-byte characters straddling a chunk edge.
-        let chunks: Vec<&str> = if text.len() > limit {
-            natix_xml::chunk_str(text, limit).collect()
-        } else {
-            vec![text]
-        };
+        let chunks: Vec<String> = text_chunks(text.to_owned(), self.tree.net_capacity()).collect();
         self.edit(doc, |e| {
             let mut pos = pos;
             let mut ids = Vec::with_capacity(chunks.len());
             for chunk in chunks {
                 // The parent is re-resolved for every chunk: inserting the
                 // previous one may have split or moved its record.
-                let node = NewNode::Literal(LiteralValue::String(chunk.to_owned()));
+                let node = NewNode::Literal(LiteralValue::String(chunk));
                 ids.push(e.insert_one(InsertAt::Child(parent, pos), LABEL_TEXT, node)?);
                 // Subsequent chunks follow the one just inserted.
                 pos = match pos {
@@ -1148,11 +978,15 @@ mod tests {
                    <LINE>one</LINE><LINE>two</LINE></SPEECH>\
                    <?render fast?></SCENE></ACT></PLAY>";
         let a = small_repo();
-        a.put_xml("d", xml).unwrap();
+        let dom = natix_xml::parse_document(xml, &mut a.symbols_mut(), ParserOptions::default());
+        a.put_document("d", &dom.unwrap()).unwrap();
         let b = small_repo();
-        b.put_xml_streaming("d", xml).unwrap();
-        assert_eq!(a.get_xml("d").unwrap(), b.get_xml("d").unwrap());
-        b.physical_stats("d").unwrap();
+        b.put_xml("d", xml).unwrap();
+        assert_eq!(a.get_document("d").unwrap(), b.get_document("d").unwrap());
+        assert_eq!(
+            a.physical_stats("d").unwrap(),
+            b.physical_stats("d").unwrap()
+        );
         // The streamed document is immediately editable.
         let id = b.doc_id("d").unwrap();
         let speakers = b.query("d", "//SPEAKER").unwrap();

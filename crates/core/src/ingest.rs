@@ -3,11 +3,11 @@
 //! The paper's storage manager serves multiple users; loading a corpus one
 //! document at a time leaves the machine idle whenever the single writer
 //! stalls on disk. [`Repository::put_documents_parallel`] is a scoped
-//! worker pool over [`Repository::put_xml_streaming`]: N threads take
-//! documents off one shared counter and run the ordinary streaming load —
-//! the same routine, the same document store, the same log — on each.
-//! Nothing here is a second write path; what makes the loads concurrent
-//! lives in the layers they already go through:
+//! worker pool over [`Repository::put_xml`]: N threads take documents off
+//! one shared counter and run the ordinary streaming load — the same
+//! routine, the same document store, the same log — on each. Nothing here
+//! is a second write path; what makes the loads concurrent lives in the
+//! layers they already go through:
 //!
 //! * every bulkloader appends through its own page cursor, so the fill
 //!   pages of concurrent loads are distinct and each document's records
@@ -46,11 +46,10 @@ use crate::repository::Repository;
 
 impl Repository {
     /// Stores many XML documents concurrently with up to `writers` worker
-    /// threads, each running [`put_xml_streaming`](Self::put_xml_streaming)
-    /// on the next unclaimed document. Returns one result per input
-    /// document, in input order. Takes `&self`: ingestion runs against a
-    /// shared repository reference, concurrently with readers of
-    /// already-stored documents.
+    /// threads, each running [`put_xml`](Self::put_xml) on the next
+    /// unclaimed document. Returns one result per input document, in input
+    /// order. Takes `&self`: ingestion runs against a shared repository
+    /// reference, concurrently with readers of already-stored documents.
     ///
     /// Failure of one document never affects the others: its records are
     /// rolled back, its name claim is released, and its slot in the result
@@ -64,7 +63,7 @@ impl Repository {
         // A failed load is that document's result, never the pool's.
         let Ok(results) = self.fan_out(docs.len(), writers, |i| {
             let (name, xml) = &docs[i];
-            Ok::<_, Infallible>(self.put_xml_streaming(name, xml))
+            Ok::<_, Infallible>(self.put_xml(name, xml))
         });
         results
     }

@@ -18,8 +18,9 @@
 //!   stable logical node ids maintained from relocation events — over the
 //!   one write path (`write.rs`, the only module that can publish): every
 //!   edit runs as a body of its `edit` routine, every load through its
-//!   `publish_load`, on the one document store ([`ingest`] is a worker
-//!   pool over [`Repository::put_xml_streaming`]);
+//!   `publish_load`, on the one document store; XML text and DOMs come in
+//!   through one feed (`feed.rs`) into the bulkloader ([`ingest`] is a
+//!   worker pool over [`Repository::put_xml`]);
 //! * the **schema manager** ([`schema`]) and the **repository
 //!   directory** (`directory.rs`: alphabet, documents, split matrix,
 //!   DTDs) — the paper keeps its system catalog as an XML document inside
@@ -62,6 +63,7 @@
 pub(crate) mod directory;
 pub mod document;
 pub mod error;
+mod feed;
 mod idmap;
 pub mod ingest;
 pub mod parallel_query;

@@ -527,8 +527,8 @@ impl SummaryStore {
     }
 }
 
-/// Streaming summary builder: fed the same event order as the bulkloader
-/// (or a DOM walk), one call per stored facade node.
+/// Streaming summary builder: fed by the load's feed (`feed.rs`) beside
+/// the bulkloader, one call per stored facade node.
 #[derive(Debug)]
 pub(crate) struct SummaryBuilder {
     /// `None` once the events turned out not to be one rooted tree (a
@@ -570,6 +570,11 @@ impl SummaryBuilder {
 
     pub(crate) fn end_element(&mut self) {
         self.stack.pop();
+    }
+
+    /// Elements open.
+    pub(crate) fn depth(&self) -> usize {
+        self.stack.len()
     }
 
     /// The summary of the events fed, `None` if they were not one rooted

@@ -110,9 +110,10 @@
 //! `delete_node`, `update_text` and `delete_document`, each a body that
 //! sees its operation only as an `Edit`. `publish_load` — claim the
 //! name, load, register, install the summary, gate; abandon the claim on
-//! error — carries `put_document`, `put_document_per_node`,
-//! `create_document` and `put_xml_streaming`, which
-//! [`put_documents_parallel`] calls from a worker pool.
+//! error — carries `put_xml` (which `put_xml_streaming` forwards to and
+//! [`put_documents_parallel`] runs from a worker pool), `put_document`
+//! (its DOM replayed through `put_xml`'s feed), `put_document_per_node`
+//! and `create_document`.
 //!
 //! That module is the only code that *can* publish: the gate and the
 //! directory log are private to it, and opening a write operation or
@@ -379,8 +380,13 @@
 //! commit record becoming durable rolls the operation back under a
 //! directory that kept its change (ROADMAP open item 3a). The checkpoint
 //! record holds the whole allocator and directory, so its size grows
-//! with the collection (ROADMAP open item 3). And the tree layer does not
-//! return an emptied page to the free list (ROADMAP open item 10).
+//! with the collection (ROADMAP open item 3). The tree layer does not
+//! return an emptied page to the free list (ROADMAP open item 10). And
+//! `insert_node` accepts an attribute literal after an element's content:
+//! inserting `y="2"` last into `<a x="1"><b/>text</a>` makes `get_xml`
+//! return `<a x="1"><b/>text2</a>`, the value written as character data,
+//! while `natix_xml::write_document` of the same `get_document` refuses it
+//! (ROADMAP open item 7).
 //!
 //! # Model-checked protocols
 //!

@@ -23,8 +23,9 @@ use natix_tree::{InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour};
 use natix_xml::{Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
 
 use crate::directory::{self, Delta};
-use crate::document::{chunk_limit, DocId, DocState, InsertAt, NodeId};
+use crate::document::{DocId, DocState, InsertAt, NodeId};
 use crate::error::{NatixError, NatixResult};
+use crate::feed::text_chunks;
 use crate::idmap::{PathId, NO_PATH};
 use crate::path_summary::{PathSummary, SummaryDelta};
 use crate::repository::Repository;
@@ -387,7 +388,6 @@ impl Repository {
         let _op = self.tree.begin_write();
         let root_rid = self.tree.create_tree(*root_label)?;
         let state = DocState::new(name.to_string(), root_rid);
-        let limit = chunk_limit(self.tree.net_capacity());
         // Pre-order walk, inserting every node as the last child of its
         // (already inserted) parent.
         let mut shadow_ids: HashMap<natix_xml::NodeIdx, NodeId> = HashMap::new();
@@ -411,22 +411,20 @@ impl Repository {
                 NodeData::Element(label) => {
                     shadow_ids.insert(n, append(parent_id, *label, NewNode::Element)?);
                 }
-                NodeData::Literal { label, value } => {
-                    // Long character data is chunked into sibling literals
-                    // on UTF-8 boundaries; other labels (attributes,
-                    // comments, PIs) stay whole — splitting them would
-                    // change the serialisation.
-                    let texts: Vec<LiteralValue> = match value {
-                        LiteralValue::String(s) if s.len() > limit && *label == LABEL_TEXT => {
-                            natix_xml::chunk_str(s, limit)
-                                .map(|c| LiteralValue::String(c.to_owned()))
-                                .collect()
-                        }
-                        other => vec![other.clone()],
-                    };
-                    for v in texts {
-                        shadow_ids.insert(n, append(parent_id, *label, NewNode::Literal(v))?);
+                // Character data goes through the chunk rule; other
+                // literals (attributes, comments, PIs) stay whole.
+                NodeData::Literal {
+                    label: LABEL_TEXT,
+                    value: LiteralValue::String(text),
+                } => {
+                    for chunk in text_chunks(text.clone(), self.tree.net_capacity()) {
+                        let node = NewNode::Literal(LiteralValue::String(chunk));
+                        shadow_ids.insert(n, append(parent_id, LABEL_TEXT, node)?);
                     }
+                }
+                NodeData::Literal { label, value } => {
+                    let node = NewNode::Literal(value.clone());
+                    shadow_ids.insert(n, append(parent_id, *label, node)?);
                 }
             }
         }

@@ -144,36 +144,26 @@ fn order_batches_land_where_they_did() {
 
 #[test]
 fn deep_documents_land_where_they_did() {
-    // 4 000 nested elements: the XML writer and parser recurse per level,
-    // which a debug build's frames do not fit into a test thread's 2 MiB.
-    let body = || {
-        for (name, cfg, want) in [
-            (
-                "deep (paper)",
-                DeepConfig::paper(),
-                [
-                    golden(0x1274_2924_1919_0743, 2737, 35, 208_908),
-                    golden(0x5908_89D1_54DB_8A04, 2555, 9, 203_898),
-                ],
-            ),
-            (
-                "deep (tiny)",
-                DeepConfig::tiny(),
-                [
-                    golden(0x7B8C_0900_9EE6_8C7D, 259, 6, 20_324),
-                    golden(0x24F8_E20A_1BB8_5373, 192, 2, 16_838),
-                ],
-            ),
-        ] {
-            let mut syms = SymbolTable::new();
-            let docs = vec![("deep".to_string(), generate_deep(&cfg, &mut syms))];
-            check(name, &docs, &syms, want);
-        }
-    };
-    std::thread::Builder::new()
-        .stack_size(64 << 20)
-        .spawn(body)
-        .unwrap()
-        .join()
-        .unwrap();
+    for (name, cfg, want) in [
+        (
+            "deep (paper)",
+            DeepConfig::paper(),
+            [
+                golden(0x1274_2924_1919_0743, 2737, 35, 208_908),
+                golden(0x5908_89D1_54DB_8A04, 2555, 9, 203_898),
+            ],
+        ),
+        (
+            "deep (tiny)",
+            DeepConfig::tiny(),
+            [
+                golden(0x7B8C_0900_9EE6_8C7D, 259, 6, 20_324),
+                golden(0x24F8_E20A_1BB8_5373, 192, 2, 16_838),
+            ],
+        ),
+    ] {
+        let mut syms = SymbolTable::new();
+        let docs = vec![("deep".to_string(), generate_deep(&cfg, &mut syms))];
+        check(name, &docs, &syms, want);
+    }
 }

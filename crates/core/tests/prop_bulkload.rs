@@ -23,7 +23,7 @@
 
 use natix::{Repository, RepositoryOptions};
 use natix_tree::{SplitBehaviour, SplitMatrix};
-use natix_xml::{Document, NodeData, SymbolTable};
+use natix_xml::{parse_document, Document, NodeData, ParserOptions, SymbolTable};
 
 use natix_corpus::SplitMix64 as Gen;
 
@@ -180,17 +180,91 @@ fn bulkload_matches_per_node_oracle() {
             "case {case}: bulkload is not deterministic"
         );
 
-        // The streaming XML path produces the same document, too.
+        // XML text and its parsed DOM store the same document: `put_xml`
+        // of the case's text, CDATA sections and comments spliced in,
+        // against `put_document` of that text's parse — compared as
+        // documents, which see every text node, and as physical layouts.
+        let text = splice_cdata_and_comments(&mut g, &bulk_xml);
         let streamed = repo(page_size, SplitMatrix::all_other(), &syms);
-        let direct = repo(page_size, SplitMatrix::all_other(), &syms);
-        streamed.put_xml_streaming("d", &bulk_xml).unwrap();
-        direct.put_xml("d", &bulk_xml).unwrap();
+        let replayed = repo(page_size, SplitMatrix::all_other(), &syms);
+        streamed.put_xml("d", &text).unwrap();
+        let parsed = parse_document(&text, &mut replayed.symbols_mut(), ParserOptions::default());
+        replayed.put_document("d", &parsed.unwrap()).unwrap();
         assert_eq!(
-            streamed.get_xml("d").unwrap(),
-            direct.get_xml("d").unwrap(),
-            "case {case}: streaming load diverges from DOM load"
+            streamed.get_document("d").unwrap(),
+            replayed.get_document("d").unwrap(),
+            "case {case}: the text path diverges from the DOM path"
         );
-        streamed.physical_stats("d").unwrap();
+        assert_eq!(
+            streamed.physical_stats("d").unwrap(),
+            replayed.physical_stats("d").unwrap(),
+            "case {case}: the text path stores another layout than the DOM path"
+        );
+    }
+}
+
+/// `xml` with CDATA sections and comments spliced in before some of the
+/// tags inside its root: beside text a section joins the text's run,
+/// between elements it starts one, and a comment ends a run. Section
+/// bodies hold markup characters, are sometimes empty and sometimes long
+/// enough to be chunked.
+fn splice_cdata_and_comments(g: &mut Gen, xml: &str) -> String {
+    const BODY: &[char] = &['x', 'y', ' ', '<', '>', '&', '"', '\'', 'é'];
+    let mut out = String::with_capacity(2 * xml.len());
+    for (i, c) in xml.char_indices() {
+        if c == '<' && i > 0 {
+            match g.below(8) {
+                0 | 1 => {
+                    let len = match g.below(10) {
+                        0 => 0,
+                        1 => 400 + g.below(1200),
+                        _ => 1 + g.below(20),
+                    };
+                    out.push_str("<![CDATA[");
+                    out.extend((0..len).map(|_| BODY[g.below(BODY.len())]));
+                    out.push_str("]]>");
+                }
+                2 => out.push_str("<!-- c -->"),
+                _ => {}
+            }
+        }
+        out.push(c);
+    }
+    out
+}
+
+#[test]
+fn cdata_beside_text_is_one_text_node_through_every_entry_point() {
+    const XML: &str = "<a>x<![CDATA[y]]>z</a>";
+    let syms = SymbolTable::new();
+    for entry in [
+        "put_xml",
+        "put_xml_streaming",
+        "put_documents_parallel",
+        "put_document",
+    ] {
+        let r = repo(8192, SplitMatrix::all_other(), &syms);
+        match entry {
+            "put_xml" => r.put_xml("d", XML),
+            "put_xml_streaming" => r.put_xml_streaming("d", XML),
+            "put_documents_parallel" => {
+                let docs = [("d".to_string(), XML.to_string())];
+                r.put_documents_parallel(&docs, 2).remove(0)
+            }
+            _ => {
+                let doc = parse_document(XML, &mut r.symbols_mut(), ParserOptions::default());
+                r.put_document("d", &doc.unwrap())
+            }
+        }
+        .unwrap();
+        assert_eq!(r.query("d", "/a/text()").unwrap().len(), 1, "{entry}");
+        let out = r.get_xml("d").unwrap();
+        assert_eq!(out, "<a>xyz</a>", "{entry}");
+        let stats = r.physical_stats("d").unwrap();
+        assert_eq!(stats.facade_nodes, 2, "{entry}");
+        // Loading the export again stores the same layout.
+        r.put_xml("again", &out).unwrap();
+        assert_eq!(r.physical_stats("again").unwrap(), stats, "{entry}");
     }
 }
 

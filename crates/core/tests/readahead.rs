@@ -141,20 +141,11 @@ fn play_xml() -> String {
     write_document(&play.doc, &syms, WriteOptions::compact()).unwrap()
 }
 
-/// The deep corpus document (4 000 nested levels). The DOM writer
-/// recurses per level, so it gets a stack of its own; the engine walks
-/// iteratively and runs on the test's.
+/// The deep corpus document (4 000 nested levels).
 fn deep_xml() -> String {
-    std::thread::Builder::new()
-        .stack_size(64 << 20)
-        .spawn(|| {
-            let mut syms = SymbolTable::new();
-            let doc = generate_deep(&DeepConfig::paper(), &mut syms);
-            write_document(&doc, &syms, WriteOptions::compact()).unwrap()
-        })
-        .unwrap()
-        .join()
-        .unwrap()
+    let mut syms = SymbolTable::new();
+    let doc = generate_deep(&DeepConfig::paper(), &mut syms);
+    write_document(&doc, &syms, WriteOptions::compact()).unwrap()
 }
 
 /// The distinct pages holding the records of the subtree at `node`.

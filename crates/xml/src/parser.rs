@@ -8,10 +8,12 @@
 //!
 //! Guarantees: events are balanced (self-closing `<x/>` emits start *and*
 //! end), tag mismatches and premature EOF are errors, entity and character
-//! references in text and attribute values are expanded. Whitespace-only
-//! text nodes are dropped unless [`ParserOptions::keep_whitespace_text`] is
-//! set (pretty-printed corpora like Shakespeare would otherwise double
-//! their node count with layout whitespace).
+//! references in text and attribute values are expanded, and a run of
+//! character data and CDATA sections is one [`XmlEvent::Text`].
+//! Whitespace-only text is dropped unless
+//! [`ParserOptions::keep_whitespace_text`] is set (pretty-printed corpora
+//! like Shakespeare would otherwise double their node count with layout
+//! whitespace).
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::unescape;
@@ -47,7 +49,9 @@ pub enum XmlEvent<'a> {
     },
     /// `</name>` (also synthesised for `<name/>`).
     EndElement { name: &'a str },
-    /// Character data (entities expanded; CDATA sections verbatim).
+    /// One run of character data and CDATA sections (entities expanded,
+    /// CDATA verbatim), joined across the markup the options skip. A raw
+    /// piece of whitespace only drops out unless `keep_whitespace_text`.
     Text(String),
     /// `<!-- ... -->`.
     Comment(&'a str),
@@ -171,6 +175,9 @@ impl<'a> PullParser<'a> {
             }
             return Ok(Some(XmlEvent::EndElement { name }));
         }
+        // One run of character data: raw text and CDATA sections, joined
+        // across the constructs the options skip, until other markup.
+        let mut run: Option<String> = None;
         loop {
             if self.pos >= self.input.len() {
                 if !self.stack.is_empty() {
@@ -182,30 +189,55 @@ impl<'a> PullParser<'a> {
                 self.finished = true;
                 return Ok(None);
             }
-            if self.bytes()[self.pos] == b'<' {
+            let rest = &self.input[self.pos..];
+            let piece = if let Some(body) = rest.strip_prefix("<![CDATA[") {
+                if self.stack.is_empty() {
+                    return Err(XmlError::Structure("CDATA outside the root element".into()));
+                }
+                let end = body.find("]]>").ok_or_else(|| self.eof("CDATA section"))?;
+                self.pos += "<![CDATA[]]>".len() + end;
+                body[..end].to_string()
+            } else if rest.starts_with('<') {
+                if let Some(text) = run.take_if(|_| !self.skips_markup()) {
+                    return Ok(Some(XmlEvent::Text(text)));
+                }
                 match self.parse_markup()? {
                     Some(ev) => return Ok(Some(ev)),
                     None => continue, // skipped construct (xml decl, filtered comment...)
                 }
             } else {
-                let text_start = self.pos;
-                let end = self.find_from("<").unwrap_or(self.input.len());
-                let raw = &self.input[text_start..end];
+                let (start, end) = (self.pos, self.find_from("<").unwrap_or(self.input.len()));
+                let raw = &self.input[start..end];
                 self.pos = end;
-                if self.stack.is_empty() {
-                    if raw.trim().is_empty() {
-                        continue;
-                    }
+                let blank = raw.trim().is_empty();
+                if !blank && self.stack.is_empty() {
                     return Err(XmlError::Structure(
                         "character data outside the root element".into(),
                     ));
                 }
-                if !self.options.keep_whitespace_text && raw.trim().is_empty() {
+                if blank && (self.stack.is_empty() || !self.options.keep_whitespace_text) {
                     continue;
                 }
-                return Ok(Some(XmlEvent::Text(unescape(raw, text_start)?)));
-            }
+                unescape(raw, start)?
+            };
+            run = Some(match run {
+                Some(text) => text + &piece,
+                None => piece,
+            });
         }
+    }
+
+    /// True when the markup at the cursor yields no event (a filtered
+    /// comment or PI, the XML declaration): a text run goes on across it.
+    fn skips_markup(&self) -> bool {
+        let rest = &self.input[self.pos..];
+        if rest.starts_with("<!--") {
+            return !self.options.keep_comments;
+        }
+        rest.strip_prefix("<?").is_some_and(|pi| {
+            let target = pi.bytes().take_while(|&b| is_name_char(b)).count();
+            !self.options.keep_pis || pi[..target].eq_ignore_ascii_case("xml")
+        })
     }
 
     /// Parses one `<...>` construct. Returns `None` for constructs that are
@@ -221,18 +253,6 @@ impl<'a> PullParser<'a> {
                 return Ok(None);
             }
             return Ok(Some(XmlEvent::Comment(body)));
-        }
-        if rest.starts_with("<![CDATA[") {
-            if self.stack.is_empty() {
-                return Err(XmlError::Structure("CDATA outside the root element".into()));
-            }
-            self.pos += 9;
-            let end = self
-                .find_from("]]>")
-                .ok_or_else(|| self.eof("CDATA section"))?;
-            let body = &self.input[self.pos..end];
-            self.pos = end + 3;
-            return Ok(Some(XmlEvent::Text(body.to_string())));
         }
         if rest.starts_with("<!DOCTYPE") {
             return self.parse_doctype().map(Some);
@@ -498,6 +518,41 @@ mod tests {
     fn xml_declaration_is_skipped() {
         let events = ev("<?xml version=\"1.0\" encoding=\"utf-8\"?><a/>");
         assert_eq!(events.len(), 2);
+    }
+
+    #[test]
+    fn a_run_of_text_and_cdata_is_one_event() {
+        let text = |input| -> Vec<String> {
+            ev(input)
+                .into_iter()
+                .filter_map(|e| match e {
+                    XmlEvent::Text(t) => Some(t),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(text("<a>x<![CDATA[y]]>z</a>"), ["xyz"]);
+        assert_eq!(text("<a><![CDATA[<]]><![CDATA[]]>&amp;</a>"), ["<&"]);
+        assert_eq!(text("<a><![CDATA[]]></a>"), [""]);
+        // Whitespace-only raw pieces drop out of the run, as on their own.
+        assert_eq!(text("<a><![CDATA[y]]> \n<![CDATA[z]]> <b/></a>"), ["yz"]);
+        // Kept markup ends the run; skipped markup does not.
+        assert_eq!(text("<a>x<!--c-->y<?p?>z<b/>w</a>"), ["x", "y", "z", "w"]);
+        assert_eq!(
+            text("<a>x<?xml version='1.0'?>y<?xml-s d?>z</a>"),
+            ["xy", "z"]
+        );
+        let filtered = parse_events(
+            "<a>x<!--c-->y<?p d?>z</a>",
+            ParserOptions {
+                keep_comments: false,
+                keep_pis: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(filtered[1], XmlEvent::Text("xyz".into()));
+        assert_eq!(filtered.len(), 3);
     }
 
     #[test]

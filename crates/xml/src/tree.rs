@@ -238,17 +238,17 @@ impl Document {
     }
 
     /// Structural equality of two subtrees (labels, values, and order).
+    /// Walks pairs off an explicit stack, so depth costs heap, not stack.
     pub fn subtree_eq(&self, a: NodeIdx, other: &Document, b: NodeIdx) -> bool {
-        if self.data(a) != other.data(b) {
-            return false;
+        let mut pairs = vec![(a, b)];
+        while let Some((a, b)) = pairs.pop() {
+            let (ka, kb) = (self.children(a), other.children(b));
+            if self.data(a) != other.data(b) || ka.len() != kb.len() {
+                return false;
+            }
+            pairs.extend(ka.iter().copied().zip(kb.iter().copied()));
         }
-        let ka = self.children(a);
-        let kb = other.children(b);
-        ka.len() == kb.len()
-            && ka
-                .iter()
-                .zip(kb.iter())
-                .all(|(&ca, &cb)| self.subtree_eq(ca, other, cb))
+        true
     }
 
     /// First child element of `node` with the given label.
@@ -283,9 +283,8 @@ impl Iterator for PreOrder<'_> {
     }
 }
 
-/// Builds a [`Document`] from XML text by driving the pull parser.
-/// Adjacent text events (e.g. CDATA next to character data) are coalesced
-/// so that parse/serialise roundtrips are stable.
+/// Builds a [`Document`] from XML text by driving the pull parser: one
+/// node per event (the parser already joins a run of text and CDATA).
 pub fn build_from_text(
     text: &str,
     symbols: &mut SymbolTable,
@@ -295,7 +294,7 @@ pub fn build_from_text(
     let mut doc: Option<Document> = None;
     let mut stack: Vec<NodeIdx> = Vec::new();
     while let Some(event) = parser.next_event()? {
-        match event {
+        let (label, body) = match event {
             XmlEvent::StartElement { name, attrs } => {
                 let label = symbols.intern_element(name);
                 let (d, node) = match (&mut doc, stack.last()) {
@@ -313,55 +312,22 @@ pub fn build_from_text(
                     d.add_child(node, NodeData::attribute(alabel, value));
                 }
                 stack.push(node);
+                continue;
             }
             XmlEvent::EndElement { .. } => {
                 stack.pop();
+                continue;
             }
-            XmlEvent::Text(t) => {
-                let (Some(d), Some(&parent)) = (&mut doc, stack.last()) else {
-                    return Err(XmlError::Structure("text outside the root element".into()));
-                };
-                // Coalesce with a trailing text sibling.
-                if let Some(&last) = d.children(parent).last() {
-                    if let NodeData::Literal {
-                        label: LABEL_TEXT,
-                        value: LiteralValue::String(s),
-                    } = d.data_mut(last)
-                    {
-                        s.push_str(&t);
-                        continue;
-                    }
-                }
-                d.add_child(parent, NodeData::text(t));
-            }
-            XmlEvent::Comment(c) => {
-                if let (Some(d), Some(&parent)) = (&mut doc, stack.last()) {
-                    d.add_child(
-                        parent,
-                        NodeData::Literal {
-                            label: LABEL_COMMENT,
-                            value: LiteralValue::String(c.to_string()),
-                        },
-                    );
-                }
-            }
-            XmlEvent::Pi { target, data } => {
-                if let (Some(d), Some(&parent)) = (&mut doc, stack.last()) {
-                    let body = if data.is_empty() {
-                        target.to_string()
-                    } else {
-                        format!("{target} {data}")
-                    };
-                    d.add_child(
-                        parent,
-                        NodeData::Literal {
-                            label: LABEL_PI,
-                            value: LiteralValue::String(body),
-                        },
-                    );
-                }
-            }
-            XmlEvent::Doctype { .. } => {} // schema handling is the caller's business
+            XmlEvent::Doctype { .. } => continue, // schema handling is the caller's business
+            XmlEvent::Text(t) => (LABEL_TEXT, t),
+            XmlEvent::Comment(c) => (LABEL_COMMENT, c.to_string()),
+            XmlEvent::Pi { target, data: "" } => (LABEL_PI, target.to_string()),
+            XmlEvent::Pi { target, data } => (LABEL_PI, format!("{target} {data}")),
+        };
+        // The parser refuses text outside the root; a PI there has no node.
+        if let (Some(d), Some(&parent)) = (&mut doc, stack.last()) {
+            let value = LiteralValue::String(body);
+            d.add_child(parent, NodeData::Literal { label, value });
         }
     }
     doc.ok_or_else(|| XmlError::Structure("empty document".into()))

@@ -78,114 +78,102 @@ fn write_subtree_into(
     options: WriteOptions,
     out: &mut String,
 ) -> XmlResult<()> {
-    write_node(doc, node, symbols, options, 0, out)
-}
-
-fn indent(out: &mut String, options: WriteOptions, depth: usize) {
-    if let Some(w) = options.indent {
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out.extend(std::iter::repeat_n(' ', w * depth));
+    // Pre-order off an explicit stack, so depth costs heap, not stack. A
+    // step carries its indentation width (`None` inside mixed content)
+    // and its depth; an element's close tag is a step of its own.
+    enum Step<'s> {
+        Open(NodeIdx, Option<usize>, usize),
+        Close(&'s str, Option<usize>, usize),
     }
-}
-
-fn write_node(
-    doc: &Document,
-    node: NodeIdx,
-    symbols: &SymbolTable,
-    options: WriteOptions,
-    depth: usize,
-    out: &mut String,
-) -> XmlResult<()> {
-    match doc.data(node) {
-        NodeData::Element(label) => {
-            let name = symbols.name(*label);
-            indent(out, options, depth);
-            out.push('<');
-            out.push_str(name);
-            // Leading attribute literals become attributes; any attribute
-            // literal after content would be unrepresentable in XML.
-            let kids = doc.children(node);
-            let mut content_from = 0;
-            for &k in kids {
-                if let NodeData::Literal { label, value } = doc.data(k) {
-                    if symbols.kind(*label) == LabelKind::Attribute {
-                        out.push(' ');
-                        out.push_str(symbols.name(*label));
-                        out.push_str("=\"");
-                        out.push_str(&escape_attr(&value.to_text()));
-                        out.push('"');
-                        content_from += 1;
-                        continue;
+    let mut steps = vec![Step::Open(node, options.indent, 0)];
+    while let Some(step) = steps.pop() {
+        let (node, width, depth) = match step {
+            Step::Open(node, width, depth) => (node, width, depth),
+            Step::Close(name, width, depth) => {
+                indent(out, width, depth);
+                out.push_str("</");
+                out.push_str(name);
+                out.push('>');
+                continue;
+            }
+        };
+        match doc.data(node) {
+            NodeData::Element(label) => {
+                let name = symbols.name(*label);
+                indent(out, width, depth);
+                out.push('<');
+                out.push_str(name);
+                // Leading attribute literals become attributes; any
+                // attribute literal after content would be unrepresentable
+                // in XML.
+                let kids = doc.children(node);
+                let mut content_from = 0;
+                for &k in kids {
+                    if let NodeData::Literal { label, value } = doc.data(k) {
+                        if symbols.kind(*label) == LabelKind::Attribute {
+                            out.push(' ');
+                            out.push_str(symbols.name(*label));
+                            out.push_str("=\"");
+                            out.push_str(&escape_attr(&value.to_text()));
+                            out.push('"');
+                            content_from += 1;
+                            continue;
+                        }
                     }
+                    break;
                 }
-                break;
-            }
-            if kids[content_from..].iter().any(|&k| {
-                matches!(doc.data(k), NodeData::Literal { label, .. }
-                    if symbols.kind(*label) == LabelKind::Attribute)
-            }) {
-                return Err(XmlError::Structure(format!(
-                    "element <{name}> has an attribute literal after content"
-                )));
-            }
-            let content = &kids[content_from..];
-            if content.is_empty() {
-                out.push_str("/>");
-                return Ok(());
-            }
-            out.push('>');
-            // Mixed content (any text child) must stay inline: indentation
-            // would inject whitespace into character data and break
-            // parse/serialise roundtrips.
-            let mixed = content.iter().any(|&k| {
-                matches!(
-                    doc.data(k),
-                    NodeData::Literal {
-                        label: LABEL_TEXT,
-                        ..
-                    }
-                )
-            });
-            let child_options = if mixed {
-                WriteOptions {
-                    indent: None,
-                    ..options
+                if kids[content_from..].iter().any(|&k| {
+                    matches!(doc.data(k), NodeData::Literal { label, .. }
+                        if symbols.kind(*label) == LabelKind::Attribute)
+                }) {
+                    return Err(XmlError::Structure(format!(
+                        "element <{name}> has an attribute literal after content"
+                    )));
                 }
-            } else {
-                options
-            };
-            for &k in content {
-                write_node(doc, k, symbols, child_options, depth + 1, out)?;
+                let content = &kids[content_from..];
+                if content.is_empty() {
+                    out.push_str("/>");
+                    continue;
+                }
+                out.push('>');
+                // Mixed content (any text child) must stay inline:
+                // indentation would inject whitespace into character data
+                // and break parse/serialise roundtrips.
+                let mixed = content.iter().any(|&k| {
+                    matches!(
+                        doc.data(k),
+                        NodeData::Literal {
+                            label: LABEL_TEXT,
+                            ..
+                        }
+                    )
+                });
+                let inner = if mixed { None } else { width };
+                steps.push(Step::Close(name, inner, depth));
+                steps.extend(
+                    content
+                        .iter()
+                        .rev()
+                        .map(|&k| Step::Open(k, inner, depth + 1)),
+                );
             }
-            if !mixed {
-                indent(out, options, depth);
-            }
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
-            Ok(())
-        }
-        NodeData::Literal { label, value } => {
-            match *label {
+            NodeData::Literal { label, value } => match *label {
                 LABEL_TEXT => out.push_str(&escape_text(&value.to_text())),
                 LABEL_COMMENT => {
-                    indent(out, options, depth);
+                    indent(out, width, depth);
                     out.push_str("<!--");
                     out.push_str(&value.to_text());
                     out.push_str("-->");
                 }
                 LABEL_PI => {
-                    indent(out, options, depth);
+                    indent(out, width, depth);
                     out.push_str("<?");
                     out.push_str(&value.to_text());
                     out.push_str("?>");
                 }
                 other => {
                     // A free-standing attribute literal (serialised when a
-                    // subtree is written on its own): render as element-ish
-                    // name="value" pair is impossible; emit text form.
+                    // subtree is written on its own) has no XML form.
                     if symbols.kind(other) == LabelKind::Attribute {
                         return Err(XmlError::Structure(format!(
                             "cannot serialise detached attribute '{}'",
@@ -194,9 +182,18 @@ fn write_node(
                     }
                     out.push_str(&escape_text(&value.to_text()));
                 }
-            }
-            Ok(())
+            },
         }
+    }
+    Ok(())
+}
+
+fn indent(out: &mut String, width: Option<usize>, depth: usize) {
+    if let Some(w) = width {
+        if !out.is_empty() {
+            out.push('\n');
+        }
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
 }
 
@@ -272,6 +269,28 @@ mod tests {
         let b = doc.children(doc.root())[0];
         let out = write_subtree(&doc, b, &syms, WriteOptions::compact()).unwrap();
         assert_eq!(out, "<b i=\"1\">x</b>");
+    }
+
+    #[test]
+    fn a_chain_deeper_than_the_stack_roundtrips() {
+        // 100 000 levels on a test thread's default stack: writing,
+        // parsing and comparing all walk off the heap.
+        let mut syms = SymbolTable::new();
+        let (e, attr) = (syms.intern_element("e"), syms.intern_attribute("k"));
+        let mut doc = Document::new(NodeData::Element(e));
+        let mut at = doc.root();
+        for i in 0..100_000 {
+            doc.add_child(at, NodeData::attribute(attr, i.to_string()));
+            at = doc.add_child(at, NodeData::Element(e));
+        }
+        doc.add_child(at, NodeData::text("bottom"));
+        let out = write_document(&doc, &syms, WriteOptions::compact()).unwrap();
+        assert!(out.starts_with("<e k=\"0\"><e k=\"1\">"));
+        assert!(out.ends_with(&format!("<e>bottom{}", "</e>".repeat(100_001))));
+        let back = build_from_text(&out, &mut syms, ParserOptions::default()).unwrap();
+        assert!(back == doc);
+        doc.add_child(at, NodeData::text("!"));
+        assert!(back != doc);
     }
 
     #[test]

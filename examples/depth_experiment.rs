@@ -169,16 +169,6 @@ fn load_cost_by_family() {
 }
 
 fn main() {
-    // 8 000 nested elements: the XML writer and parser recurse per level.
-    std::thread::Builder::new()
-        .stack_size(256 << 20)
-        .spawn(experiment)
-        .unwrap()
-        .join()
-        .unwrap();
-}
-
-fn experiment() {
     // Pure chain: the open spine is all there is.
     let (syms, chain) = pure_chain(3000);
     for page in [512usize, 2048, 8192] {
