@@ -237,15 +237,18 @@ impl BuiltRepo {
     }
 
     /// Runs `path` against every play the way the paper's hand-written
-    /// queries do — the planner's lazy-walk operator, forced — handing each
-    /// match to `each` before the next play is touched.
+    /// queries do — the planner's step loop, forced, whose child steps
+    /// enumerate children and stop at `x[n]` and whose descendant step
+    /// (Query 1's `//SPEAKER`) is the record walk, reading ahead like
+    /// figure 10's traversal — handing each match to `each` before the
+    /// next play is touched.
     fn walk_every_play(
         &self,
         path: &str,
         mut each: impl FnMut(DocId, NodeId) -> NatixResult<()>,
     ) -> NatixResult<Measurement> {
         let walk = PlannerOptions {
-            force: Some(PlanShape::LazyWalk),
+            force: Some(PlanShape::ParallelScan),
         };
         let names = self.repo.document_names();
         let ((), m) = measure(&self.repo, || {

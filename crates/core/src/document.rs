@@ -472,13 +472,11 @@ impl Repository {
     }
 
     /// Calls `f` with the physical pointer of every record spanned by the
-    /// subtree at `node`, in document order of first reach — built on the
-    /// same record-boundary primitive
-    /// ([`natix_tree::TreeStore::scan_record_subtree`]) whose
-    /// `ChildRecord` entries feed the descendant scan's queue of records,
-    /// but walked here depth-first. Read-only
-    /// (`&self`); each record is loaded exactly once and its buffer pin
-    /// is released before the next record is touched.
+    /// subtree at `node`, in document order of first reach: the record
+    /// events of the record walk behind every descendant step
+    /// ([`natix_tree::walk_records`]), each pointer the node the walk
+    /// entered its record at. Read-only (`&self`); each record is read
+    /// once.
     pub fn for_each_subtree_record(
         &self,
         doc: DocId,
@@ -487,24 +485,17 @@ impl Repository {
     ) -> NatixResult<()> {
         let _pin = self.tree.begin_read();
         let start = self.resolve(doc, node)?;
-        let mut stack = vec![start];
-        let mut found = Vec::new();
-        while let Some(p) = stack.pop() {
-            f(p);
-            self.tree.scan_record_subtree(p, &mut |entry| {
-                if let natix_tree::RecordEntry::ChildRecord { ptr, .. } = *entry {
-                    found.push(ptr);
-                }
-                Ok(true)
-            })?;
-            // Reverse so the leftmost child record is reached first.
-            stack.extend(found.drain(..).rev());
-        }
+        natix_tree::walk_records(&self.tree, start, &mut |entry| {
+            if let natix_tree::RecordEntry::Record(ptr) = entry {
+                f(ptr);
+            }
+            true
+        })?;
         Ok(())
     }
 
-    /// Number of records the subtree at `node` spans (the records a scan
-    /// over it queues).
+    /// Number of records the subtree at `node` spans (the records a
+    /// descendant step below it walks).
     pub fn subtree_record_count(&self, doc: DocId, node: NodeId) -> NatixResult<usize> {
         let mut n = 0usize;
         self.for_each_subtree_record(doc, node, &mut |_| n += 1)?;

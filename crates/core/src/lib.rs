@@ -39,9 +39,10 @@
 //!   [`Repository::explain`] take [`PlannerOptions`];
 //!   [`Repository::query`] and [`Repository::query_content`] are their
 //!   default-option conveniences; [`Repository::query_documents`] fans
-//!   one query out over many documents, one thread per document. Its
-//!   scan operator ([`parallel_query`]) splits descendant steps at record
-//!   boundaries.
+//!   one query out over many documents on the engine's one worker pool
+//!   (`workers.rs`). A descendant step walks the records of each
+//!   context's subtree depth-first, in document order
+//!   ([`natix_tree::walk_records`]).
 //!
 //! ## Quickstart
 //!
@@ -66,12 +67,12 @@ pub mod error;
 mod feed;
 mod idmap;
 pub mod ingest;
-pub mod parallel_query;
 pub mod path_summary;
 pub mod query;
 pub(crate) mod recovery;
 pub mod repository;
 pub mod schema;
+mod workers;
 mod write;
 
 pub use document::{DocId, InsertAt, NodeId, NodeKind, NodeSummary};

@@ -26,15 +26,17 @@
 //! as a count, as `(label, text)` rows read under the same pin, or not at
 //! all (`explain`). A specific operator is reached the way the
 //! differential suites reach it: `PlannerOptions { force: Some(shape) }`.
-//! The operators are the summary-seeded descent, the lazy positional
-//! walk (both here) and the record-granular scan
-//! ([`crate::parallel_query`]); the walk and the scan are the two
-//! *descendant operators* of one step loop.
+//! Two operators read records: the summary-seeded descent, and the step
+//! loop, whose child steps enumerate each context's children and whose
+//! descendant steps run the record walk
+//! ([`natix_tree::walk_records`]): one depth-first pass over the records
+//! of each context's subtree, in document order, that stops at the n-th
+//! match of `//x[n]`.
 
 use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
-use natix_tree::{NodePtr, ReadPin, TreeResult};
+use natix_tree::{NodePtr, ReadPin, RecordEntry, TreeResult};
 use natix_xml::{LabelId, LABEL_TEXT};
 
 use crate::document::{DocId, DocState, NodeId};
@@ -168,11 +170,16 @@ pub enum PlanShape {
     /// stays until the benchmark's `core.plans.index_seeded` row, which
     /// matches on it, is dropped (ROADMAP item 6c, then 8c).
     IndexSeeded,
-    /// Record-granular scan on the query's thread
-    /// ([`crate::parallel_query`]). The name predates the scan's single
-    /// thread; it stays while the benchmark matches on it.
+    /// The step loop on the query's thread, its descendant steps by the
+    /// record walk ([`natix_tree::walk_records`]). The name predates the
+    /// walk's single thread; it stays while the benchmark matches on it.
     ParallelScan,
-    /// The sequential lazy reference walk.
+    /// Retired: the node-by-node walk is gone, and the record walk behind
+    /// [`ParallelScan`](Self::ParallelScan) stops at the n-th match of
+    /// `//x[n]` as it did. Never planned; forcing it returns
+    /// [`NatixError::PlanUnsupported`]. The variant stays while the
+    /// benchmark's `core.plans.lazy_walk` row matches on it (ROADMAP item
+    /// 6c, then 8c).
     LazyWalk,
 }
 
@@ -193,18 +200,18 @@ pub struct PlannerOptions {
 pub const DEFAULT_PAGE_COST_NS: u64 = 2_000;
 /// CPU cost (ns) the model charges per facade node visited, any shape.
 /// It assumes a record is read once however many of its nodes the shape
-/// visits — true of the seeded descent and the walk since their reads
-/// share one parsed record view per snapshot (the parsed-record memo of
-/// [`natix_tree::version`]), and of the scan by construction.
+/// visits — true of the seeded descent since its reads share one parsed
+/// record view per snapshot (the parsed-record memo of
+/// [`natix_tree::version`]), and of the record walk by construction.
 const NODE_COST_NS: u64 = 100;
 /// Nodes over which a summary-seeded descent amortises one page miss —
 /// its proxy hops are random access, so misses are frequent.
 const SEEDED_NODES_PER_READ: u64 = 16;
-/// Nodes over which a record-granular scan amortises one page miss —
-/// the scan reads the pages of its queued records ahead a whole window
-/// per request ([`natix_tree::readahead`]), so a page costs a fraction of
-/// a demand miss (the unit `page_cost_ns` is measured in) and misses
-/// proper are rare per node.
+/// Nodes over which the record walk amortises one page miss — it reads
+/// the pages of the records ahead of it a whole window per request
+/// ([`natix_tree::readahead`]), so a page costs a fraction of a demand
+/// miss (the unit `page_cost_ns` is measured in) and misses proper are
+/// rare per node.
 const SCAN_NODES_PER_READ: u64 = 128;
 
 /// How the planner arrived at a plan; returned alongside every planned
@@ -251,7 +258,6 @@ enum Plan {
     SummaryOnly(u64),
     SummarySeeded(Arc<PathSummary>, PathMatch),
     ParallelScan,
-    LazyWalk,
 }
 
 impl Plan {
@@ -260,7 +266,6 @@ impl Plan {
             Plan::SummaryOnly(_) => PlanShape::SummaryOnly,
             Plan::SummarySeeded(..) => PlanShape::SummarySeeded,
             Plan::ParallelScan => PlanShape::ParallelScan,
-            Plan::LazyWalk => PlanShape::LazyWalk,
         }
     }
 }
@@ -280,15 +285,6 @@ struct Matched<'r> {
     /// nothing ran.
     ptrs: Vec<NodePtr>,
     count: u64,
-}
-
-/// The descendant operator a plan drives the step loop with.
-#[derive(Clone, Copy)]
-enum Descend {
-    /// The sequential lazy walk: stops at the n-th match of `//x[n]`.
-    Walk,
-    /// The record-granular scan of [`crate::parallel_query`].
-    Scan,
 }
 
 impl Repository {
@@ -470,7 +466,7 @@ impl Repository {
     ///    (outside the pin; skipped under an ambient snapshot), then pin
     ///    and read the summary *at the pinned epoch* — a stale or missing
     ///    summary abstains, never lies.
-    /// 3. Choose: positional predicates go to the walk/scan shapes;
+    /// 3. Choose: positional predicates go to the step loop;
     ///    summary-decidable counts and provably-empty results are
     ///    summary-only; selective node queries descend through the
     ///    summary's ancestor closure; everything else is the record scan.
@@ -527,8 +523,7 @@ impl Repository {
         // 2. Summary + snapshot. Building a summary is a whole-document
         // traversal under the edit latch, so it is only worth it for a
         // query that can read one: a positional query is never
-        // path-decidable, and the walk and scan shapes never consult the
-        // summary.
+        // path-decidable, and the step loop never consults the summary.
         let summary_readable = !positional
             && matches!(
                 opts.force,
@@ -552,10 +547,7 @@ impl Repository {
                 Self::check_forced(forced, positional, decided, counting)?,
                 "forced by caller".to_string(),
             ),
-            None => {
-                let lazy_positional = q.steps.iter().any(|s| s.descendant && s.position.is_some());
-                Self::choose_plan(positional, lazy_positional, decided, counting, page_cost_ns)
-            }
+            None => Self::choose_plan(positional, decided, counting, page_cost_ns),
         };
         let explain = PlanExplain {
             shape: plan.shape(),
@@ -594,15 +586,14 @@ impl Repository {
         let ptrs = match plan {
             Plan::SummaryOnly(count) => return Ok((Vec::new(), count)),
             Plan::SummarySeeded(summary, pm) => self.eval_summary_seeded(root, &summary, &pm)?,
-            Plan::ParallelScan => self.eval_steps(root, steps, Descend::Scan)?,
-            Plan::LazyWalk => self.eval_steps(root, steps, Descend::Walk)?,
+            Plan::ParallelScan => self.eval_steps(root, steps)?,
         };
         let count = ptrs.len() as u64;
         Ok((ptrs, count))
     }
 
-    /// The cost model. `lazy_positional`: a positional predicate sits on a
-    /// descendant step (`//x[n]`), which only the walk stops early on.
+    /// The cost model. A positional predicate is never path-decidable,
+    /// and the record walk stops at the n-th match of `//x[n]`.
     ///
     /// The seeded-vs-scan decision is *calibrated*: `page_cost_ns` is the
     /// measured buffer-pool miss latency (or the fallback), and each
@@ -614,28 +605,17 @@ impl Repository {
     /// access is penalised and the descent must be far more selective.
     fn choose_plan(
         positional: bool,
-        lazy_positional: bool,
         decided: Option<Decided>,
         counting: bool,
         page_cost_ns: u64,
     ) -> (Plan, String) {
         let Some((summary, pm)) = decided else {
-            return if lazy_positional {
-                (
-                    Plan::LazyWalk,
-                    "positional descendant step: lazy early-exit walk".into(),
-                )
-            } else if positional {
-                (
-                    Plan::ParallelScan,
-                    "positional predicate is not path-decidable".into(),
-                )
+            let reason = if positional {
+                "positional predicate is not path-decidable"
             } else {
-                (
-                    Plan::ParallelScan,
-                    "no current summary for this snapshot: falling back to scan".into(),
-                )
+                "no current summary for this snapshot: falling back to scan"
             };
+            return (Plan::ParallelScan, reason.into());
         };
         if pm.is_empty() {
             return (
@@ -701,8 +681,10 @@ impl Repository {
             PlanShape::IndexSeeded => {
                 unsupported("index-seeded is retired: the path summary is the only seed source")
             }
+            PlanShape::LazyWalk => {
+                unsupported("the lazy walk is retired: the record walk stops at `//x[n]` itself")
+            }
             PlanShape::ParallelScan => Ok(Plan::ParallelScan),
-            PlanShape::LazyWalk => Ok(Plan::LazyWalk),
         }
     }
 
@@ -710,19 +692,18 @@ impl Repository {
     // Operators
     // -----------------------------------------------------------------
 
-    /// The step loop both descendant operators run under: the first step
-    /// matches the root element itself (absolute paths address the
-    /// document element), then every later step maps the context set
-    /// through a child step or the plan's descendant operator.
+    /// The step loop: the first step matches the root element itself
+    /// (absolute paths address the document element), then every later
+    /// step maps the context set through a child step or a descendant
+    /// step.
     fn eval_steps(
         &self,
         root: NodePtr,
         steps: &[(&Step, Option<LabelId>)],
-        descend: Descend,
     ) -> NatixResult<Vec<NodePtr>> {
         let (first, first_label) = steps[0];
         let mut current = if first.descendant {
-            self.descend_step(&[root], first, first_label, descend)?
+            self.descend_step(&[root], first, first_label)?
         } else if self.step_matches(root, first, first_label)? && first.position.unwrap_or(1) == 1 {
             vec![root]
         } else {
@@ -733,7 +714,7 @@ impl Repository {
                 break;
             }
             current = if step.descendant {
-                self.descend_step(&current, step, label, descend)?
+                self.descend_step(&current, step, label)?
             } else {
                 self.child_step(&current, step, label)?
             };
@@ -741,29 +722,39 @@ impl Repository {
         Ok(current)
     }
 
-    /// The descendant-or-self axis over all `contexts`, by the plan's
-    /// operator.
+    /// The descendant-or-self axis over all `contexts`: one record walk
+    /// per context, matches in document order under each, contexts in
+    /// order. `//x[n]` takes the n-th match under each context and stops
+    /// that context's walk there.
     fn descend_step(
         &self,
         contexts: &[NodePtr],
         step: &Step,
         label: Option<LabelId>,
-        descend: Descend,
     ) -> NatixResult<Vec<NodePtr>> {
-        match descend {
-            Descend::Walk => {
-                let mut out = Vec::new();
-                for &ctx in contexts {
-                    self.collect_descendants(ctx, step, label, &mut out)?;
+        let mut out = Vec::new();
+        for &ctx in contexts {
+            let mut seen = 0;
+            natix_tree::walk_records(&self.tree, ctx, &mut |entry| match entry {
+                // Descendant-or-self: the context node itself
+                // participates, except for a `text()` test.
+                RecordEntry::Node {
+                    ptr,
+                    label: l,
+                    literal,
+                } if step.test.accepts(label, l, literal)
+                    && (ptr != ctx || step.test != Test::Text) =>
+                {
+                    take(step, &mut seen, ptr, &mut out)
                 }
-                Ok(out)
-            }
-            Descend::Scan => self.descendant_scan(contexts, step, label),
+                _ => true,
+            })?;
         }
+        Ok(out)
     }
 
-    /// A child (`/`) step, under either operator: the lazy child walk of
-    /// each context in turn, results concatenated in context order.
+    /// A child (`/`) step: the children of each context in turn, results
+    /// concatenated in context order.
     fn child_step(
         &self,
         contexts: &[NodePtr],
@@ -772,7 +763,11 @@ impl Repository {
     ) -> NatixResult<Vec<NodePtr>> {
         let mut out = Vec::new();
         for &ctx in contexts {
-            self.collect_children(ctx, step, label, &mut out)?;
+            let mut seen = 0;
+            self.tree.for_each_logical_child(ctx, &mut |child| {
+                Ok(!self.step_matches(child, step, label)?
+                    || take(step, &mut seen, child, &mut out))
+            })?;
         }
         Ok(out)
     }
@@ -788,75 +783,10 @@ impl Repository {
         Ok(step.test.accepts(name_label, label, literal))
     }
 
-    /// Children of `ctx` matching the step; the positional predicate
-    /// counts among the matching children only (XPath semantics). The walk
-    /// is lazy: once `x[n]` is satisfied, no further sibling records are
-    /// read — essential for the paper's Query 2/3 access patterns.
-    fn collect_children(
-        &self,
-        ctx: NodePtr,
-        step: &Step,
-        name_label: Option<LabelId>,
-        out: &mut Vec<NodePtr>,
-    ) -> NatixResult<()> {
-        let mut seen = 0usize;
-        self.tree.for_each_logical_child(ctx, &mut |child| {
-            if self.step_matches(child, step, name_label)? {
-                seen += 1;
-                match step.position {
-                    None => out.push(child),
-                    Some(p) if p == seen => {
-                        out.push(child);
-                        return Ok(false);
-                    }
-                    Some(_) => {}
-                }
-            }
-            Ok(true)
-        })?;
-        Ok(())
-    }
-
-    /// The lazy walk operator: descendant-or-self collection in document
-    /// order under one context.
-    fn collect_descendants(
-        &self,
-        ctx: NodePtr,
-        step: &Step,
-        name_label: Option<LabelId>,
-        out: &mut Vec<NodePtr>,
-    ) -> NatixResult<()> {
-        // `//x[n]` takes the n-th match in document order under this
-        // context (a pragmatic, commonly used interpretation).
-        let mut seen = 0usize;
-        let mut stack = vec![ctx];
-        let mut first = true;
-        while let Some(p) = stack.pop() {
-            let matches = self.step_matches(p, step, name_label)?;
-            if matches && !(first && p == ctx && step.test == Test::Text) {
-                seen += 1;
-                match step.position {
-                    None => out.push(p),
-                    Some(n) if n == seen => {
-                        out.push(p);
-                        return Ok(());
-                    }
-                    Some(_) => {}
-                }
-            }
-            first = false;
-            let kids = self.tree.logical_children(p)?;
-            for k in kids.into_iter().rev() {
-                stack.push(k);
-            }
-        }
-        Ok(())
-    }
-
     /// The summary-seeded operator: a document-order descent that only
     /// enters children whose label path lies in the ancestor closure of
     /// the final match set, emitting nodes whose path is a final match.
-    /// Exactly equal to the lazy walk whenever the match is `enumerable`
+    /// Exactly equal to the step loop whenever the match is `enumerable`
     /// (enforced by the planner and the differential suite).
     ///
     /// Children come from [`natix_tree::TreeStore::logical_children_labeled`],
@@ -894,6 +824,25 @@ impl Repository {
     }
 }
 
+/// Keeps `ptr`, the next match of `step` under one context, if the
+/// step's positional predicate selects it (`seen` counts the matches so
+/// far); returns whether the context has more to give. The predicate
+/// counts among the matching nodes only (XPath semantics), so once `x[n]`
+/// is satisfied nothing further is read — essential for the paper's Query
+/// 2/3 access patterns.
+fn take(step: &Step, seen: &mut usize, ptr: NodePtr, out: &mut Vec<NodePtr>) -> bool {
+    *seen += 1;
+    match step.position {
+        None => out.push(ptr),
+        Some(n) if n == *seen => {
+            out.push(ptr);
+            return false;
+        }
+        Some(_) => {}
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -923,6 +872,54 @@ mod tests {
             </PLAY>";
         let id = repo.put_xml("play", xml).unwrap();
         (repo, id)
+    }
+
+    /// The record walk across many records answers what it answers
+    /// inside one: the same document on 512-byte pages (several
+    /// records) and on the largest pages (one record, so the walk makes
+    /// no hop), compared row by row — every row's text is unique.
+    #[test]
+    fn the_record_walk_across_records_equals_it_within_one() {
+        let body: String = (0..40)
+            .map(|i| {
+                format!(
+                    "<SPEECH><SPEAKER>S{i}</SPEAKER><LINE>line {i}</LINE>\
+                     <LINE>second {i}</LINE></SPEECH>"
+                )
+            })
+            .collect();
+        let xml = format!("<PLAY><ACT><SCENE>{body}</SCENE></ACT></PLAY>");
+        let stored = |page_size| {
+            let repo = Repository::create_in_memory(RepositoryOptions {
+                page_size,
+                ..RepositoryOptions::default()
+            })
+            .unwrap();
+            repo.put_xml("play", &xml).unwrap();
+            repo
+        };
+        let (many, one) = (stored(512), stored(natix_storage::MAX_PAGE_SIZE));
+        let records = many.physical_stats("play").unwrap().records;
+        assert!(records > 5, "{records} records");
+        assert_eq!(one.physical_stats("play").unwrap().records, 1);
+        let scan = PlannerOptions {
+            force: Some(PlanShape::ParallelScan),
+        };
+        for path in [
+            "//SPEAKER",
+            "/PLAY/ACT/SCENE/SPEECH/LINE",
+            "//SPEECH[7]",
+            "//LINE/text()",
+            "//SPEECH/LINE",
+            "/PLAY//SPEECH[3]/SPEAKER",
+            "//*",
+            "//NOPE",
+        ] {
+            let rows = |r: &Repository| r.content_planned("play", path, &scan).unwrap().0;
+            let want = rows(&one);
+            assert_eq!(want.is_empty(), path == "//NOPE", "{path}");
+            assert_eq!(rows(&many), want, "{path}");
+        }
     }
 
     #[test]

@@ -187,31 +187,31 @@
 //!    [`SymbolTable::lookup_element`]; an unknown name means an empty
 //!    result, not an interning. The only lock a query takes per *node* is
 //!    none at all — matching compares pre-resolved label ids.
-//! 2. **Buffer pins are record-scoped.** Every unit of query work loads
-//!    one record ([`natix_tree::TreeStore::scan_record_subtree`] /
-//!    `load`), which pins the page, parses, and unpins before any
-//!    matching or any further page is touched. A query thread therefore
+//! 2. **Buffer pins are record-scoped.** Every read of query work loads
+//!    one record's view (the record walk's hop to a record, a child
+//!    enumeration, `load`), which pins the page, parses, and unpins before
+//!    any matching or any further page is touched. A query thread therefore
 //!    never holds a pin while blocking on another pin, and a query
 //!    stalled on a miss waits on the buffer's in-flight condvar without
 //!    reserving frames it does not need.
 //! 3. **Per-document id maps bind only results.** Operators traverse
 //!    physical pointers; the per-document id-map mutex is taken once at
 //!    the end, by the ids consumer, to bind the merged result list — the
-//!    count and content consumers never take it — so scans of different
-//!    documents (and scans racing ingestion of other documents) never
+//!    count and content consumers never take it — so queries of different
+//!    documents (and queries racing ingestion of other documents) never
 //!    serialize on shared mutable state.
-//! 4. **Read-ahead is an I/O region, issued under no lock.** Two readers
+//! 4. **Read-ahead is an I/O region, issued under no lock.** Two walks
 //!    know which pages they need next and ask for them a window at a
-//!    time, under one policy ([`natix_tree::readahead`]): every
-//!    whole-subtree walk (`get_xml`, `get_document`, `serialize_node`,
-//!    `text_content`, `traverse_document`, the path-summary build —
-//!    [`natix_tree::reconstruct`]) from the pending record hops of its
-//!    own frame stack; and the record scan from its queue of records. Both
-//!    plan and issue their window on the query thread, under no lock
-//!    ([`natix_tree::TreeStore::prefetch_pages`] →
+//!    time, under one policy owned by the tree store
+//!    ([`natix_tree::readahead`]), from the pending record hops of their
+//!    own frames ([`natix_tree::reconstruct`]): every whole-subtree walk
+//!    (`get_xml`, `get_document`, `serialize_node`, `text_content`,
+//!    `traverse_document`, the path-summary build), and the record walk
+//!    of every descendant step. Both plan and issue their window on the
+//!    query thread, under no lock (the tree store's prefetch →
 //!    `BufferManager::prefetch`), where they hold what their demand reads
-//!    hold and nothing more. The seeded descent and the lazy child-axis
-//!    walk do not read ahead. The buffer manager declares the
+//!    hold and nothing more. The seeded descent and the child steps do
+//!    not read ahead. The buffer manager declares the
 //!    batch read as an I/O region (`buffer.prefetch`), so the lockdep
 //!    held-across-I/O detector enforces the rule mechanically: holding
 //!    any non-I/O-tolerant lock across a prefetch panics under
@@ -240,7 +240,7 @@
 //! [`count_planned`](Repository::count_planned),
 //! [`content_planned`](Repository::content_planned) and the conveniences
 //! over them) goes through the cost-based planner ([`crate::query`]),
-//! which picks one of four plan shapes from the document's path summary
+//! which picks one of three plan shapes from the document's path summary
 //! ([`crate::path_summary`]) — the only derived structure, and the only
 //! seed source. Each shape is independently forceable via
 //! `PlannerOptions { force: Some(shape) }` — that is also how tests
@@ -251,22 +251,21 @@
 //! |---|---|---|
 //! | `SummaryOnly` | counts/emptiness straight from summary counts, zero record access | DOM re-evaluation (`prop_query.rs`), exact cardinality vs the DOM match list |
 //! | `SummarySeeded` | document-order descent pruned to the ancestor closure of matching paths | ids, counts and content rows vs the DOM oracle; chosen == forced |
-//! | `ParallelScan` | record-granular scan (`parallel_query`) on the query's thread | same matrix; forced scan vs forced `LazyWalk` across page sizes and on an 8-frame pool; racing edits and ingestion (`prop_edit_race.rs`, `concurrent_ingest.rs`) |
-//! | `LazyWalk` | the sequential lazy walk (early exit on `x[n]`) | same matrix; the paper's figures 11–13 (`crates/bench/figures.quick.txt`) |
+//! | `ParallelScan` | the step loop on the query's thread: child steps by child enumeration, descendant steps by the record walk (early exit on `//x[n]`) | same matrix; the DOM oracle across page sizes, on both load paths and on an 8-frame pool; racing edits and ingestion (`prop_edit_race.rs`, `concurrent_ingest.rs`); the paper's figures 11–13 (`crates/bench/figures.quick.txt`) |
 //!
 //! The planner only picks a shape whose preconditions hold (summary
 //! current for the pinned epoch, no positional predicates for the
 //! summary shapes, per-context emission provably equal to document
 //! order); forcing an inapplicable shape surfaces
 //! [`NatixError::PlanUnsupported`] rather than a wrong answer. The
-//! [`PlanShape`](crate::query::PlanShape) enum has a fifth, retired
-//! variant, `IndexSeeded`: no operator stands behind it, the planner
-//! never picks it and forcing it is always refused (ROADMAP open item 6c
-//! schedules its removal). A stale
+//! [`PlanShape`](crate::query::PlanShape) enum has two more, retired
+//! variants, `IndexSeeded` and `LazyWalk`: no operator stands behind
+//! them, the planner never picks them and forcing either is always
+//! refused (ROADMAP open item 6c schedules their removal). A stale
 //! summary (failed delta, pin older than the last rebuild) always falls
 //! back to scans — the summary never lies, it only abstains — and a
 //! query that could not read a summary (positional, or forced onto the
-//! walk or scan) never builds one. Racing edits are covered by
+//! step loop) never builds one. Racing edits are covered by
 //! `prop_edit_race.rs` (counts vs a serial oracle), reopen/recovery
 //! equivalence by `reopen.rs` / `crash_recovery.rs`.
 //!
@@ -424,9 +423,9 @@
 //!   (checked at every log sync on a forgetting device); and the
 //!   first-touch image: an edit racing a (resetting) checkpoint survives
 //!   the power cut after both.
-//! * **path-summary** — a pinned reader's query counts (eager and lazy
-//!   plan shapes) must agree with its epoch's path summary while a
-//!   writer inserts matching elements.
+//! * **path-summary** — a pinned reader's query counts (summary-served,
+//!   and the forced step loop reading records) must agree with its
+//!   epoch's path summary while a writer inserts matching elements.
 //! * **directory-log** — a checkpoint racing a registration and a
 //!   deletion, then recovery from the log alone: both acknowledged
 //!   changes survive wherever they land relative to the capture.

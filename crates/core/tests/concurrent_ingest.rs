@@ -193,23 +193,34 @@ fn queries_race_ingestion_of_other_documents() {
         .iter()
         .map(|q| PathQuery::parse(q).unwrap())
         .collect();
-    // The sequential lazy walk before any ingestion starts.
-    let lazy = PlannerOptions {
-        force: Some(PlanShape::LazyWalk),
+    // Both racing readers force the record scan over the small pool.
+    let scan = PlannerOptions {
+        force: Some(PlanShape::ParallelScan),
     };
+    // The answers before any ingestion starts, each checked row by row
+    // against the planner's answer on an unpressured store holding the
+    // same documents.
+    let unpressured = repo(1024);
+    for (i, (name, _)) in expected.iter().enumerate() {
+        unpressured.put_xml(name, &order_doc(i, 60)).unwrap();
+    }
     let baseline: Vec<Vec<Vec<natix::NodeId>>> = queries
         .iter()
         .map(|q| {
             expected
                 .iter()
-                .map(|(name, _)| r.query_planned(name, q, &lazy).unwrap().0)
+                .map(|(name, _)| {
+                    let (rows, _) = r.content_planned(name, q, &scan).unwrap();
+                    let (want, _) = unpressured
+                        .content_planned(name, q, &PlannerOptions::default())
+                        .unwrap();
+                    assert!(!want.is_empty(), "{name} {q}");
+                    assert_eq!(rows, want, "{name} {q}: the scan diverges");
+                    r.query_planned(name, q, &scan).unwrap().0
+                })
                 .collect()
         })
         .collect();
-    // Both racing readers force the record scan over the small pool.
-    let scan = PlannerOptions {
-        force: Some(PlanShape::ParallelScan),
-    };
     let ids: Vec<natix::DocId> = expected.iter().map(|&(_, id)| id).collect();
     let r = &r;
     let incoming: Vec<(String, String)> = (0..10)

@@ -6,7 +6,7 @@
 //! pinned behind the edit keeps resolving *its* epoch's statistics. The
 //! scenario pins a reader and runs summary-served counts against a
 //! concurrent writer appending matching elements, differentially checked
-//! against the forced sequential lazy walk (which answers from the
+//! against the forced record walk (`ParallelScan`, which answers from the
 //! record store, not the summary) — the two must agree at every point of
 //! every interleaving, and stay at the pinned epoch's value until the
 //! pin drops.
@@ -22,7 +22,7 @@ use crate::util;
 const INSERTS: u64 = 3;
 
 /// Counts `//a` twice — planner's choice (summary-served when current)
-/// and the forced lazy walk — and requires them to agree.
+/// and the forced record walk — and requires them to agree.
 fn count_both(r: &Repository) -> u64 {
     let (summary, _) = r
         .count_planned("doc", "//a", &PlannerOptions::default())
@@ -32,13 +32,13 @@ fn count_both(r: &Repository) -> u64 {
             "doc",
             "//a",
             &PlannerOptions {
-                force: Some(PlanShape::LazyWalk),
+                force: Some(PlanShape::ParallelScan),
             },
         )
         .unwrap();
     assert_eq!(
         summary, walked,
-        "summary-served count disagrees with the lazy reference walk"
+        "summary-served count disagrees with the record walk"
     );
     summary
 }

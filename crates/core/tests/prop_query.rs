@@ -3,13 +3,13 @@
 //! For random documents (stored both through the streaming bulkloader and
 //! through the per-node oracle path) and random generated path queries:
 //!
-//! * the forced **record scan** must return exactly what the forced
-//!   **lazy walk** returns;
-//! * both must agree with a **naive in-memory DOM oracle** that evaluates
-//!   the same steps over the parsed `Document`, node for node;
-//! * the multi-document fan-out must agree with per-document walks;
+//! * the forced **step loop** (`ParallelScan`: descendant steps by the
+//!   record walk) and the planner's own choice must agree with a **naive
+//!   in-memory DOM oracle** that evaluates the same steps over the parsed
+//!   `Document`, node for node;
+//! * the multi-document fan-out must agree with the oracle per document;
 //! * every plan shape, forced, must agree with the oracle on ids, counts
-//!   and content rows.
+//!   and content rows, and the retired shapes are refused.
 //!
 //! Node identity across the storage/DOM boundary is compared by pre-order
 //! position: generated text stays below the chunking limit, so stored
@@ -222,13 +222,6 @@ fn forced(shape: PlanShape) -> PlannerOptions {
     PlannerOptions { force: Some(shape) }
 }
 
-/// The forced sequential lazy walk: the stored-tree reference.
-fn walk(r: &Repository, name: &str, path: &str) -> Vec<NodeId> {
-    r.query_planned(name, path, &forced(PlanShape::LazyWalk))
-        .unwrap()
-        .0
-}
-
 /// All logical node ids of a stored document in pre-order (binds every
 /// node through the read-only `children` API).
 fn collect_preorder_ids(r: &Repository, doc: DocId) -> Vec<NodeId> {
@@ -241,6 +234,37 @@ fn collect_preorder_ids(r: &Repository, doc: DocId) -> Vec<NodeId> {
         }
     }
     out
+}
+
+/// Document-order positions: a stored document's node ids and a DOM's
+/// nodes, each to its pre-order index (the two agree node for node, see
+/// the module docs).
+struct Positions {
+    stored: HashMap<NodeId, usize>,
+    dom: HashMap<NodeIdx, usize>,
+}
+
+impl Positions {
+    fn of(r: &Repository, name: &str, doc: &Document) -> Positions {
+        let pre = collect_preorder_ids(r, r.doc_id(name).unwrap());
+        assert_eq!(
+            pre.len(),
+            doc.pre_order().count(),
+            "{name}: stored node count diverges from the DOM"
+        );
+        Positions {
+            stored: pre.into_iter().enumerate().map(|(i, n)| (n, i)).collect(),
+            dom: doc.pre_order().enumerate().map(|(i, n)| (n, i)).collect(),
+        }
+    }
+
+    fn stored(&self, ids: &[NodeId]) -> Vec<usize> {
+        ids.iter().map(|n| self.stored[n]).collect()
+    }
+
+    fn dom(&self, nodes: &[NodeIdx]) -> Vec<usize> {
+        nodes.iter().map(|n| self.dom[n]).collect()
+    }
 }
 
 #[test]
@@ -257,36 +281,24 @@ fn parallel_and_sequential_match_dom_oracle() {
         let per_node = repo(page_size, &syms);
         per_node.put_document_per_node("d", &doc).unwrap();
 
-        let dom_pre: Vec<NodeIdx> = doc.pre_order().collect();
-        let dom_pos: HashMap<NodeIdx, usize> =
-            dom_pre.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-
         for (load_path, r) in [("bulkload", &bulk), ("per-node", &per_node)] {
-            let id = r.doc_id("d").unwrap();
-            let repo_pre = collect_preorder_ids(r, id);
-            assert_eq!(
-                repo_pre.len(),
-                dom_pre.len(),
-                "case {case} [{load_path}]: stored node count diverges from the DOM"
-            );
-            let repo_pos: HashMap<NodeId, usize> =
-                repo_pre.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-
+            let pos = Positions::of(r, "d", &doc);
             for (path, osteps) in &queries {
-                let seq = walk(r, "d", path);
+                let oracle_pos = pos.dom(&oracle_eval(&doc, &syms, osteps));
                 let (scanned, _) = r
                     .query_planned("d", path, &forced(PlanShape::ParallelScan))
                     .unwrap();
                 assert_eq!(
-                    scanned, seq,
-                    "case {case} [{load_path}] '{path}': the scan diverges from the walk"
+                    pos.stored(&scanned),
+                    oracle_pos,
+                    "case {case} [{load_path}] '{path}': the record walk \
+                     diverges from the DOM oracle"
                 );
-                let oracle = oracle_eval(&doc, &syms, osteps);
-                let seq_pos: Vec<usize> = seq.iter().map(|n| repo_pos[n]).collect();
-                let oracle_pos: Vec<usize> = oracle.iter().map(|n| dom_pos[n]).collect();
+                let chosen = r.query("d", path).unwrap();
                 assert_eq!(
-                    seq_pos, oracle_pos,
-                    "case {case} [{load_path}] '{path}': stored-tree evaluation \
+                    pos.stored(&chosen),
+                    oracle_pos,
+                    "case {case} [{load_path}] '{path}': the planner's choice \
                      diverges from the DOM oracle"
                 );
             }
@@ -306,18 +318,21 @@ fn fanout_matches_per_document_sequential_on_random_corpora() {
             .enumerate()
             .map(|(i, d)| r.put_document(&format!("doc{i}"), d).unwrap())
             .collect();
+        let positions: Vec<Positions> = (0..docs.len())
+            .map(|i| Positions::of(&r, &format!("doc{i}"), &docs[i]))
+            .collect();
         for _ in 0..4 {
-            let (path, _) = random_query(&mut g);
+            let (path, osteps) = random_query(&mut g);
             let q = PathQuery::parse(&path).unwrap();
-            let seq: Vec<Vec<NodeId>> = (0..ids.len())
-                .map(|i| walk(&r, &format!("doc{i}"), &path))
-                .collect();
-            let par: Vec<Vec<NodeId>> = r
-                .query_documents(&ids, &q, &forced(PlanShape::ParallelScan))
-                .into_iter()
-                .map(|res| res.unwrap())
-                .collect();
-            assert_eq!(par, seq, "case {case} '{path}'");
+            let par = r.query_documents(&ids, &q, &forced(PlanShape::ParallelScan));
+            for (i, (doc, res)) in docs.iter().zip(par).enumerate() {
+                let pos = &positions[i];
+                assert_eq!(
+                    pos.stored(&res.unwrap()),
+                    pos.dom(&oracle_eval(doc, &syms, &osteps)),
+                    "case {case} doc{i} '{path}'"
+                );
+            }
         }
     }
 }
@@ -326,7 +341,6 @@ const ALL_SHAPES: &[PlanShape] = &[
     PlanShape::SummaryOnly,
     PlanShape::SummarySeeded,
     PlanShape::ParallelScan,
-    PlanShape::LazyWalk,
 ];
 
 /// The plan-shape matrix: every shape the planner can emit is forced over
@@ -335,8 +349,9 @@ const ALL_SHAPES: &[PlanShape] = &[
 /// rows — or refuse with `PlanUnsupported` when its preconditions don't
 /// hold (never a wrong answer). The planner's freely chosen plan must
 /// equal its forced equivalent, and every shape must be exercised
-/// somewhere in the corpus. The retired `IndexSeeded` variant has no
-/// operator: forcing it is refused for every query and consumer.
+/// somewhere in the corpus. The retired `IndexSeeded` and `LazyWalk`
+/// variants have no operator: forcing either is refused for every query
+/// and consumer.
 #[test]
 fn every_forced_plan_shape_matches_the_dom_oracle() {
     let mut exercised: HashSet<PlanShape> = HashSet::new();
@@ -348,18 +363,12 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
         let queries: Vec<(String, Vec<OStep>)> = (0..10).map(|_| random_query(&mut g)).collect();
 
         let r = repo(page_size, &syms);
-        let id = r.put_document("d", &doc).unwrap();
-
-        let dom_pre: Vec<NodeIdx> = doc.pre_order().collect();
-        let dom_pos: HashMap<NodeIdx, usize> =
-            dom_pre.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let repo_pre = collect_preorder_ids(&r, id);
-        let repo_pos: HashMap<NodeId, usize> =
-            repo_pre.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        r.put_document("d", &doc).unwrap();
+        let pos = Positions::of(&r, "d", &doc);
 
         for (path, osteps) in &queries {
             let oracle = oracle_eval(&doc, &syms, osteps);
-            let oracle_pos: Vec<usize> = oracle.iter().map(|n| dom_pos[n]).collect();
+            let oracle_pos = pos.dom(&oracle);
             let oracle_rows: Vec<(String, String)> = oracle
                 .iter()
                 .map(|&n| {
@@ -372,9 +381,9 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
             let (chosen_ids, chosen) = r
                 .query_planned("d", path, &PlannerOptions::default())
                 .unwrap();
-            let chosen_pos: Vec<usize> = chosen_ids.iter().map(|n| repo_pos[n]).collect();
             assert_eq!(
-                chosen_pos, oracle_pos,
+                pos.stored(&chosen_ids),
+                oracle_pos,
                 "case {case} '{path}': chosen plan {:?} diverges from the DOM oracle",
                 chosen.shape
             );
@@ -394,9 +403,9 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
                     Ok((ids, explain)) => {
                         assert_eq!(explain.shape, shape, "case {case} '{path}'");
                         assert!(explain.forced, "case {case} '{path}'");
-                        let pos: Vec<usize> = ids.iter().map(|n| repo_pos[n]).collect();
                         assert_eq!(
-                            pos, oracle_pos,
+                            pos.stored(&ids),
+                            oracle_pos,
                             "case {case} '{path}' forced {shape:?}: diverges from the DOM oracle"
                         );
                         // The chosen plan equals its forced equivalent.
@@ -449,16 +458,19 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
                 }
             }
 
-            let retired = PlannerOptions {
-                force: Some(PlanShape::IndexSeeded),
-            };
-            let refused = |e: Option<NatixError>| matches!(e, Some(NatixError::PlanUnsupported(_)));
-            assert!(
-                refused(r.query_planned("d", path, &retired).err())
-                    && refused(r.count_planned("d", path, &retired).err())
-                    && refused(r.content_planned("d", path, &retired).err()),
-                "case {case} '{path}': the retired IndexSeeded shape must be refused"
-            );
+            for shape in [PlanShape::IndexSeeded, PlanShape::LazyWalk] {
+                let retired = forced(shape);
+                let refused =
+                    |e: Option<NatixError>| matches!(e, Some(NatixError::PlanUnsupported(_)));
+                assert!(
+                    refused(r.query_planned("d", path, &retired).err())
+                        && refused(r.count_planned("d", path, &retired).err())
+                        && refused(r.content_planned("d", path, &retired).err()),
+                    "case {case} '{path}': the retired {shape:?} shape must be refused"
+                );
+                assert_ne!(chosen.shape, shape, "case {case} '{path}'");
+                assert_ne!(chosen_count_explain.shape, shape, "case {case} '{path}'");
+            }
         }
     }
     for &shape in ALL_SHAPES {
@@ -543,7 +555,7 @@ fn unknown_label_short_circuits_with_zero_page_reads() {
 
 /// A query must not build a path summary it cannot read: building one is
 /// a whole-document traversal under the edit latch, a positional query is
-/// never path-decidable, and the forced walk never consults the summary.
+/// never path-decidable, and the step loop never consults the summary.
 /// Pinned by the pages fetched into a cleared pool — the paper's Query 3
 /// walk reads a handful of records, not the play (pages, not misses: a
 /// traversal's pages arrive by read-ahead) — and by `explain`, which
@@ -569,10 +581,11 @@ fn positional_walk_does_not_build_the_summary() {
         r.io_stats().snapshot().since(&before).physical_reads
     };
     let query3 = "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]";
-    let lazy = forced(PlanShape::LazyWalk);
+    let unforced = PlannerOptions::default();
     let walked = pages_read(&mut || {
-        let (ids, _) = r.query_planned("play", query3, &lazy).unwrap();
+        let (ids, explain) = r.query_planned("play", query3, &unforced).unwrap();
         assert_eq!(ids.len(), 1);
+        assert_eq!(explain.shape, PlanShape::ParallelScan);
     });
     let traversed = pages_read(&mut || r.traverse_document(id, |_, _| {}).unwrap());
     assert!(
@@ -580,7 +593,11 @@ fn positional_walk_does_not_build_the_summary() {
         "the opening-speech walk read {walked} pages, a full traversal {traversed}: \
          the query paid for a summary build it cannot use"
     );
-    assert!(!r.explain("play", query3, &lazy).unwrap().summary_current);
+    assert!(
+        !r.explain("play", query3, &unforced)
+            .unwrap()
+            .summary_current
+    );
 
     let (n, explain) = r
         .count_planned("play", "//SPEAKER", &PlannerOptions::default())
@@ -590,10 +607,10 @@ fn positional_walk_does_not_build_the_summary() {
     assert_eq!(explain.shape, PlanShape::SummaryOnly);
 }
 
-/// Small-pool matrix: the record scan must be bit-identical to the lazy
-/// walk on a pool so small (8 frames) that scans evict continuously and
-/// prefetched frames are reclaimed while still queued. Prefetch is
-/// advisory — it must never change results, only latency. The same goes
+/// Small-pool matrix: the record walk must answer what the DOM oracle
+/// answers on a pool so small (8 frames) that walks evict continuously
+/// and prefetched frames are reclaimed before the walk reaches them.
+/// Prefetch is advisory — it must never change results, only latency. The same goes
 /// for the whole-document walks, whose read-ahead window (2 pages here)
 /// competes for the same 8 frames: the export and the traversal never
 /// surface `BufferExhausted` and never differ from the DOM.
@@ -604,7 +621,7 @@ fn a_small_pool_never_changes_results() {
         let mut syms = SymbolTable::new();
         let doc = random_document(&mut g, &mut syms);
         let page_size = [512usize, 1024][g.below(2)];
-        let queries: Vec<String> = (0..6).map(|_| random_query(&mut g).0).collect();
+        let queries: Vec<(String, Vec<OStep>)> = (0..6).map(|_| random_query(&mut g)).collect();
         // The export of the same input from a pool that holds all of it
         // (the generator's attribute placement is not serialisable by
         // `write_document`; the traversal below compares against the DOM).
@@ -651,15 +668,16 @@ fn a_small_pool_never_changes_results() {
             "case {case}: traversal differs from the DOM walk"
         );
 
-        for path in &queries {
-            let seq = walk(&r, "d", path);
+        let pos = Positions::of(&r, "d", &doc);
+        for (path, osteps) in &queries {
             r.clear_buffer().unwrap();
             let (scanned, _) = r
                 .query_planned("d", path, &forced(PlanShape::ParallelScan))
                 .unwrap();
             assert_eq!(
-                scanned, seq,
-                "case {case} '{path}': the scan diverges from the walk"
+                pos.stored(&scanned),
+                pos.dom(&oracle_eval(&doc, &syms, osteps)),
+                "case {case} '{path}': the record walk diverges from the DOM oracle"
             );
         }
     }
@@ -688,21 +706,14 @@ fn pinned_walks_decode_each_record_once() {
     })
     .unwrap();
     *r.symbols_mut() = syms.clone();
-    let id = r.put_document("play", &play).unwrap();
+    r.put_document("play", &play).unwrap();
     let records = r.physical_stats("play").unwrap().records as u64;
     assert!(records >= 20, "the play must span many records: {records}");
-
-    let dom_pos: HashMap<NodeIdx, usize> =
-        play.pre_order().enumerate().map(|(i, n)| (n, i)).collect();
-    let repo_pos: HashMap<NodeId, usize> = collect_preorder_ids(&r, id)
-        .into_iter()
-        .enumerate()
-        .map(|(i, n)| (n, i))
-        .collect();
+    let pos = Positions::of(&r, "play", &play);
 
     for (tag, shape) in [
         ("SPEAKER", PlanShape::SummarySeeded),
-        ("STAGEDIR", PlanShape::LazyWalk),
+        ("STAGEDIR", PlanShape::ParallelScan),
     ] {
         let opts = PlannerOptions { force: Some(shape) };
         let before = r.io_stats().snapshot();
@@ -727,10 +738,9 @@ fn pinned_walks_decode_each_record_once() {
             }],
         );
         assert!(!oracle.is_empty(), "//{tag} must match something");
-        let got: Vec<usize> = ids.iter().map(|n| repo_pos[n]).collect();
-        let want: Vec<usize> = oracle.iter().map(|n| dom_pos[n]).collect();
         assert_eq!(
-            got, want,
+            pos.stored(&ids),
+            pos.dom(&oracle),
             "//{tag} [{shape:?}] diverges from the DOM oracle"
         );
     }

@@ -1,22 +1,24 @@
 //! Read-ahead is exact, batched, scoped and advisory.
 //!
 //! Every whole-subtree walk (`get_xml`, `text_content`, `serialize_node`)
-//! and the record scan ask the device for the pages they are about to
-//! need a window at a time (`natix_tree::readahead`). These tests run them
-//! on a cold pool over a device that records every request, and pin:
+//! and the record walk of a descendant step ask the device for the pages
+//! they are about to need a window at a time (`natix_tree::readahead`).
+//! These tests run them on a cold pool over a device that records every
+//! request, and pin:
 //!
 //! * **exact** — the pages read are the pages holding the records of the
 //!   walked subtree, each read once: nothing wasted, nothing read twice;
 //! * **batched** — several pages per device request (`IoStats`'
 //!   `physical_reads / read_requests`), and none at all once resident;
-//! * **scoped** — a walk of one `SCENE` names no page outside it;
+//! * **scoped** — a walk of one `SCENE` names no page outside it, and a
+//!   walk that stops at `//LINE[1]` reads fewer pages than `//LINE`;
 //! * **advisory** — a device that refuses batched reads, or loses a page,
 //!   changes latency or yields a typed error, never a wrong answer or a
 //!   panic.
 
 #![allow(clippy::disallowed_methods, reason = "test-local locks carry no rank")]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +28,9 @@ use natix::{NatixError, NodeId, PlanShape, PlannerOptions, Repository, Repositor
 use natix_corpus::{generate_deep, generate_play, CorpusConfig, DeepConfig};
 use natix_storage::stats::IoSnapshot;
 use natix_storage::{DiskBackend, MemStorage, PageId, StorageError, StorageResult, INVALID_PAGE};
-use natix_xml::{write_document, SymbolTable, WriteOptions};
+use natix_xml::{
+    parse_document, write_document, NodeData, ParserOptions, SymbolTable, WriteOptions,
+};
 
 const PAGE_SIZE: usize = 8192;
 
@@ -148,6 +152,32 @@ fn deep_xml() -> String {
     write_document(&doc, &syms, WriteOptions::compact()).unwrap()
 }
 
+/// The DOM's answer to `//LINE` over `xml`: pre-order positions.
+fn dom_lines(xml: &str) -> Vec<usize> {
+    let mut syms = SymbolTable::new();
+    let doc = parse_document(xml, &mut syms, ParserOptions::default()).unwrap();
+    let line = syms.lookup_element("LINE").unwrap();
+    doc.pre_order()
+        .enumerate()
+        .filter(|&(_, n)| matches!(doc.data(n), NodeData::Element(l) if *l == line))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// The pre-order positions of `ids` in the stored document: stored nodes
+/// correspond 1:1 to the DOM's in pre-order (the play's texts are all
+/// below the chunk limit).
+fn positions(repo: &Repository, ids: &[NodeId]) -> Vec<usize> {
+    let doc = repo.doc_id("d").unwrap();
+    let mut pre = HashMap::new();
+    let mut stack = vec![repo.root(doc).unwrap()];
+    while let Some(n) = stack.pop() {
+        pre.insert(n, pre.len());
+        stack.extend(repo.children(doc, n).unwrap().into_iter().rev());
+    }
+    ids.iter().map(|n| pre[n]).collect()
+}
+
 /// The distinct pages holding the records of the subtree at `node`.
 fn subtree_pages(repo: &Repository, node: NodeId) -> BTreeSet<PageId> {
     let doc = repo.doc_id("d").unwrap();
@@ -191,6 +221,13 @@ fn assert_exact(what: &str, read: &[PageId], expected: &BTreeSet<PageId>) {
         &distinct, expected,
         "{what}: the pages read are not the pages of the subtree"
     );
+}
+
+/// Options forcing the record walk.
+fn scan() -> PlannerOptions {
+    PlannerOptions {
+        force: Some(PlanShape::ParallelScan),
+    }
 }
 
 fn pages_per_request(io: &IoSnapshot) -> f64 {
@@ -287,23 +324,20 @@ fn a_walk_below_a_spilled_path_stays_inside_its_continuation_groups() {
     assert_exact("serialize_node below the spill", &read, &inside);
 }
 
+/// The record walk of `//LINE`, forced, against the DOM's `//LINE` by
+/// document-order position.
 #[test]
 fn a_cold_scan_reads_each_page_once_in_batches_and_equals_the_walk() {
     let xml = play_xml();
     let (repo, disk) = stored(&xml);
     let doc = repo.doc_id("d").unwrap();
     let expected = subtree_pages(&repo, repo.root(doc).unwrap());
-    let forced = |shape| PlannerOptions { force: Some(shape) };
-    let (walked, _) = repo
-        .query_planned("d", "//LINE", &forced(PlanShape::LazyWalk))
-        .unwrap();
-    assert!(walked.len() > 1000);
+    let lines = dom_lines(&xml);
+    assert!(lines.len() > 1000);
     let (scanned, read, io) = cold(&repo, &disk, || {
-        repo.query_planned("d", "//LINE", &forced(PlanShape::ParallelScan))
-            .unwrap()
-            .0
+        repo.query_planned("d", "//LINE", &scan()).unwrap().0
     });
-    assert_eq!(scanned, walked);
+    assert_eq!(positions(&repo, &scanned), lines);
     assert_exact("scan", &read, &expected);
     assert!(
         pages_per_request(&io) >= 4.0,
@@ -311,6 +345,31 @@ fn a_cold_scan_reads_each_page_once_in_batches_and_equals_the_walk() {
         io.physical_reads,
         io.read_requests
     );
+}
+
+/// `//LINE[1]` is planned as the record walk, which stops at the first
+/// line: cold, it reads the records up to it and the read-ahead behind
+/// them, not the play.
+#[test]
+fn a_cold_positional_scan_stops_at_its_match() {
+    let xml = play_xml();
+    let (repo, disk) = stored(&xml);
+    let (_, _, every) = cold(&repo, &disk, || {
+        repo.query_planned("d", "//LINE", &scan()).unwrap()
+    });
+    for opts in [PlannerOptions::default(), scan()] {
+        let ((first, explain), read, io) = cold(&repo, &disk, || {
+            repo.query_planned("d", "//LINE[1]", &opts).unwrap()
+        });
+        assert_eq!(explain.shape, PlanShape::ParallelScan);
+        assert_eq!(positions(&repo, &first), dom_lines(&xml)[..1]);
+        assert!(
+            io.physical_reads < every.physical_reads,
+            "//LINE[1] read {} pages, //LINE {}: {read:?}",
+            io.physical_reads,
+            every.physical_reads
+        );
+    }
 }
 
 #[test]
@@ -348,10 +407,7 @@ fn a_lost_page_is_a_typed_error_not_a_panic() {
         ),
         "{got:?}"
     );
-    let scan = PlannerOptions {
-        force: Some(PlanShape::ParallelScan),
-    };
-    let (got, _, _) = cold(&repo, &disk, || repo.query_planned("d", "//LINE", &scan));
+    let (got, _, _) = cold(&repo, &disk, || repo.query_planned("d", "//LINE", &scan()));
     assert!(matches!(got, Err(NatixError::Tree(_))), "{:?}", got.err());
     // The page comes back: so does the document.
     disk.lost_page.store(INVALID_PAGE, Ordering::Relaxed);

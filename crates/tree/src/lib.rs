@@ -31,9 +31,8 @@
 //!   relocation events, over private modules: record I/O, the tree growth
 //!   procedure (figure 5: moves, splits with recursive separator
 //!   insertion) and the normalization of packed records an edit meets;
-//! * [`read`] — navigation: node lookups, logical child lists, the
-//!   record-granular scan, logical parents and label paths, all over
-//!   record views;
+//! * [`read`] — navigation: node lookups, logical child lists, logical
+//!   parents and label paths, all over record views;
 //! * [`bulkload`] — the streaming bottom-up bulkloader for whole-document
 //!   loads (the paper's §4.3 append workload without per-node
 //!   read-modify-write), including depth-aware packing: deeply nested
@@ -42,9 +41,10 @@
 //!   entries + a single continuation placeholder per piece), keeping the
 //!   record tree's height tracking fanout instead of document depth;
 //! * [`reconstruct`] — proxy substitution back into logical documents,
-//!   streaming traversal and XML serialisation;
+//!   streaming traversal, XML serialisation, and the record walk behind
+//!   every descendant step;
 //! * [`readahead`] — the one read-ahead policy: a reader's frontier of
-//!   pages turned into batched requests (the walk's and the scan's);
+//!   pages turned into batched requests (both walks' of [`reconstruct`]);
 //! * [`validate`] — invariant checks and the physical statistics used by
 //!   the evaluation harness;
 //! * [`version`] — record-level versioning: epoch-pinned read snapshots
@@ -75,11 +75,11 @@ pub use config::TreeConfig;
 pub use error::{TreeError, TreeResult};
 pub use matrix::{SplitBehaviour, SplitMatrix};
 pub use model::{NodePtr, PContent, PNode, PNodeId, RecordTree};
-pub use readahead::ReadAhead;
-pub use reconstruct::{reconstruct_document, serialize_xml, subtree_text, traverse, VisitEvent};
-pub use split::{find_separator, plan_split, SplitPlan};
-pub use store::{
-    AppendCursor, InsertPos, NewNode, NodeInfo, OpResult, RecordEntry, Relocation, TreeStore,
+pub use reconstruct::{
+    reconstruct_document, serialize_xml, subtree_text, traverse, walk_records, RecordEntry,
+    VisitEvent,
 };
+pub use split::{find_separator, plan_split, SplitPlan};
+pub use store::{AppendCursor, InsertPos, NewNode, NodeInfo, OpResult, Relocation, TreeStore};
 pub use validate::{check_tree, PhysicalStats};
 pub use version::{ReadPin, VersionStore, WriteOp};

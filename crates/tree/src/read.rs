@@ -6,9 +6,9 @@
 //! [`RecordTree`](crate::model::RecordTree): a view
 //! costs ≈ 2 µs to parse where a decode of the same 200-node record costs
 //! ≈ 20 µs, and only the literals a reader returns are decoded, each when
-//! it is returned. The summary-seeded descent and the lazy walk call the
-//! child enumeration at every node they visit, so each helper must cost
-//! what it visits, not what its record holds:
+//! it is returned. The summary-seeded descent and the child steps of a
+//! query call the child enumeration at every node they visit, so each
+//! helper must cost what it visits, not what its record holds:
 //!
 //! * [`TreeStore::node_info`] and [`TreeStore::node_label`]: one index
 //!   entry (and the literal's value, for `node_info` of a literal).
@@ -17,8 +17,6 @@
 //!   node's depth in its record, O(record depth). Whether a node is on the
 //!   spilled path is one comparison of index ranges: the view knows its
 //!   placeholder, and a node is on the path iff its subtree holds it.
-//! * [`TreeStore::scan_record_subtree`]: one index entry per scanned node;
-//!   entering a continuation group costs the same O(record depth).
 //! * [`TreeStore::logical_parent`]: the parent chain inside each record it
 //!   crosses; a crossing finds the proxy by a scan of the parent record's
 //!   index.
@@ -27,6 +25,11 @@
 //!   call. Writers, who bypass the memo, call it only for a node whose
 //!   path the document manager has not derived yet: an inserted node's
 //!   path is its parent's plus its label.
+//!
+//! A descendant step does not navigate node by node: the record walk
+//! ([`walk_records`](crate::walk_records)) scans each record's index
+//! range once, one index entry per scanned node; entering a continuation
+//! group costs the same O(record depth) as above.
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LABEL_NONE};
@@ -34,8 +37,7 @@ use natix_xml::{LabelId, LABEL_NONE};
 use crate::error::TreeResult;
 use crate::model::{NodePtr, PNodeId};
 use crate::record::{RecordView, Shape};
-use crate::store::pack::continuation_entry;
-use crate::store::{NodeInfo, RecordEntry, TreeStore};
+use crate::store::{NodeInfo, TreeStore};
 
 impl TreeStore {
     /// Information about the node at `ptr`.
@@ -192,62 +194,6 @@ impl TreeStore {
                 if child.is_prefix(child.root()) {
                     return self.expand_group_children(target, level - levels, f);
                 }
-            }
-        }
-        Ok(true)
-    }
-
-    /// Scans the subtree of `ptr` **within its own record only**, calling
-    /// `f` for every facade node and for every proxy to a child record, in
-    /// document (pre-)order. Exactly one record is read — and the read
-    /// releases its page pin before `f` ever runs — so the record is a
-    /// natural unit of scan work: a scanner that queues whole records
-    /// keeps buffer pins short and never reads a record twice.
-    /// Scaffolding aggregates are descended through silently (they carry
-    /// no logical node). `f` returning `false` stops the scan.
-    pub fn scan_record_subtree<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
-    where
-        F: FnMut(&RecordEntry) -> TreeResult<bool>,
-    {
-        let view = self.view(ptr.rid)?;
-        let start = view.checked(ptr.node)?;
-        // The subtree is an index range in pre-order, and proxies and
-        // placeholders are leaves: a scan of the range visits it in
-        // document order.
-        for n in view.subtree(start) {
-            let label = view.label(n);
-            let entry = match view.shape(n) {
-                // Child records are reported, never followed: following
-                // them here would chain page reads under one task and
-                // hide them from the scanner's queue and read-ahead.
-                Shape::Proxy(target) => RecordEntry::ChildRecord {
-                    ptr: NodePtr::new(target, 0),
-                    label,
-                },
-                // A continuation group is a child record too — its facades
-                // (late children of this record's spilled path) belong to
-                // the scanned subtree, and the placeholder's pre-order
-                // position is exactly their document-order slot. The group
-                // is entered at the prefix matching the scan's start
-                // level, so late children of *outer* levels stay out.
-                Shape::Continuation(target) => RecordEntry::ChildRecord {
-                    ptr: NodePtr::new(
-                        target,
-                        continuation_entry(&view, start, &*self.view(target)?)?,
-                    ),
-                    label: LABEL_NONE,
-                },
-                // Prefix entries and scaffolding aggregates are no logical
-                // node of their own; their children are scanned.
-                _ if !view.is_facade(n) => continue,
-                shape => RecordEntry::Node {
-                    ptr: NodePtr::new(ptr.rid, n),
-                    label,
-                    literal: shape == Shape::Literal,
-                },
-            };
-            if !f(&entry)? {
-                return Ok(false);
             }
         }
         Ok(true)

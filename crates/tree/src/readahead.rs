@@ -4,26 +4,29 @@
 //! The storage format clusters a subtree's records on neighbouring pages
 //! (the paper's whole argument), but clustering only pays if the reader
 //! asks for those pages in one request rather than one demand miss at a
-//! time. A reader that can name the pages it will need next — a
-//! whole-subtree walk ([`crate::reconstruct`]) from its frame stack, a
-//! record scan from its work queue — describes them as a [`Frontier`];
-//! [`ReadAhead`] turns the frontier into batches for
-//! [`TreeStore::prefetch_pages`], one request per window instead of one
-//! per page.
+//! time. The readers are the two walks of [`crate::reconstruct`] —
+//! [`traverse`](crate::traverse) and the record walk
+//! [`walk_records`](crate::walk_records) behind every descendant step —
+//! and each names the pages it will need next from the record hops still
+//! pending in its frames, innermost first: that is its `Frontier`.
+//! `ReadAhead` turns the frontier into batches for the store's prefetch
+//! (`TreeStore::prefetch_pages`), one request per window instead of one
+//! per page. All three are the crate's own: no reader outside the walks
+//! reads ahead.
 //!
 //! # Policy
 //!
 //! * **The asked set.** Every page a reader has asked for is remembered
 //!   for the reader's lifetime and never asked for again, however often
 //!   the frontier names it (records are dense on pages): read-ahead
-//!   fetches a page at most once per walk or scan.
+//!   fetches a page at most once per walk.
 //! * **One window.** A refill takes the next `WINDOW_PAGES` (16) pages the
 //!   frontier names that were not asked for yet — clamped to a quarter of
 //!   the pool's frames, so a batch can never flush the pool it fills. A
 //!   constant, not an option: every measured workload runs one value.
 //! * **Expansion.** A page the frontier names that an *earlier* refill
 //!   asked for is in the pool by now, so the frontier may look inside it
-//!   for pages further ahead ([`Frontier::expand`]); a page taken into the
+//!   for pages further ahead (`Frontier::expand`); a page taken into the
 //!   current batch is not there yet and is never looked into. Looking
 //!   inside costs the frontier a record read, so it is only done while
 //!   refills find pages to read: after one that read nothing, the next
@@ -55,7 +58,7 @@ const WINDOW_PAGES: usize = 16;
 const MAX_BACKOFF_SHIFT: u32 = 8;
 
 /// The pages a reader will need next, in the order it will need them.
-pub trait Frontier {
+pub(crate) trait Frontier {
     /// The page of the next record ahead of the reader, or `None` when
     /// the frontier has nothing further to name.
     fn next_page(&mut self) -> Option<PageId>;
@@ -67,15 +70,8 @@ pub trait Frontier {
     fn expand(&mut self) {}
 }
 
-/// Any in-order page listing is a frontier (the scan's work queue).
-impl<I: Iterator<Item = PageId>> Frontier for I {
-    fn next_page(&mut self) -> Option<PageId> {
-        self.next()
-    }
-}
-
 /// Read-ahead state of one walk or scan. See the module docs.
-pub struct ReadAhead {
+pub(crate) struct ReadAhead {
     asked: HashSet<PageId>,
     window: usize,
     /// Refills still to skip.
@@ -86,7 +82,7 @@ pub struct ReadAhead {
 
 impl ReadAhead {
     /// Read-ahead for one reader of `store`.
-    pub fn new(store: &TreeStore) -> ReadAhead {
+    pub(crate) fn new(store: &TreeStore) -> ReadAhead {
         let frames = store.storage().buffer().frame_count();
         ReadAhead {
             asked: HashSet::new(),
@@ -97,29 +93,8 @@ impl ReadAhead {
     }
 
     /// Whether this reader already asked for `page`.
-    pub fn asked(&self, page: PageId) -> bool {
+    pub(crate) fn asked(&self, page: PageId) -> bool {
         self.asked.contains(&page)
-    }
-
-    /// True when `upcoming` names a page not asked for yet before it has
-    /// named a quarter-window of asked ones: the reader is about to run
-    /// out of read-ahead and should [`plan`](Self::plan) the next window.
-    /// Examines at most the records of a quarter-window of pages.
-    pub fn running_low(&self, upcoming: impl Iterator<Item = PageId>) -> bool {
-        let low_water = self.window.div_ceil(4);
-        let mut ahead: Vec<PageId> = Vec::new();
-        for page in upcoming {
-            if !self.asked.contains(&page) {
-                return true;
-            }
-            if !ahead.contains(&page) {
-                ahead.push(page);
-                if ahead.len() >= low_water {
-                    return false;
-                }
-            }
-        }
-        false
     }
 
     /// Plans one refill: the next window of pages `frontier` names that
@@ -129,7 +104,7 @@ impl ReadAhead {
     /// [`settle`](Self::settle).
     ///
     /// While backing off the batch is empty and the frontier untouched.
-    pub fn plan(&mut self, frontier: &mut impl Frontier) -> Vec<PageId> {
+    pub(crate) fn plan(&mut self, frontier: &mut impl Frontier) -> Vec<PageId> {
         let mut batch = Vec::new();
         if self.skip > 0 {
             self.skip -= 1;
@@ -149,7 +124,7 @@ impl ReadAhead {
     }
 
     /// Reports how many pages the last planned batch actually read.
-    pub fn settle(&mut self, pages_read: usize) {
+    pub(crate) fn settle(&mut self, pages_read: usize) {
         if pages_read > 0 {
             self.idle = 0;
         } else {
@@ -162,6 +137,14 @@ impl ReadAhead {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Any in-order page listing is a frontier that cannot look inside
+    /// its records.
+    impl<I: Iterator<Item = PageId>> Frontier for I {
+        fn next_page(&mut self) -> Option<PageId> {
+            self.next()
+        }
+    }
 
     fn read_ahead(window: usize) -> ReadAhead {
         ReadAhead {
@@ -218,19 +201,6 @@ mod tests {
         let mut f = listing(&[1, 5, 5, 2, 6]);
         assert_eq!(ra.plan(&mut f), [5, 6]);
         assert_eq!(f.expanded, [1, 2]);
-    }
-
-    #[test]
-    fn running_low_is_a_quarter_window_of_asked_pages_ahead() {
-        let mut ra = read_ahead(8);
-        assert!(ra.running_low([3].into_iter()), "nothing asked yet");
-        ra.plan(&mut [3, 4, 5].into_iter());
-        // Two distinct asked pages ahead (a quarter of 8) are enough.
-        assert!(!ra.running_low([3, 3, 4, 6].into_iter()));
-        assert!(ra.running_low([3, 3, 6].into_iter()));
-        // An exhausted queue has nothing left to read ahead.
-        assert!(!ra.running_low([3].into_iter()));
-        assert!(!ra.running_low(std::iter::empty()));
     }
 
     #[test]

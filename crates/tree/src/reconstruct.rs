@@ -9,22 +9,31 @@
 //! the records (Query 2: "recreates the textual representation of the
 //! complete first speech in every scene").
 //!
+//! [`walk_records`] is the same substitution without the events a
+//! document needs (no `Leave`, no literal values): it scans each record's
+//! index range in pre-order and, at a proxy or continuation placeholder,
+//! scans the target record there before it goes on, so it meets the
+//! facade nodes in document order and stops whenever its caller has seen
+//! enough. It is the engine's one descendant operator (`//x`, `//x[n]`)
+//! and the record enumeration of the document manager.
+//!
 //! # Read-ahead
 //!
-//! All of the above run on one walk, and the walk reads ahead: before it
-//! follows a proxy or continuation to a page it has not asked for yet, it
-//! asks for that page *together with* the next window of pages it is
-//! going to need, in one batched request ([`crate::readahead`] holds the
-//! policy; this module supplies the frontier).
+//! All of the above run on these two walks, and both read ahead: before
+//! a walk follows a proxy or continuation to a page it has not asked for
+//! yet, it asks for that page *together with* the next window of pages
+//! it is going to need, in one batched request ([`crate::readahead`]
+//! holds the policy; this module supplies the frontier).
 //!
 //! * **The frontier** is the record hops still pending in the walk's own
-//!   frame stack, innermost frame first — which is document order. A hop
+//!   frames (`traverse`'s frame stack, `walk_records`' record cursors),
+//!   innermost frame first — which is document order. A hop
 //!   whose page an earlier refill already asked for is in the pool, so
 //!   the lookahead reads that record and continues with the hops *it*
 //!   holds: children of the current record alone do not fill a window,
 //!   because much of a subtree hangs one record level below the known
 //!   frontier.
-//! * **Scope.** The frame stack holds nothing outside the walked subtree
+//! * **Scope.** The frames hold nothing outside the walked subtree
 //!   (a walk of one `SCENE` starts with one frame, and a continuation
 //!   group is entered at the prefix matching the walk's start level), and
 //!   a record behind a proxy lies wholly inside the subtree of its proxy,
@@ -37,7 +46,7 @@
 //!   when it arrives ([`crate::version`]'s parsed-record memo). Where the
 //!   memo is bypassed — no pin, or a write operation ambient on the
 //!   thread, as in `delete_node`'s victim walk — the lookahead does not
-//!   look inside records and names the pages of the stack's own records
+//!   look inside records and names the pages of the frames' own records
 //!   only. Looking through a record is a scan of an index range: the
 //!   subtrees a frame has still to walk are one range in pre-order.
 //! * **Budget.** The lookahead is lazy — it stops as soon as the window
@@ -46,9 +55,9 @@
 //!
 //! # What a walk decodes
 //!
-//! Nothing but the literals it emits: the walk navigates each record's
-//! [`RecordView`] and decodes a literal's value when it hands the literal
-//! to the visitor.
+//! Nothing but the literals `traverse` emits: a walk navigates each
+//! record's [`RecordView`], and `traverse` decodes a literal's value when
+//! it hands the literal to the visitor. `walk_records` decodes nothing.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -128,14 +137,23 @@ struct Frame {
     report: Option<Flow>,
 }
 
-/// The walk's [`Frontier`]: the pages of the record hops still ahead of
+impl Frame {
+    /// What this frame has still to walk: the subtrees of its children
+    /// after the one in progress.
+    fn pending(&self) -> (&Arc<RecordView>, Range<PNodeId>) {
+        (&self.view, self.next..self.view.subtree(self.node).end)
+    }
+}
+
+/// A walk's [`Frontier`]: the pages of the record hops still ahead of
 /// it, in document order (see the module docs).
-struct Lookahead<'a> {
+struct Lookahead<'a, P> {
     store: &'a TreeStore,
     /// The page of the hop the walk stands on, named first.
     first: Option<PageId>,
-    /// Walk frames not looked at yet; the innermost is taken first.
-    frames: std::slice::Iter<'a, Frame>,
+    /// What each frame of the walk has still to walk, innermost first:
+    /// a record view and an index range of it, not looked at yet.
+    pending: P,
     /// Records being looked through, innermost last, each with the nodes
     /// still to examine: an index range, in document order.
     open: Vec<(Arc<RecordView>, Range<PNodeId>)>,
@@ -148,21 +166,10 @@ struct Lookahead<'a> {
     peek: bool,
 }
 
-impl<'a> Lookahead<'a> {
-    fn new(store: &'a TreeStore, first: PageId, stack: &'a [Frame]) -> Lookahead<'a> {
-        Lookahead {
-            store,
-            first: Some(first),
-            frames: stack.iter(),
-            open: Vec::new(),
-            last_proxy: None,
-            budget: LOOKAHEAD_RECORDS,
-            peek: store.versions().memoizes_reads(),
-        }
-    }
-}
-
-impl Frontier for Lookahead<'_> {
+impl<'v, P> Frontier for Lookahead<'_, P>
+where
+    P: Iterator<Item = (&'v Arc<RecordView>, Range<PNodeId>)>,
+{
     fn next_page(&mut self) -> Option<PageId> {
         if let Some(page) = self.first.take() {
             return Some(page);
@@ -176,9 +183,8 @@ impl Frontier for Lookahead<'_> {
                     return None;
                 }
                 self.budget -= 1;
-                let frame = self.frames.next_back()?;
-                let pending = frame.next..frame.view.subtree(frame.node).end;
-                self.open.push((Arc::clone(&frame.view), pending));
+                let (view, pending) = self.pending.next()?;
+                self.open.push((Arc::clone(view), pending));
                 continue;
             };
             let Some(n) = nodes.next() else {
@@ -213,14 +219,29 @@ impl Frontier for Lookahead<'_> {
     }
 }
 
-/// Reads ahead before the walk hops to record `target`: when its page has
+/// Reads ahead before a walk hops to record `target`: when its page has
 /// not been asked for yet, asks for it and the window of pages behind it
-/// in one batch.
-fn read_ahead(store: &TreeStore, ahead: &mut ReadAhead, target: Rid, stack: &[Frame]) {
+/// in one batch. `pending` is what the walk's frames have still to walk,
+/// innermost first.
+fn read_ahead<'v>(
+    store: &TreeStore,
+    ahead: &mut ReadAhead,
+    target: Rid,
+    pending: impl Iterator<Item = (&'v Arc<RecordView>, Range<PNodeId>)>,
+) {
     if ahead.asked(target.page) {
         return;
     }
-    let batch = ahead.plan(&mut Lookahead::new(store, target.page, stack));
+    let mut frontier = Lookahead {
+        store,
+        first: Some(target.page),
+        pending,
+        open: Vec::new(),
+        last_proxy: None,
+        budget: LOOKAHEAD_RECORDS,
+        peek: store.versions().memoizes_reads(),
+    };
+    let batch = ahead.plan(&mut frontier);
     if !batch.is_empty() {
         // Advisory: a failed batch reads nothing ahead, and the demand
         // read that follows surfaces what is broken.
@@ -331,7 +352,7 @@ where
                     // own continuation chain (if any) hangs inside its
                     // subtree, so any `Open` it reports concerns only
                     // facades within it.
-                    read_ahead(store, &mut ahead, t, &stack);
+                    read_ahead(store, &mut ahead, t, stack.iter().rev().map(Frame::pending));
                     let sub = store.view(t)?;
                     let root = sub.root();
                     open_frame(&mut stack, &sub, root, root, Some(Flow::Done), visit)?
@@ -343,7 +364,7 @@ where
                     // entered at the prefix matching the walk's start
                     // level — content of outer levels is outside the
                     // walked subtree.
-                    read_ahead(store, &mut ahead, t, &stack);
+                    read_ahead(store, &mut ahead, t, stack.iter().rev().map(Frame::pending));
                     let sub = store.view(t)?;
                     let entry = continuation_entry(&fview, fstart, &sub)?;
                     open_frame(&mut stack, &sub, entry, entry, Some(Flow::Open), visit)?
@@ -376,6 +397,110 @@ where
         completed = Some(report);
     }
     Ok(completed.unwrap_or(Flow::Done))
+}
+
+/// One event of [`walk_records`], in document order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordEntry {
+    /// The walk enters a record at this node: the node it started at, a
+    /// proxied record's root, or the prefix entry of a continuation group
+    /// that matches the start node's level (late children of levels
+    /// *outside* the walked subtree stay out).
+    Record(NodePtr),
+    /// A facade node.
+    Node {
+        ptr: NodePtr,
+        label: natix_xml::LabelId,
+        /// True for literals (text, attributes, comments, PIs); false for
+        /// element aggregates.
+        literal: bool,
+    },
+}
+
+/// One record of [`walk_records`] in progress.
+struct Cursor {
+    view: Arc<RecordView>,
+    /// The node the walk of this record began at (continuation scoping).
+    start: PNodeId,
+    /// The nodes still to scan: an index range, in document order.
+    nodes: Range<PNodeId>,
+}
+
+impl Cursor {
+    fn pending(&self) -> (&Arc<RecordView>, Range<PNodeId>) {
+        (&self.view, self.nodes.clone())
+    }
+}
+
+/// Walks the stored subtree at `ptr` record by record, depth-first in
+/// document order, calling `f` for each record it enters and each facade
+/// node it meets. Nothing is decoded: a record's subtree is an index range
+/// in pre-order whose proxies and continuation placeholders are leaves,
+/// so the walk scans the range and, at a hop, scans the target record
+/// there before it goes on — which is document order, because
+/// substituting every proxy by its subtree reconstructs the tree.
+/// Scaffolding and prefix entries carry no logical node and are passed
+/// through. Each record is read once, and the pages of the records ahead
+/// are read ahead like [`traverse`]'s. `f` returning `false` stops the
+/// walk; the result is whether it ran to the end.
+pub fn walk_records<F>(store: &TreeStore, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
+where
+    F: FnMut(RecordEntry) -> bool,
+{
+    let view = store.view(ptr.rid)?;
+    let start = view.checked(ptr.node)?;
+    if !f(RecordEntry::Record(ptr)) {
+        return Ok(false);
+    }
+    let nodes = view.subtree(start);
+    let mut stack = vec![Cursor { view, start, nodes }];
+    let mut ahead = ReadAhead::new(store);
+    while let Some(cursor) = stack.last_mut() {
+        let Some(n) = cursor.nodes.next() else {
+            stack.pop();
+            continue;
+        };
+        let view = &cursor.view;
+        let (target, continuation) = match view.shape(n) {
+            Shape::Proxy(t) => (t, false),
+            Shape::Continuation(t) => (t, true),
+            _ if !view.is_facade(n) => continue,
+            shape => {
+                let node = RecordEntry::Node {
+                    ptr: NodePtr::new(view.rid(), n),
+                    label: view.label(n),
+                    literal: shape == Shape::Literal,
+                };
+                if !f(node) {
+                    return Ok(false);
+                }
+                continue;
+            }
+        };
+        let (holder, holder_start) = (Arc::clone(view), cursor.start);
+        read_ahead(
+            store,
+            &mut ahead,
+            target,
+            stack.iter().rev().map(Cursor::pending),
+        );
+        let sub = store.view(target)?;
+        let start = if continuation {
+            continuation_entry(&holder, holder_start, &sub)?
+        } else {
+            sub.root()
+        };
+        if !f(RecordEntry::Record(NodePtr::new(target, start))) {
+            return Ok(false);
+        }
+        let nodes = sub.subtree(start);
+        stack.push(Cursor {
+            view: sub,
+            start,
+            nodes,
+        });
+    }
+    Ok(true)
 }
 
 /// Rebuilds the logical document rooted at record `root`.

@@ -164,33 +164,6 @@ pub struct NodeInfo {
     pub physical_children: usize,
 }
 
-/// One entry of a record-granular subtree scan
-/// ([`TreeStore::scan_record_subtree`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordEntry {
-    /// A facade node inside the scanned record.
-    Node {
-        ptr: NodePtr,
-        label: LabelId,
-        /// True for literals (text, attributes, comments, PIs); false for
-        /// element aggregates.
-        literal: bool,
-    },
-    /// A proxy (or continuation placeholder) to a child record, at its
-    /// document-order position. The caller scans the child record —
-    /// starting at the carried node — as a separate unit of work. For
-    /// ordinary proxies the node is the record root; for continuation
-    /// groups it is the prefix entry matching the scan's start level, so
-    /// late children of levels *outside* the scanned subtree stay out.
-    ChildRecord {
-        ptr: NodePtr,
-        /// The proxy's label digest: the child record root's label, or
-        /// [`LABEL_NONE`](natix_xml::LABEL_NONE) when unknown (continuation
-        /// groups, scaffolding-rooted children).
-        label: LabelId,
-    },
-}
-
 /// Per-operation bookkeeping.
 #[derive(Default)]
 struct OpCtx {
@@ -343,7 +316,7 @@ impl TreeStore {
     /// priority; already-resident or in-flight pages are skipped. This is
     /// an I/O region: callers must not hold any non-I/O-tolerant lock
     /// across it. Returns the number of pages actually read.
-    pub fn prefetch_pages(&self, pages: &[PageId]) -> TreeResult<usize> {
+    pub(crate) fn prefetch_pages(&self, pages: &[PageId]) -> TreeResult<usize> {
         Ok(self.sm.prefetch(pages)?)
     }
 
@@ -998,7 +971,9 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::bulkload::bulkload_document;
-    use crate::reconstruct::{reconstruct_document, subtree_text, traverse, VisitEvent};
+    use crate::reconstruct::{
+        reconstruct_document, subtree_text, traverse, walk_records, RecordEntry, VisitEvent,
+    };
     use crate::record::tests::{
         assert_view_matches_tree, reference_find_continuation, reference_find_proxy,
         reference_prefix_chain, reference_spilled_path,
@@ -1457,9 +1432,10 @@ pub(crate) mod tests {
 
     #[test]
     fn a_lazy_walk_touches_a_constant_number_of_nodes_per_node() {
-        // `//SPEAKER` the lazy walk's way: a label test and a child
-        // enumeration at every node. Whole-record lookups touched ≈ 2 ×
-        // record size nodes per node.
+        // `//SPEAKER` node by node: a label test and a child enumeration
+        // at every node, the navigation of child steps and of the seeded
+        // descent. Whole-record lookups touched ≈ 2 × record size nodes
+        // per node.
         let (st, root, labels) = play();
         let _pin = st.begin_read();
         touches::take();
@@ -1566,7 +1542,7 @@ pub(crate) mod tests {
     fn pinned_queries_parse_each_record_they_visit_once_and_decode_none() {
         // `//SPEAKER` the summary-seeded descent's way (children along
         // PLAY/ACT/SCENE/SPEECH/SPEAKER only) and `//LINE` the record
-        // scan's way, each under its own pin.
+        // walk's way, each under its own pin.
         let (st, root, labels) = play();
         let total = records_of(&st, root).len();
         let path = [labels.act, labels.scene, labels.speech, labels.speaker];
@@ -1595,26 +1571,40 @@ pub(crate) mod tests {
             );
             assert!(parsed as usize <= total, "{parsed} parses, {total} records");
         }
+        // The facades in document order, by `traverse`.
+        let expected: Vec<(NodePtr, LabelId, bool)> = facades(&st, root)
+            .into_iter()
+            .map(|(ptr, label, aggregate)| (ptr, label, !aggregate))
+            .collect();
         let _pin = st.begin_read();
         counters();
-        let (mut queue, mut units, mut lines) = (vec![NodePtr::new(root, 0)], 0, 0);
-        while let Some(unit) = queue.pop() {
-            units += 1;
-            st.scan_record_subtree(unit, &mut |entry| {
-                match *entry {
-                    RecordEntry::Node { label, .. } if label == labels.line => lines += 1,
-                    RecordEntry::ChildRecord { ptr, .. } => queue.push(ptr),
-                    RecordEntry::Node { .. } => {}
-                }
-                Ok(true)
-            })
-            .unwrap();
-        }
+        let (mut entered, mut nodes) = (Vec::new(), Vec::new());
+        walk_records(&st, NodePtr::new(root, 0), &mut |entry| {
+            match entry {
+                RecordEntry::Record(ptr) => entered.push(ptr.rid),
+                RecordEntry::Node {
+                    ptr,
+                    label,
+                    literal,
+                } => nodes.push((ptr, label, literal)),
+            }
+            true
+        })
+        .unwrap();
         let (decoded, parsed) = counters();
+        let lines = nodes.iter().filter(|n| n.1 == labels.line).count();
         assert!(lines > 1_000, "{lines} lines");
-        assert_eq!(units, total, "the scan visits every record once");
-        assert_eq!(decoded, 0, "the scan decodes no record");
-        assert_eq!(parsed as usize, units, "one parse per record scanned");
+        assert_eq!(
+            nodes, expected,
+            "the walk meets the facades in document order"
+        );
+        assert_eq!(entered.len(), total, "the walk enters every record once");
+        let mut distinct = entered.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), total);
+        assert_eq!(decoded, 0, "the walk decodes no record");
+        assert_eq!(parsed as usize, total, "one parse per record walked");
     }
 
     #[test]

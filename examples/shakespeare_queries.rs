@@ -121,18 +121,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resident.put_xml(&play.name, xml)?;
     }
     const RUNS: usize = 5;
-    let forced = [
-        PlanShape::SummarySeeded,
-        PlanShape::ParallelScan,
-        PlanShape::LazyWalk,
-    ];
+    let forced = [PlanShape::SummarySeeded, PlanShape::ParallelScan];
     println!(
         "\nµs per query and play, resident 64 MiB pool, one thread, {RUNS} runs of {} plays:",
         plays.len()
     );
     println!(
-        "{:<24}{:>12}{:>12}{:>12}  planner picks",
-        "query", "seeded", "scan", "lazy walk"
+        "{:<24}{:>12}{:>12}  planner picks",
+        "query", "seeded", "scan"
     );
     for query in ["//SPEAKER", "//STAGEDIR", "/PLAY/ACT/SCENE/TITLE", "//LINE"] {
         let mut cells = String::new();
