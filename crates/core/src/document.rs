@@ -485,7 +485,7 @@ impl Repository {
     ) -> NatixResult<()> {
         let _pin = self.tree.begin_read();
         let start = self.resolve(doc, node)?;
-        natix_tree::walk_records(&self.tree, start, &mut |entry| {
+        natix_tree::walk_records(&self.tree, start, (), |(), _| Some(()), &mut |entry, ()| {
             if let natix_tree::RecordEntry::Record(ptr) = entry {
                 f(ptr);
             }

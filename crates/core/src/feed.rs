@@ -57,7 +57,7 @@ impl<'r> Feed<'r> {
             return Err(e);
         }
         let stats = feed.loader.finish()?;
-        let summary = feed.summary.finish(stats.records);
+        let summary = feed.summary.finish();
         Ok((DocState::new(name.to_string(), stats.root_rid), summary))
     }
 

@@ -1,6 +1,5 @@
 //! Path-summary index: per-document statistics over distinct root-to-node
-//! label paths, and the path-level query matcher the cost-based planner is
-//! built on.
+//! label paths, and the path-level query matcher the planner is built on.
 //!
 //! A *label path* is the sequence of labels from the document root down to
 //! a node (inclusive). Documents repeat structure heavily, so the set of
@@ -10,8 +9,8 @@
 //! path query without positional predicates can then be answered *at path
 //! level*: a node matches iff its label path is in the computed match set,
 //! so match counts come straight from summary counts (no record access),
-//! and node enumeration can prune its descent to the ancestor closure of
-//! the matching paths.
+//! and node enumeration can prune its record walk to the ancestor closure
+//! of the matching paths.
 //!
 //! # Versioning
 //!
@@ -74,33 +73,12 @@ pub struct PathSummary {
     /// `(parent path, child label) -> child path`.
     children: HashMap<(u32, LabelId), u32>,
     total_nodes: u64,
-    /// Records backing the document when the summary was built. Exact
-    /// only for freshly built summaries; structural edits keep node
-    /// counts exact but cannot see record boundaries, so this degrades
-    /// to an estimate (`records_exact` flips off).
-    total_records: u64,
-    records_exact: bool,
 }
 
 impl PathSummary {
-    /// Number of distinct label paths.
-    pub fn path_count(&self) -> usize {
-        self.paths.len()
-    }
-
     /// Total facade nodes in the document.
     pub fn total_nodes(&self) -> u64 {
         self.total_nodes
-    }
-
-    /// Records backing the document (see `records_exact`).
-    pub fn total_records(&self) -> u64 {
-        self.total_records
-    }
-
-    /// Whether `total_records` is exact or a stale-after-edits estimate.
-    pub fn records_exact(&self) -> bool {
-        self.records_exact
     }
 
     fn child(&self, parent: u32, label: LabelId) -> Option<u32> {
@@ -192,7 +170,6 @@ impl PathSummary {
                 }
             }
         }
-        next.records_exact = false;
         Ok(next)
     }
 
@@ -331,10 +308,18 @@ impl PathSummary {
         Some(pm)
     }
 
-    /// Child path id for `label` under `parent`, for the summary-seeded
-    /// descent.
-    pub(crate) fn step_child(&self, parent: u32, label: LabelId) -> Option<u32> {
-        self.child(parent, label)
+    /// The ancestor closure of `pm` as the table the summary-seeded walk
+    /// prunes by: for each slot, the `(label, slot)` of the closure paths
+    /// below it. Slot 0 lies above the root, and path `q` is slot `q + 1`.
+    pub(crate) fn closure_children(&self, pm: &PathMatch) -> Vec<Vec<(LabelId, u32)>> {
+        let mut kids = vec![Vec::new(); self.paths.len() + 1];
+        for (q, path) in self.paths.iter().enumerate() {
+            if pm.closure[q] {
+                let parent = path.parent.map_or(0, |p| p as usize + 1);
+                kids[parent].push((path.label, q as u32 + 1));
+            }
+        }
+        kids
     }
 }
 
@@ -346,11 +331,11 @@ pub(crate) struct PathMatch {
     /// match). Uniform across nodes of one path.
     pub(crate) mult: Vec<u64>,
     /// Ancestor-or-self closure of the final match set: the only paths a
-    /// pruned descent needs to visit.
+    /// pruned walk needs to visit.
     pub(crate) closure: Vec<bool>,
     /// Exact output cardinality: Σ mult · nodes.
     pub(crate) matched: u64,
-    /// Σ nodes over the closure — the pruned descent's visit estimate.
+    /// Σ nodes over the closure: the nodes the pruned walk keeps.
     pub(crate) visited: u64,
     /// Whether the evaluators' output equals the dup-free document-order
     /// enumeration of final-match nodes (see module docs); required by
@@ -580,11 +565,8 @@ impl SummaryBuilder {
     /// The summary of the events fed, `None` if they were not one rooted
     /// tree — the planner then builds one from the stored tree when it
     /// needs it.
-    pub(crate) fn finish(self, records: u64) -> Option<PathSummary> {
-        let mut summary = self.summary?;
-        summary.total_records = records;
-        summary.records_exact = true;
-        Some(summary)
+    pub(crate) fn finish(self) -> Option<PathSummary> {
+        self.summary
     }
 }
 
@@ -616,7 +598,7 @@ mod tests {
         s.start_element(b);
         s.end_element();
         s.end_element();
-        s.finish(3).unwrap()
+        s.finish().unwrap()
     }
 
     fn matched(summary: &PathSummary, q: &str, table: &SymbolTable) -> (u64, u64, bool) {
@@ -641,9 +623,6 @@ mod tests {
         let (table, a, b, c) = syms();
         let s = sample(a, b, c);
         assert_eq!(s.total_nodes(), 6);
-        assert_eq!(s.path_count(), 4); // a, a/b, a/b/c, a/b/#text
-        assert_eq!(s.total_records(), 3);
-        assert!(s.records_exact());
         let canon = s.canonical(&table);
         assert_eq!(canon.len(), 4);
         assert!(canon
@@ -677,7 +656,7 @@ mod tests {
         s.end_element();
         s.end_element();
         s.end_element();
-        let s = s.finish(1).unwrap();
+        let s = s.finish().unwrap();
         let (m, _, enumerable) = matched(&s, "//a//b", &table);
         assert_eq!(m, 2);
         assert!(!enumerable);
@@ -697,7 +676,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(grown.total_nodes(), 7);
-        assert!(!grown.records_exact());
         let shrunk = grown
             .apply(&SummaryDelta::Remove {
                 decrements: vec![(vec![a, b, c], 3)],

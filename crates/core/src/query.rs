@@ -20,18 +20,28 @@
 //!
 //! Every query runs through one private function, `eval_planned`: it
 //! resolves the document, pins a record-version snapshot, lets the
-//! cost-based planner pick (or check a forced) [`PlanShape`], and runs
-//! that shape's operator. The public entry points (listed in the crate
+//! planner pick (or check a forced) [`PlanShape`], and runs that shape's
+//! operator. The public entry points (listed in the crate
 //! docs) only *consume* the pointer set it matched — as bound node ids,
 //! as a count, as `(label, text)` rows read under the same pin, or not at
 //! all (`explain`). A specific operator is reached the way the
 //! differential suites reach it: `PlannerOptions { force: Some(shape) }`.
-//! Two operators read records: the summary-seeded descent, and the step
-//! loop, whose child steps enumerate each context's children and whose
-//! descendant steps run the record walk
-//! ([`natix_tree::walk_records`]): one depth-first pass over the records
-//! of each context's subtree, in document order, that stops at the n-th
-//! match of `//x[n]`.
+//! Two operators read records, and both run the record walk
+//! ([`natix_tree::walk_records`]): one depth-first pass over records in
+//! document order. The summary-seeded operator walks the document once,
+//! pruned to the label paths that can lead to a match. The step loop's
+//! child steps enumerate each context's children, and its descendant
+//! steps walk each context's subtree unpruned, stopping at the n-th match
+//! of `//x[n]`.
+//!
+//! # The planner prices nothing
+//!
+//! The pruned walk visits a subset of the nodes the unpruned walk visits
+//! and reads a subset of its records (a digested proxy is judged before
+//! its record is read, and the read-ahead names only records the walk
+//! enters). So whenever the summary decides a query and its match is
+//! enumerable, the seeded operator is never dearer than the step loop,
+//! and the planner picks it without a cost model.
 
 use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
@@ -152,7 +162,7 @@ impl PathQuery {
     }
 }
 
-/// A plan shape the cost-based planner can emit. Every shape is
+/// A plan shape the planner can emit. Every shape is
 /// independently forceable through [`PlannerOptions::force`] and pinned
 /// by a differential oracle (see the "plan shapes and their oracles"
 /// section of [`crate::repository`]).
@@ -161,8 +171,8 @@ pub enum PlanShape {
     /// Answered entirely from the path summary: exact counts and
     /// provably-empty results, zero record access.
     SummaryOnly,
-    /// Document-order descent pruned to the ancestor closure of the
-    /// summary's matching paths.
+    /// The record walk pruned to the ancestor closure of the summary's
+    /// matching paths.
     SummarySeeded,
     /// Retired: the label index that seeded this shape is gone and the
     /// path summary is the planner's only seed source. Never planned;
@@ -187,32 +197,11 @@ pub enum PlanShape {
 /// harness uses to reach every shape.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerOptions {
-    /// Force this plan shape instead of letting the cost model choose.
+    /// Force this plan shape instead of letting the planner choose.
     /// Forcing a shape whose preconditions do not hold for the query
     /// surfaces [`NatixError::PlanUnsupported`] — never a wrong answer.
     pub force: Option<PlanShape>,
 }
-
-/// Fallback page-miss cost (ns) used before the buffer pool has measured
-/// one. Chosen so the uncalibrated break-even between a seeded descent
-/// and a scan reproduces the pre-calibration "`visited * 2 <= total`"
-/// rule on the in-memory backend.
-pub const DEFAULT_PAGE_COST_NS: u64 = 2_000;
-/// CPU cost (ns) the model charges per facade node visited, any shape.
-/// It assumes a record is read once however many of its nodes the shape
-/// visits — true of the seeded descent since its reads share one parsed
-/// record view per snapshot (the parsed-record memo of
-/// [`natix_tree::version`]), and of the record walk by construction.
-const NODE_COST_NS: u64 = 100;
-/// Nodes over which a summary-seeded descent amortises one page miss —
-/// its proxy hops are random access, so misses are frequent.
-const SEEDED_NODES_PER_READ: u64 = 16;
-/// Nodes over which the record walk amortises one page miss — it reads
-/// the pages of the records ahead of it a whole window per request
-/// ([`natix_tree::readahead`]), so a page costs a fraction of a demand
-/// miss (the unit `page_cost_ns` is measured in) and misses proper are
-/// rare per node.
-const SCAN_NODES_PER_READ: u64 = 128;
 
 /// How the planner arrived at a plan; returned alongside every planned
 /// result and by [`Repository::explain`].
@@ -228,15 +217,10 @@ pub struct PlanExplain {
     pub summary_current: bool,
     /// Exact result cardinality from the summary, when path-decidable.
     pub estimated_matches: Option<u64>,
-    /// Nodes a summary-pruned descent would visit.
+    /// Nodes the summary-pruned walk would keep.
     pub estimated_visited: Option<u64>,
     /// Total facade nodes per the summary.
     pub total_nodes: Option<u64>,
-    /// The page-miss cost (ns) the cost model charged for this plan: the
-    /// buffer pool's measured miss-latency EWMA
-    /// ([`natix_storage::IoStats`]), or [`DEFAULT_PAGE_COST_NS`] before
-    /// the first miss.
-    pub page_cost_ns: u64,
 }
 
 /// What a consumer needs [`Repository::eval_planned`] to produce.
@@ -300,7 +284,7 @@ impl Repository {
             .0)
     }
 
-    /// Evaluates a path query through the cost-based planner, returning
+    /// Evaluates a path query through the planner, returning
     /// the matches plus how the plan was chosen. Every plan shape returns
     /// the same list, bit for bit.
     pub fn query_planned(
@@ -316,7 +300,7 @@ impl Repository {
     /// Structural count of a path query's matches (duplicates included,
     /// exactly as `query(..).len()` counts them). Served straight from
     /// the path summary whenever the query is path-decidable — zero
-    /// record access — and by the cheapest applicable operator otherwise.
+    /// record access — and by the step loop otherwise.
     pub fn count_planned(
         &self,
         name: &str,
@@ -468,8 +452,9 @@ impl Repository {
     ///    summary abstains, never lies.
     /// 3. Choose: positional predicates go to the step loop;
     ///    summary-decidable counts and provably-empty results are
-    ///    summary-only; selective node queries descend through the
-    ///    summary's ancestor closure; everything else is the record scan.
+    ///    summary-only; other summary-decided node queries walk the
+    ///    records pruned to the summary's ancestor closure; everything
+    ///    else is the step loop.
     ///
     /// Forcing a shape runs exactly that machinery, or fails with
     /// [`NatixError::PlanUnsupported`] when its preconditions do not
@@ -488,14 +473,6 @@ impl Repository {
             .any(|(s, l)| matches!(s.test, Test::Name(_)) && l.is_none());
         let positional = q.steps.iter().any(|s| s.position.is_some());
 
-        // Calibrated page-miss cost: the buffer pool's live miss-latency
-        // EWMA (random-access reads measured at the demand-miss path),
-        // else the static fallback.
-        let page_cost_ns = match self.io_stats().miss_latency_ns() {
-            0 => DEFAULT_PAGE_COST_NS,
-            measured => measured,
-        };
-
         // 1. Unknown-label short circuit: a name the alphabet has never
         // seen occurs in no stored document. Answered with zero page
         // reads (pinned by the buffer-miss counter test) unless a
@@ -509,7 +486,6 @@ impl Repository {
                 estimated_matches: Some(0),
                 estimated_visited: Some(0),
                 total_nodes: None,
-                page_cost_ns,
             };
             let nothing = Matched {
                 _pin: None,
@@ -547,7 +523,7 @@ impl Repository {
                 Self::check_forced(forced, positional, decided, counting)?,
                 "forced by caller".to_string(),
             ),
-            None => Self::choose_plan(positional, decided, counting, page_cost_ns),
+            None => Self::choose_plan(positional, decided, counting),
         };
         let explain = PlanExplain {
             shape: plan.shape(),
@@ -557,7 +533,6 @@ impl Repository {
             estimated_matches: estimates.map(|(matched, _)| matched),
             estimated_visited: estimates.map(|(_, visited)| visited),
             total_nodes,
-            page_cost_ns,
         };
 
         // 3. Run the plan's operator under the pin.
@@ -592,28 +567,19 @@ impl Repository {
         Ok((ptrs, count))
     }
 
-    /// The cost model. A positional predicate is never path-decidable,
-    /// and the record walk stops at the n-th match of `//x[n]`.
-    ///
-    /// The seeded-vs-scan decision is *calibrated*: `page_cost_ns` is the
-    /// measured buffer-pool miss latency (or the fallback), and each
-    /// shape's per-node cost adds that miss cost amortised over the nodes
-    /// one read serves — few for the random proxy hops of a seeded
-    /// descent, many for a prefetched scan. On a fast (cached, in-memory)
-    /// pool the two converge and the seeded descent wins whenever it
-    /// visits fewer nodes; on a slow pool (cold spinning disk) random
-    /// access is penalised and the descent must be far more selective.
-    fn choose_plan(
-        positional: bool,
-        decided: Option<Decided>,
-        counting: bool,
-        page_cost_ns: u64,
-    ) -> (Plan, String) {
+    /// The planner. A positional predicate is never path-decidable, and
+    /// the record walk stops at the n-th match of `//x[n]`. A query the
+    /// summary decides is answered from it when it is a count or provably
+    /// empty, and by the pruned walk otherwise — which never visits a node
+    /// or reads a record the unpruned walk would not, so there is nothing
+    /// to price. Only a non-enumerable match (nested contexts emit per
+    /// context, not in document order) goes to the step loop.
+    fn choose_plan(positional: bool, decided: Option<Decided>, counting: bool) -> (Plan, String) {
         let Some((summary, pm)) = decided else {
             let reason = if positional {
                 "positional predicate is not path-decidable"
             } else {
-                "no current summary for this snapshot: falling back to scan"
+                "no current summary for this snapshot: falling back to the step loop"
             };
             return (Plan::ParallelScan, reason.into());
         };
@@ -629,23 +595,18 @@ impl Repository {
                 "exact cardinality from summary counts".into(),
             );
         }
-        let total = summary.total_nodes();
-        let seeded_per_node = NODE_COST_NS + page_cost_ns / SEEDED_NODES_PER_READ;
-        let scan_per_node = NODE_COST_NS + page_cost_ns / SCAN_NODES_PER_READ;
-        let seeded_cost = pm.visited.saturating_mul(seeded_per_node);
-        let scan_cost = total.saturating_mul(scan_per_node);
-        if pm.enumerable && seeded_cost <= scan_cost {
-            let reason = format!(
-                "selective: pruned descent visits {} of {} nodes \
-                 ({seeded_cost} vs {scan_cost} ns at {page_cost_ns} ns/miss)",
-                pm.visited, total
+        if !pm.enumerable {
+            return (
+                Plan::ParallelScan,
+                "nested context sets: per-context emission differs from document order".into(),
             );
-            return (Plan::SummarySeeded(summary, pm), reason);
         }
-        (
-            Plan::ParallelScan,
-            "unselective: record-granular scan".into(),
-        )
+        let reason = format!(
+            "summary-decided: the pruned walk keeps {} of {} nodes",
+            pm.visited,
+            summary.total_nodes()
+        );
+        (Plan::SummarySeeded(summary, pm), reason)
     }
 
     /// Validates a forced shape's preconditions and builds its plan, so
@@ -670,7 +631,7 @@ impl Repository {
             },
             PlanShape::SummarySeeded => match decided {
                 None if positional => {
-                    unsupported("summary-seeded descent cannot evaluate positional predicates")
+                    unsupported("the summary-seeded walk cannot evaluate positional predicates")
                 }
                 None => unsupported("no current path summary for this snapshot"),
                 Some((_, pm)) if !pm.enumerable => unsupported(
@@ -735,19 +696,21 @@ impl Repository {
         let mut out = Vec::new();
         for &ctx in contexts {
             let mut seen = 0;
-            natix_tree::walk_records(&self.tree, ctx, &mut |entry| match entry {
-                // Descendant-or-self: the context node itself
-                // participates, except for a `text()` test.
-                RecordEntry::Node {
-                    ptr,
-                    label: l,
-                    literal,
-                } if step.test.accepts(label, l, literal)
-                    && (ptr != ctx || step.test != Test::Text) =>
-                {
-                    take(step, &mut seen, ptr, &mut out)
+            natix_tree::walk_records(&self.tree, ctx, (), |(), _| Some(()), &mut |entry, ()| {
+                match entry {
+                    // Descendant-or-self: the context node itself
+                    // participates, except for a `text()` test.
+                    RecordEntry::Node {
+                        ptr,
+                        label: l,
+                        literal,
+                    } if step.test.accepts(label, l, literal)
+                        && (ptr != ctx || step.test != Test::Text) =>
+                    {
+                        take(step, &mut seen, ptr, &mut out)
+                    }
+                    _ => true,
                 }
-                _ => true,
             })?;
         }
         Ok(out)
@@ -783,43 +746,37 @@ impl Repository {
         Ok(step.test.accepts(name_label, label, literal))
     }
 
-    /// The summary-seeded operator: a document-order descent that only
-    /// enters children whose label path lies in the ancestor closure of
-    /// the final match set, emitting nodes whose path is a final match.
-    /// Exactly equal to the step loop whenever the match is `enumerable`
-    /// (enforced by the planner and the differential suite).
+    /// The summary-seeded operator: the record walk of the document,
+    /// pruned to the nodes whose label path lies in the ancestor closure
+    /// of the final match set, emitting the nodes whose path is a final
+    /// match. Exactly equal to the step loop whenever the match is
+    /// `enumerable` (enforced by the planner and the differential suite).
     ///
-    /// Children come from [`natix_tree::TreeStore::logical_children_labeled`],
-    /// so a pruned child behind a digested proxy costs *no page read*:
-    /// the proxy's label digest feeds `step_child` directly, and the
-    /// child record is only ever loaded if the descent actually enters
-    /// it. On a high-fanout root this is the difference between one read
-    /// per child and one read per *entered* child.
+    /// The prune reads a table built once per query from the match
+    /// ([`PathSummary::closure_children`]), and a digested proxy is judged
+    /// by its label before its record is read: a pruned child record costs
+    /// no page read, and the read-ahead names only the records the walk
+    /// enters.
     fn eval_summary_seeded(
         &self,
         root: NodePtr,
         summary: &PathSummary,
         pm: &PathMatch,
     ) -> NatixResult<Vec<NodePtr>> {
+        let kids = summary.closure_children(pm);
+        let keep = |parent: u32, label| {
+            let mut under = kids[parent as usize].iter();
+            under.find(|&&(l, _)| l == label).map(|&(_, slot)| slot)
+        };
         let mut out = Vec::new();
-        if !pm.closure.first().copied().unwrap_or(false) {
-            return Ok(out);
-        }
-        let mut stack: Vec<(NodePtr, u32)> = vec![(root, 0)];
-        while let Some((p, pid)) = stack.pop() {
-            if pm.mult[pid as usize] > 0 {
-                out.push(p);
-            }
-            let kids = self.tree.logical_children_labeled(p)?;
-            // Reversed, so the leftmost kept child is popped first.
-            for (k, label) in kids.into_iter().rev() {
-                if let Some(cid) = summary.step_child(pid, label) {
-                    if pm.closure[cid as usize] {
-                        stack.push((k, cid));
-                    }
+        natix_tree::walk_records(&self.tree, root, 0, keep, &mut |entry, slot| {
+            if let RecordEntry::Node { ptr, .. } = entry {
+                if pm.mult[slot as usize - 1] > 0 {
+                    out.push(ptr);
                 }
             }
-        }
+            true
+        })?;
         Ok(out)
     }
 }

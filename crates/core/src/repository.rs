@@ -207,10 +207,10 @@
 //!    own frames ([`natix_tree::reconstruct`]): every whole-subtree walk
 //!    (`get_xml`, `get_document`, `serialize_node`, `text_content`,
 //!    `traverse_document`, the path-summary build), and the record walk
-//!    of every descendant step. Both plan and issue their window on the
-//!    query thread, under no lock (the tree store's prefetch →
-//!    `BufferManager::prefetch`), where they hold what their demand reads
-//!    hold and nothing more. The seeded descent and the child steps do
+//!    of every descendant step and of the summary-seeded operator. Both
+//!    plan and issue their window on the query thread, under no lock (the
+//!    tree store's prefetch → `BufferManager::prefetch`), where they hold
+//!    what their demand reads hold and nothing more. The child steps do
 //!    not read ahead. The buffer manager declares the
 //!    batch read as an I/O region (`buffer.prefetch`), so the lockdep
 //!    held-across-I/O detector enforces the rule mechanically: holding
@@ -229,17 +229,15 @@
 //! by source — frames a prefetch batch took over (`scan_evictions`) and
 //! frames a demand miss took over (`normal_evictions`). They also count
 //! pages read against read requests issued (a batch is one request: the
-//! pages per request the read-ahead achieves), and the demand-miss path —
-//! single-page reads only, never a batch — feeds a miss-latency EWMA that
-//! the query planner reads as its calibrated page-cost constant
-//! ([`crate::query::PlanExplain::page_cost_ns`]).
+//! pages per request the read-ahead achieves). The planner reads none of
+//! them: it prices nothing.
 //!
 //! # Plan shapes and their oracles
 //!
 //! Every query entry point ([`Repository::query_planned`],
 //! [`count_planned`](Repository::count_planned),
 //! [`content_planned`](Repository::content_planned) and the conveniences
-//! over them) goes through the cost-based planner ([`crate::query`]),
+//! over them) goes through the planner ([`crate::query`]),
 //! which picks one of three plan shapes from the document's path summary
 //! ([`crate::path_summary`]) — the only derived structure, and the only
 //! seed source. Each shape is independently forceable via
@@ -250,7 +248,7 @@
 //! | Shape | Strategy | Oracle |
 //! |---|---|---|
 //! | `SummaryOnly` | counts/emptiness straight from summary counts, zero record access | DOM re-evaluation (`prop_query.rs`), exact cardinality vs the DOM match list |
-//! | `SummarySeeded` | document-order descent pruned to the ancestor closure of matching paths | ids, counts and content rows vs the DOM oracle; chosen == forced |
+//! | `SummarySeeded` | the record walk pruned to the ancestor closure of matching paths, digested proxies judged before their records are read; the planner's pick for every summary-decided, enumerable node query | ids, counts and content rows vs the DOM oracle; chosen == forced; the packed deep document (`prop_bulkload.rs`); cold reads a subset of the scan's pages (`readahead.rs`) |
 //! | `ParallelScan` | the step loop on the query's thread: child steps by child enumeration, descendant steps by the record walk (early exit on `//x[n]`) | same matrix; the DOM oracle across page sizes, on both load paths and on an 8-frame pool; racing edits and ingestion (`prop_edit_race.rs`, `concurrent_ingest.rs`); the paper's figures 11–13 (`crates/bench/figures.quick.txt`) |
 //!
 //! The planner only picks a shape whose preconditions hold (summary
@@ -952,26 +950,18 @@ impl Repository {
         Ok(())
     }
 
-    /// Walks a stored subtree into a fresh summary. The record count is
-    /// exact: the number of distinct RIDs the walk touches.
+    /// Walks a stored subtree into a fresh summary.
     pub(crate) fn build_summary(&self, root: Rid) -> NatixResult<crate::path_summary::PathSummary> {
         let mut b = crate::path_summary::SummaryBuilder::new();
-        let mut rids = HashSet::new();
         natix_tree::traverse(&self.tree, NodePtr::new(root, 0), &mut |ev| {
             match ev {
-                VisitEvent::Enter { label, ptr } => {
-                    rids.insert(ptr.rid);
-                    b.start_element(label);
-                }
-                VisitEvent::Literal { label, ptr, .. } => {
-                    rids.insert(ptr.rid);
-                    b.literal(label);
-                }
+                VisitEvent::Enter { label, .. } => b.start_element(label),
+                VisitEvent::Literal { label, .. } => b.literal(label),
                 VisitEvent::Leave { .. } => b.end_element(),
             }
             true
         })?;
-        Ok(b.finish(rids.len() as u64).ok_or_else(|| {
+        Ok(b.finish().ok_or_else(|| {
             natix_tree::TreeError::Invariant("a stored document has two root elements".into())
         })?)
     }

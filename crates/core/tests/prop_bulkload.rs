@@ -572,43 +572,61 @@ fn dom_positions(doc: &Document, syms: &SymbolTable, path: &str) -> Vec<usize> {
 fn deep_corpus_queries_match_the_lazy_oracle() {
     // The record walk must agree with the DOM on packed documents — it
     // enters continuation groups at their document-order positions, at
-    // the right prefix level. Compared by document-order position: the
-    // deep corpus' texts are below the chunk limit, so stored nodes
-    // correspond 1:1 to the DOM's in pre-order.
-    let mut syms = SymbolTable::new();
-    let cfg = natix_corpus::DeepConfig {
-        depth: 500,
-        ..natix_corpus::DeepConfig::tiny()
-    };
-    let doc = natix_corpus::generate_deep(&cfg, &mut syms);
-    let r = repo(1024, SplitMatrix::all_other(), &syms);
-    let id = r.put_document("d", &doc).unwrap();
-    let mut stored = HashMap::new();
-    let mut stack = vec![r.root(id).unwrap()];
-    while let Some(n) = stack.pop() {
-        stored.insert(n, stored.len());
-        stack.extend(r.children(id, n).unwrap().into_iter().rev());
-    }
-    assert_eq!(stored.len(), doc.pre_order().count());
-    let scan = natix::PlannerOptions {
-        force: Some(natix::PlanShape::ParallelScan),
-    };
-    for path in [
-        "//TAIL",
-        "//META/NOTE",
-        "//NOTE/text()",
-        "/SECTION/SECTION/SECTION//TAIL",
-        "//SECTION/TAIL",
-        "//*",
-        // Every section a context: most walks start mid-record, where a
-        // continuation group must be entered at the context's own level.
-        "//SECTION//TAIL",
-    ] {
-        let want = dom_positions(&doc, &syms, path);
-        assert!(!want.is_empty(), "{path}");
-        let (ids, _) = r.query_planned("d", path, &scan).unwrap();
-        let got: Vec<usize> = ids.iter().map(|n| stored[n]).collect();
-        assert_eq!(got, want, "{path}: the record walk diverges from the DOM");
+    // the right prefix level — and so must the walk pruned to the path
+    // summary's closure, which reaches a group past a pruned spilled
+    // level. Compared by document-order position: the deep corpus' texts
+    // are below the chunk limit, so stored nodes correspond 1:1 to the
+    // DOM's in pre-order.
+    for (depth, page_size) in [(300, 512), (500, 512), (500, 1024)] {
+        let mut syms = SymbolTable::new();
+        let cfg = natix_corpus::DeepConfig {
+            depth,
+            ..natix_corpus::DeepConfig::tiny()
+        };
+        let doc = natix_corpus::generate_deep(&cfg, &mut syms);
+        let r = repo(page_size, SplitMatrix::all_other(), &syms);
+        let id = r.put_document("d", &doc).unwrap();
+        let mut stored = HashMap::new();
+        let mut stack = vec![r.root(id).unwrap()];
+        while let Some(n) = stack.pop() {
+            stored.insert(n, stored.len());
+            stack.extend(r.children(id, n).unwrap().into_iter().rev());
+        }
+        assert_eq!(stored.len(), doc.pre_order().count());
+        let mut seeded = 0;
+        for path in [
+            "//TAIL",
+            "//META/NOTE",
+            "//NOTE/text()",
+            "/SECTION/SECTION/SECTION//TAIL",
+            "//SECTION/TAIL",
+            "//*",
+            // Every section a context: most walks start mid-record, where
+            // a continuation group must be entered at the context's own
+            // level.
+            "//SECTION//TAIL",
+        ] {
+            let want = dom_positions(&doc, &syms, path);
+            assert!(!want.is_empty(), "{path}");
+            for shape in [
+                natix::PlanShape::ParallelScan,
+                natix::PlanShape::SummarySeeded,
+            ] {
+                let opts = natix::PlannerOptions { force: Some(shape) };
+                let ids = match r.query_planned("d", path, &opts) {
+                    Ok((ids, _)) => ids,
+                    Err(natix::NatixError::PlanUnsupported(_)) => continue,
+                    Err(e) => panic!("depth {depth}, {page_size} B pages, {path} [{shape:?}]: {e}"),
+                };
+                seeded += usize::from(shape == natix::PlanShape::SummarySeeded);
+                let got: Vec<usize> = ids.iter().map(|n| stored[n]).collect();
+                assert_eq!(
+                    got, want,
+                    "depth {depth}, {page_size} B pages, {path} [{shape:?}]: the walk diverges from the DOM"
+                );
+            }
+        }
+        assert!(seeded >= 5, "the pruned walk ran on {seeded} paths");
     }
 }
 

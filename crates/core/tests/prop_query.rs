@@ -481,15 +481,85 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
     }
 }
 
+/// The planner prices nothing: every node query the summary decides with
+/// an enumerable match — exactly the queries forcing `SummarySeeded`
+/// serves — plans the pruned walk, unless the summary proves it empty. On
+/// random documents and on a play, where `//LINE` keeps most of the
+/// document and the walk still costs no more than the unpruned one.
+#[test]
+fn the_planner_picks_the_pruned_walk_whenever_the_summary_decides() {
+    let seeded = forced(PlanShape::SummarySeeded);
+    // Whether the planner picked the pruned walk for `path`.
+    let check = |r: &Repository, name: &str, path: &str| {
+        let ids = match r.query_planned(name, path, &seeded) {
+            Ok((ids, _)) => ids,
+            Err(NatixError::PlanUnsupported(_)) => return false,
+            Err(e) => panic!("'{path}': {e}"),
+        };
+        let (chosen_ids, chosen) = r
+            .query_planned(name, path, &PlannerOptions::default())
+            .unwrap();
+        let want = if ids.is_empty() {
+            PlanShape::SummaryOnly
+        } else {
+            PlanShape::SummarySeeded
+        };
+        assert_eq!(chosen.shape, want, "'{path}': {}", chosen.reason);
+        assert_eq!(chosen_ids, ids, "'{path}'");
+        !ids.is_empty()
+    };
+    let mut picked = 0;
+    for case in 0..24u64 {
+        let mut g = Gen::new(0x9E1C ^ case);
+        let mut syms = SymbolTable::new();
+        let doc = random_document(&mut g, &mut syms);
+        let r = repo([512usize, 1024, 2048][g.below(3)], &syms);
+        r.put_document("d", &doc).unwrap();
+        for _ in 0..10 {
+            picked += usize::from(check(&r, "d", &random_query(&mut g).0));
+        }
+    }
+    let mut syms = SymbolTable::new();
+    let cfg = CorpusConfig {
+        plays: 37,
+        seed: 0x9E1C,
+        scale: 0.25,
+    };
+    let play = generate_play(&cfg, 0, &mut syms).doc;
+    let r = repo(2048, &syms);
+    r.put_document("play", &play).unwrap();
+    for path in [
+        "//LINE",
+        "//SPEAKER",
+        "//STAGEDIR",
+        "/PLAY/ACT/SCENE/TITLE",
+        "//SPEECH/LINE/text()",
+    ] {
+        assert!(check(&r, "play", path), "{path}");
+    }
+    assert!(
+        picked >= 20,
+        "{picked} random queries planned the pruned walk"
+    );
+}
+
 /// The unforced planner's choice on the shape of document the summary
 /// exists for — a high-fanout root (48 fat `BULK` sections, then a rare
 /// selective path): structural counts are answered from the summary
-/// alone, selective queries by the summary-seeded descent, and both agree
-/// with a forced record scan.
+/// alone, selective queries by the summary-seeded walk, and both agree
+/// with a forced record scan. Cold, `//NEEDLE` reads no page of a `BULK`
+/// section: its digested proxies are pruned before their records are read,
+/// by the walk and by its read-ahead alike.
 #[test]
 fn planner_picks_the_summary_shapes_on_a_high_fanout_root() {
     use std::fmt::Write;
-    let mut xml = String::from("<CATALOG>");
+    // A fat leading `RARE` without a needle: the walk enters its records,
+    // and its read-ahead then looks at the `BULK` proxies ahead.
+    let mut xml = String::from("<CATALOG><RARE>");
+    for j in 0..150 {
+        write!(xml, "<PAD>padding {j}</PAD>").unwrap();
+    }
+    xml.push_str("</RARE>");
     for i in 0..48 {
         xml.push_str("<BULK>");
         for j in 0..60 {
@@ -517,6 +587,51 @@ fn planner_picks_the_summary_shapes_on_a_high_fanout_root() {
         assert_eq!(explain.shape, PlanShape::SummarySeeded, "{q}");
         assert_eq!(ids.len(), 4, "{q}");
         assert_eq!(ids, r.query_planned("catalog", q, &scan).unwrap().0, "{q}");
+    }
+
+    // The pages that hold records of `BULK` sections only: the records a
+    // walk from a section enters at a record root, less the pages of every
+    // other record of the document.
+    let doc = r.doc_id("catalog").unwrap();
+    let records = |node: NodeId| {
+        let mut ptrs = Vec::new();
+        r.for_each_subtree_record(doc, node, &mut |p| ptrs.push(p))
+            .unwrap();
+        ptrs
+    };
+    let mut inside = HashSet::new();
+    for bulk in r.query("catalog", "//BULK").unwrap() {
+        inside.extend(
+            records(bulk)
+                .into_iter()
+                .filter(|p| p.node == 0)
+                .map(|p| p.rid),
+        );
+    }
+    let (mut bulk_pages, mut other_pages) = (HashSet::new(), HashSet::new());
+    for p in records(r.root(doc).unwrap()) {
+        if inside.contains(&p.rid) {
+            bulk_pages.insert(p.rid.page);
+        } else {
+            other_pages.insert(p.rid.page);
+        }
+    }
+    bulk_pages.retain(|page| !other_pages.contains(page));
+    assert!(
+        bulk_pages.len() > 20,
+        "{} BULK-only pages",
+        bulk_pages.len()
+    );
+    r.clear_buffer().unwrap();
+    let (ids, explain) = r.query_planned("catalog", "//NEEDLE", &unforced).unwrap();
+    assert_eq!((explain.shape, ids.len()), (PlanShape::SummarySeeded, 4));
+    // A page the query read is resident: pinning it now is a hit.
+    let pool = r.storage().buffer();
+    for &page in &bulk_pages {
+        let before = r.io_stats().snapshot();
+        drop(pool.pin(page).unwrap());
+        let pin = r.io_stats().snapshot().since(&before);
+        assert_eq!(pin.buffer_misses, 1, "cold //NEEDLE read BULK page {page}");
     }
 }
 

@@ -10,8 +10,10 @@
 //!   walked subtree, each read once: nothing wasted, nothing read twice;
 //! * **batched** — several pages per device request (`IoStats`'
 //!   `physical_reads / read_requests`), and none at all once resident;
-//! * **scoped** — a walk of one `SCENE` names no page outside it, and a
-//!   walk that stops at `//LINE[1]` reads fewer pages than `//LINE`;
+//! * **scoped** — a walk of one `SCENE` names no page outside it, a walk
+//!   that stops at `//LINE[1]` reads fewer pages than `//LINE`, and the
+//!   walk pruned to the path summary's closure (`//SPEAKER`, planned
+//!   summary-seeded) reads no page the unpruned walk does not;
 //! * **advisory** — a device that refuses batched reads, or loses a page,
 //!   changes latency or yields a typed error, never a wrong answer or a
 //!   panic.
@@ -152,14 +154,14 @@ fn deep_xml() -> String {
     write_document(&doc, &syms, WriteOptions::compact()).unwrap()
 }
 
-/// The DOM's answer to `//LINE` over `xml`: pre-order positions.
-fn dom_lines(xml: &str) -> Vec<usize> {
+/// The DOM's answer to `//{tag}` over `xml`: pre-order positions.
+fn dom_elements(xml: &str, tag: &str) -> Vec<usize> {
     let mut syms = SymbolTable::new();
     let doc = parse_document(xml, &mut syms, ParserOptions::default()).unwrap();
-    let line = syms.lookup_element("LINE").unwrap();
+    let tag = syms.lookup_element(tag).unwrap();
     doc.pre_order()
         .enumerate()
-        .filter(|&(_, n)| matches!(doc.data(n), NodeData::Element(l) if *l == line))
+        .filter(|&(_, n)| matches!(doc.data(n), NodeData::Element(l) if *l == tag))
         .map(|(i, _)| i)
         .collect()
 }
@@ -332,7 +334,7 @@ fn a_cold_scan_reads_each_page_once_in_batches_and_equals_the_walk() {
     let (repo, disk) = stored(&xml);
     let doc = repo.doc_id("d").unwrap();
     let expected = subtree_pages(&repo, repo.root(doc).unwrap());
-    let lines = dom_lines(&xml);
+    let lines = dom_elements(&xml, "LINE");
     assert!(lines.len() > 1000);
     let (scanned, read, io) = cold(&repo, &disk, || {
         repo.query_planned("d", "//LINE", &scan()).unwrap().0
@@ -342,6 +344,44 @@ fn a_cold_scan_reads_each_page_once_in_batches_and_equals_the_walk() {
     assert!(
         pages_per_request(&io) >= 4.0,
         "scan: {} pages in {} requests",
+        io.physical_reads,
+        io.read_requests
+    );
+}
+
+/// `//SPEAKER` unforced is planned summary-seeded: the record walk pruned
+/// to the label paths that lead to a speaker. Cold, it reads each page
+/// once, in batches, and only pages the unpruned walk reads too — its
+/// read-ahead judges a digested proxy as the walk will, and passes over
+/// the subtrees the walk skips.
+#[test]
+fn a_cold_seeded_walk_reads_a_subset_of_the_scan_once_in_batches() {
+    let xml = play_xml();
+    let (repo, disk) = stored(&xml);
+    let (_, scanned, _) = cold(&repo, &disk, || {
+        repo.query_planned("d", "//SPEAKER", &scan()).unwrap()
+    });
+    let scanned: BTreeSet<PageId> = scanned.into_iter().collect();
+    let ((speakers, explain), read, io) = cold(&repo, &disk, || {
+        repo.query_planned("d", "//SPEAKER", &PlannerOptions::default())
+            .unwrap()
+    });
+    assert_eq!(explain.shape, PlanShape::SummarySeeded);
+    assert_eq!(positions(&repo, &speakers), dom_elements(&xml, "SPEAKER"));
+    let distinct: BTreeSet<PageId> = read.iter().copied().collect();
+    assert_eq!(
+        distinct.len(),
+        read.len(),
+        "a page was read twice: {read:?}"
+    );
+    assert!(
+        distinct.is_subset(&scanned),
+        "the pruned walk read pages the scan does not: {:?}",
+        distinct.difference(&scanned).collect::<Vec<_>>()
+    );
+    assert!(
+        pages_per_request(&io) >= 4.0,
+        "seeded: {} pages in {} requests",
         io.physical_reads,
         io.read_requests
     );
@@ -362,7 +402,7 @@ fn a_cold_positional_scan_stops_at_its_match() {
             repo.query_planned("d", "//LINE[1]", &opts).unwrap()
         });
         assert_eq!(explain.shape, PlanShape::ParallelScan);
-        assert_eq!(positions(&repo, &first), dom_lines(&xml)[..1]);
+        assert_eq!(positions(&repo, &first), dom_elements(&xml, "LINE")[..1]);
         assert!(
             io.physical_reads < every.physical_reads,
             "//LINE[1] read {} pages, //LINE {}: {read:?}",

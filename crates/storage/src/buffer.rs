@@ -434,14 +434,9 @@ impl BufferManager {
         let result = if load_from_disk {
             #[cfg(feature = "lockdep")]
             let _io = parking_lot::lockdep::io_region("buffer.read-page");
-            // The elapsed read time feeds the miss-latency EWMA the query
-            // planner calibrates its per-page cost constant from.
-            let t0 = std::time::Instant::now();
-            self.backend.read_page(page, data.bytes_mut()).map(|()| {
-                self.stats
-                    .record_miss_latency(t0.elapsed().as_nanos() as u64);
-                self.stats.add_read_request(1)
-            })
+            self.backend
+                .read_page(page, data.bytes_mut())
+                .map(|()| self.stats.add_read_request(1))
         } else {
             data.clear();
             self.frames[frame].dirty.store(true, Ordering::Release);

@@ -36,10 +36,6 @@ pub struct IoStats {
     pub sim_disk_ns: AtomicU64,
     /// Seeks charged by the simulated disk (non-sequential accesses).
     pub sim_seeks: AtomicU64,
-    /// EWMA (α = ⅛) of the demand-miss read service time in nanoseconds —
-    /// the measured cost of one buffer-pool miss, fed to the query
-    /// planner's per-page cost constant. A gauge, not a counter.
-    miss_latency_ewma_ns: AtomicU64,
 }
 
 impl IoStats {
@@ -59,7 +55,6 @@ impl IoStats {
         self.normal_evictions.store(0, Ordering::Relaxed);
         self.sim_disk_ns.store(0, Ordering::Relaxed);
         self.sim_seeks.store(0, Ordering::Relaxed);
-        self.miss_latency_ewma_ns.store(0, Ordering::Relaxed);
     }
 
     /// Takes a consistent-enough snapshot for reporting.
@@ -74,23 +69,7 @@ impl IoStats {
             normal_evictions: self.normal_evictions.load(Ordering::Relaxed),
             sim_disk_ns: self.sim_disk_ns.load(Ordering::Relaxed),
             sim_seeks: self.sim_seeks.load(Ordering::Relaxed),
-            miss_latency_ns: self.miss_latency_ewma_ns.load(Ordering::Relaxed),
         }
-    }
-
-    /// Smoothed demand-miss read service time in nanoseconds; `0` until
-    /// the first miss has been measured.
-    pub fn miss_latency_ns(&self) -> u64 {
-        self.miss_latency_ewma_ns.load(Ordering::Relaxed)
-    }
-
-    /// Folds one measured miss service time into the EWMA. The
-    /// read-modify-write is racy by design: the value is a smoothed gauge
-    /// and a lost update moves it by at most one sample's α-share.
-    pub(crate) fn record_miss_latency(&self, ns: u64) {
-        let old = self.miss_latency_ewma_ns.load(Ordering::Relaxed);
-        let new = if old == 0 { ns } else { old - old / 8 + ns / 8 };
-        self.miss_latency_ewma_ns.store(new, Ordering::Relaxed);
     }
 
     /// One read request that fetched `pages` pages: a demand miss (one
@@ -134,10 +113,6 @@ pub struct IoSnapshot {
     pub normal_evictions: u64,
     pub sim_disk_ns: u64,
     pub sim_seeks: u64,
-    /// Smoothed miss service time at snapshot instant (a gauge:
-    /// [`since`](IoSnapshot::since) carries the later value through
-    /// instead of subtracting).
-    pub miss_latency_ns: u64,
 }
 
 impl IoSnapshot {
@@ -158,7 +133,6 @@ impl IoSnapshot {
             normal_evictions: self.normal_evictions - earlier.normal_evictions,
             sim_disk_ns: self.sim_disk_ns - earlier.sim_disk_ns,
             sim_seeks: self.sim_seeks - earlier.sim_seeks,
-            miss_latency_ns: self.miss_latency_ns,
         }
     }
 }
@@ -186,24 +160,6 @@ mod tests {
         assert_eq!(snap.normal_evictions, 0);
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
-    }
-
-    #[test]
-    fn miss_latency_ewma_smooths() {
-        let s = IoStats::new_shared();
-        assert_eq!(s.miss_latency_ns(), 0);
-        s.record_miss_latency(8_000);
-        assert_eq!(s.miss_latency_ns(), 8_000, "first sample adopted whole");
-        s.record_miss_latency(16_000);
-        let after = s.miss_latency_ns();
-        assert!(
-            after > 8_000 && after < 16_000,
-            "EWMA moves toward the sample: {after}"
-        );
-        // A gauge, not a counter: `since` carries the value through.
-        let a = s.snapshot();
-        let b = s.snapshot();
-        assert_eq!(b.since(&a).miss_latency_ns, after);
     }
 
     #[test]

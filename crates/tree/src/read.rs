@@ -6,13 +6,13 @@
 //! [`RecordTree`](crate::model::RecordTree): a view
 //! costs ≈ 2 µs to parse where a decode of the same 200-node record costs
 //! ≈ 20 µs, and only the literals a reader returns are decoded, each when
-//! it is returned. The summary-seeded descent and the child steps of a
-//! query call the child enumeration at every node they visit, so each
-//! helper must cost what it visits, not what its record holds:
+//! it is returned. The child steps of a query call the child enumeration
+//! at every context they visit, so each helper must cost what it visits,
+//! not what its record holds:
 //!
 //! * [`TreeStore::node_info`] and [`TreeStore::node_label`]: one index
 //!   entry (and the literal's value, for `node_info` of a literal).
-//! * [`TreeStore::logical_children`] and its two siblings: one index entry
+//! * [`TreeStore::logical_children`] and its lazy sibling: one index entry
 //!   per child, plus — for a node on the record's spilled path only — the
 //!   node's depth in its record, O(record depth). Whether a node is on the
 //!   spilled path is one comparison of index ranges: the view knows its
@@ -26,10 +26,10 @@
 //!   path the document manager has not derived yet: an inserted node's
 //!   path is its parent's plus its label.
 //!
-//! A descendant step does not navigate node by node: the record walk
-//! ([`walk_records`](crate::walk_records)) scans each record's index
-//! range once, one index entry per scanned node; entering a continuation
-//! group costs the same O(record depth) as above.
+//! A descendant step and the summary-seeded operator do not navigate node
+//! by node: the record walk ([`walk_records`](crate::walk_records)) scans
+//! each record's index range once, one index entry per scanned node;
+//! entering a continuation group costs the same O(record depth) as above.
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LABEL_NONE};
@@ -72,42 +72,16 @@ impl TreeStore {
         Ok(out)
     }
 
-    /// [`logical_children`](Self::logical_children) with each child's
-    /// label alongside its pointer. Proxy label digests make this cheaper
-    /// than `logical_children` + `node_info` per child: a digested proxy
-    /// yields `(child root, digest)` with **no page read** — only
-    /// digest-less proxies (scaffolding-rooted children) are resolved by
-    /// reading the child record.
-    pub fn logical_children_labeled(&self, ptr: NodePtr) -> TreeResult<Vec<(NodePtr, LabelId)>> {
-        let mut out = Vec::new();
-        self.visit_logical_children(ptr, &mut |child, label| {
-            out.push((child, label));
-            Ok(true)
-        })?;
-        Ok(out)
-    }
-
     /// Lazy variant of [`logical_children`](Self::logical_children):
     /// calls `f` for each logical child in order; `f` returning `false`
     /// stops the walk (and no further proxy records are read). Positional
     /// path predicates like `SPEECH[1]` rely on this to avoid reading a
-    /// whole scene to find its first speech.
+    /// whole scene to find its first speech. A digested proxy yields its
+    /// child with no page read, and a pinned caller parses each record
+    /// once ([`crate::version`]'s memo).
     pub fn for_each_logical_child<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
     where
         F: FnMut(NodePtr) -> TreeResult<bool>,
-    {
-        self.visit_logical_children(ptr, &mut |child, _| f(child))
-    }
-
-    /// The one child visitor behind the three accessors above: resolves
-    /// `ptr` and hands every logical child to `f` with its label.
-    ///
-    /// The record of `ptr` comes from [`view`](Self::view): a pinned walk
-    /// that asks for the children of every node it enters parses each
-    /// record once, not once per node.
-    fn visit_logical_children<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
-    where
-        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
     {
         let view = self.view(ptr.rid)?;
         let n = view.checked(ptr.node)?;
@@ -116,17 +90,16 @@ impl TreeStore {
 
     fn expand_children<F>(&self, view: &RecordView, node: PNodeId, f: &mut F) -> TreeResult<bool>
     where
-        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
+        F: FnMut(NodePtr) -> TreeResult<bool>,
     {
         for c in view.children(node) {
-            let label = view.label(c);
             match view.shape(c) {
                 Shape::Proxy(target) => {
-                    if label != LABEL_NONE {
+                    if view.label(c) != LABEL_NONE {
                         // Label digest: the child is facade-rooted (a
-                        // digest is only ever written for one) with this
-                        // label at pre-order index 0 — no page read.
-                        if !f(NodePtr::new(target, 0), label)? {
+                        // digest is only ever written for one) at
+                        // pre-order index 0 — no page read.
+                        if !f(NodePtr::new(target, 0))? {
                             return Ok(false);
                         }
                         continue;
@@ -143,7 +116,7 @@ impl TreeStore {
                         // so only content of deeper levels hangs here —
                         // none of it is a child of `node`.
                         debug_assert!(view.is_prefix(node));
-                    } else if !f(NodePtr::new(target, root), child.label(root))? {
+                    } else if !f(NodePtr::new(target, root))? {
                         return Ok(false);
                     }
                 }
@@ -153,7 +126,7 @@ impl TreeStore {
                 // below, from the continuation group's matching prefix.
                 Shape::Continuation(_) => {}
                 Shape::Aggregate | Shape::Literal => {
-                    if !f(NodePtr::new(view.rid(), c), label)? {
+                    if !f(NodePtr::new(view.rid(), c))? {
                         return Ok(false);
                     }
                 }
@@ -175,7 +148,7 @@ impl TreeStore {
     /// prefix-rooted lower piece.
     fn expand_group_children<F>(&self, group_rid: Rid, level: usize, f: &mut F) -> TreeResult<bool>
     where
-        F: FnMut(NodePtr, LabelId) -> TreeResult<bool>,
+        F: FnMut(NodePtr) -> TreeResult<bool>,
     {
         let group = self.view(group_rid)?;
         let levels = group.prefix_levels();

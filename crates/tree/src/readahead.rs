@@ -33,7 +33,9 @@
 //!   probes with the pages the frontier can name for free.
 //! * **Exact.** The policy adds no page of its own: what is read is what
 //!   the frontier names, and a frontier names only pages its reader will
-//!   visit. Read-ahead changes when pages are read, never which.
+//!   visit — a pruned walk's frontier judges each node and each proxy's
+//!   label digest as the walk does. Read-ahead changes when pages are
+//!   read, never which.
 //! * **Advisory.** The batch goes through the pool's best-effort
 //!   prefetch: a short or failed batch changes latency only, the reader's
 //!   own demand read fetches what is missing and reports what is broken.

@@ -14,8 +14,13 @@
 //! index range in pre-order and, at a proxy or continuation placeholder,
 //! scans the target record there before it goes on, so it meets the
 //! facade nodes in document order and stops whenever its caller has seen
-//! enough. It is the engine's one descendant operator (`//x`, `//x[n]`)
-//! and the record enumeration of the document manager.
+//! enough. It walks with a *prune*: the caller keeps each facade node
+//! with a state its children see as their parent's, or skips its subtree
+//! — and a proxy's label digest is judged before its record is read, so a
+//! skipped record costs no page. Keeping everything is the plain walk,
+//! the engine's one descendant operator (`//x`, `//x[n]`) and the record
+//! enumeration of the document manager; the prune "this label path can
+//! hold a match" is the summary-seeded operator.
 //!
 //! # Read-ahead
 //!
@@ -27,7 +32,10 @@
 //!
 //! * **The frontier** is the record hops still pending in the walk's own
 //!   frames (`traverse`'s frame stack, `walk_records`' record cursors),
-//!   innermost frame first — which is document order. A hop
+//!   innermost frame first — which is document order. The frontier scans
+//!   the frames with the walk's own cursor and prune, so it passes over
+//!   the subtrees the walk will skip and does not name a digested proxy
+//!   the walk will not follow. A hop
 //!   whose page an earlier refill already asked for is in the pool, so
 //!   the lookahead reads that record and continues with the hops *it*
 //!   holds: children of the current record alone do not fill a window,
@@ -65,7 +73,8 @@ use std::sync::Arc;
 use natix_storage::{PageId, Rid};
 use natix_xml::escape::{escape_attr, escape_text};
 use natix_xml::{
-    Document, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_COMMENT, LABEL_PI, LABEL_TEXT,
+    Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_COMMENT, LABEL_NONE,
+    LABEL_PI, LABEL_TEXT,
 };
 
 use crate::error::{TreeError, TreeResult};
@@ -139,36 +148,47 @@ struct Frame {
 
 impl Frame {
     /// What this frame has still to walk: the subtrees of its children
-    /// after the one in progress.
-    fn pending(&self) -> (&Arc<RecordView>, Range<PNodeId>) {
-        (&self.view, self.next..self.view.subtree(self.node).end)
+    /// after the one in progress. `traverse` keeps every node, so the
+    /// cursor carries no state.
+    fn pending(&self) -> Cursor<()> {
+        Cursor {
+            view: Arc::clone(&self.view),
+            start: self.record_start,
+            nodes: self.next..self.view.subtree(self.node).end,
+            base: (),
+            open: Vec::new(),
+        }
     }
 }
 
 /// A walk's [`Frontier`]: the pages of the record hops still ahead of
 /// it, in document order (see the module docs).
-struct Lookahead<'a, P> {
+struct Lookahead<'a, S, K, P> {
     store: &'a TreeStore,
+    /// The walk's prune: the lookahead names a page only if the walk
+    /// will hop there.
+    keep: &'a K,
     /// The page of the hop the walk stands on, named first.
     first: Option<PageId>,
-    /// What each frame of the walk has still to walk, innermost first:
-    /// a record view and an index range of it, not looked at yet.
+    /// What each frame of the walk has still to walk, innermost first,
+    /// not looked at yet.
     pending: P,
-    /// Records being looked through, innermost last, each with the nodes
-    /// still to examine: an index range, in document order.
-    open: Vec<(Arc<RecordView>, Range<PNodeId>)>,
-    /// Target of the proxy whose page was named last: what
-    /// [`expand`](Frontier::expand) looks inside.
-    last_proxy: Option<Rid>,
+    /// Records being looked through, innermost last.
+    open: Vec<Cursor<S>>,
+    /// Target of the proxy whose page was named last, with the state its
+    /// record hangs under: what [`expand`](Frontier::expand) looks inside.
+    last_proxy: Option<(Rid, S)>,
     /// Records this lookahead may still open.
     budget: usize,
     /// Whether looking inside a record is free (the memo is active).
     peek: bool,
 }
 
-impl<'v, P> Frontier for Lookahead<'_, P>
+impl<S, K, P> Frontier for Lookahead<'_, S, K, P>
 where
-    P: Iterator<Item = (&'v Arc<RecordView>, Range<PNodeId>)>,
+    S: Copy,
+    K: Fn(S, LabelId) -> Option<S>,
+    P: Iterator<Item = Cursor<S>>,
 {
     fn next_page(&mut self) -> Option<PageId> {
         if let Some(page) = self.first.take() {
@@ -176,34 +196,33 @@ where
         }
         self.last_proxy = None;
         loop {
-            let Some((view, nodes)) = self.open.last_mut() else {
+            let Some(cursor) = self.open.last_mut() else {
                 // Nothing open: continue with what the next frame out
                 // still has to walk.
                 if self.budget == 0 {
                     return None;
                 }
                 self.budget -= 1;
-                let (view, pending) = self.pending.next()?;
-                self.open.push((Arc::clone(view), pending));
+                self.open.push(self.pending.next()?);
                 continue;
             };
-            let Some(n) = nodes.next() else {
-                self.open.pop();
-                continue;
-            };
-            match view.shape(n) {
-                Shape::Proxy(target) => {
-                    self.last_proxy = Some(target);
+            match cursor.next(self.keep) {
+                None => {
+                    self.open.pop();
+                }
+                Some(Met::Node(..)) => {}
+                Some(Met::Hop(target, state, via_proxy)) => {
+                    if via_proxy {
+                        self.last_proxy = Some((target, state));
+                    }
                     return Some(target.page);
                 }
-                Shape::Continuation(target) => return Some(target.page),
-                Shape::Aggregate | Shape::Prefix | Shape::Literal => {}
             }
         }
     }
 
     fn expand(&mut self) {
-        let Some(rid) = self.last_proxy.take() else {
+        let Some((rid, state)) = self.last_proxy.take() else {
             return;
         };
         if !self.peek || self.budget == 0 {
@@ -213,8 +232,8 @@ where
         // Advisory: a record that does not load is the walk's to report
         // when it gets there.
         if let Ok(view) = self.store.view(rid) {
-            let all = view.subtree(view.root());
-            self.open.push((view, all));
+            let root = view.root();
+            self.open.push(Cursor::new(view, root, state));
         }
     }
 }
@@ -222,18 +241,20 @@ where
 /// Reads ahead before a walk hops to record `target`: when its page has
 /// not been asked for yet, asks for it and the window of pages behind it
 /// in one batch. `pending` is what the walk's frames have still to walk,
-/// innermost first.
-fn read_ahead<'v>(
+/// innermost first, and `keep` the walk's prune.
+fn read_ahead<S: Copy>(
     store: &TreeStore,
     ahead: &mut ReadAhead,
     target: Rid,
-    pending: impl Iterator<Item = (&'v Arc<RecordView>, Range<PNodeId>)>,
+    keep: &impl Fn(S, LabelId) -> Option<S>,
+    pending: impl Iterator<Item = Cursor<S>>,
 ) {
     if ahead.asked(target.page) {
         return;
     }
     let mut frontier = Lookahead {
         store,
+        keep,
         first: Some(target.page),
         pending,
         open: Vec::new(),
@@ -352,7 +373,13 @@ where
                     // own continuation chain (if any) hangs inside its
                     // subtree, so any `Open` it reports concerns only
                     // facades within it.
-                    read_ahead(store, &mut ahead, t, stack.iter().rev().map(Frame::pending));
+                    read_ahead(
+                        store,
+                        &mut ahead,
+                        t,
+                        &|(), _| Some(()),
+                        stack.iter().rev().map(Frame::pending),
+                    );
                     let sub = store.view(t)?;
                     let root = sub.root();
                     open_frame(&mut stack, &sub, root, root, Some(Flow::Done), visit)?
@@ -364,7 +391,13 @@ where
                     // entered at the prefix matching the walk's start
                     // level — content of outer levels is outside the
                     // walked subtree.
-                    read_ahead(store, &mut ahead, t, stack.iter().rev().map(Frame::pending));
+                    read_ahead(
+                        store,
+                        &mut ahead,
+                        t,
+                        &|(), _| Some(()),
+                        stack.iter().rev().map(Frame::pending),
+                    );
                     let sub = store.view(t)?;
                     let entry = continuation_entry(&fview, fstart, &sub)?;
                     open_frame(&mut stack, &sub, entry, entry, Some(Flow::Open), visit)?
@@ -407,98 +440,189 @@ pub enum RecordEntry {
     /// that matches the start node's level (late children of levels
     /// *outside* the walked subtree stay out).
     Record(NodePtr),
-    /// A facade node.
+    /// A facade node the prune kept.
     Node {
         ptr: NodePtr,
-        label: natix_xml::LabelId,
+        label: LabelId,
         /// True for literals (text, attributes, comments, PIs); false for
         /// element aggregates.
         literal: bool,
     },
 }
 
-/// One record of [`walk_records`] in progress.
-struct Cursor {
+/// One record of [`walk_records`] in progress: the walk's position in it,
+/// and the states of the nodes open there.
+#[derive(Clone)]
+struct Cursor<S> {
     view: Arc<RecordView>,
     /// The node the walk of this record began at (continuation scoping).
     start: PNodeId,
     /// The nodes still to scan: an index range, in document order.
     nodes: Range<PNodeId>,
+    /// The state of the facade the record hangs under.
+    base: S,
+    /// The aggregates and prefix entries open at the scan position,
+    /// outermost first, each with where its subtree ends and the state
+    /// its children see as their parent's. Scaffolding passes its
+    /// parent's state on.
+    open: Vec<(PNodeId, S)>,
 }
 
-impl Cursor {
-    fn pending(&self) -> (&Arc<RecordView>, Range<PNodeId>) {
-        (&self.view, self.nodes.clone())
+/// What a [`Cursor`] meets next.
+enum Met<S> {
+    /// A facade node the prune kept, with its state and whether it is a
+    /// literal.
+    Node(PNodeId, S, bool),
+    /// A hop to the record a proxy (`true`) or a continuation placeholder
+    /// (`false`) names, with the state the record hangs under: a proxied
+    /// record hangs under the proxy's parent, and a continuation group is
+    /// entered at the prefix entry copying this record's start node.
+    Hop(Rid, S, bool),
+}
+
+impl<S: Copy> Cursor<S> {
+    fn new(view: Arc<RecordView>, start: PNodeId, base: S) -> Cursor<S> {
+        let nodes = view.subtree(start);
+        Cursor {
+            view,
+            start,
+            nodes,
+            base,
+            open: Vec::new(),
+        }
+    }
+
+    /// The state of the scan position's parent.
+    fn parent(&self) -> S {
+        self.open.last().map_or(self.base, |&(_, state)| state)
+    }
+
+    /// Scans on to the next kept facade node or record hop. A dropped node
+    /// is passed over with its subtree. A proxy with a label digest is
+    /// judged by it (its record's root is the facade the digest names); a
+    /// digest-less one always hops. A prefix entry copies a facade of the
+    /// record its group continues: judged like one, not reported.
+    ///
+    /// A dropped node on the spilled path keeps the continuation
+    /// placeholder, the last node of its subtree: the group holds late
+    /// children of the levels above it too, and judges its copy of the
+    /// dropped level as this record did. Dropping the start drops all.
+    fn next(&mut self, keep: &impl Fn(S, LabelId) -> Option<S>) -> Option<Met<S>> {
+        loop {
+            let n = self.nodes.next()?;
+            while self.open.last().is_some_and(|&(end, _)| end <= n) {
+                self.open.pop();
+            }
+            let (label, parent) = (self.view.label(n), self.parent());
+            let shape = match self.view.shape(n) {
+                Shape::Proxy(target) => {
+                    if label == LABEL_NONE || keep(parent, label).is_some() {
+                        return Some(Met::Hop(target, parent, true));
+                    }
+                    continue;
+                }
+                Shape::Continuation(target) => return Some(Met::Hop(target, self.base, false)),
+                shape => shape,
+            };
+            let end = self.view.subtree(n).end;
+            let literal = shape == Shape::Literal;
+            if label == LABEL_NONE {
+                if !literal {
+                    self.open.push((end, parent));
+                }
+                continue;
+            }
+            let Some(state) = keep(parent, label) else {
+                self.nodes.start = match self.view.continuation() {
+                    Some((c, _)) if n != self.start && (n..end).contains(&c) => c,
+                    _ => end,
+                };
+                continue;
+            };
+            if !literal {
+                self.open.push((end, state));
+            }
+            if shape != Shape::Prefix {
+                return Some(Met::Node(n, state, literal));
+            }
+        }
     }
 }
 
 /// Walks the stored subtree at `ptr` record by record, depth-first in
 /// document order, calling `f` for each record it enters and each facade
-/// node it meets. Nothing is decoded: a record's subtree is an index range
+/// node it keeps. Nothing is decoded: a record's subtree is an index range
 /// in pre-order whose proxies and continuation placeholders are leaves,
 /// so the walk scans the range and, at a hop, scans the target record
 /// there before it goes on — which is document order, because
 /// substituting every proxy by its subtree reconstructs the tree.
-/// Scaffolding and prefix entries carry no logical node and are passed
-/// through. Each record is read once, and the pages of the records ahead
-/// are read ahead like [`traverse`]'s. `f` returning `false` stops the
-/// walk; the result is whether it ran to the end.
-pub fn walk_records<F>(store: &TreeStore, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
+///
+/// `keep` is the prune: from the state of a facade node's parent (`base`
+/// for the start node) and the node's label, the node's state — what its
+/// children see as their parent's — or `None` to skip its subtree. It
+/// must be a function of its arguments: the read-ahead asks it too, so it
+/// names only the records the walk enters. `f` gets each kept node's
+/// state (a record's: the state it hangs under); its returning `false`
+/// stops the walk. The result is whether the walk ran to the end. Each
+/// record is read once, and the records ahead are read ahead like
+/// [`traverse`]'s.
+pub fn walk_records<S, K, F>(
+    store: &TreeStore,
+    ptr: NodePtr,
+    base: S,
+    keep: K,
+    f: &mut F,
+) -> TreeResult<bool>
 where
-    F: FnMut(RecordEntry) -> bool,
+    S: Copy,
+    K: Fn(S, LabelId) -> Option<S>,
+    F: FnMut(RecordEntry, S) -> bool,
 {
     let view = store.view(ptr.rid)?;
     let start = view.checked(ptr.node)?;
-    if !f(RecordEntry::Record(ptr)) {
+    if !f(RecordEntry::Record(ptr), base) {
         return Ok(false);
     }
-    let nodes = view.subtree(start);
-    let mut stack = vec![Cursor { view, start, nodes }];
+    let mut stack = vec![Cursor::new(view, start, base)];
     let mut ahead = ReadAhead::new(store);
     while let Some(cursor) = stack.last_mut() {
-        let Some(n) = cursor.nodes.next() else {
-            stack.pop();
-            continue;
-        };
-        let view = &cursor.view;
-        let (target, continuation) = match view.shape(n) {
-            Shape::Proxy(t) => (t, false),
-            Shape::Continuation(t) => (t, true),
-            _ if !view.is_facade(n) => continue,
-            shape => {
+        let (target, state, via_proxy) = match cursor.next(&keep) {
+            None => {
+                stack.pop();
+                continue;
+            }
+            Some(Met::Node(n, state, literal)) => {
                 let node = RecordEntry::Node {
-                    ptr: NodePtr::new(view.rid(), n),
-                    label: view.label(n),
-                    literal: shape == Shape::Literal,
+                    ptr: NodePtr::new(cursor.view.rid(), n),
+                    label: cursor.view.label(n),
+                    literal,
                 };
-                if !f(node) {
+                if !f(node, state) {
                     return Ok(false);
                 }
                 continue;
             }
+            Some(Met::Hop(target, state, via_proxy)) => (target, state, via_proxy),
         };
-        let (holder, holder_start) = (Arc::clone(view), cursor.start);
+        let (holder, holder_start) = (Arc::clone(&cursor.view), cursor.start);
         read_ahead(
             store,
             &mut ahead,
             target,
-            stack.iter().rev().map(Cursor::pending),
+            &keep,
+            stack.iter().rev().cloned(),
         );
         let sub = store.view(target)?;
-        let start = if continuation {
-            continuation_entry(&holder, holder_start, &sub)?
-        } else {
+        let start = if via_proxy {
             sub.root()
+        } else {
+            continuation_entry(&holder, holder_start, &sub)?
         };
-        if !f(RecordEntry::Record(NodePtr::new(target, start))) {
+        let next = Cursor::new(sub, start, state);
+        if !f(RecordEntry::Record(NodePtr::new(target, next.start)), state) {
             return Ok(false);
         }
-        let nodes = sub.subtree(start);
-        stack.push(Cursor {
-            view: sub,
-            start,
-            nodes,
-        });
+        stack.push(next);
     }
     Ok(true)
 }

@@ -957,7 +957,7 @@ pub(crate) mod tests {
     //! `record::tests`) as the references.
 
     use std::cell::RefCell;
-    use std::collections::{BTreeSet, HashMap};
+    use std::collections::{BTreeSet, HashMap, HashSet};
     use std::rc::Rc;
 
     use natix_corpus::shakespeare::PlayLabels;
@@ -1540,36 +1540,47 @@ pub(crate) mod tests {
 
     #[test]
     fn pinned_queries_parse_each_record_they_visit_once_and_decode_none() {
-        // `//SPEAKER` the summary-seeded descent's way (children along
-        // PLAY/ACT/SCENE/SPEECH/SPEAKER only) and `//LINE` the record
+        // `//SPEAKER` the summary-seeded way (the record walk pruned to
+        // PLAY/ACT/SCENE/SPEECH/SPEAKER) and `//LINE` the plain record
         // walk's way, each under its own pin.
         let (st, root, labels) = play();
         let total = records_of(&st, root).len();
-        let path = [labels.act, labels.scene, labels.speech, labels.speaker];
+        let path = [
+            labels.play,
+            labels.act,
+            labels.scene,
+            labels.speech,
+            labels.speaker,
+        ];
+        let expected: Vec<NodePtr> = facades(&st, root)
+            .into_iter()
+            .filter(|f| f.1 == labels.speaker)
+            .map(|f| f.0)
+            .collect();
         {
             let _pin = st.begin_read();
             counters();
-            let mut level = vec![NodePtr::new(root, 0)];
-            for label in path {
-                let mut next = Vec::new();
-                for p in level {
-                    for (child, l) in st.logical_children_labeled(p).unwrap() {
-                        if l == label {
-                            next.push(child);
-                        }
-                    }
+            let (mut entered, mut speakers) = (0, Vec::new());
+            let keep = |depth: usize, label| (path.get(depth) == Some(&label)).then_some(depth + 1);
+            walk_records(&st, NodePtr::new(root, 0), 0, keep, &mut |entry, depth| {
+                match entry {
+                    RecordEntry::Record(_) => entered += 1,
+                    RecordEntry::Node { ptr, .. } if depth == path.len() => speakers.push(ptr),
+                    RecordEntry::Node { .. } => {}
                 }
-                level = next;
-            }
+                true
+            })
+            .unwrap();
             let (decoded, parsed) = counters();
-            assert!(level.len() > 100, "{} speakers", level.len());
-            assert_eq!(decoded, 0, "the seeded descent decodes no record");
-            assert_eq!(
-                parsed as usize,
-                VersionStore::memo_len(),
-                "one parse per record"
+            assert!(speakers.len() > 100, "{} speakers", speakers.len());
+            assert_eq!(speakers, expected, "the pruned walk keeps document order");
+            assert_eq!(decoded, 0, "the pruned walk decodes no record");
+            assert_eq!(parsed, entered, "one parse per record entered");
+            assert_eq!(parsed as usize, VersionStore::memo_len());
+            assert!(
+                entered as usize <= total,
+                "{entered} records entered of {total}"
             );
-            assert!(parsed as usize <= total, "{parsed} parses, {total} records");
         }
         // The facades in document order, by `traverse`.
         let expected: Vec<(NodePtr, LabelId, bool)> = facades(&st, root)
@@ -1579,17 +1590,23 @@ pub(crate) mod tests {
         let _pin = st.begin_read();
         counters();
         let (mut entered, mut nodes) = (Vec::new(), Vec::new());
-        walk_records(&st, NodePtr::new(root, 0), &mut |entry| {
-            match entry {
-                RecordEntry::Record(ptr) => entered.push(ptr.rid),
-                RecordEntry::Node {
-                    ptr,
-                    label,
-                    literal,
-                } => nodes.push((ptr, label, literal)),
-            }
-            true
-        })
+        walk_records(
+            &st,
+            NodePtr::new(root, 0),
+            (),
+            |(), _| Some(()),
+            &mut |entry, ()| {
+                match entry {
+                    RecordEntry::Record(ptr) => entered.push(ptr.rid),
+                    RecordEntry::Node {
+                        ptr,
+                        label,
+                        literal,
+                    } => nodes.push((ptr, label, literal)),
+                }
+                true
+            },
+        )
         .unwrap();
         let (decoded, parsed) = counters();
         let lines = nodes.iter().filter(|n| n.1 == labels.line).count();
@@ -1904,6 +1921,83 @@ pub(crate) mod tests {
                 matches!(err, Some(TreeError::CorruptRecord { rid, .. }) if rid == root),
                 "{err:?}"
             );
+        }
+    }
+
+    /// The walk pruned to the label paths that lead to one label keeps
+    /// what `traverse` finds with that label, in document order, and hands
+    /// every node it keeps the state of its label path — on deep documents
+    /// too, whose late children sit in continuation groups, reached past a
+    /// pruned spilled level.
+    #[test]
+    fn a_pruned_walk_keeps_the_nodes_its_prune_leads_to() {
+        let mut syms = SymbolTable::new();
+        let deep = generate_deep(
+            &DeepConfig {
+                depth: 300,
+                ..DeepConfig::tiny()
+            },
+            &mut syms,
+        );
+        let play = generate_play(&CorpusConfig::tiny(), 0, &mut syms).doc;
+        for page_size in [512, 1_024, 8_192] {
+            let st = store(page_size);
+            for doc in [&deep, &play] {
+                let root = bulkload_document(&st, doc, None).unwrap().root_rid;
+                // Label path ids (1 up; 0 above the root), by `traverse`.
+                let mut paths: HashMap<(u32, LabelId), u32> = HashMap::new();
+                let mut path_of = HashMap::new();
+                let mut open = vec![0];
+                traverse(&st, NodePtr::new(root, 0), &mut |ev| {
+                    let (label, ptr) = match ev {
+                        VisitEvent::Enter { label, ptr }
+                        | VisitEvent::Literal { label, ptr, .. } => (label, ptr),
+                        VisitEvent::Leave { .. } => {
+                            open.pop();
+                            return true;
+                        }
+                    };
+                    let next = paths.len() as u32 + 1;
+                    let path = *paths.entry((*open.last().unwrap(), label)).or_insert(next);
+                    path_of.insert(ptr, path);
+                    if matches!(ev, VisitEvent::Enter { .. }) {
+                        open.push(path);
+                    }
+                    true
+                })
+                .unwrap();
+                let parent: HashMap<u32, u32> = paths.iter().map(|(&(p, _), &c)| (c, p)).collect();
+                let labels: BTreeSet<LabelId> = paths.keys().map(|&(_, l)| l).collect();
+                for target in labels {
+                    let mut closure = HashSet::new();
+                    for (&(_, l), &c) in &paths {
+                        let mut at = c;
+                        while l == target && at != 0 && closure.insert(at) {
+                            at = parent[&at];
+                        }
+                    }
+                    let keep = |p: u32, l: LabelId| {
+                        paths.get(&(p, l)).copied().filter(|c| closure.contains(c))
+                    };
+                    let mut kept = Vec::new();
+                    walk_records(&st, NodePtr::new(root, 0), 0, keep, &mut |entry, path| {
+                        if let RecordEntry::Node { ptr, label, .. } = entry {
+                            assert_eq!(path_of.get(&ptr), Some(&path), "{ptr}");
+                            if label == target {
+                                kept.push(ptr);
+                            }
+                        }
+                        true
+                    })
+                    .unwrap();
+                    let want: Vec<NodePtr> = facades(&st, root)
+                        .into_iter()
+                        .filter(|f| f.1 == target)
+                        .map(|f| f.0)
+                        .collect();
+                    assert_eq!(kept, want, "{page_size} B pages, label {target}");
+                }
+            }
         }
     }
 }

@@ -1,8 +1,11 @@
 //! Loads a slice of the synthetic Shakespeare corpus and runs the paper's
 //! three evaluation queries (§4.3), then shows how a label lookup is
 //! served from the path summary, and ends with what each plan shape costs
-//! per query on a resident pool — a shape whose per-node cost is out of
-//! line shows there in one run.
+//! per query: µs on a resident pool — a shape whose per-node cost is out
+//! of line shows there in one run — and pages read and device requests on
+//! a cold one. The example fails (exits non-zero) if the planner's pick
+//! reads more pages cold than the forced scan: page counts do not depend
+//! on the machine, so the check is deterministic.
 //!
 //! ```sh
 //! cargo run --release --example shakespeare_queries
@@ -111,7 +114,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Each shape forced on the descendant queries, on a pool that holds
     // the whole corpus (no page reads: what is left is navigation and
-    // record parsing), beside the shape the planner picks.
+    // record parsing), then on the same pool emptied (pages read / device
+    // requests, all plays), beside the shape the planner picks.
     let resident = Repository::create_in_memory(RepositoryOptions {
         page_size: 8192,
         buffer_bytes: 64 << 20,
@@ -123,15 +127,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const RUNS: usize = 5;
     let forced = [PlanShape::SummarySeeded, PlanShape::ParallelScan];
     println!(
-        "\nµs per query and play, resident 64 MiB pool, one thread, {RUNS} runs of {} plays:",
+        "\nper query and play, {RUNS} runs of {} plays on a resident 64 MiB pool (µs), \
+         then one run cold (pages read / requests, all plays):",
         plays.len()
     );
     println!(
-        "{:<24}{:>12}{:>12}  planner picks",
-        "query", "seeded", "scan"
+        "{:<24}{:>10}{:>10}{:>12}{:>12}  planner picks",
+        "query", "seeded", "scan", "seeded cold", "scan cold"
     );
+    // Pages read and device requests of one run over every play, cold.
+    let cold = |query: &str, opts: &PlannerOptions| -> Result<(u64, u64), natix::NatixError> {
+        resident.clear_buffer()?;
+        let before = resident.io_stats().snapshot();
+        for play in &plays {
+            resident.query_planned(&play.name, query, opts)?;
+        }
+        let d = resident.io_stats().snapshot().since(&before);
+        Ok((d.physical_reads, d.read_requests))
+    };
+    let mut dearer = Vec::new();
     for query in ["//SPEAKER", "//STAGEDIR", "/PLAY/ACT/SCENE/TITLE", "//LINE"] {
-        let mut cells = String::new();
+        let (mut resident_cells, mut cold_cells) = (String::new(), String::new());
         for shape in forced {
             let opts = PlannerOptions { force: Some(shape) };
             // One untimed pass warms the pool and the summaries.
@@ -145,7 +161,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
             }
             let us = start.elapsed().as_secs_f64() * 1e6 / (RUNS * plays.len()) as f64;
-            cells.push_str(&format!("{us:>12.0}"));
+            resident_cells.push_str(&format!("{us:>10.0}"));
+            let (pages, requests) = cold(query, &opts)?;
+            cold_cells.push_str(&format!("{:>12}", format!("{pages}/{requests}")));
         }
         let mut picked: Vec<PlanShape> = Vec::new();
         for play in &plays {
@@ -156,7 +174,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 picked.push(shape);
             }
         }
-        println!("{query:<24}{cells}  {picked:?}");
+        println!("{query:<24}{resident_cells}{cold_cells}  {picked:?}");
+        let scan = PlannerOptions {
+            force: Some(PlanShape::ParallelScan),
+        };
+        let (pick_pages, _) = cold(query, &PlannerOptions::default())?;
+        let (scan_pages, _) = cold(query, &scan)?;
+        if pick_pages > scan_pages {
+            dearer.push(format!(
+                "{query}: the pick read {pick_pages} pages cold, the scan {scan_pages}"
+            ));
+        }
+    }
+    if !dearer.is_empty() {
+        return Err(format!("the planner picked a dearer plan: {}", dearer.join("; ")).into());
     }
     Ok(())
 }
