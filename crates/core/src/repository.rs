@@ -853,9 +853,12 @@ impl Repository {
 
     /// Flushes and empties the buffer pool and repositions the simulated
     /// disk head — the paper's "the buffer was cleared at the start of
-    /// each operation" (§4.2).
+    /// each operation" (§4.2). It also cools every thread's parsed-record
+    /// memo of this store, so a read pinned after it, on any thread, goes
+    /// to the pool.
     pub fn clear_buffer(&self) -> NatixResult<()> {
         self.sm.buffer().clear()?;
+        self.tree.versions().forget_parsed();
         if let Some(sim) = &self.sim {
             sim.reset_head();
         }
@@ -1058,6 +1061,26 @@ mod tests {
         repo.get_xml("d").unwrap();
         let after = repo.io_stats().snapshot();
         assert!(after.since(&before).buffer_misses > 0);
+    }
+
+    #[test]
+    fn a_clear_buffer_on_another_thread_sends_this_threads_next_read_to_the_pool() {
+        let repo = Repository::create_in_memory(RepositoryOptions::default()).unwrap();
+        repo.put_xml("d", "<a><b>hello</b><b>world</b></a>")
+            .unwrap();
+        let pages_read = || {
+            let before = repo.io_stats().snapshot();
+            assert_eq!(repo.query("d", "//b").unwrap().len(), 2);
+            repo.io_stats().snapshot().since(&before).physical_reads
+        };
+        pages_read();
+        repo.clear_buffer().unwrap();
+        assert!(pages_read() > 0, "a clear on this thread");
+        // The query's records are in this thread's memo at this epoch.
+        std::thread::scope(|s| {
+            s.spawn(|| repo.clear_buffer().unwrap());
+        });
+        assert!(pages_read() > 0, "a clear on another thread");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Reading: how the tree storage manager answers navigation.
 //!
 //! Every reader asks for a record's [`RecordView`] — its bytes, validated
-//! and indexed — once per read snapshot, thanks to [`crate::version`]'s
-//! memo, and navigates that. No read decodes a
+//! and indexed — once per thread and epoch, thanks to
+//! [`crate::version`]'s memo, and navigates that. No read decodes a
 //! [`RecordTree`](crate::model::RecordTree): a view
 //! costs ≈ 2 µs to parse where a decode of the same 200-node record costs
 //! ≈ 20 µs, and only the literals a reader returns are decoded, each when
@@ -78,7 +78,7 @@ impl TreeStore {
     /// path predicates like `SPEECH[1]` rely on this to avoid reading a
     /// whole scene to find its first speech. A digested proxy yields its
     /// child with no page read, and a pinned caller parses each record
-    /// once ([`crate::version`]'s memo).
+    /// once per epoch ([`crate::version`]'s memo).
     pub fn for_each_logical_child<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
     where
         F: FnMut(NodePtr) -> TreeResult<bool>,

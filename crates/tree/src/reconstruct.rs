@@ -51,7 +51,8 @@
 //!   ancestors the walk may not cover.
 //! * **Looking inside is free under the memo.** Under a pinned snapshot
 //!   the record view the lookahead parses is the `Arc` the walk gets back
-//!   when it arrives ([`crate::version`]'s parsed-record memo). Where the
+//!   when it arrives ([`crate::version`]'s parsed-record memo, which
+//!   serves every pin at the epoch it was filled at). Where the
 //!   memo is bypassed — no pin, or a write operation ambient on the
 //!   thread, as in `delete_node`'s victim walk — the lookahead does not
 //!   look inside records and names the pages of the frames' own records

@@ -476,6 +476,15 @@ impl RecordView {
         self.nodes.len()
     }
 
+    /// Bytes of what the view holds — the record's bytes, its index
+    /// entries and its page's type table, not counting allocator slack:
+    /// what the parsed-record memo is bounded by.
+    pub(crate) fn footprint(&self) -> usize {
+        self.bytes.len()
+            + self.nodes.len() * std::mem::size_of::<Entry>()
+            + self.table.len() * std::mem::size_of::<(ContentKind, LabelId)>()
+    }
+
     /// The record root (the standalone object).
     pub fn root(&self) -> PNodeId {
         0

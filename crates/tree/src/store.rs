@@ -364,10 +364,11 @@ impl TreeStore {
 
     /// The read path's one record accessor: the view of `rid` for the
     /// calling thread, shared. Under a pinned snapshot each record is
-    /// parsed once per pin — later reads of the same record on this thread
-    /// get the same `Arc` back without a buffer pin (the parsed-record
-    /// memo of [`crate::version`]); outside a pin, and on a thread with a
-    /// write operation in flight, every call reads the page.
+    /// parsed once per epoch — later reads of the same record on this
+    /// thread, under this pin or a later one at the same epoch, get the
+    /// same `Arc` back without a buffer pin (the parsed-record memo of
+    /// [`crate::version`]); outside a pin, and on a thread with a write
+    /// operation in flight, every call reads the page.
     pub(crate) fn view(&self, rid: Rid) -> TreeResult<Arc<RecordView>> {
         self.versions.read(rid, || self.view_current(rid))
     }
@@ -1542,7 +1543,8 @@ pub(crate) mod tests {
     fn pinned_queries_parse_each_record_they_visit_once_and_decode_none() {
         // `//SPEAKER` the summary-seeded way (the record walk pruned to
         // PLAY/ACT/SCENE/SPEECH/SPEAKER) and `//LINE` the plain record
-        // walk's way, each under its own pin.
+        // walk's way, each under its own pin on a cold memo; then `//LINE`
+        // again under a pin at the same epoch, which parses nothing.
         let (st, root, labels) = play();
         let total = records_of(&st, root).len();
         let path = [
@@ -1558,6 +1560,7 @@ pub(crate) mod tests {
             .map(|f| f.0)
             .collect();
         {
+            st.versions().forget_parsed();
             let _pin = st.begin_read();
             counters();
             let (mut entered, mut speakers) = (0, Vec::new());
@@ -1587,27 +1590,34 @@ pub(crate) mod tests {
             .into_iter()
             .map(|(ptr, label, aggregate)| (ptr, label, !aggregate))
             .collect();
-        let _pin = st.begin_read();
+        // The records entered and the nodes met by an unpruned walk
+        // under a pin of its own.
+        let walk = || {
+            let _pin = st.begin_read();
+            let (mut entered, mut nodes) = (Vec::new(), Vec::new());
+            walk_records(
+                &st,
+                NodePtr::new(root, 0),
+                (),
+                |(), _| Some(()),
+                &mut |entry, ()| {
+                    match entry {
+                        RecordEntry::Record(ptr) => entered.push(ptr.rid),
+                        RecordEntry::Node {
+                            ptr,
+                            label,
+                            literal,
+                        } => nodes.push((ptr, label, literal)),
+                    }
+                    true
+                },
+            )
+            .unwrap();
+            (entered, nodes)
+        };
+        st.versions().forget_parsed();
         counters();
-        let (mut entered, mut nodes) = (Vec::new(), Vec::new());
-        walk_records(
-            &st,
-            NodePtr::new(root, 0),
-            (),
-            |(), _| Some(()),
-            &mut |entry, ()| {
-                match entry {
-                    RecordEntry::Record(ptr) => entered.push(ptr.rid),
-                    RecordEntry::Node {
-                        ptr,
-                        label,
-                        literal,
-                    } => nodes.push((ptr, label, literal)),
-                }
-                true
-            },
-        )
-        .unwrap();
+        let (entered, nodes) = walk();
         let (decoded, parsed) = counters();
         let lines = nodes.iter().filter(|n| n.1 == labels.line).count();
         assert!(lines > 1_000, "{lines} lines");
@@ -1622,6 +1632,104 @@ pub(crate) mod tests {
         assert_eq!(distinct.len(), total);
         assert_eq!(decoded, 0, "the walk decodes no record");
         assert_eq!(parsed as usize, total, "one parse per record walked");
+        // No write has published since: the next pin's walk is served
+        // from the memo.
+        let again = walk();
+        assert_eq!(again, (entered, nodes));
+        assert_eq!(
+            counters(),
+            (0, 0),
+            "a second walk at the epoch parses nothing"
+        );
+    }
+
+    #[test]
+    fn every_mutation_advances_the_epoch() {
+        // The parsed-record memo serves a pin from what an earlier pin at
+        // the same epoch parsed, so every public mutation publishes a new
+        // epoch when it ends: a refused or abandoned one too.
+        let st = store(2_048);
+        let advanced = |what: &str, f: &mut dyn FnMut()| {
+            let before = st.versions().epoch();
+            f();
+            assert!(
+                st.versions().epoch() > before,
+                "{what} left the epoch at {before}"
+            );
+        };
+        let text = |t: &str| NewNode::Literal(LiteralValue::String(t.into()));
+        let (mut root, mut first, mut second) =
+            (Rid::invalid(), NodePtr::new(Rid::invalid(), 0), None);
+        advanced("create_tree", &mut || root = st.create_tree(7).unwrap());
+        let top = NodePtr::new(root, 0);
+        advanced("insert", &mut || {
+            first = st
+                .insert(top, InsertPos::Last, LABEL_TEXT, text("a"))
+                .unwrap()
+                .new_node
+                .unwrap();
+        });
+        advanced("insert_after", &mut || {
+            second = st
+                .insert_after(first, LABEL_TEXT, text("b"))
+                .unwrap()
+                .new_node;
+        });
+        advanced("update_literal", &mut || {
+            st.update_literal(first, LiteralValue::String("c".into()))
+                .unwrap();
+        });
+        advanced("delete_subtree", &mut || {
+            st.delete_subtree(second.unwrap()).unwrap();
+        });
+        // Inserts until one splits the record.
+        let mut split = false;
+        for i in 0..50 {
+            advanced("an insert that grows the record", &mut || {
+                let grown = text(&"x".repeat(200 + i));
+                let res = st
+                    .insert(NodePtr::new(root, 0), InsertPos::Last, LABEL_TEXT, grown)
+                    .unwrap();
+                follow_root(&mut root, &res);
+                split = st.view(root).unwrap().targets().next().is_some();
+            });
+            if split {
+                break;
+            }
+        }
+        assert!(split, "no insert split the record");
+        let top = NodePtr::new(root, 0);
+        advanced("a refused update_literal", &mut || {
+            let err = st
+                .update_literal(top, LiteralValue::String("d".into()))
+                .unwrap_err();
+            assert!(matches!(err, TreeError::NotALiteral { .. }), "{err}");
+        });
+        advanced("a refused insert_after", &mut || {
+            st.insert_after(top, LABEL_TEXT, text("e")).unwrap_err();
+        });
+        advanced("append_record", &mut || {
+            let tree = RecordTree::new(9, PContent::Aggregate(Vec::new()), Rid::invalid());
+            st.append_record(&tree, &mut AppendCursor::new()).unwrap();
+        });
+        let mut syms = SymbolTable::new();
+        let doc = generate_play(&CorpusConfig::tiny(), 0, &mut syms).doc;
+        let mut loaded = Rid::invalid();
+        advanced("a bulkload", &mut || {
+            loaded = bulkload_document(&st, &doc, None).unwrap().root_rid;
+        });
+        advanced("an abandoned bulkload", &mut || {
+            let mut loader = crate::bulkload::BulkLoader::new(&st);
+            loader.start_element(7).unwrap();
+            loader
+                .literal(LABEL_TEXT, LiteralValue::String("f".into()))
+                .unwrap();
+            loader.abort();
+        });
+        advanced("drop_tree", &mut || st.drop_tree(loaded).unwrap());
+        advanced("drop_tree of the grown tree", &mut || {
+            st.drop_tree(root).unwrap()
+        });
     }
 
     #[test]

@@ -50,29 +50,51 @@
 //! record tree (≈ 20 µs): see [`crate::record`]. The image of a record
 //! seen from a pinned epoch never changes: the page holds it until a
 //! writer supersedes it, and from then on the deposit does, for as long as
-//! the pin lives. `VersionStore::read` therefore remembers, per thread,
-//! every view it has parsed under the thread's snapshot and hands the same
-//! `Arc<RecordView>` to every later read of that record — a walk over the
-//! N nodes of one record copies and parses it once, not N times. The memo
-//! sits beside the thread's ambient pin and needs **no invalidation, no
-//! lock and no shared state**:
+//! a pin at that epoch lives — and no pin can be taken at an epoch once a
+//! later one is published. `VersionStore::read` therefore remembers, per
+//! thread, every view it has parsed under a snapshot and hands the same
+//! `Arc<RecordView>` to every later read of that record at that snapshot,
+//! under the same pin or any later one — a walk over the N nodes of one
+//! record copies and parses it once, not N times, and a query that runs
+//! again before the next write parses nothing. The memo needs **no
+//! invalidation at page-write sites, no lock and no shared state**:
 //!
-//! * it is keyed by the `(store identity, epoch)` that filled it, so two
-//!   repositories used on one thread (equal `Rid`s, different records)
-//!   never see each other's entries;
-//! * it is emptied when the thread's outermost pin on that snapshot
-//!   drops; nested pins share it, and nothing parsed under one pin is
-//!   ever served under the next;
-//! * it is bypassed, neither read nor filled, while a [`WriteOp`] is
+//! * **The key.** It is keyed by the `(store uid, epoch, generation)` that
+//!   filled it; the first read that fills it under another key empties
+//!   it. The uid is process-unique (a dropped store's address can come
+//!   back, its uid cannot), so two repositories used on one thread (equal
+//!   `Rid`s, different records) never see each other's entries. A pin
+//!   takes the epoch and the generation together, under the state mutex,
+//!   so a read needs no shared memory to find its key. The epoch moves
+//!   when a write publishes. The generation moves when the repository
+//!   empties its buffer pool ([`VersionStore::forget_parsed`]), so that
+//!   every pin taken after it, on any thread, reads from the pool again.
+//! * **The lifetime.** Every pin the thread takes at the key is served
+//!   from it, nested or not. The thread's outermost pin on the store, when
+//!   it drops, empties the memo only if the epoch has moved past the
+//!   pinned one: then no later pin can use it, and a reader whose epoch
+//!   moves on nearly every query frees its views as it goes.
+//! * **The bypass.** It is neither read nor filled while a [`WriteOp`] is
 //!   ambient on the thread (a writer's reads go back to the page and the
-//!   version store every time) and for reads outside any pin;
-//! * it holds at most `MEMO_CAPACITY` (256) records: a walk that parses
-//!   more starts over with an empty memo, which costs a depth-first walk
-//!   one re-parse per record on its current root-to-leaf path. A view
-//!   holds the record's bytes plus a 20-byte index entry per node: ≈ 12
-//!   KiB for a 200-node record of an 8 KiB page, so a full memo is ≈ 3 MiB
-//!   per pinned thread, and ≈ 9 MiB if every record were a full page of
-//!   bare 6-byte headers.
+//!   version store every time) and for reads outside any pin.
+//! * **The bound.** It holds at most `MEMO_BYTES` (3 MiB) of views —
+//!   record bytes, index entries and type table, allocator slack not
+//!   counted (`RecordView::footprint`): a read that would pass the bound
+//!   starts over with an empty memo, which costs a depth-first walk one
+//!   re-parse per record on its current root-to-leaf path. A view holds the
+//!   record's bytes plus a 20-byte index entry per node, ≈ 12 KiB for a
+//!   200-node record of an 8 KiB page, so a full memo is ≈ 250 such
+//!   records. Every thread that has read under a pin — query workers
+//!   included — may hold up to ≈ 3 MiB until it next reads under another
+//!   key, or until it exits.
+//!
+//! **The invariant it relies on:** every record write that a pinned reader
+//! could see runs under a [`WriteOp`], and the `WriteOp`'s drop advances
+//! the epoch — on success, error and unwind alike. Every public mutation
+//! of [`crate::TreeStore`] opens one; the store's test
+//! `every_mutation_advances_the_epoch` checks each, a refused one too.
+//! Recovery writes pages only inside the repository's `open`, before the
+//! store's version store exists, so its uid is in no memo.
 //!
 //! Writers bypass the memo because a writer must read its own records:
 //! the page changes under it with every record it rewrites, and a memo
@@ -88,7 +110,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, TrackedAtomicU64, TrackedAtomicUsize};
@@ -100,53 +122,67 @@ use crate::error::{TreeError, TreeResult};
 use crate::record::RecordView;
 use crate::typetable::TypeTable;
 
-/// Entry bound of a thread's parsed-record memo (see the module docs):
-/// the records of 2 MiB of 8 KiB pages.
-const MEMO_CAPACITY: usize = 256;
+/// Byte bound of a thread's parsed-record memo (see the module docs).
+const MEMO_BYTES: usize = 3 << 20;
 
-/// The records a thread has parsed under its ambient snapshot.
+/// Source of the process-unique [`VersionStore`] uids; 0 is never issued.
+static NEXT_UID: AtomicU64 = AtomicU64::new(1);
+
+/// `(store uid, epoch, generation)`: a thread's read snapshot, and the key
+/// of the memo entries parsed under it (see the module docs).
+type Snapshot = (u64, u64, u64);
+
+/// The records a thread has parsed under one [`Snapshot`].
 struct RecordMemo {
-    /// `(store identity, pinned epoch)` of the snapshot that filled
-    /// `records`; entries are only ever served to that same snapshot.
-    key: (usize, u64),
+    /// The key that filled `records`; entries are only ever served to it.
+    key: Snapshot,
     records: HashMap<Rid, Arc<RecordView>>,
+    /// [`RecordView::footprint`] of `records`, summed.
+    bytes: usize,
 }
 
 impl RecordMemo {
-    fn get(&self, key: (usize, u64), rid: Rid) -> Option<Arc<RecordView>> {
+    fn get(&self, key: Snapshot, rid: Rid) -> Option<Arc<RecordView>> {
         if self.key != key {
             return None;
         }
         self.records.get(&rid).cloned()
     }
 
-    fn insert(&mut self, key: (usize, u64), rid: Rid, view: Arc<RecordView>) {
-        if self.key != key || self.records.len() >= MEMO_CAPACITY {
-            self.records.clear();
+    fn insert(&mut self, key: Snapshot, rid: Rid, view: Arc<RecordView>) {
+        let bytes = view.footprint();
+        if self.key != key || self.bytes + bytes > MEMO_BYTES {
+            self.clear();
             self.key = key;
         }
+        self.bytes += bytes;
         self.records.insert(rid, view);
     }
 
-    /// Empties the memo if snapshot `key` filled it.
-    fn forget(&mut self, key: (usize, u64)) {
-        if self.key == key {
-            self.records.clear();
+    fn clear(&mut self) {
+        self.records.clear();
+        self.bytes = 0;
+    }
+
+    /// Empties the memo if a snapshot of store `uid` at `epoch` filled it.
+    fn forget(&mut self, uid: u64, epoch: u64) {
+        if (self.key.0, self.key.1) == (uid, epoch) {
+            self.clear();
         }
     }
 }
 
 thread_local! {
-    /// `(store identity, pinned epoch)` of the innermost read snapshot
-    /// active on this thread.
-    static READ_PIN: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
-    /// `(store identity, op token)` of the write operation active on this
+    /// The innermost read snapshot active on this thread.
+    static READ_PIN: Cell<Option<Snapshot>> = const { Cell::new(None) };
+    /// `(store uid, op token)` of the write operation active on this
     /// thread.
-    static WRITE_OP: Cell<Option<(usize, u64)>> = const { Cell::new(None) };
+    static WRITE_OP: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
     /// This thread's parsed-record memo (see the module docs).
     static RECORD_MEMO: RefCell<RecordMemo> = RefCell::new(RecordMemo {
-        key: (0, 0),
+        key: (0, 0, 0),
         records: HashMap::new(),
+        bytes: 0,
     });
 }
 
@@ -175,6 +211,9 @@ type PublishHook = Box<dyn FnOnce(u64, u64) + Send>;
 struct VersionState {
     /// The published epoch: advanced once per completed write operation.
     epoch: u64,
+    /// The parsed-record memo's generation, which a pin takes with its
+    /// epoch: advanced by [`VersionStore::forget_parsed`].
+    generation: u64,
     /// Pinned reader epochs → pin count.
     readers: BTreeMap<u64, usize>,
     /// Superseded images per record, oldest first (ascending
@@ -222,6 +261,9 @@ pub type CommitHook = Box<dyn Fn(u64, Vec<PageId>) + Send + Sync>;
 /// [`crate::TreeStore`]s of one storage manager share a single
 /// `Arc<VersionStore>`, because records are addressed globally.
 pub struct VersionStore {
+    /// Process-unique identity: what the thread-local ambient state and
+    /// the parsed-record memo match this store by.
+    uid: u64,
     state: Mutex<VersionState>,
     /// Number of retained versions — the readers' fast-path gate. Zero
     /// means no writer has deposited anything a reader could need, so
@@ -250,10 +292,12 @@ impl VersionStore {
     /// Creates an empty version store at epoch 0.
     pub fn new() -> VersionStore {
         VersionStore {
+            uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             state: Mutex::with_rank(
                 &parking_lot::rank::VERSION_STORE,
                 VersionState {
                     epoch: 0,
+                    generation: 0,
                     readers: BTreeMap::new(),
                     records: HashMap::new(),
                     pending: HashMap::new(),
@@ -307,11 +351,6 @@ impl VersionStore {
         self.ops_begun().saturating_sub(self.ops_finished())
     }
 
-    /// Identity used to match thread-local ambient state to this store.
-    fn id(&self) -> usize {
-        self as *const VersionStore as usize
-    }
-
     /// The current published epoch (diagnostics and tests).
     pub fn epoch(&self) -> u64 {
         self.state.lock().epoch
@@ -331,24 +370,18 @@ impl VersionStore {
     /// operation that calls another read operation stays on one snapshot.
     pub fn begin_read(&self) -> ReadPin<'_> {
         let prev = READ_PIN.get();
-        let epoch = match prev {
-            Some((id, e)) if id == self.id() => {
-                // Nested: join the enclosing snapshot.
-                let mut st = self.state.lock();
-                *st.readers.entry(e).or_insert(0) += 1;
-                e
-            }
-            _ => {
-                let mut st = self.state.lock();
-                let e = st.epoch;
-                *st.readers.entry(e).or_insert(0) += 1;
-                e
-            }
+        let mut st = self.state.lock();
+        let snapshot = match prev {
+            // Nested: join the enclosing snapshot.
+            Some(outer) if outer.0 == self.uid => outer,
+            _ => (self.uid, st.epoch, st.generation),
         };
-        READ_PIN.set(Some((self.id(), epoch)));
+        *st.readers.entry(snapshot.1).or_insert(0) += 1;
+        drop(st);
+        READ_PIN.set(Some(snapshot));
         ReadPin {
             store: self,
-            epoch,
+            epoch: snapshot.1,
             prev,
             _not_send: PhantomData,
         }
@@ -367,10 +400,12 @@ impl VersionStore {
 
     /// The epoch pinned by this thread on *this* store, if any.
     pub fn ambient_read_epoch(&self) -> Option<u64> {
-        match READ_PIN.get() {
-            Some((id, e)) if id == self.id() => Some(e),
-            _ => None,
-        }
+        self.ambient_snapshot().map(|(_, epoch, _)| epoch)
+    }
+
+    /// The snapshot pinned by this thread on this store, if any.
+    fn ambient_snapshot(&self) -> Option<Snapshot> {
+        READ_PIN.get().filter(|(uid, ..)| *uid == self.uid)
     }
 
     /// The image of `rid` for the calling thread: the on-page record
@@ -416,9 +451,17 @@ impl VersionStore {
     /// The key [`read`](Self::read) memoises the calling thread's parsed
     /// records under: its snapshot on this store, unless a write operation
     /// is ambient (a writer's reads go back to the page every time).
-    fn memo_key(&self) -> Option<(usize, u64)> {
-        let epoch = self.ambient_read_epoch()?;
-        WRITE_OP.get().is_none().then_some((self.id(), epoch))
+    fn memo_key(&self) -> Option<Snapshot> {
+        let snapshot = self.ambient_snapshot()?;
+        WRITE_OP.get().is_none().then_some(snapshot)
+    }
+
+    /// Cools every thread's parsed-record memo of this store: a pin taken
+    /// after it, on any thread, parses each record it reads from the pool
+    /// or the version store again. The repository calls it when it empties
+    /// the buffer pool, so that reads after it are the pool's.
+    pub fn forget_parsed(&self) {
+        self.state.lock().generation += 1;
     }
 
     /// Whether [`read`](Self::read) currently remembers what it parses
@@ -432,6 +475,12 @@ impl VersionStore {
     #[cfg(test)]
     pub(crate) fn memo_len() -> usize {
         RECORD_MEMO.with_borrow(|m| m.records.len())
+    }
+
+    /// [`RecordView::footprint`] of the calling thread's memo, summed.
+    #[cfg(test)]
+    pub(crate) fn memo_bytes() -> usize {
+        RECORD_MEMO.with_borrow(|m| m.bytes)
     }
 
     /// Whether a reader pinned at `epoch` must read any of `rids` from the
@@ -468,7 +517,8 @@ impl VersionStore {
         RecordView::parse(bytes, table, rid).map(Some)
     }
 
-    fn unpin(&self, epoch: u64) {
+    /// Releases one pin of `epoch`; returns the published epoch.
+    fn unpin(&self, epoch: u64) -> u64 {
         let mut st = self.state.lock();
         match st.readers.get_mut(&epoch) {
             Some(n) if *n > 1 => *n -= 1,
@@ -477,6 +527,7 @@ impl VersionStore {
             }
         }
         self.gc(&mut st);
+        st.epoch
     }
 
     // ==================================================================
@@ -491,7 +542,7 @@ impl VersionStore {
     pub(crate) fn begin_write(&self) -> WriteOp<'_> {
         let prev = WRITE_OP.get();
         if let Some((id, ambient)) = prev {
-            if id == self.id() {
+            if id == self.uid {
                 return WriteOp {
                     store: self,
                     op: None,
@@ -510,7 +561,7 @@ impl VersionStore {
         // quiescence check that sees an unchanged count knows no record of
         // this operation can be in the log it is about to truncate.
         self.ops_begun.fetch_add(1, Ordering::AcqRel);
-        WRITE_OP.set(Some((self.id(), op)));
+        WRITE_OP.set(Some((self.uid, op)));
         WriteOp {
             store: self,
             op: Some(op),
@@ -523,7 +574,7 @@ impl VersionStore {
     /// The op token of the write operation active on this thread, if any.
     pub fn ambient_write_op(&self) -> Option<u64> {
         match WRITE_OP.get() {
-            Some((id, op)) if id == self.id() => Some(op),
+            Some((id, op)) if id == self.uid => Some(op),
             _ => None,
         }
     }
@@ -703,7 +754,7 @@ impl VersionStore {
 pub struct ReadPin<'a> {
     store: &'a VersionStore,
     epoch: u64,
-    prev: Option<(usize, u64)>,
+    prev: Option<Snapshot>,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -717,13 +768,13 @@ impl ReadPin<'_> {
 impl Drop for ReadPin<'_> {
     fn drop(&mut self) {
         READ_PIN.set(self.prev);
-        let key = (self.store.id(), self.epoch);
-        if self.prev != Some(key) {
-            // The thread's outermost pin on this snapshot: what was
-            // parsed under it must not outlive it.
-            RECORD_MEMO.with_borrow_mut(|m| m.forget(key));
+        let published = self.store.unpin(self.epoch);
+        let outermost = self.prev.is_none_or(|(uid, ..)| uid != self.store.uid);
+        if outermost && published != self.epoch {
+            // A write has published since the pin: no later pin can read
+            // at this epoch, so what was parsed at it is dead weight.
+            RECORD_MEMO.with_borrow_mut(|m| m.forget(self.store.uid, self.epoch));
         }
-        self.store.unpin(self.epoch);
     }
 }
 
@@ -741,7 +792,7 @@ pub struct WriteOp<'a> {
     /// guard, the enclosing operation's for a nested one. Captured at
     /// construction so `id` never has to re-derive it from thread state.
     token: u64,
-    prev: Option<(usize, u64)>,
+    prev: Option<(u64, u64)>,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -1010,7 +1061,7 @@ mod tests {
     // Decoded-record memo isolation (over real stores).
     // ------------------------------------------------------------------
 
-    use crate::store::{InsertPos, NewNode, TreeStore};
+    use crate::store::{InsertPos, NewNode, OpResult, TreeStore};
     use crate::{NodePtr, SplitMatrix, TreeConfig};
     use natix_xml::{LiteralValue, LABEL_TEXT};
 
@@ -1040,6 +1091,7 @@ mod tests {
                 NewNode::Literal(LiteralValue::String(text.into())),
             )
             .unwrap();
+        let root = res.root_moved.map_or(root, |(_, new)| new);
         (root, res.new_node.unwrap())
     }
 
@@ -1095,18 +1147,90 @@ mod tests {
         assert_eq!(text_at(&a, ptr_a), "of a");
         // B read under A's pin has no snapshot of its own: the page.
         assert_eq!(text_at(&b, ptr_b), "of b");
-        {
+        let of_b = {
             // B's pin nested inside A's takes the thread's ambient slot.
             let _pin_b = b.begin_read();
             assert_eq!(text_at(&b, ptr_b), "of b");
-            assert_eq!(b.view(rid_b).unwrap().label(0), 9);
             assert_eq!(text_at(&a, ptr_a), "of a");
-        }
-        assert_eq!(VersionStore::memo_len(), 0, "B's entries left with B's pin");
-        assert_eq!(a.view(rid_a).unwrap().label(0), 7);
+            b.view(rid_b).unwrap()
+        };
+        assert_eq!(of_b.label(0), 9);
+        // B's entries are never served to A, and A's never to B.
+        let of_a = a.view(rid_a).unwrap();
+        assert_eq!(of_a.label(0), 7);
+        assert!(!Arc::ptr_eq(&of_a, &of_b));
         assert_eq!(text_at(&b, ptr_b), "of b");
         drop(pin_a);
-        assert_eq!(VersionStore::memo_len(), 0);
+        let _pin_b = b.begin_read();
+        assert_eq!(b.view(rid_b).unwrap().label(0), 9);
+        assert_eq!(text_at(&b, ptr_b), "of b");
+    }
+
+    #[test]
+    fn a_store_made_where_a_dropped_one_was_never_gets_its_views() {
+        // Equal `Rid`s, equal epochs, an equal-sized allocation for the
+        // version store: the allocator likely hands the dropped store's
+        // address to the next one, and the memo, which outlives the pins,
+        // still holds the dropped store's view.
+        for label in 10..20 {
+            let store = mk_store();
+            let (rid, ptr) = mk_tree(&store, label, &format!("store {label}"));
+            let _pin = store.begin_read();
+            assert_eq!(store.view(rid).unwrap().label(0), label);
+            assert_eq!(text_at(&store, ptr), format!("store {label}"));
+        }
+    }
+
+    #[test]
+    fn a_write_published_between_two_pins_is_read_by_the_second() {
+        let store = mk_store();
+        let (rid, ptr) = mk_tree(&store, 7, "old");
+        let first = {
+            let _pin = store.begin_read();
+            assert_eq!(text_at(&store, ptr), "old");
+            store.view(rid).unwrap()
+        };
+        {
+            // The memo outlives a pin at an unchanged epoch.
+            let _pin = store.begin_read();
+            parses::take();
+            assert!(Arc::ptr_eq(&first, &store.view(rid).unwrap()));
+            assert_eq!(parses::take(), 0);
+        }
+        set_text(&store, ptr, "new");
+        let _pin = store.begin_read();
+        parses::take();
+        assert_eq!(text_at(&store, ptr), "new");
+        assert_eq!(parses::take(), 1, "the new image, parsed once");
+        assert!(!Arc::ptr_eq(&first, &store.view(rid).unwrap()));
+    }
+
+    #[test]
+    fn a_write_dropped_on_an_error_or_an_unwind_is_read_by_the_next_pin() {
+        let store = mk_store();
+        let (root, ptr) = mk_tree(&store, 7, "old");
+        let read = |expected: &str| {
+            let _pin = store.begin_read();
+            assert_eq!(text_at(&store, ptr), expected);
+        };
+        read("old");
+        // One operation: a rewrite, then a refused update of an element.
+        let failed = || -> TreeResult<OpResult> {
+            let _op = store.versions().begin_write();
+            set_text(&store, ptr, "written, then refused");
+            store.update_literal(NodePtr::new(root, 0), LiteralValue::String("x".into()))
+        };
+        let err = failed().unwrap_err();
+        assert!(matches!(err, TreeError::NotALiteral { .. }), "{err}");
+        read("written, then refused");
+        // One operation: a rewrite, then a panic.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _op = store.versions().begin_write();
+            set_text(&store, ptr, "written, then unwound");
+            panic!("the writer fails after its write");
+        }));
+        assert!(unwound.is_err());
+        read("written, then unwound");
     }
 
     #[test]
@@ -1153,21 +1277,47 @@ mod tests {
 
     #[test]
     fn memo_stays_within_its_bound() {
-        let store = mk_store();
-        let trees: Vec<(Rid, NodePtr)> = (0..MEMO_CAPACITY + 40)
-            .map(|i| mk_tree(&store, 7, &format!("t{i}")))
+        // Records of about 6 KiB on 8 KiB pages, enough of them to pass
+        // the bound once and a half.
+        use natix_storage::{BufferManager, IoStats, MemStorage, StorageManager};
+        let backend = Arc::new(MemStorage::new(8192).unwrap());
+        let bm = Arc::new(BufferManager::new(backend, 16, IoStats::new_shared()));
+        let sm = Arc::new(StorageManager::create(bm).unwrap());
+        let store = TreeStore::new(
+            sm,
+            TreeConfig::default(),
+            SplitMatrix::all_other(),
+            Default::default(),
+        )
+        .unwrap();
+        let text = |i: usize| format!("{i:06}{}", "x".repeat(6_000));
+        let first = mk_tree(&store, 7, &text(0));
+        let per_view = {
+            let _pin = store.begin_read();
+            store.view(first.0).unwrap().footprint()
+        };
+        assert!(per_view > 6_000, "{per_view} bytes");
+        let count = MEMO_BYTES * 3 / 2 / per_view;
+        let trees: Vec<(Rid, NodePtr)> = std::iter::once(first)
+            .chain((1..count).map(|i| mk_tree(&store, 7, &text(i))))
             .collect();
         let _pin = store.begin_read();
+        let mut emptied = 0;
         for round in 0..2 {
             for (i, &(rid, ptr)) in trees.iter().enumerate() {
-                assert_eq!(text_at(&store, ptr), format!("t{i}"), "round {round}");
+                let before = VersionStore::memo_len();
+                assert_eq!(text_at(&store, ptr), text(i), "round {round}");
                 assert!(Arc::ptr_eq(
                     &store.view(rid).unwrap(),
                     &store.view(rid).unwrap()
                 ));
-                assert!(VersionStore::memo_len() <= MEMO_CAPACITY);
+                assert!(VersionStore::memo_bytes() <= MEMO_BYTES);
+                if VersionStore::memo_len() < before {
+                    emptied += 1;
+                }
             }
         }
+        assert!(emptied >= 2, "the memo started over {emptied} times");
         assert!(VersionStore::memo_len() > 0);
     }
 }

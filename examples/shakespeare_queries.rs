@@ -2,16 +2,18 @@
 //! three evaluation queries (§4.3), then shows how a label lookup is
 //! served from the path summary, and ends with what each plan shape costs
 //! per query: µs on a resident pool — a shape whose per-node cost is out
-//! of line shows there in one run — and pages read and device requests on
-//! a cold one. The example fails (exits non-zero) if the planner's pick
-//! reads more pages cold than the forced scan: page counts do not depend
-//! on the machine, so the check is deterministic.
+//! of line shows there in one run — once with the thread's parsed-record
+//! memo warm and once on a fresh thread, whose memo is empty, and pages
+//! read and device requests on a cold pool. The example fails (exits
+//! non-zero) if the planner's pick reads more pages cold than the forced
+//! scan: page counts do not depend on the machine, so the check is
+//! deterministic.
 //!
 //! ```sh
 //! cargo run --release --example shakespeare_queries
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use natix::{PlanShape, PlannerOptions, Repository, RepositoryOptions};
 use natix_corpus::{generate_corpus, CorpusConfig};
@@ -115,7 +117,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Each shape forced on the descendant queries, on a pool that holds
     // the whole corpus (no page reads: what is left is navigation and
     // record parsing), then on the same pool emptied (pages read / device
-    // requests, all plays), beside the shape the planner picks.
+    // requests, all plays), beside the shape the planner picks. On the
+    // resident pool a query runs twice: on this thread, whose memo the
+    // untimed pass filled (no write publishes in between, so nothing is
+    // parsed again), and on a thread of its own, whose memo is empty, so
+    // every record it visits is parsed — as after a write.
     let resident = Repository::create_in_memory(RepositoryOptions {
         page_size: 8192,
         buffer_bytes: 64 << 20,
@@ -127,14 +133,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const RUNS: usize = 5;
     let forced = [PlanShape::SummarySeeded, PlanShape::ParallelScan];
     println!(
-        "\nper query and play, {RUNS} runs of {} plays on a resident 64 MiB pool (µs), \
-         then one run cold (pages read / requests, all plays):",
+        "\nper query and play, {RUNS} runs of {} plays on a resident 64 MiB pool (µs; \
+         memo warm, then each query on a fresh thread), then one run cold \
+         (pages read / requests, all plays):",
         plays.len()
     );
     println!(
-        "{:<24}{:>10}{:>10}{:>12}{:>12}  planner picks",
-        "query", "seeded", "scan", "seeded cold", "scan cold"
+        "{:<24}{:>10}{:>10}{:>14}{:>14}{:>12}{:>12}  planner picks",
+        "query", "seeded", "scan", "seeded fresh", "scan fresh", "seeded cold", "scan cold"
     );
+    // µs per query and play on the resident pool, each query run on a new
+    // thread, whose thread-local memo is empty.
+    let fresh = |query: &str, opts: &PlannerOptions| -> Result<f64, Box<dyn std::error::Error>> {
+        let mut total = Duration::ZERO;
+        for _ in 0..RUNS {
+            for play in &plays {
+                total += std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let start = Instant::now();
+                        resident
+                            .query_planned(&play.name, query, opts)
+                            .map(|_| start.elapsed())
+                    })
+                    .join()
+                })
+                .map_err(|_| "a query thread panicked")??;
+            }
+        }
+        Ok(total.as_secs_f64() * 1e6 / (RUNS * plays.len()) as f64)
+    };
     // Pages read and device requests of one run over every play, cold.
     let cold = |query: &str, opts: &PlannerOptions| -> Result<(u64, u64), natix::NatixError> {
         resident.clear_buffer()?;
@@ -147,7 +174,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut dearer = Vec::new();
     for query in ["//SPEAKER", "//STAGEDIR", "/PLAY/ACT/SCENE/TITLE", "//LINE"] {
-        let (mut resident_cells, mut cold_cells) = (String::new(), String::new());
+        let (mut resident_cells, mut fresh_cells, mut cold_cells) =
+            (String::new(), String::new(), String::new());
         for shape in forced {
             let opts = PlannerOptions { force: Some(shape) };
             // One untimed pass warms the pool and the summaries.
@@ -162,6 +190,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             let us = start.elapsed().as_secs_f64() * 1e6 / (RUNS * plays.len()) as f64;
             resident_cells.push_str(&format!("{us:>10.0}"));
+            fresh_cells.push_str(&format!("{:>14.0}", fresh(query, &opts)?));
             let (pages, requests) = cold(query, &opts)?;
             cold_cells.push_str(&format!("{:>12}", format!("{pages}/{requests}")));
         }
@@ -174,7 +203,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 picked.push(shape);
             }
         }
-        println!("{query:<24}{resident_cells}{cold_cells}  {picked:?}");
+        println!("{query:<24}{resident_cells}{fresh_cells}{cold_cells}  {picked:?}");
         let scan = PlannerOptions {
             force: Some(PlanShape::ParallelScan),
         };
