@@ -1066,8 +1066,12 @@ mod tests {
     use natix_xml::{LiteralValue, LABEL_TEXT};
 
     fn mk_store() -> TreeStore {
+        mk_store_of(2048)
+    }
+
+    fn mk_store_of(page_size: usize) -> TreeStore {
         use natix_storage::{BufferManager, IoStats, MemStorage, StorageManager};
-        let backend = Arc::new(MemStorage::new(2048).unwrap());
+        let backend = Arc::new(MemStorage::new(page_size).unwrap());
         let bm = Arc::new(BufferManager::new(backend, 64, IoStats::new_shared()));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         TreeStore::new(
@@ -1279,17 +1283,7 @@ mod tests {
     fn memo_stays_within_its_bound() {
         // Records of about 6 KiB on 8 KiB pages, enough of them to pass
         // the bound once and a half.
-        use natix_storage::{BufferManager, IoStats, MemStorage, StorageManager};
-        let backend = Arc::new(MemStorage::new(8192).unwrap());
-        let bm = Arc::new(BufferManager::new(backend, 16, IoStats::new_shared()));
-        let sm = Arc::new(StorageManager::create(bm).unwrap());
-        let store = TreeStore::new(
-            sm,
-            TreeConfig::default(),
-            SplitMatrix::all_other(),
-            Default::default(),
-        )
-        .unwrap();
+        let store = mk_store_of(8192);
         let text = |i: usize| format!("{i:06}{}", "x".repeat(6_000));
         let first = mk_tree(&store, 7, &text(0));
         let per_view = {
