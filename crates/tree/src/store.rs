@@ -968,12 +968,14 @@ pub(crate) mod tests {
     };
     use natix_storage::slotted::SlottedPage;
     use natix_storage::{BufferManager, IoStats, MemStorage};
+    use natix_xml::writer::{write_subtree, WriteOptions};
     use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
 
     use super::*;
     use crate::bulkload::bulkload_document;
     use crate::reconstruct::{
-        reconstruct_document, subtree_text, traverse, walk_records, RecordEntry, VisitEvent,
+        reconstruct_document, serialize_xml, subtree_text, traverse, walk_records, RecordEntry,
+        VisitEvent,
     };
     use crate::record::tests::{
         assert_view_matches_tree, reference_find_continuation, reference_find_proxy,
@@ -1152,13 +1154,23 @@ pub(crate) mod tests {
     /// groups; split chains at 2 KiB), plus the first play once more,
     /// loaded per node. Returns the store and the documents' root records.
     pub(crate) fn corpus(page_size: usize) -> (TreeStore, Vec<Rid>) {
-        let mut syms = SymbolTable::new();
-        let mut docs: Vec<Document> = generate_corpus(&CorpusConfig::tiny(), &mut syms)
+        stored(page_size, &corpus_documents(&mut SymbolTable::new()))
+    }
+
+    /// The source documents of [`corpus`].
+    fn corpus_documents(syms: &mut SymbolTable) -> Vec<Document> {
+        let mut docs: Vec<Document> = generate_corpus(&CorpusConfig::tiny(), syms)
             .into_iter()
             .map(|p| p.doc)
             .collect();
-        docs.push(generate_orders(&OrdersConfig::tiny(), &mut syms));
-        docs.push(generate_deep(&DeepConfig::tiny(), &mut syms));
+        docs.push(generate_orders(&OrdersConfig::tiny(), syms));
+        docs.push(generate_deep(&DeepConfig::tiny(), syms));
+        docs
+    }
+
+    /// A store at `page_size` holding `docs` bulkloaded, then the first
+    /// once more, loaded per node; with the documents' root records.
+    fn stored(page_size: usize, docs: &[Document]) -> (TreeStore, Vec<Rid>) {
         let st = store(page_size);
         let mut roots: Vec<Rid> = docs
             .iter()
@@ -2104,6 +2116,89 @@ pub(crate) mod tests {
                         .map(|f| f.0)
                         .collect();
                     assert_eq!(kept, want, "{page_size} B pages, label {target}");
+                }
+            }
+        }
+    }
+
+    /// Every reader of the stored layout against the source DOM, node by
+    /// node: the unpruned record walk, the logical children, the text and
+    /// (of an element) the serialization of each stored facade equal those
+    /// of the DOM node at the same pre-order position. Plays, an order
+    /// batch, the tiny deep document (split prefix chains at 2 KiB), a
+    /// 300-level one and a per-node load, at four page sizes.
+    #[test]
+    fn every_reader_of_a_stored_node_answers_what_its_source_node_does() {
+        let mut syms = SymbolTable::new();
+        let mut docs = corpus_documents(&mut syms);
+        let deep = DeepConfig {
+            depth: 300,
+            ..DeepConfig::tiny()
+        };
+        docs.push(generate_deep(&deep, &mut syms));
+        for page_size in [512, 1_024, 2_048, 8_192] {
+            let (st, roots) = stored(page_size, &docs);
+            let _pin = st.begin_read();
+            // The facades of the stored subtree at `ptr`, by the walk.
+            let walk = |ptr| {
+                let mut met = Vec::new();
+                walk_records(&st, ptr, (), |(), _| Some(()), &mut |entry, ()| {
+                    if let RecordEntry::Node {
+                        ptr,
+                        label,
+                        literal,
+                    } = entry
+                    {
+                        met.push((ptr, label, literal));
+                    }
+                    true
+                })
+                .unwrap();
+                met
+            };
+            for (doc, &root) in docs.iter().chain([&docs[0]]).zip(&roots) {
+                let order: Vec<NodeIdx> = doc.pre_order().collect();
+                let source: Vec<(LabelId, bool)> = order
+                    .iter()
+                    .map(|&n| match doc.data(n) {
+                        NodeData::Element(label) => (*label, false),
+                        NodeData::Literal { label, .. } => (*label, true),
+                    })
+                    .collect();
+                let nodes = walk(NodePtr::new(root, 0));
+                let at: HashMap<NodePtr, usize> =
+                    nodes.iter().enumerate().map(|(i, n)| (n.0, i)).collect();
+                let position: HashMap<NodeIdx, usize> =
+                    order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+                for (i, &n) in order.iter().enumerate() {
+                    let ptr = nodes[i].0;
+                    let what = format!("{page_size} B pages, document {root}, node {i} at {ptr}");
+                    let end = i + doc.pre_order_from(n).count();
+                    let sub = walk(ptr);
+                    assert_eq!(sub, nodes[i..end], "{what}: the walk");
+                    let met: Vec<(LabelId, bool)> = sub.iter().map(|m| (m.1, m.2)).collect();
+                    assert_eq!(met, source[i..end], "{what}: the walk's labels");
+                    let kids: Vec<usize> = st
+                        .logical_children(ptr)
+                        .unwrap()
+                        .iter()
+                        .map(|p| at[p])
+                        .collect();
+                    let want: Vec<usize> = doc.children(n).iter().map(|c| position[c]).collect();
+                    assert_eq!(kids, want, "{what}: the children");
+                    assert_eq!(
+                        subtree_text(&st, ptr).unwrap(),
+                        doc.text_content(n),
+                        "{what}: the text"
+                    );
+                    if !source[i].1 {
+                        let xml = write_subtree(doc, n, &syms, WriteOptions::compact()).unwrap();
+                        assert_eq!(
+                            serialize_xml(&st, ptr, &syms).unwrap(),
+                            xml,
+                            "{what}: the serialization"
+                        );
+                    }
                 }
             }
         }
