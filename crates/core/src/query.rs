@@ -26,13 +26,14 @@
 //! as a count, as `(label, text)` rows read under the same pin, or not at
 //! all (`explain`). A specific operator is reached the way the
 //! differential suites reach it: `PlannerOptions { force: Some(shape) }`.
-//! Two operators read records, and both run the record walk
-//! ([`natix_tree::walk_records`]): one depth-first pass over records in
-//! document order. The summary-seeded operator walks the document once,
-//! pruned to the label paths that can lead to a match. The step loop's
-//! child steps enumerate each context's children, and its descendant
-//! steps walk each context's subtree unpruned, stopping at the n-th match
-//! of `//x[n]`.
+//! Two operators read records, both on the tree store's one record
+//! cursor: the summary-seeded operator walks the document once
+//! ([`natix_tree::walk_records`]), pruned to the label paths that can lead
+//! to a match; the step loop's descendant steps walk each context's
+//! subtree unpruned, stopping at the n-th match of `//x[n]`, and its child
+//! steps enumerate each context's children
+//! ([`natix_tree::TreeStore::for_each_logical_child`], without read-ahead:
+//! `x[n]` stops at its match).
 //!
 //! # The planner prices nothing
 //!
@@ -46,8 +47,8 @@
 use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
-use natix_tree::{NodePtr, ReadPin, RecordEntry, TreeResult};
-use natix_xml::{LabelId, LABEL_TEXT};
+use natix_tree::{NodePtr, ReadPin, RecordEntry};
+use natix_xml::{LabelId, LABEL_NONE, LABEL_TEXT};
 
 use crate::document::{DocId, DocState, NodeId};
 use crate::error::{NatixError, NatixResult};
@@ -180,9 +181,10 @@ pub enum PlanShape {
     /// stays until the benchmark's `core.plans.index_seeded` row, which
     /// matches on it, is dropped (ROADMAP item 6c, then 8c).
     IndexSeeded,
-    /// The step loop on the query's thread, its descendant steps by the
-    /// record walk ([`natix_tree::walk_records`]). The name predates the
-    /// walk's single thread; it stays while the benchmark matches on it.
+    /// The step loop on the query's thread: descendant steps by the record
+    /// walk ([`natix_tree::walk_records`]), child steps by the child
+    /// enumeration on the same cursor. The name predates the walk's single
+    /// thread; it stays while the benchmark matches on it.
     ParallelScan,
     /// Retired: the node-by-node walk is gone, and the record walk behind
     /// [`ParallelScan`](Self::ParallelScan) stops at the n-th match of
@@ -663,9 +665,10 @@ impl Repository {
         steps: &[(&Step, Option<LabelId>)],
     ) -> NatixResult<Vec<NodePtr>> {
         let (first, first_label) = steps[0];
+        let (l, lit) = self.tree.node_label(root)?;
         let mut current = if first.descendant {
             self.descend_step(&[root], first, first_label)?
-        } else if self.step_matches(root, first, first_label)? && first.position.unwrap_or(1) == 1 {
+        } else if first.test.accepts(first_label, l, lit) && first.position.unwrap_or(1) == 1 {
             vec![root]
         } else {
             Vec::new()
@@ -727,23 +730,13 @@ impl Repository {
         let mut out = Vec::new();
         for &ctx in contexts {
             let mut seen = 0;
-            self.tree.for_each_logical_child(ctx, &mut |child| {
-                Ok(!self.step_matches(child, step, label)?
-                    || take(step, &mut seen, child, &mut out))
-            })?;
+            self.tree
+                .for_each_logical_child(ctx, &mut |child, l, literal| {
+                    Ok(!step.test.accepts(label, l, literal)
+                        || take(step, &mut seen, child, &mut out))
+                })?;
         }
         Ok(out)
-    }
-
-    /// A tree-level result: the child visitor's callback calls it too.
-    fn step_matches(
-        &self,
-        ptr: NodePtr,
-        step: &Step,
-        name_label: Option<LabelId>,
-    ) -> TreeResult<bool> {
-        let (label, literal) = self.tree.node_label(ptr)?;
-        Ok(step.test.accepts(name_label, label, literal))
     }
 
     /// The summary-seeded operator: the record walk of the document,
@@ -766,7 +759,11 @@ impl Repository {
         let kids = summary.closure_children(pm);
         let keep = |parent: u32, label| {
             let mut under = kids[parent as usize].iter();
-            under.find(|&&(l, _)| l == label).map(|&(_, slot)| slot)
+            match label {
+                // Asked before a subtree is entered: is anything below kept?
+                LABEL_NONE => (under.len() > 0).then_some(parent),
+                _ => under.find(|&&(l, _)| l == label).map(|&(_, slot)| slot),
+            }
         };
         let mut out = Vec::new();
         natix_tree::walk_records(&self.tree, root, 0, keep, &mut |entry, slot| {

@@ -40,11 +40,11 @@
 //!   children live in separator-style continuation groups (path-prefix
 //!   entries + a single continuation placeholder per piece), keeping the
 //!   record tree's height tracking fanout instead of document depth;
-//! * [`reconstruct`] — proxy substitution back into logical documents,
-//!   streaming traversal, XML serialisation, and the record walk behind
-//!   every descendant step;
+//! * [`reconstruct`] — the one reader of the record layout: record cursors
+//!   behind the streaming traversal, XML serialisation, the record walk of
+//!   every descendant step and the child enumeration;
 //! * [`readahead`] — the one read-ahead policy: a reader's frontier of
-//!   pages turned into batched requests (both walks' of [`reconstruct`]);
+//!   pages turned into batched requests (the traversal's and the walk's);
 //! * [`validate`] — invariant checks and the physical statistics used by
 //!   the evaluation harness;
 //! * [`version`] — record-level versioning: epoch-pinned read snapshots

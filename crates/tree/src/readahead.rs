@@ -4,15 +4,15 @@
 //! The storage format clusters a subtree's records on neighbouring pages
 //! (the paper's whole argument), but clustering only pays if the reader
 //! asks for those pages in one request rather than one demand miss at a
-//! time. The readers are the two walks of [`crate::reconstruct`] —
-//! [`traverse`](crate::traverse) and the record walk
+//! time. The readers are two drivers of [`crate::reconstruct`]'s record
+//! cursor — [`traverse`](crate::traverse) and the record walk
 //! [`walk_records`](crate::walk_records) behind every descendant step —
-//! and each names the pages it will need next from the record hops still
-//! pending in its frames, innermost first: that is its `Frontier`.
-//! `ReadAhead` turns the frontier into batches for the store's prefetch
+//! and each names the pages it will need next from the record hops ahead
+//! of its cursors, innermost first: that is its `Frontier`. `ReadAhead`
+//! turns the frontier into batches for the store's prefetch
 //! (`TreeStore::prefetch_pages`), one request per window instead of one
-//! per page. All three are the crate's own: no reader outside the walks
-//! reads ahead.
+//! per page. The child enumeration, the cursor's third driver, does not
+//! read ahead: a positional child step stops at its match.
 //!
 //! # Policy
 //!

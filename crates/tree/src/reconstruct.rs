@@ -1,72 +1,94 @@
-//! Reconstruction and streaming traversal of stored trees.
+//! Reconstruction and streaming traversal of stored trees: the one reader
+//! of the record layout.
 //!
 //! §2.3.3: "Substituting all proxies by their respective subtrees
-//! reconstructs the original data tree." [`reconstruct_document`] does
-//! exactly that, producing an in-memory logical [`Document`];
-//! [`traverse`] streams the same information without materialising the
-//! tree (what the paper's "full tree traversal" and query experiments do);
-//! [`serialize_xml`] recreates the textual representation straight from
-//! the records (Query 2: "recreates the textual representation of the
-//! complete first speech in every scene").
+//! reconstructs the original data tree." This module does that
+//! substitution in one place, a stack of record *cursors*. A cursor scans
+//! one record's index range in pre-order — a record's subtree is such a
+//! range, whose proxies and continuation placeholders are leaves — and at
+//! a hop the walk scans the target record there before it goes on, so it
+//! meets the facade nodes in document order. The cursor alone knows the
+//! packed layout (proxies with and without a label digest, scaffolding,
+//! prefix entries, continuation groups, the deferred closes of a spilled
+//! path); everything else drives it:
 //!
-//! [`walk_records`] is the same substitution without the events a
-//! document needs (no `Leave`, no literal values): it scans each record's
-//! index range in pre-order and, at a proxy or continuation placeholder,
-//! scans the target record there before it goes on, so it meets the
-//! facade nodes in document order and stops whenever its caller has seen
-//! enough. It walks with a *prune*: the caller keeps each facade node
-//! with a state its children see as their parent's, or skips its subtree
-//! — and a proxy's label digest is judged before its record is read, so a
-//! skipped record costs no page. Keeping everything is the plain walk,
-//! the engine's one descendant operator (`//x`, `//x[n]`) and the record
-//! enumeration of the document manager; the prune "this label path can
-//! hold a match" is the summary-seeded operator.
+//! * [`traverse`] — the events a document needs, with literal values and
+//!   the close of every element; [`reconstruct_document`] (an in-memory
+//!   [`Document`]), [`serialize_xml`] (the textual representation, the
+//!   paper's Query 2: "recreates the textual representation of the
+//!   complete first speech in every scene") and [`subtree_text`] run on
+//!   it;
+//! * [`walk_records`] — the records entered and the facades kept, the
+//!   engine's one descendant operator (`//x`, `//x[n]`), the record
+//!   enumeration of the document manager and, pruned, the summary-seeded
+//!   operator;
+//! * [`TreeStore::for_each_logical_child`] — the child enumeration behind
+//!   every child step.
+//!
+//! # The prune
+//!
+//! A walk carries a *prune*: from the state of a facade's parent and the
+//! facade's label, the facade's own state — what its children see as
+//! their parent's — or `None` to skip its subtree. A proxy's label digest
+//! is judged before its record is read, so a skipped record costs no
+//! page; a prefix entry copies a facade of the record its group continues
+//! and is judged like one. The prune is asked once more, with
+//! [`LABEL_NONE`], before the cursor enters a digest-less proxy's record,
+//! a scaffolding subtree or a kept node's children: `None` means nothing
+//! below can be kept, and the cursor skips it. Keeping everything is the
+//! plain walk and `traverse`; the summary-seeded operator keeps the label
+//! paths that can lead to a match; the child enumeration keeps the node
+//! and its children and enters no child.
+//!
+//! A skipped subtree on the spilled path still leads the scan to the
+//! record's continuation placeholder, the last node of its subtree: the
+//! group holds late children of the levels above it too, and judges its
+//! copy of the skipped level as this record did.
 //!
 //! # Read-ahead
 //!
-//! All of the above run on these two walks, and both read ahead: before
-//! a walk follows a proxy or continuation to a page it has not asked for
-//! yet, it asks for that page *together with* the next window of pages
-//! it is going to need, in one batched request ([`crate::readahead`]
-//! holds the policy; this module supplies the frontier).
+//! `traverse` and `walk_records` read ahead: before a walk hops to a page
+//! it has not asked for yet, it asks for that page *together with* the
+//! next window of pages it is going to need, in one batched request
+//! ([`crate::readahead`] holds the policy; this module supplies the
+//! frontier). The child enumeration does not: a positional child step
+//! stops at its match (the paper's Query 3 reads "only the opening
+//! speech"), so a window would fetch pages the step never visits.
 //!
-//! * **The frontier** is the record hops still pending in the walk's own
-//!   frames (`traverse`'s frame stack, `walk_records`' record cursors),
-//!   innermost frame first — which is document order. The frontier scans
-//!   the frames with the walk's own cursor and prune, so it passes over
-//!   the subtrees the walk will skip and does not name a digested proxy
-//!   the walk will not follow. A hop
-//!   whose page an earlier refill already asked for is in the pool, so
-//!   the lookahead reads that record and continues with the hops *it*
-//!   holds: children of the current record alone do not fill a window,
-//!   because much of a subtree hangs one record level below the known
-//!   frontier.
-//! * **Scope.** The frames hold nothing outside the walked subtree
-//!   (a walk of one `SCENE` starts with one frame, and a continuation
-//!   group is entered at the prefix matching the walk's start level), and
-//!   a record behind a proxy lies wholly inside the subtree of its proxy,
-//!   so every page the lookahead names is a page the walk will visit —
+//! * **The frontier** is the record hops still ahead of the walk's
+//!   cursors, innermost cursor first — which is document order. The
+//!   frontier scans copies of the cursors with the walk's own prune, so
+//!   it passes over the subtrees the walk will skip and does not name a
+//!   digested proxy the walk will not follow. A hop whose page an earlier
+//!   refill already asked for is in the pool, so the lookahead reads that
+//!   record and continues with the hops *it* holds: children of the
+//!   current record alone do not fill a window, because much of a subtree
+//!   hangs one record level below the known frontier.
+//! * **Scope.** The cursors hold nothing outside the walked subtree (a
+//!   walk of one `SCENE` starts with one cursor, and a continuation group
+//!   is entered at the prefix matching the walk's start level), and a
+//!   record behind a proxy lies wholly inside the subtree of its proxy, so
+//!   every page the lookahead names is a page the walk will visit —
 //!   unless the visitor stops it early. A continuation group is named but
 //!   never looked into: its outer prefix levels carry late children of
 //!   ancestors the walk may not cover.
 //! * **Looking inside is free under the memo.** Under a pinned snapshot
 //!   the record view the lookahead parses is the `Arc` the walk gets back
 //!   when it arrives ([`crate::version`]'s parsed-record memo, which
-//!   serves every pin at the epoch it was filled at). Where the
-//!   memo is bypassed — no pin, or a write operation ambient on the
-//!   thread, as in `delete_node`'s victim walk — the lookahead does not
-//!   look inside records and names the pages of the frames' own records
-//!   only. Looking through a record is a scan of an index range: the
-//!   subtrees a frame has still to walk are one range in pre-order.
+//!   serves every pin at the epoch it was filled at). Where the memo is
+//!   bypassed — no pin, or a write operation ambient on the thread, as in
+//!   `delete_node`'s victim walk — the lookahead does not look inside
+//!   records and names the pages of the cursors' own records only.
 //! * **Budget.** The lookahead is lazy — it stops as soon as the window
-//!   is full — and opens at most `LOOKAHEAD_RECORDS` (64) records per refill,
-//!   so a refill over a long run of already-asked pages stays cheap.
+//!   is full — and opens at most `LOOKAHEAD_RECORDS` (64) records per
+//!   refill, so a refill over a long run of already-asked pages stays
+//!   cheap.
 //!
 //! # What a walk decodes
 //!
-//! Nothing but the literals `traverse` emits: a walk navigates each
-//! record's [`RecordView`], and `traverse` decodes a literal's value when
-//! it hands the literal to the visitor. `walk_records` decodes nothing.
+//! Nothing but the literals `traverse` emits: a cursor reads one index
+//! entry of the record's [`RecordView`] per node it scans, and `traverse`
+//! decodes a literal's value when it hands the literal to the visitor.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -82,11 +104,10 @@ use crate::error::{TreeError, TreeResult};
 use crate::model::{NodePtr, PNodeId};
 use crate::readahead::{Frontier, ReadAhead};
 use crate::record::{RecordView, Shape};
-use crate::store::pack::continuation_entry;
 use crate::store::TreeStore;
 
-/// Records one refill's lookahead may open (walk frames it seeds from plus
-/// records it looks inside).
+/// Records one refill's lookahead may open (walk cursors it seeds from
+/// plus records it looks inside).
 const LOOKAHEAD_RECORDS: usize = 64;
 
 /// Streaming traversal events for facade nodes, in document order.
@@ -107,332 +128,6 @@ pub enum VisitEvent<'a> {
     Leave { label: natix_xml::LabelId },
 }
 
-/// Outcome of walking one physical node (depth-aware packing aware).
-///
-/// `Open` means the node's subtree consumed a
-/// [`PContent::Continuation`](crate::model::PContent::Continuation)
-/// as its last event: the `Leave` events of every facade on the path from
-/// the continuation up to (and including) this node were emitted by the
-/// continuation group's prefix entries, so the enclosing facades must not
-/// emit their own. The flag propagates *within* a record only — a whole
-/// record reached through an ordinary proxy is always complete from the
-/// outside, because its continuation chain hangs inside its own subtree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Flow {
-    /// The visitor aborted the walk.
-    Stop,
-    /// Subtree complete; all `Leave`s emitted.
-    Done,
-    /// Subtree ended in a continuation: the holder's `Leave` was delegated.
-    Open,
-}
-
-/// One in-progress aggregate/prefix node of the walk (leaves are handled
-/// inline).
-struct Frame {
-    view: Arc<RecordView>,
-    node: PNodeId,
-    /// The node this record's walk began at (continuation scoping).
-    record_start: PNodeId,
-    /// The next child to process: where the subtrees of the children
-    /// processed so far end.
-    next: PNodeId,
-    /// Flow of the most recently completed child.
-    last: Flow,
-    /// What this frame reports upward when it completes, overriding
-    /// its own flow: `Done` for a record entered through a proxy
-    /// (complete from the outside), `Open` for a continuation group
-    /// (the holder's `Leave`s were delegated). `None` for in-record
-    /// frames, which report their own flow.
-    report: Option<Flow>,
-}
-
-impl Frame {
-    /// What this frame has still to walk: the subtrees of its children
-    /// after the one in progress. `traverse` keeps every node, so the
-    /// cursor carries no state.
-    fn pending(&self) -> Cursor<()> {
-        Cursor {
-            view: Arc::clone(&self.view),
-            start: self.record_start,
-            nodes: self.next..self.view.subtree(self.node).end,
-            base: (),
-            open: Vec::new(),
-        }
-    }
-}
-
-/// A walk's [`Frontier`]: the pages of the record hops still ahead of
-/// it, in document order (see the module docs).
-struct Lookahead<'a, S, K, P> {
-    store: &'a TreeStore,
-    /// The walk's prune: the lookahead names a page only if the walk
-    /// will hop there.
-    keep: &'a K,
-    /// The page of the hop the walk stands on, named first.
-    first: Option<PageId>,
-    /// What each frame of the walk has still to walk, innermost first,
-    /// not looked at yet.
-    pending: P,
-    /// Records being looked through, innermost last.
-    open: Vec<Cursor<S>>,
-    /// Target of the proxy whose page was named last, with the state its
-    /// record hangs under: what [`expand`](Frontier::expand) looks inside.
-    last_proxy: Option<(Rid, S)>,
-    /// Records this lookahead may still open.
-    budget: usize,
-    /// Whether looking inside a record is free (the memo is active).
-    peek: bool,
-}
-
-impl<S, K, P> Frontier for Lookahead<'_, S, K, P>
-where
-    S: Copy,
-    K: Fn(S, LabelId) -> Option<S>,
-    P: Iterator<Item = Cursor<S>>,
-{
-    fn next_page(&mut self) -> Option<PageId> {
-        if let Some(page) = self.first.take() {
-            return Some(page);
-        }
-        self.last_proxy = None;
-        loop {
-            let Some(cursor) = self.open.last_mut() else {
-                // Nothing open: continue with what the next frame out
-                // still has to walk.
-                if self.budget == 0 {
-                    return None;
-                }
-                self.budget -= 1;
-                self.open.push(self.pending.next()?);
-                continue;
-            };
-            match cursor.next(self.keep) {
-                None => {
-                    self.open.pop();
-                }
-                Some(Met::Node(..)) => {}
-                Some(Met::Hop(target, state, via_proxy)) => {
-                    if via_proxy {
-                        self.last_proxy = Some((target, state));
-                    }
-                    return Some(target.page);
-                }
-            }
-        }
-    }
-
-    fn expand(&mut self) {
-        let Some((rid, state)) = self.last_proxy.take() else {
-            return;
-        };
-        if !self.peek || self.budget == 0 {
-            return;
-        }
-        self.budget -= 1;
-        // Advisory: a record that does not load is the walk's to report
-        // when it gets there.
-        if let Ok(view) = self.store.view(rid) {
-            let root = view.root();
-            self.open.push(Cursor::new(view, root, state));
-        }
-    }
-}
-
-/// Reads ahead before a walk hops to record `target`: when its page has
-/// not been asked for yet, asks for it and the window of pages behind it
-/// in one batch. `pending` is what the walk's frames have still to walk,
-/// innermost first, and `keep` the walk's prune.
-fn read_ahead<S: Copy>(
-    store: &TreeStore,
-    ahead: &mut ReadAhead,
-    target: Rid,
-    keep: &impl Fn(S, LabelId) -> Option<S>,
-    pending: impl Iterator<Item = Cursor<S>>,
-) {
-    if ahead.asked(target.page) {
-        return;
-    }
-    let mut frontier = Lookahead {
-        store,
-        keep,
-        first: Some(target.page),
-        pending,
-        open: Vec::new(),
-        last_proxy: None,
-        budget: LOOKAHEAD_RECORDS,
-        peek: store.versions().memoizes_reads(),
-    };
-    let batch = ahead.plan(&mut frontier);
-    if !batch.is_empty() {
-        // Advisory: a failed batch reads nothing ahead, and the demand
-        // read that follows surfaces what is broken.
-        ahead.settle(store.prefetch_pages(&batch).unwrap_or(0));
-    }
-}
-
-/// Pre-order traversal of the whole stored tree under `ptr`, invoking
-/// `visit` for every facade node; scaffolding is skipped transparently,
-/// proxies are followed, and continuation groups splice their late
-/// children and deferred `Leave` events in at the right stream positions.
-/// `visit` returning `false` aborts the walk early (the remaining events
-/// are skipped, not an error).
-pub fn traverse<F>(store: &TreeStore, ptr: NodePtr, visit: &mut F) -> TreeResult<bool>
-where
-    F: FnMut(VisitEvent<'_>) -> bool,
-{
-    let view = store.view(ptr.rid)?;
-    let node = view.checked(ptr.node)?;
-    Ok(walk(store, view, node, visit)? != Flow::Stop)
-}
-
-/// Iterative engine of [`traverse`]: an explicit heap stack instead of
-/// call-stack recursion, because the logical nesting depth of a stored
-/// document (and with it the record-chain length of a per-node-loaded
-/// one) is unbounded while thread stacks are not.
-///
-/// `record_start` of a frame is the node the walk of *its* record began
-/// at: when the walk hits the record's continuation placeholder, only the
-/// group content belonging to levels at or below `record_start` on the
-/// spilled path is in scope, so the group is entered at its matching
-/// prefix entry.
-fn walk<F>(
-    store: &TreeStore,
-    root_view: Arc<RecordView>,
-    node: PNodeId,
-    visit: &mut F,
-) -> TreeResult<Flow>
-where
-    F: FnMut(VisitEvent<'_>) -> bool,
-{
-    /// Pushes a frame for `node` in `view`, emitting its `Enter`/literal
-    /// event; literals and empty aggregates complete immediately and
-    /// return their flow instead of pushing.
-    fn open_frame<F>(
-        stack: &mut Vec<Frame>,
-        view: &Arc<RecordView>,
-        node: PNodeId,
-        record_start: PNodeId,
-        report: Option<Flow>,
-        visit: &mut F,
-    ) -> TreeResult<Option<Flow>>
-    where
-        F: FnMut(VisitEvent<'_>) -> bool,
-    {
-        let (label, ptr) = (view.label(node), NodePtr::new(view.rid(), node));
-        let facade = view.is_facade(node);
-        if view.is_literal(node) {
-            if facade {
-                let value = view.literal(node)?;
-                if !visit(VisitEvent::Literal {
-                    label,
-                    value: &value,
-                    ptr,
-                }) {
-                    return Ok(Some(Flow::Stop));
-                }
-            }
-            return Ok(Some(report.unwrap_or(Flow::Done)));
-        }
-        // Proxies and continuations are record hops, resolved by the walk
-        // so the target record is read exactly once: what arrives here is
-        // an aggregate or a prefix entry.
-        if facade && !visit(VisitEvent::Enter { label, ptr }) {
-            return Ok(Some(Flow::Stop));
-        }
-        stack.push(Frame {
-            view: Arc::clone(view),
-            node,
-            record_start,
-            next: node + 1,
-            last: Flow::Done,
-            report,
-        });
-        Ok(None)
-    }
-
-    let mut stack: Vec<Frame> = Vec::new();
-    let mut ahead = ReadAhead::new(store);
-    if let Some(flow) = open_frame(&mut stack, &root_view, node, node, None, visit)? {
-        return Ok(flow);
-    }
-    let mut completed: Option<Flow> = None;
-    while let Some(frame) = stack.last_mut() {
-        if let Some(flow) = completed.take() {
-            if flow == Flow::Stop {
-                return Ok(Flow::Stop);
-            }
-            frame.last = flow;
-        }
-        if frame.next < frame.view.subtree(frame.node).end {
-            let child = frame.next;
-            frame.next = frame.view.subtree(child).end;
-            let (fview, fstart) = (Arc::clone(&frame.view), frame.record_start);
-            let flow = match fview.shape(child) {
-                Shape::Proxy(t) => {
-                    // A proxied record is complete from the outside: its
-                    // own continuation chain (if any) hangs inside its
-                    // subtree, so any `Open` it reports concerns only
-                    // facades within it.
-                    read_ahead(
-                        store,
-                        &mut ahead,
-                        t,
-                        &|(), _| Some(()),
-                        stack.iter().rev().map(Frame::pending),
-                    );
-                    let sub = store.view(t)?;
-                    let root = sub.root();
-                    open_frame(&mut stack, &sub, root, root, Some(Flow::Done), visit)?
-                }
-                Shape::Continuation(t) => {
-                    // The group's prefix entries emit the deferred
-                    // `Leave`s of the spilled path; report `Open` so the
-                    // holder's facades skip their own. The group is
-                    // entered at the prefix matching the walk's start
-                    // level — content of outer levels is outside the
-                    // walked subtree.
-                    read_ahead(
-                        store,
-                        &mut ahead,
-                        t,
-                        &|(), _| Some(()),
-                        stack.iter().rev().map(Frame::pending),
-                    );
-                    let sub = store.view(t)?;
-                    let entry = continuation_entry(&fview, fstart, &sub)?;
-                    open_frame(&mut stack, &sub, entry, entry, Some(Flow::Open), visit)?
-                }
-                _ => open_frame(&mut stack, &fview, child, fstart, None, visit)?,
-            };
-            completed = flow;
-            continue;
-        }
-        // All children done: close this node.
-        let flow = if frame.last == Flow::Open {
-            // The subtree ended in a continuation: this node's `Leave`
-            // was emitted by the group's matching prefix (and an
-            // enclosing prefix delegates again to the *next* group).
-            Flow::Open
-        } else {
-            let (view, n) = (&frame.view, frame.node);
-            let emit_leave = view.is_facade(n) || view.is_prefix(n);
-            if emit_leave
-                && !visit(VisitEvent::Leave {
-                    label: view.label(n),
-                })
-            {
-                return Ok(Flow::Stop);
-            }
-            Flow::Done
-        };
-        let report = frame.report.unwrap_or(flow);
-        stack.pop();
-        completed = Some(report);
-    }
-    Ok(completed.unwrap_or(Flow::Done))
-}
-
 /// One event of [`walk_records`], in document order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordEntry {
@@ -451,8 +146,8 @@ pub enum RecordEntry {
     },
 }
 
-/// One record of [`walk_records`] in progress: the walk's position in it,
-/// and the states of the nodes open there.
+/// One record of a walk in progress: the walk's position in it, and the
+/// nodes open there.
 #[derive(Clone)]
 struct Cursor<S> {
     view: Arc<RecordView>,
@@ -463,17 +158,34 @@ struct Cursor<S> {
     /// The state of the facade the record hangs under.
     base: S,
     /// The aggregates and prefix entries open at the scan position,
-    /// outermost first, each with where its subtree ends and the state
-    /// its children see as their parent's. Scaffolding passes its
-    /// parent's state on.
-    open: Vec<(PNodeId, S)>,
+    /// outermost first: the scan is inside their subtrees, or their closes
+    /// are still to be reported.
+    open: Vec<Open<S>>,
+    /// Whether the cursor reports closes.
+    closes: bool,
+}
+
+/// An aggregate or prefix entry open at a cursor's scan position.
+#[derive(Clone, Copy)]
+struct Open<S> {
+    /// Where its subtree ends.
+    end: PNodeId,
+    /// The state its children see as their parent's; scaffolding passes
+    /// its parent's on.
+    state: S,
+    /// Its label when the cursor reports its close: a kept facade or
+    /// prefix entry whose close no continuation group emits.
+    close: Option<LabelId>,
 }
 
 /// What a [`Cursor`] meets next.
+#[derive(Clone, Copy)]
 enum Met<S> {
-    /// A facade node the prune kept, with its state and whether it is a
-    /// literal.
-    Node(PNodeId, S, bool),
+    /// A facade node the prune kept, with its label, its state and
+    /// whether it is a literal.
+    Node(PNodeId, LabelId, S, bool),
+    /// The close of a kept aggregate or prefix entry, with its label.
+    Close(LabelId),
     /// A hop to the record a proxy (`true`) or a continuation placeholder
     /// (`false`) names, with the state the record hangs under: a proxied
     /// record hangs under the proxy's parent, and a continuation group is
@@ -482,91 +194,326 @@ enum Met<S> {
 }
 
 impl<S: Copy> Cursor<S> {
-    fn new(view: Arc<RecordView>, start: PNodeId, base: S) -> Cursor<S> {
-        let nodes = view.subtree(start);
+    fn new(view: Arc<RecordView>, start: PNodeId, base: S, closes: bool) -> Cursor<S> {
         Cursor {
-            view,
             start,
-            nodes,
+            nodes: view.subtree(start),
             base,
+            view,
             open: Vec::new(),
+            closes,
         }
     }
 
-    /// The state of the scan position's parent.
-    fn parent(&self) -> S {
-        self.open.last().map_or(self.base, |&(_, state)| state)
+    /// The address of node `n` of this record.
+    fn at(&self, n: PNodeId) -> NodePtr {
+        NodePtr::new(self.view.rid(), n)
     }
 
-    /// Scans on to the next kept facade node or record hop. A dropped node
-    /// is passed over with its subtree. A proxy with a label digest is
-    /// judged by it (its record's root is the facade the digest names); a
-    /// digest-less one always hops. A prefix entry copies a facade of the
-    /// record its group continues: judged like one, not reported.
-    ///
-    /// A dropped node on the spilled path keeps the continuation
-    /// placeholder, the last node of its subtree: the group holds late
-    /// children of the levels above it too, and judges its copy of the
-    /// dropped level as this record did. Dropping the start drops all.
+    /// Where the scan goes on when it passes over the subtree of `n`,
+    /// ending at `end`: past it, or — when the subtree holds the
+    /// continuation placeholder — to the placeholder. Passing over the
+    /// start passes over everything.
+    fn past(&self, n: PNodeId, end: PNodeId) -> PNodeId {
+        match self.view.continuation() {
+            Some((c, _)) if n != self.start && n < c && c < end => c,
+            _ => end,
+        }
+    }
+
+    /// The cursor of continuation group `group`, which this record's
+    /// placeholder names, under `state`: it begins at the group's prefix
+    /// entry copying this cursor's start — chain entry `i` is node `i`,
+    /// the copy of level `i` of the spilled path — so the late children of
+    /// levels outside the walked subtree stay out.
+    fn group(&self, group: Arc<RecordView>, state: S) -> TreeResult<Cursor<S>> {
+        match self.view.spilled_level(self.start) {
+            Some((level, _)) if level < group.prefix_levels() => {
+                Ok(Cursor::new(group, level as PNodeId, state, self.closes))
+            }
+            _ => Err(TreeError::Invariant(format!(
+                "continuation group {}: no prefix entry for node {} of record {}",
+                group.rid(),
+                self.start,
+                self.view.rid()
+            ))),
+        }
+    }
+
+    /// Scans on to the next kept facade, close or record hop (module
+    /// docs: the prune). A node whose subtree the scan leaves by the
+    /// continuation placeholder reports no close: the group's prefix entry
+    /// copying it does.
     fn next(&mut self, keep: &impl Fn(S, LabelId) -> Option<S>) -> Option<Met<S>> {
         loop {
-            let n = self.nodes.next()?;
-            while self.open.last().is_some_and(|&(end, _)| end <= n) {
+            let at = self.nodes.start;
+            while let Some(top) = self.open.last() {
+                if top.end > at {
+                    break;
+                }
+                let close = top.close;
                 self.open.pop();
+                if let Some(label) = close {
+                    return Some(Met::Close(label));
+                }
             }
-            let (label, parent) = (self.view.label(n), self.parent());
-            let shape = match self.view.shape(n) {
+            let n = self.nodes.next()?;
+            let parent = self.open.last().map_or(self.base, |o| o.state);
+            let (label, shape, end) = self.view.node(n);
+            let state = match shape {
+                // A digest-less proxy asks with `LABEL_NONE`.
                 Shape::Proxy(target) => {
-                    if label == LABEL_NONE || keep(parent, label).is_some() {
+                    if keep(parent, label).is_some() {
                         return Some(Met::Hop(target, parent, true));
                     }
                     continue;
                 }
                 Shape::Continuation(target) => return Some(Met::Hop(target, self.base, false)),
-                shape => shape,
+                _ if label == LABEL_NONE => Some(parent),
+                _ => keep(parent, label),
             };
-            let end = self.view.subtree(n).end;
-            let literal = shape == Shape::Literal;
-            if label == LABEL_NONE {
-                if !literal {
-                    self.open.push((end, parent));
+            let Some(state) = state else {
+                self.nodes.start = self.past(n, end);
+                continue;
+            };
+            if shape == Shape::Literal {
+                if label != LABEL_NONE {
+                    return Some(Met::Node(n, label, state, true));
                 }
                 continue;
             }
-            let Some(state) = keep(parent, label) else {
-                self.nodes.start = match self.view.continuation() {
-                    Some((c, _)) if n != self.start && (n..end).contains(&c) => c,
-                    _ => end,
-                };
-                continue;
+            let resume = match keep(state, LABEL_NONE) {
+                Some(_) => n + 1,
+                None => self.past(n, end),
             };
-            if !literal {
-                self.open.push((end, state));
+            // A node the scan leaves by the placeholder is closed by the
+            // group's prefix entry copying it.
+            let by_placeholder = || {
+                let placeholder = self.view.continuation();
+                placeholder.is_some_and(|(c, _)| resume <= c && c < end)
+            };
+            let close = (self.closes && label != LABEL_NONE && !by_placeholder()).then_some(label);
+            if resume != end || close.is_some() {
+                self.open.push(Open { end, state, close });
             }
-            if shape != Shape::Prefix {
-                return Some(Met::Node(n, state, literal));
+            self.nodes.start = resume;
+            if shape == Shape::Aggregate && label != LABEL_NONE {
+                return Some(Met::Node(n, label, state, false));
             }
         }
     }
 }
 
+/// A walk's [`Frontier`]: the pages of the record hops still ahead of
+/// it, in document order (see the module docs).
+struct Lookahead<'a, S, K> {
+    store: &'a TreeStore,
+    /// The walk's prune: the lookahead names a page only if the walk
+    /// will hop there.
+    keep: &'a K,
+    /// The page of the hop the walk stands on, named first.
+    first: Option<PageId>,
+    /// The walk's cursors not looked at yet, innermost last.
+    stack: &'a [Cursor<S>],
+    /// Copies of cursors being scanned, innermost last.
+    open: Vec<Cursor<S>>,
+    /// Target of the proxy whose page was named last, with the state its
+    /// record hangs under: what [`expand`](Frontier::expand) looks inside.
+    last_proxy: Option<(Rid, S)>,
+    /// Records this lookahead may still open.
+    budget: usize,
+    /// Whether looking inside a record is free (the memo is active).
+    peek: bool,
+}
+
+impl<S, K> Frontier for Lookahead<'_, S, K>
+where
+    S: Copy,
+    K: Fn(S, LabelId) -> Option<S>,
+{
+    fn next_page(&mut self) -> Option<PageId> {
+        if let Some(page) = self.first.take() {
+            return Some(page);
+        }
+        self.last_proxy = None;
+        loop {
+            let Some(cursor) = self.open.last_mut() else {
+                // Nothing open: continue with what the next cursor out
+                // still has to scan.
+                if self.budget == 0 {
+                    return None;
+                }
+                self.budget -= 1;
+                let (next, rest) = self.stack.split_last()?;
+                self.stack = rest;
+                self.open.push(next.clone());
+                continue;
+            };
+            match cursor.next(self.keep) {
+                None => {
+                    self.open.pop();
+                }
+                Some(Met::Hop(target, state, via_proxy)) => {
+                    if via_proxy {
+                        self.last_proxy = Some((target, state));
+                    }
+                    return Some(target.page);
+                }
+                Some(_) => {}
+            }
+        }
+    }
+
+    fn expand(&mut self) {
+        let Some((rid, state)) = self.last_proxy.take() else {
+            return;
+        };
+        if !self.peek || self.budget == 0 {
+            return;
+        }
+        self.budget -= 1;
+        // Advisory: a record that does not load is the walk's to report
+        // when it gets there.
+        if let Ok(view) = self.store.view(rid) {
+            self.open.push(Cursor::new(view, 0, state, false));
+        }
+    }
+}
+
+/// Reads ahead before a walk hops to record `target`: when its page has
+/// not been asked for yet, asks for it and the window of pages behind it
+/// in one batch. `stack` is the walk's cursors, innermost last, and
+/// `keep` its prune.
+fn read_ahead<S: Copy>(
+    store: &TreeStore,
+    ahead: &mut ReadAhead,
+    target: Rid,
+    keep: &impl Fn(S, LabelId) -> Option<S>,
+    stack: &[Cursor<S>],
+) {
+    if ahead.asked(target.page) {
+        return;
+    }
+    let mut frontier = Lookahead {
+        store,
+        keep,
+        first: Some(target.page),
+        stack,
+        open: Vec::new(),
+        last_proxy: None,
+        budget: LOOKAHEAD_RECORDS,
+        peek: store.versions().memoizes_reads(),
+    };
+    let batch = ahead.plan(&mut frontier);
+    if !batch.is_empty() {
+        // Advisory: a failed batch reads nothing ahead, and the demand
+        // read that follows surfaces what is broken.
+        ahead.settle(store.prefetch_pages(&batch).unwrap_or(0));
+    }
+}
+
+/// The cursor stack: walks the stored subtree at `ptr` with the prune
+/// `keep` from the state `base`, depth-first in document order, and calls
+/// `f` with every event and the cursor it happens in — a hop's in the
+/// cursor of the record it enters, the walk's start first. `f` returning
+/// `false` stops the walk; the result is whether it ran to the end. Each
+/// record is read once. `ahead` says whether the walk reads ahead, and
+/// `closes` whether it is told the closes, which only `traverse` wants.
+fn walk<S, K, F>(
+    store: &TreeStore,
+    ptr: NodePtr,
+    base: S,
+    keep: K,
+    ahead: bool,
+    closes: bool,
+    f: &mut F,
+) -> TreeResult<bool>
+where
+    S: Copy,
+    K: Fn(S, LabelId) -> Option<S>,
+    F: FnMut(&Cursor<S>, Met<S>) -> TreeResult<bool>,
+{
+    let view = store.view(ptr.rid)?;
+    let start = view.checked(ptr.node)?;
+    let first = Cursor::new(view, start, base, closes);
+    if !f(&first, Met::Hop(ptr.rid, base, true))? {
+        return Ok(false);
+    }
+    let mut stack = vec![first];
+    let mut ahead = ahead.then(|| ReadAhead::new(store));
+    while let Some(cursor) = stack.last_mut() {
+        let (target, state, via_proxy) = match cursor.next(&keep) {
+            None => {
+                stack.pop();
+                continue;
+            }
+            Some(Met::Hop(target, state, via_proxy)) => (target, state, via_proxy),
+            Some(met) => {
+                if !f(cursor, met)? {
+                    return Ok(false);
+                }
+                continue;
+            }
+        };
+        if let Some(ahead) = &mut ahead {
+            read_ahead(store, ahead, target, &keep, &stack);
+        }
+        let sub = store.view(target)?;
+        let next = match stack.last() {
+            Some(holder) if !via_proxy => holder.group(sub, state)?,
+            // A proxied record is walked from its root, node 0.
+            _ => Cursor::new(sub, 0, state, closes),
+        };
+        if !f(&next, Met::Hop(target, state, via_proxy))? {
+            return Ok(false);
+        }
+        stack.push(next);
+    }
+    Ok(true)
+}
+
+/// Pre-order traversal of the whole stored tree under `ptr`, invoking
+/// `visit` for every facade node; scaffolding is skipped transparently,
+/// proxies are followed, and continuation groups splice their late
+/// children and deferred `Leave` events in at the right stream positions.
+/// `visit` returning `false` aborts the walk early (the remaining events
+/// are skipped, not an error). Reads ahead.
+pub fn traverse<F>(store: &TreeStore, ptr: NodePtr, visit: &mut F) -> TreeResult<bool>
+where
+    F: FnMut(VisitEvent<'_>) -> bool,
+{
+    let keep = |(), _| Some(());
+    walk(store, ptr, (), keep, true, true, &mut |cursor, met| {
+        Ok(match met {
+            Met::Node(n, label, (), false) => visit(VisitEvent::Enter {
+                label,
+                ptr: cursor.at(n),
+            }),
+            Met::Node(n, label, (), true) => visit(VisitEvent::Literal {
+                label,
+                value: &cursor.view.literal(n)?,
+                ptr: cursor.at(n),
+            }),
+            Met::Close(label) => visit(VisitEvent::Leave { label }),
+            Met::Hop(..) => true,
+        })
+    })
+}
+
 /// Walks the stored subtree at `ptr` record by record, depth-first in
 /// document order, calling `f` for each record it enters and each facade
-/// node it keeps. Nothing is decoded: a record's subtree is an index range
-/// in pre-order whose proxies and continuation placeholders are leaves,
-/// so the walk scans the range and, at a hop, scans the target record
-/// there before it goes on — which is document order, because
-/// substituting every proxy by its subtree reconstructs the tree.
+/// node it keeps. Nothing is decoded.
 ///
-/// `keep` is the prune: from the state of a facade node's parent (`base`
-/// for the start node) and the node's label, the node's state — what its
-/// children see as their parent's — or `None` to skip its subtree. It
-/// must be a function of its arguments: the read-ahead asks it too, so it
-/// names only the records the walk enters. `f` gets each kept node's
-/// state (a record's: the state it hangs under); its returning `false`
-/// stops the walk. The result is whether the walk ran to the end. Each
-/// record is read once, and the records ahead are read ahead like
-/// [`traverse`]'s.
+/// `keep` is the prune (module docs): from the state of a facade node's
+/// parent (`base` for the start node) and the node's label, the node's
+/// state — what its children see as their parent's — or `None` to skip
+/// its subtree; asked with [`LABEL_NONE`], whether anything below a node
+/// of that state can be kept. It must be a function of its arguments: the
+/// read-ahead asks it too, so it names only the records the walk enters.
+/// `f` gets each kept node's state (a record's: the state it hangs
+/// under); its returning `false` stops the walk. The result is whether the
+/// walk ran to the end. Each record is read once, and the records ahead
+/// are read ahead like [`traverse`]'s.
 pub fn walk_records<S, K, F>(
     store: &TreeStore,
     ptr: NodePtr,
@@ -579,53 +526,51 @@ where
     K: Fn(S, LabelId) -> Option<S>,
     F: FnMut(RecordEntry, S) -> bool,
 {
-    let view = store.view(ptr.rid)?;
-    let start = view.checked(ptr.node)?;
-    if !f(RecordEntry::Record(ptr), base) {
-        return Ok(false);
-    }
-    let mut stack = vec![Cursor::new(view, start, base)];
-    let mut ahead = ReadAhead::new(store);
-    while let Some(cursor) = stack.last_mut() {
-        let (target, state, via_proxy) = match cursor.next(&keep) {
-            None => {
-                stack.pop();
-                continue;
+    walk(store, ptr, base, keep, true, false, &mut |cursor, met| {
+        Ok(match met {
+            Met::Node(n, label, state, literal) => {
+                let ptr = cursor.at(n);
+                f(
+                    RecordEntry::Node {
+                        ptr,
+                        label,
+                        literal,
+                    },
+                    state,
+                )
             }
-            Some(Met::Node(n, state, literal)) => {
-                let node = RecordEntry::Node {
-                    ptr: NodePtr::new(cursor.view.rid(), n),
-                    label: cursor.view.label(n),
-                    literal,
-                };
-                if !f(node, state) {
-                    return Ok(false);
-                }
-                continue;
-            }
-            Some(Met::Hop(target, state, via_proxy)) => (target, state, via_proxy),
-        };
-        let (holder, holder_start) = (Arc::clone(&cursor.view), cursor.start);
-        read_ahead(
-            store,
-            &mut ahead,
-            target,
-            &keep,
-            stack.iter().rev().cloned(),
-        );
-        let sub = store.view(target)?;
-        let start = if via_proxy {
-            sub.root()
-        } else {
-            continuation_entry(&holder, holder_start, &sub)?
-        };
-        let next = Cursor::new(sub, start, state);
-        if !f(RecordEntry::Record(NodePtr::new(target, next.start)), state) {
-            return Ok(false);
-        }
-        stack.push(next);
+            Met::Hop(_, state, _) => f(RecordEntry::Record(cursor.at(cursor.start)), state),
+            Met::Close(_) => true,
+        })
+    })
+}
+
+impl TreeStore {
+    /// Calls `f` with each logical child of the facade node at `ptr` in
+    /// order, its label and whether it is a literal; `f` returning `false`
+    /// stops the walk, and no further proxy records are read. Positional
+    /// path predicates like `SPEECH[1]` rely on this to avoid reading a
+    /// whole scene to find its first speech. It is the cursor stack with
+    /// the child prune — the node at depth 1, its children at depth 2,
+    /// nothing below — and no read-ahead (module docs).
+    pub fn for_each_logical_child<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
+    where
+        F: FnMut(NodePtr, LabelId, bool) -> TreeResult<bool>,
+    {
+        let keep = |depth: u8, _| (depth < 2).then_some(depth + 1);
+        walk(
+            self,
+            ptr,
+            0,
+            keep,
+            false,
+            false,
+            &mut |cursor, met| match met {
+                Met::Node(n, label, 2, literal) => f(cursor.at(n), label, literal),
+                _ => Ok(true),
+            },
+        )
     }
-    Ok(true)
 }
 
 /// Rebuilds the logical document rooted at record `root`.

@@ -438,6 +438,7 @@ impl RecordView {
         Ok(None)
     }
 
+    #[inline]
     fn entry(&self, n: PNodeId) -> &Entry {
         #[cfg(test)]
         touches::count(1);
@@ -445,6 +446,7 @@ impl RecordView {
     }
 
     /// The byte range of `n`'s body.
+    #[inline]
     fn body(&self, n: PNodeId) -> Range<usize> {
         let e = &self.nodes[n as usize];
         let header = if n == 0 {
@@ -456,6 +458,7 @@ impl RecordView {
     }
 
     /// The record's address.
+    #[inline]
     pub fn rid(&self) -> Rid {
         self.rid
     }
@@ -520,6 +523,7 @@ impl RecordView {
     }
 
     /// The pre-order indices of `n`'s subtree, `n` first.
+    #[inline]
     pub fn subtree(&self, n: PNodeId) -> Range<PNodeId> {
         n..self.entry(n).next
     }
@@ -537,8 +541,23 @@ impl RecordView {
     }
 
     /// What the node is.
+    #[inline]
     pub fn shape(&self, n: PNodeId) -> Shape {
-        match self.entry(n).kind {
+        self.shape_of(n, self.entry(n).kind)
+    }
+
+    /// The node's label, what it is and where its subtree ends, from one
+    /// index entry: what a scan of the record reads per node.
+    #[inline]
+    pub(crate) fn node(&self, n: PNodeId) -> (LabelId, Shape, PNodeId) {
+        let e = self.entry(n);
+        (e.label, self.shape_of(n, e.kind), e.next)
+    }
+
+    /// The shape of node `n`, whose index entry says `kind`.
+    #[inline]
+    fn shape_of(&self, n: PNodeId, kind: ContentKind) -> Shape {
+        match kind {
             ContentKind::Aggregate => Shape::Aggregate,
             ContentKind::Prefix => Shape::Prefix,
             ContentKind::Proxy => Shape::Proxy(Rid::decode(&self.bytes[self.body(n)])),
@@ -602,6 +621,7 @@ impl RecordView {
 
     /// The record's continuation placeholder and its target, if any
     /// (there is at most one; the validator enforces it).
+    #[inline]
     pub fn continuation(&self) -> Option<(PNodeId, Rid)> {
         self.continuation
     }

@@ -969,7 +969,7 @@ pub(crate) mod tests {
     use natix_storage::slotted::SlottedPage;
     use natix_storage::{BufferManager, IoStats, MemStorage};
     use natix_xml::writer::{write_subtree, WriteOptions};
-    use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
+    use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_NONE, LABEL_TEXT};
 
     use super::*;
     use crate::bulkload::bulkload_document;
@@ -1576,7 +1576,11 @@ pub(crate) mod tests {
             let _pin = st.begin_read();
             counters();
             let (mut entered, mut speakers) = (0, Vec::new());
-            let keep = |depth: usize, label| (path.get(depth) == Some(&label)).then_some(depth + 1);
+            let keep = |depth: usize, label| match label {
+                // Something below is kept while the path goes on.
+                LABEL_NONE => (depth < path.len()).then_some(depth),
+                _ => (path.get(depth) == Some(&label)).then_some(depth + 1),
+            };
             walk_records(&st, NodePtr::new(root, 0), 0, keep, &mut |entry, depth| {
                 match entry {
                     RecordEntry::Record(_) => entered += 1,
@@ -2096,8 +2100,12 @@ pub(crate) mod tests {
                             at = parent[&at];
                         }
                     }
-                    let keep = |p: u32, l: LabelId| {
-                        paths.get(&(p, l)).copied().filter(|c| closure.contains(c))
+                    // The paths with a child in the closure: below them
+                    // something is kept.
+                    let leads: HashSet<u32> = closure.iter().map(|c| parent[c]).collect();
+                    let keep = |p: u32, l: LabelId| match l {
+                        LABEL_NONE => leads.contains(&p).then_some(p),
+                        _ => paths.get(&(p, l)).copied().filter(|c| closure.contains(c)),
                     };
                     let mut kept = Vec::new();
                     walk_records(&st, NodePtr::new(root, 0), 0, keep, &mut |entry, path| {
@@ -2119,6 +2127,75 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// A walk pruned to PLAY/ACT/SCENE enters no record below a SCENE:
+    /// asked with `LABEL_NONE` at a SCENE, its prune says that nothing
+    /// below is kept, so the digest-less proxies of the scaffolding records
+    /// holding a scene's speeches are not followed. On a cold pool and
+    /// memo it parses only the records it enters and reads only their
+    /// pages, read-ahead included.
+    #[test]
+    fn a_pruned_walk_enters_no_record_its_prune_keeps_nothing_in() {
+        let (st, root, labels) = play();
+        let path = [labels.play, labels.act, labels.scene];
+        let keep = |depth: usize, label| match label {
+            LABEL_NONE => (depth < path.len()).then_some(depth),
+            _ => (path.get(depth) == Some(&label)).then_some(depth + 1),
+        };
+        let scenes: Vec<NodePtr> = facades(&st, root)
+            .into_iter()
+            .filter(|f| f.1 == labels.scene)
+            .map(|f| f.0)
+            .collect();
+        // The records wholly below a SCENE: behind a proxy inside one.
+        let mut below = HashSet::new();
+        for scene in &scenes {
+            let view = st.view(scene.rid).unwrap();
+            for n in view.subtree(scene.node) {
+                below.extend(
+                    view.target(n)
+                        .map(|t| records_of(&st, t))
+                        .unwrap_or_default(),
+                );
+            }
+        }
+        assert!(below.len() > 10, "{} records below a scene", below.len());
+        st.storage().buffer().clear().unwrap();
+        st.versions().forget_parsed();
+        let stats = Arc::clone(st.storage().buffer().stats());
+        let before = stats.snapshot();
+        let _pin = st.begin_read();
+        counters();
+        let (mut entered, mut kept) = (Vec::new(), Vec::new());
+        walk_records(&st, NodePtr::new(root, 0), 0, keep, &mut |entry, depth| {
+            match entry {
+                RecordEntry::Record(ptr) => entered.push(ptr.rid),
+                RecordEntry::Node { ptr, .. } if depth == path.len() => kept.push(ptr),
+                RecordEntry::Node { .. } => {}
+            }
+            true
+        })
+        .unwrap();
+        let (_, parsed) = counters();
+        let read = stats.snapshot().since(&before).physical_reads;
+        assert_eq!(kept, scenes, "the walk keeps every scene");
+        let inside: Vec<&Rid> = entered.iter().filter(|r| below.contains(*r)).collect();
+        assert!(
+            inside.is_empty(),
+            "records below a scene entered: {inside:?}"
+        );
+        assert_eq!(
+            parsed as usize,
+            entered.len(),
+            "one parse per record entered"
+        );
+        let pages: BTreeSet<PageId> = entered.iter().map(|r| r.page).collect();
+        assert!(
+            read <= pages.len() as u64,
+            "{read} pages read for {} pages entered",
+            pages.len()
+        );
     }
 
     /// Every reader of the stored layout against the source DOM, node by

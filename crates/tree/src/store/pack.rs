@@ -4,8 +4,7 @@
 //! stops at the first packed record it would change ([`plain`]), and
 //! [`TreeStore::resolve_plain`] normalizes that cluster into plain records
 //! as a step of the same operation, then resolves again. The write phase
-//! meets only plain records, and the operation reports one result. The
-//! module also holds the rule readers enter a continuation group by.
+//! meets only plain records, and the operation reports one result.
 
 use natix_storage::Rid;
 use natix_xml::LABEL_NONE;
@@ -42,27 +41,6 @@ pub(super) fn plain(view: &RecordView) -> Attempt<()> {
         return Err(Stop::Packed(view.rid()));
     }
     Ok(())
-}
-
-/// The entry into continuation group `group` of a walk or scan that
-/// starts at `start` of `holder`, the record whose placeholder names the
-/// group: the prefix entry matching `start`'s level on the spilled path.
-/// Content of outer levels is outside the walked subtree.
-pub(crate) fn continuation_entry(
-    holder: &RecordView,
-    start: PNodeId,
-    group: &RecordView,
-) -> TreeResult<PNodeId> {
-    let level = holder.spilled_level(start).map(|(level, _)| level);
-    // Chain entry `level` is node `level` (`RecordView::prefix_levels`).
-    match level.filter(|&level| level < group.prefix_levels()) {
-        Some(level) => Ok(level as PNodeId),
-        None => Err(TreeError::Invariant(format!(
-            "continuation group {}: no prefix entry for node {start} of record {}",
-            group.rid(),
-            holder.rid()
-        ))),
-    }
 }
 
 impl TreeStore {
