@@ -90,8 +90,10 @@
 //! entry of the record's [`RecordView`] per node it scans, and `traverse`
 //! decodes a literal's value when it hands the literal to the visitor.
 
+use std::iter::{Chain, Rev};
 use std::ops::Range;
 use std::sync::Arc;
+use std::{option, slice};
 
 use natix_storage::{PageId, Rid};
 use natix_xml::escape::{escape_attr, escape_text};
@@ -288,11 +290,9 @@ impl<S: Copy> Cursor<S> {
             };
             // A node the scan leaves by the placeholder is closed by the
             // group's prefix entry copying it.
-            let by_placeholder = || {
-                let placeholder = self.view.continuation();
-                placeholder.is_some_and(|(c, _)| resume <= c && c < end)
-            };
-            let close = (self.closes && label != LABEL_NONE && !by_placeholder()).then_some(label);
+            let placeholder = self.view.continuation();
+            let left = placeholder.is_some_and(|(c, _)| resume <= c && c < end);
+            let close = (self.closes && label != LABEL_NONE && !left).then_some(label);
             if resume != end || close.is_some() {
                 self.open.push(Open { end, state, close });
             }
@@ -313,8 +313,9 @@ struct Lookahead<'a, S, K> {
     keep: &'a K,
     /// The page of the hop the walk stands on, named first.
     first: Option<PageId>,
-    /// The walk's cursors not looked at yet, innermost last.
-    stack: &'a [Cursor<S>],
+    /// The walk's cursors not looked at yet, innermost first: the one the
+    /// hop was met in, then the ones around it.
+    pending: Chain<option::IntoIter<&'a Cursor<S>>, Rev<slice::Iter<'a, Cursor<S>>>>,
     /// Copies of cursors being scanned, innermost last.
     open: Vec<Cursor<S>>,
     /// Target of the proxy whose page was named last, with the state its
@@ -344,9 +345,7 @@ where
                     return None;
                 }
                 self.budget -= 1;
-                let (next, rest) = self.stack.split_last()?;
-                self.stack = rest;
-                self.open.push(next.clone());
+                self.open.push(self.pending.next()?.clone());
                 continue;
             };
             match cursor.next(self.keep) {
@@ -382,14 +381,14 @@ where
 
 /// Reads ahead before a walk hops to record `target`: when its page has
 /// not been asked for yet, asks for it and the window of pages behind it
-/// in one batch. `stack` is the walk's cursors, innermost last, and
-/// `keep` its prune.
+/// in one batch. `current` is the walk's cursor the hop was met in,
+/// `outer` the cursors around it, innermost last, and `keep` its prune.
 fn read_ahead<S: Copy>(
     store: &TreeStore,
     ahead: &mut ReadAhead,
     target: Rid,
     keep: &impl Fn(S, LabelId) -> Option<S>,
-    stack: &[Cursor<S>],
+    (current, outer): (&Cursor<S>, &[Cursor<S>]),
 ) {
     if ahead.asked(target.page) {
         return;
@@ -398,7 +397,7 @@ fn read_ahead<S: Copy>(
         store,
         keep,
         first: Some(target.page),
-        stack,
+        pending: Some(current).into_iter().chain(outer.iter().rev()),
         open: Vec::new(),
         last_proxy: None,
         budget: LOOKAHEAD_RECORDS,
@@ -435,41 +434,45 @@ where
 {
     let view = store.view(ptr.rid)?;
     let start = view.checked(ptr.node)?;
-    let first = Cursor::new(view, start, base, closes);
-    if !f(&first, Met::Hop(ptr.rid, base, true))? {
+    let mut cursor = Cursor::new(view, start, base, closes);
+    if !f(&cursor, Met::Hop(ptr.rid, base, true))? {
         return Ok(false);
     }
-    let mut stack = vec![first];
+    // The cursors of the records around `cursor`'s, outermost first.
+    let mut outer = Vec::new();
     let mut ahead = ahead.then(|| ReadAhead::new(store));
-    while let Some(cursor) = stack.last_mut() {
+    loop {
         let (target, state, via_proxy) = match cursor.next(&keep) {
             None => {
-                stack.pop();
+                let Some(up) = outer.pop() else {
+                    return Ok(true);
+                };
+                cursor = up;
                 continue;
             }
             Some(Met::Hop(target, state, via_proxy)) => (target, state, via_proxy),
             Some(met) => {
-                if !f(cursor, met)? {
+                if !f(&cursor, met)? {
                     return Ok(false);
                 }
                 continue;
             }
         };
         if let Some(ahead) = &mut ahead {
-            read_ahead(store, ahead, target, &keep, &stack);
+            read_ahead(store, ahead, target, &keep, (&cursor, &outer));
         }
         let sub = store.view(target)?;
-        let next = match stack.last() {
-            Some(holder) if !via_proxy => holder.group(sub, state)?,
-            // A proxied record is walked from its root, node 0.
-            _ => Cursor::new(sub, 0, state, closes),
+        // A proxied record is walked from its root, node 0.
+        let next = if via_proxy {
+            Cursor::new(sub, 0, state, closes)
+        } else {
+            cursor.group(sub, state)?
         };
         if !f(&next, Met::Hop(target, state, via_proxy))? {
             return Ok(false);
         }
-        stack.push(next);
+        outer.push(std::mem::replace(&mut cursor, next));
     }
-    Ok(true)
 }
 
 /// Pre-order traversal of the whole stored tree under `ptr`, invoking
