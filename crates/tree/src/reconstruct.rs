@@ -2,93 +2,74 @@
 //! of the record layout.
 //!
 //! §2.3.3: "Substituting all proxies by their respective subtrees
-//! reconstructs the original data tree." This module does that
-//! substitution in one place, a stack of record *cursors*. A cursor scans
-//! one record's index range in pre-order — a record's subtree is such a
-//! range, whose proxies and continuation placeholders are leaves — and at
-//! a hop the walk scans the target record there before it goes on, so it
-//! meets the facade nodes in document order. The cursor alone knows the
-//! packed layout (proxies with and without a label digest, scaffolding,
-//! prefix entries, continuation groups, the deferred closes of a spilled
-//! path); everything else drives it:
+//! reconstructs the original data tree." This module does it in one
+//! place, a stack of record *cursors*. A cursor scans a record's index
+//! range in pre-order, where proxies and continuation placeholders are
+//! leaves, and at a hop the walk scans the target record there before it
+//! goes on, so it meets the facades in document order. Only the cursor
+//! knows the packed layout (label digests, scaffolding, prefix entries,
+//! continuation groups and split chains, the deferred closes of a spilled
+//! path); three drivers run it:
 //!
-//! * [`traverse`] — the events a document needs, with literal values and
-//!   the close of every element; [`reconstruct_document`] (an in-memory
-//!   [`Document`]), [`serialize_xml`] (the textual representation, the
-//!   paper's Query 2: "recreates the textual representation of the
-//!   complete first speech in every scene") and [`subtree_text`] run on
-//!   it;
-//! * [`walk_records`] — the records entered and the facades kept, the
-//!   engine's one descendant operator (`//x`, `//x[n]`), the record
-//!   enumeration of the document manager and, pruned, the summary-seeded
-//!   operator;
-//! * [`TreeStore::for_each_logical_child`] — the child enumeration behind
-//!   every child step.
+//! * [`traverse`] — every facade with its literal value and every close,
+//!   behind [`reconstruct_document`], [`subtree_text`] and
+//!   [`serialize_xml`] (the paper's Query 2: "recreates the textual
+//!   representation of the complete first speech in every scene");
+//! * [`walk_records`] — the records entered and the facades kept: the one
+//!   descendant operator (`//x`, `//x[n]`), the document manager's record
+//!   enumeration and, pruned, the summary-seeded operator;
+//! * [`TreeStore::for_each_logical_child`] — every child step.
 //!
 //! # The prune
 //!
 //! A walk carries a *prune*: from the state of a facade's parent and the
-//! facade's label, the facade's own state — what its children see as
-//! their parent's — or `None` to skip its subtree. A proxy's label digest
-//! is judged before its record is read, so a skipped record costs no
-//! page; a prefix entry copies a facade of the record its group continues
-//! and is judged like one. The prune is asked once more, with
-//! [`LABEL_NONE`], before the cursor enters a digest-less proxy's record,
-//! a scaffolding subtree or a kept node's children: `None` means nothing
-//! below can be kept, and the cursor skips it. Keeping everything is the
-//! plain walk and `traverse`; the summary-seeded operator keeps the label
-//! paths that can lead to a match; the child enumeration keeps the node
-//! and its children and enters no child.
-//!
-//! A skipped subtree on the spilled path still leads the scan to the
-//! record's continuation placeholder, the last node of its subtree: the
-//! group holds late children of the levels above it too, and judges its
-//! copy of the skipped level as this record did.
+//! facade's label, the facade's state — what its children see as their
+//! parent's — or `None` to skip its subtree. A label digest is judged
+//! before its record is read, so a skipped record costs no page; a prefix
+//! entry is judged like the facade it copies. The prune is asked once
+//! more, with [`LABEL_NONE`], before the cursor enters a digest-less
+//! proxy's record, a scaffolding subtree or a kept node's children: `None`
+//! means nothing below can be kept, and the cursor skips it. `traverse`
+//! and the plain walk keep everything, the seeded operator the label paths
+//! that can lead to a match, the child enumeration the node and its
+//! children. A skipped subtree on the spilled path still leads the scan to
+//! the placeholder, the last node of its subtree: the group holds late
+//! children of the levels above it too, and judges its copy of the skipped
+//! level as this record did.
 //!
 //! # Read-ahead
 //!
 //! `traverse` and `walk_records` read ahead: before a walk hops to a page
 //! it has not asked for yet, it asks for that page *together with* the
-//! next window of pages it is going to need, in one batched request
-//! ([`crate::readahead`] holds the policy; this module supplies the
-//! frontier). The child enumeration does not: a positional child step
-//! stops at its match (the paper's Query 3 reads "only the opening
-//! speech"), so a window would fetch pages the step never visits.
+//! next window of pages it will need, in one batched request
+//! ([`crate::readahead`] holds the policy, this module the frontier). The
+//! child enumeration does not: a positional child step stops at its match
+//! (Query 3 reads "only the opening speech"), so a window would fetch
+//! pages the step never visits.
 //!
-//! * **The frontier** is the record hops still ahead of the walk's
-//!   cursors, innermost cursor first — which is document order. The
-//!   frontier scans copies of the cursors with the walk's own prune, so
-//!   it passes over the subtrees the walk will skip and does not name a
-//!   digested proxy the walk will not follow. A hop whose page an earlier
-//!   refill already asked for is in the pool, so the lookahead reads that
-//!   record and continues with the hops *it* holds: children of the
-//!   current record alone do not fill a window, because much of a subtree
-//!   hangs one record level below the known frontier.
-//! * **Scope.** The cursors hold nothing outside the walked subtree (a
-//!   walk of one `SCENE` starts with one cursor, and a continuation group
-//!   is entered at the prefix matching the walk's start level), and a
-//!   record behind a proxy lies wholly inside the subtree of its proxy, so
-//!   every page the lookahead names is a page the walk will visit —
-//!   unless the visitor stops it early. A continuation group is named but
-//!   never looked into: its outer prefix levels carry late children of
-//!   ancestors the walk may not cover.
+//! * **The frontier** is the record hops ahead of the walk's cursors,
+//!   innermost first, which is document order, found by scanning copies of
+//!   the cursors with the walk's own prune: it names no record the walk
+//!   skips. A hop whose page an earlier refill asked for is in the pool,
+//!   so the lookahead reads that record and goes on with the hops *it*
+//!   holds: much of a subtree hangs one record level below the known
+//!   frontier.
+//! * **Scope.** The cursors hold nothing outside the walked subtree, and a
+//!   record behind a proxy lies inside its proxy's subtree, so every page
+//!   named is one the walk will visit, unless the visitor stops it early.
+//!   A continuation group is named but never looked into: its outer prefix
+//!   levels carry late children of ancestors the walk may not cover.
 //! * **Looking inside is free under the memo.** Under a pinned snapshot
-//!   the record view the lookahead parses is the `Arc` the walk gets back
-//!   when it arrives ([`crate::version`]'s parsed-record memo, which
-//!   serves every pin at the epoch it was filled at). Where the memo is
-//!   bypassed — no pin, or a write operation ambient on the thread, as in
-//!   `delete_node`'s victim walk — the lookahead does not look inside
-//!   records and names the pages of the cursors' own records only.
-//! * **Budget.** The lookahead is lazy — it stops as soon as the window
-//!   is full — and opens at most `LOOKAHEAD_RECORDS` (64) records per
-//!   refill, so a refill over a long run of already-asked pages stays
-//!   cheap.
+//!   the view the lookahead parses is the `Arc` the walk gets back
+//!   ([`crate::version`]'s memo serves every pin at its epoch). Where the
+//!   memo is bypassed — no pin, or a write operation on the thread, as in
+//!   `delete_node`'s victim walk — it names the cursors' own hops only.
+//! * **Budget.** A refill stops when the window is full and opens at most
+//!   `LOOKAHEAD_RECORDS` (64) records.
 //!
-//! # What a walk decodes
-//!
-//! Nothing but the literals `traverse` emits: a cursor reads one index
-//! entry of the record's [`RecordView`] per node it scans, and `traverse`
-//! decodes a literal's value when it hands the literal to the visitor.
+//! A cursor reads one index entry of the record's [`RecordView`] per node
+//! it scans and decodes nothing; `traverse` decodes a literal's value when
+//! it hands the literal to the visitor.
 
 use std::iter::{Chain, Rev};
 use std::ops::Range;
@@ -224,22 +205,41 @@ impl<S: Copy> Cursor<S> {
     }
 
     /// The cursor of continuation group `group`, which this record's
-    /// placeholder names, under `state`: it begins at the group's prefix
-    /// entry copying this cursor's start — chain entry `i` is node `i`,
-    /// the copy of level `i` of the spilled path — so the late children of
-    /// levels outside the walked subtree stay out.
-    fn group(&self, group: Arc<RecordView>, state: S) -> TreeResult<Cursor<S>> {
-        match self.view.spilled_level(self.start) {
-            Some((level, _)) if level < group.prefix_levels() => {
-                Ok(Cursor::new(group, level as PNodeId, state, self.closes))
+    /// placeholder names, under `state`, at the prefix entry copying this
+    /// cursor's start (chain entry `i` is node `i`, the copy of level `i` of
+    /// the spilled path): late children of levels outside the walk stay
+    /// out. A split chain goes on in its lower piece, a prefix-rooted record
+    /// behind a digest-less proxy under its last entry.
+    fn group(&self, store: &TreeStore, group: Arc<RecordView>, state: S) -> TreeResult<Cursor<S>> {
+        let (mut group, mut level) = (group, self.view.spilled_level(self.start).map(|l| l.0));
+        while let Some(at) = level.take() {
+            let levels = group.prefix_levels();
+            if at < levels {
+                return Ok(Cursor::new(group, at as PNodeId, state, self.closes));
             }
-            _ => Err(TreeError::Invariant(format!(
-                "continuation group {}: no prefix entry for node {} of record {}",
-                group.rid(),
-                self.start,
-                self.view.rid()
-            ))),
+            let Some(last) = levels.checked_sub(1) else {
+                break;
+            };
+            let mut lower = None;
+            for c in group.children(last as PNodeId) {
+                if let (Shape::Proxy(t), LABEL_NONE) = (group.shape(c), group.label(c)) {
+                    let piece = store.view(t)?;
+                    if piece.is_prefix(piece.root()) {
+                        lower = Some(piece);
+                        break;
+                    }
+                }
+            }
+            if let Some(piece) = lower {
+                (group, level) = (piece, Some(at - levels));
+            }
         }
+        Err(TreeError::Invariant(format!(
+            "continuation group {}: no prefix entry for node {} of record {}",
+            group.rid(),
+            self.start,
+            self.view.rid()
+        )))
     }
 
     /// Scans on to the next kept facade, close or record hop (module
@@ -466,7 +466,7 @@ where
         let next = if via_proxy {
             Cursor::new(sub, 0, state, closes)
         } else {
-            cursor.group(sub, state)?
+            cursor.group(store, sub, state)?
         };
         if !f(&next, Met::Hop(target, state, via_proxy))? {
             return Ok(false);

@@ -2203,16 +2203,21 @@ pub(crate) mod tests {
     /// (of an element) the serialization of each stored facade equal those
     /// of the DOM node at the same pre-order position. Plays, an order
     /// batch, the tiny deep document (split prefix chains at 2 KiB), a
-    /// 300-level one and a per-node load, at four page sizes.
+    /// 300-level one, a 150-level one whose spilled levels start below a
+    /// split chain's upper piece at 512 B and 1 KiB, and a per-node load,
+    /// at four page sizes.
     #[test]
     fn every_reader_of_a_stored_node_answers_what_its_source_node_does() {
         let mut syms = SymbolTable::new();
         let mut docs = corpus_documents(&mut syms);
-        let deep = DeepConfig {
-            depth: 300,
-            ..DeepConfig::tiny()
-        };
-        docs.push(generate_deep(&deep, &mut syms));
+        for (depth, seed) in [(300, DeepConfig::tiny().seed), (150, 3)] {
+            let deep = DeepConfig {
+                depth,
+                seed,
+                ..DeepConfig::tiny()
+            };
+            docs.push(generate_deep(&deep, &mut syms));
+        }
         for page_size in [512, 1_024, 2_048, 8_192] {
             let (st, roots) = stored(page_size, &docs);
             let _pin = st.begin_read();
