@@ -105,11 +105,11 @@ fn main() {
         for i in 0..cfg.plays {
             let play = generate_play(&cfg, i, &mut repo.symbols_mut());
             repo.clear_buffer().expect("clear");
-            let before = repo.io_stats().snapshot();
+            let before = repo.metrics();
             repo.put_document_per_node(&play.name, &play.doc)
                 .expect("store");
             repo.storage().buffer().flush_all().expect("flush");
-            sim_ms += repo.io_stats().snapshot().since(&before).sim_disk_ms();
+            sim_ms += repo.metrics().since(&before).sim_disk_ms();
         }
         println!("buffer {buffer_kb:>5} KB: {sim_ms:>10.1} ms");
     }

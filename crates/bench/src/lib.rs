@@ -102,11 +102,11 @@ fn measure<T>(
     f: impl FnOnce() -> NatixResult<T>,
 ) -> NatixResult<(T, Measurement)> {
     repo.clear_buffer()?;
-    let before = repo.io_stats().snapshot();
+    let before = repo.metrics();
     let t0 = std::time::Instant::now();
     let value = f()?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let after = repo.io_stats().snapshot();
+    let after = repo.metrics();
     let d = after.since(&before);
     Ok((
         value,
@@ -197,13 +197,13 @@ pub fn build_repo(
     for i in 0..corpus.plays {
         let play = generate_play(corpus, i, &mut repo.symbols_mut());
         repo.clear_buffer()?;
-        let before = repo.io_stats().snapshot();
+        let before = repo.metrics();
         let t0 = std::time::Instant::now();
         let id = insert_play(&mut repo, &play, order)?;
         // Include the final write-back of dirty pages in the cost.
         repo.storage().buffer().flush_all()?;
         total.wall_ms += t0.elapsed().as_secs_f64() * 1e3;
-        let d = repo.io_stats().snapshot().since(&before);
+        let d = repo.metrics().since(&before);
         total.sim_ms += d.sim_disk_ms();
         total.physical_reads += d.physical_reads;
         total.physical_writes += d.physical_writes;

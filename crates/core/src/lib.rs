@@ -60,6 +60,8 @@
 
 #![deny(let_underscore_drop)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub(crate) mod directory;
 pub mod document;
@@ -83,6 +85,6 @@ pub use repository::{Repository, RepositoryOptions};
 pub use schema::SchemaManager;
 
 // Re-exports for downstream crates (harness, examples).
-pub use natix_storage::{DiskProfile, IoStats, Rid};
+pub use natix_storage::{DiskProfile, Metrics, MetricsSnapshot, Rid};
 pub use natix_tree::{PhysicalStats, ReadPin, SplitBehaviour, SplitMatrix, TreeConfig};
 pub use natix_xml::{Document, LiteralValue, NodeData, SymbolTable};

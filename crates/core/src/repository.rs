@@ -73,7 +73,7 @@
 //! |---|---|
 //! | nothing acknowledged before it is durable | module privacy + `clippy.toml` `disallowed-methods`: only `write.rs` can publish (see "One write path") |
 //! | no guard dropped where it is made | `#[must_use]` on the pins, operations and guards; `#![deny(let_underscore_drop)]` in storage, tree, core |
-//! | no panic below the API | `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]` in storage, tree, core, xml |
+//! | no panic below the API | `#![cfg_attr(not(test), deny(clippy::…))]` of `unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo` and `unimplemented` in storage, tree, core, xml; each sanctioned site has its `#[expect]` |
 //! | no lock behind the shim's back | `clippy.toml` `disallowed-types`: `std::sync::{Mutex, RwLock, Condvar}` outside `crates/shims` |
 //! | no unranked lock | `clippy.toml` `disallowed-methods`: `Mutex::new` / `RwLock::new`; the per-frame latch has the one `#[expect]` |
 //! | no lock held across a read-ahead batch | lockdep's `buffer.prefetch` I/O region, in every test under `--features lockdep` |
@@ -225,7 +225,7 @@
 //! # Pool counters
 //!
 //! The buffer pool is LRU; scans, edits and loads pin alike. Its counters
-//! ([`natix_storage::IoStats`]) count hits and misses, and split evictions
+//! ([`natix_storage::Metrics`]) count hits and misses, and split evictions
 //! by source — frames a prefetch batch took over (`scan_evictions`) and
 //! frames a demand miss took over (`normal_evictions`). They also count
 //! pages read against read requests issued (a batch is one request: the
@@ -453,8 +453,8 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use natix_storage::{
-    BufferManager, DiskBackend, DiskProfile, FileLogDevice, FileStorage, IoStats, LogDevice,
-    MemLogDevice, MemStorage, Rid, SimDisk, StorageManager, Wal, WalSyncMode,
+    BufferManager, DiskBackend, DiskProfile, FileLogDevice, FileStorage, LogDevice, MemLogDevice,
+    MemStorage, Metrics, MetricsSnapshot, Rid, SimDisk, StorageManager, Wal, WalSyncMode,
 };
 use natix_tree::version::ReadPin;
 use natix_tree::{NodePtr, SplitMatrix, TreeConfig, TreeStore, VersionStore, VisitEvent};
@@ -476,8 +476,8 @@ pub struct RepositoryOptions {
     pub tree_config: TreeConfig,
     /// Initial split matrix (default: the native 1:n configuration).
     pub matrix: SplitMatrix,
-    /// When set, all I/O is charged to this mechanical-disk model and the
-    /// simulated clock in [`IoStats`] (used by the benchmark harness).
+    /// When set, all I/O is charged to this mechanical-disk model and its
+    /// time to [`MetricsSnapshot::sim_disk_ns`] (the paper's figures).
     pub disk_profile: Option<DiskProfile>,
     /// Write-ahead logging. `Some(_)` logs every write operation and makes
     /// it durable before its API call returns (concurrent commits share
@@ -565,7 +565,7 @@ pub struct Repository {
     pub(crate) registry: Arc<Mutex<DocRegistry>>,
     pub(crate) schema: RwLock<SchemaManager>,
     pub(crate) options: RepositoryOptions,
-    stats: Arc<IoStats>,
+    metrics: Arc<Metrics>,
     sim: Option<Arc<dyn SimControl>>,
     /// The log every repository has: its checkpoint records are the only
     /// durable copy of the allocator and the directory.
@@ -593,7 +593,7 @@ impl Repository {
         log: Box<dyn LogDevice>,
         sim: Option<Arc<dyn SimControl>>,
         options: RepositoryOptions,
-        stats: Arc<IoStats>,
+        metrics: Arc<Metrics>,
         fresh: bool,
     ) -> NatixResult<Repository> {
         if backend.page_size() != options.page_size {
@@ -606,7 +606,7 @@ impl Repository {
         let bm = Arc::new(BufferManager::with_buffer_bytes(
             backend,
             options.buffer_bytes,
-            Arc::clone(&stats),
+            Arc::clone(&metrics),
         ));
         let records = if fresh {
             Vec::new()
@@ -627,7 +627,7 @@ impl Repository {
         // One version store, and the only place the engine builds a tree
         // store: the log and commit hook wired to it below cover every
         // write there is.
-        let versions = Arc::new(VersionStore::new());
+        let versions = Arc::new(VersionStore::new(Arc::clone(&metrics)));
         let tree = TreeStore::new(
             Arc::clone(&sm),
             options.tree_config,
@@ -674,7 +674,7 @@ impl Repository {
             )),
             schema: RwLock::with_rank(&parking_lot::rank::SCHEMA, SchemaManager::new()),
             options,
-            stats,
+            metrics,
             sim,
             log,
             wal,
@@ -694,16 +694,16 @@ impl Repository {
 
     /// Creates a fresh in-memory repository.
     pub fn create_in_memory(options: RepositoryOptions) -> NatixResult<Repository> {
-        let stats = IoStats::new_shared();
+        let metrics = Metrics::new_shared();
         let mem = MemStorage::new(options.page_size)?;
         let log = Box::new(MemLogDevice::new());
         match options.disk_profile {
             Some(profile) => {
-                let sim = Arc::new(SimDisk::new(mem, profile, Arc::clone(&stats)));
+                let sim = Arc::new(SimDisk::new(mem, profile, Arc::clone(&metrics)));
                 let backend: Arc<dyn DiskBackend> = Arc::clone(&sim) as Arc<dyn DiskBackend>;
-                Repository::build(backend, log, Some(sim), options, stats, true)
+                Repository::build(backend, log, Some(sim), options, metrics, true)
             }
-            None => Repository::build(Arc::new(mem), log, None, options, stats, true),
+            None => Repository::build(Arc::new(mem), log, None, options, metrics, true),
         }
     }
 
@@ -717,7 +717,7 @@ impl Repository {
         options: RepositoryOptions,
     ) -> NatixResult<Repository> {
         let log = Box::new(MemLogDevice::new());
-        Repository::build(backend, log, None, options, IoStats::new_shared(), true)
+        Repository::build(backend, log, None, options, Metrics::new_shared(), true)
     }
 
     /// Creates a fresh repository over a caller-provided backend *and*
@@ -729,7 +729,7 @@ impl Repository {
         log: Box<dyn LogDevice>,
         options: RepositoryOptions,
     ) -> NatixResult<Repository> {
-        Repository::build(backend, log, None, options, IoStats::new_shared(), true)
+        Repository::build(backend, log, None, options, Metrics::new_shared(), true)
     }
 
     /// Opens an existing repository over a caller-provided backend and
@@ -739,13 +739,13 @@ impl Repository {
         log: Box<dyn LogDevice>,
         options: RepositoryOptions,
     ) -> NatixResult<Repository> {
-        Repository::build(backend, log, None, options, IoStats::new_shared(), false)
+        Repository::build(backend, log, None, options, Metrics::new_shared(), false)
     }
 
     /// Creates (truncating `path`) or opens the file-backed repository at
     /// `path`, with its log in the `<path>.wal` sidecar.
     fn on_file(path: &Path, options: RepositoryOptions, fresh: bool) -> NatixResult<Repository> {
-        let stats = IoStats::new_shared();
+        let metrics = Metrics::new_shared();
         let file = if fresh {
             FileStorage::create(path, options.page_size)?
         } else {
@@ -759,11 +759,11 @@ impl Repository {
         let log = Box::new(log);
         match options.disk_profile {
             Some(profile) => {
-                let sim = Arc::new(SimDisk::new(file, profile, Arc::clone(&stats)));
+                let sim = Arc::new(SimDisk::new(file, profile, Arc::clone(&metrics)));
                 let backend: Arc<dyn DiskBackend> = Arc::clone(&sim) as Arc<dyn DiskBackend>;
-                Repository::build(backend, log, Some(sim), options, stats, fresh)
+                Repository::build(backend, log, Some(sim), options, metrics, fresh)
             }
-            None => Repository::build(Arc::new(file), log, None, options, stats, fresh),
+            None => Repository::build(Arc::new(file), log, None, options, metrics, fresh),
         }
     }
 
@@ -846,9 +846,16 @@ impl Repository {
         &self.sm
     }
 
-    /// Shared I/O statistics (buffer counters + simulated disk clock).
-    pub fn io_stats(&self) -> &Arc<IoStats> {
-        &self.stats
+    /// The repository's counters now: page I/O, pool, disk clock, record
+    /// work. [`MetricsSnapshot::since`] of two is what happened between.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
+    }
+
+    /// The counter block itself, kept only for the frozen `spine`
+    /// benchmark harness until ROADMAP item 19; read [`metrics`](Self::metrics).
+    pub fn io_stats(&self) -> &Arc<Metrics> {
+        &self.metrics
     }
 
     /// Flushes and empties the buffer pool and repositions the simulated
@@ -1057,9 +1064,9 @@ mod tests {
         let repo = Repository::create_in_memory(RepositoryOptions::default()).unwrap();
         repo.put_xml("d", "<a><b>hello</b></a>").unwrap();
         repo.clear_buffer().unwrap();
-        let before = repo.io_stats().snapshot();
+        let before = repo.metrics();
         repo.get_xml("d").unwrap();
-        let after = repo.io_stats().snapshot();
+        let after = repo.metrics();
         assert!(after.since(&before).buffer_misses > 0);
     }
 
@@ -1069,9 +1076,9 @@ mod tests {
         repo.put_xml("d", "<a><b>hello</b><b>world</b></a>")
             .unwrap();
         let pages_read = || {
-            let before = repo.io_stats().snapshot();
+            let before = repo.metrics();
             assert_eq!(repo.query("d", "//b").unwrap().len(), 2);
-            repo.io_stats().snapshot().since(&before).physical_reads
+            repo.metrics().since(&before).physical_reads
         };
         pages_read();
         repo.clear_buffer().unwrap();
@@ -1081,6 +1088,64 @@ mod tests {
             s.spawn(|| repo.clear_buffer().unwrap());
         });
         assert!(pages_read() > 0, "a clear on another thread");
+    }
+
+    /// Play `index` of a small corpus, as XML.
+    fn play_xml(index: usize) -> String {
+        let cfg = natix_corpus::CorpusConfig {
+            plays: 2,
+            seed: 0x3E7A,
+            scale: 0.1,
+        };
+        let mut syms = SymbolTable::new();
+        let play = natix_corpus::generate_play(&cfg, index, &mut syms).doc;
+        natix_xml::write_document(&play, &syms, natix_xml::WriteOptions::compact()).unwrap()
+    }
+
+    #[test]
+    fn a_load_encodes_records_and_a_seeded_query_decodes_and_encodes_none() {
+        let repo = Repository::create_in_memory(RepositoryOptions::default()).unwrap();
+        let before = repo.metrics();
+        repo.put_xml("play", &play_xml(0)).unwrap();
+        let load = repo.metrics().since(&before);
+        assert!(load.record_encodes > 0, "{load:?}");
+        let before = repo.metrics();
+        let (speakers, explain) = repo
+            .query_planned("play", "//SPEAKER", &crate::PlannerOptions::default())
+            .unwrap();
+        let query = repo.metrics().since(&before);
+        assert!(speakers.len() > 10, "{} speakers", speakers.len());
+        assert_eq!(explain.shape, crate::PlanShape::SummarySeeded);
+        assert_eq!((query.record_decodes, query.record_encodes), (0, 0));
+        assert!(query.record_parses > 0, "the query reads records");
+    }
+
+    #[test]
+    fn two_repositories_on_two_threads_count_apart() {
+        // Each repository loads a play and queries it; both finish their
+        // work before either reads its counters, so a block shared between
+        // them would show the other's work too.
+        let drive = |xml: &str, done: Option<&std::sync::Barrier>| {
+            let repo = Repository::create_in_memory(RepositoryOptions::default()).unwrap();
+            repo.put_xml("play", xml).unwrap();
+            assert!(!repo.query("play", "//LINE").unwrap().is_empty());
+            repo.get_xml("play").unwrap();
+            if let Some(done) = done {
+                done.wait();
+            }
+            repo.metrics()
+        };
+        let plays = [play_xml(0), play_xml(1)];
+        let alone = plays.each_ref().map(|xml| drive(xml, None));
+        assert_ne!(alone[0].record_encodes, alone[1].record_encodes);
+        let done = std::sync::Barrier::new(2);
+        let together = std::thread::scope(|s| {
+            let handles = plays
+                .each_ref()
+                .map(|xml| s.spawn(|| drive(xml, Some(&done))));
+            handles.map(|h| h.join().unwrap())
+        });
+        assert_eq!(together, alone);
     }
 
     #[test]

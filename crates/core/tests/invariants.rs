@@ -5,9 +5,9 @@
 //! dropped, a guard type loses its `#[must_use]` or its `Drop`, or a
 //! toolchain stops recognising the pattern. An `#[expect]` sets its own
 //! lint level, so these items do not see the crate-level `deny`
-//! attributes of `storage`, `tree`, `core` and `xml` — those are one line
-//! each at the top of the four `lib.rs`. A test target with no test in it:
-//! the check is the lint pass.
+//! attributes of `storage`, `tree`, `core` and `xml` — those are three
+//! lines at the top of each of the four `lib.rs`. A test target with no
+//! test in it: the check is the lint pass.
 //!
 //! The rules with no item here: a write that skips the durability gate
 //! cannot be written outside `write.rs` (the gate and the directory log
@@ -59,8 +59,9 @@ fn ignores_a_lock_guard(repo: &Repository) {
     repo.symbols();
 }
 
-// No panics below the API: `unwrap` / `expect` are denied in the non-test
-// code of storage, tree, core and xml.
+// No panics below the API: `unwrap` / `expect`, `panic!`, `unreachable!`,
+// `todo!` and `unimplemented!` are denied in the non-test code of storage,
+// tree, core and xml.
 
 #[expect(clippy::unwrap_used, reason = "proof: the lint sees an unwrap")]
 fn unwraps(value: Option<u8>) -> u8 {
@@ -70,6 +71,29 @@ fn unwraps(value: Option<u8>) -> u8 {
 #[expect(clippy::expect_used, reason = "proof: the lint sees an expect")]
 fn expects(value: Option<u8>) -> u8 {
     value.expect("proof item")
+}
+
+#[expect(clippy::panic, reason = "proof: the lint sees a panic")]
+fn panics() {
+    panic!("proof item")
+}
+
+#[expect(clippy::unreachable, reason = "proof: the lint sees an unreachable")]
+fn reaches_the_unreachable() {
+    unreachable!("proof item")
+}
+
+#[expect(clippy::todo, reason = "proof: the lint sees a todo")]
+fn leaves_a_todo() {
+    todo!("proof item")
+}
+
+#[expect(
+    clippy::unimplemented,
+    reason = "proof: the lint sees an unimplemented"
+)]
+fn leaves_it_unimplemented() {
+    unimplemented!("proof item")
 }
 
 // No lock behind the shim's back: lockdep cannot see a `std::sync` lock.

@@ -39,7 +39,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use natix_storage::{BufferManager, DiskBackend, IoStats, MemStorage, PageId, StorageResult};
+use natix_storage::{BufferManager, DiskBackend, MemStorage, Metrics, PageId, StorageResult};
 use parking_lot::{model, Condvar, Mutex};
 
 use crate::util;
@@ -139,7 +139,7 @@ fn pool() -> (Arc<GatedDisk>, Arc<BufferManager>) {
     let bm = Arc::new(BufferManager::new(
         Arc::clone(&disk) as Arc<dyn DiskBackend>,
         FRAMES,
-        IoStats::new_shared(),
+        Metrics::new_shared(),
     ));
     (disk, bm)
 }

@@ -44,8 +44,8 @@ use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 use natix::{Repository, RepositoryOptions};
 use natix_storage::wal::{parse_log, WalRecord};
 use natix_storage::{
-    BufferManager, DiskBackend, FaultControl, FaultDisk, IoStats, LogDevice, MemLogDevice,
-    MemStorage, PageId, PatchKind, Rid, SlotPatch, Splice, StorageResult, Wal,
+    BufferManager, DiskBackend, FaultControl, FaultDisk, LogDevice, MemLogDevice, MemStorage,
+    Metrics, PageId, PatchKind, Rid, SlotPatch, Splice, StorageResult, Wal,
 };
 use natix_tree::InsertPos;
 use parking_lot::model;
@@ -163,7 +163,7 @@ fn steal_forces_log() {
     let bm = BufferManager::new(
         Arc::clone(&disk) as Arc<dyn DiskBackend>,
         2,
-        IoStats::new_shared(),
+        Metrics::new_shared(),
     );
     let wal = Arc::new(Wal::new(Box::new(MemLogDevice::new())));
     disk.set_wal(Arc::clone(&wal));

@@ -628,9 +628,9 @@ fn planner_picks_the_summary_shapes_on_a_high_fanout_root() {
     // A page the query read is resident: pinning it now is a hit.
     let pool = r.storage().buffer();
     for &page in &bulk_pages {
-        let before = r.io_stats().snapshot();
+        let before = r.metrics();
         drop(pool.pin(page).unwrap());
-        let pin = r.io_stats().snapshot().since(&before);
+        let pin = r.metrics().since(&before);
         assert_eq!(pin.buffer_misses, 1, "cold //NEEDLE read BULK page {page}");
     }
 }
@@ -648,7 +648,7 @@ fn unknown_label_short_circuits_with_zero_page_reads() {
     r.put_document("d", &doc).unwrap();
 
     r.clear_buffer().unwrap();
-    let before = r.io_stats().snapshot();
+    let before = r.metrics();
     let (ids, explain) = r
         .query_planned("d", "/zz/a", &PlannerOptions::default())
         .unwrap();
@@ -661,7 +661,7 @@ fn unknown_label_short_circuits_with_zero_page_reads() {
             .unwrap();
         assert_eq!(n, 0, "{path}");
     }
-    let pages_read = r.io_stats().snapshot().since(&before).physical_reads;
+    let pages_read = r.metrics().since(&before).physical_reads;
     assert_eq!(
         pages_read, 0,
         "unknown-label queries must not touch a single page"
@@ -691,9 +691,9 @@ fn positional_walk_does_not_build_the_summary() {
 
     let pages_read = |f: &mut dyn FnMut()| {
         r.clear_buffer().unwrap();
-        let before = r.io_stats().snapshot();
+        let before = r.metrics();
         f();
-        r.io_stats().snapshot().since(&before).physical_reads
+        r.metrics().since(&before).physical_reads
     };
     let query3 = "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]";
     let unforced = PlannerOptions::default();
@@ -831,9 +831,9 @@ fn pinned_walks_decode_each_record_once() {
         ("STAGEDIR", PlanShape::ParallelScan),
     ] {
         let opts = PlannerOptions { force: Some(shape) };
-        let before = r.io_stats().snapshot();
+        let before = r.metrics();
         let (ids, explain) = r.query_planned("play", &format!("//{tag}"), &opts).unwrap();
-        let io = r.io_stats().snapshot().since(&before);
+        let io = r.metrics().since(&before);
         assert_eq!(explain.shape, shape);
         assert_eq!(io.buffer_misses, 0, "//{tag}: the pool holds the document");
         assert!(

@@ -8,8 +8,8 @@
 //!
 //! * **exact** — the pages read are the pages holding the records of the
 //!   walked subtree, each read once: nothing wasted, nothing read twice;
-//! * **batched** — several pages per device request (`IoStats`'
-//!   `physical_reads / read_requests`), and none at all once resident;
+//! * **batched** — several pages per device request (`physical_reads /
+//!   read_requests` of `Repository::metrics`), and none once resident;
 //! * **scoped** — a walk of one `SCENE` names no page outside it, a walk
 //!   that stops at `//LINE[1]` reads fewer pages than `//LINE`, and the
 //!   walk pruned to the path summary's closure (`//SPEAKER`, planned
@@ -28,7 +28,7 @@ use parking_lot::Mutex;
 
 use natix::{NatixError, NodeId, PlanShape, PlannerOptions, Repository, RepositoryOptions};
 use natix_corpus::{generate_deep, generate_play, CorpusConfig, DeepConfig};
-use natix_storage::stats::IoSnapshot;
+use natix_storage::MetricsSnapshot;
 use natix_storage::{DiskBackend, MemStorage, PageId, StorageError, StorageResult, INVALID_PAGE};
 use natix_xml::{
     parse_document, write_document, NodeData, ParserOptions, SymbolTable, WriteOptions,
@@ -197,12 +197,12 @@ fn cold<T>(
     repo: &Repository,
     disk: &RecordingDisk,
     f: impl FnOnce() -> T,
-) -> (T, Vec<PageId>, IoSnapshot) {
+) -> (T, Vec<PageId>, MetricsSnapshot) {
     repo.clear_buffer().unwrap();
     disk.reset();
-    let before = repo.io_stats().snapshot();
+    let before = repo.metrics();
     let out = f();
-    let io = repo.io_stats().snapshot().since(&before);
+    let io = repo.metrics().since(&before);
     assert_eq!(
         io.read_requests,
         disk.requests.load(Ordering::Relaxed),
@@ -232,7 +232,7 @@ fn scan() -> PlannerOptions {
     }
 }
 
-fn pages_per_request(io: &IoSnapshot) -> f64 {
+fn pages_per_request(io: &MetricsSnapshot) -> f64 {
     io.physical_reads as f64 / io.read_requests as f64
 }
 
@@ -257,9 +257,9 @@ fn a_cold_export_reads_each_page_of_the_document_once_and_in_batches() {
         );
 
         // Resident: nothing left to ask the device for.
-        let before = repo.io_stats().snapshot();
+        let before = repo.metrics();
         assert_eq!(repo.get_xml("d").unwrap(), xml);
-        let again = repo.io_stats().snapshot().since(&before);
+        let again = repo.metrics().since(&before);
         assert_eq!(
             (again.read_requests, again.physical_reads),
             (0, 0),

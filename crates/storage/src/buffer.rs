@@ -67,9 +67,9 @@ use parking_lot::{
 
 use crate::disk::DiskBackend;
 use crate::error::{StorageError, StorageResult};
+use crate::metrics::Metrics;
 use crate::page::PageBuf;
 use crate::rid::PageId;
-use crate::stats::IoStats;
 
 struct Frame {
     /// Page contents. Deliberately *unranked* under lockdep: `pin_inner`
@@ -115,7 +115,7 @@ pub struct BufferManager {
     state: Mutex<PoolState>,
     /// Signalled whenever an entry leaves `io_in_flight`.
     io_done: Condvar,
-    stats: Arc<IoStats>,
+    metrics: Arc<Metrics>,
     /// When attached, the WAL rule is enforced: the log is made durable
     /// before any dirty frame is written back (steal or flush).
     wal: std::sync::OnceLock<Arc<crate::wal::Wal>>,
@@ -126,7 +126,7 @@ impl BufferManager {
     pub fn new(
         backend: Arc<dyn DiskBackend>,
         frame_count: usize,
-        stats: Arc<IoStats>,
+        metrics: Arc<Metrics>,
     ) -> BufferManager {
         assert!(frame_count > 0, "buffer pool needs at least one frame");
         let page_size = backend.page_size();
@@ -160,7 +160,7 @@ impl BufferManager {
                 },
             ),
             io_done: Condvar::new(),
-            stats,
+            metrics,
             wal: std::sync::OnceLock::new(),
         }
     }
@@ -193,10 +193,10 @@ impl BufferManager {
     pub fn with_buffer_bytes(
         backend: Arc<dyn DiskBackend>,
         buffer_bytes: usize,
-        stats: Arc<IoStats>,
+        metrics: Arc<Metrics>,
     ) -> BufferManager {
         let frames = (buffer_bytes / backend.page_size()).max(8);
-        BufferManager::new(backend, frames, stats)
+        BufferManager::new(backend, frames, metrics)
     }
 
     /// The page size of the underlying backend.
@@ -243,11 +243,6 @@ impl BufferManager {
         Ok(())
     }
 
-    /// The shared statistics block.
-    pub fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
-    }
-
     /// The underlying backend.
     pub fn backend(&self) -> &Arc<dyn DiskBackend> {
         &self.backend
@@ -290,7 +285,7 @@ impl BufferManager {
                 f.dirty.store(true, Ordering::Release);
                 return Err(e);
             }
-            self.stats.add_write();
+            Metrics::add_one(&self.metrics.physical_writes);
         }
         Ok(())
     }
@@ -304,7 +299,7 @@ impl BufferManager {
         let mut patience = 64u32;
         let frame = loop {
             if let Some(&frame) = st.table.get(&page) {
-                self.stats.add_hit();
+                Metrics::add_one(&self.metrics.buffer_hits);
                 self.frames[frame].pin_count.fetch_add(1, Ordering::AcqRel);
                 self.touch(&mut st, frame);
                 return Ok(PinnedPage {
@@ -355,7 +350,7 @@ impl BufferManager {
                 }
             }
         };
-        self.stats.add_miss();
+        Metrics::add_one(&self.metrics.buffer_misses);
         // Reserve the frame under the lock: the nonzero pin count keeps it
         // from being re-victimised while the I/O below runs without the
         // lock. The page→frame mapping is NOT published yet — a mapping
@@ -370,7 +365,7 @@ impl BufferManager {
         // mutating the dirty flag concurrently.
         let dirty_old = old.is_some() && self.frames[frame].dirty.load(Ordering::Acquire);
         if let Some(old_page) = old {
-            self.stats.add_eviction(false);
+            self.metrics.add_eviction(false);
             st.table.remove(&old_page);
             if dirty_old {
                 st.io_in_flight.insert(old_page, Io::WriteBack);
@@ -420,7 +415,7 @@ impl BufferManager {
                 self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
                 return Err(e);
             }
-            self.stats.add_write();
+            Metrics::add_one(&self.metrics.physical_writes);
             // The old page's disk image is current again: release its
             // waiters before the (unrelated) read of the new page. Taking
             // the pool mutex while holding the content guard is safe here:
@@ -436,7 +431,7 @@ impl BufferManager {
             let _io = parking_lot::lockdep::io_region("buffer.read-page");
             self.backend
                 .read_page(page, data.bytes_mut())
-                .map(|()| self.stats.add_read_request(1))
+                .map(|()| self.metrics.add_read_request(1))
         } else {
             data.clear();
             self.frames[frame].dirty.store(true, Ordering::Release);
@@ -521,7 +516,7 @@ impl BufferManager {
                 // mapping unpublished, page marked in-flight.
                 self.frames[frame].pin_count.fetch_add(1, Ordering::AcqRel);
                 if let Some(old) = st.resident[frame].take() {
-                    self.stats.add_eviction(true);
+                    self.metrics.add_eviction(true);
                     st.table.remove(&old);
                 }
                 self.frames[frame].dirty.store(false, Ordering::Release);
@@ -569,7 +564,7 @@ impl BufferManager {
         drop(st);
         self.io_done.notify_all();
         result.map(|()| {
-            self.stats.add_read_request(claims.len() as u64);
+            self.metrics.add_read_request(claims.len() as u64);
             claims.len()
         })
     }
@@ -761,23 +756,30 @@ mod tests {
     use super::*;
     use crate::disk::MemStorage;
 
-    fn pool(frames: usize) -> (Arc<BufferManager>, Arc<IoStats>) {
-        let stats = IoStats::new_shared();
+    impl BufferManager {
+        /// The counter block this pool counts into.
+        fn metrics(&self) -> &Metrics {
+            &self.metrics
+        }
+    }
+
+    fn pool(frames: usize) -> (Arc<BufferManager>, Arc<Metrics>) {
+        let metrics = Metrics::new_shared();
         let backend = Arc::new(MemStorage::new(512).unwrap());
         backend.grow(256).unwrap();
-        let bm = Arc::new(BufferManager::new(backend, frames, Arc::clone(&stats)));
-        (bm, stats)
+        let bm = Arc::new(BufferManager::new(backend, frames, Arc::clone(&metrics)));
+        (bm, metrics)
     }
 
     #[test]
     fn hit_and_miss_counting() {
-        let (bm, stats) = pool(4);
+        let (bm, metrics) = pool(4);
         {
             let p = bm.pin(3).unwrap();
             assert_eq!(p.page_id(), 3);
         }
         let _p = bm.pin(3).unwrap();
-        let s = stats.snapshot();
+        let s = metrics.snapshot();
         assert_eq!(s.buffer_misses, 1);
         assert_eq!(s.buffer_hits, 1);
         assert_eq!(s.physical_reads, 1);
@@ -785,7 +787,7 @@ mod tests {
 
     #[test]
     fn dirty_pages_written_back_on_eviction() {
-        let (bm, stats) = pool(2);
+        let (bm, metrics) = pool(2);
         {
             let p = bm.pin(0).unwrap();
             p.write().bytes_mut()[100] = 42;
@@ -793,7 +795,7 @@ mod tests {
         // Evict page 0 by touching two other pages.
         let _a = bm.pin(1).unwrap();
         let _b = bm.pin(2).unwrap();
-        assert_eq!(stats.snapshot().physical_writes, 1);
+        assert_eq!(metrics.snapshot().physical_writes, 1);
         // Re-reading page 0 sees the mutation.
         drop((_a, _b));
         let p = bm.pin(0).unwrap();
@@ -825,18 +827,18 @@ mod tests {
 
     #[test]
     fn clear_flushes_and_empties() {
-        let (bm, stats) = pool(4);
+        let (bm, metrics) = pool(4);
         {
             let p = bm.pin(5).unwrap();
             p.write().bytes_mut()[0] = 9;
         }
         bm.clear().unwrap();
-        assert_eq!(stats.snapshot().physical_writes, 1);
-        let before = stats.snapshot();
+        assert_eq!(metrics.snapshot().physical_writes, 1);
+        let before = metrics.snapshot();
         let p = bm.pin(5).unwrap();
         assert_eq!(p.read().bytes()[0], 9);
         assert_eq!(
-            stats.snapshot().since(&before).buffer_misses,
+            metrics.snapshot().since(&before).buffer_misses,
             1,
             "pool was emptied"
         );
@@ -851,13 +853,13 @@ mod tests {
 
     #[test]
     fn discard_drops_without_writeback() {
-        let (bm, stats) = pool(4);
+        let (bm, metrics) = pool(4);
         {
             let p = bm.pin(7).unwrap();
             p.write().bytes_mut()[0] = 1;
         }
         bm.discard(7).unwrap();
-        assert_eq!(stats.snapshot().physical_writes, 0);
+        assert_eq!(metrics.snapshot().physical_writes, 0);
     }
 
     #[test]
@@ -883,22 +885,22 @@ mod tests {
         drop(fresh);
         // The retired frame returned to the pool clean: filling the pool
         // must not write its stale image anywhere.
-        let before = bm.stats().snapshot().physical_writes;
+        let before = bm.metrics().snapshot().physical_writes;
         for p in 20..28u32 {
             drop(bm.pin(p).unwrap());
         }
-        assert_eq!(bm.stats().snapshot().physical_writes, before);
+        assert_eq!(bm.metrics().snapshot().physical_writes, before);
     }
 
     #[test]
     fn pin_new_skips_read() {
-        let (bm, stats) = pool(4);
+        let (bm, metrics) = pool(4);
         let p = bm.pin_new(9).unwrap();
         assert!(p.read().bytes().iter().all(|&b| b == 0));
-        assert_eq!(stats.snapshot().physical_reads, 0);
+        assert_eq!(metrics.snapshot().physical_reads, 0);
         drop(p);
         bm.flush_all().unwrap();
-        assert_eq!(stats.snapshot().physical_writes, 1);
+        assert_eq!(metrics.snapshot().physical_writes, 1);
     }
 
     #[test]
@@ -907,10 +909,10 @@ mod tests {
         // write-backs overlap; every page must always read back the bytes
         // last written to it (the write-back happens outside the pool
         // mutex, so this exercises the in-flight tracking).
-        let stats = IoStats::new_shared();
+        let metrics = Metrics::new_shared();
         let backend = Arc::new(MemStorage::new(512).unwrap());
         backend.grow(32).unwrap();
-        let bm = Arc::new(BufferManager::new(backend, 4, stats));
+        let bm = Arc::new(BufferManager::new(backend, 4, metrics));
         // Seed every page with its own marker.
         for p in 0..32u32 {
             let g = bm.pin(p).unwrap();
@@ -950,10 +952,10 @@ mod tests {
         // path. Each page carries a pair of bytes that is only ever
         // written together under one content write guard — observing a
         // torn pair means a reader saw a half-loaded or stale frame.
-        let stats = IoStats::new_shared();
+        let metrics = Metrics::new_shared();
         let backend = Arc::new(MemStorage::new(512).unwrap());
         backend.grow(24).unwrap();
-        let bm = Arc::new(BufferManager::new(backend, 3, stats));
+        let bm = Arc::new(BufferManager::new(backend, 3, metrics));
         for p in 0..24u32 {
             let g = bm.pin(p).unwrap();
             let mut w = g.write();
@@ -1092,13 +1094,13 @@ mod tests {
         // with a spurious BufferExhausted. With the wait on the in-flight
         // condvar, every pin succeeds. The gate holds the first two loads
         // in flight until the third thread has started its pin.
-        let stats = IoStats::new_shared();
+        let metrics = Metrics::new_shared();
         let backend = GatedDisk::new(16);
         backend.set_shut(true);
         let bm = Arc::new(BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             2,
-            stats,
+            metrics,
         ));
         let third = Arc::new(std::sync::Barrier::new(2));
         let mut handles = Vec::new();
@@ -1138,7 +1140,7 @@ mod tests {
         let bm = BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             frames,
-            IoStats::new_shared(),
+            Metrics::new_shared(),
         );
         (backend, Arc::new(bm))
     }
@@ -1196,7 +1198,7 @@ mod tests {
             backend.set_shut(false);
         });
         bm.flush_pages(&[0, 1]).unwrap();
-        assert_eq!(bm.stats().snapshot().physical_writes, 1);
+        assert_eq!(bm.metrics().snapshot().physical_writes, 1);
     }
 
     #[test]
@@ -1247,7 +1249,7 @@ mod tests {
             assert!(early.is_err(), "the second flush returned first");
             flushed.recv().unwrap().unwrap();
         });
-        assert_eq!(bm.stats().snapshot().physical_writes, 1);
+        assert_eq!(bm.metrics().snapshot().physical_writes, 1);
     }
 
     #[test]
@@ -1267,7 +1269,7 @@ mod tests {
             assert!(early.is_err(), "clear returned beside the flush's write");
             cleared.recv().unwrap().expect("no caller holds a pin");
         });
-        assert_eq!(bm.stats().snapshot().physical_writes, 1);
+        assert_eq!(bm.metrics().snapshot().physical_writes, 1);
         bm.validate_frame_table().unwrap();
         assert_eq!(bm.pin(0).unwrap().read().bytes()[0], 5);
     }
@@ -1309,7 +1311,7 @@ mod tests {
         let bm = BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             16,
-            IoStats::new_shared(),
+            Metrics::new_shared(),
         );
         for page in [30, 4, 17, 9, 23, 11] {
             bm.pin(page).unwrap().write().bytes_mut()[0] = page as u8;
@@ -1331,19 +1333,19 @@ mod tests {
         // — eviction under a read-only storm must never write a single
         // page back. The storm opens against a shut gate: its first six
         // loads hold every frame in flight while the other readers miss.
-        let stats = IoStats::new_shared();
+        let metrics = Metrics::new_shared();
         let backend = GatedDisk::new(48);
         let bm = Arc::new(BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             6,
-            Arc::clone(&stats),
+            Arc::clone(&metrics),
         ));
         for p in 0..48u32 {
             let g = bm.pin(p).unwrap();
             g.write().bytes_mut()[0] = p as u8;
         }
         bm.flush_all().unwrap();
-        let writes_after_seed = stats.snapshot().physical_writes;
+        let writes_after_seed = metrics.snapshot().physical_writes;
         backend.set_shut(true);
         let mut handles = Vec::new();
         for t in 0..8u32 {
@@ -1369,7 +1371,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(
-            stats.snapshot().physical_writes,
+            metrics.snapshot().physical_writes,
             writes_after_seed,
             "read-only storm wrote pages back"
         );
@@ -1379,29 +1381,29 @@ mod tests {
     fn evictions_are_counted_by_source() {
         // On a full pool a demand miss displaces a page as a normal
         // eviction, a prefetch claim as a scan eviction; never both.
-        let (bm, stats) = pool(4);
+        let (bm, metrics) = pool(4);
         for p in 0..4u32 {
             drop(bm.pin(p).unwrap());
         }
-        let before = stats.snapshot();
+        let before = metrics.snapshot();
         drop(bm.pin(10).unwrap());
-        let delta = stats.snapshot().since(&before);
+        let delta = metrics.snapshot().since(&before);
         assert_eq!((delta.normal_evictions, delta.scan_evictions), (1, 0));
-        let before = stats.snapshot();
+        let before = metrics.snapshot();
         assert_eq!(bm.prefetch(&[20, 21]).unwrap(), 2);
-        let delta = stats.snapshot().since(&before);
+        let delta = metrics.snapshot().since(&before);
         assert_eq!((delta.normal_evictions, delta.scan_evictions), (0, 2));
     }
 
     #[test]
     fn prefetch_loads_pages_and_demand_pins_hit() {
-        let (bm, stats) = pool(8);
+        let (bm, metrics) = pool(8);
         assert_eq!(bm.prefetch(&[3, 4, 5]).unwrap(), 3);
-        let before = stats.snapshot();
+        let before = metrics.snapshot();
         for p in 3..6u32 {
             drop(bm.pin(p).unwrap());
         }
-        let delta = stats.snapshot().since(&before);
+        let delta = metrics.snapshot().since(&before);
         assert_eq!(delta.buffer_hits, 3, "prefetched pages must hit");
         assert_eq!(delta.physical_reads, 0);
         // Resident and in-flight pages are skipped: nothing re-read.
@@ -1448,33 +1450,33 @@ mod tests {
             batches: Mutex::new(Vec::new()),
         });
         backend.grow(64).unwrap();
-        let stats = IoStats::new_shared();
+        let metrics = Metrics::new_shared();
         let bm = BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             4,
-            Arc::clone(&stats),
+            Arc::clone(&metrics),
         );
         // One frame stays pinned: three are claimable, so the claim is
         // short and must keep the caller's first three pages.
         let held = bm.pin(0).unwrap();
-        let before = stats.snapshot();
+        let before = metrics.snapshot();
         assert_eq!(bm.prefetch(&[40, 7, 23, 5, 60]).unwrap(), 3);
         assert_eq!(*backend.batches.lock(), vec![vec![7, 23, 40]]);
-        let delta = stats.snapshot().since(&before);
+        let delta = metrics.snapshot().since(&before);
         assert_eq!(
             (delta.physical_reads, delta.read_requests),
             (3, 1),
             "one request for the whole batch"
         );
         drop(held);
-        let before = stats.snapshot();
+        let before = metrics.snapshot();
         for p in [40, 7, 23] {
             drop(bm.pin(p).unwrap());
         }
-        let delta = stats.snapshot().since(&before);
+        let delta = metrics.snapshot().since(&before);
         assert_eq!((delta.buffer_hits, delta.read_requests), (3, 0));
         drop(bm.pin(5).unwrap());
-        let delta = stats.snapshot().since(&before);
+        let delta = metrics.snapshot().since(&before);
         assert_eq!(
             (delta.physical_reads, delta.read_requests),
             (1, 1),
@@ -1486,13 +1488,13 @@ mod tests {
     fn prefetch_skips_dirty_victims_and_stays_write_free() {
         // A 2-frame pool whose every frame is dirty: prefetch must give
         // up rather than write anything back.
-        let (bm, stats) = pool(2);
+        let (bm, metrics) = pool(2);
         for p in 0..2u32 {
             let g = bm.pin(p).unwrap();
             g.write().bytes_mut()[0] = 1;
         }
         assert_eq!(bm.prefetch(&[10, 11]).unwrap(), 0);
-        assert_eq!(stats.snapshot().physical_writes, 0);
+        assert_eq!(metrics.snapshot().physical_writes, 0);
     }
 
     #[test]

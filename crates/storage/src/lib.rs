@@ -34,33 +34,35 @@
 //! * [`wal`] — the write-ahead log and its devices.
 //! * [`patch`] — the slot-level patch: the log's redo and undo of one
 //!   record write.
-//! * [`stats`] — I/O statistics shared by the benchmark harness.
+//! * [`metrics`] — the repository's counters, I/O and record work alike.
 
 #![deny(let_underscore_drop)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod buffer;
 pub mod disk;
 pub mod error;
 pub mod freespace;
+pub mod metrics;
 pub mod page;
 pub mod patch;
 pub mod rid;
 pub mod segment;
 pub mod simdisk;
 pub mod slotted;
-pub mod stats;
 pub mod wal;
 
 pub use buffer::{BufferManager, PinnedPage};
 pub use disk::{DiskBackend, FaultControl, FaultDisk, FileStorage, MemStorage};
 pub use error::{StorageError, StorageResult};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use page::{PageBuf, PageKind, PAGE_HEADER_SIZE};
 pub use patch::{PatchKind, SlotPatch, Splice};
 pub use rid::{PageId, Rid, SlotId, INVALID_PAGE};
 pub use segment::StorageManager;
 pub use simdisk::{DiskProfile, SimDisk};
-pub use stats::IoStats;
 pub use wal::{FileLogDevice, LogDevice, MemLogDevice, StoreSnapshot, Wal, WalRecord, WalSyncMode};
 
 /// Smallest page size supported (the paper sweeps 2K–32K).

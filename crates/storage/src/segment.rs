@@ -490,14 +490,14 @@ impl StorageManager {
 mod tests {
     use super::*;
     use crate::disk::{DiskBackend, MemStorage};
+    use crate::metrics::Metrics;
     use crate::rid::Rid;
     use crate::slotted::{SlottedPageRef, SLOT_ENTRY_SIZE};
-    use crate::stats::IoStats;
     use crate::wal::MemLogDevice;
 
     fn mk(page_size: usize, frames: usize) -> StorageManager {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(backend, frames, IoStats::new_shared()));
+        let bm = Arc::new(BufferManager::new(backend, frames, Metrics::new_shared()));
         StorageManager::create(bm).unwrap()
     }
 
@@ -569,7 +569,7 @@ mod tests {
         let backend = Arc::new(MemStorage::new(1024).unwrap());
         let pool = || {
             let backend = Arc::clone(&backend) as Arc<dyn DiskBackend>;
-            Arc::new(BufferManager::new(backend, 16, IoStats::new_shared()))
+            Arc::new(BufferManager::new(backend, 16, Metrics::new_shared()))
         };
         let sm = StorageManager::create(pool()).unwrap();
         let mut rids = Vec::new();
@@ -615,7 +615,7 @@ mod tests {
         let bm = Arc::new(BufferManager::new(
             Arc::clone(&backend) as Arc<dyn DiskBackend>,
             16,
-            IoStats::new_shared(),
+            Metrics::new_shared(),
         ));
         StorageManager::create(Arc::clone(&bm))
             .unwrap()

@@ -27,8 +27,8 @@ use parking_lot::Mutex;
 
 use crate::disk::DiskBackend;
 use crate::error::StorageResult;
+use crate::metrics::Metrics;
 use crate::rid::PageId;
-use crate::stats::IoStats;
 
 /// Timing parameters of the modelled disk.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,29 +74,24 @@ impl DiskProfile {
 }
 
 /// A [`DiskBackend`] decorator charging [`DiskProfile`] costs to a shared
-/// [`IoStats`] virtual clock.
+/// [`Metrics`] virtual clock.
 pub struct SimDisk<B: DiskBackend> {
     inner: B,
     profile: DiskProfile,
-    stats: Arc<IoStats>,
+    metrics: Arc<Metrics>,
     /// Last physical page the head touched; `None` right after a reset.
     head: Mutex<Option<PageId>>,
 }
 
 impl<B: DiskBackend> SimDisk<B> {
-    /// Wraps `inner`, accumulating costs into `stats`.
-    pub fn new(inner: B, profile: DiskProfile, stats: Arc<IoStats>) -> SimDisk<B> {
+    /// Wraps `inner`, accumulating costs into `metrics`.
+    pub fn new(inner: B, profile: DiskProfile, metrics: Arc<Metrics>) -> SimDisk<B> {
         SimDisk {
             inner,
             profile,
-            stats,
+            metrics,
             head: Mutex::with_rank(&parking_lot::rank::DISK_SIM, None),
         }
-    }
-
-    /// The shared statistics block (also holds the virtual clock).
-    pub fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
     }
 
     /// Forgets the head position, so the next access pays a full seek.
@@ -115,10 +110,10 @@ impl<B: DiskBackend> SimDisk<B> {
         let mut head = self.head.lock();
         let sequential = matches!(*head, Some(h) if h.wrapping_add(1) == page || h == page);
         if !sequential {
-            self.stats.sim_seeks.fetch_add(1, Ordering::Relaxed);
+            Metrics::add_one(&self.metrics.sim_seeks);
         }
         let ns = self.profile.access_ns(self.inner.page_size(), sequential);
-        self.stats.sim_disk_ns.fetch_add(ns, Ordering::Relaxed);
+        self.metrics.sim_disk_ns.fetch_add(ns, Ordering::Relaxed);
         *head = Some(page);
     }
 }
@@ -156,12 +151,19 @@ mod tests {
     use super::*;
     use crate::disk::MemStorage;
 
+    impl<B: DiskBackend> SimDisk<B> {
+        /// The counter block this device charges.
+        fn metrics(&self) -> &Metrics {
+            &self.metrics
+        }
+    }
+
     fn sim(page_size: usize) -> SimDisk<MemStorage> {
-        let stats = IoStats::new_shared();
+        let metrics = Metrics::new_shared();
         SimDisk::new(
             MemStorage::new(page_size).unwrap(),
             DiskProfile::dcas_34330w(),
-            stats,
+            metrics,
         )
     }
 
@@ -173,14 +175,13 @@ mod tests {
         for p in 0..50u32 {
             d.write_page(p, &buf).unwrap();
         }
-        let seq = d.stats().snapshot();
-        d.stats().reset();
+        let seq = d.metrics().snapshot();
         d.reset_head();
         for p in [0u32, 40, 3, 33, 7, 49, 11, 27, 2, 45] {
             let mut b = vec![0u8; 2048];
             d.read_page(p, &mut b).unwrap();
         }
-        let rnd_per_page = d.stats().snapshot().sim_disk_ms() / 10.0;
+        let rnd_per_page = d.metrics().snapshot().since(&seq).sim_disk_ms() / 10.0;
         let seq_per_page = seq.sim_disk_ms() / 50.0;
         assert!(
             rnd_per_page > 5.0 * seq_per_page,
@@ -194,12 +195,12 @@ mod tests {
         d.grow(2).unwrap();
         let mut b = vec![0u8; 2048];
         d.read_page(0, &mut b).unwrap();
-        let s = d.stats().snapshot();
+        let s = d.metrics().snapshot();
         assert_eq!(s.sim_seeks, 1);
         assert!(s.sim_disk_ms() > 13.0, "seek+rotation should dominate");
         // Repeated access to the same page: head is already there.
         d.read_page(0, &mut b).unwrap();
-        assert_eq!(d.stats().snapshot().sim_seeks, 1);
+        assert_eq!(d.metrics().snapshot().sim_seeks, 1);
     }
 
     #[test]
@@ -216,9 +217,9 @@ mod tests {
         let mut b = vec![0u8; 2048];
         d.read_page(0, &mut b).unwrap();
         d.read_page(1, &mut b).unwrap();
-        assert_eq!(d.stats().snapshot().sim_seeks, 1);
+        assert_eq!(d.metrics().snapshot().sim_seeks, 1);
         d.reset_head();
         d.read_page(2, &mut b).unwrap();
-        assert_eq!(d.stats().snapshot().sim_seeks, 2);
+        assert_eq!(d.metrics().snapshot().sim_seeks, 2);
     }
 }

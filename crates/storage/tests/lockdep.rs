@@ -10,7 +10,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use natix_storage::{BufferManager, IoStats, MemStorage};
+use natix_storage::{BufferManager, MemStorage, Metrics};
 use parking_lot::rank::Rank;
 use parking_lot::Mutex;
 
@@ -21,7 +21,7 @@ static TOLERANT: Rank = Rank::new_io_tolerant("test.io-band", 20);
 
 fn pool(frames: usize) -> BufferManager {
     let backend = Arc::new(MemStorage::new(512).unwrap());
-    BufferManager::new(backend, frames, IoStats::new_shared())
+    BufferManager::new(backend, frames, Metrics::new_shared())
 }
 
 fn dirty_page(bm: &BufferManager, page: u32) {

@@ -1197,15 +1197,18 @@ mod tests {
     use super::*;
     use crate::config::TreeConfig;
     use crate::validate::check_tree;
-    use natix_storage::{BufferManager, IoStats, MemStorage, StorageManager};
+    use crate::version::VersionStore;
+    use natix_storage::{BufferManager, MemStorage, Metrics, StorageManager};
     use natix_xml::LABEL_TEXT;
     use std::sync::Arc;
 
     fn store(page_size: usize, matrix: SplitMatrix) -> TreeStore {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
+        let metrics = Metrics::new_shared();
+        let bm = Arc::new(BufferManager::new(backend, 256, Arc::clone(&metrics)));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
-        TreeStore::new(sm, TreeConfig::paper(), matrix, Default::default()).unwrap()
+        let versions = Arc::new(VersionStore::new(metrics));
+        TreeStore::new(sm, TreeConfig::paper(), matrix, versions).unwrap()
     }
 
     fn text(s: &str) -> LiteralValue {
@@ -1486,7 +1489,6 @@ mod tests {
         // page costs no encode — one per record written.
         let st = store(512, SplitMatrix::all_other());
         let mut l = BulkLoader::new(&st);
-        crate::record::encodes::take();
         l.start_element(10).unwrap();
         for i in 0..400 {
             l.start_element(11).unwrap();
@@ -1499,7 +1501,7 @@ mod tests {
         }
         l.end_element().unwrap();
         let stats = l.finish().unwrap();
-        let encodes = crate::record::encodes::take();
+        let encodes = st.versions().metrics().snapshot().record_encodes;
         let pages = check_tree(&st, stats.root_rid).unwrap().pages as u64;
         assert!(pages > 20, "the load must have moved on from full pages");
         assert_eq!(encodes, stats.records, "one encode per record written");

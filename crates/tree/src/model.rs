@@ -242,6 +242,7 @@ impl RecordTree {
 
     /// Borrow a node. Panics on tombstones — indices are only produced by
     /// this tree's own API.
+    #[expect(clippy::unreachable, reason = "ids come from this arena's API")]
     pub fn node(&self, id: PNodeId) -> &PNode {
         match self.nodes[id as usize].as_ref() {
             Some(n) => n,
@@ -250,6 +251,7 @@ impl RecordTree {
     }
 
     /// Mutable borrow.
+    #[expect(clippy::unreachable, reason = "ids come from this arena's API")]
     pub fn node_mut(&mut self, id: PNodeId) -> &mut PNode {
         match self.nodes[id as usize].as_mut() {
             Some(n) => n,
@@ -280,6 +282,7 @@ impl RecordTree {
     }
 
     /// Attaches `child` under `parent` at `index` (clamped).
+    #[expect(clippy::panic, reason = "callers attach under an aggregate")]
     pub fn attach(&mut self, parent: PNodeId, index: usize, child: PNodeId) {
         self.node_mut(child).parent = Some(parent);
         match &mut self.node_mut(parent).content {
@@ -435,6 +438,7 @@ impl RecordTree {
         self.transplant_inner(id, dst)
     }
 
+    #[expect(clippy::unreachable, reason = "a detached subtree is live")]
     fn transplant_inner(&mut self, id: PNodeId, dst: &mut RecordTree) -> PNodeId {
         let Some(node) = self.nodes[id as usize].take() else {
             unreachable!("transplant of tombstoned node {id}");

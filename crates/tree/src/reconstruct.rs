@@ -577,6 +577,7 @@ impl TreeStore {
 }
 
 /// Rebuilds the logical document rooted at record `root`.
+#[expect(clippy::unreachable, reason = "a traversal enters one root")]
 pub fn reconstruct_document(store: &TreeStore, root: Rid) -> TreeResult<Document> {
     let view = store.view(root)?;
     let root_node = view.root();

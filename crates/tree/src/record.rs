@@ -153,8 +153,6 @@ pub(crate) fn serialize_sized(
             "record of {len} bytes exceeds the format's 16-bit sizes"
         )));
     }
-    #[cfg(test)]
-    encodes::count();
     let mut out = Vec::with_capacity(len);
     let mut mapping = Vec::with_capacity(tree.live_count());
     let mut next_serial: PNodeId = 0;
@@ -190,6 +188,7 @@ pub(crate) fn serialize_sized(
 /// # Panics
 ///
 /// When the tree breaks [`try_serialize`]'s precondition.
+#[expect(clippy::panic, reason = "the documented infallible form")]
 pub fn serialize(tree: &RecordTree, table: &mut TypeTable) -> (Vec<u8>, Mapping) {
     match try_serialize(tree, table) {
         Ok(encoded) => encoded,
@@ -324,8 +323,6 @@ impl RecordView {
     /// indexes it (module docs: the checks made here). Iterative, so the
     /// deepest record a page holds costs no call stack.
     pub fn parse(bytes: Vec<u8>, table: TypeTable, rid: Rid) -> TreeResult<RecordView> {
-        #[cfg(test)]
-        parses::count();
         let corrupt = |m: String| TreeError::CorruptRecord { rid, message: m };
         if bytes.len() < STANDALONE_HEADER || u32::try_from(bytes.len()).is_err() {
             return Err(corrupt(format!(
@@ -672,8 +669,6 @@ impl RecordView {
     /// arena node `n` of the tree. Every literal is decoded, so the UTF-8
     /// check the parse deferred is made here.
     pub fn decode(&self) -> TreeResult<RecordTree> {
-        #[cfg(test)]
-        decodes::count();
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for n in 0..self.nodes.len() as PNodeId {
             let content = match self.shape(n) {
@@ -887,66 +882,6 @@ impl Patch<'_> {
             tree.node_mut(n).orig = self.old_index(n).map(|old| NodePtr::new(rid, old));
         }
         Ok(tree)
-    }
-}
-
-/// Test-only count of encoder runs on the calling thread: what "a record
-/// is encoded once per placement" is asserted on.
-#[cfg(test)]
-pub(crate) mod encodes {
-    use std::cell::Cell;
-
-    thread_local! {
-        static ENCODES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(crate) fn count() {
-        ENCODES.with(|v| v.set(v.get() + 1));
-    }
-
-    /// Reads and resets the calling thread's count.
-    pub(crate) fn take() -> u64 {
-        ENCODES.with(|v| v.replace(0))
-    }
-}
-
-/// Test-only count of decoder runs on the calling thread: what "a read
-/// decodes no record" is asserted on.
-#[cfg(test)]
-pub(crate) mod decodes {
-    use std::cell::Cell;
-
-    thread_local! {
-        static DECODES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(crate) fn count() {
-        DECODES.with(|v| v.set(v.get() + 1));
-    }
-
-    /// Reads and resets the calling thread's count.
-    pub(crate) fn take() -> u64 {
-        DECODES.with(|v| v.replace(0))
-    }
-}
-
-/// Test-only count of [`RecordView::parse`] runs on the calling thread:
-/// what "a walk parses each record it visits once" is asserted on.
-#[cfg(test)]
-pub(crate) mod parses {
-    use std::cell::Cell;
-
-    thread_local! {
-        static PARSES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(crate) fn count() {
-        PARSES.with(|v| v.set(v.get() + 1));
-    }
-
-    /// Reads and resets the calling thread's count.
-    pub(crate) fn take() -> u64 {
-        PARSES.with(|v| v.replace(0))
     }
 }
 

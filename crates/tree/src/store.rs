@@ -37,7 +37,7 @@
 
 use std::sync::Arc;
 
-use natix_storage::{PageId, Rid, StorageManager};
+use natix_storage::{Metrics, PageId, Rid, StorageManager};
 use natix_xml::{LabelId, LiteralValue};
 
 use crate::config::TreeConfig;
@@ -359,7 +359,9 @@ impl TreeStore {
     /// the engine's read path; the engine's readers navigate the record's
     /// [`RecordView`] and decode nothing.
     pub fn load(&self, rid: Rid) -> TreeResult<RecordTree> {
-        self.view(rid)?.decode()
+        let view = self.view(rid)?;
+        Metrics::add_one(&self.versions.metrics().record_decodes);
+        view.decode()
     }
 
     /// The read path's one record accessor: the view of `rid` for the
@@ -967,7 +969,7 @@ pub(crate) mod tests {
         OrdersConfig, SplitMix64,
     };
     use natix_storage::slotted::SlottedPage;
-    use natix_storage::{BufferManager, IoStats, MemStorage};
+    use natix_storage::{BufferManager, MemStorage, Metrics, MetricsSnapshot};
     use natix_xml::writer::{write_subtree, WriteOptions};
     use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_NONE, LABEL_TEXT};
 
@@ -981,7 +983,7 @@ pub(crate) mod tests {
         assert_view_matches_tree, reference_find_continuation, reference_find_proxy,
         reference_prefix_chain, reference_spilled_path,
     };
-    use crate::record::{self, decodes, encodes, parses, touches};
+    use crate::record::{self, touches};
     use crate::typetable::TypeTable;
     use crate::validate::check_tree;
     use crate::version::VersionStore;
@@ -1090,10 +1092,11 @@ pub(crate) mod tests {
 
     fn store(page_size: usize) -> TreeStore {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(backend, 1024, IoStats::new_shared()));
+        let metrics = Metrics::new_shared();
+        let bm = Arc::new(BufferManager::new(backend, 1024, Arc::clone(&metrics)));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
-        let matrix = SplitMatrix::all_other();
-        TreeStore::new(sm, TreeConfig::paper(), matrix, Default::default()).unwrap()
+        let (matrix, versions) = (SplitMatrix::all_other(), VersionStore::new(metrics));
+        TreeStore::new(sm, TreeConfig::paper(), matrix, Arc::new(versions)).unwrap()
     }
 
     /// Every facade node of the document at `root` in document order:
@@ -1495,9 +1498,9 @@ pub(crate) mod tests {
                 up = st.view(up).unwrap().parent_rid();
             }
             deepest = deepest.max(records);
-            counters();
+            let mark = metrics(&st);
             let path = st.label_path(ptr).unwrap();
-            let (decoded, parsed) = counters();
+            let (decoded, parsed) = counters(&st, &mark);
             assert_eq!(path[path.len() - 2..], [labels.line, LABEL_TEXT]);
             assert_eq!(path.len(), 6, "PLAY/ACT/SCENE/SPEECH/LINE/#text");
             assert_eq!(decoded, 0, "{ptr}: a read decodes no record");
@@ -1509,9 +1512,15 @@ pub(crate) mod tests {
         assert!(deepest >= 2, "the lines sit {deepest} records deep");
     }
 
-    /// Reads and resets the calling thread's decode and parse counts.
-    fn counters() -> (u64, u64) {
-        (decodes::take(), parses::take())
+    /// The store's counters now.
+    fn metrics(st: &TreeStore) -> MetricsSnapshot {
+        st.versions().metrics().snapshot()
+    }
+
+    /// The store's decodes and parses since `mark`.
+    fn counters(st: &TreeStore, mark: &MetricsSnapshot) -> (u64, u64) {
+        let since = metrics(st).since(mark);
+        (since.record_decodes, since.record_parses)
     }
 
     /// Every record of a document, root first.
@@ -1574,7 +1583,7 @@ pub(crate) mod tests {
         {
             st.versions().forget_parsed();
             let _pin = st.begin_read();
-            counters();
+            let mark = metrics(&st);
             let (mut entered, mut speakers) = (0, Vec::new());
             let keep = |depth: usize, label| match label {
                 // Something below is kept while the path goes on.
@@ -1590,7 +1599,7 @@ pub(crate) mod tests {
                 true
             })
             .unwrap();
-            let (decoded, parsed) = counters();
+            let (decoded, parsed) = counters(&st, &mark);
             assert!(speakers.len() > 100, "{} speakers", speakers.len());
             assert_eq!(speakers, expected, "the pruned walk keeps document order");
             assert_eq!(decoded, 0, "the pruned walk decodes no record");
@@ -1632,9 +1641,9 @@ pub(crate) mod tests {
             (entered, nodes)
         };
         st.versions().forget_parsed();
-        counters();
+        let mark = metrics(&st);
         let (entered, nodes) = walk();
-        let (decoded, parsed) = counters();
+        let (decoded, parsed) = counters(&st, &mark);
         let lines = nodes.iter().filter(|n| n.1 == labels.line).count();
         assert!(lines > 1_000, "{lines} lines");
         assert_eq!(
@@ -1650,10 +1659,11 @@ pub(crate) mod tests {
         assert_eq!(parsed as usize, total, "one parse per record walked");
         // No write has published since: the next pin's walk is served
         // from the memo.
+        let mark = metrics(&st);
         let again = walk();
         assert_eq!(again, (entered, nodes));
         assert_eq!(
-            counters(),
+            counters(&st, &mark),
             (0, 0),
             "a second walk at the epoch parses nothing"
         );
@@ -1758,10 +1768,11 @@ pub(crate) mod tests {
             .collect();
         let _pin = st.begin_read();
         for ptr in speeches.into_iter().step_by(50) {
-            decodes::take();
+            let mark = metrics(&st);
             let text = subtree_text(&st, ptr).unwrap();
             assert!(!text.is_empty(), "{ptr}");
-            assert_eq!(decodes::take(), 0, "{ptr}: the text walk decodes no record");
+            let (decoded, _) = counters(&st, &mark);
+            assert_eq!(decoded, 0, "{ptr}: the text walk decodes no record");
         }
     }
 
@@ -1786,9 +1797,9 @@ pub(crate) mod tests {
         op: impl FnOnce(&HashMap<NodeIdx, NodePtr>) -> TreeResult<OpResult>,
     ) -> (u64, u64) {
         let old = addresses(st, *root, before);
-        let _ = (decodes::take(), encodes::take());
+        let mark = metrics(st);
         let res = op(&old).unwrap();
-        let counts = (decodes::take(), encodes::take());
+        let counts = edit_counts(st, &mark);
         follow_root(root, &res);
         for (n, now) in addresses(st, *root, after) {
             let want = match old.get(&n) {
@@ -1800,6 +1811,12 @@ pub(crate) mod tests {
         assert!(reconstruct_document(st, *root).unwrap() == *after);
         check_tree(st, *root).unwrap();
         counts
+    }
+
+    /// The store's decodes and encodes since `mark`.
+    fn edit_counts(st: &TreeStore, mark: &MetricsSnapshot) -> (u64, u64) {
+        let since = metrics(st).since(mark);
+        (since.record_decodes, since.record_encodes)
     }
 
     fn text(s: &str) -> NodeData {
@@ -1929,16 +1946,13 @@ pub(crate) mod tests {
         let line = doc.children(top)[2];
         let child = standalone_child(&mut doc, &mut root, line);
         let sentinel = Rid::new(natix_storage::INVALID_PAGE, 7);
-        let _ = (decodes::take(), encodes::take());
+        let mark = metrics(&st);
         st.repoint_proxy(root, child, sentinel).unwrap();
-        assert_eq!((decodes::take(), encodes::take()), (0, 0), "repoint_proxy");
+        assert_eq!(edit_counts(&st, &mark), (0, 0), "repoint_proxy");
         assert!(st.view(root).unwrap().find_proxy(sentinel).is_some());
+        let mark = metrics(&st);
         st.remove_placeholder(root, sentinel).unwrap();
-        assert_eq!(
-            (decodes::take(), encodes::take()),
-            (0, 0),
-            "remove_placeholder"
-        );
+        assert_eq!(edit_counts(&st, &mark), (0, 0), "remove_placeholder");
         st.discard_record(child).unwrap();
         doc.detach(doc.children(line)[1]);
         assert!(reconstruct_document(&st, root).unwrap() == doc);
@@ -2163,10 +2177,8 @@ pub(crate) mod tests {
         assert!(below.len() > 10, "{} records below a scene", below.len());
         st.storage().buffer().clear().unwrap();
         st.versions().forget_parsed();
-        let stats = Arc::clone(st.storage().buffer().stats());
-        let before = stats.snapshot();
+        let before = metrics(&st);
         let _pin = st.begin_read();
-        counters();
         let (mut entered, mut kept) = (Vec::new(), Vec::new());
         walk_records(&st, NodePtr::new(root, 0), 0, keep, &mut |entry, depth| {
             match entry {
@@ -2177,8 +2189,8 @@ pub(crate) mod tests {
             true
         })
         .unwrap();
-        let (_, parsed) = counters();
-        let read = stats.snapshot().since(&before).physical_reads;
+        let since = metrics(&st).since(&before);
+        let (parsed, read) = (since.record_parses, since.physical_reads);
         assert_eq!(kept, scenes, "the walk keeps every scene");
         let inside: Vec<&Rid> = entered.iter().filter(|r| below.contains(*r)).collect();
         assert!(

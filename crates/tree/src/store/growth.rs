@@ -3,7 +3,7 @@
 //! split (§3.2), and a split's separator goes into the parent record,
 //! recursively. `store_updated` runs the same steps for a record tree.
 
-use natix_storage::{PatchKind, Rid, Splice, StorageError};
+use natix_storage::{Metrics, PatchKind, Rid, Splice, StorageError};
 
 use super::{OpCtx, Relocation, TreeStore, WATCH};
 use crate::error::{TreeError, TreeResult};
@@ -46,6 +46,7 @@ impl TreeStore {
                 Err(e) => return Err(e),
             }
         }
+        Metrics::add_one(&self.versions.metrics().record_decodes);
         let mut tree = patch.decode()?;
         if let Some(n) = patch.inserted.filter(|_| watch) {
             tree.node_mut(n).orig = Some(WATCH);
@@ -68,6 +69,7 @@ impl TreeStore {
     ) -> TreeResult<Rid> {
         if tree.record_size() <= self.net_capacity() {
             let encode = |current: &[u8], table: &mut TypeTable| {
+                Metrics::add_one(&self.versions.metrics().record_encodes);
                 let (bytes, mapping) = record::try_serialize(&tree, table)?;
                 Ok((Splice::whole(current, bytes), mapping))
             };
@@ -167,6 +169,7 @@ impl TreeStore {
         // Splice the separator into the parent in place of the old proxy
         // (§3.2.2, "Inserting the separator"), honouring special case 2.
         let (view, proxy) = self.holder(parent_rid, rid)?;
+        Metrics::add_one(&self.versions.metrics().record_decodes);
         let mut parent = view.decode()?;
         let proxy_parent = parent
             .node(proxy)

@@ -6,7 +6,7 @@
 //! as a step of the same operation, then resolves again. The write phase
 //! meets only plain records, and the operation reports one result.
 
-use natix_storage::Rid;
+use natix_storage::{Metrics, Rid};
 use natix_xml::LABEL_NONE;
 
 use super::{OpCtx, TreeStore};
@@ -114,6 +114,7 @@ impl TreeStore {
                 // holder's normalization; plain records need none.
                 continue;
             }
+            Metrics::add_one(&self.versions.metrics().record_decodes);
             let mut tree = view.decode()?;
             self.inline_continuations(rc, &mut tree, ctx)?;
             self.store_updated(rc, tree, ctx)?;
@@ -216,6 +217,7 @@ impl TreeStore {
                 "continuation group {group_rid}: prefix chain longer than the spilled path"
             )));
         }
+        Metrics::add_one(&self.versions.metrics().record_decodes);
         let mut group = view.decode()?;
         for i in 0..levels {
             // Chain entry `i` is node `i` (`RecordView::prefix_levels`).

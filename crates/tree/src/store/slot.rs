@@ -5,7 +5,7 @@
 //! recovery replays it with ([`TreeStore::write_page`]).
 
 use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
-use natix_storage::{PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice, StorageError};
+use natix_storage::{Metrics, PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice, StorageError};
 
 use super::{OpCtx, Relocation, TreeStore, WATCH};
 use crate::error::{TreeError, TreeResult};
@@ -25,6 +25,7 @@ impl TreeStore {
         let bytes = sp
             .get(rid.slot)
             .ok_or(TreeError::Storage(StorageError::RecordNotFound(rid)))?;
+        Metrics::add_one(&self.versions.metrics().record_parses);
         RecordView::parse(bytes.to_vec(), table, rid)
     }
 
@@ -257,6 +258,7 @@ impl TreeStore {
         if ambient.is_some_and(|op| self.versions.pending_elsewhere(rid, op)) {
             return Ok(None);
         }
+        Metrics::add_one(&self.versions.metrics().record_encodes);
         let (bytes, mapping) = record::serialize_sized(tree, len, &mut table)?;
         let op = self.before_write(rid, None, &table);
         let (splice, types) = (

@@ -116,7 +116,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Mutex, TrackedAtomicU64, TrackedAtomicUsize};
 
 use natix_storage::wal::{Wal, WalRecord};
-use natix_storage::{PageId, Rid};
+use natix_storage::{Metrics, PageId, Rid};
 
 use crate::error::{TreeError, TreeResult};
 use crate::record::RecordView;
@@ -280,17 +280,14 @@ pub struct VersionStore {
     /// Outer write operations fully finished — published *and* done with
     /// their commit hook, i.e. past their last log append.
     ops_finished: TrackedAtomicU64,
-}
-
-impl Default for VersionStore {
-    fn default() -> Self {
-        VersionStore::new()
-    }
+    /// The repository's counters: the tree store counts its record work
+    /// here.
+    metrics: Arc<Metrics>,
 }
 
 impl VersionStore {
-    /// Creates an empty version store at epoch 0.
-    pub fn new() -> VersionStore {
+    /// Creates an empty version store at epoch 0, counting into `metrics`.
+    pub fn new(metrics: Arc<Metrics>) -> VersionStore {
         VersionStore {
             uid: NEXT_UID.fetch_add(1, Ordering::Relaxed),
             state: Mutex::with_rank(
@@ -312,7 +309,13 @@ impl VersionStore {
             commit_hook: OnceLock::new(),
             ops_begun: TrackedAtomicU64::new(0),
             ops_finished: TrackedAtomicU64::new(0),
+            metrics,
         }
+    }
+
+    /// The counter block this store and its tree stores count into.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     /// Attaches the write-ahead log: from now on the tree store logs every
@@ -514,6 +517,7 @@ impl VersionStore {
         };
         let table = TypeTable::decode(&table)
             .map_err(|message| TreeError::CorruptRecord { rid, message })?;
+        Metrics::add_one(&self.metrics.record_parses);
         RecordView::parse(bytes, table, rid).map(Some)
     }
 
@@ -837,7 +841,16 @@ impl Drop for WriteOp<'_> {
 mod tests {
     use super::*;
     use crate::model::{PContent, RecordTree};
-    use crate::record::parses;
+
+    /// A version store of a block of its own.
+    fn versions() -> VersionStore {
+        VersionStore::new(Metrics::new_shared())
+    }
+
+    /// The store's parses so far.
+    fn parses(vs: &VersionStore) -> u64 {
+        vs.metrics().snapshot().record_parses
+    }
 
     /// Deposits, as operation `op`'s pre-image of `rid`, a one-node record
     /// whose root carries `label`.
@@ -850,7 +863,7 @@ mod tests {
 
     #[test]
     fn reader_sees_deposit_until_publish_boundary() {
-        let vs = VersionStore::new();
+        let vs = versions();
         let rid = Rid::new(3, 1);
         let old = vs.pin_raw();
         assert!(vs.lookup(rid, old).unwrap().is_none());
@@ -878,14 +891,13 @@ mod tests {
         // A deposit is bytes and a table: nothing is parsed until a pinned
         // reader looks the record up, and every lookup — pending or
         // published — parses the deposit into the same view.
-        let vs = VersionStore::new();
+        let vs = versions();
         let rid = Rid::new(6, 2);
         let pin = vs.pin_raw();
         let op = vs.begin_write();
         let tok = vs.ambient_write_op().unwrap();
-        parses::take();
         deposit(&vs, tok, rid, 33);
-        assert_eq!(parses::take(), 0, "a deposit parses nothing");
+        assert_eq!(parses(&vs), 0, "a deposit parses nothing");
         let first = vs
             .lookup(rid, pin)
             .unwrap()
@@ -896,7 +908,7 @@ mod tests {
             .lookup(rid, pin)
             .unwrap()
             .expect("published deposit serves");
-        assert_eq!(parses::take(), 2, "one parse per lookup");
+        assert_eq!(parses(&vs), 2, "one parse per lookup");
         assert_eq!(
             (second.label(0), second.byte_len()),
             (first.label(0), first.byte_len())
@@ -907,7 +919,7 @@ mod tests {
 
     #[test]
     fn first_deposit_per_op_wins() {
-        let vs = VersionStore::new();
+        let vs = versions();
         let rid = Rid::new(1, 1);
         let pin = vs.pin_raw();
         let op = vs.begin_write();
@@ -921,7 +933,7 @@ mod tests {
 
     #[test]
     fn pending_deposits_quarantine_the_slot_for_other_ops() {
-        let vs = VersionStore::new();
+        let vs = versions();
         let rid = Rid::new(4, 4);
         let pin = vs.pin_raw();
         let op1 = vs.begin_write();
@@ -939,7 +951,7 @@ mod tests {
 
     #[test]
     fn records_created_by_an_op_deposit_nothing() {
-        let vs = VersionStore::new();
+        let vs = versions();
         let rid = Rid::new(8, 0);
         let pin = vs.pin_raw();
         let op = vs.begin_write();
@@ -963,7 +975,7 @@ mod tests {
 
     #[test]
     fn successive_ops_stack_versions_per_epoch() {
-        let vs = VersionStore::new();
+        let vs = versions();
         let rid = Rid::new(2, 2);
         let pin0 = vs.pin_raw(); // epoch 0
         {
@@ -987,7 +999,7 @@ mod tests {
 
     #[test]
     fn nested_guards_share_ambient_state() {
-        let vs = VersionStore::new();
+        let vs = versions();
         let outer = vs.begin_read();
         let inner = vs.begin_read();
         assert_eq!(outer.epoch(), inner.epoch());
@@ -1012,7 +1024,7 @@ mod tests {
         // A pre-image that does not parse surfaces as CorruptRecord from
         // `lookup` and through `read` — never a panic — while the
         // non-parsing existence test still answers.
-        let vs = VersionStore::new();
+        let vs = versions();
         let rid = Rid::new(5, 3);
         let pin = vs.begin_read();
         {
@@ -1070,15 +1082,16 @@ mod tests {
     }
 
     fn mk_store_of(page_size: usize) -> TreeStore {
-        use natix_storage::{BufferManager, IoStats, MemStorage, StorageManager};
+        use natix_storage::{BufferManager, MemStorage, StorageManager};
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(backend, 64, IoStats::new_shared()));
+        let metrics = Metrics::new_shared();
+        let bm = Arc::new(BufferManager::new(backend, 64, Arc::clone(&metrics)));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
         TreeStore::new(
             sm,
             TreeConfig::default(),
             SplitMatrix::all_other(),
-            Default::default(),
+            Arc::new(VersionStore::new(metrics)),
         )
         .unwrap()
     }
@@ -1197,15 +1210,19 @@ mod tests {
         {
             // The memo outlives a pin at an unchanged epoch.
             let _pin = store.begin_read();
-            parses::take();
+            let before = parses(store.versions());
             assert!(Arc::ptr_eq(&first, &store.view(rid).unwrap()));
-            assert_eq!(parses::take(), 0);
+            assert_eq!(parses(store.versions()), before);
         }
         set_text(&store, ptr, "new");
         let _pin = store.begin_read();
-        parses::take();
+        let before = parses(store.versions());
         assert_eq!(text_at(&store, ptr), "new");
-        assert_eq!(parses::take(), 1, "the new image, parsed once");
+        assert_eq!(
+            parses(store.versions()) - before,
+            1,
+            "the new image, parsed once"
+        );
         assert!(!Arc::ptr_eq(&first, &store.view(rid).unwrap()));
     }
 

@@ -6,12 +6,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use natix_storage::slotted::SlottedPageRef;
-use natix_storage::{BufferManager, IoStats, MemStorage, Rid, StorageManager};
+use natix_storage::{BufferManager, MemStorage, Metrics, Rid, StorageManager};
 use natix_tree::record::{try_serialize, RecordView};
 use natix_tree::typetable::TypeTable;
 use natix_tree::{
     check_tree, reconstruct_document, InsertPos, NewNode, NodePtr, OpResult, SplitMatrix,
-    TreeConfig, TreeStore,
+    TreeConfig, TreeStore, VersionStore,
 };
 use natix_xml::{Document, LiteralValue, NodeData, NodeIdx, LABEL_TEXT};
 
@@ -129,13 +129,14 @@ impl H {
 fn run(seed: u64, nops: usize, verify_each: bool) {
     let mut rng = Rng(seed);
     let backend = Arc::new(MemStorage::new(512).unwrap());
-    let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
+    let metrics = Metrics::new_shared();
+    let bm = Arc::new(BufferManager::new(backend, 256, Arc::clone(&metrics)));
     let sm = Arc::new(StorageManager::create(bm).unwrap());
     let store = TreeStore::new(
         sm,
         TreeConfig::paper(),
         SplitMatrix::all_other(),
-        Default::default(),
+        Arc::new(VersionStore::new(metrics)),
     )
     .unwrap();
     let root_rid = store.create_tree(1).unwrap();

@@ -14,10 +14,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use natix_storage::{BufferManager, IoStats, MemStorage, Rid, StorageManager};
+use natix_storage::{BufferManager, MemStorage, Metrics, Rid, StorageManager};
 use natix_tree::{
     check_tree, reconstruct_document, InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour,
-    SplitMatrix, TreeConfig, TreeStore,
+    SplitMatrix, TreeConfig, TreeStore, VersionStore,
 };
 use natix_xml::{Document, LiteralValue, NodeData, NodeIdx, LABEL_TEXT};
 
@@ -106,9 +106,11 @@ struct Harness {
 impl Harness {
     fn new(page_size: usize, matrix: SplitMatrix, config: TreeConfig) -> Harness {
         let backend = Arc::new(MemStorage::new(page_size).unwrap());
-        let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
+        let metrics = Metrics::new_shared();
+        let bm = Arc::new(BufferManager::new(backend, 256, Arc::clone(&metrics)));
         let sm = Arc::new(StorageManager::create(bm).unwrap());
-        let store = TreeStore::new(sm, config, matrix, Default::default()).unwrap();
+        let versions = Arc::new(VersionStore::new(metrics));
+        let store = TreeStore::new(sm, config, matrix, versions).unwrap();
         let root_rid = store.create_tree(1).unwrap();
         let mut h = Harness {
             store,

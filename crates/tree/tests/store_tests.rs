@@ -11,18 +11,20 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use natix_storage::{BufferManager, IoStats, MemStorage, PageKind, Rid, StorageManager};
+use natix_storage::{BufferManager, MemStorage, Metrics, PageKind, Rid, StorageManager};
 use natix_tree::{
     check_tree, reconstruct_document, InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour,
-    SplitMatrix, TreeConfig, TreeStore,
+    SplitMatrix, TreeConfig, TreeStore, VersionStore,
 };
 use natix_xml::{Document, LiteralValue, NodeData, NodeIdx, LABEL_TEXT};
 
 fn mk_store(page_size: usize, matrix: SplitMatrix, config: TreeConfig) -> TreeStore {
     let backend = Arc::new(MemStorage::new(page_size).unwrap());
-    let bm = Arc::new(BufferManager::new(backend, 256, IoStats::new_shared()));
+    let metrics = Metrics::new_shared();
+    let bm = Arc::new(BufferManager::new(backend, 256, Arc::clone(&metrics)));
     let sm = Arc::new(StorageManager::create(bm).unwrap());
-    TreeStore::new(sm, config, matrix, Default::default()).unwrap()
+    let versions = Arc::new(VersionStore::new(metrics));
+    TreeStore::new(sm, config, matrix, versions).unwrap()
 }
 
 /// Shadow logical document plus the logical↔physical node map, kept

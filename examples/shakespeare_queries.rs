@@ -44,13 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Query 1: all speakers in act 3, scene 2 of every play.
     repo.clear_buffer()?;
-    let before = repo.io_stats().snapshot();
+    let before = repo.metrics();
     let mut speakers = 0usize;
     for play in &plays {
         let hits = repo.query(&play.name, "/PLAY/ACT[3]/SCENE[2]//SPEAKER")?;
         speakers += hits.len();
     }
-    let d = repo.io_stats().snapshot().since(&before);
+    let d = repo.metrics().since(&before);
     println!(
         "Q1 (/PLAY/ACT[3]/SCENE[2]//SPEAKER): {speakers} speakers, \
          {:.1} ms simulated disk, {} page reads",
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Query 2: recreate the text of the first speech of every scene.
     repo.clear_buffer()?;
-    let before = repo.io_stats().snapshot();
+    let before = repo.metrics();
     let mut total_len = 0usize;
     for play in &plays {
         let id = repo.doc_id(&play.name)?;
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             total_len += repo.serialize_node(id, speech)?.len();
         }
     }
-    let d = repo.io_stats().snapshot().since(&before);
+    let d = repo.metrics().since(&before);
     println!(
         "Q2 (first speech per scene): {} KB of markup recreated, {:.1} ms simulated disk",
         total_len / 1024,
@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Query 3: the opening speech of each play.
     repo.clear_buffer()?;
-    let before = repo.io_stats().snapshot();
+    let before = repo.metrics();
     for play in &plays {
         let id = repo.doc_id(&play.name)?;
         for speech in repo.query(&play.name, "/PLAY/ACT[1]/SCENE[1]/SPEECH[1]")? {
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  {} opens: {:.50}…", play.title, text);
         }
     }
-    let d = repo.io_stats().snapshot().since(&before);
+    let d = repo.metrics().since(&before);
     println!(
         "Q3 (opening speech per play): {:.1} ms simulated disk",
         d.sim_disk_ms()
@@ -99,9 +99,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     repo.clear_buffer()?;
     for play in &plays {
         let plan = repo.explain(&play.name, "//SPEAKER", &opts)?;
-        let before = repo.io_stats().snapshot();
+        let before = repo.metrics();
         let (count, counted) = repo.count_planned(&play.name, "//SPEAKER", &opts)?;
-        let d = repo.io_stats().snapshot().since(&before);
+        let d = repo.metrics().since(&before);
         println!(
             "  {}: //SPEAKER as a node list → {:?} (visits ~{} of {} nodes); \
              as a count → {count} via {:?}, {} page reads",
@@ -165,11 +165,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Pages read and device requests of one run over every play, cold.
     let cold = |query: &str, opts: &PlannerOptions| -> Result<(u64, u64), natix::NatixError> {
         resident.clear_buffer()?;
-        let before = resident.io_stats().snapshot();
+        let before = resident.metrics();
         for play in &plays {
             resident.query_planned(&play.name, query, opts)?;
         }
-        let d = resident.io_stats().snapshot().since(&before);
+        let d = resident.metrics().since(&before);
         Ok((d.physical_reads, d.read_requests))
     };
     let mut dearer = Vec::new();
