@@ -246,7 +246,7 @@ pub(crate) fn label_rows(symbols: &SymbolTable, from: usize) -> Delta {
 /// consistent cut: every part is read under the guard its writers append
 /// their delta under, taken in rank order (`SYMBOL_MARK` → `SYMBOLS` →
 /// `SPLIT_MATRIX` → `REGISTRY` → `SCHEMA`, each root under its
-/// `DOC_ROOT`), so a delta appended below the log position the caller
+/// `DOC_VERSIONS`), so a delta appended below the log position the caller
 /// read before calling is always in the cut. The watermark is held for
 /// `set_matrix_rule`, and left where it is: what the cut covers, the next
 /// commit may log again — label rows are assignments.
@@ -281,7 +281,7 @@ pub(crate) fn capture(repo: &Repository) -> Vec<Delta> {
     }));
     deltas.extend(registry.docs.iter().flatten().map(|doc| Delta::DocAdd {
         name: doc.name.clone(),
-        root: doc.root_rid(),
+        root: doc.current().root,
     }));
     deltas
 }
@@ -434,7 +434,7 @@ pub(crate) fn restore(repo: &Repository, deltas: &[Delta]) -> NatixResult<()> {
     }
     let mut registry = repo.registry.lock();
     for (name, root) in dir.docs_in_order() {
-        registry.install(DocState::new(name.to_string(), root));
+        registry.install(DocState::new(name.to_string(), root, None));
     }
     Ok(())
 }

@@ -28,6 +28,7 @@
 //! behind a repository-wide writer lock.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -40,6 +41,7 @@ use natix_xml::{
 use crate::error::{NatixError, NatixResult};
 use crate::feed::{text_chunks, Feed};
 use crate::idmap::NodeMap;
+use crate::path_summary::{PathSummary, SummaryDelta};
 use crate::repository::Repository;
 
 /// Identifies a document within a repository.
@@ -65,17 +67,29 @@ pub struct NodeSummary {
     pub text: Option<String>,
 }
 
-/// The document's root record RID, versioned by publish epoch: the root
-/// moves on root splits, and a snapshot reader must start from the root
-/// of *its* epoch — the current RID may belong to an operation published
-/// after the reader pinned (whose record images the reader must not mix
-/// with its snapshot). Old entries carry the epoch from which their
-/// replacement is current; `dead_from` marks document deletion.
-struct RootSlot {
-    current: Rid,
-    /// `(valid_until, rid)` — readers pinned below `valid_until` start at
-    /// `rid`. Ascending; pruned against the reader floor on every publish.
-    old: Vec<(u64, Rid)>,
+/// One version of a document: the record its tree starts at (the root
+/// moves on root splits) and its path summary. A snapshot reader must
+/// take both from *its* epoch — a root published after it pinned leads to
+/// record images it must not mix with its snapshot, and a summary of
+/// another epoch counts nodes its records do not hold.
+#[derive(Clone)]
+pub(crate) struct DocVersion {
+    pub(crate) root: Rid,
+    /// `None`: no summary for these epochs (never built, invalidated, or
+    /// an edit's delta failed to apply) — readers fall back to scans.
+    pub(crate) summary: Option<Arc<PathSummary>>,
+}
+
+/// The document's versions by publish epoch. Every publish that changes
+/// the document's structure supersedes the current version, so the
+/// structure has not changed since the current version began — what lets
+/// [`DocState::fill_summary`] complete it in place.
+struct Versions {
+    current: DocVersion,
+    /// `(valid_until, version)` — readers pinned below `valid_until` read
+    /// `version`. Ascending; pruned against the reader floor on every
+    /// publish.
+    old: Vec<(u64, DocVersion)>,
     /// Epoch at which the document was registered: readers pinned below
     /// it resolve to "no such document" — a snapshot predating the
     /// document must not see it, even if it re-resolves the name after a
@@ -84,12 +98,28 @@ struct RootSlot {
     dead_from: Option<u64>,
 }
 
+impl Versions {
+    /// Makes the current version, changed by `change`, current from
+    /// `epoch` on; readers pinned below keep the version before. Several
+    /// changes published at one epoch (a root move and a summary delta of
+    /// one operation) leave one pre-image.
+    fn supersede(&mut self, epoch: u64, floor: u64, change: impl FnOnce(&mut DocVersion)) {
+        let mut next = self.current.clone();
+        change(&mut next);
+        let prev = std::mem::replace(&mut self.current, next);
+        if self.old.last().is_none_or(|&(until, _)| until != epoch) {
+            self.old.push((epoch, prev));
+        }
+        self.old.retain(|&(valid_until, _)| valid_until > floor);
+    }
+}
+
 /// Per-document state. Shared as `Arc<DocState>`; the volatile pieces
-/// (the id map and the epoch-versioned root slot) sit behind their own
+/// (the id map and the epoch-versioned versions) sit behind their own
 /// mutexes so readers take `&self`.
 pub(crate) struct DocState {
     pub name: String,
-    root: Mutex<RootSlot>,
+    versions: Mutex<Versions>,
     /// The root's logical id — the first id handed out, always 0.
     pub root_id: NodeId,
     ids: Mutex<NodeMap>,
@@ -102,14 +132,19 @@ pub(crate) struct DocState {
 }
 
 impl DocState {
-    pub(crate) fn new(name: String, root_rid: Rid) -> DocState {
-        let ids = NodeMap::new(NodePtr::new(root_rid, 0));
+    /// A loaded (or restored) document, with the summary its loader built.
+    pub(crate) fn new(name: String, root: Rid, summary: Option<PathSummary>) -> DocState {
+        let ids = NodeMap::new(NodePtr::new(root, 0));
+        let current = DocVersion {
+            root,
+            summary: summary.map(Arc::new),
+        };
         DocState {
             name,
-            root: Mutex::with_rank(
-                &parking_lot::rank::DOC_ROOT,
-                RootSlot {
-                    current: root_rid,
+            versions: Mutex::with_rank(
+                &parking_lot::rank::DOC_VERSIONS,
+                Versions {
+                    current,
                     old: Vec::new(),
                     born_at: 0,
                     dead_from: None,
@@ -121,34 +156,37 @@ impl DocState {
         }
     }
 
-    /// Current RID of the record holding the document root (writers and
-    /// unpinned readers).
-    pub(crate) fn root_rid(&self) -> Rid {
-        self.root.lock().current
+    /// The document, registered at `epoch` (by the registration in
+    /// `write.rs`, before anyone else holds it).
+    pub(crate) fn born(mut self, epoch: u64) -> DocState {
+        self.versions.get_mut().born_at = epoch;
+        self
     }
 
-    /// Root RID as of `epoch`; `None` when the document did not exist at
-    /// that epoch (deleted at or before it, or registered after it).
-    pub(crate) fn root_rid_at(&self, epoch: u64) -> Option<Rid> {
-        let r = self.root.lock();
-        if epoch < r.born_at || r.dead_from.is_some_and(|d| epoch >= d) {
+    /// The current version (writers, under the edit latch).
+    pub(crate) fn current(&self) -> DocVersion {
+        self.versions.lock().current.clone()
+    }
+
+    /// The version a reader pinned at `epoch` sees (`None`: unpinned, the
+    /// current one); `None` when the document did not exist then (deleted
+    /// at or before it, or registered after it).
+    pub(crate) fn version_at(&self, epoch: Option<u64>) -> Option<DocVersion> {
+        let v = self.versions.lock();
+        let epoch = epoch.unwrap_or(u64::MAX);
+        if epoch < v.born_at || v.dead_from.is_some_and(|d| epoch >= d) {
             return None;
         }
         // natix-model fail point: reverting the epoch re-check hands a
-        // pinned reader the *current* root — possibly published after the
-        // reader pinned, whose record images belong to a later epoch. The
-        // model suite's root-publish scenario catches the resulting
+        // pinned reader the *current* version — a root, or a summary,
+        // published after the reader pinned. The model suite's
+        // root-publish and path-summary scenarios catch the resulting
         // snapshot instability.
-        if parking_lot::fail_point("root-slot.epoch-recheck") {
-            return Some(r.current);
+        if parking_lot::fail_point("doc-version.epoch-recheck") {
+            return Some(v.current.clone());
         }
-        Some(
-            r.old
-                .iter()
-                .find(|&&(valid_until, _)| valid_until > epoch)
-                .map(|&(_, rid)| rid)
-                .unwrap_or(r.current),
-        )
+        let found = v.old.iter().find(|&&(valid_until, _)| valid_until > epoch);
+        Some(found.map_or(&v.current, |(_, version)| version).clone())
     }
 
     /// Publish hook of a root move: runs inside the version store's
@@ -156,7 +194,7 @@ impl DocState {
     /// when the moving operation's epoch does. Readers pinned below
     /// `epoch` keep starting from `old` (whose pre-image the operation
     /// deposited). `log` is called with the new root if the move took
-    /// effect, under the root slot's lock.
+    /// effect, under the versions' lock.
     pub(crate) fn publish_root_move(
         &self,
         (old, new): (Rid, Rid),
@@ -164,33 +202,53 @@ impl DocState {
         floor: u64,
         log: impl FnOnce(Rid),
     ) {
-        let mut r = self.root.lock();
-        if r.current == old {
-            r.old.push((epoch, old));
-            r.current = new;
+        let mut v = self.versions.lock();
+        if v.current.root == old {
+            v.supersede(epoch, floor, |next| next.root = new);
             log(new);
         }
-        r.old.retain(|&(valid_until, _)| valid_until > floor);
+    }
+
+    /// Publish hook of a structural edit's summary change: `delta` applied
+    /// to the current summary, or no summary from `epoch` on when the edit
+    /// could not describe itself (`None`) or the delta does not apply —
+    /// the summary goes stale, never wrong. Supersedes the version even
+    /// when there was no summary to change (see [`Versions`]).
+    pub(crate) fn publish_summary(&self, delta: Option<&SummaryDelta>, epoch: u64, floor: u64) {
+        self.versions.lock().supersede(epoch, floor, |next| {
+            let summary = next.summary.as_deref().zip(delta);
+            next.summary = summary.and_then(|(s, d)| s.apply(d).ok()).map(Arc::new);
+        });
     }
 
     /// Publish hook of a document deletion: readers pinned below `epoch`
     /// keep reading the deposited records, later ones get "no such
     /// document".
     pub(crate) fn retire(&self, epoch: u64, floor: u64) {
-        let mut r = self.root.lock();
-        r.dead_from = Some(epoch);
-        r.old.retain(|&(valid_until, _)| valid_until > floor);
+        let mut v = self.versions.lock();
+        v.dead_from = Some(epoch);
+        v.old.retain(|&(valid_until, _)| valid_until > floor);
     }
 
-    /// Stamps the registration epoch (called once, by
-    /// [`Repository::register`]).
-    pub(crate) fn set_born(&self, epoch: u64) {
-        self.root.lock().born_at = epoch;
+    /// Gives the current version the summary built from its tree; the
+    /// caller holds the edit latch, so no structural change can publish
+    /// meanwhile.
+    pub(crate) fn fill_summary(&self, summary: PathSummary) {
+        self.versions.lock().current.summary = Some(Arc::new(summary));
+    }
+
+    /// Drops the summary of every version.
+    pub(crate) fn drop_summaries(&self) {
+        let mut v = self.versions.lock();
+        v.current.summary = None;
+        for (_, version) in &mut v.old {
+            version.summary = None;
+        }
     }
 
     /// True once the document has been deleted (its publish hook ran).
     pub(crate) fn is_dead(&self) -> bool {
-        self.root.lock().dead_from.is_some()
+        self.versions.lock().dead_from.is_some()
     }
 
     /// Resolves a logical id to its current physical pointer.
@@ -211,9 +269,9 @@ impl DocState {
         self.ids.lock()
     }
 
-    /// Applies an operation's relocation events. Does not touch the root
-    /// slot — published edits defer the root move to the publish hook,
-    /// unpublished paths use [`apply`](Self::apply).
+    /// Applies an operation's relocation events. Does not touch the
+    /// document's versions — published edits defer the root move to the
+    /// publish hook, unpublished paths use [`apply`](Self::apply).
     pub(crate) fn apply_relocations(&self, res: &OpResult) {
         if !res.relocations.is_empty() {
             self.ids.lock().apply(&res.relocations);
@@ -227,9 +285,9 @@ impl DocState {
     pub(crate) fn apply(&self, res: &OpResult) {
         self.apply_relocations(res);
         if let Some((old, new)) = res.root_moved {
-            let mut r = self.root.lock();
-            if r.current == old {
-                r.current = new;
+            let mut v = self.versions.lock();
+            if v.current.root == old {
+                v.current.root = new;
             }
         }
     }
@@ -371,14 +429,14 @@ impl Repository {
     /// path, kept as the oracle for differential tests and benchmarks of
     /// the bulkloader.
     pub fn put_document_per_node(&self, name: &str, doc: &Document) -> NatixResult<DocId> {
-        self.publish_load(name, || Ok((self.per_node_load(name, doc)?, None)))
+        self.publish_load(name, || self.per_node_load(name, doc))
     }
 
     /// Creates an empty document with the given root tag.
     pub fn create_document(&self, name: &str, root_tag: &str) -> NatixResult<DocId> {
         self.publish_load(name, || {
             let root_rid = self.tree.create_tree(self.element_label(root_tag)?)?;
-            Ok((DocState::new(name.to_string(), root_rid), None))
+            Ok(DocState::new(name.to_string(), root_rid, None))
         })
     }
 
@@ -388,7 +446,7 @@ impl Repository {
         let id = self.doc_id(name)?;
         let st = self.state(id)?;
         let _pin = self.tree.begin_read();
-        let root = self.snapshot_root(&st)?;
+        let root = self.snapshot(&st)?.root;
         Ok(natix_tree::reconstruct_document(&self.tree, root)?)
     }
 
@@ -406,7 +464,7 @@ impl Repository {
         // small and append-only, so a clone is cheap and never stale
         // for labels this document can reference.
         let symbols = self.symbols.read().clone();
-        let root = self.snapshot_root(&st)?;
+        let root = self.snapshot(&st)?.root;
         Ok(natix_tree::serialize_xml(
             &self.tree,
             NodePtr::new(root, 0),
@@ -420,7 +478,7 @@ impl Repository {
     pub fn delete_document(&self, name: &str) -> NatixResult<()> {
         let id = self.doc_id(name)?;
         self.edit(id, |e| {
-            let result = self.tree.drop_tree(e.state.root_rid());
+            let result = self.tree.drop_tree(e.state.current().root);
             // Retired even on a failed cascade — a half-freed tree must
             // not stay addressable (the unfreed records leak, which beats
             // dangling-pointer walks).
@@ -609,7 +667,9 @@ impl Repository {
             // applied — survivors may move into freed addresses.
             e.state.ids().purge(&victims);
             e.absorb(&res);
-            e.note_summary_remove(decrements);
+            e.note_summary(Some(SummaryDelta::Remove {
+                decrements: decrements.into_iter().collect(),
+            }));
             Ok(())
         })
     }
@@ -653,7 +713,7 @@ impl Repository {
         let symbols: SymbolTable = self.symbols.read().clone();
         let symbols: &SymbolTable = &symbols;
         let mut depth = 0usize;
-        let root = self.snapshot_root(&st)?;
+        let root = self.snapshot(&st)?.root;
         natix_tree::traverse(&self.tree, NodePtr::new(root, 0), &mut |ev| {
             match ev {
                 VisitEvent::Enter { label, .. } => {
@@ -704,6 +764,118 @@ mod tests {
                    </SPEECH></SCENE></ACT></PLAY>";
         repo.put_xml("hamlet", xml).unwrap();
         assert_eq!(repo.get_xml("hamlet").unwrap(), xml);
+    }
+
+    /// `<a>` with `nodes - 1` `<b/>` children, as a summary.
+    fn summary(nodes: usize) -> PathSummary {
+        let mut s = crate::path_summary::SummaryBuilder::new();
+        s.start_element(10);
+        for _ in 1..nodes {
+            s.start_element(11);
+            s.end_element();
+        }
+        s.end_element();
+        s.finish().unwrap()
+    }
+
+    #[test]
+    fn versions_serve_each_epoch_its_root_and_summary() {
+        let (r1, r2) = (Rid::new(1, 0), Rid::new(2, 0));
+        let st = DocState::new("d".into(), r1, Some(summary(3))).born(5);
+        let at = |epoch| st.version_at(Some(epoch));
+        let nodes = |epoch| at(epoch).unwrap().summary.map(|s| s.total_nodes());
+        assert!(at(4).is_none(), "pinned before the registration");
+        assert_eq!((at(5).unwrap().root, nodes(5)), (r1, Some(3)));
+        // An insert publishes a root move and a summary delta at epoch 10:
+        // one pre-image, pins below keep the version before.
+        let insert = SummaryDelta::Insert {
+            path: vec![10, 11],
+            literal: false,
+            count: 1,
+        };
+        st.publish_summary(Some(&insert), 10, 0);
+        st.publish_root_move((r1, r2), 10, 0, |_| {});
+        assert_eq!(st.versions.lock().old.len(), 1);
+        assert_eq!((at(9).unwrap().root, nodes(9)), (r1, Some(3)));
+        assert_eq!((at(10).unwrap().root, nodes(10)), (r2, Some(4)));
+        assert_eq!(st.version_at(None).unwrap().root, r2);
+        // A failing delta goes stale, not wrong.
+        let underflow = SummaryDelta::Remove {
+            decrements: vec![(vec![10, 11], 100)],
+        };
+        st.publish_summary(Some(&underflow), 20, 0);
+        assert_eq!((nodes(12), nodes(20)), (Some(4), None));
+        // A build fills the current version, whose range starts at the
+        // last structural publish; older versions keep theirs.
+        st.fill_summary(summary(4));
+        assert_eq!((nodes(12), nodes(20)), (Some(4), Some(4)));
+        // An edit that cannot describe itself starts a version too, so a
+        // later build cannot reach back past it.
+        st.publish_summary(None, 30, 0);
+        st.fill_summary(summary(5));
+        assert_eq!((nodes(25), nodes(30)), (Some(4), Some(5)));
+        // Floor-based pruning drops pre-images nobody can pin.
+        st.publish_summary(Some(&insert), 40, 35);
+        assert_eq!(st.versions.lock().old.len(), 1);
+        assert_eq!((nodes(36), nodes(40)), (Some(5), Some(6)));
+        st.drop_summaries();
+        assert_eq!((nodes(36), nodes(40)), (None, None));
+        st.retire(50, 0);
+        assert!(st.is_dead() && at(50).is_none() && st.version_at(None).is_none());
+        assert_eq!(at(49).unwrap().root, r2);
+    }
+
+    #[test]
+    fn an_attribute_after_content_is_refused_and_nothing_changes() {
+        // Inserting `y="2"` last used to export `<a x="1"><b/>text2</a>`,
+        // the value written as character data.
+        let repo = small_repo();
+        let xml = r#"<a x="1"><b/>text</a>"#;
+        let id = repo.put_xml("d", xml).unwrap();
+        let root = repo.root(id).unwrap();
+        let kids = repo.children(id, root).unwrap();
+        let (x, b) = (kids[0], kids[1]);
+        let y = repo.symbols_mut().intern_attribute("y");
+        let b_label = repo.symbols().lookup_element("b").unwrap();
+        let value = || NewNode::Literal(LiteralValue::String("2".into()));
+        let log_end = || repo.wal.as_ref().unwrap().appended_lsn();
+        let logged = log_end();
+        let refused = [
+            (InsertAt::Child(root, InsertPos::Last), y, value()),
+            (InsertAt::Child(root, InsertPos::At(2)), y, value()),
+            (InsertAt::After(b), y, value()),
+            (
+                InsertAt::Child(root, InsertPos::First),
+                b_label,
+                NewNode::Element,
+            ),
+            (InsertAt::Child(root, InsertPos::At(0)), LABEL_TEXT, value()),
+        ];
+        for (at, label, node) in refused {
+            assert!(
+                matches!(
+                    repo.insert_node(id, at, label, node),
+                    Err(NatixError::Validation(_))
+                ),
+                "insert at {at:?}"
+            );
+        }
+        assert_eq!(repo.get_xml("d").unwrap(), xml);
+        assert_eq!(log_end(), logged, "nothing was written");
+        // Among the attributes, and content after them, go through.
+        repo.insert_node(id, InsertAt::After(x), y, value())
+            .unwrap();
+        let z = repo.symbols_mut().intern_attribute("z");
+        repo.insert_node(id, InsertAt::Child(root, InsertPos::First), z, value())
+            .unwrap();
+        repo.insert_element(id, root, InsertPos::At(3), "c")
+            .unwrap();
+        repo.insert_node(id, InsertAt::After(b), LABEL_TEXT, value())
+            .unwrap();
+        assert_eq!(
+            repo.get_xml("d").unwrap(),
+            r#"<a z="2" x="1" y="2"><c/><b/>2text</a>"#
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use natix_xml::{
 
 use crate::document::DocState;
 use crate::error::{NatixError, NatixResult};
-use crate::path_summary::{PathSummary, SummaryBuilder};
+use crate::path_summary::SummaryBuilder;
 use crate::repository::Repository;
 
 /// The chunk rule: a node cannot span records, so text longer than half a
@@ -40,13 +40,14 @@ pub(crate) struct Feed<'r> {
 }
 
 impl<'r> Feed<'r> {
-    /// Runs `body` over a fresh feed: the loaded document's state and
-    /// summary, or the error with every record flushed so far deleted.
+    /// Runs `body` over a fresh feed: the loaded document's state, its
+    /// summary in it, or the error with every record flushed so far
+    /// deleted.
     pub(crate) fn load(
         repo: &'r Repository,
         name: &str,
         body: impl FnOnce(&mut Feed<'r>) -> NatixResult<()>,
-    ) -> NatixResult<(DocState, Option<PathSummary>)> {
+    ) -> NatixResult<DocState> {
         let mut feed = Feed {
             repo,
             loader: BulkLoader::new(&repo.tree),
@@ -58,7 +59,7 @@ impl<'r> Feed<'r> {
         }
         let stats = feed.loader.finish()?;
         let summary = feed.summary.finish();
-        Ok((DocState::new(name.to_string(), stats.root_rid), summary))
+        Ok(DocState::new(name.to_string(), stats.root_rid, summary))
     }
 
     /// One parse event (the parser refuses text outside the root). Labels

@@ -14,18 +14,16 @@
 //!
 //! # Versioning
 //!
-//! Summaries follow the same epoch protocol as document root slots
-//! (`DocState::root`): a `SummarySlot` holds the current summary plus a
-//! chain of `(valid_until, summary)` pre-images. Structural edits compute
-//! a `SummaryDelta` under the edit latch and defer its application to
-//! publish time, so the summary version chain advances atomically with
+//! A summary is part of its document's version (`DocState`'s chain of
+//! `DocVersion`s, one per publish epoch): a reader pinned at an epoch gets
+//! the root and the summary of that epoch under one lock acquisition.
+//! Structural edits compute a `SummaryDelta` under the edit latch and
+//! apply it in their publish hook, so the summary advances atomically with
 //! the version-store epoch. A delta that fails to apply (or an edit whose
-//! path could not be computed) *invalidates* the current summary instead
-//! of corrupting it: the slot records a `None` current, readers fall back
-//! to record scans, and the next planned query rebuilds from the tree.
-//! The slot map lock is ranked `PATH_SUMMARY` (920): below the version
-//! store (publish hooks apply deltas while holding it) and the document
-//! root slot, above the id map and the storage band.
+//! path could not be computed) leaves the next version *without* a
+//! summary instead of a wrong one: readers fall back to record scans, and
+//! the next planned query rebuilds from the tree. A load's summary is in
+//! its document's first version before the document is registered.
 //!
 //! # Multiplicity and enumerability
 //!
@@ -41,12 +39,9 @@
 //! on.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use crate::document::DocId;
 use crate::query::{Step, Test};
 use natix_xml::{LabelId, SymbolTable};
-use parking_lot::{rank, Mutex};
 
 /// One distinct root-to-node label path.
 #[derive(Debug, Clone)]
@@ -143,7 +138,7 @@ impl PathSummary {
     /// `Err` means the delta is inconsistent with this summary (a missing
     /// path, a count underflow) — the caller must invalidate rather than
     /// guess.
-    fn apply(&self, delta: &SummaryDelta) -> Result<PathSummary, ()> {
+    pub(crate) fn apply(&self, delta: &SummaryDelta) -> Result<PathSummary, ()> {
         let mut next = self.clone();
         match delta {
             SummaryDelta::Insert {
@@ -350,7 +345,8 @@ impl PathMatch {
 }
 
 /// Incremental maintenance unit: computed under the edit latch, applied
-/// to the then-current summary inside the publish critical section.
+/// to the then-current summary inside the publish critical section
+/// (`DocState::publish_summary`).
 #[derive(Debug)]
 pub(crate) enum SummaryDelta {
     /// `count` nodes inserted at the full root-to-node label `path`.
@@ -363,153 +359,6 @@ pub(crate) enum SummaryDelta {
     Remove {
         decrements: Vec<(Vec<LabelId>, u64)>,
     },
-}
-
-/// Epoch-versioned summary holder for one document; mirrors the
-/// `DocState::root` slot protocol.
-#[derive(Debug, Default)]
-struct SummarySlot {
-    /// Summary valid from `current_from` onwards; `None` = stale (an edit
-    /// delta failed, or a rebuild is pending).
-    current: Option<Arc<PathSummary>>,
-    current_from: u64,
-    /// Superseded summaries: `(valid_until, summary)`, oldest first. A
-    /// `None` summary marks an epoch range that was stale.
-    old: Vec<(u64, Option<Arc<PathSummary>>)>,
-    /// Epochs below this predate the first build — no summary exists for
-    /// them.
-    born_from: u64,
-}
-
-impl SummarySlot {
-    fn at(&self, epoch: u64) -> Option<Arc<PathSummary>> {
-        if epoch < self.born_from {
-            return None;
-        }
-        for (valid_until, s) in &self.old {
-            if *valid_until > epoch {
-                return s.clone();
-            }
-        }
-        if epoch >= self.current_from {
-            self.current.clone()
-        } else {
-            None
-        }
-    }
-
-    fn supersede(&mut self, next: Option<Arc<PathSummary>>, epoch: u64, floor: u64) {
-        let prev = self.current.take();
-        self.old.push((epoch, prev));
-        self.current = next;
-        self.current_from = epoch;
-        // Pruning a pre-image loses the lower bound of the epoch range it
-        // covered, so epochs at or below the pruned boundary must resolve
-        // to "no summary" rather than a neighbouring version. No reader
-        // can pin below `floor`, so the information is unneeded anyway.
-        if let Some(pruned) = self
-            .old
-            .iter()
-            .map(|&(valid_until, _)| valid_until)
-            .filter(|&valid_until| valid_until <= floor)
-            .max()
-        {
-            self.born_from = self.born_from.max(pruned);
-        }
-        self.old.retain(|(valid_until, _)| *valid_until > floor);
-    }
-}
-
-/// All documents' summary slots, under the `PATH_SUMMARY` lock rank.
-#[derive(Debug)]
-pub(crate) struct SummaryStore {
-    slots: Mutex<HashMap<DocId, SummarySlot>>,
-}
-
-impl SummaryStore {
-    pub(crate) fn new() -> SummaryStore {
-        SummaryStore {
-            slots: Mutex::with_rank(&rank::PATH_SUMMARY, HashMap::new()),
-        }
-    }
-
-    /// Whether the document has a live (non-stale) current summary.
-    pub(crate) fn has_current(&self, doc: DocId) -> bool {
-        self.slots
-            .lock()
-            .get(&doc)
-            .is_some_and(|s| s.current.is_some())
-    }
-
-    /// Whether any slot exists — i.e. whether edits must bother computing
-    /// deltas for this document at all.
-    pub(crate) fn has_slot(&self, doc: DocId) -> bool {
-        self.slots.lock().contains_key(&doc)
-    }
-
-    /// Summary visible at `epoch` (`None` epoch = unpinned, current).
-    pub(crate) fn summary_at(&self, doc: DocId, epoch: Option<u64>) -> Option<Arc<PathSummary>> {
-        let slots = self.slots.lock();
-        let slot = slots.get(&doc)?;
-        match epoch {
-            None => slot.current.clone(),
-            Some(e) => slot.at(e),
-        }
-    }
-
-    /// Install a freshly built summary valid from `from` onwards. Keeps
-    /// an existing live summary (a racing rebuild lost); a stale slot
-    /// records the gap so older pins keep falling back.
-    pub(crate) fn install(&self, doc: DocId, summary: Arc<PathSummary>, from: u64) {
-        let mut slots = self.slots.lock();
-        let slot = slots.entry(doc).or_insert_with(|| SummarySlot {
-            current: None,
-            current_from: from,
-            old: Vec::new(),
-            born_from: from,
-        });
-        if slot.current.is_some() {
-            return;
-        }
-        if !slot.old.is_empty() || slot.born_from != from {
-            slot.old.push((from, None));
-        }
-        slot.current = Some(summary);
-        slot.current_from = from;
-    }
-
-    /// Publish-time delta application. A failing delta flips the slot to
-    /// stale instead of corrupting it. No-op when the document was never
-    /// summarised.
-    pub(crate) fn apply_delta(&self, doc: DocId, delta: &SummaryDelta, epoch: u64, floor: u64) {
-        let mut slots = self.slots.lock();
-        let Some(slot) = slots.get_mut(&doc) else {
-            return;
-        };
-        let Some(cur) = slot.current.clone() else {
-            slot.old.retain(|(valid_until, _)| *valid_until > floor);
-            return;
-        };
-        let next = cur.apply(delta).ok().map(Arc::new);
-        slot.supersede(next, epoch, floor);
-    }
-
-    /// Publish-time invalidation: the edit could not describe itself as a
-    /// delta; readers at `epoch` and beyond fall back until a rebuild.
-    pub(crate) fn invalidate(&self, doc: DocId, epoch: u64, floor: u64) {
-        let mut slots = self.slots.lock();
-        if let Some(slot) = slots.get_mut(&doc) {
-            if slot.current.is_some() {
-                slot.supersede(None, epoch, floor);
-            }
-        }
-    }
-
-    /// Drop the document's slot entirely (document deleted, or a test
-    /// forcing the rebuild path). Pinned readers fall back to scans.
-    pub(crate) fn remove(&self, doc: DocId) {
-        self.slots.lock().remove(&doc);
-    }
 }
 
 /// Streaming summary builder: fed by the load's feed (`feed.rs`) beside
@@ -694,58 +543,5 @@ mod tests {
                 count: 1,
             })
             .is_err());
-    }
-
-    #[test]
-    fn slot_versioning_mirrors_root_slot_protocol() {
-        let store = SummaryStore::new();
-        let (_, a, b, c) = syms();
-        let v1 = Arc::new(sample(a, b, c));
-        store.install(7, v1.clone(), 0);
-        assert!(store.has_current(7));
-        assert_eq!(store.summary_at(7, Some(5)).unwrap().total_nodes(), 6);
-        // Publish an insert at epoch 10: pins below keep v1.
-        store.apply_delta(
-            7,
-            &SummaryDelta::Insert {
-                path: vec![a, b],
-                literal: false,
-                count: 1,
-            },
-            10,
-            0,
-        );
-        assert_eq!(store.summary_at(7, Some(9)).unwrap().total_nodes(), 6);
-        assert_eq!(store.summary_at(7, Some(10)).unwrap().total_nodes(), 7);
-        assert_eq!(store.summary_at(7, None).unwrap().total_nodes(), 7);
-        // A failing delta goes stale, not wrong.
-        store.apply_delta(
-            7,
-            &SummaryDelta::Remove {
-                decrements: vec![(vec![a, b, c], 100)],
-            },
-            20,
-            0,
-        );
-        assert!(store.summary_at(7, Some(20)).is_none());
-        assert_eq!(store.summary_at(7, Some(12)).unwrap().total_nodes(), 7);
-        // Rebuild at epoch 30: the stale gap stays visible to old pins.
-        store.install(7, v1, 30);
-        assert!(store.summary_at(7, Some(25)).is_none());
-        assert!(store.summary_at(7, Some(30)).is_some());
-        // Floor-based pruning drops pre-images nobody can pin.
-        store.apply_delta(
-            7,
-            &SummaryDelta::Insert {
-                path: vec![a, b],
-                literal: false,
-                count: 1,
-            },
-            40,
-            35,
-        );
-        assert!(store.summary_at(7, Some(5)).is_none());
-        store.remove(7);
-        assert!(!store.has_slot(7));
     }
 }

@@ -450,8 +450,9 @@ impl Repository {
     ///    summary, the snapshot, or a single page.
     /// 2. Build the summary if it is missing and this query could read it
     ///    (outside the pin; skipped under an ambient snapshot), then pin
-    ///    and read the summary *at the pinned epoch* — a stale or missing
-    ///    summary abstains, never lies.
+    ///    and take the document's version *at the pinned epoch* — its
+    ///    root and its summary together; a stale or missing summary
+    ///    abstains, never lies.
     /// 3. Choose: positional predicates go to the step loop;
     ///    summary-decidable counts and provably-empty results are
     ///    summary-only; other summary-decided node queries walk the
@@ -484,7 +485,7 @@ impl Repository {
                 shape: PlanShape::SummaryOnly,
                 forced: opts.force.is_some(),
                 reason: "name test not in the alphabet: provably empty".into(),
-                summary_current: self.summaries.has_current(doc),
+                summary_current: state.current().summary.is_some(),
                 estimated_matches: Some(0),
                 estimated_visited: Some(0),
                 total_nodes: None,
@@ -508,12 +509,12 @@ impl Repository {
                 None | Some(PlanShape::SummaryOnly | PlanShape::SummarySeeded)
             );
         if summary_readable {
-            self.ensure_summary(doc, &state)?;
+            self.ensure_summary(&state)?;
         }
         let pin = self.tree.begin_read();
-        let epoch = self.tree.ambient_read_epoch();
-        let root = NodePtr::new(self.snapshot_root(&state)?, 0);
-        let summary = self.summaries.summary_at(doc, epoch);
+        let version = self.snapshot(&state)?;
+        let root = NodePtr::new(version.root, 0);
+        let summary = version.summary;
         let summary_current = summary.is_some();
         let total_nodes = summary.as_ref().map(|s| s.total_nodes());
         let decided = summary.and_then(|s| s.match_query(&steps).map(|pm| (s, pm)));

@@ -36,8 +36,7 @@
 //! | `VERSION_STORE` | 600 | version-store state, publish hooks |
 //! | `REGISTRY` | 700 | document registry / directory |
 //! | `SCHEMA` | 800 | schema manager |
-//! | `DOC_ROOT` | 900 | per-document root slot |
-//! | `PATH_SUMMARY` | 920 | per-document path-summary slots |
+//! | `DOC_VERSIONS` | 900 | per-document versions: root RID and path summary by epoch |
 //! | `DOC_IDS` | 950 | per-document logical-id map |
 //! | `RESULT_SLOT` | 970 | the worker pool's first-error slot |
 //! | `ALLOCATOR` | 1000 (io) | storage-manager allocator state |
@@ -260,10 +259,10 @@
 //! variants, `IndexSeeded` and `LazyWalk`: no operator stands behind
 //! them, the planner never picks them and forcing either is always
 //! refused (ROADMAP open item 6c schedules their removal). A stale
-//! summary (failed delta, pin older than the last rebuild) always falls
-//! back to scans — the summary never lies, it only abstains — and a
-//! query that could not read a summary (positional, or forced onto the
-//! step loop) never builds one. Racing edits are covered by
+//! summary (failed delta, pin older than the version the last rebuild
+//! filled) always falls back to scans — the summary never lies, it only
+//! abstains — and a query that could not read a summary (positional, or
+//! forced onto the step loop) never builds one. Racing edits are covered by
 //! `prop_edit_race.rs` (counts vs a serial oracle), reopen/recovery
 //! equivalence by `reopen.rs` / `crash_recovery.rs`.
 //!
@@ -378,12 +377,7 @@
 //! directory that kept its change (ROADMAP open item 3a). The checkpoint
 //! record holds the whole allocator and directory, so its size grows
 //! with the collection (ROADMAP open item 3). The tree layer does not
-//! return an emptied page to the free list (ROADMAP open item 10). And
-//! `insert_node` accepts an attribute literal after an element's content:
-//! inserting `y="2"` last into `<a x="1"><b/>text</a>` makes `get_xml`
-//! return `<a x="1"><b/>text2</a>`, the value written as character data,
-//! while `natix_xml::write_document` of the same `get_document` refuses it
-//! (ROADMAP open item 7).
+//! return an emptied page to the free list (ROADMAP open item 10).
 //!
 //! # Model-checked protocols
 //!
@@ -399,12 +393,12 @@
 //! report carries a **schedule token** (`dfs:0.1.0...` / `seed:N`) that
 //! replays the exact interleaving deterministically.
 //!
-//! Six scenarios in `crates/core/tests/model/` pin the protocols down
+//! Seven scenarios in `crates/core/tests/model/` pin the protocols down
 //! (`cargo test -p natix --features model --test model`):
 //!
 //! * **root-publish** — a pinned snapshot reader vs a writer that forces
-//!   a root-record split; the epoch-versioned root slot must keep
-//!   resolving the pinned epoch's root at every interleaving point.
+//!   a root-record split; the document's epoch-versioned versions must
+//!   keep resolving the pinned epoch's root at every interleaving point.
 //! * **deposit-read** — deposit-before-overwrite: a pinned reader races
 //!   an in-place text update and must never observe the writer's
 //!   in-progress bytes.
@@ -427,9 +421,14 @@
 //! * **directory-log** — a checkpoint racing a registration and a
 //!   deletion, then recovery from the log alone: both acknowledged
 //!   changes survive wherever they land relative to the capture.
+//! * **load-edit** — a load racing an edit that inserts into the document
+//!   the moment its name resolves: the planner's answers must equal the
+//!   record walk's afterwards, so the edit's summary delta must reach the
+//!   summary the loader built (it is in the document before it is
+//!   registered).
 //!
 //! Each scenario is paired with a **mutation harness**: reverting a
-//! named production guard (`root-slot.epoch-recheck`,
+//! named production guard (`doc-version.epoch-recheck`, in two scenarios,
 //! `wal.force-before-write-back`, `commit.force-before-append`,
 //! `wal.first-touch-image`,
 //! `buffer.inflight-recheck`, `buffer.prefetch-coalesce`,
@@ -461,7 +460,7 @@ use natix_tree::{NodePtr, SplitMatrix, TreeConfig, TreeStore, VersionStore, Visi
 use natix_xml::{LabelId, LabelKind, SymbolTable};
 
 use crate::directory;
-use crate::document::{DocId, DocState, NodeId};
+use crate::document::{DocId, DocState, DocVersion, NodeId};
 use crate::error::{NatixError, NatixResult};
 use crate::schema::SchemaManager;
 
@@ -577,10 +576,6 @@ pub struct Repository {
     /// Serialises checkpoints (two racing ones could each reset the log
     /// under the other's record); ordinary edits and reads do not take it.
     pub(crate) checkpoint_lock: Mutex<()>,
-    /// Per-document path summaries (epoch-versioned label-path counts);
-    /// built at load or lazily by the planner, maintained by structural
-    /// edits via publish hooks. See [`crate::path_summary`].
-    pub(crate) summaries: Arc<crate::path_summary::SummaryStore>,
 }
 
 impl Repository {
@@ -679,7 +674,6 @@ impl Repository {
             log,
             wal,
             checkpoint_lock: Mutex::with_rank(&parking_lot::rank::CHECKPOINT, ()),
-            summaries: Arc::new(crate::path_summary::SummaryStore::new()),
         };
         if let Some(deltas) = restored {
             // Logs nothing: nothing restored is news to the log, and the
@@ -924,39 +918,35 @@ impl Repository {
         self.registry.lock().pending.remove(name);
     }
 
-    /// Root record RID of a document as of the calling thread's snapshot
-    /// (see [`DocState::root_rid_at`]): a reader pinned at epoch E must
-    /// start its walk from E's root, not from a root published later —
-    /// and a document deleted at or before E resolves to a clean
-    /// [`NatixError::NoSuchDocument`].
-    pub(crate) fn snapshot_root(&self, state: &DocState) -> NatixResult<Rid> {
-        match self.tree.ambient_read_epoch() {
-            Some(epoch) => state
-                .root_rid_at(epoch)
-                .ok_or_else(|| NatixError::NoSuchDocument(state.name.clone())),
-            None => Ok(state.root_rid()),
-        }
+    /// The document's version as of the calling thread's snapshot (see
+    /// [`DocState::version_at`]): a reader pinned at epoch E must start
+    /// its walk from E's root, not from a root published later, and plan
+    /// by E's summary — and a document deleted at or before E resolves to
+    /// a clean [`NatixError::NoSuchDocument`].
+    pub(crate) fn snapshot(&self, state: &DocState) -> NatixResult<DocVersion> {
+        state
+            .version_at(self.tree.ambient_read_epoch())
+            .ok_or_else(|| NatixError::NoSuchDocument(state.name.clone()))
     }
 
-    /// Builds the document's path summary from the stored tree if no live
-    /// summary exists. Skipped under an ambient pin: rebuilding against
-    /// the current tree could not serve the pinned epoch, so that read
-    /// simply falls back to scans. Taking the edit latch freezes the
-    /// document's structure, so the walk needs no snapshot pin; the
-    /// summary is stamped with the epoch current at build time (readers
-    /// pinned earlier keep falling back, which is conservative but never
-    /// wrong).
-    pub(crate) fn ensure_summary(&self, doc: DocId, state: &Arc<DocState>) -> NatixResult<()> {
-        if self.summaries.has_current(doc) || self.tree.ambient_read_epoch().is_some() {
+    /// Builds the document's path summary from the stored tree if its
+    /// current version has none. Skipped under an ambient pin: a build
+    /// reads the current tree, which need not be the pinned epoch's, so
+    /// that read simply falls back to scans. The edit latch freezes the
+    /// document's structure, so the walk needs no snapshot pin, and the
+    /// summary describes the current version for its whole epoch range:
+    /// every structural publish starts a new version. So the build fills
+    /// the current version in place.
+    pub(crate) fn ensure_summary(&self, state: &DocState) -> NatixResult<()> {
+        if self.tree.ambient_read_epoch().is_some() || state.current().summary.is_some() {
             return Ok(());
         }
         let _latch = state.edit_latch.lock();
-        if state.is_dead() || self.summaries.has_current(doc) {
+        let current = state.current();
+        if state.is_dead() || current.summary.is_some() {
             return Ok(());
         }
-        let summary = self.build_summary(state.root_rid())?;
-        self.summaries
-            .install(doc, Arc::new(summary), self.tree.versions().epoch());
+        state.fill_summary(self.build_summary(current.root)?);
         Ok(())
     }
 
@@ -981,22 +971,18 @@ impl Repository {
     /// rows. Test/diagnostic surface — two equal canonical forms mean the
     /// summaries describe the same document structure.
     pub fn path_summary_canonical(&self, name: &str) -> NatixResult<Vec<(Vec<String>, bool, u64)>> {
-        let doc = self.doc_id(name)?;
-        let state = self.state(doc)?;
-        self.ensure_summary(doc, &state)?;
-        let summary = self
-            .summaries
-            .summary_at(doc, None)
+        let state = self.state(self.doc_id(name)?)?;
+        self.ensure_summary(&state)?;
+        let summary = (state.current().summary)
             .ok_or_else(|| NatixError::NoSuchDocument(name.to_string()))?;
         Ok(summary.canonical(&self.symbols()))
     }
 
-    /// Drops the document's path summary (and its version chain) so the
+    /// Drops the document's path summary (from every version) so the
     /// next planned query rebuilds from the stored tree. Test hook for
     /// the stale-fallback and rebuild-equivalence suites.
     pub fn invalidate_path_summary(&self, name: &str) -> NatixResult<()> {
-        let doc = self.doc_id(name)?;
-        self.summaries.remove(doc);
+        self.state(self.doc_id(name)?)?.drop_summaries();
         Ok(())
     }
 
@@ -1004,7 +990,7 @@ impl Repository {
     /// Epoch-consistent when the calling thread holds a read snapshot.
     pub fn root_rid(&self, doc: DocId) -> NatixResult<Rid> {
         let st = self.state(doc)?;
-        self.snapshot_root(&st)
+        Ok(self.snapshot(&st)?.root)
     }
 
     /// The logical root node id of a document.
@@ -1025,7 +1011,7 @@ impl Repository {
         let id = self.doc_id(name)?;
         let st = self.state(id)?;
         let _pin = self.tree.begin_read();
-        let root = self.snapshot_root(&st)?;
+        let root = self.snapshot(&st)?.root;
         Ok(natix_tree::check_tree(&self.tree, root)?)
     }
 

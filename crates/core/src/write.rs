@@ -27,7 +27,7 @@ use crate::document::{DocId, DocState, InsertAt, NodeId};
 use crate::error::{NatixError, NatixResult};
 use crate::feed::text_chunks;
 use crate::idmap::{PathId, NO_PATH};
-use crate::path_summary::{PathSummary, SummaryDelta};
+use crate::path_summary::SummaryDelta;
 use crate::repository::Repository;
 
 /// Appends `deltas` to the log as one directory record owned by write
@@ -129,8 +129,8 @@ impl Edit<'_> {
     /// the publish point — the root RID must switch *atomically with the
     /// epoch*, or a reader could pair a fresh epoch with the stale root
     /// (or vice versa) and walk a mixed record graph. The root move is
-    /// logged by its publish hook, under the root slot's lock (a
-    /// checkpoint's cut reads the slot under it) and owned by the
+    /// logged by its publish hook, under the document's versions lock (a
+    /// checkpoint's cut reads the root under it) and owned by the
     /// operation: recovery honours it only if the operation's commit
     /// record, appended right after publish, reached the log.
     pub(crate) fn absorb(&self, res: &OpResult) {
@@ -152,7 +152,9 @@ impl Edit<'_> {
     /// its logical id. While the document keeps a path summary, the new
     /// node's label path is its parent's (for `After`, the sibling's
     /// parent's) plus `label`: no record is read for it once the parent's
-    /// path is known.
+    /// path is known. An attribute that would follow content, or content
+    /// that would precede an attribute, is refused first
+    /// ([`check_attribute_order`](Self::check_attribute_order)).
     pub(crate) fn insert_one(
         &self,
         at: InsertAt,
@@ -161,18 +163,18 @@ impl Edit<'_> {
     ) -> NatixResult<NodeId> {
         let tree = &self.repo.tree;
         let resolve = |id| self.state.resolve(id).ok_or(NatixError::NoSuchNode(id));
-        let summarized = self.repo.summaries.has_slot(self.doc);
-        // `None` in a summarized document: the path could not be derived,
-        // and the summary goes stale from this edit on.
+        let literal = matches!(node, NewNode::Literal(_));
+        self.check_attribute_order(at, label, literal)?;
+        // `None`: the document has no summary, or the path could not be
+        // derived; either way the summary is stale from this edit on.
         let parent_path = match at {
-            _ if !summarized => None,
+            _ if self.state.current().summary.is_none() => None,
             InsertAt::Child(parent, _) => self.path(parent).ok(),
             InsertAt::After(sibling) => self
                 .path(sibling)
                 .ok()
                 .map(|p| self.state.ids().parent_path(p)),
         };
-        let literal = matches!(node, NewNode::Literal(_));
         let res = match at {
             InsertAt::Child(parent, pos) => tree.insert(resolve(parent)?, pos, label, node)?,
             InsertAt::After(sibling) => tree.insert_after(resolve(sibling)?, label, node)?,
@@ -184,10 +186,72 @@ impl Edit<'_> {
         let id = ids.fresh(new_ptr, path.unwrap_or(NO_PATH));
         let labels = path.map(|p| ids.labels(p));
         drop(ids);
-        if summarized {
-            self.note_summary_insert(labels, literal);
-        }
+        self.note_summary(labels.map(|path| SummaryDelta::Insert {
+            path,
+            literal,
+            count: 1,
+        }));
         Ok(id)
+    }
+
+    /// Refuses, before anything is written, an insert that would leave an
+    /// attribute literal after a non-attribute sibling: the serializer
+    /// writes attributes in the start tag, so such a value would come out
+    /// as character data. The siblings are read only when the rule can
+    /// fire — content appended last never can.
+    fn check_attribute_order(
+        &self,
+        at: InsertAt,
+        label: LabelId,
+        literal: bool,
+    ) -> NatixResult<()> {
+        let attribute = literal && self.repo.symbols.read().kind(label) == LabelKind::Attribute;
+        let tree = &self.repo.tree;
+        let resolve = |id| self.state.resolve(id).ok_or(NatixError::NoSuchNode(id));
+        let (parent, sibling) = match at {
+            InsertAt::Child(_, InsertPos::Last) if !attribute => return Ok(()),
+            InsertAt::Child(_, InsertPos::First | InsertPos::At(0)) if attribute => return Ok(()),
+            InsertAt::Child(parent, _) => (resolve(parent)?, None),
+            InsertAt::After(sibling) => {
+                let sibling = resolve(sibling)?;
+                // The root has no siblings: the tree refuses the insert.
+                let Some(parent) = tree.logical_parent(sibling)? else {
+                    return Ok(());
+                };
+                (parent, Some(sibling))
+            }
+        };
+        let mut siblings = Vec::new();
+        tree.for_each_logical_child(parent, &mut |ptr, label, literal| {
+            siblings.push((ptr, label, literal));
+            Ok(true)
+        })?;
+        let n = siblings.len();
+        // Where the new node goes: the siblings before it are `..k`.
+        let k = match at {
+            InsertAt::Child(_, InsertPos::First) => 0,
+            InsertAt::Child(_, InsertPos::Last) => n,
+            InsertAt::Child(_, InsertPos::At(k)) => k.min(n),
+            InsertAt::After(_) => {
+                let at = siblings.iter().position(|s| Some(s.0) == sibling);
+                at.map_or(n, |i| i + 1)
+            }
+        };
+        let symbols = self.repo.symbols.read();
+        let is_attribute = |&(_, label, literal): &(NodePtr, LabelId, bool)| {
+            literal && symbols.kind(label) == LabelKind::Attribute
+        };
+        let misplaced = if attribute {
+            !siblings[..k].iter().all(is_attribute)
+        } else {
+            siblings[k..].iter().any(is_attribute)
+        };
+        if misplaced {
+            return Err(NatixError::Validation(
+                "an attribute cannot follow an element's content".into(),
+            ));
+        }
+        Ok(())
     }
 
     /// The interned label path of the node `id`: the one it carries, or —
@@ -202,40 +266,13 @@ impl Edit<'_> {
         Ok(self.state.ids().learn_path(id, &labels))
     }
 
-    /// Schedules the path-summary increment for the node just inserted,
-    /// whose root-to-node labels are `path` (`None`: unknown), to apply
-    /// atomically with the publish.
-    fn note_summary_insert(&self, path: Option<Vec<LabelId>>, literal: bool) {
-        let doc = self.doc;
-        let store = Arc::clone(&self.repo.summaries);
-        match path {
-            Some(path) => {
-                let delta = SummaryDelta::Insert {
-                    path,
-                    literal,
-                    count: 1,
-                };
-                self.at_publish(move |epoch, floor| store.apply_delta(doc, &delta, epoch, floor));
-            }
-            // The new node's label path could not be read; mark the
-            // summary stale from this edit's epoch on — readers pinned
-            // before it keep their versions.
-            None => self.at_publish(move |epoch, floor| store.invalidate(doc, epoch, floor)),
-        }
-    }
-
-    /// Schedules the path-summary decrements of a just-deleted subtree
-    /// (per-path node counts collected by the delete's own traversal).
-    pub(crate) fn note_summary_remove(&self, decrements: HashMap<Vec<LabelId>, u64>) {
-        let doc = self.doc;
-        if decrements.is_empty() || !self.repo.summaries.has_slot(doc) {
-            return;
-        }
-        let store = Arc::clone(&self.repo.summaries);
-        let delta = SummaryDelta::Remove {
-            decrements: decrements.into_iter().collect(),
-        };
-        self.at_publish(move |epoch, floor| store.apply_delta(doc, &delta, epoch, floor));
+    /// Schedules the edit's change to the path summary for the publish
+    /// point: `delta` applied to the summary then current, or — for an
+    /// edit that could not describe itself (`None`) — no summary from
+    /// this edit's epoch on. Readers pinned before it keep their versions.
+    pub(crate) fn note_summary(&self, delta: Option<SummaryDelta>) {
+        let st = Arc::clone(self.state);
+        self.at_publish(move |epoch, floor| st.publish_summary(delta.as_ref(), epoch, floor));
     }
 
     /// Schedules the document's removal from the directory for the
@@ -249,11 +286,9 @@ impl Edit<'_> {
         let st = Arc::clone(self.state);
         let registry = Arc::clone(&self.repo.registry);
         let wal = self.repo.wal.clone();
-        let summaries = Arc::clone(&self.repo.summaries);
         let op = self.op.id();
         self.at_publish(move |epoch, floor| {
             st.retire(epoch, floor);
-            summaries.remove(id);
             let mut reg = registry.lock();
             if reg.by_name.get(&st.name) == Some(&id) {
                 reg.by_name.remove(&st.name);
@@ -340,23 +375,21 @@ impl Repository {
 
     /// The one load protocol — every way of storing a new document runs
     /// its loader inside it: claim the name, load (the loader's write
-    /// operation publishes and logs the content), register the document,
-    /// install the path summary the loader built, gate on log durability.
-    /// Registration — and then the gate — come strictly after the content
-    /// commit. A failed load has rolled back its own records; its claim
-    /// is released here.
+    /// operation publishes and logs the content; the document's first
+    /// version holds the path summary the loader built), register the
+    /// document, gate on log durability. Registration — and then the
+    /// gate — come strictly after the content commit, and an edit that
+    /// finds the registered document finds its summary too. A failed load
+    /// has rolled back its own records; its claim is released here.
     pub(crate) fn publish_load(
         &self,
         name: &str,
-        load: impl FnOnce() -> NatixResult<(DocState, Option<PathSummary>)>,
+        load: impl FnOnce() -> NatixResult<DocState>,
     ) -> NatixResult<DocId> {
         self.claim_name(name)?;
         match load() {
-            Ok((state, summary)) => {
+            Ok(state) => {
                 let id = self.register(state);
-                if let Some(summary) = summary {
-                    self.summaries.install(id, Arc::new(summary), 0);
-                }
                 self.durable_gate()?;
                 Ok(id)
             }
@@ -387,7 +420,7 @@ impl Repository {
         )]
         let _op = self.tree.begin_write();
         let root_rid = self.tree.create_tree(*root_label)?;
-        let state = DocState::new(name.to_string(), root_rid);
+        let state = DocState::new(name.to_string(), root_rid, None);
         // Pre-order walk, inserting every node as the last child of its
         // (already inserted) parent.
         let mut shadow_ids: HashMap<natix_xml::NodeIdx, NodeId> = HashMap::new();
@@ -432,19 +465,19 @@ impl Repository {
     }
 
     /// Registers a loaded document, releasing its claim. The registration
-    /// epoch is stamped into the document's root slot: readers pinned
+    /// epoch is stamped into the document's versions: readers pinned
     /// below it (snapshots taken before the load published) resolve the
     /// document to "not there yet".
     fn register(&self, state: DocState) -> DocId {
-        state.set_born(self.tree.versions().epoch());
+        let born = self.tree.versions().epoch();
         let mut reg = self.registry.lock();
         // Logged under the registry lock, like every change to the
         // document list (a checkpoint's cut reads the list under it).
         // Unconditional: the document's content committed before
         // `register` was called, so the registration itself must stick.
-        let (name, root) = (state.name.clone(), state.root_rid());
+        let (name, root) = (state.name.clone(), state.current().root);
         log_directory(self.wal.as_ref(), 0, &[Delta::DocAdd { name, root }]);
-        reg.install(state)
+        reg.install(state.born(born))
     }
 
     /// Persists the directory (symbol table, document list, split matrix,

@@ -29,6 +29,7 @@ mod util;
 mod buffer_coalesce;
 mod deposit_read;
 mod directory_log;
+mod load_edit;
 mod path_summary;
 mod root_publish;
 mod wal_commit;

@@ -1,15 +1,20 @@
 //! Scenario 5: path-summary delta publication vs an epoch-pinned reader.
 //!
-//! The path summary follows the same epoch protocol as document root
-//! slots: a structural edit publishes a superseding summary and pushes
-//! the pre-image onto a `(valid_until, summary)` chain, so a reader
-//! pinned behind the edit keeps resolving *its* epoch's statistics. The
+//! The path summary is part of the document's version: a structural edit
+//! publishes a superseding version and pushes the pre-image onto the
+//! document's `(valid_until, version)` chain, so a reader pinned behind
+//! the edit keeps resolving *its* epoch's root and statistics together. The
 //! scenario pins a reader and runs summary-served counts against a
 //! concurrent writer appending matching elements, differentially checked
 //! against the forced record walk (`ParallelScan`, which answers from the
 //! record store, not the summary) — the two must agree at every point of
 //! every interleaving, and stay at the pinned epoch's value until the
 //! pin drops.
+//!
+//! Named guard: `doc-version.epoch-recheck` (`DocState::version_at`), the
+//! one re-check behind both the root and the summary lookup. Reverting it
+//! hands the pinned reader the current summary, whose counts include
+//! inserts its records do not hold.
 
 use std::sync::Arc;
 
@@ -90,4 +95,15 @@ fn scenario() {
 #[test]
 fn pinned_reader_keeps_its_epochs_summary() {
     util::assert_clean("path-summary", 60, 60, scenario);
+}
+
+#[test]
+fn mutation_doc_version_epoch_recheck_is_caught() {
+    util::assert_mutation_caught(
+        "path-summary",
+        "doc-version.epoch-recheck",
+        "disagrees with the record walk",
+        60,
+        scenario,
+    );
 }

@@ -1,13 +1,13 @@
-//! Scenario 1: root-slot publish vs a pinned snapshot reader.
+//! Scenario 1: a root move's publish vs a pinned snapshot reader.
 //!
 //! A reader pins a snapshot and serialises the document; a concurrent
 //! writer inserts enough children to force a record split of the *root
 //! record*, which relocates the root and publishes a root move through
-//! the epoch-versioned root slot. Snapshot isolation demands the pinned
+//! the document's version chain. Snapshot isolation demands the pinned
 //! reader keep resolving the root of *its* epoch — before, during, and
 //! after the publish.
 //!
-//! Named guard: `root-slot.epoch-recheck` (`DocState::root_rid_at`).
+//! Named guard: `doc-version.epoch-recheck` (`DocState::version_at`).
 //! Reverting it hands the pinned reader the current root, whose record
 //! images belong to a later epoch — the reads below stop agreeing.
 
@@ -101,12 +101,12 @@ fn pinned_reader_survives_published_root_move() {
 }
 
 #[test]
-fn mutation_root_slot_epoch_recheck_is_caught() {
+fn mutation_doc_version_epoch_recheck_is_caught() {
     let inserts = root_move_inserts();
     // Any schedule catches this: the post-join reads are sequential with
     // the fully published root move, so the reverted guard resolves the
     // new root under the old pin deterministically.
-    util::assert_mutation_caught("root-publish", "root-slot.epoch-recheck", "", 10, || {
+    util::assert_mutation_caught("root-publish", "doc-version.epoch-recheck", "", 10, || {
         scenario(inserts)
     });
 }

@@ -98,14 +98,10 @@ pub static SCHEMA: Rank = Rank::new("repository.schema", 800);
 // Document band — per-document mutable state.
 // ---------------------------------------------------------------------------
 
-/// Per-document root slot (`DocState::root`): epoch-versioned root RID.
-pub static DOC_ROOT: Rank = Rank::new("document.root-slot", 900);
-
-/// Per-document path-summary slots (`SummaryStore::slots`): epoch-versioned
-/// label-path statistics. Publish hooks apply summary deltas under the
-/// version-store lock, so this sits below it; the planner reads it after
-/// the document band's root slot.
-pub static PATH_SUMMARY: Rank = Rank::new("document.path-summary", 920);
+/// Per-document versions (`DocState::versions`): the epoch-versioned root
+/// RID and path summary. Publish hooks change them under the version-store
+/// lock, so this sits below it.
+pub static DOC_VERSIONS: Rank = Rank::new("document.versions", 900);
 
 /// Per-document logical-id map (`DocState::ids`).
 pub static DOC_IDS: Rank = Rank::new("document.id-map", 950);
@@ -150,8 +146,7 @@ pub static ALL: &[&Rank] = &[
     &VERSION_STORE,
     &REGISTRY,
     &SCHEMA,
-    &DOC_ROOT,
-    &PATH_SUMMARY,
+    &DOC_VERSIONS,
     &DOC_IDS,
     &RESULT_SLOT,
     &ALLOCATOR,
