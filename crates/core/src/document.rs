@@ -879,6 +879,42 @@ mod tests {
     }
 
     #[test]
+    fn a_duplicate_attribute_is_refused_and_nothing_changes() {
+        // Inserting `x="2"` first used to export `<a x="2" x="1"><b/></a>`,
+        // which `put_xml` refuses.
+        let repo = small_repo();
+        let xml = r#"<a x="1"><b/></a>"#;
+        let id = repo.put_xml("d", xml).unwrap();
+        let root = repo.root(id).unwrap();
+        let x_node = repo.children(id, root).unwrap()[0];
+        let x = repo.symbols_mut().intern_attribute("x");
+        let value = || NewNode::Literal(LiteralValue::String("2".into()));
+        let log_end = || repo.wal.as_ref().unwrap().appended_lsn();
+        let logged = log_end();
+        for at in [
+            InsertAt::Child(root, InsertPos::First),
+            InsertAt::Child(root, InsertPos::At(0)),
+            InsertAt::Child(root, InsertPos::At(1)),
+            InsertAt::After(x_node),
+        ] {
+            assert!(
+                matches!(
+                    repo.insert_node(id, at, x, value()),
+                    Err(NatixError::Validation(_))
+                ),
+                "insert at {at:?}"
+            );
+        }
+        assert_eq!(repo.get_xml("d").unwrap(), xml);
+        assert_eq!(log_end(), logged, "nothing was written");
+        // Another attribute goes through.
+        let y = repo.symbols_mut().intern_attribute("y");
+        repo.insert_node(id, InsertAt::After(x_node), y, value())
+            .unwrap();
+        assert_eq!(repo.get_xml("d").unwrap(), r#"<a x="1" y="2"><b/></a>"#);
+    }
+
+    #[test]
     fn node_navigation() {
         let repo = small_repo();
         let id = repo.put_xml("d", "<a><b>x</b><c><d/>tail</c></a>").unwrap();

@@ -96,6 +96,7 @@ impl<'r> Feed<'r> {
                 "document root must be an element".into(),
             ));
         }
+        self.check_attributes(doc)?;
         // `None` closes the element opened below it.
         let mut stack = vec![Some(doc.root())];
         while let Some(step) = stack.pop() {
@@ -108,6 +109,42 @@ impl<'r> Feed<'r> {
                 }
                 Some((_, NodeData::Literal { label, value })) => {
                     self.literal(*label, value.clone())?
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Refuses, before anything is loaded, a DOM whose attributes its text
+    /// could not carry — what the parser refuses in text: an attribute
+    /// literal after its element's content (the writer would put the value
+    /// out as character data), or an attribute an element already has.
+    fn check_attributes(&self, doc: &Document) -> NatixResult<()> {
+        let symbols = self.repo.symbols.read();
+        let is_attribute = |label: LabelId| {
+            (label as usize) < symbols.len() && symbols.kind(label) == LabelKind::Attribute
+        };
+        let mut attributes = Vec::new();
+        for n in doc.pre_order() {
+            attributes.clear();
+            let mut content = false;
+            for &c in doc.children(n) {
+                match doc.data(c) {
+                    NodeData::Literal { label, .. } if is_attribute(*label) => {
+                        if content {
+                            return Err(NatixError::Validation(
+                                "an attribute cannot follow an element's content".into(),
+                            ));
+                        }
+                        if attributes.contains(label) {
+                            return Err(NatixError::Validation(format!(
+                                "duplicate attribute '{}'",
+                                symbols.name(*label)
+                            )));
+                        }
+                        attributes.push(*label);
+                    }
+                    _ => content = true,
                 }
             }
         }

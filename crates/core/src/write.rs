@@ -195,10 +195,11 @@ impl Edit<'_> {
     }
 
     /// Refuses, before anything is written, an insert that would leave an
-    /// attribute literal after a non-attribute sibling: the serializer
+    /// attribute literal after a non-attribute sibling — the serializer
     /// writes attributes in the start tag, so such a value would come out
-    /// as character data. The siblings are read only when the rule can
-    /// fire — content appended last never can.
+    /// as character data — or give an element an attribute it already has.
+    /// The siblings are read only when a rule can fire: content appended
+    /// last never can, an attribute always can.
     fn check_attribute_order(
         &self,
         at: InsertAt,
@@ -210,7 +211,6 @@ impl Edit<'_> {
         let resolve = |id| self.state.resolve(id).ok_or(NatixError::NoSuchNode(id));
         let (parent, sibling) = match at {
             InsertAt::Child(_, InsertPos::Last) if !attribute => return Ok(()),
-            InsertAt::Child(_, InsertPos::First | InsertPos::At(0)) if attribute => return Ok(()),
             InsertAt::Child(parent, _) => (resolve(parent)?, None),
             InsertAt::After(sibling) => {
                 let sibling = resolve(sibling)?;
@@ -250,6 +250,12 @@ impl Edit<'_> {
             return Err(NatixError::Validation(
                 "an attribute cannot follow an element's content".into(),
             ));
+        }
+        if attribute && siblings.iter().any(|s| s.1 == label && is_attribute(s)) {
+            return Err(NatixError::Validation(format!(
+                "duplicate attribute '{}'",
+                symbols.name(label)
+            )));
         }
         Ok(())
     }

@@ -23,10 +23,10 @@
 
 use std::collections::HashMap;
 
-use natix::{Repository, RepositoryOptions};
+use natix::{NatixError, Repository, RepositoryOptions};
 use natix_tree::{SplitBehaviour, SplitMatrix};
 use natix_xml::{
-    parse_document, Document, NodeData, NodeIdx, ParserOptions, SymbolTable, LABEL_TEXT,
+    parse_document, Document, LabelKind, NodeData, NodeIdx, ParserOptions, SymbolTable, LABEL_TEXT,
 };
 
 use natix_corpus::SplitMix64 as Gen;
@@ -49,15 +49,23 @@ fn random_document(g: &mut Gen, syms: &mut SymbolTable) -> Document {
                     open.push(e);
                 }
             }
-            // Attributes on the parent element (XML forbids duplicates).
+            // Attributes on the parent element, behind the attributes it
+            // has and ahead of its content (XML forbids duplicates, and a
+            // load refuses an attribute after content).
             5 => {
                 let label = syms.intern_attribute(TAGS[g.below(TAGS.len())]);
-                let dup = doc.children(parent).iter().any(
+                let attributes = doc
+                    .children(parent)
+                    .iter()
+                    .take_while(|&&c| is_attribute(&doc, c, syms))
+                    .count();
+                let dup = doc.children(parent)[..attributes].iter().any(
                     |&c| matches!(doc.data(c), NodeData::Literal { label: l, .. } if *l == label),
                 );
                 if !dup {
                     let len = g.below(20);
-                    doc.add_child(parent, NodeData::attribute(label, "v".repeat(len)));
+                    let value = NodeData::attribute(label, "v".repeat(len));
+                    doc.insert_child(parent, attributes, value);
                 }
             }
             // Text, occasionally long enough to be chunked.
@@ -77,6 +85,11 @@ fn random_document(g: &mut Gen, syms: &mut SymbolTable) -> Document {
         }
     }
     doc
+}
+
+/// Whether node `n` of `doc` is an attribute literal.
+fn is_attribute(doc: &Document, n: NodeIdx, syms: &SymbolTable) -> bool {
+    matches!(doc.data(n), NodeData::Literal { label, .. } if syms.kind(*label) == LabelKind::Attribute)
 }
 
 fn random_matrix(g: &mut Gen, syms: &SymbolTable) -> SplitMatrix {
@@ -691,6 +704,60 @@ fn failed_streaming_load_leaks_no_records() {
     r.put_xml_streaming("d", &good).unwrap();
     assert_eq!(r.get_xml("d").unwrap(), good);
     r.physical_stats("d").unwrap();
+}
+
+#[test]
+fn a_dom_its_text_could_not_carry_is_refused_and_leaves_no_record() {
+    // A hand-built DOM may put an attribute literal after content, or
+    // repeat one; text cannot say either, and the parser refuses both. A
+    // load used to store the first and export the value as character
+    // data. Each case is refused before a record is written, deep in a
+    // document large enough to have flushed records by then.
+    let mut syms = SymbolTable::new();
+    let (a, b) = (syms.intern_element("a"), syms.intern_element("b"));
+    let (x, y) = (syms.intern_attribute("x"), syms.intern_attribute("y"));
+    let cases: [&[NodeData]; 4] = [
+        &[NodeData::Element(b), NodeData::attribute(y, "3")],
+        &[NodeData::text("t"), NodeData::attribute(y, "3")],
+        &[NodeData::attribute(x, "1"), NodeData::attribute(x, "2")],
+        &[
+            NodeData::attribute(x, "1"),
+            NodeData::attribute(y, "2"),
+            NodeData::Element(b),
+            NodeData::attribute(x, "3"),
+        ],
+    ];
+    let r = repo(512, SplitMatrix::all_other(), &syms);
+    for (i, tail) in cases.iter().enumerate() {
+        let mut doc = Document::new(NodeData::Element(a));
+        for _ in 0..300 {
+            let item = doc.add_child(doc.root(), NodeData::Element(b));
+            doc.add_child(item, NodeData::text("payload"));
+        }
+        let last = doc.add_child(doc.root(), NodeData::Element(a));
+        for node in tail.iter() {
+            doc.add_child(last, node.clone());
+        }
+        let err = r.put_document("d", &doc).unwrap_err();
+        assert!(matches!(err, NatixError::Validation(_)), "case {i}: {err}");
+        assert!(r.get_xml("d").is_err(), "case {i}: the name was registered");
+        for (page, free) in r.storage().pages() {
+            assert!(
+                free as usize > 512 - 64,
+                "case {i}: page {page} holds {} bytes of records",
+                512 - free as usize
+            );
+        }
+    }
+    // The generator's documents all load, attributes first.
+    for case in 0..20u64 {
+        let mut g = Gen::new(case);
+        let mut syms = SymbolTable::new();
+        let doc = random_document(&mut g, &mut syms);
+        repo(1024, SplitMatrix::all_other(), &syms)
+            .put_document("d", &doc)
+            .unwrap();
+    }
 }
 
 #[test]

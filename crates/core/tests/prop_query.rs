@@ -24,7 +24,7 @@ use natix::{
     DocId, NatixError, NodeId, PathQuery, PlanShape, PlannerOptions, Repository, RepositoryOptions,
 };
 use natix_corpus::{generate_play, CorpusConfig, SplitMix64 as Gen};
-use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
+use natix_xml::{Document, LabelKind, NodeData, NodeIdx, SymbolTable, LABEL_TEXT};
 
 const TAGS: &[&str] = &["a", "b", "c", "d", "e"];
 
@@ -45,13 +45,24 @@ fn random_document(g: &mut Gen, syms: &mut SymbolTable) -> Document {
                     open.push(e);
                 }
             }
+            // Attributes behind the parent's attributes, ahead of its
+            // content: a load refuses an attribute after content.
             6 => {
                 let label = syms.intern_attribute(TAGS[g.below(TAGS.len())]);
-                let dup = doc.children(parent).iter().any(
+                let attributes = doc
+                    .children(parent)
+                    .iter()
+                    .take_while(|&&c| {
+                        matches!(doc.data(c), NodeData::Literal { label: l, .. }
+                            if syms.kind(*l) == LabelKind::Attribute)
+                    })
+                    .count();
+                let dup = doc.children(parent)[..attributes].iter().any(
                     |&c| matches!(doc.data(c), NodeData::Literal { label: l, .. } if *l == label),
                 );
                 if !dup {
-                    doc.add_child(parent, NodeData::attribute(label, "v".repeat(g.below(12))));
+                    let value = NodeData::attribute(label, "v".repeat(g.below(12)));
+                    doc.insert_child(parent, attributes, value);
                 }
             }
             _ => {

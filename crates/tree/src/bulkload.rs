@@ -10,28 +10,33 @@
 //! by the clustering decisions the paper is about.
 //!
 //! [`BulkLoader`] replaces that path for whole-document loads. It consumes
-//! the same pre-order event stream but builds records **bottom-up**:
+//! the same pre-order event stream but builds records **bottom-up**, as
+//! bytes:
 //!
 //! * only the **right spine** of the document — the chain of currently
-//!   open elements — is held in memory, inside one in-flight
-//!   [`RecordTree`];
-//! * when the in-flight tree outgrows the net page capacity, maximal runs
-//!   of already-**finished** sibling subtrees are packed into records of
-//!   their own (grouped under a scaffolding aggregate, exactly like the
-//!   split algorithm's helper nodes h1/h2 of figure 8) and replaced by a
-//!   proxy;
-//! * finished records are flushed through
-//!   [`TreeStore::append_record`], which fills pages sequentially via
-//!   freshly allocated buffers — no read-modify-write of earlier pages and
-//!   no free-space search;
-//! * the split matrix (§3.3) is honoured on the way: children whose matrix
-//!   entry is *standalone* (0) become records of their own the moment they
-//!   finish, children marked *keep-with-parent* (∞) are never packed away
-//!   from their parent;
+//!   open elements — and the finished subtrees not yet packed away are in
+//!   memory, as one **record image**: the Appendix A encoding
+//!   ([`crate::record`]) of the record they would make. Events only
+//!   append: an element's header goes out with its size field empty,
+//!   patched when the element closes; a literal's bytes are copied once,
+//!   from the event into the image. Type indices name the loader's own
+//!   type list, and parent offsets are left to the store;
+//! * when the image outgrows the net page capacity, maximal runs of
+//!   **finished** sibling subtrees become records of their own (grouped
+//!   under a scaffolding aggregate, like the split algorithm's helper nodes
+//!   h1/h2 of figure 8). A run is a range of the image, so a spill is a
+//!   splice: the range is copied out as a record and a proxy takes its
+//!   place;
+//! * records go through the store's `append_image`, which fills pages
+//!   sequentially — no read-modify-write of earlier pages, no free-space
+//!   search — mapping the types to the page's table and writing the parent
+//!   offsets from the sizes as it copies;
+//! * the split matrix (§3.3) is honoured on the way: a child whose entry
+//!   is *standalone* (0) becomes a record the moment it finishes, one
+//!   marked *keep-with-parent* (∞) is never packed away from its parent;
 //! * standalone parent pointers (Appendix A) are patched bottom-up: a
 //!   child record is written before its parent record exists, so its
-//!   parent RID is patched exactly once, when the record holding its proxy
-//!   is flushed.
+//!   parent RID is patched once, when the record holding its proxy lands.
 //!
 //! # Depth-aware packing
 //!
@@ -44,18 +49,17 @@
 //! access shallow):
 //!
 //! * **Late children.** Content can arrive for a spilled level long after
-//!   its piece flushed (the inner chain must close first). Instead of
-//!   reserving one placeholder per spilled level (14 bytes each — it was
-//!   the dominant per-level cost and made the record tree up to ~2× the
-//!   per-node path's height), each piece carries a **single
-//!   [`PContent::Continuation`] placeholder** for its whole spilled path,
-//!   as the last child of the path's deepest node. Late children of *any*
-//!   of the piece's levels re-attach through one **continuation-group
-//!   record** whose root is a chain of [`PContent::Prefix`] entries — one
-//!   labelled, scaffolding copy per spilled level, deeper levels hanging
-//!   first-child. Late children of level *i* attach under prefix *i*,
-//!   after its deeper-prefix child: exactly their document-order position,
-//!   because level *i* only receives content once level *i + 1* closed.
+//!   its piece flushed (the inner chain must close first). Each piece
+//!   carries a **single continuation placeholder** for its whole spilled
+//!   path, as the last child of the path's deepest node (one per level,
+//!   14 bytes each, made the record tree up to ~2× the per-node path's
+//!   height). Late children of *any* of its levels re-attach through one
+//!   **continuation-group record** whose root is a chain of prefix entries
+//!   — one labelled, scaffolding copy per spilled level, deeper levels
+//!   hanging first-child. Late children of level *i* attach under prefix
+//!   *i*, after its deeper-prefix child: exactly their document-order
+//!   position, because level *i* only receives content once level *i + 1*
+//!   closed.
 //! * **Deferred closes.** A prefix entry emits no `Enter` on traversal —
 //!   the real facade lives in the piece — but emits the level's deferred
 //!   `Leave` once its children are done; facades whose subtree ends in a
@@ -64,81 +68,69 @@
 //!   stripped and its facades close themselves.
 //!
 //! A spilled spine level therefore costs 6 bytes in its piece (the bare
-//! embedded header) instead of 20, pieces hold ~3× more levels, and a
-//! document of depth *d* yields a record tree whose height tracks the
-//! split-matrix fanout rather than *d* — measured well *below* the
-//! per-node path's height on every deep corpus (the ≤1.1× envelope is
-//! enforced by `prop_bulkload`'s deep-corpus cases). Groups spill like any
-//! other in-flight tree: their open prefix chain splits across records
-//! (the lower, prefix-rooted half rides behind a chain proxy), and a
-//! *closed* chain suffix — final by construction — is cut into a dense
-//! record of its own once it is worth one.
+//! embedded header), and a document of depth *d* yields a record tree
+//! whose height tracks the split-matrix fanout rather than *d* — below the
+//! per-node path's on every deep corpus (`prop_bulkload` enforces ≤ 1.1×).
+//! Groups spill like any other image: their open prefix chain splits
+//! across records (the lower, prefix-rooted half rides behind a chain
+//! proxy), and a *closed* chain suffix — final by construction — is cut
+//! into a dense record of its own once it is worth one. Both cuts are
+//! splices too: the spine cut moves the image's suffix from the cut level
+//! on into an image of its own; the chain cut copies the first-child
+//! prefix subtree of the deepest open prefix out, like a run.
 //!
-//! Structural edits cannot preserve the packed layout in place: an edit
-//! of [`TreeStore`] that meets a packed record first splices the groups
-//! back into their piece and re-stores it through the ordinary split
-//! machinery, inside the same operation, then edits plain records.
-//!
-//! The result obeys every invariant of [`crate::validate::check_tree`] and
-//! reconstructs to the identical logical document as the per-node path,
-//! which remains in place for incremental edits and serves as the
-//! differential-testing oracle. Unlike the per-node path, total work is
-//! O(document bytes): each node is serialised once, each page written
-//! once (plus an 8-byte in-buffer patch when its parent flushes).
+//! An edit of [`TreeStore`] that meets a packed record first splices the
+//! groups back into their piece and re-stores it through the ordinary
+//! split machinery, inside the same operation. The result obeys every
+//! invariant of [`crate::validate::check_tree`] and reconstructs to the
+//! logical document the per-node path stores, which stays as the
+//! differential-testing oracle.
 //!
 //! # What keeps it linear
 //!
-//! Until PR 24 that paragraph was false per document. Sizes were asked of
-//! the tree by recursion ([`RecordTree::body_len`]) from inside loops that
-//! descend it — the encoder for every header it wrote, `spill_spine` for
-//! every spine level, the run search for every child — so a record holding
-//! a 1 300-level chain cost ≈ 850 000 node visits to encode instead of
-//! 1 300, and every spill swept all spine levels from the root. The one
-//! deep document of the benchmark's corpus (1.9 % of its bytes) took half
-//! of every load: 168 ms against a play's 3.0 ms. Three rules now hold:
+//! Each node is copied into the image once and out of it once per record
+//! it lands in; each page is written once (plus an 8-byte patch when its
+//! parent lands). Nothing re-walks a subtree:
 //!
-//! * **Sizes once.** The loader keeps the embedded size of every finished
-//!   subtree of the in-flight tree in a table by arena id (`sizes`) and,
-//!   per open level, the bytes of its header and finished children
-//!   (`own`); both are updated in O(1) per event and rebuilt by one
-//!   [`RecordTree::subtree_sizes`] pass when the tree is re-rooted. The
-//!   size of an open level is a suffix sum of `own`; nothing re-walks a
-//!   subtree. The encoder back-patches size fields
-//!   ([`crate::record::try_serialize`]).
+//! * **Sizes are in the headers.** A finished subtree's size is its size
+//!   field; an open level's is the image's length minus its header's
+//!   offset. The spine is those offsets, nothing more.
+//! * **A splice moves bytes, not headers.** Every range a spill cuts out
+//!   is a run of children of an open level, which has no size field yet,
+//!   and the image holds no parent offsets: the splice shifts the open
+//!   levels' offsets and touches no header.
 //! * **A resume cursor per run search.** A spine level found to hold no
 //!   evictable run gains one only when something is appended to it, the
 //!   element below it closes, or a run is cut out of it; each search
 //!   variant remembers the level above which nothing changed and resumes
 //!   there, picking exactly the run a sweep from the root would.
-//! * **Fit before encode.** The store decides whether a record fits the
-//!   cursor page from its exact size and type-table growth, and encodes it
-//!   once, on the page that takes it.
+//! * **Fit before copy, and one pass to copy.** The store decides whether
+//!   a record fits the cursor page from its exact length and the count of
+//!   types the page's table lacks, then copies it once, mapping each
+//!   header's type and writing its parent offset. The cursor keeps its
+//!   page's table decoded between records.
 //!
-//! Per family (release build, 8 KiB pages, streaming load; the
-//! `depth_experiment` example prints the table), before → after: plays
-//! 3.0 → 2.9 ms per document (75 MB/s), an order batch 6.0 → 5.7 ms
-//! (40 MB/s), the deep document 168 → 10.8 ms (17 MB/s) — and the stored
-//! bytes are the same, record for record
-//! (`crates/core/tests/placement.rs`). What still separates the deep
-//! document from the plays is its 2 555 records of ≈ 80 bytes, a layout
-//! question (ROADMAP), not a cost of sizing them.
+//! The records that land are byte for byte the ones the tree encoder made
+//! of the record trees this loader used to build, at the same RIDs
+//! (`crates/core/tests/placement.rs`). Per family (release build, 8 KiB
+//! pages, streaming load; the `depth_experiment` example prints the
+//! table): plays 2.4 ms per document (92 MB/s), an order batch 4.4 ms
+//! (52 MB/s), the deep document 8.5 ms (22 MB/s). What still separates the
+//! deep document from the plays is its 2 555 records of ≈ 80 bytes, a
+//! layout question (ROADMAP), not a cost of building them.
+
+use std::ops::Range;
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
 
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
-use crate::model::{
-    literal_body_len, PContent, PNodeId, RecordTree, EMBEDDED_HEADER, PROXY_BODY, STANDALONE_HEADER,
-};
-use crate::store::{AppendCursor, TreeStore};
+use crate::model::{literal_body_len, EMBEDDED_HEADER, PROXY_BODY, STANDALONE_HEADER};
+use crate::record::{literal_kind, write_literal};
+use crate::store::{AppendCursor, Image, TreeStore};
+use crate::typetable::ContentKind;
 use crate::version::WriteOp;
-
-/// Compact the in-flight arena before it can exhaust `u16` node ids: the
-/// arena only grows (removals tombstone), while live nodes are bounded by
-/// the page capacity. Two allocations can happen per event, so any margin
-/// below `u16::MAX` works; compacting earlier keeps the copies small.
-const COMPACT_THRESHOLD: usize = 48_000;
 
 /// Embedded size of a proxy or continuation placeholder.
 const PROXY_SIZE: usize = EMBEDDED_HEADER + PROXY_BODY;
@@ -148,11 +140,34 @@ const PROXY_SIZE: usize = EMBEDDED_HEADER + PROXY_BODY;
 const SPILL_VARIANTS: [(bool, bool); 4] =
     [(false, false), (false, true), (true, false), (true, true)];
 
+/// Content kinds, for the loader's type lookup.
+const KINDS: usize = ContentKind::Continuation as usize + 1;
+
 /// A broken loader invariant, surfaced as an error instead of a panic.
 /// Free-standing so `ok_or_else` closures can build it while `self` is
 /// mutably borrowed.
 fn bulk_invariant(what: &str) -> TreeError {
     TreeError::Invariant(format!("bulkload: {what}"))
+}
+
+/// The label digest of a proxy to a record rooted at a node of `kind` and
+/// `label`: the label when the root is a facade, so a reader can prune the
+/// record without reading it, else [`LABEL_NONE`] ("must read").
+fn digest(kind: ContentKind, label: LabelId) -> LabelId {
+    match kind {
+        ContentKind::Proxy | ContentKind::Prefix | ContentKind::Continuation => LABEL_NONE,
+        _ => label,
+    }
+}
+
+/// The `u16` at `at` of `bytes`.
+fn u16_at(bytes: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes([bytes[at], bytes[at + 1]])
+}
+
+/// Overwrites the `u16` at `at` of `bytes`.
+fn put_u16(bytes: &mut [u8], at: usize, v: usize) {
+    bytes[at..at + 2].copy_from_slice(&(v as u16).to_le_bytes());
 }
 
 /// Summary of one bulk load.
@@ -185,6 +200,31 @@ struct SpilledPiece {
     open: usize,
 }
 
+/// The loader's type list: the image's headers name its entries, and the
+/// store maps each to its page's table as a record lands.
+#[derive(Default)]
+struct Types {
+    list: Vec<(ContentKind, LabelId)>,
+    /// By `label * KINDS + kind`: the entry's index in `list` plus one, 0
+    /// for a type not seen yet.
+    index: Vec<u16>,
+}
+
+impl Types {
+    fn intern(&mut self, kind: ContentKind, label: LabelId) -> TreeResult<u16> {
+        let key = label as usize * KINDS + kind as usize;
+        if key >= self.index.len() {
+            self.index.resize(key + 1, 0);
+        }
+        if self.index[key] == 0 {
+            self.index[key] = u16::try_from(self.list.len() + 1)
+                .map_err(|_| bulk_invariant("more types than a type index can name"))?;
+            self.list.push((kind, label));
+        }
+        Ok(self.index[key] - 1)
+    }
+}
+
 /// Streaming bottom-up document builder over a [`TreeStore`].
 ///
 /// Feed it the pre-order event stream of exactly one document —
@@ -203,52 +243,40 @@ pub struct BulkLoader<'s> {
     matrix: SplitMatrix,
     /// Net page capacity — the record-size ceiling.
     capacity: usize,
-    /// The in-flight tree: the lower part of the right spine of open
-    /// elements plus the finished subtrees not yet packed into records.
-    /// `None` before the root element arrives and while *detached* (the
-    /// deepest open element lives in an already-flushed record; see
-    /// `spilled`).
-    cur: Option<RecordTree>,
-    /// Arena ids of the open spine inside `cur`, outermost first: the
+    /// The record image (module docs): the lower part of the right spine
+    /// of open elements plus the finished subtrees not yet packed away, as
+    /// one Appendix A record whose type indices name `types` and whose
+    /// parent offsets are unset. Empty before the root element arrives and
+    /// while *detached* (the deepest open element lives in an
+    /// already-flushed record; see `spilled`).
+    img: Vec<u8>,
+    types: Types,
+    /// Header offsets of the open spine inside `img`, outermost first: the
     /// still-open prefix entries of a continuation group (the first
-    /// `prefix_base` entries), then the open elements. `spine[0]` is
-    /// `cur.root()`; `spine[i + 1]` is always the *last* child of
+    /// `prefix_base` entries), then the open elements. `spine[0]` is the
+    /// image root (offset 0); `spine[i + 1]` is always the *last* child of
     /// `spine[i]` (events arrive in pre-order, appends only — a prefix's
     /// leading deeper-prefix child stops being its last child exactly when
     /// content gets appended after it, at which point the deeper prefix
-    /// has left the spine).
-    spine: Vec<PNodeId>,
+    /// has left the spine). Open levels' size fields are empty: the
+    /// subtree at `spine[k]` is `img[spine[k]..]`.
+    spine: Vec<usize>,
     /// Number of leading `spine` entries that are prefix entries — the
     /// still-open levels of the continuation group (or split-chain piece)
     /// being built. 0 for ordinary pieces.
     prefix_base: usize,
-    /// True when flushing `cur` resolves the *top spilled piece's*
-    /// continuation placeholder (cur is its continuation group); false
-    /// when it resolves a chain placeholder (or nothing, for the root).
+    /// True when flushing the image resolves the *top spilled piece's*
+    /// continuation placeholder (the image is its continuation group);
+    /// false when it resolves a chain placeholder (or nothing, for the
+    /// root).
     cur_is_group: bool,
-    /// The placeholder the eventual flush of `cur` resolves:
-    /// `(holder, sentinel)`. `None` for the original root tree.
+    /// The placeholder the eventual flush of the image resolves:
+    /// `(holder, sentinel)`. `None` for the original root image.
     cur_resolves: Option<(Rid, Rid)>,
     /// Spilled spine pieces, outermost first; the top entry is the deepest
     /// and closes first. Each carries one continuation placeholder through
     /// which late children of *any* of its levels re-attach.
     spilled: Vec<SpilledPiece>,
-    /// Exact serialised size of `cur`, maintained incrementally.
-    cur_size: usize,
-    /// Embedded size of every node of `cur`, by arena id — exact for
-    /// *finished* subtrees (closed elements, literals, proxies), which is
-    /// all the spill searches read; an open spine node's entry is not
-    /// maintained (its size is a suffix sum of `own`). Filled by one
-    /// [`RecordTree::subtree_sizes`] pass whenever `cur` is re-rooted
-    /// (`rebase`) and extended by one entry per node allocated since, so
-    /// no spill re-walks a subtree to learn its size.
-    sizes: Vec<usize>,
-    /// Parallel to `spine`: each open level's embedded header plus its
-    /// finished children — everything of it except the open child. The
-    /// embedded size of `spine[k]` is the sum of `own[k..]`, and
-    /// `cur_size` is the sum of all of it with the root's header
-    /// standalone.
-    own: Vec<usize>,
     /// Per [`SPILL_VARIANTS`] entry: every spine level above this one is
     /// known to hold no run for that variant, so its sweep resumes here
     /// instead of at the root. A level gains an evictable child only when
@@ -284,18 +312,16 @@ impl<'s> BulkLoader<'s> {
             capacity: store.net_capacity(),
             _op: store.versions().begin_write(),
             store,
-            cur: None,
+            img: Vec::new(),
+            types: Types::default(),
             spine: Vec::new(),
             prefix_base: 0,
             cur_is_group: false,
             cur_resolves: None,
             spilled: Vec::new(),
-            cur_size: 0,
-            sizes: Vec::new(),
-            own: Vec::new(),
             resume: [0; 4],
             root_closed: false,
-            cursor: AppendCursor::new(),
+            cursor: AppendCursor::default(),
             flushed: Vec::new(),
             stored_root: None,
             unused_slots: Vec::new(),
@@ -326,33 +352,57 @@ impl<'s> BulkLoader<'s> {
         }
     }
 
-    fn state_err(&self, what: &str) -> TreeError {
-        TreeError::Invariant(format!("bulkload: {what}"))
-    }
-
-    /// The in-flight tree, shared. Loader state transitions guarantee one
-    /// exists on every caller's path; a broken transition surfaces as an
-    /// error rather than a panic (tree code runs under the engine's
-    /// latching protocols, where unwinding poisons shared state).
-    fn cur_ref(&self) -> TreeResult<&RecordTree> {
-        self.cur
-            .as_ref()
-            .ok_or_else(|| bulk_invariant("no in-flight tree"))
-    }
-
-    /// The in-flight tree, exclusive. See [`Self::cur_ref`].
-    fn cur_mut(&mut self) -> TreeResult<&mut RecordTree> {
-        self.cur
-            .as_mut()
-            .ok_or_else(|| bulk_invariant("no in-flight tree"))
-    }
-
-    /// The deepest open spine node.
-    fn top(&self) -> TreeResult<PNodeId> {
+    /// The deepest open spine level's header offset.
+    fn top(&self) -> TreeResult<usize> {
         self.spine
             .last()
             .copied()
             .ok_or_else(|| bulk_invariant("empty spine"))
+    }
+
+    /// The type of the node whose header is at `hdr` (0: the root, whose
+    /// standalone header holds its type behind the parent RID).
+    fn type_at(&self, hdr: usize) -> (ContentKind, LabelId) {
+        let t = u16_at(&self.img, if hdr == 0 { 8 } else { hdr });
+        self.types.list[t as usize]
+    }
+
+    /// The size field of the finished node whose header is at `hdr`.
+    fn size_at(&self, hdr: usize) -> usize {
+        u16_at(&self.img, hdr + 4) as usize
+    }
+
+    /// Where the body of the node whose header is at `hdr` starts.
+    fn body_at(hdr: usize) -> usize {
+        if hdr == 0 {
+            STANDALONE_HEADER
+        } else {
+            hdr + EMBEDDED_HEADER
+        }
+    }
+
+    /// Appends an embedded header — its parent offset left to the store —
+    /// and returns its offset.
+    fn push_header(&mut self, kind: ContentKind, label: LabelId, size: usize) -> TreeResult<usize> {
+        let t = self.types.intern(kind, label)?;
+        let at = self.img.len();
+        self.img.extend_from_slice(&t.to_le_bytes());
+        self.img.extend_from_slice(&[0, 0]);
+        self.img.extend_from_slice(&(size as u16).to_le_bytes());
+        Ok(at)
+    }
+
+    /// Starts a new image: a record rooted at a node of `kind` and
+    /// `label`, parented on `parent`.
+    fn open_image(&mut self, parent: Rid, kind: ContentKind, label: LabelId) -> TreeResult<()> {
+        let t = self.types.intern(kind, label)?;
+        self.img.clear();
+        parent.encode_to(&mut self.img);
+        self.img.extend_from_slice(&t.to_le_bytes());
+        self.spine.clear();
+        self.spine.push(0);
+        self.resume = [0; 4];
+        Ok(())
     }
 
     /// The children of spine level `level` changed: every run search must
@@ -363,117 +413,55 @@ impl<'s> BulkLoader<'s> {
         }
     }
 
-    /// `cur` was replaced or re-rooted (arena ids changed): recomputes the
-    /// size table, the per-level bookkeeping and `cur_size` from the tree
-    /// in one pass, and restarts the run searches at the root.
-    fn rebase(&mut self) -> TreeResult<()> {
-        let root = *self
+    /// Pops the deepest open level: its subtree is finished, and an
+    /// embedded one gets its size field (everything appended since its
+    /// header). Returns the closed node's header offset.
+    fn close_top(&mut self) -> TreeResult<usize> {
+        let hdr = self
             .spine
-            .first()
-            .ok_or_else(|| bulk_invariant("empty spine"))?;
-        let sizes = self.cur_ref()?.subtree_sizes();
-        self.own = self.spine.iter().map(|&n| sizes[n as usize]).collect();
-        for i in 1..self.own.len() {
-            self.own[i - 1] -= self.own[i];
-        }
-        self.cur_size = sizes[root as usize] - EMBEDDED_HEADER + STANDALONE_HEADER;
-        self.sizes = sizes;
-        self.resume = [0; 4];
-        Ok(())
-    }
-
-    /// Pops the deepest open level. Its subtree is finished: its size
-    /// becomes a table entry and joins the finished children of the level
-    /// above. Returns the closed node and its embedded size.
-    fn close_top(&mut self) -> TreeResult<(PNodeId, usize)> {
-        let (Some(closed), Some(size)) = (self.spine.pop(), self.own.pop()) else {
-            return Err(bulk_invariant("end_element with an empty spine"));
-        };
-        self.sizes[closed as usize] = size;
-        if let Some(parent_own) = self.own.last_mut() {
-            *parent_own += size;
+            .pop()
+            .ok_or_else(|| bulk_invariant("end_element with an empty spine"))?;
+        if !self.spine.is_empty() {
+            let size = self.img.len() - hdr;
+            put_u16(&mut self.img, hdr + 4, size);
             self.touch_level(self.spine.len() - 1);
         }
-        Ok((closed, size))
-    }
-
-    /// Appends a finished leaf of `size` embedded bytes (a literal or a
-    /// proxy) under the deepest open element.
-    fn append_leaf(&mut self, label: LabelId, content: PContent, size: usize) -> TreeResult<()> {
-        let parent = self.top()?;
-        let tree = self.cur_mut()?;
-        let node = tree.alloc(label, content);
-        let at = tree.children(parent).len();
-        tree.attach(parent, at, node);
-        self.sizes.push(size);
-        let level = self.spine.len() - 1;
-        self.own[level] += size;
-        self.cur_size += size;
-        self.touch_level(level);
-        Ok(())
-    }
-
-    /// Splices a proxy to `rid` under `parent` at child index `at`, in
-    /// place of content that was just moved out into that record. The
-    /// caller adjusts `cur_size` and the level's `own` by what left.
-    fn splice_proxy(
-        &mut self,
-        parent: PNodeId,
-        at: usize,
-        digest: LabelId,
-        rid: Rid,
-    ) -> TreeResult<()> {
-        let tree = self.cur_mut()?;
-        let proxy = tree.alloc(digest, PContent::Proxy(rid));
-        tree.attach(parent, at, proxy);
-        self.sizes.push(PROXY_SIZE);
-        Ok(())
+        Ok(hdr)
     }
 
     /// Opens an element with `label`.
     pub fn start_element(&mut self, label: LabelId) -> TreeResult<()> {
         if self.root_closed {
-            return Err(self.state_err("content after the root element closed"));
+            return Err(bulk_invariant("content after the root element closed"));
         }
         self.nodes += 1;
-        if self.cur.is_none() {
+        if self.img.is_empty() {
             if self.spilled.is_empty() {
                 // The document root.
-                let tree = RecordTree::new(label, PContent::Aggregate(Vec::new()), Rid::invalid());
-                self.spine.push(tree.root());
-                self.cur = Some(tree);
                 self.prefix_base = 0;
                 self.cur_is_group = false;
                 self.cur_resolves = None;
-                return self.rebase();
+                return self.open_image(Rid::invalid(), ContentKind::Aggregate, label);
             }
             // Detached: a late child of a spilled open element — start the
             // deepest spilled piece's continuation group.
             self.open_continuation()?;
         }
-        let parent = self.top()?;
-        let tree = self.cur_mut()?;
-        let node = tree.alloc(label, PContent::Aggregate(Vec::new()));
-        let at = tree.children(parent).len();
-        tree.attach(parent, at, node);
         // A new, empty level: nothing to evict there or (the open child
         // never joins a run) at its parent's.
-        self.spine.push(node);
-        self.sizes.push(0);
-        self.own.push(EMBEDDED_HEADER);
-        self.cur_size += EMBEDDED_HEADER;
-        self.maybe_compact()?;
+        let hdr = self.push_header(ContentKind::Aggregate, label, 0)?;
+        self.spine.push(hdr);
         self.spill_until_fits()
     }
 
     /// Appends a literal under the currently open element.
     pub fn literal(&mut self, label: LabelId, value: LiteralValue) -> TreeResult<()> {
         if self.root_closed {
-            return Err(self.state_err("content after the root element closed"));
+            return Err(bulk_invariant("content after the root element closed"));
         }
-        if self.cur.is_none() {
+        if self.img.is_empty() {
             if self.spilled.is_empty() {
-                return Err(self.state_err("literal outside the root element"));
+                return Err(bulk_invariant("literal outside the root element"));
             }
             self.open_continuation()?;
         }
@@ -489,33 +477,34 @@ impl<'s> BulkLoader<'s> {
         }
         self.nodes += 1;
         let parent = self.top()?;
+        let hdr = self.push_header(literal_kind(&value), label, EMBEDDED_HEADER + body)?;
+        write_literal(&value, &mut self.img);
+        self.touch_level(self.spine.len() - 1);
         // Prefix entries carry the copied ancestor's label, so the matrix
         // lookup is uniform across pieces and continuation groups.
-        let parent_label = self.cur_ref()?.node(parent).label;
-        if self.matrix.get(parent_label, label) == SplitBehaviour::Standalone {
+        if self.matrix.get(self.type_at(parent).1, label) == SplitBehaviour::Standalone {
             // §3.3: "x is stored as a standalone node"; the proxy goes into
             // the designated record.
-            let child = RecordTree::new(label, PContent::Literal(value), Rid::invalid());
-            let rid = self.write_record(&child)?;
-            self.append_leaf(child.proxy_digest(), PContent::Proxy(rid), PROXY_SIZE)?;
-        } else {
-            self.append_leaf(label, PContent::Literal(value), EMBEDDED_HEADER + body)?;
+            self.spill_subtree(hdr)?;
         }
-        self.maybe_compact()?;
         self.spill_until_fits()
     }
 
     /// Closes the currently open element.
     pub fn end_element(&mut self) -> TreeResult<()> {
         if self.root_closed {
-            return Err(self.state_err("end_element without a matching start_element"));
+            return Err(bulk_invariant(
+                "end_element without a matching start_element",
+            ));
         }
-        if self.cur.is_none() {
+        if self.img.is_empty() {
             // Detached: the event closes the deepest open level of the top
             // spilled piece, which received no late children (a piece with
             // a live continuation group closes through the group below).
             let Some(piece) = self.spilled.last_mut() else {
-                return Err(self.state_err("end_element without a matching start_element"));
+                return Err(bulk_invariant(
+                    "end_element without a matching start_element",
+                ));
             };
             debug_assert!(piece.open > 0, "piece with closed levels still stacked");
             piece.open -= 1;
@@ -536,7 +525,7 @@ impl<'s> BulkLoader<'s> {
         if self.prefix_base > 0 && self.spine.len() == self.prefix_base {
             // The event closes the deepest still-open prefix level of the
             // continuation group (or split-chain piece) being built. The
-            // prefix entry stays in the tree — it emits the level's
+            // prefix entry stays in the image — it emits the level's
             // deferred `Leave` — but leaves the spine; late children of
             // the next-outer level now append after it.
             self.close_top()?;
@@ -563,62 +552,43 @@ impl<'s> BulkLoader<'s> {
             }
             return Ok(());
         }
-        let (closed, sub_size) = self.close_top()?;
-        if self.spine.is_empty() {
+        let closed = self.close_top()?;
+        let Some(&parent) = self.spine.last() else {
             debug_assert_eq!(self.prefix_base, 0);
             if self.spilled.is_empty() {
-                // The document root closed; `finish` flushes the tree.
+                // The document root closed; `finish` flushes the image.
                 self.root_closed = true;
                 return Ok(());
             }
             // A chain piece (rooted at a real element) is complete.
-            self.flush_cur_piece()?;
-            return Ok(());
-        }
-        let parent = self.top()?;
-        let parent_label = self.cur_ref()?.node(parent).label;
-        let closed_label = self.cur_ref()?.node(closed).label;
-        if self.matrix.get(parent_label, closed_label) == SplitBehaviour::Standalone {
+            return self.flush_cur_piece();
+        };
+        if self
+            .matrix
+            .get(self.type_at(parent).1, self.type_at(closed).1)
+            == SplitBehaviour::Standalone
+        {
             // The finished subtree becomes a record of its own right away.
-            let tree = self.cur_mut()?;
-            let at = tree
-                .children(parent)
-                .iter()
-                .position(|&c| c == closed)
-                .ok_or_else(|| bulk_invariant("closed element not listed under its parent"))?;
-            let child = RecordTree::from_transplant(tree, closed);
-            let rid = self.write_record(&child)?;
-            self.splice_proxy(parent, at, child.proxy_digest(), rid)?;
-            let level = self.spine.len() - 1;
-            self.own[level] = self.own[level] - sub_size + PROXY_SIZE;
-            self.cur_size = self.cur_size - sub_size + PROXY_SIZE;
-            self.maybe_compact()?;
+            self.spill_subtree(closed)?;
         }
         self.spill_until_fits()
     }
 
-    /// Flushes the remaining in-flight tree, resolves and strips the
-    /// outstanding placeholders, and returns the load summary.
+    /// Flushes the remaining image, resolves and strips the outstanding
+    /// placeholders, and returns the load summary.
     pub fn finish(mut self) -> TreeResult<BulkStats> {
         if !self.root_closed {
             self.abort_in_place();
-            return Err(
-                self.state_err(if self.cur.is_none() && self.spilled.is_empty() {
+            return Err(bulk_invariant(
+                if self.img.is_empty() && self.spilled.is_empty() {
                     "empty document"
                 } else {
                     "finish with unclosed elements"
-                }),
-            );
-        }
-        if let Some(tree) = self.cur.as_ref() {
-            debug_assert_eq!(
-                self.cur_size,
-                tree.record_size(),
-                "size accounting must be exact"
-            );
+                },
+            ));
         }
         let result = (|| -> TreeResult<Rid> {
-            if self.cur.is_some() {
+            if !self.img.is_empty() {
                 self.flush_cur_piece()?;
             }
             // Strip the continuation placeholders that were never used.
@@ -647,56 +617,50 @@ impl<'s> BulkLoader<'s> {
         }
     }
 
-    /// Starts the continuation group of the deepest spilled piece: an
-    /// in-flight tree whose root is a prefix chain copying *all* of the
-    /// piece's spilled-path levels (separator-style — one prefix per
-    /// level, deeper levels hanging first-child), with the still-open
-    /// levels forming the spine base. Late children of level *i* attach
-    /// under prefix *i*, after its deeper-prefix child — exactly their
-    /// document-order position, since level *i* only receives content once
-    /// level *i + 1* has closed. The group's flush (or spill) resolves the
-    /// piece's single continuation placeholder.
+    /// Starts the continuation group of the deepest spilled piece (module
+    /// docs): an image whose root is a prefix chain copying *all* of the
+    /// piece's spilled-path levels, the still-open ones forming the spine
+    /// base. Its flush (or spill) resolves the piece's continuation
+    /// placeholder.
     fn open_continuation(&mut self) -> TreeResult<()> {
         let piece = self
             .spilled
             .last()
             .ok_or_else(|| bulk_invariant("continuation without a spilled piece"))?;
-        let (holder, sentinel) = (piece.holder, piece.sentinel);
+        let (holder, sentinel, open) = (piece.holder, piece.sentinel, piece.open);
         let levels = piece.levels.clone();
-        let open = piece.open;
         debug_assert!(open > 0, "late child for a fully closed piece");
-        let mut tree = RecordTree::new(levels[0], PContent::Prefix(Vec::new()), holder);
-        self.spine.clear();
-        self.spine.push(tree.root());
-        let mut prev = tree.root();
-        for (i, &lv) in levels.iter().enumerate().skip(1) {
-            let p = tree.alloc(lv, PContent::Prefix(Vec::new()));
-            tree.attach(prev, 0, p);
-            prev = p;
+        self.open_image(holder, ContentKind::Prefix, levels[0])?;
+        for (i, &label) in levels.iter().enumerate().skip(1) {
+            // A closed level is final: it holds the deeper prefixes only.
+            let size = if i < open {
+                0
+            } else {
+                EMBEDDED_HEADER * (levels.len() - i)
+            };
+            let hdr = self.push_header(ContentKind::Prefix, label, size)?;
             if i < open {
-                self.spine.push(p);
+                self.spine.push(hdr);
             }
         }
         self.prefix_base = open;
         self.cur_is_group = true;
         self.cur_resolves = Some((holder, sentinel));
-        self.cur = Some(tree);
-        self.rebase()
+        Ok(())
     }
 
-    /// Flushes `cur` as a complete record and resolves the placeholder it
-    /// was created for. Leaves the loader detached.
+    /// Flushes the image as a complete record and resolves the placeholder
+    /// it was created for. Leaves the loader detached.
     fn flush_cur_piece(&mut self) -> TreeResult<()> {
-        let tree = self
-            .cur
-            .take()
-            .ok_or_else(|| bulk_invariant("flush without an in-flight piece"))?;
+        if self.img.is_empty() {
+            return Err(bulk_invariant("flush without an in-flight piece"));
+        }
         self.spine.clear();
-        self.own.clear();
         self.prefix_base = 0;
         self.cur_is_group = false;
-        let rid = self.write_record(&tree)?;
-        if tree.parent_rid.is_invalid() {
+        let (rid, parent) = self.write_image()?;
+        self.img.clear();
+        if parent.is_invalid() {
             debug_assert!(self.stored_root.is_none());
             self.stored_root = Some(rid);
         }
@@ -710,17 +674,64 @@ impl<'s> BulkLoader<'s> {
     // Packing.
     // ==================================================================
 
-    fn write_record(&mut self, tree: &RecordTree) -> TreeResult<Rid> {
-        let rid = self.store.append_record(tree, &mut self.cursor)?;
+    /// Writes `img[body]` as the body of a record of its own whose root has
+    /// the type `root`, parented on `parent`.
+    fn write_record(&mut self, parent: Rid, root: u16, body: Range<usize>) -> TreeResult<Rid> {
+        let image = Image {
+            parent,
+            root,
+            body: &self.img[body],
+            types: &self.types.list,
+        };
+        let rid = self.store.append_image(&image, &mut self.cursor)?;
         self.flushed.push(rid);
         self.records += 1;
         Ok(rid)
     }
 
-    /// Packs finished subtrees into records until the in-flight tree fits
-    /// the net page capacity again.
+    /// Writes the whole image as a record. Returns its RID and its parent.
+    fn write_image(&mut self) -> TreeResult<(Rid, Rid)> {
+        let parent = Rid::decode(&self.img[..8]);
+        let root = u16_at(&self.img, 8);
+        let rid = self.write_record(parent, root, STANDALONE_HEADER..self.img.len())?;
+        Ok((rid, parent))
+    }
+
+    /// Moves the finished subtree headed at `hdr`, a child of an open
+    /// level, into a record of its own (its parent RID is patched when the
+    /// record holding its proxy lands) and splices a proxy to it in its
+    /// place.
+    fn spill_subtree(&mut self, hdr: usize) -> TreeResult<()> {
+        let (kind, label) = self.type_at(hdr);
+        let span = hdr..hdr + self.size_at(hdr);
+        let root = u16_at(&self.img, hdr);
+        let rid = self.write_record(Rid::invalid(), root, hdr + EMBEDDED_HEADER..span.end)?;
+        self.splice_proxy(span, digest(kind, label), rid)
+    }
+
+    /// Replaces `img[span]` — finished children of an open level — with a
+    /// proxy to `rid`: the splice of [`crate::record::Patch::splice`]
+    /// without its fixups, as the span's ancestors are open (no size field
+    /// yet) and the image holds no parent offsets. The open levels behind
+    /// the span move with it.
+    fn splice_proxy(&mut self, span: Range<usize>, digest: LabelId, rid: Rid) -> TreeResult<()> {
+        let mut proxy = Vec::with_capacity(PROXY_SIZE);
+        proxy.extend_from_slice(&self.types.intern(ContentKind::Proxy, digest)?.to_le_bytes());
+        proxy.extend_from_slice(&[0, 0]);
+        proxy.extend_from_slice(&(PROXY_SIZE as u16).to_le_bytes());
+        rid.encode_to(&mut proxy);
+        let (old, new) = (span.end, span.start + PROXY_SIZE);
+        self.img.splice(span, proxy);
+        for hdr in self.spine.iter_mut().filter(|hdr| **hdr >= old) {
+            *hdr = *hdr - old + new;
+        }
+        Ok(())
+    }
+
+    /// Packs finished subtrees into records until the image fits the net
+    /// page capacity again.
     fn spill_until_fits(&mut self) -> TreeResult<()> {
-        while self.cur_size > self.capacity {
+        while self.img.len() > self.capacity {
             // Continuation groups first shed their *closed* prefix chain
             // once it is worth a dense record of its own: the chain plus
             // the late children its levels collected is final, and cutting
@@ -743,7 +754,7 @@ impl<'s> BulkLoader<'s> {
                 continue;
             }
             return Err(TreeError::OversizedNode {
-                size: self.cur_size,
+                size: self.img.len(),
                 max: self.capacity,
             });
         }
@@ -751,92 +762,54 @@ impl<'s> BulkLoader<'s> {
     }
 
     /// Flushes the upper part of the open spine as a record of its own,
-    /// leaving the lower part in flight — the bulkload analogue of the
-    /// incremental path splitting a too-deep chain across records. The
-    /// flushed record holds one placeholder proxy for the rest of the
-    /// chain (patched when the next piece flushes) and a **single**
-    /// continuation placeholder for the whole spilled path: late children
-    /// of any of its levels, arriving after the inner chain closes,
-    /// re-attach through one continuation-group record whose prefix chain
-    /// mirrors the path (so a document of depth *d* costs 6 bytes per
-    /// spilled level instead of 20, and one group record per piece instead
-    /// of one per level). Returns false when no spine prefix fits a record.
+    /// leaving the lower part in flight (module docs): the record holds a
+    /// placeholder proxy for the rest of the chain, patched when the next
+    /// piece flushes, and the single continuation placeholder of its
+    /// spilled path. Returns false when no spine prefix fits a record.
     fn spill_spine(&mut self) -> TreeResult<bool> {
-        if self.spine.len() < 2 {
+        // The upper record is the image up to the header of spine[k], plus
+        // the chain placeholder and the continuation placeholder; it grows
+        // with k, so take the largest k that still fits (fullest record,
+        // shortest remaining chain).
+        let Some(k) = (1..self.spine.len())
+            .take_while(|&k| self.spine[k] + 2 * PROXY_SIZE <= self.capacity)
+            .last()
+        else {
             return Ok(false);
-        }
-        // The upper record is everything except the subtree at spine[k],
-        // plus the chain placeholder and the continuation placeholder; the
-        // subtree at spine[k] — the suffix sum of `own` from k — shrinks
-        // as k grows, so take the largest k that still fits (fullest
-        // record, shortest remaining chain).
-        let mut below: usize = self.own.iter().sum();
-        debug_assert_eq!(
-            below - EMBEDDED_HEADER + STANDALONE_HEADER,
-            self.cur_size,
-            "size accounting must be exact"
-        );
-        let mut chosen = None;
-        for k in 1..self.spine.len() {
-            below -= self.own[k - 1];
-            let upper = self.cur_size - below + 2 * PROXY_SIZE;
-            if upper <= self.capacity {
-                chosen = Some(k);
-            } else {
-                break;
-            }
-        }
-        let Some(k) = chosen else { return Ok(false) };
-        let split_node = self.spine[k];
-        let parent_of_split = self.spine[k - 1];
-        let tree = self.cur_mut()?;
-        let at = tree
-            .children(parent_of_split)
-            .iter()
-            .position(|&c| c == split_node)
-            .ok_or_else(|| bulk_invariant("spine child not listed under its parent"))?;
-        let mut lower = RecordTree::from_transplant(tree, split_node);
-        // Chain placeholder where the lower chain used to hang.
-        let chain_sentinel = self.new_sentinel();
-        let tree = self.cur_mut()?;
-        let proxy = tree.alloc(LABEL_NONE, PContent::Proxy(chain_sentinel));
-        tree.attach(parent_of_split, at, proxy);
-        // One continuation placeholder for the whole spilled path, as the
-        // last child of its deepest node (right after the chain proxy).
-        let piece = {
-            let sentinel = self.new_sentinel();
-            let levels: Vec<LabelId> = {
-                let tree = self.cur_ref()?;
-                self.spine[..k]
-                    .iter()
-                    .map(|&n| tree.node(n).label)
-                    .collect()
-            };
-            let tree = self.cur_mut()?;
-            let p = tree.alloc(LABEL_NONE, PContent::Continuation(sentinel));
-            let end = tree.children(parent_of_split).len();
-            tree.attach(parent_of_split, end, p);
-            SpilledPiece {
-                holder: Rid::invalid(), // patched to upper_rid below
-                sentinel,
-                levels,
-                open: k,
-            }
         };
-        let upper = self
-            .cur
-            .take()
-            .ok_or_else(|| bulk_invariant("spine spill without an in-flight tree"))?;
+        let split = self.spine[k];
+        let chain_sentinel = self.new_sentinel();
+        let sentinel = self.new_sentinel();
+        let levels: Vec<LabelId> = self.spine[..k].iter().map(|&h| self.type_at(h).1).collect();
+        // The image from spine[k] on becomes an image of its own, rooted at
+        // spine[k] behind a standalone header: its bytes move by `4 - split`.
+        let mut lower = Vec::with_capacity(self.capacity + PROXY_SIZE);
+        Rid::invalid().encode_to(&mut lower); // the upper record's RID, below
+        lower.extend_from_slice(&self.img[split..split + 2]);
+        lower.extend_from_slice(&self.img[split + EMBEDDED_HEADER..]);
+        let lower_spine: Vec<usize> = std::iter::once(0)
+            .chain(self.spine[k + 1..].iter().map(|&h| h + 4 - split))
+            .collect();
+        // The upper record: the chain placeholder where the lower chain
+        // hung, then the continuation placeholder as the last child of the
+        // spilled path's deepest node. Its open levels get their sizes.
+        self.img.truncate(split);
+        self.push_header(ContentKind::Proxy, LABEL_NONE, PROXY_SIZE)?;
+        chain_sentinel.encode_to(&mut self.img);
+        self.push_header(ContentKind::Continuation, LABEL_NONE, PROXY_SIZE)?;
+        sentinel.encode_to(&mut self.img);
+        let len = self.img.len();
+        for &hdr in &self.spine[1..k] {
+            put_u16(&mut self.img, hdr + 4, len - hdr);
+        }
         let was_group = self.cur_is_group;
         let resolves = self.cur_resolves.take();
-        let remaining_depth = self.spine.len() - k;
         let lower_prefixes = self.prefix_base.saturating_sub(k);
         self.spine.clear();
-        self.own.clear();
         self.prefix_base = 0;
         self.cur_is_group = false;
-        let upper_rid = self.write_record(&upper)?;
-        if upper.parent_rid.is_invalid() {
+        let (upper_rid, upper_parent) = self.write_image()?;
+        if upper_parent.is_invalid() {
             // This record holds the document root: it is the tree root.
             debug_assert!(self.stored_root.is_none());
             self.stored_root = Some(upper_rid);
@@ -850,108 +823,57 @@ impl<'s> BulkLoader<'s> {
         // *replaces* the piece it was resolving (its still-open levels are
         // now tracked by the flushed group record); everything else stacks
         // a new piece.
-        {
-            let mut piece = piece;
-            piece.holder = upper_rid;
-            if was_group {
-                *self.spilled.last_mut().ok_or_else(|| {
-                    bulk_invariant("continuation group without its spilled piece")
-                })? = piece;
-            } else {
-                self.spilled.push(piece);
-            }
+        let piece = SpilledPiece {
+            holder: upper_rid,
+            sentinel,
+            levels,
+            open: k,
+        };
+        if was_group {
+            *self
+                .spilled
+                .last_mut()
+                .ok_or_else(|| bulk_invariant("continuation group without its spilled piece"))? =
+                piece;
+        } else {
+            self.spilled.push(piece);
         }
         // The lower chain continues in flight, parented on the record that
-        // now holds its (placeholder) proxy.
-        lower.parent_rid = upper_rid;
-        self.cur_resolves = Some((upper_rid, chain_sentinel));
-        // The spine below the split survives as the chain of last children
-        // from the new root (no placeholders were added below the split);
-        // leading prefix entries below the split stay prefix spine.
+        // now holds its (placeholder) proxy; leading prefix entries below
+        // the split stay prefix spine.
+        upper_rid.encode(&mut lower[..8]);
+        self.img = lower;
+        self.spine = lower_spine;
         self.prefix_base = lower_prefixes;
-        let mut node = lower.root();
-        self.spine.push(node);
-        for _ in 1..remaining_depth {
-            node = *lower
-                .children(node)
-                .last()
-                .ok_or_else(|| bulk_invariant("spine level with no children"))?;
-            self.spine.push(node);
-        }
-        self.cur = Some(lower);
-        self.rebase()?;
+        self.cur_resolves = Some((upper_rid, chain_sentinel));
+        self.resume = [0; 4];
         Ok(true)
     }
 
     /// Flushes the closed part of a continuation group's prefix chain —
-    /// the first-child prefix subtree below the deepest *open* prefix —
-    /// as a complete record of its own, leaving a chain proxy in its
-    /// place. Closed levels receive no further content, so the subtree
-    /// (deferred `Leave`s plus the late children those levels collected
-    /// while open) is final; the reassembly machinery already follows
-    /// proxied prefix-rooted records as split chains. Returns false when
-    /// there is no closed chain, it is smaller than `min_bytes` (as a
-    /// standalone record), or cutting it would not shrink the record.
+    /// the first-child prefix subtree below the deepest *open* prefix, final
+    /// because closed levels receive no further content — as a record of
+    /// its own behind a chain proxy. Returns false when there is no closed
+    /// chain, it is smaller than `min_bytes` (as a standalone record), or
+    /// cutting it would not shrink the record.
     fn spill_closed_chain(&mut self, min_bytes: usize) -> TreeResult<bool> {
-        if self.prefix_base == 0 {
-            return Ok(false);
-        }
-        let bottom_level = self.prefix_base - 1;
-        let bottom = self.spine[bottom_level];
-        // A field borrow, not `cur_ref`: the size table is patched below
-        // while the tree is still being read.
-        let tree = self
-            .cur
-            .as_ref()
-            .ok_or_else(|| bulk_invariant("no in-flight tree"))?;
-        let Some(&first) = tree.children(bottom).first() else {
+        let Some(bottom_level) = self.prefix_base.checked_sub(1) else {
             return Ok(false);
         };
-        if !tree.node(first).is_prefix() {
+        let first = Self::body_at(self.spine[bottom_level]);
+        if first >= self.img.len() || self.type_at(first).0 != ContentKind::Prefix {
             return Ok(false);
         }
-        // The chain is closed, so every size below comes from the table.
-        let standalone = |n: PNodeId| self.sizes[n as usize] - EMBEDDED_HEADER + STANDALONE_HEADER;
-        if standalone(first) < min_bytes {
+        // The chain lies in front of the open levels, inside an image that
+        // fit a record before the last event appended behind it, so as a
+        // record of its own it fits too; the guard costs nothing.
+        let cut = self.size_at(first);
+        let standalone = cut - EMBEDDED_HEADER + STANDALONE_HEADER;
+        if standalone < min_bytes || standalone > self.capacity || cut <= PROXY_SIZE {
             return Ok(false);
         }
-        // Cut as high as a record can take: descend the first-child chain
-        // while the subtree would overflow a record of its own.
-        let mut head = first;
-        while standalone(head) > self.capacity {
-            match tree.children(head).first() {
-                Some(&next) if tree.node(next).is_prefix() => head = next,
-                _ => return Ok(false),
-            }
-        }
-        let cut = self.sizes[head as usize];
-        if cut <= PROXY_SIZE {
-            return Ok(false);
-        }
-        let holder = tree
-            .node(head)
-            .parent
-            .ok_or_else(|| bulk_invariant("closed chain head without a parent"))?;
-        // The closed prefixes between the cut and the open level shrink by
-        // what leaves.
-        let mut at = holder;
-        while at != bottom {
-            self.sizes[at as usize] -= cut - PROXY_SIZE;
-            at = tree
-                .node(at)
-                .parent
-                .ok_or_else(|| bulk_invariant("closed chain detached from its open level"))?;
-        }
-        let tree = self.cur_mut()?;
-        let piece = RecordTree::from_transplant(tree, head);
-        // Parent pointer: patched automatically when the holder flushes
-        // (append_record re-homes every record its proxies reference).
-        let rid = self.write_record(&piece)?;
-        self.splice_proxy(holder, 0, LABEL_NONE, rid)?;
-        self.own[bottom_level] -= cut - PROXY_SIZE;
-        self.cur_size -= cut - PROXY_SIZE;
+        self.spill_subtree(first)?;
         self.touch_level(bottom_level);
-        self.maybe_compact()?;
         Ok(true)
     }
 
@@ -974,10 +896,8 @@ impl<'s> BulkLoader<'s> {
             // pages filling sequentially. Levels above the variant's
             // resume cursor are known to hold no run (see `resume`).
             for level in self.resume[variant]..self.spine.len() {
-                if let Some((start, count, bytes)) =
-                    self.find_run(level, ignore_matrix, allow_proxy_start)
-                {
-                    self.flush_run(level, start, count, bytes)?;
+                if let Some((run, count)) = self.find_run(level, ignore_matrix, allow_proxy_start) {
+                    self.flush_run(level, run, count)?;
                     // The level may hold another run; everything above it
                     // still holds none.
                     self.resume[variant] = level;
@@ -992,142 +912,90 @@ impl<'s> BulkLoader<'s> {
     /// Finds the first run of consecutive evictable finished children of
     /// spine level `level`: at most `capacity`-sized, skipping the open
     /// (spine) child and — unless `ignore_matrix` — children pinned by ∞
-    /// entries. Unless
-    /// `allow_proxy_start`, a proxy cannot *start* a run (packing the
-    /// previous group record into every new group would chain records
-    /// linearly). Returns `(start index, count, embedded bytes)`.
+    /// entries. Unless `allow_proxy_start`, a proxy cannot *start* a run
+    /// (packing the previous group record into every new group would chain
+    /// records linearly). Returns the run's bytes in the image and its
+    /// length in children.
     fn find_run(
         &self,
         level: usize,
         ignore_matrix: bool,
         allow_proxy_start: bool,
-    ) -> Option<(usize, usize, usize)> {
-        let tree = self.cur.as_ref()?;
+    ) -> Option<(Range<usize>, usize)> {
         let parent = self.spine[level];
-        let spine_child = self.spine.get(level + 1).copied();
-        let parent_label = tree.node(parent).label;
-        let kids = tree.children(parent);
+        // The open child is the last one: the run search ends there.
+        let end = self.spine.get(level + 1).copied().unwrap_or(self.img.len());
+        let parent_label = self.type_at(parent).1;
         // Budget for the children's embedded bodies inside a group record:
         // the scaffolding root costs a standalone header.
         let budget = self.capacity - STANDALONE_HEADER;
-        let mut start = 0usize;
+        let mut run = 0..0;
         let mut count = 0usize;
-        let mut bytes = 0usize;
-        for (i, &k) in kids.iter().enumerate() {
-            let node = tree.node(k);
+        let mut at = Self::body_at(parent);
+        while at < end {
+            #[cfg(test)]
+            crate::model::visits::count(1);
+            let (kind, label) = self.type_at(at);
+            let size = self.size_at(at);
+            let child = at..at + size;
+            at += size;
             // Prefix entries (and the deeper chain under them) are
             // structure, not content: evicting one would sever the spilled
             // path ↔ prefix chain correspondence. The matrix pins
             // structural children unconditionally — `ignore_matrix` (the
             // all-pinned fallback) never overrides that — and facade
             // children per its entries.
-            let structural = node.is_prefix() || node.is_continuation();
+            let structural = matches!(kind, ContentKind::Prefix | ContentKind::Continuation);
             let behaviour = self
                 .matrix
-                .packing_behaviour(parent_label, node.label, structural);
+                .packing_behaviour(parent_label, label, structural);
             let pinned = behaviour == SplitBehaviour::KeepWithParent
-                && (structural || (!ignore_matrix && node.is_facade()));
-            let evictable = Some(k) != spine_child
-                && !pinned
-                && (allow_proxy_start || count > 0 || !node.is_proxy());
-            if evictable {
-                let sz = self.sizes[k as usize];
-                if count > 0 && bytes + sz > budget {
-                    break; // run full — pack what we have
+                && (structural || (!ignore_matrix && digest(kind, label) != LABEL_NONE));
+            let evictable =
+                !pinned && (allow_proxy_start || count > 0 || kind != ContentKind::Proxy);
+            if !evictable {
+                if count > 0 {
+                    break;
                 }
-                if sz > budget {
-                    // A single finished subtree close to a whole page:
-                    // record of its own (no scaffolding wrapper would fit).
-                    // Cannot happen for freshly finished subtrees (they
-                    // spill while open), only via pathological matrices.
-                    continue;
-                }
-                if count == 0 {
-                    start = i;
-                }
-                count += 1;
-                bytes += sz;
-            } else if count > 0 {
-                break;
+                continue;
             }
+            if count > 0 && run.len() + size > budget {
+                break; // run full — pack what we have
+            }
+            if size > budget {
+                // A single finished subtree close to a whole page: record
+                // of its own (no scaffolding wrapper would fit). Cannot
+                // happen for freshly finished subtrees (they spill while
+                // open), only via pathological matrices.
+                continue;
+            }
+            if count == 0 {
+                run.start = child.start;
+            }
+            run.end = child.end;
+            count += 1;
         }
         // A run must shrink the record: replacing it with a proxy costs
         // PROXY_SIZE bytes.
-        (count > 0 && bytes > PROXY_SIZE).then_some((start, count, bytes))
+        (count > 0 && run.len() > PROXY_SIZE).then_some((run, count))
     }
 
-    /// Extracts children `[start, start + count)` of spine level `level`
-    /// into a new record (scaffolding-rooted for sibling groups,
-    /// facade-rooted for a single subtree) and splices a proxy in their
-    /// place.
-    fn flush_run(
-        &mut self,
-        level: usize,
-        start: usize,
-        count: usize,
-        bytes: usize,
-    ) -> TreeResult<()> {
-        let parent = self.spine[level];
-        let tree = self.cur_mut()?;
-        let record = if count == 1 {
-            let child = tree.children(parent)[start];
-            RecordTree::from_transplant(tree, child)
+    /// Moves the run `run` of `count` children of spine level `level` into
+    /// a new record (scaffolding-rooted for sibling groups, facade-rooted
+    /// for a single subtree) and splices a proxy in their place.
+    fn flush_run(&mut self, level: usize, run: Range<usize>, count: usize) -> TreeResult<()> {
+        if count == 1 {
+            self.spill_subtree(run.start)?;
         } else {
             // Sibling group under a scaffolding aggregate — the helper
-            // objects h1/h2 of the paper's figures 3 and 8.
-            let mut group =
-                RecordTree::new(LABEL_NONE, PContent::Aggregate(Vec::new()), Rid::invalid());
-            for i in 0..count {
-                let child = tree.children(parent)[start];
-                let moved = tree.transplant(child, &mut group);
-                group.attach(group.root(), i, moved);
-            }
-            group
-        };
-        let rid = self.write_record(&record)?;
-        // Single-subtree runs are facade-rooted: their proxy carries the
-        // label digest. Sibling groups (scaffolding-rooted) stay "must
-        // read".
-        self.splice_proxy(parent, start, record.proxy_digest(), rid)?;
-        self.own[level] = self.own[level] - bytes + PROXY_SIZE;
-        self.cur_size = self.cur_size - bytes + PROXY_SIZE;
-        self.touch_level(level);
-        self.maybe_compact()?;
-        Ok(())
-    }
-
-    /// Rebuilds the in-flight arena when tombstones (from packed-away
-    /// subtrees) approach the `u16` id space. Live nodes are bounded by
-    /// the page capacity, so this copies little and happens rarely.
-    fn maybe_compact(&mut self) -> TreeResult<()> {
-        let Some(mut old) = self.cur.take_if(|t| t.arena_len() >= COMPACT_THRESHOLD) else {
-            return Ok(());
-        };
-        let root = old.root();
-        let mut fresh = RecordTree::from_transplant(&mut old, root);
-        // from_transplant starts a parentless tree — carry the parent
-        // pointer over, or compacting a chain piece / continuation group
-        // (parented on an earlier chain record) would silently turn it
-        // into a second "root" record.
-        fresh.parent_rid = old.parent_rid;
-        // The spine is exactly the chain of last children from the root
-        // (appends only happen at the spine), so it rebuilds by walking
-        // down `depth` levels.
-        let depth = self.spine.len();
-        self.spine.clear();
-        if depth > 0 {
-            let mut at = fresh.root();
-            self.spine.push(at);
-            for _ in 1..depth {
-                at = *fresh
-                    .children(at)
-                    .last()
-                    .ok_or_else(|| bulk_invariant("spine level with no children"))?;
-                self.spine.push(at);
-            }
+            // objects h1/h2 of the paper's figures 3 and 8. Sibling groups
+            // stay "must read".
+            let root = self.types.intern(ContentKind::Aggregate, LABEL_NONE)?;
+            let rid = self.write_record(Rid::invalid(), root, run.clone())?;
+            self.splice_proxy(run, LABEL_NONE, rid)?;
         }
-        self.cur = Some(fresh);
-        self.rebase()
+        self.touch_level(level);
+        Ok(())
     }
 }
 
@@ -1329,17 +1197,21 @@ mod tests {
     }
 
     #[test]
-    fn deep_documents_compact_the_arena() {
+    fn a_long_flat_document_keeps_the_image_within_a_record() {
+        // Tens of thousands of finished children under one open root: every
+        // spill splices the image, which never holds more than a record
+        // plus the event that overflowed it — so its offsets fit the
+        // format's 16-bit fields however long the document runs.
         let st = store(1024, SplitMatrix::all_other());
         let mut l = BulkLoader::new(&st);
         l.start_element(10).unwrap();
-        // Enough churn to trigger compaction several times.
-        for i in 0..COMPACT_THRESHOLD + 5_000 {
+        for i in 0..53_000 {
             l.start_element(11).unwrap();
             if i % 3 == 0 {
                 l.literal(LABEL_TEXT, text("body")).unwrap();
             }
             l.end_element().unwrap();
+            assert!(l.img.len() <= l.capacity, "image of {} bytes", l.img.len());
         }
         l.end_element().unwrap();
         let stats = l.finish().unwrap();
@@ -1431,18 +1303,18 @@ mod tests {
     }
 
     #[test]
-    fn compaction_of_a_chain_piece_keeps_its_parent_pointer() {
-        // Regression: a deep wrapper forces a spine spill (the in-flight
-        // piece is then parented on the flushed upper record); a large
-        // flat body below pushes the arena past COMPACT_THRESHOLD, and
-        // compaction must not reset that parent pointer.
+    fn a_chain_piece_keeps_its_parent_pointer_through_long_churn() {
+        // A deep wrapper forces a spine spill (the in-flight piece is then
+        // parented on the flushed upper record); a large flat body below
+        // spills thousands of runs out of the piece, and none of those
+        // splices may touch its standalone header's parent pointer.
         let st = store(512, SplitMatrix::all_other());
         let depth = 600;
         let mut l = BulkLoader::new(&st);
         for _ in 0..depth {
             l.start_element(10).unwrap();
         }
-        for _ in 0..COMPACT_THRESHOLD / 2 + 5_000 {
+        for _ in 0..29_000 {
             l.start_element(11).unwrap();
             l.literal(LABEL_TEXT, text("b")).unwrap();
             l.end_element().unwrap();
@@ -1457,11 +1329,12 @@ mod tests {
 
     #[test]
     fn load_cost_is_linear_in_the_document_not_in_its_depth() {
-        // Size visits (the recursive definition plus the table pass) per
-        // stored node while loading the deep corpus: one constant for all
-        // three depths (5.1, 6.0 and 6.5 here). With a subtree re-walked
-        // at every level above it the ratio grew with the depth of the
-        // spine a record holds: 593, 837 and 926 at PR 24's parent.
+        // Header steps of the image's splices (the parent offsets a spill
+        // moves) per stored node while loading the deep corpus: one
+        // constant for all three depths. A loader that re-walked a subtree
+        // at every level above it — asking a tree for sizes by recursion —
+        // made this ratio grow with the depth of the spine a record holds:
+        // 593, 837 and 926 size visits per node.
         for depth in [1_000usize, 2_000, 4_000] {
             let mut syms = natix_xml::SymbolTable::new();
             let cfg = natix_corpus::DeepConfig {
@@ -1475,7 +1348,7 @@ mod tests {
             let visits = crate::model::visits::take();
             assert!(
                 visits <= 8 * stats.nodes,
-                "depth {depth}: {visits} size visits for {} nodes",
+                "depth {depth}: {visits} header steps for {} nodes",
                 stats.nodes
             );
             check_tree(&st, stats.root_rid).unwrap();

@@ -82,6 +82,6 @@ pub use reconstruct::{
     VisitEvent,
 };
 pub use split::{find_separator, plan_split, SplitPlan};
-pub use store::{AppendCursor, InsertPos, NewNode, NodeInfo, OpResult, Relocation, TreeStore};
+pub use store::{InsertPos, NewNode, NodeInfo, OpResult, Relocation, TreeStore};
 pub use validate::{check_tree, PhysicalStats};
 pub use version::{ReadPin, VersionStore, WriteOp};

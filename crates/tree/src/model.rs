@@ -13,9 +13,9 @@
 //!   nodes, scaffolding objects (proxies and helper aggregates) only exist
 //!   to represent large trees.
 //!
-//! [`RecordTree`] is the in-memory form of one record's subtree: what the
-//! bulkloader builds, and what figure 5's moves and splits and the
-//! normalization of packed records restructure before it is serialised
+//! [`RecordTree`] is the in-memory form of one record's subtree: what
+//! figure 5's moves and splits and the normalization of packed records
+//! restructure before it is serialised
 //! back through [`crate::record`]. Byte sizes computed here are
 //! exact mirror images of the serialised format — the split algorithm's
 //! decisions are byte-accurate. [`RecordTree::body_len`] is their
@@ -234,8 +234,7 @@ impl RecordTree {
     }
 
     /// Arena slots used so far, tombstones included. The arena is bounded
-    /// by `u16::MAX`; long-lived trees that churn nodes (the bulkloader's
-    /// in-flight spine tree) compact before they approach it.
+    /// by `u16::MAX`.
     pub fn arena_len(&self) -> usize {
         self.nodes.len()
     }
@@ -347,12 +346,11 @@ impl RecordTree {
     /// Exact serialised body length of the subtree at `id` (without its own
     /// header). This recursion is the *definition* of every size in this
     /// module and walks the whole subtree: call it (or [`embedded_size`],
-    /// [`standalone_size`], [`record_size`]) once per tree, never per
-    /// level of a loop that descends one — such loops read
+    /// [`record_size`]) once per tree, never per level of a loop that
+    /// descends one — such loops read
     /// [`subtree_sizes`](Self::subtree_sizes).
     ///
     /// [`embedded_size`]: Self::embedded_size
-    /// [`standalone_size`]: Self::standalone_size
     /// [`record_size`]: Self::record_size
     pub fn body_len(&self, id: PNodeId) -> usize {
         #[cfg(test)]
@@ -375,11 +373,6 @@ impl RecordTree {
     /// Exact serialised size of the whole record.
     pub fn record_size(&self) -> usize {
         STANDALONE_HEADER + self.body_len(self.root)
-    }
-
-    /// Size the subtree at `id` would have as the root of its own record.
-    pub fn standalone_size(&self, id: PNodeId) -> usize {
-        STANDALONE_HEADER + self.body_len(id)
     }
 
     /// [`embedded_size`](Self::embedded_size) of every node at once, indexed
@@ -459,7 +452,8 @@ impl RecordTree {
 }
 
 /// Test-only count of nodes the size computations visit (`body_len`'s
-/// recursion and the `subtree_sizes` pass), per thread: what the
+/// recursion and the `subtree_sizes` pass) and of the header steps the
+/// bulkloader's image splices take, per thread: what the
 /// "linear, not quadratic" tests of the encoder, the bulkloader and the
 /// split planner assert on instead of a stopwatch.
 #[cfg(test)]

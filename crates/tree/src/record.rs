@@ -97,27 +97,21 @@ pub fn content_kind(content: &PContent) -> ContentKind {
         PContent::Proxy(_) => ContentKind::Proxy,
         PContent::Prefix(_) => ContentKind::Prefix,
         PContent::Continuation(_) => ContentKind::Continuation,
-        PContent::Literal(v) => match v {
-            LiteralValue::String(_) => ContentKind::LitString,
-            LiteralValue::I8(_) => ContentKind::LitI8,
-            LiteralValue::I16(_) => ContentKind::LitI16,
-            LiteralValue::I32(_) => ContentKind::LitI32,
-            LiteralValue::I64(_) => ContentKind::LitI64,
-            LiteralValue::F64(_) => ContentKind::LitF64,
-            LiteralValue::Uri(_) => ContentKind::LitUri,
-        },
+        PContent::Literal(v) => literal_kind(v),
     }
 }
 
-/// All `(kind, label)` pairs the record needs in a page's type table.
-pub fn collect_types(tree: &RecordTree) -> Vec<(ContentKind, natix_xml::LabelId)> {
-    tree.pre_order(tree.root())
-        .into_iter()
-        .map(|id| {
-            let n = tree.node(id);
-            (content_kind(&n.content), n.label)
-        })
-        .collect()
+/// The content kind a literal serialises as.
+pub(crate) fn literal_kind(v: &LiteralValue) -> ContentKind {
+    match v {
+        LiteralValue::String(_) => ContentKind::LitString,
+        LiteralValue::I8(_) => ContentKind::LitI8,
+        LiteralValue::I16(_) => ContentKind::LitI16,
+        LiteralValue::I32(_) => ContentKind::LitI32,
+        LiteralValue::I64(_) => ContentKind::LitI64,
+        LiteralValue::F64(_) => ContentKind::LitF64,
+        LiteralValue::Uri(_) => ContentKind::LitUri,
+    }
 }
 
 /// The arena→pre-order index mapping an encode returns.
@@ -130,24 +124,15 @@ pub type Mapping = Vec<(PNodeId, PNodeId)>;
 /// Precondition, checked: the record fits the format's `u16` size and
 /// offset fields and `table` has room for its types. A tree that breaks
 /// it is an [`TreeError::Invariant`] before a byte is produced — never a
-/// wrapped size field. The store decides fit before it encodes, so only a
-/// planner bug gets here with such a tree.
+/// wrapped size field. The store encodes only records the split planner
+/// bounded by a page's net capacity, so only a planner bug gets here with
+/// such a tree.
 ///
 /// The tree is asked for one size only, the record's; embedded size
 /// fields are back-patched (module docs). The tests of this module keep
 /// the encoder that asked for each and compare the two byte for byte.
 pub fn try_serialize(tree: &RecordTree, table: &mut TypeTable) -> TreeResult<(Vec<u8>, Mapping)> {
-    serialize_sized(tree, tree.record_size(), table)
-}
-
-/// [`try_serialize`] for a caller that has already computed
-/// `len = tree.record_size()` for its fit test. A `len` that is not the
-/// tree's is an invariant error, not a wrong record.
-pub(crate) fn serialize_sized(
-    tree: &RecordTree,
-    len: usize,
-    table: &mut TypeTable,
-) -> TreeResult<(Vec<u8>, Mapping)> {
+    let len = tree.record_size();
     if len > u16::MAX as usize {
         return Err(TreeError::Invariant(format!(
             "record of {len} bytes exceeds the format's 16-bit sizes"
@@ -211,7 +196,7 @@ fn write_body(
         PContent::Aggregate(kids) | PContent::Prefix(kids) => {
             for &child in kids {
                 // Offsets and sizes are bounded by the record length,
-                // which `serialize_sized` checks against `u16`.
+                // which `try_serialize` checks against `u16`.
                 let header_off = out.len();
                 let cn = tree.node(child);
                 let (type_idx, _) = table.intern(content_kind(&cn.content), cn.label)?;
@@ -230,7 +215,7 @@ fn write_body(
     Ok(())
 }
 
-fn write_literal(v: &LiteralValue, out: &mut Vec<u8>) {
+pub(crate) fn write_literal(v: &LiteralValue, out: &mut Vec<u8>) {
     match v {
         LiteralValue::String(s) | LiteralValue::Uri(s) => out.extend_from_slice(s.as_bytes()),
         LiteralValue::I8(x) => out.push(*x as u8),
@@ -1075,8 +1060,8 @@ pub(crate) mod tests {
 
     /// The `case`-th tree of the equivalence set: bushy, pure chains,
     /// chains with sidecars, prefix chains with a continuation
-    /// placeholder, and arenas with tombstones (the bulkloader's in-flight
-    /// tree is encoded with them) — a few of the chains at the 1 300
+    /// placeholder, and arenas with tombstones (split assembly encodes
+    /// trees with them) — a few of the chains at the 1 300
     /// levels an 8 KiB record of bare headers holds.
     fn equivalence_tree(case: u64) -> RecordTree {
         let mut g = Gen::new(0xC0DE_C0DE ^ case);

@@ -43,8 +43,9 @@ use natix_xml::{LabelId, LiteralValue};
 use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
-use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
+use crate::model::{NodePtr, PContent, PNodeId, RecordTree, STANDALONE_HEADER};
 use crate::record::{Edit, RecordView, Shape};
+use crate::typetable::{ContentKind, TypeTable};
 use crate::version::{ReadPin, VersionStore, WriteOp};
 use pack::{plain, Attempt, Stop};
 
@@ -379,37 +380,36 @@ impl TreeStore {
     // Public operations.
     // ==================================================================
 
-    /// Bulk-append fast path (used by [`crate::bulkload`]): writes `tree`
-    /// as a new record on the cursor's current fill page, or on a freshly
-    /// allocated page when it no longer fits. Unlike `write_new` this
-    /// never searches the free-space inventory and never touches existing
-    /// pages — sequential bulkloads fill pages one at a time, left to
-    /// right, with no read-modify-write of earlier pages. Standalone
-    /// parent pointers of records referenced by proxies in `tree` are
-    /// patched to the new record's RID.
-    pub fn append_record(&self, tree: &RecordTree, cursor: &mut AppendCursor) -> TreeResult<Rid> {
+    /// Bulk-append fast path (used by [`crate::bulkload`]): writes `image`
+    /// as a new record on the cursor's fill page, or on a freshly allocated
+    /// one when it no longer fits. Unlike `write_new` this never searches
+    /// the free-space inventory and never touches older pages: a load fills
+    /// pages one at a time, left to right. The records the image's proxies
+    /// name get the new record as their parent.
+    pub(crate) fn append_image(
+        &self,
+        image: &Image<'_>,
+        cursor: &mut AppendCursor,
+    ) -> TreeResult<Rid> {
         let _op = self.versions.begin_write();
         let mut ctx = OpCtx::default();
         let rid = 'placed: {
             if let Some(page) = cursor.page {
-                if let Some(rid) = self.try_write_on_page(page, tree, &mut ctx)? {
+                if let Some(rid) = self.try_append_on_page(page, image, cursor, &mut ctx)? {
                     break 'placed rid;
                 }
             }
             let page = self.sm.allocate_page()?;
-            cursor.page = Some(page);
             // Nothing older lives on this page: at commit it is forced
             // to the page device, and the records written on it are not
             // logged.
             if let Some(op) = self.versions.ambient_write_op() {
                 self.versions.note_fresh_page(op, page);
             }
-            self.write_on_fresh_page(page, tree, &mut ctx)?
+            self.append_on_fresh_page(page, image, cursor, &mut ctx)?
         };
-        // try_write_on_page queued a parent patch for every proxy in the
-        // fresh record; apply them now (bulkloads flush children before
-        // their parent record exists, so every child is patched exactly
-        // once, when its parent is written).
+        // A load writes children before their parent record exists, so
+        // every child is patched exactly once, when its parent is written.
         self.apply_patches(&mut ctx)?;
         Ok(rid)
     }
@@ -898,22 +898,39 @@ impl TreeStore {
     }
 }
 
-/// Placement state of a sequential bulk append: the page currently being
-/// filled. See [`TreeStore::append_record`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AppendCursor {
-    page: Option<u32>,
+/// Placement state of a sequential bulk append ([`TreeStore::append_image`]):
+/// the page being filled and its type table, decoded once.
+#[derive(Debug, Default)]
+pub(crate) struct AppendCursor {
+    page: Option<PageId>,
+    /// The page's type table as the cursor last saw or grew it.
+    table: TypeTable,
+    /// Per type of the image's list: its index in `table` plus one, 0 while
+    /// unknown.
+    map: Vec<u16>,
+    /// The nonzero entries of `map`.
+    mapped: usize,
 }
 
-impl AppendCursor {
-    /// A cursor that will allocate its first page on first use.
-    pub fn new() -> AppendCursor {
-        AppendCursor::default()
-    }
+/// A record to place as bytes — a range of the bulkloader's image, or a
+/// record tree encoded under a table of its own: the Appendix A encoding
+/// of a subtree whose type indices name `types`. Placing it maps them to
+/// the page's table and writes the parent offsets from the sizes.
+pub(crate) struct Image<'a> {
+    /// The standalone header's parent RID.
+    pub(crate) parent: Rid,
+    /// The root's type.
+    pub(crate) root: u16,
+    /// The root's body: its embedded children, or a leaf's payload.
+    pub(crate) body: &'a [u8],
+    /// The type list the headers index.
+    pub(crate) types: &'a [(ContentKind, LabelId)],
+}
 
-    /// The page currently being filled, if any.
-    pub fn page(&self) -> Option<u32> {
-        self.page
+impl Image<'_> {
+    /// The record's length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        STANDALONE_HEADER + self.body.len()
     }
 }
 
@@ -1734,9 +1751,15 @@ pub(crate) mod tests {
         advanced("a refused insert_after", &mut || {
             st.insert_after(top, LABEL_TEXT, text("e")).unwrap_err();
         });
-        advanced("append_record", &mut || {
-            let tree = RecordTree::new(9, PContent::Aggregate(Vec::new()), Rid::invalid());
-            st.append_record(&tree, &mut AppendCursor::new()).unwrap();
+        advanced("append_image", &mut || {
+            let image = Image {
+                parent: Rid::invalid(),
+                root: 0,
+                body: &[],
+                types: &[(ContentKind::Aggregate, 9)],
+            };
+            st.append_image(&image, &mut AppendCursor::default())
+                .unwrap();
         });
         let mut syms = SymbolTable::new();
         let doc = generate_play(&CorpusConfig::tiny(), 0, &mut syms).doc;

@@ -6,12 +6,13 @@
 
 use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
 use natix_storage::{Metrics, PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice, StorageError};
+use natix_xml::LabelId;
 
-use super::{OpCtx, Relocation, TreeStore, WATCH};
+use super::{AppendCursor, Image, OpCtx, Relocation, TreeStore, WATCH};
 use crate::error::{TreeError, TreeResult};
-use crate::model::{NodePtr, PNodeId, RecordTree};
+use crate::model::{NodePtr, PNodeId, RecordTree, EMBEDDED_HEADER, STANDALONE_HEADER};
 use crate::record::{self, Patch, RecordView};
-use crate::typetable::TypeTable;
+use crate::typetable::{ContentKind, TypeTable, ENTRY_BYTES};
 
 impl TreeStore {
     /// The view of the on-page image of `rid` (no versioning), parsed
@@ -171,28 +172,34 @@ impl TreeStore {
     }
 
     /// Writes `tree` as a new record, choosing a page (near `near` when
-    /// given, else the best fit, then a fresh page).
+    /// given, else the best fit, then a fresh page). The tree is encoded
+    /// once, under a table of its own, and placed as a bulk append is.
     pub(super) fn write_new(
         &self,
         tree: &RecordTree,
         near: Option<PageId>,
         ctx: &mut OpCtx,
     ) -> TreeResult<Rid> {
-        let len = tree.record_size();
-        let types = record::collect_types(tree);
-        // Worst case: every type is new and the page has no table yet.
-        let worst = len
-            + SLOT_ENTRY_SIZE
-            + 2
-            + types.len() * crate::typetable::ENTRY_BYTES
-            + SLOT_ENTRY_SIZE;
+        let mut types = TypeTable::new();
+        let (bytes, mapping) = record::try_serialize(tree, &mut types)?;
+        let image = Image {
+            parent: tree.parent_rid,
+            root: 0,
+            body: &bytes[STANDALONE_HEADER..],
+            types: types.entries(),
+        };
+        // Worst case: every node's type is new and the page has no table
+        // yet.
+        let worst =
+            bytes.len() + SLOT_ENTRY_SIZE + 2 + mapping.len() * ENTRY_BYTES + SLOT_ENTRY_SIZE;
         // Placement policy: with a locality hint, only pages *near* the
         // hint are considered (paper §4.2: related records on the same
         // page "if possible") — a global best-fit would scatter a growing
         // document over cold pages of older documents and destroy exactly
         // the clustering the tree store exists to maintain. Without a
         // hint, best fit bounds fragmentation.
-        let mut tried: Option<PageId> = None;
+        let (mut tried, mut placed) = (None, None);
+        let cursor = &mut AppendCursor::default();
         for _ in 0..2 {
             let candidate = match (near, tried) {
                 (Some(h), None) => self.sm.find_page_with_space_near(worst, h, 16),
@@ -200,51 +207,60 @@ impl TreeStore {
                 (None, tried) => self.sm.find_page_with_space(worst, tried),
             };
             let Some(page) = candidate else { break };
-            if let Some(rid) = self.try_write_on_page(page, tree, ctx)? {
-                return Ok(rid);
+            placed = self.try_append_on_page(page, &image, cursor, ctx)?;
+            if placed.is_some() {
+                break;
             }
             tried = Some(page);
         }
-        let page = self.sm.allocate_page()?;
-        self.write_on_fresh_page(page, tree, ctx)
+        let rid = match placed {
+            Some(rid) => rid,
+            None => {
+                let page = self.sm.allocate_page()?;
+                self.append_on_fresh_page(page, &image, cursor, ctx)?
+            }
+        };
+        self.emit_relocations(rid, &mapping, tree, ctx);
+        Ok(rid)
     }
 
-    /// Writes `tree` on `page`, freshly allocated. Fails with
-    /// `RecordTooLarge` when even a fresh page cannot take it.
-    pub(super) fn write_on_fresh_page(
+    /// [`try_append_on_page`](Self::try_append_on_page) on `page`, freshly
+    /// allocated: a record that does not fit there is too large.
+    pub(super) fn append_on_fresh_page(
         &self,
         page: PageId,
-        tree: &RecordTree,
+        image: &Image<'_>,
+        cursor: &mut AppendCursor,
         ctx: &mut OpCtx,
     ) -> TreeResult<Rid> {
-        self.try_write_on_page(page, tree, ctx)?
+        self.try_append_on_page(page, image, cursor, ctx)?
             .ok_or(TreeError::Storage(StorageError::RecordTooLarge {
-                len: tree.record_size(),
+                len: image.len(),
                 max: self.net_capacity(),
             }))
     }
 
-    /// Attempts to place `tree` on `page`; returns `None` when it does not
-    /// fit there.
-    pub(super) fn try_write_on_page(
+    /// Attempts to place `image` on `page`, whose type table `cursor`
+    /// holds; `None` when it does not fit there. Fit is decided before a
+    /// byte is copied, from the record's exact length and the count of its
+    /// types the page's table lacks; the copy then maps each header's type
+    /// into the table (interned in pre-order, as the encoder interns) and
+    /// writes its parent offset, in one pass over the headers. The records
+    /// its proxies name get it as their parent.
+    pub(super) fn try_append_on_page(
         &self,
-        page: u32,
-        tree: &RecordTree,
+        page: PageId,
+        image: &Image<'_>,
+        cursor: &mut AppendCursor,
         ctx: &mut OpCtx,
     ) -> TreeResult<Option<Rid>> {
         let pin = self.sm.pin(page)?;
         let mut buf = pin.write();
         let sp = SlottedPage::open(&mut buf)?;
         let had_tt = sp.is_live(0);
-        let mut table = page_table(sp.get(0), Rid::new(page, 0))?;
-        let before = table.len();
-        // Fit is decided before encoding (`record_size` is exact, and so
-        // is the table's growth): a full page costs no encode — mostly not
-        // even the scan of the record's types — and the encoder only ever
-        // sees a record that fits.
-        let free = sp.free_for_new_record();
-        let len = tree.record_size();
-        if len > free || type_table_growth(&table, had_tt, tree) + len > free {
+        cursor.sync(sp.get(0), page, image)?;
+        let before = cursor.table.len();
+        if !cursor.fits(image, had_tt, sp.free_for_new_record()) {
             return Ok(None);
         }
         let rid = Rid::new(page, sp.slot_for_new_record());
@@ -259,11 +275,11 @@ impl TreeStore {
             return Ok(None);
         }
         Metrics::add_one(&self.versions.metrics().record_encodes);
-        let (bytes, mapping) = record::serialize_sized(tree, len, &mut table)?;
-        let op = self.before_write(rid, None, &table);
+        let (bytes, children) = cursor.encode(image)?;
+        let op = self.before_write(rid, None, &cursor.table);
         let (splice, types) = (
             Splice::whole(&[], bytes),
-            table_growth(&table, had_tt, before),
+            table_growth(&cursor.table, had_tt, before),
         );
         self.write_page(&mut buf, op, rid, PatchKind::Create, splice, types)?;
         // A record this operation creates has no pre-image: snapshot
@@ -280,14 +296,10 @@ impl TreeStore {
         if ctx.deleted.remove(&rid) {
             ctx.parent_patches.retain(|(child, _)| *child != rid);
         }
-        self.emit_relocations(rid, &mapping, tree, ctx);
-        // Every record referenced by a proxy in this fresh record now has
-        // this record as its parent. Registering here (instead of from
-        // split plans) keeps the patch order right even when partitions
-        // are split recursively.
-        for child in tree.proxies_under(tree.root()) {
-            ctx.parent_patches.push((child, rid));
-        }
+        // Registering here (instead of from split plans) keeps the patch
+        // order right even when partitions are split recursively.
+        ctx.parent_patches
+            .extend(children.into_iter().map(|child| (child, rid)));
         Ok(Some(rid))
     }
 
@@ -385,16 +397,143 @@ fn table_growth(table: &TypeTable, had_tt: bool, before: usize) -> Vec<u8> {
     }
 }
 
-/// Bytes a page's type table grows by when `tree` is written there: one
-/// entry per type the table lacks, plus — on a page that has no table yet
-/// — the table record itself and its slot. Exactly what interning the
-/// record's types adds, known before a byte is encoded.
-fn type_table_growth(table: &TypeTable, had_tt: bool, tree: &RecordTree) -> usize {
-    let new_entries =
-        table.missing_count(record::collect_types(tree)) * crate::typetable::ENTRY_BYTES;
-    if had_tt {
-        new_entries
-    } else {
-        table.encoded_len() + new_entries + SLOT_ENTRY_SIZE
+/// The `u16` at `at` of `bytes`, 0 past their end.
+fn u16_at(bytes: &[u8], at: usize) -> u16 {
+    bytes
+        .get(at..at + 2)
+        .map_or(0, |b| u16::from_le_bytes([b[0], b[1]]))
+}
+
+impl Image<'_> {
+    /// The header offsets in `body` of the root's embedded descendants, in
+    /// pre-order (none under a leaf root): an inner node's first child
+    /// follows its header, a leaf's next node follows its body.
+    fn headers(&self) -> impl Iterator<Item = usize> + '_ {
+        let inner = |t: u16| {
+            self.types.get(t as usize).is_some_and(|&(kind, _)| {
+                matches!(kind, ContentKind::Aggregate | ContentKind::Prefix)
+            })
+        };
+        let mut at = if inner(self.root) { 0 } else { self.body.len() };
+        std::iter::from_fn(move || {
+            let hdr = (at < self.body.len()).then_some(at)?;
+            #[cfg(test)]
+            crate::model::visits::count(1);
+            at += if inner(u16_at(self.body, hdr)) {
+                EMBEDDED_HEADER
+            } else {
+                (u16_at(self.body, hdr + 4) as usize).max(EMBEDDED_HEADER)
+            };
+            Some(hdr)
+        })
+    }
+}
+
+impl AppendCursor {
+    /// Readies the cursor to place `image` on `page`, which becomes its
+    /// page: its copy of the page's type table brought up to the page's
+    /// slot 0 (`None`: no table yet) — a table only grows, so a copy of the
+    /// page's length is the page's, decoded again only when another writer
+    /// grew it or a failed write left the copy ahead — and a map entry for
+    /// each of `image`'s types.
+    fn sync(&mut self, slot0: Option<&[u8]>, page: PageId, image: &Image<'_>) -> TreeResult<()> {
+        if self.page != Some(page) {
+            *self = AppendCursor {
+                page: Some(page),
+                ..AppendCursor::default()
+            };
+        }
+        let count = slot0.map_or(Some(0), |b| b.get(..2).map(|c| u16_at(c, 0) as usize));
+        if count != Some(self.table.len()) {
+            let table = page_table(slot0, Rid::new(page, 0))?;
+            if table.len() < self.table.len() {
+                self.map.clear();
+                self.mapped = 0;
+            }
+            self.table = table;
+        }
+        if self.map.len() < image.types.len() {
+            self.map.resize(image.types.len(), 0);
+        }
+        Ok(())
+    }
+
+    /// Whether `image` fits `free` bytes of the page: its length plus what
+    /// the page's table grows by — one entry per type it lacks, and on a
+    /// page with no table yet the table record and its slot. The headers
+    /// are read only when the loader's unmapped types might not fit.
+    fn fits(&self, image: &Image<'_>, had_tt: bool, free: usize) -> bool {
+        let fixed = if had_tt {
+            0
+        } else {
+            self.table.encoded_len() + SLOT_ENTRY_SIZE
+        };
+        let Some(room) = free.checked_sub(image.len() + fixed) else {
+            return false;
+        };
+        if image.types.len().saturating_sub(self.mapped) * ENTRY_BYTES <= room {
+            return true;
+        }
+        let unmapped = std::iter::once(image.root)
+            .chain(image.headers().map(|hdr| u16_at(image.body, hdr)))
+            .filter(|&t| self.map.get(t as usize) == Some(&0))
+            .filter_map(|t| image.types.get(t as usize).copied());
+        self.table.missing_count(unmapped) * ENTRY_BYTES <= room
+    }
+
+    /// The page's index and the kind of the loader's type `t`, interned
+    /// into the page's table on first use.
+    fn page_type(
+        &mut self,
+        types: &[(ContentKind, LabelId)],
+        t: u16,
+    ) -> TreeResult<(ContentKind, u16)> {
+        let &(kind, label) = types.get(t as usize).ok_or_else(|| {
+            TreeError::Invariant(format!("record image names type {t} of {}", types.len()))
+        })?;
+        if self.map[t as usize] == 0 {
+            self.map[t as usize] = self.table.intern(kind, label)?.0 + 1;
+            self.mapped += 1;
+        }
+        Ok((kind, self.map[t as usize] - 1))
+    }
+
+    /// The record bytes of `image` on the cursor's page, and the records
+    /// its proxies and placeholder name: the body copied once, then each
+    /// header's type mapped to the page's table and its parent offset
+    /// written — the innermost header whose size spans it.
+    fn encode(&mut self, image: &Image<'_>) -> TreeResult<(Vec<u8>, Vec<Rid>)> {
+        let mut out = Vec::with_capacity(image.len());
+        image.parent.encode_to(&mut out);
+        let (root_kind, root) = self.page_type(image.types, image.root)?;
+        out.extend_from_slice(&root.to_le_bytes());
+        out.extend_from_slice(image.body);
+        let mut children = Vec::new();
+        if matches!(root_kind, ContentKind::Proxy | ContentKind::Continuation) {
+            children.push(Rid::decode(image.body));
+        }
+        // Open ancestors of the next header: where each header is and
+        // where its subtree ends; the root's spans the record.
+        let mut open = vec![(0, out.len())];
+        for hdr in image.headers() {
+            let at = STANDALONE_HEADER + hdr;
+            let (kind, t) = self.page_type(image.types, u16_at(image.body, hdr))?;
+            while open.last().is_some_and(|&(_, end)| end <= at) {
+                open.pop();
+            }
+            let parent = open.last().map_or(0, |&(header, _)| header);
+            out[at..at + 2].copy_from_slice(&t.to_le_bytes());
+            out[at + 2..at + 4].copy_from_slice(&(parent as u16).to_le_bytes());
+            match kind {
+                ContentKind::Aggregate | ContentKind::Prefix => {
+                    open.push((at, at + u16_at(&out, at + 4) as usize));
+                }
+                ContentKind::Proxy | ContentKind::Continuation => {
+                    children.push(Rid::decode(&out[at + EMBEDDED_HEADER..]));
+                }
+                _ => {}
+            }
+        }
+        Ok((out, children))
     }
 }

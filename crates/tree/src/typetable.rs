@@ -130,6 +130,11 @@ impl TypeTable {
         2 + self.entries.len() * ENTRY_BYTES
     }
 
+    /// The entries, by index.
+    pub(crate) fn entries(&self) -> &[(ContentKind, LabelId)] {
+        &self.entries
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
