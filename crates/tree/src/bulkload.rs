@@ -111,13 +111,15 @@
 //!   page's table decoded between records.
 //!
 //! The records that land are byte for byte the ones the tree encoder made
-//! of the record trees this loader used to build, at the same RIDs
+//! of the in-memory record trees an earlier loader built, at the same RIDs
 //! (`crates/core/tests/placement.rs`). Per family (release build, 8 KiB
-//! pages, streaming load; the `depth_experiment` example prints the
-//! table): plays 2.4 ms per document (92 MB/s), an order batch 4.4 ms
-//! (52 MB/s), the deep document 8.5 ms (22 MB/s). What still separates the
-//! deep document from the plays is its 2 555 records of ≈ 80 bytes, a
-//! layout question (ROADMAP), not a cost of building them.
+//! pages, streaming load, median of three runs of the `depth_experiment`
+//! example on one shared 2-core machine), that loader → this one: plays
+//! 5.4 → 3.0 ms per document (40 → 71 MB/s), an order batch 12.1 → 6.8 ms
+//! (19 → 34 MB/s), the deep document 20.7 → 13.6 ms (9 → 14 MB/s; its
+//! runs spread most). What still separates the deep document from the
+//! plays is its 2 555 records of ≈ 80 bytes, a layout question (ROADMAP),
+//! not a cost of building them.
 
 use std::ops::Range;
 
