@@ -553,6 +553,53 @@ mod tests {
             .any(|&(r, _)| r == Rid::new(42, 1)));
     }
 
+    /// A plan's records, the separator first, each as its nodes in
+    /// pre-order (label, content, `orig`, child count) with every
+    /// placeholder proxy named by its partition: the plan without its
+    /// arena ids.
+    fn plan_shape(plan: &SplitPlan) -> Vec<Vec<String>> {
+        let part: std::collections::HashMap<PNodeId, usize> =
+            plan.partition_proxies.iter().copied().collect();
+        let records = std::iter::once((&plan.separator, Some(&part)))
+            .chain(plan.partitions.iter().map(|p| (p, None)));
+        records
+            .map(|(t, part)| {
+                let nodes = t.pre_order(t.root()).into_iter().map(|n| {
+                    let node = t.node(n);
+                    let content = match part.and_then(|m| m.get(&n)) {
+                        Some(i) => format!("partition {i}"),
+                        None => format!("{:?}", node.content),
+                    };
+                    let kids = t.children(n).len();
+                    format!("{} {content} {:?} {kids}", node.label, node.orig)
+                });
+                std::iter::once(format!("parent {}", t.parent_rid))
+                    .chain(nodes)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_all_infinity_record_plans_what_its_copy_plans_under_all_other() {
+        let mut t = figure7(40);
+        t.parent_rid = Rid::new(3, 4);
+        let p = t.alloc(LABEL_NONE, PContent::Proxy(Rid::new(42, 1)));
+        t.attach(t.root(), 2, p);
+        let src = Rid::new(9, 9);
+        for (i, id) in t.pre_order(t.root()).into_iter().enumerate() {
+            t.node_mut(id).orig = Some(crate::model::NodePtr::new(src, i as PNodeId));
+        }
+        let pinned = SplitMatrix::with_default(SplitBehaviour::KeepWithParent);
+        for page_size in [1024, 2048] {
+            let want = plan_split(t.clone(), &cfg(), &SplitMatrix::all_other(), page_size);
+            let got = plan_split(t.clone(), &cfg(), &pinned, page_size);
+            let (want, got) = (want.unwrap(), got.unwrap());
+            assert!(!got.partitions.is_empty(), "page {page_size}");
+            assert_eq!(plan_shape(&got), plan_shape(&want), "page {page_size}");
+        }
+    }
+
     #[test]
     fn separator_of_a_chain_record_costs_its_length() {
         // A record that is one long chain — what the bulkloader's spine
