@@ -592,19 +592,19 @@ impl TreeStore {
     /// A split of the site record splices its separator into ancestor
     /// records, and the splice machinery requires plain (non-packed)
     /// ancestors — lazy normalization deliberately leaves them packed.
-    /// When inserting `node` could overflow the site record, this demands
-    /// plain records from the site all the way up, one packed record per
-    /// round of [`resolve_plain`](Self::resolve_plain).
-    fn splittable(&self, site: &Site, node: &NewNode) -> Attempt<()> {
-        let growth = crate::model::EMBEDDED_HEADER + crate::model::PROXY_BODY.max(node.body_len());
-        if site.view.byte_len() + growth <= self.net_capacity() {
+    /// When `growth` more bytes could overflow the record `view` shows
+    /// (an insert, or a literal's new value), this demands plain records
+    /// from it all the way up, one packed record per round of
+    /// [`resolve_plain`](Self::resolve_plain).
+    fn splittable(&self, view: &RecordView, growth: usize) -> Attempt<()> {
+        if view.byte_len() + growth <= self.net_capacity() {
             return Ok(());
         }
         // An in-place edit of a packed record is only safe while it cannot
         // split: a split would run the plan/separator machinery on packed
         // structure.
-        plain(&site.view)?;
-        let mut p = site.view.parent_rid();
+        plain(view)?;
+        let mut p = view.parent_rid();
         while !p.is_invalid() {
             let pv = self.view_current(p)?;
             plain(&pv)?;
@@ -627,7 +627,9 @@ impl TreeStore {
         let mut ctx = OpCtx::default();
         let (site, logical_parent) = self.resolve_plain(ptr, &mut ctx, |ptr| {
             let (site, logical_parent) = site_of(ptr)?;
-            self.splittable(&site, &node)?;
+            let growth = crate::model::EMBEDDED_HEADER
+                + crate::model::PROXY_BODY.max(node.body_len());
+            self.splittable(&site.view, growth)?;
             Ok((site, logical_parent))
         })?;
         let Site {
@@ -790,7 +792,8 @@ impl TreeStore {
     /// splits it (figure 5), both from the spliced record decoded.
     pub fn update_literal(&self, ptr: NodePtr, value: LiteralValue) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
-        self.check_node_size(crate::model::literal_body_len(&value))?;
+        let body = crate::model::literal_body_len(&value);
+        self.check_node_size(body)?;
         let mut ctx = OpCtx::default();
         let (view, n) = self.resolve_plain(ptr, &mut ctx, |ptr| {
             let view = self.view_current(ptr.rid)?;
@@ -802,6 +805,9 @@ impl TreeStore {
                 }));
             }
             plain(&view)?;
+            // A value that overflows the record splits it, and the
+            // separator goes into the records above.
+            self.splittable(&view, body)?;
             Ok((view, n))
         })?;
         let edit = Edit::Replace(n, PContent::Literal(value));

@@ -1,0 +1,202 @@
+//! Seeded differential test of the edit paths: a seed picks a document
+//! (as the loader's differential test does: a random tree, a play, an
+//! order batch or a deep document), a page size and a split matrix, loads
+//! the document, then makes seeded edits — `insert`, `insert_after`,
+//! `update_literal`, `delete_subtree` — on the store and on a DOM alike.
+//! After every edit, every record on every page must be its own
+//! re-encoding and reachable from the root, `check_tree` must pass (its
+//! invariant 4 is the standalone parent pointer), and the stored document
+//! must equal the DOM.
+//!
+//! The edits lean toward what makes records move, split and normalize:
+//! inserts into the fullest of a few sampled records, long literals, late
+//! children of the levels above a deep node (the children continuation
+//! groups hold) and deletes of nodes inside group records. A failing seed
+//! names itself; the debug build runs a few seeds, the release build (CI)
+//! the whole range.
+
+mod common;
+
+use natix_corpus::SplitMix64;
+use natix_storage::slotted::SlottedPageRef;
+use natix_tree::{check_tree, reconstruct_document, SplitMatrix, TreeConfig, TreeResult};
+use natix_xml::{LiteralValue, NodeData, NodeIdx, SymbolTable};
+
+use common::{canonical_records, document, letters, random_matrix, store, Shadow};
+
+/// Seeds the test runs: every one in a release build, the first few in a
+/// debug build.
+const SEEDS: u64 = if cfg!(debug_assertions) { 16 } else { 400 };
+
+/// Edits per seed.
+const EDITS: usize = 40;
+
+/// The stored length of the record holding `n`.
+fn record_len(sh: &Shadow, n: NodeIdx) -> usize {
+    let rid = sh.ptr(n).rid;
+    let pin = sh.store.storage().pin(rid.page).unwrap();
+    let buf = pin.read();
+    let page = SlottedPageRef::open(&buf).unwrap();
+    page.get(rid.slot).map_or(0, <[u8]>::len)
+}
+
+/// Whether `n` lives in a continuation group or a split chain's piece: a
+/// record whose root is a prefix entry.
+fn in_group(sh: &Shadow, n: NodeIdx) -> bool {
+    let tree = sh.store.load(sh.ptr(n).rid).unwrap();
+    tree.node(tree.root()).is_prefix()
+}
+
+/// Makes one seeded edit on `sh`, described for a failure message.
+fn edit(sh: &mut Shadow, g: &mut SplitMix64, long: usize) -> (String, TreeResult<()>) {
+    let nodes: Vec<NodeIdx> = sh.doc.pre_order().collect();
+    let is_element = |sh: &Shadow, n: NodeIdx| sh.doc.data(n).is_element();
+    let elements: Vec<NodeIdx> = nodes
+        .iter()
+        .copied()
+        .filter(|&n| is_element(sh, n))
+        .collect();
+    let labels: Vec<u16> = elements.iter().map(|&n| sh.doc.data(n).label()).collect();
+    let text = |g: &mut SplitMix64| {
+        let len = if g.below(3) == 0 {
+            g.range(long / 2, long)
+        } else {
+            g.range(1, 40)
+        };
+        NodeData::text(letters(g, len))
+    };
+    match g.below(10) {
+        0..=2 => {
+            // Into the fullest of four sampled records.
+            let parent = (0..4)
+                .map(|_| *g.pick(&elements))
+                .max_by_key(|&n| record_len(sh, n))
+                .unwrap();
+            let at = g.below(sh.doc.children(parent).len() + 1);
+            let data = if g.below(2) == 0 {
+                NodeData::Element(*g.pick(&labels))
+            } else {
+                text(g)
+            };
+            let what = format!("insert at {at} under the fullest sample {parent}");
+            (what, sh.insert(parent, at, data).map(drop))
+        }
+        3 | 4 => {
+            // A late child of a level above a random node.
+            let below = *g.pick(&nodes);
+            let ancestors: Vec<NodeIdx> =
+                std::iter::successors(sh.doc.parent(below), |&p| sh.doc.parent(p)).collect();
+            let Some(&parent) = (!ancestors.is_empty()).then(|| g.pick(&ancestors)) else {
+                return ("nothing (the root has no ancestor)".into(), Ok(()));
+            };
+            let at = sh.doc.children(parent).len();
+            let data = if g.below(2) == 0 {
+                NodeData::Element(*g.pick(&labels))
+            } else {
+                text(g)
+            };
+            let what = format!("insert late child {at} of {parent}, above {below}");
+            (what, sh.insert(parent, at, data).map(drop))
+        }
+        5 if nodes.len() > 1 => {
+            let sibling = nodes[1 + g.below(nodes.len() - 1)];
+            let data = text(g);
+            (
+                format!("insert after {sibling}"),
+                sh.insert_after(sibling, data).map(drop),
+            )
+        }
+        6 | 7 => {
+            let literals: Vec<NodeIdx> = nodes
+                .iter()
+                .copied()
+                .filter(|&n| !is_element(sh, n))
+                .collect();
+            if literals.is_empty() {
+                return ("nothing (no literal)".into(), Ok(()));
+            }
+            let lit = *g.pick(&literals);
+            let len = if g.below(2) == 0 { long } else { 40 };
+            let len = g.below(len + 1);
+            let value = LiteralValue::String(letters(g, len));
+            (
+                format!("update {lit} to {len} bytes"),
+                sh.update(lit, value),
+            )
+        }
+        _ if nodes.len() > 1 => {
+            // A small subtree, inside a group record when a sample finds
+            // one.
+            let small: Vec<NodeIdx> = (0..8)
+                .map(|_| nodes[1 + g.below(nodes.len() - 1)])
+                .filter(|&n| sh.doc.pre_order_from(n).nth(30).is_none())
+                .collect();
+            let Some(&first) = small.first() else {
+                return ("nothing (no small subtree sampled)".into(), Ok(()));
+            };
+            let victim = small
+                .iter()
+                .copied()
+                .find(|&n| in_group(sh, n))
+                .unwrap_or(first);
+            (format!("delete {victim}"), sh.delete(victim))
+        }
+        _ => ("nothing (a one-node document)".into(), Ok(())),
+    }
+}
+
+/// The checks after every edit: every record on every page canonical and
+/// reachable, the invariants, and the document.
+fn verify(sh: &Shadow) -> Result<(), String> {
+    let stored = canonical_records(&sh.store)?;
+    let stats = check_tree(&sh.store, sh.root).map_err(|e| e.to_string())?;
+    if stats.records != stored {
+        return Err(format!(
+            "{stored} records stored, {} reachable",
+            stats.records
+        ));
+    }
+    let back = reconstruct_document(&sh.store, sh.root).map_err(|e| format!("read: {e}"))?;
+    if back != sh.doc {
+        return Err("the stored document differs from the DOM".into());
+    }
+    Ok(())
+}
+
+/// Loads the seed's case and edits it: its family, or what failed.
+fn check(seed: u64) -> Result<usize, String> {
+    let mut g = SplitMix64::new(seed);
+    let mut syms = SymbolTable::new();
+    let (family, what, doc) = document(&mut g, seed, &mut syms);
+    let page_size = *g.pick(&[512usize, 1_024, 2_048, 8_192]);
+    let (matrix, which) = if g.below(2) == 0 {
+        (SplitMatrix::default(), "default")
+    } else {
+        (random_matrix(&mut g, &doc), "random")
+    };
+    let what = format!("{what}, {page_size}-byte pages, {which} matrix");
+    let st = store(page_size, TreeConfig::paper(), matrix);
+    let mut sh = Shadow::load(st, doc).map_err(|e| format!("{what}: load: {e}"))?;
+    for step in 0..EDITS {
+        let (op, done) = edit(&mut sh, &mut g, page_size / 4);
+        done.map_err(|e| format!("{what}: step {step}, {op}: {e}"))?;
+        verify(&sh).map_err(|e| format!("{what}: after step {step}, {op}: {e}"))?;
+    }
+    Ok(family)
+}
+
+#[test]
+fn every_edit_leaves_canonical_reachable_records_and_the_dom_s_document() {
+    let mut families = [0; 4];
+    for seed in 0..SEEDS {
+        match std::panic::catch_unwind(|| check(seed)) {
+            Ok(Ok(family)) => families[family] += 1,
+            Ok(Err(e)) => panic!("seed {seed}: {e}"),
+            Err(_) => panic!("seed {seed} panicked (its message is above)"),
+        }
+    }
+    assert!(
+        families.iter().all(|&n| n > 0),
+        "the seeds miss a family: {families:?}"
+    );
+}
