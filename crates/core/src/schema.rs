@@ -10,10 +10,7 @@
 //! called document validation in the XML world"). Physical schema
 //! information is the split matrix, configured through
 //! [`crate::Repository::set_matrix_rule`]; statistics come from
-//! [`crate::Repository::physical_stats`] and
-//! [`SchemaManager::label_histogram`].
-
-use std::collections::HashMap;
+//! [`crate::Repository::physical_stats`].
 
 use natix_xml::{Document, Dtd, NodeData, SymbolTable};
 
@@ -100,18 +97,6 @@ impl SchemaManager {
         }
         Ok(())
     }
-
-    /// Histogram of element labels in a document — the "statistics" the
-    /// schema manager keeps for tuning (e.g. choosing split-matrix rules).
-    pub fn label_histogram(&self, doc: &Document, symbols: &SymbolTable) -> HashMap<String, usize> {
-        let mut h = HashMap::new();
-        for n in doc.pre_order() {
-            if let NodeData::Element(l) = doc.data(n) {
-                *h.entry(symbols.name(*l).to_string()).or_insert(0) += 1;
-            }
-        }
-        h
-    }
 }
 
 impl Default for SchemaManager {
@@ -178,15 +163,5 @@ mod tests {
     fn invalid_dtd_rejected() {
         let mut sm = SchemaManager::new();
         assert!(sm.register_dtd("bad", "<!ELEMENT r (a,>").is_err());
-    }
-
-    #[test]
-    fn histogram_counts_elements() {
-        let sm = SchemaManager::new();
-        let (doc, syms) = parse("<a><b/><b/><c><b/></c></a>");
-        let h = sm.label_histogram(&doc, &syms);
-        assert_eq!(h["a"], 1);
-        assert_eq!(h["b"], 3);
-        assert_eq!(h["c"], 1);
     }
 }

@@ -51,15 +51,6 @@ impl DiskProfile {
         }
     }
 
-    /// A much faster device, useful for sensitivity experiments.
-    pub fn year_2026_ssd() -> DiskProfile {
-        DiskProfile {
-            avg_seek_ms: 0.02,
-            avg_rotation_ms: 0.0,
-            transfer_bytes_per_s: 2.0e9,
-        }
-    }
-
     /// Cost in nanoseconds of accessing one page of `page_size` bytes,
     /// `sequential` indicating the head is already positioned.
     pub fn access_ns(&self, page_size: usize, sequential: bool) -> u64 {

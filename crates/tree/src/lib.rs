@@ -40,7 +40,7 @@
 //!   children live in separator-style continuation groups (path-prefix
 //!   entries + a single continuation placeholder per piece), keeping the
 //!   record tree's height tracking fanout instead of document depth;
-//! * [`reconstruct`] — the one reader of the record layout: record cursors
+//! * [`reconstruct`] — the one reader of whole subtrees: record cursors
 //!   behind the streaming traversal, XML serialisation, the record walk of
 //!   every descendant step and the child enumeration;
 //! * [`readahead`] — the one read-ahead policy: a reader's frontier of

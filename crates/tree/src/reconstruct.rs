@@ -1,15 +1,19 @@
 //! Reconstruction and streaming traversal of stored trees: the one reader
-//! of the record layout.
+//! of whole subtrees.
 //!
 //! §2.3.3: "Substituting all proxies by their respective subtrees
 //! reconstructs the original data tree." This module does it in one
 //! place, a stack of record *cursors*. A cursor scans a record's index
 //! range in pre-order, where proxies and continuation placeholders are
 //! leaves, and at a hop the walk scans the target record there before it
-//! goes on, so it meets the facades in document order. Only the cursor
-//! knows the packed layout (label digests, scaffolding, prefix entries,
+//! goes on, so it meets the facades in document order. The cursor reads
+//! the whole packed layout (label digests, scaffolding, prefix entries,
 //! continuation groups and split chains, the deferred closes of a spilled
-//! path); three drivers run it:
+//! path) for every reader of a subtree. It is not the layout's only
+//! reader: an edit's site resolution and
+//! `TreeStore::logical_parent_from` in `store.rs` read prefix entries
+//! and scaffolding on their own, and `store/pack.rs` reads the groups and
+//! chains it normalizes. Three drivers run the cursor:
 //!
 //! * [`traverse`] — every facade with its literal value and every close,
 //!   behind [`reconstruct_document`], [`subtree_text`] and

@@ -8,10 +8,13 @@
 //! distributed onto the new records."
 //!
 //! [`plan_split`] is a pure function from an (oversized) [`RecordTree`] to
-//! a [`SplitPlan`]; all I/O (allocating partition records, the recursive
-//! separator insertion of §3.2.2 step (c), parent-pointer patching) lives
-//! in [`crate::store`]. Keeping the planner pure makes the trickiest part
-//! of the paper unit- and property-testable in isolation. The descent to
+//! a [`SplitPlan`]: structure only. All I/O (allocating partition records,
+//! the recursive separator insertion of §3.2.2 step (c)) lives in
+//! [`crate::store`], and so do the standalone parent pointers of the
+//! records the moved proxies name: the store's record writes register them
+//! wherever a proxy lands, so the plan does not say where proxies went.
+//! Keeping the planner pure makes the trickiest part of the paper unit-
+//! and property-testable in isolation. The descent to
 //! the separator reads subtree sizes from one
 //! [`RecordTree::subtree_sizes`] table, so a plan costs the record's
 //! nodes once, however deep the record is.
@@ -37,16 +40,6 @@ use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
 use crate::model::{PContent, PNodeId, RecordTree, EMBEDDED_HEADER, STANDALONE_HEADER};
 
-/// Where a proxy that *moved* during the split ended up — the store must
-/// update the standalone parent pointer of the record it references.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProxyHome {
-    /// The proxy now lives in the separator.
-    Separator,
-    /// The proxy now lives in partition `i`.
-    Partition(usize),
-}
-
 /// Result of planning a split.
 #[derive(Debug)]
 pub struct SplitPlan {
@@ -59,8 +52,6 @@ pub struct SplitPlan {
     pub partitions: Vec<RecordTree>,
     /// `(separator node, partition index)` for each placeholder proxy.
     pub partition_proxies: Vec<(PNodeId, usize)>,
-    /// Pre-existing proxies that moved, with their new home.
-    pub moved_proxies: Vec<(Rid, ProxyHome)>,
 }
 
 /// Finds the separator-determining node *d* (§3.2.2, "Determining the
@@ -137,9 +128,10 @@ pub fn find_separator(
 /// though the planner works on any tree with ≥ 2 nodes).
 ///
 /// When every child is pinned to the separator by ∞ matrix entries, no
-/// partitions would be produced and the record could not shrink; the plan
-/// is then recomputed ignoring the matrix — "kept **as long as possible**
-/// in the same record" (§3.3) ends where the page does.
+/// partitions would be produced and the record could not shrink; the
+/// separator, which then holds the whole record, is planned again ignoring
+/// the matrix — "kept **as long as possible** in the same record" (§3.3)
+/// ends where the page does.
 pub fn plan_split(
     tree: RecordTree,
     cfg: &TreeConfig,
@@ -161,11 +153,10 @@ pub fn plan_split(
             "cannot split a packed-prefix record; normalize the cluster first".into(),
         ));
     }
-    let fallback = tree.clone();
     let plan = plan_split_inner(tree, cfg, matrix, page_size)?;
     if plan.partitions.is_empty() {
         // Everything stayed with the separator: the record cannot shrink.
-        return plan_split_inner(fallback, cfg, &SplitMatrix::all_other(), page_size);
+        return plan_split_inner(plan.separator, cfg, &SplitMatrix::all_other(), page_size);
     }
     Ok(plan)
 }
@@ -187,7 +178,6 @@ fn plan_split_inner(
 
     let mut partitions: Vec<RecordTree> = Vec::new();
     let mut partition_proxies: Vec<(PNodeId, usize)> = Vec::new();
-    let mut moved_proxies: Vec<(Rid, ProxyHome)> = Vec::new();
 
     let mut sep_parent = separator.root();
     for level in 0..path.len() {
@@ -212,7 +202,6 @@ fn plan_split_inner(
                         &mut attach_at,
                         &mut partitions,
                         &mut partition_proxies,
-                        &mut moved_proxies,
                     );
                 }
             };
@@ -246,9 +235,6 @@ fn plan_split_inner(
                     // ∞: "considered part of the separator, and thus moved
                     // to the parent".
                     flush_run!();
-                    for rid in tree.proxies_under(k) {
-                        moved_proxies.push((rid, ProxyHome::Separator));
-                    }
                     let moved = tree.transplant(k, &mut separator);
                     separator.attach(sep_parent, attach_at, moved);
                     attach_at += 1;
@@ -271,14 +257,12 @@ fn plan_split_inner(
         separator,
         partitions,
         partition_proxies,
-        moved_proxies,
     })
 }
 
 /// Closes a run of sibling subtrees into a partition record (or, for a
 /// single proxy, splices the proxy directly into the separator — special
 /// case 1).
-#[allow(clippy::too_many_arguments)]
 fn flush_run_into(
     tree: &mut RecordTree,
     run: &mut Vec<PNodeId>,
@@ -287,15 +271,11 @@ fn flush_run_into(
     attach_at: &mut usize,
     partitions: &mut Vec<RecordTree>,
     partition_proxies: &mut Vec<(PNodeId, usize)>,
-    moved_proxies: &mut Vec<(Rid, ProxyHome)>,
 ) {
     debug_assert!(!run.is_empty());
     if run.len() == 1 && tree.node(run[0]).is_proxy() {
         // Special case 1: the partition would be a single proxy.
         let moved = tree.transplant(run[0], separator);
-        if let PContent::Proxy(rid) = separator.node(moved).content {
-            moved_proxies.push((rid, ProxyHome::Separator));
-        }
         separator.attach(sep_parent, *attach_at, moved);
         *attach_at += 1;
         run.clear();
@@ -314,9 +294,6 @@ fn flush_run_into(
         }
         p
     };
-    for rid in partition.proxies_under(partition.root()) {
-        moved_proxies.push((rid, ProxyHome::Partition(part_idx)));
-    }
     // Proxy label digest: a facade-rooted partition's root label rides on
     // the placeholder proxy (the RID is patched in later, the digest is
     // final now); scaffolding-rooted partitions stay "must read".
@@ -537,7 +514,7 @@ mod tests {
         c.split_tolerance = 0.2; // coarse: d = a whole child subtree
         let plan = plan_split(t, &c, &SplitMatrix::all_other(), 2048).unwrap();
         // The pre-existing proxy must survive somewhere, still pointing at
-        // (42,1), and is reported as moved.
+        // (42,1).
         let in_sep = plan
             .separator
             .proxies_under(plan.separator.root())
@@ -547,10 +524,6 @@ mod tests {
             .iter()
             .any(|pt| pt.proxies_under(pt.root()).contains(&Rid::new(42, 1)));
         assert!(in_sep || in_part);
-        assert!(plan
-            .moved_proxies
-            .iter()
-            .any(|&(r, _)| r == Rid::new(42, 1)));
     }
 
     /// A plan's records, the separator first, each as its nodes in

@@ -175,7 +175,8 @@ struct OpCtx {
     /// Where the current step's relocations begin (see [`Self::seal`]).
     step: usize,
     /// Deferred standalone-parent patches: `(child record, new parent)`,
-    /// applied in order (later entries win).
+    /// registered by the record writes that place a proxy (`store::slot`,
+    /// `store::growth`); the last entry per child wins.
     parent_patches: Vec<(Rid, Rid)>,
     /// Records deleted during this operation. Patches targeting them are
     /// stale and skipped — e.g. a packed record that normalization consumes
@@ -627,8 +628,8 @@ impl TreeStore {
         let mut ctx = OpCtx::default();
         let (site, logical_parent) = self.resolve_plain(ptr, &mut ctx, |ptr| {
             let (site, logical_parent) = site_of(ptr)?;
-            let growth = crate::model::EMBEDDED_HEADER
-                + crate::model::PROXY_BODY.max(node.body_len());
+            let growth =
+                crate::model::EMBEDDED_HEADER + crate::model::PROXY_BODY.max(node.body_len());
             self.splittable(&site.view, growth)?;
             Ok((site, logical_parent))
         })?;
@@ -656,12 +657,10 @@ impl TreeStore {
                 let mut child = RecordTree::new(label, node.into_content(), rid);
                 child.node_mut(child.root()).orig = Some(WATCH);
                 let child_rid = self.write_new(&child, Some(rid.page), &mut ctx)?;
+                // The child names the host; a move or split of the host
+                // registers the proxy's new holder.
                 let proxy = insert(child.proxy_digest(), PContent::Proxy(child_rid));
-                if self.store_edit(&view, proxy, false, &mut ctx)? == rid {
-                    // The host did not move/split: the tentative parent is
-                    // still right, but make it explicit for clarity.
-                    ctx.parent_patches.push((child_rid, rid));
-                }
+                self.store_edit(&view, proxy, false, &mut ctx)?;
             }
             SplitBehaviour::KeepWithParent | SplitBehaviour::Other => {
                 self.store_edit(&view, insert(label, node.into_content()), true, &mut ctx)?;

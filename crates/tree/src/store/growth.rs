@@ -2,6 +2,17 @@
 //! while its record fits the page; an overflow is decoded, then moved or
 //! split (§3.2), and a split's separator goes into the parent record,
 //! recursively. `store_updated` runs the same steps for a record tree.
+//!
+//! Moves and splits re-home proxies, and the records they name must name
+//! their new holder in their standalone headers (Appendix A). Only the two
+//! whole-record writers register those parent pointers, each for the
+//! proxies it writes: a placement (`slot.rs`' `try_append_on_page`, behind
+//! every move, partition and new separator record) registers every proxy
+//! of the record it places, and an in-place rewrite
+//! ([`TreeStore::store_updated`], a separator spliced into its parent or a
+//! normalized cluster) registers the proxies the record did not hold
+//! before. A splice (`store_edit` in place) adds no proxy but the one a
+//! standalone insert names, whose record was created naming its host.
 
 use natix_storage::{Metrics, PatchKind, Rid, Splice, StorageError};
 
@@ -9,7 +20,7 @@ use super::{OpCtx, Relocation, TreeStore, WATCH};
 use crate::error::{TreeError, TreeResult};
 use crate::model::{NodePtr, PContent, RecordTree};
 use crate::record::{self, Edit, RecordView, Shape};
-use crate::split::{plan_split, ProxyHome, SplitPlan};
+use crate::split::{plan_split, SplitPlan};
 use crate::typetable::TypeTable;
 
 impl TreeStore {
@@ -58,9 +69,14 @@ impl TreeStore {
         }
     }
 
-    /// Stores an updated version of record `rid`: in place if it fits,
-    /// otherwise move, otherwise split. Returns the rid now holding the
-    /// (possibly shrunken) record.
+    /// Stores an updated version of record `rid`, decoded from it: in
+    /// place if it fits, otherwise move, otherwise split. Returns the rid
+    /// now holding the (possibly shrunken) record.
+    ///
+    /// In place, the records named by the proxies `tree` did not hold
+    /// before get `rid` as their parent: a proxy it held is one decoded
+    /// from it, whose `orig` names `rid`. (A RID alone would not tell: a
+    /// split's partition can take the slot of the record it replaces.)
     pub(super) fn store_updated(
         &self,
         rid: Rid,
@@ -76,6 +92,15 @@ impl TreeStore {
             match self.write_at(rid, PatchKind::Update, encode) {
                 Ok(mapping) => {
                     self.emit_relocations(rid, &mapping, &tree, ctx);
+                    for n in tree.pre_order(tree.root()) {
+                        let node = tree.node(n);
+                        if let PContent::Proxy(child) | PContent::Continuation(child) = node.content
+                        {
+                            if node.orig.is_none_or(|o| o.rid != rid) {
+                                ctx.parent_patches.push((child, rid));
+                            }
+                        }
+                    }
                     return Ok(rid);
                 }
                 Err(TreeError::Storage(StorageError::PageFull { .. })) => {
@@ -97,9 +122,6 @@ impl TreeStore {
             ctx.note_root_move(old_rid, new_rid);
         } else {
             self.repoint_proxy(tree.parent_rid, old_rid, new_rid)?;
-        }
-        for child in tree.proxies_under(tree.root()) {
-            ctx.parent_patches.push((child, new_rid));
         }
         Ok(new_rid)
     }
@@ -136,35 +158,19 @@ impl TreeStore {
     /// (facade or scaffolding) root of the split subtree's remainder.
     fn split_stored(&self, rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
         let parent_rid = tree.parent_rid;
-        let mut plan = {
+        let plan = {
             let matrix = self.matrix.read();
             plan_split(tree, &self.config, &matrix, self.page_size())?
         };
-        let moved_proxies = std::mem::take(&mut plan.moved_proxies);
         // Delete the old record first: partitions gladly reuse its space.
         self.delete_record_raw(rid, ctx)?;
-        let (mut separator, part_rids) = self.store_partitions(plan, rid.page, ctx)?;
+        let mut separator = self.store_partitions(plan, rid.page, ctx)?;
         if parent_rid.is_invalid() {
             // "If the old record had no parent record, a new root record
             // for the tree is created which contains just the separator."
-            // Storing the separator registers parent patches for every
-            // proxy it contains (partitions and ∞-moved children alike).
             let sep_rid = self.store_possibly_oversized(separator, rid.page, ctx)?;
             ctx.note_root_move(rid, sep_rid);
             return Ok(sep_rid);
-        }
-        // The separator is spliced into the *existing* parent record below
-        // (an in-place rewrite that does not auto-register patches), so the
-        // records its proxies reference re-home to the parent explicitly.
-        // These are tentative: if the parent itself splits or moves, later
-        // patches override them.
-        for (child, home) in moved_proxies {
-            if home == ProxyHome::Separator {
-                ctx.parent_patches.push((child, parent_rid));
-            }
-        }
-        for &p in &part_rids {
-            ctx.parent_patches.push((p, parent_rid));
         }
         // Splice the separator into the parent in place of the old proxy
         // (§3.2.2, "Inserting the separator"), honouring special case 2.
@@ -208,13 +214,13 @@ impl TreeStore {
     /// Stores a split's partitions, splitting any partition that is
     /// *still* larger than a page (possible with coarse tolerances), and
     /// points the separator's partition proxies at them. Returns the
-    /// separator and the partitions' rids.
+    /// separator.
     fn store_partitions(
         &self,
         plan: SplitPlan,
         near: u32,
         ctx: &mut OpCtx,
-    ) -> TreeResult<(RecordTree, Vec<Rid>)> {
+    ) -> TreeResult<RecordTree> {
         let mut rids = Vec::with_capacity(plan.partitions.len());
         for p in plan.partitions {
             rids.push(self.store_possibly_oversized(p, near, ctx)?);
@@ -223,7 +229,7 @@ impl TreeStore {
         for (node, part) in plan.partition_proxies {
             separator.node_mut(node).content = PContent::Proxy(rids[part]);
         }
-        Ok((separator, rids))
+        Ok(separator)
     }
 
     /// Stores a fresh (not-yet-stored) tree, recursively splitting it while
@@ -255,9 +261,7 @@ impl TreeStore {
                 max: self.net_capacity(),
             });
         }
-        let (separator, _) = self.store_partitions(plan, near, ctx)?;
-        // Storing the separator (a fresh record) registers the parent
-        // patches for the partition proxies and ∞-moved children it holds.
+        let separator = self.store_partitions(plan, near, ctx)?;
         self.store_possibly_oversized(separator, near, ctx)
     }
 }

@@ -116,7 +116,7 @@ impl TreeStore {
             }
             Metrics::add_one(&self.versions.metrics().record_decodes);
             let mut tree = view.decode()?;
-            self.inline_continuations(rc, &mut tree, ctx)?;
+            self.inline_continuations(&mut tree, ctx)?;
             self.store_updated(rc, tree, ctx)?;
             // Apply parent patches step by step: a later chain entry's
             // split consults its parent record, which this step may just
@@ -182,16 +182,12 @@ impl TreeStore {
 
     /// Splices every continuation group of `tree` (and, transitively, the
     /// groups those groups spilled into) back into the spilled path's
-    /// child lists.
-    fn inline_continuations(
-        &self,
-        host_rid: Rid,
-        tree: &mut RecordTree,
-        ctx: &mut OpCtx,
-    ) -> TreeResult<()> {
+    /// child lists. The records the moved content's proxies name get the
+    /// host as their parent when `tree` is stored (`store_updated`).
+    fn inline_continuations(&self, tree: &mut RecordTree, ctx: &mut OpCtx) -> TreeResult<()> {
         while let Some((cont, path, target)) = spilled_path(tree) {
             tree.remove_subtree(cont);
-            self.splice_group(host_rid, tree, &path, target, ctx)?;
+            self.splice_group(tree, &path, target, ctx)?;
         }
         Ok(())
     }
@@ -204,7 +200,6 @@ impl TreeStore {
     /// [`inline_continuations`](Self::inline_continuations) picks it up.
     fn splice_group(
         &self,
-        host_rid: Rid,
         tree: &mut RecordTree,
         path: &[PNodeId],
         group_rid: Rid,
@@ -235,14 +230,9 @@ impl TreeStore {
                         // Lower piece of a split prefix chain: its levels
                         // continue this chain.
                         group.remove_subtree(c);
-                        self.splice_group(host_rid, tree, &path[i + 1..], t, ctx)?;
+                        self.splice_group(tree, &path[i + 1..], t, ctx)?;
                         continue;
                     }
-                }
-                // Child records referenced by the moved content re-home to
-                // the host (later patches from splits/moves override).
-                for r in group.proxies_under(c) {
-                    ctx.parent_patches.push((r, host_rid));
                 }
                 let moved = group.transplant(c, tree);
                 let end = tree.children(path[i]).len();

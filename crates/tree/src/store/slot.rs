@@ -3,6 +3,14 @@
 //! [`TreeStore::write_new`]. Every write is one [`SlotPatch`], logged
 //! under the page latch before the page changes and made by the redo
 //! recovery replays it with ([`TreeStore::write_page`]).
+//!
+//! Parent pointers: placing a record ([`TreeStore::try_append_on_page`],
+//! behind every load, move, partition and new separator) registers it as
+//! the parent of every record its proxies and continuation placeholder
+//! name — one of the two writers that do (the other is the in-place
+//! rewrite, `growth.rs`' `store_updated`). The operation writes the
+//! registered pointers once, at its end ([`TreeStore::apply_patches`]):
+//! the last parent registered per child, in child order.
 
 use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
 use natix_storage::{Metrics, PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice, StorageError};
@@ -296,8 +304,9 @@ impl TreeStore {
         if ctx.deleted.remove(&rid) {
             ctx.parent_patches.retain(|(child, _)| *child != rid);
         }
-        // Registering here (instead of from split plans) keeps the patch
-        // order right even when partitions are split recursively.
+        // Every proxy the record holds, wherever the record came from: a
+        // later registration of the same child (its holder moved or split
+        // again) supersedes this one.
         ctx.parent_patches
             .extend(children.into_iter().map(|child| (child, rid)));
         Ok(Some(rid))
@@ -353,9 +362,12 @@ impl TreeStore {
         })
     }
 
+    /// Writes the parent pointers the operation registered: the last
+    /// parent per child, in child order, so equal operations log equal
+    /// patches.
     pub(super) fn apply_patches(&self, ctx: &mut OpCtx) -> TreeResult<()> {
         let patches = std::mem::take(&mut ctx.parent_patches);
-        let mut last = std::collections::HashMap::new();
+        let mut last = std::collections::BTreeMap::new();
         for (child, parent) in patches {
             if child.is_invalid() {
                 // Placeholder proxy (bulkload spine chaining): the target

@@ -167,11 +167,6 @@ impl Dtd {
         self.entities.get(name).map(String::as_str)
     }
 
-    /// Number of declared elements.
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-
     /// Validates one element: `children` is the ordered list of child
     /// items, where `None` denotes a text node and `Some(name)` a child
     /// element. Returns `Ok(())` for undeclared elements (open-world, like

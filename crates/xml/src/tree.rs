@@ -250,14 +250,6 @@ impl Document {
         }
         true
     }
-
-    /// First child element of `node` with the given label.
-    pub fn first_child_element(&self, node: NodeIdx, label: LabelId) -> Option<NodeIdx> {
-        self.children(node)
-            .iter()
-            .copied()
-            .find(|&c| matches!(self.data(c), NodeData::Element(l) if *l == label))
-    }
 }
 
 impl PartialEq for Document {
