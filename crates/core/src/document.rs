@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use natix_storage::Rid;
 use natix_tree::{InsertPos, NewNode, NodePtr, OpResult, VisitEvent};
 use natix_xml::{
-    Document, LabelId, LabelKind, LiteralValue, ParserOptions, PullParser, SymbolTable, LABEL_TEXT,
+    Document, LabelId, LabelKind, LiteralValue, ParserOptions, SymbolTable, LABEL_TEXT,
 };
 
 use crate::error::{NatixError, NatixResult};
@@ -397,12 +397,12 @@ impl Repository {
     /// exist for readers, which — like other loads — run alongside it.
     pub fn put_xml(&self, name: &str, xml: &str) -> NatixResult<DocId> {
         self.publish_load(name, || {
-            let mut parser = PullParser::new(xml, ParserOptions::default());
             Feed::load(self, name, |feed| {
-                while let Some(event) = parser.next_event()? {
-                    feed.event(event)?;
-                }
-                Ok(())
+                // Labels through the read-locked fast path.
+                let intern = |kind, name: &str| self.intern_shared(kind, name);
+                natix_xml::parse_nodes(xml, ParserOptions::default(), intern, |node| {
+                    feed.node(node)
+                })
             })
         })
     }
@@ -974,6 +974,29 @@ mod tests {
             repo.text_content(id, root).unwrap(),
             "OTHELLOLook in my face."
         );
+    }
+
+    /// An attribute exported on its own is refused with the DOM writer's
+    /// own error (`natix_xml::writer`'s `detached_attribute_is_an_error`):
+    /// one writer serves both. It used to come out as its value.
+    #[test]
+    fn detached_attribute_is_an_error() {
+        let repo = small_repo();
+        let text = r#"<a x="1"><b y="2">t</b></a>"#;
+        let id = repo.put_xml("d", text).unwrap();
+        let root = repo.root(id).unwrap();
+        let x = repo.children(id, root).unwrap()[0];
+        let stats = repo.physical_stats("d").unwrap();
+        let Err(NatixError::Xml(err)) = repo.serialize_node(id, x) else {
+            panic!("serialize_node of an attribute is not an XML error");
+        };
+        let doc = repo.get_document("d").unwrap();
+        let attr = doc.children(doc.root())[0];
+        let compact = natix_xml::WriteOptions::compact();
+        let dom = natix_xml::writer::write_subtree(&doc, attr, &repo.symbols(), compact);
+        assert_eq!(Err(err), dom);
+        assert_eq!(repo.get_xml("d").unwrap(), text);
+        assert_eq!(repo.physical_stats("d").unwrap(), stats);
     }
 
     #[test]

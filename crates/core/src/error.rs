@@ -81,7 +81,10 @@ impl From<natix_storage::StorageError> for NatixError {
 
 impl From<natix_tree::TreeError> for NatixError {
     fn from(e: natix_tree::TreeError) -> Self {
-        NatixError::Tree(e)
+        match e {
+            natix_tree::TreeError::Xml(e) => NatixError::Xml(e),
+            e => NatixError::Tree(e),
+        }
     }
 }
 

@@ -1,16 +1,15 @@
 //! The one way a document comes in: the paper stores a document by
 //! driving an XML parser and inserting the tree in pre-order (§4.3). A
-//! [`Feed`] takes that pre-order — parse events for
-//! [`Repository::put_xml`], a DOM walk for [`Repository::put_document`] —
-//! to the bulkloader and the path-summary builder alike, mapping elements,
-//! attributes, comments and PIs onto labelled nodes and cutting text by
-//! [`text_chunks`], the chunk rule.
+//! [`Feed`] takes that pre-order as nodes of the XML mapping
+//! ([`natix_xml::map`], which owns how elements, attributes, text,
+//! comments and PIs become labelled nodes) through one entry,
+//! [`Feed::node`] — from the parse mapping for [`Repository::put_xml`],
+//! from the DOM walk for [`Repository::put_document`] — to the bulkloader
+//! and the path-summary builder alike, cutting text by [`text_chunks`],
+//! the chunk rule.
 
 use natix_tree::BulkLoader;
-use natix_xml::{
-    Document, LabelId, LabelKind, LiteralValue, NodeData, XmlEvent, LABEL_COMMENT, LABEL_PI,
-    LABEL_TEXT,
-};
+use natix_xml::{Document, LabelId, LabelKind, LiteralValue, Node, NodeData, LABEL_TEXT};
 
 use crate::document::DocState;
 use crate::error::{NatixError, NatixResult};
@@ -62,34 +61,35 @@ impl<'r> Feed<'r> {
         Ok(DocState::new(name.to_string(), stats.root_rid, summary))
     }
 
-    /// One parse event (the parser refuses text outside the root). Labels
-    /// are interned through the read-locked fast path.
-    pub(crate) fn event(&mut self, event: XmlEvent<'_>) -> NatixResult<()> {
-        match event {
-            XmlEvent::StartElement { name, attrs } => {
-                self.start(self.repo.intern_shared(LabelKind::Element, name))?;
-                for (attr, value) in attrs {
-                    let label = self.repo.intern_shared(LabelKind::Attribute, attr);
-                    self.leaf(label, LiteralValue::String(value))?;
+    /// One node of the XML mapping, from the parse mapping or the DOM
+    /// walk alike. Character data goes through the chunk rule. Only text
+    /// may be cut: an attribute value or another labelled literal stays
+    /// whole, and an oversized one surfaces as the tree layer's
+    /// `OversizedNode`.
+    pub(crate) fn node(&mut self, node: Node<'_>) -> NatixResult<()> {
+        match node {
+            Node::Open(label) => {
+                self.loader.start_element(label)?;
+                self.summary.start_element(label);
+            }
+            Node::Close => {
+                self.loader.end_element()?;
+                self.summary.end_element();
+            }
+            Node::Literal(LABEL_TEXT, value) => match value.into_owned() {
+                LiteralValue::String(text) => {
+                    for chunk in text_chunks(text, self.repo.tree.net_capacity()) {
+                        self.leaf(LABEL_TEXT, LiteralValue::String(chunk))?;
+                    }
                 }
-                Ok(())
-            }
-            XmlEvent::EndElement { .. } => self.end(),
-            XmlEvent::Text(text) => self.literal(LABEL_TEXT, LiteralValue::String(text)),
-            // No node outside the root holds a comment or PI.
-            XmlEvent::Comment(_) | XmlEvent::Pi { .. } if self.summary.depth() == 0 => Ok(()),
-            XmlEvent::Comment(body) => self.leaf(LABEL_COMMENT, LiteralValue::String(body.into())),
-            XmlEvent::Pi { target, data: "" } => {
-                self.leaf(LABEL_PI, LiteralValue::String(target.into()))
-            }
-            XmlEvent::Pi { target, data } => {
-                self.leaf(LABEL_PI, LiteralValue::String(format!("{target} {data}")))
-            }
-            XmlEvent::Doctype { .. } => Ok(()),
+                value => self.leaf(LABEL_TEXT, value)?,
+            },
+            Node::Literal(label, value) => self.leaf(label, value.into_owned())?,
         }
+        Ok(())
     }
 
-    /// Replays a DOM in pre-order: the calls its parse would have made.
+    /// Walks a DOM into the feed: the nodes its parse would have made.
     pub(crate) fn replay(&mut self, doc: &Document) -> NatixResult<()> {
         if !doc.data(doc.root()).is_element() {
             return Err(NatixError::Validation(
@@ -97,28 +97,13 @@ impl<'r> Feed<'r> {
             ));
         }
         self.check_attributes(doc)?;
-        // `None` closes the element opened below it.
-        let mut stack = vec![Some(doc.root())];
-        while let Some(step) = stack.pop() {
-            match step.map(|n| (n, doc.data(n))) {
-                None => self.end()?,
-                Some((n, NodeData::Element(label))) => {
-                    self.start(*label)?;
-                    stack.push(None);
-                    stack.extend(doc.children(n).iter().rev().map(|&c| Some(c)));
-                }
-                Some((_, NodeData::Literal { label, value })) => {
-                    self.literal(*label, value.clone())?
-                }
-            }
-        }
-        Ok(())
+        doc.nodes().try_for_each(|(_, node)| self.node(node))
     }
 
     /// Refuses, before anything is loaded, a DOM whose attributes its text
     /// could not carry — what the parser refuses in text: an attribute
-    /// literal after its element's content (the writer would put the value
-    /// out as character data), or an attribute an element already has.
+    /// literal after its element's content (which the writer refuses to
+    /// export), or an attribute an element already has.
     fn check_attributes(&self, doc: &Document) -> NatixResult<()> {
         let symbols = self.repo.symbols.read();
         let is_attribute = |label: LabelId| {
@@ -149,34 +134,6 @@ impl<'r> Feed<'r> {
             }
         }
         Ok(())
-    }
-
-    fn start(&mut self, label: LabelId) -> NatixResult<()> {
-        self.loader.start_element(label)?;
-        self.summary.start_element(label);
-        Ok(())
-    }
-
-    fn end(&mut self) -> NatixResult<()> {
-        self.loader.end_element()?;
-        self.summary.end_element();
-        Ok(())
-    }
-
-    /// A literal child; character data goes through the chunk rule. Only
-    /// text may be cut: an attribute value or another labelled literal
-    /// stays whole, and an oversized one surfaces as the tree layer's
-    /// `OversizedNode`.
-    fn literal(&mut self, label: LabelId, value: LiteralValue) -> NatixResult<()> {
-        match value {
-            LiteralValue::String(text) if label == LABEL_TEXT => {
-                for chunk in text_chunks(text, self.repo.tree.net_capacity()) {
-                    self.leaf(label, LiteralValue::String(chunk))?;
-                }
-                Ok(())
-            }
-            value => self.leaf(label, value),
-        }
     }
 
     fn leaf(&mut self, label: LabelId, value: LiteralValue) -> NatixResult<()> {

@@ -406,11 +406,6 @@ impl SummaryBuilder {
         self.stack.pop();
     }
 
-    /// Elements open.
-    pub(crate) fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
     /// The summary of the events fed, `None` if they were not one rooted
     /// tree — the planner then builds one from the stored tree when it
     /// needs it.

@@ -124,7 +124,7 @@
 use std::ops::Range;
 
 use natix_storage::Rid;
-use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
+use natix_xml::{LabelId, LiteralValue, Node, LABEL_NONE, LABEL_TEXT};
 
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
@@ -1001,17 +1001,34 @@ impl<'s> BulkLoader<'s> {
     }
 }
 
-/// Convenience: bulk-load a logical [`natix_xml::Document`] into `store`,
-/// chunking long string literals into consecutive sibling literals of at
-/// most `chunk_limit` bytes (serialisation-identical for XML character
-/// data; `None` disables chunking). Returns the load summary.
+/// Convenience: bulk-load a logical [`natix_xml::Document`] into `store`
+/// — the DOM walk into the loader — chunking long string literals into
+/// consecutive sibling literals of at most `chunk_limit` bytes
+/// (serialisation-identical for XML character data; `None` disables
+/// chunking). Returns the load summary.
 pub fn bulkload_document(
     store: &TreeStore,
     doc: &natix_xml::Document,
     chunk_limit: Option<usize>,
 ) -> TreeResult<BulkStats> {
     let mut loader = BulkLoader::new(store);
-    match feed_document(&mut loader, doc, chunk_limit) {
+    let fed = doc.nodes().try_for_each(|(_, node)| match node {
+        Node::Open(label) => loader.start_element(label),
+        Node::Close => loader.end_element(),
+        // Only character data may be split into sibling literals:
+        // splitting an attribute value would duplicate the attribute, so
+        // an oversized one surfaces as `OversizedNode` instead.
+        Node::Literal(LABEL_TEXT, value) => match (chunk_limit, &*value) {
+            (Some(limit), LiteralValue::String(s)) if s.len() > limit => {
+                natix_xml::chunk_str(s, limit).try_for_each(|chunk| {
+                    loader.literal(LABEL_TEXT, LiteralValue::String(chunk.into()))
+                })
+            }
+            _ => loader.literal(LABEL_TEXT, value.into_owned()),
+        },
+        Node::Literal(label, value) => loader.literal(label, value.into_owned()),
+    });
+    match fed {
         Ok(()) => loader.finish(),
         Err(e) => {
             // Never leak the records flushed before the failure.
@@ -1019,47 +1036,6 @@ pub fn bulkload_document(
             Err(e)
         }
     }
-}
-
-fn feed_document(
-    loader: &mut BulkLoader<'_>,
-    doc: &natix_xml::Document,
-    chunk_limit: Option<usize>,
-) -> TreeResult<()> {
-    use natix_xml::NodeData;
-    // Pre-order with explicit close events.
-    let mut stack: Vec<(natix_xml::NodeIdx, bool)> = vec![(doc.root(), false)];
-    while let Some((n, closing)) = stack.pop() {
-        if closing {
-            loader.end_element()?;
-            continue;
-        }
-        match doc.data(n) {
-            NodeData::Element(label) => {
-                loader.start_element(*label)?;
-                stack.push((n, true));
-                for &c in doc.children(n).iter().rev() {
-                    stack.push((c, false));
-                }
-            }
-            NodeData::Literal { label, value } => match (chunk_limit, value) {
-                // Only character data may be split into sibling literals
-                // (serialisation-identical for XML text). Attribute values
-                // and other labelled literals must stay whole — splitting
-                // them would duplicate the attribute — so an oversized one
-                // surfaces as `OversizedNode` instead of silent truncation.
-                (Some(limit), LiteralValue::String(s))
-                    if s.len() > limit && *label == natix_xml::LABEL_TEXT =>
-                {
-                    for chunk in natix_xml::chunk_str(s, limit) {
-                        loader.literal(*label, LiteralValue::String(chunk.to_owned()))?;
-                    }
-                }
-                _ => loader.literal(*label, value.clone())?,
-            },
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use natix_storage::{Rid, StorageError};
+use natix_xml::XmlError;
 
 use crate::model::PNodeId;
 
@@ -25,6 +26,9 @@ pub enum TreeError {
     NotALiteral { rid: Rid, node: PNodeId },
     /// Invariant violation detected by the validator.
     Invariant(String),
+    /// The XML mapping refused what a traversal handed it (the writer: an
+    /// attribute serialised on its own).
+    Xml(XmlError),
 }
 
 /// Convenience alias used throughout the tree crate.
@@ -53,6 +57,7 @@ impl fmt::Display for TreeError {
                 write!(f, "node {rid}/{node} is not a literal")
             }
             TreeError::Invariant(m) => write!(f, "invariant violation: {m}"),
+            TreeError::Xml(e) => write!(f, "xml: {e}"),
         }
     }
 }
@@ -61,6 +66,7 @@ impl std::error::Error for TreeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TreeError::Storage(e) => Some(e),
+            TreeError::Xml(e) => Some(e),
             _ => None,
         }
     }

@@ -16,9 +16,14 @@
 //! chains it normalizes. Three drivers run the cursor:
 //!
 //! * [`traverse`] — every facade with its literal value and every close,
-//!   behind [`reconstruct_document`], [`subtree_text`] and
+//!   behind [`subtree_text`], [`reconstruct_document`] and
 //!   [`serialize_xml`] (the paper's Query 2: "recreates the textual
-//!   representation of the complete first speech in every scene");
+//!   representation of the complete first speech in every scene"). The
+//!   last two own no XML: each hands the traversal, one
+//!   [`VisitEvent::node`] at a time, to a piece of `natix_xml`'s mapping
+//!   ([`natix_xml::map`]) — the DOM builder that also builds a parsed
+//!   document, and the writer that also writes one — so a stored node and
+//!   its source node come out as one document and one text;
 //! * [`walk_records`] — the records entered and the facades kept: the one
 //!   descendant operator (`//x`, `//x[n]`), the document manager's record
 //!   enumeration and, pruned, the summary-seeded operator;
@@ -75,16 +80,16 @@
 //! it scans and decodes nothing; `traverse` decodes a literal's value when
 //! it hands the literal to the visitor.
 
+use std::borrow::Cow;
 use std::iter::{Chain, Rev};
 use std::ops::Range;
 use std::sync::Arc;
 use std::{option, slice};
 
 use natix_storage::{PageId, Rid};
-use natix_xml::escape::{escape_attr, escape_text};
 use natix_xml::{
-    Document, LabelId, LabelKind, LiteralValue, NodeData, SymbolTable, LABEL_COMMENT, LABEL_NONE,
-    LABEL_PI, LABEL_TEXT,
+    Builder, Document, LabelId, LiteralValue, Node, SymbolTable, XmlResult, XmlWriter, LABEL_NONE,
+    LABEL_TEXT,
 };
 
 use crate::error::{TreeError, TreeResult};
@@ -113,6 +118,17 @@ pub enum VisitEvent<'a> {
     },
     /// Leaving a facade aggregate.
     Leave { label: natix_xml::LabelId },
+}
+
+impl<'a> VisitEvent<'a> {
+    /// The event as a node of the XML mapping ([`natix_xml::map`]).
+    pub fn node(self) -> Node<'a> {
+        match self {
+            VisitEvent::Enter { label, .. } => Node::Open(label),
+            VisitEvent::Literal { label, value, .. } => Node::Literal(label, Cow::Borrowed(value)),
+            VisitEvent::Leave { .. } => Node::Close,
+        }
+    }
 }
 
 /// One event of [`walk_records`], in document order.
@@ -580,8 +596,26 @@ impl TreeStore {
     }
 }
 
-/// Rebuilds the logical document rooted at record `root`.
-#[expect(clippy::unreachable, reason = "a traversal enters one root")]
+/// Hands `sink` the stored subtree at `ptr` as nodes of the XML mapping,
+/// by [`traverse`]; the first error of `sink` stops the walk.
+fn traverse_nodes(
+    store: &TreeStore,
+    ptr: NodePtr,
+    mut sink: impl FnMut(Node<'_>) -> XmlResult<()>,
+) -> TreeResult<()> {
+    let mut refused = None;
+    traverse(store, ptr, &mut |ev| match sink(ev.node()) {
+        Ok(()) => true,
+        Err(e) => {
+            refused = Some(e);
+            false
+        }
+    })?;
+    refused.map_or(Ok(()), |e| Err(TreeError::Xml(e)))
+}
+
+/// Rebuilds the logical document rooted at record `root`: the traversal
+/// into the DOM builder.
 pub fn reconstruct_document(store: &TreeStore, root: Rid) -> TreeResult<Document> {
     let view = store.view(root)?;
     let root_node = view.root();
@@ -590,106 +624,22 @@ pub fn reconstruct_document(store: &TreeStore, root: Rid) -> TreeResult<Document
             "record {root} is not a facade-rooted tree root"
         )));
     }
-    let mut doc: Option<Document> = None;
-    let mut stack: Vec<natix_xml::NodeIdx> = Vec::new();
-    traverse(store, NodePtr::new(root, root_node), &mut |ev| {
-        match ev {
-            VisitEvent::Enter { label, .. } => match (&mut doc, stack.last()) {
-                (None, _) => {
-                    doc = Some(Document::new(NodeData::Element(label)));
-                    stack.push(0);
-                }
-                (Some(d), Some(&parent)) => {
-                    let idx = d.add_child(parent, NodeData::Element(label));
-                    stack.push(idx);
-                }
-                (Some(_), None) => unreachable!("single root"),
-            },
-            VisitEvent::Literal { label, value, .. } => match (&mut doc, stack.last()) {
-                (Some(d), Some(&parent)) => {
-                    d.add_child(
-                        parent,
-                        NodeData::Literal {
-                            label,
-                            value: value.clone(),
-                        },
-                    );
-                }
-                _ => {
-                    // A standalone literal root: represent as a document
-                    // with a single literal node.
-                    doc = Some(Document::new(NodeData::Literal {
-                        label,
-                        value: value.clone(),
-                    }));
-                }
-            },
-            VisitEvent::Leave { .. } => {
-                stack.pop();
-            }
-        }
-        true
+    let mut builder = Builder::default();
+    traverse_nodes(store, NodePtr::new(root, root_node), |node| {
+        builder.node(node)
     })?;
-    doc.ok_or_else(|| TreeError::Invariant("empty tree".into()))
+    builder
+        .finish()
+        .ok_or_else(|| TreeError::Invariant("empty tree".into()))
 }
 
 /// Serialises the stored subtree at `ptr` to XML text without building a
-/// DOM (streaming, record by record).
+/// DOM (streaming, record by record): the traversal into the XML writer,
+/// which refuses an attribute on its own.
 pub fn serialize_xml(store: &TreeStore, ptr: NodePtr, symbols: &SymbolTable) -> TreeResult<String> {
-    let mut out = String::new();
-    // Elements whose start tag is still open (awaiting attrs/content).
-    let mut open_tag = false;
-    traverse(store, ptr, &mut |ev| {
-        match ev {
-            VisitEvent::Enter { label, .. } => {
-                if open_tag {
-                    out.push('>');
-                }
-                out.push('<');
-                out.push_str(symbols.name(label));
-                open_tag = true;
-            }
-            VisitEvent::Literal { label, value, .. } => {
-                if symbols.kind(label) == LabelKind::Attribute && open_tag {
-                    out.push(' ');
-                    out.push_str(symbols.name(label));
-                    out.push_str("=\"");
-                    out.push_str(&escape_attr(&value.to_text()));
-                    out.push('"');
-                } else {
-                    if open_tag {
-                        out.push('>');
-                        open_tag = false;
-                    }
-                    match label {
-                        LABEL_COMMENT => {
-                            out.push_str("<!--");
-                            out.push_str(&value.to_text());
-                            out.push_str("-->");
-                        }
-                        LABEL_PI => {
-                            out.push_str("<?");
-                            out.push_str(&value.to_text());
-                            out.push_str("?>");
-                        }
-                        _ => out.push_str(&escape_text(&value.to_text())),
-                    }
-                }
-            }
-            VisitEvent::Leave { label } => {
-                if open_tag {
-                    out.push_str("/>");
-                    open_tag = false;
-                } else {
-                    out.push_str("</");
-                    out.push_str(symbols.name(label));
-                    out.push('>');
-                }
-            }
-        }
-        true
-    })?;
-    Ok(out)
+    let mut writer = XmlWriter::new(symbols);
+    traverse_nodes(store, ptr, |node| writer.node(node, None))?;
+    Ok(writer.finish())
 }
 
 /// Concatenated `#text` content of the stored subtree at `ptr`.

@@ -992,14 +992,12 @@ pub(crate) mod tests {
     };
     use natix_storage::slotted::SlottedPage;
     use natix_storage::{BufferManager, MemStorage, Metrics, MetricsSnapshot};
-    use natix_xml::writer::{write_subtree, WriteOptions};
     use natix_xml::{Document, NodeData, NodeIdx, SymbolTable, LABEL_NONE, LABEL_TEXT};
 
     use super::*;
     use crate::bulkload::bulkload_document;
     use crate::reconstruct::{
-        reconstruct_document, serialize_xml, subtree_text, traverse, walk_records, RecordEntry,
-        VisitEvent,
+        reconstruct_document, subtree_text, traverse, walk_records, RecordEntry, VisitEvent,
     };
     use crate::record::tests::{
         assert_view_matches_tree, reference_find_continuation, reference_find_proxy,
@@ -2236,93 +2234,5 @@ pub(crate) mod tests {
             "{read} pages read for {} pages entered",
             pages.len()
         );
-    }
-
-    /// Every reader of the stored layout against the source DOM, node by
-    /// node: the unpruned record walk, the logical children, the text and
-    /// (of an element) the serialization of each stored facade equal those
-    /// of the DOM node at the same pre-order position. Plays, an order
-    /// batch, the tiny deep document (split prefix chains at 2 KiB), a
-    /// 300-level one, a 150-level one whose spilled levels start below a
-    /// split chain's upper piece at 512 B and 1 KiB, and a per-node load,
-    /// at four page sizes.
-    #[test]
-    fn every_reader_of_a_stored_node_answers_what_its_source_node_does() {
-        let mut syms = SymbolTable::new();
-        let mut docs = corpus_documents(&mut syms);
-        for (depth, seed) in [(300, DeepConfig::tiny().seed), (150, 3)] {
-            let deep = DeepConfig {
-                depth,
-                seed,
-                ..DeepConfig::tiny()
-            };
-            docs.push(generate_deep(&deep, &mut syms));
-        }
-        for page_size in [512, 1_024, 2_048, 8_192] {
-            let (st, roots) = stored(page_size, &docs);
-            let _pin = st.begin_read();
-            // The facades of the stored subtree at `ptr`, by the walk.
-            let walk = |ptr| {
-                let mut met = Vec::new();
-                walk_records(&st, ptr, (), |(), _| Some(()), &mut |entry, ()| {
-                    if let RecordEntry::Node {
-                        ptr,
-                        label,
-                        literal,
-                    } = entry
-                    {
-                        met.push((ptr, label, literal));
-                    }
-                    true
-                })
-                .unwrap();
-                met
-            };
-            for (doc, &root) in docs.iter().chain([&docs[0]]).zip(&roots) {
-                let order: Vec<NodeIdx> = doc.pre_order().collect();
-                let source: Vec<(LabelId, bool)> = order
-                    .iter()
-                    .map(|&n| match doc.data(n) {
-                        NodeData::Element(label) => (*label, false),
-                        NodeData::Literal { label, .. } => (*label, true),
-                    })
-                    .collect();
-                let nodes = walk(NodePtr::new(root, 0));
-                let at: HashMap<NodePtr, usize> =
-                    nodes.iter().enumerate().map(|(i, n)| (n.0, i)).collect();
-                let position: HashMap<NodeIdx, usize> =
-                    order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-                for (i, &n) in order.iter().enumerate() {
-                    let ptr = nodes[i].0;
-                    let what = format!("{page_size} B pages, document {root}, node {i} at {ptr}");
-                    let end = i + doc.pre_order_from(n).count();
-                    let sub = walk(ptr);
-                    assert_eq!(sub, nodes[i..end], "{what}: the walk");
-                    let met: Vec<(LabelId, bool)> = sub.iter().map(|m| (m.1, m.2)).collect();
-                    assert_eq!(met, source[i..end], "{what}: the walk's labels");
-                    let kids: Vec<usize> = st
-                        .logical_children(ptr)
-                        .unwrap()
-                        .iter()
-                        .map(|p| at[p])
-                        .collect();
-                    let want: Vec<usize> = doc.children(n).iter().map(|c| position[c]).collect();
-                    assert_eq!(kids, want, "{what}: the children");
-                    assert_eq!(
-                        subtree_text(&st, ptr).unwrap(),
-                        doc.text_content(n),
-                        "{what}: the text"
-                    );
-                    if !source[i].1 {
-                        let xml = write_subtree(doc, n, &syms, WriteOptions::compact()).unwrap();
-                        assert_eq!(
-                            serialize_xml(&st, ptr, &syms).unwrap(),
-                            xml,
-                            "{what}: the serialization"
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,6 +1,8 @@
 //! What the tree store's seeded tests share: the document generators a
 //! seed picks from, a store over memory pages, the per-record canonical
-//! check, and a stored document edited beside a DOM edited the same way.
+//! check, the per-node load, every reader of a stored node against its
+//! DOM node, and a stored document edited beside a DOM edited the same
+//! way.
 
 #![allow(dead_code, reason = "each test crate uses a part")]
 
@@ -16,10 +18,12 @@ use natix_storage::{BufferManager, MemStorage, Metrics, Rid, StorageManager};
 use natix_tree::record::{try_serialize, RecordView};
 use natix_tree::typetable::TypeTable;
 use natix_tree::{
-    bulkload_document, traverse, InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour,
-    SplitMatrix, TreeConfig, TreeResult, TreeStore, VersionStore, VisitEvent,
+    bulkload_document, serialize_xml, subtree_text, traverse, walk_records, InsertPos, NewNode,
+    NodePtr, OpResult, RecordEntry, SplitBehaviour, SplitMatrix, TreeConfig, TreeError, TreeResult,
+    TreeStore, VersionStore, VisitEvent,
 };
-use natix_xml::{Document, LiteralValue, NodeData, NodeIdx, SymbolTable};
+use natix_xml::writer::{write_subtree, WriteOptions};
+use natix_xml::{Document, LabelId, LiteralValue, NodeData, NodeIdx, SymbolTable};
 
 /// A tree store over `page_size`-byte memory pages.
 pub fn store(page_size: usize, config: TreeConfig, matrix: SplitMatrix) -> TreeStore {
@@ -184,6 +188,143 @@ pub fn addresses(st: &TreeStore, root: Rid) -> TreeResult<Vec<NodePtr>> {
     Ok(out)
 }
 
+/// Loads `doc` the per-node oracle's way: one tree-growth insert per
+/// node, in pre-order, each as its parent's last child. Returns the root
+/// record.
+pub fn load_per_node(st: &TreeStore, doc: &Document) -> TreeResult<Rid> {
+    let mut root = st.create_tree(doc.data(doc.root()).label())?;
+    let mut ptrs = HashMap::from([(doc.root(), NodePtr::new(root, 0))]);
+    for n in doc.pre_order().skip(1) {
+        let parent = ptrs[&doc.parent(n).expect("not the root")];
+        let (label, node) = new_node(doc.data(n));
+        let res = st.insert(parent, InsertPos::Last, label, node)?;
+        for p in ptrs.values_mut() {
+            *p = res.follow(*p);
+        }
+        if let Some((old, new)) = res.root_moved {
+            if root == old {
+                root = new;
+            }
+        }
+        ptrs.insert(n, res.new_node.expect("an insert names its node"));
+    }
+    Ok(root)
+}
+
+/// The facades of the stored subtree at `ptr` with their labels and
+/// whether each is a literal, by the unpruned record walk.
+fn facades(st: &TreeStore, ptr: NodePtr) -> TreeResult<Vec<(NodePtr, LabelId, bool)>> {
+    let mut met = Vec::new();
+    walk_records(st, ptr, (), |(), _| Some(()), &mut |entry, ()| {
+        if let RecordEntry::Node {
+            ptr,
+            label,
+            literal,
+        } = entry
+        {
+            met.push((ptr, label, literal));
+        }
+        true
+    })?;
+    Ok(met)
+}
+
+/// Every reader of the stored layout against `doc`, the DOM the document
+/// stored at `root` must equal, at the pre-order positions `at`: the
+/// unpruned record walk, the logical children, the text and the
+/// serialization (a refusal included) of each stored facade equal those
+/// of the DOM node at the same position.
+pub fn same_readers(
+    st: &TreeStore,
+    root: Rid,
+    doc: &Document,
+    syms: &SymbolTable,
+    at: impl IntoIterator<Item = usize>,
+) -> Result<(), String> {
+    let _pin = st.begin_read();
+    let walk = |ptr| facades(st, ptr).map_err(|e| format!("walk from {ptr}: {e}"));
+    let order: Vec<NodeIdx> = doc.pre_order().collect();
+    let source: Vec<(LabelId, bool)> = order
+        .iter()
+        .map(|&n| (doc.data(n).label(), !doc.data(n).is_element()))
+        .collect();
+    let nodes = walk(NodePtr::new(root, 0))?;
+    if nodes.len() != order.len() {
+        return Err(format!(
+            "{} nodes stored, {} in the DOM",
+            nodes.len(),
+            order.len()
+        ));
+    }
+    let index: HashMap<NodePtr, usize> = nodes.iter().enumerate().map(|(i, n)| (n.0, i)).collect();
+    let position: HashMap<NodeIdx, usize> =
+        order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+    // Each node's subtree ends where the next node not below it starts,
+    // and its text is the text of the nodes in between: one pass each.
+    let mut end = vec![order.len(); order.len()];
+    let mut open: Vec<usize> = Vec::new();
+    for (i, &n) in order.iter().enumerate() {
+        while let Some(&top) = open.last() {
+            if Some(order[top]) == doc.parent(n) {
+                break;
+            }
+            end[top] = i;
+            open.pop();
+        }
+        open.push(i);
+    }
+    let mut text = String::new();
+    let mut text_at = Vec::with_capacity(order.len() + 1);
+    for &n in &order {
+        text_at.push(text.len());
+        if let NodeData::Literal {
+            label: natix_xml::LABEL_TEXT,
+            value,
+        } = doc.data(n)
+        {
+            text.push_str(&value.to_text());
+        }
+    }
+    text_at.push(text.len());
+    for i in at {
+        let (n, ptr, end) = (order[i], nodes[i].0, end[i]);
+        let what = format!("node {i} at {ptr}");
+        let sub = walk(ptr)?;
+        if sub != nodes[i..end] {
+            return Err(format!("{what}: the walk"));
+        }
+        if !sub
+            .iter()
+            .map(|m| (m.1, m.2))
+            .eq(source[i..end].iter().copied())
+        {
+            return Err(format!("{what}: the walk's labels"));
+        }
+        let kids = st
+            .logical_children(ptr)
+            .map_err(|e| format!("{what}: {e}"))?;
+        let kids: Vec<Option<usize>> = kids.iter().map(|p| index.get(p).copied()).collect();
+        let want: Vec<Option<usize>> = doc.children(n).iter().map(|c| Some(position[c])).collect();
+        if kids != want {
+            return Err(format!("{what}: the children {kids:?}, not {want:?}"));
+        }
+        let stored = subtree_text(st, ptr).map_err(|e| format!("{what}: {e}"))?;
+        if stored != text[text_at[i]..text_at[end]] {
+            return Err(format!("{what}: the text"));
+        }
+        let stored = match serialize_xml(st, ptr, syms) {
+            Err(TreeError::Xml(e)) => Err(e),
+            Err(e) => return Err(format!("{what}: serialize: {e}")),
+            Ok(xml) => Ok(xml),
+        };
+        let dom = write_subtree(doc, n, syms, WriteOptions::compact());
+        if stored != dom {
+            return Err(format!("{what}: the serialization {stored:?}, not {dom:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// A stored document and the DOM it must equal: every edit is made on
 /// both, and each node's address follows the relocations the store
 /// reports.
@@ -210,6 +351,25 @@ impl Shadow {
     /// The stored address of `n`.
     pub fn ptr(&self, n: NodeIdx) -> NodePtr {
         self.ptrs[&n]
+    }
+
+    /// Whether every address the shadow follows still names a node of its
+    /// DOM node's label and kind.
+    pub fn check_addresses(&self) -> Result<(), String> {
+        let _pin = self.store.begin_read();
+        for (&n, &ptr) in &self.ptrs {
+            let stored = self
+                .store
+                .node_label(ptr)
+                .map_err(|e| format!("node {n} at {ptr}: {e}"))?;
+            let data = self.doc.data(n);
+            if stored != (data.label(), !data.is_element()) {
+                return Err(format!(
+                    "node {n} at {ptr} is {stored:?}, its DOM node {data:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Inserts `data` as child `at` of `parent`.

@@ -5,8 +5,13 @@
 //! `update_literal`, `delete_subtree` — on the store and on a DOM alike.
 //! After every edit, every record on every page must be its own
 //! re-encoding and reachable from the root, `check_tree` must pass (its
-//! invariant 4 is the standalone parent pointer), and the stored document
-//! must equal the DOM.
+//! invariant 4 is the standalone parent pointer), the stored document
+//! must equal the DOM, and every address the test follows must still name
+//! a node of its DOM node's label. Every reader of a stored node — the
+//! record walk, the children, the text, the serialization — must answer
+//! what its DOM node does: at 8 seeded nodes after each edit, at every
+//! node after a seed's last. Two workers take the seeds in turn; the
+//! first failing seed names itself.
 //!
 //! The edits lean toward what makes records move, split and normalize:
 //! inserts into the fullest of a few sampled records, long literals, late
@@ -22,7 +27,7 @@ use natix_storage::slotted::SlottedPageRef;
 use natix_tree::{check_tree, reconstruct_document, SplitMatrix, TreeConfig, TreeResult};
 use natix_xml::{LiteralValue, NodeData, NodeIdx, SymbolTable};
 
-use common::{canonical_records, document, letters, random_matrix, store, Shadow};
+use common::{canonical_records, document, letters, random_matrix, same_readers, store, Shadow};
 
 /// Seeds the test runs: every one in a release build, the first few in a
 /// debug build.
@@ -30,6 +35,10 @@ const SEEDS: u64 = if cfg!(debug_assertions) { 16 } else { 400 };
 
 /// Edits per seed.
 const EDITS: usize = 40;
+
+/// Nodes whose readers are compared after every edit but a seed's last
+/// (after which every node's are).
+const SAMPLED: usize = 8;
 
 /// The stored length of the record holding `n`.
 fn record_len(sh: &Shadow, n: NodeIdx) -> usize {
@@ -146,8 +155,13 @@ fn edit(sh: &mut Shadow, g: &mut SplitMix64, long: usize) -> (String, TreeResult
 }
 
 /// The checks after every edit: every record on every page canonical and
-/// reachable, the invariants, and the document.
-fn verify(sh: &Shadow) -> Result<(), String> {
+/// reachable, the invariants, the document, the followed addresses, and
+/// the readers of the nodes at pre-order positions `at`.
+fn verify(
+    sh: &Shadow,
+    syms: &SymbolTable,
+    at: impl IntoIterator<Item = usize>,
+) -> Result<(), String> {
     let stored = canonical_records(&sh.store)?;
     let stats = check_tree(&sh.store, sh.root).map_err(|e| e.to_string())?;
     if stats.records != stored {
@@ -160,7 +174,8 @@ fn verify(sh: &Shadow) -> Result<(), String> {
     if back != sh.doc {
         return Err("the stored document differs from the DOM".into());
     }
-    Ok(())
+    sh.check_addresses()?;
+    same_readers(&sh.store, sh.root, &sh.doc, syms, at)
 }
 
 /// Loads the seed's case and edits it: its family, or what failed.
@@ -177,22 +192,51 @@ fn check(seed: u64) -> Result<usize, String> {
     let what = format!("{what}, {page_size}-byte pages, {which} matrix");
     let st = store(page_size, TreeConfig::paper(), matrix);
     let mut sh = Shadow::load(st, doc).map_err(|e| format!("{what}: load: {e}"))?;
+    // Its own generator, so the edits stay those of the seed.
+    let mut picks = SplitMix64::new(!seed);
     for step in 0..EDITS {
         let (op, done) = edit(&mut sh, &mut g, page_size / 4);
         done.map_err(|e| format!("{what}: step {step}, {op}: {e}"))?;
-        verify(&sh).map_err(|e| format!("{what}: after step {step}, {op}: {e}"))?;
+        let nodes = sh.doc.reachable_count();
+        let at: Vec<usize> = if step + 1 == EDITS {
+            (0..nodes).collect()
+        } else {
+            (0..SAMPLED).map(|_| picks.below(nodes)).collect()
+        };
+        verify(&sh, &syms, at).map_err(|e| format!("{what}: after step {step}, {op}: {e}"))?;
     }
     Ok(family)
 }
 
+/// Workers the seeds are dealt to, in turn.
+const WORKERS: u64 = 2;
+
 #[test]
 fn every_edit_leaves_canonical_reachable_records_and_the_dom_s_document() {
+    let mut results: Vec<(u64, Result<usize, String>)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                s.spawn(move || {
+                    let seeds = (w..SEEDS).step_by(WORKERS as usize);
+                    let run = |seed| std::panic::catch_unwind(|| check(seed));
+                    let panicked = || Err("panicked (its message is above)".to_string());
+                    seeds
+                        .map(|seed| (seed, run(seed).unwrap_or_else(|_| panicked())))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a worker catches its seeds' panics"))
+            .collect()
+    });
+    results.sort_by_key(|r| r.0);
     let mut families = [0; 4];
-    for seed in 0..SEEDS {
-        match std::panic::catch_unwind(|| check(seed)) {
-            Ok(Ok(family)) => families[family] += 1,
-            Ok(Err(e)) => panic!("seed {seed}: {e}"),
-            Err(_) => panic!("seed {seed} panicked (its message is above)"),
+    for (seed, result) in results {
+        match result {
+            Ok(family) => families[family] += 1,
+            Err(e) => panic!("seed {seed}: {e}"),
         }
     }
     assert!(

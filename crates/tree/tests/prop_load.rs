@@ -10,11 +10,14 @@
 
 mod common;
 
-use natix_corpus::SplitMix64;
+use natix_corpus::{
+    generate_corpus, generate_deep, generate_orders, CorpusConfig, DeepConfig, OrdersConfig,
+    SplitMix64,
+};
 use natix_tree::{bulkload_document, check_tree, reconstruct_document, SplitMatrix, TreeConfig};
 use natix_xml::{Document, SymbolTable};
 
-use common::{canonical_records, document, random_matrix, store};
+use common::{canonical_records, document, load_per_node, random_matrix, same_readers, store};
 
 /// Seeds the test runs: every one in a release build, the first few in a
 /// debug build.
@@ -72,4 +75,45 @@ fn every_loaded_record_is_canonical_and_the_document_reads_back() {
         families.iter().all(|&n| n > 0),
         "the seeds miss a family: {families:?}"
     );
+}
+
+/// Every reader of the stored layout against the source DOM, at every
+/// node (`common::same_readers`): four plays, an order batch, the tiny
+/// deep document (split prefix chains at 2 KiB), a 300-level one, a
+/// 150-level one whose spilled levels start below a split chain's upper
+/// piece at 512 B and 1 KiB, and the first play once more, loaded per
+/// node, all in one store, at four page sizes.
+#[test]
+fn every_reader_of_a_stored_node_answers_what_its_source_node_does() {
+    let mut syms = SymbolTable::new();
+    let mut docs: Vec<Document> = generate_corpus(&CorpusConfig::tiny(), &mut syms)
+        .into_iter()
+        .map(|p| p.doc)
+        .collect();
+    docs.push(generate_orders(&OrdersConfig::tiny(), &mut syms));
+    for (depth, seed) in [
+        (DeepConfig::tiny().depth, DeepConfig::tiny().seed),
+        (300, DeepConfig::tiny().seed),
+        (150, 3),
+    ] {
+        let deep = DeepConfig {
+            depth,
+            seed,
+            ..DeepConfig::tiny()
+        };
+        docs.push(generate_deep(&deep, &mut syms));
+    }
+    for page_size in [512, 1_024, 2_048, 8_192] {
+        let st = store(page_size, TreeConfig::paper(), SplitMatrix::all_other());
+        let mut roots: Vec<_> = docs
+            .iter()
+            .map(|d| bulkload_document(&st, d, None).unwrap().root_rid)
+            .collect();
+        roots.push(load_per_node(&st, &docs[0]).unwrap());
+        for (doc, &root) in docs.iter().chain([&docs[0]]).zip(&roots) {
+            let every = 0..doc.node_count();
+            same_readers(&st, root, doc, &syms, every)
+                .unwrap_or_else(|e| panic!("{page_size} B pages, document {root}: {e}"));
+        }
+    }
 }

@@ -20,6 +20,7 @@
 //! * [`dtd`] — a reader for document type definitions (the paper: "the DTD
 //!   is just a way of specifying the node alphabet ΣDTD"),
 //! * [`tree`] — the logical ordered labelled tree ([`tree::Document`]),
+//! * [`map`] — the one mapping between text and labelled nodes, each way,
 //! * [`writer`] — serialisation back to XML text,
 //! * [`escape`] — entity escaping/unescaping.
 //!
@@ -37,6 +38,7 @@
 pub mod dtd;
 pub mod error;
 pub mod escape;
+pub mod map;
 pub mod parser;
 pub mod symbols;
 pub mod tree;
@@ -44,15 +46,16 @@ pub mod writer;
 
 pub use dtd::Dtd;
 pub use error::{XmlError, XmlResult};
+pub use map::{parse_nodes, Node};
 pub use parser::{is_name, ParserOptions, PullParser, XmlEvent};
 pub use symbols::{
     LabelId, LabelKind, SymbolTable, LABEL_COMMENT, LABEL_NONE, LABEL_PI, LABEL_TEXT,
 };
-pub use tree::{Document, LiteralValue, NodeData, NodeIdx};
-pub use writer::{write_document, WriteOptions};
+pub use tree::{Builder, Document, LiteralValue, NodeData, NodeIdx};
+pub use writer::{write_document, WriteOptions, XmlWriter};
 
 /// Parses XML text into a logical [`Document`], interning labels into
-/// `symbols`. Convenience over driving [`PullParser`] by hand.
+/// `symbols`: the parse mapping into the DOM builder ([`map`]).
 pub fn parse_document(
     text: &str,
     symbols: &mut SymbolTable,

@@ -2,9 +2,9 @@
 //!
 //! The paper (§2.2): "our data model [...] can easily be generated by an
 //! XML parser"; the evaluation (§4.3) stores documents through exactly such
-//! a parser. [`PullParser`] yields a flat stream of events; the document
-//! builder in [`crate::tree`] and the streaming bulk loader in the
-//! repository layer both drive it.
+//! a parser. [`PullParser`] yields a flat stream of events; the parse
+//! mapping ([`crate::map::parse_nodes`]) drives it, for the document
+//! builder and the repository's streaming load alike.
 //!
 //! Guarantees: events are balanced (self-closing `<x/>` emits start *and*
 //! end), tag mismatches and premature EOF are errors, entity and character
@@ -395,19 +395,19 @@ impl<'a> PullParser<'a> {
     }
 }
 
-/// Collects all events of `input` (test helper and small-document path).
-pub fn parse_events(input: &str, options: ParserOptions) -> XmlResult<Vec<XmlEvent<'_>>> {
-    let mut parser = PullParser::new(input, options);
-    let mut out = Vec::new();
-    while let Some(ev) = parser.next_event()? {
-        out.push(ev);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Collects all events of `input`.
+    fn parse_events(input: &str, options: ParserOptions) -> XmlResult<Vec<XmlEvent<'_>>> {
+        let mut parser = PullParser::new(input, options);
+        let mut out = Vec::new();
+        while let Some(ev) = parser.next_event()? {
+            out.push(ev);
+        }
+        Ok(out)
+    }
 
     #[test]
     fn is_name_is_the_rule_parse_name_applies() {

@@ -11,11 +11,17 @@
 //! repository for storage, (b) the result of reconstructing a stored
 //! physical tree (§2.3.3: "Substituting all proxies by their respective
 //! subtrees reconstructs the original data tree"), and (c) the oracle in
-//! the test suite's equivalence checks.
+//! the test suite's equivalence checks. [`Builder`] makes one from the
+//! nodes of the mapping ([`crate::map`]), whether a parse or a record
+//! traversal yields them, and [`Document::nodes`] walks one back into
+//! them.
+
+use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlResult};
-use crate::parser::{ParserOptions, PullParser, XmlEvent};
-use crate::symbols::{LabelId, SymbolTable, LABEL_COMMENT, LABEL_PI, LABEL_TEXT};
+use crate::map::{parse_nodes, Node};
+use crate::parser::ParserOptions;
+use crate::symbols::{LabelId, SymbolTable, LABEL_TEXT};
 
 /// Index of a node within its document arena.
 pub type NodeIdx = u32;
@@ -198,20 +204,45 @@ impl Document {
         }
     }
 
-    /// Pre-order traversal from the root.
-    pub fn pre_order(&self) -> PreOrder<'_> {
-        PreOrder {
-            doc: self,
-            stack: vec![self.root],
-        }
+    /// The DOM walk of the whole document ([`nodes_from`](Self::nodes_from)).
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeIdx, Node<'_>)> {
+        self.nodes_from(self.root)
     }
 
-    /// Pre-order traversal of the subtree rooted at `node`.
-    pub fn pre_order_from(&self, node: NodeIdx) -> PreOrder<'_> {
-        PreOrder {
-            doc: self,
-            stack: vec![node],
-        }
+    /// The DOM walk: the subtree at `node` as nodes of the mapping
+    /// ([`crate::map`]) in document order, each element's close after its
+    /// content, with the index each belongs to (a close, its element's).
+    /// It yields what the parse mapping yields for the subtree's text. One
+    /// explicit stack, so depth costs heap, not stack.
+    pub fn nodes_from(&self, node: NodeIdx) -> impl Iterator<Item = (NodeIdx, Node<'_>)> {
+        // The nodes still to walk, the next one last; `true` marks the
+        // close of an element whose content was walked.
+        let mut stack = vec![(node, false)];
+        std::iter::from_fn(move || {
+            let (n, close) = stack.pop()?;
+            let node = match self.data(n) {
+                _ if close => Node::Close,
+                NodeData::Element(label) => {
+                    stack.push((n, true));
+                    stack.extend(self.children(n).iter().rev().map(|&c| (c, false)));
+                    Node::Open(*label)
+                }
+                NodeData::Literal { label, value } => Node::Literal(*label, Cow::Borrowed(value)),
+            };
+            Some((n, node))
+        })
+    }
+
+    /// Pre-order traversal from the root.
+    pub fn pre_order(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.pre_order_from(self.root)
+    }
+
+    /// Pre-order traversal of the subtree rooted at `node`: the DOM walk
+    /// without its closes.
+    pub fn pre_order_from(&self, node: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
+        let opened = |(n, node)| (node != Node::Close).then_some(n);
+        self.nodes_from(node).filter_map(opened)
     }
 
     /// Number of reachable nodes (equals [`node_count`](Self::node_count)
@@ -258,77 +289,67 @@ impl PartialEq for Document {
     }
 }
 
-/// Iterator over a subtree in pre-order.
-pub struct PreOrder<'a> {
-    doc: &'a Document,
-    stack: Vec<NodeIdx>,
-}
-
-impl Iterator for PreOrder<'_> {
-    type Item = NodeIdx;
-
-    fn next(&mut self) -> Option<NodeIdx> {
-        let node = self.stack.pop()?;
-        let kids = self.doc.children(node);
-        self.stack.extend(kids.iter().rev());
-        Some(node)
-    }
-}
-
-/// Builds a [`Document`] from XML text by driving the pull parser: one
-/// node per event (the parser already joins a run of text and CDATA).
+/// Builds a [`Document`] from XML text: the parse mapping into the
+/// builder.
 pub fn build_from_text(
     text: &str,
     symbols: &mut SymbolTable,
     options: ParserOptions,
 ) -> XmlResult<Document> {
-    let mut parser = PullParser::new(text, options);
-    let mut doc: Option<Document> = None;
-    let mut stack: Vec<NodeIdx> = Vec::new();
-    while let Some(event) = parser.next_event()? {
-        let (label, body) = match event {
-            XmlEvent::StartElement { name, attrs } => {
-                let label = symbols.intern_element(name);
-                let (d, node) = match (&mut doc, stack.last()) {
-                    (None, _) => (doc.insert(Document::new(NodeData::Element(label))), 0),
-                    (Some(d), Some(&parent)) => {
-                        let node = d.add_child(parent, NodeData::Element(label));
-                        (d, node)
-                    }
-                    (Some(_), None) => {
-                        return Err(XmlError::Structure("multiple root elements".into()))
-                    }
-                };
-                for (attr_name, value) in attrs {
-                    let alabel = symbols.intern_attribute(attr_name);
-                    d.add_child(node, NodeData::attribute(alabel, value));
-                }
-                stack.push(node);
-                continue;
+    let mut builder = Builder::default();
+    let intern = |kind, name: &str| symbols.intern(kind, name);
+    parse_nodes(text, options, intern, |node| builder.node(node))?;
+    // The parser refuses a text without a root element.
+    builder
+        .finish()
+        .ok_or_else(|| XmlError::Structure("empty document".into()))
+}
+
+/// The DOM builder: a [`Document`] from the nodes of the mapping
+/// ([`crate::map`]). The first node is the root; a literal root stands
+/// alone.
+#[derive(Debug, Default)]
+pub struct Builder {
+    doc: Option<Document>,
+    /// The open elements, innermost last.
+    open: Vec<NodeIdx>,
+}
+
+impl Builder {
+    /// Adds `node`: a child of the innermost open element, or the root.
+    /// A node after a root that has closed is an error.
+    pub fn node(&mut self, node: Node<'_>) -> XmlResult<()> {
+        let data = match node {
+            Node::Open(label) => NodeData::Element(label),
+            Node::Literal(label, value) => NodeData::Literal {
+                label,
+                value: value.into_owned(),
+            },
+            Node::Close => {
+                self.open.pop();
+                return Ok(());
             }
-            XmlEvent::EndElement { .. } => {
-                stack.pop();
-                continue;
-            }
-            XmlEvent::Doctype { .. } => continue, // schema handling is the caller's business
-            XmlEvent::Text(t) => (LABEL_TEXT, t),
-            XmlEvent::Comment(c) => (LABEL_COMMENT, c.to_string()),
-            XmlEvent::Pi { target, data: "" } => (LABEL_PI, target.to_string()),
-            XmlEvent::Pi { target, data } => (LABEL_PI, format!("{target} {data}")),
         };
-        // The parser refuses text outside the root; a PI there has no node.
-        if let (Some(d), Some(&parent)) = (&mut doc, stack.last()) {
-            let value = LiteralValue::String(body);
-            d.add_child(parent, NodeData::Literal { label, value });
-        }
+        let element = data.is_element();
+        let n = match (&mut self.doc, self.open.last()) {
+            (Some(doc), Some(&parent)) => doc.add_child(parent, data),
+            (None, _) => self.doc.insert(Document::new(data)).root(),
+            (Some(_), None) => return Err(XmlError::Structure("more than one root node".into())),
+        };
+        self.open.extend(element.then_some(n));
+        Ok(())
     }
-    doc.ok_or_else(|| XmlError::Structure("empty document".into()))
+
+    /// The document built, or `None` when no node came.
+    pub fn finish(self) -> Option<Document> {
+        self.doc
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::symbols::LabelKind;
+    use crate::symbols::{LabelKind, LABEL_COMMENT, LABEL_PI};
 
     fn parse(text: &str) -> (Document, SymbolTable) {
         let mut syms = SymbolTable::new();

@@ -2,14 +2,20 @@
 //!
 //! The evaluation's Query 2 "recreates the textual representation of the
 //! complete first speech in every scene" — i.e. the repository must be able
-//! to turn any stored subtree back into markup. This module does it for
-//! in-memory [`Document`]s; the repository layer streams the same format
-//! straight out of physical records.
+//! to turn any stored subtree back into markup. [`XmlWriter`] is the one
+//! writer of that markup, fed one node of the mapping ([`crate::map`]) at
+//! a time: [`write_document`] and [`write_subtree`] feed it the DOM walk
+//! and choose the layout, and the repository feeds it the traversal of
+//! the stored records, so an export of a stored node and of its source
+//! node are one text, and one refusal.
+
+use std::borrow::Cow;
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::{escape_attr, escape_text};
-use crate::symbols::{LabelKind, SymbolTable, LABEL_COMMENT, LABEL_PI, LABEL_TEXT};
-use crate::tree::{Document, NodeData, NodeIdx};
+use crate::map::Node;
+use crate::symbols::{LabelId, LabelKind, SymbolTable, LABEL_COMMENT, LABEL_PI, LABEL_TEXT};
+use crate::tree::{Document, LiteralValue, NodeData, NodeIdx};
 
 /// Serialisation style.
 #[derive(Debug, Clone, Copy)]
@@ -50,151 +56,162 @@ pub fn write_document(
     symbols: &SymbolTable,
     options: WriteOptions,
 ) -> XmlResult<String> {
-    let mut out = String::new();
-    if options.xml_decl {
-        // No explicit newline: `indent` adds one before the root element.
-        out.push_str("<?xml version=\"1.0\"?>");
-    }
-    write_subtree_into(doc, doc.root(), symbols, options, &mut out)?;
-    Ok(out)
+    write_from(doc, doc.root(), symbols, options)
 }
 
-/// Serialises the subtree rooted at `node`.
+/// Serialises the subtree rooted at `node`, without the declaration.
 pub fn write_subtree(
     doc: &Document,
     node: NodeIdx,
     symbols: &SymbolTable,
     options: WriteOptions,
 ) -> XmlResult<String> {
-    let mut out = String::new();
-    write_subtree_into(doc, node, symbols, options, &mut out)?;
-    Ok(out)
+    let options = WriteOptions {
+        xml_decl: false,
+        ..options
+    };
+    write_from(doc, node, symbols, options)
 }
 
-fn write_subtree_into(
+/// The DOM walk into the writer, with the layout: under `indent`, element
+/// tags, comments and PIs start lines indented by depth, except inside
+/// mixed content (an element with a text child), where indentation would
+/// inject whitespace into character data and break parse/serialise
+/// roundtrips.
+fn write_from(
     doc: &Document,
     node: NodeIdx,
     symbols: &SymbolTable,
     options: WriteOptions,
-    out: &mut String,
-) -> XmlResult<()> {
-    // Pre-order off an explicit stack, so depth costs heap, not stack. A
-    // step carries its indentation width (`None` inside mixed content)
-    // and its depth; an element's close tag is a step of its own.
-    enum Step<'s> {
-        Open(NodeIdx, Option<usize>, usize),
-        Close(&'s str, Option<usize>, usize),
+) -> XmlResult<String> {
+    let mut writer = XmlWriter::new(symbols);
+    if options.xml_decl {
+        // No explicit newline: `indent` adds one before the root element.
+        writer.out.push_str("<?xml version=\"1.0\"?>");
     }
-    let mut steps = vec![Step::Open(node, options.indent, 0)];
-    while let Some(step) = steps.pop() {
-        let (node, width, depth) = match step {
-            Step::Open(node, width, depth) => (node, width, depth),
-            Step::Close(name, width, depth) => {
-                indent(out, width, depth);
-                out.push_str("</");
-                out.push_str(name);
-                out.push('>');
-                continue;
+    let is_text = |k: &NodeIdx| matches!(doc.data(*k), NodeData::Literal { label, .. } if *label == LABEL_TEXT);
+    let mut depth = 0;
+    // The depth of the outermost open element with mixed content.
+    let mut inline_from = None;
+    for (n, node) in doc.nodes_from(node) {
+        depth -= usize::from(node == Node::Close);
+        let indent = options.indent.filter(|_| inline_from.is_none());
+        let indent = indent.map(|width| width * depth);
+        match node {
+            Node::Open(_) => {
+                if inline_from.is_none() && doc.children(n).iter().any(is_text) {
+                    inline_from = Some(depth);
+                }
+                depth += 1;
             }
-        };
-        match doc.data(node) {
-            NodeData::Element(label) => {
-                let name = symbols.name(*label);
-                indent(out, width, depth);
-                out.push('<');
-                out.push_str(name);
-                // Leading attribute literals become attributes; any
-                // attribute literal after content would be unrepresentable
-                // in XML.
-                let kids = doc.children(node);
-                let mut content_from = 0;
-                for &k in kids {
-                    if let NodeData::Literal { label, value } = doc.data(k) {
-                        if symbols.kind(*label) == LabelKind::Attribute {
-                            out.push(' ');
-                            out.push_str(symbols.name(*label));
-                            out.push_str("=\"");
-                            out.push_str(&escape_attr(&value.to_text()));
-                            out.push('"');
-                            content_from += 1;
-                            continue;
-                        }
-                    }
-                    break;
-                }
-                if kids[content_from..].iter().any(|&k| {
-                    matches!(doc.data(k), NodeData::Literal { label, .. }
-                        if symbols.kind(*label) == LabelKind::Attribute)
-                }) {
-                    return Err(XmlError::Structure(format!(
-                        "element <{name}> has an attribute literal after content"
-                    )));
-                }
-                let content = &kids[content_from..];
-                if content.is_empty() {
-                    out.push_str("/>");
-                    continue;
-                }
-                out.push('>');
-                // Mixed content (any text child) must stay inline:
-                // indentation would inject whitespace into character data
-                // and break parse/serialise roundtrips.
-                let mixed = content.iter().any(|&k| {
-                    matches!(
-                        doc.data(k),
-                        NodeData::Literal {
-                            label: LABEL_TEXT,
-                            ..
-                        }
-                    )
-                });
-                let inner = if mixed { None } else { width };
-                steps.push(Step::Close(name, inner, depth));
-                steps.extend(
-                    content
-                        .iter()
-                        .rev()
-                        .map(|&k| Step::Open(k, inner, depth + 1)),
-                );
-            }
-            NodeData::Literal { label, value } => match *label {
-                LABEL_TEXT => out.push_str(&escape_text(&value.to_text())),
-                LABEL_COMMENT => {
-                    indent(out, width, depth);
-                    out.push_str("<!--");
-                    out.push_str(&value.to_text());
-                    out.push_str("-->");
-                }
-                LABEL_PI => {
-                    indent(out, width, depth);
-                    out.push_str("<?");
-                    out.push_str(&value.to_text());
-                    out.push_str("?>");
-                }
-                other => {
-                    // A free-standing attribute literal (serialised when a
-                    // subtree is written on its own) has no XML form.
-                    if symbols.kind(other) == LabelKind::Attribute {
-                        return Err(XmlError::Structure(format!(
-                            "cannot serialise detached attribute '{}'",
-                            symbols.name(other)
-                        )));
-                    }
-                    out.push_str(&escape_text(&value.to_text()));
-                }
-            },
+            Node::Close if inline_from == Some(depth) => inline_from = None,
+            _ => {}
         }
+        writer.node(node, indent)?;
     }
-    Ok(())
+    Ok(writer.out)
 }
 
-fn indent(out: &mut String, width: Option<usize>, depth: usize) {
-    if let Some(w) = width {
-        if !out.is_empty() {
-            out.push('\n');
+/// The text writer: XML text from the nodes of the mapping
+/// ([`crate::map`]), one at a time, from a DOM walk or a record traversal
+/// alike. It writes start tags with their attributes, `/>` for an element
+/// without content, comments and PIs, and escapes text and attribute
+/// values. It refuses an attribute after content or outside every element:
+/// XML has no form for either.
+pub struct XmlWriter<'s> {
+    symbols: &'s SymbolTable,
+    out: String,
+    /// The open elements, innermost last.
+    open: Vec<LabelId>,
+    /// Whether the innermost element's start tag still takes attributes.
+    in_tag: bool,
+}
+
+impl<'s> XmlWriter<'s> {
+    /// A writer naming labels from `symbols`.
+    pub fn new(symbols: &'s SymbolTable) -> XmlWriter<'s> {
+        XmlWriter {
+            symbols,
+            out: String::new(),
+            open: Vec::new(),
+            in_tag: false,
         }
-        out.extend(std::iter::repeat_n(' ', w * depth));
     }
+
+    /// Writes `node`. `indent` is the layout's choice (`None` in compact
+    /// text): `Some(n)` starts an element's tag, a comment or a PI on a new
+    /// line indented by `n` spaces; text, attributes and the `/>` of an
+    /// element without content stay where they are.
+    pub fn node(&mut self, node: Node<'_>, indent: Option<usize>) -> XmlResult<()> {
+        let symbols = self.symbols;
+        let (markup, body, end) = match &node {
+            Node::Literal(label, value) if symbols.kind(*label) == LabelKind::Attribute => {
+                let name = symbols.name(*label);
+                if !self.in_tag {
+                    return Err(XmlError::Structure(match self.open.last() {
+                        Some(&e) => format!(
+                            "element <{}> has an attribute literal after content",
+                            symbols.name(e)
+                        ),
+                        None => format!("cannot serialise detached attribute '{name}'"),
+                    }));
+                }
+                let value = text(value);
+                self.out
+                    .extend([" ", name, "=\"", &escape_attr(&value), "\""]);
+                return Ok(());
+            }
+            Node::Close if self.in_tag => {
+                self.in_tag = false;
+                self.open.pop();
+                self.out.push_str("/>");
+                return Ok(());
+            }
+            Node::Open(label) => {
+                self.open.push(*label);
+                ("<", Cow::Borrowed(symbols.name(*label)), "")
+            }
+            Node::Close => {
+                let label = self
+                    .open
+                    .pop()
+                    .ok_or_else(|| XmlError::Structure("a close without an open element".into()))?;
+                ("</", Cow::Borrowed(symbols.name(label)), ">")
+            }
+            Node::Literal(LABEL_COMMENT, value) => ("<!--", text(value), "-->"),
+            Node::Literal(LABEL_PI, value) => ("<?", text(value), "?>"),
+            Node::Literal(_, value) => ("", text(value), ""),
+        };
+        let out = &mut self.out;
+        if std::mem::replace(&mut self.in_tag, matches!(node, Node::Open(_))) {
+            out.push('>');
+        }
+        if markup.is_empty() {
+            // Character data: text, or a literal of another label.
+            out.push_str(&escape_text(&body));
+            return Ok(());
+        }
+        if let Some(spaces) = indent {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            out.extend(std::iter::repeat_n(' ', spaces));
+        }
+        out.extend([markup, &body, end]);
+        Ok(())
+    }
+
+    /// The text written.
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
+
+/// A literal's text, borrowed when it is a string.
+fn text(value: &LiteralValue) -> Cow<'_, str> {
+    value
+        .as_str()
+        .map_or_else(|| value.to_text().into(), Cow::Borrowed)
 }
 
 #[cfg(test)]
