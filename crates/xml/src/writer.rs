@@ -109,7 +109,7 @@ fn write_from(
         }
         writer.node(node, indent)?;
     }
-    Ok(writer.out)
+    Ok(writer.finish())
 }
 
 /// The text writer: XML text from the nodes of the mapping
