@@ -73,9 +73,9 @@ counters! {
     /// Records the tree store encoded whole, to create or rewrite them. A
     /// splice encodes none.
     record_encodes,
-    /// Records the tree store decoded into a record tree: an edit that
-    /// outgrows its page, a normalization, a split's parent, a `load`. A
-    /// read decodes none.
+    /// Records the tree store decoded into a record tree: a `load`, for
+    /// callers outside the engine. A read decodes none, and neither does
+    /// an edit: figure 5 and normalization splice record bytes.
     record_decodes,
     /// Records the tree store parsed into a view, from a page or from the
     /// version store: a read the parsed-record memo did not serve, or a

@@ -44,14 +44,11 @@ impl<'a> SlottedPage<'a> {
         SlottedPage { page }
     }
 
-    /// Wraps an existing slotted page, validating the kind byte.
+    /// Wraps an existing slotted page, validating the kind byte and the
+    /// slot directory: a corrupt page is `StorageError::Corrupt`.
     pub fn open(page: &'a mut PageBuf) -> StorageResult<SlottedPage<'a>> {
-        match page.kind()? {
-            PageKind::Slotted => Ok(SlottedPage { page }),
-            k => Err(StorageError::Corrupt(format!(
-                "expected slotted page, found {k:?}"
-            ))),
-        }
+        check_directory(page)?;
+        Ok(SlottedPage { page })
     }
 
     fn page_size(&self) -> usize {
@@ -344,20 +341,46 @@ fn check_invariants_impl(
     Ok(())
 }
 
+/// What every read of a slotted page trusts, checked when it is opened:
+/// the kind byte says slotted, the slot directory fits below the header,
+/// and each live record lies between the header and the directory (an
+/// empty one at most at the page's end). A page that breaks it — a bit
+/// flip, a torn write — is [`StorageError::Corrupt`], not a slice past the
+/// page.
+fn check_directory(page: &PageBuf) -> StorageResult<()> {
+    let corrupt = |m: String| Err(StorageError::Corrupt(m));
+    let (len, count) = (page.len(), page.slot_count() as usize);
+    let dir = match page.kind()? {
+        PageKind::Slotted => len.checked_sub(SLOT_ENTRY_SIZE * count),
+        k => return corrupt(format!("expected slotted page, found {k:?}")),
+    };
+    let Some(dir) = dir.filter(|&dir| dir >= PAGE_HEADER_SIZE) else {
+        return corrupt(format!("{count} slot entries overflow a {len}-byte page"));
+    };
+    for pos in (dir..len).step_by(SLOT_ENTRY_SIZE) {
+        let (off, rec) = (page.read_u16(pos) as usize, page.read_u16(pos + 2) as usize);
+        let outside = off < PAGE_HEADER_SIZE || off + rec > dir;
+        if off != 0 && (rec != 0 && outside || off > len) {
+            return corrupt(format!(
+                "slot entry at {pos}: record [{off}, {}) outside the data area",
+                off + rec
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Read-only companion of [`SlottedPage`] for shared page access.
 pub struct SlottedPageRef<'a> {
     page: &'a PageBuf,
 }
 
 impl<'a> SlottedPageRef<'a> {
-    /// Wraps an existing slotted page, validating the kind byte.
+    /// Wraps an existing slotted page, validating the kind byte and the
+    /// slot directory: a corrupt page is `StorageError::Corrupt`.
     pub fn open(page: &'a PageBuf) -> StorageResult<SlottedPageRef<'a>> {
-        match page.kind()? {
-            PageKind::Slotted => Ok(SlottedPageRef { page }),
-            k => Err(StorageError::Corrupt(format!(
-                "expected slotted page, found {k:?}"
-            ))),
-        }
+        check_directory(page)?;
+        Ok(SlottedPageRef { page })
     }
 
     fn slot_entry(&self, slot: SlotId) -> (u16, u16) {
@@ -553,6 +576,102 @@ mod tests {
         assert_eq!(sp.get(b).unwrap(), &marker[..], "marker tail must survive");
         assert_eq!(sp.get(c).unwrap(), &[0x11; 20][..]);
         sp.check_invariants().unwrap();
+    }
+
+    /// An 8 KiB page holding one record.
+    fn one_record() -> (PageBuf, SlotId) {
+        let mut p = fresh(8_192);
+        let slot = SlottedPage::open(&mut p).unwrap().insert(&[7; 40]).unwrap();
+        (p, slot)
+    }
+
+    /// Both opens of `p` refuse it as corrupt.
+    fn refused(p: &mut PageBuf) {
+        let read = SlottedPageRef::open(p).err();
+        assert!(matches!(read, Some(StorageError::Corrupt(_))), "{read:?}");
+        let write = SlottedPage::open(p).err();
+        assert!(matches!(write, Some(StorageError::Corrupt(_))), "{write:?}");
+    }
+
+    #[test]
+    fn a_slot_whose_record_runs_past_the_page_is_corrupt() {
+        let (mut p, slot) = one_record();
+        let len_field = p.len() - SLOT_ENTRY_SIZE * (slot as usize + 1) + 2;
+        p.write_u16(len_field, u16::MAX);
+        refused(&mut p);
+    }
+
+    #[test]
+    fn a_slot_count_past_the_page_is_corrupt() {
+        let (mut p, _) = one_record();
+        p.set_slot_count(u16::MAX);
+        refused(&mut p);
+    }
+
+    /// Seeded mutations of a populated page — bit flips, overwritten
+    /// header fields and slot entries, a torn tail — never panic a reader:
+    /// each `open`, `get` and `live_slots` call gives a record inside the
+    /// page or a typed error.
+    #[test]
+    fn a_mutated_page_reads_as_records_inside_it_or_a_typed_error() {
+        let mut base = fresh(2_048);
+        {
+            let mut sp = SlottedPage::open(&mut base).unwrap();
+            for i in 0..24u8 {
+                sp.insert(&vec![i; 1 + usize::from(i) * 3]).unwrap();
+            }
+            for slot in [3, 9, 10, 17] {
+                sp.delete(slot).unwrap();
+            }
+            sp.update(5, &[0xEE; 70]).unwrap();
+        }
+        let mut g = natix_corpus::SplitMix64::new(0x5107_7ED0);
+        let (mut opened, mut refused) = (0, 0);
+        for _ in 0..20_000 {
+            let len = base.len();
+            let mut p = PageBuf::new(len);
+            p.bytes_mut().copy_from_slice(base.bytes());
+            for _ in 0..1 + g.below(3) {
+                match g.below(4) {
+                    0 => {
+                        let at = g.below(len);
+                        p.bytes_mut()[at] ^= 1 << g.below(8);
+                    }
+                    1 => p.write_u16(g.below(8) * 2, g.next_u64() as u16),
+                    2 => {
+                        let entry = len - SLOT_ENTRY_SIZE * (1 + g.below(26));
+                        let field = [0, 5, 16, 2_000, 2_047, u16::MAX][g.below(6)];
+                        p.write_u16(entry + 2 * g.below(2), field);
+                    }
+                    _ => p.bytes_mut()[len - g.below(64) - 1..].fill(0xFF),
+                }
+            }
+            match SlottedPageRef::open(&p) {
+                Ok(view) => {
+                    opened += 1;
+                    for slot in (0..=view.slot_count().saturating_add(2)).chain([u16::MAX]) {
+                        if let Some(record) = view.get(slot) {
+                            let at = record.as_ptr() as usize - p.bytes().as_ptr() as usize;
+                            assert!(at + record.len() <= len);
+                        }
+                    }
+                    assert!(view.live_slots().all(|s| view.get(s).is_some()));
+                }
+                Err(e) => {
+                    assert!(matches!(e, StorageError::Corrupt(_)), "{e}");
+                    refused += 1;
+                }
+            }
+            if let Ok(sp) = SlottedPage::open(&mut p) {
+                for slot in sp.live_slots().collect::<Vec<_>>() {
+                    assert!(sp.get(slot).is_some());
+                }
+            }
+        }
+        assert!(
+            opened > 1_000 && refused > 1_000,
+            "{opened} opened, {refused} refused"
+        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use reconstruct::{
     reconstruct_document, serialize_xml, subtree_text, traverse, walk_records, RecordEntry,
     VisitEvent,
 };
-pub use split::{find_separator, plan_split, SplitPlan};
+pub use split::{find_separator, plan_split, single_root, SplitPlan};
 pub use store::{InsertPos, NewNode, NodeInfo, OpResult, Relocation, TreeStore};
 pub use validate::{check_tree, PhysicalStats};
 pub use version::{ReadPin, VersionStore, WriteOp};

@@ -13,19 +13,17 @@
 //!   nodes, scaffolding objects (proxies and helper aggregates) only exist
 //!   to represent large trees.
 //!
-//! [`RecordTree`] is the in-memory form of one record's subtree: what
-//! figure 5's moves and splits and the normalization of packed records
-//! restructure before it is serialised
-//! back through [`crate::record`]. Byte sizes computed here are
-//! exact mirror images of the serialised format — the split algorithm's
-//! decisions are byte-accurate. [`RecordTree::body_len`] is their
-//! definition, a recursion over the subtree, for callers that need one
-//! size of one tree; a loop over a tree's levels or children reads
-//! [`RecordTree::subtree_sizes`], every size from one pass.
-//!
-//! Readers never build one: they navigate the stored bytes through a
-//! [`crate::record::RecordView`]. A one-node edit that fits its page does
-//! not either: it splices the bytes ([`crate::record::RecordView::splice`]).
+//! [`RecordTree`] is the decoded form of one record's subtree: an arena
+//! node per physical node, a literal's value owned. The engine neither
+//! reads nor edits through it — readers navigate the stored bytes through
+//! a [`crate::record::RecordView`], and every edit, figure 5's moves and
+//! splits and the normalization of packed records included, splices those
+//! bytes. It is what [`crate::TreeStore::load`] returns to callers outside
+//! the engine, and the reference the tests compare the byte paths with:
+//! encoded by [`crate::record::try_serialize`], it gives the bytes an edit
+//! must leave. Byte sizes computed here are exact mirror images of the
+//! serialised format; [`RecordTree::body_len`] is their definition, a
+//! recursion over the subtree.
 
 use natix_storage::Rid;
 use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
@@ -108,11 +106,6 @@ pub struct PNode {
     pub content: PContent,
     /// Arena index of the parent (`None` for the record root).
     pub parent: Option<PNodeId>,
-    /// The node's stored location at load time (`None` for nodes created
-    /// since). Relocation events are emitted from this on serialisation;
-    /// the full address (not just the index) is kept because split
-    /// assembly mixes nodes from different source records in one tree.
-    pub orig: Option<NodePtr>,
 }
 
 impl PNode {
@@ -126,19 +119,9 @@ impl PNode {
         }
     }
 
-    /// True for proxies.
-    pub fn is_proxy(&self) -> bool {
-        matches!(self.content, PContent::Proxy(_))
-    }
-
     /// True for path-prefix entries (depth-aware packing).
     pub fn is_prefix(&self) -> bool {
         matches!(self.content, PContent::Prefix(_))
-    }
-
-    /// True for continuation placeholders (depth-aware packing).
-    pub fn is_continuation(&self) -> bool {
-        matches!(self.content, PContent::Continuation(_))
     }
 
     /// True for scaffolding aggregates (helper nodes like h1/h2 in the
@@ -173,53 +156,12 @@ pub struct RecordTree {
 }
 
 impl RecordTree {
-    /// Creates a record tree holding a single node.
-    pub fn new(label: LabelId, content: PContent, parent_rid: Rid) -> RecordTree {
-        RecordTree {
-            nodes: vec![Some(PNode {
-                label,
-                content,
-                parent: None,
-                orig: None,
-            })],
-            root: 0,
-            parent_rid,
-        }
-    }
-
     /// Creates a tree from already-built arena parts (deserialisation).
     pub(crate) fn from_parts(nodes: Vec<Option<PNode>>, root: PNodeId, parent_rid: Rid) -> Self {
         RecordTree {
             nodes,
             root,
             parent_rid,
-        }
-    }
-
-    /// Creates a new record tree whose root is the subtree `node`
-    /// transplanted out of `src` (split partition assembly). `orig`
-    /// markers travel along, keeping relocations traceable.
-    pub fn from_transplant(src: &mut RecordTree, node: PNodeId) -> RecordTree {
-        let mut dst = RecordTree {
-            nodes: Vec::new(),
-            root: 0,
-            parent_rid: Rid::invalid(),
-        };
-        let id = src.transplant(node, &mut dst);
-        dst.root = id;
-        dst
-    }
-
-    /// Digest label for a proxy referencing this record: the root's label
-    /// when that root is a facade (readers can then prune the record
-    /// without loading its page), [`LABEL_NONE`] ("must read") for
-    /// scaffolding-rooted records.
-    pub(crate) fn proxy_digest(&self) -> LabelId {
-        let root = self.node(self.root);
-        if root.is_facade() {
-            root.label
-        } else {
-            LABEL_NONE
         }
     }
 
@@ -233,26 +175,11 @@ impl RecordTree {
         self.nodes.iter().filter(|n| n.is_some()).count()
     }
 
-    /// Arena slots used so far, tombstones included. The arena is bounded
-    /// by `u16::MAX`.
-    pub fn arena_len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Borrow a node. Panics on tombstones — indices are only produced by
     /// this tree's own API.
     #[expect(clippy::unreachable, reason = "ids come from this arena's API")]
     pub fn node(&self, id: PNodeId) -> &PNode {
         match self.nodes[id as usize].as_ref() {
-            Some(n) => n,
-            None => unreachable!("record-tree id {id} points at a tombstone"),
-        }
-    }
-
-    /// Mutable borrow.
-    #[expect(clippy::unreachable, reason = "ids come from this arena's API")]
-    pub fn node_mut(&mut self, id: PNodeId) -> &mut PNode {
-        match self.nodes[id as usize].as_mut() {
             Some(n) => n,
             None => unreachable!("record-tree id {id} points at a tombstone"),
         }
@@ -266,6 +193,104 @@ impl RecordTree {
         }
     }
 
+    /// Pre-order walk of the subtree at `id`.
+    pub fn pre_order(&self, id: PNodeId) -> Vec<PNodeId> {
+        let mut out = Vec::new();
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            out.push(n);
+            if let PContent::Aggregate(kids) | PContent::Prefix(kids) = &self.node(n).content {
+                stack.extend(kids.iter().rev());
+            }
+        }
+        out
+    }
+
+    /// Exact serialised body length of the subtree at `id` (without its own
+    /// header). This recursion is the *definition* of every size in this
+    /// module and walks the whole subtree: call it (or
+    /// [`record_size`](Self::record_size)) once per tree, never per level
+    /// of a loop that descends one.
+    pub fn body_len(&self, id: PNodeId) -> usize {
+        #[cfg(test)]
+        visits::count(1);
+        match &self.node(id).content {
+            PContent::Literal(v) => literal_body_len(v),
+            PContent::Proxy(_) | PContent::Continuation(_) => PROXY_BODY,
+            PContent::Aggregate(kids) | PContent::Prefix(kids) => kids
+                .iter()
+                .map(|&c| EMBEDDED_HEADER + self.body_len(c))
+                .sum(),
+        }
+    }
+
+    /// Exact serialised size of the whole record.
+    pub fn record_size(&self) -> usize {
+        STANDALONE_HEADER + self.body_len(self.root)
+    }
+
+    /// All child-record RIDs referenced from the subtree at `id` — proxies
+    /// *and* continuation placeholders (both name records whose standalone
+    /// parent pointer must track this record).
+    pub fn proxies_under(&self, id: PNodeId) -> Vec<Rid> {
+        self.pre_order(id)
+            .into_iter()
+            .filter_map(|n| match self.node(n).content {
+                PContent::Proxy(rid) | PContent::Continuation(rid) => Some(rid),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// Test-only count of nodes the size computations visit (`body_len`'s
+/// recursion) and of the header steps a walk of an image's headers takes,
+/// per thread: what the "linear, not quadratic" tests of the encoder and
+/// the bulkloader assert on instead of a stopwatch.
+#[cfg(test)]
+pub(crate) mod visits {
+    use std::cell::Cell;
+
+    thread_local! {
+        static VISITS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count(n: u64) {
+        VISITS.with(|v| v.set(v.get() + n));
+    }
+
+    /// Reads and resets the calling thread's count.
+    pub(crate) fn take() -> u64 {
+        VISITS.with(|v| v.replace(0))
+    }
+}
+
+/// The arena's mutators: what the tests build their reference trees
+/// with.
+#[cfg(test)]
+impl RecordTree {
+    /// Creates a record tree holding a single node.
+    pub fn new(label: LabelId, content: PContent, parent_rid: Rid) -> RecordTree {
+        RecordTree {
+            nodes: vec![Some(PNode {
+                label,
+                content,
+                parent: None,
+            })],
+            root: 0,
+            parent_rid,
+        }
+    }
+
+    /// Mutable borrow.
+    #[expect(clippy::unreachable, reason = "ids come from this arena's API")]
+    pub fn node_mut(&mut self, id: PNodeId) -> &mut PNode {
+        match self.nodes[id as usize].as_mut() {
+            Some(n) => n,
+            None => unreachable!("record-tree id {id} points at a tombstone"),
+        }
+    }
+
     /// Allocates a detached node.
     pub fn alloc(&mut self, label: LabelId, content: PContent) -> PNodeId {
         let nodes = &mut self.nodes;
@@ -275,7 +300,6 @@ impl RecordTree {
             label,
             content,
             parent: None,
-            orig: None,
         }));
         id as PNodeId
     }
@@ -330,147 +354,9 @@ impl RecordTree {
         proxies
     }
 
-    /// Pre-order walk of the subtree at `id`.
-    pub fn pre_order(&self, id: PNodeId) -> Vec<PNodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            if let PContent::Aggregate(kids) | PContent::Prefix(kids) = &self.node(n).content {
-                stack.extend(kids.iter().rev());
-            }
-        }
-        out
-    }
-
-    /// Exact serialised body length of the subtree at `id` (without its own
-    /// header). This recursion is the *definition* of every size in this
-    /// module and walks the whole subtree: call it (or [`embedded_size`],
-    /// [`record_size`]) once per tree, never per level of a loop that
-    /// descends one — such loops read
-    /// [`subtree_sizes`](Self::subtree_sizes).
-    ///
-    /// [`embedded_size`]: Self::embedded_size
-    /// [`record_size`]: Self::record_size
-    pub fn body_len(&self, id: PNodeId) -> usize {
-        #[cfg(test)]
-        visits::count(1);
-        match &self.node(id).content {
-            PContent::Literal(v) => literal_body_len(v),
-            PContent::Proxy(_) | PContent::Continuation(_) => PROXY_BODY,
-            PContent::Aggregate(kids) | PContent::Prefix(kids) => kids
-                .iter()
-                .map(|&c| EMBEDDED_HEADER + self.body_len(c))
-                .sum(),
-        }
-    }
-
     /// Exact serialised size of the subtree at `id` as an embedded object.
     pub fn embedded_size(&self, id: PNodeId) -> usize {
         EMBEDDED_HEADER + self.body_len(id)
-    }
-
-    /// Exact serialised size of the whole record.
-    pub fn record_size(&self) -> usize {
-        STANDALONE_HEADER + self.body_len(self.root)
-    }
-
-    /// [`embedded_size`](Self::embedded_size) of every node at once, indexed
-    /// by arena id (0 for tombstones): one iterative bottom-up pass over
-    /// the arena's trees. What a loop over the levels or children of a
-    /// tree reads instead of re-walking a subtree at every step; a
-    /// standalone size is the entry minus [`EMBEDDED_HEADER`] plus
-    /// [`STANDALONE_HEADER`].
-    pub fn subtree_sizes(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack: Vec<PNodeId> = (0..self.nodes.len())
-            .filter(|&i| matches!(&self.nodes[i], Some(n) if n.parent.is_none()))
-            .map(|i| i as PNodeId)
-            .collect();
-        while let Some(n) = stack.pop() {
-            order.push(n);
-            stack.extend(self.children(n));
-        }
-        #[cfg(test)]
-        visits::count(order.len() as u64);
-        // Parents precede their children in `order`; backwards, every
-        // child's size is final before its parent sums it.
-        let mut sizes = vec![0; self.nodes.len()];
-        for &n in order.iter().rev() {
-            sizes[n as usize] = EMBEDDED_HEADER
-                + match &self.node(n).content {
-                    PContent::Literal(v) => literal_body_len(v),
-                    PContent::Proxy(_) | PContent::Continuation(_) => PROXY_BODY,
-                    PContent::Aggregate(kids) | PContent::Prefix(kids) => {
-                        kids.iter().map(|&c| sizes[c as usize]).sum()
-                    }
-                };
-        }
-        sizes
-    }
-
-    /// All child-record RIDs referenced from the subtree at `id` — proxies
-    /// *and* continuation placeholders (both name records whose standalone
-    /// parent pointer must track this record).
-    pub fn proxies_under(&self, id: PNodeId) -> Vec<Rid> {
-        self.pre_order(id)
-            .into_iter()
-            .filter_map(|n| match self.node(n).content {
-                PContent::Proxy(rid) | PContent::Continuation(rid) => Some(rid),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Moves the subtree rooted at `id` out of this arena into `dst`,
-    /// returning its node id there. Used by split assembly. `orig`
-    /// markers travel along (relocations are emitted when `dst` is
-    /// serialised).
-    pub fn transplant(&mut self, id: PNodeId, dst: &mut RecordTree) -> PNodeId {
-        self.detach(id);
-        self.transplant_inner(id, dst)
-    }
-
-    #[expect(clippy::unreachable, reason = "a detached subtree is live")]
-    fn transplant_inner(&mut self, id: PNodeId, dst: &mut RecordTree) -> PNodeId {
-        let Some(node) = self.nodes[id as usize].take() else {
-            unreachable!("transplant of tombstoned node {id}");
-        };
-        let (kids, content) = match node.content {
-            PContent::Aggregate(kids) => (kids, PContent::Aggregate(Vec::new())),
-            PContent::Prefix(kids) => (kids, PContent::Prefix(Vec::new())),
-            leaf => (Vec::new(), leaf),
-        };
-        let new_id = dst.alloc(node.label, content);
-        dst.node_mut(new_id).orig = node.orig;
-        for (i, k) in kids.into_iter().enumerate() {
-            let moved = self.transplant_inner(k, dst);
-            dst.attach(new_id, i, moved);
-        }
-        new_id
-    }
-}
-
-/// Test-only count of nodes the size computations visit (`body_len`'s
-/// recursion and the `subtree_sizes` pass) and of the header steps the
-/// bulkloader's image splices take, per thread: what the
-/// "linear, not quadratic" tests of the encoder, the bulkloader and the
-/// split planner assert on instead of a stopwatch.
-#[cfg(test)]
-pub(crate) mod visits {
-    use std::cell::Cell;
-
-    thread_local! {
-        static VISITS: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(crate) fn count(n: u64) {
-        VISITS.with(|v| v.set(v.get() + n));
-    }
-
-    /// Reads and resets the calling thread's count.
-    pub(crate) fn take() -> u64 {
-        VISITS.with(|v| v.replace(0))
     }
 }
 
@@ -524,7 +410,7 @@ mod tests {
             t.record_size(),
             STANDALONE_HEADER + EMBEDDED_HEADER + PROXY_BODY
         );
-        assert!(t.node(p).is_proxy());
+        assert!(matches!(t.node(p).content, PContent::Proxy(_)));
         assert!(!t.node(p).is_facade());
     }
 
@@ -571,20 +457,6 @@ mod tests {
         assert_eq!(t.node(order[1]).label, 11);
         assert_eq!(t.node(order[2]).label, LABEL_TEXT);
         assert_eq!(t.node(order[3]).label, 12);
-    }
-
-    #[test]
-    fn transplant_moves_subtrees_between_trees() {
-        let mut src = figure2();
-        let mut dst = RecordTree::new(LABEL_NONE, PContent::Aggregate(vec![]), Rid::invalid());
-        let speaker = src.children(src.root())[0];
-        let speaker_size = src.embedded_size(speaker);
-        let moved = src.transplant(speaker, &mut dst);
-        dst.attach(dst.root(), 0, moved);
-        assert_eq!(dst.embedded_size(moved), speaker_size);
-        assert_eq!(src.children(src.root()).len(), 2);
-        assert_eq!(dst.node(moved).label, 11);
-        assert_eq!(dst.children(moved).len(), 1);
     }
 
     #[test]

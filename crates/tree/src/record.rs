@@ -24,7 +24,7 @@
 //! The encoder writes each `size` field *after* the body it measures: the
 //! header goes out with the field empty and is patched once the node's
 //! last descendant is written. Asking the tree for the size up front
-//! ([`RecordTree::embedded_size`]) walks the subtree, and doing so for
+//! ([`RecordTree::body_len`]) walks the subtree, and doing so for
 //! every header walks a subtree once per level above it — quadratic in the
 //! depth of a record. The bytes are the same either way: a node's
 //! embedded size is by definition the length of its header plus body,
@@ -36,11 +36,14 @@
 //!   its type, its parent, its header's offset and body end, and the
 //!   pre-order index past its subtree — in one pass that allocates the
 //!   index only (≈ 2 µs for a 200-node 8 KiB record). Every reader
-//!   navigates this form and decodes just the literals it returns.
+//!   navigates this form and decodes just the literals it returns, and
+//!   every edit splices it (next section).
 //! * [`RecordView::decode`] turns a view into a [`RecordTree`]: an arena
 //!   node and, for a literal, an owned value per node (≈ 20 µs for the
-//!   same record). Only an edit that overflows its page needs one (next
-//!   section); [`deserialize`] is parse then decode.
+//!   same record). The engine makes none: it is the form
+//!   `TreeStore::load` returns to callers outside it, and with
+//!   [`try_serialize`] the reference the tests hold the byte paths to;
+//!   [`deserialize`] is parse then decode.
 //!
 //! The parse is the format's one validator. It checks that the standalone
 //! header is present; every type index resolves in the page's table; every
@@ -55,14 +58,17 @@
 //! # Editing the encoded record
 //!
 //! Every embedded node carries its type, its parent offset and its size,
-//! so a one-node edit is a byte splice. [`RecordView::splice`] turns an
-//! [`Edit`] — a leaf inserted under an aggregate, a subtree removed, a
-//! literal's or a proxy's body replaced — into a [`Patch`]: the span of
-//! old bytes it replaces and the node written there, its type interned
-//! into the page's table the way the encoder interns. [`Patch::splice`]
-//! makes the bytes written there and two sets of fixups, each by the
-//! record's growth — a [`Splice`], which is also what the log records of
-//! the write (`natix_storage::patch`):
+//! and a subtree — so a run of sibling subtrees — is one contiguous,
+//! location-independent byte range: an edit is a byte splice.
+//! [`RecordView::splice`] turns an [`Edit`] — a leaf inserted under an
+//! aggregate, a subtree removed, a literal's or a proxy's body replaced, a
+//! run of siblings replaced by a [`Run`] of encoded subtrees (a graft) —
+//! into a [`Patch`]: the span of old bytes it replaces and the nodes
+//! written there, their types interned into the page's table in pre-order
+//! the way the encoder interns, their parent offsets written where they
+//! land (`relink`). [`Patch::splice`] makes the bytes written there and
+//! two sets of fixups, each by the record's growth — a [`Splice`], which is
+//! also what the log records of the write (`natix_storage::patch`):
 //!
 //! * the size field of every embedded ancestor of the span;
 //! * the parent offset of every node after the span whose parent header
@@ -71,13 +77,13 @@
 //!
 //! The result is byte for byte what the encoder makes of the decoded
 //! record with the same edit made. Pre-order indices after the span move
-//! by +1 on an insert and by −(subtree size) on a removal
-//! ([`Patch::renumbering`]), which is what the encoder's mapping says of
-//! them; the store reports it as one shift of the record.
-//! The store writes a patch in place while the record fits its page. On
-//! an overflow it decodes the *spliced* record ([`Patch::decode`]: every
-//! node carries its pre-edit address) and hands it to figure 5's move or
-//! split.
+//! by the nodes added less the nodes removed ([`Patch::renumbering`]),
+//! which is what the encoder's mapping says of them; the store reports it
+//! as one shift of the record. The store writes a patch in place while the
+//! record fits its page. On an overflow figure 5 moves or splits the
+//! *spliced* bytes, and grafts a split's separator into the parent record
+//! (`store::growth`); normalization grafts a continuation group's late
+//! children back (`store::pack`).
 
 use std::ops::Range;
 
@@ -86,7 +92,7 @@ use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
 
 use crate::error::{TreeError, TreeResult};
 use crate::model::{
-    NodePtr, PContent, PNode, PNodeId, RecordTree, EMBEDDED_HEADER, PROXY_BODY, STANDALONE_HEADER,
+    PContent, PNode, PNodeId, RecordTree, EMBEDDED_HEADER, PROXY_BODY, STANDALONE_HEADER,
 };
 use crate::typetable::{ContentKind, TypeTable};
 
@@ -228,7 +234,7 @@ pub(crate) fn write_literal(v: &LiteralValue, out: &mut Vec<u8>) {
 
 /// Parses record bytes back into a [`RecordTree`]: the record's
 /// [`RecordView`], [decoded](RecordView::decode). Node arena slots equal
-/// pre-order indices, and `orig` markers are set accordingly.
+/// pre-order indices.
 pub fn deserialize(bytes: &[u8], table: &TypeTable, rid: Rid) -> TreeResult<RecordTree> {
     RecordView::parse(bytes.to_vec(), table.clone(), rid)?.decode()
 }
@@ -287,7 +293,7 @@ struct Entry {
 
 /// One record, validated and indexed for navigation: its bytes, its page's
 /// type table and a pre-order index of its nodes (module docs). A node is
-/// named by its pre-order index, the node half of a [`NodePtr`]: a node's
+/// named by its pre-order index, the node half of a [`crate::NodePtr`]: a node's
 /// first child is the node after it, a next sibling starts where the
 /// previous sibling's subtree ends, and the subtree of `n` is the index
 /// range [`subtree(n)`](Self::subtree).
@@ -427,9 +433,15 @@ impl RecordView {
         &self.nodes[n as usize]
     }
 
+    /// The type index in `n`'s header.
+    pub(crate) fn type_index(&self, n: PNodeId) -> u16 {
+        let header = self.nodes[n as usize].header as usize;
+        u16_at(&self.bytes, if n == 0 { 8 } else { header })
+    }
+
     /// The byte range of `n`'s body.
     #[inline]
-    fn body(&self, n: PNodeId) -> Range<usize> {
+    pub(crate) fn body(&self, n: PNodeId) -> Range<usize> {
         let e = &self.nodes[n as usize];
         let header = if n == 0 {
             STANDALONE_HEADER
@@ -459,6 +471,28 @@ impl RecordView {
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The record's bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The type table the record is encoded under.
+    pub(crate) fn table(&self) -> &TypeTable {
+        &self.table
+    }
+
+    /// The bytes of nodes `nodes`, whole sibling subtrees: from the first
+    /// one's header to where the last one's subtree ends, which is where
+    /// the next node in pre-order starts.
+    pub(crate) fn bytes_of(&self, nodes: Range<PNodeId>) -> Range<usize> {
+        let at = |n: PNodeId| {
+            self.nodes
+                .get(n as usize)
+                .map_or(self.bytes.len(), |e| e.header as usize)
+        };
+        at(nodes.start)..at(nodes.end)
     }
 
     /// Bytes of what the view holds — the record's bytes, its index
@@ -667,23 +701,23 @@ impl RecordView {
                 label: self.label(n),
                 content,
                 parent: self.parent(n),
-                orig: Some(NodePtr::new(self.rid, n)),
             }));
         }
         Ok(RecordTree::from_parts(nodes, 0, self.parent_rid()))
     }
 
     /// `edit` as a [`Patch`] of this record's bytes (module docs). An edit
-    /// the record cannot take — a node it does not hold, an insert under a
-    /// leaf or of a node with children, a removal of the record root, a
-    /// replace that is not leaf for leaf — is an invariant error.
+    /// the record cannot take — a node it does not hold, an insert or a
+    /// graft under a leaf, an insert of a node with children, a removal of
+    /// the record root, a replace that is not leaf for leaf — is an
+    /// invariant error.
     pub fn splice(&self, edit: Edit) -> TreeResult<Patch<'_>> {
         let bad = |what: &str| TreeError::Invariant(format!("record {}: {what}", self.rid));
         let inner = |kind| matches!(kind, ContentKind::Aggregate | ContentKind::Prefix);
-        let patch = |span: Range<u32>, node, parent, from, shift, inserted| Patch {
+        let patch = |span: Range<u32>, written, parent, from, shift, inserted| Patch {
             view: self,
             span: span.start as usize..span.end as usize,
-            node,
+            written,
             parent,
             from,
             shift,
@@ -691,31 +725,58 @@ impl RecordView {
         };
         Ok(match edit {
             Edit::Insert(parent, index, label, content) => {
-                let p = self.nodes[self.checked(parent)? as usize];
                 let body = leaf_body(&content).ok_or_else(|| bad("insert of an inner node"))?;
-                if !inner(p.kind) {
-                    return Err(bad("insert under a leaf"));
-                }
-                let (at, n) = match self.children(parent).nth(index) {
-                    Some(c) => (self.nodes[c as usize].header, c),
-                    None => (p.end, p.next),
-                };
-                let node = (content_kind(&content), label, body);
-                patch(at..at, Some(node), Some(parent), n, 1, Some(n))
+                let leaf = Run::leaf(content_kind(&content), label, &body);
+                let end = self.subtree(self.checked(parent)?).end;
+                let at = self.children(parent).nth(index).unwrap_or(end);
+                return self.splice(Edit::Graft(parent, at..at, leaf));
             }
             Edit::Remove(n) => {
                 let e = self.nodes[self.checked(n)? as usize];
                 let parent = e.parent.ok_or_else(|| bad("removal of the record root"))?;
                 let shift = -i32::from(e.next - n);
-                patch(e.header..e.end, None, Some(parent), e.next, shift, None)
+                patch(e.header..e.end, None, Some(parent), e.next, shift, n..n)
             }
             Edit::Replace(n, content) => {
                 let e = self.nodes[self.checked(n)? as usize];
                 let body = leaf_body(&content)
                     .filter(|_| !inner(e.kind) && !inner(content_kind(&content)))
                     .ok_or_else(|| bad("replace of an inner node"))?;
-                let node = (content_kind(&content), e.label, body);
-                patch(e.header..e.end, Some(node), e.parent, e.next, 0, None)
+                let node = Written::Leaf(content_kind(&content), e.label, body);
+                patch(e.header..e.end, Some(node), e.parent, e.next, 0, n..n)
+            }
+            Edit::Graft(parent, nodes, run) => {
+                let p = self.nodes[self.checked(parent)? as usize];
+                // Where a child's subtree, or the parent's body, starts or
+                // ends.
+                let bound = |n| {
+                    n == p.next
+                        || self
+                            .nodes
+                            .get(n as usize)
+                            .is_some_and(|e| e.parent == Some(parent))
+                };
+                if !inner(p.kind)
+                    || nodes.start > nodes.end
+                    || !bound(nodes.start)
+                    || !bound(nodes.end)
+                {
+                    return Err(bad("graft under a leaf or not of whole children"));
+                }
+                let added = PNodeId::try_from(run.node_count())
+                    .map_err(|_| bad("graft of more nodes than a record can address"))?;
+                let shift = i32::from(added) - i32::from(nodes.end - nodes.start);
+                let span = self.bytes_of(nodes.clone());
+                let span = span.start as u32..span.end as u32;
+                let inserted = nodes.start..nodes.start + added;
+                patch(
+                    span,
+                    Some(Written::Run(run)),
+                    Some(parent),
+                    nodes.end,
+                    shift,
+                    inserted,
+                )
             }
         })
     }
@@ -733,10 +794,16 @@ pub enum Edit {
     /// A literal's value, or the record a proxy or placeholder names,
     /// becomes `content`; the label stays.
     Replace(PNodeId, PContent),
+    /// `Graft(parent, nodes, run)`: the children of an aggregate or prefix
+    /// entry in `nodes` — whole subtrees; an empty range is where the run
+    /// goes — give way to the subtrees of `run`: a split's partitions to
+    /// their proxies, figure 5's separator in place of its proxy, a
+    /// continuation group's late children after their level's.
+    Graft(PNodeId, Range<PNodeId>, Run),
 }
 
 /// The body bytes of a leaf: `None` for a node with children.
-fn leaf_body(content: &PContent) -> Option<Vec<u8>> {
+pub(crate) fn leaf_body(content: &PContent) -> Option<Vec<u8>> {
     let mut body = Vec::new();
     match content {
         PContent::Literal(v) => write_literal(v, &mut body),
@@ -747,41 +814,52 @@ fn leaf_body(content: &PContent) -> Option<Vec<u8>> {
     Some(body)
 }
 
+/// What a [`Patch`] writes in its span: one leaf (type and body), or a
+/// run of subtrees.
+#[derive(Debug)]
+enum Written {
+    Leaf(ContentKind, LabelId, Vec<u8>),
+    Run(Run),
+}
+
 /// An [`Edit`] of a record as a change of its bytes (module docs): the
-/// span of the old bytes it replaces, the node written there, and where
+/// span of the old bytes it replaces, the nodes written there, and where
 /// the edit moves the nodes after the span.
 #[derive(Debug)]
 pub struct Patch<'a> {
     view: &'a RecordView,
-    /// A node's header and body, or where the inserted node goes.
+    /// The replaced nodes' headers and bodies, or where the inserted
+    /// nodes go.
     span: Range<usize>,
-    /// The node written there (type and body), unless it is a removal.
-    node: Option<(ContentKind, LabelId, Vec<u8>)>,
+    /// What is written there, unless it is a removal.
+    written: Option<Written>,
     /// The span's parent, `None` for a replace of the record root.
     parent: Option<PNodeId>,
     /// The first old pre-order index after the span: it and every later
     /// node are renumbered by `shift`.
     from: PNodeId,
     shift: i32,
-    /// The inserted node's pre-order index.
-    pub inserted: Option<PNodeId>,
+    /// The pre-order indices of the nodes the edit adds.
+    inserted: Range<PNodeId>,
 }
 
 impl Patch<'_> {
     /// The edited record's length in bytes.
     pub fn byte_len(&self) -> usize {
-        let header = self.parent.map_or(STANDALONE_HEADER, |_| EMBEDDED_HEADER);
-        let written = self
-            .node
-            .as_ref()
-            .map_or(0, |(.., body)| header + body.len());
+        let written = match &self.written {
+            None => 0,
+            Some(Written::Run(run)) => run.bytes.len(),
+            Some(Written::Leaf(.., body)) => {
+                self.parent.map_or(STANDALONE_HEADER, |_| EMBEDDED_HEADER) + body.len()
+            }
+        };
         self.view.bytes.len() - self.span.len() + written
     }
 
     /// The edit as a splice of the record's bytes — what the store writes
-    /// and logs: the span's old bytes, the node written there, its type
-    /// interned into `table` (the page's) as the encoder interns, and the
-    /// two sets of fixups of the module docs.
+    /// and logs: the span's old bytes, the nodes written there, their
+    /// types interned into `table` (the page's) in pre-order as the
+    /// encoder interns, and the two sets of fixups of the module docs.
     pub fn splice(&self, table: &mut TypeTable) -> TreeResult<Splice> {
         let len = self.byte_len();
         if len > u16::MAX as usize {
@@ -790,18 +868,31 @@ impl Patch<'_> {
             )));
         }
         let (old, nodes) = (&self.view.bytes, &self.view.nodes);
+        let parent_header = self.parent.map_or(0, |p| nodes[p as usize].header as usize);
         let mut new = Vec::new();
-        if let Some((kind, label, body)) = &self.node {
-            let (type_idx, _) = table.intern(*kind, *label)?;
-            if self.parent.is_none() {
-                new.extend_from_slice(&old[..8]);
+        match &self.written {
+            None => {}
+            Some(Written::Run(run)) => {
+                new.extend_from_slice(&run.bytes);
+                relink(&mut new, self.span.start, parent_header, |t| {
+                    let (kind, label) = run.types.get(t as usize).copied().ok_or_else(|| {
+                        TreeError::Invariant(format!("grafted run names type {t}"))
+                    })?;
+                    Ok((kind, table.intern(kind, label)?.0))
+                })?;
             }
-            new.extend_from_slice(&type_idx.to_le_bytes());
-            if let Some(p) = self.parent {
-                new.extend_from_slice(&(nodes[p as usize].header as u16).to_le_bytes());
-                new.extend_from_slice(&((EMBEDDED_HEADER + body.len()) as u16).to_le_bytes());
+            Some(Written::Leaf(kind, label, body)) => {
+                let (type_idx, _) = table.intern(*kind, *label)?;
+                if self.parent.is_none() {
+                    new.extend_from_slice(&old[..8]);
+                }
+                new.extend_from_slice(&type_idx.to_le_bytes());
+                if self.parent.is_some() {
+                    new.extend_from_slice(&(parent_header as u16).to_le_bytes());
+                    new.extend_from_slice(&((EMBEDDED_HEADER + body.len()) as u16).to_le_bytes());
+                }
+                new.extend_from_slice(body);
             }
-            new.extend_from_slice(body);
         }
         let growth = len as isize - old.len() as isize;
         let mut fixups = Vec::new();
@@ -824,6 +915,11 @@ impl Patch<'_> {
         })
     }
 
+    /// The record the patch edits.
+    pub(crate) fn record(&self) -> &RecordView {
+        self.view
+    }
+
     /// The edited record's bytes: [`splice`](Self::splice) applied.
     pub fn apply(&self, table: &mut TypeTable) -> TreeResult<Vec<u8>> {
         let rid = self.view.rid;
@@ -842,32 +938,152 @@ impl Patch<'_> {
         (self.from, self.shift)
     }
 
-    /// The pre-edit index of node `n` of the edited record (`None` for
-    /// the inserted node).
-    pub fn old_index(&self, n: PNodeId) -> Option<PNodeId> {
-        if Some(n) == self.inserted {
-            return None;
-        }
-        if i32::from(n) >= i32::from(self.from) + self.shift {
-            Some((i32::from(n) - self.shift) as PNodeId)
-        } else {
-            Some(n)
+    /// The pre-order indices of the nodes the edit adds: an insert's
+    /// node, a graft's run (empty for a removal or a replace, which keeps
+    /// the node it rewrites).
+    pub fn inserted(&self) -> Range<PNodeId> {
+        self.inserted.clone()
+    }
+
+    /// How many old nodes the edit removes; they were the nodes from
+    /// [`inserted`](Self::inserted)`.start` on.
+    pub fn removed(&self) -> usize {
+        (self.inserted.len() as i32 - self.shift) as usize
+    }
+}
+
+/// Sibling subtrees in the encoding of Appendix A, under a type list of
+/// their own: what [`Edit::Graft`] writes into a record. Each header's
+/// size is exact and its type index names `types`; its parent offset is
+/// not read: it is written where the run lands.
+#[derive(Debug, Clone)]
+pub struct Run {
+    pub bytes: Vec<u8>,
+    pub types: Vec<(ContentKind, LabelId)>,
+}
+
+impl Run {
+    /// The subtrees of nodes `nodes` of `view` (a range of whole sibling
+    /// subtrees), as they lie in its bytes.
+    pub fn cut(view: &RecordView, nodes: Range<PNodeId>) -> Run {
+        Run {
+            bytes: view.bytes[view.bytes_of(nodes)].to_vec(),
+            types: view.table.entries().to_vec(),
         }
     }
 
-    /// The edited record decoded, for figure 5's move or split: every
-    /// node's `orig` is its address before the edit, the inserted node
-    /// has none.
-    pub fn decode(&self) -> TreeResult<RecordTree> {
-        let mut table = self.view.table.clone();
-        let bytes = self.apply(&mut table)?;
-        let rid = self.view.rid;
-        let mut tree = RecordView::parse(bytes, table, rid)?.decode()?;
-        for n in 0..tree.arena_len() as PNodeId {
-            tree.node_mut(n).orig = self.old_index(n).map(|old| NodePtr::new(rid, old));
+    /// The whole record `view` shows as one embedded subtree: its root's
+    /// standalone header becomes an embedded one.
+    pub fn whole(view: &RecordView) -> Run {
+        let size = view.bytes.len() - STANDALONE_HEADER + EMBEDDED_HEADER;
+        let mut bytes = Vec::with_capacity(size);
+        bytes.extend_from_slice(&view.bytes[8..STANDALONE_HEADER]);
+        bytes.extend_from_slice(&[0, 0]);
+        bytes.extend_from_slice(&(size as u16).to_le_bytes());
+        bytes.extend_from_slice(&view.bytes[STANDALONE_HEADER..]);
+        Run {
+            bytes,
+            types: view.table.entries().to_vec(),
         }
-        Ok(tree)
     }
+
+    /// One leaf of `(kind, label)` whose body is `body`.
+    pub fn leaf(kind: ContentKind, label: LabelId, body: &[u8]) -> Run {
+        let mut bytes = vec![0; 4];
+        bytes.extend_from_slice(&((EMBEDDED_HEADER + body.len()) as u16).to_le_bytes());
+        bytes.extend_from_slice(body);
+        Run {
+            bytes,
+            types: vec![(kind, label)],
+        }
+    }
+
+    /// Number of nodes.
+    pub fn node_count(&self) -> usize {
+        headers(&self.bytes, |t| inner_type(&self.types, t)).count()
+    }
+}
+
+/// Whether type `t` of `types` is an aggregate or a prefix entry, whose
+/// body holds embedded headers.
+pub(crate) fn inner_type(types: &[(ContentKind, LabelId)], t: u16) -> bool {
+    types
+        .get(t as usize)
+        .is_some_and(|&(kind, _)| matches!(kind, ContentKind::Aggregate | ContentKind::Prefix))
+}
+
+/// The `u16` at `at` of `bytes`, 0 past their end.
+pub(crate) fn u16_at(bytes: &[u8], at: usize) -> u16 {
+    bytes
+        .get(at..at + 2)
+        .map_or(0, |b| u16::from_le_bytes([b[0], b[1]]))
+}
+
+/// The offsets in `body` — embedded subtrees, one after the other — of
+/// their headers, in pre-order: an inner node's first child follows its
+/// header, a leaf's next node follows its body. `inner` says of a
+/// header's type index whether its node is an aggregate or prefix entry.
+pub(crate) fn headers<'a>(
+    body: &'a [u8],
+    inner: impl Fn(u16) -> bool + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let hdr = (at < body.len()).then_some(at)?;
+        #[cfg(test)]
+        crate::model::visits::count(1);
+        at += if inner(u16_at(body, hdr)) {
+            EMBEDDED_HEADER
+        } else {
+            (u16_at(body, hdr + 4) as usize).max(EMBEDDED_HEADER)
+        };
+        Some(hdr)
+    })
+}
+
+/// Readies embedded subtrees for where they land: `body` at offset `at`
+/// of a record, under the node whose header is at offset `parent`. Each
+/// header gets its type index as `map` gives it for the index it holds —
+/// called in pre-order, the order the encoder interns in — and its parent
+/// offset from where the headers now lie. Returns the records the
+/// subtrees' proxies and placeholders name, in pre-order.
+pub(crate) fn relink(
+    body: &mut [u8],
+    at: usize,
+    parent: usize,
+    mut map: impl FnMut(u16) -> TreeResult<(ContentKind, u16)>,
+) -> TreeResult<Vec<Rid>> {
+    let mut targets = Vec::new();
+    // Open ancestors of the next header: where each header is and where
+    // its subtree ends.
+    let mut open: Vec<(usize, usize)> = Vec::new();
+    let mut h = 0;
+    while h + EMBEDDED_HEADER <= body.len() {
+        let (kind, t) = map(u16_at(body, h))?;
+        let here = at + h;
+        while open.last().is_some_and(|&(_, end)| end <= here) {
+            open.pop();
+        }
+        let up = open.last().map_or(parent, |&(header, _)| header);
+        body[h..h + 2].copy_from_slice(&t.to_le_bytes());
+        body[h + 2..h + 4].copy_from_slice(&(up as u16).to_le_bytes());
+        let size = (u16_at(body, h + 4) as usize).max(EMBEDDED_HEADER);
+        match kind {
+            ContentKind::Aggregate | ContentKind::Prefix => {
+                open.push((here, here + size));
+                h += EMBEDDED_HEADER;
+                continue;
+            }
+            ContentKind::Proxy | ContentKind::Continuation => {
+                if let Some(rid) = body.get(h + EMBEDDED_HEADER..h + size) {
+                    targets.push(Rid::decode(rid));
+                }
+            }
+            _ => {}
+        }
+        h += size;
+    }
+    Ok(targets)
 }
 
 /// Test-only count of nodes read out of record views, per thread — one per
@@ -1176,7 +1392,7 @@ pub(crate) mod tests {
             let below_root = |t: &RecordTree| t.pre_order(t.root())[1..].to_vec();
 
             let v = *g.pick(&t.pre_order(t.root()));
-            t.node_mut(v).orig = None;
+            t.node_mut(v).label = 15;
             check(&t, case, "node_mut");
             if let Some(&v) = pick(&mut g, &below_root(&t)) {
                 let parent = t.node(v).parent.unwrap();
@@ -1216,11 +1432,6 @@ pub(crate) mod tests {
                     t.attach(h, usize::MAX, c);
                     check(&t, case, "attaching a placeholder");
                 }
-            }
-            if let Some(&v) = pick(&mut g, &below_root(&t)) {
-                let moved = RecordTree::from_transplant(&mut t, v);
-                check(&t, case, "transplant (source)");
-                check(&moved, case, "transplant (destination)");
             }
             if let Some(&v) = pick(&mut g, &below_root(&t)) {
                 t.remove_subtree(v);
@@ -1380,7 +1591,6 @@ pub(crate) mod tests {
                     label: node.label,
                     content,
                     parent: node.parent.map(|p| to[&p]),
-                    orig: None,
                 })
             })
             .collect();
@@ -1407,6 +1617,41 @@ pub(crate) mod tests {
             .unwrap();
     }
 
+    /// A copy of `src`'s subtree `n` as child `at` of `parent` in `dst`.
+    fn copy_into(src: &RecordTree, n: PNodeId, dst: &mut RecordTree, parent: PNodeId, at: usize) {
+        let node = src.node(n);
+        let content = match &node.content {
+            PContent::Aggregate(_) => PContent::Aggregate(vec![]),
+            PContent::Prefix(_) => PContent::Prefix(vec![]),
+            leaf => leaf.clone(),
+        };
+        let id = dst.alloc(node.label, content);
+        dst.attach(parent, at, id);
+        for (i, &k) in src.children(n).iter().enumerate() {
+            copy_into(src, k, dst, id, i);
+        }
+    }
+
+    /// The subtrees of `run`, decoded: the children of the root of the
+    /// returned tree.
+    fn run_tree(run: &Run) -> RecordTree {
+        let mut table = TypeTable::new();
+        for &(kind, label) in &run.types {
+            table.intern(kind, label).unwrap();
+        }
+        let (holder, _) = table.intern(ContentKind::Aggregate, LABEL_NONE).unwrap();
+        let mut bytes = Vec::new();
+        Rid::invalid().encode_to(&mut bytes);
+        bytes.extend_from_slice(&holder.to_le_bytes());
+        let mut body = run.bytes.clone();
+        relink(&mut body, STANDALONE_HEADER, 0, |t| {
+            Ok((run.types[t as usize].0, t))
+        })
+        .unwrap();
+        bytes.extend_from_slice(&body);
+        deserialize(&bytes, &table, Rid::new(2, 2)).unwrap()
+    }
+
     /// `edit` made on `tree`, a decoded record (arena id == pre-order
     /// index): the reference a splice is checked against.
     fn edited(tree: &RecordTree, edit: &Edit) -> RecordTree {
@@ -1420,18 +1665,77 @@ pub(crate) mod tests {
                 t.remove_subtree(n);
             }
             Edit::Replace(n, content) => t.node_mut(n).content = content,
+            Edit::Graft(parent, nodes, run) => {
+                let kids = t.children(parent).to_vec();
+                let at = kids.iter().take_while(|&&k| k < nodes.start).count();
+                for &k in kids.iter().filter(|k| nodes.contains(k)) {
+                    t.remove_subtree(k);
+                }
+                let run = run_tree(&run);
+                for (i, &r) in run.children(run.root()).iter().enumerate() {
+                    copy_into(&run, r, &mut t, parent, at + i);
+                }
+            }
         }
         t
     }
 
+    /// Records to graft runs of: a bushy record, half its labels new to
+    /// the equivalence set's table, and the same record with a
+    /// scaffolding root — each encoded under a table of its own.
+    fn donors(case: u64) -> [RecordView; 2] {
+        let mut g = Gen::new(0xD0_4012 ^ case);
+        let mut t = bushy(&mut g);
+        for n in t.pre_order(t.root()) {
+            let node = t.node_mut(n);
+            if (10..15).contains(&node.label) && g.below(2) == 0 {
+                node.label += 30;
+            }
+        }
+        let view = |t: &RecordTree| {
+            let mut table = TypeTable::new();
+            let (bytes, _) = try_serialize(t, &mut table).unwrap();
+            RecordView::parse(bytes, table, Rid::new(5, 5)).unwrap()
+        };
+        let cut = view(&t);
+        let root = t.root();
+        t.node_mut(root).label = LABEL_NONE;
+        [cut, view(&t)]
+    }
+
+    /// A graft under `n` of `view`: a random run of its children (an
+    /// empty one at a random place, one past the end included) gives way
+    /// to a random run of siblings of a donor, or to a whole donor whose
+    /// root is a scaffolding aggregate.
+    fn graft(view: &RecordView, n: PNodeId, [cut, whole]: &[RecordView; 2], g: &mut Gen) -> Edit {
+        let siblings = |v: &RecordView, n: PNodeId, g: &mut Gen| {
+            let kids: Vec<PNodeId> = v.children(n).collect();
+            let from = g.below(kids.len() + 1);
+            let to = (from + g.below(3)).min(kids.len());
+            let end = kids.get(to).copied().unwrap_or(v.subtree(n).end);
+            kids.get(from).copied().unwrap_or(end)..end
+        };
+        let nodes = siblings(view, n, g);
+        let run = if g.below(3) == 0 {
+            Run::whole(whole)
+        } else {
+            let holder = g.below(cut.node_count()) as PNodeId;
+            Run::cut(cut, siblings(cut, holder, g))
+        };
+        Edit::Graft(n, nodes, run)
+    }
+
     /// Every edit `view`'s record takes, each with seeded parameters: at
     /// an inner node an insert (an empty element or a random leaf, at a
-    /// random index, one past the end included), at a leaf a replace by
-    /// a random leaf (a placeholder's by a placeholder), and the removal
-    /// of every node but the root.
-    fn every_edit(view: &RecordView, g: &mut Gen) -> Vec<Edit> {
+    /// random index, one past the end included) and a graft of a donor's
+    /// run, at a leaf a replace by a random leaf (a placeholder's by a
+    /// placeholder), and the removal of every node but the root.
+    fn every_edit(view: &RecordView, donors: &[RecordView; 2], g: &mut Gen) -> Vec<Edit> {
         let mut edits = Vec::new();
         for n in 0..view.node_count() as PNodeId {
+            if matches!(view.shape(n), Shape::Aggregate | Shape::Prefix) {
+                edits.push(graft(view, n, donors, g));
+            }
             edits.push(match view.shape(n) {
                 Shape::Aggregate | Shape::Prefix => {
                     let (label, content) = match g.below(3) {
@@ -1468,23 +1772,29 @@ pub(crate) mod tests {
     /// (a seeded sample of 16 edits on a tree that takes more): the
     /// spliced bytes are the encoder's bytes of the decoded tree with the
     /// same edit made, and the type table grows the same; the patch's
-    /// renumbering is the encoder's arena→pre-order mapping; the decoded
-    /// patch is the edited tree, each node carrying its pre-edit address.
+    /// renumbering is the encoder's arena→pre-order mapping. Grafts
+    /// cover runs whose types are new to the table and runs whose root is
+    /// a scaffolding aggregate.
     fn splices_agree() {
         let rid = Rid::new(1, 1);
         let mut table = TypeTable::new();
-        let mut splices = 0;
+        let (mut splices, mut grafts) = (0, 0);
         for case in 0..2_000 {
             let mut g = Gen::new(0x5911_CE00 ^ case);
             let (bytes, _) = try_serialize(&equivalence_tree(case), &mut table).unwrap();
             let view = RecordView::parse(bytes, table.clone(), rid).unwrap();
             let tree = view.decode().unwrap();
-            let mut edits = every_edit(&view, &mut g);
+            let mut edits = every_edit(&view, &donors(case), &mut g);
             while edits.len() > 16 {
                 edits.swap_remove(g.below(edits.len()));
             }
             for edit in edits {
                 let what = format!("case {case}, {edit:?}");
+                let added = match &edit {
+                    Edit::Insert(..) => 1,
+                    Edit::Graft(.., run) => run.node_count(),
+                    Edit::Remove(_) | Edit::Replace(..) => 0,
+                };
                 let patch = view.splice(edit.clone()).unwrap();
                 let reference = edited(&tree, &edit);
                 let (mut want_table, mut got_table) = (table.clone(), table.clone());
@@ -1493,16 +1803,15 @@ pub(crate) mod tests {
                 assert!(got == want, "{what}: spliced bytes");
                 assert_eq!(patch.byte_len(), want.len(), "{what}");
                 assert_eq!(got_table.encode(), want_table.encode(), "{what}: types");
-                // The inserted node is the one arena slot past the
-                // decoded record's. Every surviving node from `from` on
-                // moves by `shift`, every node before it stays.
+                // The added nodes are the arena slots past the decoded
+                // record's. Every surviving node from `from` on moves by
+                // `shift`, every node before it stays.
                 let (from, shift) = patch.renumbering();
                 let mut survivors = 0;
                 for (arena, serial) in mapping {
                     let old = (arena < view.node_count() as PNodeId).then_some(arena);
-                    assert_eq!(patch.old_index(serial), old, "{what}: node {serial}");
                     match old {
-                        None => assert_eq!(patch.inserted, Some(serial), "{what}"),
+                        None => assert!(patch.inserted().contains(&serial), "{what}"),
                         Some(old) if old >= from => {
                             assert_eq!(i32::from(serial), i32::from(old) + shift, "{what}");
                             survivors += 1;
@@ -1511,19 +1820,23 @@ pub(crate) mod tests {
                     }
                 }
                 assert_eq!(survivors, view.node_count() - from as usize, "{what}");
-                assert_eq!(shift == 0, matches!(edit, Edit::Replace(..)), "{what}");
-                let inserted = matches!(edit, Edit::Insert(..));
-                assert_eq!(patch.inserted.is_some(), inserted, "{what}");
-                let back = patch.decode().unwrap();
-                assert!(same_tree(&reference, 0, &back, 0), "{what}: decoded");
-                for n in 0..back.arena_len() as PNodeId {
-                    let orig = patch.old_index(n).map(|old| NodePtr::new(rid, old));
-                    assert_eq!(back.node(n).orig, orig, "{what}: node {n}");
+                if matches!(edit, Edit::Replace(..)) {
+                    assert_eq!(shift, 0, "{what}");
                 }
+                assert_eq!(patch.inserted().len(), added, "{what}");
+                assert_eq!(
+                    patch.removed(),
+                    view.node_count() + added - reference.live_count(),
+                    "{what}"
+                );
+                grafts += usize::from(matches!(edit, Edit::Graft(..)));
                 splices += 1;
             }
         }
-        assert!(splices > 20_000, "{splices} splices");
+        assert!(
+            splices > 20_000 && grafts > 2_000,
+            "{splices} splices, {grafts} grafts"
+        );
     }
 
     /// Everything a reader can ask a view, literal values included: the
@@ -1669,27 +1982,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn the_size_table_equals_the_recursive_definition() {
-        for case in 0..2_000 {
-            let tree = equivalence_tree(case);
-            let sizes = tree.subtree_sizes();
-            assert_eq!(sizes.len(), tree.arena_len());
-            // The set's arenas hold live nodes, all below the root, and
-            // tombstones.
-            let live: std::collections::HashSet<PNodeId> =
-                tree.pre_order(tree.root()).into_iter().collect();
-            for id in 0..tree.arena_len() as PNodeId {
-                let want = if live.contains(&id) {
-                    tree.embedded_size(id)
-                } else {
-                    0
-                };
-                assert_eq!(sizes[id as usize], want, "case {case}, node {id}");
-            }
-        }
-    }
-
-    #[test]
     fn encoding_a_chain_visits_each_level_a_constant_number_of_times() {
         // The recursive-size encoder visited ≈ d²/2 nodes for a d-level
         // chain (every header re-walked the chain below it).
@@ -1799,7 +2091,6 @@ pub(crate) mod tests {
             back.node(4).content,
             PContent::Literal(LiteralValue::I32(-5))
         ));
-        assert_eq!(back.node(4).orig, Some(NodePtr::new(Rid::new(1, 1), 4)));
     }
 
     #[test]

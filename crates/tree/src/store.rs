@@ -24,11 +24,12 @@
 //! An operation navigates the records it reads — resolving the insertion
 //! site, crossing to a parent, checking ancestors for packed structure —
 //! through their [`RecordView`]s, and edits a record by splicing its bytes
-//! ([`RecordView::splice`], the `record` module docs): an insert, an
-//! update or a removal that fits the record's page decodes and encodes
-//! nothing. A [`RecordTree`] is decoded only for figure 5's overflow (the
-//! spliced record, moved or split), for the parent record a split's
-//! separator goes into, and to normalize packed records.
+//! ([`RecordView::splice`], the `record` module docs). Figure 5 works on
+//! bytes too: a move places the spliced record, a split cuts partitions
+//! out of it and grafts the separator into the parent, and normalization
+//! grafts continuation groups back into their host. No edit decodes a
+//! record; [`TreeStore::load`] is the one decoder, for callers outside the
+//! engine.
 //!
 //! This module holds the public types and operations. Its child modules
 //! hold the write path: `slot`, record I/O, each write one logged patch;
@@ -44,7 +45,7 @@ use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
 use crate::model::{NodePtr, PContent, PNodeId, RecordTree, STANDALONE_HEADER};
-use crate::record::{Edit, RecordView, Shape};
+use crate::record::{self, Edit, RecordView, Shape};
 use crate::typetable::{ContentKind, TypeTable};
 use crate::version::{ReadPin, VersionStore, WriteOp};
 use pack::{plain, Attempt, Stop};
@@ -419,8 +420,29 @@ impl TreeStore {
     /// the root record's RID (== the root node's pointer with index 0).
     pub fn create_tree(&self, label: LabelId) -> TreeResult<Rid> {
         let _op = self.versions.begin_write();
-        let tree = RecordTree::new(label, PContent::Aggregate(Vec::new()), Rid::invalid());
-        self.write_new(&tree, None, &mut OpCtx::default())
+        let root = PContent::Aggregate(Vec::new());
+        self.place_node(Rid::invalid(), label, &root, None, &mut OpCtx::default())
+    }
+
+    /// Places a record of one node, `content` (a leaf or an empty
+    /// element) labelled `label`, naming `parent`.
+    fn place_node(
+        &self,
+        parent: Rid,
+        label: LabelId,
+        content: &PContent,
+        near: Option<PageId>,
+        ctx: &mut OpCtx,
+    ) -> TreeResult<Rid> {
+        let body = record::leaf_body(content).unwrap_or_default();
+        let types = [(record::content_kind(content), label)];
+        let image = Image {
+            parent,
+            root: 0,
+            body: &body,
+            types: &types,
+        };
+        self.place(&image, 1, near, ctx)
     }
 
     /// Inserts a new facade node under `parent` at the given logical
@@ -654,12 +676,13 @@ impl TreeStore {
                 // into the designated record. Hint: same page as the parent
                 // ("store parent with children ... on the same page if
                 // possible", §4.2).
-                let mut child = RecordTree::new(label, node.into_content(), rid);
-                child.node_mut(child.root()).orig = Some(WATCH);
-                let child_rid = self.write_new(&child, Some(rid.page), &mut ctx)?;
+                let content = node.into_content();
+                let child_rid = self.place_node(rid, label, &content, Some(rid.page), &mut ctx)?;
+                ctx.result.new_node = Some(NodePtr::new(child_rid, 0));
                 // The child names the host; a move or split of the host
-                // registers the proxy's new holder.
-                let proxy = insert(child.proxy_digest(), PContent::Proxy(child_rid));
+                // registers the proxy's new holder. The proxy's label
+                // digest is the child's label: a facade's, or LABEL_NONE.
+                let proxy = insert(label, PContent::Proxy(child_rid));
                 self.store_edit(&view, proxy, false, &mut ctx)?;
             }
             SplitBehaviour::KeepWithParent | SplitBehaviour::Other => {
@@ -787,8 +810,8 @@ impl TreeStore {
 
     /// Replaces the value of a literal node: the literal's body is spliced
     /// in place while the record fits its page. A value that grew past the
-    /// page's free space moves the record, and one past the net capacity
-    /// splits it (figure 5), both from the spliced record decoded.
+    /// page's free space moves the spliced record, and one past the net
+    /// capacity splits it (figure 5).
     pub fn update_literal(&self, ptr: NodePtr, value: LiteralValue) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
         let body = crate::model::literal_body_len(&value);
@@ -917,10 +940,12 @@ pub(crate) struct AppendCursor {
     mapped: usize,
 }
 
-/// A record to place as bytes — a range of the bulkloader's image, or a
-/// record tree encoded under a table of its own: the Appendix A encoding
-/// of a subtree whose type indices name `types`. Placing it maps them to
-/// the page's table and writes the parent offsets from the sizes.
+/// A record to place as bytes: the Appendix A encoding of a subtree whose
+/// type indices name `types` — a range of the bulkloader's image, a record
+/// figure 5 moves, cuts out or builds (`store::growth`'s `Draft`), a new
+/// one-node record. Placing it maps the types to the page's table, in
+/// pre-order as the encoder interns, and writes the parent offsets from
+/// the sizes.
 pub(crate) struct Image<'a> {
     /// The standalone header's parent RID.
     pub(crate) parent: Rid,
@@ -2022,7 +2047,7 @@ pub(crate) mod tests {
         let (decoded, _) = checked_edit(&st, &mut root, (&before, &doc), |a| {
             st.update_literal(a[&n], value)
         });
-        assert_eq!(decoded, 1, "the spliced record, decoded once");
+        assert_eq!(decoded, 0, "the spliced record, decoded never");
         assert_ne!(root.page, old_root.page, "moved to another page");
         assert_eq!(
             fresh_encoding(&st.load(root).unwrap()),
@@ -2041,7 +2066,7 @@ pub(crate) mod tests {
         let (decoded, _) = checked_edit(&st, &mut root, (&before, &doc), |a| {
             st.update_literal(a[&n], LiteralValue::String("y".repeat(net / 2)))
         });
-        assert_eq!(decoded, 1, "the spliced record, decoded once");
+        assert_eq!(decoded, 0, "the spliced record, decoded never");
         assert!(records_of(&st, root).len() > 1, "split");
     }
 
@@ -2062,7 +2087,7 @@ pub(crate) mod tests {
                 NewNode::Literal(value),
             )
         });
-        assert_eq!(decoded, 1, "the spliced record, decoded once");
+        assert_eq!(decoded, 0, "the spliced record, decoded never");
         assert!(records_of(&st, root).len() > 1, "split");
     }
 

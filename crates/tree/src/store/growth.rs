@@ -1,34 +1,92 @@
-//! The tree growth procedure (figure 5): an edit is spliced in place
-//! while its record fits the page; an overflow is decoded, then moved or
-//! split (§3.2), and a split's separator goes into the parent record,
-//! recursively. `store_updated` runs the same steps for a record tree.
+//! The tree growth procedure (figure 5) on record bytes: an edit is
+//! spliced in place while its record fits the page; otherwise the spliced
+//! record is moved or split (§3.2), and a split's separator is grafted
+//! into the parent record, recursively. Appendix A stores a subtree as one
+//! contiguous, location-independent byte range, so every step is an
+//! operation on byte ranges and no record is decoded: a move places the
+//! spliced bytes through the placement path a load uses, a partition is a
+//! cut of the record's bytes, and the separator is the record with each
+//! partition's run replaced by a proxy ([`Draft`]).
 //!
 //! Moves and splits re-home proxies, and the records they name must name
-//! their new holder in their standalone headers (Appendix A). Only the two
-//! whole-record writers register those parent pointers, each for the
-//! proxies it writes: a placement (`slot.rs`' `try_append_on_page`, behind
-//! every move, partition and new separator record) registers every proxy
-//! of the record it places, and an in-place rewrite
-//! ([`TreeStore::store_updated`], a separator spliced into its parent or a
-//! normalized cluster) registers the proxies the record did not hold
-//! before. A splice (`store_edit` in place) adds no proxy but the one a
-//! standalone insert names, whose record was created naming its host.
+//! their new holder in their standalone headers (Appendix A). A write
+//! registers those parent pointers for the proxies in the bytes it adds: a
+//! placement (`slot.rs`' `try_append_on_page`, behind every move,
+//! partition and new separator record) all of its record's, a separator's
+//! graft into its parent the separator's, and a normalized cluster's
+//! rewrite the ones it took from other records. An edit's splice adds no
+//! proxy but the one a standalone insert names, whose record was created
+//! naming its host.
 
 use natix_storage::{Metrics, PatchKind, Rid, Splice, StorageError};
+use natix_xml::LABEL_NONE;
 
-use super::{OpCtx, Relocation, TreeStore, WATCH};
+use super::{Image, OpCtx, Relocation, TreeStore, WATCH};
 use crate::error::{TreeError, TreeResult};
-use crate::model::{NodePtr, PContent, RecordTree};
-use crate::record::{self, Edit, RecordView, Shape};
-use crate::split::{plan_split, SplitPlan};
-use crate::typetable::TypeTable;
+use crate::model::{NodePtr, PContent, PNodeId, EMBEDDED_HEADER, PROXY_BODY, STANDALONE_HEADER};
+use crate::record::{Edit, Patch, RecordView, Run, Shape};
+use crate::split::{plan_split, single_root, SplitPlan};
+use crate::typetable::{ContentKind, TypeTable};
+
+/// A record in flight through figure 5 — an edited record to move or
+/// split, a partition or a separator to store, a normalized cluster: its
+/// bytes, validated and indexed, and per node in pre-order the address it
+/// had when the operation's step began (`None` for a node the step made,
+/// [`WATCH`] for the node an insert made), which its relocations report.
+pub(super) struct Draft {
+    pub(super) view: RecordView,
+    pub(super) origs: Vec<Option<NodePtr>>,
+}
+
+impl Draft {
+    /// The record `patch` makes of the one it edits, whose nodes had
+    /// `origs`; the nodes it adds had `added`.
+    fn patched(
+        patch: &Patch<'_>,
+        mut origs: Vec<Option<NodePtr>>,
+        added: Vec<Option<NodePtr>>,
+    ) -> TreeResult<Draft> {
+        let mut table = patch.record().table().clone();
+        let bytes = patch.apply(&mut table)?;
+        let at = patch.inserted().start as usize;
+        origs.splice(at..at + patch.removed(), added);
+        let view = RecordView::parse(bytes, table, patch.record().rid())?;
+        Ok(Draft { view, origs })
+    }
+
+    /// Makes `edit` on the record; the nodes it adds had `added`.
+    pub(super) fn edit(&mut self, edit: Edit, added: Vec<Option<NodePtr>>) -> TreeResult<()> {
+        let origs = std::mem::take(&mut self.origs);
+        let draft = Draft::patched(&self.view.splice(edit)?, origs, added)?;
+        *self = draft;
+        Ok(())
+    }
+
+    /// The record as an image to place.
+    pub(super) fn image(&self) -> Image<'_> {
+        let bytes = self.view.bytes();
+        Image {
+            parent: self.view.parent_rid(),
+            root: self.view.type_index(0),
+            body: &bytes[STANDALONE_HEADER..],
+            types: self.view.table().entries(),
+        }
+    }
+}
+
+/// Each node of the stored record `view` shows at its address.
+pub(super) fn addresses(view: &RecordView) -> Vec<Option<NodePtr>> {
+    (0..view.node_count() as PNodeId)
+        .map(|n| Some(NodePtr::new(view.rid(), n)))
+        .collect()
+}
 
 impl TreeStore {
     /// Stores an edit of the record `view` shows: spliced in place while
-    /// the record fits its page; otherwise the spliced record, decoded,
-    /// is moved or — past the net capacity — split. `watch` makes the
-    /// inserted node's address the operation's `new_node`. Returns the rid
-    /// now holding the (possibly shrunken) record.
+    /// the record fits its page; otherwise the spliced record is moved or
+    /// — past the net capacity — split. `watch` makes the inserted node's
+    /// address the operation's `new_node`. Returns the rid now holding the
+    /// (possibly shrunken) record.
     pub(super) fn store_edit(
         &self,
         view: &RecordView,
@@ -38,90 +96,99 @@ impl TreeStore {
     ) -> TreeResult<Rid> {
         let rid = view.rid();
         let patch = view.splice(edit)?;
-        let fits = patch.byte_len() <= self.net_capacity();
-        if fits {
-            match self.write_patch(rid, &patch) {
-                Ok(()) => {
-                    let (from, by) = patch.renumbering();
-                    if by != 0 {
-                        ctx.result
-                            .relocations
-                            .push(Relocation::Shift { rid, from, by });
-                    }
-                    if watch {
-                        ctx.result.new_node = patch.inserted.map(|n| NodePtr::new(rid, n));
-                    }
-                    return Ok(rid);
-                }
-                Err(TreeError::Storage(StorageError::PageFull { .. })) => {}
-                Err(e) => return Err(e),
+        if self.write_in_place(rid, patch.byte_len(), |_, table| patch.splice(table))? {
+            let (from, by) = patch.renumbering();
+            if by != 0 {
+                ctx.result
+                    .relocations
+                    .push(Relocation::Shift { rid, from, by });
             }
+            if watch && !patch.inserted().is_empty() {
+                ctx.result.new_node = Some(NodePtr::new(rid, patch.inserted().start));
+            }
+            return Ok(rid);
         }
-        Metrics::add_one(&self.versions.metrics().record_decodes);
-        let mut tree = patch.decode()?;
-        if let Some(n) = patch.inserted.filter(|_| watch) {
-            tree.node_mut(n).orig = Some(WATCH);
+        let added = patch.inserted().map(|_| watch.then_some(WATCH)).collect();
+        let draft = Draft::patched(&patch, addresses(view), added)?;
+        self.grow(rid, draft, ctx)
+    }
+
+    /// Writes record `rid` in place — the splice `encode` makes of its
+    /// bytes under the page's table — when the `len` bytes it leaves fit
+    /// the net capacity and the page has the room; `false` when they do
+    /// not, and nothing was written.
+    fn write_in_place(
+        &self,
+        rid: Rid,
+        len: usize,
+        encode: impl FnOnce(&[u8], &mut TypeTable) -> TreeResult<Splice>,
+    ) -> TreeResult<bool> {
+        if len > self.net_capacity() {
+            return Ok(false);
         }
-        if fits {
-            self.move_record(rid, tree, ctx)
-        } else {
-            self.split_stored(rid, tree, ctx)
+        let write = self.write_at(rid, PatchKind::Update, |current, table| {
+            Ok((encode(current, table)?, ()))
+        });
+        match write {
+            Ok(()) => Ok(true),
+            Err(TreeError::Storage(StorageError::PageFull { .. })) => Ok(false),
+            Err(e) => Err(e),
         }
     }
 
-    /// Stores an updated version of record `rid`, decoded from it: in
-    /// place if it fits, otherwise move, otherwise split. Returns the rid
-    /// now holding the (possibly shrunken) record.
-    ///
-    /// In place, the records named by the proxies `tree` did not hold
-    /// before get `rid` as their parent: a proxy it held is one decoded
-    /// from it, whose `orig` names `rid`. (A RID alone would not tell: a
-    /// split's partition can take the slot of the record it replaces.)
-    pub(super) fn store_updated(
+    /// Figure 5 for the record `draft` that no longer fits record `rid`'s
+    /// page: moved when it fits an emptier one, split past the net
+    /// capacity. Returns the rid now holding the (possibly shrunken)
+    /// record.
+    fn grow(&self, rid: Rid, draft: Draft, ctx: &mut OpCtx) -> TreeResult<Rid> {
+        if draft.view.byte_len() <= self.net_capacity() {
+            self.move_record(rid, draft, ctx)
+        } else {
+            self.split_record(rid, draft, ctx)
+        }
+    }
+
+    /// Stores `draft`, a normalized cluster, as record `rid`: rewritten in
+    /// place if it fits, otherwise moved or split. Returns the rid now
+    /// holding the (possibly shrunken) record.
+    pub(super) fn store_rewritten(
         &self,
         rid: Rid,
-        tree: RecordTree,
+        draft: Draft,
         ctx: &mut OpCtx,
     ) -> TreeResult<Rid> {
-        if tree.record_size() <= self.net_capacity() {
-            let encode = |current: &[u8], table: &mut TypeTable| {
-                Metrics::add_one(&self.versions.metrics().record_encodes);
-                let (bytes, mapping) = record::try_serialize(&tree, table)?;
-                Ok((Splice::whole(current, bytes), mapping))
-            };
-            match self.write_at(rid, PatchKind::Update, encode) {
-                Ok(mapping) => {
-                    self.emit_relocations(rid, &mapping, &tree, ctx);
-                    for n in tree.pre_order(tree.root()) {
-                        let node = tree.node(n);
-                        if let PContent::Proxy(child) | PContent::Continuation(child) = node.content
-                        {
-                            if node.orig.is_none_or(|o| o.rid != rid) {
-                                ctx.parent_patches.push((child, rid));
-                            }
-                        }
-                    }
-                    return Ok(rid);
-                }
-                Err(TreeError::Storage(StorageError::PageFull { .. })) => {
-                    return self.move_record(rid, tree, ctx)
-                }
-                Err(e) => return Err(e),
-            }
+        let image = draft.image();
+        let whole = |current: &[u8], table: &mut TypeTable| {
+            Metrics::add_one(&self.versions.metrics().record_encodes);
+            let (bytes, _) = image.encode(|t| {
+                let (kind, label) = image.types[t as usize];
+                Ok((kind, table.intern(kind, label)?.0))
+            })?;
+            Ok(Splice::whole(current, bytes))
+        };
+        if !self.write_in_place(rid, draft.view.byte_len(), whole)? {
+            return self.grow(rid, draft, ctx);
         }
-        self.split_stored(rid, tree, ctx)
+        self.emit_relocations(rid, &draft, ctx);
+        // The proxies it took from other records.
+        let added = (0..draft.view.node_count() as PNodeId)
+            .filter(|&n| draft.origs[n as usize].is_none_or(|o| o.rid != rid))
+            .filter_map(|n| draft.view.target(n));
+        ctx.parent_patches.extend(added.map(|child| (child, rid)));
+        Ok(rid)
     }
 
     /// §3.2 step 2: "the system tries to move the record to a page with
     /// more free space".
-    fn move_record(&self, old_rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
+    fn move_record(&self, old_rid: Rid, draft: Draft, ctx: &mut OpCtx) -> TreeResult<Rid> {
+        let parent = draft.view.parent_rid();
         // Stay near the old page: the record's neighbours live there.
-        let new_rid = self.write_new(&tree, Some(old_rid.page), ctx)?;
+        let new_rid = self.write_new(&draft, Some(old_rid.page), ctx)?;
         self.delete_record_raw(old_rid, ctx)?;
-        if tree.parent_rid.is_invalid() {
+        if parent.is_invalid() {
             ctx.note_root_move(old_rid, new_rid);
         } else {
-            self.repoint_proxy(tree.parent_rid, old_rid, new_rid)?;
+            self.repoint_proxy(parent, old_rid, new_rid)?;
         }
         Ok(new_rid)
     }
@@ -152,19 +219,24 @@ impl TreeStore {
         self.write_patch(parent_rid, &view.splice(Edit::Replace(proxy, target))?)
     }
 
-    /// Splits a stored record (§3.2.2) whose updated in-memory tree
-    /// exceeds the net page capacity, and recursively inserts the separator
-    /// into the parent record. Returns the rid of the record holding the
-    /// (facade or scaffolding) root of the split subtree's remainder.
-    fn split_stored(&self, rid: Rid, tree: RecordTree, ctx: &mut OpCtx) -> TreeResult<Rid> {
-        let parent_rid = tree.parent_rid;
-        let plan = {
-            let matrix = self.matrix.read();
-            plan_split(tree, &self.config, &matrix, self.page_size())?
-        };
+    /// The split plan of the record `view` shows, under the store's
+    /// matrix.
+    fn plan(&self, view: &RecordView) -> TreeResult<SplitPlan> {
+        let matrix = self.matrix.read();
+        plan_split(view, &self.config, &matrix, self.page_size())
+    }
+
+    /// Splits record `rid`, whose edited form `draft` exceeds the net page
+    /// capacity (§3.2.2), and recursively inserts the separator into the
+    /// parent record. Returns the rid of the record holding the (facade
+    /// or scaffolding) root of the split subtree's remainder.
+    fn split_record(&self, rid: Rid, draft: Draft, ctx: &mut OpCtx) -> TreeResult<Rid> {
+        let parent_rid = draft.view.parent_rid();
+        let plan = self.plan(&draft.view)?;
+        let partitions = partitions(&draft, &plan)?;
         // Delete the old record first: partitions gladly reuse its space.
         self.delete_record_raw(rid, ctx)?;
-        let mut separator = self.store_partitions(plan, rid.page, ctx)?;
+        let separator = self.place_partitions(draft, &plan, partitions, rid.page, ctx)?;
         if parent_rid.is_invalid() {
             // "If the old record had no parent record, a new root record
             // for the tree is created which contains just the separator."
@@ -172,96 +244,149 @@ impl TreeStore {
             ctx.note_root_move(rid, sep_rid);
             return Ok(sep_rid);
         }
-        // Splice the separator into the parent in place of the old proxy
-        // (§3.2.2, "Inserting the separator"), honouring special case 2.
-        let (view, proxy) = self.holder(parent_rid, rid)?;
-        Metrics::add_one(&self.versions.metrics().record_decodes);
-        let mut parent = view.decode()?;
-        let proxy_parent = parent
-            .node(proxy)
-            .parent
-            .ok_or_else(|| TreeError::Invariant(format!("record {parent_rid}: detached proxy")))?;
-        let at = parent
-            .children(proxy_parent)
-            .iter()
-            .position(|&c| c == proxy)
-            .ok_or_else(|| {
-                TreeError::Invariant(format!(
-                    "record {parent_rid}: proxy missing from its parent's child list"
-                ))
-            })?;
-        parent.detach(proxy);
-        let sep_root = separator.root();
-        if separator.node(sep_root).is_scaffolding_aggregate() {
-            // Special case 2: "if the root node of the separator is a
-            // scaffolding aggregate, it is disregarded, and the children of
-            // the separator root are inserted in the parent record
-            // instead." Transplanting detaches the child, so the first
-            // child advances without copying the child list.
-            let mut i = 0;
-            while let Some(&k) = separator.children(sep_root).first() {
-                let moved = separator.transplant(k, &mut parent);
-                parent.attach(proxy_parent, at + i, moved);
-                i += 1;
-            }
-        } else {
-            let moved = separator.transplant(sep_root, &mut parent);
-            parent.attach(proxy_parent, at, moved);
-        }
-        self.store_updated(parent_rid, parent, ctx)
+        self.insert_separator(parent_rid, rid, separator, ctx)
     }
 
-    /// Stores a split's partitions, splitting any partition that is
-    /// *still* larger than a page (possible with coarse tolerances), and
-    /// points the separator's partition proxies at them. Returns the
-    /// separator.
-    fn store_partitions(
+    /// Grafts `separator` into record `parent_rid` in place of its proxy
+    /// of `rid` (§3.2.2, "Inserting the separator"), honouring special
+    /// case 2, and stores the parent as an edit is stored. Returns the rid
+    /// now holding the parent record.
+    fn insert_separator(
         &self,
-        plan: SplitPlan,
+        parent_rid: Rid,
+        rid: Rid,
+        separator: Draft,
+        ctx: &mut OpCtx,
+    ) -> TreeResult<Rid> {
+        let (view, proxy) = self.holder(parent_rid, rid)?;
+        let holder = view
+            .parent(proxy)
+            .ok_or_else(|| TreeError::Invariant(format!("record {parent_rid}: detached proxy")))?;
+        let sep = &separator.view;
+        // Special case 2: "if the root node of the separator is a
+        // scaffolding aggregate, it is disregarded, and the children of
+        // the separator root are inserted in the parent record instead."
+        let (run, added) = if sep.is_scaffolding_aggregate(sep.root()) {
+            let children = 1..sep.node_count() as PNodeId;
+            (Run::cut(sep, children), separator.origs[1..].to_vec())
+        } else {
+            (Run::whole(sep), separator.origs.clone())
+        };
+        let patch = view.splice(Edit::Graft(holder, proxy..proxy + 1, run))?;
+        let draft = Draft::patched(&patch, addresses(&view), added)?;
+        if self.write_in_place(parent_rid, patch.byte_len(), |_, t| patch.splice(t))? {
+            self.emit_relocations(parent_rid, &draft, ctx);
+            // The separator's proxies, all in the grafted run.
+            ctx.parent_patches
+                .extend(sep.targets().map(|child| (child, parent_rid)));
+            return Ok(parent_rid);
+        }
+        self.grow(parent_rid, draft, ctx)
+    }
+
+    /// Stores `partitions`, `plan`'s of `draft`, splitting any that is
+    /// *still* larger than a page (possible with coarse tolerances), and
+    /// makes `draft` the separator: each partition's run replaced by a
+    /// proxy naming it, the last run first so the earlier ones keep their
+    /// indices.
+    fn place_partitions(
+        &self,
+        mut draft: Draft,
+        plan: &SplitPlan,
+        partitions: Vec<Draft>,
         near: u32,
         ctx: &mut OpCtx,
-    ) -> TreeResult<RecordTree> {
-        let mut rids = Vec::with_capacity(plan.partitions.len());
-        for p in plan.partitions {
-            rids.push(self.store_possibly_oversized(p, near, ctx)?);
+    ) -> TreeResult<Draft> {
+        let mut proxies = Vec::with_capacity(plan.len());
+        for (run, partition) in plan.iter().zip(partitions) {
+            let view = &draft.view;
+            // A proxy's label digest: a facade root's label (readers can
+            // then prune the record without loading its page), "must
+            // read" for a scaffolding root.
+            let digest = single_root(view, run)
+                .filter(|&root| view.is_facade(root))
+                .map_or(LABEL_NONE, |root| view.label(root));
+            let mut rid = Vec::new();
+            self.store_possibly_oversized(partition, near, ctx)?
+                .encode_to(&mut rid);
+            proxies.push((run.clone(), Run::leaf(ContentKind::Proxy, digest, &rid)));
         }
-        let mut separator = plan.separator;
-        for (node, part) in plan.partition_proxies {
-            separator.node_mut(node).content = PContent::Proxy(rids[part]);
+        proxies.sort_by_key(|(run, _)| std::cmp::Reverse(run.start));
+        for (run, proxy) in proxies {
+            let view = &draft.view;
+            let parent = view.parent(run.start).ok_or_else(|| {
+                TreeError::Invariant(format!("record {}: a partition of its root", view.rid()))
+            })?;
+            draft.edit(Edit::Graft(parent, run, proxy), vec![None])?;
         }
-        Ok(separator)
+        Ok(draft)
     }
 
-    /// Stores a fresh (not-yet-stored) tree, recursively splitting it while
-    /// it exceeds the net capacity. Terminates because every split strictly
-    /// shrinks the remainder; a childless oversized root is reported as
-    /// [`TreeError::OversizedNode`].
+    /// Stores a fresh (not-yet-stored) record, recursively splitting it
+    /// while it exceeds the net capacity. Terminates because every split
+    /// strictly shrinks the remainder; a childless oversized root is
+    /// reported as [`TreeError::OversizedNode`].
     fn store_possibly_oversized(
         &self,
-        tree: RecordTree,
+        draft: Draft,
         near: u32,
         ctx: &mut OpCtx,
     ) -> TreeResult<Rid> {
-        if tree.record_size() <= self.net_capacity() {
-            return self.write_new(&tree, Some(near), ctx);
+        let before = draft.view.byte_len();
+        if before <= self.net_capacity() {
+            return self.write_new(&draft, Some(near), ctx);
         }
-        let before = tree.record_size();
-        let plan = {
-            let matrix = self.matrix.read();
-            plan_split(tree, &self.config, &matrix, self.page_size())?
-        };
+        let plan = self.plan(&draft.view)?;
+        let partitions = partitions(&draft, &plan)?;
         // Convergence guard: every split must strictly shrink the pieces,
         // otherwise recursion would never terminate (only possible with a
         // node close to the page size plus pathological configuration).
-        if plan.separator.record_size() >= before
-            || plan.partitions.iter().any(|p| p.record_size() >= before)
-        {
+        let cut: usize = plan
+            .iter()
+            .map(|r| draft.view.bytes_of(r.clone()).len())
+            .sum();
+        let separator = before - cut + plan.len() * (EMBEDDED_HEADER + PROXY_BODY);
+        if separator >= before || partitions.iter().any(|p| p.view.byte_len() >= before) {
             return Err(TreeError::OversizedNode {
                 size: before,
                 max: self.net_capacity(),
             });
         }
-        let separator = self.store_partitions(plan, near, ctx)?;
+        let separator = self.place_partitions(draft, &plan, partitions, near, ctx)?;
         self.store_possibly_oversized(separator, near, ctx)
     }
+}
+
+/// `plan`'s partitions of `draft`, each cut out of its bytes: a run of
+/// subtrees under a scaffolding aggregate (h1/h2), or one subtree as the
+/// record's root. They name no parent yet: the separator's write
+/// registers one.
+fn partitions(draft: &Draft, plan: &SplitPlan) -> TreeResult<Vec<Draft>> {
+    let view = &draft.view;
+    plan.iter()
+        .map(|run| {
+            let mut table = view.table().clone();
+            let (root, body) = match single_root(view, run) {
+                Some(root) => (view.type_index(root), view.body(root)),
+                None => (
+                    table.intern(ContentKind::Aggregate, LABEL_NONE)?.0,
+                    view.bytes_of(run.clone()),
+                ),
+            };
+            let image = Image {
+                parent: Rid::invalid(),
+                root,
+                body: &view.bytes()[body],
+                types: table.entries(),
+            };
+            let (bytes, _) = image.encode(|t| Ok((image.types[t as usize].0, t)))?;
+            let mut origs = Vec::with_capacity(run.len() + 1);
+            if single_root(view, run).is_none() {
+                origs.push(None);
+            }
+            origs.extend_from_slice(&draft.origs[run.start as usize..run.end as usize]);
+            let view = RecordView::parse(bytes, table, view.rid())?;
+            Ok(Draft { view, origs })
+        })
+        .collect()
 }

@@ -5,14 +5,22 @@
 //! [`TreeStore::resolve_plain`] normalizes that cluster into plain records
 //! as a step of the same operation, then resolves again. The write phase
 //! meets only plain records, and the operation reports one result.
+//!
+//! Normalization works on record bytes: each prefix entry's children are
+//! one contiguous run of the group record, grafted after the children of
+//! the host's node it copies ([`crate::record::Edit::Graft`]), and the
+//! merged record goes down figure 5's path like an edited one.
 
-use natix_storage::{Metrics, Rid};
+use std::ops::Range;
+
+use natix_storage::Rid;
 use natix_xml::LABEL_NONE;
 
+use super::growth::{addresses, Draft};
 use super::{OpCtx, TreeStore};
 use crate::error::{TreeError, TreeResult};
-use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
-use crate::record::{RecordView, Shape};
+use crate::model::{NodePtr, PNodeId};
+use crate::record::{Edit, RecordView, Run, Shape};
 
 /// Normalization rounds one edit may take: each makes a packed cluster
 /// plain, so reaching the bound means a round made no progress.
@@ -73,12 +81,12 @@ impl TreeStore {
 
     /// Rewrites the depth-aware-packed cluster containing `rid` into plain
     /// records, as sealed steps of the operation `ctx` records: every
-    /// continuation group is spliced back into its piece's levels (late
+    /// continuation group is grafted back into its piece's levels (late
     /// children re-join their facades' child lists in document order), the
-    /// group records are deleted, and the merged tree is re-stored through
-    /// the ordinary tree-growth machinery (splitting as needed). Packed
-    /// *ancestor* records are normalized first, top-down, so a split's
-    /// separator always splices into a plain parent.
+    /// group records are deleted, and the merged record is re-stored
+    /// through the ordinary tree-growth machinery (splitting as needed).
+    /// Packed *ancestor* records are normalized first, top-down, so a
+    /// split's separator always splices into a plain parent.
     pub(super) fn normalize_packed(&self, rid: Rid, ctx: &mut OpCtx) -> TreeResult<()> {
         // Lazy path: when the touched cluster provably merges back into a
         // single record (no split, so no separator ever reaches a packed
@@ -88,16 +96,17 @@ impl TreeStore {
         let chain = match self.lazy_cluster_host(rid)? {
             Some(host) => vec![host],
             None => {
-                // Ancestor chain from `rid` upward while parents stay
-                // packed, top-down.
+                // `rid` and every packed ancestor, top-down: a split's
+                // separator can overflow a plain parent, whose split goes
+                // on up, so a packed record above a plain one is reached
+                // too.
                 let mut chain = vec![rid];
                 let mut parent = self.view_current(rid)?.parent_rid();
                 while !parent.is_invalid() {
                     let pv = self.view_current(parent)?;
-                    if !pv.is_packed() {
-                        break;
+                    if pv.is_packed() {
+                        chain.push(parent);
                     }
-                    chain.push(parent);
                     parent = pv.parent_rid();
                 }
                 chain.reverse();
@@ -114,10 +123,10 @@ impl TreeStore {
                 // holder's normalization; plain records need none.
                 continue;
             }
-            Metrics::add_one(&self.versions.metrics().record_decodes);
-            let mut tree = view.decode()?;
-            self.inline_continuations(&mut tree, ctx)?;
-            self.store_updated(rc, tree, ctx)?;
+            let origs = addresses(&view);
+            let mut draft = Draft { view, origs };
+            self.inline_continuations(&mut draft, ctx)?;
+            self.store_rewritten(rc, draft, ctx)?;
             // Apply parent patches step by step: a later chain entry's
             // split consults its parent record, which this step may just
             // have restructured.
@@ -180,85 +189,76 @@ impl TreeStore {
         Ok(Some(host.rid()))
     }
 
-    /// Splices every continuation group of `tree` (and, transitively, the
+    /// Grafts every continuation group of `draft` (and, transitively, the
     /// groups those groups spilled into) back into the spilled path's
-    /// child lists. The records the moved content's proxies name get the
-    /// host as their parent when `tree` is stored (`store_updated`).
-    fn inline_continuations(&self, tree: &mut RecordTree, ctx: &mut OpCtx) -> TreeResult<()> {
-        while let Some((cont, path, target)) = spilled_path(tree) {
-            tree.remove_subtree(cont);
-            self.splice_group(tree, &path, target, ctx)?;
+    /// child lists, the placeholder removed. The path's nodes keep their
+    /// indices: each graft appends to a path node's child list, after the
+    /// path nodes below it.
+    fn inline_continuations(&self, draft: &mut Draft, ctx: &mut OpCtx) -> TreeResult<()> {
+        while let Some((cont, group)) = draft.view.continuation() {
+            let mut path: Vec<PNodeId> =
+                std::iter::successors(draft.view.parent(cont), |&p| draft.view.parent(p)).collect();
+            path.reverse();
+            draft.edit(Edit::Remove(cont), Vec::new())?;
+            self.splice_group(draft, &path, group, ctx)?;
         }
         Ok(())
     }
 
-    /// Moves the content of continuation group `group_rid` into `tree`:
+    /// Moves the content of continuation group `group_rid` into `draft`:
     /// each prefix entry's children are appended to the path node it
-    /// copies, in order; a split prefix chain's lower piece is inlined
-    /// under the remaining path; the group record is deleted. The group's
-    /// own continuation placeholder (if any) travels into `tree`, where
+    /// copies, in order, each run of them one graft; a split prefix
+    /// chain's lower piece is inlined under the remaining path; the group
+    /// record is deleted. The group's own continuation placeholder (if
+    /// any) travels into `draft`, where
     /// [`inline_continuations`](Self::inline_continuations) picks it up.
     fn splice_group(
         &self,
-        tree: &mut RecordTree,
+        draft: &mut Draft,
         path: &[PNodeId],
         group_rid: Rid,
         ctx: &mut OpCtx,
     ) -> TreeResult<()> {
-        let view = self.view_current(group_rid)?;
-        let levels = view.prefix_levels();
+        let group = self.view_current(group_rid)?;
+        let levels = group.prefix_levels();
         if levels > path.len() {
             return Err(TreeError::Invariant(format!(
                 "continuation group {group_rid}: prefix chain longer than the spilled path"
             )));
         }
-        Metrics::add_one(&self.versions.metrics().record_decodes);
-        let mut group = view.decode()?;
-        for i in 0..levels {
+        // Appends the run of `group`'s subtrees `run` to `node`'s children.
+        let append = |draft: &mut Draft, node: PNodeId, run: Option<Range<PNodeId>>| {
+            let Some(run) = run else { return Ok(()) };
+            let added = run
+                .clone()
+                .map(|n| Some(NodePtr::new(group_rid, n)))
+                .collect();
+            let end = draft.view.subtree(node).end;
+            draft.edit(Edit::Graft(node, end..end, Run::cut(&group, run)), added)
+        };
+        for (i, &node) in path.iter().enumerate().take(levels) {
             // Chain entry `i` is node `i` (`RecordView::prefix_levels`).
-            let pnode = i as PNodeId;
-            loop {
-                let next = group
-                    .children(pnode)
-                    .iter()
-                    .copied()
-                    .find(|&c| !group.node(c).is_prefix());
-                let Some(c) = next else { break };
-                if let PContent::Proxy(t) = group.node(c).content {
+            let mut run: Option<Range<PNodeId>> = None;
+            for c in group.children(i as PNodeId) {
+                if group.is_prefix(c) {
+                    append(draft, node, run.take())?;
+                    continue;
+                }
+                if let Shape::Proxy(t) = group.shape(c) {
                     let lower = self.view_current(t)?;
                     if lower.is_prefix(lower.root()) {
                         // Lower piece of a split prefix chain: its levels
                         // continue this chain.
-                        group.remove_subtree(c);
-                        self.splice_group(tree, &path[i + 1..], t, ctx)?;
+                        append(draft, node, run.take())?;
+                        self.splice_group(draft, &path[i + 1..], t, ctx)?;
                         continue;
                     }
                 }
-                let moved = group.transplant(c, tree);
-                let end = tree.children(path[i]).len();
-                tree.attach(path[i], end, moved);
+                run = Some(run.map_or(c, |r| r.start)..group.subtree(c).end);
             }
+            append(draft, node, run)?;
         }
         self.delete_record_raw(group_rid, ctx)?;
         Ok(())
     }
-}
-
-/// The spilled path of a record being normalized — the chain of nodes
-/// from the record root down to its continuation placeholder's parent,
-/// root first — plus the placeholder and the continuation group: a walk
-/// of the tree, whose bytes no longer describe it mid-rewrite. The group's
-/// prefix chain mirrors the path entry for entry.
-fn spilled_path(tree: &RecordTree) -> Option<(PNodeId, Vec<PNodeId>, Rid)> {
-    let (cont, target) =
-        tree.pre_order(tree.root())
-            .into_iter()
-            .find_map(|n| match tree.node(n).content {
-                PContent::Continuation(target) => Some((n, target)),
-                _ => None,
-            })?;
-    let mut path: Vec<PNodeId> =
-        std::iter::successors(tree.node(cont).parent, |&p| tree.node(p).parent).collect();
-    path.reverse();
-    Some((cont, path, target))
 }

@@ -1,14 +1,16 @@
 //! Record I/O on slotted pages. A read is [`TreeStore::view_current`]; a
 //! write to a record is [`TreeStore::write_at`], a new record
-//! [`TreeStore::write_new`]. Every write is one [`SlotPatch`], logged
-//! under the page latch before the page changes and made by the redo
-//! recovery replays it with ([`TreeStore::write_page`]).
+//! [`TreeStore::place`] (an [`Image`]: a load's record, a one-node record)
+//! or [`TreeStore::write_new`] (figure 5's records, which report where
+//! their nodes went). Every write is one [`SlotPatch`], logged under the
+//! page latch before the page changes and made by the redo recovery
+//! replays it with ([`TreeStore::write_page`]).
 //!
 //! Parent pointers: placing a record ([`TreeStore::try_append_on_page`],
 //! behind every load, move, partition and new separator) registers it as
 //! the parent of every record its proxies and continuation placeholder
-//! name — one of the two writers that do (the other is the in-place
-//! rewrite, `growth.rs`' `store_updated`). The operation writes the
+//! name — the bytes it adds are all of the record's (the other writers
+//! that add proxies are in `growth.rs`). The operation writes the
 //! registered pointers once, at its end ([`TreeStore::apply_patches`]):
 //! the last parent registered per child, in child order.
 
@@ -16,10 +18,11 @@ use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
 use natix_storage::{Metrics, PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice, StorageError};
 use natix_xml::LabelId;
 
+use super::growth::Draft;
 use super::{AppendCursor, Image, OpCtx, Relocation, TreeStore, WATCH};
 use crate::error::{TreeError, TreeResult};
-use crate::model::{NodePtr, PNodeId, RecordTree, EMBEDDED_HEADER, STANDALONE_HEADER};
-use crate::record::{self, Patch, RecordView};
+use crate::model::{NodePtr, PNodeId, STANDALONE_HEADER};
+use crate::record::{headers, inner_type, relink, u16_at, Patch, RecordView};
 use crate::typetable::{ContentKind, TypeTable, ENTRY_BYTES};
 
 impl TreeStore {
@@ -179,27 +182,33 @@ impl TreeStore {
         })
     }
 
-    /// Writes `tree` as a new record, choosing a page (near `near` when
-    /// given, else the best fit, then a fresh page). The tree is encoded
-    /// once, under a table of its own, and placed as a bulk append is.
+    /// Writes `draft` as a new record, choosing a page (near `near` when
+    /// given, else the best fit, then a fresh page), and reports where its
+    /// nodes went.
     pub(super) fn write_new(
         &self,
-        tree: &RecordTree,
+        draft: &Draft,
         near: Option<PageId>,
         ctx: &mut OpCtx,
     ) -> TreeResult<Rid> {
-        let mut types = TypeTable::new();
-        let (bytes, mapping) = record::try_serialize(tree, &mut types)?;
-        let image = Image {
-            parent: tree.parent_rid,
-            root: 0,
-            body: &bytes[STANDALONE_HEADER..],
-            types: types.entries(),
-        };
+        let rid = self.place(&draft.image(), draft.view.node_count(), near, ctx)?;
+        self.emit_relocations(rid, draft, ctx);
+        Ok(rid)
+    }
+
+    /// Places `image`, a record of `nodes` nodes, as a new record: on a
+    /// page near `near` when given, else the best fit, then a fresh page.
+    /// Its bytes are placed as a bulk append places them.
+    pub(super) fn place(
+        &self,
+        image: &Image<'_>,
+        nodes: usize,
+        near: Option<PageId>,
+        ctx: &mut OpCtx,
+    ) -> TreeResult<Rid> {
         // Worst case: every node's type is new and the page has no table
         // yet.
-        let worst =
-            bytes.len() + SLOT_ENTRY_SIZE + 2 + mapping.len() * ENTRY_BYTES + SLOT_ENTRY_SIZE;
+        let worst = image.len() + SLOT_ENTRY_SIZE + 2 + nodes * ENTRY_BYTES + SLOT_ENTRY_SIZE;
         // Placement policy: with a locality hint, only pages *near* the
         // hint are considered (paper §4.2: related records on the same
         // page "if possible") — a global best-fit would scatter a growing
@@ -215,21 +224,19 @@ impl TreeStore {
                 (None, tried) => self.sm.find_page_with_space(worst, tried),
             };
             let Some(page) = candidate else { break };
-            placed = self.try_append_on_page(page, &image, cursor, ctx)?;
+            placed = self.try_append_on_page(page, image, cursor, ctx)?;
             if placed.is_some() {
                 break;
             }
             tried = Some(page);
         }
-        let rid = match placed {
-            Some(rid) => rid,
+        match placed {
+            Some(rid) => Ok(rid),
             None => {
                 let page = self.sm.allocate_page()?;
-                self.append_on_fresh_page(page, &image, cursor, ctx)?
+                self.append_on_fresh_page(page, image, cursor, ctx)
             }
-        };
-        self.emit_relocations(rid, &mapping, tree, ctx);
-        Ok(rid)
+        }
     }
 
     /// [`try_append_on_page`](Self::try_append_on_page) on `page`, freshly
@@ -312,20 +319,16 @@ impl TreeStore {
         Ok(Some(rid))
     }
 
-    pub(super) fn emit_relocations(
-        &self,
-        rid: Rid,
-        mapping: &[(PNodeId, PNodeId)],
-        tree: &RecordTree,
-        ctx: &mut OpCtx,
-    ) {
-        for &(arena, serial) in mapping {
-            let node = tree.node(arena);
-            let Some(old) = node.orig else { continue };
-            let new = NodePtr::new(rid, serial);
+    /// Reports where the nodes of `draft`, now record `rid`, went: a move
+    /// of each facade whose address changed, and the inserted node's
+    /// address as the operation's `new_node`.
+    pub(super) fn emit_relocations(&self, rid: Rid, draft: &Draft, ctx: &mut OpCtx) {
+        for (n, orig) in draft.origs.iter().enumerate() {
+            let Some(old) = *orig else { continue };
+            let new = NodePtr::new(rid, n as PNodeId);
             if old == WATCH {
                 ctx.result.new_node = Some(new);
-            } else if node.is_facade() && old != new {
+            } else if draft.view.is_facade(n as PNodeId) && old != new {
                 ctx.result.relocations.push(Relocation::Move { old, new });
             }
         }
@@ -409,35 +412,39 @@ fn table_growth(table: &TypeTable, had_tt: bool, before: usize) -> Vec<u8> {
     }
 }
 
-/// The `u16` at `at` of `bytes`, 0 past their end.
-fn u16_at(bytes: &[u8], at: usize) -> u16 {
-    bytes
-        .get(at..at + 2)
-        .map_or(0, |b| u16::from_le_bytes([b[0], b[1]]))
-}
-
 impl Image<'_> {
     /// The header offsets in `body` of the root's embedded descendants, in
-    /// pre-order (none under a leaf root): an inner node's first child
-    /// follows its header, a leaf's next node follows its body.
+    /// pre-order (none under a leaf root).
     fn headers(&self) -> impl Iterator<Item = usize> + '_ {
-        let inner = |t: u16| {
-            self.types.get(t as usize).is_some_and(|&(kind, _)| {
-                matches!(kind, ContentKind::Aggregate | ContentKind::Prefix)
-            })
+        let body = if inner_type(self.types, self.root) {
+            self.body
+        } else {
+            &[]
         };
-        let mut at = if inner(self.root) { 0 } else { self.body.len() };
-        std::iter::from_fn(move || {
-            let hdr = (at < self.body.len()).then_some(at)?;
-            #[cfg(test)]
-            crate::model::visits::count(1);
-            at += if inner(u16_at(self.body, hdr)) {
-                EMBEDDED_HEADER
-            } else {
-                (u16_at(self.body, hdr + 4) as usize).max(EMBEDDED_HEADER)
-            };
-            Some(hdr)
-        })
+        headers(body, |t| inner_type(self.types, t))
+    }
+
+    /// The record's bytes with each type index as `map` gives it for the
+    /// image's index (in pre-order, as the encoder interns) and each
+    /// parent offset written, and the records its proxies and placeholder
+    /// name.
+    pub(super) fn encode(
+        &self,
+        mut map: impl FnMut(u16) -> TreeResult<(ContentKind, u16)>,
+    ) -> TreeResult<(Vec<u8>, Vec<Rid>)> {
+        let mut out = Vec::with_capacity(self.len());
+        self.parent.encode_to(&mut out);
+        let (root_kind, root) = map(self.root)?;
+        out.extend_from_slice(&root.to_le_bytes());
+        out.extend_from_slice(self.body);
+        let children = match root_kind {
+            ContentKind::Aggregate | ContentKind::Prefix => {
+                relink(&mut out[STANDALONE_HEADER..], STANDALONE_HEADER, 0, map)?
+            }
+            ContentKind::Proxy | ContentKind::Continuation => vec![Rid::decode(self.body)],
+            _ => Vec::new(),
+        };
+        Ok((out, children))
     }
 }
 
@@ -513,39 +520,8 @@ impl AppendCursor {
     /// The record bytes of `image` on the cursor's page, and the records
     /// its proxies and placeholder name: the body copied once, then each
     /// header's type mapped to the page's table and its parent offset
-    /// written — the innermost header whose size spans it.
+    /// written.
     fn encode(&mut self, image: &Image<'_>) -> TreeResult<(Vec<u8>, Vec<Rid>)> {
-        let mut out = Vec::with_capacity(image.len());
-        image.parent.encode_to(&mut out);
-        let (root_kind, root) = self.page_type(image.types, image.root)?;
-        out.extend_from_slice(&root.to_le_bytes());
-        out.extend_from_slice(image.body);
-        let mut children = Vec::new();
-        if matches!(root_kind, ContentKind::Proxy | ContentKind::Continuation) {
-            children.push(Rid::decode(image.body));
-        }
-        // Open ancestors of the next header: where each header is and
-        // where its subtree ends; the root's spans the record.
-        let mut open = vec![(0, out.len())];
-        for hdr in image.headers() {
-            let at = STANDALONE_HEADER + hdr;
-            let (kind, t) = self.page_type(image.types, u16_at(image.body, hdr))?;
-            while open.last().is_some_and(|&(_, end)| end <= at) {
-                open.pop();
-            }
-            let parent = open.last().map_or(0, |&(header, _)| header);
-            out[at..at + 2].copy_from_slice(&t.to_le_bytes());
-            out[at + 2..at + 4].copy_from_slice(&(parent as u16).to_le_bytes());
-            match kind {
-                ContentKind::Aggregate | ContentKind::Prefix => {
-                    open.push((at, at + u16_at(&out, at + 4) as usize));
-                }
-                ContentKind::Proxy | ContentKind::Continuation => {
-                    children.push(Rid::decode(&out[at + EMBEDDED_HEADER..]));
-                }
-                _ => {}
-            }
-        }
-        Ok((out, children))
+        image.encode(|t| self.page_type(image.types, t))
     }
 }

@@ -7,7 +7,8 @@
 //! re-encoding and reachable from the root, `check_tree` must pass (its
 //! invariant 4 is the standalone parent pointer), the stored document
 //! must equal the DOM, and every address the test follows must still name
-//! a node of its DOM node's label. Every reader of a stored node — the
+//! a node of its DOM node's label, and the edit must have decoded no
+//! record. Every reader of a stored node — the
 //! record walk, the children, the text, the serialization — must answer
 //! what its DOM node does: at 8 seeded nodes after each edit, at every
 //! node after a seed's last. Two workers take the seeds in turn; the
@@ -24,6 +25,7 @@ mod common;
 
 use natix_corpus::SplitMix64;
 use natix_storage::slotted::SlottedPageRef;
+use natix_tree::typetable::{ContentKind, TypeTable};
 use natix_tree::{check_tree, reconstruct_document, SplitMatrix, TreeConfig, TreeResult};
 use natix_xml::{LiteralValue, NodeData, NodeIdx, SymbolTable};
 
@@ -50,10 +52,19 @@ fn record_len(sh: &Shadow, n: NodeIdx) -> usize {
 }
 
 /// Whether `n` lives in a continuation group or a split chain's piece: a
-/// record whose root is a prefix entry.
+/// record whose root is a prefix entry. Read off the page, so the edit
+/// that follows is the only thing that could decode a record.
 fn in_group(sh: &Shadow, n: NodeIdx) -> bool {
-    let tree = sh.store.load(sh.ptr(n).rid).unwrap();
-    tree.node(tree.root()).is_prefix()
+    let rid = sh.ptr(n).rid;
+    let pin = sh.store.storage().pin(rid.page).unwrap();
+    let buf = pin.read();
+    let page = SlottedPageRef::open(&buf).unwrap();
+    let table = TypeTable::decode(page.get(0).unwrap()).unwrap();
+    let record = page.get(rid.slot).unwrap();
+    let root = table
+        .get(u16::from_le_bytes([record[8], record[9]]))
+        .unwrap();
+    root.0 == ContentKind::Prefix
 }
 
 /// Makes one seeded edit on `sh`, described for a failure message.
@@ -195,8 +206,18 @@ fn check(seed: u64) -> Result<usize, String> {
     // Its own generator, so the edits stay those of the seed.
     let mut picks = SplitMix64::new(!seed);
     for step in 0..EDITS {
+        let decodes = |sh: &Shadow| sh.store.versions().metrics().snapshot().record_decodes;
+        let before = decodes(&sh);
         let (op, done) = edit(&mut sh, &mut g, page_size / 4);
         done.map_err(|e| format!("{what}: step {step}, {op}: {e}"))?;
+        // Figure 5 and normalization splice record bytes: no edit
+        // decodes a record.
+        let decoded = decodes(&sh) - before;
+        if decoded != 0 {
+            return Err(format!(
+                "{what}: step {step}, {op}: {decoded} records decoded"
+            ));
+        }
         let nodes = sh.doc.reachable_count();
         let at: Vec<usize> = if step + 1 == EDITS {
             (0..nodes).collect()
@@ -206,6 +227,21 @@ fn check(seed: u64) -> Result<usize, String> {
         verify(&sh, &syms, at).map_err(|e| format!("{what}: after step {step}, {op}: {e}"))?;
     }
     Ok(family)
+}
+
+/// Seeds past the release range that failed once, run in every build:
+/// 2391 (depth 477, 512-byte pages) normalized a packed record whose
+/// split cascaded through a plain parent into a packed record above it,
+/// which the split refused.
+const REGRESSIONS: [u64; 1] = [2391];
+
+#[test]
+fn seeds_that_failed_once_pass() {
+    for seed in REGRESSIONS {
+        if let Err(e) = check(seed) {
+            panic!("seed {seed}: {e}");
+        }
+    }
 }
 
 /// Workers the seeds are dealt to, in turn.
