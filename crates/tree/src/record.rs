@@ -1982,6 +1982,34 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn the_size_table_equals_the_recursive_definition() {
+        // The sizes the planner reads are the view's: a subtree's bytes,
+        // from its header to the next node in pre-order.
+        for case in 0..2_000 {
+            let tree = equivalence_tree(case);
+            let mut table = TypeTable::new();
+            let (bytes, mapping) = try_serialize(&tree, &mut table).unwrap();
+            let view = RecordView::parse(bytes, table, Rid::new(1, 1)).unwrap();
+            // The set's arenas hold live nodes, all below the root, and
+            // tombstones; only the live ones are encoded.
+            let live: std::collections::HashSet<PNodeId> =
+                tree.pre_order(tree.root()).into_iter().collect();
+            assert_eq!(mapping.len(), live.len(), "case {case}");
+            assert_eq!(view.node_count(), live.len(), "case {case}");
+            for (id, pre) in mapping {
+                assert!(live.contains(&id), "case {case}: node {id} is a tombstone");
+                let want = if id == tree.root() {
+                    tree.record_size()
+                } else {
+                    tree.embedded_size(id)
+                };
+                let got = view.bytes_of(view.subtree(pre)).len();
+                assert_eq!(got, want, "case {case}, node {id}");
+            }
+        }
+    }
+
+    #[test]
     fn encoding_a_chain_visits_each_level_a_constant_number_of_times() {
         // The recursive-size encoder visited ≈ d²/2 nodes for a d-level
         // chain (every header re-walked the chain below it).
