@@ -272,3 +272,116 @@ fn root_tag(root: &str) -> &str {
     let name = &root[1..];
     &name[..name.find([' ', '/', '>']).unwrap_or(name.len())]
 }
+
+/// Texts the parser fuzz loads: every one in a release build (≈ 1.8 s on
+/// two cores for an 11 kB play), a tenth in a debug build.
+const MUTANTS: u64 = if cfg!(debug_assertions) { 200 } else { 2_000 };
+
+/// What the mutations splice into a play's text: the markup its parser
+/// must take apart, whole and broken.
+const MARKUP: &[&str] = &[
+    "<",
+    ">",
+    "</",
+    "/>",
+    "&",
+    ";",
+    "&#x263A;",
+    "&#65;",
+    "&#xD800;",
+    "&amp;",
+    "&lt;",
+    "&bogus;",
+    "<![CDATA[",
+    "]]>",
+    "<!--",
+    "-->",
+    "<?",
+    "?>",
+    "<?pi data?>",
+    "<!DOCTYPE PLAY>",
+    "\"",
+    "=",
+    " a=\"1\"",
+    "é",
+    "\u{1}",
+];
+
+/// A play's text with what the parse mapping meets beside elements and
+/// text: an XML declaration, a doctype, comments, a processing
+/// instruction, a CDATA section and character references.
+fn play_text() -> String {
+    let mut syms = natix_xml::SymbolTable::new();
+    let cfg = natix_corpus::CorpusConfig {
+        scale: 0.04,
+        ..natix_corpus::CorpusConfig::tiny()
+    };
+    let play = natix_corpus::generate_play(&cfg, 0, &mut syms).doc;
+    let body = write_document(&play, &syms, WriteOptions::compact()).unwrap();
+    let open = body.find('>').unwrap() + 1;
+    format!(
+        "<?xml version=\"1.0\"?>\n<!DOCTYPE PLAY>\n<!-- a play -->{}<?stage left?><![CDATA[a < b && c]]>&#x263A;&#65;{}<!-- the end -->",
+        &body[..open],
+        &body[open..]
+    )
+}
+
+/// `text` with one to three seeded mutations at character boundaries: a
+/// range cut, repeated or overwritten with markup, markup spliced in, or
+/// the rest cut off.
+fn mutate(g: &mut Gen, text: &str) -> String {
+    let boundary = |s: &str, mut at: usize| {
+        while !s.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    };
+    let mut s = text.to_string();
+    for _ in 0..1 + g.below(3) {
+        let at = boundary(&s, g.below(s.len() + 1));
+        let to = boundary(&s, (at + g.below(40)).min(s.len()));
+        let markup = MARKUP[g.below(MARKUP.len())];
+        match g.below(5) {
+            0 => s.replace_range(at..to, ""),
+            1 => {
+                let piece = s[at..to].to_string();
+                s.insert_str(to, &piece);
+            }
+            2 => s.replace_range(at..to, markup),
+            3 => s.insert_str(at, markup),
+            _ => s.truncate(at),
+        }
+    }
+    s
+}
+
+/// The parse mapping's fuzz, through the repository: seeded mutations of
+/// a play's text, each loaded by `put_xml`. A load that succeeds gives
+/// back `write_document(parse_document(text))` and is deleted again; a
+/// refused one leaves no document and no record.
+#[test]
+fn mutated_plays_load_as_their_parse_or_leave_nothing() {
+    let text = play_text();
+    let r = repo(8_192);
+    let mut loaded = 0;
+    for seed in 0..MUTANTS {
+        let mut g = Gen::new(0xF022_0000 + seed);
+        let mutant = mutate(&mut g, &text);
+        let what = format!("mutant {seed}");
+        let load = r.put_xml("mutant", &mutant);
+        if load.is_err() {
+            refused(&r, "mutant", load, &what);
+            continue;
+        }
+        let parsed = parse_document(&mutant, &mut r.symbols_mut(), ParserOptions::default())
+            .unwrap_or_else(|e| panic!("{what}: loaded, but its parse fails: {e}"));
+        let want = write_document(&parsed, &r.symbols(), WriteOptions::compact()).unwrap();
+        assert_eq!(r.get_xml("mutant").unwrap(), want, "{what}: get_xml");
+        r.delete_document("mutant").unwrap();
+        loaded += 1;
+    }
+    assert!(
+        loaded > MUTANTS / 20 && loaded < MUTANTS,
+        "{loaded} of {MUTANTS} mutants loaded"
+    );
+}

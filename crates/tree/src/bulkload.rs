@@ -20,13 +20,16 @@
 //!   append: an element's header goes out with its size field empty,
 //!   patched when the element closes; a literal's bytes are copied once,
 //!   from the event into the image. Type indices name the loader's own
-//!   type list, and parent offsets are left to the store;
+//!   type list, and parent offsets are left to the store. The loader reads
+//!   and writes no header field itself: [`crate::record`] owns the layout;
 //! * when the image outgrows the net page capacity, maximal runs of
-//!   **finished** sibling subtrees become records of their own (grouped
-//!   under a scaffolding aggregate, like the split algorithm's helper nodes
-//!   h1/h2 of figure 8). A run is a range of the image, so a spill is a
-//!   splice: the range is copied out as a record and a proxy takes its
-//!   place;
+//!   **finished** sibling subtrees become records of their own. A run is a
+//!   range of the image, so a spill is a splice: the range is cut out as
+//!   the record that holds it (`record::Image::cut`, the cut figure 5's
+//!   split makes: one subtree keeps its root, several go under a
+//!   scaffolding aggregate, the helper nodes h1/h2 of figure 8), placed
+//!   straight from the image, and its proxy (`record::Image::proxy`) takes
+//!   its place;
 //! * records go through the store's `append_image`, which fills pages
 //!   sequentially — no read-modify-write of earlier pages, no free-space
 //!   search — mapping the types to the page's table and writing the parent
@@ -128,14 +131,11 @@ use natix_xml::{LabelId, LiteralValue, Node, LABEL_NONE, LABEL_TEXT};
 
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
-use crate::model::{literal_body_len, EMBEDDED_HEADER, PROXY_BODY, STANDALONE_HEADER};
-use crate::record::{literal_kind, write_literal};
-use crate::store::{AppendCursor, Image, TreeStore};
+use crate::model::{literal_body_len, STANDALONE_HEADER};
+use crate::record::{self, literal_kind, write_literal, Image, Run, PROXY_LEN};
+use crate::store::{check_node_size, AppendCursor, TreeStore};
 use crate::typetable::ContentKind;
 use crate::version::WriteOp;
-
-/// Embedded size of a proxy or continuation placeholder.
-const PROXY_SIZE: usize = EMBEDDED_HEADER + PROXY_BODY;
 
 /// The four run searches of [`BulkLoader::spill_run`], in the order it
 /// tries them: `(ignore_matrix, allow_proxy_start)`.
@@ -150,26 +150,6 @@ const KINDS: usize = ContentKind::Continuation as usize + 1;
 /// mutably borrowed.
 fn bulk_invariant(what: &str) -> TreeError {
     TreeError::Invariant(format!("bulkload: {what}"))
-}
-
-/// The label digest of a proxy to a record rooted at a node of `kind` and
-/// `label`: the label when the root is a facade, so a reader can prune the
-/// record without reading it, else [`LABEL_NONE`] ("must read").
-fn digest(kind: ContentKind, label: LabelId) -> LabelId {
-    match kind {
-        ContentKind::Proxy | ContentKind::Prefix | ContentKind::Continuation => LABEL_NONE,
-        _ => label,
-    }
-}
-
-/// The `u16` at `at` of `bytes`.
-fn u16_at(bytes: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes([bytes[at], bytes[at + 1]])
-}
-
-/// Overwrites the `u16` at `at` of `bytes`.
-fn put_u16(bytes: &mut [u8], at: usize, v: usize) {
-    bytes[at..at + 2].copy_from_slice(&(v as u16).to_le_bytes());
 }
 
 /// Summary of one bulk load.
@@ -302,7 +282,6 @@ pub struct BulkLoader<'s> {
     unused_slots: Vec<(Rid, Rid)>,
     /// Monotonic counter making placeholder sentinels distinct.
     sentinels: u16,
-    records: u64,
     nodes: u64,
 }
 
@@ -328,7 +307,6 @@ impl<'s> BulkLoader<'s> {
             stored_root: None,
             unused_slots: Vec::new(),
             sentinels: 0,
-            records: 0,
             nodes: 0,
         }
     }
@@ -354,44 +332,22 @@ impl<'s> BulkLoader<'s> {
         }
     }
 
-    /// The deepest open spine level's header offset.
-    fn top(&self) -> TreeResult<usize> {
-        self.spine
-            .last()
-            .copied()
-            .ok_or_else(|| bulk_invariant("empty spine"))
-    }
-
-    /// The type of the node whose header is at `hdr` (0: the root, whose
-    /// standalone header holds its type behind the parent RID).
+    /// The type of the node whose header is at `hdr`.
     fn type_at(&self, hdr: usize) -> (ContentKind, LabelId) {
-        let t = u16_at(&self.img, if hdr == 0 { 8 } else { hdr });
-        self.types.list[t as usize]
+        self.types.list[record::type_at(&self.img, hdr) as usize]
     }
 
-    /// The size field of the finished node whose header is at `hdr`.
-    fn size_at(&self, hdr: usize) -> usize {
-        u16_at(&self.img, hdr + 4) as usize
-    }
-
-    /// Where the body of the node whose header is at `hdr` starts.
-    fn body_at(hdr: usize) -> usize {
-        if hdr == 0 {
-            STANDALONE_HEADER
-        } else {
-            hdr + EMBEDDED_HEADER
-        }
-    }
-
-    /// Appends an embedded header — its parent offset left to the store —
-    /// and returns its offset.
-    fn push_header(&mut self, kind: ContentKind, label: LabelId, size: usize) -> TreeResult<usize> {
+    /// Appends an open embedded header (`record::push_header`: its size
+    /// written when it closes, its parent offset by the store) and returns
+    /// its offset.
+    fn push_header(&mut self, kind: ContentKind, label: LabelId) -> TreeResult<usize> {
         let t = self.types.intern(kind, label)?;
-        let at = self.img.len();
-        self.img.extend_from_slice(&t.to_le_bytes());
-        self.img.extend_from_slice(&[0, 0]);
-        self.img.extend_from_slice(&(size as u16).to_le_bytes());
-        Ok(at)
+        Ok(record::push_header(&mut self.img, t, 0, 0))
+    }
+
+    /// `run`'s bytes under the loader's types.
+    fn local(&mut self, run: &Run) -> TreeResult<Vec<u8>> {
+        run.placed(0, 0, |kind, label| self.types.intern(kind, label))
     }
 
     /// Starts a new image: a record rooted at a node of `kind` and
@@ -399,8 +355,7 @@ impl<'s> BulkLoader<'s> {
     fn open_image(&mut self, parent: Rid, kind: ContentKind, label: LabelId) -> TreeResult<()> {
         let t = self.types.intern(kind, label)?;
         self.img.clear();
-        parent.encode_to(&mut self.img);
-        self.img.extend_from_slice(&t.to_le_bytes());
+        record::push_root(&mut self.img, parent, t);
         self.spine.clear();
         self.spine.push(0);
         self.resume = [0; 4];
@@ -424,8 +379,7 @@ impl<'s> BulkLoader<'s> {
             .pop()
             .ok_or_else(|| bulk_invariant("end_element with an empty spine"))?;
         if !self.spine.is_empty() {
-            let size = self.img.len() - hdr;
-            put_u16(&mut self.img, hdr + 4, size);
+            record::close(&mut self.img, hdr);
             self.touch_level(self.spine.len() - 1);
         }
         Ok(hdr)
@@ -451,7 +405,7 @@ impl<'s> BulkLoader<'s> {
         }
         // A new, empty level: nothing to evict there or (the open child
         // never joins a run) at its parent's.
-        let hdr = self.push_header(ContentKind::Aggregate, label, 0)?;
+        let hdr = self.push_header(ContentKind::Aggregate, label)?;
         self.spine.push(hdr);
         self.spill_until_fits()
     }
@@ -467,27 +421,23 @@ impl<'s> BulkLoader<'s> {
             }
             self.open_continuation()?;
         }
-        let body = literal_body_len(&value);
-        if STANDALONE_HEADER + body > self.capacity {
-            // Same bound as the per-node path: a single node larger than
-            // the capacity can never be stored (§3.2.2 splits at node
-            // granularity); callers chunk long text.
-            return Err(TreeError::OversizedNode {
-                size: STANDALONE_HEADER + body,
-                max: self.capacity,
-            });
-        }
+        // The per-node path's bound: callers chunk long text.
+        check_node_size(literal_body_len(&value), self.capacity)?;
         self.nodes += 1;
-        let parent = self.top()?;
-        let hdr = self.push_header(literal_kind(&value), label, EMBEDDED_HEADER + body)?;
+        let parent = *self
+            .spine
+            .last()
+            .ok_or_else(|| bulk_invariant("empty spine"))?;
+        let hdr = self.push_header(literal_kind(&value), label)?;
         write_literal(&value, &mut self.img);
+        record::close(&mut self.img, hdr);
         self.touch_level(self.spine.len() - 1);
         // Prefix entries carry the copied ancestor's label, so the matrix
         // lookup is uniform across pieces and continuation groups.
         if self.matrix.get(self.type_at(parent).1, label) == SplitBehaviour::Standalone {
             // §3.3: "x is stored as a standalone node"; the proxy goes into
             // the designated record.
-            self.spill_subtree(hdr)?;
+            self.spill(hdr..self.img.len())?;
         }
         self.spill_until_fits()
     }
@@ -571,7 +521,7 @@ impl<'s> BulkLoader<'s> {
             == SplitBehaviour::Standalone
         {
             // The finished subtree becomes a record of its own right away.
-            self.spill_subtree(closed)?;
+            self.spill(closed..self.img.len())?;
         }
         self.spill_until_fits()
     }
@@ -605,10 +555,11 @@ impl<'s> BulkLoader<'s> {
             Ok(root_rid) => {
                 // The document is complete and reachable from its root
                 // record; nothing to clean up any more.
+                let records = self.flushed.len() as u64;
                 self.flushed.clear();
                 Ok(BulkStats {
                     root_rid,
-                    records: self.records,
+                    records,
                     nodes: self.nodes,
                 })
             }
@@ -633,17 +584,13 @@ impl<'s> BulkLoader<'s> {
         let levels = piece.levels.clone();
         debug_assert!(open > 0, "late child for a fully closed piece");
         self.open_image(holder, ContentKind::Prefix, levels[0])?;
-        for (i, &label) in levels.iter().enumerate().skip(1) {
-            // A closed level is final: it holds the deeper prefixes only.
-            let size = if i < open {
-                0
-            } else {
-                EMBEDDED_HEADER * (levels.len() - i)
-            };
-            let hdr = self.push_header(ContentKind::Prefix, label, size)?;
-            if i < open {
-                self.spine.push(hdr);
-            }
+        for &label in &levels[1..] {
+            let hdr = self.push_header(ContentKind::Prefix, label)?;
+            self.spine.push(hdr);
+        }
+        // A closed level is final: it holds the deeper prefixes only.
+        for hdr in self.spine.drain(open..) {
+            record::close(&mut self.img, hdr);
         }
         self.prefix_base = open;
         self.cur_is_group = true;
@@ -660,15 +607,8 @@ impl<'s> BulkLoader<'s> {
         self.spine.clear();
         self.prefix_base = 0;
         self.cur_is_group = false;
-        let (rid, parent) = self.write_image()?;
+        self.write_image()?;
         self.img.clear();
-        if parent.is_invalid() {
-            debug_assert!(self.stored_root.is_none());
-            self.stored_root = Some(rid);
-        }
-        if let Some((holder, sentinel)) = self.cur_resolves.take() {
-            self.store.repoint_proxy(holder, sentinel, rid)?;
-        }
         Ok(())
     }
 
@@ -676,53 +616,41 @@ impl<'s> BulkLoader<'s> {
     // Packing.
     // ==================================================================
 
-    /// Writes `img[body]` as the body of a record of its own whose root has
-    /// the type `root`, parented on `parent`.
-    fn write_record(&mut self, parent: Rid, root: u16, body: Range<usize>) -> TreeResult<Rid> {
-        let image = Image {
-            parent,
-            root,
-            body: &self.img[body],
-            types: &self.types.list,
-        };
+    /// Writes the whole image as a record — the tree's root record when
+    /// it names no parent — and resolves the placeholder the image was
+    /// waiting for (a chain piece's predecessor or a continuation group).
+    /// Returns its RID.
+    fn write_image(&mut self) -> TreeResult<Rid> {
+        let image = Image::record(&self.img, &self.types.list);
         let rid = self.store.append_image(&image, &mut self.cursor)?;
         self.flushed.push(rid);
-        self.records += 1;
+        if image.parent.is_invalid() {
+            debug_assert!(self.stored_root.is_none());
+            self.stored_root = Some(rid);
+        }
+        if let Some((holder, sentinel)) = self.cur_resolves.take() {
+            self.store.repoint_proxy(holder, sentinel, rid)?;
+        }
         Ok(rid)
     }
 
-    /// Writes the whole image as a record. Returns its RID and its parent.
-    fn write_image(&mut self) -> TreeResult<(Rid, Rid)> {
-        let parent = Rid::decode(&self.img[..8]);
-        let root = u16_at(&self.img, 8);
-        let rid = self.write_record(parent, root, STANDALONE_HEADER..self.img.len())?;
-        Ok((rid, parent))
-    }
-
-    /// Moves the finished subtree headed at `hdr`, a child of an open
-    /// level, into a record of its own (its parent RID is patched when the
-    /// record holding its proxy lands) and splices a proxy to it in its
-    /// place.
-    fn spill_subtree(&mut self, hdr: usize) -> TreeResult<()> {
-        let (kind, label) = self.type_at(hdr);
-        let span = hdr..hdr + self.size_at(hdr);
-        let root = u16_at(&self.img, hdr);
-        let rid = self.write_record(Rid::invalid(), root, hdr + EMBEDDED_HEADER..span.end)?;
-        self.splice_proxy(span, digest(kind, label), rid)
-    }
-
-    /// Replaces `img[span]` — finished children of an open level — with a
-    /// proxy to `rid`: the splice of [`crate::record::Patch::splice`]
-    /// without its fixups, as the span's ancestors are open (no size field
-    /// yet) and the image holds no parent offsets. The open levels behind
-    /// the span move with it.
-    fn splice_proxy(&mut self, span: Range<usize>, digest: LabelId, rid: Rid) -> TreeResult<()> {
-        let mut proxy = Vec::with_capacity(PROXY_SIZE);
-        proxy.extend_from_slice(&self.types.intern(ContentKind::Proxy, digest)?.to_le_bytes());
-        proxy.extend_from_slice(&[0, 0]);
-        proxy.extend_from_slice(&(PROXY_SIZE as u16).to_le_bytes());
-        rid.encode_to(&mut proxy);
-        let (old, new) = (span.end, span.start + PROXY_SIZE);
+    /// A spill is a splice: `img[span]` — finished children of an open
+    /// level, whole subtrees — is cut out as the record that holds it
+    /// ([`Image::cut`]: one subtree keeps its root, several go under a
+    /// scaffolding aggregate, the helper nodes h1/h2 of figures 3 and 8),
+    /// and the cut's proxy takes its place. Its parent RID is patched when
+    /// the record holding the proxy lands. The splice needs none of
+    /// [`crate::record::Patch::splice`]'s fixups: the span's ancestors are
+    /// open (no size field yet) and the image holds no parent offsets. The
+    /// open levels behind the span move with it.
+    fn spill(&mut self, span: Range<usize>) -> TreeResult<()> {
+        let scaffolding = self.types.intern(ContentKind::Aggregate, LABEL_NONE)?;
+        let image = Image::cut(&self.img, span.clone(), &self.types.list, scaffolding);
+        let rid = self.store.append_image(&image, &mut self.cursor)?;
+        self.flushed.push(rid);
+        let proxy = image.proxy(rid);
+        let proxy = self.local(&proxy)?;
+        let (old, new) = (span.end, span.start + proxy.len());
         self.img.splice(span, proxy);
         for hdr in self.spine.iter_mut().filter(|hdr| **hdr >= old) {
             *hdr = *hdr - old + new;
@@ -774,7 +702,7 @@ impl<'s> BulkLoader<'s> {
         // with k, so take the largest k that still fits (fullest record,
         // shortest remaining chain).
         let Some(k) = (1..self.spine.len())
-            .take_while(|&k| self.spine[k] + 2 * PROXY_SIZE <= self.capacity)
+            .take_while(|&k| self.spine[k] + 2 * PROXY_LEN <= self.capacity)
             .last()
         else {
             return Ok(false);
@@ -784,43 +712,38 @@ impl<'s> BulkLoader<'s> {
         let sentinel = self.new_sentinel();
         let levels: Vec<LabelId> = self.spine[..k].iter().map(|&h| self.type_at(h).1).collect();
         // The image from spine[k] on becomes an image of its own, rooted at
-        // spine[k] behind a standalone header: its bytes move by `4 - split`.
-        let mut lower = Vec::with_capacity(self.capacity + PROXY_SIZE);
-        Rid::invalid().encode_to(&mut lower); // the upper record's RID, below
-        lower.extend_from_slice(&self.img[split..split + 2]);
-        lower.extend_from_slice(&self.img[split + EMBEDDED_HEADER..]);
+        // spine[k] behind a standalone header naming the upper record
+        // (below): its body keeps its place after the root's header.
+        let root = record::type_at(&self.img, split);
+        let body = record::body_at(split);
+        let lower = self.img.split_off(body);
         let lower_spine: Vec<usize> = std::iter::once(0)
-            .chain(self.spine[k + 1..].iter().map(|&h| h + 4 - split))
+            .chain(
+                self.spine[k + 1..]
+                    .iter()
+                    .map(|&h| h - body + record::body_at(0)),
+            )
             .collect();
         // The upper record: the chain placeholder where the lower chain
         // hung, then the continuation placeholder as the last child of the
         // spilled path's deepest node. Its open levels get their sizes.
         self.img.truncate(split);
-        self.push_header(ContentKind::Proxy, LABEL_NONE, PROXY_SIZE)?;
-        chain_sentinel.encode_to(&mut self.img);
-        self.push_header(ContentKind::Continuation, LABEL_NONE, PROXY_SIZE)?;
-        sentinel.encode_to(&mut self.img);
-        let len = self.img.len();
+        for (kind, rid) in [
+            (ContentKind::Proxy, chain_sentinel),
+            (ContentKind::Continuation, sentinel),
+        ] {
+            let placeholder = self.local(&Run::placeholder(kind, rid))?;
+            self.img.extend_from_slice(&placeholder);
+        }
         for &hdr in &self.spine[1..k] {
-            put_u16(&mut self.img, hdr + 4, len - hdr);
+            record::close(&mut self.img, hdr);
         }
         let was_group = self.cur_is_group;
-        let resolves = self.cur_resolves.take();
         let lower_prefixes = self.prefix_base.saturating_sub(k);
         self.spine.clear();
         self.prefix_base = 0;
         self.cur_is_group = false;
-        let (upper_rid, upper_parent) = self.write_image()?;
-        if upper_parent.is_invalid() {
-            // This record holds the document root: it is the tree root.
-            debug_assert!(self.stored_root.is_none());
-            self.stored_root = Some(upper_rid);
-        }
-        if let Some((holder, sentinel)) = resolves {
-            // The upper piece is the record its placeholder was waiting
-            // for (a chain piece's predecessor or a continuation group).
-            self.store.repoint_proxy(holder, sentinel, upper_rid)?;
-        }
+        let upper_rid = self.write_image()?;
         // Register the spilled piece. A spilled continuation group
         // *replaces* the piece it was resolving (its still-open levels are
         // now tracked by the flushed group record); everything else stacks
@@ -843,8 +766,9 @@ impl<'s> BulkLoader<'s> {
         // The lower chain continues in flight, parented on the record that
         // now holds its (placeholder) proxy; leading prefix entries below
         // the split stay prefix spine.
-        upper_rid.encode(&mut lower[..8]);
-        self.img = lower;
+        self.img = Vec::with_capacity(self.capacity + PROXY_LEN);
+        record::push_root(&mut self.img, upper_rid, root);
+        self.img.extend_from_slice(&lower);
         self.spine = lower_spine;
         self.prefix_base = lower_prefixes;
         self.cur_resolves = Some((upper_rid, chain_sentinel));
@@ -862,19 +786,20 @@ impl<'s> BulkLoader<'s> {
         let Some(bottom_level) = self.prefix_base.checked_sub(1) else {
             return Ok(false);
         };
-        let first = Self::body_at(self.spine[bottom_level]);
+        let first = record::body_at(self.spine[bottom_level]);
         if first >= self.img.len() || self.type_at(first).0 != ContentKind::Prefix {
             return Ok(false);
         }
         // The chain lies in front of the open levels, inside an image that
         // fit a record before the last event appended behind it, so as a
         // record of its own it fits too; the guard costs nothing.
-        let cut = self.size_at(first);
-        let standalone = cut - EMBEDDED_HEADER + STANDALONE_HEADER;
-        if standalone < min_bytes || standalone > self.capacity || cut <= PROXY_SIZE {
+        let span = first..first + record::size_at(&self.img, first);
+        // One subtree: its cut keeps its root, and names no scaffolding.
+        let len = Image::cut(&self.img, span.clone(), &self.types.list, 0).len();
+        if len < min_bytes || len > self.capacity || span.len() <= PROXY_LEN {
             return Ok(false);
         }
-        self.spill_subtree(first)?;
+        self.spill(span)?;
         self.touch_level(bottom_level);
         Ok(true)
     }
@@ -898,8 +823,9 @@ impl<'s> BulkLoader<'s> {
             // pages filling sequentially. Levels above the variant's
             // resume cursor are known to hold no run (see `resume`).
             for level in self.resume[variant]..self.spine.len() {
-                if let Some((run, count)) = self.find_run(level, ignore_matrix, allow_proxy_start) {
-                    self.flush_run(level, run, count)?;
+                if let Some(run) = self.find_run(level, ignore_matrix, allow_proxy_start) {
+                    self.spill(run)?;
+                    self.touch_level(level);
                     // The level may hold another run; everything above it
                     // still holds none.
                     self.resume[variant] = level;
@@ -916,14 +842,13 @@ impl<'s> BulkLoader<'s> {
     /// (spine) child and — unless `ignore_matrix` — children pinned by ∞
     /// entries. Unless `allow_proxy_start`, a proxy cannot *start* a run
     /// (packing the previous group record into every new group would chain
-    /// records linearly). Returns the run's bytes in the image and its
-    /// length in children.
+    /// records linearly). Returns the run's bytes in the image.
     fn find_run(
         &self,
         level: usize,
         ignore_matrix: bool,
         allow_proxy_start: bool,
-    ) -> Option<(Range<usize>, usize)> {
+    ) -> Option<Range<usize>> {
         let parent = self.spine[level];
         // The open child is the last one: the run search ends there.
         let end = self.spine.get(level + 1).copied().unwrap_or(self.img.len());
@@ -933,12 +858,12 @@ impl<'s> BulkLoader<'s> {
         let budget = self.capacity - STANDALONE_HEADER;
         let mut run = 0..0;
         let mut count = 0usize;
-        let mut at = Self::body_at(parent);
+        let mut at = record::body_at(parent);
         while at < end {
             #[cfg(test)]
             crate::model::visits::count(1);
             let (kind, label) = self.type_at(at);
-            let size = self.size_at(at);
+            let size = record::size_at(&self.img, at);
             let child = at..at + size;
             at += size;
             // Prefix entries (and the deeper chain under them) are
@@ -952,7 +877,8 @@ impl<'s> BulkLoader<'s> {
                 .matrix
                 .packing_behaviour(parent_label, label, structural);
             let pinned = behaviour == SplitBehaviour::KeepWithParent
-                && (structural || (!ignore_matrix && digest(kind, label) != LABEL_NONE));
+                && (structural
+                    || (!ignore_matrix && kind != ContentKind::Proxy && label != LABEL_NONE));
             let evictable =
                 !pinned && (allow_proxy_start || count > 0 || kind != ContentKind::Proxy);
             if !evictable {
@@ -977,27 +903,8 @@ impl<'s> BulkLoader<'s> {
             run.end = child.end;
             count += 1;
         }
-        // A run must shrink the record: replacing it with a proxy costs
-        // PROXY_SIZE bytes.
-        (count > 0 && run.len() > PROXY_SIZE).then_some((run, count))
-    }
-
-    /// Moves the run `run` of `count` children of spine level `level` into
-    /// a new record (scaffolding-rooted for sibling groups, facade-rooted
-    /// for a single subtree) and splices a proxy in their place.
-    fn flush_run(&mut self, level: usize, run: Range<usize>, count: usize) -> TreeResult<()> {
-        if count == 1 {
-            self.spill_subtree(run.start)?;
-        } else {
-            // Sibling group under a scaffolding aggregate — the helper
-            // objects h1/h2 of the paper's figures 3 and 8. Sibling groups
-            // stay "must read".
-            let root = self.types.intern(ContentKind::Aggregate, LABEL_NONE)?;
-            let rid = self.write_record(Rid::invalid(), root, run.clone())?;
-            self.splice_proxy(run, LABEL_NONE, rid)?;
-        }
-        self.touch_level(level);
-        Ok(())
+        // A run must shrink the record: a proxy replaces it.
+        (count > 0 && run.len() > PROXY_LEN).then_some(run)
     }
 }
 

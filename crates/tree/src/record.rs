@@ -84,6 +84,19 @@
 //! *spliced* bytes, and grafts a split's separator into the parent record
 //! (`store::growth`); normalization grafts a continuation group's late
 //! children back (`store::pack`).
+//!
+//! # The cut and the proxy
+//!
+//! A record to place is an `Image`: Appendix A bytes under a type list
+//! of their own, which placement maps to the page's table. Every record
+//! that is not a whole re-encoding starts as `Image::cut`: a run of
+//! sibling subtrees cut out of encoded bytes as the record that holds it —
+//! one subtree keeps its own root, several go under a scaffolding
+//! aggregate, the helper nodes h1/h2 of figure 8. `Image::proxy` is
+//! what takes the run's place once the record is stored, and the one rule
+//! of a proxy's label digest. The bulkloader's spills, figure 5's
+//! partitions, normalization's runs past the format's 16-bit sizes and a
+//! standalone node's record (a run of one leaf) are all cuts.
 
 use std::ops::Range;
 
@@ -149,10 +162,9 @@ pub fn try_serialize(tree: &RecordTree, table: &mut TypeTable) -> TreeResult<(Ve
     let mut next_serial: PNodeId = 0;
 
     let root = tree.root();
-    tree.parent_rid.encode_to(&mut out);
     let rn = tree.node(root);
     let (root_type, _) = table.intern(content_kind(&rn.content), rn.label)?;
-    out.extend_from_slice(&root_type.to_le_bytes());
+    push_root(&mut out, tree.parent_rid, root_type);
     mapping.push((root, next_serial));
     next_serial += 1;
     write_body(
@@ -203,18 +215,13 @@ fn write_body(
             for &child in kids {
                 // Offsets and sizes are bounded by the record length,
                 // which `try_serialize` checks against `u16`.
-                let header_off = out.len();
                 let cn = tree.node(child);
                 let (type_idx, _) = table.intern(content_kind(&cn.content), cn.label)?;
-                out.extend_from_slice(&type_idx.to_le_bytes());
-                out.extend_from_slice(&(my_header_off as u16).to_le_bytes());
-                out.extend_from_slice(&[0, 0]);
+                let header_off = push_header(out, type_idx, my_header_off, 0);
                 mapping.push((child, *next_serial));
                 *next_serial += 1;
                 write_body(tree, child, header_off, table, out, mapping, next_serial)?;
-                let size = (out.len() - header_off) as u16;
-                out[header_off + 4..header_off + EMBEDDED_HEADER]
-                    .copy_from_slice(&size.to_le_bytes());
+                close(out, header_off);
             }
         }
     }
@@ -321,7 +328,7 @@ impl RecordView {
                 bytes.len()
             )));
         }
-        let (kind, label) = resolve_type(&table, u16::from_le_bytes([bytes[8], bytes[9]]), rid)?;
+        let (kind, label) = resolve_type(&table, type_at(&bytes, 0), rid)?;
         let len = bytes.len();
         let mut view = RecordView {
             rid,
@@ -433,22 +440,11 @@ impl RecordView {
         &self.nodes[n as usize]
     }
 
-    /// The type index in `n`'s header.
-    pub(crate) fn type_index(&self, n: PNodeId) -> u16 {
-        let header = self.nodes[n as usize].header as usize;
-        u16_at(&self.bytes, if n == 0 { 8 } else { header })
-    }
-
     /// The byte range of `n`'s body.
     #[inline]
     pub(crate) fn body(&self, n: PNodeId) -> Range<usize> {
         let e = &self.nodes[n as usize];
-        let header = if n == 0 {
-            STANDALONE_HEADER
-        } else {
-            EMBEDDED_HEADER
-        };
-        e.header as usize + header..e.end as usize
+        body_at(e.header as usize)..e.end as usize
     }
 
     /// The record's address.
@@ -707,10 +703,9 @@ impl RecordView {
     }
 
     /// `edit` as a [`Patch`] of this record's bytes (module docs). An edit
-    /// the record cannot take — a node it does not hold, an insert or a
-    /// graft under a leaf, an insert of a node with children, a removal of
-    /// the record root, a replace that is not leaf for leaf — is an
-    /// invariant error.
+    /// the record cannot take — a node it does not hold, a graft under a
+    /// leaf, a removal of the record root, a replace that is not leaf for
+    /// leaf — is an invariant error.
     pub fn splice(&self, edit: Edit) -> TreeResult<Patch<'_>> {
         let bad = |what: &str| TreeError::Invariant(format!("record {}: {what}", self.rid));
         let inner = |kind| matches!(kind, ContentKind::Aggregate | ContentKind::Prefix);
@@ -724,13 +719,6 @@ impl RecordView {
             inserted,
         };
         Ok(match edit {
-            Edit::Insert(parent, index, label, content) => {
-                let body = leaf_body(&content).ok_or_else(|| bad("insert of an inner node"))?;
-                let leaf = Run::leaf(content_kind(&content), label, &body);
-                let end = self.subtree(self.checked(parent)?).end;
-                let at = self.children(parent).nth(index).unwrap_or(end);
-                return self.splice(Edit::Graft(parent, at..at, leaf));
-            }
             Edit::Remove(n) => {
                 let e = self.nodes[self.checked(n)? as usize];
                 let parent = e.parent.ok_or_else(|| bad("removal of the record root"))?;
@@ -742,7 +730,7 @@ impl RecordView {
                 let body = leaf_body(&content)
                     .filter(|_| !inner(e.kind) && !inner(content_kind(&content)))
                     .ok_or_else(|| bad("replace of an inner node"))?;
-                let node = Written::Leaf(content_kind(&content), e.label, body);
+                let node = Run::leaf(content_kind(&content), e.label, &body);
                 patch(e.header..e.end, Some(node), e.parent, e.next, 0, n..n)
             }
             Edit::Graft(parent, nodes, run) => {
@@ -769,14 +757,7 @@ impl RecordView {
                 let span = self.bytes_of(nodes.clone());
                 let span = span.start as u32..span.end as u32;
                 let inserted = nodes.start..nodes.start + added;
-                patch(
-                    span,
-                    Some(Written::Run(run)),
-                    Some(parent),
-                    nodes.end,
-                    shift,
-                    inserted,
-                )
+                patch(span, Some(run), Some(parent), nodes.end, shift, inserted)
             }
         })
     }
@@ -785,10 +766,6 @@ impl RecordView {
 /// An edit [`RecordView::splice`] makes on a record's bytes.
 #[derive(Debug, Clone)]
 pub enum Edit {
-    /// `Insert(parent, index, label, content)`: a new leaf — an empty
-    /// element, a literal, a proxy — as child `index` (clamped) of an
-    /// aggregate or prefix entry.
-    Insert(PNodeId, usize, LabelId, PContent),
     /// The node and its subtree go.
     Remove(PNodeId),
     /// A literal's value, or the record a proxy or placeholder names,
@@ -796,7 +773,8 @@ pub enum Edit {
     Replace(PNodeId, PContent),
     /// `Graft(parent, nodes, run)`: the children of an aggregate or prefix
     /// entry in `nodes` — whole subtrees; an empty range is where the run
-    /// goes — give way to the subtrees of `run`: a split's partitions to
+    /// goes — give way to the subtrees of `run`: an inserted leaf, a
+    /// standalone node's proxy, a split's partitions to
     /// their proxies, figure 5's separator in place of its proxy, a
     /// continuation group's late children after their level's.
     Graft(PNodeId, Range<PNodeId>, Run),
@@ -814,14 +792,6 @@ pub(crate) fn leaf_body(content: &PContent) -> Option<Vec<u8>> {
     Some(body)
 }
 
-/// What a [`Patch`] writes in its span: one leaf (type and body), or a
-/// run of subtrees.
-#[derive(Debug)]
-enum Written {
-    Leaf(ContentKind, LabelId, Vec<u8>),
-    Run(Run),
-}
-
 /// An [`Edit`] of a record as a change of its bytes (module docs): the
 /// span of the old bytes it replaces, the nodes written there, and where
 /// the edit moves the nodes after the span.
@@ -831,8 +801,9 @@ pub struct Patch<'a> {
     /// The replaced nodes' headers and bodies, or where the inserted
     /// nodes go.
     span: Range<usize>,
-    /// What is written there, unless it is a removal.
-    written: Option<Written>,
+    /// What is written there, unless it is a removal: a run of subtrees,
+    /// or the one leaf a replace writes.
+    written: Option<Run>,
     /// The span's parent, `None` for a replace of the record root.
     parent: Option<PNodeId>,
     /// The first old pre-order index after the span: it and every later
@@ -846,13 +817,14 @@ pub struct Patch<'a> {
 impl Patch<'_> {
     /// The edited record's length in bytes.
     pub fn byte_len(&self) -> usize {
-        let written = match &self.written {
-            None => 0,
-            Some(Written::Run(run)) => run.bytes.len(),
-            Some(Written::Leaf(.., body)) => {
-                self.parent.map_or(STANDALONE_HEADER, |_| EMBEDDED_HEADER) + body.len()
-            }
-        };
+        // A leaf that replaces the record root has the standalone header.
+        let root = self
+            .parent
+            .map_or(STANDALONE_HEADER - EMBEDDED_HEADER, |_| 0);
+        let written = self
+            .written
+            .as_ref()
+            .map_or(0, |run| run.bytes.len() + root);
         self.view.bytes.len() - self.span.len() + written
     }
 
@@ -869,30 +841,16 @@ impl Patch<'_> {
         }
         let (old, nodes) = (&self.view.bytes, &self.view.nodes);
         let parent_header = self.parent.map_or(0, |p| nodes[p as usize].header as usize);
-        let mut new = Vec::new();
-        match &self.written {
-            None => {}
-            Some(Written::Run(run)) => {
-                new.extend_from_slice(&run.bytes);
-                relink(&mut new, self.span.start, parent_header, |t| {
-                    let (kind, label) = run.types.get(t as usize).copied().ok_or_else(|| {
-                        TreeError::Invariant(format!("grafted run names type {t}"))
-                    })?;
-                    Ok((kind, table.intern(kind, label)?.0))
-                })?;
-            }
-            Some(Written::Leaf(kind, label, body)) => {
-                let (type_idx, _) = table.intern(*kind, *label)?;
-                if self.parent.is_none() {
-                    new.extend_from_slice(&old[..8]);
-                }
-                new.extend_from_slice(&type_idx.to_le_bytes());
-                if self.parent.is_some() {
-                    new.extend_from_slice(&(parent_header as u16).to_le_bytes());
-                    new.extend_from_slice(&((EMBEDDED_HEADER + body.len()) as u16).to_le_bytes());
-                }
-                new.extend_from_slice(body);
-            }
+        let mut new = match &self.written {
+            None => Vec::new(),
+            Some(run) => run.placed(self.span.start, parent_header, |kind, label| {
+                Ok(table.intern(kind, label)?.0)
+            })?,
+        };
+        if self.parent.is_none() && !new.is_empty() {
+            let mut root = Vec::with_capacity(STANDALONE_HEADER);
+            push_root(&mut root, self.view.parent_rid(), u16_at(&new, 0));
+            new.splice(..EMBEDDED_HEADER, root);
         }
         let growth = len as isize - old.len() as isize;
         let mut fixups = Vec::new();
@@ -975,12 +933,10 @@ impl Run {
     /// The whole record `view` shows as one embedded subtree: its root's
     /// standalone header becomes an embedded one.
     pub fn whole(view: &RecordView) -> Run {
-        let size = view.bytes.len() - STANDALONE_HEADER + EMBEDDED_HEADER;
-        let mut bytes = Vec::with_capacity(size);
-        bytes.extend_from_slice(&view.bytes[8..STANDALONE_HEADER]);
-        bytes.extend_from_slice(&[0, 0]);
-        bytes.extend_from_slice(&(size as u16).to_le_bytes());
+        let mut bytes = Vec::with_capacity(view.bytes.len());
+        push_header(&mut bytes, type_at(&view.bytes, 0), 0, 0);
         bytes.extend_from_slice(&view.bytes[STANDALONE_HEADER..]);
+        close(&mut bytes, 0);
         Run {
             bytes,
             types: view.table.entries().to_vec(),
@@ -989,8 +945,8 @@ impl Run {
 
     /// One leaf of `(kind, label)` whose body is `body`.
     pub fn leaf(kind: ContentKind, label: LabelId, body: &[u8]) -> Run {
-        let mut bytes = vec![0; 4];
-        bytes.extend_from_slice(&((EMBEDDED_HEADER + body.len()) as u16).to_le_bytes());
+        let mut bytes = Vec::with_capacity(EMBEDDED_HEADER + body.len());
+        push_header(&mut bytes, 0, 0, EMBEDDED_HEADER + body.len());
         bytes.extend_from_slice(body);
         Run {
             bytes,
@@ -998,9 +954,153 @@ impl Run {
         }
     }
 
+    /// A placeholder — a proxy or a continuation placeholder — naming
+    /// `rid`, with no label digest: every reader enters it.
+    pub(crate) fn placeholder(kind: ContentKind, rid: Rid) -> Run {
+        let mut body = [0; PROXY_BODY];
+        rid.encode(&mut body);
+        Run::leaf(kind, LABEL_NONE, &body)
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         headers(&self.bytes, |t| inner_type(&self.types, t)).count()
+    }
+
+    /// The run's bytes where they land — at offset `at` of a record, under
+    /// the node whose header is at offset `parent` — each type as `intern`
+    /// gives its index there, called in pre-order as the encoder interns
+    /// (`relink`).
+    pub(crate) fn placed(
+        &self,
+        at: usize,
+        parent: usize,
+        mut intern: impl FnMut(ContentKind, LabelId) -> TreeResult<u16>,
+    ) -> TreeResult<Vec<u8>> {
+        let mut bytes = self.bytes.clone();
+        relink(&mut bytes, at, parent, |t| {
+            let (kind, label) = self
+                .types
+                .get(t as usize)
+                .copied()
+                .ok_or_else(|| TreeError::Invariant(format!("grafted run names type {t}")))?;
+            Ok((kind, intern(kind, label)?))
+        })?;
+        Ok(bytes)
+    }
+}
+
+/// The embedded size of a proxy: what a cut run gives way to.
+pub(crate) const PROXY_LEN: usize = EMBEDDED_HEADER + PROXY_BODY;
+
+/// A record to place as bytes: the Appendix A encoding of a subtree whose
+/// type indices name `types` — a cut ([`Image::cut`]: a range of the
+/// bulkloader's in-flight bytes, a split's partition, a run of a group
+/// record, a new one-node record) or a whole record (figure 5's move,
+/// separator or normalized cluster). Placing it maps the types to the
+/// page's table, in pre-order as the encoder interns, and writes the parent
+/// offsets from the sizes ([`Image::encode`]).
+pub(crate) struct Image<'a> {
+    /// The standalone header's parent RID.
+    pub(crate) parent: Rid,
+    /// The root's type.
+    pub(crate) root: u16,
+    /// The root's body: its embedded children, or a leaf's payload.
+    pub(crate) body: &'a [u8],
+    /// The type list the headers index.
+    pub(crate) types: &'a [(ContentKind, LabelId)],
+}
+
+impl<'a> Image<'a> {
+    /// The record whose bytes, standalone header first, are `bytes`.
+    pub(crate) fn record(bytes: &'a [u8], types: &'a [(ContentKind, LabelId)]) -> Image<'a> {
+        Image {
+            parent: Rid::decode(bytes),
+            root: type_at(bytes, 0),
+            body: &bytes[STANDALONE_HEADER..],
+            types,
+        }
+    }
+
+    /// The run of sibling subtrees at `span` of `bytes` — whole subtrees
+    /// whose sizes are written — cut out as the record that holds it: one
+    /// subtree keeps its own root, several go under the scaffolding
+    /// aggregate `scaffolding` of `types` (figure 8's h1/h2). It names no
+    /// parent: the write of the record that takes its
+    /// [`proxy`](Self::proxy) registers one.
+    pub(crate) fn cut(
+        bytes: &'a [u8],
+        span: Range<usize>,
+        types: &'a [(ContentKind, LabelId)],
+        scaffolding: u16,
+    ) -> Image<'a> {
+        let (root, body) = if size_at(bytes, span.start) == span.len() {
+            (
+                u16_at(bytes, span.start),
+                span.start + EMBEDDED_HEADER..span.end,
+            )
+        } else {
+            (scaffolding, span)
+        };
+        Image {
+            parent: Rid::invalid(),
+            root,
+            body: &bytes[body],
+            types,
+        }
+    }
+
+    /// The proxy that takes the place of the run the image was cut from,
+    /// once it is record `rid`. Its label digest — the one rule of it — is
+    /// the root's label when the root is an element or a literal, so a
+    /// reader prunes the record without reading it, and [`LABEL_NONE`]
+    /// ("must read") for a scaffolding, prefix or proxy root.
+    pub(crate) fn proxy(&self, rid: Rid) -> Run {
+        let mut proxy = Run::placeholder(ContentKind::Proxy, rid);
+        proxy.types[0].1 = match self.types.get(self.root as usize) {
+            Some(&(ContentKind::Proxy | ContentKind::Prefix | ContentKind::Continuation, _))
+            | None => LABEL_NONE,
+            Some(&(_, label)) => label,
+        };
+        proxy
+    }
+
+    /// The record's length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        STANDALONE_HEADER + self.body.len()
+    }
+
+    /// The header offsets in `body` of the root's embedded descendants, in
+    /// pre-order (none under a leaf root).
+    pub(crate) fn headers(&self) -> impl Iterator<Item = usize> + '_ {
+        let body = if inner_type(self.types, self.root) {
+            self.body
+        } else {
+            &[]
+        };
+        headers(body, |t| inner_type(self.types, t))
+    }
+
+    /// The record's bytes with each type index as `map` gives it for the
+    /// image's index (in pre-order, as the encoder interns) and each
+    /// parent offset written, and the records its proxies and placeholder
+    /// name.
+    pub(crate) fn encode(
+        &self,
+        mut map: impl FnMut(u16) -> TreeResult<(ContentKind, u16)>,
+    ) -> TreeResult<(Vec<u8>, Vec<Rid>)> {
+        let mut out = Vec::with_capacity(self.len());
+        let (root_kind, root) = map(self.root)?;
+        push_root(&mut out, self.parent, root);
+        out.extend_from_slice(self.body);
+        let children = match root_kind {
+            ContentKind::Aggregate | ContentKind::Prefix => {
+                relink(&mut out[STANDALONE_HEADER..], STANDALONE_HEADER, 0, map)?
+            }
+            ContentKind::Proxy | ContentKind::Continuation => vec![Rid::decode(self.body)],
+            _ => Vec::new(),
+        };
+        Ok((out, children))
     }
 }
 
@@ -1013,10 +1113,63 @@ pub(crate) fn inner_type(types: &[(ContentKind, LabelId)], t: u16) -> bool {
 }
 
 /// The `u16` at `at` of `bytes`, 0 past their end.
+#[inline]
 pub(crate) fn u16_at(bytes: &[u8], at: usize) -> u16 {
     bytes
         .get(at..at + 2)
         .map_or(0, |b| u16::from_le_bytes([b[0], b[1]]))
+}
+
+/// Appends a standalone header to `out`: the parent record's RID, then
+/// the root's type.
+#[inline]
+pub(crate) fn push_root(out: &mut Vec<u8>, parent: Rid, t: u16) {
+    parent.encode_to(out);
+    out.extend_from_slice(&t.to_le_bytes());
+}
+
+/// Appends an embedded header to `out` — type `t`, parent offset `parent`,
+/// size `size` (0 while the subtree is open: [`close`] writes it) — and
+/// returns its offset.
+#[inline]
+pub(crate) fn push_header(out: &mut Vec<u8>, t: u16, parent: usize, size: usize) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&t.to_le_bytes());
+    out.extend_from_slice(&(parent as u16).to_le_bytes());
+    out.extend_from_slice(&(size as u16).to_le_bytes());
+    at
+}
+
+/// Writes the size field of the embedded header at `at` of `out`, whose
+/// subtree is everything from the header on.
+#[inline]
+pub(crate) fn close(out: &mut [u8], at: usize) {
+    let size = (out.len() - at) as u16;
+    out[at + 4..at + EMBEDDED_HEADER].copy_from_slice(&size.to_le_bytes());
+}
+
+/// The type index in the header at `at` of `bytes` (at 0, the standalone
+/// header's, behind the parent RID).
+#[inline]
+pub(crate) fn type_at(bytes: &[u8], at: usize) -> u16 {
+    u16_at(bytes, if at == 0 { 8 } else { at })
+}
+
+/// The size field of the embedded header at `at` of `bytes`.
+#[inline]
+pub(crate) fn size_at(bytes: &[u8], at: usize) -> usize {
+    u16_at(bytes, at + 4) as usize
+}
+
+/// Where the body of the node whose header is at `at` starts (at 0, the
+/// standalone header's).
+#[inline]
+pub(crate) fn body_at(at: usize) -> usize {
+    if at == 0 {
+        STANDALONE_HEADER
+    } else {
+        at + EMBEDDED_HEADER
+    }
 }
 
 /// The offsets in `body` — embedded subtrees, one after the other — of
@@ -1636,19 +1789,13 @@ pub(crate) mod tests {
     /// returned tree.
     fn run_tree(run: &Run) -> RecordTree {
         let mut table = TypeTable::new();
-        for &(kind, label) in &run.types {
-            table.intern(kind, label).unwrap();
-        }
         let (holder, _) = table.intern(ContentKind::Aggregate, LABEL_NONE).unwrap();
         let mut bytes = Vec::new();
-        Rid::invalid().encode_to(&mut bytes);
-        bytes.extend_from_slice(&holder.to_le_bytes());
-        let mut body = run.bytes.clone();
-        relink(&mut body, STANDALONE_HEADER, 0, |t| {
-            Ok((run.types[t as usize].0, t))
-        })
-        .unwrap();
-        bytes.extend_from_slice(&body);
+        push_root(&mut bytes, Rid::invalid(), holder);
+        let body = run.placed(STANDALONE_HEADER, 0, |kind, label| {
+            Ok(table.intern(kind, label)?.0)
+        });
+        bytes.extend(body.unwrap());
         deserialize(&bytes, &table, Rid::new(2, 2)).unwrap()
     }
 
@@ -1657,10 +1804,6 @@ pub(crate) mod tests {
     fn edited(tree: &RecordTree, edit: &Edit) -> RecordTree {
         let mut t = tree.clone();
         match edit.clone() {
-            Edit::Insert(parent, index, label, content) => {
-                let n = t.alloc(label, content);
-                t.attach(parent, index, n);
-            }
             Edit::Remove(n) => {
                 t.remove_subtree(n);
             }
@@ -1742,8 +1885,11 @@ pub(crate) mod tests {
                         0 => (11, PContent::Aggregate(vec![])),
                         _ => leaf(g),
                     };
+                    let body = leaf_body(&content).unwrap();
+                    let leaf = Run::leaf(content_kind(&content), label, &body);
                     let index = g.below(view.children(n).count() + 2);
-                    Edit::Insert(n, index, label, content)
+                    let at = view.children(n).nth(index).unwrap_or(view.subtree(n).end);
+                    Edit::Graft(n, at..at, leaf)
                 }
                 Shape::Continuation(_) => {
                     let target = Rid::new(g.below(5_000) as u32, 1);
@@ -1791,7 +1937,6 @@ pub(crate) mod tests {
             for edit in edits {
                 let what = format!("case {case}, {edit:?}");
                 let added = match &edit {
-                    Edit::Insert(..) => 1,
                     Edit::Graft(.., run) => run.node_count(),
                     Edit::Remove(_) | Edit::Replace(..) => 0,
                 };
@@ -1836,6 +1981,122 @@ pub(crate) mod tests {
         assert!(
             splices > 20_000 && grafts > 2_000,
             "{splices} splices, {grafts} grafts"
+        );
+    }
+
+    /// The tree `Image::cut` must encode for the run of `tree`'s sibling
+    /// subtrees `roots` (arena id == pre-order index): the one subtree, or
+    /// the subtrees under a scaffolding root.
+    fn cut_tree(tree: &RecordTree, roots: &[PNodeId]) -> RecordTree {
+        let (label, content, kids) = match *roots {
+            [n] => {
+                let content = match &tree.node(n).content {
+                    PContent::Aggregate(_) => PContent::Aggregate(vec![]),
+                    PContent::Prefix(_) => PContent::Prefix(vec![]),
+                    leaf => leaf.clone(),
+                };
+                (tree.node(n).label, content, tree.children(n))
+            }
+            _ => (LABEL_NONE, PContent::Aggregate(vec![]), roots),
+        };
+        let mut t = RecordTree::new(label, content, Rid::invalid());
+        let root = t.root();
+        for (i, &k) in kids.iter().enumerate() {
+            copy_into(tree, k, &mut t, root, i);
+        }
+        t
+    }
+
+    #[test]
+    fn cuts_equal_the_encoded_run() {
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(cuts_agree)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// On the 2 000-tree set, three cuts per tree where it has them — a
+    /// single leaf, a single inner subtree, a run of several siblings:
+    /// the record a cut places is the encoder's bytes of the run's
+    /// subtree, or of the run under a scaffolding root, and its type table
+    /// grows the same; its proxy's label digest is the root's label when
+    /// the root is a facade (`PNode::is_facade`), "must read" otherwise.
+    fn cuts_agree() {
+        let rid = Rid::new(1, 1);
+        let mut table = TypeTable::new();
+        let mut cases = [0; 3];
+        for case in 0..2_000 {
+            let mut g = Gen::new(0xC07_CA5E ^ case);
+            let (bytes, _) = try_serialize(&equivalence_tree(case), &mut table).unwrap();
+            let view = RecordView::parse(bytes, table.clone(), rid).unwrap();
+            let tree = view.decode().unwrap();
+            let nodes = 1..view.node_count() as PNodeId;
+            let leaves: Vec<PNodeId> = nodes
+                .clone()
+                .filter(|&n| view.subtree(n).len() == 1)
+                .collect();
+            let inner: Vec<PNodeId> = nodes.filter(|&n| view.subtree(n).len() > 1).collect();
+            let holders: Vec<Vec<PNodeId>> = (0..view.node_count() as PNodeId)
+                .map(|n| view.children(n).collect::<Vec<_>>())
+                .filter(|kids| kids.len() > 1)
+                .collect();
+            let mut runs = Vec::new();
+            if let Some(&n) = pick(&mut g, &leaves) {
+                runs.push((0, vec![n]));
+            }
+            if let Some(&n) = pick(&mut g, &inner) {
+                runs.push((1, vec![n]));
+            }
+            if let Some(kids) = pick(&mut g, &holders) {
+                let from = g.below(kids.len() - 1);
+                let to = from + 2 + g.below(kids.len() - from - 1);
+                runs.push((2, kids[from..to].to_vec()));
+            }
+            let mut cut_types = view.table().clone();
+            let (scaffolding, _) = cut_types
+                .intern(ContentKind::Aggregate, LABEL_NONE)
+                .unwrap();
+            for (kind, roots) in runs {
+                let run = roots[0]..view.subtree(roots[roots.len() - 1]).end;
+                let what = format!("case {case}, cut of {run:?}");
+                let image = Image::cut(
+                    view.bytes(),
+                    view.bytes_of(run.clone()),
+                    cut_types.entries(),
+                    scaffolding,
+                );
+                let reference = cut_tree(&tree, &roots);
+                let (mut want_table, mut got_table) = (TypeTable::new(), TypeTable::new());
+                let (want, _) = try_serialize(&reference, &mut want_table).unwrap();
+                let (got, _) = image
+                    .encode(|t| {
+                        let (kind, label) = image.types[t as usize];
+                        Ok((kind, got_table.intern(kind, label)?.0))
+                    })
+                    .unwrap();
+                assert!(got == want, "{what}: cut bytes");
+                assert_eq!(image.len(), want.len(), "{what}");
+                assert_eq!(got_table.encode(), want_table.encode(), "{what}: types");
+                let root = reference.node(reference.root());
+                let digest = if root.is_facade() {
+                    root.label
+                } else {
+                    LABEL_NONE
+                };
+                let proxy = image.proxy(Rid::new(7, 7));
+                assert_eq!(
+                    proxy.types,
+                    [(ContentKind::Proxy, digest)],
+                    "{what}: digest"
+                );
+                cases[kind] += 1;
+            }
+        }
+        assert!(
+            cases.iter().all(|&n| n > 500),
+            "leaf, inner, several: {cases:?}"
         );
     }
 

@@ -44,8 +44,8 @@ use natix_xml::{LabelId, LiteralValue};
 use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
 use crate::matrix::{SplitBehaviour, SplitMatrix};
-use crate::model::{NodePtr, PContent, PNodeId, RecordTree, STANDALONE_HEADER};
-use crate::record::{self, Edit, RecordView, Shape};
+use crate::model::{NodePtr, PContent, PNodeId, RecordTree};
+use crate::record::{self, Edit, Image, RecordView, Run, Shape};
 use crate::typetable::{ContentKind, TypeTable};
 use crate::version::{ReadPin, VersionStore, WriteOp};
 use pack::{plain, Attempt, Stop};
@@ -138,19 +138,17 @@ pub enum NewNode {
 }
 
 impl NewNode {
-    /// The node's body bytes in a record.
-    fn body_len(&self) -> usize {
-        match self {
-            NewNode::Element => 0,
-            NewNode::Literal(v) => crate::model::literal_body_len(v),
-        }
-    }
-
-    fn into_content(self) -> PContent {
-        match self {
-            NewNode::Element => PContent::Aggregate(Vec::new()),
-            NewNode::Literal(v) => PContent::Literal(v),
-        }
+    /// The node, labelled `label`, as a run of one leaf to graft.
+    fn leaf(&self, label: LabelId) -> Run {
+        let mut body = Vec::new();
+        let kind = match self {
+            NewNode::Element => ContentKind::Aggregate,
+            NewNode::Literal(v) => {
+                record::write_literal(v, &mut body);
+                record::literal_kind(v)
+            }
+        };
+        Run::leaf(kind, label, &body)
     }
 }
 
@@ -420,29 +418,26 @@ impl TreeStore {
     /// the root record's RID (== the root node's pointer with index 0).
     pub fn create_tree(&self, label: LabelId) -> TreeResult<Rid> {
         let _op = self.versions.begin_write();
-        let root = PContent::Aggregate(Vec::new());
-        self.place_node(Rid::invalid(), label, &root, None, &mut OpCtx::default())
+        let root = NewNode::Element.leaf(label);
+        let placed = self.place_node(Rid::invalid(), &root, None, &mut OpCtx::default());
+        placed.map(|(rid, _)| rid)
     }
 
-    /// Places a record of one node, `content` (a leaf or an empty
-    /// element) labelled `label`, naming `parent`.
+    /// Places `leaf`, a run of one node, as a record naming `parent`: the
+    /// run cut out as the record that holds it. Returns the record and the
+    /// proxy that names it.
     fn place_node(
         &self,
         parent: Rid,
-        label: LabelId,
-        content: &PContent,
+        leaf: &Run,
         near: Option<PageId>,
         ctx: &mut OpCtx,
-    ) -> TreeResult<Rid> {
-        let body = record::leaf_body(content).unwrap_or_default();
-        let types = [(record::content_kind(content), label)];
-        let image = Image {
-            parent,
-            root: 0,
-            body: &body,
-            types: &types,
-        };
-        self.place(&image, 1, near, ctx)
+    ) -> TreeResult<(Rid, Run)> {
+        // One subtree: the cut keeps its root, and needs no scaffolding.
+        let cut = Image::cut(&leaf.bytes, 0..leaf.bytes.len(), &leaf.types, 0);
+        let image = Image { parent, ..cut };
+        let rid = self.place(&image, 1, near, ctx)?;
+        Ok((rid, image.proxy(rid)))
     }
 
     /// Inserts a new facade node under `parent` at the given logical
@@ -595,23 +590,6 @@ impl TreeStore {
         }
     }
 
-    /// A single node (here: one of `body` body bytes) larger than the net
-    /// capacity can never be stored: the split algorithm cannot divide
-    /// below node granularity (§3.2.2 always descends into subtrees; a
-    /// childless node terminates it). Rejecting it up front, before any
-    /// normalization, keeps failures non-destructive; the document manager
-    /// chunks long text to stay below this bound.
-    fn check_node_size(&self, body: usize) -> TreeResult<()> {
-        let standalone = crate::model::STANDALONE_HEADER + body;
-        if standalone > self.net_capacity() {
-            return Err(TreeError::OversizedNode {
-                size: standalone,
-                max: self.net_capacity(),
-            });
-        }
-        Ok(())
-    }
-
     /// A split of the site record splices its separator into ancestor
     /// records, and the splice machinery requires plain (non-packed)
     /// ancestors — lazy normalization deliberately leaves them packed.
@@ -646,13 +624,13 @@ impl TreeStore {
         mut site_of: impl FnMut(NodePtr) -> Attempt<(Site, NodePtr)>,
     ) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
-        self.check_node_size(node.body_len())?;
+        let leaf = node.leaf(label);
+        let body = leaf.bytes.len() - crate::model::EMBEDDED_HEADER;
+        check_node_size(body, self.net_capacity())?;
         let mut ctx = OpCtx::default();
         let (site, logical_parent) = self.resolve_plain(ptr, &mut ctx, |ptr| {
             let (site, logical_parent) = site_of(ptr)?;
-            let growth =
-                crate::model::EMBEDDED_HEADER + crate::model::PROXY_BODY.max(node.body_len());
-            self.splittable(&site.view, growth)?;
+            self.splittable(&site.view, record::PROXY_LEN.max(leaf.bytes.len()))?;
             Ok((site, logical_parent))
         })?;
         let Site {
@@ -669,24 +647,22 @@ impl TreeStore {
             t.label(t.checked(logical_parent.node)?)
         };
         let behaviour = self.matrix.read().get(parent_label, label);
-        let insert = |label, content| Edit::Insert(parent_node, index, label, content);
+        let at = (view.children(parent_node).nth(index)).unwrap_or(view.subtree(parent_node).end);
+        let insert = |run| Edit::Graft(parent_node, at..at, run);
         match behaviour {
             SplitBehaviour::Standalone => {
                 // §3.3: "x is stored as a standalone node"; a proxy goes
                 // into the designated record. Hint: same page as the parent
                 // ("store parent with children ... on the same page if
                 // possible", §4.2).
-                let content = node.into_content();
-                let child_rid = self.place_node(rid, label, &content, Some(rid.page), &mut ctx)?;
+                let (child_rid, proxy) = self.place_node(rid, &leaf, Some(rid.page), &mut ctx)?;
                 ctx.result.new_node = Some(NodePtr::new(child_rid, 0));
                 // The child names the host; a move or split of the host
-                // registers the proxy's new holder. The proxy's label
-                // digest is the child's label: a facade's, or LABEL_NONE.
-                let proxy = insert(label, PContent::Proxy(child_rid));
-                self.store_edit(&view, proxy, false, &mut ctx)?;
+                // registers the proxy's new holder.
+                self.store_edit(&view, insert(proxy), false, &mut ctx)?;
             }
             SplitBehaviour::KeepWithParent | SplitBehaviour::Other => {
-                self.store_edit(&view, insert(label, node.into_content()), true, &mut ctx)?;
+                self.store_edit(&view, insert(leaf), true, &mut ctx)?;
             }
         }
         self.apply_patches(&mut ctx)?;
@@ -815,7 +791,7 @@ impl TreeStore {
     pub fn update_literal(&self, ptr: NodePtr, value: LiteralValue) -> TreeResult<OpResult> {
         let _op = self.versions.begin_write();
         let body = crate::model::literal_body_len(&value);
-        self.check_node_size(body)?;
+        check_node_size(body, self.net_capacity())?;
         let mut ctx = OpCtx::default();
         let (view, n) = self.resolve_plain(ptr, &mut ctx, |ptr| {
             let view = self.view_current(ptr.rid)?;
@@ -926,6 +902,20 @@ impl TreeStore {
     }
 }
 
+/// A single node (here: one of `body` body bytes) larger than the net
+/// capacity `max` can never be stored: the split algorithm cannot divide
+/// below node granularity (§3.2.2 always descends into subtrees; a
+/// childless node terminates it). Rejecting it up front, before any
+/// normalization, keeps failures non-destructive; the document manager
+/// chunks long text to stay below this bound.
+pub(crate) fn check_node_size(body: usize, max: usize) -> TreeResult<()> {
+    let size = crate::model::STANDALONE_HEADER + body;
+    if size > max {
+        return Err(TreeError::OversizedNode { size, max });
+    }
+    Ok(())
+}
+
 /// Placement state of a sequential bulk append ([`TreeStore::append_image`]):
 /// the page being filled and its type table, decoded once.
 #[derive(Debug, Default)]
@@ -938,30 +928,6 @@ pub(crate) struct AppendCursor {
     map: Vec<u16>,
     /// The nonzero entries of `map`.
     mapped: usize,
-}
-
-/// A record to place as bytes: the Appendix A encoding of a subtree whose
-/// type indices name `types` — a range of the bulkloader's image, a record
-/// figure 5 moves, cuts out or builds (`store::growth`'s `Draft`), a new
-/// one-node record. Placing it maps the types to the page's table, in
-/// pre-order as the encoder interns, and writes the parent offsets from
-/// the sizes.
-pub(crate) struct Image<'a> {
-    /// The standalone header's parent RID.
-    pub(crate) parent: Rid,
-    /// The root's type.
-    pub(crate) root: u16,
-    /// The root's body: its embedded children, or a leaf's payload.
-    pub(crate) body: &'a [u8],
-    /// The type list the headers index.
-    pub(crate) types: &'a [(ContentKind, LabelId)],
-}
-
-impl Image<'_> {
-    /// The record's length in bytes.
-    pub(crate) fn len(&self) -> usize {
-        STANDALONE_HEADER + self.body.len()
-    }
 }
 
 /// An insertion site: a record (read, to be spliced when the insert
@@ -1427,6 +1393,53 @@ pub(crate) mod tests {
             refused += 1;
         }
         assert!(refused > 0, "no facade of a packed record");
+    }
+
+    /// On 32 KiB pages the eager normalization of a deep document merges
+    /// its host record and groups past the format's 16-bit sizes (once a
+    /// refused edit: "record of 65 537 bytes exceeds the format's 16-bit
+    /// sizes"). The merge cuts the overflow instead, so a first child
+    /// inserted under a SECTION lands there and every other node keeps its
+    /// place in the document: half way down, a third of the way and near
+    /// the top of a spine with a payload and a straggler at every level,
+    /// and half way down a longer spine with stragglers only, whose merge
+    /// cuts pieces off pieces that are not the last.
+    #[test]
+    fn a_normalization_past_the_format_s_sizes_cuts_the_overflow() {
+        for (depth, payload_every, at) in [(2_000, 1, &[2, 3, 200][..]), (6_000, 0, &[2][..])] {
+            let mut syms = SymbolTable::new();
+            let cfg = DeepConfig {
+                depth,
+                payload_every,
+                sidecar_every: 0,
+                straggler_every: 1,
+                seed: 7,
+            };
+            let doc = generate_deep(&cfg, &mut syms);
+            let (section, new) = (syms.intern_element("SECTION"), syms.intern_element("NEW"));
+            let st = store(32_768);
+            let mut root = bulkload_document(&st, &doc, None).unwrap().root_rid;
+            for k in at.iter().map(|d| depth / d) {
+                let what = format!("depth {depth}, SECTION {k}");
+                let before = facades(&st, root);
+                let at = (before.iter().enumerate())
+                    .filter(|(_, f)| f.1 == section)
+                    .nth(k)
+                    .unwrap()
+                    .0;
+                let res = st
+                    .insert(before[at].0, InsertPos::First, new, NewNode::Element)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                follow_root(&mut root, &res);
+                let after = facades(&st, root);
+                let mut want: Vec<(LabelId, bool)> = before.iter().map(|f| (f.1, f.2)).collect();
+                want.insert(at + 1, (new, true));
+                let got: Vec<(LabelId, bool)> = after.iter().map(|f| (f.1, f.2)).collect();
+                assert!(got == want, "{what}: the document changed elsewhere");
+                assert_eq!(res.new_node, Some(after[at + 1].0), "{what}");
+                check_tree(&st, root).unwrap();
+            }
+        }
     }
 
     #[test]

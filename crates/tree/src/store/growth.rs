@@ -4,9 +4,12 @@
 //! into the parent record, recursively. Appendix A stores a subtree as one
 //! contiguous, location-independent byte range, so every step is an
 //! operation on byte ranges and no record is decoded: a move places the
-//! spliced bytes through the placement path a load uses, a partition is a
-//! cut of the record's bytes, and the separator is the record with each
-//! partition's run replaced by a proxy ([`Draft`]).
+//! spliced bytes through the placement path a load uses, a partition is
+//! the cut of a run of the record's bytes a bulkload spill makes
+//! (`record::Image::cut`), and the separator is the record with each
+//! partition's run replaced by the cut's proxy ([`Draft`]). A separator
+//! that would take its parent past the format's 16-bit sizes stays a
+//! record of its own, which the parent's proxy names.
 //!
 //! Moves and splits re-home proxies, and the records they name must name
 //! their new holder in their standalone headers (Appendix A). A write
@@ -18,13 +21,15 @@
 //! proxy but the one a standalone insert names, whose record was created
 //! naming its host.
 
+use std::ops::Range;
+
 use natix_storage::{Metrics, PatchKind, Rid, Splice, StorageError};
 use natix_xml::LABEL_NONE;
 
-use super::{Image, OpCtx, Relocation, TreeStore, WATCH};
+use super::{OpCtx, Relocation, TreeStore, WATCH};
 use crate::error::{TreeError, TreeResult};
-use crate::model::{NodePtr, PContent, PNodeId, EMBEDDED_HEADER, PROXY_BODY, STANDALONE_HEADER};
-use crate::record::{Edit, Patch, RecordView, Run, Shape};
+use crate::model::{NodePtr, PContent, PNodeId};
+use crate::record::{Edit, Image, Patch, RecordView, Run, Shape, PROXY_LEN};
 use crate::split::{plan_split, single_root, SplitPlan};
 use crate::typetable::{ContentKind, TypeTable};
 
@@ -64,13 +69,35 @@ impl Draft {
 
     /// The record as an image to place.
     pub(super) fn image(&self) -> Image<'_> {
-        let bytes = self.view.bytes();
-        Image {
-            parent: self.view.parent_rid(),
-            root: self.view.type_index(0),
-            body: &bytes[STANDALONE_HEADER..],
-            types: self.view.table().entries(),
+        Image::record(self.view.bytes(), self.view.table().entries())
+    }
+
+    /// Nodes `run` of the record — whole sibling subtrees — cut out as the
+    /// record that holds them ([`Image::cut`]). It names no parent yet: the
+    /// write of the record that takes its proxy registers one.
+    pub(super) fn cut(&self, run: Range<PNodeId>) -> TreeResult<Draft> {
+        let view = &self.view;
+        let mut table = view.table().clone();
+        let (scaffolding, _) = table.intern(ContentKind::Aggregate, LABEL_NONE)?;
+        let image = Image::cut(
+            view.bytes(),
+            view.bytes_of(run.clone()),
+            table.entries(),
+            scaffolding,
+        );
+        let (bytes, _) = image.encode(|t| Ok((image.types[t as usize].0, t)))?;
+        let mut origs = Vec::with_capacity(run.len() + 1);
+        if single_root(view, &run).is_none() {
+            origs.push(None);
         }
+        origs.extend_from_slice(&self.origs[run.start as usize..run.end as usize]);
+        let view = RecordView::parse(bytes, table, view.rid())?;
+        Ok(Draft { view, origs })
+    }
+
+    /// `plan`'s partitions of the record, each cut out of its bytes.
+    fn partitions(&self, plan: &SplitPlan) -> TreeResult<Vec<Draft>> {
+        plan.iter().map(|run| self.cut(run.clone())).collect()
     }
 }
 
@@ -233,14 +260,14 @@ impl TreeStore {
     fn split_record(&self, rid: Rid, draft: Draft, ctx: &mut OpCtx) -> TreeResult<Rid> {
         let parent_rid = draft.view.parent_rid();
         let plan = self.plan(&draft.view)?;
-        let partitions = partitions(&draft, &plan)?;
+        let partitions = draft.partitions(&plan)?;
         // Delete the old record first: partitions gladly reuse its space.
         self.delete_record_raw(rid, ctx)?;
         let separator = self.place_partitions(draft, &plan, partitions, rid.page, ctx)?;
         if parent_rid.is_invalid() {
             // "If the old record had no parent record, a new root record
             // for the tree is created which contains just the separator."
-            let sep_rid = self.store_possibly_oversized(separator, rid.page, ctx)?;
+            let (sep_rid, _) = self.store_possibly_oversized(separator, rid.page, ctx)?;
             ctx.note_root_move(rid, sep_rid);
             return Ok(sep_rid);
         }
@@ -272,6 +299,18 @@ impl TreeStore {
         } else {
             (Run::whole(sep), separator.origs.clone())
         };
+        if view.byte_len() - PROXY_LEN + run.bytes.len() > u16::MAX as usize {
+            // The parent and the separator would pass the format's 16-bit
+            // sizes: the separator stays a record of its own, which the
+            // parent's proxy names instead.
+            let (_, sep_proxy) = self.store_possibly_oversized(separator, parent_rid.page, ctx)?;
+            return self.store_edit(
+                &view,
+                Edit::Graft(holder, proxy..proxy + 1, sep_proxy),
+                false,
+                ctx,
+            );
+        }
         let patch = view.splice(Edit::Graft(holder, proxy..proxy + 1, run))?;
         let draft = Draft::patched(&patch, addresses(&view), added)?;
         if self.write_in_place(parent_rid, patch.byte_len(), |_, t| patch.splice(t))? {
@@ -299,17 +338,8 @@ impl TreeStore {
     ) -> TreeResult<Draft> {
         let mut proxies = Vec::with_capacity(plan.len());
         for (run, partition) in plan.iter().zip(partitions) {
-            let view = &draft.view;
-            // A proxy's label digest: a facade root's label (readers can
-            // then prune the record without loading its page), "must
-            // read" for a scaffolding root.
-            let digest = single_root(view, run)
-                .filter(|&root| view.is_facade(root))
-                .map_or(LABEL_NONE, |root| view.label(root));
-            let mut rid = Vec::new();
-            self.store_possibly_oversized(partition, near, ctx)?
-                .encode_to(&mut rid);
-            proxies.push((run.clone(), Run::leaf(ContentKind::Proxy, digest, &rid)));
+            let (_, proxy) = self.store_possibly_oversized(partition, near, ctx)?;
+            proxies.push((run.clone(), proxy));
         }
         proxies.sort_by_key(|(run, _)| std::cmp::Reverse(run.start));
         for (run, proxy) in proxies {
@@ -323,21 +353,23 @@ impl TreeStore {
     }
 
     /// Stores a fresh (not-yet-stored) record, recursively splitting it
-    /// while it exceeds the net capacity. Terminates because every split
-    /// strictly shrinks the remainder; a childless oversized root is
-    /// reported as [`TreeError::OversizedNode`].
-    fn store_possibly_oversized(
+    /// while it exceeds the net capacity, and returns it and the proxy
+    /// that names it. Terminates because every split strictly shrinks the
+    /// remainder; a childless oversized root is reported as
+    /// [`TreeError::OversizedNode`].
+    pub(super) fn store_possibly_oversized(
         &self,
         draft: Draft,
         near: u32,
         ctx: &mut OpCtx,
-    ) -> TreeResult<Rid> {
+    ) -> TreeResult<(Rid, Run)> {
         let before = draft.view.byte_len();
         if before <= self.net_capacity() {
-            return self.write_new(&draft, Some(near), ctx);
+            let rid = self.write_new(&draft, Some(near), ctx)?;
+            return Ok((rid, draft.image().proxy(rid)));
         }
         let plan = self.plan(&draft.view)?;
-        let partitions = partitions(&draft, &plan)?;
+        let partitions = draft.partitions(&plan)?;
         // Convergence guard: every split must strictly shrink the pieces,
         // otherwise recursion would never terminate (only possible with a
         // node close to the page size plus pathological configuration).
@@ -345,7 +377,7 @@ impl TreeStore {
             .iter()
             .map(|r| draft.view.bytes_of(r.clone()).len())
             .sum();
-        let separator = before - cut + plan.len() * (EMBEDDED_HEADER + PROXY_BODY);
+        let separator = before - cut + plan.len() * PROXY_LEN;
         if separator >= before || partitions.iter().any(|p| p.view.byte_len() >= before) {
             return Err(TreeError::OversizedNode {
                 size: before,
@@ -355,38 +387,4 @@ impl TreeStore {
         let separator = self.place_partitions(draft, &plan, partitions, near, ctx)?;
         self.store_possibly_oversized(separator, near, ctx)
     }
-}
-
-/// `plan`'s partitions of `draft`, each cut out of its bytes: a run of
-/// subtrees under a scaffolding aggregate (h1/h2), or one subtree as the
-/// record's root. They name no parent yet: the separator's write
-/// registers one.
-fn partitions(draft: &Draft, plan: &SplitPlan) -> TreeResult<Vec<Draft>> {
-    let view = &draft.view;
-    plan.iter()
-        .map(|run| {
-            let mut table = view.table().clone();
-            let (root, body) = match single_root(view, run) {
-                Some(root) => (view.type_index(root), view.body(root)),
-                None => (
-                    table.intern(ContentKind::Aggregate, LABEL_NONE)?.0,
-                    view.bytes_of(run.clone()),
-                ),
-            };
-            let image = Image {
-                parent: Rid::invalid(),
-                root,
-                body: &view.bytes()[body],
-                types: table.entries(),
-            };
-            let (bytes, _) = image.encode(|t| Ok((image.types[t as usize].0, t)))?;
-            let mut origs = Vec::with_capacity(run.len() + 1);
-            if single_root(view, run).is_none() {
-                origs.push(None);
-            }
-            origs.extend_from_slice(&draft.origs[run.start as usize..run.end as usize]);
-            let view = RecordView::parse(bytes, table, view.rid())?;
-            Ok(Draft { view, origs })
-        })
-        .collect()
 }

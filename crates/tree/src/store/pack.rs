@@ -9,7 +9,12 @@
 //! Normalization works on record bytes: each prefix entry's children are
 //! one contiguous run of the group record, grafted after the children of
 //! the host's node it copies ([`crate::record::Edit::Graft`]), and the
-//! merged record goes down figure 5's path like an edited one.
+//! merged record goes down figure 5's path like an edited one. A deep host
+//! and its groups can merge past the format's 16-bit sizes on large pages
+//! (32 KiB): where a graft would, the overflow is cut instead — the spilled
+//! path below the node grafted into goes to a record of its own behind a
+//! proxy ([`Merge`]), or else the run does, cut out of its group record as
+//! a bulkload spill or a split's partition is (`record::Image::cut`).
 
 use std::ops::Range;
 
@@ -21,6 +26,7 @@ use super::{OpCtx, TreeStore};
 use crate::error::{TreeError, TreeResult};
 use crate::model::{NodePtr, PNodeId};
 use crate::record::{Edit, RecordView, Run, Shape};
+use crate::typetable::ContentKind;
 
 /// Normalization rounds one edit may take: each makes a packed cluster
 /// plain, so reaching the bound means a round made no progress.
@@ -124,8 +130,7 @@ impl TreeStore {
                 continue;
             }
             let origs = addresses(&view);
-            let mut draft = Draft { view, origs };
-            self.inline_continuations(&mut draft, ctx)?;
+            let draft = self.inline_continuations(Draft { view, origs }, ctx)?;
             self.store_rewritten(rc, draft, ctx)?;
             // Apply parent patches step by step: a later chain entry's
             // split consults its parent record, which this step may just
@@ -189,33 +194,59 @@ impl TreeStore {
         Ok(Some(host.rid()))
     }
 
-    /// Grafts every continuation group of `draft` (and, transitively, the
+    /// Grafts every continuation group of `host` (and, transitively, the
     /// groups those groups spilled into) back into the spilled path's
-    /// child lists, the placeholder removed. The path's nodes keep their
-    /// indices: each graft appends to a path node's child list, after the
-    /// path nodes below it.
-    fn inline_continuations(&self, draft: &mut Draft, ctx: &mut OpCtx) -> TreeResult<()> {
-        while let Some((cont, group)) = draft.view.continuation() {
-            let mut path: Vec<PNodeId> =
-                std::iter::successors(draft.view.parent(cont), |&p| draft.view.parent(p)).collect();
-            path.reverse();
-            draft.edit(Edit::Remove(cont), Vec::new())?;
-            self.splice_group(draft, &path, group, ctx)?;
+    /// child lists, the placeholder removed, and returns the merged record.
+    /// The path's nodes keep their indices: each graft appends to a path
+    /// node's child list, after the path nodes below it. A merge that would
+    /// pass the format's 16-bit sizes goes to more than one record
+    /// ([`Merge`]); those below the host are stored here.
+    fn inline_continuations(&self, host: Draft, ctx: &mut OpCtx) -> TreeResult<Draft> {
+        let near = host.view.rid().page;
+        let mut merge = Merge {
+            pieces: vec![host],
+            holders: Vec::new(),
+        };
+        while let Some((piece, cont, group)) = merge.continuation() {
+            let mut path = merge.path_to(piece, cont);
+            merge.pieces[piece].edit(Edit::Remove(cont), Vec::new())?;
+            // The placeholders behind it in its piece move up by one.
+            for (p, n) in &mut merge.holders {
+                *n -= PNodeId::from(*p == piece && *n > cont);
+            }
+            self.splice_group(&mut merge, &mut path, group, ctx)?;
         }
-        Ok(())
+        // The pieces cut off, last first (none holds a later one): each
+        // stored, and its proxy in place of the placeholder standing in
+        // for it.
+        while let Some((holder, at)) = merge.holders.pop() {
+            let Some(piece) = merge.pieces.pop() else {
+                break;
+            };
+            let (_, proxy) = self.store_possibly_oversized(piece, near, ctx)?;
+            let draft = &mut merge.pieces[holder];
+            let parent = draft.view.parent(at).ok_or_else(|| {
+                TreeError::Invariant(format!("record {}: a cut of its root", draft.view.rid()))
+            })?;
+            draft.edit(Edit::Graft(parent, at..at + 1, proxy), vec![None])?;
+        }
+        merge
+            .pieces
+            .pop()
+            .ok_or_else(|| TreeError::Invariant("a merge without its host".into()))
     }
 
-    /// Moves the content of continuation group `group_rid` into `draft`:
+    /// Moves the content of continuation group `group_rid` into `merge`:
     /// each prefix entry's children are appended to the path node it
     /// copies, in order, each run of them one graft; a split prefix
     /// chain's lower piece is inlined under the remaining path; the group
     /// record is deleted. The group's own continuation placeholder (if
-    /// any) travels into `draft`, where
+    /// any) travels into the merge, where
     /// [`inline_continuations`](Self::inline_continuations) picks it up.
     fn splice_group(
         &self,
-        draft: &mut Draft,
-        path: &[PNodeId],
+        merge: &mut Merge,
+        path: &mut [(usize, PNodeId)],
         group_rid: Rid,
         ctx: &mut OpCtx,
     ) -> TreeResult<()> {
@@ -226,39 +257,137 @@ impl TreeStore {
                 "continuation group {group_rid}: prefix chain longer than the spilled path"
             )));
         }
-        // Appends the run of `group`'s subtrees `run` to `node`'s children.
-        let append = |draft: &mut Draft, node: PNodeId, run: Option<Range<PNodeId>>| {
-            let Some(run) = run else { return Ok(()) };
-            let added = run
-                .clone()
-                .map(|n| Some(NodePtr::new(group_rid, n)))
-                .collect();
-            let end = draft.view.subtree(node).end;
-            draft.edit(Edit::Graft(node, end..end, Run::cut(&group, run)), added)
+        let group = Draft {
+            origs: addresses(&group),
+            view: group,
         };
-        for (i, &node) in path.iter().enumerate().take(levels) {
+        for i in 0..levels {
             // Chain entry `i` is node `i` (`RecordView::prefix_levels`).
             let mut run: Option<Range<PNodeId>> = None;
-            for c in group.children(i as PNodeId) {
-                if group.is_prefix(c) {
-                    append(draft, node, run.take())?;
+            for c in group.view.children(i as PNodeId) {
+                if group.view.is_prefix(c) {
+                    self.append_run(merge, path, i, &group, run.take(), ctx)?;
                     continue;
                 }
-                if let Shape::Proxy(t) = group.shape(c) {
+                if let Shape::Proxy(t) = group.view.shape(c) {
                     let lower = self.view_current(t)?;
                     if lower.is_prefix(lower.root()) {
                         // Lower piece of a split prefix chain: its levels
                         // continue this chain.
-                        append(draft, node, run.take())?;
-                        self.splice_group(draft, &path[i + 1..], t, ctx)?;
+                        self.append_run(merge, path, i, &group, run.take(), ctx)?;
+                        self.splice_group(merge, &mut path[i + 1..], t, ctx)?;
                         continue;
                     }
                 }
-                run = Some(run.map_or(c, |r| r.start)..group.subtree(c).end);
+                run = Some(run.map_or(c, |r| r.start)..group.view.subtree(c).end);
             }
-            append(draft, node, run)?;
+            self.append_run(merge, path, i, &group, run, ctx)?;
         }
         self.delete_record_raw(group_rid, ctx)?;
+        Ok(())
+    }
+
+    /// Appends the subtrees `run` of `group`, a group record, to the
+    /// children of the node at `level` of `path`. Where that would take
+    /// its piece of the merge past the format's 16-bit sizes, the path
+    /// below the node first goes to a piece of its own, if it is in the
+    /// same piece; failing that, the run goes to a record of its own — it
+    /// fits, as it fit its group record — and its proxy is appended.
+    fn append_run(
+        &self,
+        merge: &mut Merge,
+        path: &mut [(usize, PNodeId)],
+        level: usize,
+        group: &Draft,
+        run: Option<Range<PNodeId>>,
+        ctx: &mut OpCtx,
+    ) -> TreeResult<()> {
+        let Some(run) = run else { return Ok(()) };
+        let bytes = group.view.bytes_of(run.clone()).len();
+        let (piece, node) = path[level];
+        let past = |merge: &Merge| merge.pieces[piece].view.byte_len() + bytes > u16::MAX as usize;
+        let below = path.get(level + 1).is_some_and(|&(p, _)| p == piece);
+        if past(merge) && below {
+            merge.cut(&mut path[level + 1..])?;
+        }
+        let cut = past(merge);
+        let draft = &mut merge.pieces[piece];
+        let end = draft.view.subtree(node).end;
+        if cut {
+            let (_, proxy) =
+                self.store_possibly_oversized(group.cut(run)?, group.view.rid().page, ctx)?;
+            return draft.edit(Edit::Graft(node, end..end, proxy), vec![None]);
+        }
+        let added = group.origs[run.start as usize..run.end as usize].to_vec();
+        draft.edit(
+            Edit::Graft(node, end..end, Run::cut(&group.view, run)),
+            added,
+        )
+    }
+}
+
+/// A normalization's merged record (`TreeStore::inline_continuations`):
+/// the host record, and below it the pieces cut off the spilled path where
+/// a graft would take a record past the format's 16-bit sizes. A piece
+/// comes after the piece it was cut from.
+struct Merge {
+    pieces: Vec<Draft>,
+    /// Per piece but the host: the piece it was cut from, and where the
+    /// placeholder standing in for it is there.
+    holders: Vec<(usize, PNodeId)>,
+}
+
+impl Merge {
+    /// The continuation placeholder a piece holds: the piece, the
+    /// placeholder and its group.
+    fn continuation(&self) -> Option<(usize, PNodeId, Rid)> {
+        (self.pieces.iter().enumerate())
+            .find_map(|(i, d)| d.view.continuation().map(|(n, group)| (i, n, group)))
+    }
+
+    /// The ancestors of `node` of `piece` across the pieces, root first.
+    fn path_to(&self, mut piece: usize, mut node: PNodeId) -> Vec<(usize, PNodeId)> {
+        let mut path = Vec::new();
+        loop {
+            let view = &self.pieces[piece].view;
+            let up = std::iter::successors(view.parent(node), |&p| view.parent(p));
+            path.extend(up.map(|p| (piece, p)));
+            let Some(&(holder, at)) = piece.checked_sub(1).map(|k| &self.holders[k]) else {
+                break;
+            };
+            (piece, node) = (holder, at);
+        }
+        path.reverse();
+        path
+    }
+
+    /// Cuts the subtree of the first node of `path` off its piece into a
+    /// piece of its own, next after it, with a placeholder standing in for
+    /// it, and readdresses what moved: the nodes of `path` below, the
+    /// placeholders of earlier cuts (in the subtree or after it), and the
+    /// later pieces.
+    fn cut(&mut self, path: &mut [(usize, PNodeId)]) -> TreeResult<()> {
+        let (piece, root) = path[0];
+        let draft = &mut self.pieces[piece];
+        let below = draft.view.subtree(root);
+        let cut = draft.cut(below.clone())?;
+        let parent = draft.view.parent(root).ok_or_else(|| {
+            TreeError::Invariant(format!("record {}: a cut of its root", draft.view.rid()))
+        })?;
+        let placeholder = Run::placeholder(ContentKind::Proxy, Rid::invalid());
+        draft.edit(Edit::Graft(parent, below.clone(), placeholder), vec![None])?;
+        let gone = below.end - root - 1;
+        for (p, n) in path.iter_mut().chain(&mut self.holders) {
+            if *p == piece && below.contains(n) {
+                (*p, *n) = (piece + 1, *n - root);
+            } else if *p == piece && *n >= below.end {
+                *n -= gone;
+            } else if *p > piece {
+                *p += 1;
+            }
+        }
+        self.pieces.insert(piece + 1, cut);
+        self.holders.insert(piece, (piece, root));
         Ok(())
     }
 }

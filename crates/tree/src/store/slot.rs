@@ -19,10 +19,10 @@ use natix_storage::{Metrics, PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice,
 use natix_xml::LabelId;
 
 use super::growth::Draft;
-use super::{AppendCursor, Image, OpCtx, Relocation, TreeStore, WATCH};
+use super::{AppendCursor, OpCtx, Relocation, TreeStore, WATCH};
 use crate::error::{TreeError, TreeResult};
-use crate::model::{NodePtr, PNodeId, STANDALONE_HEADER};
-use crate::record::{headers, inner_type, relink, u16_at, Patch, RecordView};
+use crate::model::{NodePtr, PNodeId};
+use crate::record::{u16_at, Image, Patch, RecordView};
 use crate::typetable::{ContentKind, TypeTable, ENTRY_BYTES};
 
 impl TreeStore {
@@ -409,42 +409,6 @@ fn table_growth(table: &TypeTable, had_tt: bool, before: usize) -> Vec<u8> {
         (true, false) => Vec::new(),
         (true, true) => table.encode_growth(before),
         (false, _) => table.encode_growth(0),
-    }
-}
-
-impl Image<'_> {
-    /// The header offsets in `body` of the root's embedded descendants, in
-    /// pre-order (none under a leaf root).
-    fn headers(&self) -> impl Iterator<Item = usize> + '_ {
-        let body = if inner_type(self.types, self.root) {
-            self.body
-        } else {
-            &[]
-        };
-        headers(body, |t| inner_type(self.types, t))
-    }
-
-    /// The record's bytes with each type index as `map` gives it for the
-    /// image's index (in pre-order, as the encoder interns) and each
-    /// parent offset written, and the records its proxies and placeholder
-    /// name.
-    pub(super) fn encode(
-        &self,
-        mut map: impl FnMut(u16) -> TreeResult<(ContentKind, u16)>,
-    ) -> TreeResult<(Vec<u8>, Vec<Rid>)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.parent.encode_to(&mut out);
-        let (root_kind, root) = map(self.root)?;
-        out.extend_from_slice(&root.to_le_bytes());
-        out.extend_from_slice(self.body);
-        let children = match root_kind {
-            ContentKind::Aggregate | ContentKind::Prefix => {
-                relink(&mut out[STANDALONE_HEADER..], STANDALONE_HEADER, 0, map)?
-            }
-            ContentKind::Proxy | ContentKind::Continuation => vec![Rid::decode(self.body)],
-            _ => Vec::new(),
-        };
-        Ok((out, children))
     }
 }
 

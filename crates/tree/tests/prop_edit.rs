@@ -23,7 +23,7 @@
 
 mod common;
 
-use natix_corpus::SplitMix64;
+use natix_corpus::{generate_deep, DeepConfig, SplitMix64};
 use natix_storage::slotted::SlottedPageRef;
 use natix_tree::typetable::{ContentKind, TypeTable};
 use natix_tree::{check_tree, reconstruct_document, SplitMatrix, TreeConfig, TreeResult};
@@ -202,13 +202,30 @@ fn check(seed: u64) -> Result<usize, String> {
     };
     let what = format!("{what}, {page_size}-byte pages, {which} matrix");
     let st = store(page_size, TreeConfig::paper(), matrix);
-    let mut sh = Shadow::load(st, doc).map_err(|e| format!("{what}: load: {e}"))?;
+    let sh = Shadow::load(st, doc).map_err(|e| format!("{what}: load: {e}"))?;
+    edit_and_verify(sh, &syms, &mut g, seed, &what, EDITS, false)?;
+    Ok(family)
+}
+
+/// Makes `edits` seeded edits on `sh` — the generator `g`, its document
+/// described as `what` — and verifies the store after each: at `SAMPLED`
+/// nodes, and at every node after the last edit unless `sampled_only`.
+fn edit_and_verify(
+    mut sh: Shadow,
+    syms: &SymbolTable,
+    g: &mut SplitMix64,
+    seed: u64,
+    what: &str,
+    edits: usize,
+    sampled_only: bool,
+) -> Result<(), String> {
+    let page_size = sh.store.page_size();
     // Its own generator, so the edits stay those of the seed.
     let mut picks = SplitMix64::new(!seed);
-    for step in 0..EDITS {
+    for step in 0..edits {
         let decodes = |sh: &Shadow| sh.store.versions().metrics().snapshot().record_decodes;
         let before = decodes(&sh);
-        let (op, done) = edit(&mut sh, &mut g, page_size / 4);
+        let (op, done) = edit(&mut sh, g, page_size / 4);
         done.map_err(|e| format!("{what}: step {step}, {op}: {e}"))?;
         // Figure 5 and normalization splice record bytes: no edit
         // decodes a record.
@@ -219,14 +236,60 @@ fn check(seed: u64) -> Result<usize, String> {
             ));
         }
         let nodes = sh.doc.reachable_count();
-        let at: Vec<usize> = if step + 1 == EDITS {
+        let at: Vec<usize> = if step + 1 == edits && !sampled_only {
             (0..nodes).collect()
         } else {
             (0..SAMPLED).map(|_| picks.below(nodes)).collect()
         };
-        verify(&sh, &syms, at).map_err(|e| format!("{what}: after step {step}, {op}: {e}"))?;
+        verify(&sh, syms, at).map_err(|e| format!("{what}: after step {step}, {op}: {e}"))?;
     }
-    Ok(family)
+    Ok(())
+}
+
+/// Seeds of the large-page differential, its own range: the main range's
+/// streams stay those of their seeds.
+const LARGE_PAGE_SEEDS: [u64; 4] = [0x1A26_E000, 0x1A26_E001, 0x1A26_E002, 0x1A26_E003];
+
+/// The paper's largest pages (it sweeps 2 KiB to 32 KiB), which the main
+/// range does not pick: a deep document with a payload and a straggler at
+/// every level on 16 KiB or 32 KiB pages, then seeded edits, each
+/// verified as the main range verifies it at sampled nodes. On 32 KiB
+/// pages a normalization merges a host record and its continuation groups
+/// past the format's 16-bit sizes, which the merge must cut instead of
+/// refusing the edit.
+fn check_large_pages(seed: u64) -> Result<(), String> {
+    let mut g = SplitMix64::new(seed);
+    let mut syms = SymbolTable::new();
+    let cfg = DeepConfig {
+        depth: g.range(1_500, 2_500),
+        payload_every: 1,
+        sidecar_every: 0,
+        straggler_every: 1,
+        seed,
+    };
+    let doc = generate_deep(&cfg, &mut syms);
+    let page_size = [16_384, 32_768][seed as usize % 2];
+    let what = format!("depth {}, {page_size}-byte pages", cfg.depth);
+    let st = store(page_size, TreeConfig::paper(), SplitMatrix::default());
+    let sh = Shadow::load(st, doc).map_err(|e| format!("{what}: load: {e}"))?;
+    edit_and_verify(sh, &syms, &mut g, seed, &what, LARGE_PAGE_EDITS, true)
+}
+
+/// Edits per large-page seed.
+const LARGE_PAGE_EDITS: usize = if cfg!(debug_assertions) { 4 } else { 16 };
+
+#[test]
+fn large_pages_keep_every_edit_s_records_canonical_and_the_dom_s_document() {
+    let seeds = if cfg!(debug_assertions) {
+        &LARGE_PAGE_SEEDS[..2]
+    } else {
+        &LARGE_PAGE_SEEDS[..]
+    };
+    for &seed in seeds {
+        if let Err(e) = check_large_pages(seed) {
+            panic!("seed {seed:#x}: {e}");
+        }
+    }
 }
 
 /// Seeds past the release range that failed once, run in every build:
