@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use natix_storage::wal::{take_commit_error, WalRecord};
+use natix_storage::wal::WalRecord;
 use natix_storage::{BufferManager, PageId, StorageError, Wal};
 use natix_tree::version::{CommitHook, WriteOp};
 use natix_tree::{InsertPos, NewNode, NodePtr, OpResult, SplitBehaviour};
@@ -72,10 +72,9 @@ pub(crate) fn commit_hook(
         let force_lsn = wal.begin_force(&forced);
         if let Err(e) = force(&bm, &forced) {
             // The log can no longer describe the published state:
-            // poison it so no later commit is acknowledged, and
-            // surface the error at this thread's durability gate.
-            wal.poison();
-            natix_storage::wal::set_commit_error(e);
+            // poison it, so no later commit is acknowledged — the
+            // operation's own durability gate refuses first.
+            wal.poison(&e);
             return;
         }
         log_symbol_growth(Some(&wal), &mut mark.lock(), &symbols.read());
@@ -318,19 +317,14 @@ fn inserted(res: &OpResult) -> NatixResult<NodePtr> {
 
 impl Repository {
     /// The durability gate every write passes through after its
-    /// operation published: surfaces a commit-hook failure (poisoning the
-    /// log — the published state is no longer described by it), then
-    /// waits until the log is durable up to this thread's last append.
-    /// Under group commit that wait batches with other committers' into
-    /// one device sync.
+    /// operation published: waits until the log is durable up to this
+    /// thread's last append. Under group commit that wait batches with
+    /// other committers' into one device sync. A log its operation's
+    /// commit hook poisoned (the force failed) refuses, naming the cause.
     fn durable_gate(&self) -> NatixResult<()> {
         let Some(wal) = &self.wal else {
             return Ok(());
         };
-        if let Some(e) = take_commit_error() {
-            wal.poison();
-            return Err(e.into());
-        }
         wal.sync_to(wal.appended_lsn())?;
         Ok(())
     }

@@ -1813,3 +1813,51 @@ fn a_log_patch_of_a_page_past_the_store_is_refused_at_reopen() {
     let err = reopen_forged(|p| p.rid.page = 1 << 20);
     assert!(matches!(err, natix::NatixError::Storage(_)), "{err}");
 }
+
+/// A repository whose page device accepts one write, then dies; its log
+/// device stays healthy.
+fn one_write_repository() -> Repository {
+    let store = FaultDisk::new(
+        MemStorage::new(8192).unwrap(),
+        Arc::new(FaultControl::with_budget(1)),
+    );
+    Repository::create_on_backend_with_log(
+        Arc::new(store),
+        Box::new(MemLogDevice::new()),
+        RepositoryOptions::default(),
+    )
+    .unwrap()
+}
+
+/// A commit force that fails is reported by the operation whose force it
+/// was, and poisons that operation's log only: a healthy repository
+/// written next on the same thread neither reports it nor inherits it.
+#[test]
+fn a_failed_commit_force_is_reported_by_its_own_repository_only() {
+    let mut syms = SymbolTable::new();
+    let cfg = CorpusConfig {
+        plays: 2,
+        seed: 0x3E7A,
+        scale: 0.3,
+    };
+    let play = generate_play(&cfg, 0, &mut syms);
+    let xml = write_document(&play.doc, &syms, WriteOptions::compact()).unwrap();
+    let cut = &xml[..xml.rfind("</").unwrap()];
+
+    // A's load fails to parse after it flushed records: the abort's
+    // commit hook forces them to the dead device.
+    let a = one_write_repository();
+    let refused = a.put_xml("bad", cut).unwrap_err().to_string();
+    assert!(refused.contains("never closed"), "{refused}");
+
+    let b = Repository::create_in_memory(RepositoryOptions::default()).unwrap();
+    b.create_document("d", "root").unwrap();
+    b.create_document("e", "root").unwrap();
+    assert!(a.create_document("after", "root").is_err(), "A's log is poisoned");
+
+    // A load whose own commit force fails hears of it from its own call.
+    let c = one_write_repository();
+    let forced = c.put_xml("good", &xml).unwrap_err().to_string();
+    assert!(forced.contains("write budget exhausted"), "{forced}");
+    b.create_document("f", "root").unwrap();
+}

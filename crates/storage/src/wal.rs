@@ -72,7 +72,6 @@
 //! record reads as a torn tail — so a change to any record's encoding bumps
 //! the store's ([`crate::segment`]), which is checked before the log is read.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -149,31 +148,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
-}
-
-// ---------------------------------------------------------------------------
-// Thread-local logging context.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static COMMIT_ERROR: RefCell<Option<StorageError>> = const { RefCell::new(None) };
-}
-
-/// Records an error raised inside the commit hook (which runs in a `Drop`
-/// impl and cannot return one). The next durability gate on this thread
-/// picks it up via [`take_commit_error`] and surfaces it to the caller.
-pub fn set_commit_error(e: StorageError) {
-    COMMIT_ERROR.with(|c| {
-        let mut slot = c.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    });
-}
-
-/// Takes the pending commit-hook error for this thread, if any.
-pub fn take_commit_error() -> Option<StorageError> {
-    COMMIT_ERROR.with(|c| c.borrow_mut().take())
 }
 
 // ---------------------------------------------------------------------------
@@ -887,6 +861,8 @@ pub struct Wal {
     appended: TrackedAtomicU64,
     durable: TrackedAtomicU64,
     dead: TrackedAtomicBool,
+    /// What killed the log (the first cause), for the refusals after it.
+    cause: std::sync::OnceLock<String>,
 }
 
 impl Wal {
@@ -910,6 +886,7 @@ impl Wal {
             appended: TrackedAtomicU64::new(len),
             durable: TrackedAtomicU64::new(len),
             dead: TrackedAtomicBool::new(false),
+            cause: std::sync::OnceLock::new(),
         }
     }
 
@@ -924,15 +901,22 @@ impl Wal {
         self.durable.load(Ordering::Acquire)
     }
 
-    fn dead_error() -> StorageError {
-        StorageError::Io(std::io::Error::other("log device failed"))
+    fn dead_error(&self) -> StorageError {
+        let failed = match self.cause.get() {
+            Some(cause) => format!("log device failed: {cause}"),
+            None => "log device failed".to_string(),
+        };
+        StorageError::Io(std::io::Error::other(failed))
     }
 
-    /// Marks the log failed: every later durability gate errors out. Called
-    /// when a commit hook could not force its pages, or a logged write
-    /// could not be made — the log no longer reflects published state, so
-    /// no further commit may be acknowledged.
-    pub fn poison(&self) {
+    /// Marks the log failed: every later durability gate errors out,
+    /// naming `cause` (the first one, if the log dies twice). Called when
+    /// a commit hook could not force its pages, a logged write could not
+    /// be made, or the device failed a sync — the log no longer reflects
+    /// published state, so no further commit may be acknowledged.
+    pub fn poison(&self, cause: &StorageError) {
+        // A second cause is dropped: the first one killed the log.
+        drop(self.cause.set(cause.to_string()));
         self.dead.store(true, Ordering::Release);
         self.cond.notify_all();
     }
@@ -1026,7 +1010,7 @@ impl Wal {
         let target = self.appended.load(Ordering::Acquire);
         if self.durable.load(Ordering::Acquire) >= target {
             if self.dead.load(Ordering::Acquire) {
-                return Err(Self::dead_error());
+                return Err(self.dead_error());
             }
             return Ok(());
         }
@@ -1048,7 +1032,7 @@ impl Wal {
         let mut core = self.core.lock();
         loop {
             if self.dead.load(Ordering::Acquire) {
-                return Err(Self::dead_error());
+                return Err(self.dead_error());
             }
             let end = core.buf_base + core.buf.len() as u64;
             if self.durable.load(Ordering::Acquire) >= target.min(end) {
@@ -1072,8 +1056,7 @@ impl Wal {
             match res {
                 Ok(()) => self.durable.store(new_end, Ordering::Release),
                 Err(e) => {
-                    self.dead.store(true, Ordering::Release);
-                    self.cond.notify_all();
+                    self.poison(&e);
                     return Err(e);
                 }
             }
@@ -1104,7 +1087,7 @@ impl Wal {
             core = self.cond.wait(core);
         }
         if self.dead.load(Ordering::Acquire) {
-            return Err(Self::dead_error());
+            return Err(self.dead_error());
         }
         let appended = core.buf_base + core.buf.len() as u64;
         if appended != expected || self.durable.load(Ordering::Acquire) != expected || !quiesced() {

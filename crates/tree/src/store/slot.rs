@@ -111,7 +111,7 @@ impl TreeStore {
             // The log now holds a write the page did not take: it no
             // longer describes the store, so nothing more may commit.
             if let Some(wal) = wal {
-                wal.poison();
+                wal.poison(&e);
             }
             return Err(e.into());
         }
