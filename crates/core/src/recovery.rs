@@ -205,7 +205,7 @@ pub(crate) fn replay(
                 let pin = buffer.pin(rid.page)?;
                 let mut buf = pin.write();
                 if matches!(buf.kind(), Ok(PageKind::Slotted)) {
-                    let mut sp = SlottedPage::open(&mut buf)?;
+                    let mut sp = SlottedPage::open(&mut *buf)?;
                     if sp.is_live(rid.slot) {
                         sp.delete(rid.slot)?;
                     }

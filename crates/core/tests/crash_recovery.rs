@@ -1853,7 +1853,10 @@ fn a_failed_commit_force_is_reported_by_its_own_repository_only() {
     let b = Repository::create_in_memory(RepositoryOptions::default()).unwrap();
     b.create_document("d", "root").unwrap();
     b.create_document("e", "root").unwrap();
-    assert!(a.create_document("after", "root").is_err(), "A's log is poisoned");
+    assert!(
+        a.create_document("after", "root").is_err(),
+        "A's log is poisoned"
+    );
 
     // A load whose own commit force fails hears of it from its own call.
     let c = one_write_repository();

@@ -26,6 +26,12 @@
 //! Both revertions are caught by [`BufferManager::validate_frame_table`]
 //! as a duplicate-frame state.
 //!
+//! The same set covers a steal: a miss that evicts a dirty page lists
+//! it in flight until its write-back lands
+//! (`buffer.steal-in-flight`, `BufferManager::claim`), so a pin of the
+//! stolen page waits instead of reading the device. Reverting it lets
+//! that pin read the stale device image beside the write-back.
+//!
 //! A third protocol lives on the same frames: the dirty flag's hand-off
 //! between a writer and a write-back that runs beside it (a flush does
 //! not hold the pool mutex across its device writes, and never excluded
@@ -36,7 +42,7 @@
 //! a write-back whose image predates the change, which then never
 //! reaches the device. Caught by reading the device after a final flush.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use natix_storage::{BufferManager, DiskBackend, MemStorage, Metrics, PageId, StorageResult};
@@ -55,35 +61,53 @@ struct GateState {
     open: bool,
 }
 
-/// A disk whose *first* physical read of `TARGET` announces itself and
-/// then blocks until the scenario opens the gate. The gate uses the shim
+/// A disk whose *first* physical read of `TARGET` (or, built with
+/// `gates_writes`, its first write) announces itself and then blocks
+/// until the scenario opens the gate. The gate uses the shim
 /// `Mutex`/`Condvar`, so blocking and waking are schedule decision
-/// points the model explores like any other. Later reads of the target
-/// pass straight through (that is the double-load the mutations cause),
-/// counted in `target_reads`.
+/// points the model explores like any other. Later transfers of the
+/// target pass straight through (a second read is the double-load the
+/// mutations cause), reads counted in `target_reads`.
 struct GatedDisk {
     inner: MemStorage,
     gate: Mutex<GateState>,
     gate_cv: Condvar,
-    /// Harness bookkeeping only (read after the tasks join) — a plain
-    /// std atomic keeps it out of the explored schedule space.
+    gates_writes: bool,
+    /// Harness bookkeeping only (read after the tasks join) — plain std
+    /// atomics keep it out of the explored schedule space.
     target_reads: AtomicUsize,
+    held: AtomicBool,
 }
 
 impl GatedDisk {
-    fn new(page_size: usize) -> GatedDisk {
+    fn new(page_size: usize, gates_writes: bool) -> GatedDisk {
         let inner = MemStorage::new(page_size).unwrap();
         inner.grow(4).unwrap();
         GatedDisk {
             inner,
             gate: Mutex::new(GateState::default()),
             gate_cv: Condvar::new(),
+            gates_writes,
             target_reads: AtomicUsize::new(0),
+            held: AtomicBool::new(false),
         }
     }
 
-    /// Blocks the caller until the first target read is inside the gate
-    /// (at which point the page is claimed and marked in flight).
+    /// Blocks the first gated transfer of the target until the gate opens.
+    fn hold_first(&self) {
+        if self.held.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut st = self.gate.lock();
+        st.claimed = true;
+        self.gate_cv.notify_all();
+        while !st.open {
+            st = self.gate_cv.wait(st);
+        }
+    }
+
+    /// Blocks the caller until the first gated transfer is inside the
+    /// gate (at which point the page is claimed and marked in flight).
     fn wait_claimed(&self) {
         let mut st = self.gate.lock();
         while !st.claimed {
@@ -104,20 +128,18 @@ impl DiskBackend for GatedDisk {
 
     fn read_page(&self, page: PageId, buf: &mut [u8]) -> StorageResult<()> {
         if page == TARGET {
-            let first = self.target_reads.fetch_add(1, Ordering::SeqCst) == 0;
-            if first {
-                let mut st = self.gate.lock();
-                st.claimed = true;
-                self.gate_cv.notify_all();
-                while !st.open {
-                    st = self.gate_cv.wait(st);
-                }
+            self.target_reads.fetch_add(1, Ordering::SeqCst);
+            if !self.gates_writes {
+                self.hold_first();
             }
         }
         self.inner.read_page(page, buf)
     }
 
     fn write_page(&self, page: PageId, buf: &[u8]) -> StorageResult<()> {
+        if page == TARGET && self.gates_writes {
+            self.hold_first();
+        }
         self.inner.write_page(page, buf)
     }
 
@@ -135,10 +157,14 @@ impl DiskBackend for GatedDisk {
 }
 
 fn pool() -> (Arc<GatedDisk>, Arc<BufferManager>) {
-    let disk = Arc::new(GatedDisk::new(512));
+    gated_pool(FRAMES, false)
+}
+
+fn gated_pool(frames: usize, gates_writes: bool) -> (Arc<GatedDisk>, Arc<BufferManager>) {
+    let disk = Arc::new(GatedDisk::new(512, gates_writes));
     let bm = Arc::new(BufferManager::new(
         Arc::clone(&disk) as Arc<dyn DiskBackend>,
-        FRAMES,
+        frames,
         Metrics::new_shared(),
     ));
     (disk, bm)
@@ -209,6 +235,39 @@ fn pin_then_prefetch() {
         "prefetch must skip a page a demand pin is loading right now"
     );
     assert_eq!(disk.target_reads.load(Ordering::SeqCst), 1);
+}
+
+/// A miss steals the target's dirty frame, and the write-back stays in
+/// the gate; a second pin of the target, its frame gone, must wait for
+/// that write-back and read the target's last bytes — not the device's
+/// older image.
+fn steal_then_pin() {
+    // Two frames: the target (dirty, least recently used) and page 2.
+    let (disk, bm) = gated_pool(2, true);
+    bm.pin(TARGET).unwrap().write().bytes_mut()[0] = 7;
+    drop(bm.pin(2).unwrap());
+
+    let stealer = {
+        let bm = Arc::clone(&bm);
+        model::spawn(move || drop(bm.pin(1).unwrap()))
+    };
+    disk.wait_claimed();
+
+    // The target's frame is stolen and its write-back is in the gate.
+    let reader = {
+        let bm = Arc::clone(&bm);
+        model::spawn(move || bm.pin(TARGET).unwrap().read().bytes()[0])
+    };
+    disk.open();
+
+    stealer.join();
+    let seen = reader.join();
+
+    bm.validate_frame_table().unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(
+        seen, 7,
+        "a pin of a page whose steal was in flight read the stale device image"
+    );
 }
 
 /// A writer changes a dirty resident page while a flush writes it back.
@@ -292,6 +351,22 @@ fn mutation_inflight_recheck_is_caught() {
         "buffer invariant violated",
         200,
         prefetch_then_pin,
+    );
+}
+
+#[test]
+fn a_pin_of_a_stolen_page_waits_for_its_write_back() {
+    util::assert_clean("buffer-coalesce/steal-then-pin", 200, 100, steal_then_pin);
+}
+
+#[test]
+fn mutation_steal_in_flight_is_caught() {
+    util::assert_mutation_caught(
+        "buffer-coalesce/steal-then-pin",
+        "buffer.steal-in-flight",
+        "stale device image",
+        200,
+        steal_then_pin,
     );
 }
 

@@ -16,7 +16,7 @@ use natix::{Repository, RepositoryOptions};
 use natix_corpus::{
     generate_corpus, generate_deep, generate_orders, CorpusConfig, DeepConfig, OrdersConfig,
 };
-use natix_storage::slotted::SlottedPageRef;
+use natix_storage::slotted::SlottedPage;
 use natix_storage::Rid;
 use natix_xml::{write_document, Document, SymbolTable, WriteOptions};
 
@@ -48,7 +48,7 @@ struct Placement {
 fn raw_record(repo: &Repository, rid: Rid) -> Vec<u8> {
     let pin = repo.tree_store().storage().pin(rid.page).unwrap();
     let buf = pin.read();
-    let page = SlottedPageRef::open(&buf).unwrap();
+    let page = SlottedPage::open(&*buf).unwrap();
     page.get(rid.slot).expect("live record").to_vec()
 }
 

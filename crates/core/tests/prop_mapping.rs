@@ -21,7 +21,7 @@
 
 use natix::{DocId, NatixError, NatixResult, Repository, RepositoryOptions};
 use natix_corpus::SplitMix64 as Gen;
-use natix_storage::slotted::SlottedPageRef;
+use natix_storage::slotted::SlottedPage;
 use natix_xml::{
     parse_document, write_document, Document, NodeData, ParserOptions, WriteOptions, LABEL_TEXT,
 };
@@ -165,7 +165,7 @@ fn records(r: &Repository) -> usize {
         .map(|(page, _)| {
             let pin = sm.pin(page).unwrap();
             let buf = pin.read();
-            let sp = SlottedPageRef::open(&buf).unwrap();
+            let sp = SlottedPage::open(&*buf).unwrap();
             sp.live_slots().filter(|&s| s != 0).count()
         })
         .sum()

@@ -6,27 +6,31 @@
 //! access and unpinned on guard drop; eviction is LRU.
 //!
 //! Concurrency model: the frame table and replacement state live under one
-//! pool mutex, but the mutex is **not** held across disk I/O. A miss
-//! reserves its victim frame under the lock (a nonzero pin count keeps
-//! other threads from re-victimising it), marks both the evicted page and
-//! the loading page in-flight, and performs the write-back and the read
-//! outside the lock; the page→frame mapping is published only once the
-//! load succeeded, so a mapping always points at a fully loaded frame.
-//! Pins on in-flight pages block on a condvar until the I/O settles —
-//! a re-read can never observe the stale disk image of a page whose dirty
-//! frame is still being written back, nor a half-read frame. Page
-//! *contents* are protected by per-frame `RwLock`s, so pinned readers and
-//! writers of distinct pages proceed in parallel, and so do misses on
-//! distinct pages. When every evictable frame is reserved for in-flight
-//! I/O, a miss *waits* for a completion instead of failing: frames held
-//! mid-load are released within one disk service time, and erroring there
-//! would surface spurious [`StorageError::BufferExhausted`] under exactly
-//! the concurrent-ingestion load the pool exists to serve.
+//! pool mutex, but the mutex is **not** held across disk I/O. Every load —
+//! a demand miss, [`BufferManager::pin_new`], a prefetch — reserves its
+//! frame through one claim under the lock (a nonzero pin count keeps
+//! other threads from re-victimising it), which lists the loading page
+//! in flight, and the evicted page too when it was dirty; the I/O runs
+//! outside the lock, and one settle step under it takes the pages out of
+//! the in-flight set, publishes a loaded page's mapping and wakes the
+//! waiters — so a mapping always points at a fully loaded frame. A steal
+//! writes the evicted page back through the routine a flush uses, before
+//! the load. Pins on in-flight pages block on a condvar until the I/O
+//! settles — a re-read can never observe the stale disk image of a page
+//! whose dirty frame is still being written back, nor a half-read frame.
+//! Page *contents* are protected by per-frame `RwLock`s, so pinned
+//! readers and writers of distinct pages proceed in parallel, and so do
+//! misses on distinct pages. When every evictable frame is reserved for
+//! in-flight I/O, a miss *waits* for a completion instead of failing:
+//! frames held mid-load are released within one disk service time, and
+//! erroring there would surface spurious [`StorageError::BufferExhausted`]
+//! under exactly the concurrent-ingestion load the pool exists to serve.
 //!
 //! Flushing: [`BufferManager::flush_all`], [`BufferManager::flush_pages`]
-//! and [`BufferManager::clear`] share one write-back routine with the
-//! discipline of a miss — dirty frames are collected and reserved under
-//! the pool mutex, written outside it, so pins go on beside a flush. On
+//! and [`BufferManager::clear`] write back through the routine a steal
+//! uses, with the discipline of a miss — dirty frames are collected and
+//! reserved under the pool mutex, written outside it and settled like a
+//! load, so pins go on beside a flush. On
 //! return every change made before the call to a page it covers has been
 //! handed to the device — by the flush, by a concurrent flush, or by an
 //! eviction whose write-back of the stolen page was in flight — so the
@@ -44,25 +48,26 @@
 //! recently; a hit or a load makes its frame the most recently used.
 //! [`BufferManager::prefetch`] issues a batched read-ahead
 //! ([`DiskBackend::read_pages`]) into free or cleanly evictable frames,
-//! chosen the same way, without returning pins. Frames are claimed in the
-//! order the caller lists the pages — the pages needed first survive a
-//! short claim — and the batch is read in ascending page order, so a
-//! device that charges for positioning (a seek-modelled or a real one)
-//! sees runs of neighbouring pages rather than the reader's document
-//! order. Prefetched pages are marked
-//! in-flight exactly like demand loads, so a demand pin racing a prefetch
-//! of the same page blocks on the shared condvar instead of issuing a
-//! second read. Prefetch never steals a dirty frame (read-ahead must not
-//! add foreground write I/O) and is a new held-across-I/O region
-//! (`buffer.prefetch`) under lockdep: like every other buffer I/O it runs
-//! outside the pool mutex, against reserved unmapped frames.
+//! chosen the same way and claimed by the same claim as a demand miss,
+//! without returning pins. Frames are claimed in the order the caller
+//! lists the pages — the pages needed first survive a short claim — and
+//! the batch is read in ascending page order, so a device that charges
+//! for positioning (a seek-modelled or a real one) sees runs of
+//! neighbouring pages rather than the reader's document order. Since a
+//! prefetched page is in flight like a demand load, a demand pin racing a
+//! prefetch of the same page blocks on the shared condvar instead of
+//! issuing a second read. Prefetch never steals a dirty frame (read-ahead
+//! must not add foreground write I/O) and is a held-across-I/O region of
+//! its own (`buffer.prefetch`) under lockdep, beside `buffer.read-page`
+//! and `buffer.write-back` (a flush's and a steal's).
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::{
-    Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TrackedAtomicBool, TrackedAtomicU32,
+    Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TrackedAtomicBool,
+    TrackedAtomicU32,
 };
 
 use crate::disk::DiskBackend;
@@ -72,12 +77,9 @@ use crate::page::PageBuf;
 use crate::rid::PageId;
 
 struct Frame {
-    /// Page contents. Deliberately *unranked* under lockdep: `pin_inner`
-    /// takes the pool mutex while holding a reserved frame's write guard
-    /// (safe — the frame is unmapped, so no pool-lock holder touches it),
-    /// while `write_back` takes a frame guard under the pool mutex.
-    /// Class-level order checking would flag that as an inversion even
-    /// though the reserved-frame invariant makes it cycle-free.
+    /// Page contents, behind a per-frame leaf latch that is deliberately
+    /// *unranked* under lockdep (see [`BufferManager::new`]). The pool's
+    /// own I/O takes it outside the pool mutex, on a frame it reserved.
     data: RwLock<PageBuf>,
     pin_count: TrackedAtomicU32,
     dirty: TrackedAtomicBool,
@@ -271,23 +273,89 @@ impl BufferManager {
             .ok_or(StorageError::BufferExhausted)
     }
 
+    /// Writes `page`'s image in `frame` to the device if the frame is
+    /// dirty, outside the pool mutex: a flush's write and a steal's alike.
+    /// WAL rule: the log is made durable to its current append point
+    /// first, so redo images for the page's latest committed contents are
+    /// never lost behind an unlogged write-back. On failure the frame
+    /// stays dirty.
     fn write_back(&self, frame: usize, page: PageId) -> StorageResult<()> {
         let f = &self.frames[frame];
-        if f.dirty.swap(false, Ordering::AcqRel) {
-            #[cfg(feature = "lockdep")]
-            let _io = parking_lot::lockdep::io_region("buffer.write-back");
-            if let Err(e) = self.wal_barrier() {
-                f.dirty.store(true, Ordering::Release);
-                return Err(e);
-            }
-            let data = f.data.read();
-            if let Err(e) = self.backend.write_page(page, data.bytes()) {
-                f.dirty.store(true, Ordering::Release);
-                return Err(e);
-            }
-            Metrics::add_one(&self.metrics.physical_writes);
+        if !f.dirty.swap(false, Ordering::AcqRel) {
+            return Ok(());
         }
-        Ok(())
+        #[cfg(feature = "lockdep")]
+        let _io = parking_lot::lockdep::io_region("buffer.write-back");
+        let written = (self.wal_barrier())
+            .and_then(|()| self.backend.write_page(page, f.data.read().bytes()));
+        match written {
+            Ok(()) => Metrics::add_one(&self.metrics.physical_writes),
+            Err(_) => f.dirty.store(true, Ordering::Release),
+        }
+        written
+    }
+
+    /// Claims `frame` for loading `page`, under the pool mutex: the one
+    /// reservation behind a demand miss, [`pin_new`](Self::pin_new) and a
+    /// prefetch. The nonzero pin count keeps the frame from being
+    /// re-victimised while the I/O runs without the lock. The old page's
+    /// mapping goes (the eviction counted by its source: `scan` for a
+    /// prefetch); the new page's is NOT published yet — a mapping must
+    /// only ever point at a fully loaded frame, so concurrent pinners of
+    /// `page` wait on the in-flight marker instead and never observe a
+    /// half-read image (even if the load fails). Returns the evicted page
+    /// if it was dirty: the caller writes it back before the load.
+    fn claim(&self, st: &mut PoolState, frame: usize, page: PageId, scan: bool) -> Option<PageId> {
+        let f = &self.frames[frame];
+        f.pin_count.fetch_add(1, Ordering::AcqRel);
+        // The frame is unpinned, so nobody can be mutating the dirty flag
+        // concurrently.
+        let stolen = st.resident[frame].take().and_then(|old| {
+            self.metrics.add_eviction(scan);
+            st.table.remove(&old);
+            f.dirty.load(Ordering::Acquire).then_some(old)
+        });
+        match stolen {
+            // Only a *dirty* evicted page needs in-flight protection: its
+            // disk image is stale until the write-back lands, and a clean
+            // one can be re-read immediately. natix-model fail point:
+            // reverting it lets a pin of the stolen page read the stale
+            // device image beside the write-back.
+            Some(old) if !parking_lot::fail_point("buffer.steal-in-flight") => {
+                st.io_in_flight.insert(old, Io::WriteBack);
+            }
+            Some(_) => {}
+            // A frame retired by `discard` while its page was dirty keeps
+            // the stale flag; clear it so the new tenant starts clean.
+            None => f.dirty.store(false, Ordering::Release),
+        }
+        st.io_in_flight.insert(page, Io::Load);
+        stolen
+    }
+
+    /// Settles the device I/O of claimed frames, under the pool mutex:
+    /// each page of `ios` leaves the in-flight set, its mapping is
+    /// published (the frame made the most recently used) when it was
+    /// `loaded`, and the waiters are woken. Returns the pool lock, under
+    /// which the caller releases its claims: a woken waiter acts only once
+    /// it is dropped.
+    fn settle(&self, ios: &[(PageId, usize)], loaded: bool) -> MutexGuard<'_, PoolState> {
+        let mut st = self.state.lock();
+        for &(page, frame) in ios {
+            st.io_in_flight.remove(&page);
+            if loaded {
+                st.resident[frame] = Some(page);
+                st.table.insert(page, frame);
+                self.touch(&mut st, frame);
+            }
+        }
+        self.io_done.notify_all();
+        st
+    }
+
+    /// Drops the pin a claim took on `frame`.
+    fn release(&self, frame: usize) {
+        self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
     }
 
     fn pin_inner(&self, page: PageId, load_from_disk: bool) -> StorageResult<PinnedPage> {
@@ -351,81 +419,31 @@ impl BufferManager {
             }
         };
         Metrics::add_one(&self.metrics.buffer_misses);
-        // Reserve the frame under the lock: the nonzero pin count keeps it
-        // from being re-victimised while the I/O below runs without the
-        // lock. The page→frame mapping is NOT published yet — a mapping
-        // must only ever point at a fully loaded frame, so concurrent
-        // pinners of `page` wait on the in-flight marker instead and never
-        // observe a half-read image (even if this load fails).
-        self.frames[frame].pin_count.fetch_add(1, Ordering::AcqRel);
-        let old = st.resident[frame];
-        // Only a *dirty* evicted page needs in-flight protection (its disk
-        // image is stale until the write-back lands); a clean one can be
-        // re-read immediately. The frame is unpinned, so nobody can be
-        // mutating the dirty flag concurrently.
-        let dirty_old = old.is_some() && self.frames[frame].dirty.load(Ordering::Acquire);
-        if let Some(old_page) = old {
-            self.metrics.add_eviction(false);
-            st.table.remove(&old_page);
-            if dirty_old {
-                st.io_in_flight.insert(old_page, Io::WriteBack);
-            }
-        }
-        if !dirty_old {
-            // A frame retired by `discard` while its page was dirty keeps
-            // the stale flag; clear it so the new tenant starts clean.
-            self.frames[frame].dirty.store(false, Ordering::Release);
-        }
-        st.resident[frame] = None;
-        st.io_in_flight.insert(page, Io::Load);
+        let stolen = self.claim(&mut st, frame, page, false);
         drop(st);
 
         // All disk I/O happens here, outside the pool mutex. The frame is
-        // unreachable by other threads (reserved, unmapped), so the
+        // unreachable by other threads (reserved, unmapped), so its
         // content lock is uncontended.
-        let mut data = self.frames[frame].data.write();
-
-        // Write back the evicted page first. If that fails, the dirty
-        // image must NOT be dropped: restore the flag and re-map the old
-        // page so its latest contents stay resident and a later flush can
-        // retry — losing them would silently corrupt the store.
-        // `dirty_old` is only ever set together with an evicted page; the
-        // `if let` keeps that coupling without a panicking assertion.
-        if let (true, Some(old_page)) = (dirty_old, old) {
-            #[cfg(feature = "lockdep")]
-            let _io = parking_lot::lockdep::io_region("buffer.steal-write-back");
-            self.frames[frame].dirty.store(false, Ordering::Release);
-            // WAL rule: the log must be flushed to its current append point
-            // before a dirty frame is stolen to disk, so redo images for the
-            // page's latest committed contents are never lost behind an
-            // unlogged steal.
-            if let Err(e) = self
-                .wal_barrier()
-                .and_then(|()| self.backend.write_page(old_page, data.bytes()))
-            {
-                self.frames[frame].dirty.store(true, Ordering::Release);
-                drop(data);
-                let mut st = self.state.lock();
-                st.io_in_flight.remove(&old_page);
+        //
+        // Write back the evicted page first, as a flush would. If that
+        // fails, the dirty image must NOT be dropped: `write_back` keeps
+        // the flag, and the old page is re-mapped so its latest contents
+        // stay resident and a later flush can retry — losing them would
+        // silently corrupt the store. Either way its waiters are released
+        // before the (unrelated) read of the new page.
+        if let Some(old) = stolen {
+            let written = self.write_back(frame, old);
+            let mut st = self.settle(&[(old, frame)], false);
+            if let Err(e) = written {
                 st.io_in_flight.remove(&page);
-                st.resident[frame] = Some(old_page);
-                st.table.insert(old_page, frame);
-                drop(st);
-                self.io_done.notify_all();
-                self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
+                st.resident[frame] = Some(old);
+                st.table.insert(old, frame);
+                self.release(frame);
                 return Err(e);
             }
-            Metrics::add_one(&self.metrics.physical_writes);
-            // The old page's disk image is current again: release its
-            // waiters before the (unrelated) read of the new page. Taking
-            // the pool mutex while holding the content guard is safe here:
-            // pool-lock holders only touch content locks of frames listed
-            // in `resident`, and this frame is unmapped.
-            let mut st = self.state.lock();
-            st.io_in_flight.remove(&old_page);
-            drop(st);
-            self.io_done.notify_all();
         }
+        let mut data = self.frames[frame].data.write();
         let result = if load_from_disk {
             #[cfg(feature = "lockdep")]
             let _io = parking_lot::lockdep::io_region("buffer.read-page");
@@ -439,26 +457,18 @@ impl BufferManager {
         };
         drop(data);
 
-        let mut st = self.state.lock();
-        st.io_in_flight.remove(&page);
-        let out = result.map(|()| {
-            st.resident[frame] = Some(page);
-            st.table.insert(page, frame);
-            self.touch(&mut st, frame);
-            PinnedPage {
-                frame: Arc::clone(&self.frames[frame]),
-                page,
-            }
-        });
-        drop(st);
-        self.io_done.notify_all();
-        if out.is_err() {
+        let st = self.settle(&[(page, frame)], result.is_ok());
+        if result.is_err() {
             // Read failure: the evicted page is safely on disk by now, so
             // the frame simply stays unmapped (contents are garbage) and
             // returns to the pool as a free frame once unpinned.
-            self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
+            self.release(frame);
         }
-        out
+        drop(st);
+        result.map(|()| PinnedPage {
+            frame: Arc::clone(&self.frames[frame]),
+            page,
+        })
     }
 
     /// Pins `page` for access, reading it from disk on a miss.
@@ -473,18 +483,12 @@ impl BufferManager {
         self.pin_inner(page, false)
     }
 
-    /// Best-effort batched read-ahead of `pages`, without returning pins.
-    ///
-    /// Pages already resident or already in flight are skipped. Each
-    /// remaining page claims a victim frame exactly as a demand miss does,
-    /// in the order the caller listed them; the claim stops early (prefetch is
-    /// advisory, never an error) when the pool has no victim or only a
-    /// *dirty* one — read-ahead must never add a foreground write-back.
-    /// Claimed pages are marked in-flight, so a demand pin racing the
-    /// prefetch coalesces on the shared condvar instead of re-reading;
-    /// the batch itself goes through [`DiskBackend::read_pages`] outside
-    /// the pool mutex, in ascending page order. Returns the number of
-    /// pages read. On a read error nothing is published: the
+    /// Best-effort batched read-ahead of `pages`, without returning pins
+    /// (module docs, Replacement and prefetch). Pages already resident or
+    /// in flight are skipped; the rest claim frames in the caller's order
+    /// until the pool has no victim or only a *dirty* one (prefetch is
+    /// advisory, never an error), and are read in one batch. Returns the
+    /// number of pages read. On a read error nothing is published: the
     /// claimed frames return to the pool free, and the error is reported
     /// (callers treat it as advisory — the demand read will surface it).
     pub fn prefetch(&self, pages: &[PageId]) -> StorageResult<usize> {
@@ -512,15 +516,8 @@ impl BufferManager {
                 {
                     break;
                 }
-                // Reserve exactly like a demand miss: pin count up,
-                // mapping unpublished, page marked in-flight.
-                self.frames[frame].pin_count.fetch_add(1, Ordering::AcqRel);
-                if let Some(old) = st.resident[frame].take() {
-                    self.metrics.add_eviction(true);
-                    st.table.remove(&old);
-                }
-                self.frames[frame].dirty.store(false, Ordering::Release);
-                st.io_in_flight.insert(page, Io::Load);
+                // The victim is clean: the claim steals nothing.
+                self.claim(&mut st, frame, page, true);
                 claims.push((page, frame));
             }
         }
@@ -551,18 +548,9 @@ impl BufferManager {
         };
         drop(guards);
 
-        let mut st = self.state.lock();
-        for &(page, frame) in &claims {
-            st.io_in_flight.remove(&page);
-            if result.is_ok() {
-                st.resident[frame] = Some(page);
-                st.table.insert(page, frame);
-                self.touch(&mut st, frame);
-            }
-            self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
-        }
+        let st = self.settle(&claims, result.is_ok());
+        claims.iter().for_each(|&(_, frame)| self.release(frame));
         drop(st);
-        self.io_done.notify_all();
         result.map(|()| {
             self.metrics.add_read_request(claims.len() as u64);
             claims.len()
@@ -616,12 +604,8 @@ impl BufferManager {
             let written = claims
                 .iter()
                 .try_for_each(|&(page, frame)| self.write_back(frame, page));
-            st = self.state.lock();
-            for &(page, frame) in &claims {
-                st.io_in_flight.remove(&page);
-                self.frames[frame].pin_count.fetch_sub(1, Ordering::AcqRel);
-            }
-            self.io_done.notify_all();
+            st = self.settle(&claims, false);
+            claims.iter().for_each(|&(_, frame)| self.release(frame));
             written?;
             if busy.is_empty() {
                 return Ok(());

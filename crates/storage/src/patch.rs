@@ -227,7 +227,7 @@ impl SlotPatch {
     }
 
     /// Appends the patch's type-table entries to slot 0.
-    fn grow_table(&self, sp: &mut SlottedPage<'_>) -> StorageResult<()> {
+    fn grow_table(&self, sp: &mut SlottedPage<&mut PageBuf>) -> StorageResult<()> {
         let Some((count, entries)) = self.types.split_first_chunk::<2>() else {
             return match self.types.is_empty() {
                 true => Ok(()),

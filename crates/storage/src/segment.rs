@@ -210,7 +210,7 @@ impl StorageManager {
         // across that would serialize every concurrent bulkload behind one
         // writer's I/O stall.
         let pin = self.buffer.pin_new(page)?;
-        SlottedPage::format(&mut pin.write());
+        SlottedPage::format(pin.write());
         Ok(page)
     }
 
@@ -492,7 +492,7 @@ mod tests {
     use crate::disk::{DiskBackend, MemStorage};
     use crate::metrics::Metrics;
     use crate::rid::Rid;
-    use crate::slotted::{SlottedPageRef, SLOT_ENTRY_SIZE};
+    use crate::slotted::SLOT_ENTRY_SIZE;
     use crate::wal::MemLogDevice;
 
     fn mk(page_size: usize, frames: usize) -> StorageManager {
@@ -511,7 +511,7 @@ mod tests {
         };
         let pin = sm.pin(page).unwrap();
         let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf).unwrap();
+        let mut sp = SlottedPage::open(&mut *buf).unwrap();
         let slot = sp.insert(bytes).unwrap();
         let free = sp.free_total();
         drop(buf);
@@ -522,7 +522,7 @@ mod tests {
     fn get(sm: &StorageManager, rid: Rid) -> Vec<u8> {
         let pin = sm.pin(rid.page).unwrap();
         let buf = pin.read();
-        let sp = SlottedPageRef::open(&buf).unwrap();
+        let sp = SlottedPage::open(&*buf).unwrap();
         sp.get(rid.slot).unwrap().to_vec()
     }
 

@@ -13,6 +13,12 @@
 //! Each slot entry is 4 bytes: `offset: u16`, `len: u16`. `offset == 0`
 //! marks a free (reusable) slot — record data can never start at offset 0
 //! because the header occupies the first 16 bytes.
+//!
+//! There is one view of such a page, [`SlottedPage`], shared or mutable by
+//! how it borrows the page: over a shared borrow or a read guard it reads,
+//! over a mutable borrow or a write guard it also writes.
+
+use std::ops::{Deref, DerefMut};
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageBuf, PageKind, PAGE_HEADER_SIZE};
@@ -26,28 +32,22 @@ pub fn max_record_payload(page_size: usize) -> usize {
     page_size - PAGE_HEADER_SIZE - SLOT_ENTRY_SIZE
 }
 
-/// A mutable view of a slotted page.
+/// The view of a slotted page, over any borrow of it: `P` is `&PageBuf`,
+/// `&mut PageBuf`, or a pool guard taken by value or re-borrowed
+/// (`open(&*buf)`). Every view reads; one whose borrow is mutable
+/// (`DerefMut`) also writes.
 ///
-/// All mutation of slotted pages goes through this wrapper so the free-space
+/// All mutation of slotted pages goes through this view so the free-space
 /// bookkeeping (`free_start`, `free_total`) stays consistent.
-pub struct SlottedPage<'a> {
-    page: &'a mut PageBuf,
+pub struct SlottedPage<P> {
+    page: P,
 }
 
-impl<'a> SlottedPage<'a> {
-    /// Formats `page` as an empty slotted page and returns the view.
-    pub fn format(page: &'a mut PageBuf) -> SlottedPage<'a> {
-        page.format(PageKind::Slotted);
-        page.set_free_start(PAGE_HEADER_SIZE as u16);
-        let free = page.len() - PAGE_HEADER_SIZE;
-        page.set_free_total(free as u16);
-        SlottedPage { page }
-    }
-
+impl<P: Deref<Target = PageBuf>> SlottedPage<P> {
     /// Wraps an existing slotted page, validating the kind byte and the
     /// slot directory: a corrupt page is `StorageError::Corrupt`.
-    pub fn open(page: &'a mut PageBuf) -> StorageResult<SlottedPage<'a>> {
-        check_directory(page)?;
+    pub fn open(page: P) -> StorageResult<SlottedPage<P>> {
+        check_directory(&page)?;
         Ok(SlottedPage { page })
     }
 
@@ -62,12 +62,6 @@ impl<'a> SlottedPage<'a> {
     fn slot_entry(&self, slot: SlotId) -> (u16, u16) {
         let pos = self.slot_pos(slot);
         (self.page.read_u16(pos), self.page.read_u16(pos + 2))
-    }
-
-    fn set_slot_entry(&mut self, slot: SlotId, offset: u16, len: u16) {
-        let pos = self.slot_pos(slot);
-        self.page.write_u16(pos, offset);
-        self.page.write_u16(pos + 2, len);
     }
 
     /// Number of directory entries (live + free).
@@ -120,6 +114,74 @@ impl<'a> SlottedPage<'a> {
         Some(&self.page.bytes()[off as usize..off as usize + len as usize])
     }
 
+    /// Iterates over live slot ids.
+    pub fn live_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
+        (0..self.slot_count()).filter(move |&s| self.is_live(s))
+    }
+
+    /// Consistency check used by tests: recomputes free space from the slot
+    /// directory, compares with the header fields, and detects overlapping
+    /// records.
+    pub fn check_invariants(&self) -> StorageResult<()> {
+        let (free_start, free_total) = (self.page.free_start(), self.page.free_total());
+        let mut used = 0usize;
+        let mut live: Vec<(u16, u16, SlotId)> = Vec::new();
+        for s in 0..self.slot_count() {
+            let (off, len) = self.slot_entry(s);
+            // Zero-length records occupy no bytes; their recorded offset
+            // may legitimately sit above free_start after neighbours
+            // shrank.
+            if off == 0 || len == 0 {
+                continue;
+            }
+            let end = off as usize + len as usize;
+            if (off as usize) < PAGE_HEADER_SIZE || end > free_start as usize {
+                return Err(StorageError::Corrupt(format!(
+                    "slot {s} [{off},{end}) outside data area (free_start {free_start})"
+                )));
+            }
+            used += len as usize;
+            live.push((off, len, s));
+        }
+        live.sort_unstable();
+        for w in live.windows(2) {
+            let (off_a, len_a, slot_a) = w[0];
+            let (off_b, _, slot_b) = w[1];
+            if off_a as usize + len_a as usize > off_b as usize {
+                return Err(StorageError::Corrupt(format!(
+                    "slots {slot_a} and {slot_b} overlap: [{off_a}+{len_a}) vs {off_b}"
+                )));
+            }
+        }
+        let expect = self.page_size()
+            - PAGE_HEADER_SIZE
+            - SLOT_ENTRY_SIZE * self.slot_count() as usize
+            - used;
+        if expect != free_total as usize {
+            return Err(StorageError::Corrupt(format!(
+                "free_total {free_total} != recomputed {expect}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl<P: DerefMut<Target = PageBuf>> SlottedPage<P> {
+    /// Formats `page` as an empty slotted page and returns the view.
+    pub fn format(mut page: P) -> SlottedPage<P> {
+        page.format(PageKind::Slotted);
+        page.set_free_start(PAGE_HEADER_SIZE as u16);
+        let free = page.len() - PAGE_HEADER_SIZE;
+        page.set_free_total(free as u16);
+        SlottedPage { page }
+    }
+
+    fn set_slot_entry(&mut self, slot: SlotId, offset: u16, len: u16) {
+        let pos = self.slot_pos(slot);
+        self.page.write_u16(pos, offset);
+        self.page.write_u16(pos + 2, len);
+    }
+
     /// Returns the payload of `slot` mutably (same-length updates only).
     pub fn get_mut(&mut self, slot: SlotId) -> Option<&mut [u8]> {
         if !self.is_live(slot) {
@@ -127,11 +189,6 @@ impl<'a> SlottedPage<'a> {
         }
         let (off, len) = self.slot_entry(slot);
         Some(&mut self.page.bytes_mut()[off as usize..off as usize + len as usize])
-    }
-
-    /// Iterates over live slot ids.
-    pub fn live_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        (0..self.slot_count()).filter(move |&s| self.is_live(s))
     }
 
     /// Inserts a record, reusing a free slot if one exists.
@@ -183,8 +240,8 @@ impl<'a> SlottedPage<'a> {
         self.page.bytes_mut()[off..off + bytes.len()].copy_from_slice(bytes);
         self.set_slot_entry(slot, off as u16, bytes.len() as u16);
         self.page.set_free_start((off + bytes.len()) as u16);
-        self.page
-            .set_free_total((self.free_total() - needed) as u16);
+        let free = self.free_total() - needed;
+        self.page.set_free_total(free as u16);
         Ok(())
     }
 
@@ -209,8 +266,8 @@ impl<'a> SlottedPage<'a> {
             reclaimed += SLOT_ENTRY_SIZE;
         }
         self.page.set_slot_count(count);
-        self.page
-            .set_free_total((self.free_total() + reclaimed) as u16);
+        let free = self.free_total() + reclaimed;
+        self.page.set_free_total(free as u16);
         Ok(())
     }
 
@@ -227,8 +284,8 @@ impl<'a> SlottedPage<'a> {
             if off + len == self.page.free_start() as usize {
                 self.page.set_free_start((off + bytes.len()) as u16);
             }
-            self.page
-                .set_free_total((self.free_total() + len - bytes.len()) as u16);
+            let free = self.free_total() + len - bytes.len();
+            self.page.set_free_total(free as u16);
             return Ok(());
         }
         let grow = bytes.len() - len;
@@ -253,7 +310,8 @@ impl<'a> SlottedPage<'a> {
         self.page.bytes_mut()[new_off..new_off + bytes.len()].copy_from_slice(bytes);
         self.set_slot_entry(slot, new_off as u16, bytes.len() as u16);
         self.page.set_free_start((new_off + bytes.len()) as u16);
-        self.page.set_free_total((self.free_total() - grow) as u16);
+        let free = self.free_total() - grow;
+        self.page.set_free_total(free as u16);
         Ok(())
     }
 
@@ -279,66 +337,6 @@ impl<'a> SlottedPage<'a> {
         }
         self.page.set_free_start(cursor as u16);
     }
-
-    /// Consistency check used by tests: recomputes free space from the slot
-    /// directory, compares with the header fields, and detects overlapping
-    /// records.
-    pub fn check_invariants(&self) -> StorageResult<()> {
-        check_invariants_impl(
-            self.page_size(),
-            self.slot_count(),
-            self.page.free_start(),
-            self.page.free_total(),
-            |s| self.slot_entry(s),
-        )
-    }
-}
-
-fn check_invariants_impl(
-    page_size: usize,
-    slot_count: u16,
-    free_start: u16,
-    free_total: u16,
-    slot_entry: impl Fn(SlotId) -> (u16, u16),
-) -> StorageResult<()> {
-    let mut used = 0usize;
-    let mut live: Vec<(u16, u16, SlotId)> = Vec::new();
-    for s in 0..slot_count {
-        let (off, len) = slot_entry(s);
-        if off == 0 {
-            continue;
-        }
-        // Zero-length records occupy no bytes; their recorded offset may
-        // legitimately sit above free_start after neighbours shrank.
-        if len == 0 {
-            continue;
-        }
-        let end = off as usize + len as usize;
-        if (off as usize) < PAGE_HEADER_SIZE || end > free_start as usize {
-            return Err(StorageError::Corrupt(format!(
-                "slot {s} [{off},{end}) outside data area (free_start {free_start})"
-            )));
-        }
-        used += len as usize;
-        live.push((off, len, s));
-    }
-    live.sort_unstable();
-    for w in live.windows(2) {
-        let (off_a, len_a, slot_a) = w[0];
-        let (off_b, _, slot_b) = w[1];
-        if off_a as usize + len_a as usize > off_b as usize {
-            return Err(StorageError::Corrupt(format!(
-                "slots {slot_a} and {slot_b} overlap: [{off_a}+{len_a}) vs {off_b}"
-            )));
-        }
-    }
-    let expect = page_size - PAGE_HEADER_SIZE - SLOT_ENTRY_SIZE * slot_count as usize - used;
-    if expect != free_total as usize {
-        return Err(StorageError::Corrupt(format!(
-            "free_total {free_total} != recomputed {expect}"
-        )));
-    }
-    Ok(())
 }
 
 /// What every read of a slotted page trusts, checked when it is opened:
@@ -368,65 +366,6 @@ fn check_directory(page: &PageBuf) -> StorageResult<()> {
         }
     }
     Ok(())
-}
-
-/// Read-only companion of [`SlottedPage`] for shared page access.
-pub struct SlottedPageRef<'a> {
-    page: &'a PageBuf,
-}
-
-impl<'a> SlottedPageRef<'a> {
-    /// Wraps an existing slotted page, validating the kind byte and the
-    /// slot directory: a corrupt page is `StorageError::Corrupt`.
-    pub fn open(page: &'a PageBuf) -> StorageResult<SlottedPageRef<'a>> {
-        check_directory(page)?;
-        Ok(SlottedPageRef { page })
-    }
-
-    fn slot_entry(&self, slot: SlotId) -> (u16, u16) {
-        let pos = self.page.len() - SLOT_ENTRY_SIZE * (slot as usize + 1);
-        (self.page.read_u16(pos), self.page.read_u16(pos + 2))
-    }
-
-    /// Number of directory entries (live + free).
-    pub fn slot_count(&self) -> u16 {
-        self.page.slot_count()
-    }
-
-    /// True if `slot` exists and holds a record.
-    pub fn is_live(&self, slot: SlotId) -> bool {
-        slot < self.slot_count() && self.slot_entry(slot).0 != 0
-    }
-
-    /// Returns the payload of `slot`.
-    pub fn get(&self, slot: SlotId) -> Option<&'a [u8]> {
-        if !self.is_live(slot) {
-            return None;
-        }
-        let (off, len) = self.slot_entry(slot);
-        Some(&self.page.bytes()[off as usize..off as usize + len as usize])
-    }
-
-    /// Free bytes available after compaction.
-    pub fn free_total(&self) -> usize {
-        self.page.free_total() as usize
-    }
-
-    /// Iterates over live slot ids.
-    pub fn live_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        (0..self.slot_count()).filter(move |&s| self.is_live(s))
-    }
-
-    /// Read-only variant of [`SlottedPage::check_invariants`].
-    pub fn check_invariants(&self) -> StorageResult<()> {
-        check_invariants_impl(
-            self.page.len(),
-            self.slot_count(),
-            self.page.free_start(),
-            self.page.free_total(),
-            |s| self.slot_entry(s),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -585,12 +524,10 @@ mod tests {
         (p, slot)
     }
 
-    /// Both opens of `p` refuse it as corrupt.
-    fn refused(p: &mut PageBuf) {
-        let read = SlottedPageRef::open(p).err();
-        assert!(matches!(read, Some(StorageError::Corrupt(_))), "{read:?}");
-        let write = SlottedPage::open(p).err();
-        assert!(matches!(write, Some(StorageError::Corrupt(_))), "{write:?}");
+    /// Opening `p` refuses it as corrupt.
+    fn refused(p: &PageBuf) {
+        let open = SlottedPage::open(p).err();
+        assert!(matches!(open, Some(StorageError::Corrupt(_))), "{open:?}");
     }
 
     #[test]
@@ -598,14 +535,14 @@ mod tests {
         let (mut p, slot) = one_record();
         let len_field = p.len() - SLOT_ENTRY_SIZE * (slot as usize + 1) + 2;
         p.write_u16(len_field, u16::MAX);
-        refused(&mut p);
+        refused(&p);
     }
 
     #[test]
     fn a_slot_count_past_the_page_is_corrupt() {
         let (mut p, _) = one_record();
         p.set_slot_count(u16::MAX);
-        refused(&mut p);
+        refused(&p);
     }
 
     /// Seeded mutations of a populated page — bit flips, overwritten
@@ -646,7 +583,7 @@ mod tests {
                     _ => p.bytes_mut()[len - g.below(64) - 1..].fill(0xFF),
                 }
             }
-            match SlottedPageRef::open(&p) {
+            match SlottedPage::open(&p) {
                 Ok(view) => {
                     opened += 1;
                     for slot in (0..=view.slot_count().saturating_add(2)).chain([u16::MAX]) {
@@ -662,11 +599,6 @@ mod tests {
                     refused += 1;
                 }
             }
-            if let Ok(sp) = SlottedPage::open(&mut p) {
-                for slot in sp.live_slots().collect::<Vec<_>>() {
-                    assert!(sp.get(slot).is_some());
-                }
-            }
         }
         assert!(
             opened > 1_000 && refused > 1_000,
@@ -677,11 +609,11 @@ mod tests {
     #[test]
     fn read_only_view_matches() {
         let mut p = fresh(1024);
-        let a = {
-            let mut sp = SlottedPage::open(&mut p).unwrap();
-            sp.insert(b"shared").unwrap()
-        };
-        let view = SlottedPageRef::open(&p).unwrap();
+        let a = SlottedPage::open(&mut p)
+            .unwrap()
+            .insert(b"shared")
+            .unwrap();
+        let view = SlottedPage::open(&p).unwrap();
         assert_eq!(view.get(a).unwrap(), b"shared");
         assert_eq!(view.live_slots().count(), 1);
     }

@@ -902,11 +902,9 @@ impl Wal {
     }
 
     fn dead_error(&self) -> StorageError {
-        let failed = match self.cause.get() {
-            Some(cause) => format!("log device failed: {cause}"),
-            None => "log device failed".to_string(),
-        };
-        StorageError::Io(std::io::Error::other(failed))
+        // Set before `dead` is: `poison` is the only way a log dies.
+        let cause = self.cause.get().map_or("", String::as_str);
+        StorageError::Io(std::io::Error::other(format!("log device failed: {cause}")))
     }
 
     /// Marks the log failed: every later durability gate errors out,

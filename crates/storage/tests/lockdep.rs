@@ -47,6 +47,25 @@ fn write_back_rejects_held_upper_layer_lock() {
 }
 
 #[test]
+fn a_steal_writes_back_in_the_flush_region() {
+    // One frame: the miss on page 1 steals page 0's dirty frame, and
+    // writes it back the way a flush does.
+    let bm = pool(1);
+    dirty_page(&bm, 0);
+    bm.backend().grow(2).unwrap();
+    let held = Mutex::with_rank(&UPPER, ());
+    let guard = held.lock();
+    let err = catch_unwind(AssertUnwindSafe(|| bm.pin(1).map(|_| ()))).unwrap_err();
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("panic carries a formatted message");
+    assert!(msg.contains("I/O region 'buffer.write-back'"), "{msg}");
+    assert!(msg.contains("test.upper-layer"), "{msg}");
+    drop(guard);
+}
+
+#[test]
 fn page_read_rejects_held_upper_layer_lock() {
     let bm = pool(4);
     dirty_page(&bm, 0);

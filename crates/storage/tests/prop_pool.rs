@@ -141,7 +141,11 @@ fn run(seed: u64, steps: usize, reached: &mut Reached) {
             }
             3..=4 => {
                 if let Some(pin) = pin() {
-                    assert!(pin.read().bytes() == shadow[page as usize], "{}", at("read"));
+                    assert!(
+                        pin.read().bytes() == shadow[page as usize],
+                        "{}",
+                        at("read")
+                    );
                 }
             }
             5 => {

@@ -2028,7 +2028,7 @@ pub(crate) mod tests {
     fn fill_page(st: &TreeStore, page: PageId, left: usize) {
         let pin = st.storage().pin(page).unwrap();
         let mut buf = pin.write();
-        let mut sp = SlottedPage::open(&mut buf).unwrap();
+        let mut sp = SlottedPage::open(&mut *buf).unwrap();
         let take = sp.free_for_new_record() - left;
         sp.insert(&vec![0; take]).unwrap();
         let free = sp.free_total();
@@ -2110,7 +2110,7 @@ pub(crate) mod tests {
         {
             let pin = st.storage().pin(root.page).unwrap();
             let mut buf = pin.write();
-            let mut sp = SlottedPage::open(&mut buf).unwrap();
+            let mut sp = SlottedPage::open(&mut *buf).unwrap();
             sp.update(0, &[0xFF]).unwrap();
         }
         let errors = [

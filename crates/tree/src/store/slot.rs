@@ -14,7 +14,7 @@
 //! registered pointers once, at its end ([`TreeStore::apply_patches`]):
 //! the last parent registered per child, in child order.
 
-use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
+use natix_storage::slotted::{SlottedPage, SLOT_ENTRY_SIZE};
 use natix_storage::{Metrics, PageBuf, PageId, PatchKind, Rid, SlotPatch, Splice, StorageError};
 use natix_xml::LabelId;
 
@@ -32,7 +32,7 @@ impl TreeStore {
     pub(super) fn view_current(&self, rid: Rid) -> TreeResult<RecordView> {
         let pin = self.sm.pin(rid.page)?;
         let buf = pin.read();
-        let sp = SlottedPageRef::open(&buf)?;
+        let sp = SlottedPage::open(&*buf)?;
         let table = page_table(sp.get(0), rid)?;
         let bytes = sp
             .get(rid.slot)
@@ -135,7 +135,7 @@ impl TreeStore {
     ) -> TreeResult<T> {
         let pin = self.sm.pin(rid.page)?;
         let mut buf = pin.write();
-        let sp = SlottedPageRef::open(&buf)?;
+        let sp = SlottedPage::open(&*buf)?;
         let had_tt = sp.is_live(0);
         let mut table = page_table(sp.get(0), rid)?;
         let before = table.len();
@@ -271,7 +271,7 @@ impl TreeStore {
     ) -> TreeResult<Option<Rid>> {
         let pin = self.sm.pin(page)?;
         let mut buf = pin.write();
-        let sp = SlottedPage::open(&mut buf)?;
+        let sp = SlottedPage::open(&*buf)?;
         let had_tt = sp.is_live(0);
         cursor.sync(sp.get(0), page, image)?;
         let before = cursor.table.len();

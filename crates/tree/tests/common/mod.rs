@@ -13,7 +13,7 @@ use natix_corpus::{
     generate_deep, generate_orders, generate_play, CorpusConfig, DeepConfig, OrdersConfig,
     SplitMix64,
 };
-use natix_storage::slotted::SlottedPageRef;
+use natix_storage::slotted::SlottedPage;
 use natix_storage::{BufferManager, MemStorage, Metrics, Rid, StorageManager};
 use natix_tree::record::{try_serialize, RecordView};
 use natix_tree::typetable::TypeTable;
@@ -154,7 +154,7 @@ pub fn canonical_records(st: &TreeStore) -> Result<usize, String> {
     for (page, _) in st.storage().pages() {
         let pin = st.storage().pin(page).map_err(|e| e.to_string())?;
         let buf = pin.read();
-        let sp = SlottedPageRef::open(&buf).map_err(|e| e.to_string())?;
+        let sp = SlottedPage::open(&*buf).map_err(|e| e.to_string())?;
         let table = TypeTable::decode(sp.get(0).unwrap_or_default())?;
         for slot in sp.live_slots().filter(|&s| s != 0) {
             let rid = Rid::new(page, slot);

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use natix_storage::slotted::SlottedPageRef;
+use natix_storage::slotted::SlottedPage;
 use natix_storage::{BufferManager, MemStorage, Metrics, Rid, StorageManager};
 use natix_tree::record::{try_serialize, RecordView};
 use natix_tree::typetable::TypeTable;
@@ -111,7 +111,7 @@ impl H {
             let (bytes, table) = {
                 let pin = self.store.storage().pin(rid.page).unwrap();
                 let buf = pin.read();
-                let sp = SlottedPageRef::open(&buf).unwrap();
+                let sp = SlottedPage::open(&*buf).unwrap();
                 let table = TypeTable::decode(sp.get(0).unwrap()).unwrap();
                 (sp.get(rid.slot).unwrap().to_vec(), table)
             };

@@ -23,7 +23,7 @@ use natix_corpus::{
     generate_deep, generate_orders, generate_play, CorpusConfig, DeepConfig, OrdersConfig,
     SplitMix64,
 };
-use natix_storage::slotted::SlottedPageRef;
+use natix_storage::slotted::SlottedPage;
 use natix_tree::{
     check_tree, reconstruct_document, SplitBehaviour, SplitMatrix, TreeConfig, TreeResult,
 };
@@ -74,7 +74,7 @@ fn placement(sh: &Shadow) -> Placement {
         let bytes = {
             let pin = st.storage().pin(rid.page).unwrap();
             let buf = pin.read();
-            let page = SlottedPageRef::open(&buf).unwrap();
+            let page = SlottedPage::open(&*buf).unwrap();
             page.get(rid.slot).expect("live record").to_vec()
         };
         fnv.feed(&(bytes.len() as u32).to_le_bytes());

@@ -24,7 +24,7 @@
 mod common;
 
 use natix_corpus::{generate_deep, DeepConfig, SplitMix64};
-use natix_storage::slotted::SlottedPageRef;
+use natix_storage::slotted::SlottedPage;
 use natix_tree::typetable::{ContentKind, TypeTable};
 use natix_tree::{check_tree, reconstruct_document, SplitMatrix, TreeConfig, TreeResult};
 use natix_xml::{LiteralValue, NodeData, NodeIdx, SymbolTable};
@@ -47,7 +47,7 @@ fn record_len(sh: &Shadow, n: NodeIdx) -> usize {
     let rid = sh.ptr(n).rid;
     let pin = sh.store.storage().pin(rid.page).unwrap();
     let buf = pin.read();
-    let page = SlottedPageRef::open(&buf).unwrap();
+    let page = SlottedPage::open(&*buf).unwrap();
     page.get(rid.slot).map_or(0, <[u8]>::len)
 }
 
@@ -58,7 +58,7 @@ fn in_group(sh: &Shadow, n: NodeIdx) -> bool {
     let rid = sh.ptr(n).rid;
     let pin = sh.store.storage().pin(rid.page).unwrap();
     let buf = pin.read();
-    let page = SlottedPageRef::open(&buf).unwrap();
+    let page = SlottedPage::open(&*buf).unwrap();
     let table = TypeTable::decode(page.get(0).unwrap()).unwrap();
     let record = page.get(rid.slot).unwrap();
     let root = table
