@@ -258,10 +258,9 @@ impl DocState {
 
     /// The ids bound to `ptrs`, binding a fresh one to each pointer never
     /// seen — the lazy-id path of read-only navigation — under one
-    /// acquisition of the id map.
+    /// acquisition of the id map ([`NodeMap::bind_all`]).
     pub(crate) fn bind_all(&self, ptrs: &[NodePtr]) -> Vec<NodeId> {
-        let mut ids = self.ids.lock();
-        ptrs.iter().map(|&p| ids.bind(p)).collect()
+        self.ids.lock().bind_all(ptrs)
     }
 
     /// The id map, locked.

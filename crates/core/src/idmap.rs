@@ -87,10 +87,36 @@ impl NodeMap {
         Some(entries[i].1)
     }
 
-    /// The id bound to `ptr`, binding a fresh one (no path yet) if it was
-    /// never seen.
-    pub(crate) fn bind(&mut self, ptr: NodePtr) -> NodeId {
-        self.lookup(ptr).unwrap_or_else(|| self.fresh(ptr, NO_PATH))
+    /// The ids bound to `ptrs`, in order, binding a fresh one (no path
+    /// yet) to each pointer never seen — in pointer order — with one
+    /// lookup of a record's index per run of pointers into it. A query's
+    /// matches come in document order, so each is searched for from the
+    /// previous one on.
+    pub(crate) fn bind_all(&mut self, ptrs: &[NodePtr]) -> Vec<NodeId> {
+        let mut ids = Vec::with_capacity(ptrs.len());
+        for run in ptrs.chunk_by(|a, b| a.rid == b.rid) {
+            let entries = self.records.entry(run[0].rid).or_default();
+            let mut at = 0;
+            // `at` is the previous match's entry: search on from it, or
+            // from the start when the run goes back.
+            for &ptr in run {
+                if entries.get(at).is_some_and(|e| e.0 > ptr.node) {
+                    at = 0;
+                }
+                at += entries[at..].partition_point(|e| e.0 < ptr.node);
+                let id = match entries.get(at) {
+                    Some(&(node, id)) if node == ptr.node => id,
+                    _ => {
+                        let id = self.slots.len() as NodeId;
+                        self.slots.push(Slot { ptr, path: NO_PATH });
+                        entries.insert(at, (ptr.node, id));
+                        id
+                    }
+                };
+                ids.push(id);
+            }
+        }
+        ids
     }
 
     /// Binds a fresh id to `ptr`, whose label path is `path`.
@@ -227,6 +253,15 @@ impl NodeMap {
 mod tests {
     use super::*;
 
+    impl NodeMap {
+        /// The id bound to `ptr`, binding a fresh one (no path yet) if it
+        /// was never seen: one pointer's `bind_all`, by lookup then
+        /// `fresh` — the reference `bind_all` is held to.
+        fn bind(&mut self, ptr: NodePtr) -> NodeId {
+            self.lookup(ptr).unwrap_or_else(|| self.fresh(ptr, NO_PATH))
+        }
+    }
+
     fn at(page: u32, node: PNodeId) -> NodePtr {
         NodePtr::new(Rid::new(page, 1), node)
     }
@@ -351,6 +386,49 @@ mod tests {
         assert_eq!(m.resolve(a), Some(at(1, 2)));
         assert_eq!(m.resolve(c), Some(at(1, 6)));
         assert_eq!(m.resolve(b), Some(at(1, 9)));
+    }
+
+    /// `bind_all` over `ptrs` answers what one `bind` per pointer does —
+    /// the same ids in the same order, fresh ones numbered alike — and
+    /// leaves the same map, on two maps with the same bound nodes.
+    fn binds_alike(ptrs: &[NodePtr]) {
+        let (mut runs, mut each) = (map(0), map(0));
+        for m in [&mut runs, &mut each] {
+            for ptr in [at(1, 4), at(2, 3), at(1, 9), at(3, 1)] {
+                m.bind(ptr);
+            }
+        }
+        let by_run = runs.bind_all(ptrs);
+        let by_one: Vec<NodeId> = ptrs.iter().map(|&p| each.bind(p)).collect();
+        assert_eq!(by_run, by_one, "{ptrs:?}");
+        assert_eq!(runs.slots.len(), each.slots.len());
+        for id in 0..runs.slots.len() as NodeId {
+            assert_eq!(runs.resolve(id), each.resolve(id), "id {id}");
+        }
+        assert_eq!(runs.records, each.records);
+    }
+
+    #[test]
+    fn binding_a_run_equals_binding_each_pointer() {
+        // Empty; one record, in order with repeats; unbound pointers in the
+        // middle of a run (fresh ids between bound ones, before the first
+        // and past the last); records interleaved and revisited; a run
+        // that goes back.
+        binds_alike(&[]);
+        binds_alike(&[at(1, 2), at(1, 4), at(1, 4), at(1, 5), at(1, 9), at(1, 9)]);
+        binds_alike(&[at(1, 1), at(1, 4), at(1, 6), at(1, 7), at(1, 9), at(1, 12)]);
+        binds_alike(&[at(1, 4), at(2, 3), at(1, 5), at(2, 1), at(1, 4), at(4, 2)]);
+        binds_alike(&[at(3, 1), at(3, 1), at(2, 8), at(2, 2), at(1, 9), at(1, 0)]);
+        let mut g = natix_corpus::SplitMix64::new(0xB1D);
+        for len in 0..200 {
+            let ptrs: Vec<NodePtr> = (0..len)
+                .map(|_| at(1 + g.below(3) as u32, g.below(16) as PNodeId))
+                .collect();
+            binds_alike(&ptrs);
+            let mut sorted = ptrs;
+            sorted.sort_by_key(|p| (p.rid.page, p.node));
+            binds_alike(&sorted);
+        }
     }
 
     #[test]

@@ -395,7 +395,14 @@ impl Repository {
             }
             Err(e) => {
                 self.abandon_claim(name);
-                Err(e)
+                // The abort's commit hook may have poisoned the log: then
+                // every later write is refused, and the caller hears it now.
+                match self.wal.as_ref().and_then(|wal| wal.failure()) {
+                    Some(StorageError::Io(log)) => Err(NatixError::Storage(StorageError::Io(
+                        std::io::Error::new(log.kind(), format!("{log}; the load had failed: {e}")),
+                    ))),
+                    _ => Err(e),
+                }
             }
         }
     }

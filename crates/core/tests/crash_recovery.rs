@@ -1829,6 +1829,40 @@ fn one_write_repository() -> Repository {
     .unwrap()
 }
 
+/// A load that fails after its abort poisoned the log reports both: its
+/// own error, and that the repository now refuses every write.
+#[test]
+fn a_failed_load_reports_the_log_its_abort_poisoned() {
+    let mut syms = SymbolTable::new();
+    let cfg = CorpusConfig {
+        plays: 2,
+        seed: 0x3E7A,
+        scale: 0.3,
+    };
+    let play = generate_play(&cfg, 0, &mut syms);
+    let xml = write_document(&play.doc, &syms, WriteOptions::compact()).unwrap();
+    let cut = &xml[..xml.rfind("</").unwrap()];
+
+    let a = one_write_repository();
+    let refused = a.put_xml("bad", cut).unwrap_err().to_string();
+    assert!(refused.contains("never closed"), "{refused}");
+    assert!(
+        refused.contains("log device failed") && refused.contains("write budget exhausted"),
+        "{refused}"
+    );
+    let next = a.create_document("after", "root").unwrap_err().to_string();
+    assert!(next.contains("log device failed"), "{next}");
+
+    // A load that fails on a healthy log reports its own error only.
+    let b = Repository::create_in_memory(RepositoryOptions::default()).unwrap();
+    let refused = b.put_xml("bad", cut).unwrap_err().to_string();
+    assert!(
+        refused.contains("never closed") && !refused.contains("log"),
+        "{refused}"
+    );
+    b.create_document("after", "root").unwrap();
+}
+
 /// A commit force that fails is reported by the operation whose force it
 /// was, and poisons that operation's log only: a healthy repository
 /// written next on the same thread neither reports it nor inherits it.

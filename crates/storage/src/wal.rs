@@ -907,6 +907,12 @@ impl Wal {
         StorageError::Io(std::io::Error::other(format!("log device failed: {cause}")))
     }
 
+    /// The error every durability gate returns once the log is poisoned
+    /// ([`poison`](Self::poison)), `None` while it is healthy; no I/O.
+    pub fn failure(&self) -> Option<StorageError> {
+        self.dead.load(Ordering::Acquire).then(|| self.dead_error())
+    }
+
     /// Marks the log failed: every later durability gate errors out,
     /// naming `cause` (the first one, if the log dies twice). Called when
     /// a commit hook could not force its pages, a logged write could not
@@ -1007,10 +1013,7 @@ impl Wal {
     pub fn flush_buffered(&self) -> StorageResult<()> {
         let target = self.appended.load(Ordering::Acquire);
         if self.durable.load(Ordering::Acquire) >= target {
-            if self.dead.load(Ordering::Acquire) {
-                return Err(self.dead_error());
-            }
-            return Ok(());
+            return self.failure().map_or(Ok(()), Err);
         }
         self.sync_to(target)
     }

@@ -75,6 +75,11 @@
 //!   `delete_node`'s victim walk — it names the cursors' own hops only.
 //! * **Budget.** A refill stops when the window is full and opens at most
 //!   `LOOKAHEAD_RECORDS` (64) records.
+//! * **The gate.** `walk` reads ahead only before a hop to a record the
+//!   thread's memo does not hold: a memoized record needs no page, and
+//!   planning at its hop would scan copies of up to 64 records ahead only
+//!   to ask the pool for pages it holds. A walk over records an earlier
+//!   read at the same snapshot parsed plans nothing until it leaves them.
 //!
 //! A cursor reads one index entry of the record's [`RecordView`] per node
 //! it scans and decodes nothing; `traverse` decodes a literal's value when
@@ -413,6 +418,8 @@ fn read_ahead<S: Copy>(
     if ahead.asked(target.page) {
         return;
     }
+    #[cfg(test)]
+    lookaheads::count();
     let mut frontier = Lookahead {
         store,
         keep,
@@ -478,10 +485,17 @@ where
                 continue;
             }
         };
-        if let Some(ahead) = &mut ahead {
-            read_ahead(store, ahead, target, &keep, (&cursor, &outer));
-        }
-        let sub = store.view(target)?;
+        // A record the thread's memo holds needs no page: read ahead only
+        // before a hop to one it does not (module docs).
+        let sub = match store.versions().memoized(target) {
+            Some(view) => view,
+            None => {
+                if let Some(ahead) = &mut ahead {
+                    read_ahead(store, ahead, target, &keep, (&cursor, &outer));
+                }
+                store.view(target)?
+            }
+        };
         // A proxied record is walked from its root, node 0.
         let next = if via_proxy {
             Cursor::new(sub, 0, state, closes)
@@ -657,4 +671,51 @@ pub fn subtree_text(store: &TreeStore, ptr: NodePtr) -> TreeResult<String> {
         true
     })?;
     Ok(out)
+}
+
+/// Test-only count of the lookaheads walks plan, per thread: one per hop
+/// whose page the walk has not asked for yet.
+#[cfg(test)]
+pub(crate) mod lookaheads {
+    use std::cell::Cell;
+
+    thread_local! {
+        static PLANS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count() {
+        PLANS.with(|v| v.set(v.get() + 1));
+    }
+
+    /// Reads and resets the calling thread's count.
+    pub(crate) fn take() -> u64 {
+        PLANS.with(|v| v.replace(0))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A second identical walk under the same pin finds every record in
+    /// the memo and plans no lookahead; the first plans some. Both
+    /// drivers, over every document of the store's corpus.
+    #[test]
+    fn a_walk_over_memoized_records_plans_no_lookahead() {
+        let (st, roots) = crate::store::tests::corpus(2_048);
+        for root in roots {
+            let _pin = st.begin_read();
+            let ptr = NodePtr::new(root, 0);
+            let walks = || {
+                lookaheads::take();
+                walk_records(&st, ptr, (), |(), _| Some(()), &mut |_, ()| true).unwrap();
+                let walked = lookaheads::take();
+                traverse(&st, ptr, &mut |_| true).unwrap();
+                (walked, lookaheads::take())
+            };
+            let (first, second) = (walks(), walks());
+            assert!(first.0 > 0, "record {root}: the first walk plans");
+            assert_eq!(second, (0, 0), "record {root}: (walk, traverse)");
+        }
+    }
 }

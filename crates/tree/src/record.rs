@@ -35,12 +35,14 @@
 //! * [`RecordView::parse`] validates the bytes and indexes them — per node
 //!   its type, its parent, its header's offset and body end, and the
 //!   pre-order index past its subtree — in one pass that allocates the
-//!   index only (≈ 2 µs for a 200-node 8 KiB record). Every reader
-//!   navigates this form and decodes just the literals it returns, and
-//!   every edit splices it (next section).
+//!   index only. A play's records hold ≈ 22 bytes a node, and on a shared
+//!   2-core Xeon the parse takes ≈ 11 ns a node: ≈ 2.3 µs for a play's
+//!   average record (4.7 KB, 211 nodes), ≈ 4 µs for a full 8 KiB one.
+//!   Every reader navigates this form and decodes just the literals it
+//!   returns, and every edit splices it (next section).
 //! * [`RecordView::decode`] turns a view into a [`RecordTree`]: an arena
-//!   node and, for a literal, an owned value per node (≈ 20 µs for the
-//!   same record). The engine makes none: it is the form
+//!   node and, for a literal, an owned value per node (≈ 125 ns a node,
+//!   ≈ 27 µs for the average record). The engine makes none: it is the form
 //!   `TreeStore::load` returns to callers outside it, and with
 //!   [`try_serialize`] the reference the tests hold the byte paths to;
 //!   [`deserialize`] is parse then decode.
@@ -246,15 +248,6 @@ pub fn deserialize(bytes: &[u8], table: &TypeTable, rid: Rid) -> TreeResult<Reco
     RecordView::parse(bytes.to_vec(), table.clone(), rid)?.decode()
 }
 
-/// The `(kind, label)` of a header's type index: an index the page's table
-/// does not hold is a corrupt record.
-fn resolve_type(table: &TypeTable, index: u16, rid: Rid) -> TreeResult<(ContentKind, LabelId)> {
-    table.get(index).ok_or_else(|| TreeError::CorruptRecord {
-        rid,
-        message: format!("type index {index} out of range"),
-    })
-}
-
 /// The value of a literal body, `None` when the body does not hold one of
 /// `kind`: a numeric body of the wrong width, a string that is not UTF-8.
 fn decode_literal(kind: ContentKind, body: &[u8]) -> Option<LiteralValue> {
@@ -285,7 +278,7 @@ pub enum Shape {
 }
 
 /// One node of a [`RecordView`]'s index.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     kind: ContentKind,
     label: LabelId,
@@ -296,6 +289,17 @@ struct Entry {
     header: u32,
     /// Byte offset one past the node's body.
     end: u32,
+}
+
+/// An aggregate or prefix entry whose body [`RecordView::parse`] is in.
+struct Open {
+    id: PNodeId,
+    /// Byte offset of its header, which its children name as their parent.
+    header: usize,
+    /// Byte offset of the next embedded header in its body.
+    at: usize,
+    /// Byte offset one past its body.
+    end: usize,
 }
 
 /// One record, validated and indexed for navigation: its bytes, its page's
@@ -319,118 +323,112 @@ pub struct RecordView {
 impl RecordView {
     /// Validates `bytes`, the record at `rid` encoded under `table`, and
     /// indexes it (module docs: the checks made here). Iterative, so the
-    /// deepest record a page holds costs no call stack.
+    /// deepest record a page holds costs no call stack: each open
+    /// aggregate carries its header offset and body end on the parse's
+    /// stack, and each embedded header is read with one bounds check.
     pub fn parse(bytes: Vec<u8>, table: TypeTable, rid: Rid) -> TreeResult<RecordView> {
         let corrupt = |m: String| TreeError::CorruptRecord { rid, message: m };
-        if bytes.len() < STANDALONE_HEADER || u32::try_from(bytes.len()).is_err() {
+        let len = bytes.len();
+        if len < STANDALONE_HEADER || u32::try_from(len).is_err() {
             return Err(corrupt(format!(
-                "record of {} bytes has no standalone header or no u32 offsets",
-                bytes.len()
+                "record of {len} bytes has no standalone header or no u32 offsets"
             )));
         }
-        let (kind, label) = resolve_type(&table, type_at(&bytes, 0), rid)?;
-        let len = bytes.len();
-        let mut view = RecordView {
-            rid,
-            bytes,
-            table,
-            // Stored records average ≈ 40 bytes a node: one allocation.
-            nodes: Vec::with_capacity(len / 32),
-            continuation: None,
-            packed: false,
-        };
+        let types = table.entries();
+        // A play's records hold ≈ 22 bytes a node (4.7 KB and 211 nodes
+        // on average): one allocation for all but the densest.
+        let mut nodes: Vec<Entry> = Vec::with_capacity(len / 20);
+        let (mut continuation, mut packed) = (None, false);
         // Aggregates and prefix entries whose body is being parsed,
-        // innermost last, each with its next embedded header.
-        let mut open: Vec<(PNodeId, usize)> = Vec::new();
-        if let Some(root) = view.push(kind, label, None, 0, len)? {
-            open.push((root, STANDALONE_HEADER));
-        }
-        while let Some(&(me, at)) = open.last() {
-            let Entry { header, end, .. } = view.nodes[me as usize];
-            let (my_header, body_end) = (header as usize, end as usize);
-            if at == body_end {
+        // innermost last.
+        let mut open: Vec<Open> = Vec::new();
+        // The node to index next: its type index, parent, header offset
+        // and body.
+        let (mut type_idx, mut parent, mut header, mut body) =
+            (type_at(&bytes, 0), None, 0, STANDALONE_HEADER..len);
+        loop {
+            let Some(&(kind, label)) = types.get(type_idx as usize) else {
+                return Err(corrupt(format!("type index {type_idx} out of range")));
+            };
+            // Every index, and one past the last, must be a `PNodeId`.
+            let Some(id) = PNodeId::try_from(nodes.len())
+                .ok()
+                .filter(|&id| id < PNodeId::MAX)
+            else {
+                return Err(corrupt("more nodes than a record can address".into()));
+            };
+            nodes.push(Entry {
+                kind,
+                label,
+                parent,
+                next: id + 1,
+                header: header as u32,
+                end: body.end as u32,
+            });
+            match kind {
+                ContentKind::Aggregate | ContentKind::Prefix => {
+                    packed |= kind == ContentKind::Prefix;
+                    open.push(Open {
+                        id,
+                        header,
+                        at: body.start,
+                        end: body.end,
+                    });
+                }
+                ContentKind::Proxy | ContentKind::Continuation => {
+                    if body.len() != PROXY_BODY {
+                        return Err(corrupt(format!("proxy body of {} bytes", body.len())));
+                    }
+                    if kind == ContentKind::Continuation {
+                        packed = true;
+                        continuation.get_or_insert((id, Rid::decode(&bytes[body])));
+                    }
+                }
+                // UTF-8 is checked when the literal is read.
+                ContentKind::LitString | ContentKind::LitUri => {}
+                lit => {
+                    if decode_literal(lit, &bytes[body]).is_none() {
+                        return Err(corrupt(format!("bad literal body for {lit:?}")));
+                    }
+                }
+            }
+            // The next embedded header, past the bodies this node ends.
+            let top = loop {
+                let Some(top) = open.last_mut() else {
+                    return Ok(RecordView {
+                        rid,
+                        bytes,
+                        table,
+                        nodes,
+                        continuation,
+                        packed,
+                    });
+                };
+                if top.at < top.end {
+                    break top;
+                }
+                nodes[top.id as usize].next = nodes.len() as PNodeId;
                 open.pop();
-                view.nodes[me as usize].next = view.nodes.len() as PNodeId;
-                continue;
-            }
-            if body_end - at < EMBEDDED_HEADER {
+            };
+            let at = top.at;
+            let Some(h) = bytes[at..top.end].first_chunk::<EMBEDDED_HEADER>() else {
                 return Err(corrupt("truncated embedded header".into()));
-            }
-            let field = |i: usize| u16::from_le_bytes([view.bytes[at + i], view.bytes[at + i + 1]]);
-            let (type_idx, parent_off, size) = (field(0), field(2) as usize, field(4) as usize);
-            if parent_off != my_header {
+            };
+            let field = |i: usize| u16::from_le_bytes([h[i], h[i + 1]]);
+            let (parent_off, size) = (field(2) as usize, field(4) as usize);
+            if parent_off != top.header {
                 return Err(corrupt(format!(
-                    "embedded object at {at}: parent offset {parent_off} != {my_header}"
+                    "embedded object at {at}: parent offset {parent_off} != {}",
+                    top.header
                 )));
             }
-            if size < EMBEDDED_HEADER || size > body_end - at {
+            if size < EMBEDDED_HEADER || size > top.end - at {
                 return Err(corrupt(format!("embedded object at {at}: bad size {size}")));
             }
-            if let Some(top) = open.last_mut() {
-                top.1 = at + size;
-            }
-            let (kind, label) = resolve_type(&view.table, type_idx, rid)?;
-            if let Some(child) = view.push(kind, label, Some(me), at, at + size)? {
-                open.push((child, at + EMBEDDED_HEADER));
-            }
+            top.at = at + size;
+            (type_idx, parent, header) = (field(0), Some(top.id), at);
+            body = at + EMBEDDED_HEADER..at + size;
         }
-        Ok(view)
-    }
-
-    /// Indexes a node [`parse`](Self::parse) met and checks its body.
-    /// Returns the node when it is an aggregate or prefix entry, whose
-    /// body the caller parses next.
-    fn push(
-        &mut self,
-        kind: ContentKind,
-        label: LabelId,
-        parent: Option<PNodeId>,
-        header: usize,
-        end: usize,
-    ) -> TreeResult<Option<PNodeId>> {
-        let corrupt = |m: String| TreeError::CorruptRecord {
-            rid: self.rid,
-            message: m,
-        };
-        // Every index, and one past the last, must be a `PNodeId`.
-        let Some(id) = PNodeId::try_from(self.nodes.len())
-            .ok()
-            .filter(|&id| id < PNodeId::MAX)
-        else {
-            return Err(corrupt("more nodes than a record can address".into()));
-        };
-        self.nodes.push(Entry {
-            kind,
-            label,
-            parent,
-            next: id + 1,
-            header: header as u32,
-            end: end as u32,
-        });
-        let body = &self.bytes[self.body(id)];
-        match kind {
-            ContentKind::Aggregate | ContentKind::Prefix => {
-                self.packed |= kind == ContentKind::Prefix;
-                return Ok(Some(id));
-            }
-            ContentKind::Proxy | ContentKind::Continuation => {
-                if body.len() != PROXY_BODY {
-                    return Err(corrupt(format!("proxy body of {} bytes", body.len())));
-                }
-                if kind == ContentKind::Continuation {
-                    self.packed = true;
-                    self.continuation.get_or_insert((id, Rid::decode(body)));
-                }
-            }
-            // UTF-8 is checked when the literal is read.
-            ContentKind::LitString | ContentKind::LitUri => {}
-            lit => {
-                if decode_literal(lit, body).is_none() {
-                    return Err(corrupt(format!("bad literal body for {lit:?}")));
-                }
-            }
-        }
-        Ok(None)
     }
 
     #[inline]
@@ -1270,6 +1268,177 @@ pub(crate) mod tests {
     use natix_corpus::SplitMix64 as Gen;
     use natix_storage::INVALID_PAGE;
     use natix_xml::{LabelId, LABEL_TEXT};
+
+    /// The parse before it became one pass, verbatim but for its
+    /// helpers' names: each step reads the open node's bounds back out of
+    /// the index, resolves the type through the table's `get`, and
+    /// indexes the node in a call of its own. Kept as the reference
+    /// [`RecordView::parse`] is compared against.
+    pub(crate) fn reference_parse(
+        bytes: Vec<u8>,
+        table: TypeTable,
+        rid: Rid,
+    ) -> TreeResult<RecordView> {
+        let corrupt = |m: String| TreeError::CorruptRecord { rid, message: m };
+        if bytes.len() < STANDALONE_HEADER || u32::try_from(bytes.len()).is_err() {
+            return Err(corrupt(format!(
+                "record of {} bytes has no standalone header or no u32 offsets",
+                bytes.len()
+            )));
+        }
+        let (kind, label) = reference_resolve_type(&table, type_at(&bytes, 0), rid)?;
+        let len = bytes.len();
+        let mut view = RecordView {
+            rid,
+            bytes,
+            table,
+            nodes: Vec::with_capacity(len / 32),
+            continuation: None,
+            packed: false,
+        };
+        let mut open: Vec<(PNodeId, usize)> = Vec::new();
+        if let Some(root) = reference_push(&mut view, kind, label, None, 0, len)? {
+            open.push((root, STANDALONE_HEADER));
+        }
+        while let Some(&(me, at)) = open.last() {
+            let Entry { header, end, .. } = view.nodes[me as usize];
+            let (my_header, body_end) = (header as usize, end as usize);
+            if at == body_end {
+                open.pop();
+                view.nodes[me as usize].next = view.nodes.len() as PNodeId;
+                continue;
+            }
+            if body_end - at < EMBEDDED_HEADER {
+                return Err(corrupt("truncated embedded header".into()));
+            }
+            let field = |i: usize| u16::from_le_bytes([view.bytes[at + i], view.bytes[at + i + 1]]);
+            let (type_idx, parent_off, size) = (field(0), field(2) as usize, field(4) as usize);
+            if parent_off != my_header {
+                return Err(corrupt(format!(
+                    "embedded object at {at}: parent offset {parent_off} != {my_header}"
+                )));
+            }
+            if size < EMBEDDED_HEADER || size > body_end - at {
+                return Err(corrupt(format!("embedded object at {at}: bad size {size}")));
+            }
+            if let Some(top) = open.last_mut() {
+                top.1 = at + size;
+            }
+            let (kind, label) = reference_resolve_type(&view.table, type_idx, rid)?;
+            if let Some(child) = reference_push(&mut view, kind, label, Some(me), at, at + size)? {
+                open.push((child, at + EMBEDDED_HEADER));
+            }
+        }
+        Ok(view)
+    }
+
+    fn reference_resolve_type(
+        table: &TypeTable,
+        index: u16,
+        rid: Rid,
+    ) -> TreeResult<(ContentKind, LabelId)> {
+        table.get(index).ok_or_else(|| TreeError::CorruptRecord {
+            rid,
+            message: format!("type index {index} out of range"),
+        })
+    }
+
+    fn reference_push(
+        view: &mut RecordView,
+        kind: ContentKind,
+        label: LabelId,
+        parent: Option<PNodeId>,
+        header: usize,
+        end: usize,
+    ) -> TreeResult<Option<PNodeId>> {
+        let corrupt = |m: String| TreeError::CorruptRecord {
+            rid: view.rid,
+            message: m,
+        };
+        let Some(id) = PNodeId::try_from(view.nodes.len())
+            .ok()
+            .filter(|&id| id < PNodeId::MAX)
+        else {
+            return Err(corrupt("more nodes than a record can address".into()));
+        };
+        view.nodes.push(Entry {
+            kind,
+            label,
+            parent,
+            next: id + 1,
+            header: header as u32,
+            end: end as u32,
+        });
+        let body = &view.bytes[view.body(id)];
+        match kind {
+            ContentKind::Aggregate | ContentKind::Prefix => {
+                view.packed |= kind == ContentKind::Prefix;
+                return Ok(Some(id));
+            }
+            ContentKind::Proxy | ContentKind::Continuation => {
+                if body.len() != PROXY_BODY {
+                    return Err(corrupt(format!("proxy body of {} bytes", body.len())));
+                }
+                if kind == ContentKind::Continuation {
+                    view.packed = true;
+                    view.continuation.get_or_insert((id, Rid::decode(body)));
+                }
+            }
+            ContentKind::LitString | ContentKind::LitUri => {}
+            lit => {
+                if decode_literal(lit, body).is_none() {
+                    return Err(corrupt(format!("bad literal body for {lit:?}")));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// `parsed`, the parse's answer for some bytes, is the oracle's
+    /// `reference`: the same error, or the same index of the same bytes.
+    fn same_parse(parsed: &TreeResult<RecordView>, reference: &TreeResult<RecordView>, what: &str) {
+        match (parsed, reference) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.nodes, b.nodes, "{what}: the index");
+                assert_eq!(a.bytes, b.bytes, "{what}: the bytes");
+                assert_eq!(
+                    (a.rid, a.continuation, a.packed),
+                    (b.rid, b.continuation, b.packed),
+                    "{what}"
+                );
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+            (a, b) => panic!(
+                "{what}: the parse says {:?}, the oracle {:?}",
+                a.as_ref().err(),
+                b.as_ref().err()
+            ),
+        }
+    }
+
+    /// Every record of the store's corpus — plays, an order batch, the
+    /// deep document and a per-node load — at 2 KiB and 8 KiB pages: the
+    /// one-pass parse builds the index the oracle builds.
+    #[test]
+    fn the_parse_builds_the_oracle_s_index_on_every_stored_record() {
+        for page_size in [2_048, 8_192] {
+            let (st, roots) = crate::store::tests::corpus(page_size);
+            let mut records = 0;
+            for root in roots {
+                let mut work = vec![root];
+                while let Some(rid) = work.pop() {
+                    let view = st.view(rid).unwrap();
+                    work.extend(view.targets());
+                    let (bytes, table) = (view.bytes.clone(), view.table.clone());
+                    let what = format!("record {rid} at {page_size}");
+                    let parsed = RecordView::parse(bytes.clone(), table.clone(), rid);
+                    same_parse(&parsed, &reference_parse(bytes, table, rid), &what);
+                    records += 1;
+                }
+            }
+            assert!(records > 100, "{records} records at {page_size}");
+        }
+    }
 
     /// The encoder as it was before sizes were back-patched (PR 24's
     /// parent, verbatim but for `intern`'s `Result`): every embedded
@@ -2177,7 +2346,9 @@ pub(crate) mod tests {
     /// never a panic. The parse is the one validator; the decode adds one
     /// check the parse defers to a literal's read: a string literal that
     /// is not UTF-8 passes the parse and is refused by the navigation's
-    /// read of that literal, as by the decode.
+    /// read of that literal, as by the decode. The parse also answers
+    /// every mutant as its oracle does ([`reference_parse`]): the same
+    /// error, or the same index.
     #[test]
     fn mutated_records_are_corrupt_record_errors_or_consistent_answers() {
         std::thread::Builder::new()
@@ -2210,7 +2381,9 @@ pub(crate) mod tests {
                 let bad = mutate(&mut g, &bytes, &headers, table.len());
                 let what = format!("record {i}, mutant {m}");
                 let decoded = deserialize(&bad, &table, rid);
+                let reference = reference_parse(bad.clone(), table.clone(), rid);
                 let parsed = RecordView::parse(bad, table.clone(), rid);
+                same_parse(&parsed, &reference, &what);
                 let parse_ok = parsed.is_ok();
                 let viewed = parsed.and_then(|v| navigate_fully(&v).map(|()| v));
                 match (decoded, viewed) {

@@ -46,8 +46,8 @@
 //! # Parsed-record memo
 //!
 //! A read navigates a [`RecordView`] — the record's bytes, validated and
-//! indexed, ≈ 2 µs for a 200-node 8 KiB record — and never decodes a
-//! record tree (≈ 20 µs): see [`crate::record`]. The image of a record
+//! indexed, ≈ 2.3 µs for a play's average 211-node record — and never
+//! decodes a record tree (≈ 27 µs): see [`crate::record`]. The image of a record
 //! seen from a pinned epoch never changes: the page holds it until a
 //! writer supersedes it, and from then on the deposit does, for as long as
 //! a pin at that epoch lives — and no pin can be taken at an epoch once a
@@ -82,11 +82,20 @@
 //!   counted (`RecordView::footprint`): a read that would pass the bound
 //!   starts over with an empty memo, which costs a depth-first walk one
 //!   re-parse per record on its current root-to-leaf path. A view holds the
-//!   record's bytes plus a 20-byte index entry per node, ≈ 12 KiB for a
-//!   200-node record of an 8 KiB page, so a full memo is ≈ 250 such
-//!   records. Every thread that has read under a pin — query workers
-//!   included — may hold up to ≈ 3 MiB until it next reads under another
-//!   key, or until it exits.
+//!   record's bytes plus a 20-byte index entry per node, ≈ 9 KiB for a
+//!   play's average record (4.7 KB, 211 nodes), so a full memo is ≈ 340
+//!   such records, about nine plays. Every thread that has read under a
+//!   pin — query workers included — may hold up to ≈ 3 MiB until it next
+//!   reads under another key, or until it exits.
+//! * **The reuse it serves.** The memo serves a document's queries within
+//!   one visit, not across visits. On `spine`'s `query_hot` (37 plays and
+//!   6 order batches in a resident pool, a window that moves to other
+//!   documents every cycle) an operation parses ≈ 4.7 records — ≈ 10 for
+//!   a descendant query, ≈ 14 for a content query, ≈ 2 for a point query
+//!   — and a document comes back only after more parsed records than a
+//!   12 MiB memo holds: at 12 MiB the parses per operation were
+//!   unchanged, at 48 MiB they fell to ≈ 0.07. The bound stays at 3 MiB;
+//!   what such a read pays is the parse, so the parse is one tight pass.
 //!
 //! **The invariant it relies on:** every record write that a pinned reader
 //! could see runs under a [`WriteOp`], and the `WriteOp`'s drop advances
@@ -424,8 +433,7 @@ impl VersionStore {
         let Some(epoch) = self.ambient_read_epoch() else {
             return read_page().map(Arc::new);
         };
-        let memo_key = self.memo_key();
-        if let Some(hit) = memo_key.and_then(|key| RECORD_MEMO.with_borrow(|m| m.get(key, rid))) {
+        if let Some(hit) = self.memoized(rid) {
             return Ok(hit);
         }
         let view = match self.lookup(rid, epoch)? {
@@ -445,7 +453,7 @@ impl VersionStore {
             }
         };
         let view = Arc::new(view);
-        if let Some(key) = memo_key {
+        if let Some(key) = self.memo_key() {
             RECORD_MEMO.with_borrow_mut(|m| m.insert(key, rid, Arc::clone(&view)));
         }
         Ok(view)
@@ -465,6 +473,15 @@ impl VersionStore {
     /// the buffer pool, so that reads after it are the pool's.
     pub fn forget_parsed(&self) {
         self.state.lock().generation += 1;
+    }
+
+    /// The view [`read`](Self::read) would hand the calling thread from
+    /// its memo, without reading anything else: `None` when the record
+    /// was not parsed under the thread's snapshot yet, or the memo is
+    /// bypassed.
+    pub(crate) fn memoized(&self, rid: Rid) -> Option<Arc<RecordView>> {
+        let key = self.memo_key()?;
+        RECORD_MEMO.with_borrow(|m| m.get(key, rid))
     }
 
     /// Whether [`read`](Self::read) currently remembers what it parses
